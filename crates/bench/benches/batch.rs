@@ -1,9 +1,10 @@
-//! Criterion bench for batched query execution: single-query
-//! `QueryPlanner::retrieve` loops vs `retrieve_batch` at batch sizes
-//! {1, 16, 64} on the planner bench workload (same city, seed, and mid
-//! range as `benches/planner.rs`), plus the sharded fan-out dispatch
-//! comparison — the persistent worker pool against a spawn-per-query
-//! scoped-thread baseline at 4 shards.
+//! Criterion bench for batched query execution: N one-query calls
+//! (`QueryPlanner::retrieve_keyword`, itself a `retrieve_batch` of one)
+//! vs one `retrieve_batch` of N at N in {1, 16, 64} on the planner
+//! bench workload (same city, seed, and mid range as
+//! `benches/planner.rs`) — what grouping buys on the one filtering path —
+//! plus one exact-scan query fanned over 4 shards on the shared worker
+//! pool.
 //!
 //! The recorded baseline lives in `BENCH_batch.json` at the repo root;
 //! regenerate it with `cargo bench --bench batch` after touching the
@@ -19,7 +20,7 @@ use semask::retrieval::RetrievalStrategy;
 use semask::{
     prepare_city, ExactScanBackend, PlannedQuery, RetrievalBackend, SemaSkConfig, ShardedBackend,
 };
-use vecdb::{merge_top_k, ScoredPoint, ShardedCollection};
+use vecdb::ShardedCollection;
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -31,29 +32,6 @@ const QUERY_TEXTS: [&str; 8] = [
     "family friendly pizza",
     "vegan brunch with outdoor seating",
 ];
-
-/// Spawn-per-query fan-out baseline: the pre-pool dispatch strategy
-/// (one scoped OS thread per shard per query), kept here so the bench
-/// can record what the shared worker pool replaced.
-fn spawn_fan_out(
-    shards: &[Box<dyn RetrievalBackend>],
-    qv: &[f32],
-    range: &geotext::BoundingBox,
-    k: usize,
-) -> Vec<ScoredPoint> {
-    let per_shard: Vec<Vec<ScoredPoint>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|s| scope.spawn(move |_| s.knn_in_range(qv, range, k, None).expect("shard")))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker"))
-            .collect()
-    })
-    .expect("scope");
-    merge_top_k(&per_shard, k).0
-}
 
 fn bench_batch(c: &mut Criterion) {
     let data = datagen::poi::generate_city(&datagen::CITIES[3], 1790, 7);
@@ -107,7 +85,7 @@ fn bench_batch(c: &mut Criterion) {
                         black_box(
                             prepared
                                 .planner
-                                .retrieve(&q.vec, &q.range, q.k, q.ef)
+                                .retrieve_keyword(&q.vec, &q.range, None, q.k, q.ef)
                                 .expect("retrieval")
                                 .hits,
                         );
@@ -120,34 +98,27 @@ fn bench_batch(c: &mut Criterion) {
         }
     }
 
-    // Sharded fan-out dispatch: pooled (ShardedBackend on the shared
-    // worker pool) vs spawn-per-query scoped threads, same per-shard
-    // backends, same exact-scan work.
+    // Sharded fan-out dispatch: a ShardedBackend on the shared worker
+    // pool, one exact-scan query over 4 shards.
     let shards = 4usize;
     let partitioned =
         ShardedCollection::from_collection(&collection.read(), shards).expect("partition");
-    let make_backends = || -> Vec<Box<dyn RetrievalBackend>> {
-        partitioned
-            .shards()
-            .iter()
-            .map(|h| Box::new(ExactScanBackend::new(Arc::clone(h))) as Box<dyn RetrievalBackend>)
-            .collect()
-    };
-    let pooled = ShardedBackend::new(RetrievalStrategy::ExactScan, make_backends());
-    let spawn_backends = make_backends();
+    let backends: Vec<Box<dyn RetrievalBackend>> = partitioned
+        .shards()
+        .iter()
+        .map(|h| Box::new(ExactScanBackend::new(Arc::clone(h))) as Box<dyn RetrievalBackend>)
+        .collect();
+    let pooled = ShardedBackend::new(RetrievalStrategy::ExactScan, backends);
     let qv = &embedded[0];
     let fan_range = &bands[1].1;
     group.bench_function(format!("fanout/pooled-{shards}"), |b| {
         b.iter(|| {
             black_box(
                 pooled
-                    .knn_in_range(qv, fan_range, 10, None)
+                    .knn_in_range(&[qv], fan_range, 10, None)
                     .expect("pooled"),
             )
         });
-    });
-    group.bench_function(format!("fanout/spawn-{shards}"), |b| {
-        b.iter(|| black_box(spawn_fan_out(&spawn_backends, qv, fan_range, 10)));
     });
     group.finish();
 }

@@ -44,7 +44,11 @@ fn bench_filtering(c: &mut Criterion) {
             let q = &queries[i % queries.len()];
             let v = &vecs[i % queries.len()];
             i += 1;
-            black_box(prepared.filtered_knn(v, &q.range, 10, None).unwrap())
+            black_box(
+                prepared
+                    .filtered_knn_keyword(v, &q.range, None, 10, None)
+                    .unwrap(),
+            )
         });
     });
 
@@ -54,7 +58,11 @@ fn bench_filtering(c: &mut Criterion) {
             let q = &queries[i % queries.len()];
             i += 1;
             let v = prepared.embedder.embed(&q.text);
-            black_box(prepared.filtered_knn(&v, &q.range, 10, None).unwrap())
+            black_box(
+                prepared
+                    .filtered_knn_keyword(&v, &q.range, None, 10, None)
+                    .unwrap(),
+            )
         });
     });
     group.finish();

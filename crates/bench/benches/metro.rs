@@ -267,7 +267,7 @@ fn bench_metro(c: &mut Criterion) {
                 black_box(
                     prepared
                         .planner
-                        .retrieve(qv, range, k, None)
+                        .retrieve_keyword(qv, range, None, k, None)
                         .expect("retrieval")
                         .hits,
                 )

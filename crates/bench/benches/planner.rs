@@ -106,7 +106,7 @@ fn bench_planner(c: &mut Criterion) {
                 black_box(
                     prepared
                         .planner
-                        .retrieve(&qv, range, 10, None)
+                        .retrieve_keyword(&qv, range, None, 10, None)
                         .expect("retrieval")
                         .hits,
                 )
@@ -116,7 +116,7 @@ fn bench_planner(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     static_planner
-                        .retrieve(&qv, range, 10, None)
+                        .retrieve_keyword(&qv, range, None, 10, None)
                         .expect("retrieval")
                         .hits,
                 )

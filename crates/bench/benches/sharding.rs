@@ -61,7 +61,7 @@ fn bench_sharding(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         planner
-                            .retrieve(&qv, range, 10, None)
+                            .retrieve_keyword(&qv, range, None, 10, None)
                             .expect("retrieval")
                             .hits,
                     )

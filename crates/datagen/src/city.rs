@@ -94,9 +94,33 @@ pub const METRO: City = City {
     county: "Metro County",
 };
 
+impl City {
+    /// The world a key names: one of the paper's [`CITIES`] or the
+    /// [`METRO`] — the one lookup for anything that stored a key (a
+    /// persisted snapshot's manifest) and needs the city back.
+    #[must_use]
+    pub fn by_key(key: &str) -> Option<City> {
+        CITIES
+            .iter()
+            .chain(std::iter::once(&METRO))
+            .find(|c| c.key == key)
+            .copied()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_key_knows_the_paper_cities_and_the_metro() {
+        for c in CITIES {
+            assert_eq!(City::by_key(c.key).map(|f| f.name), Some(c.name));
+        }
+        assert_eq!(City::by_key("MX").map(|c| c.name), Some(METRO.name));
+        assert!(City::by_key("").is_none());
+        assert!(City::by_key("ZZ").is_none());
+    }
 
     #[test]
     fn five_cities_with_paper_counts() {

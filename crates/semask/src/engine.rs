@@ -221,66 +221,30 @@ impl SemaSkEngine {
         self.query(&SemaSkQuery::new(range, text))
     }
 
-    /// Answers a query with the filter-and-refine procedure. The
+    /// Answers a query with the filter-and-refine procedure: a
+    /// [`SemaSkEngine::filter_batch`] of one, then refinement. The
     /// filtering stage runs through the [`crate::retrieval::QueryPlanner`];
     /// the chosen strategy is reported in the outcome's
     /// [`LatencyBreakdown::filter_strategy`].
     pub fn query(&self, q: &SemaSkQuery) -> Result<QueryOutcome, EngineError> {
-        // ---- Filtering (measured wall clock) ----
-        let t0 = Instant::now();
-        let qvec = self.prepared.embedder.embed(&q.text);
-        let t_retrieval = Instant::now();
-        // The mutation gate is held for exactly the filter window: the
-        // plan, the candidate retrieval, and the overlay capture happen
-        // at one epoch. Refinement (the slow LLM call) runs outside the
-        // gate against the captured view, so it never blocks writers.
-        let (mut planned, view) = {
-            let _gate = self.prepared.live.gate_read();
-            let planned = self.prepared.filtered_knn_keyword(
-                &qvec,
-                &q.range,
-                q.keywords.as_deref(),
-                self.config.k,
-                self.config.ef,
-            )?;
-            (planned, self.prepared.live.overlay())
-        };
-        let retrieval_ms = t_retrieval.elapsed().as_secs_f64() * 1000.0;
-        let latency = LatencyBreakdown {
-            filtering_ms: t0.elapsed().as_secs_f64() * 1000.0,
-            retrieval_ms,
-            refinement_ms: 0.0,
-            filter_strategy: Some(planned.strategy),
-            estimated_selectivity: planned.estimated_fraction,
-            predicted_cost_us: planned.predicted_cost_us,
-            runner_up: planned.runner_up,
-            cost_model_version: planned.model_version,
-            shard_candidates: std::mem::take(&mut planned.shard_candidates),
-            shard_predicted_us: std::mem::take(&mut planned.shard_predicted_us),
-        };
-
-        // Candidate list in embedding order.
-        let candidates: Vec<(ObjectId, f32)> = planned
-            .hits
-            .iter()
-            .map(|h| (ObjectId(h.id as u32), h.score))
-            .collect();
-        self.refine_with_view(&q.text, candidates, latency, &view)
+        let mut filtered = self.filter_batch(std::slice::from_ref(q))?;
+        let item = filtered.items.pop().expect("one filtered query per query");
+        self.refine_with_view(&q.text, item.candidates, item.latency, &item.view)
     }
 
-    /// Answers a batch of queries through the batched filtering path:
-    /// embeddings are computed up front, the whole batch runs through
+    /// Answers a batch of queries: embeddings are computed up front, the
+    /// whole batch runs through
     /// [`crate::retrieval::QueryPlanner::retrieve_batch`] (one plan and
-    /// one shared candidate set per distinct range group, batch scoring
-    /// kernel, pooled execution), and each query is then refined
-    /// individually.
+    /// one shared candidate set per distinct range group, one pass of
+    /// the scoring kernel, pooled execution), and each query is then
+    /// refined individually.
     ///
-    /// Answers are identical to calling [`SemaSkEngine::query`] once per
-    /// query. Each outcome's [`LatencyBreakdown::filtering_ms`] reports
-    /// the query's equal share of the batch's measured filtering wall
-    /// clock (the work is genuinely amortized and cannot be attributed
-    /// per query); refinement latency is per query, as in the
-    /// single-query path.
+    /// A query's answer does not depend on the queries submitted with
+    /// it. Each outcome's [`LatencyBreakdown::filtering_ms`] reports the
+    /// query's equal share of the batch's measured filtering wall clock
+    /// (the work is genuinely amortized and cannot be attributed per
+    /// query — a share of one is the whole); refinement latency is per
+    /// query.
     ///
     /// # Errors
     /// Propagates the first filtering or refinement failure.
@@ -289,9 +253,9 @@ impl SemaSkEngine {
         self.refine_batch(queries, filtered)
     }
 
-    /// Stage 1 of the two-stage batch: embeds every query and runs the
-    /// whole batch through the batched filtering path, returning the
-    /// per-query candidate lists and latency templates. Stage 2
+    /// Stage 1 of the two-stage batch — the one filtering body: embeds
+    /// every query and runs the whole batch through the planner,
+    /// returning the per-query candidate lists and latency templates. Stage 2
     /// ([`SemaSkEngine::refine_batch`]) finishes the same batch;
     /// composing the two is exactly [`SemaSkEngine::query_batch`]. The
     /// split exists so a pipelined serving layer can overlap flush N's
@@ -303,7 +267,7 @@ impl SemaSkEngine {
         if queries.is_empty() {
             return Ok(FilteredBatch { items: Vec::new() });
         }
-        // ---- Batched filtering (measured wall clock, shared) ----
+        // ---- Filtering (measured wall clock, shared) ----
         let t0 = Instant::now();
         let planned_queries: Vec<crate::retrieval::PlannedQuery> = queries
             .iter()
@@ -316,8 +280,11 @@ impl SemaSkEngine {
             })
             .collect();
         let t_retrieval = Instant::now();
-        // One gate window and one captured epoch for the whole batch
-        // (see [`SemaSkEngine::query`] for the idiom).
+        // The mutation gate is held for exactly the filter window: the
+        // plans, the candidate retrieval, and the overlay capture happen
+        // at one epoch for the whole batch. Refinement (the slow LLM
+        // call) runs outside the gate against the captured view, so it
+        // never blocks writers.
         let (batch, view) = {
             let _gate = self.prepared.live.gate_read();
             let batch = self.prepared.filtered_knn_batch(&planned_queries)?;

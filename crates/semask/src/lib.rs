@@ -62,8 +62,8 @@ pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};
 pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 pub use retrieval::{
     BatchGroupKey, ExactScanBackend, FilteredHnswBackend, GridPrefilterBackend, IrTreeBackend,
-    PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner, RetrievalBackend, RetrievalError,
-    RetrievalStrategy, SelectivityEstimator,
+    KnnAnswers, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner, RetrievalBackend,
+    RetrievalError, RetrievalStrategy, SelectivityEstimator,
 };
 pub use sharded::{ShardedBackend, ShardedPrefilterBackend};
 pub use wal::{Mutation, PoiSpec, PoiUpdate, Wal, WalError, WalRecord, WalStats};

@@ -283,11 +283,10 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
     let manifest: serde_json::Value =
         serde_json::from_str(&fs::read_to_string(base_dir.join("manifest.json"))?)
             .map_err(|e| PersistError::Json(e.to_string()))?;
-    let key = manifest["city_key"].as_str().unwrap_or_default().to_owned();
-    let city = *datagen::CITIES
-        .iter()
-        .find(|c| c.key == key)
-        .ok_or(PersistError::UnknownCity { key: key.clone() })?;
+    let key = manifest["city_key"].as_str().unwrap_or_default();
+    let city = datagen::City::by_key(key).ok_or_else(|| PersistError::UnknownCity {
+        key: key.to_owned(),
+    })?;
     let collection_name = manifest["collection_name"]
         .as_str()
         .unwrap_or("pois")
@@ -386,6 +385,59 @@ mod tests {
         let a1: Vec<_> = e1.query(&q).unwrap().answer_ids();
         let a2: Vec<_> = e2.query(&q).unwrap().answer_ids();
         assert_eq!(a1, a2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn persisted_metro_reopens_and_serves_identical_answers() {
+        // A `generate_metro` world carries the `METRO` key, which is not
+        // one of the paper's five `CITIES`.
+        let data = datagen::metro::generate_metro(&datagen::metro::MetroConfig::new(2_000, 7));
+        let config = SemaSkConfig {
+            planner: crate::retrieval::PlannerConfig {
+                // Two separately calibrated planners: freeze routing so
+                // answers can be compared across them.
+                cost_model: crate::cost::CostModel::StaticCutoffs,
+                ..crate::retrieval::PlannerConfig::default()
+            },
+            ..SemaSkConfig::default()
+        };
+        let llm = Arc::new(SimLlm::new());
+        let prepared =
+            crate::prep::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep");
+
+        let dir = std::env::temp_dir().join("semask_persist_metro");
+        let _ = std::fs::remove_dir_all(&dir);
+        save_prepared(&prepared, &dir).expect("save");
+        let restored = load_prepared(&dir, &config).expect("a persisted metro reopens");
+        assert_eq!(restored.city.key, datagen::METRO.key);
+        assert_eq!(restored.dataset.len(), 2_000);
+
+        let variant = Variant::EmbeddingOnly;
+        let e1 = SemaSkEngine::new(
+            Arc::new(prepared),
+            Arc::clone(&llm),
+            config.clone(),
+            variant,
+        );
+        let e2 = SemaSkEngine::new(Arc::new(restored), llm, config, variant);
+        let center = data.city.center();
+        for (i, text) in [
+            "late night tacos",
+            "a quiet cafe",
+            "craft beer and live music",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let km = 4.0 + 6.0 * i as f64;
+            let range = geotext::BoundingBox::from_center_km(center, km, km);
+            let q = SemaSkQuery::new(range, *text);
+            let a1 = e1.query(&q).unwrap();
+            let a2 = e2.query(&q).unwrap();
+            assert!(!a1.pois.is_empty(), "query {i} matches something");
+            assert_eq!(a1.answer_ids(), a2.answer_ids(), "query {i}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

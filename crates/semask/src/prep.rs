@@ -19,7 +19,7 @@ use geotext::{Dataset, GeoTextObject};
 use llm::prompts::summarize_prompt;
 use llm::{ChatRequest, LlmError, SimLlm};
 use serde_json::json;
-use vecdb::{CollectionConfig, Payload, ScoredPoint, VecDbError, VectorDb};
+use vecdb::{CollectionConfig, Payload, VecDbError, VectorDb};
 
 use crate::config::SemaSkConfig;
 use crate::retrieval::{PlannedQuery, PlannedRetrieval, QueryPlanner, RetrievalError};
@@ -104,36 +104,10 @@ impl PreparedCity {
         parts.join("\n")
     }
 
-    /// Runs the filtered ANN search of the filtering step: top-k by
-    /// embedding similarity within the range, strategy chosen by the
-    /// query planner. Equivalent to [`PreparedCity::filtered_knn_planned`]
-    /// with the plan metadata dropped.
-    pub fn filtered_knn(
-        &self,
-        query_vec: &[f32],
-        range: &geotext::BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        self.filtered_knn_planned(query_vec, range, k, ef)
-            .map(|p| p.hits)
-    }
-
-    /// The filtering step with its plan made observable: which backend
-    /// the planner chose and the selectivity estimate behind the choice.
-    pub fn filtered_knn_planned(
-        &self,
-        query_vec: &[f32],
-        range: &geotext::BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<PlannedRetrieval, RetrievalError> {
-        self.planner.retrieve(query_vec, range, k, ef)
-    }
-
-    /// The filtering step with an optional conjunctive keyword filter:
-    /// top-k by embedding similarity among in-range objects whose
-    /// documents contain **all** the keywords (see
+    /// The filtering step for one query: top-k by embedding similarity
+    /// among in-range objects — with `keywords`, only those whose
+    /// documents contain **all** of them — strategy chosen by the query
+    /// planner and reported in the result (see
     /// [`QueryPlanner::retrieve_keyword`]).
     pub fn filtered_knn_keyword(
         &self,
@@ -147,11 +121,10 @@ impl PreparedCity {
             .retrieve_keyword(query_vec, range, keywords, k, ef)
     }
 
-    /// The batched filtering step: plans once per distinct range group,
-    /// shares candidate sets across the group, and scores the batch
-    /// through the single-pass kernel. Results align with `queries` and
-    /// are bit-identical to per-query [`PreparedCity::filtered_knn_planned`]
-    /// calls (see [`QueryPlanner::retrieve_batch`]).
+    /// The filtering step for many queries: plans once per distinct
+    /// range group, shares candidate sets across the group, and scores
+    /// the group through the single-pass kernel. Results align with
+    /// `queries` (see [`QueryPlanner::retrieve_batch`]).
     pub fn filtered_knn_batch(
         &self,
         queries: &[PlannedQuery],
@@ -189,12 +162,12 @@ pub fn prepare_city_with_threads(
     // Each worker fills a disjoint slice of the results.
     let mut enrich: Vec<Option<(datagen::Address, String)>> = vec![None; n];
     let chunk = n.div_ceil(threads).max(1);
-    let result: Result<(), PrepError> = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (w, slot_chunk) in enrich.chunks_mut(chunk).enumerate() {
             let dataset = &dataset;
             let geocoder = &geocoder;
-            let handle = scope.spawn(move |_| -> Result<(), PrepError> {
+            let handle = scope.spawn(move || -> Result<(), PrepError> {
                 for (j, slot) in slot_chunk.iter_mut().enumerate() {
                     let idx = w * chunk + j;
                     let obj = &dataset.objects()[idx];
@@ -221,10 +194,8 @@ pub fn prepare_city_with_threads(
         for h in handles {
             h.join().expect("prep worker panicked")?;
         }
-        Ok(())
-    })
-    .expect("prep scope panicked");
-    result?;
+        Ok::<(), PrepError>(())
+    })?;
 
     for (idx, slot) in enrich.into_iter().enumerate() {
         let (addr, summary) = slot.expect("every slot filled");
@@ -253,11 +224,11 @@ pub fn prepare_city_with_threads(
     // Embedding vectors computed in parallel; HNSW insertion stays
     // sequential (it is the index's mutation path).
     let mut vectors: Vec<Option<Vec<f32>>> = vec![None; n];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (w, slot_chunk) in vectors.chunks_mut(chunk).enumerate() {
             let dataset = &dataset;
             let embedder = &embedder;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (j, slot) in slot_chunk.iter_mut().enumerate() {
                     let obj = &dataset.objects()[w * chunk + j];
                     let text = PreparedCity::embedding_text_with(obj, config.embed_raw_tips);
@@ -265,8 +236,7 @@ pub fn prepare_city_with_threads(
                 }
             });
         }
-    })
-    .expect("embed scope panicked");
+    });
     {
         let mut collection = handle.write();
         for (obj, vector) in dataset.iter().zip(vectors) {
@@ -357,8 +327,8 @@ mod tests {
         let center = p.city.center();
         let range = geotext::BoundingBox::from_center_km(center, 5.0, 5.0);
         let qv = p.embedder.embed("coffee");
-        let hits = p.filtered_knn(&qv, &range, 10, None).unwrap();
-        for h in &hits {
+        let planned = p.filtered_knn_keyword(&qv, &range, None, 10, None).unwrap();
+        for h in &planned.hits {
             let obj = &p.dataset.objects()[h.id as usize];
             assert!(range.contains(&obj.location));
         }
@@ -390,7 +360,10 @@ mod tests {
         let center = tiered.city.center();
         let range = geotext::BoundingBox::from_center_km(center, 5.0, 5.0);
         let qv = tiered.embedder.embed("coffee");
-        for h in tiered.filtered_knn(&qv, &range, 10, None).unwrap() {
+        let planned = tiered
+            .filtered_knn_keyword(&qv, &range, None, 10, None)
+            .unwrap();
+        for h in planned.hits {
             let obj = &tiered.dataset.objects()[h.id as usize];
             assert!(range.contains(&obj.location));
         }

@@ -15,16 +15,19 @@
 //!    traverses its R-tree for the range, then candidates are scored.
 //!    Keyword-driven workloads (the lexical baselines) share this path.
 //!
-//! [`RetrievalBackend`] abstracts all four; [`QueryPlanner`] picks among
-//! them per query by pricing each strategy with the calibrated cost
-//! models in [`crate::cost`] — fed by grid-cell cardinality estimates
-//! from [`SelectivityEstimator`], keyword posting statistics from the
-//! corpus inverted index, and `vecdb` collection statistics — and
-//! dispatching to the argmin (the deprecated static-cutoff banding
-//! survives behind [`CostModel::StaticCutoffs`]). Every consumer of
-//! the filtering stage — `SemaSkEngine`, `PreparedCity::filtered_knn`,
-//! and the `baselines` retrievers — goes through this trait, making it
-//! the seam where sharding, batching, and async serving plug in later.
+//! [`RetrievalBackend`] abstracts all four behind **one** k-NN method
+//! over a slice of query vectors — a single query is a slice of one, so
+//! there is one body per backend, not a sequential and a batched twin.
+//! [`QueryPlanner`] picks among them per query group by pricing each
+//! strategy with the calibrated cost models in [`crate::cost`] — fed by
+//! grid-cell cardinality estimates from [`SelectivityEstimator`],
+//! keyword posting statistics from the corpus inverted index, and
+//! `vecdb` collection statistics — and dispatching to the argmin (the
+//! deprecated static-cutoff banding survives behind
+//! [`CostModel::StaticCutoffs`]). Every consumer of the filtering stage
+//! — `SemaSkEngine`, `PreparedCity`, and the `baselines` retrievers —
+//! goes through this trait, making it the seam where sharding, batching,
+//! and serving plug in.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -109,14 +112,43 @@ impl fmt::Display for RetrievalStrategy {
 /// footprint is noise next to the indexes it fronts.
 const PLAN_MEMO_CAPACITY: usize = 1024;
 
-/// A batch answer: per-query `(top-k hits, per-shard counts)` pairs,
-/// aligned with the submitted query vectors.
-pub type BatchAnswers = Vec<(Vec<ScoredPoint>, Vec<usize>)>;
+/// What [`RetrievalBackend::knn_in_range`] answers for a slice of query
+/// vectors sharing one range.
+#[derive(Debug, Clone, Default)]
+pub struct KnnAnswers {
+    /// Per query, aligned with the submitted vectors: the top-k hits
+    /// (best first) and the size of each shard's pre-merge top-k pool
+    /// (each at most `k`; they sum to at least the merged length, not to
+    /// `k`) — the counts are empty for unsharded backends.
+    pub per_query: Vec<(Vec<ScoredPoint>, Vec<usize>)>,
+    /// Each shard's measured execution time for the whole slice in
+    /// microseconds (the shard's own job, queueing and merge excluded) —
+    /// empty for unsharded backends. For a slice of one this is the
+    /// per-shard cost of that query, which the per-shard cost model
+    /// learns from.
+    pub shard_us: Vec<f64>,
+}
 
-/// A profiled single-query answer: top-k hits, per-shard pre-merge
-/// counts, and per-shard execution times in microseconds (the latter
-/// two empty for unsharded backends).
-pub type ProfiledAnswer = (Vec<ScoredPoint>, Vec<usize>, Vec<f64>);
+impl KnnAnswers {
+    /// The answer of an unsharded backend: hits only.
+    #[must_use]
+    pub fn unsharded(per_query_hits: Vec<Vec<ScoredPoint>>) -> Self {
+        Self {
+            per_query: per_query_hits
+                .into_iter()
+                .map(|hits| (hits, Vec::new()))
+                .collect(),
+            shard_us: Vec::new(),
+        }
+    }
+
+    /// The hits of a one-query answer.
+    #[must_use]
+    pub fn into_only_hits(mut self) -> Vec<ScoredPoint> {
+        debug_assert_eq!(self.per_query.len(), 1, "a one-query answer");
+        self.per_query.pop().map_or_else(Vec::new, |(hits, _)| hits)
+    }
+}
 
 /// The key batch execution groups queries under: bit-identical range
 /// plus identical `(k, ef)` budgets. Queries sharing a key are planned
@@ -201,22 +233,32 @@ impl BatchGroupKey {
 /// the full filter-and-rank (`knn_in_range`, the paper's filtering step)
 /// and the pure spatial filter (`filter_range`, what the lexical
 /// baselines rank with their own scorers).
+///
+/// **The one contract of `knn_in_range`:** the answer for query `i` —
+/// ids, scores, tie order, per-shard counts — does not depend on the
+/// other queries in the slice. Sharing work across the slice (one
+/// candidate generation, one geo-mask evaluation, one pass over stored
+/// vectors via the [`vecdb::Distance::score_batch`] kernel) is an
+/// execution detail, never a semantics change; a single query is a slice
+/// of one.
 pub trait RetrievalBackend: Send + Sync {
     /// Which strategy this backend implements.
     fn strategy(&self) -> RetrievalStrategy;
 
-    /// Top-k objects by embedding similarity within `range`, best first.
+    /// For every vector of `query_vecs`: the top-k objects by embedding
+    /// similarity within `range`, best first, plus per-shard counts and
+    /// timings when the backend is sharded (see [`KnnAnswers`]).
     ///
     /// # Errors
     /// [`RetrievalError::VectorsUnavailable`] if the backend was built
     /// without a vector store; [`RetrievalError::VecDb`] on store errors.
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
+        query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError>;
+    ) -> Result<KnnAnswers, RetrievalError>;
 
     /// Ids of all objects within `range`, ascending.
     ///
@@ -224,73 +266,9 @@ pub trait RetrievalBackend: Send + Sync {
     /// [`RetrievalError::VecDb`] on store errors.
     fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError>;
 
-    /// Like [`RetrievalBackend::knn_in_range`], additionally reporting
-    /// the size of each shard's pre-merge top-k pool (each at most `k`;
-    /// they sum to at least the merged length, not to `k`) — empty for
-    /// unsharded backends (the default), one count per shard for the
-    /// sharded backends.
-    ///
-    /// # Errors
-    /// Same contract as [`RetrievalBackend::knn_in_range`].
-    fn knn_in_range_counted(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<(Vec<ScoredPoint>, Vec<usize>), RetrievalError> {
-        Ok((self.knn_in_range(query_vec, range, k, ef)?, Vec::new()))
-    }
-
-    /// Like [`RetrievalBackend::knn_in_range_counted`], additionally
-    /// reporting each shard's measured execution time in microseconds
-    /// (fan-out wall clock per shard) — empty for unsharded backends
-    /// (the default). The per-shard cost model feeds these back through
-    /// `CalibratedModel::observe_shard`, so each shard's scale converges
-    /// on that shard's real speed instead of a fleet-wide average.
-    ///
-    /// # Errors
-    /// Same contract as [`RetrievalBackend::knn_in_range`].
-    fn knn_in_range_profiled(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<ProfiledAnswer, RetrievalError> {
-        self.knn_in_range_counted(query_vec, range, k, ef)
-            .map(|(hits, counts)| (hits, counts, Vec::new()))
-    }
-
-    /// Answers a batch of queries sharing one range: per-query top-k
-    /// plus per-shard counts, aligned with `query_vecs`.
-    ///
-    /// Every implementation must return exactly what
-    /// [`RetrievalBackend::knn_in_range_counted`] would return per query
-    /// (ids, scores, and tie order bit-identical) — batching is an
-    /// execution detail, never a semantics change. The default loops;
-    /// backends that can amortize work across the batch (one candidate
-    /// generation, one pass over stored vectors via the
-    /// [`vecdb::Distance::score_batch`] kernel) override it.
-    ///
-    /// # Errors
-    /// Same contract as [`RetrievalBackend::knn_in_range`].
-    fn knn_in_range_batch(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<BatchAnswers, RetrievalError> {
-        query_vecs
-            .iter()
-            .map(|q| self.knn_in_range_counted(q, range, k, ef))
-            .collect()
-    }
-
-    /// One shard's slice of [`RetrievalBackend::knn_in_range`]: the
-    /// top-k this backend's shard `shard` would contribute to the
-    /// pre-merge pool. Merging every shard's slice with
+    /// One shard's slice of [`RetrievalBackend::knn_in_range`] for one
+    /// query: the top-k this backend's shard `shard` would contribute to
+    /// the pre-merge pool. Merging every shard's slice with
     /// [`vecdb::merge_top_k`] must reproduce `knn_in_range`
     /// bit-identically — this is the seam a cross-process shard server
     /// executes remotely.
@@ -309,11 +287,11 @@ pub trait RetrievalBackend: Send + Sync {
         k: usize,
         ef: Option<usize>,
     ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        if shard == 0 {
-            self.knn_in_range(query_vec, range, k, ef)
-        } else {
-            Ok(Vec::new())
+        if shard != 0 {
+            return Ok(Vec::new());
         }
+        self.knn_in_range(&[query_vec], range, k, ef)
+            .map(KnnAnswers::into_only_hits)
     }
 }
 
@@ -328,34 +306,42 @@ fn items_of(dataset: &Dataset) -> Vec<Item> {
         .collect()
 }
 
+/// Scores one candidate set against every query vector: the candidates
+/// are generated once by the caller and every stored candidate vector
+/// streams through the scoring kernel once for the whole slice.
 fn knn_among_candidates(
-    collection: Option<&CollectionHandle>,
-    candidates: &[ObjectId],
-    query_vec: &[f32],
-    k: usize,
-) -> Result<Vec<ScoredPoint>, RetrievalError> {
-    let collection = collection.ok_or(RetrievalError::VectorsUnavailable)?;
-    let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
-    Ok(collection.read().knn_among(query_vec, &ids, k)?)
-}
-
-/// Batched [`knn_among_candidates`]: the candidate set is generated once
-/// by the caller and every stored candidate vector streams through the
-/// batch scoring kernel once for the whole query batch.
-fn knn_among_candidates_batch(
     collection: Option<&CollectionHandle>,
     candidates: &[ObjectId],
     query_vecs: &[&[f32]],
     k: usize,
-) -> Result<BatchAnswers, RetrievalError> {
+) -> Result<KnnAnswers, RetrievalError> {
     let collection = collection.ok_or(RetrievalError::VectorsUnavailable)?;
     let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
-    Ok(collection
-        .read()
-        .knn_among_batch(query_vecs, &ids, k)?
-        .into_iter()
-        .map(|hits| (hits, Vec::new()))
-        .collect())
+    let hits = collection.read().knn_among_batch(query_vecs, &ids, k)?;
+    Ok(KnnAnswers::unsharded(hits))
+}
+
+/// A collection search with the geo filter of `range` — the body of the
+/// two collection-backed strategies (one geo-mask evaluation for the
+/// whole slice inside [`vecdb::Collection::search_batch`]).
+fn collection_knn_in_range(
+    collection: &CollectionHandle,
+    strategy: SearchStrategy,
+    query_vecs: &[&[f32]],
+    range: &BoundingBox,
+    k: usize,
+    ef: Option<usize>,
+) -> Result<KnnAnswers, RetrievalError> {
+    let params = SearchParams {
+        k,
+        ef,
+        filter: Some(geo_filter(range)),
+        strategy,
+    };
+    let planned = collection.read().search_batch(query_vecs, &params)?;
+    Ok(KnnAnswers::unsharded(
+        planned.into_iter().map(|p| p.hits).collect(),
+    ))
 }
 
 /// The collection-backed range filter shared by the exact and HNSW
@@ -394,8 +380,9 @@ fn retain_live(collection: Option<&CollectionHandle>, mut ids: Vec<ObjectId>) ->
 /// all four keep answering `filter_range` and `knn_in_range` from the
 /// same live membership. Deletes need no counterpart here — every
 /// candidate path already masks them through the collection's
-/// soft-delete set (`retain_live` / `knn_among`). Periodic compaction
-/// (checkpoint + reopen) folds the buffer back into rebuilt indexes.
+/// soft-delete set (`retain_live` / `knn_among_batch`). Periodic
+/// compaction (checkpoint + reopen) folds the buffer back into rebuilt
+/// indexes.
 #[derive(Debug, Default)]
 pub struct SidePoints {
     points: RwLock<Vec<(u64, GeoPoint)>>,
@@ -461,40 +448,23 @@ impl RetrievalBackend for ExactScanBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        let params = SearchParams::top_k(k)
-            .with_filter(geo_filter(range))
-            .with_strategy(SearchStrategy::Exact);
-        Ok(self.collection.read().search(query_vec, &params)?)
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        collection_filter_range(&self.collection, range)
-    }
-
-    fn knn_in_range_batch(
-        &self,
         query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         _ef: Option<usize>,
-    ) -> Result<BatchAnswers, RetrievalError> {
-        // One geo-mask evaluation and one pass over the stored vectors
-        // for the whole batch.
-        let params = SearchParams::top_k(k)
-            .with_filter(geo_filter(range))
-            .with_strategy(SearchStrategy::Exact);
-        Ok(self
-            .collection
-            .read()
-            .search_batch(query_vecs, &params)?
-            .into_iter()
-            .map(|p| (p.hits, Vec::new()))
-            .collect())
+    ) -> Result<KnnAnswers, RetrievalError> {
+        collection_knn_in_range(
+            &self.collection,
+            SearchStrategy::Exact,
+            query_vecs,
+            range,
+            k,
+            None,
+        )
+    }
+
+    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
+        collection_filter_range(&self.collection, range)
     }
 }
 
@@ -518,48 +488,26 @@ impl RetrievalBackend for FilteredHnswBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
+        query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        let mut params = SearchParams::top_k(k)
-            .with_filter(geo_filter(range))
-            .with_strategy(SearchStrategy::Hnsw);
-        if let Some(ef) = ef {
-            params = params.with_ef(ef);
-        }
-        Ok(self.collection.read().search(query_vec, &params)?)
+    ) -> Result<KnnAnswers, RetrievalError> {
+        // Graph traversal stays per-query inside `search_batch`.
+        collection_knn_in_range(
+            &self.collection,
+            SearchStrategy::Hnsw,
+            query_vecs,
+            range,
+            k,
+            ef,
+        )
     }
 
     fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
         // The graph accelerates similarity search, not pure range
         // filters; the payload scan is the honest answer here.
         collection_filter_range(&self.collection, range)
-    }
-
-    fn knn_in_range_batch(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<BatchAnswers, RetrievalError> {
-        // Graph traversal stays per-query, but the geo filter mask is
-        // evaluated once for the whole batch inside `search_batch`.
-        let mut params = SearchParams::top_k(k)
-            .with_filter(geo_filter(range))
-            .with_strategy(SearchStrategy::Hnsw);
-        if let Some(ef) = ef {
-            params = params.with_ef(ef);
-        }
-        Ok(self
-            .collection
-            .read()
-            .search_batch(query_vecs, &params)?
-            .into_iter()
-            .map(|p| (p.hits, Vec::new()))
-            .collect())
     }
 }
 
@@ -629,32 +577,21 @@ impl RetrievalBackend for GridPrefilterBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
+        query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         _ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
+    ) -> Result<KnnAnswers, RetrievalError> {
+        // One grid traversal produces the candidate set every query in
+        // the slice shares.
         let candidates = self.candidates(range);
-        knn_among_candidates(self.collection.as_ref(), &candidates, query_vec, k)
+        knn_among_candidates(self.collection.as_ref(), &candidates, query_vecs, k)
     }
 
     fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
         let mut ids = retain_live(self.collection.as_ref(), self.candidates(range));
         ids.sort_unstable();
         Ok(ids)
-    }
-
-    fn knn_in_range_batch(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<BatchAnswers, RetrievalError> {
-        // One grid traversal produces the candidate set every query in
-        // the batch shares.
-        let candidates = self.candidates(range);
-        knn_among_candidates_batch(self.collection.as_ref(), &candidates, query_vecs, k)
     }
 }
 
@@ -733,32 +670,21 @@ impl RetrievalBackend for IrTreeBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
+        query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         _ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
+    ) -> Result<KnnAnswers, RetrievalError> {
+        // One tree traversal produces the candidate set every query in
+        // the slice shares.
         let candidates = self.candidates(range);
-        knn_among_candidates(self.collection.as_ref(), &candidates, query_vec, k)
+        knn_among_candidates(self.collection.as_ref(), &candidates, query_vecs, k)
     }
 
     fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
         let mut ids = retain_live(self.collection.as_ref(), self.candidates(range));
         ids.sort_unstable();
         Ok(ids)
-    }
-
-    fn knn_in_range_batch(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<BatchAnswers, RetrievalError> {
-        // One tree traversal produces the candidate set every query in
-        // the batch shares.
-        let candidates = self.candidates(range);
-        knn_among_candidates_batch(self.collection.as_ref(), &candidates, query_vecs, k)
     }
 }
 
@@ -1268,6 +1194,10 @@ fn range_key_bits(range: &BoundingBox) -> [u64; 4] {
     ]
 }
 
+/// Spatial candidate sets computed during one planner execution, keyed
+/// by `(range bits, strategy)` (see [`QueryPlanner::keyword_candidates`]).
+type SpatialShared = std::collections::HashMap<([u64; 4], RetrievalStrategy), Arc<Vec<ObjectId>>>;
+
 /// Ascending sorted-list intersection.
 fn intersect_sorted(a: &[ObjectId], b: &[ObjectId]) -> Vec<ObjectId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
@@ -1442,12 +1372,15 @@ impl QueryPlanner {
     }
 
     /// Micro-probes the scan backends to calibrate the cost model: a
-    /// handful of timed retrievals at a narrow, a mid, and a broad range
-    /// derived from the dataset bounds (minimum over repetitions, robust
-    /// against preemption). The IR-tree is deliberately *not* probed —
-    /// that would force building the lazily constructed tree on every
-    /// `prepare_city`; its formula shares the calibrated candidate
-    /// coefficients and refines online (see [`Coefficients::fit`]).
+    /// handful of timed one-query retrievals — the same
+    /// [`RetrievalBackend::knn_in_range`] body the planner executes, so
+    /// the model prices the code that serves — at a narrow, a mid, and a
+    /// broad range derived from the dataset bounds (minimum over
+    /// repetitions, robust against preemption). The IR-tree is
+    /// deliberately *not* probed — that would force building the lazily
+    /// constructed tree on every `prepare_city`; its formula shares the
+    /// calibrated candidate coefficients and refines online (see
+    /// [`Coefficients::fit`]).
     fn probe_backends(
         estimator: &SelectivityEstimator,
         collection: &CollectionHandle,
@@ -1499,7 +1432,7 @@ impl QueryPlanner {
                 // stands rather than paying the cost four more times).
                 for rep in 0..4 {
                     let t0 = Instant::now();
-                    let ok = backend.knn_in_range(&probe_vec, range, k, None).is_ok();
+                    let ok = backend.knn_in_range(&[&probe_vec], range, k, None).is_ok();
                     let us = t0.elapsed().as_secs_f64() * 1e6;
                     if !ok {
                         return None;
@@ -1841,11 +1774,18 @@ impl QueryPlanner {
     /// intersect their spatial candidates with the corpus AND-match
     /// list. Both paths answer the same set — pinned by
     /// `tests/planner_routing.rs`.
+    ///
+    /// `spatial_shared` is the caller's cache of spatial candidate sets
+    /// keyed by `(range bits, strategy)`: keyword groups of one
+    /// execution that share a range run `filter_range` **once** and each
+    /// intersect the shared set with their own conjunctive matches —
+    /// pure reuse of a deterministic computation.
     fn keyword_candidates(
         &self,
         strategy: RetrievalStrategy,
         range: &BoundingBox,
         keywords: &str,
+        spatial_shared: &mut SpatialShared,
     ) -> Result<Vec<ObjectId>, RetrievalError> {
         // The native traversal prunes with per-node keyword summaries
         // frozen at prep time, so once any live mutation has changed
@@ -1854,38 +1794,12 @@ impl QueryPlanner {
         // live index, so the candidate set stays equal to what a freshly
         // built tree would answer.
         if strategy == RetrievalStrategy::IrTree && !self.live_dirty.load(Ordering::Acquire) {
+            // Couples range and keywords; nothing to share across groups.
             let ids = self.irtree_index().search(&SpatialKeywordQuery {
                 range: *range,
                 keywords: keywords.to_owned(),
             });
             return Ok(retain_live(Some(&self.collection), ids));
-        }
-        let spatial = self.backend(strategy).filter_range(range)?;
-        Ok(self.corpus_text().read().matches_within(keywords, &spatial))
-    }
-
-    /// [`QueryPlanner::keyword_candidates`] with a caller-held cache of
-    /// spatial candidate sets keyed by `(range bits, strategy)`:
-    /// different-but-overlapping keyword groups in one batch that share a
-    /// range run `filter_range` **once** and each intersect the shared
-    /// set with their own conjunctive matches. Pure reuse of a
-    /// deterministic computation — the candidates are bit-identical to
-    /// the unshared path (`tests/batch_parity.rs` pins batch == one-by-
-    /// one overall).
-    fn keyword_candidates_shared(
-        &self,
-        strategy: RetrievalStrategy,
-        range: &BoundingBox,
-        keywords: &str,
-        spatial_shared: &mut std::collections::HashMap<
-            ([u64; 4], RetrievalStrategy),
-            Arc<Vec<ObjectId>>,
-        >,
-    ) -> Result<Vec<ObjectId>, RetrievalError> {
-        if strategy == RetrievalStrategy::IrTree && !self.live_dirty.load(Ordering::Acquire) {
-            // Native traversal couples range and keywords; nothing to
-            // share across differently keyworded groups.
-            return self.keyword_candidates(strategy, range, keywords);
         }
         use std::collections::hash_map::Entry;
         let spatial = match spatial_shared.entry((range_key_bits(range), strategy)) {
@@ -1898,30 +1812,14 @@ impl QueryPlanner {
         Ok(self.corpus_text().read().matches_within(keywords, &spatial))
     }
 
-    /// Plans and executes the filtering stage.
-    ///
-    /// # Errors
-    /// Propagates backend failures.
-    pub fn retrieve(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<PlannedRetrieval, RetrievalError> {
-        self.retrieve_keyword(query_vec, range, None, k, ef)
-    }
-
-    /// Plans and executes the filtering stage with an optional
-    /// conjunctive keyword filter: top-k by embedding similarity among
-    /// the objects inside `range` whose documents contain **all** the
-    /// keywords. The cost model weighs the keyword statistics — rare
+    /// Plans and executes the filtering stage for one query with an
+    /// optional conjunctive keyword filter — a one-query
+    /// [`QueryPlanner::retrieve_batch`]: top-k by embedding similarity
+    /// among the objects inside `range` whose documents contain **all**
+    /// the keywords. The cost model weighs the keyword statistics — rare
     /// conjunctions route to the IR-tree's pruned traversal, common ones
     /// stay on the scan strategies with a posting-list intersection, and
     /// filtered HNSW is priced out (it cannot apply the filter exactly).
-    ///
-    /// The measured execution latency is folded back into the
-    /// calibrated model when [`PlannerConfig::online_updates`] is on.
     ///
     /// # Errors
     /// Propagates backend failures.
@@ -1933,56 +1831,94 @@ impl QueryPlanner {
         k: usize,
         ef: Option<usize>,
     ) -> Result<PlannedRetrieval, RetrievalError> {
-        let plan = self.plan_query(range, keywords, k, ef);
-        let t0 = Instant::now();
-        let (hits, shard_candidates, shard_timings) = if plan.keyword_aware {
-            let kw = keywords.expect("keyword-aware plans only arise from keyword queries");
-            let candidates = self.keyword_candidates(plan.chosen, range, kw)?;
-            let hits = knn_among_candidates(Some(&self.collection), &candidates, query_vec, k)?;
-            (hits, Vec::new(), Vec::new())
-        } else {
-            self.backend(plan.chosen)
-                .knn_in_range_profiled(query_vec, range, k, ef)?
+        let query = PlannedQuery {
+            vec: query_vec.to_vec(),
+            range: *range,
+            k,
+            ef,
+            keywords: keywords.map(str::to_owned),
         };
-        if shard_timings.is_empty() {
-            self.observe(plan.chosen, &plan, t0.elapsed().as_secs_f64() * 1e6);
-        } else {
-            self.observe_shards(plan.chosen, &plan, &shard_timings);
-        }
-        Ok(PlannedRetrieval {
-            hits,
-            strategy: plan.chosen,
-            estimated_fraction: plan.fraction,
-            predicted_cost_us: plan.predicted_us,
-            runner_up: plan.runner_up,
-            model_version: plan.model_version,
-            shard_candidates,
-            shard_predicted_us: plan.shard_us,
-        })
+        self.execute_one(&query, None)
     }
 
-    /// Plans and executes a batch of queries, amortizing per-query work
-    /// across the batch.
+    /// Executes the filtering stage for one query with an explicitly
+    /// chosen strategy (bypassing the cost model's choice — used by
+    /// benches and ablations): the same executor as
+    /// [`QueryPlanner::retrieve_batch`] with the strategy forced.
     ///
-    /// Queries are grouped by (range, k, ef): each distinct group is
-    /// **planned once** (one selectivity estimate, one strategy choice)
-    /// and handed to its backend's
-    /// [`RetrievalBackend::knn_in_range_batch`], which shares the
-    /// grid/IR-tree candidate set across the whole group and streams
-    /// stored vectors through the batch scoring kernel. Groups execute
-    /// concurrently on the shared worker pool; within a group, sharded
-    /// backends fan the batch out across shards.
+    /// # Errors
+    /// Propagates backend failures.
+    pub fn retrieve_with(
+        &self,
+        strategy: RetrievalStrategy,
+        query_vec: &[f32],
+        range: &BoundingBox,
+        k: usize,
+        ef: Option<usize>,
+    ) -> Result<PlannedRetrieval, RetrievalError> {
+        let query = PlannedQuery {
+            vec: query_vec.to_vec(),
+            range: *range,
+            k,
+            ef,
+            keywords: None,
+        };
+        self.execute_one(&query, Some(strategy))
+    }
+
+    fn execute_one(
+        &self,
+        query: &PlannedQuery,
+        forced: Option<RetrievalStrategy>,
+    ) -> Result<PlannedRetrieval, RetrievalError> {
+        let mut answers = self.execute(std::slice::from_ref(query), forced)?;
+        Ok(answers.pop().expect("one answer per query"))
+    }
+
+    /// Plans and executes the filtering stage — the one executor; every
+    /// other `retrieve_*` entry point is a one-query call of it.
     ///
-    /// Results align with `queries` and are **bit-identical** (ids,
-    /// scores, tie order, reported plan) to calling
-    /// [`QueryPlanner::retrieve`] once per query — batching is purely an
-    /// execution optimization (`tests/batch_parity.rs` pins this).
+    /// Queries are grouped by (range, k, ef, keywords): each distinct
+    /// group is **planned once** (one selectivity estimate, one strategy
+    /// choice) and handed to its backend's
+    /// [`RetrievalBackend::knn_in_range`], which shares the grid/IR-tree
+    /// candidate set across the whole group and streams stored vectors
+    /// through the scoring kernel once. Groups execute concurrently on
+    /// the shared worker pool; within a group, sharded backends fan the
+    /// slice out across shards.
+    ///
+    /// Results align with `queries`, and the answer for query `i` does
+    /// not depend on the other queries submitted with it
+    /// (`tests/batch_parity.rs` pins a batch of N against N batches of
+    /// one and against brute force).
+    ///
+    /// A group of one feeds its measured latency back into the calibrated
+    /// model when [`PlannerConfig::online_updates`] is on — per shard
+    /// when the backend reports shard timings, the whole execution
+    /// otherwise. Multi-member groups feed nothing: a group amortizes
+    /// candidate generation across its members, so its per-query share
+    /// is *not* comparable to the single-query cost the model predicts —
+    /// folding it in would drag the strategy's scale toward the
+    /// amortized floor and skew single-query routing.
     ///
     /// # Errors
     /// Propagates the first backend failure.
     pub fn retrieve_batch(
         &self,
         queries: &[PlannedQuery],
+    ) -> Result<Vec<PlannedRetrieval>, RetrievalError> {
+        self.execute(queries, None)
+    }
+
+    /// The group executor behind every `retrieve_*` entry point. With
+    /// `forced = Some(strategy)` every group executes on that strategy's
+    /// backend instead of the plan's choice (the plan is still made: it
+    /// supplies the reported estimates and the forced strategy's
+    /// predicted cost).
+    fn execute(
+        &self,
+        queries: &[PlannedQuery],
+        forced: Option<RetrievalStrategy>,
     ) -> Result<Vec<PlannedRetrieval>, RetrievalError> {
         use std::collections::HashMap;
 
@@ -2007,94 +1943,110 @@ impl QueryPlanner {
             /// grouping copies no embedding data.
             vecs: Vec<&'a [f32]>,
             decision: PlanDecision,
+            /// The strategy that executes: the plan's choice unless
+            /// forced.
+            strategy: RetrievalStrategy,
             /// The executing backend (non-keyword groups).
             backend: &'a dyn RetrievalBackend,
             /// The shared candidate set of a keyword-filtered group,
             /// generated once on the caller's thread (index access is
             /// not fanned out).
             kw_candidates: Option<Vec<ObjectId>>,
+            /// Microseconds spent generating `kw_candidates` (~0 without).
+            kw_candidates_us: f64,
         }
-        // Spatial candidate sets shared across keyword groups with the
-        // same (range, strategy) — see `keyword_candidates_shared`.
-        let mut spatial_shared = HashMap::new();
+        let mut spatial_shared = SpatialShared::new();
         let mut plans: Vec<GroupPlan<'_>> = Vec::with_capacity(groups.len());
         for members in &groups {
             let first = &queries[members[0]];
             let decision =
                 self.plan_query(&first.range, first.keywords.as_deref(), first.k, first.ef);
+            let strategy = forced.unwrap_or(decision.chosen);
+            let t0 = Instant::now();
             let kw_candidates = if decision.keyword_aware {
                 let kw = first
                     .keywords
                     .as_deref()
                     .expect("keyword-aware plans only arise from keyword queries");
-                Some(self.keyword_candidates_shared(
-                    decision.chosen,
-                    &first.range,
-                    kw,
-                    &mut spatial_shared,
-                )?)
+                Some(self.keyword_candidates(strategy, &first.range, kw, &mut spatial_shared)?)
             } else {
                 None
             };
+            let kw_candidates_us = t0.elapsed().as_secs_f64() * 1e6;
             plans.push(GroupPlan {
                 members,
                 vecs: members.iter().map(|&i| queries[i].vec.as_slice()).collect(),
+                decision,
+                strategy,
                 // Resolved before the pooled fan-out so lazily built
                 // backends initialize on the caller's thread.
-                backend: self.backend(decision.chosen),
-                decision,
+                backend: self.backend(strategy),
                 kw_candidates,
+                kw_candidates_us,
             });
         }
 
-        // Execute groups concurrently; each group's backend amortizes
-        // candidate generation and scoring across its members. Each
-        // job reports its wall clock so the model can learn from it.
-        let group_results: Vec<(BatchAnswers, f64)> = vecdb::pool::global()
+        // Execute groups concurrently (a single group runs inline on the
+        // caller's thread); each group's backend shares candidate
+        // generation and scoring across its members. Each job reports
+        // its wall clock so the model can learn from it.
+        let group_results: Vec<(KnnAnswers, f64)> = vecdb::pool::global()
             .run(plans.len(), |g| {
                 let plan = &plans[g];
                 let first = &queries[plan.members[0]];
                 let t0 = Instant::now();
                 let answers = match &plan.kw_candidates {
-                    Some(candidates) => knn_among_candidates_batch(
+                    Some(candidates) => knn_among_candidates(
                         Some(&self.collection),
                         candidates,
                         &plan.vecs,
                         first.k,
                     )?,
-                    None => plan.backend.knn_in_range_batch(
-                        &plan.vecs,
-                        &first.range,
-                        first.k,
-                        first.ef,
-                    )?,
+                    None => {
+                        plan.backend
+                            .knn_in_range(&plan.vecs, &first.range, first.k, first.ef)?
+                    }
                 };
                 Ok((answers, t0.elapsed().as_secs_f64() * 1e6))
             })
             .into_iter()
             .collect::<Result<_, RetrievalError>>()?;
 
-        // Scatter group results back to the original query order. Only
-        // singleton groups feed the online model: a multi-member group
-        // amortizes candidate generation across its members, so its
-        // per-query share is *not* comparable to the single-query cost
-        // the model predicts — folding it in would drag the strategy's
-        // scale toward the amortized floor and skew single-query routing.
+        // Scatter group results back to the original query order.
         let mut out: Vec<Option<PlannedRetrieval>> = (0..queries.len()).map(|_| None).collect();
-        for (plan, (results, elapsed_us)) in plans.iter().zip(group_results) {
+        for (plan, (answers, elapsed_us)) in plans.iter().zip(group_results) {
+            let decision = &plan.decision;
             if plan.members.len() == 1 {
-                self.observe(plan.decision.chosen, &plan.decision, elapsed_us);
+                // Shard timings, when reported, replace the wall clock
+                // (observing both would double-count one execution) —
+                // except under a forced strategy: a forced execution is
+                // still a real measurement, fed under that strategy's
+                // own prediction, but the plan's shard rows describe its
+                // *chosen* strategy, so only the whole execution can be
+                // observed.
+                if forced.is_none() && !answers.shard_us.is_empty() {
+                    self.observe_shards(plan.strategy, decision, &answers.shard_us);
+                } else {
+                    let total_us = plan.kw_candidates_us + elapsed_us;
+                    self.observe(plan.strategy, decision, total_us);
+                }
             }
-            for (&i, (hits, shard_candidates)) in plan.members.iter().zip(results) {
+            for (&i, (hits, shard_candidates)) in plan.members.iter().zip(answers.per_query) {
                 out[i] = Some(PlannedRetrieval {
                     hits,
-                    strategy: plan.decision.chosen,
-                    estimated_fraction: plan.decision.fraction,
-                    predicted_cost_us: plan.decision.predicted_us,
-                    runner_up: plan.decision.runner_up,
-                    model_version: plan.decision.model_version,
+                    strategy: plan.strategy,
+                    estimated_fraction: decision.fraction,
+                    predicted_cost_us: decision.predicted_for(plan.strategy),
+                    runner_up: decision.runner_up,
+                    model_version: decision.model_version,
                     shard_candidates,
-                    shard_predicted_us: plan.decision.shard_us.clone(),
+                    // The plan's shard rows describe its own chosen
+                    // strategy — under a forced one report none rather
+                    // than wrong rows.
+                    shard_predicted_us: match forced {
+                        None => decision.shard_us.clone(),
+                        Some(_) => Vec::new(),
+                    },
                 });
             }
         }
@@ -2102,41 +2054,6 @@ impl QueryPlanner {
             .into_iter()
             .map(|r| r.expect("every query assigned to exactly one group"))
             .collect())
-    }
-
-    /// Executes the filtering stage with an explicitly chosen strategy
-    /// (bypassing the cost model — used by benches and ablations).
-    ///
-    /// # Errors
-    /// Propagates backend failures.
-    pub fn retrieve_with(
-        &self,
-        strategy: RetrievalStrategy,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<PlannedRetrieval, RetrievalError> {
-        let plan = self.plan_query(range, None, k, ef);
-        let t0 = Instant::now();
-        let (hits, shard_candidates) = self
-            .backend(strategy)
-            .knn_in_range_counted(query_vec, range, k, ef)?;
-        // Forced executions are still real measurements — feed them to
-        // the model under that strategy's own prediction.
-        self.observe(strategy, &plan, t0.elapsed().as_secs_f64() * 1e6);
-        Ok(PlannedRetrieval {
-            hits,
-            strategy,
-            estimated_fraction: plan.fraction,
-            predicted_cost_us: plan.predicted_for(strategy),
-            runner_up: plan.runner_up,
-            model_version: plan.model_version,
-            shard_candidates,
-            // The plan's shard rows describe its own chosen strategy,
-            // not the forced one — report none rather than wrong rows.
-            shard_predicted_us: Vec::new(),
-        })
     }
 }
 
@@ -2161,22 +2078,20 @@ mod tests {
         let qv = p.embedder.embed("cozy coffee with pastries");
         let range = geotext::BoundingBox::from_center_km(p.city.center(), 8.0, 8.0);
         let planner = &p.planner;
-        let reference: HashSet<u64> = planner
-            .backend(RetrievalStrategy::ExactScan)
-            .knn_in_range(&qv, &range, 5, None)
-            .unwrap()
-            .iter()
-            .map(|h| h.id)
-            .collect();
-        assert!(!reference.is_empty());
-        for strategy in [RetrievalStrategy::GridPrefilter, RetrievalStrategy::IrTree] {
-            let got: HashSet<u64> = planner
+        let ids_of = |strategy| -> HashSet<u64> {
+            planner
                 .backend(strategy)
-                .knn_in_range(&qv, &range, 5, None)
+                .knn_in_range(&[&qv], &range, 5, None)
                 .unwrap()
+                .into_only_hits()
                 .iter()
                 .map(|h| h.id)
-                .collect();
+                .collect()
+        };
+        let reference = ids_of(RetrievalStrategy::ExactScan);
+        assert!(!reference.is_empty());
+        for strategy in [RetrievalStrategy::GridPrefilter, RetrievalStrategy::IrTree] {
+            let got = ids_of(strategy);
             // Grid and IR-tree prefilters score candidates exactly, so
             // they must match the exact scan bit-for-bit.
             assert_eq!(got, reference, "strategy {strategy} diverged");
@@ -2325,11 +2240,12 @@ mod tests {
         }
         // And the IR-tree's native traversal agrees with the intersect
         // path on the full candidate set.
+        let mut shared = SpatialShared::new();
         let native = planner
-            .keyword_candidates(RetrievalStrategy::IrTree, &range, &word)
+            .keyword_candidates(RetrievalStrategy::IrTree, &range, &word, &mut shared)
             .unwrap();
         let intersected = planner
-            .keyword_candidates(RetrievalStrategy::GridPrefilter, &range, &word)
+            .keyword_candidates(RetrievalStrategy::GridPrefilter, &range, &word, &mut shared)
             .unwrap();
         assert_eq!(native, intersected);
         assert_eq!(native, expected);
@@ -2375,7 +2291,7 @@ mod tests {
         assert!(grid.filter_range(&range).is_ok());
         let qv = p.embedder.embed("anything");
         assert!(matches!(
-            grid.knn_in_range(&qv, &range, 5, None),
+            grid.knn_in_range(&[&qv], &range, 5, None),
             Err(RetrievalError::VectorsUnavailable)
         ));
     }

@@ -10,7 +10,7 @@
 //! a shard's work costs a channel send on long-lived threads, not an OS
 //! thread spawn per shard per query as the earlier scoped-thread version
 //! did. The per-shard top-k lists combine through
-//! [`vecdb::merge_top_k`]'s binary-heap k-way merge with id dedup.
+//! [`vecdb::merge_top_k_batch`]'s binary-heap k-way merge with id dedup.
 //!
 //! Candidate-generation indexes (the grid, the IR-tree) stay global.
 //! [`ShardedPrefilterBackend`] queries the shared index **once** per
@@ -23,33 +23,21 @@ use std::sync::Arc;
 
 use geotext::{BoundingBox, ObjectId};
 use spatial::{GridIndex, IrTree, SpatialKeywordQuery};
-use vecdb::{merge_top_k, shard_of, CollectionHandle, ScoredPoint};
+use vecdb::{merge_top_k_batch, shard_of, CollectionHandle, ScoredPoint};
 
-use crate::retrieval::{ProfiledAnswer, RetrievalBackend, RetrievalError, RetrievalStrategy};
+use crate::retrieval::{KnnAnswers, RetrievalBackend, RetrievalError, RetrievalStrategy};
 
 /// Runs `f(shard_index)` for each of `n` shards on the shared worker
-/// pool and collects the results in shard order — the one fan-out
-/// primitive every sharded backend shares (so pool policy changes in
-/// exactly one place). Shard `i` is enqueued on its *home worker*
-/// (`run_homed` with the shard index as the home), so the same worker —
-/// and, when the pool is core-bound, the same core — scores the same
-/// shard on every fan-out; idle workers steal if a shard runs long.
-fn fan_out<T, F>(n: usize, f: F) -> Result<Vec<T>, RetrievalError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, RetrievalError> + Sync,
-{
-    vecdb::pool::global()
-        .run_homed(n, |i| i, f)
-        .into_iter()
-        .collect()
-}
-
-/// [`fan_out`], additionally measuring each shard's execution time in
-/// microseconds (the job body only — queueing and merge excluded, so
-/// the number tracks the shard's own work). Feeds the per-shard cost
-/// scales via `knn_in_range_profiled`.
-fn fan_out_timed<T, F>(n: usize, f: F) -> Result<(Vec<T>, Vec<f64>), RetrievalError>
+/// pool and collects the results in shard order, with each shard's
+/// execution time in microseconds (the job body only — queueing and
+/// merge excluded, so the number tracks the shard's own work and can
+/// feed the per-shard cost scales) — the one fan-out primitive every
+/// sharded backend shares (so pool policy changes in exactly one place).
+/// Shard `i` is enqueued on its *home worker* (`run_homed` with the
+/// shard index as the home), so the same worker — and, when the pool is
+/// core-bound, the same core — scores the same shard on every fan-out;
+/// idle workers steal if a shard runs long.
+fn fan_out<T, F>(n: usize, f: F) -> Result<(Vec<T>, Vec<f64>), RetrievalError>
 where
     T: Send,
     F: Fn(usize) -> Result<T, RetrievalError> + Sync,
@@ -103,66 +91,30 @@ impl RetrievalBackend for ShardedBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        self.knn_in_range_counted(query_vec, range, k, ef)
-            .map(|(hits, _)| hits)
-    }
-
-    fn knn_in_range_counted(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<(Vec<ScoredPoint>, Vec<usize>), RetrievalError> {
-        self.knn_in_range_profiled(query_vec, range, k, ef)
-            .map(|(hits, counts, _)| (hits, counts))
-    }
-
-    fn knn_in_range_profiled(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<ProfiledAnswer, RetrievalError> {
-        let (per_shard, timings) = fan_out_timed(self.shards.len(), |i| {
-            self.shards[i].knn_in_range(query_vec, range, k, ef)
-        })?;
-        let (hits, counts) = merge_top_k(&per_shard, k);
-        Ok((hits, counts, timings))
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        let per_shard = fan_out(self.shards.len(), |i| self.shards[i].filter_range(range))?;
-        let mut ids: Vec<ObjectId> = per_shard.into_iter().flatten().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
-    }
-
-    fn knn_in_range_batch(
-        &self,
         query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         ef: Option<usize>,
-    ) -> Result<crate::retrieval::BatchAnswers, RetrievalError> {
-        // One pooled job per shard answers the whole batch (each inner
-        // backend amortizes across the batch), then each query's
-        // per-shard lists merge exactly as the single-query path does.
-        let per_shard: Vec<Vec<Vec<ScoredPoint>>> = fan_out(self.shards.len(), |i| {
-            Ok(self.shards[i]
-                .knn_in_range_batch(query_vecs, range, k, ef)?
-                .into_iter()
-                .map(|(hits, _)| hits)
-                .collect())
+    ) -> Result<KnnAnswers, RetrievalError> {
+        // One pooled job per shard answers the whole slice (each inner
+        // backend shares work across it), then each query's per-shard
+        // lists merge.
+        let (per_shard, shard_us) = fan_out(self.shards.len(), |i| {
+            let inner = self.shards[i].knn_in_range(query_vecs, range, k, ef)?;
+            Ok(inner.per_query.into_iter().map(|(hits, _)| hits).collect())
         })?;
-        Ok(vecdb::merge_top_k_batch(per_shard, k))
+        Ok(KnnAnswers {
+            per_query: merge_top_k_batch(per_shard, k),
+            shard_us,
+        })
+    }
+
+    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
+        let (per_shard, _) = fan_out(self.shards.len(), |i| self.shards[i].filter_range(range))?;
+        let mut ids: Vec<ObjectId> = per_shard.into_iter().flatten().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        Ok(ids)
     }
 
     fn knn_in_range_shard(
@@ -174,9 +126,11 @@ impl RetrievalBackend for ShardedBackend {
         ef: Option<usize>,
     ) -> Result<Vec<ScoredPoint>, RetrievalError> {
         // One shard's contribution to the pre-merge pool: exactly what
-        // `knn_in_range_profiled` hands `merge_top_k` for this index.
+        // `knn_in_range` hands the merge for this index.
         match self.shards.get(shard) {
-            Some(backend) => backend.knn_in_range(query_vec, range, k, ef),
+            Some(backend) => backend
+                .knn_in_range(&[query_vec], range, k, ef)
+                .map(KnnAnswers::into_only_hits),
             None => Ok(Vec::new()),
         }
     }
@@ -271,58 +225,24 @@ impl RetrievalBackend for ShardedPrefilterBackend {
 
     fn knn_in_range(
         &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        self.knn_in_range_counted(query_vec, range, k, ef)
-            .map(|(hits, _)| hits)
-    }
-
-    fn knn_in_range_counted(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<(Vec<ScoredPoint>, Vec<usize>), RetrievalError> {
-        self.knn_in_range_profiled(query_vec, range, k, ef)
-            .map(|(hits, counts, _)| (hits, counts))
-    }
-
-    fn knn_in_range_profiled(
-        &self,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<ProfiledAnswer, RetrievalError> {
-        let routed = self.route(&self.index.candidates(range));
-        let (per_shard, timings) = fan_out_timed(self.shards.len(), |i| {
-            Ok(self.shards[i].read().knn_among(query_vec, &routed[i], k)?)
-        })?;
-        let (hits, counts) = merge_top_k(&per_shard, k);
-        Ok((hits, counts, timings))
-    }
-
-    fn knn_in_range_batch(
-        &self,
         query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
         _ef: Option<usize>,
-    ) -> Result<crate::retrieval::BatchAnswers, RetrievalError> {
+    ) -> Result<KnnAnswers, RetrievalError> {
         // Candidate generation and shard routing happen once for the
-        // whole batch; each shard then streams its candidate vectors
-        // through the batch scoring kernel in one pooled job.
+        // whole slice; each shard then streams its candidate vectors
+        // through the scoring kernel in one pooled job.
         let routed = self.route(&self.index.candidates(range));
-        let per_shard: Vec<Vec<Vec<ScoredPoint>>> = fan_out(self.shards.len(), |i| {
+        let (per_shard, shard_us) = fan_out(self.shards.len(), |i| {
             Ok(self.shards[i]
                 .read()
                 .knn_among_batch(query_vecs, &routed[i], k)?)
         })?;
-        Ok(vecdb::merge_top_k_batch(per_shard, k))
+        Ok(KnnAnswers {
+            per_query: merge_top_k_batch(per_shard, k),
+            shard_us,
+        })
     }
 
     fn knn_in_range_shard(
@@ -397,7 +317,10 @@ mod tests {
         let p = prepared_with_shards(4);
         let qv = p.embedder.embed("ramen with a long line");
         let range = geotext::BoundingBox::from_center_km(p.city.center(), 8.0, 8.0);
-        let planned = p.planner.retrieve(&qv, &range, 10, None).unwrap();
+        let planned = p
+            .planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .unwrap();
         assert_eq!(planned.shard_candidates.len(), 4);
         assert!(!planned.hits.is_empty());
         assert!(planned.shard_candidates.iter().sum::<usize>() >= planned.hits.len());
@@ -408,7 +331,10 @@ mod tests {
         let p = prepared_with_shards(1);
         let qv = p.embedder.embed("ramen with a long line");
         let range = geotext::BoundingBox::from_center_km(p.city.center(), 8.0, 8.0);
-        let planned = p.planner.retrieve(&qv, &range, 10, None).unwrap();
+        let planned = p
+            .planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .unwrap();
         assert!(planned.shard_candidates.is_empty());
     }
 

@@ -462,10 +462,8 @@ impl Collection {
         }
     }
 
-    /// k-NN search with optional payload filtering.
-    ///
-    /// Equivalent to [`Collection::search_planned`] with the execution
-    /// metadata dropped.
+    /// k-NN search with optional payload filtering: a one-query
+    /// [`Collection::search_batch`] with the execution metadata dropped.
     pub fn search(
         &self,
         query: &[f32],
@@ -474,36 +472,80 @@ impl Collection {
         self.search_planned(query, params).map(|p| p.hits)
     }
 
-    /// k-NN search returning execution metadata alongside the hits.
+    /// k-NN search returning execution metadata alongside the hits: a
+    /// one-query [`Collection::search_batch`].
+    pub fn search_planned(
+        &self,
+        query: &[f32],
+        params: &SearchParams,
+    ) -> Result<PlannedSearch, VecDbError> {
+        let mut answers = self.search_batch(&[query], params)?;
+        Ok(answers.pop().expect("one answer per query"))
+    }
+
+    /// Exact top-k over an explicit candidate id list: a one-query
+    /// [`Collection::knn_among_batch`].
+    pub fn knn_among(
+        &self,
+        query: &[f32],
+        ids: &[PointId],
+        k: usize,
+    ) -> Result<Vec<ScoredPoint>, VecDbError> {
+        let mut answers = self.knn_among_batch(&[query], ids, k)?;
+        Ok(answers.pop().expect("one answer per query"))
+    }
+
+    fn check_dims(&self, queries: &[&[f32]]) -> Result<(), VecDbError> {
+        match queries.iter().find(|q| q.len() != self.config.dim) {
+            Some(q) => Err(VecDbError::DimensionMismatch {
+                expected: self.config.dim,
+                found: q.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// k-NN search for `queries.len()` queries sharing one
+    /// [`SearchParams`] — the one search body; every other search entry
+    /// point is a one-query call of it. The answer for query `i` does not
+    /// depend on the other queries in the slice.
     ///
     /// With [`SearchStrategy::Exact`] or [`SearchStrategy::Hnsw`] the
     /// caller's choice is executed as-is — this is the entry point for
     /// external planners. [`SearchStrategy::Auto`] mirrors Qdrant: a
     /// filter qualifying at most `full_scan_threshold` of the points runs
     /// as an exact scan, anything broader as filtered HNSW.
-    pub fn search_planned(
+    ///
+    /// The filter mask is evaluated **once** for the whole slice, and the
+    /// full-precision exact scan streams each stored vector through the
+    /// [`Distance::score_batch`] kernel — every stored vector is loaded
+    /// from memory once per call instead of once per query.
+    ///
+    /// # Errors
+    /// [`VecDbError::DimensionMismatch`] if any query has the wrong
+    /// dimension.
+    pub fn search_batch(
         &self,
-        query: &[f32],
+        queries: &[&[f32]],
         params: &SearchParams,
-    ) -> Result<PlannedSearch, VecDbError> {
-        if query.len() != self.config.dim {
-            return Err(VecDbError::DimensionMismatch {
-                expected: self.config.dim,
-                found: query.len(),
-            });
-        }
+    ) -> Result<Vec<PlannedSearch>, VecDbError> {
+        self.check_dims(queries)?;
         // Trivially empty results still report the strategy the caller
         // asked for (latency-breakdown consumers log it).
-        let trivial_executed = match params.strategy {
-            SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
-            SearchStrategy::Exact | SearchStrategy::Auto => ExecutedStrategy::ExactScan,
+        let empty = || {
+            let executed = match params.strategy {
+                SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
+                SearchStrategy::Exact | SearchStrategy::Auto => ExecutedStrategy::ExactScan,
+            };
+            let answer = PlannedSearch {
+                hits: Vec::new(),
+                executed,
+                qualifying: 0,
+            };
+            Ok(vec![answer; queries.len()])
         };
         if self.is_empty() || params.k == 0 {
-            return Ok(PlannedSearch {
-                hits: Vec::new(),
-                executed: trivial_executed,
-                qualifying: 0,
-            });
+            return empty();
         }
 
         // Evaluate the filter once into a bitmap (deleted points never
@@ -518,15 +560,10 @@ impl Collection {
         } else {
             None
         };
-        let qualifying = mask
-            .as_ref()
-            .map_or(self.len(), |m| m.iter().filter(|&&b| b).count());
+        let mask = mask.as_deref();
+        let qualifying = mask.map_or(self.len(), |m| m.iter().filter(|&&b| b).count());
         if qualifying == 0 {
-            return Ok(PlannedSearch {
-                hits: Vec::new(),
-                executed: trivial_executed,
-                qualifying: 0,
-            });
+            return empty();
         }
 
         let executed = match params.strategy {
@@ -543,99 +580,185 @@ impl Collection {
             }
         };
 
-        let hits = match executed {
-            ExecutedStrategy::ExactScan => self.exact_hits(query, params.k, mask.as_deref()),
+        let per_query: Vec<Vec<(usize, f32)>> = match executed {
+            ExecutedStrategy::ExactScan => {
+                // Offsets double as the tie-break key: equal distances
+                // keep insertion order. The coarse pass runs only when it
+                // would prune something.
+                let candidates = (0..self.vectors.len())
+                    .filter(|&o| mask.is_none_or(|m| m[o]))
+                    .map(|o| (o, o));
+                let quant = self
+                    .quant_fetch(params.k)
+                    .filter(|&(_, fetch)| qualifying > fetch);
+                self.top_k_scored(queries, candidates, params.k, quant)
+            }
             ExecutedStrategy::FilteredHnsw => {
+                // Graph traversal is inherently per-query; the slice still
+                // shares the mask evaluation above.
                 let ef = params.ef.unwrap_or_else(|| default_ef(params.k));
-                self.hnsw_hits(query, params.k, ef, mask.as_deref())
+                queries
+                    .iter()
+                    .map(|q| self.hnsw_hits(q, params.k, ef, mask))
+                    .collect()
             }
         };
 
-        Ok(PlannedSearch {
-            hits: hits
-                .into_iter()
-                .map(|(o, d)| ScoredPoint {
-                    id: self.ids[o],
-                    score: self.config.distance.similarity_from_distance(d),
-                })
-                .collect(),
-            executed,
-            qualifying,
-        })
+        Ok(per_query
+            .into_iter()
+            .map(|hits| PlannedSearch {
+                hits: hits
+                    .into_iter()
+                    .map(|(o, d)| self.scored_point(self.ids[o], d))
+                    .collect(),
+                executed,
+                qualifying,
+            })
+            .collect())
     }
 
-    /// Exact scan over offsets passing `mask`, ascending by distance.
+    /// Exact top-k over an explicit candidate id list for
+    /// `queries.len()` queries (used by backends that pre-filter
+    /// candidates with an external spatial index) — the one
+    /// candidate-scoring body. Unknown and deleted ids are skipped; ids
+    /// are resolved to offsets **once** for the slice; the answer for
+    /// query `i` does not depend on the other queries.
     ///
-    /// With the quantized tier active this is a two-pass scan: a coarse
-    /// pass scores every qualifying offset over the u8 codes (¼ the
-    /// memory traffic of the f32 store), keeps the best
-    /// `rerank_factor × k`, and a rerank pass rescores only those
-    /// survivors at full precision — so reported distances are always
-    /// full-precision. Otherwise scoring goes through the norm-cached
-    /// fast path (for cosine: one fused dot product per stored vector).
-    fn exact_hits(&self, query: &[f32], k: usize, mask: Option<&[bool]>) -> Vec<(usize, f32)> {
-        let q_inv = inv_norm(query);
-        if let Some((quant, rerank_factor)) = self.active_quant() {
-            let fetch = k.saturating_mul(rerank_factor);
-            let mut coarse: Vec<(usize, f32)> = (0..self.vectors.len())
-                .filter(|&o| mask.is_none_or(|m| m[o]))
-                .map(|o| {
-                    (
-                        o,
-                        quant.distance_with_query_inv(self.config.distance, query, q_inv, o),
-                    )
-                })
-                .collect();
-            if coarse.len() > fetch {
-                // (distance, offset) total order, matching the stable
-                // full-precision sort's tie behavior.
-                top_k_by(&mut coarse, fetch, |a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                let mut fine: Vec<(usize, f32)> = coarse
-                    .into_iter()
-                    .map(|(o, _)| {
-                        (
-                            o,
-                            self.config.distance.distance_normed(
-                                query,
-                                q_inv,
-                                &self.vectors[o],
-                                self.inv_norms[o],
-                            ),
-                        )
-                    })
-                    .collect();
-                fine.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                fine.truncate(k);
-                return fine;
-            }
-            // Candidate set no bigger than the rerank budget: the
-            // coarse pass would prune nothing, so scan at full
-            // precision directly.
-        }
-        let mut scored: Vec<(usize, f32)> = self
-            .vectors
+    /// # Errors
+    /// [`VecDbError::DimensionMismatch`] if any query has the wrong
+    /// dimension.
+    pub fn knn_among_batch(
+        &self,
+        queries: &[&[f32]],
+        ids: &[PointId],
+        k: usize,
+    ) -> Result<Vec<Vec<ScoredPoint>>, VecDbError> {
+        self.check_dims(queries)?;
+        let resolved: Vec<(PointId, usize)> = ids
             .iter()
-            .enumerate()
-            .filter(|(o, _)| mask.is_none_or(|m| m[*o]))
-            .map(|(o, v)| {
-                (
-                    o,
-                    self.config
-                        .distance
-                        .distance_normed(query, q_inv, v, self.inv_norms[o]),
-                )
-            })
+            .filter_map(|&id| self.by_id.get(id).map(|o| (id, o)))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(k);
+        // Quantized coarse pass, engaged only when the candidate list is
+        // meaningfully larger than the rerank budget (a size check, so
+        // the decision is a deterministic function of collection state).
+        let quant = self
+            .quant_fetch(k)
+            .filter(|&(_, fetch)| resolved.len() > fetch.saturating_mul(2));
+        Ok(self
+            .top_k_scored(queries, resolved.iter().copied(), k, quant)
+            .into_iter()
+            .map(|hits| {
+                hits.into_iter()
+                    .map(|(id, d)| self.scored_point(id, d))
+                    .collect()
+            })
+            .collect())
+    }
+
+    fn scored_point(&self, id: PointId, distance: f32) -> ScoredPoint {
+        ScoredPoint {
+            id,
+            score: self.config.distance.similarity_from_distance(distance),
+        }
+    }
+
+    /// The active quantized store with its coarse-pass budget
+    /// `rerank_factor × k`.
+    fn quant_fetch(&self, k: usize) -> Option<(&QuantizedVectors, usize)> {
+        self.active_quant()
+            .map(|(quant, rerank_factor)| (quant, k.saturating_mul(rerank_factor)))
+    }
+
+    /// The exact-scoring kernel behind [`Collection::search_batch`] and
+    /// [`Collection::knn_among_batch`]: for every query, the `k` nearest
+    /// of `candidates` — `(tie-break key, offset)` pairs — ascending by
+    /// `(distance, key)`.
+    ///
+    /// With `quant = Some((codes, fetch))` each query runs a two-pass
+    /// scan of its own: a coarse pass scores every candidate over the u8
+    /// codes (¼ the memory traffic of the f32 store), keeps the best
+    /// `fetch`, and a rerank pass rescores only those survivors at full
+    /// precision — so reported distances are always full-precision.
+    /// Otherwise one pass streams each candidate vector through
+    /// [`Distance::score_batch`] for all queries at once (for cosine: one
+    /// fused dot product per stored vector and query).
+    fn top_k_scored<K, I>(
+        &self,
+        queries: &[&[f32]],
+        candidates: I,
+        k: usize,
+        quant: Option<(&QuantizedVectors, usize)>,
+    ) -> Vec<Vec<(K, f32)>>
+    where
+        K: Ord + Copy,
+        I: Iterator<Item = (K, usize)> + Clone,
+    {
+        let distance = self.config.distance;
+        let by_distance = |a: f32, b: f32| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+        let q_invs: Vec<f32> = queries.iter().map(|q| inv_norm(q)).collect();
+        let mut scored: Vec<Vec<(K, f32)>> = match quant {
+            Some((codes, fetch)) => queries
+                .iter()
+                .zip(&q_invs)
+                .map(|(q, &q_inv)| {
+                    let mut coarse: Vec<(K, usize, f32)> = candidates
+                        .clone()
+                        .map(|(key, o)| {
+                            let d = codes.distance_with_query_inv(distance, q, q_inv, o);
+                            (key, o, d)
+                        })
+                        .collect();
+                    top_k_by(&mut coarse, fetch, |a, b| {
+                        by_distance(a.2, b.2).then(a.0.cmp(&b.0))
+                    });
+                    coarse
+                        .into_iter()
+                        .map(|(key, o, _)| {
+                            let v = &self.vectors[o];
+                            (
+                                key,
+                                distance.distance_normed(q, q_inv, v, self.inv_norms[o]),
+                            )
+                        })
+                        .collect()
+                })
+                .collect(),
+            None => {
+                let capacity = candidates.size_hint().1.unwrap_or(0);
+                let mut scored: Vec<Vec<(K, f32)>> = queries
+                    .iter()
+                    .map(|_| Vec::with_capacity(capacity))
+                    .collect();
+                let mut row = vec![0.0f32; queries.len()];
+                let mut candidates = candidates.peekable();
+                while let Some((key, o)) = candidates.next() {
+                    // Candidate offsets may be scattered, so the hardware
+                    // stream prefetcher can't follow them — hint the next
+                    // candidate's vector toward L1 while scoring this one
+                    // (a pure hint, never affects results).
+                    if let Some(&(_, next)) = candidates.peek() {
+                        crate::distance::prefetch_slice(&self.vectors[next]);
+                    }
+                    distance.score_batch(
+                        queries,
+                        &q_invs,
+                        &self.vectors[o],
+                        self.inv_norms[o],
+                        &mut row,
+                    );
+                    for (per_query, &d) in scored.iter_mut().zip(&row) {
+                        per_query.push((key, d));
+                    }
+                }
+                scored
+            }
+        };
+        for per_query in &mut scored {
+            // O(n) selection + O(k log k) sort instead of a full sort.
+            top_k_by(per_query, k, |a, b| {
+                by_distance(a.1, b.1).then(a.0.cmp(&b.0))
+            });
+        }
         scored
     }
 
@@ -669,328 +792,6 @@ impl Collection {
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
             .map(|(o, &id)| (id, self.vectors[o].as_slice(), self.payloads.get(o)))
-    }
-
-    /// Exact top-k over an explicit candidate id list (used by backends
-    /// that pre-filter candidates with an external spatial index).
-    /// Unknown and deleted ids are skipped.
-    pub fn knn_among(
-        &self,
-        query: &[f32],
-        ids: &[PointId],
-        k: usize,
-    ) -> Result<Vec<ScoredPoint>, VecDbError> {
-        if query.len() != self.config.dim {
-            return Err(VecDbError::DimensionMismatch {
-                expected: self.config.dim,
-                found: query.len(),
-            });
-        }
-        let q_inv = inv_norm(query);
-        let resolved: Vec<(PointId, usize)> = ids
-            .iter()
-            .filter_map(|&id| self.by_id.get(id).map(|o| (id, o)))
-            .collect();
-        // Quantized coarse pass, engaged only when the candidate list is
-        // meaningfully larger than the rerank budget (a size check, so
-        // the decision is a deterministic function of collection state).
-        let prescreened: Vec<(PointId, usize)> = match self.active_quant() {
-            Some((quant, rerank_factor))
-                if resolved.len() > k.saturating_mul(rerank_factor).saturating_mul(2) =>
-            {
-                let fetch = k.saturating_mul(rerank_factor);
-                let mut coarse: Vec<(PointId, usize, f32)> = resolved
-                    .into_iter()
-                    .map(|(id, o)| {
-                        (
-                            id,
-                            o,
-                            quant.distance_with_query_inv(self.config.distance, query, q_inv, o),
-                        )
-                    })
-                    .collect();
-                top_k_by(&mut coarse, fetch, |a, b| {
-                    a.2.partial_cmp(&b.2)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                coarse.into_iter().map(|(id, o, _)| (id, o)).collect()
-            }
-            _ => resolved,
-        };
-        let mut scored: Vec<(PointId, f32)> = prescreened
-            .into_iter()
-            .map(|(id, o)| {
-                (
-                    id,
-                    self.config.distance.distance_normed(
-                        query,
-                        q_inv,
-                        &self.vectors[o],
-                        self.inv_norms[o],
-                    ),
-                )
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        Ok(scored
-            .into_iter()
-            .map(|(id, d)| ScoredPoint {
-                id,
-                score: self.config.distance.similarity_from_distance(d),
-            })
-            .collect())
-    }
-
-    /// Batched [`Collection::search_planned`]: answers `queries.len()`
-    /// searches sharing one [`SearchParams`] in a single pass.
-    ///
-    /// The filter mask is evaluated **once** for the whole batch, and the
-    /// exact-scan path streams each stored vector through the
-    /// [`Distance::score_batch`] kernel — every stored vector is loaded
-    /// from memory once per batch instead of once per query. Results are
-    /// bit-identical to calling [`Collection::search_planned`] per query.
-    ///
-    /// # Errors
-    /// [`VecDbError::DimensionMismatch`] if any query has the wrong
-    /// dimension.
-    pub fn search_batch(
-        &self,
-        queries: &[&[f32]],
-        params: &SearchParams,
-    ) -> Result<Vec<PlannedSearch>, VecDbError> {
-        for query in queries {
-            if query.len() != self.config.dim {
-                return Err(VecDbError::DimensionMismatch {
-                    expected: self.config.dim,
-                    found: query.len(),
-                });
-            }
-        }
-        let trivial_executed = match params.strategy {
-            SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
-            SearchStrategy::Exact | SearchStrategy::Auto => ExecutedStrategy::ExactScan,
-        };
-        if self.is_empty() || params.k == 0 {
-            return Ok(queries
-                .iter()
-                .map(|_| PlannedSearch {
-                    hits: Vec::new(),
-                    executed: trivial_executed,
-                    qualifying: 0,
-                })
-                .collect());
-        }
-
-        // One mask evaluation for the whole batch (the single-query path
-        // re-derives it per call — the first amortization win).
-        let mask: Option<Vec<bool>> = if params.filter.is_some() || self.live < self.ids.len() {
-            let f = params.filter.as_ref();
-            Some(
-                (0..self.ids.len())
-                    .map(|o| !self.deleted[o] && f.is_none_or(|f| self.payloads.matches(o, f)))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let qualifying = mask
-            .as_ref()
-            .map_or(self.len(), |m| m.iter().filter(|&&b| b).count());
-        if qualifying == 0 {
-            return Ok(queries
-                .iter()
-                .map(|_| PlannedSearch {
-                    hits: Vec::new(),
-                    executed: trivial_executed,
-                    qualifying: 0,
-                })
-                .collect());
-        }
-
-        let executed = match params.strategy {
-            SearchStrategy::Exact => ExecutedStrategy::ExactScan,
-            SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
-            SearchStrategy::Auto => {
-                let selective =
-                    qualifying as f64 <= self.config.full_scan_threshold * self.len() as f64;
-                if selective {
-                    ExecutedStrategy::ExactScan
-                } else {
-                    ExecutedStrategy::FilteredHnsw
-                }
-            }
-        };
-
-        let per_query: Vec<Vec<(usize, f32)>> = match executed {
-            ExecutedStrategy::ExactScan => {
-                self.exact_hits_batch(queries, params.k, mask.as_deref())
-            }
-            ExecutedStrategy::FilteredHnsw => {
-                // Graph traversal is inherently per-query; the batch still
-                // amortizes the mask evaluation above.
-                let ef = params.ef.unwrap_or_else(|| default_ef(params.k));
-                queries
-                    .iter()
-                    .map(|q| self.hnsw_hits(q, params.k, ef, mask.as_deref()))
-                    .collect()
-            }
-        };
-
-        Ok(per_query
-            .into_iter()
-            .map(|hits| PlannedSearch {
-                hits: hits
-                    .into_iter()
-                    .map(|(o, d)| ScoredPoint {
-                        id: self.ids[o],
-                        score: self.config.distance.similarity_from_distance(d),
-                    })
-                    .collect(),
-                executed,
-                qualifying,
-            })
-            .collect())
-    }
-
-    /// Batched exact scan: one pass over the stored vectors scoring every
-    /// query via [`Distance::score_batch`], then a per-query sort. Each
-    /// query's result is bit-identical to [`Collection::exact_hits`].
-    fn exact_hits_batch(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        mask: Option<&[bool]>,
-    ) -> Vec<Vec<(usize, f32)>> {
-        // Quantized tier: run the shared sequential kernel per query.
-        // Parity with the sequential path is then by construction, and
-        // the coarse pass already reads ¼ the bytes the batched f32
-        // kernel would, so the batch amortization matters less.
-        if self.active_quant().is_some() {
-            return queries
-                .iter()
-                .map(|q| self.exact_hits(q, k, mask))
-                .collect();
-        }
-        let m = queries.len();
-        let q_invs: Vec<f32> = queries.iter().map(|q| inv_norm(q)).collect();
-        let mut scored: Vec<Vec<(usize, f32)>> = (0..m)
-            .map(|_| Vec::with_capacity(self.vectors.len()))
-            .collect();
-        let mut row = vec![0.0f32; m];
-        for (o, v) in self.vectors.iter().enumerate() {
-            if mask.is_some_and(|mk| !mk[o]) {
-                continue;
-            }
-            // Pull the next stored vector toward L1 while this one is
-            // being scored; a pure hint, never affects results.
-            if let Some(next) = self.vectors.get(o + 1) {
-                crate::distance::prefetch_slice(next);
-            }
-            self.config
-                .distance
-                .score_batch(queries, &q_invs, v, self.inv_norms[o], &mut row);
-            for (per_query, &d) in scored.iter_mut().zip(&row) {
-                per_query.push((o, d));
-            }
-        }
-        for per_query in &mut scored {
-            // Equivalent to the sequential path's stable sort on distance
-            // plus truncate: the input is in offset order, so the stable
-            // sort's tie behavior IS the (distance, offset) total order —
-            // which lets the batch select the top k in O(n) before
-            // sorting only those k.
-            top_k_by(per_query, k, |a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-        }
-        scored
-    }
-
-    /// Batched [`Collection::knn_among`]: scores one candidate id list
-    /// against `queries.len()` query vectors in a single pass. Ids are
-    /// resolved to offsets **once** for the batch, each candidate vector
-    /// is streamed through [`Distance::score_batch`] once, and results
-    /// are bit-identical to calling [`Collection::knn_among`] per query.
-    ///
-    /// # Errors
-    /// [`VecDbError::DimensionMismatch`] if any query has the wrong
-    /// dimension.
-    pub fn knn_among_batch(
-        &self,
-        queries: &[&[f32]],
-        ids: &[PointId],
-        k: usize,
-    ) -> Result<Vec<Vec<ScoredPoint>>, VecDbError> {
-        for query in queries {
-            if query.len() != self.config.dim {
-                return Err(VecDbError::DimensionMismatch {
-                    expected: self.config.dim,
-                    found: query.len(),
-                });
-            }
-        }
-        // Quantized tier: per-query calls of the shared sequential
-        // kernel — parity by construction, coarse pass already ¼ the
-        // memory traffic.
-        if self.active_quant().is_some() {
-            return queries.iter().map(|q| self.knn_among(q, ids, k)).collect();
-        }
-        let m = queries.len();
-        // One id→offset resolution for the whole batch.
-        let resolved: Vec<(PointId, usize)> = ids
-            .iter()
-            .filter_map(|&id| self.by_id.get(id).map(|o| (id, o)))
-            .collect();
-        let q_invs: Vec<f32> = queries.iter().map(|q| inv_norm(q)).collect();
-        let mut scored: Vec<Vec<(PointId, f32)>> =
-            (0..m).map(|_| Vec::with_capacity(resolved.len())).collect();
-        let mut row = vec![0.0f32; m];
-        for (idx, &(id, o)) in resolved.iter().enumerate() {
-            // Candidate offsets are scattered, so the hardware stream
-            // prefetcher can't follow them — hint the next candidate's
-            // vector toward L1 while scoring this one.
-            if let Some(&(_, next)) = resolved.get(idx + 1) {
-                crate::distance::prefetch_slice(&self.vectors[next]);
-            }
-            self.config.distance.score_batch(
-                queries,
-                &q_invs,
-                &self.vectors[o],
-                self.inv_norms[o],
-                &mut row,
-            );
-            for (per_query, &d) in scored.iter_mut().zip(&row) {
-                per_query.push((id, d));
-            }
-        }
-        Ok(scored
-            .into_iter()
-            .map(|mut per_query| {
-                // Same (distance, id) total order as the sequential
-                // `knn_among` sort; O(n) selection + O(k log k) sort
-                // instead of a full O(n log n) sort per query.
-                top_k_by(&mut per_query, k, |a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                per_query
-                    .into_iter()
-                    .map(|(id, d)| ScoredPoint {
-                        id,
-                        score: self.config.distance.similarity_from_distance(d),
-                    })
-                    .collect()
-            })
-            .collect())
     }
 }
 
@@ -1207,8 +1008,24 @@ mod tests {
             .is_empty());
     }
 
+    /// Splits `queries` into slices of `lanes` and concatenates the
+    /// answers — the same function at a different lane count.
+    fn search_in_lanes(
+        c: &Collection,
+        queries: &[&[f32]],
+        params: &SearchParams,
+        lanes: usize,
+    ) -> Vec<PlannedSearch> {
+        queries
+            .chunks(lanes)
+            .flat_map(|chunk| c.search_batch(chunk, params).unwrap())
+            .collect()
+    }
+
     #[test]
     fn search_batch_matches_sequential_search() {
+        // One body: a slice of 17 must answer exactly like 17 slices of
+        // one and like slices of 5 (different kernel lane counts).
         let c = collection_with_points(300);
         let owned: Vec<Vec<f32>> = (0..17).map(|i| unit(i as f32 * 0.13)).collect();
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
@@ -1231,21 +1048,82 @@ mod tests {
                 }
                 let batched = c.search_batch(&queries, &params).unwrap();
                 assert_eq!(batched.len(), queries.len());
-                for (q, b) in queries.iter().zip(&batched) {
-                    let single = c.search_planned(q, &params).unwrap();
-                    assert_eq!(b.hits, single.hits, "{strategy:?}");
-                    assert_eq!(b.executed, single.executed);
-                    assert_eq!(b.qualifying, single.qualifying);
+                for lanes in [1, 5] {
+                    let split = search_in_lanes(&c, &queries, &params, lanes);
+                    for (b, s) in batched.iter().zip(&split) {
+                        assert_eq!(b.hits, s.hits, "{strategy:?} lanes={lanes}");
+                        assert_eq!(b.executed, s.executed);
+                        assert_eq!(b.qualifying, s.qualifying);
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn exact_search_batch_matches_flat_index_brute_force() {
+        // The surviving kernel held to an independent reference: the
+        // brute-force `FlatIndex` scan (per-query `distance_normed` and a
+        // stable sort), bit for bit, for every way a search can resolve
+        // to the exact strategy.
+        let c = collection_with_points(300);
+        let mut flat = crate::FlatIndex::new(c.config().distance);
+        for o in 0..300u64 {
+            flat.push(c.vector(o).unwrap().to_vec());
+        }
+        let owned: Vec<Vec<f32>> = (0..17).map(|i| unit(i as f32 * 0.13)).collect();
+        let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+        let city_a = Filter::MatchKeyword {
+            key: "city".to_owned(),
+            value: "A".to_owned(),
+        };
+        let narrow = Filter::geo_box(0.0, -0.010, 0.010, 0.0);
+        let cases = [
+            (SearchStrategy::Exact, None),
+            (SearchStrategy::Exact, Some(city_a)),
+            // Selective filter: `Auto` resolves to the exact scan.
+            (SearchStrategy::Auto, Some(narrow)),
+        ];
+        for (strategy, filter) in cases {
+            let mut params = SearchParams::top_k(7).with_strategy(strategy);
+            if let Some(f) = filter.clone() {
+                params = params.with_filter(f);
+            }
+            let qualifying: Option<Vec<PointId>> = filter.as_ref().map(|f| c.filter_ids(f));
+            let mask = |o: usize| {
+                qualifying
+                    .as_ref()
+                    .is_none_or(|ids| ids.contains(&(o as PointId)))
+            };
+            let batched = c.search_batch(&queries, &params).unwrap();
+            for (q, b) in queries.iter().zip(&batched) {
+                assert_eq!(b.executed, ExecutedStrategy::ExactScan);
+                let expect: Vec<ScoredPoint> = flat
+                    .search(q, 7, Some(&mask))
+                    .into_iter()
+                    .map(|(o, d)| c.scored_point(o as PointId, d))
+                    .collect();
+                assert_eq!(b.hits, expect, "{strategy:?} filter={filter:?}");
+            }
+        }
+        // The candidate-list entry point, against the same reference.
+        let ids: Vec<PointId> = (0..300).step_by(3).collect();
+        let in_list = |o: usize| o.is_multiple_of(3);
+        let batched = c.knn_among_batch(&queries, &ids, 7).unwrap();
+        for (q, b) in queries.iter().zip(&batched) {
+            let expect: Vec<ScoredPoint> = flat
+                .search(q, 7, Some(&in_list))
+                .into_iter()
+                .map(|(o, d)| c.scored_point(o as PointId, d))
+                .collect();
+            assert_eq!(b, &expect);
+        }
+    }
+
+    #[test]
     fn search_batch_handles_ties_like_sequential() {
-        // Identical vectors → identical scores; the batched exact scan
-        // must keep the stable insertion-order tie-break of the
-        // sequential path.
+        // Identical vectors → identical scores; the exact scan must keep
+        // the insertion-order tie-break at every lane count.
         let mut c = Collection::new(CollectionConfig::new(2));
         for id in 0..6u64 {
             c.insert(id, vec![1.0, 0.0], Payload::new()).unwrap();
@@ -1284,6 +1162,7 @@ mod tests {
 
     #[test]
     fn knn_among_batch_matches_sequential() {
+        // A slice of 9 against 9 slices of one and slices of 4.
         let c = collection_with_points(120);
         let ids: Vec<PointId> = (0..120).step_by(2).chain([999]).collect();
         let owned: Vec<Vec<f32>> = (0..9).map(|i| unit(0.07 * i as f32)).collect();
@@ -1292,6 +1171,11 @@ mod tests {
         for (q, b) in queries.iter().zip(&batched) {
             assert_eq!(b, &c.knn_among(q, &ids, 5).unwrap());
         }
+        let in_fours: Vec<Vec<ScoredPoint>> = queries
+            .chunks(4)
+            .flat_map(|chunk| c.knn_among_batch(chunk, &ids, 5).unwrap())
+            .collect();
+        assert_eq!(batched, in_fours);
         assert!(matches!(
             c.knn_among_batch(&[&[0.0f32; 3] as &[f32]], &ids, 5),
             Err(VecDbError::DimensionMismatch { .. })

@@ -330,10 +330,8 @@ impl ShardedCollection {
         })
     }
 
-    /// The full fan-out/merge: per-shard [`Collection::search_planned`]
-    /// executed in parallel on the shared [`crate::pool`] worker pool
-    /// (a channel send per shard, not a thread spawn), heap-merged
-    /// top-k, per-shard contribution counts.
+    /// The fan-out/merge for one query: a one-query
+    /// [`ShardedCollection::search_batch_sharded`].
     ///
     /// # Errors
     /// Propagates the first shard failure.
@@ -342,38 +340,17 @@ impl ShardedCollection {
         query: &[f32],
         params: &SearchParams,
     ) -> Result<ShardedSearch, VecDbError> {
-        let planned: Vec<PlannedSearch> = crate::pool::global()
-            .run_homed(
-                self.shards.len(),
-                |i| i,
-                |i| self.shards[i].read().search_planned(query, params),
-            )
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        let mut per_shard: Vec<Vec<ScoredPoint>> = Vec::with_capacity(self.shards.len());
-        let mut qualifying = 0;
-        let mut executed = ExecutedStrategy::ExactScan;
-        for p in planned {
-            qualifying += p.qualifying;
-            if p.executed == ExecutedStrategy::FilteredHnsw {
-                executed = ExecutedStrategy::FilteredHnsw;
-            }
-            per_shard.push(p.hits);
-        }
-        let (hits, per_shard_hits) = merge_top_k(&per_shard, params.k);
-        Ok(ShardedSearch {
-            hits,
-            executed,
-            qualifying,
-            per_shard_hits,
-        })
+        let mut answers = self.search_batch_sharded(&[query], params)?;
+        Ok(answers.pop().expect("one answer per query"))
     }
 
-    /// Batched fan-out: every shard answers the whole batch through
-    /// [`Collection::search_batch`] (one pooled job per shard, one pass
-    /// over each shard's vectors for all queries), then each query's
-    /// per-shard lists merge. Per-query results are bit-identical to
-    /// [`ShardedCollection::search_sharded`].
+    /// The full fan-out/merge: every shard answers the whole slice
+    /// through [`Collection::search_batch`] in parallel on the shared
+    /// [`crate::pool`] worker pool (one pooled job per shard — a channel
+    /// send, not a thread spawn — and one pass over each shard's vectors
+    /// for all queries), then each query's per-shard lists heap-merge to
+    /// its top-k with per-shard contribution counts. The answer for
+    /// query `i` does not depend on the other queries in the slice.
     ///
     /// # Errors
     /// Propagates the first shard failure.
@@ -425,9 +402,8 @@ impl ShardedCollection {
             .collect())
     }
 
-    /// Exact top-k over an explicit candidate list: ids route to their
-    /// shards, each shard scores its slice, and the slices merge. Unknown
-    /// and deleted ids are skipped, as in [`Collection::knn_among`].
+    /// Exact top-k over an explicit candidate list for one query: a
+    /// one-query [`ShardedCollection::knn_among_batch`].
     ///
     /// # Errors
     /// [`VecDbError::DimensionMismatch`] on a wrong-length query.
@@ -437,23 +413,15 @@ impl ShardedCollection {
         ids: &[PointId],
         k: usize,
     ) -> Result<Vec<ScoredPoint>, VecDbError> {
-        let routed = self.route(ids);
-        let per_shard: Vec<Vec<ScoredPoint>> = crate::pool::global()
-            .run_homed(
-                self.shards.len(),
-                |i| i,
-                |i| self.shards[i].read().knn_among(query, &routed[i], k),
-            )
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        Ok(merge_top_k(&per_shard, k).0)
+        let mut answers = self.knn_among_batch(&[query], ids, k)?;
+        Ok(answers.pop().expect("one answer per query"))
     }
 
-    /// Batched [`ShardedCollection::knn_among`]: candidate ids route to
-    /// their shards once, each shard scores the whole batch with
+    /// Exact top-k over an explicit candidate list: candidate ids route
+    /// to their shards once, each shard scores the whole slice with
     /// [`Collection::knn_among_batch`] on the shared pool, and each
-    /// query's per-shard lists merge. Per-query results are bit-identical
-    /// to the single-query path.
+    /// query's per-shard lists merge. Unknown and deleted ids are
+    /// skipped.
     ///
     /// # Errors
     /// [`VecDbError::DimensionMismatch`] on a wrong-length query.
@@ -639,6 +607,8 @@ mod tests {
 
     #[test]
     fn batched_sharded_search_matches_single_query_path() {
+        // A slice of 13 against 13 slices of one, and against the flat
+        // collection (itself pinned to `FlatIndex` brute force).
         let (flat, _) = flat_and_sharded(250, 1);
         let owned: Vec<Vec<f32>> = (0..13).map(|i| unit(0.11 * i as f32)).collect();
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
@@ -652,6 +622,7 @@ mod tests {
                 assert_eq!(b.hits, single.hits, "shards={shards}");
                 assert_eq!(b.qualifying, single.qualifying);
                 assert_eq!(b.per_shard_hits, single.per_shard_hits);
+                assert_eq!(b.hits, flat.search(q, &params).unwrap());
             }
         }
     }

@@ -115,35 +115,47 @@ fn full_tier_is_bit_identical_to_auto_below_threshold() {
     }
 }
 
+/// Bit-level equality of two hit lists.
+fn assert_same_bits(a: &[vecdb::ScoredPoint], b: &[vecdb::ScoredPoint]) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.id, y.id);
+        assert_eq!(x.score.to_bits(), y.score.to_bits());
+    }
+}
+
 #[test]
 fn quantized_batch_matches_sequential_bitwise() {
-    // The batched paths run the shared sequential kernel per query when
-    // the tier is active; this pins that construction.
+    // Under the quantized tier each query of a slice runs its own
+    // coarse-scan-then-rerank inside the one search body, so a slice of
+    // 16 must answer like 16 slices of one and like slices of 3 (recall
+    // against full precision is pinned above).
     let n = 3_000;
     let c = build(n, ScoringTier::Quantized { rerank_factor: 4 });
     let queries: Vec<Vec<f32>> = (0..16).map(|i| pseudo(i + 31_337, DIM)).collect();
     let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
     let params = SearchParams::top_k(7).with_strategy(SearchStrategy::Exact);
     let batched = c.search_batch(&refs, &params).unwrap();
-    for (q, b) in queries.iter().zip(&batched) {
-        let s = c.search_planned(q, &params).unwrap();
-        assert_eq!(s.hits.len(), b.hits.len());
-        for (x, y) in s.hits.iter().zip(&b.hits) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
+    let in_threes: Vec<_> = refs
+        .chunks(3)
+        .flat_map(|chunk| c.search_batch(chunk, &params).unwrap())
+        .collect();
+    for ((q, b), t) in queries.iter().zip(&batched).zip(&in_threes) {
+        assert_same_bits(&c.search_planned(q, &params).unwrap().hits, &b.hits);
+        assert_same_bits(&t.hits, &b.hits);
     }
 
-    // knn_among / knn_among_batch parity over an explicit candidate set.
+    // The candidate-list entry point, over an explicit candidate set
+    // large enough to engage the coarse pass.
     let ids: Vec<u64> = (0..n as u64).step_by(2).collect();
     let batched = c.knn_among_batch(&refs, &ids, 9).unwrap();
-    for (q, b) in queries.iter().zip(&batched) {
-        let s = c.knn_among(q, &ids, 9).unwrap();
-        assert_eq!(s.len(), b.len());
-        for (x, y) in s.iter().zip(b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
+    let in_threes: Vec<_> = refs
+        .chunks(3)
+        .flat_map(|chunk| c.knn_among_batch(chunk, &ids, 9).unwrap())
+        .collect();
+    for ((q, b), t) in queries.iter().zip(&batched).zip(&in_threes) {
+        assert_same_bits(&c.knn_among(q, &ids, 9).unwrap(), b);
+        assert_same_bits(t, b);
     }
 }
 

@@ -2,11 +2,12 @@
 //! in one call through `SemaSkEngine::query_batch`, and compare against
 //! the same queries issued one at a time.
 //!
-//! The batched path plans once per distinct range group, shares the
-//! grid/IR-tree candidate set across each group, and streams stored
-//! vectors through the single-pass batch scoring kernel — returning
-//! answers identical to sequential execution (`tests/batch_parity.rs`
-//! pins this bit-for-bit at the retrieval layer).
+//! One filtering path serves both: `query` is `query_batch` of one. A
+//! batch plans once per distinct range group, shares the grid/IR-tree
+//! candidate set across each group, and streams stored vectors through
+//! the single-pass scoring kernel — a query's answer never depends on
+//! its batch-mates (`tests/batch_parity.rs` pins this bit-for-bit at
+//! the retrieval layer), so grouping buys speed only.
 //!
 //! ```sh
 //! cargo run --release --example batch_queries

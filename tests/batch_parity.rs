@@ -1,14 +1,29 @@
-//! Batch-execution correctness: `QueryPlanner::retrieve_batch` must
-//! return *bit-identical* ids, scores, and plan metadata to N sequential
-//! `retrieve` calls — across shard counts {1, 4}, batch sizes
-//! {1, 16, 64}, mixed-range batches (grouping must not leak results
-//! between groups), and duplicate-vector tie cases. Batching is an
-//! execution optimization, never a semantics change.
+//! Filtering-stage correctness on the one path. A single query is a
+//! batch of one, so there is no sequential twin to compare against;
+//! instead the suite pins the contract the one body must keep and holds
+//! it to an independent reference:
+//!
+//! - the answer for a query does not depend on the queries submitted
+//!   with it: a batch of N equals N batches of one (shared vs unshared
+//!   candidate sets) and equals the same queries at other lane counts —
+//!   across shard counts {1, 4}, batch sizes {1, 16, 64}, mixed-range
+//!   batches (grouping must not leak results between groups), and
+//!   duplicate-vector tie cases;
+//! - every exact strategy answers a 17-query slice exactly like the
+//!   brute-force `vecdb::FlatIndex` scan;
+//! - a group of one feeds the online cost model per shard;
+//! - the perf ledger's configuration (metro world, quantized tier, FSST
+//!   payloads) answers a batch of 64 like 64 batches of one at engine
+//!   level.
 
 use std::sync::Arc;
 
 use embed::Embedder;
-use semask::{prepare_city, CostModel, PlannedQuery, PlannerConfig, QueryPlanner, SemaSkConfig};
+use semask::retrieval::RetrievalStrategy;
+use semask::{
+    prepare_city, CostModel, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner,
+    SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
+};
 use vecdb::ScoredPoint;
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -21,10 +36,10 @@ fn prepared() -> semask::PreparedCity {
 }
 
 /// Parity planners freeze the cost model after calibration
-/// (`online_updates: false`): the batched pass and the sequential
-/// reference pass must plan against the *same* model state, or a
-/// mid-test model update could legitimately flip a strategy choice.
-/// Both cost models are exercised via the `cost_model` parameter.
+/// (`online_updates: false`): every pass over the same queries must plan
+/// against the *same* model state, or a mid-test model update could
+/// legitimately flip a strategy choice. Both cost models are exercised
+/// via the `cost_model` parameter.
 fn planner_with(p: &semask::PreparedCity, shards: usize, cost_model: CostModel) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
@@ -39,8 +54,8 @@ fn planner_with(p: &semask::PreparedCity, shards: usize, cost_model: CostModel) 
     )
 }
 
-fn ids_and_scores(hits: &[ScoredPoint]) -> Vec<(u64, f32)> {
-    hits.iter().map(|h| (h.id, h.score)).collect()
+fn ids_and_scores(hits: &[ScoredPoint]) -> Vec<(u64, u32)> {
+    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
 }
 
 /// A deterministic batch mixing ranges (several selectivity bands, so
@@ -71,32 +86,103 @@ fn make_batch(p: &semask::PreparedCity, n: usize) -> Vec<PlannedQuery> {
         .collect()
 }
 
+fn assert_same_retrieval(a: &PlannedRetrieval, b: &PlannedRetrieval, context: &str) {
+    assert_eq!(
+        ids_and_scores(&a.hits),
+        ids_and_scores(&b.hits),
+        "{context}"
+    );
+    assert_eq!(a.strategy, b.strategy, "{context}");
+    assert_eq!(a.estimated_fraction, b.estimated_fraction, "{context}");
+    assert_eq!(a.shard_candidates, b.shard_candidates, "{context}");
+    assert_eq!(a.predicted_cost_us, b.predicted_cost_us, "{context}");
+    assert_eq!(a.model_version, b.model_version, "{context}");
+}
+
 #[test]
 fn retrieve_batch_matches_sequential_retrieve() {
+    // A batch of N (range groups share one candidate set and one kernel
+    // pass) against N batches of one (nothing shared), the one-query
+    // entry point, and the same queries in lanes of 5.
     let p = prepared();
     for cost_model in [CostModel::Calibrated, CostModel::StaticCutoffs] {
         for shards in SHARD_COUNTS {
             let planner = planner_with(&p, shards, cost_model);
             for batch_size in BATCH_SIZES {
+                let context = format!("{cost_model:?} shards={shards} batch={batch_size}");
                 let batch = make_batch(&p, batch_size);
                 let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
                 assert_eq!(batched.len(), batch.len());
-                for (q, b) in batch.iter().zip(&batched) {
+                let in_fives: Vec<PlannedRetrieval> = batch
+                    .chunks(5)
+                    .flat_map(|lane| planner.retrieve_batch(lane).expect("lane of 5"))
+                    .collect();
+                for ((q, b), five) in batch.iter().zip(&batched).zip(&in_fives) {
+                    let mut one = planner
+                        .retrieve_batch(std::slice::from_ref(q))
+                        .expect("batch of one");
+                    assert_same_retrieval(b, &one.pop().expect("one answer"), &context);
                     let single = planner
-                        .retrieve(&q.vec, &q.range, q.k, q.ef)
-                        .expect("sequential retrieval");
+                        .retrieve_keyword(&q.vec, &q.range, None, q.k, q.ef)
+                        .expect("one-query entry point");
+                    assert_same_retrieval(b, &single, &context);
+                    assert_same_retrieval(b, five, &context);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn exact_strategies_match_flat_index_brute_force() {
+    // The surviving kernel held to an independent reference rather than
+    // to itself: every exact strategy's backend answers a 17-query slice
+    // bit for bit like `FlatIndex` (per-query scoring, stable full sort)
+    // masked to the range — unsharded and over 4 shards.
+    let p = prepared();
+    let collection = p.db.collection(&p.collection_name).expect("collection");
+    let distance = collection.read().config().distance;
+    let mut flat = vecdb::FlatIndex::new(distance);
+    for o in p.dataset.iter() {
+        let guard = collection.read();
+        flat.push(guard.vector(u64::from(o.id.0)).expect("vector").to_vec());
+    }
+    let texts = ["cozy coffee", "live music", "ramen", "bookstore", "tacos"];
+    let owned: Vec<Vec<f32>> = (0..17)
+        .map(|i| p.embedder.embed(&format!("{i} {}", texts[i % texts.len()])))
+        .collect();
+    let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+    let center = p.city.center();
+    let ranges = [
+        geotext::BoundingBox::from_center_km(center, 2.0, 2.0),
+        geotext::BoundingBox::from_center_km(center, 9.0, 9.0),
+    ];
+    for shards in SHARD_COUNTS {
+        let planner = planner_with(&p, shards, CostModel::Calibrated);
+        for range in &ranges {
+            let in_range = |o: usize| range.contains(&p.dataset.objects()[o].location);
+            for strategy in [
+                RetrievalStrategy::ExactScan,
+                RetrievalStrategy::GridPrefilter,
+                RetrievalStrategy::IrTree,
+            ] {
+                let answers = planner
+                    .backend(strategy)
+                    .knn_in_range(&queries, range, 10, None)
+                    .expect("exact strategy");
+                assert_eq!(answers.per_query.len(), queries.len());
+                for (q, (hits, _)) in queries.iter().zip(&answers.per_query) {
+                    let expect: Vec<(u64, u32)> = flat
+                        .search(q, 10, Some(&in_range))
+                        .into_iter()
+                        .map(|(o, d)| (o as u64, distance.similarity_from_distance(d).to_bits()))
+                        .collect();
+                    assert!(!expect.is_empty(), "the range holds points");
                     assert_eq!(
-                        ids_and_scores(&b.hits),
-                        ids_and_scores(&single.hits),
-                        "{cost_model:?} shards={shards} batch={batch_size}"
+                        ids_and_scores(hits),
+                        expect,
+                        "{strategy} shards={shards} vs brute force"
                     );
-                    assert_eq!(b.strategy, single.strategy);
-                    assert!(
-                        (b.estimated_fraction - single.estimated_fraction).abs() < f64::EPSILON
-                    );
-                    assert_eq!(b.shard_candidates, single.shard_candidates);
-                    assert!((b.predicted_cost_us - single.predicted_cost_us).abs() < f64::EPSILON);
-                    assert_eq!(b.model_version, single.model_version);
                 }
             }
         }
@@ -120,10 +206,10 @@ fn retrieve_batch_spans_strategy_groups() {
 
 #[test]
 fn retrieve_batch_handles_duplicate_distance_ties() {
-    // Duplicate vectors inside the collection produce tied scores; the
-    // batched kernel must reproduce the sequential tie order (ascending
-    // id) at every shard count. Build a planner over a collection with
-    // deliberate duplicates.
+    // Duplicate vectors inside the collection produce tied scores; a
+    // group of 16 must keep the tie order (ascending id) a group of one
+    // produces, at every shard count. Build a planner over a collection
+    // with deliberate duplicates.
     let data = datagen::poi::generate_city(&datagen::CITIES[0], 60, 5);
     let llm = llm::SimLlm::new();
     let p = prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep");
@@ -168,7 +254,9 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
             .map(|_| PlannedQuery::new(qv.clone(), range, 10))
             .collect();
         let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
-        let single = planner.retrieve(&qv, &range, 10, None).expect("sequential");
+        let single = planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .expect("group of one");
         for b in &batched {
             assert_eq!(
                 ids_and_scores(&b.hits),
@@ -185,4 +273,152 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
             .collect();
         assert!(tied.len() >= 2, "expected tied top scores, got {tied:?}");
     }
+}
+
+#[test]
+fn one_query_batch_feeds_the_per_shard_cost_scales() {
+    // A group of one is a single-query measurement whichever entry point
+    // submitted it: on a sharded planner it must move every shard's
+    // scale of the executed strategy (one observation per shard), not
+    // just the straggler's slot with the whole fan-out's wall clock.
+    let p = prepared();
+    let collection = p.db.collection(&p.collection_name).expect("collection");
+    let planner = QueryPlanner::for_city(
+        Arc::clone(&p.dataset),
+        collection,
+        PlannerConfig {
+            shards: 4,
+            ..PlannerConfig::default()
+        },
+    );
+    let model = planner.cost_model().expect("calibrated model");
+    let query = PlannedQuery::new(
+        p.embedder.embed("ramen with a long line"),
+        geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0),
+        10,
+    );
+
+    let strategy = planner
+        .plan_query(&query.range, None, query.k, query.ef)
+        .chosen;
+    let (version, before) = (model.version(), model.shard_scales(strategy));
+    let one = planner
+        .retrieve_batch(std::slice::from_ref(&query))
+        .expect("batch of one");
+    assert_eq!(one[0].strategy, strategy);
+    assert_eq!(one[0].shard_candidates.len(), 4);
+    assert_eq!(model.version(), version + 4, "one observation per shard");
+    let after = model.shard_scales(strategy);
+    for (shard, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert_ne!(b, a, "shard {shard}'s scale did not move");
+    }
+
+    // The one-query entry point feeds the model the same way.
+    let version = model.version();
+    planner
+        .retrieve_keyword(&query.vec, &query.range, None, query.k, query.ef)
+        .expect("one-query entry point");
+    assert_eq!(model.version(), version + 4);
+
+    // A multi-member group shares work across its members, so its
+    // per-query share is not a single-query cost: it feeds nothing.
+    let version = model.version();
+    planner
+        .retrieve_batch(&[query.clone(), query.clone()])
+        .expect("group of two");
+    assert_eq!(model.version(), version);
+}
+
+#[test]
+fn ledger_configuration_batch_of_64_matches_batches_of_one() {
+    // The perf ledger's world and tiers — `generate_metro`, the forced
+    // quantized scoring tier, FSST-compressed payload text — with drift
+    // of the online model excluded: over 64 distinct ranges (a quarter
+    // keyword-filtered, narrow to metro-wide) any difference between a
+    // batch of 64, lanes of 7, and 64 batches of one is a kernel bug.
+    let data = datagen::generate_metro(&datagen::MetroConfig::new(4_000, 7));
+    let llm = Arc::new(llm::SimLlm::new());
+    let config = SemaSkConfig {
+        compress_payload_text: true,
+        scoring_tier: vecdb::ScoringTier::Quantized {
+            rerank_factor: vecdb::ScoringTier::DEFAULT_RERANK_FACTOR,
+        },
+        planner: PlannerConfig {
+            online_updates: false,
+            ..PlannerConfig::default()
+        },
+        ..SemaSkConfig::default()
+    };
+    let prepared =
+        Arc::new(semask::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep"));
+    let word = prepared.dataset.objects()[17]
+        .to_document()
+        .split_whitespace()
+        .find(|w| w.len() >= 4 && w.chars().all(char::is_alphabetic))
+        .expect("a plain corpus word")
+        .to_owned();
+    let engine = SemaSkEngine::new(Arc::clone(&prepared), llm, config, Variant::EmbeddingOnly);
+
+    let texts = [
+        "a quiet cafe with strong espresso",
+        "craft beer and live music",
+        "late night tacos",
+        "family friendly pizza",
+        "vegan brunch with outdoor seating",
+    ];
+    let queries: Vec<SemaSkQuery> = (0..64)
+        .map(|i| {
+            // Distinct centres on a ring around a district's downtown
+            // and distinct sizes from 1 km to 64 km.
+            let base = data.dataset.objects()[(i * 61) % 4_000].location;
+            let centre = geotext::GeoPoint::new(
+                base.lat + 0.002 * (i % 7) as f64,
+                base.lon - 0.002 * (i % 5) as f64,
+            )
+            .expect("a jittered in-world coordinate");
+            let km = 1.0 + i as f64;
+            let range = geotext::BoundingBox::from_center_km(centre, km, km);
+            let q = SemaSkQuery::new(range, texts[i % texts.len()]);
+            if i % 4 == 3 {
+                q.with_keywords(&word)
+            } else {
+                q
+            }
+        })
+        .collect();
+
+    let fingerprint = |out: &semask::QueryOutcome| {
+        let pois: Vec<(u32, u32)> = out
+            .pois
+            .iter()
+            .map(|p| (p.id.0, p.embed_score.to_bits()))
+            .collect();
+        (pois, out.latency.filter_strategy)
+    };
+    let batched = engine.query_batch(&queries).expect("batch of 64");
+    let in_sevens: Vec<semask::QueryOutcome> = queries
+        .chunks(7)
+        .flat_map(|lane| engine.query_batch(lane).expect("lane of 7"))
+        .collect();
+    let mut strategies = std::collections::HashSet::new();
+    let mut answered = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let single = engine.query(q).expect("batch of one");
+        assert_eq!(fingerprint(&batched[i]), fingerprint(&single), "query {i}");
+        assert_eq!(
+            fingerprint(&in_sevens[i]),
+            fingerprint(&single),
+            "query {i}"
+        );
+        strategies.extend(single.latency.filter_strategy);
+        answered += usize::from(!single.pois.is_empty());
+    }
+    assert!(
+        answered >= 48,
+        "only {answered} of 64 ranges hold an answer"
+    );
+    assert!(
+        strategies.len() >= 2,
+        "the ranges should span strategies, got {strategies:?}"
+    );
 }

@@ -271,6 +271,53 @@ fn crash_battery() {
     }
 }
 
+/// A durable **metro** survives a restart: `generate_metro` worlds carry
+/// the `METRO` city key, which the snapshot loader used to reject — so a
+/// durable metro could be created and written to but never reopened.
+#[test]
+fn durable_metro_reopens_after_mutations() {
+    if std::env::var(DIR_ENV).is_ok() {
+        return; // a crash-battery child runs only `durability_child`
+    }
+    let llm = Arc::new(SimLlm::new());
+    let data = datagen::generate_metro(&datagen::MetroConfig::new(2_000, 7));
+    let center = data.city.center();
+    let prepared = semask::prepare_city_with_threads(&data, &llm, &config(), 2).expect("prep");
+    let engine = SemaSkEngine::new(
+        Arc::new(prepared),
+        Arc::clone(&llm),
+        config(),
+        Variant::EmbeddingOnly,
+    );
+    let dir = battery_dir(0, "metro");
+    let durable = DurableEngine::create(engine, &dir, POLICY).expect("create durable metro");
+    // Three writes: under the 4-record checkpoint threshold, so reopening
+    // replays all of them from the log over the initial snapshot.
+    for mutation in scripted(center).into_iter().take(3) {
+        durable.mutate(mutation).expect("scripted mutation");
+    }
+    let queries = probe_queries(center);
+    let before = fingerprint(durable.engine(), &queries);
+    assert!(
+        before[1].iter().any(|&(id, _)| id == 2_001),
+        "the second inserted POI answers its own name"
+    );
+    drop(durable);
+
+    let (reopened, report) = DurableEngine::open(
+        &dir,
+        Arc::new(SimLlm::new()),
+        config(),
+        Variant::EmbeddingOnly,
+        POLICY,
+    )
+    .expect("a durable metro reopens");
+    assert_eq!(reopened.engine().prepared().city.key, datagen::METRO.key);
+    assert_eq!((report.last_seq, report.replayed), (3, 3));
+    assert_eq!(fingerprint(reopened.engine(), &queries), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn battery_dir(i: usize, label: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("semask_battery_{}_{i}_{label}", std::process::id()));

@@ -166,7 +166,10 @@ fn keyword_retrieval_answers_the_conjunctive_set() {
     // The keyword filter genuinely narrows the answer: an unfiltered
     // retrieval over the same range is allowed to return non-matching
     // POIs, the filtered one is not (checked above).
-    let unfiltered = p.planner.retrieve(&qv, &broad, 10, None).expect("plain");
+    let unfiltered = p
+        .planner
+        .retrieve_keyword(&qv, &broad, None, 10, None)
+        .expect("plain");
     assert!(unfiltered.hits.len() >= planned.hits.len() || planned.hits.len() == 10);
 }
 
@@ -278,7 +281,9 @@ fn online_updates_advance_the_model_version() {
     let qv = embed::Embedder::embed(&p.embedder, "anything at all");
     let before = p.planner.plan(&range).model_version;
     for _ in 0..5 {
-        p.planner.retrieve(&qv, &range, 10, None).expect("query");
+        p.planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .expect("query");
     }
     let after = p.planner.plan(&range).model_version;
     assert!(
@@ -296,7 +301,9 @@ fn online_updates_advance_the_model_version() {
         },
     );
     for _ in 0..5 {
-        frozen.retrieve(&qv, &range, 10, None).expect("query");
+        frozen
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .expect("query");
     }
     assert_eq!(frozen.plan(&range).model_version, 0);
 }

@@ -1,7 +1,8 @@
 //! Shard-pinned, work-stealing execution is an *execution* detail:
 //! fan-outs with shard-home affinity (and core binding on the global
 //! pool) must return **bit-identical** ids and scores to the flat
-//! sequential path — across shards {1, 4, 8} × batch {1, 64}, and on a
+//! collection queried one query at a time — across shards {1, 4, 8} ×
+//! batch {1, 64}, and on a
 //! pathologically skewed partition where one shard owns almost every
 //! point (so the stealing path, not just the pinned path, does the
 //! work). A property test pins the pool's core invariant directly:

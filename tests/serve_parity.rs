@@ -7,9 +7,9 @@
 //!
 //! Micro-batch composition under a real clock is scheduling-dependent
 //! (that is the point of an admission window), but the answers must
-//! not be: `query_batch` is bit-identical to sequential retrieval
+//! not be: a query's answer does not depend on its batch-mates
 //! (`tests/batch_parity.rs`), so however the batcher slices the
-//! traffic, every ticket must come back exactly as the sequential
+//! traffic, every ticket must come back exactly as the one-query
 //! reference. Synchronization is tickets only — no sleeps.
 
 use std::sync::Arc;

@@ -96,11 +96,13 @@ fn planned_path_matches_across_shard_counts() {
     // from the same statically pinned set.
     let range = geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0);
     let reference = sharded_planners[0]
-        .retrieve(&qv, &range, 10, None)
+        .retrieve_keyword(&qv, &range, None, 10, None)
         .expect("planned");
     assert_eq!(reference.strategy, RetrievalStrategy::GridPrefilter);
     for (planner, &shards) in sharded_planners.iter().zip(&SHARD_COUNTS) {
-        let got = planner.retrieve(&qv, &range, 10, None).expect("planned");
+        let got = planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .expect("planned");
         assert_eq!(got.strategy, reference.strategy, "{shards} shards");
         assert_eq!(
             ids_and_scores(&got.hits),
@@ -134,8 +136,9 @@ fn duplicate_distance_ties_merge_identically() {
     let query = [1.0, 0.0];
     let flat_handle = Arc::new(parking_lot::RwLock::new(flat));
     let reference = ExactScanBackend::new(Arc::clone(&flat_handle))
-        .knn_in_range(&query, &range, 5, None)
-        .unwrap();
+        .knn_in_range(&[&query], &range, 5, None)
+        .unwrap()
+        .into_only_hits();
     assert_eq!(
         reference.iter().map(|h| h.id).collect::<Vec<_>>(),
         vec![0, 1, 2, 3, 4],
@@ -153,7 +156,10 @@ fn duplicate_distance_ties_merge_identically() {
                 })
                 .collect(),
         );
-        let got = backend.knn_in_range(&query, &range, 5, None).unwrap();
+        let got = backend
+            .knn_in_range(&[&query], &range, 5, None)
+            .unwrap()
+            .into_only_hits();
         assert_eq!(
             ids_and_scores(&got),
             ids_and_scores(&reference),
