@@ -1,10 +1,12 @@
 //! Criterion bench for the HNSW substrate: build throughput and search
-//! latency vs beam width, against flat exact search.
+//! latency vs beam width, against flat exact search — and the scoring
+//! kernel all of them bottom out in, on its own (`kernel/*`: one 256-d
+//! comparison, L1-hot, over `f32` vectors and over `u8` codes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use vecdb::{inv_norm, Distance, FlatIndex, HnswConfig, HnswIndex};
+use vecdb::{inv_norm, Distance, FlatIndex, HnswConfig, HnswIndex, QuantizedVectors};
 
 fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
     (0..dim)
@@ -15,6 +17,42 @@ fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
+fn build(vectors: &[Vec<f32>], inv: &[f32]) -> HnswIndex {
+    let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
+    for i in 0..vectors.len() {
+        idx.insert(i, vectors, inv);
+    }
+    idx
+}
+
+fn bench_kernel(c: &mut Criterion) {
+    let dim = 256usize;
+    // A handful of stored vectors (8 KB of f32s, 2 KB of codes) so the
+    // operands stay L1-resident without the loop collapsing to one pair.
+    let stored: Vec<Vec<f32>> = (0..8).map(|i| pseudo_vec(i, dim)).collect();
+    let inv: Vec<f32> = stored.iter().map(|v| inv_norm(v)).collect();
+    let codes = QuantizedVectors::encode(&stored);
+    let q = pseudo_vec(1_000_000, dim);
+    let q_inv = inv_norm(&q);
+
+    let mut group = c.benchmark_group("kernel");
+    group.bench_function("f32-256", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % stored.len();
+            Distance::Cosine.distance_normed(black_box(&q), q_inv, &stored[i], inv[i])
+        });
+    });
+    group.bench_function("u8-256", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % stored.len();
+            codes.distance_with_query_inv(Distance::Cosine, black_box(&q), q_inv, i)
+        });
+    });
+    group.finish();
+}
+
 fn bench_hnsw(c: &mut Criterion) {
     let n = 4000usize;
     let dim = 256usize;
@@ -22,16 +60,17 @@ fn bench_hnsw(c: &mut Criterion) {
     let queries: Vec<Vec<f32>> = (0..32).map(|i| pseudo_vec(1_000_000 + i, dim)).collect();
 
     let inv: Vec<f32> = vectors.iter().map(|v| inv_norm(v)).collect();
-    let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
-    for i in 0..n {
-        idx.insert(i, &vectors, &inv);
-    }
+    let idx = build(&vectors, &inv);
     let mut flat = FlatIndex::new(Distance::Cosine);
     for v in &vectors {
         flat.push(v.clone());
     }
 
     let mut group = c.benchmark_group("hnsw");
+    // The ledger's world size and dimension: what `prep.prepare_s` pays.
+    group.bench_function("build-4k-256", |b| {
+        b.iter_with_large_drop(|| build(&vectors, &inv));
+    });
     for ef in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("search_ef", ef), &ef, |b, &ef| {
             let mut i = 0usize;
@@ -53,15 +92,11 @@ fn bench_hnsw(c: &mut Criterion) {
     group.bench_function("insert_1", |b| {
         b.iter_with_large_drop(|| {
             // Rebuild a small index to measure amortized insert cost.
-            let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
-            for i in 0..200 {
-                idx.insert(i, &vectors[..200], &inv[..200]);
-            }
-            idx
+            build(&vectors[..200], &inv[..200])
         });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_hnsw);
+criterion_group!(benches, bench_kernel, bench_hnsw);
 criterion_main!(benches);

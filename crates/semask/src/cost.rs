@@ -188,7 +188,7 @@ impl Default for Coefficients {
     fn default() -> Self {
         Self {
             mask_us: 0.03,
-            score_us: 0.25,
+            score_us: 0.11,
             cell_us: 0.02,
             gen_us: 0.08,
             hop_us: 2.0,

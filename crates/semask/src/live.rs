@@ -39,8 +39,10 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[derive(Debug, Clone, Default)]
 pub struct Overlay {
     /// Objects that differ from the base: live inserts and updated
-    /// copies of base objects, keyed by dense id.
-    objects: HashMap<u32, GeoTextObject>,
+    /// copies of base objects, keyed by dense id. Shared between epochs
+    /// — the writer's per-batch clone copies pointers, so a write does
+    /// not get slower with every object written before it.
+    objects: HashMap<u32, Arc<GeoTextObject>>,
     /// Dense ids that are deleted (base or inserted). Tombstoned
     /// objects stay in `objects`/the base so ids remain dense.
     tombstones: HashSet<u32>,
@@ -79,10 +81,7 @@ impl Overlay {
         if self.tombstones.contains(&id.0) {
             return None;
         }
-        if let Some(obj) = self.objects.get(&id.0) {
-            return Some(obj);
-        }
-        base.get(id)
+        self.get_raw(base, id)
     }
 
     /// True when `id` resolves to a live object at this epoch.
@@ -96,7 +95,10 @@ impl Overlay {
     /// re-masks them on load.
     #[must_use]
     pub fn get_raw<'a>(&'a self, base: &'a Dataset, id: ObjectId) -> Option<&'a GeoTextObject> {
-        self.objects.get(&id.0).or_else(|| base.get(id))
+        self.objects
+            .get(&id.0)
+            .map(Arc::as_ref)
+            .or_else(|| base.get(id))
     }
 
     /// The dense id the next insert will claim.
@@ -109,14 +111,14 @@ impl Overlay {
     pub fn insert(&mut self, obj: GeoTextObject) -> ObjectId {
         let id = self.next_id;
         debug_assert_eq!(obj.id.0, id, "overlay inserts claim dense ids in order");
-        self.objects.insert(id, obj);
+        self.objects.insert(id, Arc::new(obj));
         self.next_id += 1;
         ObjectId(id)
     }
 
     /// Records an updated copy of `id`'s object.
     pub fn update(&mut self, id: ObjectId, obj: GeoTextObject) {
-        self.objects.insert(id.0, obj);
+        self.objects.insert(id.0, Arc::new(obj));
     }
 
     /// Tombstones `id`.
@@ -266,5 +268,30 @@ mod tests {
         live.set_last_seq(5);
         live.set_last_seq(3); // max-semantics: never goes backwards
         assert_eq!(live.last_seq(), 5);
+    }
+
+    #[test]
+    fn next_epoch_shares_the_objects_of_the_previous_one() {
+        let base = base();
+        let live = LiveState::new(2);
+        let _w = live.gate_write();
+        let mut next = (*live.overlay()).clone();
+        next.insert(obj(2, "two"));
+        next.update(ObjectId(0), obj(0, "zero prime"));
+        live.publish(next);
+        let epoch_n = live.overlay();
+
+        let mut next = (*epoch_n).clone();
+        next.insert(obj(3, "three"));
+        live.publish(next);
+        let epoch_n1 = live.overlay();
+
+        // The copy-on-write copied pointers: both epochs resolve the
+        // older objects to the same allocation.
+        for id in [0, 2] {
+            assert!(Arc::ptr_eq(&epoch_n.objects[&id], &epoch_n1.objects[&id]));
+        }
+        assert!(epoch_n.get(&base, ObjectId(3)).is_none());
+        assert_eq!(epoch_n1.get(&base, ObjectId(3)).unwrap().name(), "three");
     }
 }

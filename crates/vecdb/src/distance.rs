@@ -1,45 +1,113 @@
-//! Distance metrics, plus the norm-cached and batched scoring kernels
-//! the hot paths build on.
+//! Distance metrics, plus the one scoring kernel every hot path bottoms
+//! out in.
+//!
+//! Every comparison in the crate — HNSW insert, prune and search, the
+//! exact scan, the quantized coarse pass, the rerank — is a sum of
+//! per-element terms over two equal-length slices. `lane_sum` is the
+//! only place such a sum is accumulated: `L` independent partial sums
+//! over the full `L`-element chunks, a sequential tail, a fixed halving
+//! reduction. A single `f32` add chain may not be reordered by the
+//! compiler and runs at add latency; `L` independent chains are plain
+//! safe Rust that it vectorizes. That order — lanes, halving, then tail
+//! — is the **canonical accumulation order** of the crate: there is no
+//! second kernel for results to be bit-identical *to*.
 //!
 //! Collection data is immutable once inserted, so the L2 norm of every
 //! stored vector is known at insert time. [`inv_norm`] computes the
 //! cached inverse norm; [`Distance::distance_normed`] consumes it, which
-//! for [`Distance::Cosine`] turns every comparison into a single fused
-//! dot product (no per-comparison `sqrt`, no re-summing the stored
-//! vector's squares). [`Distance::score_batch`] scores one stored vector
-//! against M query vectors in a single pass — the stored vector is
-//! streamed through cache once however large the batch is, and the
-//! per-metric inner loops are simple enough for the compiler to
-//! auto-vectorize.
-//!
-//! Two unroll widths are provided: the original 4-query interleave and
-//! an 8-wide explicit unroll with a software-prefetch sweep over the
-//! stored vector. Which one a machine prefers depends on its SIMD
-//! register file (16 × 128-bit NEON vs 32 × 512-bit AVX-512), so the
-//! width is chosen once per process by [`batch_kernel_width`] — a
-//! timing micro-probe using the same warm-up + min-over-reps idiom as
-//! the cost model's `Coefficients::fit`. Every lane of either kernel
-//! accumulates in plain element order, so results stay **bit-identical**
-//! to [`Distance::distance_normed`] regardless of the chosen width.
+//! for [`Distance::Cosine`] turns every comparison into a single dot
+//! product (no per-comparison `sqrt`, no re-summing the stored vector's
+//! squares). [`Distance::score_batch`] scores one stored vector against
+//! M query vectors while it is hot in L1.
 
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
-/// Inverse L2 norm of a vector (`1 / ‖v‖`), the quantity cached per
-/// stored point so cosine scoring needs only a dot product. Returns
-/// `0.0` for the zero vector, which makes the fused cosine distance
-/// degrade to the conventional "zero vector is maximally far" answer.
-#[must_use]
-pub fn inv_norm(v: &[f32]) -> f32 {
-    let mut n = 0.0f32;
-    for &x in v {
-        n += x * x;
+/// Lane count of the kernel for `f32 × f32` operands. At 256-d one
+/// chain measures ~145 ns a comparison, 4 lanes ~49, 8 or 16 lanes ~40,
+/// 32 lanes ~50 (`kernel/f32-256` in `cargo bench --bench hnsw`).
+const F32_LANES: usize = 16;
+
+/// The crate's one accumulation loop: `Σ term(a[i], b[i])` over the
+/// common prefix of `a` and `b`, summed as `L` independent lanes
+/// (element `i` of each full `L`-chunk goes to lane `i % L`), reduced by
+/// halving (`acc[l] += acc[l + w]` for `w = L/2, L/4, …, 1`), with the
+/// `len % L` tail elements summed sequentially and added last. `L` must
+/// be a power of two.
+///
+/// The tail is a scalar sum of its own on purpose: folding tail
+/// elements into `acc[l]` by a run-time lane index turns the vector
+/// loop into shuffles. The loops are `while` over fixed-size windows
+/// rather than iterator adapters because optimized builds compile both
+/// to the same vector loop, while unoptimized ones — every test that
+/// builds an index — run this form about 2.7x faster.
+#[inline(always)]
+pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    term: impl Fn(A, B) -> f32,
+) -> f32 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let full = n - n % L;
+    let mut acc = [0.0f32; L];
+    let mut i = 0;
+    while i < full {
+        let (ca, cb) = (&a[i..i + L], &b[i..i + L]);
+        let mut l = 0;
+        while l < L {
+            acc[l] += term(ca[l], cb[l]);
+            l += 1;
+        }
+        i += L;
     }
+    let mut tail = 0.0f32;
+    while i < n {
+        tail += term(a[i], b[i]);
+        i += 1;
+    }
+    let mut width = L / 2;
+    while width > 0 {
+        for l in 0..width {
+            acc[l] += acc[l + width];
+        }
+        width /= 2;
+    }
+    acc[0] + tail
+}
+
+/// Dot product `Σ aᵢ·bᵢ` in the canonical order.
+#[inline]
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    lane_sum::<F32_LANES, _, _>(a, b, |x, y| x * y)
+}
+
+/// Squared Euclidean distance `Σ (aᵢ−bᵢ)²` in the canonical order.
+#[inline]
+fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
+    lane_sum::<F32_LANES, _, _>(a, b, |x, y| {
+        let d = x - y;
+        d * d
+    })
+}
+
+/// `1/√n` for a squared norm `n`, `0.0` for `n == 0` — which makes the
+/// cosine distance degrade to the conventional "zero vector is
+/// maximally far" answer.
+#[inline]
+pub(crate) fn inv_sqrt_or_zero(n: f32) -> f32 {
     if n == 0.0 {
         0.0
     } else {
         1.0 / n.sqrt()
     }
+}
+
+/// Inverse L2 norm of a vector (`1 / ‖v‖`), the quantity cached per
+/// stored point so cosine scoring needs only a dot product. Returns
+/// `0.0` for the zero vector.
+#[must_use]
+pub fn inv_norm(v: &[f32]) -> f32 {
+    inv_sqrt_or_zero(dot(v, v))
 }
 
 /// Software-prefetches the first cache lines of `v` into L1, for use
@@ -49,6 +117,14 @@ pub fn inv_norm(v: &[f32]) -> f32 {
 #[inline]
 pub fn prefetch_slice(v: &[f32]) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint: it performs no architectural
+    // load, cannot fault and changes no program-visible state whatever
+    // address it is given, so the first call is sound even for an empty
+    // slice (whose pointer is dangling but non-null and aligned). SSE,
+    // which provides it, is part of the x86_64 baseline. `ptr.add(64)`
+    // is 64 bytes = 16 `f32`s past the start, and is only formed when
+    // `v.len() > 16`, so it stays inside the slice's allocation as
+    // `pointer::add` requires.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let ptr = v.as_ptr().cast::<i8>();
@@ -61,183 +137,6 @@ pub fn prefetch_slice(v: &[f32]) {
     {
         let _ = v;
     }
-}
-
-/// Prefetch 64 elements (4 cache lines) ahead of position `j` in
-/// `stored`, issued every 64th element of the 8-wide sweep.
-#[inline]
-fn prefetch_ahead(stored: &[f32], j: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if j & 63 == 0 && j + 64 < stored.len() {
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(stored.as_ptr().add(j + 64).cast::<i8>(), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (stored, j);
-    }
-}
-
-/// Four independent dot-product chains over one shared stored vector.
-/// Each chain accumulates in the same order as the scalar loop in
-/// [`Distance::distance_normed`].
-#[inline]
-fn dot4(q0: &[f32], q1: &[f32], q2: &[f32], q3: &[f32], stored: &[f32]) -> [f32; 4] {
-    let n = stored.len();
-    let (q0, q1, q2, q3) = (&q0[..n], &q1[..n], &q2[..n], &q3[..n]);
-    let (mut d0, mut d1, mut d2, mut d3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (j, &s) in stored.iter().enumerate() {
-        d0 += q0[j] * s;
-        d1 += q1[j] * s;
-        d2 += q2[j] * s;
-        d3 += q3[j] * s;
-    }
-    [d0, d1, d2, d3]
-}
-
-/// Eight independent dot-product chains with a prefetch sweep over the
-/// stored vector. `q` must hold at least 8 slices; per-lane accumulation
-/// order matches the scalar loop exactly.
-#[inline]
-fn dot8(q: &[&[f32]], stored: &[f32]) -> [f32; 8] {
-    let n = stored.len();
-    let (q0, q1, q2, q3) = (&q[0][..n], &q[1][..n], &q[2][..n], &q[3][..n]);
-    let (q4, q5, q6, q7) = (&q[4][..n], &q[5][..n], &q[6][..n], &q[7][..n]);
-    let (mut d0, mut d1, mut d2, mut d3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let (mut d4, mut d5, mut d6, mut d7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (j, &s) in stored.iter().enumerate() {
-        prefetch_ahead(stored, j);
-        d0 += q0[j] * s;
-        d1 += q1[j] * s;
-        d2 += q2[j] * s;
-        d3 += q3[j] * s;
-        d4 += q4[j] * s;
-        d5 += q5[j] * s;
-        d6 += q6[j] * s;
-        d7 += q7[j] * s;
-    }
-    [d0, d1, d2, d3, d4, d5, d6, d7]
-}
-
-#[inline]
-fn dot1(q: &[f32], stored: &[f32]) -> f32 {
-    let mut dot = 0.0f32;
-    for (x, y) in q.iter().zip(stored) {
-        dot += x * y;
-    }
-    dot
-}
-
-/// Four independent squared-distance chains, same layout as [`dot4`].
-#[inline]
-fn euclid4(q0: &[f32], q1: &[f32], q2: &[f32], q3: &[f32], stored: &[f32]) -> [f32; 4] {
-    let n = stored.len();
-    let (q0, q1, q2, q3) = (&q0[..n], &q1[..n], &q2[..n], &q3[..n]);
-    let (mut d0, mut d1, mut d2, mut d3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (j, &s) in stored.iter().enumerate() {
-        let (e0, e1, e2, e3) = (q0[j] - s, q1[j] - s, q2[j] - s, q3[j] - s);
-        d0 += e0 * e0;
-        d1 += e1 * e1;
-        d2 += e2 * e2;
-        d3 += e3 * e3;
-    }
-    [d0, d1, d2, d3]
-}
-
-/// Eight independent squared-distance chains, same layout as [`dot8`].
-#[inline]
-fn euclid8(q: &[&[f32]], stored: &[f32]) -> [f32; 8] {
-    let n = stored.len();
-    let (q0, q1, q2, q3) = (&q[0][..n], &q[1][..n], &q[2][..n], &q[3][..n]);
-    let (q4, q5, q6, q7) = (&q[4][..n], &q[5][..n], &q[6][..n], &q[7][..n]);
-    let (mut d0, mut d1, mut d2, mut d3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let (mut d4, mut d5, mut d6, mut d7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (j, &s) in stored.iter().enumerate() {
-        prefetch_ahead(stored, j);
-        let (e0, e1, e2, e3) = (q0[j] - s, q1[j] - s, q2[j] - s, q3[j] - s);
-        let (e4, e5, e6, e7) = (q4[j] - s, q5[j] - s, q6[j] - s, q7[j] - s);
-        d0 += e0 * e0;
-        d1 += e1 * e1;
-        d2 += e2 * e2;
-        d3 += e3 * e3;
-        d4 += e4 * e4;
-        d5 += e5 * e5;
-        d6 += e6 * e6;
-        d7 += e7 * e7;
-    }
-    [d0, d1, d2, d3, d4, d5, d6, d7]
-}
-
-/// Deterministic pseudo-random probe vector (hash-mix, no RNG state).
-fn probe_vec(seed: u64, dim: usize) -> Vec<f32> {
-    (0..dim)
-        .map(|i| {
-            let h = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(i as u64)
-                .wrapping_mul(0xff51_afd7_ed55_8ccd);
-            ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-        })
-        .collect()
-}
-
-/// Times the 4-wide vs the 8-wide dot kernel on a synthetic workload
-/// shaped like the hot path and returns the winning width. Warm-up rep
-/// plus min-over-reps, the same noise-rejection idiom as
-/// `Coefficients::fit`'s probe timing.
-fn probe_kernel_width() -> usize {
-    const DIM: usize = 96;
-    const STORED: usize = 128;
-    const REPS: usize = 4; // rep 0 is warm-up
-    let vectors: Vec<Vec<f32>> = (0..STORED + 8).map(|s| probe_vec(s as u64, DIM)).collect();
-    let queries: Vec<&[f32]> = vectors[STORED..].iter().map(Vec::as_slice).collect();
-
-    let time = |eight_wide: bool| -> u128 {
-        let mut best = u128::MAX;
-        for rep in 0..REPS {
-            let start = std::time::Instant::now();
-            let mut sink = 0.0f32;
-            for stored in &vectors[..STORED] {
-                let sums: f32 = if eight_wide {
-                    dot8(&queries, stored).iter().sum()
-                } else {
-                    let a: f32 = dot4(queries[0], queries[1], queries[2], queries[3], stored)
-                        .iter()
-                        .sum();
-                    let b: f32 = dot4(queries[4], queries[5], queries[6], queries[7], stored)
-                        .iter()
-                        .sum();
-                    a + b
-                };
-                sink += sums;
-            }
-            let elapsed = start.elapsed().as_nanos();
-            std::hint::black_box(sink);
-            if rep > 0 && elapsed < best {
-                best = elapsed;
-            }
-        }
-        best
-    };
-
-    if time(true) < time(false) {
-        8
-    } else {
-        4
-    }
-}
-
-/// Widest unroll [`Distance::score_batch`] leads with: 8 when the
-/// 8-wide explicit unroll + prefetch sweep beats the 4-wide interleave
-/// on this machine (register-rich SIMD targets), 4 otherwise. Chosen
-/// once per process by a micro-probe on first use; either choice
-/// produces bit-identical scores, so this only affects speed.
-#[must_use]
-pub fn batch_kernel_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(probe_kernel_width)
 }
 
 /// Supported vector distance metrics (Qdrant's set).
@@ -262,41 +161,21 @@ impl Distance {
         debug_assert_eq!(a.len(), b.len());
         match self {
             Distance::Cosine => {
-                let (mut dot, mut na, mut nb) = (0.0f32, 0.0f32, 0.0f32);
-                // Chunked loop: lets the compiler vectorize.
-                for (x, y) in a.iter().zip(b) {
-                    dot += x * y;
-                    na += x * x;
-                    nb += y * y;
-                }
-                let denom = (na * nb).sqrt();
+                let denom = (dot(a, a) * dot(b, b)).sqrt();
                 if denom == 0.0 {
                     1.0
                 } else {
-                    1.0 - dot / denom
+                    1.0 - dot(a, b) / denom
                 }
             }
-            Distance::Dot => {
-                let mut dot = 0.0f32;
-                for (x, y) in a.iter().zip(b) {
-                    dot += x * y;
-                }
-                -dot
-            }
-            Distance::Euclid => {
-                let mut s = 0.0f32;
-                for (x, y) in a.iter().zip(b) {
-                    let d = x - y;
-                    s += d * d;
-                }
-                s
-            }
+            Distance::Dot => -dot(a, b),
+            Distance::Euclid => sq_euclid(a, b),
         }
     }
 
     /// Distance between two vectors with both inverse norms already
     /// known (**lower is closer**). For [`Distance::Cosine`] this is the
-    /// norm-cached fast path: one fused dot product, `1 - dot·inv_a·inv_b`.
+    /// norm-cached fast path: one dot product, `1 - dot·inv_a·inv_b`.
     /// The other metrics ignore the norms and match
     /// [`Distance::distance`] exactly.
     ///
@@ -311,28 +190,21 @@ impl Distance {
                 if inv_a == 0.0 || inv_b == 0.0 {
                     return 1.0;
                 }
-                let mut dot = 0.0f32;
-                for (x, y) in a.iter().zip(b) {
-                    dot += x * y;
-                }
-                1.0 - dot * inv_a * inv_b
+                1.0 - dot(a, b) * inv_a * inv_b
             }
             Distance::Dot | Distance::Euclid => self.distance(a, b),
         }
     }
 
-    /// Scores one stored vector against `queries.len()` query vectors in
-    /// a single pass, writing one distance per query into `out`
-    /// (**lower is closer**, same scale as [`Distance::distance_normed`]).
+    /// Scores one stored vector against `queries.len()` query vectors,
+    /// writing one distance per query into `out` (**lower is closer**).
     ///
-    /// This is the batched hot-path kernel. Queries are processed eight
-    /// or four at a time (leading width per [`batch_kernel_width`]'s
-    /// micro-probe): the accumulator chains are independent, so the CPU
-    /// overlaps their floating-point latency instead of serializing one
-    /// add chain per dot product, and each element of `stored` is loaded
-    /// once per chunk of queries. Each query's own accumulation order is
-    /// unchanged, so every lane is **bit-identical** to
-    /// [`Distance::distance_normed`] on that query, whichever width runs.
+    /// This *is* a loop of [`Distance::distance_normed`] over the
+    /// queries, so `out[m]` is **bit-identical** to
+    /// `distance_normed(queries[m], query_inv_norms[m], stored,
+    /// stored_inv)` by construction. What the batch form buys is
+    /// locality: the stored vector is fetched from memory once and stays
+    /// in L1 for all M comparisons.
     ///
     /// `query_inv_norms[m]` must be `inv_norm(queries[m])` and
     /// `stored_inv` must be `inv_norm(stored)`; both are ignored by the
@@ -350,106 +222,8 @@ impl Distance {
     ) {
         assert!(out.len() >= queries.len());
         assert!(query_inv_norms.len() >= queries.len());
-        let wide8 = batch_kernel_width() >= 8;
-
-        match self {
-            Distance::Cosine => {
-                let finish = |m: usize, dot: f32| {
-                    let inv_q = query_inv_norms[m];
-                    if inv_q == 0.0 || stored_inv == 0.0 {
-                        1.0
-                    } else {
-                        1.0 - dot * inv_q * stored_inv
-                    }
-                };
-                let mut m = 0;
-                if wide8 {
-                    while m + 8 <= queries.len() {
-                        debug_assert_eq!(queries[m].len(), stored.len());
-                        let d = dot8(&queries[m..m + 8], stored);
-                        for (lane, &dot) in d.iter().enumerate() {
-                            out[m + lane] = finish(m + lane, dot);
-                        }
-                        m += 8;
-                    }
-                }
-                while m + 4 <= queries.len() {
-                    debug_assert_eq!(queries[m].len(), stored.len());
-                    let d = dot4(
-                        queries[m],
-                        queries[m + 1],
-                        queries[m + 2],
-                        queries[m + 3],
-                        stored,
-                    );
-                    for (lane, &dot) in d.iter().enumerate() {
-                        out[m + lane] = finish(m + lane, dot);
-                    }
-                    m += 4;
-                }
-                for (m, q) in queries.iter().enumerate().skip(m) {
-                    debug_assert_eq!(q.len(), stored.len());
-                    out[m] = finish(m, dot1(q, stored));
-                }
-            }
-            Distance::Dot => {
-                let mut m = 0;
-                if wide8 {
-                    while m + 8 <= queries.len() {
-                        debug_assert_eq!(queries[m].len(), stored.len());
-                        let d = dot8(&queries[m..m + 8], stored);
-                        for (lane, &dot) in d.iter().enumerate() {
-                            out[m + lane] = -dot;
-                        }
-                        m += 8;
-                    }
-                }
-                while m + 4 <= queries.len() {
-                    debug_assert_eq!(queries[m].len(), stored.len());
-                    let d = dot4(
-                        queries[m],
-                        queries[m + 1],
-                        queries[m + 2],
-                        queries[m + 3],
-                        stored,
-                    );
-                    for (lane, &dot) in d.iter().enumerate() {
-                        out[m + lane] = -dot;
-                    }
-                    m += 4;
-                }
-                for (m, q) in queries.iter().enumerate().skip(m) {
-                    debug_assert_eq!(q.len(), stored.len());
-                    out[m] = -dot1(q, stored);
-                }
-            }
-            Distance::Euclid => {
-                let mut m = 0;
-                if wide8 {
-                    while m + 8 <= queries.len() {
-                        debug_assert_eq!(queries[m].len(), stored.len());
-                        let d = euclid8(&queries[m..m + 8], stored);
-                        out[m..m + 8].copy_from_slice(&d);
-                        m += 8;
-                    }
-                }
-                while m + 4 <= queries.len() {
-                    debug_assert_eq!(queries[m].len(), stored.len());
-                    let d = euclid4(
-                        queries[m],
-                        queries[m + 1],
-                        queries[m + 2],
-                        queries[m + 3],
-                        stored,
-                    );
-                    out[m..m + 4].copy_from_slice(&d);
-                    m += 4;
-                }
-                for (m, q) in queries.iter().enumerate().skip(m) {
-                    debug_assert_eq!(q.len(), stored.len());
-                    out[m] = euclid1(q, stored);
-                }
-            }
+        for ((q, &q_inv), d) in queries.iter().zip(query_inv_norms).zip(out) {
+            *d = self.distance_normed(q, q_inv, stored, stored_inv);
         }
     }
 
@@ -463,16 +237,6 @@ impl Distance {
             Distance::Euclid => -d,
         }
     }
-}
-
-#[inline]
-fn euclid1(q: &[f32], stored: &[f32]) -> f32 {
-    let mut s = 0.0f32;
-    for (x, y) in q.iter().zip(stored) {
-        let d = x - y;
-        s += d * d;
-    }
-    s
 }
 
 #[cfg(test)]
@@ -516,8 +280,18 @@ mod tests {
         assert!((s - 0.7f32 / (0.98f32).sqrt()).abs() < 1e-3);
     }
 
+    /// Deterministic pseudo-random vector in `[-1, 1)` (hash-mix, no
+    /// RNG state).
     fn pseudo(seed: u64, dim: usize) -> Vec<f32> {
-        probe_vec(seed, dim)
+        (0..dim)
+            .map(|i| {
+                let h = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i as u64)
+                    .wrapping_mul(0xff51_afd7_ed55_8ccd);
+                ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
+            })
+            .collect()
     }
 
     #[test]
@@ -566,38 +340,88 @@ mod tests {
 
     #[test]
     fn wide_kernels_are_bit_identical_to_scalar() {
-        // 13 queries exercise the 8-wide sweep, the 4-wide interleave,
-        // and the scalar remainder in one call; every lane must be
-        // exactly equal to the per-query scalar path.
-        let stored = pseudo(4242, 96);
+        // Every batch size from one query to past two 8-query groups:
+        // each `score_batch` lane is exactly the single-query distance,
+        // on a dimension with full chunks and a tail.
+        let stored = pseudo(4242, 99);
         let stored_inv = inv_norm(&stored);
-        let queries: Vec<Vec<f32>> = (0..13).map(|s| pseudo(s + 500, 96)).collect();
+        let queries: Vec<Vec<f32>> = (0..17).map(|s| pseudo(s + 500, 99)).collect();
         let q_refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         let q_invs: Vec<f32> = queries.iter().map(|q| inv_norm(q)).collect();
         for metric in [Distance::Cosine, Distance::Dot, Distance::Euclid] {
-            let mut out = vec![0.0f32; queries.len()];
-            metric.score_batch(&q_refs, &q_invs, &stored, stored_inv, &mut out);
-            for (m, q) in queries.iter().enumerate() {
-                let single = metric.distance_normed(q, q_invs[m], &stored, stored_inv);
-                assert_eq!(out[m], single, "{metric:?} query {m} diverged from single");
+            for m in 1..=17 {
+                let mut out = vec![f32::NAN; m];
+                metric.score_batch(&q_refs[..m], &q_invs[..m], &stored, stored_inv, &mut out);
+                for (lane, q) in queries[..m].iter().enumerate() {
+                    let single = metric.distance_normed(q, q_invs[lane], &stored, stored_inv);
+                    assert_eq!(
+                        out[lane].to_bits(),
+                        single.to_bits(),
+                        "{metric:?} M={m} lane {lane}"
+                    );
+                }
             }
         }
-        // The 8-wide kernels themselves agree with the scalar chains.
-        let d8 = dot8(&q_refs[..8], &stored);
-        let e8 = euclid8(&q_refs[..8], &stored);
-        for lane in 0..8 {
-            assert_eq!(d8[lane], dot1(q_refs[lane], &stored));
-            assert_eq!(e8[lane], euclid1(q_refs[lane], &stored));
+    }
+
+    /// Dimensions around the chunk boundaries of both lane widths,
+    /// including the empty and the tail-only inputs.
+    const BOUNDARY_DIMS: [usize; 11] = [0, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257];
+
+    #[test]
+    fn lane_kernel_matches_f64_reference_at_chunk_boundaries() {
+        for dim in BOUNDARY_DIMS {
+            let a = pseudo(7, dim);
+            let b = pseudo(8, dim);
+            let pairs = || {
+                a.iter()
+                    .zip(&b)
+                    .map(|(&x, &y)| (f64::from(x), f64::from(y)))
+            };
+            let ref_dot: f64 = pairs().map(|(x, y)| x * y).sum();
+            let ref_euclid: f64 = pairs().map(|(x, y)| (x - y) * (x - y)).sum();
+            // Relative to the sum of magnitudes, the scale rounding
+            // error lives on (a dot product may cancel to near zero).
+            let magnitude: f64 = pairs().map(|(x, y)| (x * y).abs()).sum();
+            let close =
+                |got: f32, want: f64, scale: f64| (f64::from(got) - want).abs() <= 1e-5 * scale;
+            assert!(close(dot(&a, &b), ref_dot, magnitude), "dot, dim {dim}");
+            assert!(
+                close(sq_euclid(&a, &b), ref_euclid, ref_euclid),
+                "euclid, dim {dim}"
+            );
+            assert_eq!(Distance::Dot.distance(&a, &b), -dot(&a, &b));
+            assert_eq!(Distance::Euclid.distance(&a, &b), sq_euclid(&a, &b));
         }
     }
 
     #[test]
-    fn kernel_width_probe_picks_a_supported_width() {
-        let w = batch_kernel_width();
-        assert!(w == 4 || w == 8, "unexpected kernel width {w}");
-        // Stable across calls (OnceLock).
-        assert_eq!(w, batch_kernel_width());
-        // Prefetch helpers must be callable on any slice.
+    fn inv_norm_is_the_kernels_own_dot() {
+        for dim in BOUNDARY_DIMS {
+            let v = pseudo(31, dim);
+            let n = dot(&v, &v);
+            let want = if n == 0.0 { 0.0 } else { 1.0 / n.sqrt() };
+            assert_eq!(inv_norm(&v).to_bits(), want.to_bits(), "dim {dim}");
+        }
+        assert_eq!(inv_norm(&[0.0; 40]), 0.0);
+    }
+
+    #[test]
+    fn zero_norm_conventions_hold_at_every_width() {
+        for dim in [2, 16, 40, 256] {
+            let z = vec![0.0f32; dim];
+            let v = pseudo(3, dim);
+            assert_eq!(Distance::Cosine.distance(&z, &v), 1.0);
+            assert_eq!(Distance::Cosine.distance(&z, &z), 1.0);
+            assert_eq!(
+                Distance::Cosine.distance_normed(&z, inv_norm(&z), &v, inv_norm(&v)),
+                1.0
+            );
+            let mut out = [0.0f32];
+            Distance::Cosine.score_batch(&[&z], &[0.0], &v, inv_norm(&v), &mut out);
+            assert_eq!(out[0], 1.0);
+        }
+        // The prefetch hint is callable on any slice.
         prefetch_slice(&[]);
         prefetch_slice(&pseudo(1, 200));
     }

@@ -542,6 +542,25 @@ mod tests {
     }
 
     #[test]
+    fn dim_256_build_is_deterministic_and_keeps_recall() {
+        // The embedding dimension the engine runs at: 16 full chunks of
+        // the scoring kernel per comparison, no tail.
+        let (a, vectors) = build(1000, 256);
+        let (b, _) = build(1000, 256);
+        let inv = norms(&vectors);
+        let mut hits = 0usize;
+        for qi in 0..50 {
+            let q = pseudo_vec(20_000 + qi, 256);
+            let got = a.search(&q, 10, 128, &vectors, &inv, None);
+            assert_eq!(got, b.search(&q, 10, 128, &vectors, &inv, None));
+            let truth = brute(&q, &vectors, 10);
+            hits += got.iter().filter(|(i, _)| truth.contains(i)).count();
+        }
+        let recall = hits as f64 / 500.0;
+        assert!(recall > 0.9, "recall@10 at dim 256 = {recall}");
+    }
+
+    #[test]
     fn higher_ef_does_not_reduce_recall() {
         let (idx, vectors) = build(800, 16);
         let mut recall_lo = 0usize;

@@ -5,10 +5,22 @@
 //! candidate set with the original vectors to recover accuracy. Provided
 //! here as an optional storage layer; the `hnsw_recall` harness and the
 //! tests quantify the recall cost.
+//!
+//! Every sum over codes — the asymmetric distances and the cached norms
+//! of the dequantized vectors — runs through the crate's one scoring
+//! kernel, [`crate::distance`]'s lane-strided reduction, at 32 lanes
+//! (`U8_LANES`); the per-element formula `min + scale · code` is applied
+//! inside it, so codes are never materialized as `f32`s.
 
 use serde::{Deserialize, Serialize};
 
-use crate::distance::Distance;
+use crate::distance::{inv_norm, inv_sqrt_or_zero, lane_sum, Distance};
+
+/// Lane count of the kernel for `f32 × u8` operands. Wider than the
+/// `f32` kernel's 16 because the codes are widened on the fly: on 256-d
+/// codes 8 or 16 lanes measure ~140 ns a comparison, 32 lanes ~60
+/// (`kernel/u8-256` in `cargo bench --bench hnsw`).
+const U8_LANES: usize = 32;
 
 /// Which representation the exact-scan scoring paths read.
 ///
@@ -78,26 +90,18 @@ impl QuantizedVectors {
             max = 1.0;
         }
         let scale = (max - min) / 255.0;
-        let mut codes = Vec::with_capacity(len * dim);
-        let mut inv_norms = Vec::with_capacity(len);
-        for v in vectors {
-            let mut n = 0.0f32;
-            for &x in v {
-                let c = ((x - min) / scale).round().clamp(0.0, 255.0) as u8;
-                codes.push(c);
-                let y = min + scale * f32::from(c);
-                n += y * y;
-            }
-            inv_norms.push(if n == 0.0 { 0.0 } else { 1.0 / n.sqrt() });
-        }
-        Self {
-            codes,
+        let mut store = Self {
+            codes: Vec::with_capacity(len * dim),
             dim,
-            len,
+            len: 0,
             min,
             scale,
-            inv_norms,
+            inv_norms: Vec::with_capacity(len),
+        };
+        for v in vectors {
+            store.push(v);
         }
+        store
     }
 
     /// Appends one vector using the **frozen** codebook (the global
@@ -108,16 +112,23 @@ impl QuantizedVectors {
     /// point count doubles).
     pub fn push(&mut self, v: &[f32]) {
         debug_assert_eq!(v.len(), self.dim);
-        let mut n = 0.0f32;
-        for &x in v {
-            let c = ((x - self.min) / self.scale).round().clamp(0.0, 255.0) as u8;
-            self.codes.push(c);
-            let y = self.min + self.scale * f32::from(c);
-            n += y * y;
-        }
-        self.inv_norms
-            .push(if n == 0.0 { 0.0 } else { 1.0 / n.sqrt() });
+        let start = self.codes.len();
+        self.codes.extend(
+            v.iter()
+                .map(|&x| ((x - self.min) / self.scale).round().clamp(0.0, 255.0) as u8),
+        );
+        let codes = &self.codes[start..];
+        let sq_norm = lane_sum::<U8_LANES, _, _>(codes, codes, |a, b| {
+            self.dequantize(a) * self.dequantize(b)
+        });
+        self.inv_norms.push(inv_sqrt_or_zero(sq_norm));
         self.len += 1;
+    }
+
+    /// Dequantized value of one code.
+    #[inline(always)]
+    fn dequantize(&self, c: u8) -> f32 {
+        self.min + self.scale * f32::from(c)
     }
 
     /// Number of stored vectors.
@@ -150,7 +161,7 @@ impl QuantizedVectors {
         let start = i * self.dim;
         self.codes[start..start + self.dim]
             .iter()
-            .map(|&c| self.min + self.scale * f32::from(c))
+            .map(|&c| self.dequantize(c))
             .collect()
     }
 
@@ -161,7 +172,7 @@ impl QuantizedVectors {
     /// [`QuantizedVectors::distance_with_query_inv`].
     #[must_use]
     pub fn distance(&self, metric: Distance, q: &[f32], i: usize) -> f32 {
-        self.distance_with_query_inv(metric, q, crate::distance::inv_norm(q), i)
+        self.distance_with_query_inv(metric, q, inv_norm(q), i)
     }
 
     /// Asymmetric distance with the query's inverse norm already known.
@@ -180,33 +191,19 @@ impl QuantizedVectors {
         debug_assert_eq!(q.len(), self.dim);
         let start = i * self.dim;
         let codes = &self.codes[start..start + self.dim];
+        let dot = || lane_sum::<U8_LANES, _, _>(q, codes, |x, c| x * self.dequantize(c));
         match metric {
             Distance::Cosine => {
                 if q_inv == 0.0 || self.inv_norms[i] == 0.0 {
                     return 1.0;
                 }
-                let mut dot = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    let y = self.min + self.scale * f32::from(c);
-                    dot += x * y;
-                }
-                1.0 - dot * q_inv * self.inv_norms[i]
+                1.0 - dot() * q_inv * self.inv_norms[i]
             }
-            Distance::Dot => {
-                let mut dot = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    dot += x * (self.min + self.scale * f32::from(c));
-                }
-                -dot
-            }
-            Distance::Euclid => {
-                let mut s = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    let d = x - (self.min + self.scale * f32::from(c));
-                    s += d * d;
-                }
-                s
-            }
+            Distance::Dot => -dot(),
+            Distance::Euclid => lane_sum::<U8_LANES, _, _>(q, codes, |x, c| {
+                let d = x - self.dequantize(c);
+                d * d
+            }),
         }
     }
 
@@ -227,7 +224,7 @@ impl QuantizedVectors {
             return Vec::new();
         }
         let fetch = (k * oversample.max(1)).min(self.len);
-        let q_inv = crate::distance::inv_norm(q);
+        let q_inv = inv_norm(q);
         let mut scored: Vec<(usize, f32)> = (0..self.len)
             .map(|i| (i, self.distance_with_query_inv(metric, q, q_inv, i)))
             .collect();
@@ -353,6 +350,52 @@ mod tests {
                 quantized,
                 q.distance_with_query_inv(Distance::Cosine, &query, q_inv, i)
             );
+        }
+    }
+
+    #[test]
+    fn code_kernel_matches_f64_reference_and_the_f32_kernel_over_decode() {
+        // Chunk boundaries of the 32-lane code kernel and the 16-lane
+        // f32 kernel, the empty input and tail-only inputs.
+        for dim in [0usize, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257] {
+            let vs = vectors(3, dim);
+            let q = QuantizedVectors::encode(&vs);
+            let query = pseudo(4242, dim);
+            let q_inv = inv_norm(&query);
+            for i in 0..vs.len() {
+                let decoded = q.decode(i);
+                let pairs = || {
+                    query
+                        .iter()
+                        .zip(&decoded)
+                        .map(|(&x, &y)| (f64::from(x), f64::from(y)))
+                };
+                let ref_dot: f64 = pairs().map(|(x, y)| x * y).sum();
+                let magnitude: f64 = pairs().map(|(x, y)| (x * y).abs()).sum();
+                let ref_euclid: f64 = pairs().map(|(x, y)| (x - y) * (x - y)).sum();
+                let dot = q.distance_with_query_inv(Distance::Dot, &query, q_inv, i);
+                let euclid = q.distance_with_query_inv(Distance::Euclid, &query, q_inv, i);
+                assert!(
+                    (f64::from(-dot) - ref_dot).abs() <= 1e-5 * magnitude,
+                    "dot, dim {dim}"
+                );
+                assert!(
+                    (f64::from(euclid) - ref_euclid).abs() <= 1e-5 * ref_euclid,
+                    "euclid, dim {dim}"
+                );
+                // Same sums through the f32 kernel over the decoded
+                // vector; the cached norm is the decoded vector's.
+                for metric in [Distance::Cosine, Distance::Dot, Distance::Euclid] {
+                    let over_codes = q.distance_with_query_inv(metric, &query, q_inv, i);
+                    let over_decoded =
+                        metric.distance_normed(&query, q_inv, &decoded, inv_norm(&decoded));
+                    let scale = over_decoded.abs().max(1.0);
+                    assert!(
+                        (over_codes - over_decoded).abs() <= 1e-5 * scale,
+                        "{metric:?}, dim {dim}: {over_codes} vs {over_decoded}"
+                    );
+                }
+            }
         }
     }
 

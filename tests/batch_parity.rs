@@ -14,7 +14,8 @@
 //! - a group of one feeds the online cost model per shard;
 //! - the perf ledger's configuration (metro world, quantized tier, FSST
 //!   payloads) answers a batch of 64 like 64 batches of one at engine
-//!   level.
+//!   level, and its exact strategy returns the top 10 of a naive `f64`
+//!   cosine — a reference that does not run the scoring kernel.
 
 use std::sync::Arc;
 
@@ -421,4 +422,58 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
         strategies.len() >= 2,
         "the ranges should span strategies, got {strategies:?}"
     );
+
+    // An oracle that shares nothing with the scoring kernel (`FlatIndex`
+    // runs it too): a naive `f64` cosine over every in-range vector.
+    // Wherever the reference itself separates rank 10 from rank 11 by
+    // more than 1e-5, the exact strategy — quantized coarse pass, then
+    // full-precision rerank — must return exactly the reference top 10.
+    let collection = prepared
+        .db
+        .collection(&prepared.collection_name)
+        .expect("collection");
+    let stored: Vec<Vec<f64>> = {
+        let guard = collection.read();
+        prepared
+            .dataset
+            .iter()
+            .map(|o| {
+                let v = guard.vector(u64::from(o.id.0)).expect("vector");
+                v.iter().copied().map(f64::from).collect()
+            })
+            .collect()
+    };
+    let cosine = |a: &[f64], b: &[f64]| {
+        let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(p, q)| p * q).sum::<f64>();
+        dot(a, b) / (dot(a, a) * dot(b, b)).sqrt()
+    };
+    let mut decided = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let vec = prepared.embedder.embed(&q.text);
+        let wide: Vec<f64> = vec.iter().copied().map(f64::from).collect();
+        let mut truth: Vec<(f64, u64)> = prepared
+            .dataset
+            .iter()
+            .filter(|o| q.range.contains(&o.location))
+            .map(|o| (cosine(&wide, &stored[o.id.0 as usize]), u64::from(o.id.0)))
+            .collect();
+        truth.sort_by(|a, b| b.0.total_cmp(&a.0));
+        if truth.len() > 10 && truth[9].0 - truth[10].0 <= 1e-5 {
+            continue;
+        }
+        decided += 1;
+        let mut want: Vec<u64> = truth.iter().take(10).map(|&(_, id)| id).collect();
+        let mut got: Vec<u64> = prepared
+            .planner
+            .retrieve_with(RetrievalStrategy::ExactScan, &vec, &q.range, 10, None)
+            .expect("exact scan")
+            .hits
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "query {i} vs the f64 reference");
+    }
+    assert!(decided >= 48, "the reference decided only {decided} of 64");
 }
