@@ -1,12 +1,9 @@
 //! Criterion bench for the retrieval backends behind the query planner:
 //! each of the four strategies answering the same filtered top-10 query
 //! at three range selectivities (narrow ~1%, mid ~20%, broad ~100% of
-//! the city), plus the planner's own plan-and-dispatch overhead — for
-//! **both** decision procedures: the calibrated cost model (`planned`)
-//! and the deprecated static cutoffs (`planned-static`). The CI gate
-//! fails if `planned` regresses more than 2x against `planned-static`
-//! measured in the *same run*, so the calibrated planner can never
-//! silently fall behind the baseline it replaced.
+//! the city), plus the planner's own plan-and-dispatch path (`planned`)
+//! and the cost of one plan (`plan_only`). The CI gate fails if a
+//! `planned` row regresses more than 2x against `BENCH_planner.json`.
 //!
 //! Before each band's rows, the bench prints the calibrated model's
 //! predicted per-strategy costs next to the measured means — the
@@ -23,26 +20,12 @@ use std::sync::Arc;
 use embed::Embedder;
 use llm::SimLlm;
 use semask::retrieval::RetrievalStrategy;
-use semask::{prepare_city, CostModel, PlannerConfig, QueryPlanner, SemaSkConfig};
+use semask::{prepare_city, SemaSkConfig};
 
 fn bench_planner(c: &mut Criterion) {
     let data = datagen::poi::generate_city(&datagen::CITIES[3], 1790, 7);
     let llm = Arc::new(SimLlm::new());
     let prepared = prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep");
-    // A second planner over the same collection with the deprecated
-    // static cutoffs: the same-run reference the CI gate compares the
-    // calibrated `planned` rows against.
-    let static_planner = QueryPlanner::for_city(
-        Arc::clone(&prepared.dataset),
-        prepared
-            .db
-            .collection(&prepared.collection_name)
-            .expect("collection"),
-        PlannerConfig {
-            cost_model: CostModel::StaticCutoffs,
-            ..PlannerConfig::default()
-        },
-    );
     let qv = prepared
         .embedder
         .embed("a quiet cafe with strong espresso and pastries");
@@ -106,16 +89,6 @@ fn bench_planner(c: &mut Criterion) {
                 black_box(
                     prepared
                         .planner
-                        .retrieve_keyword(&qv, range, None, 10, None)
-                        .expect("retrieval")
-                        .hits,
-                )
-            });
-        });
-        group.bench_function(format!("{label}/planned-static"), |b| {
-            b.iter(|| {
-                black_box(
-                    static_planner
                         .retrieve_keyword(&qv, range, None, 10, None)
                         .expect("retrieval")
                         .hits,

@@ -28,15 +28,6 @@
 //!   `GRACE_US` of the baseline, whatever the ratio (quick-window means
 //!   jitter by tens of microseconds on a loaded box).
 //!
-//! A third, machine-speed-independent gate covers the calibrated
-//! planner: whenever the fresh run contains both a
-//! `planner/<band>/planned` row (calibrated cost model) and its
-//! `planner/<band>/planned-static` sibling (deprecated static
-//! cutoffs), the calibrated mean must stay within the factor of the
-//! static mean *measured in the same run* — the calibrated planner may
-//! never regress a band >2x against the baseline it replaced, on any
-//! hardware.
-//!
 //! ```sh
 //! CRITERION_WINDOW_MS=25 cargo bench --bench planner | tee bench.out
 //! cargo run -p bench --bin check_regression -- bench.out BENCH_planner.json
@@ -168,21 +159,6 @@ fn speed_calibration(measured: &BTreeMap<String, f64>, reference: &BTreeMap<Stri
     ratios[ratios.len() / 2].max(1.0)
 }
 
-/// Same-run pairs `(calibrated_row, static_row)` for the
-/// calibrated-vs-static gate: every measured `<name>` with a
-/// `<name>-static` sibling.
-fn paired_static_rows(measured: &BTreeMap<String, f64>) -> Vec<(String, String)> {
-    measured
-        .keys()
-        .filter_map(|name| {
-            let sibling = format!("{name}-static");
-            measured
-                .contains_key(&sibling)
-                .then(|| (name.clone(), sibling))
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let [_, bench_out_path, baseline_path] = &args[..] else {
@@ -243,21 +219,6 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             }
-        }
-    }
-    // Same-run calibrated-vs-static gate: no machine-speed calibration
-    // needed, both rows ran on this machine seconds apart.
-    for (calibrated, static_row) in paired_static_rows(&measured) {
-        let got_us = measured[&calibrated];
-        let base_us = measured[&static_row];
-        let limit = (base_us * factor).max(base_us + GRACE_US);
-        let verdict = if got_us > limit { "FAIL" } else { "ok  " };
-        println!(
-            "{verdict} {calibrated}: calibrated {got_us:.1} µs vs same-run static \
-             {base_us:.1} µs (limit {limit:.1} µs)"
-        );
-        if got_us > limit {
-            failed = true;
         }
     }
 
@@ -366,32 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn static_pairs_are_detected_in_the_same_run() {
-        let measured: BTreeMap<String, f64> = [
-            ("planner/narrow/planned", 5.0),
-            ("planner/narrow/planned-static", 4.0),
-            ("planner/mid/planned", 200.0),
-            ("planner/broad/exact-scan", 500.0),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect();
-        let pairs = paired_static_rows(&measured);
-        assert_eq!(
-            pairs,
-            vec![(
-                "planner/narrow/planned".to_owned(),
-                "planner/narrow/planned-static".to_owned()
-            )],
-            "only rows with a measured -static sibling are gated"
-        );
-    }
-
-    #[test]
     fn nested_predicted_columns_are_ignored_by_reference_parsing() {
         let json: serde_json::Value = serde_json::from_str(
             r#"{"results_us_per_iter": {
-                "narrow": {"planned": 5.0, "planned-static": 4.5,
+                "narrow": {"planned": 5.0, "ir-tree": 4.5,
                            "exact-scan": 47.6,
                            "predicted_us": {"exact-scan": 50.0},
                            "estimated_selectivity": 0.007}
@@ -400,7 +339,7 @@ mod tests {
         .unwrap();
         let r = parse_reference_rows(&json);
         assert!(r.contains_key("planner/narrow/exact-scan"));
-        assert!(r.contains_key("planner/narrow/planned-static"));
+        assert!(r.contains_key("planner/narrow/ir-tree"));
         assert!(!r.contains_key("planner/narrow/predicted_us"));
         let gated = parse_baseline(&json);
         assert_eq!(gated.len(), 1, "only `planned` is baseline-gated");

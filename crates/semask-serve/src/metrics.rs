@@ -98,9 +98,10 @@ impl ServeMetrics {
     /// Records one served outcome's planner observability: the cost
     /// model generation its plan was made against and the predicted vs
     /// measured retrieval time. The pair accumulates only when *both*
-    /// sides are usable — a static-cutoff plan (predicted 0) or a
-    /// non-finite value would otherwise pour unpaired time into one
-    /// counter and corrupt [`MetricsSnapshot::misprediction_ratio`].
+    /// sides are usable — a zero prediction (an outcome that never
+    /// planned) or a non-finite value would otherwise pour unpaired
+    /// time into one counter and corrupt
+    /// [`MetricsSnapshot::misprediction_ratio`].
     pub fn record_plan(&self, model_version: u64, predicted_us: f64, actual_retrieval_ms: f64) {
         self.cost_model_version
             .fetch_max(model_version, Ordering::Relaxed);
@@ -339,7 +340,7 @@ mod tests {
         // even when the other half of the pair is valid.
         m.record_plan(0, f64::NAN, -5.0);
         m.record_plan(0, 50.0, f64::NAN);
-        m.record_plan(0, 0.0, 1.0); // static-cutoff plans predict 0
+        m.record_plan(0, 0.0, 1.0); // an outcome that never planned
         let s = m.snapshot();
         assert_eq!(s.predicted_filter, Duration::from_micros(200));
         assert_eq!(s.actual_filter, Duration::from_micros(400));

@@ -8,7 +8,7 @@ use crate::retrieval::PlannerConfig;
 /// SemaSK configuration (paper defaults).
 #[derive(Debug, Clone)]
 pub struct SemaSkConfig {
-    /// Query-planner thresholds for the filtering stage.
+    /// Query-planner configuration for the filtering stage.
     pub planner: PlannerConfig,
     /// Results to fetch in the filtering step (paper: k = 10).
     pub k: usize,
@@ -21,8 +21,6 @@ pub struct SemaSkConfig {
     pub refine_model: ModelKind,
     /// Embedding model configuration.
     pub embedder: EmbedderConfig,
-    /// Skip the LLM refinement step (the SemaSK-EM variant).
-    pub embedding_only: bool,
     /// Ablation: embed the raw tips instead of the LLM tip summary
     /// (the paper embeds the summary; see the `ablation` bench).
     pub embed_raw_tips: bool,
@@ -48,10 +46,26 @@ impl Default for SemaSkConfig {
             summarize_model: ModelKind::Gpt35Turbo,
             refine_model: ModelKind::Gpt4o,
             embedder: EmbedderConfig::default(),
-            embedding_only: false,
             embed_raw_tips: false,
             scoring_tier: vecdb::ScoringTier::Auto,
             compress_payload_text: false,
+        }
+    }
+}
+
+#[cfg(test)]
+impl SemaSkConfig {
+    /// The default configuration on given (default) cost coefficients:
+    /// separately built engines plan identically, which in-crate tests
+    /// that compare answers across engines need and timing probes
+    /// cannot give.
+    pub(crate) fn with_fixed_costs() -> Self {
+        Self {
+            planner: PlannerConfig {
+                cost_model: crate::cost::CostModel::Fixed(crate::cost::Coefficients::default()),
+                ..PlannerConfig::default()
+            },
+            ..Self::default()
         }
     }
 }
@@ -66,7 +80,6 @@ mod tests {
         assert_eq!(c.k, 10);
         assert_eq!(c.refine_model, ModelKind::Gpt4o);
         assert_eq!(c.summarize_model, ModelKind::Gpt35Turbo);
-        assert!(!c.embedding_only);
         assert_eq!(c.scoring_tier, vecdb::ScoringTier::Auto);
         assert!(!c.compress_payload_text);
     }

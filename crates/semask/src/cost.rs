@@ -1,17 +1,15 @@
 //! The planner's cost subsystem: calibrated per-strategy cost models,
 //! a lock-free coefficient snapshot, and the online feedback loop.
 //!
-//! PR 1's planner chose a strategy from two hard-coded selectivity
-//! cutoffs. This module replaces that with the approach database
-//! optimizers use: each [`RetrievalStrategy`] gets a cost formula over
-//! query features (estimated candidates, grid cells touched, HNSW beam
-//! width, keyword posting statistics), the formula's coefficients are
-//! **calibrated by micro-probing the live backends** when a
-//! `QueryPlanner` is built, and the planner picks the argmin of the
-//! predicted costs. A [`CalibratedModel::observe`] feedback loop then
-//! folds every query's measured filtering latency back into per-strategy
-//! scale factors (EWMA), so the model tracks the machine it is actually
-//! running on.
+//! The planner decides the way database optimizers do: each
+//! [`RetrievalStrategy`] has a cost formula over query features
+//! (estimated candidates, grid cells touched, HNSW beam width, keyword
+//! posting statistics), the formula's coefficients are **calibrated by
+//! micro-probing the live backends** when a `QueryPlanner` is built, and
+//! the planner picks the argmin of the predicted costs. A
+//! [`CalibratedModel::observe`] feedback loop then folds every query's
+//! measured filtering latency back into per-strategy scale factors
+//! (EWMA), so the model tracks the machine it is actually running on.
 //!
 //! Concurrency: plans are read on the serving batcher thread and inside
 //! `retrieve_batch` groups while observations stream in from finished
@@ -20,34 +18,31 @@
 //! always see a *consistent* snapshot, so concurrent planners never
 //! compare costs from two different model generations.
 //!
-//! The legacy cutoff planner survives as
-//! [`CostModel::StaticCutoffs`] (selectable via
-//! [`crate::retrieval::PlannerConfig::cost_model`]) so parity suites can
-//! pin both paths.
+//! There is one decision procedure — features → price → argmin.
+//! [`CostModel`] only says where the coefficients come from: timing
+//! probes (the default) or the caller ([`CostModel::Fixed`], for plans
+//! that must be identical across separately built planners).
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use geotext::BoundingBox;
-
 use crate::retrieval::RetrievalStrategy;
 
-/// Which decision procedure the planner runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Where the planner's [`Coefficients`] come from. The decision
+/// procedure is the same either way ([`CalibratedModel::plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CostModel {
-    /// Per-strategy cost formulas calibrated against the live backends,
-    /// refined online from observed latencies (the default).
+    /// Fitted from micro-probes of the live backends when the planner is
+    /// built, then refined online from observed latencies while
+    /// `PlannerConfig::online_updates` is on (the default).
     #[default]
     Calibrated,
-    /// The deprecated PR 1 behavior: route on the two static selectivity
-    /// cutoffs in [`crate::retrieval::PlannerConfig`]. Keyword features
-    /// are ignored (keyword-heavy queries stay on the scan strategies;
-    /// the HNSW band degrades to the grid prefilter so conjunctive
-    /// filtering stays exact). Kept so existing tests and the parity
-    /// suites can pin fully deterministic routing.
-    StaticCutoffs,
+    /// Used exactly as given: no probes, and no observations whatever
+    /// `online_updates` says, so two planners built separately over the
+    /// same data return equal [`PlanDecision`]s — which timing probes
+    /// cannot give. Pricing a strategy's coefficients out of reach pins
+    /// the route. The values must be finite and positive.
+    Fixed(Coefficients),
 }
 
 /// All strategies, in the fixed order cost tables use.
@@ -281,17 +276,6 @@ impl Coefficients {
     }
 }
 
-/// A cost formula for one strategy: pure function of query features and
-/// calibrated coefficients. `INFINITY` means *not executable* for this
-/// query shape (e.g. filtered HNSW cannot apply a conjunctive keyword
-/// filter without breaking exactness).
-pub trait StrategyCostModel: Send + Sync {
-    /// The strategy this formula prices.
-    fn strategy(&self) -> RetrievalStrategy;
-    /// Predicted cost in microseconds (before the online scale).
-    fn predict_us(&self, f: &QueryFeatures, coef: &Coefficients) -> f64;
-}
-
 /// Cost of a keyword filter for the spatial-first strategies: a sorted
 /// intersection of the spatial candidates with the corpus AND-match
 /// list.
@@ -302,88 +286,51 @@ fn keyword_intersect_us(f: &QueryFeatures, coef: &Coefficients) -> f64 {
     }
 }
 
-/// [`RetrievalStrategy::ExactScan`]: the geo mask visits every live
-/// point, qualifying candidates are scored.
-pub struct ExactScanCost;
-
-impl StrategyCostModel for ExactScanCost {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::ExactScan
-    }
-
-    fn predict_us(&self, f: &QueryFeatures, coef: &Coefficients) -> f64 {
-        coef.mask_us * f.points
-            + keyword_intersect_us(f, coef)
-            + coef.score_us * f.scored_candidates()
-    }
-}
-
-/// [`RetrievalStrategy::GridPrefilter`]: probe the covered cells,
-/// collect candidates, score them.
-pub struct GridPrefilterCost;
-
-impl StrategyCostModel for GridPrefilterCost {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::GridPrefilter
-    }
-
-    fn predict_us(&self, f: &QueryFeatures, coef: &Coefficients) -> f64 {
-        coef.cell_us * f.covered_cells
-            + coef.gen_us * f.candidates
-            + keyword_intersect_us(f, coef)
-            + coef.score_us * f.scored_candidates()
-    }
-}
-
-/// [`RetrievalStrategy::FilteredHnsw`]: beam search whose effective cost
-/// grows as the filter tightens; cannot execute a conjunctive keyword
-/// filter exactly, so keyword queries price it out entirely.
-pub struct FilteredHnswCost;
-
-impl StrategyCostModel for FilteredHnswCost {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::FilteredHnsw
-    }
-
-    fn predict_us(&self, f: &QueryFeatures, coef: &Coefficients) -> f64 {
-        if f.keyword.is_some() {
-            return f64::INFINITY;
+/// The cost formula of each strategy: a pure function of query features
+/// and coefficients, in microseconds (before the online scale).
+/// `INFINITY` means *not executable* for this query shape.
+fn predict_us(strategy: RetrievalStrategy, f: &QueryFeatures, coef: &Coefficients) -> f64 {
+    match strategy {
+        // The geo mask visits every live point, qualifying candidates
+        // are scored.
+        RetrievalStrategy::ExactScan => {
+            coef.mask_us * f.points
+                + keyword_intersect_us(f, coef)
+                + coef.score_us * f.scored_candidates()
         }
-        coef.hop_us * f.ef_effective / f.fraction.max(FRACTION_FLOOR)
-    }
-}
-
-/// [`RetrievalStrategy::IrTree`]: R-tree descent plus per-candidate
-/// reporting and scoring. With conjunctive keywords the node keyword
-/// summaries prune the traversal down to the *matching* candidates —
-/// which is exactly why rare-keyword queries route here.
-pub struct IrTreeCost;
-
-impl StrategyCostModel for IrTreeCost {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::IrTree
-    }
-
-    fn predict_us(&self, f: &QueryFeatures, coef: &Coefficients) -> f64 {
-        let descent = coef.cell_us * (f.points + 2.0).log2();
-        match &f.keyword {
-            None => descent + (coef.gen_us + coef.score_us) * f.candidates,
-            Some(kw) => {
-                descent
-                    + coef.gen_us * kw.terms as f64
-                    + (coef.gen_us + coef.score_us) * f.scored_candidates()
+        // Probe the covered cells, collect candidates, score them.
+        RetrievalStrategy::GridPrefilter => {
+            coef.cell_us * f.covered_cells
+                + coef.gen_us * f.candidates
+                + keyword_intersect_us(f, coef)
+                + coef.score_us * f.scored_candidates()
+        }
+        // Beam search whose effective cost grows as the filter tightens;
+        // cannot execute a conjunctive keyword filter exactly, so keyword
+        // queries price it out entirely.
+        RetrievalStrategy::FilteredHnsw => {
+            if f.keyword.is_some() {
+                return f64::INFINITY;
+            }
+            coef.hop_us * f.ef_effective / f.fraction.max(FRACTION_FLOOR)
+        }
+        // R-tree descent plus per-candidate reporting and scoring. With
+        // conjunctive keywords the node keyword summaries prune the
+        // traversal down to the *matching* candidates — which is exactly
+        // why rare-keyword queries route here.
+        RetrievalStrategy::IrTree => {
+            let descent = coef.cell_us * (f.points + 2.0).log2();
+            match &f.keyword {
+                None => descent + (coef.gen_us + coef.score_us) * f.candidates,
+                Some(kw) => {
+                    descent
+                        + coef.gen_us * kw.terms as f64
+                        + (coef.gen_us + coef.score_us) * f.scored_candidates()
+                }
             }
         }
     }
 }
-
-/// The four formulas, aligned with [`STRATEGIES`].
-pub static STRATEGY_MODELS: [&dyn StrategyCostModel; 4] = [
-    &ExactScanCost,
-    &FilteredHnswCost,
-    &GridPrefilterCost,
-    &IrTreeCost,
-];
 
 /// One strategy's predicted cost inside a [`PlanDecision`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -404,8 +351,7 @@ pub struct StrategyCost {
 pub struct PlanDecision {
     /// The strategy the planner dispatches to.
     pub chosen: RetrievalStrategy,
-    /// Predicted cost of the chosen strategy, microseconds (0 under
-    /// [`CostModel::StaticCutoffs`], whose pseudo-costs are ranks).
+    /// Predicted cost of the chosen strategy, microseconds.
     pub predicted_us: f64,
     /// The best strategy the choice beat, with its predicted cost.
     pub runner_up: Option<StrategyCost>,
@@ -413,8 +359,8 @@ pub struct PlanDecision {
     pub costs: Vec<StrategyCost>,
     /// The selectivity estimate the features were derived from.
     pub fraction: f64,
-    /// Model generation the decision was planned against (0 = static
-    /// cutoffs or a freshly calibrated model with no observations yet).
+    /// Model generation the decision was planned against (0 = no
+    /// observations yet).
     pub model_version: u64,
     /// True when fewer than [`NEAR_EMPTY_CANDIDATES`] objects are
     /// estimated in range and no keywords are present: every strategy
@@ -428,9 +374,8 @@ pub struct PlanDecision {
     /// when the model is unsharded.
     pub shard_us: Vec<f64>,
     /// The straggler's predicted cost: the max over `shard_us`, equal to
-    /// `predicted_us` for a calibrated model (the planner prices fan-out
-    /// completion time, which is set by the slowest shard, not the
-    /// average). 0 under static cutoffs.
+    /// `predicted_us` (the planner prices fan-out completion time, which
+    /// is set by the slowest shard, not the average).
     pub max_shard_us: f64,
 }
 
@@ -543,9 +488,10 @@ impl Default for ScaleCell {
     }
 }
 
-/// The calibrated cost model: fixed coefficients from the build-time
-/// micro-probes plus the online scales — one EWMA scale per
-/// **(strategy, shard)** pair, all behind one seqlock snapshot.
+/// The cost model: base coefficients (fitted from the build-time
+/// micro-probes, or given — see [`CostModel`]) plus the online scales —
+/// one EWMA scale per **(strategy, shard)** pair, all behind one seqlock
+/// snapshot.
 ///
 /// The base coefficients are fitted by probing the *sharded* backends,
 /// so a base prediction already prices the whole fan-out's wall clock.
@@ -642,11 +588,11 @@ impl CalibratedModel {
                 .fold(f64::MIN, f64::max)
         };
         let mut raws = [0.0f64; 4];
-        let costs: Vec<StrategyCost> = STRATEGY_MODELS
+        let costs: Vec<StrategyCost> = STRATEGIES
             .iter()
             .enumerate()
-            .map(|(i, model)| {
-                let raw = model.predict_us(features, &self.base);
+            .map(|(i, &strategy)| {
+                let raw = predict_us(strategy, features, &self.base);
                 raws[i] = raw;
                 let predicted_us = if raw.is_finite() {
                     raw * strategy_scale(i)
@@ -654,7 +600,7 @@ impl CalibratedModel {
                     raw
                 };
                 StrategyCost {
-                    strategy: model.strategy(),
+                    strategy,
                     predicted_us,
                     viable: predicted_us.is_finite(),
                 }
@@ -757,273 +703,15 @@ impl CalibratedModel {
     }
 }
 
-/// The deprecated static-cutoff decision procedure, wrapped in the same
-/// [`PlanDecision`] shape. Pseudo-costs are preference *ranks* (0 = the
-/// chosen band, 3 = last resort), not microseconds — `predicted_us` on
-/// the decision is therefore reported as 0.
-#[must_use]
-pub fn static_cutoff_plan(
-    fraction: f64,
-    exact_max_selectivity: f64,
-    grid_max_selectivity: f64,
-    keyword_aware: bool,
-) -> PlanDecision {
-    let chosen = if fraction <= exact_max_selectivity {
-        RetrievalStrategy::ExactScan
-    } else if fraction <= grid_max_selectivity {
-        RetrievalStrategy::GridPrefilter
-    } else if keyword_aware {
-        // The legacy bands predate keywords; HNSW cannot apply a
-        // conjunctive filter exactly, so its band degrades to the grid.
-        RetrievalStrategy::GridPrefilter
-    } else {
-        RetrievalStrategy::FilteredHnsw
-    };
-    // Rank the remaining strategies in band-adjacency order after the
-    // chosen one; the table exists so observability plumbing works
-    // identically on both paths.
-    let mut order = vec![chosen];
-    for s in [
-        RetrievalStrategy::GridPrefilter,
-        RetrievalStrategy::ExactScan,
-        RetrievalStrategy::FilteredHnsw,
-        RetrievalStrategy::IrTree,
-    ] {
-        if !order.contains(&s) {
-            order.push(s);
-        }
-    }
-    let mut costs = vec![
-        StrategyCost {
-            strategy: RetrievalStrategy::ExactScan,
-            predicted_us: 0.0,
-            viable: true,
-        };
-        4
-    ];
-    for (rank, s) in order.iter().enumerate() {
-        costs[strategy_index(*s)] = StrategyCost {
-            strategy: *s,
-            predicted_us: rank as f64,
-            viable: !(keyword_aware && *s == RetrievalStrategy::FilteredHnsw),
-        };
-    }
-    let runner_up = order.get(1).map(|&s| costs[strategy_index(s)]);
-    PlanDecision {
-        chosen,
-        predicted_us: 0.0,
-        runner_up,
-        costs,
-        fraction,
-        model_version: 0,
-        near_empty: false,
-        keyword_aware,
-        shard_us: Vec::new(),
-        max_shard_us: 0.0,
-    }
-}
-
-/// Lock-striped segments of a [`PlanMemo`]. Eight stripes keep
-/// contention negligible for the serve batcher's access pattern (a
-/// handful of planner threads) without over-allocating.
-const MEMO_SEGMENTS: usize = 8;
-
-/// The exact shape of a planned query — the [`PlanMemo`] key.
-///
-/// The range is quantized to its four coordinate **bit patterns** (not a
-/// lossy grid): two ranges share a memo slot only when a fresh
-/// [`CalibratedModel::plan`] would see bit-identical features, which is
-/// what lets a memo hit return the decision a recompute would have
-/// produced, bit for bit. Keywords are compared as the exact trimmed
-/// string for the same reason (a lossy keyword-set digest could collide
-/// two conjunctions with different posting statistics).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanShape {
-    range_bits: [u64; 4],
-    k: usize,
-    ef: Option<usize>,
-    keywords: Option<Box<str>>,
-}
-
-impl PlanShape {
-    /// The shape of a query over `range` with budget `(k, ef)` and an
-    /// optional conjunctive keyword filter. Blank keyword strings
-    /// normalize to `None`, mirroring the planner's feature extraction.
-    #[must_use]
-    pub fn new(range: &BoundingBox, k: usize, ef: Option<usize>, keywords: Option<&str>) -> Self {
-        Self {
-            range_bits: [
-                range.min_lat.to_bits(),
-                range.min_lon.to_bits(),
-                range.max_lat.to_bits(),
-                range.max_lon.to_bits(),
-            ],
-            k,
-            ef,
-            keywords: keywords.filter(|kw| !kw.trim().is_empty()).map(Box::from),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    decision: PlanDecision,
-    /// Model version the decision was planned against; a hit requires it
-    /// to still be current (any [`CalibratedModel::observe`] bumps it).
-    model_version: u64,
-    /// Substrate shape epoch captured *before* the decision's features
-    /// were read; a hit requires it to still be current (any planner
-    /// live-mutation hook bumps it via [`PlanMemo::invalidate`]).
-    shape_epoch: u64,
-}
-
-/// Counter snapshot of one [`PlanMemo`].
+/// Zeroes: the plan memo is gone. Kept only because `ledger/src/sut.rs:387`
+/// reads it; leaves with the `retrieval.plan_memo_hit_rate` row in the
+/// next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanMemoStats {
-    /// Lookups that returned a still-valid memoized decision.
+    /// Always 0.
     pub hits: u64,
-    /// Lookups that found nothing (or found a stale entry and dropped it).
+    /// Always 0.
     pub misses: u64,
-    /// Entries dropped on lookup because their model version or shape
-    /// epoch had moved on.
-    pub stale_evictions: u64,
-    /// Substrate invalidations ([`PlanMemo::invalidate`] calls).
-    pub invalidations: u64,
-}
-
-/// A bounded cross-query memo of [`PlanDecision`]s, keyed by exact query
-/// shape ([`PlanShape`]) and doubly invalidated:
-///
-/// - **Model version**: every entry records the seqlock'd scale-snapshot
-///   version it was planned against; [`CalibratedModel::observe`] bumps
-///   it, so a memoized decision is returned only while a fresh
-///   [`CalibratedModel::plan`] would load the *identical* snapshot.
-/// - **Shape epoch**: every planner live-mutation hook (insert / update /
-///   delete) calls [`PlanMemo::invalidate`], because mutations move the
-///   features a plan derives from (selectivity, collection stats,
-///   keyword posting statistics) even when the cost model is frozen.
-///
-/// Both stamps current ⇒ a fresh recompute is deterministic over the same
-/// inputs ⇒ the memoized decision equals it bit for bit — which is what
-/// `tests/cache_parity.rs` pins. Lookups on a stale entry drop it
-/// (counted as a stale eviction); a full segment is wholesale-cleared on
-/// insert rather than LRU-tracked, because entries are cheap to rebuild
-/// and the memo's working set is small.
-#[derive(Debug)]
-pub struct PlanMemo {
-    segments: Box<[Mutex<HashMap<PlanShape, MemoEntry>>]>,
-    per_segment_cap: usize,
-    shape_epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl PlanMemo {
-    /// A memo holding at most roughly `capacity` decisions across 8
-    /// lock stripes.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            segments: (0..MEMO_SEGMENTS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            per_segment_cap: capacity.div_ceil(MEMO_SEGMENTS).max(1),
-            shape_epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    fn segment(&self, shape: &PlanShape) -> &Mutex<HashMap<PlanShape, MemoEntry>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        shape.hash(&mut h);
-        &self.segments[(h.finish() as usize) % self.segments.len()]
-    }
-
-    /// The current substrate shape epoch. Capture it **before** reading
-    /// planner features and pass it to [`PlanMemo::insert`]: if a
-    /// mutation slips between the feature read and the insert, the stale
-    /// stamp keeps the entry from ever validating.
-    #[must_use]
-    pub fn shape_epoch(&self) -> u64 {
-        self.shape_epoch.load(Ordering::Acquire)
-    }
-
-    /// Invalidates every memoized decision by bumping the shape epoch.
-    /// Called from the planner's live-mutation hooks (under the engine's
-    /// mutation write gate).
-    pub fn invalidate(&self) {
-        self.shape_epoch.fetch_add(1, Ordering::Release);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the memoized decision for `shape` iff it was planned
-    /// against the given current `model_version` and the shape epoch has
-    /// not moved; drops and counts stale entries.
-    #[must_use]
-    pub fn get(&self, shape: &PlanShape, model_version: u64) -> Option<PlanDecision> {
-        let epoch = self.shape_epoch.load(Ordering::Acquire);
-        let mut seg = self
-            .segment(shape)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match seg.get(shape) {
-            Some(e) if e.model_version == model_version && e.shape_epoch == epoch => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.decision.clone())
-            }
-            Some(_) => {
-                seg.remove(shape);
-                self.stale.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoizes `decision` for `shape`. `shape_epoch` must be the value
-    /// [`PlanMemo::shape_epoch`] returned **before** the decision's
-    /// features were read; if the epoch has since moved the insert is a
-    /// no-op (the decision may describe a pre-mutation substrate).
-    pub fn insert(&self, shape: PlanShape, decision: &PlanDecision, shape_epoch: u64) {
-        if self.shape_epoch.load(Ordering::Acquire) != shape_epoch {
-            return;
-        }
-        let mut seg = self
-            .segment(&shape)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if seg.len() >= self.per_segment_cap && !seg.contains_key(&shape) {
-            seg.clear();
-        }
-        seg.insert(
-            shape,
-            MemoEntry {
-                decision: decision.clone(),
-                model_version: decision.model_version,
-                shape_epoch,
-            },
-        );
-    }
-
-    /// Snapshot of the hit/miss/invalidation counters.
-    #[must_use]
-    pub fn stats(&self) -> PlanMemoStats {
-        PlanMemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stale_evictions: self.stale.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1283,7 +971,7 @@ mod tests {
                 ef_effective: 64.0,
                 keyword: None,
             };
-            let elapsed = STRATEGY_MODELS[strategy_index(strategy)].predict_us(&f, &truth);
+            let elapsed = predict_us(strategy, &f, &truth);
             ProbeSample {
                 strategy,
                 points,
@@ -1327,20 +1015,5 @@ mod tests {
         let fitted = Coefficients::fit(&[p, p]);
         assert!(fitted.mask_us.is_finite() && fitted.mask_us > 0.0);
         assert!(fitted.score_us.is_finite() && fitted.score_us > 0.0);
-    }
-
-    #[test]
-    fn static_cutoffs_reproduce_the_legacy_bands() {
-        let plan = static_cutoff_plan(0.001, 0.002, 0.35, false);
-        assert_eq!(plan.chosen, RetrievalStrategy::ExactScan);
-        let plan = static_cutoff_plan(0.2, 0.002, 0.35, false);
-        assert_eq!(plan.chosen, RetrievalStrategy::GridPrefilter);
-        let plan = static_cutoff_plan(0.9, 0.002, 0.35, false);
-        assert_eq!(plan.chosen, RetrievalStrategy::FilteredHnsw);
-        assert_eq!(plan.model_version, 0);
-        // Keyword queries never land on the inexact HNSW band.
-        let plan = static_cutoff_plan(0.9, 0.002, 0.35, true);
-        assert_eq!(plan.chosen, RetrievalStrategy::GridPrefilter);
-        assert!(plan.keyword_aware);
     }
 }

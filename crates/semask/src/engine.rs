@@ -773,19 +773,13 @@ mod tests {
     fn setup(variant: Variant) -> (SemaSkEngine, datagen::CityData) {
         let data = generate_city(&CITIES[4], 150, 21);
         let llm = Arc::new(SimLlm::new());
-        // Static-cutoff routing: several tests below compare answers
+        // Given coefficients: several tests below compare answers
         // across separately prepared engines (full vs embedding-only),
         // whose calibrated models would probe independently and could
         // route a near-tie query differently. The calibrated path has
         // its own coverage in `retrieval`/`cost` tests and
         // `tests/planner_routing.rs`.
-        let config = SemaSkConfig {
-            planner: crate::retrieval::PlannerConfig {
-                cost_model: crate::cost::CostModel::StaticCutoffs,
-                ..crate::retrieval::PlannerConfig::default()
-            },
-            ..SemaSkConfig::default()
-        };
+        let config = SemaSkConfig::with_fixed_costs();
         let prepared = Arc::new(prepare_city(&data, &llm, &config).unwrap());
         (SemaSkEngine::new(prepared, llm, config, variant), data)
     }

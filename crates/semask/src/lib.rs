@@ -50,8 +50,8 @@ pub mod wal;
 pub use clock::{Clock, MockClock, SystemClock, Waker};
 pub use config::SemaSkConfig;
 pub use cost::{
-    CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemo,
-    PlanMemoStats, PlanShape, QueryFeatures, StrategyCost, StrategyCostModel,
+    CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
+    QueryFeatures, StrategyCost,
 };
 pub use cuckoo::CuckooFilter;
 pub use durable::{CheckpointPolicy, DurableEngine, DurableError, MutationReceipt, RecoverReport};

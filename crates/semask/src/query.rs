@@ -79,14 +79,14 @@ pub struct LatencyBreakdown {
     /// The range-selectivity estimate the plan was based on.
     pub estimated_selectivity: f64,
     /// The cost model's predicted filtering cost for the chosen
-    /// strategy, microseconds (0 under the static-cutoff fallback).
+    /// strategy, microseconds.
     /// Compare against `filtering_ms` to spot systematic misprediction.
     pub predicted_cost_us: f64,
     /// The best strategy the plan beat — a misroute investigation
     /// starts by comparing this margin with the observed latency.
     pub runner_up: Option<StrategyCost>,
-    /// Cost-model generation the plan was made against (0 = static
-    /// cutoffs or a freshly calibrated model).
+    /// Cost-model generation the plan was made against (0 = no
+    /// observations yet).
     pub cost_model_version: u64,
     /// Size of each shard's pre-merge top-k candidate pool in the
     /// filtering stage, aligned with shard index (each at most `k`, so
@@ -98,7 +98,7 @@ pub struct LatencyBreakdown {
     /// row is the straggler whose cost `predicted_cost_us` reports —
     /// compare rows against each other to spot a skewed shard, and the
     /// max row against `retrieval_ms` to spot straggler misprediction.
-    /// Empty when the planner is unsharded or under static cutoffs.
+    /// Empty when the planner is unsharded.
     pub shard_predicted_us: Vec<f64>,
 }
 

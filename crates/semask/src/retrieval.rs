@@ -22,12 +22,11 @@
 //! strategy with the calibrated cost models in [`crate::cost`] — fed by
 //! grid-cell cardinality estimates from [`SelectivityEstimator`],
 //! keyword posting statistics from the corpus inverted index, and
-//! `vecdb` collection statistics — and dispatching to the argmin (the
-//! deprecated static-cutoff banding survives behind
-//! [`CostModel::StaticCutoffs`]). Every consumer of the filtering stage
-//! — `SemaSkEngine`, `PreparedCity`, and the `baselines` retrievers —
-//! goes through this trait, making it the seam where sharding, batching,
-//! and serving plug in.
+//! `vecdb` collection statistics — and dispatching to the argmin.
+//! Every consumer of the filtering stage — `SemaSkEngine`,
+//! `PreparedCity`, and the `baselines` retrievers — goes through this
+//! trait, making it the seam where sharding, batching, and serving plug
+//! in.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,8 +39,8 @@ use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
 use vecdb::{CollectionHandle, Filter, ScoredPoint, SearchParams, SearchStrategy, VecDbError};
 
 use crate::cost::{
-    self, CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemo,
-    PlanMemoStats, PlanShape, ProbeSample, QueryFeatures, StrategyCost,
+    CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
+    ProbeSample, QueryFeatures, StrategyCost,
 };
 
 /// Errors from the retrieval layer.
@@ -106,11 +105,6 @@ impl fmt::Display for RetrievalStrategy {
         f.write_str(self.label())
     }
 }
-
-/// Bound on memoized plan decisions per planner — far above any serving
-/// working set of distinct query shapes, small enough that the memo's
-/// footprint is noise next to the indexes it fronts.
-const PLAN_MEMO_CAPACITY: usize = 1024;
 
 /// What [`RetrievalBackend::knn_in_range`] answers for a slice of query
 /// vectors sharing one range.
@@ -727,45 +721,21 @@ impl SelectivityEstimator {
     }
 }
 
-/// Planner configuration: which cost model decides, plus the legacy
-/// static thresholds kept for the deprecated
-/// [`CostModel::StaticCutoffs`] fallback.
+/// Planner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
-    /// Which decision procedure routes queries. The default,
-    /// [`CostModel::Calibrated`], prices every strategy from
-    /// coefficients micro-probed against the live backends at
-    /// [`QueryPlanner::for_city`] time and picks the argmin;
-    /// [`CostModel::StaticCutoffs`] restores the deprecated two-cutoff
-    /// banding below.
+    /// Where the cost coefficients come from. The default,
+    /// [`CostModel::Calibrated`], micro-probes the live backends at
+    /// [`QueryPlanner::for_city`] time; [`CostModel::Fixed`] takes them
+    /// as given. Either way every strategy is priced and the argmin
+    /// wins.
     pub cost_model: CostModel,
     /// Whether observed filtering latencies feed back into the
     /// calibrated model (EWMA per-strategy scales). Disable to freeze
-    /// the model after calibration — parity suites that compare plans
-    /// across separate executions pin this off. Ignored under
-    /// [`CostModel::StaticCutoffs`].
+    /// the model after calibration ("probe, then freeze") — parity
+    /// suites that compare plans across separate executions pin this
+    /// off. A [`CostModel::Fixed`] planner never observes.
     pub online_updates: bool,
-    /// **Deprecated** (used only by [`CostModel::StaticCutoffs`]):
-    /// ranges estimated to qualify at most this fraction route to
-    /// [`RetrievalStrategy::ExactScan`] (mirrors Qdrant's full-scan
-    /// threshold, decided *before* touching payloads).
-    ///
-    /// The exact scan evaluates the geo filter on **every** payload, so
-    /// its cost is O(n) regardless of how few points qualify, while the
-    /// grid prefilter touches only the covered cells; `BENCH_planner.json`
-    /// measures 4.5 µs (grid) vs 57.5 µs (exact) even at 0.7 %
-    /// selectivity. The cutoff therefore keeps the exact path only for
-    /// near-empty ranges, where building the candidate list isn't worth
-    /// it.
-    pub exact_max_selectivity: f64,
-    /// **Deprecated** (used only by [`CostModel::StaticCutoffs`]):
-    /// ranges above the exact threshold but at most this fraction route
-    /// to [`RetrievalStrategy::GridPrefilter`]: the grid narrows the
-    /// candidate set in O(cells) and exact scoring stays affordable.
-    pub grid_max_selectivity: f64,
-    /// Grid resolution (cells per axis) for the prefilter index and the
-    /// selectivity estimator.
-    pub grid_resolution: usize,
     /// Number of hash partitions for the filtering stage. `1` (the
     /// default) keeps the single-collection backends; above 1 the
     /// planner re-partitions the collection into a
@@ -773,13 +743,6 @@ pub struct PlannerConfig {
     /// [`crate::sharded::ShardedBackend`] per strategy, fanning each
     /// query out across shards in parallel and merging top-k.
     pub shards: usize,
-    /// Whether the planner memoizes [`PlanDecision`]s across queries
-    /// (see [`crate::cost::PlanMemo`]). A memo hit returns exactly the
-    /// decision a fresh recompute would — entries are invalidated on
-    /// every cost-model observation and every live mutation — so
-    /// disabling this (as the cache-parity twin does) changes only
-    /// planning latency, never routing.
-    pub plan_memo: bool,
 }
 
 impl Default for PlannerConfig {
@@ -787,11 +750,7 @@ impl Default for PlannerConfig {
         Self {
             cost_model: CostModel::Calibrated,
             online_updates: true,
-            exact_max_selectivity: 0.002,
-            grid_max_selectivity: 0.35,
-            grid_resolution: 32,
             shards: 1,
-            plan_memo: true,
         }
     }
 }
@@ -852,8 +811,7 @@ pub struct PlannedRetrieval {
     pub strategy: RetrievalStrategy,
     /// The selectivity estimate the choice was based on.
     pub estimated_fraction: f64,
-    /// Predicted cost of the chosen strategy in microseconds (0 under
-    /// [`CostModel::StaticCutoffs`]).
+    /// Predicted cost of the chosen strategy in microseconds.
     pub predicted_cost_us: f64,
     /// The best strategy the plan beat, with its predicted cost — the
     /// margin a misroute investigation starts from.
@@ -868,7 +826,7 @@ pub struct PlannedRetrieval {
     /// Predicted cost of the chosen strategy on each shard (the cost
     /// model's per-shard rows, shard order). The max row is the
     /// straggler the whole-query prediction priced. Empty when the
-    /// model is unsharded or under static cutoffs.
+    /// model is unsharded.
     pub shard_predicted_us: Vec<f64>,
 }
 
@@ -906,6 +864,10 @@ fn ef_effective(k: usize, ef: Option<usize>) -> f64 {
 /// The nominal result budget [`QueryPlanner::plan`] prices when the
 /// caller gives only a range (the paper's `k = 10` default).
 const DEFAULT_PLAN_K: usize = 10;
+
+/// Grid resolution (cells per axis) of the prefilter index and the
+/// selectivity estimator.
+const GRID_RESOLUTION: usize = 32;
 
 /// Rough candidate budget for one calibration probe. Above this, probe
 /// ranges shrink with collection size so planner construction stays
@@ -1216,16 +1178,9 @@ fn intersect_sorted(a: &[ObjectId], b: &[ObjectId]) -> Vec<ObjectId> {
     out
 }
 
-/// The decision engine behind [`QueryPlanner::plan`]: the calibrated
-/// model, or the deprecated static cutoffs.
-enum CostEngine {
-    Calibrated(CalibratedModel),
-    Static,
-}
-
 /// A cost-based planner over the four retrieval backends.
 ///
-/// Each strategy is priced by a calibrated [`crate::cost`] model (see
+/// Each strategy is priced by the [`crate::cost`] model (see
 /// [`PlannerConfig::cost_model`]) and the argmin wins: broad ranges land
 /// on the HNSW graph, mid-selectivity ranges on the grid prefilter,
 /// near-empty ranges on the exact scan, and **conjunctive keyword-heavy
@@ -1268,10 +1223,7 @@ pub struct QueryPlanner {
     shard_handles: Vec<CollectionHandle>,
     estimator: SelectivityEstimator,
     config: PlannerConfig,
-    cost: CostEngine,
-    /// Cross-query memo of plan decisions; `None` when disabled via
-    /// [`PlannerConfig::plan_memo`].
-    plan_memo: Option<PlanMemo>,
+    cost: CalibratedModel,
 }
 
 impl QueryPlanner {
@@ -1288,7 +1240,7 @@ impl QueryPlanner {
         config: PlannerConfig,
     ) -> Self {
         let grid = Arc::new(
-            GridIndex::build(items_of(&dataset), config.grid_resolution.max(1))
+            GridIndex::build(items_of(&dataset), GRID_RESOLUTION)
                 .expect("non-zero grid resolution"),
         );
         let side = Arc::new(SidePoints::default());
@@ -1332,26 +1284,21 @@ impl QueryPlanner {
             )
         };
         let estimator = SelectivityEstimator::new(grid);
-        let cost = match config.cost_model {
-            CostModel::StaticCutoffs => CostEngine::Static,
-            CostModel::Calibrated => {
-                let samples = Self::probe_backends(
-                    &estimator,
-                    &collection,
-                    &dataset,
-                    exact.as_ref(),
-                    hnsw.as_ref(),
-                    gridb.as_ref(),
-                );
-                // The probes ran against the (possibly sharded) backends,
-                // so the fitted coefficients price the whole fan-out;
-                // per-shard scales then track each shard's deviation.
-                CostEngine::Calibrated(CalibratedModel::with_shards(
-                    Coefficients::fit(&samples),
-                    config.shards.max(1),
-                ))
-            }
+        let coefficients = match config.cost_model {
+            CostModel::Fixed(given) => given,
+            // The probes run against the (possibly sharded) backends, so
+            // the fitted coefficients price the whole fan-out; per-shard
+            // scales then track each shard's deviation.
+            CostModel::Calibrated => Coefficients::fit(&Self::probe_backends(
+                &estimator,
+                &collection,
+                &dataset,
+                exact.as_ref(),
+                hnsw.as_ref(),
+                gridb.as_ref(),
+            )),
         };
+        let cost = CalibratedModel::with_shards(coefficients, config.shards);
         Self {
             exact,
             hnsw,
@@ -1367,7 +1314,6 @@ impl QueryPlanner {
             estimator,
             config,
             cost,
-            plan_memo: config.plan_memo.then(|| PlanMemo::new(PLAN_MEMO_CAPACITY)),
         }
     }
 
@@ -1548,13 +1494,10 @@ impl QueryPlanner {
             .knn_in_range_shard(shard, query_vec, range, k, ef)
     }
 
-    /// The calibrated cost model, when that is the configured engine.
+    /// The cost model every plan is priced against.
     #[must_use]
-    pub fn cost_model(&self) -> Option<&CalibratedModel> {
-        match &self.cost {
-            CostEngine::Calibrated(model) => Some(model),
-            CostEngine::Static => None,
-        }
+    pub fn cost_model(&self) -> &CalibratedModel {
+        &self.cost
     }
 
     /// Whether this planner can absorb live mutations. Sharded planners
@@ -1574,7 +1517,6 @@ impl QueryPlanner {
         self.corpus_text().write().live_insert(id, doc);
         self.side.push(u64::from(id.0), location);
         self.live_dirty.store(true, Ordering::Release);
-        self.invalidate_plan_memo();
     }
 
     /// Absorbs a live text update: the corpus index re-indexes the
@@ -1582,27 +1524,15 @@ impl QueryPlanner {
     pub(crate) fn live_update(&self, id: ObjectId, old_doc: &str, new_doc: &str) {
         self.corpus_text().write().live_update(id, old_doc, new_doc);
         self.live_dirty.store(true, Ordering::Release);
-        self.invalidate_plan_memo();
     }
 
     /// Absorbs a live delete: the corpus index drops the document's
     /// postings. The spatial side needs no bookkeeping — every candidate
     /// path masks deletes through the collection's soft-delete set.
     pub(crate) fn live_delete(&self, id: ObjectId, doc: &str) {
+        // No `live_dirty` here: deletes reach candidates through the
+        // collection's soft-delete masks.
         self.corpus_text().write().live_delete(id, doc);
-        // No `live_dirty` here (deletes reach candidates through the
-        // collection's soft-delete masks), but the memo must still drop:
-        // a delete changes keyword posting statistics and the live
-        // population a fresh plan would price.
-        self.invalidate_plan_memo();
-    }
-
-    /// Drops every memoized plan decision; called by the live-mutation
-    /// hooks under the engine's write gate.
-    fn invalidate_plan_memo(&self) {
-        if let Some(memo) = &self.plan_memo {
-            memo.invalidate();
-        }
     }
 
     /// True when a conjunctive keyword query is **provably empty**: some
@@ -1675,14 +1605,9 @@ impl QueryPlanner {
 
     /// Plans one fully specified query: prices every strategy for the
     /// range (and conjunctive keywords, if any) and returns the argmin
-    /// decision with the complete cost table.
-    ///
-    /// When [`PlannerConfig::plan_memo`] is on, decisions are memoized
-    /// across queries by exact shape ([`PlanShape`]) and replayed only
-    /// while both the cost-model version and the substrate shape epoch
-    /// are unchanged — conditions under which a fresh recompute is
-    /// deterministic over the same inputs, so a hit is bit-identical to
-    /// replanning (`tests/cache_parity.rs` pins this).
+    /// decision with the complete cost table. Always computed from the
+    /// live features and the current model snapshot, so a plan after a
+    /// mutation or an observation is fresh by construction.
     #[must_use]
     pub fn plan_query(
         &self,
@@ -1691,44 +1616,15 @@ impl QueryPlanner {
         k: usize,
         ef: Option<usize>,
     ) -> PlanDecision {
-        let (shape, epoch_before) = match &self.plan_memo {
-            Some(memo) => {
-                let shape = PlanShape::new(range, k, ef, keywords);
-                let version = self.cost_model().map_or(0, CalibratedModel::version);
-                if let Some(decision) = memo.get(&shape, version) {
-                    return decision;
-                }
-                // Capture the shape epoch *before* reading features: a
-                // mutation racing the recompute then invalidates the
-                // insert below instead of memoizing a stale decision.
-                (Some(shape), memo.shape_epoch())
-            }
-            None => (None, 0),
-        };
-        let features = self.features(range, keywords, k, ef);
-        let decision = match &self.cost {
-            CostEngine::Calibrated(model) => model.plan(&features),
-            CostEngine::Static => cost::static_cutoff_plan(
-                features.fraction,
-                self.config.exact_max_selectivity,
-                self.config.grid_max_selectivity,
-                features.keyword.is_some(),
-            ),
-        };
-        if let (Some(memo), Some(shape)) = (&self.plan_memo, shape) {
-            memo.insert(shape, &decision, epoch_before);
-        }
-        decision
+        self.cost.plan(&self.features(range, keywords, k, ef))
     }
 
-    /// Counter snapshot of the plan-decision memo (zeroes when the memo
-    /// is disabled).
+    /// Zeroes: plans are no longer memoized. Kept only because
+    /// `ledger/src/sut.rs:387` calls it; leaves with the
+    /// `retrieval.plan_memo_hit_rate` row in the next benchmark PR.
     #[must_use]
     pub fn plan_memo_stats(&self) -> PlanMemoStats {
-        self.plan_memo
-            .as_ref()
-            .map(PlanMemo::stats)
-            .unwrap_or_default()
+        PlanMemoStats::default()
     }
 
     /// Chooses a strategy for a bare range (no keywords, nominal
@@ -1741,14 +1637,19 @@ impl QueryPlanner {
         self.plan_query(range, None, DEFAULT_PLAN_K, None)
     }
 
-    /// Feeds one observed execution back into the calibrated model (a
-    /// no-op under static cutoffs or when online updates are disabled).
+    /// Whether measured latencies feed back into the model: a
+    /// calibrated planner with online updates on. Given coefficients
+    /// ([`CostModel::Fixed`]) stay as given.
+    fn learns(&self) -> bool {
+        self.config.online_updates && self.config.cost_model == CostModel::Calibrated
+    }
+
+    /// Feeds one observed execution back into the model (a no-op unless
+    /// the planner [learns](Self::learns)).
     fn observe(&self, strategy: RetrievalStrategy, plan: &PlanDecision, elapsed_us: f64) {
-        if !self.config.online_updates {
-            return;
-        }
-        if let CostEngine::Calibrated(model) = &self.cost {
-            model.observe(strategy, plan.predicted_for(strategy), elapsed_us);
+        if self.learns() {
+            self.cost
+                .observe(strategy, plan.predicted_for(strategy), elapsed_us);
         }
     }
 
@@ -1758,12 +1659,10 @@ impl QueryPlanner {
     /// reported shard timings (observing the wall clock *too* would
     /// double-count the same execution).
     fn observe_shards(&self, strategy: RetrievalStrategy, plan: &PlanDecision, timings: &[f64]) {
-        if !self.config.online_updates {
-            return;
-        }
-        if let CostEngine::Calibrated(model) = &self.cost {
+        if self.learns() {
             for (shard, &us) in timings.iter().enumerate() {
-                model.observe_shard(strategy, shard, plan.shard_predicted(shard), us);
+                self.cost
+                    .observe_shard(strategy, shard, plan.shard_predicted(shard), us);
             }
         }
     }
@@ -2126,58 +2025,9 @@ mod tests {
     }
 
     #[test]
-    fn static_cutoffs_route_by_selectivity() {
-        // The deprecated banding, pinned exactly as PR 1 shipped it.
-        let p = prepared();
-        let collection = p.db.collection(&p.collection_name).unwrap();
-        let planner = QueryPlanner::for_city(
-            Arc::clone(&p.dataset),
-            collection,
-            crate::retrieval::PlannerConfig {
-                cost_model: crate::cost::CostModel::StaticCutoffs,
-                ..crate::retrieval::PlannerConfig::default()
-            },
-        );
-        // Nothing qualifies → the exact path (building a candidate list
-        // isn't worth it for a near-empty range).
-        let nowhere = geotext::BoundingBox::from_center_km(
-            geotext::GeoPoint::new(10.0, 10.0).unwrap(),
-            1.0,
-            1.0,
-        );
-        let plan = planner.plan(&nowhere);
-        assert_eq!(
-            plan.chosen,
-            RetrievalStrategy::ExactScan,
-            "fraction {}",
-            plan.fraction
-        );
-        // Selective but non-empty → the grid prefilter (the exact scan
-        // is O(n) regardless of selectivity; see PlannerConfig docs).
-        let tiny = geotext::BoundingBox::from_center_km(p.city.center(), 1.0, 1.0);
-        let plan = planner.plan(&tiny);
-        assert_eq!(
-            plan.chosen,
-            RetrievalStrategy::GridPrefilter,
-            "fraction {}",
-            plan.fraction
-        );
-        let all = p.dataset.bounds().unwrap();
-        let plan = planner.plan(&all);
-        assert_eq!(
-            plan.chosen,
-            RetrievalStrategy::FilteredHnsw,
-            "fraction {}",
-            plan.fraction
-        );
-        assert_eq!(plan.model_version, 0);
-    }
-
-    #[test]
     fn calibrated_plan_is_argmin_and_pins_near_empty() {
         let p = prepared();
         let planner = &p.planner; // default config = calibrated
-        assert!(planner.cost_model().is_some());
         for km in [1.0, 4.0, 12.0, 40.0] {
             let range = geotext::BoundingBox::from_center_km(p.city.center(), km, km);
             let plan = planner.plan(&range);

@@ -17,6 +17,8 @@
 //!   level, and its exact strategy returns the top 10 of a naive `f64`
 //!   cosine — a reference that does not run the scoring kernel.
 
+mod common;
+
 use std::sync::Arc;
 
 use embed::Embedder;
@@ -39,8 +41,8 @@ fn prepared() -> semask::PreparedCity {
 /// Parity planners freeze the cost model after calibration
 /// (`online_updates: false`): every pass over the same queries must plan
 /// against the *same* model state, or a mid-test model update could
-/// legitimately flip a strategy choice. Both cost models are exercised
-/// via the `cost_model` parameter.
+/// legitimately flip a strategy choice. Probed and given coefficients
+/// are both exercised via the `cost_model` parameter.
 fn planner_with(p: &semask::PreparedCity, shards: usize, cost_model: CostModel) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
@@ -50,7 +52,6 @@ fn planner_with(p: &semask::PreparedCity, shards: usize, cost_model: CostModel) 
             shards,
             cost_model,
             online_updates: false,
-            ..PlannerConfig::default()
         },
     )
 }
@@ -106,7 +107,7 @@ fn retrieve_batch_matches_sequential_retrieve() {
     // pass) against N batches of one (nothing shared), the one-query
     // entry point, and the same queries in lanes of 5.
     let p = prepared();
-    for cost_model in [CostModel::Calibrated, CostModel::StaticCutoffs] {
+    for cost_model in [CostModel::Calibrated, common::banded()] {
         for shards in SHARD_COUNTS {
             let planner = planner_with(&p, shards, cost_model);
             for batch_size in BATCH_SIZES {
@@ -235,15 +236,16 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
         }
     }
     for shards in SHARD_COUNTS {
-        // Static cutoffs pin the broad band to filtered-HNSW: the tie
-        // semantics below need a collection-backed strategy that sees
-        // the duplicates inserted past the dataset-derived indexes.
+        // The banded coefficients route the broad range to
+        // filtered-HNSW: the tie semantics below need a collection-backed
+        // strategy that sees the duplicates inserted past the
+        // dataset-derived indexes.
         let planner = QueryPlanner::for_city(
             Arc::clone(&p.dataset),
             Arc::clone(&collection),
             PlannerConfig {
                 shards,
-                cost_model: CostModel::StaticCutoffs,
+                cost_model: common::banded(),
                 ..PlannerConfig::default()
             },
         );
@@ -258,6 +260,7 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
         let single = planner
             .retrieve_keyword(&qv, &range, None, 10, None)
             .expect("group of one");
+        assert_eq!(single.strategy, RetrievalStrategy::FilteredHnsw);
         for b in &batched {
             assert_eq!(
                 ids_and_scores(&b.hits),
@@ -292,7 +295,7 @@ fn one_query_batch_feeds_the_per_shard_cost_scales() {
             ..PlannerConfig::default()
         },
     );
-    let model = planner.cost_model().expect("calibrated model");
+    let model = planner.cost_model();
     let query = PlannedQuery::new(
         p.embedder.embed("ramen with a long line"),
         geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0),

@@ -13,16 +13,21 @@
 //!    (the external-writer scenario), so every probe after a publish is
 //!    a stale-read detector: the cached stack may never replay a
 //!    pre-mutation answer the plain stack no longer gives.
-//! 2. **Plan-decision memo** — twin engines over identical data, memo
-//!    on vs off, static cutoffs (instance-independent decisions).
-//!    Interleaved plan/mutation sequences must produce equal
-//!    [`PlanDecision`]s at every step, and the memo's counters must
-//!    account for every call.
-//! 3. **Memo under a live cost model** — a calibrated planner's memo
-//!    entry must be invalidated by version-bumping observations, and a
-//!    memo hit must replay *exactly* what the recompute it shadows
-//!    produced (planning the same shape twice brackets one recompute
-//!    and one hit; equality pins hit ≡ recompute).
+//! 2. **Plans are a function of the data** — twin engines built
+//!    separately over identical data with the same `CostModel::Fixed`
+//!    coefficients. Interleaved plan/mutation sequences must produce
+//!    equal [`PlanDecision`]s (whole cost table) at every step, and
+//!    neither model ever leaves version 0. Nothing is cached in front of
+//!    a plan, so this is what makes every cached *answer* above
+//!    reproducible.
+//! 3. **Plans under a live cost model** — on a calibrated planner an
+//!    observation advances the model version, plans between
+//!    observations are equal, and every decision carries the version it
+//!    was priced against.
+//!
+//! [`PlanDecision`]: semask::PlanDecision
+
+mod common;
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -32,8 +37,7 @@ use llm::SimLlm;
 use proptest::prelude::*;
 use semask::wal::{Mutation, PoiSpec, PoiUpdate};
 use semask::{
-    prepare_city, CostModel, QueryOutcome, RetrievalStrategy, SemaSkConfig, SemaSkEngine,
-    SemaSkQuery, Variant,
+    prepare_city, QueryOutcome, RetrievalStrategy, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
 use semask_serve::{ServeConfig, ServeEngine};
 
@@ -58,24 +62,13 @@ const KEYWORDS: &[Option<&str>] = &[
 
 const RANGE_KM: &[f64] = &[1.0, 2.0, 5.0, 8.0];
 
-fn engine_config(plan_memo: bool, cost_model: CostModel) -> SemaSkConfig {
-    let mut config = SemaSkConfig::default();
-    config.planner.cost_model = cost_model;
-    // Exact-only execution: answers are a deterministic function of the
-    // corpus, independent of which engine instance computed them.
-    config.planner.exact_max_selectivity = 1.0;
-    // Frozen model: wall-clock feedback would make twin planners drift.
-    config.planner.online_updates = false;
-    config.planner.shards = 1;
-    config.planner.plan_memo = plan_memo;
-    config
-}
-
-fn build_engine(plan_memo: bool, cost_model: CostModel) -> (Arc<SemaSkEngine>, GeoPoint) {
+/// Layers 1 and 2 build with `common::exact_only_config()`: answers and
+/// plans are then a deterministic function of the corpus, independent of
+/// which engine instance computed them.
+fn build_engine(config: SemaSkConfig) -> (Arc<SemaSkEngine>, GeoPoint) {
     let data = generate_city(&CITIES[3], 40, 47);
     let center = data.city.center();
     let llm = Arc::new(SimLlm::new());
-    let config = engine_config(plan_memo, cost_model);
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     (
         Arc::new(SemaSkEngine::new(
@@ -149,7 +142,7 @@ struct ServeHarness {
 fn serve_harness() -> &'static ServeHarness {
     static HARNESS: OnceLock<ServeHarness> = OnceLock::new();
     HARNESS.get_or_init(|| {
-        let (engine, center) = build_engine(true, CostModel::StaticCutoffs);
+        let (engine, center) = build_engine(common::exact_only_config());
         // Seed one permanent landmark so the "landmark" keyword is
         // corpus-known from the start.
         engine
@@ -268,7 +261,7 @@ fn publish_invalidates_a_hot_cached_answer() {
     // and require the post-publish reply to reflect the mutation. Uses
     // a private engine (not the shared harness) so the proptest's
     // concurrent mutations can't invalidate the entry between asks.
-    let (engine, center) = build_engine(true, CostModel::StaticCutoffs);
+    let (engine, center) = build_engine(common::exact_only_config());
     engine
         .apply_mutations(&[Mutation::Insert(poi_spec(center, 0, false))])
         .expect("seed insert");
@@ -314,24 +307,24 @@ fn publish_invalidates_a_hot_cached_answer() {
 }
 
 // ---------------------------------------------------------------------
-// Layer 2: plan-decision memo vs a memo-free twin planner.
+// Layer 2: twin planners on the same `Fixed` coefficients plan equally.
 // ---------------------------------------------------------------------
 
-struct MemoTwins {
-    memo: Arc<SemaSkEngine>,
-    fresh: Arc<SemaSkEngine>,
+struct Twins {
+    a: Arc<SemaSkEngine>,
+    b: Arc<SemaSkEngine>,
     center: GeoPoint,
     counter: Mutex<u32>,
 }
 
-fn memo_twins() -> &'static MemoTwins {
-    static TWINS: OnceLock<MemoTwins> = OnceLock::new();
+fn twins() -> &'static Twins {
+    static TWINS: OnceLock<Twins> = OnceLock::new();
     TWINS.get_or_init(|| {
-        let (memo, center) = build_engine(true, CostModel::StaticCutoffs);
-        let (fresh, _) = build_engine(false, CostModel::StaticCutoffs);
-        MemoTwins {
-            memo,
-            fresh,
+        let (a, center) = build_engine(common::exact_only_config());
+        let (b, _) = build_engine(common::exact_only_config());
+        Twins {
+            a,
+            b,
             center,
             counter: Mutex::new(0),
         }
@@ -345,18 +338,14 @@ proptest! {
     fn plan_memo_twin_decisions_are_equal_at_every_step(
         ops in prop::collection::vec((0u8..8, 0u8..4, 0u8..4, 1u8..16), 1..12),
     ) {
-        let t = memo_twins();
-        let planner_memo = &t.memo.prepared().planner;
-        let planner_fresh = &t.fresh.prepared().planner;
-        let stats_before = planner_memo.plan_memo_stats();
-        let mut plans = 0u64;
-        let mut mutations = 0u64;
+        let t = twins();
+        let planner_a = &t.a.prepared().planner;
+        let planner_b = &t.b.prepared().planner;
         let mut case_live: Vec<ObjectId> = Vec::new();
         for (kind, r, kw, k) in ops {
             if kind >= 6 {
                 // Identical mutations on both twins: features (live
-                // fraction, keyword stats) move in lockstep, and the
-                // memo side must invalidate rather than replay.
+                // fraction, keyword stats) move in lockstep.
                 let n = {
                     let mut c = t.counter.lock().unwrap();
                     *c += 1;
@@ -364,41 +353,34 @@ proptest! {
                 };
                 if kind == 7 && !case_live.is_empty() {
                     let id = case_live.pop().expect("nonempty");
-                    for engine in [&t.memo, &t.fresh] {
+                    for engine in [&t.a, &t.b] {
                         engine
                             .apply_mutations(&[Mutation::Delete { id: id.0 }])
                             .expect("twin delete");
                     }
                 } else {
                     let spec = poi_spec(t.center, n, false);
-                    let a = t.memo.apply_mutations(&[Mutation::Insert(spec.clone())]).expect("a");
-                    let b = t.fresh.apply_mutations(&[Mutation::Insert(spec)]).expect("b");
+                    let a = t.a.apply_mutations(&[Mutation::Insert(spec.clone())]).expect("a");
+                    let b = t.b.apply_mutations(&[Mutation::Insert(spec)]).expect("b");
                     prop_assert_eq!(a.inserted[0], b.inserted[0], "twin id allocation diverged");
                     case_live.push(a.inserted[0]);
                 }
-                mutations += 1;
             }
             let km = RANGE_KM[r as usize % RANGE_KM.len()];
             let range = BoundingBox::from_center_km(t.center, km, km);
             let keywords = KEYWORDS[kw as usize % KEYWORDS.len()];
-            let da = planner_memo.plan_query(&range, keywords, k as usize, None);
-            let db = planner_fresh.plan_query(&range, keywords, k as usize, None);
-            prop_assert_eq!(&da, &db, "memoized plan diverged from fresh plan");
-            plans += 1;
+            let da = planner_a.plan_query(&range, keywords, k as usize, None);
+            let db = planner_b.plan_query(&range, keywords, k as usize, None);
+            prop_assert_eq!(&da, &db, "separately built planners diverged");
+            prop_assert_eq!(da.model_version, 0, "given coefficients never move");
+            // The route every cached answer of layer 1 was computed on.
+            prop_assert_eq!(da.chosen, RetrievalStrategy::ExactScan);
         }
-        let stats = planner_memo.plan_memo_stats();
-        prop_assert_eq!(
-            (stats.hits - stats_before.hits) + (stats.misses - stats_before.misses),
-            plans,
-            "every plan call is either a hit or a miss"
-        );
-        prop_assert!(
-            stats.invalidations - stats_before.invalidations >= mutations,
-            "each twin mutation must invalidate the memo"
-        );
-        prop_assert_eq!(planner_fresh.plan_memo_stats(), semask::PlanMemoStats::default());
+        for planner in [planner_a, planner_b] {
+            prop_assert_eq!(planner.cost_model().version(), 0);
+        }
         for id in case_live {
-            for engine in [&t.memo, &t.fresh] {
+            for engine in [&t.a, &t.b] {
                 engine
                     .apply_mutations(&[Mutation::Delete { id: id.0 }])
                     .expect("twin cleanup");
@@ -408,8 +390,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Layer 3: memo + calibrated model — observations invalidate, hits
-// replay recomputes exactly.
+// Layer 3: a calibrated model — observations advance the version, plans
+// between observations are equal and carry the version they priced.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -420,9 +402,15 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 10u32..5000, 10u32..5000, 0u8..4, 0u8..4), 1..10),
     ) {
         static CAL: OnceLock<(Arc<SemaSkEngine>, GeoPoint)> = OnceLock::new();
-        let (engine, center) = CAL.get_or_init(|| build_engine(true, CostModel::Calibrated));
+        // Probed coefficients, frozen: the model moves only when this
+        // test observes.
+        let (engine, center) = CAL.get_or_init(|| {
+            let mut config = SemaSkConfig::default();
+            config.planner.online_updates = false;
+            build_engine(config)
+        });
         let planner = &engine.prepared().planner;
-        let model = planner.cost_model().expect("calibrated engine has a model");
+        let model = planner.cost_model();
         for (strat, predicted, actual, r, kw) in ops {
             let strategy = match strat {
                 0 => RetrievalStrategy::ExactScan,
@@ -431,24 +419,18 @@ proptest! {
                 _ => RetrievalStrategy::IrTree,
             };
             let version_before = model.version();
-            // A deterministic observation (no wall clock): bumps the
-            // model version, so any memoized decision is now stale.
+            // A deterministic observation (no wall clock).
             model.observe(strategy, f64::from(predicted), f64::from(actual));
             prop_assert!(model.version() > version_before, "observe must bump the version");
             let km = RANGE_KM[r as usize % RANGE_KM.len()];
             let range = BoundingBox::from_center_km(*center, km, km);
             let keywords = KEYWORDS[kw as usize % KEYWORDS.len()];
-            let stats_before = planner.plan_memo_stats();
-            // First call recomputes against the post-observation model;
-            // second is a memo hit. Their equality is the hit ≡
-            // recompute guarantee.
-            let recompute = planner.plan_query(&range, keywords, 10, None);
-            let hit = planner.plan_query(&range, keywords, 10, None);
-            prop_assert_eq!(&hit, &recompute, "memo hit differs from its recompute");
-            let stats = planner.plan_memo_stats();
-            prop_assert_eq!(stats.misses, stats_before.misses + 1);
-            prop_assert_eq!(stats.hits, stats_before.hits + 1);
-            prop_assert_eq!(recompute.model_version, model.version());
+            // Two plans with no observation between them price the same
+            // snapshot: the second equals the first.
+            let first = planner.plan_query(&range, keywords, 10, None);
+            let second = planner.plan_query(&range, keywords, 10, None);
+            prop_assert_eq!(&second, &first, "plans between observations differ");
+            prop_assert_eq!(first.model_version, model.version());
         }
     }
 }

@@ -10,11 +10,13 @@
 //! recovered prefix of the script — build-from-scratch must equal
 //! build-mutate-crash-recover, at every injection point.
 //!
-//! Determinism pinning: `CostModel::StaticCutoffs` with
-//! `exact_max_selectivity = 1.0` forces every query down the exact-scan
-//! arm (no calibrated estimator, whose observations differ between a
-//! recovered and a from-scratch run), and `Variant::EmbeddingOnly`
-//! keeps the LLM out of the ranking.
+//! Determinism pinning: `common::exact_only_config` gives every engine
+//! the same `CostModel::Fixed` coefficients, which price every query
+//! onto the exact scan (no timing probes or observations, which differ
+//! between a recovered and a from-scratch run; `fingerprint` asserts the
+//! route), and `Variant::EmbeddingOnly` keeps the LLM out of the ranking.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -25,7 +27,7 @@ use geotext::{BoundingBox, GeoPoint};
 use llm::SimLlm;
 use semask::durable::{CheckpointPolicy, DurableEngine};
 use semask::wal::{Mutation, PoiSpec, PoiUpdate};
-use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+use semask::{prepare_city, RetrievalStrategy, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
 
 /// Child runs are gated on this: unset (the normal in-process case)
 /// means the child test body is a no-op.
@@ -43,10 +45,7 @@ const POLICY: CheckpointPolicy = CheckpointPolicy {
 };
 
 fn config() -> SemaSkConfig {
-    let mut config = SemaSkConfig::default();
-    config.planner.cost_model = semask::CostModel::StaticCutoffs;
-    config.planner.exact_max_selectivity = 1.0;
-    config
+    common::exact_only_config()
 }
 
 fn build_engine(llm: &Arc<SimLlm>) -> SemaSkEngine {
@@ -113,9 +112,13 @@ fn fingerprint(engine: &SemaSkEngine, queries: &[SemaSkQuery]) -> Vec<Vec<(u32, 
     queries
         .iter()
         .map(|q| {
-            engine
-                .query(q)
-                .expect("probe query")
+            let outcome = engine.query(q).expect("probe query");
+            assert_eq!(
+                outcome.latency.filter_strategy,
+                Some(RetrievalStrategy::ExactScan),
+                "bit-identity across engines rests on the exact scan"
+            );
+            outcome
                 .pois
                 .iter()
                 .map(|p| (p.id.0, p.embed_score.to_bits()))

@@ -7,6 +7,8 @@
 //! insert) and never two (insert published before delete) — and the
 //! mutation epoch is monotone from any reader's viewpoint.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -14,16 +16,14 @@ use datagen::{poi::generate_city, CITIES};
 use geotext::BoundingBox;
 use llm::SimLlm;
 use semask::wal::{Mutation, PoiSpec, PoiUpdate};
-use semask::{prepare_city, EngineError, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+use semask::{prepare_city, EngineError, RetrievalStrategy, SemaSkEngine, SemaSkQuery, Variant};
 
 const ROTATIONS: u32 = 24;
 
 fn engine_with(shards: usize) -> (SemaSkEngine, datagen::CityData) {
     let data = generate_city(&CITIES[3], 80, 47);
     let llm = Arc::new(SimLlm::new());
-    let mut config = SemaSkConfig::default();
-    config.planner.cost_model = semask::CostModel::StaticCutoffs;
-    config.planner.exact_max_selectivity = 1.0;
+    let mut config = common::exact_only_config();
     config.planner.shards = shards;
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     (
@@ -63,7 +63,14 @@ fn swap_batches_are_atomic_under_concurrent_queries() {
             .filter(|p| p.name.starts_with("Phoenix Rotation"))
             .count()
     };
-    assert_eq!(visible(&engine.query(&query).expect("probe")), 1);
+    let probe = engine.query(&query).expect("probe");
+    assert_eq!(visible(&probe), 1);
+    // The exact scan reads the live collection directly — the route the
+    // exactly-one-rotation count below is stated for.
+    assert_eq!(
+        probe.latency.filter_strategy,
+        Some(RetrievalStrategy::ExactScan)
+    );
 
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -159,6 +166,47 @@ fn corpus_statistics_track_published_mutations() {
         deleted.unknown_terms == 1 || deleted.min_doc_freq == 0.0,
         "stale postings survived the delete: {deleted:?}"
     );
+}
+
+#[test]
+fn plans_after_a_live_insert_are_fresh() {
+    // Every plan is computed from the live features, so there is nothing
+    // to invalidate: a keyword shape planned before and after an insert
+    // that carries the keyword must differ, and the plan after must be
+    // the one a planner built from scratch over the post-insert city
+    // makes (same `Fixed` coefficients, so the whole table is comparable).
+    let (engine, data) = engine_with(1);
+    let center = data.city.center();
+    let range = engine.prepared().dataset.bounds().expect("non-empty city");
+    let planner = &engine.prepared().planner;
+    let plan = |p: &semask::QueryPlanner| p.plan_query(&range, Some("zephyrquat"), 10, None);
+
+    let before = plan(planner);
+    assert!(before.keyword_aware);
+    engine
+        .insert_poi(PoiSpec {
+            name: "Zephyrquat Hall".to_owned(),
+            lat: center.lat,
+            lon: center.lon,
+            categories: vec!["venue".to_owned()],
+            tips: vec!["worth the detour".to_owned()],
+        })
+        .expect("insert");
+    let after = plan(planner);
+    assert_ne!(
+        after.costs, before.costs,
+        "the insert moved the population and the keyword's postings"
+    );
+
+    // The snapshot folds the insert into the base dataset; loading it
+    // builds grid, corpus index and planner anew.
+    let dir = std::env::temp_dir().join(format!("semask_fresh_plan_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    semask::persist::save_prepared(engine.prepared(), &dir).expect("save");
+    let rebuilt = semask::persist::load_prepared(&dir, engine.config()).expect("load");
+    assert_eq!(rebuilt.dataset.len(), data.dataset.len() + 1);
+    assert_eq!(after, plan(&rebuilt.planner));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

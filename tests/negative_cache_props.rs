@@ -21,6 +21,8 @@
 //!    empty (its tokens entered the corpus), no later mutation may flip
 //!    it back (vocabulary only grows).
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -29,8 +31,8 @@ use geotext::{BoundingBox, GeoPoint};
 use llm::SimLlm;
 use proptest::prelude::*;
 use semask::{
-    prepare_city, CostModel, CuckooFilter, Mutation, PoiSpec, SemaSkConfig, SemaSkEngine,
-    SemaSkQuery, Variant,
+    prepare_city, CuckooFilter, Mutation, PoiSpec, RetrievalStrategy, SemaSkEngine, SemaSkQuery,
+    Variant,
 };
 
 // ---------------------------------------------------------------------
@@ -102,10 +104,7 @@ fn engine_harness() -> &'static EngineHarness {
         let data = generate_city(&CITIES[1], 60, 23);
         let center = data.city.center();
         let llm = Arc::new(SimLlm::new());
-        let mut config = SemaSkConfig::default();
-        config.planner.cost_model = CostModel::StaticCutoffs;
-        config.planner.exact_max_selectivity = 1.0;
-        config.planner.shards = 1;
+        let config = common::exact_only_config();
         let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
         EngineHarness {
             engine: Arc::new(SemaSkEngine::new(
@@ -167,6 +166,12 @@ proptest! {
                     // Layer 2: `true` is authoritative — the executed
                     // answer must be empty.
                     let outcome = h.engine.query(&query).expect("query");
+                    // The executed answer is the exact scan's: spatial
+                    // filter ∩ live corpus AND-matches, no index between.
+                    prop_assert_eq!(
+                        outcome.latency.filter_strategy,
+                        Some(RetrievalStrategy::ExactScan)
+                    );
                     prop_assert!(
                         outcome.pois.is_empty(),
                         "provably_empty lied for keyword {:?}: {} matches",

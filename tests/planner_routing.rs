@@ -1,14 +1,17 @@
 //! Integration tests for the query planner's routing.
 //!
-//! Two decision procedures are covered:
+//! One decision procedure, two sources of coefficients:
 //!
-//! - **Calibrated cost model** (the default): the plan must be the
-//!   argmin of the reported per-strategy cost table, near-empty ranges
-//!   pin the exact scan, and — the keyword-aware part — a conjunctive
-//!   *rare*-keyword query must route to the IR-tree while a no-keyword
-//!   near-empty query stays on the exact scan.
-//! - **Static cutoffs** (deprecated fallback): the PR 1 selectivity
-//!   banding, pinned bit-for-bit so both paths stay selectable.
+//! - **Calibrated** (the default): the plan must be the argmin of the
+//!   reported per-strategy cost table, near-empty ranges pin the exact
+//!   scan, and — the keyword-aware part — a conjunctive *rare*-keyword
+//!   query must route to the IR-tree while a no-keyword near-empty query
+//!   stays on the exact scan.
+//! - **Fixed**: given coefficients are used exactly as given, never
+//!   probed over and never observed into, and route by selectivity the
+//!   same way on every build.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -24,15 +27,16 @@ fn prepared() -> semask::PreparedCity {
     prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep")
 }
 
-/// A planner over the same prepared collection with the deprecated
-/// static-cutoff model.
-fn static_planner(p: &semask::PreparedCity) -> QueryPlanner {
+/// A planner over the same prepared collection on the shared banded
+/// coefficients (online updates left on: a `Fixed` planner must ignore
+/// them).
+fn fixed_planner(p: &semask::PreparedCity) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
         Arc::clone(&p.dataset),
         collection,
         PlannerConfig {
-            cost_model: CostModel::StaticCutoffs,
+            cost_model: common::banded(),
             ..PlannerConfig::default()
         },
     )
@@ -72,8 +76,9 @@ fn near_empty_range_routes_to_exact_scan() {
     let plan = p.planner.plan(&nowhere);
     assert!(plan.near_empty, "fraction {}", plan.fraction);
     assert_eq!(plan.chosen, RetrievalStrategy::ExactScan);
-    // The static fallback reaches the same answer through its cutoff.
-    let plan = static_planner(&p).plan(&nowhere);
+    // Given coefficients go through the same pin.
+    let plan = fixed_planner(&p).plan(&nowhere);
+    assert!(plan.near_empty);
     assert_eq!(plan.chosen, RetrievalStrategy::ExactScan);
 }
 
@@ -175,35 +180,50 @@ fn keyword_retrieval_answers_the_conjunctive_set() {
 
 #[test]
 fn static_cutoff_banding_is_preserved() {
+    // The selectivity banding the deleted static cutoffs hard-coded, now
+    // an outcome of the one procedure on given coefficients — identical
+    // on every build, which probed coefficients cannot promise.
     let p = prepared();
-    let planner = static_planner(&p);
-    // Near-empty → exact scan.
-    let nowhere =
-        geotext::BoundingBox::from_center_km(geotext::GeoPoint::new(10.0, 10.0).unwrap(), 1.0, 1.0);
-    let plan = planner.plan(&nowhere);
-    assert!(plan.fraction <= planner.config().exact_max_selectivity);
-    assert_eq!(plan.chosen, RetrievalStrategy::ExactScan);
-    // Selective but non-empty → grid prefilter.
+    let planner = fixed_planner(&p);
+    // Selective but non-empty → the grid prefilter (the range covers
+    // fewer cells than an IR-tree descent costs).
     let narrow = geotext::BoundingBox::from_center_km(p.city.center(), 1.0, 1.0);
     let plan = planner.plan(&narrow);
-    assert!(
-        plan.fraction > planner.config().exact_max_selectivity
-            && plan.fraction <= planner.config().grid_max_selectivity,
-        "narrow range estimated at {}, expected the grid band",
-        plan.fraction
-    );
+    assert!(!plan.near_empty, "fraction {}", plan.fraction);
     assert_eq!(plan.chosen, RetrievalStrategy::GridPrefilter);
-    // Broad → filtered HNSW; with keywords the band degrades to the
-    // grid (HNSW cannot filter conjunctively).
+    // Broad → filtered HNSW; with keywords the graph is priced out (it
+    // cannot filter conjunctively) and the query stays exact.
     let all = p.dataset.bounds().expect("non-empty dataset");
     let plan = planner.plan(&all);
-    assert!(plan.fraction > planner.config().grid_max_selectivity);
     assert_eq!(plan.chosen, RetrievalStrategy::FilteredHnsw);
     let plan = planner.plan_query(&all, Some("coffee"), 10, None);
-    if plan.keyword_aware {
-        assert_eq!(plan.chosen, RetrievalStrategy::GridPrefilter);
+    assert!(plan.keyword_aware);
+    assert_ne!(plan.chosen, RetrievalStrategy::FilteredHnsw);
+    // A planner built separately agrees on the whole cost table.
+    let twin = fixed_planner(&p);
+    assert_eq!(plan, twin.plan_query(&all, Some("coffee"), 10, None));
+    assert_eq!(planner.plan(&narrow), twin.plan(&narrow));
+}
+
+#[test]
+fn fixed_coefficients_are_used_as_given() {
+    let p = prepared();
+    let planner = fixed_planner(&p);
+    let CostModel::Fixed(given) = common::banded() else {
+        unreachable!("the banded coefficients are given");
+    };
+    // No probes: the model prices with exactly what it was handed.
+    assert_eq!(planner.cost_model().coefficients(), &given);
+    // No observations either, although `online_updates` is on.
+    let qv = embed::Embedder::embed(&p.embedder, "anything at all");
+    let range = geotext::BoundingBox::from_center_km(p.city.center(), 4.0, 4.0);
+    for _ in 0..5 {
+        planner
+            .retrieve_keyword(&qv, &range, None, 10, None)
+            .expect("query");
     }
-    assert_eq!(plan.model_version, 0, "static plans carry no model state");
+    assert_eq!(planner.cost_model().version(), 0);
+    assert_eq!(planner.plan(&range).model_version, 0);
 }
 
 #[test]

@@ -5,6 +5,8 @@
 //! change. Duplicate-distance ties are exercised explicitly at the
 //! vecdb layer with deliberately duplicated vectors.
 
+mod common;
+
 use std::sync::Arc;
 
 use semask::retrieval::RetrievalStrategy;
@@ -23,7 +25,7 @@ fn prepared() -> semask::PreparedCity {
 }
 
 /// Planners over the same dataset + collection at each shard count.
-/// Static cutoffs pin the routing: each planner would otherwise
+/// Given coefficients pin the routing: each planner would otherwise
 /// calibrate its cost model independently, and this suite asserts that
 /// *identically planned* queries merge identically across shard counts.
 fn planners(p: &semask::PreparedCity) -> Vec<QueryPlanner> {
@@ -36,7 +38,7 @@ fn planners(p: &semask::PreparedCity) -> Vec<QueryPlanner> {
                 Arc::clone(&collection),
                 PlannerConfig {
                     shards,
-                    cost_model: semask::CostModel::StaticCutoffs,
+                    cost_model: common::prefilter_only(),
                     ..PlannerConfig::default()
                 },
             )
@@ -90,15 +92,15 @@ fn planned_path_matches_across_shard_counts() {
     let p = prepared();
     let sharded_planners = planners(&p);
     let qv = embed::Embedder::embed(&p.embedder, "quiet spot to read with good tea");
-    // A mid-selectivity range: the static banding routes it to the
-    // (exact scoring) grid prefilter, so the planned answer must be
+    // A mid-selectivity range: the pinned coefficients route it to the
+    // (exact scoring) IR-tree prefilter, so the planned answer must be
     // shard-count invariant too. The reference is the 1-shard planner
-    // from the same statically pinned set.
+    // from the same pinned set.
     let range = geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0);
     let reference = sharded_planners[0]
         .retrieve_keyword(&qv, &range, None, 10, None)
         .expect("planned");
-    assert_eq!(reference.strategy, RetrievalStrategy::GridPrefilter);
+    assert_eq!(reference.strategy, RetrievalStrategy::IrTree);
     for (planner, &shards) in sharded_planners.iter().zip(&SHARD_COUNTS) {
         let got = planner
             .retrieve_keyword(&qv, &range, None, 10, None)
