@@ -3,7 +3,12 @@
 //! `encode-256` (append-path serialization, the reference row),
 //! `decode-256` (pure in-memory log decode), and `open-256` (the real
 //! recovery read: `Wal::open` on a written log file — read, checksum,
-//! frame, and tail-scan included).
+//! frame, and tail-scan included) — and two for the snapshot a
+//! checkpoint folds the log into, on the perf ledger's world (4,000-POI
+//! metro, quantized tier, FSST payloads): `checkpoint/save-4k`
+//! (`save_prepared`: every file written and fsynced, `CURRENT` flipped,
+//! the superseded snapshot removed) and `checkpoint/load-4k`
+//! (`load_prepared`: files read, verified, indexes rebuilt).
 //!
 //! Replaying decoded records through `SemaSkEngine::apply_mutations` is
 //! deliberately *not* benched here: that path re-embeds documents, so
@@ -17,7 +22,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use semask::persist::{load_prepared, save_prepared};
 use semask::wal::{decode_buffer, encode_record, Mutation, PoiSpec, PoiUpdate, Wal};
+use semask::SemaSkConfig;
+use vecdb::ScoringTier;
 
 const RECORDS: usize = 256;
 
@@ -91,5 +99,36 @@ fn bench_wal(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-criterion_group!(benches, bench_wal);
+/// The snapshot a checkpoint writes and a restart reads, on the world
+/// and config `ledger/src/sut.rs` sets up.
+fn bench_checkpoint(c: &mut Criterion) {
+    let data = datagen::generate_metro(&datagen::MetroConfig::new(4_000, 7));
+    let config = SemaSkConfig {
+        compress_payload_text: true,
+        scoring_tier: ScoringTier::Quantized {
+            rerank_factor: ScoringTier::DEFAULT_RERANK_FACTOR,
+        },
+        ..SemaSkConfig::default()
+    };
+    let prepared = semask::prepare_city_with_threads(&data, &llm::SimLlm::new(), &config, 2)
+        .expect("preparing a generated metro cannot fail");
+    let dir = std::env::temp_dir().join(format!("semask_bench_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut group = c.benchmark_group("checkpoint");
+    group.bench_function("save-4k", |b| {
+        b.iter(|| save_prepared(black_box(&prepared), &dir).expect("save"))
+    });
+    group.bench_function("load-4k", |b| {
+        b.iter(|| {
+            let restored = load_prepared(black_box(&dir), &config).expect("load");
+            assert_eq!(restored.dataset.len(), 4_000);
+            restored
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(benches, bench_wal, bench_checkpoint);
 criterion_main!(benches);

@@ -131,13 +131,6 @@ impl Overlay {
     pub fn tombstones(&self) -> &HashSet<u32> {
         &self.tombstones
     }
-
-    /// True when this overlay carries no delta at all — queries resolve
-    /// straight to the base and a checkpoint fold is the identity.
-    #[must_use]
-    pub fn is_identity(&self, base_len: u32) -> bool {
-        self.objects.is_empty() && self.tombstones.is_empty() && self.next_id == base_len
-    }
 }
 
 /// The shared live-mutation state: the gate, the published overlay, the
@@ -238,7 +231,6 @@ mod tests {
         let base = base();
         let mut ov = Overlay::new(2);
         assert_eq!(ov.get(&base, ObjectId(0)).unwrap().name(), "zero");
-        assert!(ov.is_identity(2));
 
         let id = ov.insert(obj(2, "two"));
         assert_eq!(id, ObjectId(2));
@@ -252,7 +244,6 @@ mod tests {
         assert!(ov.get(&base, ObjectId(1)).is_none());
         assert!(!ov.is_live(&base, ObjectId(1)));
         assert!(ov.get(&base, ObjectId(9)).is_none());
-        assert!(!ov.is_identity(2));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! dir/
 //!   CURRENT          # the committed snapshot's directory name
 //!   snap-3/          # a committed snapshot (all files fsynced)
-//!     manifest.json
-//!     dataset.json
-//!     collection.json
+//!     manifest.json  # city key, collection name, embedder dimension
+//!     dataset.json   # the enriched POIs, live overlay folded in
+//!     collection.bin # vectors, codes, graph, payloads: packed, checksummed
 //!     live.json      # tombstones, id watermark, applied-WAL seq
 //!   snap-4.tmp/      # a snapshot that crashed mid-write (garbage)
 //! ```
@@ -31,9 +31,17 @@
 //! `CURRENT` (temp file + fsync + rename). A crash at any point leaves
 //! either the old `CURRENT` (pointing at the intact previous snapshot)
 //! or the new one (pointing at the fully written new snapshot) — never
-//! a mix. [`load_prepared`] follows `CURRENT`, falls back to the legacy
-//! flat layout when it is absent, and removes orphaned `*.tmp` staging
-//! directories and superseded snapshots.
+//! a mix. [`load_prepared`] follows `CURRENT` — without one there is no
+//! snapshot to load — and removes orphaned `*.tmp` staging directories
+//! and superseded snapshots.
+//!
+//! The three JSON files are small or read once; `collection.bin` is
+//! where the bytes are (a million floats and codes at 4,000 POIs), so
+//! `vecdb` writes it itself as raw little-endian sections behind a
+//! CRC-32 (format in [`vecdb::db`]). A damaged `collection.bin` is
+//! detected — checksum, declared lengths, then agreement between the
+//! parts — and surfaces as [`PersistError::VecDb`]; it is never parsed
+//! into a collection that fails later.
 //!
 //! # Live state
 //!
@@ -49,11 +57,12 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use datagen::ReverseGeocoder;
 use embed::SemanticEmbedder;
 use geotext::{Dataset, GeoTextObject, ObjectId};
+use serde::{Content, Serialize};
 use vecdb::VectorDb;
 
 use crate::config::SemaSkConfig;
@@ -65,6 +74,8 @@ use crate::wal::crash_point;
 const CURRENT_FILE: &str = "CURRENT";
 /// Snapshot directories are `snap-<k>`; staging directories `snap-<k>.tmp`.
 const SNAP_PREFIX: &str = "snap-";
+/// The packed collection snapshot inside a snapshot directory.
+const COLLECTION_FILE: &str = "collection.bin";
 
 /// Errors from saving/loading prepared cities.
 #[derive(Debug)]
@@ -81,6 +92,18 @@ pub enum PersistError {
     },
     /// The vector collection failed to store or restore.
     VecDb(vecdb::VecDbError),
+    /// The directory has no committed snapshot (`CURRENT` is missing or
+    /// empty).
+    NoSnapshot,
+    /// The snapshot was prepared with another embedding dimension than
+    /// the config it is being opened under, so query embeddings could
+    /// not be compared with the stored vectors.
+    DimMismatch {
+        /// `embedder_dim` recorded in the snapshot's manifest.
+        stored: usize,
+        /// `embedder.dim` of the supplied config.
+        configured: usize,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -90,6 +113,11 @@ impl fmt::Display for PersistError {
             PersistError::Json(e) => write!(f, "json: {e}"),
             PersistError::UnknownCity { key } => write!(f, "unknown city key `{key}`"),
             PersistError::VecDb(e) => write!(f, "vecdb: {e}"),
+            PersistError::NoSnapshot => write!(f, "no committed snapshot (CURRENT missing)"),
+            PersistError::DimMismatch { stored, configured } => write!(
+                f,
+                "snapshot holds {stored}-d embeddings, config asks for {configured}-d"
+            ),
         }
     }
 }
@@ -167,23 +195,39 @@ fn cleanup_stale(dir: &Path, keep: Option<&str>) {
     }
 }
 
-/// Folds the live overlay into a storable dataset: updates replace
-/// their base objects, inserts are appended in id order, and tombstoned
-/// objects are kept (dense ids) for `live.json` to re-mask on load.
-fn fold_dataset(base: &Dataset, overlay: &Overlay) -> Dataset {
-    if overlay.is_identity(base.len() as u32) {
-        return base.clone();
+/// The dataset as stored: the live overlay folded over the base, by
+/// reference. Updates replace their base objects, inserts are appended
+/// in id order, and tombstoned objects are kept (dense ids) for
+/// `live.json` to re-mask on load. Serializes exactly as the
+/// [`Dataset`] holding the same objects would.
+struct FoldedDataset<'a> {
+    name: &'a str,
+    objects: Vec<&'a GeoTextObject>,
+}
+
+impl<'a> FoldedDataset<'a> {
+    fn new(base: &'a Dataset, overlay: &'a Overlay) -> Self {
+        let objects = (0..overlay.next_id())
+            .map(|id| {
+                overlay
+                    .get_raw(base, ObjectId(id))
+                    .expect("dense ids: every id below the watermark resolves")
+            })
+            .collect();
+        Self {
+            name: &base.name,
+            objects,
+        }
     }
-    let objects: Vec<GeoTextObject> = (0..overlay.next_id())
-        .map(|id| {
-            overlay
-                .get_raw(base, ObjectId(id))
-                .expect("dense ids: every id below the watermark resolves")
-                .clone()
-        })
-        .collect();
-    Dataset::from_objects(base.name.clone(), objects)
-        .expect("folded overlay preserves dense id order")
+}
+
+impl Serialize for FoldedDataset<'_> {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("name".to_owned(), self.name.to_content()),
+            ("objects".to_owned(), self.objects.to_content()),
+        ])
+    }
 }
 
 /// Writes a prepared city into `dir` as a new versioned snapshot and
@@ -211,19 +255,15 @@ pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistE
     )?;
 
     let overlay = prepared.live.overlay();
-    let folded = fold_dataset(&prepared.dataset, &overlay);
-    let dataset_json =
-        serde_json::to_string(&folded).map_err(|e| PersistError::Json(e.to_string()))?;
+    let dataset_json = serde_json::to_string(&FoldedDataset::new(&prepared.dataset, &overlay))
+        .map_err(|e| PersistError::Json(e.to_string()))?;
     write_synced(&tmp.join("dataset.json"), dataset_json.as_bytes())?;
 
     crash_point("ckpt-mid-snapshot");
 
-    let collection_path = tmp.join("collection.json");
     prepared
         .db
-        .snapshot_collection(&prepared.collection_name, &collection_path)?;
-    // snapshot_collection writes without fsync; make it durable too.
-    File::open(&collection_path)?.sync_all()?;
+        .snapshot_collection(&prepared.collection_name, &tmp.join(COLLECTION_FILE))?;
 
     let mut tombstones: Vec<u32> = overlay.tombstones().iter().copied().collect();
     tombstones.sort_unstable();
@@ -266,23 +306,34 @@ fn vecdb_dim(prepared: &PreparedCity) -> Result<usize, PersistError> {
 /// embeddings still match the stored POI vectors as long as the same
 /// embedder configuration is supplied).
 ///
-/// Follows the `CURRENT` pointer to the committed snapshot (falling
-/// back to the legacy flat layout when absent) and cleans up orphaned
-/// `*.tmp` staging directories left by a crashed [`save_prepared`].
+/// Follows the `CURRENT` pointer to the committed snapshot and cleans
+/// up orphaned `*.tmp` staging directories left by a crashed
+/// [`save_prepared`].
+///
+/// # Errors
+/// [`PersistError::NoSnapshot`] when `dir` has no committed snapshot;
+/// [`PersistError::DimMismatch`] when the snapshot was prepared at
+/// another embedding dimension than `config.embedder.dim`; otherwise
+/// whichever file failed to read, parse or validate.
 pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, PersistError> {
     let current = fs::read_to_string(dir.join(CURRENT_FILE))
         .ok()
         .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty());
-    let base_dir: PathBuf = match &current {
-        Some(name) => dir.join(name),
-        None => dir.to_path_buf(),
-    };
-    cleanup_stale(dir, current.as_deref());
+        .filter(|s| !s.is_empty())
+        .ok_or(PersistError::NoSnapshot)?;
+    let base_dir = dir.join(&current);
+    cleanup_stale(dir, Some(&current));
 
     let manifest: serde_json::Value =
         serde_json::from_str(&fs::read_to_string(base_dir.join("manifest.json"))?)
             .map_err(|e| PersistError::Json(e.to_string()))?;
+    let stored = manifest["embedder_dim"].as_u64().unwrap_or(0) as usize;
+    if stored != config.embedder.dim {
+        return Err(PersistError::DimMismatch {
+            stored,
+            configured: config.embedder.dim,
+        });
+    }
     let key = manifest["city_key"].as_str().unwrap_or_default();
     let city = datagen::City::by_key(key).ok_or_else(|| PersistError::UnknownCity {
         key: key.to_owned(),
@@ -298,7 +349,7 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
     let dataset = std::sync::Arc::new(dataset);
 
     let db = VectorDb::new();
-    let handle = db.restore_collection(&collection_name, &base_dir.join("collection.json"))?;
+    let handle = db.restore_collection(&collection_name, &base_dir.join(COLLECTION_FILE))?;
     // The planner's indexes (grid, IR-tree) are pure functions of the
     // dataset, so they are rebuilt rather than stored.
     let planner = crate::retrieval::QueryPlanner::for_city(
@@ -307,25 +358,19 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
         config.planner,
     );
 
-    // Live state: absent (legacy snapshots) means "no mutations yet".
-    let (tombstones, next_id, last_seq) = match fs::read_to_string(base_dir.join("live.json")) {
-        Ok(text) => {
-            let v: serde_json::Value =
-                serde_json::from_str(&text).map_err(|e| PersistError::Json(e.to_string()))?;
-            let tombstones: Vec<u32> = v["tombstones"]
-                .as_array()
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|t| t.as_u64().map(|t| t as u32))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let next_id = v["next_id"].as_u64().unwrap_or(dataset.len() as u64) as u32;
-            let last_seq = v["last_applied_seq"].as_u64().unwrap_or(0);
-            (tombstones, next_id, last_seq)
-        }
-        Err(_) => (Vec::new(), dataset.len() as u32, 0),
-    };
+    let live: serde_json::Value =
+        serde_json::from_str(&fs::read_to_string(base_dir.join("live.json"))?)
+            .map_err(|e| PersistError::Json(e.to_string()))?;
+    let tombstones: Vec<u32> = live["tombstones"]
+        .as_array()
+        .map(|a| {
+            a.iter()
+                .filter_map(|t| t.as_u64().map(|t| t as u32))
+                .collect()
+        })
+        .unwrap_or_default();
+    let next_id = live["next_id"].as_u64().unwrap_or(dataset.len() as u64) as u32;
+    let last_seq = live["last_applied_seq"].as_u64().unwrap_or(0);
     // Re-mask tombstoned objects in the corpus index: the restored
     // collection already soft-deletes them (every spatial path masks
     // through it), but keyword df/match statistics must drop their
@@ -440,6 +485,86 @@ mod tests {
         let dir = std::env::temp_dir().join("semask_persist_missing");
         let _ = std::fs::remove_dir_all(&dir);
         assert!(load_prepared(&dir, &SemaSkConfig::default()).is_err());
+    }
+
+    #[test]
+    fn load_rejects_a_config_with_another_embedder_dim() {
+        let data = datagen::poi::generate_city(&datagen::CITIES[0], 30, 7);
+        let config = SemaSkConfig::default();
+        let prepared = prepare_city(&data, &SimLlm::new(), &config).expect("prep");
+        let dir = std::env::temp_dir().join("semask_persist_dim");
+        let _ = std::fs::remove_dir_all(&dir);
+        save_prepared(&prepared, &dir).expect("save");
+
+        let mut other = config.clone();
+        other.embedder.dim = config.embedder.dim / 2;
+        match load_prepared(&dir, &other) {
+            Err(PersistError::DimMismatch { stored, configured }) => {
+                assert_eq!(stored, config.embedder.dim);
+                assert_eq!(configured, other.embedder.dim);
+            }
+            Err(e) => panic!("expected a dimension mismatch, got {e}"),
+            Ok(_) => panic!("a snapshot opened under another embedding dimension"),
+        }
+        assert!(load_prepared(&dir, &config).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn folded_dataset_is_stored_byte_identically_without_a_clone() {
+        use crate::wal::{Mutation, PoiSpec, PoiUpdate};
+
+        let data = datagen::poi::generate_city(&datagen::CITIES[0], 40, 9);
+        let config = SemaSkConfig::default();
+        let llm = Arc::new(SimLlm::new());
+        let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
+        let engine = SemaSkEngine::new(Arc::clone(&prepared), llm, config, Variant::EmbeddingOnly);
+        let center = data.city.center();
+        engine
+            .apply_mutations(&[
+                Mutation::Insert(PoiSpec {
+                    name: "Fold Street Diner".to_owned(),
+                    lat: center.lat,
+                    lon: center.lon,
+                    categories: vec!["Diners".to_owned()],
+                    tips: vec!["pancakes all day".to_owned()],
+                }),
+                Mutation::Update {
+                    id: 3,
+                    update: PoiUpdate {
+                        name: Some("Renamed On Fold".to_owned()),
+                        tips: None,
+                    },
+                },
+                Mutation::Delete { id: 5 },
+            ])
+            .expect("mutations apply");
+
+        // The reference: the fold as owned clones in a real `Dataset`.
+        let overlay = prepared.live.overlay();
+        let owned: Vec<GeoTextObject> = (0..overlay.next_id())
+            .map(|id| {
+                overlay
+                    .get_raw(&prepared.dataset, ObjectId(id))
+                    .unwrap()
+                    .clone()
+            })
+            .collect();
+        assert_eq!(
+            owned.len(),
+            41,
+            "the insert is appended, the tombstone kept"
+        );
+        assert_eq!(owned[3].name(), "Renamed On Fold");
+        let reference = Dataset::from_objects(prepared.dataset.name.clone(), owned).unwrap();
+        let expected = serde_json::to_string(&reference).unwrap();
+
+        let dir = std::env::temp_dir().join("semask_persist_fold");
+        let _ = std::fs::remove_dir_all(&dir);
+        save_prepared(&prepared, &dir).expect("save");
+        let stored = std::fs::read_to_string(dir.join("snap-0/dataset.json")).unwrap();
+        assert_eq!(stored, expected);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -38,6 +38,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+/// The record checksum — the one CRC-32 the workspace has, shared with
+/// the collection snapshot format.
+pub use vecdb::crc32;
+
 /// Everything needed to create one new POI through the live mutation
 /// path. Mirrors the generated attributes the offline pipeline consumes:
 /// the engine runs the same enrichment (reverse geocoding, tip
@@ -128,39 +132,6 @@ impl From<std::io::Error> for WalError {
     fn from(e: std::io::Error) -> Self {
         WalError::Io(e)
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`. Hand-rolled table so the
-/// WAL needs no external checksum crate; the constant matches the
-/// ubiquitous `crc32` everyone else computes, which keeps the format
-/// inspectable with standard tools.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 /// Header bytes before each record's payload: length + checksum.
@@ -398,13 +369,6 @@ mod tests {
             },
             Mutation::Delete { id: 3 },
         ]
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

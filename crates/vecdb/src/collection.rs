@@ -1,7 +1,8 @@
 //! Collections: vectors + payloads + index + query planning.
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
+use crate::codec::{self, corrupt};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
 use crate::hnsw::{HnswConfig, HnswIndex};
@@ -15,6 +16,12 @@ use crate::PointId;
 /// already cache-resident and the tier would only add a rerank pass;
 /// above it the 4× smaller code array wins on memory traffic.
 pub const AUTO_QUANT_THRESHOLD: usize = 32_768;
+
+/// Under [`SearchStrategy::Auto`], a filter qualifying at most this
+/// fraction of the points runs as an exact scan of them instead of a
+/// filtered HNSW search (Qdrant's "payload-based pre-filtering"
+/// heuristic).
+const FULL_SCAN_THRESHOLD: f64 = 0.10;
 
 /// Minimum points before a forced [`ScoringTier::Quantized`] trains its
 /// codebook — a global affine codebook fitted to fewer vectors than
@@ -30,10 +37,6 @@ pub struct CollectionConfig {
     pub distance: Distance,
     /// HNSW parameters.
     pub hnsw: HnswConfig,
-    /// If a filter qualifies at most this fraction of points, the planner
-    /// switches from filtered HNSW to an exact scan of the qualifying
-    /// points (Qdrant's "payload-based pre-filtering" heuristic).
-    pub full_scan_threshold: f64,
     /// Which representation exact scans score over (quantized-first
     /// with full-precision rerank vs. full precision throughout).
     pub scoring_tier: ScoringTier,
@@ -51,7 +54,6 @@ impl CollectionConfig {
             dim,
             distance: Distance::Cosine,
             hnsw: HnswConfig::default(),
-            full_scan_threshold: 0.10,
             scoring_tier: ScoringTier::Auto,
             compress_payload_text: false,
         }
@@ -146,7 +148,7 @@ pub struct ScoredPoint {
 /// observable place instead of being buried here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SearchStrategy {
-    /// Let the collection's `full_scan_threshold` heuristic decide.
+    /// Scan when the filter is selective, search the graph otherwise.
     #[default]
     Auto,
     /// Exact scan of the qualifying points.
@@ -245,7 +247,7 @@ impl SearchParams {
 }
 
 /// A named set of points: vectors, payloads, and an HNSW index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Collection {
     config: CollectionConfig,
     ids: Vec<PointId>,
@@ -513,8 +515,8 @@ impl Collection {
     /// With [`SearchStrategy::Exact`] or [`SearchStrategy::Hnsw`] the
     /// caller's choice is executed as-is — this is the entry point for
     /// external planners. [`SearchStrategy::Auto`] mirrors Qdrant: a
-    /// filter qualifying at most `full_scan_threshold` of the points runs
-    /// as an exact scan, anything broader as filtered HNSW.
+    /// filter qualifying at most a tenth of the points runs as an exact
+    /// scan, anything broader as filtered HNSW.
     ///
     /// The filter mask is evaluated **once** for the whole slice, and the
     /// full-precision exact scan streams each stored vector through the
@@ -570,8 +572,7 @@ impl Collection {
             SearchStrategy::Exact => ExecutedStrategy::ExactScan,
             SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
             SearchStrategy::Auto => {
-                let selective =
-                    qualifying as f64 <= self.config.full_scan_threshold * self.len() as f64;
+                let selective = qualifying as f64 <= FULL_SCAN_THRESHOLD * self.len() as f64;
                 if selective {
                     ExecutedStrategy::ExactScan
                 } else {
@@ -782,6 +783,137 @@ impl Collection {
         }
     }
 
+    /// The collection as one packed, checksummed snapshot — the bytes
+    /// [`crate::VectorDb::snapshot_collection`] writes (layout in
+    /// [`crate::db`]). Every stored float goes out as its own bits, so
+    /// a restored collection scores identically; the encoding is
+    /// canonical — a collection has exactly one byte string.
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] if the meta section fails to serialize.
+    pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, VecDbError> {
+        let meta = serde_json::to_string(&MetaRef(self)).map_err(|e| corrupt(e.to_string()))?;
+        let n = self.vectors.len();
+        // Vectors, norms, codes + their norms, and ~2·m0 links a node.
+        let hint = meta.len() + n * (self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0);
+        let mut w = codec::Writer::with_capacity(hint);
+        w.bytes(meta.as_bytes());
+        w.end_section();
+        for v in &self.vectors {
+            w.f32s(v);
+        }
+        w.end_section();
+        w.f32s(&self.inv_norms);
+        w.end_section();
+        if let Some(quant) = &self.quant {
+            quant.pack(&mut w);
+        }
+        w.end_section();
+        self.hnsw.pack(&mut w);
+        w.end_section();
+        Ok(w.finish())
+    }
+
+    /// Rebuilds a collection from [`Collection::to_snapshot_bytes`]
+    /// output, trusting none of it: magic, version and checksum are
+    /// verified before a section is interpreted, every declared length
+    /// is checked against the bytes that remain before anything is
+    /// allocated for it, and the parts must then agree with each other —
+    /// one point count across ids, vectors, norms, payloads, delete
+    /// flags, graph nodes and codes, the configured dimension
+    /// throughout, every live id resolving to its own offset, and every
+    /// graph link inside the graph. A file that fails any of this is an
+    /// error here rather than a panic in some later query.
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] naming the first check that failed
+    /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity).
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
+        let [mut meta, mut rows, mut norms, quant, hnsw] = codec::open(bytes)?;
+        let meta = std::str::from_utf8(meta.take_rest())
+            .map_err(|e| corrupt(format!("meta section: {e}")))?;
+        let Meta {
+            config,
+            ids,
+            by_id,
+            deleted,
+            live,
+            payloads,
+            quant_trained_at,
+        } = serde_json::from_str(meta).map_err(|e| corrupt(format!("meta section: {e}")))?;
+
+        let n = ids.len();
+        let dim = config.dim;
+        if n.checked_mul(dim).and_then(|x| x.checked_mul(4)) != Some(rows.remaining()) {
+            return Err(corrupt(format!(
+                "{} vector bytes for {n} points of dimension {dim}",
+                rows.remaining()
+            )));
+        }
+        let vectors = (0..n)
+            .map(|_| rows.f32s(dim))
+            .collect::<Result<Vec<_>, _>>()?;
+        let inv_norms = norms.f32s(n)?;
+        norms.finish()?;
+        // What `insert` refuses, a snapshot may not smuggle in: a NaN
+        // would break the total order every top-k sort relies on.
+        if !vectors
+            .iter()
+            .flatten()
+            .chain(&inv_norms)
+            .all(|x| x.is_finite())
+        {
+            return Err(VecDbError::NonFiniteVector);
+        }
+        let quant = match quant.remaining() {
+            0 => None,
+            _ => Some(QuantizedVectors::unpack(quant)?),
+        };
+        let hnsw = HnswIndex::unpack(hnsw, config.distance, config.hnsw.clone())?;
+
+        let counts = [
+            ("delete flags", deleted.len()),
+            ("payloads", payloads.len()),
+            ("graph nodes", hnsw.len()),
+            (
+                "quantized vectors",
+                quant.as_ref().map_or(n, QuantizedVectors::len),
+            ),
+        ];
+        if let Some((what, found)) = counts.into_iter().find(|&(_, found)| found != n) {
+            return Err(corrupt(format!("{found} {what} for {n} points")));
+        }
+        if quant.as_ref().is_some_and(|q| q.dim() != dim) {
+            return Err(corrupt("quantized vectors of another dimension"));
+        }
+        if !payloads.is_consistent() || !by_id.is_well_formed() {
+            return Err(corrupt(
+                "payload store or id index is internally inconsistent",
+            ));
+        }
+        let resolves = |o: usize| deleted[o] || by_id.get(ids[o]) == Some(o);
+        if live != deleted.iter().filter(|&&d| !d).count()
+            || live != by_id.len()
+            || !(0..n).all(resolves)
+        {
+            return Err(corrupt("id index disagrees with the stored points"));
+        }
+
+        Ok(Self {
+            config,
+            ids,
+            vectors,
+            inv_norms,
+            payloads,
+            by_id,
+            deleted,
+            live,
+            hnsw,
+            quant,
+            quant_trained_at,
+        })
+    }
+
     /// Iterates over the live points: `(id, vector, payload)`. Offsets of
     /// soft-deleted points are skipped. This is the bulk-read surface the
     /// sharding layer uses to re-partition an existing collection. The
@@ -792,6 +924,41 @@ impl Collection {
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
             .map(|(o, &id)| (id, self.vectors[o].as_slice(), self.payloads.get(o)))
+    }
+}
+
+/// The schema-bearing part of a snapshot — everything but the bulk
+/// arrays — as it is read back from the meta section.
+#[derive(Deserialize)]
+struct Meta {
+    config: CollectionConfig,
+    ids: Vec<PointId>,
+    by_id: LearnedIdIndex,
+    deleted: Vec<bool>,
+    live: usize,
+    payloads: PayloadStore,
+    quant_trained_at: usize,
+}
+
+/// The writing side of [`Meta`]: the same fields under the same names,
+/// borrowed from the collection (the derive cannot borrow).
+struct MetaRef<'a>(&'a Collection);
+
+impl Serialize for MetaRef<'_> {
+    fn to_content(&self) -> Content {
+        let c = self.0;
+        Content::Map(vec![
+            ("config".to_owned(), c.config.to_content()),
+            ("ids".to_owned(), c.ids.to_content()),
+            ("by_id".to_owned(), c.by_id.to_content()),
+            ("deleted".to_owned(), c.deleted.to_content()),
+            ("live".to_owned(), c.live.to_content()),
+            ("payloads".to_owned(), c.payloads.to_content()),
+            (
+                "quant_trained_at".to_owned(),
+                c.quant_trained_at.to_content(),
+            ),
+        ])
     }
 }
 

@@ -1,11 +1,39 @@
 //! The database: named collections behind locks, with snapshots.
+//!
+//! # Snapshot format
+//!
+//! One file per collection, written and read only by this crate. All
+//! integers and floats are little-endian; floats are stored as their
+//! bits (`f32::to_le_bytes`), nothing is recomputed on load.
+//!
+//! ```text
+//! "VECDBSNP"  version: u32 = 1  crc32: u32   # CRC-32 of every byte after it
+//! section count: u32 = 5, then one u64 byte length per section
+//! 0 meta      JSON: config, ids, by_id, deleted, live, payloads, quant_trained_at
+//! 1 vectors   len × dim f32, row-major
+//! 2 inv_norms len f32
+//! 3 quant     empty when the tier is off, else dim u64, len u64, min f32,
+//!             scale f32, len × dim u8 codes, len f32 inverse norms
+//! 4 hnsw      entry u32 (u32::MAX = none), top_level u32, nodes u32, then per
+//!             node: level u32 and, per layer 0..=level, count u32 + count × u32
+//! ```
+//!
+//! Sections tile the file exactly and the encoding is canonical: a
+//! collection has one byte string, and re-packing a restored collection
+//! reproduces the file. There is one version. A layout change bumps it
+//! and readers reject every version but their own — no migration, no
+//! fallback reader. A file that fails the checksum, or whose parts
+//! disagree, is a [`VecDbError::Snapshot`], never a loaded collection.
 
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::codec::corrupt;
 use crate::collection::{Collection, CollectionConfig};
 use crate::error::VecDbError;
 
@@ -77,31 +105,35 @@ impl VectorDb {
         names
     }
 
-    /// Writes a collection snapshot as JSON.
+    /// Writes a collection snapshot to `path` and fsyncs it: one
+    /// create → `write_all` → `sync_all`. The collection's read lock is
+    /// held only while the bytes are packed, not across the write.
+    ///
+    /// # Errors
+    /// [`VecDbError::CollectionNotFound`], or [`VecDbError::Snapshot`]
+    /// carrying the I/O failure.
     pub fn snapshot_collection(&self, name: &str, path: &Path) -> Result<(), VecDbError> {
-        let handle = self.collection(name)?;
-        let guard = handle.read();
-        let json = serde_json::to_string(&*guard).map_err(|e| VecDbError::Snapshot {
-            cause: e.to_string(),
-        })?;
-        std::fs::write(path, json).map_err(|e| VecDbError::Snapshot {
-            cause: e.to_string(),
-        })
+        let bytes = self.collection(name)?.read().to_snapshot_bytes()?;
+        let io = |e: std::io::Error| corrupt(e.to_string());
+        let mut file = File::create(path).map_err(io)?;
+        file.write_all(&bytes).map_err(io)?;
+        file.sync_all().map_err(io)
     }
 
-    /// Loads a collection snapshot from JSON, registering it under `name`.
+    /// Loads a collection snapshot, registering it under `name`. The
+    /// file is verified and validated, never trusted (see
+    /// [`Collection::from_snapshot_bytes`]).
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] if the file cannot be read or fails any
+    /// check; [`VecDbError::CollectionExists`] if the name is taken.
     pub fn restore_collection(
         &self,
         name: &str,
         path: &Path,
     ) -> Result<CollectionHandle, VecDbError> {
-        let data = std::fs::read_to_string(path).map_err(|e| VecDbError::Snapshot {
-            cause: e.to_string(),
-        })?;
-        let collection: Collection =
-            serde_json::from_str(&data).map_err(|e| VecDbError::Snapshot {
-                cause: e.to_string(),
-            })?;
+        let bytes = std::fs::read(path).map_err(|e| corrupt(e.to_string()))?;
+        let collection = Collection::from_snapshot_bytes(&bytes)?;
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err(VecDbError::CollectionExists {
@@ -165,7 +197,7 @@ mod tests {
     fn snapshot_roundtrip() {
         let dir = std::env::temp_dir().join("vecdb_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("c.json");
+        let path = dir.join("c.bin");
 
         let db = VectorDb::new();
         let h = db.create_collection("c", CollectionConfig::new(3)).unwrap();

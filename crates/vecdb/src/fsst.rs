@@ -217,7 +217,8 @@ impl CompressedStrings {
     /// Number of stored strings.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        // Saturating: a deserialized arena may lack the leading offset.
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Whether the arena holds no strings.

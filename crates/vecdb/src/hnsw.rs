@@ -11,7 +11,9 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{inv_norm, Distance};
+use crate::error::VecDbError;
 use concepts_free_hash::{mix, unit_float};
 
 /// Tiny local copy of the deterministic hash helpers (kept dependency-free
@@ -58,13 +60,17 @@ impl Default for HnswConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeLinks {
     /// Highest layer this node appears on.
     level: usize,
     /// `neighbors[l]` = adjacent node offsets on layer `l` (0 ≤ l ≤ level).
     neighbors: Vec<Vec<u32>>,
 }
+
+/// On-disk `entry` of an empty graph (node offsets are `u32`, and a
+/// graph never holds `u32::MAX` nodes).
+const NO_ENTRY: u32 = u32::MAX;
 
 /// Candidate ordered by distance (min-heap via reversed compare).
 #[derive(PartialEq)]
@@ -97,7 +103,7 @@ impl Ord for Far {
 }
 
 /// An HNSW graph over externally-stored vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswIndex {
     config: HnswConfig,
     distance: Distance,
@@ -135,6 +141,77 @@ impl HnswIndex {
     #[must_use]
     pub fn config(&self) -> &HnswConfig {
         &self.config
+    }
+
+    /// Appends the graph to a snapshot section: `entry` (`u32::MAX` for
+    /// an empty graph), `top_level`, the node count, then per node its
+    /// `level` and, for each layer `0..=level`, a neighbour count and
+    /// that many node offsets — all `u32` little-endian. Parameters and
+    /// metric are not stored: they are the owning collection's.
+    pub(crate) fn pack(&self, w: &mut Writer) {
+        w.u32(self.entry.map_or(NO_ENTRY, |e| e as u32));
+        w.u32(self.top_level as u32);
+        w.u32(self.nodes.len() as u32);
+        for node in &self.nodes {
+            w.u32(node.level as u32);
+            for layer in &node.neighbors {
+                w.u32(layer.len() as u32);
+                w.u32s(layer);
+            }
+        }
+    }
+
+    /// Reads back what [`HnswIndex::pack`] wrote and checks that a
+    /// search can follow every link: each neighbour names an existing
+    /// node that has the layer it is linked on, and the entry point is a
+    /// node whose level is `top_level`.
+    pub(crate) fn unpack(
+        mut r: Reader<'_>,
+        distance: Distance,
+        config: HnswConfig,
+    ) -> Result<Self, VecDbError> {
+        let entry = r.u32()?;
+        let top_level = r.u32()? as usize;
+        let count = r.u32()? as usize;
+        // Every node takes at least its level and one layer count.
+        if count > r.remaining() / 8 {
+            return Err(corrupt(format!("{count} graph nodes declared")));
+        }
+        let mut nodes = Vec::with_capacity(count);
+        for _ in 0..count {
+            let level = r.u32()? as usize;
+            if level >= r.remaining() / 4 {
+                return Err(corrupt(format!("node level {level} declared")));
+            }
+            let neighbors = (0..=level)
+                .map(|_| {
+                    let links = r.u32()? as usize;
+                    r.u32s(links)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            nodes.push(NodeLinks { level, neighbors });
+        }
+        r.finish()?;
+        for node in &nodes {
+            for (layer, links) in node.neighbors.iter().enumerate() {
+                let dangling = |&n: &u32| nodes.get(n as usize).is_none_or(|t| t.level < layer);
+                if links.iter().any(dangling) {
+                    return Err(corrupt("graph link to a node or layer that does not exist"));
+                }
+            }
+        }
+        let entry = match nodes.get(entry as usize) {
+            Some(node) if node.level == top_level => Some(entry as usize),
+            None if entry == NO_ENTRY && count == 0 && top_level == 0 => None,
+            _ => return Err(corrupt("graph entry point does not match its nodes")),
+        };
+        Ok(Self {
+            config,
+            distance,
+            nodes,
+            entry,
+            top_level,
+        })
     }
 
     /// Deterministic level for the node at `offset`: geometric with ratio

@@ -97,6 +97,24 @@ impl LearnedIdIndex {
         self.len() == 0
     }
 
+    /// Whether a deserialized index can be searched and counted without
+    /// indexing past anything: base keys strictly ascending with one
+    /// offset each, segments in key order, tombstones only on base keys.
+    /// (A segment that merely predicts badly costs a fallback search,
+    /// never a wrong answer.)
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.keys.len() == self.vals.len()
+            && self.keys.windows(2).all(|w| w[0] < w[1])
+            && self
+                .segments
+                .windows(2)
+                .all(|w| w[0].first_key <= w[1].first_key)
+            && self
+                .tombstones
+                .keys()
+                .all(|k| self.keys.binary_search(k).is_ok())
+    }
+
     /// Offset for `key`, or `None`. Overlay and tombstones take
     /// precedence over the learned base layer.
     #[must_use]

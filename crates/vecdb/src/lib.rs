@@ -16,10 +16,12 @@
 //! few points qualify, it brute-force scans the candidates (exact); when
 //! the filter is broad, it runs filtered HNSW search (approximate).
 //! [`VectorDb`] manages named collections behind `parking_lot` locks and
-//! supports JSON snapshot persistence.
+//! persists each as one packed, checksummed snapshot file (format in
+//! [`db`]).
 
 #![warn(missing_docs)]
 
+mod codec;
 pub mod collection;
 pub mod db;
 pub mod distance;
@@ -33,6 +35,7 @@ pub mod pool;
 pub mod quant;
 pub mod sharded;
 
+pub use codec::crc32;
 pub use collection::{
     default_ef, Collection, CollectionConfig, CollectionStats, ExecutedStrategy, MemoryFootprint,
     PlannedSearch, ScoredPoint, SearchParams, SearchStrategy, AUTO_QUANT_THRESHOLD,

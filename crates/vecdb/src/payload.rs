@@ -247,6 +247,20 @@ impl PayloadStore {
         self.skeletons.is_empty()
     }
 
+    /// Whether a deserialized store can be read without indexing past
+    /// anything: text slots parallel the skeletons and every packed
+    /// reference names a string the arena holds.
+    pub(crate) fn is_consistent(&self) -> bool {
+        self.text.as_ref().is_none_or(|tier| {
+            let arena = tier.packed.as_ref().map_or(0, CompressedStrings::len);
+            tier.slots.len() == self.skeletons.len()
+                && tier.slots.iter().flatten().all(|slot| match slot.text {
+                    TextRef::Raw(_) => true,
+                    TextRef::Packed(i) => (i as usize) < arena,
+                })
+        })
+    }
+
     /// Appends a payload.
     pub fn push(&mut self, payload: Payload) {
         if self.text.is_some() {

@@ -14,7 +14,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{inv_norm, inv_sqrt_or_zero, lane_sum, Distance};
+use crate::error::VecDbError;
 
 /// Lane count of the kernel for `f32 × u8` operands. Wider than the
 /// `f32` kernel's 16 because the codes are widened on the fly: on 256-d
@@ -54,7 +56,7 @@ impl ScoringTier {
 }
 
 /// A set of scalar-quantized vectors (one global affine codebook).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantizedVectors {
     codes: Vec<u8>,
     dim: usize,
@@ -102,6 +104,49 @@ impl QuantizedVectors {
             store.push(v);
         }
         store
+    }
+
+    /// Appends the store to a snapshot section: `dim` and `len` (`u64`),
+    /// the codebook's `min` and `scale`, the `len × dim` codes, then the
+    /// `len` cached inverse norms — stored, never re-derived, so a
+    /// restored store scores bit-identically.
+    pub(crate) fn pack(&self, w: &mut Writer) {
+        w.u64(self.dim as u64);
+        w.u64(self.len as u64);
+        w.f32(self.min);
+        w.f32(self.scale);
+        w.bytes(&self.codes);
+        w.f32s(&self.inv_norms);
+    }
+
+    /// Reads back what [`QuantizedVectors::pack`] wrote; the section
+    /// must hold exactly `len × dim` codes and `len` norms.
+    pub(crate) fn unpack(mut r: Reader<'_>) -> Result<Self, VecDbError> {
+        let dim = r.len64()?;
+        let len = r.len64()?;
+        let min = r.f32()?;
+        let scale = r.f32()?;
+        let code_bytes = len
+            .checked_mul(dim)
+            .ok_or_else(|| corrupt(format!("{len} x {dim} codes overflow")))?;
+        let codes = r.take(code_bytes)?.to_vec();
+        let inv_norms = r.f32s(len)?;
+        r.finish()?;
+        if !inv_norms
+            .iter()
+            .chain([&min, &scale])
+            .all(|x| x.is_finite())
+        {
+            return Err(VecDbError::NonFiniteVector);
+        }
+        Ok(Self {
+            codes,
+            dim,
+            len,
+            min,
+            scale,
+            inv_norms,
+        })
     }
 
     /// Appends one vector using the **frozen** codebook (the global

@@ -1,0 +1,437 @@
+//! Battery for the packed collection snapshot
+//! (`Collection::{to_snapshot_bytes, from_snapshot_bytes}`, format in
+//! `vecdb::db`).
+//!
+//! Two contracts. **Bit-identity:** a restored collection is the
+//! collection — same answers down to the score bits on exact and graph
+//! searches, same accounting, and it re-packs to the same bytes.
+//! **Hostile bytes:** whatever is handed to the reader — a truncation, a
+//! flipped bit, a length that overruns the file, a graph link to a node
+//! that does not exist behind a *recomputed* checksum — the result is an
+//! `Err`: never a panic, and never an allocation sized by the lie.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use proptest::prelude::*;
+use serde_json::json;
+use vecdb::{
+    crc32, Collection, CollectionConfig, Filter, HnswConfig, Payload, ScoringTier, SearchParams,
+    SearchStrategy,
+};
+
+// ---- the largest single allocation a thread makes ----
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting per thread the largest request seen.
+struct PeakAlloc;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` only writes a
+// const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f`, returning its result and the largest allocation it made.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
+
+/// Room for an error message on top of the input's own length.
+const MESSAGE: usize = 256;
+
+/// `from_snapshot_bytes` must refuse `bytes` without allocating more
+/// than the input could justify.
+fn assert_rejected(bytes: &[u8], what: &str) {
+    let (result, peak) = peak_during(|| Collection::from_snapshot_bytes(bytes));
+    assert!(result.is_err(), "{what}: loaded");
+    assert!(
+        peak <= bytes.len() + MESSAGE,
+        "{what}: a {peak}-byte allocation for {} bytes of input",
+        bytes.len()
+    );
+}
+
+// ---- worlds ----
+
+fn pseudo(seed: u64, dim: usize) -> Vec<f32> {
+    (0..dim)
+        .map(|i| {
+            let h = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(i as u64)
+                .wrapping_mul(0xff51_afd7_ed55_8ccd);
+            ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
+        })
+        .collect()
+}
+
+fn payload(i: u64) -> Payload {
+    Payload::from_pairs(&[
+        ("lat", json!((i % 40) as f64 * 0.01)),
+        ("lon", json!((i / 40) as f64 * 0.01)),
+        // Long enough for the compressed text tier to take it.
+        (
+            "tips",
+            json!(format!(
+                "visit {i}: the coffee here is excellent and the staff were friendly, \
+                 the pastries remain outstanding and the queue moves quickly"
+            )),
+        ),
+    ])
+}
+
+/// A collection that has lived: `n` inserts, every seventh point
+/// deleted, and two ids deleted then inserted again at new offsets — so
+/// the learned id index carries a rebuilt base, a hash overlay and
+/// tombstones, and the graph holds soft-deleted nodes.
+fn lived_in(config: CollectionConfig, n: u64) -> Collection {
+    let dim = config.dim;
+    let mut c = Collection::new(config);
+    for i in 0..n {
+        c.insert(i * 3, pseudo(i + 1, dim), payload(i)).unwrap();
+    }
+    for i in (0..n).step_by(7) {
+        c.delete(i * 3).unwrap();
+    }
+    for i in [0, 14] {
+        c.insert(i * 3, pseudo(i + 9_000, dim), payload(i + 9_000))
+            .unwrap();
+    }
+    c
+}
+
+const DIM: usize = 16;
+
+fn config(tier: ScoringTier, compress: bool) -> CollectionConfig {
+    CollectionConfig {
+        scoring_tier: tier,
+        compress_payload_text: compress,
+        ..CollectionConfig::new(DIM)
+    }
+}
+
+/// One search's answer: ids with score bits, and the best hit's
+/// reassembled payload.
+type Answer = (Vec<(u64, u32)>, Option<Payload>);
+
+/// 50 exact and 50 graph searches, half of them behind a payload filter.
+fn fingerprint(c: &Collection) -> Vec<Answer> {
+    let mut out = Vec::new();
+    for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+        for q in 0..50u64 {
+            let mut params = SearchParams::top_k(10).with_strategy(strategy);
+            if q % 2 == 1 {
+                params = params.with_filter(Filter::geo_box(0.0, 0.0, 0.2, 0.2));
+            }
+            let hits = c.search(&pseudo(q + 500, DIM), &params).unwrap();
+            let first = hits.first().map(|h| c.payload(h.id).unwrap());
+            let bits = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
+            out.push((bits, first));
+        }
+    }
+    out
+}
+
+#[test]
+fn snapshot_round_trip_is_bit_identical_and_repacks_to_the_same_bytes() {
+    let quantized = ScoringTier::Quantized { rerank_factor: 4 };
+    // 1,200 points: past the FSST training trigger (1,024 long strings)
+    // and the id index's first rebuild, so every representation is live.
+    let mut worlds: Vec<(String, Collection)> = Vec::new();
+    for tier in [ScoringTier::Full, quantized] {
+        for compress in [false, true] {
+            let name = format!("{tier:?}, compressed text {compress}");
+            worlds.push((name, lived_in(config(tier, compress), 1_200)));
+        }
+    }
+    worlds.push(("empty".to_owned(), Collection::new(config(quantized, true))));
+
+    for (name, original) in &worlds {
+        let bytes = original.to_snapshot_bytes().unwrap();
+        let restored = Collection::from_snapshot_bytes(&bytes).expect(name);
+        assert_eq!(restored.len(), original.len(), "{name}");
+        assert_eq!(fingerprint(&restored), fingerprint(original), "{name}");
+        assert_eq!(
+            restored.memory_footprint(),
+            original.memory_footprint(),
+            "{name}"
+        );
+        assert!(
+            restored.to_snapshot_bytes().unwrap() == bytes,
+            "{name}: re-packing a restored collection changed the bytes"
+        );
+    }
+    let (_, lived) = &worlds[3];
+    assert!(lived.len() < 1_200 && lived.contains(0) && !lived.contains(21));
+    assert!(!fingerprint(lived)[0].0.is_empty());
+}
+
+#[test]
+fn snapshot_restored_collection_keeps_taking_writes() {
+    let original = lived_in(
+        config(ScoringTier::Quantized { rerank_factor: 4 }, true),
+        300,
+    );
+    let mut restored =
+        Collection::from_snapshot_bytes(&original.to_snapshot_bytes().unwrap()).unwrap();
+    let mut original = original;
+    for c in [&mut original, &mut restored] {
+        for i in 0..100u64 {
+            c.insert(10_000 + i, pseudo(i + 70_000, DIM), payload(i))
+                .unwrap();
+        }
+        c.delete(3).unwrap();
+    }
+    assert_eq!(fingerprint(&restored), fingerprint(&original));
+    assert!(restored.to_snapshot_bytes().unwrap() == original.to_snapshot_bytes().unwrap());
+}
+
+// ---- hostile bytes ----
+
+/// Fixed prefix (magic, version, CRC) and full header (+ section count
+/// and five `u64` section lengths) of the format in `vecdb::db`.
+const PREFIX: usize = 16;
+const HEADER: usize = PREFIX + 4 + 5 * 8;
+
+/// A small snapshot with every section populated (~6 KB).
+fn small() -> Vec<u8> {
+    let config = CollectionConfig {
+        scoring_tier: ScoringTier::Quantized { rerank_factor: 4 },
+        hnsw: HnswConfig {
+            m: 4,
+            m0: 8,
+            ..HnswConfig::default()
+        },
+        ..CollectionConfig::new(4)
+    };
+    lived_in(config, 70).to_snapshot_bytes().unwrap()
+}
+
+/// Where each section starts, read from the section table.
+fn section_starts(file: &[u8]) -> [usize; 5] {
+    let mut starts = [HEADER; 5];
+    for i in 1..5 {
+        let at = PREFIX + 4 + (i - 1) * 8;
+        let len = u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+        starts[i] = starts[i - 1] + len as usize;
+    }
+    starts
+}
+
+/// Recomputes the checksum, so a lie gets past it to the checks behind.
+fn reseal(file: &mut [u8]) {
+    let crc = crc32(&file[PREFIX..]);
+    file[PREFIX - 4..PREFIX].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn snapshot_truncated_anywhere_is_rejected() {
+    let file = small();
+    assert!(Collection::from_snapshot_bytes(&file).is_ok());
+    for cut in 0..file.len() {
+        assert_rejected(&file[..cut], &format!("cut at {cut}"));
+    }
+    let mut longer = file.clone();
+    longer.push(0);
+    assert_rejected(&longer, "one trailing byte");
+    reseal(&mut longer);
+    assert_rejected(&longer, "one trailing byte, resealed");
+}
+
+#[test]
+fn snapshot_with_a_flipped_header_bit_is_rejected() {
+    let file = small();
+    for bit in 0..HEADER * 8 {
+        let mut bad = file.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert_rejected(&bad, &format!("header bit {bit}"));
+    }
+    // An unknown version is refused even with a checksum that matches.
+    let mut next = file.clone();
+    next[8..12].copy_from_slice(&2u32.to_le_bytes());
+    reseal(&mut next);
+    assert_rejected(&next, "format version 2");
+}
+
+#[test]
+fn snapshot_lengths_that_overrun_the_file_are_rejected_before_allocating() {
+    let file = small();
+    for section in 0..5 {
+        for lie in [file.len() as u64 + 1, u64::MAX / 4, u64::MAX] {
+            let mut bad = file.clone();
+            let at = PREFIX + 4 + section * 8;
+            bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+            reseal(&mut bad);
+            assert_rejected(&bad, &format!("section {section} declared {lie} bytes"));
+        }
+    }
+    let [_, _, _, quant, hnsw] = section_starts(&file);
+    // The quantizer's `len`, and the graph's node count and a node level.
+    for (at, width) in [(quant + 8, 8), (hnsw + 8, 4), (hnsw + 12, 4)] {
+        let mut bad = file.clone();
+        bad[at..at + width].copy_from_slice(&u64::MAX.to_le_bytes()[..width]);
+        reseal(&mut bad);
+        assert_rejected(&bad, &format!("count at byte {at} set to its maximum"));
+    }
+}
+
+#[test]
+fn snapshot_parts_that_disagree_are_rejected_behind_a_valid_checksum() {
+    let file = small();
+    let nodes = 72u32; // 70 inserts + 2 re-inserts
+    let [_, vectors, norms, quant, hnsw] = section_starts(&file);
+    assert_eq!(&file[hnsw + 8..hnsw + 12], &nodes.to_le_bytes());
+
+    // Node 0's first layer-0 neighbour: past `entry`, `top_level`, the
+    // node count, node 0's level and its first neighbour count.
+    let link = hnsw + 20;
+    for target in [nodes, u32::MAX] {
+        let mut bad = file.clone();
+        bad[link..link + 4].copy_from_slice(&target.to_le_bytes());
+        reseal(&mut bad);
+        assert_rejected(&bad, &format!("graph link to node {target}"));
+    }
+    let mut bad = file.clone();
+    bad[hnsw..hnsw + 4].copy_from_slice(&nodes.to_le_bytes());
+    reseal(&mut bad);
+    assert_rejected(&bad, "entry point past the last node");
+
+    // One more code dimension than the collection has.
+    let mut bad = file.clone();
+    bad[quant..quant + 8].copy_from_slice(&5u64.to_le_bytes());
+    reseal(&mut bad);
+    assert_rejected(&bad, "quantizer of another dimension");
+
+    // A NaN where `insert` would have refused one.
+    for at in [vectors, norms] {
+        let mut bad = file.clone();
+        bad[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        reseal(&mut bad);
+        assert_rejected(&bad, "a stored NaN");
+    }
+
+    // A section boundary moved by one float: lengths still tile the
+    // file, the parts no longer match the point count.
+    let mut bad = file.clone();
+    for (section, delta) in [(1usize, -4i64), (2, 4)] {
+        let at = PREFIX + 4 + section * 8;
+        let len = u64::from_le_bytes(bad[at..at + 8].try_into().unwrap());
+        bad[at..at + 8].copy_from_slice(&len.wrapping_add_signed(delta).to_le_bytes());
+    }
+    reseal(&mut bad);
+    assert_rejected(&bad, "a section boundary moved");
+}
+
+/// `file` with its meta section (the JSON) rewritten by `edit`, the
+/// section table and checksum brought up to date.
+fn with_meta(file: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+    let bulk = section_starts(file)[1];
+    let meta = edit(std::str::from_utf8(&file[HEADER..bulk]).unwrap());
+    let mut out = file[..HEADER].to_vec();
+    out[PREFIX + 4..PREFIX + 12].copy_from_slice(&(meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(meta.as_bytes());
+    out.extend_from_slice(&file[bulk..]);
+    reseal(&mut out);
+    out
+}
+
+#[test]
+fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
+    let file = small();
+    assert!(Collection::from_snapshot_bytes(&with_meta(&file, str::to_owned)).is_ok());
+    let edits: [(&str, &str, &str); 5] = [
+        ("one id fewer", "\"ids\":[0,", "\"ids\":["),
+        ("a live count off by one", "\"live\":62", "\"live\":63"),
+        (
+            "a deleted point resurrected",
+            "\"deleted\":[true,",
+            "\"deleted\":[false,",
+        ),
+        ("another dimension", "\"dim\":4", "\"dim\":8"),
+        (
+            "a tombstone on no base key",
+            "\"tombstones\":{}",
+            "\"tombstones\":{\"5\":0}",
+        ),
+    ];
+    for (what, from, to) in edits {
+        let bad = with_meta(&file, |meta| {
+            assert!(
+                meta.contains(from),
+                "{what}: `{from}` not in the meta section"
+            );
+            meta.replacen(from, to, 1)
+        });
+        assert_rejected(&bad, what);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any single flipped bit, anywhere in the file, fails the load.
+    #[test]
+    fn snapshot_with_any_flipped_bit_is_rejected(pick in 0usize..usize::MAX) {
+        let mut bad = small();
+        let bit = pick % (bad.len() * 8);
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert_rejected(&bad, &format!("bit {bit}"));
+    }
+
+    /// Arbitrary damage to the section table or the bulk sections
+    /// *behind a recomputed checksum*: the load may succeed (a changed
+    /// but finite float is a different, valid collection) or fail, but
+    /// neither it nor a search over what it loaded may panic.
+    #[test]
+    fn snapshot_resealed_damage_never_panics(
+        picks in proptest::collection::vec((0usize..usize::MAX, 0u8..=255), 1..4),
+    ) {
+        let mut bad = small();
+        let bulk = section_starts(&bad)[1];
+        let table = PREFIX..HEADER;
+        for (pick, byte) in picks {
+            let span = table.len() + bad.len() - bulk;
+            let at = pick % span;
+            let at = if at < table.len() { table.start + at } else { bulk + at - table.len() };
+            bad[at] = byte;
+        }
+        reseal(&mut bad);
+        let input = bad.len();
+        let (loaded, peak) = peak_during(|| Collection::from_snapshot_bytes(&bad));
+        prop_assert!(peak <= input + MESSAGE, "a {}-byte allocation for {} bytes", peak, input);
+        if let Ok(c) = loaded {
+            for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+                let params = SearchParams::top_k(5).with_strategy(strategy);
+                prop_assert!(c.search(&pseudo(3, 4), &params).is_ok());
+            }
+        }
+    }
+}

@@ -318,6 +318,17 @@ fn durable_metro_reopens_after_mutations() {
     assert_eq!(reopened.engine().prepared().city.key, datagen::METRO.key);
     assert_eq!((report.last_seq, report.replayed), (3, 3));
     assert_eq!(fingerprint(reopened.engine(), &queries), before);
+
+    // The committed snapshot stores the collection once, packed: the
+    // only `collection.*` file is the binary one.
+    let current = std::fs::read_to_string(dir.join("CURRENT")).expect("CURRENT");
+    let mut stored: Vec<String> = std::fs::read_dir(dir.join(current.trim()))
+        .expect("committed snapshot directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("collection"))
+        .collect();
+    stored.sort();
+    assert_eq!(stored, ["collection.bin"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
