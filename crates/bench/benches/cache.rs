@@ -24,7 +24,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
@@ -96,7 +95,6 @@ fn bench_cache(c: &mut Criterion) {
 
     let base = ServeConfig {
         max_batch: 64,
-        latency_budget: Duration::from_millis(1),
         queue_capacity: 256,
         pipeline_depth: 0,
         result_cache_entries: 0,

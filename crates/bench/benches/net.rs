@@ -61,7 +61,6 @@ fn bench_net(c: &mut Criterion) {
         Arc::clone(&engine),
         ServeConfig {
             max_batch: 64,
-            latency_budget: Duration::from_millis(1),
             queue_capacity: 256,
             pipeline_depth: 0,
             result_cache_entries: 0,

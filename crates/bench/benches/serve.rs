@@ -17,7 +17,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
@@ -67,15 +66,17 @@ fn bench_serve(c: &mut Criterion) {
     });
 
     // One long-lived server per cap, reused across iterations (as in
-    // production); each iteration submits the 64 queries and waits for
-    // every ticket. At cap 64 the whole iteration is one flush; at cap
-    // 16 the batcher runs four back-to-back flushes.
-    // `pipelined-64` adds the two-stage mode at cap 16: four flushes
-    // per iteration, so refinement of flush N can overlap filtering of
-    // flush N+1 (at cap 64 the iteration is a single flush and there is
-    // nothing to overlap). On a 1-core host the overlap degenerates to
-    // alternation — expect parity with `served-64-cap16`, not a win;
-    // on the 2-core recorder it lands ~12% ahead (BENCH_serve.json).
+    // production); each iteration submits the 64 queries from one
+    // thread and waits for every ticket. The batcher flushes whatever
+    // has queued each time the executor comes free, so an iteration is
+    // a short run of flushes — the first few queries, then what the
+    // submit loop added meanwhile — never larger than the cap; the
+    // counters printed below give the shape actually recorded.
+    // `pipelined-64` adds the two-stage mode at cap 16, so refinement
+    // of flush N can overlap filtering of flush N+1. On a 1-core host
+    // the overlap degenerates to alternation — expect parity with
+    // `served-64-cap16`, not a win (BENCH_serve.json has the 2-core
+    // recorder's reading).
     for (name, cap, depth) in [
         ("served-64-cap16", 16usize, 0usize),
         ("served-64-cap64", 64, 0),
@@ -85,7 +86,6 @@ fn bench_serve(c: &mut Criterion) {
             Arc::clone(&engine),
             ServeConfig {
                 max_batch: cap,
-                latency_budget: Duration::from_millis(1),
                 queue_capacity: 256,
                 pipeline_depth: depth,
                 result_cache_entries: 0,

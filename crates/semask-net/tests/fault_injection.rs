@@ -207,12 +207,11 @@ fn slow_loris_times_out_while_the_server_keeps_serving() {
     let engine = boot::build_engine(&params);
     let serve = Arc::new(ServeEngine::new(
         Arc::clone(&engine),
-        ServeConfig::builder()
-            .max_batch(4)
-            .latency_budget(Duration::from_millis(1))
-            .queue_cap(64)
-            .build()
-            .expect("valid config"),
+        ServeConfig {
+            max_batch: 4,
+            queue_capacity: 64,
+            ..ServeConfig::default()
+        },
     ));
     let mut server = ServeServer::bind(
         ("127.0.0.1", 0),
@@ -285,14 +284,13 @@ fn cache_hit_flood_shares_admission_fairly() {
     let engine = boot::build_engine(&params);
     let serve = Arc::new(ServeEngine::new(
         Arc::clone(&engine),
-        ServeConfig::builder()
-            .max_batch(4)
-            .latency_budget(Duration::from_millis(1))
-            .queue_cap(64)
-            .result_cache_entries(128)
-            .negative_cache(true)
-            .build()
-            .expect("valid config"),
+        ServeConfig {
+            max_batch: 4,
+            queue_capacity: 64,
+            result_cache_entries: 128,
+            negative_cache: true,
+            ..ServeConfig::default()
+        },
     ));
     let mut server = ServeServer::bind(
         ("127.0.0.1", 0),

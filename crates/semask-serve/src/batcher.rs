@@ -1,14 +1,18 @@
 //! The deterministic batching core.
 //!
-//! [`BatcherCore`] is the admission queue plus the flush policy as one
+//! [`BatcherCore`] is the admission queue plus the one flush rule as a
 //! synchronous state machine: callers feed it submissions stamped with
-//! the current clock reading, and [`BatcherCore::poll`] either hands
-//! back a ready micro-batch or says how long nothing will become ready.
+//! the current clock reading, and [`BatcherCore::poll`] hands back a
+//! micro-batch **iff the queue is non-empty** — up to `max_batch` of
+//! the oldest entries. Nothing waits for companions: whoever drives the
+//! core polls it whenever the executor is free, so a batch is whatever
+//! queued while the previous flush ran — one query under a lone client,
+//! cap-sized chunks under saturation, no setting in between. Repeated
+//! `poll` until `None` is also the shutdown drain.
+//!
 //! It owns **no thread, no lock, and no clock** — the threaded
-//! [`crate::ServeEngine`] drives it under a mutex with a real clock,
-//! and the property tests drive the very same code single-threaded with
-//! a [`semask::clock::MockClock`], which is what makes the batching
-//! behavior testable without sleeps.
+//! [`crate::ServeEngine`] drives it under a mutex, and the property
+//! tests drive the very same code single-threaded.
 //!
 //! Generic over the payload `T` (the serving layer carries a query plus
 //! its ticket; tests carry a bare id) so the state machine can be
@@ -17,13 +21,20 @@
 //! Pipelining lives entirely *outside* this core: a flushed batch is
 //! done as far as the queue is concerned, whether the serving layer
 //! executes it in one stage or hands it between its filter and refine
-//! threads.
+//! threads. Under pipelined execution
+//! ([`crate::ServeConfig::pipeline_depth`]) the rule governs
+//! **admission → stage-1 flush**: a batch leaves the queue when
+//! filtering starts, and the time it then spends in the hand-off
+//! channel or the refiner is execution latency (bounded by the channel
+//! depth's backpressure), not queueing — the core neither sees nor
+//! delays it. When the refiner is behind, stage 1 blocks in that
+//! channel's `send`; arrivals accumulate meanwhile and leave as the
+//! next flush, which is the same rule per stage.
 
 use std::time::Duration;
 
 use semask::retrieval::BatchGroupKey;
 
-use crate::policy::{BatchPolicy, FlushDecision};
 use crate::queue::BoundedQueue;
 
 /// One accepted submission waiting in (or flushed out of) the queue.
@@ -39,42 +50,24 @@ pub struct Pending<T> {
     pub seq: u64,
 }
 
-/// What [`BatcherCore::poll`] found.
-#[derive(Debug)]
-pub enum Step<T> {
-    /// A micro-batch to execute, at most `max_batch` long, ordered by
-    /// [`BatchGroupKey`] (admission order within each group).
-    Flush(Vec<Pending<T>>),
-    /// Nothing to flush yet: nothing can become ready before this
-    /// deadline unless a new submission arrives.
-    WaitUntil(Duration),
-    /// The queue is empty.
-    Idle,
-}
-
-/// The admission queue + flush policy state machine.
+/// The admission queue + flush rule state machine.
 #[derive(Debug)]
 pub struct BatcherCore<T> {
     queue: BoundedQueue<Pending<T>>,
-    policy: BatchPolicy,
+    max_batch: usize,
     next_seq: u64,
 }
 
 impl<T> BatcherCore<T> {
-    /// A core with the given policy and admission-queue capacity.
+    /// A core whose flushes hold at most `max_batch` entries (clamped
+    /// to at least 1) over an admission queue of `queue_capacity`.
     #[must_use]
-    pub fn new(policy: BatchPolicy, queue_capacity: usize) -> Self {
+    pub fn new(max_batch: usize, queue_capacity: usize) -> Self {
         Self {
             queue: BoundedQueue::new(queue_capacity),
-            policy,
+            max_batch: max_batch.max(1),
             next_seq: 0,
         }
-    }
-
-    /// The flush policy.
-    #[must_use]
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
     }
 
     /// Queries currently waiting for a flush.
@@ -111,35 +104,17 @@ impl<T> BatcherCore<T> {
         }
     }
 
-    /// Applies the flush policy at time `now`. Returns a ready batch,
-    /// the deadline nothing can beat, or [`Step::Idle`] on an empty
-    /// queue.
-    pub fn poll(&mut self, now: Duration) -> Step<T> {
-        let oldest = self.queue.front().map(|p| p.arrival);
-        match self.policy.decide(now, self.queue.len(), oldest) {
-            FlushDecision::Idle => Step::Idle,
-            FlushDecision::WaitUntil(deadline) => Step::WaitUntil(deadline),
-            FlushDecision::Flush => Step::Flush(self.take_batch()),
-        }
-    }
-
-    /// Flushes everything queued, policy notwithstanding, as a sequence
-    /// of batches each at most `max_batch` long — the shutdown drain.
-    pub fn drain(&mut self) -> Vec<Vec<Pending<T>>> {
-        let mut batches = Vec::new();
-        while !self.queue.is_empty() {
-            batches.push(self.take_batch());
-        }
-        batches
-    }
-
-    /// Takes up to `max_batch` entries in FIFO admission order, then
-    /// orders the batch by group key (admission order within a group) so
+    /// The next micro-batch, or `None` iff the queue is empty: up to
+    /// `max_batch` entries in FIFO admission order, ordered by
+    /// [`BatchGroupKey`] (admission order within a group) so
     /// range-compatible queries are contiguous for the executor.
-    fn take_batch(&mut self) -> Vec<Pending<T>> {
-        let mut batch = self.queue.take_up_to(self.policy.cap());
+    pub fn poll(&mut self) -> Option<Vec<Pending<T>>> {
+        if self.queue.is_empty() {
+            return None;
+        }
+        let mut batch = self.queue.take_up_to(self.max_batch);
         batch.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        batch
+        Some(batch)
     }
 }
 
@@ -148,35 +123,43 @@ mod tests {
     use super::*;
     use geotext::{BoundingBox, GeoPoint};
 
-    const MS: Duration = Duration::from_millis(1);
-
     fn key(i: u8) -> BatchGroupKey {
         let center = GeoPoint::new(40.0 + f64::from(i), -90.0).unwrap();
         BatchGroupKey::new(&BoundingBox::from_center_km(center, 2.0, 2.0), 10, None)
     }
 
-    fn core(max_batch: usize, budget_ms: u32, capacity: usize) -> BatcherCore<u32> {
-        BatcherCore::new(
-            BatchPolicy {
-                max_batch,
-                latency_budget: budget_ms * MS,
-            },
-            capacity,
-        )
+    fn core(max_batch: usize, capacity: usize) -> BatcherCore<u32> {
+        BatcherCore::new(max_batch, capacity)
+    }
+
+    #[test]
+    fn empty_queue_is_idle() {
+        assert!(core(4, 16).poll().is_none());
+    }
+
+    #[test]
+    fn lone_entry_flushes_on_first_poll() {
+        // Far under the cap, no companions, no time passing: it leaves.
+        let mut c = core(64, 16);
+        c.submit(7, key(0), Duration::from_millis(5)).unwrap();
+        let batch = c.poll().expect("a non-empty queue flushes");
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].item, 7);
+        assert_eq!(batch[0].arrival, Duration::from_millis(5));
+        assert!(c.poll().is_none());
     }
 
     #[test]
     fn flushes_at_cap_in_group_order() {
-        let mut c = core(4, 100, 16);
+        let mut c = core(4, 16);
         // Interleave two range groups; the flush groups them contiguously
         // while keeping admission order within each group.
         c.submit(0, key(0), Duration::ZERO).unwrap();
         c.submit(1, key(1), Duration::ZERO).unwrap();
         c.submit(2, key(0), Duration::ZERO).unwrap();
         c.submit(3, key(1), Duration::ZERO).unwrap();
-        let Step::Flush(batch) = c.poll(Duration::ZERO) else {
-            panic!("cap reached must flush");
-        };
+        let batch = c.poll().expect("a non-empty queue flushes");
+        assert_eq!(batch.len(), 4);
         let keys: Vec<BatchGroupKey> = batch.iter().map(|p| p.key).collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -187,32 +170,17 @@ mod tests {
                 assert!(w[0].seq < w[1].seq);
             }
         }
-        assert!(matches!(c.poll(Duration::ZERO), Step::Idle));
-    }
-
-    #[test]
-    fn flushes_on_latency_budget() {
-        let mut c = core(64, 10, 16);
-        c.submit(7, key(0), 5 * MS).unwrap();
-        match c.poll(6 * MS) {
-            Step::WaitUntil(deadline) => assert_eq!(deadline, 15 * MS),
-            other => panic!("young single query must wait, got {other:?}"),
-        }
-        let Step::Flush(batch) = c.poll(15 * MS) else {
-            panic!("budget elapsed must flush");
-        };
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].item, 7);
+        assert!(c.poll().is_none());
     }
 
     #[test]
     fn oversized_backlog_flushes_in_cap_sized_chunks() {
-        let mut c = core(3, 0, 16);
+        let mut c = core(3, 16);
         for i in 0..8 {
             c.submit(i, key(0), Duration::ZERO).unwrap();
         }
         let mut sizes = Vec::new();
-        while let Step::Flush(batch) = c.poll(Duration::ZERO) {
+        while let Some(batch) = c.poll() {
             sizes.push(batch.len());
         }
         assert_eq!(sizes, vec![3, 3, 2]);
@@ -220,39 +188,49 @@ mod tests {
 
     #[test]
     fn shed_returns_item_and_recovers_after_drain() {
-        let mut c = core(64, 100, 2);
+        let mut c = core(64, 2);
         c.submit(1, key(0), Duration::ZERO).unwrap();
         c.submit(2, key(0), Duration::ZERO).unwrap();
         assert_eq!(c.submit(3, key(0), Duration::ZERO), Err(3));
-        let drained = c.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].len(), 2);
+        assert_eq!(c.poll().expect("queued work flushes").len(), 2);
+        assert!(c.poll().is_none());
         assert!(c.submit(3, key(0), Duration::ZERO).is_ok());
     }
 
     #[test]
     fn drain_respects_cap_and_empties() {
-        let mut c = core(2, 1000, 16);
+        // Repeated `poll` is the drain: the oldest `max_batch` entries
+        // leave first, whatever their group.
+        let mut c = core(2, 16);
         for i in 0..5 {
             c.submit(i, key(i as u8 % 2), Duration::ZERO).unwrap();
         }
-        let batches = c.drain();
-        assert_eq!(
-            batches.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![2, 2, 1]
-        );
+        let mut batches = Vec::new();
+        while let Some(batch) = c.poll() {
+            let mut items: Vec<u32> = batch.iter().map(|p| p.item).collect();
+            items.sort_unstable();
+            batches.push(items);
+        }
+        assert_eq!(batches, vec![vec![0, 1], vec![2, 3], vec![4]]);
         assert_eq!(c.queued(), 0);
-        assert!(matches!(c.poll(Duration::ZERO), Step::Idle));
+    }
+
+    #[test]
+    fn cap_clamps_to_one() {
+        let mut c = core(0, 16);
+        c.submit(1, key(0), Duration::ZERO).unwrap();
+        c.submit(2, key(0), Duration::ZERO).unwrap();
+        assert_eq!(c.poll().expect("cap 0 still flushes").len(), 1);
+        assert_eq!(c.poll().expect("one at a time").len(), 1);
     }
 
     #[test]
     fn seq_is_unique_and_monotone() {
-        let mut c = core(64, 100, 8);
+        let mut c = core(64, 8);
         for i in 0..6 {
             c.submit(i, key(0), Duration::ZERO).unwrap();
         }
-        // Budget is far away, so force the flush via the drain path.
-        let batch = c.drain().remove(0);
+        let batch = c.poll().expect("queued work flushes");
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5]);
     }

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //!  client threads ──submit()──▶ bounded admission queue ──▶ batcher
-//!        ▲                      (full ⇒ Overloaded, shed)     │ flush on
-//!        │                                                    │ size cap or
-//!   Ticket::wait() ◀── tickets fulfilled per batch ◀──────────┘ latency window
+//!        ▲                      (full ⇒ Overloaded, shed)     │ executor free ⇒
+//!        │                                                    │ flush what queued
+//!   Ticket::wait() ◀── tickets fulfilled per batch ◀──────────┘ (≤ max_batch)
 //!                          SemaSkEngine::query_batch (worker pool)
 //! ```
 //!
@@ -32,11 +32,15 @@
 //! - [`ServeEngine::submit`] accepts queries from any number of threads
 //!   and returns a [`Ticket`] immediately; [`Ticket::wait`] blocks until
 //!   the query's micro-batch has executed.
-//! - The [`policy::BatchPolicy`] flushes when the **size cap** is hit or
-//!   the **latency window** of the oldest queued query elapses —
-//!   whichever comes first — and each flush is ordered by
-//!   [`semask::retrieval::BatchGroupKey`] so range-compatible queries
-//!   stay contiguous through `query_batch`'s group sharing.
+//! - There is **one flush rule**: the moment the executor is free, the
+//!   batcher flushes whatever has queued — up to
+//!   [`ServeConfig::max_batch`] of the oldest entries — and it parks
+//!   only on an empty queue. Nothing waits for companions: a lone query
+//!   leaves alone (its latency is its execution), and under load a
+//!   batch is what arrived while the previous flush ran. Each flush is
+//!   ordered by [`semask::retrieval::BatchGroupKey`] so
+//!   range-compatible queries stay contiguous through `query_batch`'s
+//!   group sharing.
 //! - Backpressure is explicit and immediate: a full queue sheds with
 //!   [`SubmitError::Overloaded`] instead of blocking unboundedly.
 //! - [`ServeEngine::shutdown`] stops admissions, drains every accepted
@@ -48,10 +52,11 @@
 //! - A panicking executor poisons **only its batch** (those tickets get
 //!   [`ServeError::BatchPanicked`]); the server keeps serving.
 //!
-//! The batching decisions live in the deterministic
-//! [`batcher::BatcherCore`] state machine, which the test battery
-//! drives with a [`semask::clock::MockClock`] — no sleeps as
-//! synchronization anywhere in the tests.
+//! The rule lives in the deterministic [`batcher::BatcherCore`] state
+//! machine, which the property tests drive single-threaded; the
+//! threaded battery forms multi-query flushes by holding the executor
+//! (nothing else makes a query wait) — no sleeps as synchronization
+//! anywhere in the tests.
 
 #![warn(missing_docs)]
 
@@ -59,7 +64,6 @@ pub mod api;
 pub mod batcher;
 mod cache;
 pub mod metrics;
-pub mod policy;
 pub mod queue;
 
 use std::any::Any;
@@ -75,27 +79,25 @@ use semask::query::{LatencyBreakdown, QueryOutcome, SemaSkQuery};
 use semask::retrieval::BatchGroupKey;
 use semask::wal::Mutation;
 
-use batcher::{BatcherCore, Pending, Step};
+use batcher::{BatcherCore, Pending};
 use cache::{CacheKey, Lookup, ResultCache};
 use metrics::{MetricsSnapshot, ServeMetrics};
-use policy::BatchPolicy;
 
 pub use metrics::MetricsSnapshot as ServeMetricsSnapshot;
-pub use policy::{BatchPolicy as ServePolicy, FlushDecision};
 
-/// Longest single condvar park: deadlines further out are reached in
-/// several wakeups. Keeps the timeout arithmetic comfortably inside
-/// what `Condvar::wait_timeout` supports even under a mock clock whose
-/// deadlines are far from real time.
+/// Longest single condvar park in [`Ticket::wait_deadline`]: deadlines
+/// further out are reached in several wakeups. Keeps the timeout
+/// arithmetic comfortably inside what `Condvar::wait_timeout` supports.
 const MAX_PARK: Duration = Duration::from_secs(3600);
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Flush when this many queries are queued; no batch is larger.
+    /// No flush is larger than this many queries (clamped to at least
+    /// 1): it bounds one flush's latency and memory. Not a fill target
+    /// — the batcher flushes whatever has queued as soon as the
+    /// executor is free.
     pub max_batch: usize,
-    /// Flush once the oldest queued query has waited this long.
-    pub latency_budget: Duration,
     /// Admission-queue capacity: submissions beyond this shed with
     /// [`SubmitError::Overloaded`]. Bounds the server's memory and
     /// worst-case queueing delay.
@@ -131,7 +133,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            latency_budget: Duration::from_millis(2),
             queue_capacity: 1024,
             pipeline_depth: 0,
             result_cache_entries: 0,
@@ -139,131 +140,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-impl ServeConfig {
-    /// A validating builder starting from the defaults. The plain
-    /// struct literal keeps working for call sites that know what they
-    /// want; the builder is for configuration that flows in from
-    /// outside (CLI flags, config files) and should fail loudly on
-    /// nonsense instead of starving the batcher at runtime.
-    #[must_use]
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`ServeConfig`]; see [`ServeConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Sets [`ServeConfig::max_batch`].
-    #[must_use]
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets [`ServeConfig::latency_budget`].
-    #[must_use]
-    pub fn latency_budget(mut self, latency_budget: Duration) -> Self {
-        self.config.latency_budget = latency_budget;
-        self
-    }
-
-    /// Sets [`ServeConfig::queue_capacity`].
-    #[must_use]
-    pub fn queue_cap(mut self, queue_capacity: usize) -> Self {
-        self.config.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Sets [`ServeConfig::pipeline_depth`] (0 disables pipelining).
-    #[must_use]
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.config.pipeline_depth = pipeline_depth;
-        self
-    }
-
-    /// Sets [`ServeConfig::result_cache_entries`] (0 disables the
-    /// result cache).
-    #[must_use]
-    pub fn result_cache_entries(mut self, entries: usize) -> Self {
-        self.config.result_cache_entries = entries;
-        self
-    }
-
-    /// Sets [`ServeConfig::negative_cache`].
-    #[must_use]
-    pub fn negative_cache(mut self, enabled: bool) -> Self {
-        self.config.negative_cache = enabled;
-        self
-    }
-
-    /// Validates the invariants and returns the configuration.
-    ///
-    /// # Errors
-    /// [`ServeConfigError`] when a batch could never flush
-    /// (`max_batch == 0`, zero latency window) or never fill
-    /// (`queue_capacity < max_batch`).
-    pub fn build(self) -> Result<ServeConfig, ServeConfigError> {
-        let c = self.config;
-        if c.max_batch == 0 {
-            return Err(ServeConfigError::ZeroMaxBatch);
-        }
-        if c.latency_budget.is_zero() {
-            return Err(ServeConfigError::ZeroLatencyBudget);
-        }
-        if c.queue_capacity < c.max_batch {
-            return Err(ServeConfigError::QueueSmallerThanBatch {
-                queue_capacity: c.queue_capacity,
-                max_batch: c.max_batch,
-            });
-        }
-        Ok(c)
-    }
-}
-
-/// Why [`ServeConfigBuilder::build`] refused a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeConfigError {
-    /// `max_batch == 0`: no batch could ever flush.
-    ZeroMaxBatch,
-    /// A zero latency window: sub-cap batches would flush instantly,
-    /// defeating batching (use a small nonzero window instead).
-    ZeroLatencyBudget,
-    /// The admission queue cannot hold one full batch.
-    QueueSmallerThanBatch {
-        /// The configured queue capacity.
-        queue_capacity: usize,
-        /// The configured batch cap.
-        max_batch: usize,
-    },
-}
-
-impl fmt::Display for ServeConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeConfigError::ZeroMaxBatch => write!(f, "max_batch must be >= 1"),
-            ServeConfigError::ZeroLatencyBudget => {
-                write!(f, "latency_budget must be nonzero")
-            }
-            ServeConfigError::QueueSmallerThanBatch {
-                queue_capacity,
-                max_batch,
-            } => write!(
-                f,
-                "queue_capacity ({queue_capacity}) must hold one full batch (max_batch {max_batch})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServeConfigError {}
 
 /// Why a submission was refused. Refusals are immediate — `submit`
 /// never blocks on a full queue.
@@ -1024,58 +900,34 @@ fn refinement_loop(inner: &Inner, jobs: &Receiver<StageTwo>) {
     }
 }
 
-/// The batcher thread: park until something can flush, flush it,
-/// repeat; on shutdown, drain everything accepted and exit. Owns the
-/// sending half of the pipeline hand-off (when pipelining is on):
-/// returning from this function drops it, which disconnects the
-/// refiner's receiver and lets the stage-2 thread exit after its last
-/// queued flush.
+/// The batcher thread: flush whatever has queued, repeat; park only on
+/// an empty queue, and exit on an empty queue after shutdown — so a
+/// shutdown with work queued drains it through the same loop. The poll
+/// and the park are one critical section under the state lock, so a
+/// submission cannot slip between them. Owns the sending half of the
+/// pipeline hand-off (when pipelining is on): returning from this
+/// function drops it, which disconnects the refiner's receiver and lets
+/// the stage-2 thread exit after its last queued flush.
 fn batcher_loop(inner: &Inner, handoff: Option<&SyncSender<StageTwo>>) {
     let mut state = inner
         .state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     loop {
-        let now = inner.clock.now();
-        match state.core.poll(now) {
-            Step::Flush(batch) => {
-                drop(state);
-                inner.execute(batch, now, handoff);
-                state = inner
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            Step::Idle => {
-                if state.shutdown {
-                    return;
-                }
-                state = inner
-                    .wake
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            Step::WaitUntil(deadline) => {
-                if state.shutdown {
-                    // Shutdown flushes early: drain everything accepted.
-                    let batches = state.core.drain();
-                    drop(state);
-                    let now = inner.clock.now();
-                    for batch in batches {
-                        inner.execute(batch, now, handoff);
-                    }
-                    return;
-                }
-                let timeout = deadline.saturating_sub(inner.clock.now()).min(MAX_PARK);
-                if timeout.is_zero() {
-                    continue; // deadline passed while deciding: re-poll flushes
-                }
-                let (guard, _timed_out) = inner
-                    .wake
-                    .wait_timeout(state, timeout)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state = guard;
-            }
+        if let Some(batch) = state.core.poll() {
+            drop(state);
+            inner.execute(batch, inner.clock.now(), handoff);
+            state = inner
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        } else if state.shutdown {
+            return;
+        } else {
+            state = inner
+                .wake
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
@@ -1099,22 +951,19 @@ impl ServeEngine {
         Self::with_parts(engine, Arc::new(SystemClock::new()), config)
     }
 
-    /// Fully seamed constructor: any executor, any clock. The test
-    /// battery uses this with mock clocks and gated/panicking executors
-    /// to pin behavior without sleeps.
+    /// Fully seamed constructor: any executor, any clock (the clock
+    /// only stamps queue waits — no decision reads it). The test battery
+    /// uses this with gated/panicking executors to pin behavior without
+    /// sleeps.
     #[must_use]
     pub fn with_parts(
         executor: Arc<dyn BatchExecutor>,
         clock: Arc<dyn Clock>,
         config: ServeConfig,
     ) -> Self {
-        let policy = BatchPolicy {
-            max_batch: config.max_batch,
-            latency_budget: config.latency_budget,
-        };
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
-                core: BatcherCore::new(policy, config.queue_capacity),
+                core: BatcherCore::new(config.max_batch, config.queue_capacity),
                 shutdown: false,
             }),
             wake: Condvar::new(),
@@ -1126,33 +975,10 @@ impl ServeEngine {
                 .then(|| ResultCache::new(config.result_cache_entries)),
             negative_cache: config.negative_cache,
         });
-        // Discontinuous clocks (MockClock) announce their jumps; wake
-        // the batcher so a simulated latency window expires exactly like
-        // a real one. Taking the state lock before notifying serializes
-        // with the batcher's decide-then-park critical section, so a
-        // jump can never slip between its poll and its park. Weak: the
-        // caller's clock may outlive this server — once the server is
-        // gone the waker reports dead and the clock prunes it.
-        {
-            let weak = Arc::downgrade(&inner);
-            inner.clock.register_waker(Arc::new(move || {
-                let Some(inner) = weak.upgrade() else {
-                    return false;
-                };
-                drop(
-                    inner
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
-                inner.wake.notify_all();
-                true
-            }));
-        }
         // Pipelining: the refiner thread holds the receiving half; the
         // batcher-loop closure owns the sending half, so the batcher's
-        // exit (normal or drain) disconnects the channel and the
-        // refiner drains out behind it.
+        // exit disconnects the channel and the refiner drains out
+        // behind it.
         let mut threads = Vec::with_capacity(2);
         let handoff = if config.pipeline_depth > 0 {
             let (tx, rx) = std::sync::mpsc::sync_channel::<StageTwo>(config.pipeline_depth);
@@ -1248,7 +1074,8 @@ impl ServeEngine {
             priority,
             deadline,
         } = request;
-        let deadline = deadline.map(|d| Instant::now() + d);
+        // A deadline `Instant` cannot represent is no deadline.
+        let deadline = deadline.and_then(|d| Instant::now().checked_add(d));
         let state = if let Some((outcome, cached)) = self.inner.cached_answer(&query) {
             api::PendingState::Cached(outcome, cached)
         } else {
@@ -1386,6 +1213,7 @@ mod tests {
     use geotext::{BoundingBox, GeoPoint};
     use semask::clock::MockClock;
     use semask::query::LatencyBreakdown;
+    use std::sync::mpsc::{channel, Sender};
 
     fn query(i: u8) -> SemaSkQuery {
         let center = GeoPoint::new(40.0, -90.0 + f64::from(i) * 0.01).unwrap();
@@ -1395,11 +1223,85 @@ mod tests {
         )
     }
 
-    /// An executor that answers every query with an empty outcome and
-    /// counts batches; `fail_text` batches error, `panic_text` batches
-    /// panic.
+    /// The text of the query a test holds the executor with.
+    const PLUG: &str = "plug";
+
+    /// The executor's side of a hold. Nothing makes a query wait but a
+    /// busy executor, so this is how a test forms a multi-query flush:
+    /// hold the executor with the plug query, submit the queries of
+    /// interest, release — they leave as the next flush (in cap-sized
+    /// chunks). Every flush announces its size on `entered`; a flush
+    /// carrying the plug then blocks until the test sends a token.
+    struct Gate {
+        entered: Sender<usize>,
+        release: Mutex<Receiver<()>>,
+    }
+
+    /// The test's side of a [`Gate`].
+    struct Holder {
+        entered: Receiver<usize>,
+        release: Sender<()>,
+    }
+
+    fn gate() -> (Gate, Holder) {
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        (
+            Gate {
+                entered: entered_tx,
+                release: Mutex::new(release_rx),
+            },
+            Holder {
+                entered: entered_rx,
+                release: release_tx,
+            },
+        )
+    }
+
+    impl Gate {
+        fn announce(&self, queries: &[SemaSkQuery]) {
+            // A test that stopped listening (shutdown on drop) is fine.
+            let _ = self.entered.send(queries.len());
+        }
+
+        fn hold_plug(&self, queries: &[SemaSkQuery]) {
+            if queries.iter().any(|q| q.text == PLUG) {
+                self.release
+                    .lock()
+                    .expect("gate lock")
+                    .recv()
+                    .expect("release token");
+            }
+        }
+    }
+
+    impl Holder {
+        /// Submits the plug and returns once its flush has entered the
+        /// executor: until [`Holder::release`], submissions queue.
+        fn hold(&self, serve: &ServeEngine) -> Ticket {
+            let plug = serve
+                .submit(SemaSkQuery::new(query(0).range, PLUG))
+                .expect("plug admitted");
+            assert_eq!(self.next_flush(), 1, "the plug leaves alone");
+            plug
+        }
+
+        fn release(&self, plug: Ticket) {
+            self.release.send(()).expect("executor holding");
+            assert!(plug.wait().is_ok());
+        }
+
+        /// The size of the next flush to enter the executor.
+        fn next_flush(&self) -> usize {
+            self.entered.recv().expect("a flush enters the executor")
+        }
+    }
+
+    /// An executor that answers every query with an empty outcome;
+    /// `fail_text` batches error, `panic_text` batches panic, and a
+    /// gated one can be held (see [`Gate`]).
     struct ScriptedExecutor {
-        batches: Mutex<Vec<usize>>,
+        gate: Option<Gate>,
         fail_text: Option<String>,
         panic_text: Option<String>,
     }
@@ -1407,19 +1309,30 @@ mod tests {
     impl ScriptedExecutor {
         fn ok() -> Self {
             Self {
-                batches: Mutex::new(Vec::new()),
+                gate: None,
                 fail_text: None,
                 panic_text: None,
             }
+        }
+
+        fn held() -> (Self, Holder) {
+            let (gate, holder) = gate();
+            (
+                Self {
+                    gate: Some(gate),
+                    ..Self::ok()
+                },
+                holder,
+            )
         }
     }
 
     impl BatchExecutor for ScriptedExecutor {
         fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-            self.batches
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(queries.len());
+            if let Some(gate) = &self.gate {
+                gate.announce(queries);
+                gate.hold_plug(queries);
+            }
             if let Some(t) = &self.panic_text {
                 assert!(
                     !queries.iter().any(|q| q.text.contains(t.as_str())),
@@ -1445,8 +1358,10 @@ mod tests {
 
     /// A two-stage executor: filter counts candidates (the opaque
     /// state), refine produces the outcomes. Scripted poison texts can
-    /// fail or panic either stage independently.
+    /// fail or panic either stage independently; a gated one announces
+    /// flushes entering the *filter* and can be held in the *refiner*.
     struct SplitExecutor {
+        gate: Option<Gate>,
         filter_fail: Option<String>,
         filter_panic: Option<String>,
         refine_panic: Option<String>,
@@ -1455,6 +1370,7 @@ mod tests {
     impl SplitExecutor {
         fn ok() -> Self {
             Self {
+                gate: None,
                 filter_fail: None,
                 filter_panic: None,
                 refine_panic: None,
@@ -1485,6 +1401,9 @@ mod tests {
             &self,
             queries: &[SemaSkQuery],
         ) -> Option<Result<Box<dyn Any + Send>, EngineError>> {
+            if let Some(gate) = &self.gate {
+                gate.announce(queries);
+            }
             if let Some(t) = &self.filter_panic {
                 assert!(
                     !queries.iter().any(|q| q.text.contains(t.as_str())),
@@ -1506,6 +1425,9 @@ mod tests {
             queries: &[SemaSkQuery],
             state: Box<dyn Any + Send>,
         ) -> Result<Vec<QueryOutcome>, EngineError> {
+            if let Some(gate) = &self.gate {
+                gate.hold_plug(queries);
+            }
             if let Some(t) = &self.refine_panic {
                 assert!(
                     !queries.iter().any(|q| q.text.contains(t.as_str())),
@@ -1521,11 +1443,14 @@ mod tests {
     /// Records the executor-call order and counts mutations, so the
     /// mutations-before-queries contract of a mixed flush is pinned.
     struct MutationRecorder {
+        gate: Gate,
         events: Mutex<Vec<&'static str>>,
     }
 
     impl BatchExecutor for MutationRecorder {
         fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
+            self.gate.announce(queries);
+            self.gate.hold_plug(queries);
             self.events
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1556,7 +1481,9 @@ mod tests {
 
     #[test]
     fn mutations_apply_before_their_flushmates_and_count() {
+        let (gate, holder) = gate();
         let exec = Arc::new(MutationRecorder {
+            gate,
             events: Mutex::new(Vec::new()),
         });
         let serve = ServeEngine::with_parts(
@@ -1564,17 +1491,18 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
         );
-        // One mutation + one query fill the batch cap: a single mixed
-        // flush, mutations strictly first.
+        // One mutation + one query queue behind the held plug: a single
+        // mixed flush, mutations strictly first.
+        let plug = holder.hold(&serve);
         let tm = serve.submit_mutation(Mutation::Delete { id: 0 }).unwrap();
         let tq = serve.submit(query(1)).unwrap();
+        holder.release(plug);
         let out = tm.wait().expect("mutation ticket resolves Ok");
         assert!(out.pois.is_empty(), "mutation outcome carries no POIs");
         assert!(tq.wait().is_ok());
@@ -1583,13 +1511,15 @@ mod tests {
                 .events
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
-            vec!["mutations", "queries"]
+            vec!["queries", "mutations", "queries"],
+            "the plug's flush, then the mixed one"
         );
         let m = serve.metrics();
+        assert_eq!(m.batches, 2);
         assert_eq!(m.mutations_applied, 1);
         assert_eq!(m.wal_bytes, 77);
         assert_eq!(m.last_checkpoint_records, 3);
-        assert_eq!(m.served, 2, "mutation + query tickets both served");
+        assert_eq!(m.served, 3, "plug, mutation and query tickets all served");
     }
 
     #[test]
@@ -1600,7 +1530,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
@@ -1610,7 +1539,8 @@ mod tests {
         let tm = serve.submit_mutation(Mutation::Delete { id: 9 }).unwrap();
         let tq = serve.submit(query(1)).unwrap();
         assert!(matches!(tm.wait(), Err(ServeError::Engine(_))));
-        // The flush's queries are unaffected by the rejected mutation.
+        // Queries are unaffected by the rejected mutation, whether they
+        // left in its flush or the next.
         assert!(tq.wait().is_ok());
         let m = serve.metrics();
         assert_eq!(m.mutations_applied, 0);
@@ -1624,7 +1554,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 2,
                 result_cache_entries: 0,
@@ -1641,8 +1570,7 @@ mod tests {
         assert!(t4.wait().is_ok());
         let m = serve.metrics();
         assert_eq!(m.served, 4);
-        assert_eq!(m.batches, 2);
-        assert_eq!(m.pipelined_batches, 2, "every flush overlapped");
+        assert_eq!(m.pipelined_batches, m.batches, "every flush overlapped");
     }
 
     #[test]
@@ -1652,13 +1580,12 @@ mod tests {
         let serve = ServeEngine::with_parts(
             Arc::new(SplitExecutor {
                 filter_fail: Some("filter-poison".to_owned()),
-                filter_panic: None,
                 refine_panic: Some("refine-poison".to_owned()),
+                ..SplitExecutor::ok()
             }),
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 1,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 1,
                 result_cache_entries: 0,
@@ -1683,14 +1610,13 @@ mod tests {
 
     #[test]
     fn pipelined_shutdown_drains_through_both_stages() {
-        // Sub-cap queue on a frozen clock: only the shutdown drain can
-        // flush it, and the answer must come through the refiner thread.
+        // Whatever is still queued or in the hand-off channel when
+        // shutdown begins is answered through the refiner thread.
         let serve = ServeEngine::with_parts(
             Arc::new(SplitExecutor::ok()),
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 1,
                 result_cache_entries: 0,
@@ -1704,7 +1630,7 @@ mod tests {
         assert!(t2.wait().is_ok());
         let m = serve.metrics();
         assert_eq!(m.served, 2);
-        assert_eq!(m.pipelined_batches, 1);
+        assert_eq!(m.pipelined_batches, m.batches);
     }
 
     #[test]
@@ -1717,7 +1643,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 4,
                 result_cache_entries: 0,
@@ -1735,14 +1660,13 @@ mod tests {
 
     #[test]
     fn cap_flush_answers_tickets_without_time_advancing() {
-        // Mock clock frozen at zero: only the size cap can flush.
+        // Mock clock frozen at zero: nothing a flush needs is time.
         let exec = Arc::new(ScriptedExecutor::ok());
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
@@ -1761,15 +1685,14 @@ mod tests {
 
     #[test]
     fn shutdown_drains_sub_cap_queue_exactly_once() {
-        // One query, cap 64, frozen clock: without shutdown it would wait
-        // for the (mock-infinite) latency window. Shutdown must flush it.
+        // One query, far under the cap: flushed before the shutdown or
+        // by its drain, it is answered exactly once either way.
         let exec = Arc::new(ScriptedExecutor::ok());
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
@@ -1791,27 +1714,29 @@ mod tests {
 
     #[test]
     fn engine_error_fails_whole_batch_but_not_the_server() {
+        let (exec, holder) = ScriptedExecutor::held();
         let exec = Arc::new(ScriptedExecutor {
-            batches: Mutex::new(Vec::new()),
             fail_text: Some("poison".to_owned()),
-            panic_text: None,
+            ..exec
         });
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
         );
+        // The poison pill and an innocent query share one flush.
+        let plug = holder.hold(&serve);
         let t1 = serve.submit(query(1)).unwrap();
         let t2 = serve
             .submit(SemaSkQuery::new(query(2).range, "poison pill"))
             .unwrap();
+        holder.release(plug);
         assert!(matches!(t1.wait(), Err(ServeError::Engine(_))));
         assert!(matches!(t2.wait(), Err(ServeError::Engine(_))));
         // The server still serves the next batch.
@@ -1821,25 +1746,27 @@ mod tests {
         assert!(t4.wait().is_ok());
         let m = serve.metrics();
         assert_eq!(m.failed, 2);
-        assert_eq!(m.served, 2);
+        assert_eq!(m.served, 3, "the plug and the two after the failure");
     }
 
     #[test]
     fn try_take_probe_and_group_count_metric() {
-        let exec = Arc::new(ScriptedExecutor::ok());
+        let (exec, holder) = ScriptedExecutor::held();
+        let exec = Arc::new(exec);
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 4,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
         );
-        // Two distinct ranges in one flush → 2 groups recorded.
+        // Two distinct ranges in one flush → 2 groups recorded (plus the
+        // plug's flush of one).
+        let plug = holder.hold(&serve);
         let shared = query(1).range;
         let tickets: Vec<Ticket> = vec![
             serve.submit(SemaSkQuery::new(shared, "a")).unwrap(),
@@ -1847,22 +1774,23 @@ mod tests {
             serve.submit(query(9)).unwrap(),
             serve.submit(query(9)).unwrap(),
         ];
+        holder.release(plug);
+        assert_eq!(holder.next_flush(), 4);
         for t in tickets {
             assert!(t.wait().is_ok());
         }
         let m = serve.metrics();
-        assert_eq!(m.batches, 1);
-        assert_eq!(m.groups, 2);
+        assert_eq!(m.batches, 2);
+        assert_eq!(m.groups, 3);
         // try_wait on an unfulfilled ticket returns the ticket back (not
         // a hang, not a lost claim): waiting on it afterwards still works.
+        let plug = holder.hold(&serve);
         let probe = serve.submit(query(5)).unwrap();
-        // If the probe already flushed the claim is consumed; otherwise
-        // the ticket comes back and must still be waitable.
-        let probe = probe.try_wait().err();
-        serve.shutdown();
-        if let Some(ticket) = probe {
-            assert!(ticket.wait().is_ok(), "claim survives a not-ready probe");
-        }
+        let Err(probe) = probe.try_wait() else {
+            panic!("nothing flushes while the executor is held");
+        };
+        holder.release(plug);
+        assert!(probe.wait().is_ok(), "claim survives a not-ready probe");
     }
 
     #[test]
@@ -1873,7 +1801,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
@@ -1895,45 +1822,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_literal_still_works() {
-        let built = ServeConfig::builder()
-            .max_batch(8)
-            .queue_cap(32)
-            .latency_budget(Duration::from_millis(5))
-            .pipeline_depth(2)
-            .build()
-            .unwrap();
-        assert_eq!(built.max_batch, 8);
-        assert_eq!(built.queue_capacity, 32);
-        assert_eq!(built.pipeline_depth, 2);
-        assert_eq!(
-            ServeConfig::builder().max_batch(0).build().unwrap_err(),
-            ServeConfigError::ZeroMaxBatch
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .latency_budget(Duration::ZERO)
-                .build()
-                .unwrap_err(),
-            ServeConfigError::ZeroLatencyBudget
-        );
-        assert!(matches!(
-            ServeConfig::builder().max_batch(16).queue_cap(8).build(),
-            Err(ServeConfigError::QueueSmallerThanBatch { .. })
-        ));
-        // The plain literal (used throughout this battery) keeps working.
-        let literal = ServeConfig {
-            max_batch: 2,
-            latency_budget: Duration::from_secs(1),
-            queue_capacity: 4,
-            pipeline_depth: 0,
-            result_cache_entries: 0,
-            negative_cache: false,
-        };
-        assert_eq!(literal.max_batch, 2);
-    }
-
-    #[test]
     fn submit_request_unifies_outcomes_and_refusals() {
         let exec = Arc::new(ScriptedExecutor::ok());
         let serve = ServeEngine::with_parts(
@@ -1941,7 +1829,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 2,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
@@ -1965,32 +1852,33 @@ mod tests {
 
     #[test]
     fn low_priority_sheds_before_the_queue_fills() {
-        // Frozen clock, cap far away: the queue only grows. Capacity 8
-        // reserves 2 slots from the Low class, which must shed once 6
-        // are queued while Normal is still admitted.
-        let exec = Arc::new(ScriptedExecutor::ok());
+        // Executor held: the queue only grows. Capacity 8 reserves 2
+        // slots from the Low class, which must shed once 6 are queued
+        // while Normal is still admitted.
+        let (exec, holder) = ScriptedExecutor::held();
+        let exec = Arc::new(exec);
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
         );
+        let plug = holder.hold(&serve);
         let mut pending = Vec::new();
-        for i in 0..6 {
+        for i in 1..7 {
             pending.push(serve.submit(query(i)).unwrap());
         }
         let low = serve
-            .submit_request(api::Request::new(1, query(6)).with_priority(api::Priority::Low))
+            .submit_request(api::Request::new(1, query(7)).with_priority(api::Priority::Low))
             .wait();
         assert_eq!(low.status, api::ServeStatus::Overloaded, "low class shed");
-        let normal = serve.submit_request(api::Request::new(2, query(7)));
-        serve.shutdown();
+        let normal = serve.submit_request(api::Request::new(2, query(8)));
+        holder.release(plug);
         assert_eq!(normal.wait().status, api::ServeStatus::Ok);
         for t in pending {
             assert!(t.wait().is_ok());
@@ -2000,21 +1888,22 @@ mod tests {
 
     #[test]
     fn request_deadline_times_out_without_consuming_the_server() {
-        // Frozen mock clock: the single query can only flush at
-        // shutdown, so a 10ms wall-clock deadline must expire first.
-        let exec = Arc::new(ScriptedExecutor::ok());
+        // Executor held: the query cannot flush until the release, so
+        // a 10ms wall-clock deadline must expire first.
+        let (exec, holder) = ScriptedExecutor::held();
+        let exec = Arc::new(exec);
         let serve = ServeEngine::with_parts(
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
         );
+        let plug = holder.hold(&serve);
         let pending = serve.submit_request(
             api::Request::new(7, query(1)).with_deadline(Duration::from_millis(10)),
         );
@@ -2022,36 +1911,129 @@ mod tests {
         assert_eq!(response.id, 7);
         assert_eq!(response.status, api::ServeStatus::Timeout);
         assert!(response.outcome.is_none());
-        // The abandoned claim doesn't wedge shutdown's drain.
+        // The abandoned claim doesn't wedge the server or its shutdown.
+        holder.release(plug);
         serve.shutdown();
-        assert_eq!(serve.metrics().served, 1);
+        assert_eq!(serve.metrics().served, 2);
     }
 
     #[test]
-    fn mock_clock_advance_expires_the_latency_window() {
-        // One query, cap far away, and a window (an hour) no real-time
-        // park could ride out inside this test: only the clock waker can
-        // deliver the simulated expiry. Advancing the mock clock past
-        // the window must wake the batcher and resolve the ticket.
-        let exec = Arc::new(ScriptedExecutor::ok());
-        let clock = Arc::new(MockClock::new());
+    fn unrepresentable_deadline_means_no_deadline() {
         let serve = ServeEngine::with_parts(
-            Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-            Arc::clone(&clock) as Arc<dyn semask::clock::Clock>,
-            ServeConfig {
-                max_batch: 64,
-                latency_budget: Duration::from_secs(3600),
-                queue_capacity: 8,
-                pipeline_depth: 0,
-                result_cache_entries: 0,
-                negative_cache: false,
-            },
+            Arc::new(ScriptedExecutor::ok()),
+            Arc::new(MockClock::new()),
+            ServeConfig::default(),
+        );
+        let response = serve
+            .submit_request(api::Request::new(9, query(1)).with_deadline(Duration::MAX))
+            .wait();
+        assert_eq!(response.status, api::ServeStatus::Ok);
+    }
+
+    #[test]
+    fn lone_submission_is_answered_without_companions_or_time() {
+        // Cap 64, one query, a clock that never advances: the executor
+        // is free, so the query leaves alone and at once.
+        let serve = ServeEngine::with_parts(
+            Arc::new(ScriptedExecutor::ok()),
+            Arc::new(MockClock::new()),
+            ServeConfig::default(),
         );
         let t = serve.submit(query(1)).unwrap();
-        clock.advance(Duration::from_secs(3601));
-        assert!(t.wait().is_ok(), "window flush under simulated time");
-        assert_eq!(serve.metrics().served, 1);
-        serve.shutdown();
+        let answered = t.wait_deadline(Instant::now() + Duration::from_secs(5));
+        assert!(
+            matches!(answered, Ok(Ok(_))),
+            "a lone query waits for nobody"
+        );
+        let m = serve.metrics();
+        assert_eq!((m.batches, m.max_batch), (1, 1));
+        assert_eq!(m.queue_wait, Duration::ZERO);
+    }
+
+    /// Holds flush 1, submits `n`, releases, and returns the sizes of
+    /// the flushes the `n` left in.
+    fn flushes_after_a_held_one(max_batch: usize, n: u8) -> Vec<usize> {
+        let (exec, holder) = ScriptedExecutor::held();
+        let serve = ServeEngine::with_parts(
+            Arc::new(exec),
+            Arc::new(MockClock::new()),
+            ServeConfig {
+                max_batch,
+                ..ServeConfig::default()
+            },
+        );
+        let plug = holder.hold(&serve);
+        let tickets: Vec<Ticket> = (1..=n).map(|i| serve.submit(query(i)).unwrap()).collect();
+        holder.release(plug);
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+        // Every ticket is answered, so every flush has announced itself.
+        holder.entered.try_iter().collect()
+    }
+
+    #[test]
+    fn arrivals_during_a_held_flush_leave_as_the_next_batch() {
+        assert_eq!(flushes_after_a_held_one(64, 5), vec![5]);
+        assert_eq!(flushes_after_a_held_one(2, 5), vec![2, 2, 1]);
+    }
+
+    #[test]
+    fn queue_wait_is_the_time_the_executor_was_busy() {
+        let (exec, holder) = ScriptedExecutor::held();
+        let clock = Arc::new(MockClock::new());
+        let serve = ServeEngine::with_parts(
+            Arc::new(exec),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            ServeConfig::default(),
+        );
+        let plug = holder.hold(&serve);
+        let tickets: Vec<Ticket> = (1..=3).map(|i| serve.submit(query(i)).unwrap()).collect();
+        clock.advance(Duration::from_millis(7));
+        holder.release(plug);
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+        // The plug waited for nothing; the three behind it waited out
+        // its 7 ms of (simulated) execution, to the nanosecond.
+        let m = serve.metrics();
+        assert_eq!(m.batches, 2);
+        assert_eq!(m.queue_wait, 3 * Duration::from_millis(7));
+    }
+
+    #[test]
+    fn arrivals_during_a_held_refinement_leave_as_the_next_batch() {
+        // The same rule per stage: with the refiner held and the
+        // one-slot hand-off full, stage 1 blocks in `send`, and what
+        // arrives meanwhile leaves as its next flush.
+        let (gate, holder) = gate();
+        let serve = ServeEngine::with_parts(
+            Arc::new(SplitExecutor {
+                gate: Some(gate),
+                ..SplitExecutor::ok()
+            }),
+            Arc::new(MockClock::new()),
+            ServeConfig {
+                pipeline_depth: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let plug = holder.hold(&serve);
+        // `a` fills the hand-off slot behind the held plug; `b` is
+        // filtered and then stuck in `send` until the refiner moves.
+        let a = serve.submit(query(1)).unwrap();
+        assert_eq!(holder.next_flush(), 1);
+        let b = serve.submit(query(2)).unwrap();
+        assert_eq!(holder.next_flush(), 1);
+        let tickets: Vec<Ticket> = (3..8).map(|i| serve.submit(query(i)).unwrap()).collect();
+        holder.release(plug);
+        assert_eq!(holder.next_flush(), 5);
+        for t in tickets.into_iter().chain([a, b]) {
+            assert!(t.wait().is_ok());
+        }
+        let m = serve.metrics();
+        assert_eq!(m.pipelined_batches, 4);
+        assert_eq!(m.served, 8);
     }
 
     /// A cache-battery executor: counts executed batches, stamps each
@@ -2116,7 +2098,6 @@ mod tests {
             Arc::new(MockClock::new()),
             ServeConfig {
                 max_batch: 1,
-                latency_budget: Duration::from_secs(3600),
                 queue_capacity: 8,
                 pipeline_depth: 0,
                 result_cache_entries: 8,

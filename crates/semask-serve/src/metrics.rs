@@ -2,10 +2,14 @@
 //!
 //! Lock-free atomics bumped on the submit and flush paths, snapshotted
 //! on demand. The counters are the observable half of the backpressure
-//! story: `shed` growing means the admission queue is refusing work,
-//! `mean_batch_size` approaching the cap means the latency window is no
-//! longer what forms batches — the server is saturated and running
-//! cap-sized flushes back to back.
+//! story: `shed` growing means the admission queue is refusing work.
+//! A batch is whatever queued while the executor was busy, so
+//! `mean_batch_size` reads as *load*, not as a quality to maximise:
+//! near 1 the executor is keeping up with arrivals one by one, and
+//! approaching the cap the server is saturated and running cap-sized
+//! flushes back to back. `mean_queue_wait` is, likewise, the time a
+//! query spent waiting for the executor to come free — nothing else
+//! holds a query in the queue.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -253,7 +257,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean admission-to-flush wait per flushed query.
+    /// Mean admission-to-flush wait per flushed query: the time spent
+    /// waiting for the executor to be free.
     #[must_use]
     pub fn mean_queue_wait(&self) -> Duration {
         let flushed = self.served + self.failed;

@@ -1,26 +1,22 @@
 //! The time seam for latency-sensitive layers.
 //!
-//! Anything that makes *decisions* from elapsed time — the serving
-//! layer's flush policy most of all — reads time through the [`Clock`]
-//! trait instead of [`std::time::Instant`] directly, so tests can drive
-//! those decisions deterministically with a [`MockClock`] (advance time
-//! by explicit steps, never sleep as synchronization). Production code
-//! uses [`SystemClock`], a thin monotonic wrapper over `Instant`.
+//! Nothing in the workspace *decides* from elapsed time any more — the
+//! serving layer's batcher flushes whenever its executor is free, not
+//! when a window expires. What still reads time through the [`Clock`]
+//! trait instead of [`std::time::Instant`] is *measurement*: the
+//! serving layer stamps each query's admission and its flush, and the
+//! difference is the queue wait its metrics report. Tests pin those
+//! stamps exactly with a [`MockClock`] (advance time by explicit steps,
+//! never sleep as synchronization), and the simulation harnesses the
+//! ROADMAP plans (items 1 and 7(b)) build on the same seam. Production
+//! code uses [`SystemClock`], a thin monotonic wrapper over `Instant`.
 //!
 //! Time is represented as a [`Duration`] since the clock's own epoch
 //! (process start for [`SystemClock`], zero for [`MockClock`]); only
 //! differences between readings of the *same* clock are meaningful.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// A wakeup callback registered with [`Clock::register_waker`].
-///
-/// Returns whether the watcher behind it is still alive: a `false`
-/// return tells the clock to drop the registration, so short-lived
-/// watchers (a server that shut down) do not accumulate on a
-/// long-lived shared clock.
-pub type Waker = Arc<dyn Fn() -> bool + Send + Sync>;
 
 /// A monotonic time source.
 ///
@@ -29,18 +25,6 @@ pub type Waker = Arc<dyn Fn() -> bool + Send + Sync>;
 pub trait Clock: Send + Sync + 'static {
     /// Time elapsed since the clock's epoch.
     fn now(&self) -> Duration;
-
-    /// Registers a callback to invoke whenever the clock's reading
-    /// jumps discontinuously — i.e. after every [`MockClock::advance`]
-    /// or [`MockClock::set`]. Threads parked against one of this
-    /// clock's deadlines re-check it from the waker, so simulated time
-    /// can expire a timeout the way real time would.
-    ///
-    /// Continuous clocks ([`SystemClock`]) ignore this — real timeouts
-    /// fire on their own — which is the default.
-    fn register_waker(&self, waker: Waker) {
-        let _ = waker;
-    }
 }
 
 /// The real monotonic clock: readings are elapsed time since the clock
@@ -72,12 +56,10 @@ impl Clock for SystemClock {
 }
 
 /// A manually driven clock for deterministic tests: time stands still
-/// until the test advances it, and every advance runs the registered
-/// wakers so deadline-parked threads re-check simulated time.
+/// until the test advances it.
 #[derive(Default)]
 pub struct MockClock {
     now: Mutex<Duration>,
-    wakers: Mutex<Vec<Waker>>,
 }
 
 impl MockClock {
@@ -92,58 +74,27 @@ impl MockClock {
     pub fn starting_at(at: Duration) -> Self {
         Self {
             now: Mutex::new(at),
-            wakers: Mutex::new(Vec::new()),
         }
     }
 
-    /// Advances the clock by `by` and wakes deadline watchers.
+    /// Advances the clock by `by`.
     pub fn advance(&self, by: Duration) {
-        {
-            let mut now = self
-                .now
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *now += by;
-        }
-        self.wake_all();
-    }
-
-    /// Moves the clock to `to` and wakes deadline watchers. Saturating:
-    /// the clock is monotone, so a target earlier than the current
-    /// reading leaves time unchanged.
-    pub fn set(&self, to: Duration) {
-        {
-            let mut now = self
-                .now
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if to > *now {
-                *now = to;
-            }
-        }
-        self.wake_all();
-    }
-
-    /// Runs every registered waker outside the time lock (so wakers may
-    /// read the clock) and prunes the ones reporting their watcher dead.
-    fn wake_all(&self) {
-        let wakers = self
-            .wakers
+        let mut now = self
+            .now
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let mut dead = Vec::new();
-        for (i, waker) in wakers.iter().enumerate() {
-            if !waker() {
-                dead.push(i);
-            }
-        }
-        if !dead.is_empty() {
-            let mut registered = self
-                .wakers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            registered.retain(|w| !dead.iter().any(|&i| Arc::ptr_eq(w, &wakers[i])));
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *now += by;
+    }
+
+    /// Moves the clock to `to`. Saturating: the clock is monotone, so a
+    /// target earlier than the current reading leaves time unchanged.
+    pub fn set(&self, to: Duration) {
+        let mut now = self
+            .now
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if to > *now {
+            *now = to;
         }
     }
 }
@@ -154,13 +105,6 @@ impl Clock for MockClock {
             .now
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn register_waker(&self, waker: Waker) {
-        self.wakers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(waker);
     }
 }
 
@@ -186,45 +130,5 @@ mod tests {
         assert_eq!(clock.now(), Duration::from_millis(5));
         clock.set(Duration::from_millis(9));
         assert_eq!(clock.now(), Duration::from_millis(9));
-    }
-
-    #[test]
-    fn mock_clock_runs_wakers_on_every_jump() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let clock = MockClock::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let waker_fired = Arc::clone(&fired);
-        clock.register_waker(Arc::new(move || {
-            waker_fired.fetch_add(1, Ordering::SeqCst);
-            true
-        }));
-        clock.advance(Duration::from_millis(1));
-        clock.set(Duration::from_millis(2));
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn mock_clock_prunes_dead_wakers() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let clock = MockClock::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let waker_fired = Arc::clone(&fired);
-        // Fires once, then reports its watcher gone.
-        clock.register_waker(Arc::new(move || {
-            waker_fired.fetch_add(1, Ordering::SeqCst) == usize::MAX
-        }));
-        clock.advance(Duration::from_millis(1));
-        clock.advance(Duration::from_millis(1));
-        clock.advance(Duration::from_millis(1));
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            1,
-            "a dead waker runs at most once more, then is dropped"
-        );
-    }
-
-    #[test]
-    fn system_clock_ignores_wakers() {
-        SystemClock::new().register_waker(Arc::new(|| true));
     }
 }

@@ -47,7 +47,7 @@ pub mod retrieval;
 pub mod sharded;
 pub mod wal;
 
-pub use clock::{Clock, MockClock, SystemClock, Waker};
+pub use clock::{Clock, MockClock, SystemClock};
 pub use config::SemaSkConfig;
 pub use cost::{
     CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,

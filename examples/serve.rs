@@ -1,21 +1,21 @@
 //! Serving-layer load driver: several client threads fire queries at a
-//! `ServeEngine` concurrently, the admission queue forms micro-batches
-//! (size cap or latency window, whichever first), and every client gets
-//! its answer back through a `Ticket` — identical to what a direct
-//! `engine.query` would have returned. A second, deliberately tiny
-//! server then shows the backpressure path: a full queue sheds with
-//! `Overloaded` instead of blocking.
+//! `ServeEngine` concurrently, the batcher flushes whatever has queued
+//! each time the executor comes free (never more than the size cap),
+//! and every client gets its answer back through a `Ticket` — identical
+//! to what a direct `engine.query` would have returned. A second,
+//! deliberately tiny server then shows the backpressure path: a full
+//! queue sheds with `Overloaded` instead of blocking.
 //!
 //! ```sh
 //! cargo run --release --example serve
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
-use semask_serve::{ServeConfig, ServeEngine, SubmitError};
+use semask_serve::{ServeConfig, ServeEngine, SubmitError, Ticket};
 
 fn main() {
     // Offline prep, as in the quickstart; SemaSK-EM keeps the demo on
@@ -50,7 +50,6 @@ fn main() {
         Arc::clone(&engine),
         ServeConfig {
             max_batch: 16,
-            latency_budget: Duration::from_millis(1),
             queue_capacity: 256,
             // Overlap refinement of one flush with filtering of the
             // next (0 = single-stage execution).
@@ -111,30 +110,54 @@ fn main() {
     );
 
     // ---- Backpressure: a server sized to be overrun ----
-    // Capacity 4 with a long window: the 5th+ concurrent submission is
-    // shed immediately with `Overloaded` — the client hears "try again"
-    // in microseconds instead of queueing unboundedly.
+    // Capacity 4 against a burst from 8 client threads: whatever finds
+    // the queue full while a flush is executing is shed immediately
+    // with `Overloaded` — the client hears "try again" in microseconds
+    // instead of queueing unboundedly. How many that is depends on how
+    // the burst interleaves with the batcher, so it is printed, not
+    // asserted.
     let tiny = ServeEngine::new(
         Arc::clone(&engine),
         ServeConfig {
             max_batch: 64,
-            latency_budget: Duration::from_millis(50),
             queue_capacity: 4,
             pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         },
     );
-    let mut tickets = Vec::new();
-    let mut shed = 0;
-    for i in 0..10 {
-        match tiny.submit(SemaSkQuery::new(ranges[0], texts[i % texts.len()])) {
-            Ok(t) => tickets.push(t),
-            Err(SubmitError::Overloaded) => shed += 1,
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
-    }
-    println!("\n--- overload demo (queue capacity 4, 10 rapid submissions) ---");
+    const BURST_CLIENTS: usize = 8;
+    const PER_BURST: usize = 16;
+    let tickets: Vec<Ticket> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..BURST_CLIENTS)
+            .map(|c| {
+                let tiny = &tiny;
+                scope.spawn(move || {
+                    let mut admitted = Vec::new();
+                    for i in 0..PER_BURST {
+                        let q = SemaSkQuery::new(
+                            ranges[0],
+                            format!("burst {c}: {}", texts[i % texts.len()]),
+                        );
+                        match tiny.submit(q) {
+                            Ok(t) => admitted.push(t),
+                            Err(SubmitError::Overloaded) => {}
+                            Err(e) => panic!("unexpected submit error: {e}"),
+                        }
+                    }
+                    admitted
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("burst client"))
+            .collect()
+    });
+    let shed = BURST_CLIENTS * PER_BURST - tickets.len();
+    println!(
+        "\n--- overload demo (queue capacity 4, {BURST_CLIENTS} clients x {PER_BURST} rapid submissions) ---"
+    );
     println!(
         "admitted      : {} tickets, shed {shed} with Overloaded (metrics agree: {})",
         tickets.len(),
@@ -144,7 +167,7 @@ fn main() {
     tiny.shutdown();
     let served = tickets
         .into_iter()
-        .map(semask_serve::Ticket::wait)
+        .map(Ticket::wait)
         .filter(Result::is_ok)
         .count();
     println!("after shutdown: all {served} admitted tickets answered exactly once");

@@ -150,7 +150,6 @@ fn serve_harness() -> &'static ServeHarness {
             .expect("seed insert");
         let base = ServeConfig {
             max_batch: 1,
-            latency_budget: std::time::Duration::from_millis(1),
             queue_capacity: 64,
             pipeline_depth: 0,
             result_cache_entries: 0,
@@ -267,7 +266,6 @@ fn publish_invalidates_a_hot_cached_answer() {
         .expect("seed insert");
     let base = ServeConfig {
         max_batch: 1,
-        latency_budget: std::time::Duration::from_millis(1),
         queue_capacity: 64,
         pipeline_depth: 0,
         result_cache_entries: 0,

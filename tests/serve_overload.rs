@@ -1,9 +1,8 @@
 //! Backpressure and failure-containment battery for the serving layer.
 //!
-//! Everything here is deterministic without sleeps: a
-//! `semask::clock::MockClock` freezes the latency window (only the size
-//! cap or shutdown can flush), and a channel-gated executor lets the
-//! test hold the batcher mid-flush while it probes the admission queue.
+//! Everything here is deterministic without sleeps: a channel-gated
+//! executor lets the test hold the batcher mid-flush — the only thing
+//! that makes a submission queue — while it probes the admission queue.
 //!
 //! Pinned behavior:
 //!
@@ -17,7 +16,6 @@
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use semask::clock::MockClock;
 use semask::engine::EngineError;
@@ -69,10 +67,9 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
             entered: entered_tx,
             release: Mutex::new(release_rx),
         }),
-        Arc::new(MockClock::new()), // frozen: only the cap flushes
+        Arc::new(MockClock::new()),
         ServeConfig {
             max_batch: 2,
-            latency_budget: Duration::from_secs(3600),
             queue_capacity: 2,
             pipeline_depth: 0,
             result_cache_entries: 0,
@@ -80,57 +77,53 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
         },
     );
 
-    // Two submissions reach the cap; the batcher takes them and blocks
-    // inside the executor, leaving the admission queue empty.
+    // The executor is free, so the first submission leaves alone; the
+    // batcher blocks inside the executor with the admission queue empty.
     let t1 = serve.submit(query(1)).expect("admitted");
-    let t2 = serve.submit(query(2)).expect("admitted");
-    assert_eq!(entered_rx.recv().expect("first flush"), 2);
+    assert_eq!(entered_rx.recv().expect("first flush"), 1);
 
     // Fill the (bounded) admission queue while the batcher is held.
+    let t2 = serve.submit(query(2)).expect("queue has room");
     let t3 = serve.submit(query(3)).expect("queue has room");
-    let t4 = serve.submit(query(4)).expect("queue has room");
     assert_eq!(serve.queued(), 2);
 
     // Full: the next submission sheds immediately — no blocking, no
     // growth — and the shed query holds no ticket.
     assert!(matches!(
+        serve.submit(query(4)),
+        Err(SubmitError::Overloaded)
+    ));
+    assert!(matches!(
         serve.submit(query(5)),
         Err(SubmitError::Overloaded)
     ));
-    assert!(matches!(
-        serve.submit(query(6)),
-        Err(SubmitError::Overloaded)
-    ));
     let m = serve.metrics();
     assert_eq!(m.shed, 2);
-    assert_eq!(m.accepted, 4);
+    assert_eq!(m.accepted, 3);
 
-    // Release the held batch; the first tickets resolve.
+    // Release the held batch; the first ticket resolves.
     release_tx.send(()).expect("release");
     assert!(t1.wait().is_ok());
-    assert!(t2.wait().is_ok());
 
-    // The batcher now flushes the queued pair (cap reached again).
+    // The batcher now flushes the pair that queued meanwhile.
     assert_eq!(entered_rx.recv().expect("second flush"), 2);
     release_tx.send(()).expect("release");
+    assert!(t2.wait().is_ok());
     assert!(t3.wait().is_ok());
-    assert!(t4.wait().is_ok());
 
-    // Recovered: the queue accepts again after the drain.
-    let t7 = serve.submit(query(7)).expect("recovered after drain");
-
-    // Shutdown flushes the sub-cap remainder; pre-load its release
-    // token so the drain's executor call does not block.
-    release_tx.send(()).expect("release for shutdown drain");
+    // Recovered: the queue accepts again after the drain. Pre-load the
+    // release token so this flush's executor call does not block.
+    release_tx.send(()).expect("release for the last flush");
+    let t6 = serve.submit(query(6)).expect("recovered after drain");
     serve.shutdown();
-    assert!(t7.wait().is_ok());
+    assert!(t6.wait().is_ok());
 
     let m = serve.metrics();
-    assert_eq!(m.accepted, 5);
-    assert_eq!(m.served, 5, "every accepted ticket answered exactly once");
+    assert_eq!(m.accepted, 4);
+    assert_eq!(m.served, 4, "every accepted ticket answered exactly once");
     assert_eq!(m.shed, 2);
     assert!(matches!(
-        serve.submit(query(8)),
+        serve.submit(query(7)),
         Err(SubmitError::ShuttingDown)
     ));
 }
@@ -139,11 +132,15 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
 /// shared `vecdb` worker pool — the regression half: the pool's
 /// per-job panic capture must re-raise on the batcher thread (not kill
 /// a pool worker silently), the serving layer must contain it to the
-/// batch, and the pool must stay usable for the next batch.
-struct PanickingScorerExecutor;
+/// batch, and the pool must stay usable for the next batch. Gated, so
+/// the test decides which queries share a flush.
+struct PanickingScorerExecutor {
+    gate: GatedExecutor,
+}
 
 impl BatchExecutor for PanickingScorerExecutor {
     fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
+        self.gate.execute_batch(queries)?;
         let scored = vecdb::pool::global().run(queries.len(), |i| {
             assert!(
                 !queries[i].text.contains("panic-pill"),
@@ -158,12 +155,18 @@ impl BatchExecutor for PanickingScorerExecutor {
 
 #[test]
 fn panicking_scorer_poisons_only_its_batch() {
+    let (entered_tx, entered_rx) = channel();
+    let (release_tx, release_rx) = channel();
     let serve = ServeEngine::with_parts(
-        Arc::new(PanickingScorerExecutor),
+        Arc::new(PanickingScorerExecutor {
+            gate: GatedExecutor {
+                entered: entered_tx,
+                release: Mutex::new(release_rx),
+            },
+        }),
         Arc::new(MockClock::new()),
         ServeConfig {
             max_batch: 2,
-            latency_budget: Duration::from_secs(3600),
             queue_capacity: 8,
             pipeline_depth: 0,
             result_cache_entries: 0,
@@ -171,26 +174,37 @@ fn panicking_scorer_poisons_only_its_batch() {
         },
     );
 
-    // Batch 1 contains the poisoned query: both of its tickets fail
+    // Each round holds the executor with one query so the next two
+    // queue behind it and leave as one flush of two.
+    let flush_of_two = |first: SemaSkQuery, pair: [SemaSkQuery; 2]| {
+        let held = serve.submit(first).expect("admitted");
+        assert_eq!(entered_rx.recv().expect("held flush"), 1);
+        let pair = pair.map(|q| serve.submit(q).expect("admitted"));
+        release_tx.send(()).expect("release");
+        assert!(held.wait().is_ok());
+        assert_eq!(entered_rx.recv().expect("the pair's flush"), 2);
+        release_tx.send(()).expect("release");
+        pair.map(semask_serve::Ticket::wait)
+    };
+
+    // This flush contains the poisoned query: both of its tickets fail
     // with BatchPanicked — and nothing else does.
-    let t1 = serve.submit(query(1)).expect("admitted");
-    let t2 = serve
-        .submit(SemaSkQuery::new(query(2).range, "panic-pill"))
-        .expect("admitted");
-    assert!(matches!(t1.wait(), Err(ServeError::BatchPanicked)));
-    assert!(matches!(t2.wait(), Err(ServeError::BatchPanicked)));
+    let poisoned = flush_of_two(
+        query(0),
+        [query(1), SemaSkQuery::new(query(2).range, "panic-pill")],
+    );
+    assert!(matches!(poisoned[0], Err(ServeError::BatchPanicked)));
+    assert!(matches!(poisoned[1], Err(ServeError::BatchPanicked)));
 
     // The server and the shared pool both survive: the next batch is
     // served normally through the same pool.
-    let t3 = serve.submit(query(3)).expect("server still admitting");
-    let t4 = serve.submit(query(4)).expect("server still admitting");
-    assert!(t3.wait().is_ok());
-    assert!(t4.wait().is_ok());
+    let healthy = flush_of_two(query(3), [query(4), query(5)]);
+    assert!(healthy.iter().all(Result::is_ok));
 
     serve.shutdown();
     let m = serve.metrics();
     assert_eq!(m.panicked_batches, 1);
     assert_eq!(m.failed, 2);
-    assert_eq!(m.served, 2);
-    assert_eq!(m.batches, 2);
+    assert_eq!(m.served, 4);
+    assert_eq!(m.batches, 4);
 }

@@ -5,9 +5,9 @@
 //! counts {1, 4}, and both single-stage and pipelined (two-stage)
 //! execution.
 //!
-//! Micro-batch composition under a real clock is scheduling-dependent
-//! (that is the point of an admission window), but the answers must
-//! not be: a query's answer does not depend on its batch-mates
+//! Micro-batch composition is scheduling-dependent (a batch is whatever
+//! queued while the executor was busy), but the answers must not be: a
+//! query's answer does not depend on its batch-mates
 //! (`tests/batch_parity.rs`), so however the batcher slices the
 //! traffic, every ticket must come back exactly as the one-query
 //! reference. Synchronization is tickets only — no sleeps.
@@ -109,7 +109,6 @@ fn concurrent_serving_matches_sequential_queries() {
                 Arc::clone(&engine),
                 ServeConfig {
                     max_batch,
-                    latency_budget: std::time::Duration::from_millis(1),
                     queue_capacity: queries.len().max(64),
                     pipeline_depth,
                     result_cache_entries: 0,
