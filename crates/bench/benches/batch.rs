@@ -16,11 +16,8 @@ use std::sync::Arc;
 
 use embed::Embedder;
 use llm::SimLlm;
-use semask::retrieval::RetrievalStrategy;
-use semask::{
-    prepare_city, ExactScanBackend, PlannedQuery, RetrievalBackend, SemaSkConfig, ShardedBackend,
-};
-use vecdb::ShardedCollection;
+use semask::sharded::CandidateSource;
+use semask::{prepare_city, PlannedQuery, RetrievalBackend, SemaSkConfig};
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -98,17 +95,14 @@ fn bench_batch(c: &mut Criterion) {
         }
     }
 
-    // Sharded fan-out dispatch: a ShardedBackend on the shared worker
-    // pool, one exact-scan query over 4 shards.
+    // Sharded fan-out dispatch: the exact-scan backend over 4 slices on
+    // the shared worker pool, one query.
     let shards = 4usize;
-    let partitioned =
-        ShardedCollection::from_collection(&collection.read(), shards).expect("partition");
-    let backends: Vec<Box<dyn RetrievalBackend>> = partitioned
-        .shards()
-        .iter()
-        .map(|h| Box::new(ExactScanBackend::new(Arc::clone(h))) as Box<dyn RetrievalBackend>)
-        .collect();
-    let pooled = ShardedBackend::new(RetrievalStrategy::ExactScan, backends);
+    let pooled = RetrievalBackend::new(
+        CandidateSource::ExactScan,
+        vecdb::partition(&collection.read(), shards).expect("partition"),
+        Arc::default(),
+    );
     let qv = &embedded[0];
     let fan_range = &bands[1].1;
     group.bench_function(format!("fanout/pooled-{shards}"), |b| {

@@ -26,7 +26,7 @@ fn main() {
         .unwrap_or_else(|| panic!("shard {shard} out of range for {} shards", params.shards));
 
     let engine = boot::build_engine(&params);
-    let handler = Arc::new(ShardEngineHandler::new(engine, spec));
+    let handler = Arc::new(ShardEngineHandler::new(engine, spec).expect("shard topology"));
     let mut server = ServeServer::bind(("127.0.0.1", port), handler, ServerConfig::default())
         .expect("bind shard server");
 

@@ -4,10 +4,13 @@
 //!
 //! Parity contract: with a frozen cost model (`online_updates: false`),
 //! routing a query through `N` shard processes produces **bit-identical
-//! answers** to the in-process [`semask::ShardedBackend`] — the router
-//! is the sole planner (shards execute the shipped strategy, never
-//! re-plan), shards embed the query text with the same deterministic
-//! embedder, each answers only its [`vecdb::ShardSpec`] slice, and
+//! answers** to the same planner's in-process fan-out
+//! ([`semask::RetrievalBackend::knn_in_range`]) — the router is the sole
+//! planner (shards execute the shipped strategy, never re-plan), shards
+//! embed the query text with the same deterministic embedder, each
+//! answers only its [`vecdb::ShardSpec`] slice — the very per-slice job
+//! the in-process fan-out runs
+//! ([`semask::RetrievalBackend::knn_in_range_shard`]) — and
 //! [`vecdb::merge_top_k`] reproduces the in-process merge exactly.
 //! Keyword-aware plans score against the *global* collection, which
 //! cannot be fanned out bit-exactly, so those queries execute locally
@@ -412,10 +415,24 @@ pub struct ShardEngineHandler {
 }
 
 impl ShardEngineHandler {
-    /// A handler answering for `spec`'s slice of the id space.
-    #[must_use]
-    pub fn new(engine: Arc<SemaSkEngine>, spec: ShardSpec) -> Self {
-        Self { engine, spec }
+    /// A handler answering for `spec`'s slice of the id space. The
+    /// spec's shard count must match the engine planner's — a server
+    /// partitioned two ways would otherwise answer slice 0-of-2 to a
+    /// router that merges it as 0-of-4.
+    ///
+    /// # Errors
+    /// [`EngineError::Remote`] when the topology does not match.
+    pub fn new(engine: Arc<SemaSkEngine>, spec: ShardSpec) -> Result<Self, EngineError> {
+        let shard_count = engine.prepared().planner.shard_count();
+        if spec.shards as usize != shard_count {
+            return Err(EngineError::Remote {
+                message: format!(
+                    "handler answers shard {}/{} but the planner fans out over {shard_count} shards",
+                    spec.shard, spec.shards
+                ),
+            });
+        }
+        Ok(Self { engine, spec })
     }
 }
 
@@ -466,6 +483,31 @@ impl NetHandler for ShardEngineHandler {
                 },
                 hits: Vec::new(),
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::boot::{self, NodeParams};
+
+    #[test]
+    fn shard_handler_refuses_a_spec_the_planner_was_not_built_for() {
+        let engine = boot::build_engine(&NodeParams {
+            pois: 60,
+            shards: 2,
+            ..NodeParams::default()
+        });
+        let spec = |shards, shard| ShardSpec::new(shards, shard).expect("valid spec");
+        assert!(ShardEngineHandler::new(Arc::clone(&engine), spec(2, 1)).is_ok());
+        match ShardEngineHandler::new(engine, spec(4, 0)) {
+            Err(EngineError::Remote { message }) => assert_eq!(
+                message,
+                "handler answers shard 0/4 but the planner fans out over 2 shards"
+            ),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => panic!("a 0-of-4 handler over a 2-shard planner was accepted"),
         }
     }
 }

@@ -5,9 +5,11 @@
 //! Every process (this test, and each spawned `semask-shard`) rebuilds
 //! the identical dataset from `(city, pois, seed)` — generation,
 //! preparation, and embedding are fully deterministic — so the only
-//! thing that can differ is the execution path: in-process
-//! `ShardedBackend` fan-out vs plan-ship-merge over the wire. The
-//! signature compares ids, raw score bits, and recommendation flags.
+//! thing that can differ is the execution path: the in-process fan-out
+//! of `RetrievalBackend::knn_in_range` vs plan-ship-merge of the same
+//! per-slice jobs over the wire (`tests/sharding_parity.rs` pins the
+//! slice-merge identity in process, per strategy). The signature
+//! compares ids, raw score bits, and recommendation flags.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};

@@ -3,11 +3,12 @@
 
 use geotext::{BoundingBox, Dataset, ObjectId};
 use lda::{jensen_shannon, LdaConfig, LdaModel};
+use spatial::GridIndex;
 use textindex::{InvertedIndex, TfIdfModel, Tokenizer, Vocabulary};
 
 use crate::engine::SemaSkEngine;
 use crate::query::SemaSkQuery;
-use crate::retrieval::{GridPrefilterBackend, RetrievalBackend};
+use crate::retrieval::grid_over;
 
 /// A retrieval method: given `(q.r, q.T, k)`, return up to `k` POI ids,
 /// best first. All of Table 2's columns implement this.
@@ -18,19 +19,16 @@ pub trait Retriever {
     fn retrieve(&self, range: &BoundingBox, text: &str, k: usize) -> Vec<ObjectId>;
 }
 
-/// Grid resolution for the baselines' default spatial filter backend.
+/// Grid resolution of the baselines' spatial filter.
 const BASELINE_GRID_RES: usize = 32;
 
-/// Spatial filtering for the lexical baselines runs through the same
-/// [`RetrievalBackend`] abstraction as the engine's filtering stage.
-///
-/// `Retriever::retrieve` has no error channel, and a baseline silently
-/// returning empty results would corrupt every evaluation it takes part
-/// in — so a failing backend is a loud panic, not an empty answer.
-fn in_range(backend: &dyn RetrievalBackend, range: &BoundingBox) -> Vec<ObjectId> {
-    backend
-        .filter_range(range)
-        .unwrap_or_else(|e| panic!("baseline spatial filter failed: {e}"))
+/// Ids of the objects inside `range`, ascending — the spatial half of a
+/// lexical baseline, which ranks with its own scorer and holds no
+/// vectors.
+fn in_range(grid: &GridIndex, range: &BoundingBox) -> Vec<ObjectId> {
+    let mut ids = grid.range_query(range);
+    ids.sort_unstable();
+    ids
 }
 
 /// TF-IDF baseline: cosine similarity between the query vector and each
@@ -38,33 +36,21 @@ fn in_range(backend: &dyn RetrievalBackend, range: &BoundingBox) -> Vec<ObjectId
 /// (average F1@10 of 0.19).
 pub struct TfIdfRetriever {
     model: TfIdfModel,
-    backend: Box<dyn RetrievalBackend>,
+    grid: GridIndex,
 }
 
 impl TfIdfRetriever {
     /// Fits TF-IDF on the dataset's documents (doc id = object id),
-    /// filtering ranges through a grid-prefilter backend.
+    /// filtering ranges through a grid.
     #[must_use]
     pub fn new(dataset: &Dataset) -> Self {
-        Self::with_backend(
-            dataset,
-            Box::new(GridPrefilterBackend::from_dataset(
-                dataset,
-                BASELINE_GRID_RES,
-            )),
-        )
-    }
-
-    /// Fits TF-IDF with an explicit spatial filter backend.
-    #[must_use]
-    pub fn with_backend(dataset: &Dataset, backend: Box<dyn RetrievalBackend>) -> Self {
         let mut index = InvertedIndex::new();
         for o in dataset.iter() {
             index.add_document(&o.to_document());
         }
         Self {
             model: TfIdfModel::fit(index),
-            backend,
+            grid: grid_over(dataset, BASELINE_GRID_RES),
         }
     }
 }
@@ -75,7 +61,7 @@ impl Retriever for TfIdfRetriever {
     }
 
     fn retrieve(&self, range: &BoundingBox, text: &str, k: usize) -> Vec<ObjectId> {
-        let candidates: Vec<u32> = in_range(self.backend.as_ref(), range)
+        let candidates: Vec<u32> = in_range(&self.grid, range)
             .into_iter()
             .map(|id| id.0)
             .collect();
@@ -96,7 +82,7 @@ pub struct LdaRetriever {
     model: LdaModel,
     vocab: Vocabulary,
     tokenizer: Tokenizer,
-    backend: Box<dyn RetrievalBackend>,
+    grid: GridIndex,
 }
 
 impl LdaRetriever {
@@ -122,10 +108,7 @@ impl LdaRetriever {
             model,
             vocab,
             tokenizer,
-            backend: Box::new(GridPrefilterBackend::from_dataset(
-                dataset,
-                BASELINE_GRID_RES,
-            )),
+            grid: grid_over(dataset, BASELINE_GRID_RES),
         }
     }
 }
@@ -139,7 +122,7 @@ impl Retriever for LdaRetriever {
         let tokens = self.vocab.lookup_all(&self.tokenizer.tokenize(text));
         let seed = concepts::hash::fnv1a(text.as_bytes());
         let qdist = self.model.infer(&tokens, seed);
-        let mut scored: Vec<(ObjectId, f64)> = in_range(self.backend.as_ref(), range)
+        let mut scored: Vec<(ObjectId, f64)> = in_range(&self.grid, range)
             .into_iter()
             .map(|id| {
                 let d = self
@@ -167,36 +150,21 @@ impl Retriever for LdaRetriever {
 /// that better lexical ranking still doesn't close the semantic gap.
 pub struct Bm25Retriever {
     model: textindex::Bm25Model,
-    backend: Box<dyn RetrievalBackend>,
+    grid: GridIndex,
 }
 
 impl Bm25Retriever {
     /// Fits BM25 on the dataset's documents (doc id = object id),
-    /// filtering ranges through the grid backend like the other lexical
-    /// baselines. (An [`crate::retrieval::IrTreeBackend`] would work too — `retrieve`
-    /// only needs the pure range filter — but it tokenizes the whole
-    /// corpus a second time for a text index BM25 never queries.)
+    /// filtering ranges through a grid like the other lexical baselines.
     #[must_use]
     pub fn new(dataset: &Dataset) -> Self {
-        Self::with_backend(
-            dataset,
-            Box::new(GridPrefilterBackend::from_dataset(
-                dataset,
-                BASELINE_GRID_RES,
-            )),
-        )
-    }
-
-    /// Fits BM25 with an explicit spatial filter backend.
-    #[must_use]
-    pub fn with_backend(dataset: &Dataset, backend: Box<dyn RetrievalBackend>) -> Self {
         let mut index = InvertedIndex::new();
         for o in dataset.iter() {
             index.add_document(&o.to_document());
         }
         Self {
             model: textindex::Bm25Model::new(index),
-            backend,
+            grid: grid_over(dataset, BASELINE_GRID_RES),
         }
     }
 }
@@ -207,7 +175,7 @@ impl Retriever for Bm25Retriever {
     }
 
     fn retrieve(&self, range: &BoundingBox, text: &str, k: usize) -> Vec<ObjectId> {
-        let in_range: std::collections::HashSet<u32> = in_range(self.backend.as_ref(), range)
+        let in_range: std::collections::HashSet<u32> = in_range(&self.grid, range)
             .into_iter()
             .map(|id| id.0)
             .collect();

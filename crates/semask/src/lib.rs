@@ -61,9 +61,8 @@ pub use live::{LiveState, Overlay};
 pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};
 pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 pub use retrieval::{
-    BatchGroupKey, ExactScanBackend, FilteredHnswBackend, GridPrefilterBackend, IrTreeBackend,
-    KnnAnswers, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner, RetrievalBackend,
+    BatchGroupKey, KnnAnswers, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner,
     RetrievalError, RetrievalStrategy, SelectivityEstimator,
 };
-pub use sharded::{ShardedBackend, ShardedPrefilterBackend};
+pub use sharded::RetrievalBackend;
 pub use wal::{Mutation, PoiSpec, PoiUpdate, Wal, WalError, WalRecord, WalStats};

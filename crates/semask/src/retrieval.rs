@@ -1,32 +1,30 @@
-//! The unified retrieval layer: one trait for the filtering stage, a
-//! selectivity estimator, and a cost-based query planner.
+//! The retrieval layer's planning half: a selectivity estimator, the
+//! corpus keyword statistics, and a cost-based query planner.
 //!
 //! The paper's filtering step answers one question — *top-k objects by
 //! embedding similarity within the range `q.r`* — and this codebase can
-//! answer it four ways:
+//! answer it four ways ([`RetrievalStrategy`]):
 //!
-//! 1. **Exact scan** ([`ExactScanBackend`]): brute-force the qualifying
-//!    points. Optimal when the range is highly selective.
-//! 2. **Filtered HNSW** ([`FilteredHnswBackend`]): beam search over the
-//!    graph with a geo filter mask. Wins when the range is broad.
-//! 3. **Grid prefilter** ([`GridPrefilterBackend`]): a uniform grid
-//!    narrows candidates in O(cells), then only those are scored.
-//! 4. **IR-tree** ([`IrTreeBackend`]): the spatial keyword index
-//!    traverses its R-tree for the range, then candidates are scored.
-//!    Keyword-driven workloads (the lexical baselines) share this path.
+//! 1. **Exact scan**: brute-force the qualifying points. Optimal when
+//!    the range is highly selective.
+//! 2. **Filtered HNSW**: beam search over the graph with a geo filter
+//!    mask. Wins when the range is broad.
+//! 3. **Grid prefilter**: a uniform grid narrows candidates in O(cells),
+//!    then only those are scored.
+//! 4. **IR-tree**: the spatial keyword index traverses its R-tree for
+//!    the range, then candidates are scored. Conjunctive keyword filters
+//!    prune this traversal natively.
 //!
-//! [`RetrievalBackend`] abstracts all four behind **one** k-NN method
-//! over a slice of query vectors — a single query is a slice of one, so
-//! there is one body per backend, not a sequential and a batched twin.
-//! [`QueryPlanner`] picks among them per query group by pricing each
-//! strategy with the calibrated cost models in [`crate::cost`] — fed by
-//! grid-cell cardinality estimates from [`SelectivityEstimator`],
+//! All four execute through one type, [`crate::sharded::RetrievalBackend`]
+//! — a candidate source over one or many collection slices, with **one**
+//! k-NN method over a slice of query vectors (a single query is a slice
+//! of one). [`QueryPlanner`] picks among them per query group by pricing
+//! each strategy with the calibrated cost models in [`crate::cost`] —
+//! fed by grid-cell cardinality estimates from [`SelectivityEstimator`],
 //! keyword posting statistics from the corpus inverted index, and
-//! `vecdb` collection statistics — and dispatching to the argmin.
-//! Every consumer of the filtering stage — `SemaSkEngine`,
-//! `PreparedCity`, and the `baselines` retrievers — goes through this
-//! trait, making it the seam where sharding, batching, and serving plug
-//! in.
+//! `vecdb` collection statistics — and dispatching to the argmin. Every
+//! consumer of the filtering stage — `SemaSkEngine`, `PreparedCity`, the
+//! shard servers of `semask-net` — goes through the planner.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,12 +34,13 @@ use std::time::Instant;
 use geotext::{BoundingBox, Dataset, GeoPoint, ObjectId};
 use parking_lot::RwLock;
 use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
-use vecdb::{CollectionHandle, Filter, ScoredPoint, SearchParams, SearchStrategy, VecDbError};
+use vecdb::{CollectionHandle, ScoredPoint, VecDbError};
 
 use crate::cost::{
     CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
     ProbeSample, QueryFeatures, StrategyCost,
 };
+use crate::sharded::{CandidateSource, RetrievalBackend};
 
 /// Errors from the retrieval layer.
 #[derive(Debug)]
@@ -49,17 +48,21 @@ use crate::cost::{
 pub enum RetrievalError {
     /// Vector database failure.
     VecDb(VecDbError),
-    /// The backend was built without a vector store, so it can filter
-    /// ranges but cannot score embedding similarity.
-    VectorsUnavailable,
+    /// A shard slice was requested that the backend does not have.
+    NoSuchShard {
+        /// The requested slice index.
+        shard: usize,
+        /// How many slices the backend runs over.
+        shards: usize,
+    },
 }
 
 impl fmt::Display for RetrievalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RetrievalError::VecDb(e) => write!(f, "vector db: {e}"),
-            RetrievalError::VectorsUnavailable => {
-                write!(f, "backend has no vector store attached")
+            RetrievalError::NoSuchShard { shard, shards } => {
+                write!(f, "no shard {shard}: the planner fans out over {shards}")
             }
         }
     }
@@ -113,18 +116,18 @@ pub struct KnnAnswers {
     /// Per query, aligned with the submitted vectors: the top-k hits
     /// (best first) and the size of each shard's pre-merge top-k pool
     /// (each at most `k`; they sum to at least the merged length, not to
-    /// `k`) — the counts are empty for unsharded backends.
+    /// `k`) — the counts are empty when the backend has one slice.
     pub per_query: Vec<(Vec<ScoredPoint>, Vec<usize>)>,
     /// Each shard's measured execution time for the whole slice in
     /// microseconds (the shard's own job, queueing and merge excluded) —
-    /// empty for unsharded backends. For a slice of one this is the
+    /// empty when the backend has one slice. For a slice of one this is the
     /// per-shard cost of that query, which the per-shard cost model
     /// learns from.
     pub shard_us: Vec<f64>,
 }
 
 impl KnnAnswers {
-    /// The answer of an unsharded backend: hits only.
+    /// An answer scored against one collection: hits only.
     #[must_use]
     pub fn unsharded(per_query_hits: Vec<Vec<ScoredPoint>>) -> Self {
         Self {
@@ -221,150 +224,15 @@ impl BatchGroupKey {
     }
 }
 
-/// A way to execute the filtering stage.
-///
-/// Implementations answer two queries over the same spatial predicate:
-/// the full filter-and-rank (`knn_in_range`, the paper's filtering step)
-/// and the pure spatial filter (`filter_range`, what the lexical
-/// baselines rank with their own scorers).
-///
-/// **The one contract of `knn_in_range`:** the answer for query `i` —
-/// ids, scores, tie order, per-shard counts — does not depend on the
-/// other queries in the slice. Sharing work across the slice (one
-/// candidate generation, one geo-mask evaluation, one pass over stored
-/// vectors via the [`vecdb::Distance::score_batch`] kernel) is an
-/// execution detail, never a semantics change; a single query is a slice
-/// of one.
-pub trait RetrievalBackend: Send + Sync {
-    /// Which strategy this backend implements.
-    fn strategy(&self) -> RetrievalStrategy;
-
-    /// For every vector of `query_vecs`: the top-k objects by embedding
-    /// similarity within `range`, best first, plus per-shard counts and
-    /// timings when the backend is sharded (see [`KnnAnswers`]).
-    ///
-    /// # Errors
-    /// [`RetrievalError::VectorsUnavailable`] if the backend was built
-    /// without a vector store; [`RetrievalError::VecDb`] on store errors.
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError>;
-
-    /// Ids of all objects within `range`, ascending.
-    ///
-    /// # Errors
-    /// [`RetrievalError::VecDb`] on store errors.
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError>;
-
-    /// One shard's slice of [`RetrievalBackend::knn_in_range`] for one
-    /// query: the top-k this backend's shard `shard` would contribute to
-    /// the pre-merge pool. Merging every shard's slice with
-    /// [`vecdb::merge_top_k`] must reproduce `knn_in_range`
-    /// bit-identically — this is the seam a cross-process shard server
-    /// executes remotely.
-    ///
-    /// Unsharded backends hold the whole dataset in "shard 0": the
-    /// default answers shard 0 with the full `knn_in_range` and any
-    /// other shard with an empty list.
-    ///
-    /// # Errors
-    /// Same contract as [`RetrievalBackend::knn_in_range`].
-    fn knn_in_range_shard(
-        &self,
-        shard: usize,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        if shard != 0 {
-            return Ok(Vec::new());
-        }
-        self.knn_in_range(&[query_vec], range, k, ef)
-            .map(KnnAnswers::into_only_hits)
-    }
-}
-
-fn geo_filter(range: &BoundingBox) -> Filter {
-    Filter::geo_box(range.min_lat, range.min_lon, range.max_lat, range.max_lon)
-}
-
-fn items_of(dataset: &Dataset) -> Vec<Item> {
-    dataset
+/// The grid the prefilter strategy, the selectivity estimator and the
+/// lexical baselines query: every object of `dataset` at `resolution`
+/// cells per axis.
+pub(crate) fn grid_over(dataset: &Dataset, resolution: usize) -> GridIndex {
+    let items = dataset
         .iter()
         .map(|o| Item::new(o.id, o.location))
-        .collect()
-}
-
-/// Scores one candidate set against every query vector: the candidates
-/// are generated once by the caller and every stored candidate vector
-/// streams through the scoring kernel once for the whole slice.
-fn knn_among_candidates(
-    collection: Option<&CollectionHandle>,
-    candidates: &[ObjectId],
-    query_vecs: &[&[f32]],
-    k: usize,
-) -> Result<KnnAnswers, RetrievalError> {
-    let collection = collection.ok_or(RetrievalError::VectorsUnavailable)?;
-    let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
-    let hits = collection.read().knn_among_batch(query_vecs, &ids, k)?;
-    Ok(KnnAnswers::unsharded(hits))
-}
-
-/// A collection search with the geo filter of `range` — the body of the
-/// two collection-backed strategies (one geo-mask evaluation for the
-/// whole slice inside [`vecdb::Collection::search_batch`]).
-fn collection_knn_in_range(
-    collection: &CollectionHandle,
-    strategy: SearchStrategy,
-    query_vecs: &[&[f32]],
-    range: &BoundingBox,
-    k: usize,
-    ef: Option<usize>,
-) -> Result<KnnAnswers, RetrievalError> {
-    let params = SearchParams {
-        k,
-        ef,
-        filter: Some(geo_filter(range)),
-        strategy,
-    };
-    let planned = collection.read().search_batch(query_vecs, &params)?;
-    Ok(KnnAnswers::unsharded(
-        planned.into_iter().map(|p| p.hits).collect(),
-    ))
-}
-
-/// The collection-backed range filter shared by the exact and HNSW
-/// backends: scan live payloads, return sorted ids.
-fn collection_filter_range(
-    collection: &CollectionHandle,
-    range: &BoundingBox,
-) -> Result<Vec<ObjectId>, RetrievalError> {
-    let mut ids: Vec<ObjectId> = collection
-        .read()
-        .filter_ids(&geo_filter(range))
-        .into_iter()
-        .map(|id| ObjectId(id as u32))
         .collect();
-    ids.sort_unstable();
-    Ok(ids)
-}
-
-/// Drops candidates whose point has been deleted from the collection
-/// since the dataset-derived index (grid, IR-tree) was built, so every
-/// backend answers `filter_range` from the same live membership. Without
-/// a collection (filter-only backends), the dataset snapshot is the
-/// membership.
-fn retain_live(collection: Option<&CollectionHandle>, mut ids: Vec<ObjectId>) -> Vec<ObjectId> {
-    if let Some(collection) = collection {
-        let guard = collection.read();
-        ids.retain(|id| guard.contains(u64::from(id.0)));
-    }
-    ids
+    GridIndex::build(items, resolution).expect("non-zero grid resolution")
 }
 
 /// Live-inserted points the frozen dataset-derived indexes (grid,
@@ -374,7 +242,7 @@ fn retain_live(collection: Option<&CollectionHandle>, mut ids: Vec<ObjectId>) ->
 /// all four keep answering `filter_range` and `knn_in_range` from the
 /// same live membership. Deletes need no counterpart here — every
 /// candidate path already masks them through the collection's
-/// soft-delete set (`retain_live` / `knn_among_batch`). Periodic
+/// soft-delete set (`contains` / `knn_among_batch`). Periodic
 /// compaction (checkpoint + reopen) folds the buffer back into rebuilt
 /// indexes.
 #[derive(Debug, Default)]
@@ -419,266 +287,6 @@ impl SidePoints {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.points.read().is_empty()
-    }
-}
-
-/// Exact brute-force scan of qualifying points (strategy 1).
-pub struct ExactScanBackend {
-    collection: CollectionHandle,
-}
-
-impl ExactScanBackend {
-    /// A backend over a prepared vector collection.
-    #[must_use]
-    pub fn new(collection: CollectionHandle) -> Self {
-        Self { collection }
-    }
-}
-
-impl RetrievalBackend for ExactScanBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::ExactScan
-    }
-
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError> {
-        collection_knn_in_range(
-            &self.collection,
-            SearchStrategy::Exact,
-            query_vecs,
-            range,
-            k,
-            None,
-        )
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        collection_filter_range(&self.collection, range)
-    }
-}
-
-/// Filtered HNSW graph search (strategy 2).
-pub struct FilteredHnswBackend {
-    collection: CollectionHandle,
-}
-
-impl FilteredHnswBackend {
-    /// A backend over a prepared vector collection.
-    #[must_use]
-    pub fn new(collection: CollectionHandle) -> Self {
-        Self { collection }
-    }
-}
-
-impl RetrievalBackend for FilteredHnswBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::FilteredHnsw
-    }
-
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError> {
-        // Graph traversal stays per-query inside `search_batch`.
-        collection_knn_in_range(
-            &self.collection,
-            SearchStrategy::Hnsw,
-            query_vecs,
-            range,
-            k,
-            ef,
-        )
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        // The graph accelerates similarity search, not pure range
-        // filters; the payload scan is the honest answer here.
-        collection_filter_range(&self.collection, range)
-    }
-}
-
-/// Uniform-grid candidate prefilter, then exact scoring (strategy 3).
-pub struct GridPrefilterBackend {
-    grid: Arc<GridIndex>,
-    collection: Option<CollectionHandle>,
-    side: Option<Arc<SidePoints>>,
-}
-
-impl GridPrefilterBackend {
-    /// A backend sharing a prebuilt grid, with vectors for scoring.
-    #[must_use]
-    pub fn new(grid: Arc<GridIndex>, collection: CollectionHandle) -> Self {
-        Self {
-            grid,
-            collection: Some(collection),
-            side: None,
-        }
-    }
-
-    /// A backend that additionally merges live-inserted points (which
-    /// the frozen grid cannot see) into every candidate set.
-    #[must_use]
-    pub fn with_side(
-        grid: Arc<GridIndex>,
-        collection: CollectionHandle,
-        side: Arc<SidePoints>,
-    ) -> Self {
-        Self {
-            grid,
-            collection: Some(collection),
-            side: Some(side),
-        }
-    }
-
-    /// A filter-only backend built from a dataset (no vector store): the
-    /// spatial half the lexical baselines need.
-    ///
-    /// # Panics
-    /// Never — the resolution is non-zero.
-    #[must_use]
-    pub fn from_dataset(dataset: &Dataset, resolution: usize) -> Self {
-        let grid = GridIndex::build(items_of(dataset), resolution.max(1))
-            .expect("non-zero grid resolution");
-        Self {
-            grid: Arc::new(grid),
-            collection: None,
-            side: None,
-        }
-    }
-
-    /// Grid candidates plus any live-inserted points in range.
-    fn candidates(&self, range: &BoundingBox) -> Vec<ObjectId> {
-        let mut ids = self.grid.range_query(range);
-        if let Some(side) = &self.side {
-            ids.extend(side.ids_in_range(range));
-        }
-        ids
-    }
-}
-
-impl RetrievalBackend for GridPrefilterBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::GridPrefilter
-    }
-
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError> {
-        // One grid traversal produces the candidate set every query in
-        // the slice shares.
-        let candidates = self.candidates(range);
-        knn_among_candidates(self.collection.as_ref(), &candidates, query_vecs, k)
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        let mut ids = retain_live(self.collection.as_ref(), self.candidates(range));
-        ids.sort_unstable();
-        Ok(ids)
-    }
-}
-
-/// IR-tree range traversal, then exact scoring (strategy 4).
-///
-/// The IR-tree is the classic spatial keyword index (Li et al., TKDE
-/// 2011); with an empty keyword set its traversal degenerates to an
-/// R-tree range query, which makes it a drop-in spatial filter for the
-/// keyword-matching baselines while staying available for conjunctive
-/// keyword search via [`IrTreeBackend::tree`].
-pub struct IrTreeBackend {
-    tree: Arc<IrTree>,
-    collection: Option<CollectionHandle>,
-    side: Option<Arc<SidePoints>>,
-}
-
-impl IrTreeBackend {
-    /// A backend sharing a prebuilt IR-tree, with vectors for scoring.
-    #[must_use]
-    pub fn new(tree: Arc<IrTree>, collection: CollectionHandle) -> Self {
-        Self {
-            tree,
-            collection: Some(collection),
-            side: None,
-        }
-    }
-
-    /// A backend that additionally merges live-inserted points (which
-    /// the frozen tree cannot see) into every candidate set.
-    #[must_use]
-    pub fn with_side(
-        tree: Arc<IrTree>,
-        collection: CollectionHandle,
-        side: Arc<SidePoints>,
-    ) -> Self {
-        Self {
-            tree,
-            collection: Some(collection),
-            side: Some(side),
-        }
-    }
-
-    /// A filter-only backend built from a dataset (no vector store).
-    #[must_use]
-    pub fn from_dataset(dataset: &Dataset) -> Self {
-        Self {
-            tree: Arc::new(IrTree::build(dataset)),
-            collection: None,
-            side: None,
-        }
-    }
-
-    /// The underlying IR-tree, for keyword-aware queries.
-    #[must_use]
-    pub fn tree(&self) -> &IrTree {
-        &self.tree
-    }
-
-    /// Tree candidates plus any live-inserted points in range.
-    fn candidates(&self, range: &BoundingBox) -> Vec<ObjectId> {
-        let mut ids = self.tree.search(&SpatialKeywordQuery {
-            range: *range,
-            keywords: String::new(),
-        });
-        if let Some(side) = &self.side {
-            ids.extend(side.ids_in_range(range));
-        }
-        ids
-    }
-}
-
-impl RetrievalBackend for IrTreeBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        RetrievalStrategy::IrTree
-    }
-
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        _ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError> {
-        // One tree traversal produces the candidate set every query in
-        // the slice shares.
-        let candidates = self.candidates(range);
-        knn_among_candidates(self.collection.as_ref(), &candidates, query_vecs, k)
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        let mut ids = retain_live(self.collection.as_ref(), self.candidates(range));
-        ids.sort_unstable();
-        Ok(ids)
     }
 }
 
@@ -736,12 +344,10 @@ pub struct PlannerConfig {
     /// suites that compare plans across separate executions pin this
     /// off. A [`CostModel::Fixed`] planner never observes.
     pub online_updates: bool,
-    /// Number of hash partitions for the filtering stage. `1` (the
-    /// default) keeps the single-collection backends; above 1 the
-    /// planner re-partitions the collection into a
-    /// [`vecdb::ShardedCollection`] and builds one
-    /// [`crate::sharded::ShardedBackend`] per strategy, fanning each
-    /// query out across shards in parallel and merging top-k.
+    /// Number of collection slices the filtering stage runs over. `1`
+    /// (the default) is the collection itself; above 1 the planner
+    /// re-partitions it with [`vecdb::partition`] and every strategy fans
+    /// each query out across the slices in parallel and merges top-k.
     pub shards: usize,
 }
 
@@ -819,39 +425,16 @@ pub struct PlannedRetrieval {
     /// Cost-model generation the plan was made against.
     pub model_version: u64,
     /// Size of each shard's pre-merge top-k candidate pool, aligned
-    /// with shard index (each at most `k`). Empty when the backend is
-    /// unsharded (`PlannerConfig::shards <= 1`) and on keyword-filtered
-    /// retrievals (which score through the shared global collection).
+    /// with shard index (each at most `k`). Empty when the planner runs
+    /// over one slice ([`QueryPlanner::shard_count`] is 1) and on
+    /// keyword-filtered retrievals (which score through the shared
+    /// global collection).
     pub shard_candidates: Vec<usize>,
     /// Predicted cost of the chosen strategy on each shard (the cost
     /// model's per-shard rows, shard order). The max row is the
     /// straggler the whole-query prediction priced. Empty when the
-    /// model is unsharded.
+    /// planner runs over one slice.
     pub shard_predicted_us: Vec<f64>,
-}
-
-/// A strategy's executable backend, owned by the planner (a plain
-/// single-collection backend, or a sharded fan-out over many).
-type BoxedBackend = Box<dyn RetrievalBackend>;
-
-/// Builds one backend per shard handle and wraps them in a
-/// [`crate::sharded::ShardedBackend`].
-fn sharded<B, F>(
-    strategy: RetrievalStrategy,
-    handles: &[CollectionHandle],
-    build: F,
-) -> BoxedBackend
-where
-    B: RetrievalBackend + 'static,
-    F: Fn(CollectionHandle) -> B,
-{
-    Box::new(crate::sharded::ShardedBackend::new(
-        strategy,
-        handles
-            .iter()
-            .map(|h| Box::new(build(Arc::clone(h))) as BoxedBackend)
-            .collect(),
-    ))
 }
 
 /// Effective HNSW beam width: the explicit `ef`, or the default the
@@ -1189,27 +772,26 @@ fn intersect_sorted(a: &[ObjectId], b: &[ObjectId]) -> Vec<ObjectId> {
 /// latencies feed back into the model online
 /// ([`PlannerConfig::online_updates`]).
 ///
-/// With [`PlannerConfig::shards`] above 1, every strategy's backend is a
-/// [`crate::sharded::ShardedBackend`] over a hash-partitioned
-/// [`vecdb::ShardedCollection`]: the plan is still made once per query
-/// from the global selectivity estimate, then the chosen strategy fans
-/// out across shards in parallel and the per-shard top-k lists merge.
+/// Every strategy runs over the same collection slices — the collection
+/// itself, or with [`PlannerConfig::shards`] above 1 its
+/// [`vecdb::partition`]s: the plan is still made once per query from the
+/// global selectivity estimate, then the chosen strategy fans out across
+/// the slices in parallel and the per-slice top-k lists merge.
 pub struct QueryPlanner {
-    exact: BoxedBackend,
-    hnsw: BoxedBackend,
-    grid: BoxedBackend,
-    /// Built on first use: similarity queries without keywords route to
-    /// the other three backends, so eager construction — tokenizing the
-    /// whole corpus — would tax every `prepare_city` for an index only
-    /// keyword-driven callers touch.
-    irtree: OnceLock<BoxedBackend>,
-    /// The shared tree behind the IR-tree backend (same lazy lifetime).
-    irtree_index: OnceLock<Arc<IrTree>>,
+    exact: RetrievalBackend,
+    hnsw: RetrievalBackend,
+    grid: RetrievalBackend,
+    /// The IR-tree and the backend over it, built on first use:
+    /// similarity queries without keywords route to the other three
+    /// backends, so eager construction — tokenizing the whole corpus —
+    /// would tax every `prepare_city` for an index only keyword-driven
+    /// callers touch.
+    irtree: OnceLock<(Arc<IrTree>, RetrievalBackend)>,
     /// Corpus keyword statistics, built on the first keyword-aware call.
     /// Behind a lock because live mutations delta it in place.
     corpus_text: OnceLock<RwLock<CorpusText>>,
     /// Live-inserted points the frozen grid/IR-tree cannot see; shared
-    /// with the prefilter backends (unsharded only).
+    /// with the backends over those indexes.
     side: Arc<SidePoints>,
     /// Set once a live insert or update changes any document text: the
     /// IR-tree's per-node keyword summaries were built at prep time, so
@@ -1219,8 +801,9 @@ pub struct QueryPlanner {
     live_dirty: AtomicBool,
     dataset: Arc<Dataset>,
     collection: CollectionHandle,
-    /// Per-shard collection handles; empty when unsharded.
-    shard_handles: Vec<CollectionHandle>,
+    /// What every strategy scores against, in shard order: `collection`
+    /// itself, or its hash partitions.
+    slices: Vec<CollectionHandle>,
     estimator: SelectivityEstimator,
     config: PlannerConfig,
     cost: CalibratedModel,
@@ -1229,88 +812,53 @@ pub struct QueryPlanner {
 impl QueryPlanner {
     /// Builds the planner for a prepared city: a grid over the dataset
     /// plus the two collection-backed strategies (the IR-tree backend is
-    /// built lazily on first use). With `config.shards > 1` the
-    /// collection is re-partitioned and every backend becomes a parallel
-    /// fan-out over the shards; candidate-generation indexes (grid,
-    /// IR-tree) stay global and are shared by all shards.
+    /// built lazily on first use), all over one list of collection
+    /// slices — `collection` itself, or [`PlannerConfig::shards`] hash
+    /// partitions of it. Candidate-generation indexes (grid, IR-tree)
+    /// stay global at any slice count.
     #[must_use]
     pub fn for_city(
         dataset: Arc<Dataset>,
         collection: CollectionHandle,
         config: PlannerConfig,
     ) -> Self {
-        let grid = Arc::new(
-            GridIndex::build(items_of(&dataset), GRID_RESOLUTION)
-                .expect("non-zero grid resolution"),
-        );
+        let grid = Arc::new(grid_over(&dataset, GRID_RESOLUTION));
         let side = Arc::new(SidePoints::default());
-        let (exact, hnsw, gridb, shard_handles): (
-            BoxedBackend,
-            BoxedBackend,
-            BoxedBackend,
-            Vec<CollectionHandle>,
-        ) = if config.shards > 1 {
-            let partitions =
-                vecdb::ShardedCollection::from_collection(&collection.read(), config.shards)
-                    .expect("re-partitioning a well-formed collection");
-            let handles = partitions.shards().to_vec();
-            (
-                sharded(
-                    RetrievalStrategy::ExactScan,
-                    &handles,
-                    ExactScanBackend::new,
-                ),
-                sharded(
-                    RetrievalStrategy::FilteredHnsw,
-                    &handles,
-                    FilteredHnswBackend::new,
-                ),
-                Box::new(crate::sharded::ShardedPrefilterBackend::grid(
-                    Arc::clone(&grid),
-                    handles.clone(),
-                )),
-                handles,
-            )
-        } else {
-            (
-                Box::new(ExactScanBackend::new(Arc::clone(&collection))),
-                Box::new(FilteredHnswBackend::new(Arc::clone(&collection))),
-                Box::new(GridPrefilterBackend::with_side(
-                    Arc::clone(&grid),
-                    Arc::clone(&collection),
-                    Arc::clone(&side),
-                )),
-                Vec::new(),
-            )
+        let slices = match config.shards {
+            0 | 1 => vec![Arc::clone(&collection)],
+            n => vecdb::partition(&collection.read(), n)
+                .expect("re-partitioning a well-formed collection"),
         };
+        let backend = |source| RetrievalBackend::new(source, slices.clone(), Arc::clone(&side));
+        let exact = backend(CandidateSource::ExactScan);
+        let hnsw = backend(CandidateSource::FilteredHnsw);
+        let gridb = backend(CandidateSource::Grid(Arc::clone(&grid)));
         let estimator = SelectivityEstimator::new(grid);
         let coefficients = match config.cost_model {
             CostModel::Fixed(given) => given,
-            // The probes run against the (possibly sharded) backends, so
-            // the fitted coefficients price the whole fan-out; per-shard
-            // scales then track each shard's deviation.
+            // The probes run against the backends as built (fan-out
+            // included), so the fitted coefficients price the whole
+            // execution; per-shard scales then track each slice's
+            // deviation.
             CostModel::Calibrated => Coefficients::fit(&Self::probe_backends(
                 &estimator,
                 &collection,
                 &dataset,
-                exact.as_ref(),
-                hnsw.as_ref(),
-                gridb.as_ref(),
+                [&exact, &hnsw, &gridb],
             )),
         };
-        let cost = CalibratedModel::with_shards(coefficients, config.shards);
+        let cost = CalibratedModel::with_shards(coefficients, slices.len());
         Self {
             exact,
             hnsw,
             grid: gridb,
             irtree: OnceLock::new(),
-            irtree_index: OnceLock::new(),
             corpus_text: OnceLock::new(),
             side,
             live_dirty: AtomicBool::new(false),
             dataset,
             collection,
-            shard_handles,
+            slices,
             estimator,
             config,
             cost,
@@ -1331,9 +879,7 @@ impl QueryPlanner {
         estimator: &SelectivityEstimator,
         collection: &CollectionHandle,
         dataset: &Dataset,
-        exact: &dyn RetrievalBackend,
-        hnsw: &dyn RetrievalBackend,
-        grid: &dyn RetrievalBackend,
+        [exact, hnsw, grid]: [&RetrievalBackend; 3],
     ) -> Vec<ProbeSample> {
         let stats = collection.read().stats();
         let Some(bounds) = dataset.bounds() else {
@@ -1359,16 +905,16 @@ impl QueryPlanner {
         let mid = sub_range(mid_f);
         let probe_vec = vec![1.0 / (stats.dim as f32).sqrt().max(1.0); stats.dim];
         let k = DEFAULT_PLAN_K;
-        let probes: [(&dyn RetrievalBackend, RetrievalStrategy, &BoundingBox); 5] = [
-            (exact, RetrievalStrategy::ExactScan, &narrow),
-            (exact, RetrievalStrategy::ExactScan, &mid),
-            (grid, RetrievalStrategy::GridPrefilter, &narrow),
-            (grid, RetrievalStrategy::GridPrefilter, &mid),
-            (hnsw, RetrievalStrategy::FilteredHnsw, &bounds),
+        let probes: [(&RetrievalBackend, &BoundingBox); 5] = [
+            (exact, &narrow),
+            (exact, &mid),
+            (grid, &narrow),
+            (grid, &mid),
+            (hnsw, &bounds),
         ];
         probes
             .into_iter()
-            .filter_map(|(backend, strategy, range)| {
+            .filter_map(|(backend, range)| {
                 let fraction = estimator.estimate_fraction(range);
                 let mut best_us = f64::INFINITY;
                 let mut spent_us = 0.0;
@@ -1395,7 +941,7 @@ impl QueryPlanner {
                     }
                 }
                 Some(ProbeSample {
-                    strategy,
+                    strategy: backend.strategy(),
                     points: stats.points as f64,
                     candidates: fraction * stats.points as f64,
                     covered_cells: estimator.covered_cells(range) as f64,
@@ -1413,11 +959,11 @@ impl QueryPlanner {
         &self.config
     }
 
-    /// Number of shards the filtering stage fans out over (1 when
-    /// unsharded).
+    /// Number of collection slices the filtering stage runs over (1
+    /// when unsharded).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shard_handles.len().max(1)
+        self.slices.len()
     }
 
     /// The selectivity estimator (exposed for diagnostics and benches).
@@ -1426,10 +972,18 @@ impl QueryPlanner {
         &self.estimator
     }
 
-    /// The shared IR-tree, built on first request.
-    fn irtree_index(&self) -> &Arc<IrTree> {
-        self.irtree_index
-            .get_or_init(|| Arc::new(IrTree::build(&self.dataset)))
+    /// The shared IR-tree and the backend over it, built on first
+    /// request.
+    fn irtree(&self) -> &(Arc<IrTree>, RetrievalBackend) {
+        self.irtree.get_or_init(|| {
+            let tree = Arc::new(IrTree::build(&self.dataset));
+            let backend = RetrievalBackend::new(
+                CandidateSource::IrTree(Arc::clone(&tree)),
+                self.slices.clone(),
+                Arc::clone(&self.side),
+            );
+            (tree, backend)
+        })
     }
 
     /// The corpus keyword statistics, built on first request. Always
@@ -1445,29 +999,12 @@ impl QueryPlanner {
     /// The backend implementing a strategy (the IR-tree is built on
     /// first request).
     #[must_use]
-    pub fn backend(&self, strategy: RetrievalStrategy) -> &dyn RetrievalBackend {
+    pub fn backend(&self, strategy: RetrievalStrategy) -> &RetrievalBackend {
         match strategy {
-            RetrievalStrategy::ExactScan => self.exact.as_ref(),
-            RetrievalStrategy::FilteredHnsw => self.hnsw.as_ref(),
-            RetrievalStrategy::GridPrefilter => self.grid.as_ref(),
-            RetrievalStrategy::IrTree => self
-                .irtree
-                .get_or_init(|| {
-                    let tree = Arc::clone(self.irtree_index());
-                    if self.shard_handles.is_empty() {
-                        Box::new(IrTreeBackend::with_side(
-                            tree,
-                            Arc::clone(&self.collection),
-                            Arc::clone(&self.side),
-                        ))
-                    } else {
-                        Box::new(crate::sharded::ShardedPrefilterBackend::irtree(
-                            tree,
-                            self.shard_handles.clone(),
-                        ))
-                    }
-                })
-                .as_ref(),
+            RetrievalStrategy::ExactScan => &self.exact,
+            RetrievalStrategy::FilteredHnsw => &self.hnsw,
+            RetrievalStrategy::GridPrefilter => &self.grid,
+            RetrievalStrategy::IrTree => &self.irtree().1,
         }
     }
 
@@ -1476,11 +1013,13 @@ impl QueryPlanner {
     /// backend's [`RetrievalBackend::knn_in_range_shard`]. This is what
     /// a cross-process shard server runs — the router plans once,
     /// ships the chosen strategy with the query, and merges the slices
-    /// with [`vecdb::merge_top_k`], which by the shard-slice contract
-    /// reproduces the in-process answer bit-identically.
+    /// with [`vecdb::merge_top_k`], which reproduces the in-process
+    /// answer bit-identically because each slice is the very job the
+    /// in-process fan-out runs.
     ///
     /// # Errors
-    /// Same contract as [`RetrievalBackend::knn_in_range`].
+    /// [`RetrievalError::NoSuchShard`] when `shard >= shard_count()`;
+    /// otherwise as [`RetrievalBackend::knn_in_range`].
     pub fn execute_shard_slice(
         &self,
         strategy: RetrievalStrategy,
@@ -1500,13 +1039,13 @@ impl QueryPlanner {
         &self.cost
     }
 
-    /// Whether this planner can absorb live mutations. Sharded planners
-    /// cannot: their backends hold hash-partitioned collection *copies*,
-    /// so a mutation applied to the global collection would desynchronize
-    /// the shards.
+    /// Whether this planner can absorb live mutations. Only a planner
+    /// over the collection itself can: hash partitions are *copies*, so a
+    /// mutation applied to the global collection would desynchronize
+    /// them.
     #[must_use]
     pub fn supports_mutations(&self) -> bool {
-        self.shard_handles.is_empty()
+        self.shard_count() == 1
     }
 
     /// Absorbs a live insert: the point joins the side buffer (so the
@@ -1694,11 +1233,14 @@ impl QueryPlanner {
         // built tree would answer.
         if strategy == RetrievalStrategy::IrTree && !self.live_dirty.load(Ordering::Acquire) {
             // Couples range and keywords; nothing to share across groups.
-            let ids = self.irtree_index().search(&SpatialKeywordQuery {
+            let mut ids = self.irtree().0.search(&SpatialKeywordQuery {
                 range: *range,
                 keywords: keywords.to_owned(),
             });
-            return Ok(retain_live(Some(&self.collection), ids));
+            // The tree was built at prep time: drop points deleted since.
+            let live = self.collection.read();
+            ids.retain(|id| live.contains(u64::from(id.0)));
+            return Ok(ids);
         }
         use std::collections::hash_map::Entry;
         let spatial = match spatial_shared.entry((range_key_bits(range), strategy)) {
@@ -1783,8 +1325,8 @@ impl QueryPlanner {
     /// [`RetrievalBackend::knn_in_range`], which shares the grid/IR-tree
     /// candidate set across the whole group and streams stored vectors
     /// through the scoring kernel once. Groups execute concurrently on
-    /// the shared worker pool; within a group, sharded backends fan the
-    /// slice out across shards.
+    /// the shared worker pool; within a group, a backend over more than
+    /// one collection slice fans the queries out across the slices.
     ///
     /// Results align with `queries`, and the answer for query `i` does
     /// not depend on the other queries submitted with it
@@ -1846,7 +1388,7 @@ impl QueryPlanner {
             /// forced.
             strategy: RetrievalStrategy,
             /// The executing backend (non-keyword groups).
-            backend: &'a dyn RetrievalBackend,
+            backend: &'a RetrievalBackend,
             /// The shared candidate set of a keyword-filtered group,
             /// generated once on the caller's thread (index access is
             /// not fanned out).
@@ -1895,12 +1437,15 @@ impl QueryPlanner {
                 let first = &queries[plan.members[0]];
                 let t0 = Instant::now();
                 let answers = match &plan.kw_candidates {
-                    Some(candidates) => knn_among_candidates(
-                        Some(&self.collection),
-                        candidates,
-                        &plan.vecs,
-                        first.k,
-                    )?,
+                    // Keyword-filtered candidates score against the
+                    // global collection at any slice count.
+                    Some(candidates) => {
+                        let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
+                        let collection = self.collection.read();
+                        KnnAnswers::unsharded(
+                            collection.knn_among_batch(&plan.vecs, &ids, first.k)?,
+                        )
+                    }
                     None => {
                         plan.backend
                             .knn_in_range(&plan.vecs, &first.range, first.k, first.ef)?
@@ -2131,19 +1676,6 @@ mod tests {
                 "strategy {strategy} still returns the deleted point"
             );
         }
-    }
-
-    #[test]
-    fn filter_only_backends_report_missing_vectors() {
-        let p = prepared();
-        let grid = GridPrefilterBackend::from_dataset(&p.dataset, 16);
-        let range = geotext::BoundingBox::from_center_km(p.city.center(), 5.0, 5.0);
-        assert!(grid.filter_range(&range).is_ok());
-        let qv = p.embedder.embed("anything");
-        assert!(matches!(
-            grid.knn_in_range(&[&qv], &range, 5, None),
-            Err(RetrievalError::VectorsUnavailable)
-        ));
     }
 
     #[test]

@@ -1,284 +1,284 @@
-//! Sharded execution of the filtering stage: one [`RetrievalBackend`]
-//! per shard, fanned out in parallel and merged.
+//! The one executor of the filtering stage: a candidate source over N
+//! collection slices. Unsharded is N = 1.
 //!
-//! [`ShardedBackend`] is the scale-out seam promised by the retrieval
-//! refactor: it wraps N inner backends — one per shard of a
-//! [`vecdb::ShardedCollection`] — and implements the same
-//! [`RetrievalBackend`] trait, so `SemaSkEngine`, `PreparedCity`, and the
-//! baselines run unchanged on sharded data. The fan-out executes on the
-//! persistent shared worker pool ([`vecdb::pool::global`]): dispatching
-//! a shard's work costs a channel send on long-lived threads, not an OS
-//! thread spawn per shard per query as the earlier scoped-thread version
-//! did. The per-shard top-k lists combine through
-//! [`vecdb::merge_top_k_batch`]'s binary-heap k-way merge with id dedup.
+//! The paper's filtering step — top-k by embedding similarity among the
+//! objects inside the query range — runs four ways ([`CandidateSource`]):
+//! an exact scan or a filtered HNSW search of the collection itself, or
+//! exact scoring of the candidates a uniform grid or an IR-tree finds in
+//! the range. [`RetrievalBackend`] executes all four the same way over
+//! the `slices` it was built on — the whole collection, or the disjoint
+//! hash partitions of [`vecdb::partition`]: *generate candidates once →
+//! run one job per slice → merge*.
 //!
-//! Candidate-generation indexes (the grid, the IR-tree) stay global.
-//! [`ShardedPrefilterBackend`] queries the shared index **once** per
-//! query, routes the candidate ids to their owning shards with
-//! [`vecdb::shard_of`], and hands each shard only its slice to score —
-//! so no per-shard spatial index is built, no shard ever sees a foreign
-//! id, and every point is scored exactly once across the fleet.
+//! - Candidate-generation indexes stay global. An index source is
+//!   queried **once** per query group, live-inserted [`SidePoints`] in
+//!   range are appended, and the ids are routed to their owning slices
+//!   with [`vecdb::shard_of`] — so no per-slice spatial index is built,
+//!   no slice sees a foreign id, and lookup work stays O(candidates) at
+//!   any N. Scan sources need no candidates: each slice filters itself.
+//! - The per-slice job is the only scoring body.
+//!   [`RetrievalBackend::knn_in_range_shard`] *is* job `i`, so merging
+//!   every slice's answer with [`vecdb::merge_top_k`] reproduces
+//!   [`RetrievalBackend::knn_in_range`] by construction — the seam a
+//!   cross-process shard server executes.
+//! - With one slice the job runs inline on the caller's thread: no pool
+//!   dispatch, no hashing, no merge, no per-shard bookkeeping. With more,
+//!   slice `i` is enqueued on its home worker of the shared pool
+//!   ([`vecdb::pool::global`]) and the per-slice top-k lists combine
+//!   through [`vecdb::merge_top_k_batch`]'s k-way merge.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use geotext::{BoundingBox, ObjectId};
 use spatial::{GridIndex, IrTree, SpatialKeywordQuery};
-use vecdb::{merge_top_k_batch, shard_of, CollectionHandle, ScoredPoint};
+use vecdb::{
+    merge_top_k_batch, shard_of, CollectionHandle, Filter, ScoredPoint, SearchParams,
+    SearchStrategy,
+};
 
-use crate::retrieval::{KnnAnswers, RetrievalBackend, RetrievalError, RetrievalStrategy};
+use crate::retrieval::{KnnAnswers, RetrievalError, RetrievalStrategy, SidePoints};
 
-/// Runs `f(shard_index)` for each of `n` shards on the shared worker
-/// pool and collects the results in shard order, with each shard's
-/// execution time in microseconds (the job body only — queueing and
-/// merge excluded, so the number tracks the shard's own work and can
-/// feed the per-shard cost scales) — the one fan-out primitive every
-/// sharded backend shares (so pool policy changes in exactly one place).
-/// Shard `i` is enqueued on its *home worker* (`run_homed` with the
-/// shard index as the home), so the same worker — and, when the pool is
-/// core-bound, the same core — scores the same shard on every fan-out;
-/// idle workers steal if a shard runs long.
-fn fan_out<T, F>(n: usize, f: F) -> Result<(Vec<T>, Vec<f64>), RetrievalError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, RetrievalError> + Sync,
-{
-    let timed: Vec<(Result<T, RetrievalError>, f64)> = vecdb::pool::global().run_homed(
-        n,
-        |i| i,
-        |i| {
-            let t0 = std::time::Instant::now();
-            let result = f(i);
-            (result, t0.elapsed().as_secs_f64() * 1e6)
-        },
-    );
-    let mut values = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (result, us) in timed {
-        values.push(result?);
-        timings.push(us);
-    }
-    Ok((values, timings))
-}
-
-/// N per-shard backends of one strategy behind the single-backend trait.
-pub struct ShardedBackend {
-    strategy: RetrievalStrategy,
-    shards: Vec<Box<dyn RetrievalBackend>>,
-}
-
-impl ShardedBackend {
-    /// Wraps per-shard backends (all implementing `strategy`).
-    ///
-    /// # Panics
-    /// If `shards` is empty.
-    #[must_use]
-    pub fn new(strategy: RetrievalStrategy, shards: Vec<Box<dyn RetrievalBackend>>) -> Self {
-        assert!(!shards.is_empty(), "a sharded backend needs >= 1 shard");
-        Self { strategy, shards }
-    }
-
-    /// Number of shards the fan-out covers.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl RetrievalBackend for ShardedBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        self.strategy
-    }
-
-    fn knn_in_range(
-        &self,
-        query_vecs: &[&[f32]],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<KnnAnswers, RetrievalError> {
-        // One pooled job per shard answers the whole slice (each inner
-        // backend shares work across it), then each query's per-shard
-        // lists merge.
-        let (per_shard, shard_us) = fan_out(self.shards.len(), |i| {
-            let inner = self.shards[i].knn_in_range(query_vecs, range, k, ef)?;
-            Ok(inner.per_query.into_iter().map(|(hits, _)| hits).collect())
-        })?;
-        Ok(KnnAnswers {
-            per_query: merge_top_k_batch(per_shard, k),
-            shard_us,
-        })
-    }
-
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        let (per_shard, _) = fan_out(self.shards.len(), |i| self.shards[i].filter_range(range))?;
-        let mut ids: Vec<ObjectId> = per_shard.into_iter().flatten().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
-    }
-
-    fn knn_in_range_shard(
-        &self,
-        shard: usize,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        // One shard's contribution to the pre-merge pool: exactly what
-        // `knn_in_range` hands the merge for this index.
-        match self.shards.get(shard) {
-            Some(backend) => backend
-                .knn_in_range(&[query_vec], range, k, ef)
-                .map(KnnAnswers::into_only_hits),
-            None => Ok(Vec::new()),
-        }
-    }
-}
-
-/// The shared candidate-generation index of a prefilter strategy.
-enum PrefilterIndex {
-    /// Uniform grid (the [`RetrievalStrategy::GridPrefilter`] path).
+/// Where a strategy's candidates come from.
+pub enum CandidateSource {
+    /// Every point of the collection inside the range, scored exactly.
+    ExactScan,
+    /// The collection's HNSW graph, searched under a geo filter mask.
+    FilteredHnsw,
+    /// A uniform grid narrows candidates in O(cells); they are then
+    /// scored exactly.
     Grid(Arc<GridIndex>),
-    /// IR-tree with an empty keyword set (the
-    /// [`RetrievalStrategy::IrTree`] path).
+    /// The spatial keyword index (Li et al., TKDE 2011); with an empty
+    /// keyword set its traversal is an R-tree range query.
     IrTree(Arc<IrTree>),
 }
 
-impl PrefilterIndex {
-    fn candidates(&self, range: &BoundingBox) -> Vec<ObjectId> {
-        match self {
-            PrefilterIndex::Grid(g) => g.range_query(range),
-            PrefilterIndex::IrTree(t) => t.search(&SpatialKeywordQuery {
+fn geo_filter(range: &BoundingBox) -> Filter {
+    Filter::geo_box(range.min_lat, range.min_lon, range.max_lat, range.max_lon)
+}
+
+/// One strategy of the filtering stage, executable over one or many
+/// collection slices (see the module docs).
+///
+/// **The one contract of [`RetrievalBackend::knn_in_range`]:** the answer
+/// for query `i` — ids, scores, tie order, per-shard counts — does not
+/// depend on the other queries in the slice. Sharing work across the
+/// slice (one candidate generation, one geo-mask evaluation, one pass
+/// over stored vectors via the [`vecdb::Distance::score_batch`] kernel)
+/// is an execution detail, never a semantics change; a single query is a
+/// slice of one.
+pub struct RetrievalBackend {
+    source: CandidateSource,
+    slices: Vec<CollectionHandle>,
+    side: Arc<SidePoints>,
+}
+
+impl RetrievalBackend {
+    /// A backend scoring `source`'s candidates against `slices`: the one
+    /// whole collection, or every partition of [`vecdb::partition`] in
+    /// shard order. Index sources additionally see the live-inserted
+    /// points of `side`, which their frozen index cannot.
+    ///
+    /// # Panics
+    /// If `slices` is empty.
+    #[must_use]
+    pub fn new(
+        source: CandidateSource,
+        slices: Vec<CollectionHandle>,
+        side: Arc<SidePoints>,
+    ) -> Self {
+        assert!(!slices.is_empty(), "a backend needs >= 1 collection slice");
+        Self {
+            source,
+            slices,
+            side,
+        }
+    }
+
+    /// Which strategy this backend implements.
+    #[must_use]
+    pub fn strategy(&self) -> RetrievalStrategy {
+        match self.source {
+            CandidateSource::ExactScan => RetrievalStrategy::ExactScan,
+            CandidateSource::FilteredHnsw => RetrievalStrategy::FilteredHnsw,
+            CandidateSource::Grid(_) => RetrievalStrategy::GridPrefilter,
+            CandidateSource::IrTree(_) => RetrievalStrategy::IrTree,
+        }
+    }
+
+    /// An index source's candidates in `range` — index hits, then live
+    /// side points — as the id list each slice scores; `None` for the
+    /// scan sources, whose slices filter themselves. One slice takes the
+    /// whole list unhashed.
+    fn routed_candidates(&self, range: &BoundingBox) -> Option<Vec<Vec<u64>>> {
+        let mut candidates = match &self.source {
+            CandidateSource::ExactScan | CandidateSource::FilteredHnsw => return None,
+            CandidateSource::Grid(grid) => grid.range_query(range),
+            CandidateSource::IrTree(tree) => tree.search(&SpatialKeywordQuery {
                 range: *range,
                 keywords: String::new(),
             }),
+        };
+        candidates.extend(self.side.ids_in_range(range));
+        let ids = candidates.into_iter().map(|id| u64::from(id.0));
+        let n = self.slices.len();
+        if n == 1 {
+            return Some(vec![ids.collect()]);
         }
-    }
-}
-
-/// Sharded execution of the prefilter strategies (grid, IR-tree): one
-/// global candidate-index query, ids routed to their owning shards, and
-/// parallel per-shard exact scoring over disjoint slices.
-///
-/// The generic [`ShardedBackend`] would hand the *full* candidate list
-/// to every shard (each skipping foreign ids — O(candidates x shards)
-/// lookup work); this backend pre-routes with [`vecdb::shard_of`] so
-/// the total lookup work stays O(candidates) at any shard count.
-pub struct ShardedPrefilterBackend {
-    index: PrefilterIndex,
-    shards: Vec<CollectionHandle>,
-}
-
-impl ShardedPrefilterBackend {
-    /// A sharded grid-prefilter backend over a shared grid.
-    ///
-    /// # Panics
-    /// If `shards` is empty.
-    #[must_use]
-    pub fn grid(grid: Arc<GridIndex>, shards: Vec<CollectionHandle>) -> Self {
-        assert!(!shards.is_empty(), "a sharded backend needs >= 1 shard");
-        Self {
-            index: PrefilterIndex::Grid(grid),
-            shards,
-        }
-    }
-
-    /// A sharded IR-tree backend over a shared tree.
-    ///
-    /// # Panics
-    /// If `shards` is empty.
-    #[must_use]
-    pub fn irtree(tree: Arc<IrTree>, shards: Vec<CollectionHandle>) -> Self {
-        assert!(!shards.is_empty(), "a sharded backend needs >= 1 shard");
-        Self {
-            index: PrefilterIndex::IrTree(tree),
-            shards,
-        }
-    }
-
-    /// Number of shards the fan-out covers.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routes candidate ids to their owning shards.
-    fn route(&self, candidates: &[ObjectId]) -> Vec<Vec<u64>> {
-        let n = self.shards.len();
-        let mut routed: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for id in candidates {
-            let id = u64::from(id.0);
+        let mut routed = vec![Vec::new(); n];
+        for id in ids {
             routed[shard_of(id, n)].push(id);
         }
-        routed
+        Some(routed)
     }
-}
 
-impl RetrievalBackend for ShardedPrefilterBackend {
-    fn strategy(&self) -> RetrievalStrategy {
-        match self.index {
-            PrefilterIndex::Grid(_) => RetrievalStrategy::GridPrefilter,
-            PrefilterIndex::IrTree(_) => RetrievalStrategy::IrTree,
+    /// The scoring body: slice `i`'s top-k for every query vector — over
+    /// its share of `routed` (index sources), or over its own points in
+    /// `range` (scan sources; one geo-mask evaluation for the whole
+    /// slice of queries inside [`vecdb::Collection::search_batch`]).
+    fn score_slice(
+        &self,
+        i: usize,
+        routed: Option<&[Vec<u64>]>,
+        query_vecs: &[&[f32]],
+        range: &BoundingBox,
+        k: usize,
+        ef: Option<usize>,
+    ) -> Result<Vec<Vec<ScoredPoint>>, RetrievalError> {
+        let slice = self.slices[i].read();
+        if let Some(routed) = routed {
+            return Ok(slice.knn_among_batch(query_vecs, &routed[i], k)?);
         }
+        let params = SearchParams {
+            k,
+            ef,
+            filter: Some(geo_filter(range)),
+            strategy: match self.source {
+                CandidateSource::FilteredHnsw => SearchStrategy::Hnsw,
+                _ => SearchStrategy::Exact,
+            },
+        };
+        let planned = slice.search_batch(query_vecs, &params)?;
+        Ok(planned.into_iter().map(|p| p.hits).collect())
     }
 
-    fn knn_in_range(
+    /// Runs `job(i)` for every slice and collects the results in slice
+    /// order. One slice runs inline and reports no timings. More run on
+    /// the shared worker pool with each job's execution time in
+    /// microseconds (the job body only — queueing and merge excluded, so
+    /// the number tracks the slice's own work and can feed the per-shard
+    /// cost scales); slice `i` is enqueued on its *home worker*
+    /// (`run_homed` with the slice index as the home), so the same worker
+    /// — and, when the pool is core-bound, the same core — scores the
+    /// same slice on every fan-out; idle workers steal if one runs long.
+    fn fan_out<T, F>(&self, job: F) -> Result<(Vec<T>, Vec<f64>), RetrievalError>
+    where
+        T: Send,
+        F: Fn(usize) -> Result<T, RetrievalError> + Sync,
+    {
+        let n = self.slices.len();
+        if n == 1 {
+            return Ok((vec![job(0)?], Vec::new()));
+        }
+        let timed: Vec<(Result<T, RetrievalError>, f64)> = vecdb::pool::global().run_homed(
+            n,
+            |i| i,
+            |i| {
+                let t0 = Instant::now();
+                let result = job(i);
+                (result, t0.elapsed().as_secs_f64() * 1e6)
+            },
+        );
+        let mut values = Vec::with_capacity(n);
+        let mut timings = Vec::with_capacity(n);
+        for (result, us) in timed {
+            values.push(result?);
+            timings.push(us);
+        }
+        Ok((values, timings))
+    }
+
+    /// For every vector of `query_vecs`: the top-k objects by embedding
+    /// similarity within `range`, best first, plus per-shard counts and
+    /// timings when there is more than one slice (see [`KnnAnswers`]).
+    ///
+    /// # Errors
+    /// [`RetrievalError::VecDb`] on store errors.
+    pub fn knn_in_range(
         &self,
         query_vecs: &[&[f32]],
         range: &BoundingBox,
         k: usize,
-        _ef: Option<usize>,
+        ef: Option<usize>,
     ) -> Result<KnnAnswers, RetrievalError> {
-        // Candidate generation and shard routing happen once for the
-        // whole slice; each shard then streams its candidate vectors
-        // through the scoring kernel in one pooled job.
-        let routed = self.route(&self.index.candidates(range));
-        let (per_shard, shard_us) = fan_out(self.shards.len(), |i| {
-            Ok(self.shards[i]
-                .read()
-                .knn_among_batch(query_vecs, &routed[i], k)?)
-        })?;
+        let routed = self.routed_candidates(range);
+        let (mut per_slice, shard_us) =
+            self.fan_out(|i| self.score_slice(i, routed.as_deref(), query_vecs, range, k, ef))?;
+        if per_slice.len() == 1 {
+            return Ok(KnnAnswers::unsharded(per_slice.pop().expect("one slice")));
+        }
         Ok(KnnAnswers {
-            per_query: merge_top_k_batch(per_shard, k),
+            per_query: merge_top_k_batch(per_slice, k),
             shard_us,
         })
     }
 
-    fn knn_in_range_shard(
+    /// Slice `shard`'s contribution to [`RetrievalBackend::knn_in_range`]
+    /// for one query: exactly the list that slice's job hands the merge
+    /// (index candidates are deterministic, so a remote executor
+    /// regenerates the same list, routes it, and scores only its own
+    /// share). With one slice, slice 0 is the whole answer.
+    ///
+    /// # Errors
+    /// [`RetrievalError::NoSuchShard`] when `shard` is not a slice of this
+    /// backend; otherwise as [`RetrievalBackend::knn_in_range`].
+    pub fn knn_in_range_shard(
         &self,
         shard: usize,
         query_vec: &[f32],
         range: &BoundingBox,
         k: usize,
-        _ef: Option<usize>,
+        ef: Option<usize>,
     ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        // The candidate index is global and deterministic, so a remote
-        // executor regenerates the same candidate list, routes it, and
-        // scores only its own slice.
-        let Some(handle) = self.shards.get(shard) else {
-            return Ok(Vec::new());
-        };
-        let routed = self.route(&self.index.candidates(range));
-        Ok(handle.read().knn_among(query_vec, &routed[shard], k)?)
+        if shard >= self.slices.len() {
+            return Err(RetrievalError::NoSuchShard {
+                shard,
+                shards: self.slices.len(),
+            });
+        }
+        let routed = self.routed_candidates(range);
+        let mut hits = self.score_slice(shard, routed.as_deref(), &[query_vec], range, k, ef)?;
+        Ok(hits.pop().expect("one answer per query"))
     }
 
-    fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
-        // Membership checks are hash lookups — not worth a thread per
-        // shard; only drop candidates deleted since the index was built.
-        let routed = self.route(&self.index.candidates(range));
-        let mut ids: Vec<ObjectId> = Vec::new();
-        for (shard, shard_ids) in self.shards.iter().zip(&routed) {
-            let guard = shard.read();
-            ids.extend(
-                shard_ids
-                    .iter()
-                    .filter(|&&id| guard.contains(id))
-                    .map(|&id| ObjectId(id as u32)),
-            );
-        }
+    /// Ids of all live objects within `range`, ascending — the pure
+    /// spatial filter keyword-filtered queries intersect with.
+    ///
+    /// # Errors
+    /// [`RetrievalError::VecDb`] on store errors.
+    pub fn filter_range(&self, range: &BoundingBox) -> Result<Vec<ObjectId>, RetrievalError> {
+        let mut ids: Vec<u64> = match self.routed_candidates(range) {
+            // Only drop candidates deleted since the index was built;
+            // membership checks are hash lookups — not worth a pool job
+            // per slice.
+            Some(mut routed) => {
+                for (slice, ids) in self.slices.iter().zip(&mut routed) {
+                    let guard = slice.read();
+                    ids.retain(|&id| guard.contains(id));
+                }
+                routed.into_iter().flatten().collect()
+            }
+            // The graph accelerates similarity search, not pure range
+            // filters: both scan sources answer with a payload scan.
+            None => {
+                let filter = geo_filter(range);
+                let (per_slice, _) =
+                    self.fan_out(|i| Ok(self.slices[i].read().filter_ids(&filter)))?;
+                per_slice.into_iter().flatten().collect()
+            }
+        };
         ids.sort_unstable();
-        Ok(ids)
+        Ok(ids.into_iter().map(|id| ObjectId(id as u32)).collect())
     }
 }
 
@@ -336,6 +336,35 @@ mod tests {
             .retrieve_keyword(&qv, &range, None, 10, None)
             .unwrap();
         assert!(planned.shard_candidates.is_empty());
+    }
+
+    #[test]
+    fn a_shard_the_planner_does_not_have_is_an_error() {
+        for shards in [1, 4] {
+            let p = prepared_with_shards(shards);
+            let qv = p.embedder.embed("ramen with a long line");
+            let range = geotext::BoundingBox::from_center_km(p.city.center(), 8.0, 8.0);
+            for strategy in [
+                RetrievalStrategy::ExactScan,
+                RetrievalStrategy::FilteredHnsw,
+                RetrievalStrategy::GridPrefilter,
+                RetrievalStrategy::IrTree,
+            ] {
+                let slice = |shard| {
+                    p.planner
+                        .execute_shard_slice(strategy, &qv, &range, 10, None, shard)
+                };
+                assert!(slice(shards - 1).is_ok(), "{strategy}, {shards} shards");
+                assert!(
+                    matches!(
+                        slice(shards),
+                        Err(RetrievalError::NoSuchShard { shard, shards: have })
+                            if shard == shards && have == shards
+                    ),
+                    "{strategy}, {shards} shards"
+                );
+            }
+        }
     }
 
     #[test]

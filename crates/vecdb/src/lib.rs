@@ -50,9 +50,7 @@ pub use learned::LearnedIdIndex;
 pub use payload::{Filter, Payload, PayloadStore};
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};
-pub use sharded::{
-    merge_top_k, merge_top_k_batch, shard_of, ShardSpec, ShardedCollection, ShardedSearch,
-};
+pub use sharded::{merge_top_k, merge_top_k_batch, partition, shard_of, ShardSpec};
 
 /// Id of a point within a collection (caller-assigned, e.g. the
 /// `ObjectId` of a POI).

@@ -33,7 +33,9 @@ fn main() {
         Some("shard") => serve_role(&args, |params, args| {
             let shard: u32 = boot::flag_parsed(args, "--shard", 0);
             let spec = ShardSpec::new(params.shards, shard).expect("valid shard");
-            Arc::new(ShardEngineHandler::new(boot::build_engine(params), spec))
+            Arc::new(
+                ShardEngineHandler::new(boot::build_engine(params), spec).expect("shard topology"),
+            )
         }),
         Some("router") => serve_role(&args, |params, args| {
             let peers: Vec<String> = boot::flag_value(args, "--peers")

@@ -333,7 +333,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn plan_memo_twin_decisions_are_equal_at_every_step(
+    fn twin_engines_plan_identically_at_every_step(
         ops in prop::collection::vec((0u8..8, 0u8..4, 0u8..4, 1u8..16), 1..12),
     ) {
         let t = twins();
@@ -396,7 +396,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn observations_invalidate_and_hits_replay_recomputes(
+    fn observations_advance_the_version_and_plans_between_them_are_equal(
         ops in prop::collection::vec((0u8..4, 10u32..5000, 10u32..5000, 0u8..4, 0u8..4), 1..10),
     ) {
         static CAL: OnceLock<(Arc<SemaSkEngine>, GeoPoint)> = OnceLock::new();

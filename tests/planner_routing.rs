@@ -179,7 +179,7 @@ fn keyword_retrieval_answers_the_conjunctive_set() {
 }
 
 #[test]
-fn static_cutoff_banding_is_preserved() {
+fn fixed_coefficients_band_by_selectivity() {
     // The selectivity banding the deleted static cutoffs hard-coded, now
     // an outcome of the one procedure on given coefficients — identical
     // on every build, which probed coefficients cannot promise.

@@ -13,8 +13,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use semask::sharded::CandidateSource;
+use semask::RetrievalBackend;
 use vecdb::{
-    shard_of, Collection, CollectionConfig, Payload, ScoredPoint, SearchParams, ShardedCollection,
+    partition, shard_of, Collection, CollectionConfig, Payload, ScoredPoint, SearchParams,
     WorkerPool,
 };
 
@@ -64,6 +66,9 @@ fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
     // Forced-exact search: deterministic scoring, so bit-identity is a
     // hard requirement, not a heuristic coincidence.
     let params = SearchParams::top_k(10).with_exact(true);
+    // Every test point sits inside this range, so the backend's geo
+    // filter qualifies what the unfiltered flat reference scans.
+    let everywhere = geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("valid range");
     for &batch in &[1usize, 64] {
         let queries: Vec<Vec<f32>> = (0..batch).map(|q| vector(1_000_000 + q as u64)).collect();
         let query_refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
@@ -76,12 +81,18 @@ fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
             "parity would be vacuous on empty answers ({label})"
         );
         for &shards in shard_counts {
-            let sharded = ShardedCollection::from_collection(&flat, shards).expect("partition");
+            let sharded = RetrievalBackend::new(
+                CandidateSource::ExactScan,
+                partition(&flat, shards).expect("partition"),
+                Arc::default(),
+            );
             // Single-query fan-out, one query at a time.
             for (q, want) in query_refs.iter().zip(&reference) {
-                let got = sharded.search(q, &params).expect("sharded search");
+                let got = sharded
+                    .knn_in_range(&[q], &everywhere, 10, None)
+                    .expect("sharded search");
                 assert_eq!(
-                    &ids_and_scores(&got),
+                    &ids_and_scores(&got.into_only_hits()),
                     want,
                     "single-query fan-out diverged ({label}, {shards} shards, batch {batch})"
                 );
@@ -89,12 +100,13 @@ fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
             // Batched fan-out: one pooled job per shard for the whole
             // batch.
             let got = sharded
-                .search_batch_sharded(&query_refs, &params)
-                .expect("sharded batch");
+                .knn_in_range(&query_refs, &everywhere, 10, None)
+                .expect("sharded batch")
+                .per_query;
             assert_eq!(got.len(), batch);
-            for (i, (s, want)) in got.iter().zip(&reference).enumerate() {
+            for (i, ((hits, _), want)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(
-                    &ids_and_scores(&s.hits),
+                    &ids_and_scores(hits),
                     want,
                     "batched fan-out diverged at query {i} \
                      ({label}, {shards} shards, batch {batch})"

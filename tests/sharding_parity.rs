@@ -2,19 +2,19 @@
 //! hash partitions must return *identical* ids and scores to the
 //! unsharded backend for every deterministic strategy, the planned
 //! path included — sharding is an execution detail, not a semantics
-//! change. Duplicate-distance ties are exercised explicitly at the
-//! vecdb layer with deliberately duplicated vectors.
+//! change — and at every shard count the per-slice answers a shard
+//! server would ship merge to exactly what the planner answers in
+//! process. Duplicate-distance ties are exercised explicitly with
+//! deliberately duplicated vectors.
 
 mod common;
 
 use std::sync::Arc;
 
 use semask::retrieval::RetrievalStrategy;
-use semask::{
-    prepare_city, ExactScanBackend, PlannerConfig, QueryPlanner, RetrievalBackend, SemaSkConfig,
-    ShardedBackend,
-};
-use vecdb::{Collection, CollectionConfig, Payload, ScoredPoint, ShardedCollection};
+use semask::sharded::CandidateSource;
+use semask::{prepare_city, PlannerConfig, QueryPlanner, RetrievalBackend, SemaSkConfig};
+use vecdb::{merge_top_k, Collection, CollectionConfig, Payload, ScoredPoint};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -50,6 +50,34 @@ fn ids_and_scores(hits: &[ScoredPoint]) -> Vec<(u64, f32)> {
     hits.iter().map(|h| (h.id, h.score)).collect()
 }
 
+fn ids_and_score_bits(hits: &[ScoredPoint]) -> Vec<(u64, u32)> {
+    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+}
+
+/// The slice contract: merging what every shard of `planner` answers for
+/// its own slice reproduces `in_process`, the same planner's fan-out.
+fn assert_slices_merge_to(
+    planner: &QueryPlanner,
+    strategy: RetrievalStrategy,
+    qv: &[f32],
+    range: &geotext::BoundingBox,
+    in_process: &[ScoredPoint],
+) {
+    let slices: Vec<Vec<ScoredPoint>> = (0..planner.shard_count())
+        .map(|i| {
+            planner
+                .execute_shard_slice(strategy, qv, range, 10, None, i)
+                .expect("shard slice")
+        })
+        .collect();
+    assert_eq!(
+        ids_and_score_bits(&merge_top_k(&slices, 10).0),
+        ids_and_score_bits(in_process),
+        "strategy {strategy}, {} slices",
+        slices.len()
+    );
+}
+
 #[test]
 fn sharded_topk_matches_unsharded_for_deterministic_strategies() {
     let p = prepared();
@@ -82,7 +110,19 @@ fn sharded_topk_matches_unsharded_for_deterministic_strategies() {
                 );
                 let expected_counts = if shards > 1 { shards } else { 0 };
                 assert_eq!(got.shard_candidates.len(), expected_counts);
+                assert_slices_merge_to(planner, strategy, &qv, range, &got.hits);
             }
+        }
+    }
+    // HNSW is approximate, so its answer is not shard-count invariant —
+    // but each planner's slices still merge to that planner's answer.
+    for range in &ranges {
+        for planner in &sharded_planners {
+            let strategy = RetrievalStrategy::FilteredHnsw;
+            let got = planner
+                .retrieve_with(strategy, &qv, range, 10, None)
+                .expect("sharded retrieval");
+            assert_slices_merge_to(planner, strategy, &qv, range, &got.hits);
         }
     }
 }
@@ -118,7 +158,7 @@ fn planned_path_matches_across_shard_counts() {
 fn duplicate_distance_ties_merge_identically() {
     // Eight points sharing one vector (all tied) plus two distinct ones:
     // the sharded merge must reproduce the flat collection's tie order
-    // (ascending id) at every shard count, through the semask backend.
+    // (ascending id) at every shard count, through the one backend.
     let mut flat = Collection::new(CollectionConfig::new(2));
     for id in 0..8u64 {
         let payload = Payload::from_pairs(&[
@@ -136,32 +176,21 @@ fn duplicate_distance_ties_merge_identically() {
     }
     let range = geotext::BoundingBox::new(-1.0, -1.0, 1.0, 1.0).unwrap();
     let query = [1.0, 0.0];
+    let exact_over = |slices| {
+        RetrievalBackend::new(CandidateSource::ExactScan, slices, Arc::default())
+            .knn_in_range(&[&query], &range, 5, None)
+            .unwrap()
+            .into_only_hits()
+    };
     let flat_handle = Arc::new(parking_lot::RwLock::new(flat));
-    let reference = ExactScanBackend::new(Arc::clone(&flat_handle))
-        .knn_in_range(&[&query], &range, 5, None)
-        .unwrap()
-        .into_only_hits();
+    let reference = exact_over(vec![Arc::clone(&flat_handle)]);
     assert_eq!(
         reference.iter().map(|h| h.id).collect::<Vec<_>>(),
         vec![0, 1, 2, 3, 4],
         "flat exact scan breaks ties by insertion (= id) order"
     );
     for shards in SHARD_COUNTS {
-        let partitioned = ShardedCollection::from_collection(&flat_handle.read(), shards).unwrap();
-        let backend = ShardedBackend::new(
-            RetrievalStrategy::ExactScan,
-            partitioned
-                .shards()
-                .iter()
-                .map(|h| {
-                    Box::new(ExactScanBackend::new(Arc::clone(h))) as Box<dyn RetrievalBackend>
-                })
-                .collect(),
-        );
-        let got = backend
-            .knn_in_range(&[&query], &range, 5, None)
-            .unwrap()
-            .into_only_hits();
+        let got = exact_over(vecdb::partition(&flat_handle.read(), shards).unwrap());
         assert_eq!(
             ids_and_scores(&got),
             ids_and_scores(&reference),
