@@ -2,10 +2,18 @@
 //! latency vs beam width, against flat exact search — and the scoring
 //! kernel all of them bottom out in, on its own (`kernel/*`: one 256-d
 //! comparison, L1-hot, over `f32` vectors and over `u8` codes).
+//!
+//! The build is timed on two kinds of vector, because neighbour
+//! selection spends very differently on them: `hnsw/build-4k-256` over
+//! uniform random vectors (nearly every candidate is selected) and
+//! `hnsw/build-4k-metro` over the perf ledger's own world — clustered
+//! POI embeddings, where most candidates are pruned by a closer one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use embed::{Embedder, SemanticEmbedder};
+use semask::{PreparedCity, SemaSkConfig};
 use vecdb::{inv_norm, Distance, FlatIndex, HnswConfig, HnswIndex, QuantizedVectors};
 
 fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
@@ -66,10 +74,23 @@ fn bench_hnsw(c: &mut Criterion) {
         flat.push(v.clone());
     }
 
+    // The ledger's world (4,000-POI metro, seed 7) through the engine's
+    // embedder: the vectors `prep.prepare_s` inserts.
+    let embedder = SemanticEmbedder::new(SemaSkConfig::default().embedder);
+    let metro: Vec<Vec<f32>> = datagen::generate_metro(&datagen::MetroConfig::new(n, 7))
+        .dataset
+        .iter()
+        .map(|obj| embedder.embed(&PreparedCity::embedding_text(obj)))
+        .collect();
+    let metro_inv: Vec<f32> = metro.iter().map(|v| inv_norm(v)).collect();
+
     let mut group = c.benchmark_group("hnsw");
     // The ledger's world size and dimension: what `prep.prepare_s` pays.
     group.bench_function("build-4k-256", |b| {
         b.iter_with_large_drop(|| build(&vectors, &inv));
+    });
+    group.bench_function("build-4k-metro", |b| {
+        b.iter_with_large_drop(|| build(&metro, &metro_inv));
     });
     for ef in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("search_ef", ef), &ef, |b, &ef| {

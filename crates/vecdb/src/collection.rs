@@ -63,7 +63,8 @@ impl CollectionConfig {
 /// Resident-memory accounting for one collection, component by
 /// component — the report the metro bench gates layout regressions on.
 /// Every figure is an accounting estimate from container sizes, not an
-/// allocator census.
+/// allocator census. The HNSW graph — each link, and the 4 B of cached
+/// distance beside it — is outside this accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoryFootprint {
     /// Stored points (including soft-deleted offsets).
@@ -827,7 +828,10 @@ impl Collection {
     ///
     /// # Errors
     /// [`VecDbError::Snapshot`] naming the first check that failed
-    /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity).
+    /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity,
+    /// [`VecDbError::InvalidConfig`] for graph parameters
+    /// [`HnswConfig::validate`] refuses — the next insert would panic on
+    /// them).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
         let [mut meta, mut rows, mut norms, quant, hnsw] = codec::open(bytes)?;
         let meta = std::str::from_utf8(meta.take_rest())
@@ -841,6 +845,7 @@ impl Collection {
             payloads,
             quant_trained_at,
         } = serde_json::from_str(meta).map_err(|e| corrupt(format!("meta section: {e}")))?;
+        config.hnsw.validate()?;
 
         let n = ids.len();
         let dim = config.dim;

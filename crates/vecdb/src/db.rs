@@ -58,12 +58,20 @@ impl VectorDb {
         Self::default()
     }
 
-    /// Creates a collection. Errors if the name is taken.
+    /// Creates a collection.
+    ///
+    /// # Errors
+    /// [`VecDbError::InvalidConfig`] if [`HnswConfig::validate`] refuses
+    /// the graph parameters; [`VecDbError::CollectionExists`] if the name
+    /// is taken.
+    ///
+    /// [`HnswConfig::validate`]: crate::HnswConfig::validate
     pub fn create_collection(
         &self,
         name: &str,
         config: CollectionConfig,
     ) -> Result<CollectionHandle, VecDbError> {
+        config.hnsw.validate()?;
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err(VecDbError::CollectionExists {

@@ -1,7 +1,7 @@
 //! Distance metrics, plus the one scoring kernel every hot path bottoms
 //! out in.
 //!
-//! Every comparison in the crate — HNSW insert, prune and search, the
+//! Every comparison in the crate — HNSW insert, re-selection and search, the
 //! exact scan, the quantized coarse pass, the rerank — is a sum of
 //! per-element terms over two equal-length slices. `lane_sum` is the
 //! only place such a sum is accumulated: `L` independent partial sums

@@ -40,6 +40,13 @@ pub enum VecDbError {
         /// Human-readable cause.
         cause: String,
     },
+    /// A collection was configured with parameters nothing can be built
+    /// from; refused where the configuration enters, not at the first
+    /// insert.
+    InvalidConfig {
+        /// The offending field and value.
+        cause: String,
+    },
 }
 
 impl fmt::Display for VecDbError {
@@ -58,6 +65,7 @@ impl fmt::Display for VecDbError {
             VecDbError::PointExists { id } => write!(f, "point {id} already exists"),
             VecDbError::NonFiniteVector => write!(f, "vector contains NaN or infinity"),
             VecDbError::Snapshot { cause } => write!(f, "snapshot error: {cause}"),
+            VecDbError::InvalidConfig { cause } => write!(f, "invalid configuration: {cause}"),
         }
     }
 }

@@ -5,6 +5,44 @@
 //! The index stores only graph links; vectors live in the owning
 //! [`crate::Collection`] and are passed into each call, keeping the two
 //! halves independently testable.
+//!
+//! # Re-selection resumes
+//!
+//! A new node takes up to `m_max` links per layer, so on a grown graph
+//! nearly every back-link lands on a full list and one of the
+//! `m_max + 1` has to go. Which one is decided by the paper's
+//! Algorithm 4 (`select_neighbors`) over the list and the newcomer in
+//! order of distance from the node. That order and every verdict but a
+//! few are what the *previous* selection on the same list produced, so
+//! each list keeps them:
+//!
+//! * **Invariant.** A list that carries selection state is stored as
+//!   `[selected, ascending by distance] ++ [kept-pruned, ascending]` —
+//!   the order `select_neighbors` writes — with the distance of every
+//!   link from the node beside it and the length of the first run.
+//!   Re-running the heuristic over that list (stable-sorted by
+//!   distance) reproduces exactly those verdicts.
+//! * **Tie order.** The list and the newcomer `x` are stable-sorted by
+//!   distance from the stored order with `x` last, so among equal
+//!   distances selected links come before kept-pruned ones before `x`.
+//! * **Resume** (`resume_selection`). Links before `x` keep their
+//!   verdict without a comparison; `x` is tested against the selected
+//!   links before it; behind a skipped `x` nothing changes; behind a
+//!   selected `x` a kept-pruned link stays pruned and a selected link
+//!   is tested against `x` alone — until one of them is demoted, from
+//!   where the ordinary full check runs, because a link pruned only by
+//!   the demoted one may be selected again.
+//! * **Restart.** A list that took a plain push while under its cap, and
+//!   every list of a graph read back by `HnswIndex::unpack` (the
+//!   snapshot stores links only — no distances, no verdicts), carries
+//!   no state. Its first overflow recomputes every node → link distance
+//!   and runs `select_neighbors` from scratch, which leaves it in the
+//!   shape above for good: a full list never shrinks.
+//!
+//! Both routes produce the same links in the same stored order; the
+//! resumed one needs one distance for the newcomer instead of
+//! `m_max + 1`, and a handful of heuristic comparisons instead of a few
+//! hundred.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,12 +98,73 @@ impl Default for HnswConfig {
     }
 }
 
+impl HnswConfig {
+    /// Refuses parameters no graph can be built with: `m = 1` (the level
+    /// generator's `1 / ln(m)` is infinite, and the first inserts index
+    /// layers that do not exist), `m = 0` (nothing links to anything),
+    /// `m0 < m`, and `ef_construction = 0` (a beam that finds nothing to
+    /// link to).
+    ///
+    /// # Errors
+    /// [`VecDbError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), VecDbError> {
+        let cause = if self.m < 2 {
+            format!("hnsw.m = {} (must be at least 2)", self.m)
+        } else if self.m0 < self.m {
+            format!("hnsw.m0 = {} is below hnsw.m = {}", self.m0, self.m)
+        } else if self.ef_construction == 0 {
+            "hnsw.ef_construction = 0 (must be at least 1)".to_owned()
+        } else {
+            return Ok(());
+        };
+        Err(VecDbError::InvalidConfig { cause })
+    }
+}
+
+/// One node's links on one layer, with what the last neighbour
+/// selection on them knew (module docs, "Re-selection resumes").
+#[derive(Debug, Clone, Default)]
+struct LinkList {
+    /// Adjacent node offsets — the only part a snapshot stores.
+    links: Vec<u32>,
+    /// Empty when the list carries no selection state (it took a plain
+    /// push, or was read from a snapshot). Otherwise `dists[i]` is the
+    /// distance from the owning node to `links[i]`, computed node-first,
+    /// and the list is `[selected, ascending] ++ [kept-pruned,
+    /// ascending]`.
+    dists: Vec<f32>,
+    /// Length of the selected run. Meaningful only beside `dists`.
+    selected: usize,
+}
+
+impl LinkList {
+    /// Assembles Algorithm 4's answer: the selected links, topped up to
+    /// `m` from the skipped ones (`keepPrunedConnections`); both arrive
+    /// ascending by distance.
+    fn from_verdicts(selected: &[(f32, usize)], skipped: &[(f32, usize)], m: usize) -> Self {
+        let kept = &skipped[..skipped.len().min(m.saturating_sub(selected.len()))];
+        let all = || selected.iter().chain(kept);
+        Self {
+            links: all().map(|&(_, n)| n as u32).collect(),
+            dists: all().map(|&(d, _)| d).collect(),
+            selected: selected.len(),
+        }
+    }
+}
+
+/// One node: its level and one [`LinkList`] per layer. A list with
+/// selection state is `[selected, ascending by distance from this node]
+/// ++ [kept-pruned, ascending]`, equal distances ordered selected before
+/// kept-pruned before a newcomer; a list read from a snapshot has none
+/// (the file stores links only) and restarts its selection on its first
+/// overflow. Lists are independent: a re-selection reads the vectors and
+/// the list's own cached distances, never another list.
 #[derive(Debug, Clone)]
 struct NodeLinks {
     /// Highest layer this node appears on.
     level: usize,
-    /// `neighbors[l]` = adjacent node offsets on layer `l` (0 ≤ l ≤ level).
-    neighbors: Vec<Vec<u32>>,
+    /// `neighbors[l]` = the node's links on layer `l` (0 ≤ l ≤ level).
+    neighbors: Vec<LinkList>,
 }
 
 /// On-disk `entry` of an empty graph (node offsets are `u32`, and a
@@ -155,8 +254,8 @@ impl HnswIndex {
         for node in &self.nodes {
             w.u32(node.level as u32);
             for layer in &node.neighbors {
-                w.u32(layer.len() as u32);
-                w.u32s(layer);
+                w.u32(layer.links.len() as u32);
+                w.u32s(&layer.links);
             }
         }
     }
@@ -164,7 +263,9 @@ impl HnswIndex {
     /// Reads back what [`HnswIndex::pack`] wrote and checks that a
     /// search can follow every link: each neighbour names an existing
     /// node that has the layer it is linked on, and the entry point is a
-    /// node whose level is `top_level`.
+    /// node whose level is `top_level`. The lists come back without
+    /// selection state; each restarts its selection on its first
+    /// overflow (module docs).
     pub(crate) fn unpack(
         mut r: Reader<'_>,
         distance: Distance,
@@ -185,17 +286,21 @@ impl HnswIndex {
             }
             let neighbors = (0..=level)
                 .map(|_| {
-                    let links = r.u32()? as usize;
-                    r.u32s(links)
+                    let count = r.u32()? as usize;
+                    let links = r.u32s(count)?;
+                    Ok(LinkList {
+                        links,
+                        ..LinkList::default()
+                    })
                 })
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect::<Result<Vec<_>, VecDbError>>()?;
             nodes.push(NodeLinks { level, neighbors });
         }
         r.finish()?;
         for node in &nodes {
-            for (layer, links) in node.neighbors.iter().enumerate() {
+            for (layer, list) in node.neighbors.iter().enumerate() {
                 let dangling = |&n: &u32| nodes.get(n as usize).is_none_or(|t| t.level < layer);
-                if links.iter().any(dangling) {
+                if list.links.iter().any(dangling) {
                     return Err(corrupt("graph link to a node or layer that does not exist"));
                 }
             }
@@ -232,7 +337,7 @@ impl HnswIndex {
         let level = self.gen_level(offset);
         self.nodes.push(NodeLinks {
             level,
-            neighbors: vec![Vec::new(); level + 1],
+            neighbors: vec![LinkList::default(); level + 1],
         });
         let Some(mut ep) = self.entry else {
             self.entry = Some(offset);
@@ -268,15 +373,19 @@ impl HnswIndex {
             } else {
                 self.config.m
             };
-            let selected = self.select_neighbors(&cands, m_max, vectors, inv_norms);
-            for &(_, n) in &selected {
-                self.nodes[offset].neighbors[layer].push(n as u32);
-                self.nodes[n].neighbors[layer].push(offset as u32);
-                // Prune the neighbour if it now exceeds its budget.
-                if self.nodes[n].neighbors[layer].len() > m_max {
-                    self.prune(n, layer, m_max, vectors, inv_norms);
+            // `cands` holds the distances from `q`, which is this node's
+            // vector, so its list is born with its selection state.
+            let list = self.select_neighbors(&cands, m_max, vectors, inv_norms);
+            for &n in &list.links {
+                let back = &mut self.nodes[n as usize].neighbors[layer];
+                if back.links.len() < m_max {
+                    back.links.push(offset as u32);
+                    back.dists.clear();
+                } else {
+                    self.reselect(n as usize, layer, offset, m_max, vectors, inv_norms);
                 }
             }
+            self.nodes[offset].neighbors[layer] = list;
             eps = cands.iter().map(|&(_, n)| n).collect();
             if eps.is_empty() {
                 eps = vec![ep];
@@ -289,30 +398,107 @@ impl HnswIndex {
         }
     }
 
-    fn prune(
+    /// The back-link `x` arrived on `node`'s full list on `layer`: keeps
+    /// `m_max` of the `m_max + 1` — resuming the list's last selection
+    /// if it carries one, restarting it otherwise (module docs).
+    fn reselect(
         &mut self,
         node: usize,
         layer: usize,
+        x: usize,
         m_max: usize,
         vectors: &[Vec<f32>],
         inv_norms: &[f32],
     ) {
-        let v = &vectors[node];
-        let v_inv = inv_norms[node];
-        let mut cands: Vec<(f32, usize)> = self.nodes[node].neighbors[layer]
+        let (v, v_inv) = (&vectors[node], inv_norms[node]);
+        // Node-first, as every cached distance is: the cosine kernel
+        // multiplies by the two inverse norms in argument order.
+        let from_node = |n: usize| {
+            self.distance
+                .distance_normed(v, v_inv, &vectors[n], inv_norms[n])
+        };
+        let list = &self.nodes[node].neighbors[layer];
+        let reselected = if list.dists.is_empty() {
+            let mut cands: Vec<(f32, usize)> = list
+                .links
+                .iter()
+                .map(|&n| (from_node(n as usize), n as usize))
+                .collect();
+            cands.push((from_node(x), x));
+            cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            self.select_neighbors(&cands, m_max, vectors, inv_norms)
+        } else {
+            self.resume_selection(list, (from_node(x), x), m_max, vectors, inv_norms)
+        };
+        self.nodes[node].neighbors[layer] = reselected;
+    }
+
+    /// [`HnswIndex::select_neighbors`] over `list` and the newcomer `x`,
+    /// spending comparisons only where `x` can change a verdict of the
+    /// selection that produced `list` (module docs).
+    fn resume_selection(
+        &self,
+        list: &LinkList,
+        x: (f32, usize),
+        m: usize,
+        vectors: &[Vec<f32>],
+        inv_norms: &[f32],
+    ) -> LinkList {
+        /// What a stored link's old verdict is still worth.
+        enum Stage {
+            /// It stands: every selected link so far was selected then.
+            Stands,
+            /// `x` joined the selected links and nothing else changed.
+            PlusX,
+            /// A selected link was demoted; old verdicts say nothing.
+            Void,
+        }
+        // (distance from the node, link, selected last time)
+        let mut cands: Vec<(f32, usize, bool)> = list
+            .links
             .iter()
-            .map(|&n| {
-                let n = n as usize;
-                (
-                    self.distance
-                        .distance_normed(v, v_inv, &vectors[n], inv_norms[n]),
-                    n,
-                )
-            })
+            .zip(&list.dists)
+            .enumerate()
+            .map(|(i, (&n, &d))| (d, n as usize, i < list.selected))
             .collect();
+        cands.push((x.0, x.1, false));
+        // Stable over `[selected ++ kept-pruned ++ x]`: the tie order.
         cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-        let selected = self.select_neighbors(&cands, m_max, vectors, inv_norms);
-        self.nodes[node].neighbors[layer] = selected.iter().map(|&(_, n)| n as u32).collect();
+
+        let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
+        let mut skipped: Vec<(f32, usize)> = Vec::new();
+        let mut stage = Stage::Stands;
+        for &(d, c, was_selected) in &cands {
+            if selected.len() >= m {
+                break;
+            }
+            let dominated = if c == x.1 {
+                let dominated = self.dominated((d, c), &selected, vectors, inv_norms);
+                if !dominated {
+                    stage = Stage::PlusX;
+                }
+                dominated
+            } else {
+                match stage {
+                    Stage::Stands => !was_selected,
+                    Stage::PlusX if !was_selected => true,
+                    Stage::PlusX => {
+                        let demoted = self.dominated((d, c), &[x], vectors, inv_norms);
+                        if demoted {
+                            stage = Stage::Void;
+                        }
+                        demoted
+                    }
+                    Stage::Void => self.dominated((d, c), &selected, vectors, inv_norms),
+                }
+            };
+            if dominated {
+                skipped.push((d, c));
+            } else {
+                selected.push((d, c));
+            }
+        }
+        LinkList::from_verdicts(&selected, &skipped, m)
     }
 
     /// Greedy single-entry descent on one layer.
@@ -331,7 +517,7 @@ impl HnswIndex {
             .distance_normed(q, q_inv, &vectors[ep], inv_norms[ep]);
         loop {
             let mut improved = false;
-            for &n in &self.nodes[ep].neighbors[layer] {
+            for &n in &self.nodes[ep].neighbors[layer].links {
                 let d = self.distance.distance_normed(
                     q,
                     q_inv,
@@ -388,7 +574,7 @@ impl HnswIndex {
             if d > worst && results.len() >= ef {
                 break;
             }
-            for &n in &self.nodes[c].neighbors[layer] {
+            for &n in &self.nodes[c].neighbors[layer].links {
                 let n = n as usize;
                 if visited[n] {
                     continue;
@@ -416,39 +602,44 @@ impl HnswIndex {
 
     /// Heuristic neighbour selection (Algorithm 4 of the paper): prefer
     /// candidates that are closer to the query than to any already
-    /// selected neighbour, which keeps links spread out.
+    /// selected neighbour, which keeps links spread out. `cands` arrive
+    /// ascending by distance from the query.
     fn select_neighbors(
         &self,
         cands: &[(f32, usize)],
         m: usize,
         vectors: &[Vec<f32>],
         inv_norms: &[f32],
-    ) -> Vec<(f32, usize)> {
+    ) -> LinkList {
         let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
         let mut skipped: Vec<(f32, usize)> = Vec::new();
         for &(d, c) in cands {
             if selected.len() >= m {
                 break;
             }
-            let dominated = selected.iter().any(|&(_, s)| {
-                self.distance
-                    .distance_normed(&vectors[c], inv_norms[c], &vectors[s], inv_norms[s])
-                    < d
-            });
-            if dominated {
+            if self.dominated((d, c), &selected, vectors, inv_norms) {
                 skipped.push((d, c));
             } else {
                 selected.push((d, c));
             }
         }
-        // keepPrunedConnections: top up from skipped to reach m.
-        for &(d, c) in &skipped {
-            if selected.len() >= m {
-                break;
-            }
-            selected.push((d, c));
-        }
-        selected
+        LinkList::from_verdicts(&selected, &skipped, m)
+    }
+
+    /// Algorithm 4's test: is the candidate `c`, at distance `d` from
+    /// the query, closer to one of `selected` than to the query?
+    fn dominated(
+        &self,
+        (d, c): (f32, usize),
+        selected: &[(f32, usize)],
+        vectors: &[Vec<f32>],
+        inv_norms: &[f32],
+    ) -> bool {
+        selected.iter().any(|&(_, s)| {
+            self.distance
+                .distance_normed(&vectors[c], inv_norms[c], &vectors[s], inv_norms[s])
+                < d
+        })
     }
 
     /// k-NN search: returns up to `k` `(offset, distance)` pairs sorted by
@@ -635,6 +826,124 @@ mod tests {
         }
         let recall = hits as f64 / 500.0;
         assert!(recall > 0.9, "recall@10 at dim 256 = {recall}");
+    }
+
+    /// A snapshot whose last section — the graph's — is the only one
+    /// with anything in it.
+    fn packed(idx: &HnswIndex) -> Vec<u8> {
+        let mut w = Writer::with_capacity(0);
+        for _ in 0..4 {
+            w.end_section();
+        }
+        idx.pack(&mut w);
+        w.end_section();
+        w.finish()
+    }
+
+    /// The graph over `vectors` as shipped (`restart == false`), or as
+    /// the reference that never resumes: every list loses its selection
+    /// state before every insert — what `pack` → `unpack` does to it —
+    /// so each overflow recomputes every node → link distance,
+    /// stable-sorts stored order + newcomer and runs `select_neighbors`
+    /// from scratch.
+    fn grown(
+        vectors: &[Vec<f32>],
+        distance: Distance,
+        config: &HnswConfig,
+        restart: bool,
+    ) -> HnswIndex {
+        let inv = norms(vectors);
+        let mut idx = HnswIndex::new(distance, config.clone());
+        for i in 0..vectors.len() {
+            if restart {
+                let lists = idx.nodes.iter_mut().flat_map(|node| &mut node.neighbors);
+                lists.for_each(|list| list.dists.clear());
+            }
+            idx.insert(i, vectors, &inv);
+        }
+        idx
+    }
+
+    /// `n` vectors with the ties the tie order exists for. Pool 0:
+    /// uniform random. Pool 1: integer lattice coordinates in `-1..=2`
+    /// (equal and zero distances between distinct nodes, the zero
+    /// vector, and — at dimension 2 — sixteen points shared by all).
+    /// Pool 2: random vectors, each stored three times.
+    fn pool(kind: usize, n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        (0..n as u64)
+            .map(|i| match kind {
+                0 => pseudo_vec(mix(&[seed, i]), dim),
+                1 => (0..dim as u64)
+                    .map(|j| (mix(&[seed, i, j]) % 4) as f32 - 1.0)
+                    .collect(),
+                _ => pseudo_vec(mix(&[seed, i / 3]), dim),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Resume ≡ restart: the shipped build and the never-resuming
+        /// reference write the same snapshot section — same links, same
+        /// stored order, every node, every layer.
+        #[test]
+        fn resumed_selection_builds_the_restarted_graph(
+            n in 1usize..=600,
+            shape in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (dim, links, metric, kind) = shape;
+            let dim = [2, 8, 64][dim];
+            let (m, m0) = [(2, 4), (4, 8), (16, 32)][links];
+            let distance = [Distance::Cosine, Distance::Dot, Distance::Euclid][metric];
+            // A beam just past the cap: re-selection, which this is about,
+            // runs as often; the searches around it cost a third.
+            let config = HnswConfig { m, m0, ef_construction: 40, seed };
+            let vectors = pool(kind, n, dim, seed);
+            let resumed = grown(&vectors, distance, &config, false);
+            let restarted = grown(&vectors, distance, &config, true);
+            proptest::prop_assert!(
+                packed(&resumed) == packed(&restarted),
+                "n {} dim {} m {} {:?} pool {} seed {}", n, dim, m, distance, kind, seed
+            );
+        }
+    }
+
+    #[test]
+    fn demoting_a_selected_link_reselects_the_one_only_it_pruned() {
+        // Seen from P at the origin: A, B and C are selected, E is pruned
+        // by C alone (E sits just behind C). X then arrives closer to P
+        // than C and prunes C — and with C demoted nothing prunes E.
+        let [a, b, c, e, p, x] = [0usize, 1, 2, 3, 4, 5];
+        let vectors = vec![
+            vec![-1.0, 0.0],
+            vec![-0.3, 1.2],
+            vec![2.0, 0.0],
+            vec![2.2, 1.0],
+            vec![0.0, 0.0],
+            vec![1.1, -1.2],
+        ];
+        let inv = norms(&vectors);
+        let config = HnswConfig {
+            m: 4,
+            m0: 4,
+            ..HnswConfig::default()
+        };
+        let mut idx = HnswIndex::new(Distance::Euclid, config.clone());
+        for i in 0..x {
+            idx.insert(i, &vectors, &inv);
+        }
+        let list = &idx.nodes[p].neighbors[0];
+        assert_eq!(list.links, [a, b, c, e].map(|n| n as u32));
+        assert_eq!((list.selected, list.dists.len()), (3, 4), "born with state");
+
+        idx.insert(x, &vectors, &inv);
+        let list = &idx.nodes[p].neighbors[0];
+        assert_eq!(list.links, [a, b, x, e].map(|n| n as u32));
+        assert_eq!(list.selected, 4, "E is selected again, C is gone");
+        let restarted = grown(&vectors, Distance::Euclid, &config, true);
+        assert!(packed(&idx) == packed(&restarted));
     }
 
     #[test]

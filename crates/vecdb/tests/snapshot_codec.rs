@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use serde_json::json;
 use vecdb::{
     crc32, Collection, CollectionConfig, Filter, HnswConfig, Payload, ScoringTier, SearchParams,
-    SearchStrategy,
+    SearchStrategy, VecDbError, VectorDb,
 };
 
 // ---- the largest single allocation a thread makes ----
@@ -194,24 +194,35 @@ fn snapshot_round_trip_is_bit_identical_and_repacks_to_the_same_bytes() {
     assert!(!fingerprint(lived)[0].0.is_empty());
 }
 
+/// Build N, snapshot, restore, insert M more ≡ build N + M straight.
+/// The snapshot stores graph links only, so every restored list meets
+/// its first overflow without the distances and verdicts the straight
+/// build cached — and must re-select to the same links in the same
+/// order. Whole snapshots are compared, not the graph section alone:
+/// every section is deterministic across a restore.
 #[test]
 fn snapshot_restored_collection_keeps_taking_writes() {
-    let original = lived_in(
-        config(ScoringTier::Quantized { rerank_factor: 4 }, true),
-        300,
-    );
-    let mut restored =
-        Collection::from_snapshot_bytes(&original.to_snapshot_bytes().unwrap()).unwrap();
-    let mut original = original;
-    for c in [&mut original, &mut restored] {
-        for i in 0..100u64 {
-            c.insert(10_000 + i, pseudo(i + 70_000, DIM), payload(i))
-                .unwrap();
+    for tier in [
+        ScoringTier::Full,
+        ScoringTier::Quantized { rerank_factor: 4 },
+    ] {
+        let mut original = lived_in(config(tier, true), 300);
+        let mut restored =
+            Collection::from_snapshot_bytes(&original.to_snapshot_bytes().unwrap()).unwrap();
+        for c in [&mut original, &mut restored] {
+            for i in 0..100u64 {
+                c.insert(10_000 + i, pseudo(i + 70_000, DIM), payload(i))
+                    .unwrap();
+            }
+            c.delete(3).unwrap();
         }
-        c.delete(3).unwrap();
+        assert_eq!(fingerprint(&restored), fingerprint(&original), "{tier:?}");
+        let bytes = original.to_snapshot_bytes().unwrap();
+        assert!(restored.to_snapshot_bytes().unwrap() == bytes, "{tier:?}");
+        // No cached state reaches the canonical bytes.
+        let reread = Collection::from_snapshot_bytes(&bytes).unwrap();
+        assert!(reread.to_snapshot_bytes().unwrap() == bytes, "{tier:?}");
     }
-    assert_eq!(fingerprint(&restored), fingerprint(&original));
-    assert!(restored.to_snapshot_bytes().unwrap() == original.to_snapshot_bytes().unwrap());
 }
 
 // ---- hostile bytes ----
@@ -392,6 +403,64 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
         });
         assert_rejected(&bad, what);
     }
+}
+
+/// `m = 1` makes the level generator's `1 / ln(m)` infinite: a
+/// collection that loaded with it would panic on its next insert. The
+/// other three build graphs nothing can search.
+#[test]
+fn snapshot_with_meaningless_graph_parameters_is_refused_at_both_doors() {
+    let file = small();
+    let edits = [
+        ("m = 1", "\"m\":4,", "\"m\":1,"),
+        ("m = 0", "\"m\":4,", "\"m\":0,"),
+        ("m0 < m", "\"m0\":8,", "\"m0\":3,"),
+        (
+            "ef_construction = 0",
+            "\"ef_construction\":128,",
+            "\"ef_construction\":0,",
+        ),
+    ];
+    for (what, from, to) in edits {
+        let bad = with_meta(&file, |meta| {
+            assert!(
+                meta.contains(from),
+                "{what}: `{from}` not in the meta section"
+            );
+            meta.replacen(from, to, 1)
+        });
+        assert_rejected(&bad, what);
+        let refused = Collection::from_snapshot_bytes(&bad).err();
+        assert!(
+            matches!(refused, Some(VecDbError::InvalidConfig { .. })),
+            "{what}: {refused:?}"
+        );
+    }
+
+    let with = |m, m0, ef_construction| CollectionConfig {
+        hnsw: HnswConfig {
+            m,
+            m0,
+            ef_construction,
+            ..HnswConfig::default()
+        },
+        ..CollectionConfig::new(4)
+    };
+    let db = VectorDb::new();
+    for bad in [
+        with(1, 8, 128),
+        with(0, 8, 128),
+        with(4, 3, 128),
+        with(4, 8, 0),
+    ] {
+        let refused = db.create_collection("c", bad.clone()).err();
+        assert!(
+            matches!(refused, Some(VecDbError::InvalidConfig { .. })),
+            "{:?}: {refused:?}",
+            bad.hnsw
+        );
+    }
+    assert!(db.create_collection("c", with(2, 2, 1)).is_ok());
 }
 
 proptest! {
