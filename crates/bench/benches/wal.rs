@@ -3,12 +3,15 @@
 //! `encode-256` (append-path serialization, the reference row),
 //! `decode-256` (pure in-memory log decode), and `open-256` (the real
 //! recovery read: `Wal::open` on a written log file — read, checksum,
-//! frame, and tail-scan included) — and two for the snapshot a
+//! frame, and tail-scan included) — and three for the snapshot a
 //! checkpoint folds the log into, on the perf ledger's world (4,000-POI
-//! metro, quantized tier, FSST payloads): `checkpoint/save-4k`
-//! (`save_prepared`: every file written and fsynced, `CURRENT` flipped,
-//! the superseded snapshot removed) and `checkpoint/load-4k`
-//! (`load_prepared`: files read, verified, indexes rebuilt).
+//! metro, quantized tier, FSST payloads): `checkpoint/cut-4k`
+//! (`cut_prepared`: the collection packed in memory, dataset and overlay
+//! pinned — the part of a checkpoint the tripping writer waits for),
+//! `checkpoint/save-4k` (`save_prepared`, cut + write: every file
+//! written and fsynced, `CURRENT` flipped, the superseded snapshot
+//! removed) and `checkpoint/load-4k` (`load_prepared`: files read,
+//! verified, indexes rebuilt).
 //!
 //! Replaying decoded records through `SemaSkEngine::apply_mutations` is
 //! deliberately *not* benched here: that path re-embeds documents, so
@@ -22,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use semask::persist::{load_prepared, save_prepared};
+use semask::persist::{cut_prepared, load_prepared, save_prepared};
 use semask::wal::{decode_buffer, encode_record, Mutation, PoiSpec, PoiUpdate, Wal};
 use semask::SemaSkConfig;
 use vecdb::ScoringTier;
@@ -116,6 +119,9 @@ fn bench_checkpoint(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut group = c.benchmark_group("checkpoint");
+    group.bench_function("cut-4k", |b| {
+        b.iter(|| cut_prepared(black_box(&prepared)).expect("cut"))
+    });
     group.bench_function("save-4k", |b| {
         b.iter(|| save_prepared(black_box(&prepared), &dir).expect("save"))
     });

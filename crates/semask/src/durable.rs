@@ -12,12 +12,52 @@
 //!    in-memory engine ([`SemaSkEngine::apply_mutations`]), so queries
 //!    never observe state that could be lost.
 //! 3. **Checkpoint** — past a size/record threshold
-//!    ([`CheckpointPolicy`]) the log folds into a fresh
-//!    [`save_prepared`] snapshot and truncates. Sequence numbers never
-//!    reset: the snapshot stores `last_applied_seq`, and recovery
-//!    replays only records beyond it — a crash *between* snapshot
-//!    commit and log truncation re-reads old records but re-applies
-//!    none.
+//!    ([`CheckpointPolicy`]) the log folds into a fresh snapshot. The
+//!    writer that trips the threshold pays only for the first two steps:
+//!    - **cut** — still under the log mutex, so no writer can move the
+//!      state: [`cut_prepared`] packs the collection into memory, pins
+//!      the dataset and the published overlay, and reads the sequence
+//!      number they all stand at;
+//!    - **rotate** — `wal.log` becomes `wal.prev` by rename and a fresh,
+//!      empty `wal.log` continues the numbering ([`Wal::rotate`]). The
+//!      writer returns and later batches log into the fresh file;
+//!    - **write beside** — one thread runs [`write_snapshot`] on the
+//!      cut: stage, fsync, rename, flip `CURRENT`;
+//!    - **retire** — the same thread then removes `wal.prev`, whose
+//!      every record the committed snapshot now contains.
+//!
+//!    Sequence numbers never restart: the snapshot stores
+//!    `last_applied_seq`, and recovery replays only records beyond it.
+//!
+//! **Two logs, never more.** At most one checkpoint is in flight — the
+//! next trigger, [`DurableEngine::checkpoint`] and `Drop` join it — and
+//! `wal.prev` exists from a rotation until the snapshot cut at that
+//! rotation has committed, so a directory holds `wal.log` and at most
+//! one `wal.prev`, the older records in the latter. Recovery reads
+//! `wal.prev` (if present) and then `wal.log` through the same
+//! `seq > last_applied_seq` filter:
+//!
+//! | crash…                                    | on disk                             | recovery                                    |
+//! |-------------------------------------------|-------------------------------------|---------------------------------------------|
+//! | before the rotation                       | old snapshot, `wal.log`             | replays `wal.log`                           |
+//! | after it, before `CURRENT` flips          | old snapshot, `wal.prev`, `wal.log` | replays both, in order                      |
+//! | after the flip, before `wal.prev` is gone | new snapshot, `wal.prev`, `wal.log` | skips all of `wal.prev`, replays `wal.log`  |
+//! | after the retire                          | new snapshot, `wal.log`             | replays `wal.log`                           |
+//!
+//! and a reopen that found a `wal.prev` folds both logs into one
+//! synchronous checkpoint before it takes writes, so a rotation never
+//! meets an occupied name.
+//!
+//! **A failed checkpoint loses nothing and fails no write.** The batch
+//! that tripped the policy was logged, fsynced and applied before the
+//! cut; it returns `Ok` whatever happens to the snapshot. A snapshot that
+//! cannot be written leaves `wal.prev` in place (recovery replays it);
+//! the error goes to the first [`DurableEngine::mutate_batch`] that
+//! finds the checkpoint ended — before that call logs anything — or to
+//! [`DurableEngine::checkpoint`], whichever comes first, and the next
+//! trigger cuts again over both logs — without rotating: `wal.prev`
+//! keeps its name until a snapshot holding its records commits, and
+//! `wal.log` rotates at the trigger after that.
 //!
 //! [`SemaSkEngine::recover`] (a thin wrapper over
 //! [`DurableEngine::open`]) rebuilds the exact pre-crash state:
@@ -31,19 +71,22 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use llm::SimLlm;
 use parking_lot::Mutex;
 
 use crate::config::SemaSkConfig;
 use crate::engine::{EngineError, SemaSkEngine, Variant};
-use crate::persist::{load_prepared, save_prepared, PersistError};
-use crate::wal::{crash_point, Mutation, Wal, WalError, WalStats};
+use crate::persist::{cut_prepared, load_prepared, save_prepared, write_snapshot, PersistError};
+use crate::wal::{crash_point, decode_buffer, Mutation, Wal, WalError, WalStats};
 use geotext::ObjectId;
 
-/// The WAL file name inside a durable engine's directory, next to the
+/// The active log inside a durable engine's directory, next to the
 /// snapshot machinery (`CURRENT`, `snap-<k>/`).
 const WAL_FILE: &str = "wal.log";
+/// The log a checkpoint rotated out, until its snapshot commits.
+const WAL_PREV: &str = "wal.prev";
 
 /// When the log folds into a snapshot. Either threshold triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,10 +158,16 @@ pub struct MutationReceipt {
     pub inserted: Vec<ObjectId>,
     /// Mutations applied by this batch.
     pub applied: u64,
-    /// Log size after the batch (0 right after a checkpoint).
+    /// Size of the active log (`wal.log`) after the batch; 0 right after
+    /// a rotation, so it falls between a checkpointing batch and the
+    /// one before it.
     pub wal_bytes: u64,
-    /// `Some(n)` when this batch tripped the checkpoint policy and
-    /// folded `n` log records into a snapshot.
+    /// `Some(n)` on the batch that *started* folding `n` log records
+    /// into a snapshot: it tripped the checkpoint policy, took the cut
+    /// and rotated the log. The snapshot itself is written after the
+    /// batch returns; whether it committed is the next
+    /// [`DurableEngine::mutate_batch`]'s or
+    /// [`DurableEngine::checkpoint`]'s to report.
     pub checkpoint_records: Option<u64>,
 }
 
@@ -130,8 +179,46 @@ pub struct RecoverReport {
     /// Log records replayed (their seq exceeded the snapshot's fold).
     pub replayed: u64,
     /// Log records skipped because the snapshot already folded them (a
-    /// crash hit between snapshot commit and log truncation).
+    /// crash hit between snapshot commit and the removal of `wal.prev`).
     pub skipped: u64,
+}
+
+/// The checkpoint the last trigger started: the thread writing and
+/// committing its snapshot, or the error that kept it from starting.
+type Started = Result<JoinHandle<Result<(), DurableError>>, DurableError>;
+
+/// What the log mutex guards: the active log and the one checkpoint
+/// that may be in flight beside it.
+struct Log {
+    wal: Wal,
+    /// Set by a trigger; taken (and joined) by the next trigger,
+    /// `checkpoint()` and `Drop`, or by a write that finds it ended.
+    checkpoint: Option<Started>,
+}
+
+impl Log {
+    /// True when a started checkpoint has run to its end, so that
+    /// [`Log::settle`] has its verdict without waiting.
+    fn checkpoint_ended(&self) -> bool {
+        self.checkpoint
+            .as_ref()
+            .is_some_and(|c| c.as_ref().map_or(true, JoinHandle::is_finished))
+    }
+
+    /// Joins the checkpoint in flight, if any, and returns how it ended.
+    fn settle(&mut self) -> Result<(), DurableError> {
+        match self.checkpoint.take() {
+            None => Ok(()),
+            Some(started) => started?.join().expect("the snapshot thread does not panic"),
+        }
+    }
+}
+
+/// Removes `wal.prev` once a committed snapshot holds its records. No
+/// directory fsync: a removal undone by a crash leaves a log recovery
+/// skips record for record.
+fn retire(prev: &Path) -> Result<(), WalError> {
+    Ok(std::fs::remove_file(prev)?)
 }
 
 /// A [`SemaSkEngine`] whose mutations survive crashes.
@@ -140,10 +227,11 @@ pub struct RecoverReport {
 /// nothing to the read path. Mutations go through
 /// [`DurableEngine::mutate`] / [`DurableEngine::mutate_batch`], which
 /// serialize writers on the log mutex (the engine's write gate excludes
-/// readers; the log mutex orders the loggers).
+/// readers; the log mutex orders the loggers). Dropping the engine joins
+/// the checkpoint in flight: no thread outlives it in its directory.
 pub struct DurableEngine {
     engine: SemaSkEngine,
-    wal: Mutex<Wal>,
+    log: Mutex<Log>,
     dir: PathBuf,
     policy: CheckpointPolicy,
     last_checkpoint_records: AtomicU64,
@@ -164,19 +252,28 @@ impl DurableEngine {
         save_prepared(engine.prepared(), dir)?;
         let (mut wal, _) = Wal::open(dir.join(WAL_FILE))?;
         wal.ensure_next_seq(engine.prepared().live.last_seq() + 1);
-        Ok(Self {
+        Ok(Self::over(engine, wal, dir, policy))
+    }
+
+    fn over(engine: SemaSkEngine, wal: Wal, dir: &Path, policy: CheckpointPolicy) -> Self {
+        Self {
             engine,
-            wal: Mutex::new(wal),
+            log: Mutex::new(Log {
+                wal,
+                checkpoint: None,
+            }),
             dir: dir.to_path_buf(),
             policy,
             last_checkpoint_records: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Reopens a durable engine from `dir`: loads the committed
-    /// snapshot, replays the WAL suffix beyond the snapshot's
-    /// `last_applied_seq` through the normal apply path, and reports
-    /// what it did.
+    /// snapshot, replays `wal.prev` (if a checkpoint was cut short) and
+    /// then `wal.log` beyond the snapshot's `last_applied_seq` through
+    /// the normal apply path, and reports what it did. If there was a
+    /// `wal.prev`, both logs are folded into a new snapshot before this
+    /// returns, leaving one empty log.
     ///
     /// # Errors
     /// Snapshot/log I/O failure, or an apply failure during replay
@@ -192,12 +289,18 @@ impl DurableEngine {
     ) -> Result<(Self, RecoverReport), DurableError> {
         let prepared = Arc::new(load_prepared(dir, &config)?);
         let engine = SemaSkEngine::new(prepared, llm, config, variant);
+        let prev_path = dir.join(WAL_PREV);
+        let prev = match std::fs::read(&prev_path) {
+            Ok(bytes) => Some(decode_buffer(&bytes).0),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(WalError::Io(e).into()),
+        };
         let (mut wal, records) = Wal::open(dir.join(WAL_FILE))?;
 
         let snapshot_seq = engine.prepared().live.last_seq();
         let mut replayed = 0u64;
         let mut skipped = 0u64;
-        for record in &records {
+        for record in prev.iter().flatten().chain(&records) {
             if record.seq <= snapshot_seq {
                 skipped += 1;
                 continue;
@@ -206,25 +309,25 @@ impl DurableEngine {
             engine.prepared().live.set_last_seq(record.seq);
             replayed += 1;
         }
-        // A log truncated by a pre-crash checkpoint restarts numbering
+        // A log a pre-crash checkpoint left empty restarts numbering
         // from its own contents; push it past the snapshot's fold point.
         wal.ensure_next_seq(engine.prepared().live.last_seq() + 1);
+
+        if prev.is_some() {
+            // Fold both logs now, while nothing writes: the first
+            // rotation must find the name `wal.prev` free.
+            save_prepared(engine.prepared(), dir)?;
+            retire(&prev_path)?;
+            wal.rotate(&prev_path)?;
+            retire(&prev_path)?;
+        }
 
         let report = RecoverReport {
             last_seq: engine.prepared().live.last_seq(),
             replayed,
             skipped,
         };
-        Ok((
-            Self {
-                engine,
-                wal: Mutex::new(wal),
-                dir: dir.to_path_buf(),
-                policy,
-                last_checkpoint_records: AtomicU64::new(0),
-            },
-            report,
-        ))
+        Ok((Self::over(engine, wal, dir, policy), report))
     }
 
     /// The wrapped engine — the query path.
@@ -241,18 +344,24 @@ impl DurableEngine {
         self.mutate_batch(&[mutation])
     }
 
-    /// Logs, fsyncs, applies, and (policy permitting) checkpoints one
-    /// mutation batch. The batch is atomic at every layer: invalid
-    /// batches are rejected before any record is written; queries
-    /// observe all of it or none of it; recovery replays all of it or —
-    /// if the crash beat the fsync — none of it.
+    /// Logs, fsyncs, applies, and (policy permitting) starts a
+    /// checkpoint for one mutation batch. The batch is atomic at every
+    /// layer: invalid batches are rejected before any record is written;
+    /// queries observe all of it or none of it; recovery replays all of
+    /// it or — if the crash beat the fsync — none of it.
     ///
     /// # Errors
-    /// [`DurableError::Engine`] when validation rejects the batch (the
-    /// log and engine are untouched); I/O errors from the log or the
-    /// checkpoint otherwise.
+    /// An `Err` always means this batch was neither logged nor applied:
+    /// [`DurableError::Engine`] when validation rejects it, log I/O
+    /// errors, or the failure of a checkpoint an *earlier* batch started
+    /// (returned once, before this batch is looked at; the batch can be
+    /// submitted again). A batch that was logged and applied returns
+    /// `Ok` even if the checkpoint it then starts fails.
     pub fn mutate_batch(&self, mutations: &[Mutation]) -> Result<MutationReceipt, DurableError> {
-        let mut wal = self.wal.lock();
+        let mut log = self.log.lock();
+        if log.checkpoint_ended() {
+            log.settle()?;
+        }
         // Validate before logging: the WAL must never hold a batch that
         // cannot apply. The log mutex serializes mutators, so the state
         // validated here is the state the apply below sees.
@@ -260,10 +369,10 @@ impl DurableEngine {
 
         let mut last_seq = 0u64;
         for m in mutations {
-            last_seq = wal.append(m)?;
+            last_seq = log.wal.append(m)?;
         }
         crash_point("wal-before-fsync");
-        wal.sync()?;
+        log.wal.sync()?;
         crash_point("wal-after-fsync");
 
         let batch = self.engine.apply_mutations(mutations)?;
@@ -271,53 +380,87 @@ impl DurableEngine {
             self.engine.prepared().live.set_last_seq(last_seq);
         }
 
-        let stats = wal.stats();
+        let stats = log.wal.stats();
         let mut checkpoint_records = None;
         if stats.records >= self.policy.max_records || stats.bytes >= self.policy.max_bytes {
-            checkpoint_records = Some(self.checkpoint_locked(&mut wal)?);
+            // The batch is committed; how the checkpoint fares — the
+            // one still in flight or the one starting now — is a later
+            // call's to report.
+            let started = log
+                .settle()
+                .and_then(|()| self.start_checkpoint(&mut log.wal));
+            if started.is_ok() {
+                checkpoint_records = Some(stats.records);
+            }
+            log.checkpoint = Some(started);
         }
 
         Ok(MutationReceipt {
             epoch: batch.epoch,
             inserted: batch.inserted,
             applied: mutations.len() as u64,
-            wal_bytes: wal.stats().bytes,
+            wal_bytes: log.wal.stats().bytes,
             checkpoint_records,
         })
     }
 
-    /// Forces a checkpoint now, regardless of policy. Returns the number
-    /// of log records folded into the snapshot.
+    /// Forces a checkpoint now, regardless of policy, and waits for it
+    /// to commit. Returns the number of records it rotated out of the
+    /// active log (a checkpoint that follows a failed one also folds
+    /// the `wal.prev` that one left, counted when it rotated).
     ///
     /// # Errors
-    /// Snapshot or log I/O failure.
+    /// The failure of a checkpoint started earlier, if one is pending —
+    /// then nothing new is attempted — or snapshot / log I/O failure of
+    /// this one.
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
-        let mut wal = self.wal.lock();
-        self.checkpoint_locked(&mut wal)
-    }
-
-    fn checkpoint_locked(&self, wal: &mut Wal) -> Result<u64, DurableError> {
-        let folded = wal.stats().records;
-        // The snapshot folds the live overlay and stamps
-        // `last_applied_seq`; once CURRENT flips, these records are
-        // redundant — but they stay until the reset below, so a crash
-        // in between merely re-reads (and skips) them on recovery.
-        save_prepared(self.engine.prepared(), &self.dir)?;
-        crash_point("ckpt-before-reset");
-        wal.reset()?;
-        crash_point("ckpt-after-reset");
-        self.last_checkpoint_records
-            .store(folded, Ordering::Relaxed);
+        let mut log = self.log.lock();
+        log.settle()?;
+        let folded = log.wal.stats().records;
+        log.checkpoint = Some(Ok(self.start_checkpoint(&mut log.wal)?));
+        log.settle()?;
         Ok(folded)
     }
 
-    /// Current log statistics.
-    #[must_use]
-    pub fn wal_stats(&self) -> WalStats {
-        self.wal.lock().stats()
+    /// Cut and rotate, on the caller's thread and under the log mutex;
+    /// write and retire on the thread returned. The caller has joined
+    /// any earlier checkpoint.
+    fn start_checkpoint(
+        &self,
+        wal: &mut Wal,
+    ) -> Result<JoinHandle<Result<(), DurableError>>, DurableError> {
+        let folded = wal.stats().records;
+        let cut = cut_prepared(self.engine.prepared())?;
+        let prev = self.dir.join(WAL_PREV);
+        // A `wal.prev` still here was left by a failed checkpoint. The
+        // cut holds its records too; a rotation would replace it with
+        // records no committed snapshot has.
+        if !prev.exists() {
+            wal.rotate(&prev)?;
+        }
+        crash_point("ckpt-after-rotate");
+        self.last_checkpoint_records
+            .store(folded, Ordering::Relaxed);
+        let dir = self.dir.clone();
+        Ok(std::thread::spawn(move || {
+            // Once CURRENT flips, every record of `wal.prev` is
+            // redundant — but the file stays until the retire, so a
+            // crash in between merely re-reads (and skips) them.
+            write_snapshot(&cut, &dir)?;
+            crash_point("ckpt-before-reset");
+            retire(&prev)?;
+            crash_point("ckpt-after-reset");
+            Ok(())
+        }))
     }
 
-    /// Records folded by the most recent checkpoint (0 before any).
+    /// Statistics of the active log (`wal.log`).
+    #[must_use]
+    pub fn wal_stats(&self) -> WalStats {
+        self.log.lock().wal.stats()
+    }
+
+    /// Records rotated out by the most recent checkpoint (0 before any).
     #[must_use]
     pub fn last_checkpoint_records(&self) -> u64 {
         self.last_checkpoint_records.load(Ordering::Relaxed)
@@ -327,6 +470,16 @@ impl DurableEngine {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+impl Drop for DurableEngine {
+    fn drop(&mut self) {
+        // A snapshot that fails here loses nothing: `wal.prev` stays
+        // and the next `open` folds it.
+        if let Some(Ok(writing)) = self.log.get_mut().checkpoint.take() {
+            let _ = writing.join();
+        }
     }
 }
 
@@ -440,6 +593,234 @@ mod tests {
         assert_eq!(report.skipped, 0);
         let after: Vec<_> = recovered.engine().query(&q).unwrap().answer_ids();
         assert_eq!(before, after, "recovery must reproduce the live answers");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn insert(name: &str, at: geotext::GeoPoint) -> Mutation {
+        Mutation::Insert(PoiSpec {
+            name: name.to_owned(),
+            lat: at.lat,
+            lon: at.lon,
+            categories: vec!["dumplings".to_owned()],
+            tips: vec!["get the pork ones".to_owned()],
+        })
+    }
+
+    /// Everything in `dir`, by name, sorted.
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The names in `dir` that belong to the log.
+    fn log_files(dir: &Path) -> Vec<String> {
+        let mut names = names_in(dir);
+        names.retain(|n| n.starts_with("wal"));
+        names
+    }
+
+    fn seqs_in(path: &Path) -> Vec<u64> {
+        let (records, _) = decode_buffer(&std::fs::read(path).unwrap());
+        records.iter().map(|r| r.seq).collect()
+    }
+
+    fn current(dir: &Path) -> String {
+        std::fs::read_to_string(dir.join("CURRENT")).unwrap()
+    }
+
+    /// Makes every snapshot commit in `dir` fail, deterministically: the
+    /// `CURRENT` flip stages the pointer in a file of this name, and a
+    /// directory cannot be opened for writing.
+    fn block_commits(dir: &Path) -> PathBuf {
+        let squatter = dir.join("CURRENT.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        squatter
+    }
+
+    #[test]
+    fn a_failed_checkpoint_fails_no_committed_write() {
+        let (engine, data, llm, config) = fresh_engine();
+        let dir = tmpdir("failed_ckpt");
+        let policy = CheckpointPolicy {
+            max_records: 2,
+            max_bytes: u64::MAX,
+        };
+        let durable = DurableEngine::create(engine, &dir, policy).unwrap();
+        let squatter = block_commits(&dir);
+        let center = data.city.center();
+        let q = SemaSkQuery::new(
+            BoundingBox::from_center_km(center, 5.0, 5.0),
+            "unlucky dumpling counter",
+        );
+
+        durable.mutate(Mutation::Delete { id: 0 }).unwrap();
+        // The tripping write is logged, fsynced and applied: it is `Ok`
+        // and visible whatever becomes of the snapshot.
+        let tripping = durable
+            .mutate(insert("Unlucky Dumpling Counter", center))
+            .expect("a committed write is not failed by its checkpoint");
+        assert_eq!(tripping.checkpoint_records, Some(2));
+        assert_eq!(tripping.wal_bytes, 0, "the log rotated");
+        let id = tripping.inserted[0];
+        assert!(durable
+            .engine()
+            .query(&q)
+            .unwrap()
+            .answer_ids()
+            .contains(&id));
+
+        // The failure is the next call's answer, and nothing is lost:
+        // the old snapshot is current and `wal.prev` holds the records.
+        assert!(matches!(
+            durable.checkpoint(),
+            Err(DurableError::Persist(_))
+        ));
+        assert_eq!(current(&dir), "snap-0");
+        assert_eq!(log_files(&dir), ["wal.log", "wal.prev"]);
+        assert_eq!(seqs_in(&dir.join(WAL_PREV)), [1, 2]);
+
+        // A write reports it too, before it logs anything. The second
+        // trigger finds `wal.prev` occupied and must not rotate over it.
+        durable.mutate(Mutation::Delete { id: 1 }).unwrap();
+        let again = durable.mutate(Mutation::Delete { id: 2 }).unwrap();
+        assert_eq!(again.checkpoint_records, Some(2));
+        assert_eq!(seqs_in(&dir.join(WAL_PREV)), [1, 2]);
+        assert_eq!(seqs_in(&dir.join(WAL_FILE)), [3, 4]);
+        // The snapshot thread may or may not have ended when the next
+        // write arrives; one that arrives early commits, trips the
+        // policy, joins the thread there and leaves the error to the
+        // write after it.
+        let mut reported = false;
+        for victim in 3..6 {
+            let before = (
+                durable.engine().prepared().live.last_seq(),
+                durable.wal_stats(),
+            );
+            match durable.mutate(Mutation::Delete { id: victim }) {
+                Ok(receipt) => assert_eq!(receipt.checkpoint_records, None),
+                Err(DurableError::Persist(_)) => {
+                    let after = (
+                        durable.engine().prepared().live.last_seq(),
+                        durable.wal_stats(),
+                    );
+                    assert_eq!(before, after, "the reporting call logged nothing");
+                    reported = true;
+                    break;
+                }
+                Err(e) => panic!("expected the checkpoint's failure, got {e}"),
+            }
+        }
+        assert!(reported, "a failed checkpoint is not swallowed");
+
+        // With the obstacle gone the next checkpoint folds both logs.
+        std::fs::remove_dir(&squatter).unwrap();
+        durable.checkpoint().expect("checkpoint after the obstacle");
+        assert_ne!(current(&dir), "snap-0");
+        assert_eq!(log_files(&dir), ["wal.log"]);
+        let last_seq = durable.engine().prepared().live.last_seq();
+        drop(durable);
+
+        let (reopened, report) =
+            SemaSkEngine::recover(&dir, llm, config, Variant::EmbeddingOnly).unwrap();
+        assert_eq!((report.last_seq, report.replayed), (last_seq, 0));
+        assert!(reopened
+            .engine()
+            .query(&q)
+            .unwrap()
+            .answer_ids()
+            .contains(&id));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_reads_two_logs_and_leaves_one_empty() {
+        let (engine, data, llm, config) = fresh_engine();
+        let dir = tmpdir("two_logs");
+        let policy = CheckpointPolicy {
+            max_records: 4,
+            max_bytes: u64::MAX,
+        };
+        let durable = DurableEngine::create(engine, &dir, policy).unwrap();
+        block_commits(&dir);
+        let center = data.city.center();
+
+        // Records 1-4 rotate into `wal.prev`, their snapshot fails;
+        // 5-6 land in the fresh log.
+        durable.mutate(insert("Two Log Dumplings", center)).unwrap();
+        for id in 0..3 {
+            durable.mutate(Mutation::Delete { id }).unwrap();
+        }
+        assert!(durable.checkpoint().is_err());
+        durable
+            .mutate(insert("Second Log Dumplings", center))
+            .unwrap();
+        durable.mutate(Mutation::Delete { id: 3 }).unwrap();
+        let q = SemaSkQuery::new(
+            BoundingBox::from_center_km(center, 5.0, 5.0),
+            "log dumplings",
+        );
+        let before = durable.engine().query(&q).unwrap().answer_ids();
+        drop(durable);
+        assert_eq!(current(&dir), "snap-0");
+        assert_eq!(seqs_in(&dir.join(WAL_PREV)), [1, 2, 3, 4]);
+        assert_eq!(seqs_in(&dir.join(WAL_FILE)), [5, 6]);
+
+        let (reopened, report) =
+            DurableEngine::open(&dir, llm, config, Variant::EmbeddingOnly, policy).unwrap();
+        assert_eq!(
+            report,
+            RecoverReport {
+                last_seq: 6,
+                replayed: 6,
+                skipped: 0
+            }
+        );
+        assert_eq!(reopened.engine().query(&q).unwrap().answer_ids(), before);
+        // Both logs were folded before the engine took a write.
+        assert_ne!(current(&dir), "snap-0");
+        assert_eq!(log_files(&dir), ["wal.log"]);
+        assert_eq!(
+            reopened.wal_stats(),
+            WalStats {
+                records: 0,
+                bytes: 0,
+                next_seq: 7
+            }
+        );
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn drop_right_after_a_trigger_leaves_a_committed_checkpoint() {
+        let (engine, data, llm, config) = fresh_engine();
+        let dir = tmpdir("drop_joins");
+        let policy = CheckpointPolicy {
+            max_records: 2,
+            max_bytes: u64::MAX,
+        };
+        let durable = DurableEngine::create(engine, &dir, policy).unwrap();
+        durable
+            .mutate(insert("Last Call Dumplings", data.city.center()))
+            .unwrap();
+        let tripping = durable.mutate(Mutation::Delete { id: 0 }).unwrap();
+        assert_eq!(tripping.checkpoint_records, Some(2));
+        drop(durable);
+
+        // Drop joined the snapshot thread: nothing is half done and
+        // nothing still runs in the directory.
+        assert_eq!(current(&dir), "snap-1");
+        assert_eq!(names_in(&dir), ["CURRENT", "snap-1", "wal.log"]);
+        let (_, report) = SemaSkEngine::recover(&dir, llm, config, Variant::EmbeddingOnly).unwrap();
+        assert_eq!(
+            (report.last_seq, report.replayed, report.skipped),
+            (2, 0, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,17 +23,27 @@
 //!     dataset.json   # the enriched POIs, live overlay folded in
 //!     collection.bin # vectors, codes, graph, payloads: packed, checksummed
 //!     live.json      # tombstones, id watermark, applied-WAL seq
-//!   snap-4.tmp/      # a snapshot that crashed mid-write (garbage)
+//!   snap-4.tmp/      # a snapshot being written, or one that crashed mid-write
+//!   wal.log          # DurableEngine's active log: records after the last cut
+//!   wal.prev         # the log rotated out at that cut, until snap-4 commits
 //! ```
 //!
-//! [`save_prepared`] stages everything in `snap-<k>.tmp/` with per-file
-//! fsync, renames the directory to `snap-<k>/`, then atomically rewrites
-//! `CURRENT` (temp file + fsync + rename). A crash at any point leaves
-//! either the old `CURRENT` (pointing at the intact previous snapshot)
-//! or the new one (pointing at the fully written new snapshot) — never
-//! a mix. [`load_prepared`] follows `CURRENT` — without one there is no
-//! snapshot to load — and removes orphaned `*.tmp` staging directories
-//! and superseded snapshots.
+//! A snapshot is taken in two steps. [`cut_prepared`] freezes the state
+//! at one log sequence number — the collection packed into memory under
+//! its read lock, the dataset and the published overlay pinned by `Arc`
+//! — and needs the city to hold still only for that long.
+//! [`write_snapshot`] does the rest on whichever thread has the cut: it
+//! stages everything in `snap-<k>.tmp/` with per-file fsync, renames the
+//! directory to `snap-<k>/`, then atomically rewrites `CURRENT` (temp
+//! file + fsync + rename). [`save_prepared`] is the two in a row. A
+//! crash at any point leaves either the old `CURRENT` (pointing at the
+//! intact previous snapshot) or the new one (pointing at the fully
+//! written new snapshot) — never a mix. [`load_prepared`] follows
+//! `CURRENT` — without one there is no snapshot to load — and removes
+//! orphaned `*.tmp` staging directories and superseded snapshots; a
+//! field it needs that is absent or of the wrong type is an error
+//! naming the file and the field, never a default. The two log files
+//! are [`crate::durable`]'s; nothing here reads or removes them.
 //!
 //! The three JSON files are small or read once; `collection.bin` is
 //! where the bytes are (a million floats and codes at 4,000 POIs), so
@@ -58,6 +68,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 use datagen::ReverseGeocoder;
 use embed::SemanticEmbedder;
@@ -74,8 +85,11 @@ use crate::wal::crash_point;
 const CURRENT_FILE: &str = "CURRENT";
 /// Snapshot directories are `snap-<k>`; staging directories `snap-<k>.tmp`.
 const SNAP_PREFIX: &str = "snap-";
-/// The packed collection snapshot inside a snapshot directory.
+/// The files of one snapshot directory.
+const MANIFEST_FILE: &str = "manifest.json";
+const DATASET_FILE: &str = "dataset.json";
 const COLLECTION_FILE: &str = "collection.bin";
+const LIVE_FILE: &str = "live.json";
 
 /// Errors from saving/loading prepared cities.
 #[derive(Debug)]
@@ -230,12 +244,57 @@ impl Serialize for FoldedDataset<'_> {
     }
 }
 
-/// Writes a prepared city into `dir` as a new versioned snapshot and
-/// commits it by atomically rewriting the `CURRENT` pointer. The live
-/// mutation overlay is folded into the stored dataset (see the module
-/// docs), so a subsequent [`load_prepared`] starts from the
-/// post-mutation world with empty side buffers.
-pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistError> {
+/// A prepared city frozen at one log sequence number — what
+/// [`cut_prepared`] takes and [`write_snapshot`] stores. It owns or
+/// pins everything it names (the collection as packed bytes, the dataset
+/// and the overlay by `Arc`), so writing it needs no lock and no further
+/// look at the city, which may go on changing.
+pub struct SnapshotCut {
+    city_key: &'static str,
+    collection_name: String,
+    embedder_dim: usize,
+    dataset: Arc<Dataset>,
+    overlay: Arc<Overlay>,
+    /// `collection.bin`, packed.
+    collection: Vec<u8>,
+    last_seq: u64,
+}
+
+/// Freezes `prepared` for a snapshot: packs the collection under its
+/// read lock, pins the published overlay and the base dataset, and reads
+/// the applied-WAL watermark. The three agree only if no mutation is
+/// applied meanwhile — [`crate::durable::DurableEngine`] cuts under its
+/// log mutex, which excludes writers; queries may run throughout.
+///
+/// # Errors
+/// [`PersistError::VecDb`] if the collection is missing or fails to pack.
+pub fn cut_prepared(prepared: &PreparedCity) -> Result<SnapshotCut, PersistError> {
+    let handle = prepared.db.collection(&prepared.collection_name)?;
+    let (embedder_dim, collection) = {
+        let collection = handle.read();
+        (collection.config().dim, collection.to_snapshot_bytes()?)
+    };
+    Ok(SnapshotCut {
+        city_key: prepared.city.key,
+        collection_name: prepared.collection_name.clone(),
+        embedder_dim,
+        dataset: Arc::clone(&prepared.dataset),
+        overlay: prepared.live.overlay(),
+        collection,
+        last_seq: prepared.live.last_seq(),
+    })
+}
+
+/// Writes `cut` into `dir` as a new versioned snapshot and commits it by
+/// atomically rewriting the `CURRENT` pointer. The live mutation overlay
+/// is folded into the stored dataset (see the module docs), so a
+/// subsequent [`load_prepared`] starts from the world as of the cut with
+/// empty side buffers.
+///
+/// # Errors
+/// Whichever file failed to encode or write; `CURRENT` then still names
+/// the previous snapshot.
+pub fn write_snapshot(cut: &SnapshotCut, dir: &Path) -> Result<(), PersistError> {
     fs::create_dir_all(dir)?;
     let snap_name = format!("{SNAP_PREFIX}{}", next_snapshot_index(dir));
     let tmp = dir.join(format!("{snap_name}.tmp"));
@@ -243,37 +302,34 @@ pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistE
     fs::create_dir_all(&tmp)?;
 
     let manifest = serde_json::json!({
-        "city_key": prepared.city.key,
-        "collection_name": prepared.collection_name,
-        "embedder_dim": vecdb_dim(prepared)?,
+        "city_key": cut.city_key,
+        "collection_name": cut.collection_name,
+        "embedder_dim": cut.embedder_dim,
     });
     write_synced(
-        &tmp.join("manifest.json"),
+        &tmp.join(MANIFEST_FILE),
         serde_json::to_string_pretty(&manifest)
             .map_err(|e| PersistError::Json(e.to_string()))?
             .as_bytes(),
     )?;
 
-    let overlay = prepared.live.overlay();
-    let dataset_json = serde_json::to_string(&FoldedDataset::new(&prepared.dataset, &overlay))
+    let dataset_json = serde_json::to_string(&FoldedDataset::new(&cut.dataset, &cut.overlay))
         .map_err(|e| PersistError::Json(e.to_string()))?;
-    write_synced(&tmp.join("dataset.json"), dataset_json.as_bytes())?;
+    write_synced(&tmp.join(DATASET_FILE), dataset_json.as_bytes())?;
 
     crash_point("ckpt-mid-snapshot");
 
-    prepared
-        .db
-        .snapshot_collection(&prepared.collection_name, &tmp.join(COLLECTION_FILE))?;
+    write_synced(&tmp.join(COLLECTION_FILE), &cut.collection)?;
 
-    let mut tombstones: Vec<u32> = overlay.tombstones().iter().copied().collect();
+    let mut tombstones: Vec<u32> = cut.overlay.tombstones().iter().copied().collect();
     tombstones.sort_unstable();
     let live = serde_json::json!({
         "tombstones": tombstones,
-        "next_id": overlay.next_id(),
-        "last_applied_seq": prepared.live.last_seq(),
+        "next_id": cut.overlay.next_id(),
+        "last_applied_seq": cut.last_seq,
     });
     write_synced(
-        &tmp.join("live.json"),
+        &tmp.join(LIVE_FILE),
         serde_json::to_string_pretty(&live)
             .map_err(|e| PersistError::Json(e.to_string()))?
             .as_bytes(),
@@ -295,10 +351,37 @@ pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistE
     Ok(())
 }
 
-fn vecdb_dim(prepared: &PreparedCity) -> Result<usize, PersistError> {
-    let handle = prepared.db.collection(&prepared.collection_name)?;
-    let dim = handle.read().config().dim;
-    Ok(dim)
+/// Snapshots a prepared city nobody is writing to:
+/// [`write_snapshot`] of [`cut_prepared`].
+///
+/// # Errors
+/// See the two halves.
+pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistError> {
+    write_snapshot(&cut_prepared(prepared)?, dir)
+}
+
+/// Parses one of a snapshot's small JSON files.
+fn read_json(snap_dir: &Path, file: &str) -> Result<serde_json::Value, PersistError> {
+    serde_json::from_str(&fs::read_to_string(snap_dir.join(file))?)
+        .map_err(|e| PersistError::Json(format!("{file}: {e}")))
+}
+
+/// Reads field `name` of `file`'s object through `read`. A field that is
+/// absent or of another type is an error naming both: a guessed
+/// `last_applied_seq` would replay folded log records a second time, a
+/// guessed `next_id` would hand out ids already taken.
+fn field<'a, T>(
+    file: &str,
+    object: &'a serde_json::Value,
+    name: &str,
+    read: impl FnOnce(&'a serde_json::Value) -> Option<T>,
+) -> Result<T, PersistError> {
+    read(&object[name])
+        .ok_or_else(|| PersistError::Json(format!("{file}: `{name}` is missing or mistyped")))
+}
+
+fn as_id(v: &serde_json::Value) -> Option<u32> {
+    u32::try_from(v.as_u64()?).ok()
 }
 
 /// Restores a prepared city saved by [`save_prepared`]. The embedder is
@@ -313,8 +396,10 @@ fn vecdb_dim(prepared: &PreparedCity) -> Result<usize, PersistError> {
 /// # Errors
 /// [`PersistError::NoSnapshot`] when `dir` has no committed snapshot;
 /// [`PersistError::DimMismatch`] when the snapshot was prepared at
-/// another embedding dimension than `config.embedder.dim`; otherwise
-/// whichever file failed to read, parse or validate.
+/// another embedding dimension than `config.embedder.dim`;
+/// [`PersistError::Json`] naming the file and the field when
+/// `manifest.json` or `live.json` lacks one or holds another type;
+/// otherwise whichever file failed to read, parse or validate.
 pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, PersistError> {
     let current = fs::read_to_string(dir.join(CURRENT_FILE))
         .ok()
@@ -324,28 +409,25 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
     let base_dir = dir.join(&current);
     cleanup_stale(dir, Some(&current));
 
-    let manifest: serde_json::Value =
-        serde_json::from_str(&fs::read_to_string(base_dir.join("manifest.json"))?)
-            .map_err(|e| PersistError::Json(e.to_string()))?;
-    let stored = manifest["embedder_dim"].as_u64().unwrap_or(0) as usize;
+    let manifest = read_json(&base_dir, MANIFEST_FILE)?;
+    let stored = field(MANIFEST_FILE, &manifest, "embedder_dim", |v| {
+        usize::try_from(v.as_u64()?).ok()
+    })?;
     if stored != config.embedder.dim {
         return Err(PersistError::DimMismatch {
             stored,
             configured: config.embedder.dim,
         });
     }
-    let key = manifest["city_key"].as_str().unwrap_or_default();
+    let key = field(MANIFEST_FILE, &manifest, "city_key", |v| v.as_str())?;
     let city = datagen::City::by_key(key).ok_or_else(|| PersistError::UnknownCity {
         key: key.to_owned(),
     })?;
-    let collection_name = manifest["collection_name"]
-        .as_str()
-        .unwrap_or("pois")
-        .to_owned();
+    let collection_name =
+        field(MANIFEST_FILE, &manifest, "collection_name", |v| v.as_str())?.to_owned();
 
-    let dataset: Dataset =
-        serde_json::from_str(&fs::read_to_string(base_dir.join("dataset.json"))?)
-            .map_err(|e| PersistError::Json(e.to_string()))?;
+    let dataset: Dataset = serde_json::from_str(&fs::read_to_string(base_dir.join(DATASET_FILE))?)
+        .map_err(|e| PersistError::Json(e.to_string()))?;
     let dataset = std::sync::Arc::new(dataset);
 
     let db = VectorDb::new();
@@ -358,19 +440,12 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
         config.planner,
     );
 
-    let live: serde_json::Value =
-        serde_json::from_str(&fs::read_to_string(base_dir.join("live.json"))?)
-            .map_err(|e| PersistError::Json(e.to_string()))?;
-    let tombstones: Vec<u32> = live["tombstones"]
-        .as_array()
-        .map(|a| {
-            a.iter()
-                .filter_map(|t| t.as_u64().map(|t| t as u32))
-                .collect()
-        })
-        .unwrap_or_default();
-    let next_id = live["next_id"].as_u64().unwrap_or(dataset.len() as u64) as u32;
-    let last_seq = live["last_applied_seq"].as_u64().unwrap_or(0);
+    let live = read_json(&base_dir, LIVE_FILE)?;
+    let tombstones: Vec<u32> = field(LIVE_FILE, &live, "tombstones", |v| {
+        v.as_array()?.iter().map(as_id).collect()
+    })?;
+    let next_id = field(LIVE_FILE, &live, "next_id", as_id)?;
+    let last_seq = field(LIVE_FILE, &live, "last_applied_seq", |v| v.as_u64())?;
     // Re-mask tombstoned objects in the corpus index: the restored
     // collection already soft-deletes them (every spatial path masks
     // through it), but keyword df/match statistics must drop their
@@ -540,7 +615,8 @@ mod tests {
             ])
             .expect("mutations apply");
 
-        // The reference: the fold as owned clones in a real `Dataset`.
+        // The reference for `dataset.json`: the fold as owned clones in
+        // a real `Dataset`.
         let overlay = prepared.live.overlay();
         let owned: Vec<GeoTextObject> = (0..overlay.next_id())
             .map(|id| {
@@ -557,13 +633,111 @@ mod tests {
         );
         assert_eq!(owned[3].name(), "Renamed On Fold");
         let reference = Dataset::from_objects(prepared.dataset.name.clone(), owned).unwrap();
-        let expected = serde_json::to_string(&reference).unwrap();
+        // And for the other three files, what a snapshot taken in one
+        // piece stored for this state: read straight off the city.
+        let handle = prepared.db.collection(&prepared.collection_name).unwrap();
+        let manifest = serde_json::json!({
+            "city_key": prepared.city.key,
+            "collection_name": prepared.collection_name,
+            "embedder_dim": handle.read().config().dim,
+        });
+        let live = serde_json::json!({
+            "tombstones": [5],
+            "next_id": 41,
+            "last_applied_seq": 9,
+        });
+        prepared.live.set_last_seq(9);
+        let expected = [
+            (
+                MANIFEST_FILE,
+                serde_json::to_string_pretty(&manifest)
+                    .unwrap()
+                    .into_bytes(),
+            ),
+            (
+                DATASET_FILE,
+                serde_json::to_string(&reference).unwrap().into_bytes(),
+            ),
+            (COLLECTION_FILE, handle.read().to_snapshot_bytes().unwrap()),
+            (
+                LIVE_FILE,
+                serde_json::to_string_pretty(&live).unwrap().into_bytes(),
+            ),
+        ];
+
+        // A cut is frozen: what is written later is the state at the
+        // cut, whatever has been applied since.
+        let cut = cut_prepared(&prepared).expect("cut");
+        engine
+            .apply_mutations(&[Mutation::Delete { id: 6 }])
+            .expect("a mutation after the cut");
+        prepared.live.set_last_seq(10);
 
         let dir = std::env::temp_dir().join("semask_persist_fold");
         let _ = std::fs::remove_dir_all(&dir);
+        write_snapshot(&cut, &dir).expect("write");
+        for (file, bytes) in &expected {
+            let stored = std::fs::read(dir.join("snap-0").join(file)).unwrap();
+            assert!(stored == *bytes, "{file} differs from the state at the cut");
+        }
+        assert_eq!(std::fs::read_dir(dir.join("snap-0")).unwrap().count(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_refuses_a_snapshot_with_a_missing_or_mistyped_field() {
+        let data = datagen::poi::generate_city(&datagen::CITIES[0], 30, 7);
+        let config = SemaSkConfig::default();
+        let prepared = prepare_city(&data, &SimLlm::new(), &config).expect("prep");
+        let dir = std::env::temp_dir().join("semask_persist_fields");
+        let _ = std::fs::remove_dir_all(&dir);
         save_prepared(&prepared, &dir).expect("save");
-        let stored = std::fs::read_to_string(dir.join("snap-0/dataset.json")).unwrap();
-        assert_eq!(stored, expected);
+        assert!(load_prepared(&dir, &config).is_ok());
+
+        let mistyped = |v: &serde_json::Value| match v {
+            serde_json::Value::String(_) => serde_json::json!(7),
+            _ => serde_json::json!("seven"),
+        };
+        for (file, name) in [
+            (MANIFEST_FILE, "city_key"),
+            (MANIFEST_FILE, "collection_name"),
+            (MANIFEST_FILE, "embedder_dim"),
+            (LIVE_FILE, "tombstones"),
+            (LIVE_FILE, "next_id"),
+            (LIVE_FILE, "last_applied_seq"),
+        ] {
+            let path = dir.join("snap-0").join(file);
+            let intact = std::fs::read_to_string(&path).unwrap();
+            let serde_json::Value::Object(fields) = serde_json::from_str(&intact).unwrap() else {
+                panic!("{file} holds an object");
+            };
+            let mut removed = fields.clone();
+            removed.remove(name).expect("the field is written");
+            let mut retyped = fields.clone();
+            retyped.insert(name.to_owned(), mistyped(fields.get(name).unwrap()));
+            for damaged in [removed, retyped] {
+                let text = serde_json::to_string(&serde_json::Value::Object(damaged)).unwrap();
+                std::fs::write(&path, text).unwrap();
+                match load_prepared(&dir, &config) {
+                    Err(PersistError::Json(e)) => {
+                        assert!(e.contains(file) && e.contains(name), "{e}");
+                    }
+                    Err(e) => panic!("{file} without a usable `{name}`: {e}"),
+                    Ok(_) => panic!("{file} without a usable `{name}` loaded"),
+                }
+            }
+            std::fs::write(&path, intact).unwrap();
+        }
+        // One non-numeric tombstone is an error too, not a dropped one.
+        let path = dir.join("snap-0").join(LIVE_FILE);
+        let intact = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, intact.replace("[]", "[3, \"4\"]")).unwrap();
+        assert!(matches!(
+            load_prepared(&dir, &config),
+            Err(PersistError::Json(_))
+        ));
+        std::fs::write(&path, intact).unwrap();
+        assert!(load_prepared(&dir, &config).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 

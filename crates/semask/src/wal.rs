@@ -10,11 +10,12 @@
 //!
 //! where the payload is the JSON encoding of a [`WalRecord`] — a
 //! monotonically increasing sequence number plus one [`Mutation`].
-//! Sequence numbers never reset, even across checkpoints that truncate
-//! the log: the snapshot records the last sequence it folded
-//! (`last_applied_seq` in `live.json`), and recovery replays only the
-//! records beyond it — so a crash *between* snapshot commit and log
-//! truncation can never double-apply a mutation.
+//! Sequence numbers never restart, even across the checkpoints that
+//! rotate the log ([`Wal::rotate`]): the snapshot records the last
+//! sequence it folded (`last_applied_seq` in `live.json`), and recovery
+//! replays only the records beyond it — so a crash *between* snapshot
+//! commit and the removal of the rotated-out log can never double-apply
+//! a mutation.
 //!
 //! [`Wal::open`] replays the longest valid prefix and truncates the
 //! file at the first torn or corrupt record — a partial tail write (the
@@ -26,9 +27,10 @@
 //!
 //! The crash-point seam ([`crash_point`]) lets the fault-injection
 //! battery abort the process at named points (before/after the fsync,
-//! mid-checkpoint): export `SEMASK_CRASH_POINT=<name>` (and optionally
-//! `SEMASK_CRASH_AFTER=<k>` to survive the first `k-1` hits) in a child
-//! process and it dies exactly there.
+//! after the rotation, mid-snapshot): export
+//! `SEMASK_CRASH_POINT=<name>` (and optionally `SEMASK_CRASH_AFTER=<k>`
+//! to survive the first `k-1` hits) in a child process and it dies
+//! exactly there.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -255,7 +257,7 @@ impl Wal {
     }
 
     /// Raises the next sequence number to at least `seq`. Called after
-    /// recovery so a log truncated by a checkpoint continues the
+    /// recovery so a log a checkpoint left empty continues the
     /// snapshot's numbering instead of restarting from 1.
     pub fn ensure_next_seq(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq);
@@ -285,19 +287,44 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log to empty after a checkpoint folded its records
-    /// into the snapshot. Sequence numbering continues — `next_seq` is
-    /// preserved — so recovery can tell pre- and post-checkpoint records
-    /// apart by number alone.
+    /// Switches to a fresh, empty log: renames this file to `retired`,
+    /// creates a new file under the old name and fsyncs the directory.
+    /// The records so far — all of them, in order — are now `retired`'s;
+    /// sequence numbering continues, so recovery reads `retired` first
+    /// and tells the two files' records apart by number alone. `retired`
+    /// must be an unused name in the log's own directory: the rename
+    /// would replace whatever held it.
     ///
     /// # Errors
-    /// [`WalError::Io`] on truncate/fsync failure.
-    pub fn reset(&mut self) -> Result<(), WalError> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_all()?;
+    /// [`WalError::Io`]. If the fresh file cannot be created the rename
+    /// is undone and the log appends where it did; if only the directory
+    /// fsync fails the switch has happened (`retired` exists) but may
+    /// not survive a crash.
+    pub fn rotate(&mut self, retired: &Path) -> Result<(), WalError> {
+        std::fs::rename(&self.path, retired)?;
+        let fresh = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&self.path);
+        self.file = match fresh {
+            Ok(file) => file,
+            Err(e) => {
+                // Appends must not go on landing in a file recovery
+                // knows as the retired one.
+                std::fs::rename(retired, &self.path)?;
+                return Err(e.into());
+            }
+        };
         self.records = 0;
         self.bytes = 0;
+        // A record fsynced into the fresh file is only as durable as the
+        // file's name.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(())
     }
 
@@ -461,16 +488,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_preserves_numbering() {
-        let dir = std::env::temp_dir().join(format!("semask_wal_reset_{}", std::process::id()));
+    fn rotate_preserves_numbering() {
+        let dir = std::env::temp_dir().join(format!("semask_wal_rotate_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
+        let retired = dir.join("wal.prev");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&retired);
         let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(&Mutation::Delete { id: 1 }).unwrap();
         wal.append(&Mutation::Delete { id: 2 }).unwrap();
         wal.sync().unwrap();
-        wal.reset().unwrap();
+        let before = std::fs::read(&path).unwrap();
+        wal.rotate(&retired).unwrap();
         assert_eq!(
             wal.stats(),
             WalStats {
@@ -479,10 +509,22 @@ mod tests {
                 next_seq: 3
             }
         );
+        // The rotated file is exactly the old log, byte for byte.
+        assert_eq!(std::fs::read(&retired).unwrap(), before);
+        let (old, consumed) = decode_buffer(&before);
+        assert_eq!(consumed, before.len());
+        assert_eq!(old.iter().map(|r| r.seq).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(old[1].mutation, Mutation::Delete { id: 2 });
+
         let seq = wal.append(&Mutation::Delete { id: 3 }).unwrap();
         assert_eq!(seq, 3);
         wal.sync().unwrap();
         drop(wal);
+        assert_eq!(
+            std::fs::read(&retired).unwrap(),
+            before,
+            "appends go to the fresh log"
+        );
         let (mut wal, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].seq, 3);

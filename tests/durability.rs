@@ -4,11 +4,14 @@
 //! one crash point (`SEMASK_CRASH_POINT`/`SEMASK_CRASH_AFTER`, see
 //! `semask::wal::crash_point`). The child builds a durable engine,
 //! applies a scripted mutation sequence one `mutate()` at a time, and
-//! aborts mid-protocol wherever the armed point fires. The parent then
-//! recovers from the surviving directory and demands **bit-identical**
-//! query results against a from-scratch engine that applied exactly the
-//! recovered prefix of the script — build-from-scratch must equal
-//! build-mutate-crash-recover, at every injection point.
+//! aborts mid-protocol wherever the armed point fires — on the writer's
+//! thread for the log points and the rotation, on the snapshot thread
+//! (while the script keeps writing) for the points inside a checkpoint.
+//! The parent then recovers from the surviving directory and demands
+//! **bit-identical** query results against a from-scratch engine that
+//! applied exactly the recovered prefix of the script —
+//! build-from-scratch must equal build-mutate-crash-recover, at every
+//! injection point.
 //!
 //! Determinism pinning: `common::exact_only_config` gives every engine
 //! the same `CostModel::Fixed` coefficients, which price every query
@@ -129,7 +132,9 @@ fn fingerprint(engine: &SemaSkEngine, queries: &[SemaSkQuery]) -> Vec<Vec<(u32, 
 
 /// Child role: builds the durable engine in `$DURABILITY_DIR` and walks
 /// the script. With a crash point armed this aborts mid-protocol; with
-/// none it exits cleanly after all six mutations.
+/// none it exits cleanly after all six mutations. The engine is dropped
+/// before the test returns, which joins the snapshot thread: a point
+/// armed there fires even if the script finished first.
 #[test]
 fn durability_child() {
     let Ok(dir) = std::env::var(DIR_ENV) else {
@@ -143,6 +148,7 @@ fn durability_child() {
     for mutation in scripted(center) {
         durable.mutate(mutation).expect("scripted mutation");
     }
+    drop(durable);
 }
 
 struct CrashRun {
@@ -150,9 +156,11 @@ struct CrashRun {
     point: Option<&'static str>,
     /// `SEMASK_CRASH_AFTER`: abort on the nth hit of the point.
     after: u32,
-    /// Inclusive bounds on the recovered sequence number. Only
-    /// `wal-before-fsync` is genuinely indeterminate (the abort lands
-    /// before fsync, but the OS may have flushed the record anyway).
+    /// Inclusive bounds on the recovered sequence number.
+    /// `wal-before-fsync` is indeterminate because the abort lands
+    /// before fsync but the OS may have flushed the record anyway; the
+    /// points on the snapshot thread because the writer goes on with
+    /// records 5 and 6 while the snapshot of 1-4 is written.
     seq_range: (u64, u64),
 }
 
@@ -179,20 +187,29 @@ fn crash_battery() {
             after: 3,
             seq_range: (3, 3),
         },
+        // After the rename and the fresh log, before the snapshot
+        // thread exists: records 1-4 are in `wal.prev` only.
+        CrashRun {
+            point: Some("ckpt-after-rotate"),
+            after: 1,
+            seq_range: (4, 4),
+        },
         CrashRun {
             point: Some("ckpt-mid-snapshot"),
             after: 2,
-            seq_range: (4, 4),
+            seq_range: (4, 6),
         },
+        // Snapshot committed, `wal.prev` not yet removed.
         CrashRun {
             point: Some("ckpt-before-reset"),
             after: 1,
-            seq_range: (4, 4),
+            seq_range: (4, 6),
         },
+        // `wal.prev` removed.
         CrashRun {
             point: Some("ckpt-after-reset"),
             after: 1,
-            seq_range: (4, 4),
+            seq_range: (4, 6),
         },
         CrashRun {
             point: Some("wal-before-fsync"),
@@ -249,6 +266,14 @@ fn crash_battery() {
             assert!(status.success(), "control child failed");
         }
 
+        let debris = log_files(&dir);
+        assert!(
+            debris
+                .iter()
+                .all(|name| name == "wal.log" || name == "wal.prev"),
+            "{label} (after {}): more than two logs: {debris:?}",
+            run.after
+        );
         let (recovered, report) = SemaSkEngine::recover(
             &dir,
             Arc::new(SimLlm::new()),
@@ -256,6 +281,12 @@ fn crash_battery() {
             Variant::EmbeddingOnly,
         )
         .expect("recover from crash directory");
+        assert_eq!(
+            log_files(&dir),
+            ["wal.log"],
+            "{label} (after {}): recovery leaves one log",
+            run.after
+        );
         let s = report.last_seq;
         assert!(
             run.seq_range.0 <= s && s <= run.seq_range.1,
@@ -330,6 +361,17 @@ fn durable_metro_reopens_after_mutations() {
     stored.sort();
     assert_eq!(stored, ["collection.bin"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The names in `dir` that belong to the log, sorted.
+fn log_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("the durable directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("wal"))
+        .collect();
+    names.sort();
+    names
 }
 
 fn battery_dir(i: usize, label: &str) -> PathBuf {
