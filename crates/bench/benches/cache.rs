@@ -96,7 +96,6 @@ fn bench_cache(c: &mut Criterion) {
     let base = ServeConfig {
         max_batch: 64,
         queue_capacity: 256,
-        pipeline_depth: 0,
         result_cache_entries: 0,
         negative_cache: false,
     };

@@ -72,22 +72,12 @@ fn bench_serve(c: &mut Criterion) {
     // a short run of flushes — the first few queries, then what the
     // submit loop added meanwhile — never larger than the cap; the
     // counters printed below give the shape actually recorded.
-    // `pipelined-64` adds the two-stage mode at cap 16, so refinement
-    // of flush N can overlap filtering of flush N+1. On a 1-core host
-    // the overlap degenerates to alternation — expect parity with
-    // `served-64-cap16`, not a win (BENCH_serve.json has the 2-core
-    // recorder's reading).
-    for (name, cap, depth) in [
-        ("served-64-cap16", 16usize, 0usize),
-        ("served-64-cap64", 64, 0),
-        ("pipelined-64", 16, 2),
-    ] {
+    for (name, cap) in [("served-64-cap16", 16usize), ("served-64-cap64", 64)] {
         let serve = ServeEngine::new(
             Arc::clone(&engine),
             ServeConfig {
                 max_batch: cap,
                 queue_capacity: 256,
-                pipeline_depth: depth,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -109,10 +99,9 @@ fn bench_serve(c: &mut Criterion) {
         // 64 ÷ (criterion time/iter); these counters are the shape of
         // the run behind that number.
         println!(
-            "{name}: batches {}, pipelined {}, mean batch {:.1}, max batch {}, \
+            "{name}: batches {}, mean batch {:.1}, max batch {}, \
              mean queue wait {:.1} µs",
             m.batches,
-            m.pipelined_batches,
             m.mean_batch_size(),
             m.max_batch,
             m.mean_queue_wait().as_secs_f64() * 1e6,

@@ -17,19 +17,6 @@
 //! Generic over the payload `T` (the serving layer carries a query plus
 //! its ticket; tests carry a bare id) so the state machine can be
 //! exercised without building a city.
-//!
-//! Pipelining lives entirely *outside* this core: a flushed batch is
-//! done as far as the queue is concerned, whether the serving layer
-//! executes it in one stage or hands it between its filter and refine
-//! threads. Under pipelined execution
-//! ([`crate::ServeConfig::pipeline_depth`]) the rule governs
-//! **admission → stage-1 flush**: a batch leaves the queue when
-//! filtering starts, and the time it then spends in the hand-off
-//! channel or the refiner is execution latency (bounded by the channel
-//! depth's backpressure), not queueing — the core neither sees nor
-//! delays it. When the refiner is behind, stage 1 blocks in that
-//! channel's `send`; arrivals accumulate meanwhile and leave as the
-//! next flush, which is the same rule per stage.
 
 use std::time::Duration;
 

@@ -13,22 +13,6 @@
 //!                          SemaSkEngine::query_batch (worker pool)
 //! ```
 //!
-//! With [`ServeConfig::pipeline_depth`] > 0 each flush is split into the
-//! engine's two stages and the stages of *consecutive* flushes overlap:
-//!
-//! ```text
-//!  batcher thread:  filter(flush N) ──▶ filter(flush N+1) ──▶ …
-//!                        │ bounded hand-off channel (depth ⇒ backpressure)
-//!  refiner thread:       └──▶ refine(flush N) ──▶ refine(flush N+1) ──▶ …
-//! ```
-//!
-//! Filtering is CPU-bound on the worker pool while refinement is the
-//! LLM re-rank, so the two stages contend for different resources and
-//! overlapping them raises throughput without touching per-batch
-//! semantics: tickets are still fulfilled per batch, panics still
-//! poison only their own batch (now per *stage*), and shutdown still
-//! drains every accepted ticket through both stages.
-//!
 //! - [`ServeEngine::submit`] accepts queries from any number of threads
 //!   and returns a [`Ticket`] immediately; [`Ticket::wait`] blocks until
 //!   the query's micro-batch has executed.
@@ -44,11 +28,9 @@
 //! - Backpressure is explicit and immediate: a full queue sheds with
 //!   [`SubmitError::Overloaded`] instead of blocking unboundedly.
 //! - [`ServeEngine::shutdown`] stops admissions, drains every accepted
-//!   query through the executor, joins the batcher thread, and lets an
-//!   executor owning a dedicated substrate wait it out
-//!   ([`BatchExecutor::quiesce`]; dedicated pools use
-//!   [`vecdb::pool::WorkerPool::drain`]); every accepted ticket is
-//!   answered exactly once.
+//!   query through the executor and joins the batcher thread; every
+//!   accepted ticket is answered exactly once, and every later
+//!   submission — cached shape or not — is refused.
 //! - A panicking executor poisons **only its batch** (those tickets get
 //!   [`ServeError::BatchPanicked`]); the server keeps serving.
 //!
@@ -66,9 +48,8 @@ mod cache;
 pub mod metrics;
 pub mod queue;
 
-use std::any::Any;
 use std::fmt;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -102,16 +83,6 @@ pub struct ServeConfig {
     /// [`SubmitError::Overloaded`]. Bounds the server's memory and
     /// worst-case queueing delay.
     pub queue_capacity: usize,
-    /// Two-stage pipelining: 0 (default) executes each flush in one
-    /// call on the batcher thread; > 0 splits each flush into the
-    /// executor's filter and refine stages and overlaps refinement of
-    /// flush N with filtering of flush N+1 on a dedicated refiner
-    /// thread. The value bounds the hand-off channel — at most this
-    /// many filtered flushes wait for refinement before the batcher
-    /// itself blocks (backpressure, not unbounded buffering).
-    /// Executors without a split mode fall back to single-stage
-    /// execution regardless of this setting.
-    pub pipeline_depth: usize,
     /// Result-cache capacity in entries; 0 (default) disables the
     /// cache. When enabled, queries whose exact shape (range bits,
     /// text, keywords) was answered at the executor's *current*
@@ -134,7 +105,6 @@ impl Default for ServeConfig {
         Self {
             max_batch: 64,
             queue_capacity: 1024,
-            pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         }
@@ -204,37 +174,6 @@ pub trait BatchExecutor: Send + Sync + 'static {
         BatchGroupKey::new(&query.range, 0, None)
     }
 
-    /// Stage 1 of split execution: runs the filtering half of the batch
-    /// and returns opaque state for [`BatchExecutor::refine_stage`], or
-    /// `None` when this executor has no split mode — the serving layer
-    /// then falls back to single-stage [`BatchExecutor::execute_batch`]
-    /// even when pipelining was requested.
-    ///
-    /// Default: no split mode.
-    fn filter_stage(
-        &self,
-        queries: &[SemaSkQuery],
-    ) -> Option<Result<Box<dyn Any + Send>, EngineError>> {
-        let _ = queries;
-        None
-    }
-
-    /// Stage 2 of split execution: completes a batch begun by
-    /// [`BatchExecutor::filter_stage`], one outcome per query. Only ever
-    /// called with `state` produced by *this* executor's `filter_stage`
-    /// for the *same* `queries`.
-    ///
-    /// # Errors
-    /// An engine error fails the whole batch (every ticket receives it).
-    fn refine_stage(
-        &self,
-        queries: &[SemaSkQuery],
-        state: Box<dyn Any + Send>,
-    ) -> Result<Vec<QueryOutcome>, EngineError> {
-        let _ = (queries, state);
-        unreachable!("refine_stage called on an executor whose filter_stage returned None")
-    }
-
     /// Applies a batch of live mutations, ordered before any queries
     /// flushed alongside them. Executors without a mutation path keep
     /// the default, which rejects the batch (every mutation ticket gets
@@ -273,21 +212,6 @@ pub trait BatchExecutor: Send + Sync + 'static {
         let _ = query;
         false
     }
-
-    /// Blocks until any execution substrate this executor *owns* has
-    /// gone quiescent — called once by [`ServeEngine::shutdown`] after
-    /// the last batch returns.
-    ///
-    /// Default: nothing to wait for. The [`SemaSkEngine`] impl keeps
-    /// the default too: its pool fan-out is synchronous
-    /// ([`vecdb::pool::WorkerPool::run`] returns only after every job
-    /// it submitted finished), so once `query_batch` returns, none of
-    /// this server's work is in flight — and the *global* pool must not
-    /// be drained here, since that would block shutdown on unrelated
-    /// work from other pool users. Executors that own a dedicated
-    /// [`vecdb::pool::WorkerPool`] should call its
-    /// [`drain`](vecdb::pool::WorkerPool::drain) hook here.
-    fn quiesce(&self) {}
 }
 
 impl BatchExecutor for SemaSkEngine {
@@ -297,27 +221,6 @@ impl BatchExecutor for SemaSkEngine {
 
     fn group_key(&self, query: &SemaSkQuery) -> BatchGroupKey {
         self.batch_group_key(query)
-    }
-
-    fn filter_stage(
-        &self,
-        queries: &[SemaSkQuery],
-    ) -> Option<Result<Box<dyn Any + Send>, EngineError>> {
-        Some(
-            self.filter_batch(queries)
-                .map(|filtered| Box::new(filtered) as Box<dyn Any + Send>),
-        )
-    }
-
-    fn refine_stage(
-        &self,
-        queries: &[SemaSkQuery],
-        state: Box<dyn Any + Send>,
-    ) -> Result<Vec<QueryOutcome>, EngineError> {
-        let filtered = state
-            .downcast::<semask::FilteredBatch>()
-            .expect("refine_stage state comes from SemaSkEngine::filter_stage");
-        self.refine_batch(queries, *filtered)
     }
 
     fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
@@ -347,28 +250,6 @@ impl BatchExecutor for DurableEngine {
 
     fn group_key(&self, query: &SemaSkQuery) -> BatchGroupKey {
         self.engine().batch_group_key(query)
-    }
-
-    fn filter_stage(
-        &self,
-        queries: &[SemaSkQuery],
-    ) -> Option<Result<Box<dyn Any + Send>, EngineError>> {
-        Some(
-            self.engine()
-                .filter_batch(queries)
-                .map(|filtered| Box::new(filtered) as Box<dyn Any + Send>),
-        )
-    }
-
-    fn refine_stage(
-        &self,
-        queries: &[SemaSkQuery],
-        state: Box<dyn Any + Send>,
-    ) -> Result<Vec<QueryOutcome>, EngineError> {
-        let filtered = state
-            .downcast::<semask::FilteredBatch>()
-            .expect("refine_stage state comes from DurableEngine::filter_stage");
-        self.engine().refine_batch(queries, *filtered)
     }
 
     fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
@@ -425,7 +306,7 @@ impl Doorbell {
     }
 }
 
-/// One ticket slot, fulfilled exactly once by the batcher (or refiner).
+/// One ticket slot, fulfilled exactly once by the batcher.
 struct TicketState {
     slot: Mutex<Option<Result<QueryOutcome, ServeError>>>,
     bell: Arc<Doorbell>,
@@ -582,25 +463,14 @@ enum Work {
 /// The queue entry the batcher carries: the work item plus its ticket.
 type Job = (Work, Arc<TicketState>);
 
-/// One filtered flush in transit from the batcher (stage 1) to the
-/// refiner thread (stage 2).
-struct StageTwo {
-    queries: Vec<SemaSkQuery>,
-    tickets: Vec<Arc<TicketState>>,
-    state: Box<dyn Any + Send>,
-    /// The executor's mutation epoch captured after this flush's
-    /// mutations applied and before its filter stage ran — the stamp
-    /// its outcomes are cached under.
-    epoch: u64,
-}
-
-struct State {
-    core: BatcherCore<Job>,
-    shutdown: bool,
-}
-
 struct Inner {
-    state: Mutex<State>,
+    /// The admission queue and its flush rule.
+    core: Mutex<BatcherCore<Job>>,
+    /// Set once, by [`ServeEngine::shutdown`], while holding the `core`
+    /// lock: the batcher's poll-or-park and `submit_inner`'s admission
+    /// both read it under that lock and so cannot miss it. The
+    /// admission-time cache consult reads it without the lock.
+    shutdown: AtomicBool,
     /// Wakes the batcher: new submission, or shutdown.
     wake: Condvar,
     /// Wakes ticket waiters, once per fulfilled flush.
@@ -626,7 +496,14 @@ impl Inner {
     /// publish racing the consult can only make a current entry look
     /// stale (harmless recompute), never let a pre-publish answer
     /// survive the publish.
+    ///
+    /// A server that has shut down answers nothing from its caches: the
+    /// query falls through to `submit_inner`, which refuses it like any
+    /// other, so every client sees the same server.
     fn cached_answer(&self, query: &SemaSkQuery) -> Option<(QueryOutcome, api::CacheStatus)> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
         if self.negative_cache && self.executor.provably_empty(query) {
             self.metrics.record_negative_hit();
             return Some((
@@ -689,8 +566,7 @@ impl Inner {
     }
 
     /// Settles a finished (or died-trying) batch: metrics plus one
-    /// batched fulfilment. Shared by single-stage execution and the
-    /// refiner thread, so both contain panics identically.
+    /// batched fulfilment.
     fn settle(
         &self,
         tickets: Vec<Arc<TicketState>>,
@@ -738,17 +614,9 @@ impl Inner {
         }
     }
 
-    /// Executes one flushed batch and fulfils its tickets — either in
-    /// one stage here, or (when `handoff` is wired and the executor has
-    /// a split mode) by filtering here and handing the refinement to
-    /// the stage-2 thread. Never unwinds: executor panics are contained
-    /// to the batch, per stage.
-    fn execute(
-        &self,
-        batch: Vec<Pending<Job>>,
-        flushed_at: Duration,
-        handoff: Option<&SyncSender<StageTwo>>,
-    ) {
+    /// Executes one flushed batch and fulfils its tickets. Never
+    /// unwinds: executor panics are contained to the batch.
+    fn execute(&self, batch: Vec<Pending<Job>>, flushed_at: Duration) {
         let n = batch.len();
         let groups = 1 + batch.windows(2).filter(|w| w[0].key != w[1].key).count();
         self.metrics.record_flush(
@@ -786,42 +654,6 @@ impl Inner {
         // The cache stamp for this flush's outcomes: captured after its
         // mutations applied, before anything executes.
         let epoch = self.executor.mutation_epoch();
-        if let Some(tx) = handoff {
-            let filtered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.executor.filter_stage(&queries)
-            }));
-            match filtered {
-                Ok(Some(Ok(state))) => {
-                    self.metrics.record_pipelined_flush();
-                    if let Err(not_sent) = tx.send(StageTwo {
-                        queries,
-                        tickets,
-                        state,
-                        epoch,
-                    }) {
-                        // The refiner thread is gone (it only exits on
-                        // channel disconnect or a crash outside our
-                        // catch_unwind); don't strand the tickets.
-                        let StageTwo { tickets, .. } = not_sent.0;
-                        self.settle(tickets, Err(Box::new(ServeError::BatchPanicked)));
-                    }
-                    return;
-                }
-                Ok(Some(Err(e))) => {
-                    // Filter-stage error: fail the batch now, nothing
-                    // to refine.
-                    self.settle(tickets, Ok(Err(e)));
-                    return;
-                }
-                Ok(None) => {
-                    // No split mode: fall through to single-stage.
-                }
-                Err(panic) => {
-                    self.settle(tickets, Err(panic));
-                    return;
-                }
-            }
-        }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.executor.execute_batch(&queries)
         }));
@@ -879,54 +711,30 @@ impl Inner {
     }
 }
 
-/// The refiner thread (stage 2): completes filtered flushes in arrival
-/// order until the batcher drops its sender — which it does only after
-/// its final flush, so the shutdown drain passes through here too.
-fn refinement_loop(inner: &Inner, jobs: &Receiver<StageTwo>) {
-    while let Ok(StageTwo {
-        queries,
-        tickets,
-        state,
-        epoch,
-    }) = jobs.recv()
-    {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inner.executor.refine_stage(&queries, state)
-        }));
-        if let Ok(Ok(outcomes)) = &result {
-            inner.cache_outcomes(&queries, outcomes, epoch);
-        }
-        inner.settle(tickets, result);
-    }
-}
-
 /// The batcher thread: flush whatever has queued, repeat; park only on
 /// an empty queue, and exit on an empty queue after shutdown — so a
 /// shutdown with work queued drains it through the same loop. The poll
-/// and the park are one critical section under the state lock, so a
-/// submission cannot slip between them. Owns the sending half of the
-/// pipeline hand-off (when pipelining is on): returning from this
-/// function drops it, which disconnects the refiner's receiver and lets
-/// the stage-2 thread exit after its last queued flush.
-fn batcher_loop(inner: &Inner, handoff: Option<&SyncSender<StageTwo>>) {
-    let mut state = inner
-        .state
+/// and the park are one critical section under the queue lock, so a
+/// submission cannot slip between them.
+fn batcher_loop(inner: &Inner) {
+    let mut core = inner
+        .core
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     loop {
-        if let Some(batch) = state.core.poll() {
-            drop(state);
-            inner.execute(batch, inner.clock.now(), handoff);
-            state = inner
-                .state
+        if let Some(batch) = core.poll() {
+            drop(core);
+            inner.execute(batch, inner.clock.now());
+            core = inner
+                .core
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-        } else if state.shutdown {
+        } else if inner.shutdown.load(Ordering::SeqCst) {
             return;
         } else {
-            state = inner
+            core = inner
                 .wake
-                .wait(state)
+                .wait(core)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
@@ -938,10 +746,8 @@ fn batcher_loop(inner: &Inner, handoff: Option<&SyncSender<StageTwo>>) {
 /// Cheap to share: clone an `Arc<ServeEngine>` into each client thread.
 pub struct ServeEngine {
     inner: Arc<Inner>,
-    /// Batcher plus (when pipelining) the refiner, joined in that order
-    /// on shutdown: the batcher exits first, dropping the hand-off
-    /// sender, which drains and releases the refiner.
-    threads: Mutex<Option<Vec<std::thread::JoinHandle<()>>>>,
+    /// The batcher thread, taken and joined by the first `shutdown`.
+    batcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl ServeEngine {
@@ -962,10 +768,8 @@ impl ServeEngine {
         config: ServeConfig,
     ) -> Self {
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                core: BatcherCore::new(config.max_batch, config.queue_capacity),
-                shutdown: false,
-            }),
+            core: Mutex::new(BatcherCore::new(config.max_batch, config.queue_capacity)),
+            shutdown: AtomicBool::new(false),
             wake: Condvar::new(),
             bell: Arc::new(Doorbell::new()),
             clock,
@@ -975,37 +779,16 @@ impl ServeEngine {
                 .then(|| ResultCache::new(config.result_cache_entries)),
             negative_cache: config.negative_cache,
         });
-        // Pipelining: the refiner thread holds the receiving half; the
-        // batcher-loop closure owns the sending half, so the batcher's
-        // exit disconnects the channel and the refiner drains out
-        // behind it.
-        let mut threads = Vec::with_capacity(2);
-        let handoff = if config.pipeline_depth > 0 {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<StageTwo>(config.pipeline_depth);
-            let refiner = {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("semask-serve-refiner".to_owned())
-                    .spawn(move || refinement_loop(&inner, &rx))
-                    .expect("spawning the refiner thread")
-            };
-            threads.push(refiner);
-            Some(tx)
-        } else {
-            None
-        };
         let batcher = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("semask-serve-batcher".to_owned())
-                .spawn(move || batcher_loop(&inner, handoff.as_ref()))
+                .spawn(move || batcher_loop(&inner))
                 .expect("spawning the batcher thread")
         };
-        // Join order on shutdown: batcher first, then the refiner it feeds.
-        threads.insert(0, batcher);
         Self {
             inner,
-            threads: Mutex::new(Some(threads)),
+            batcher: Mutex::new(Some(batcher)),
         }
     }
 
@@ -1028,7 +811,9 @@ impl ServeEngine {
     /// With the caches enabled ([`ServeConfig::result_cache_entries`],
     /// [`ServeConfig::negative_cache`]) a query answerable at admission
     /// returns an already-fulfilled ticket — it never occupies a queue
-    /// slot, so it can succeed even when a fresh query would shed.
+    /// slot, so it can succeed even when a fresh query would shed. Not
+    /// after [`ServeEngine::shutdown`], though: a server that has shut
+    /// down refuses a cached shape like any other.
     pub fn submit(&self, query: SemaSkQuery) -> Result<Ticket, SubmitError> {
         if let Some((outcome, _cached)) = self.inner.cached_answer(&query) {
             let state = Arc::new(TicketState::new(Arc::clone(&self.inner.bell)));
@@ -1099,32 +884,29 @@ impl ServeEngine {
             Work::Mutate(_) => BatchGroupKey::mutation(),
         };
         let ticket_state = Arc::new(TicketState::new(Arc::clone(&self.inner.bell)));
-        let mut state = self
+        let mut core = self
             .inner
-            .state
+            .core
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.shutdown {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
         // The best-effort class needs free headroom: a quarter of the
         // queue stays reserved for Normal/High so a flood of Low
         // traffic cannot starve them at admission.
         if priority == api::Priority::Low {
-            let capacity = state.core.capacity();
-            if state.core.queued() + capacity.div_ceil(4) >= capacity {
-                drop(state);
+            let capacity = core.capacity();
+            if core.queued() + capacity.div_ceil(4) >= capacity {
+                drop(core);
                 self.inner.metrics.record_shed();
                 return Err(SubmitError::Overloaded);
             }
         }
         let now = self.inner.clock.now();
-        match state
-            .core
-            .submit((work, Arc::clone(&ticket_state)), key, now)
-        {
+        match core.submit((work, Arc::clone(&ticket_state)), key, now) {
             Ok(()) => {
-                drop(state);
+                drop(core);
                 self.inner.metrics.record_accept();
                 self.inner.wake.notify_one();
                 Ok(Ticket {
@@ -1132,7 +914,7 @@ impl ServeEngine {
                 })
             }
             Err(_rejected) => {
-                drop(state);
+                drop(core);
                 self.inner.metrics.record_shed();
                 Err(SubmitError::Overloaded)
             }
@@ -1144,10 +926,9 @@ impl ServeEngine {
     #[must_use]
     pub fn queued(&self) -> usize {
         self.inner
-            .state
+            .core
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .core
             .queued()
     }
 
@@ -1160,43 +941,30 @@ impl ServeEngine {
     /// Graceful shutdown: stops admitting, flushes every accepted query
     /// through the executor (every outstanding ticket is answered), and
     /// joins the batcher thread — when it returns, none of **this
-    /// server's** work is in flight (executors owning a dedicated
-    /// substrate additionally get [`BatchExecutor::quiesce`]; the
-    /// shared global pool is deliberately *not* drained — other users
-    /// may keep it busy). Idempotent, safe to race from several
-    /// threads — every caller returns only after the drain is complete
-    /// — and also runs on drop.
+    /// server's** work is in flight (a flush's pool fan-out returns
+    /// only after every job it submitted finished). Idempotent, safe
+    /// to race from several threads — every caller returns only after
+    /// the drain is complete — and also runs on drop.
     pub fn shutdown(&self) {
         {
-            let mut state = self
+            let _core = self
                 .inner
-                .state
+                .core
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.shutdown = true;
+            self.inner.shutdown.store(true, Ordering::SeqCst);
         }
         self.inner.wake.notify_all();
         // Join while holding the handle lock: a concurrent shutdown()
         // caller blocks here until the first caller's drain finished,
         // so *every* caller returns to a fully drained server. (The
-        // worker threads never touch this lock — no deadlock.) The
-        // batcher is joined first; its exit drops the hand-off sender,
-        // so the refiner (when pipelining) finishes every queued flush
-        // and exits right behind it.
-        let mut handles = self
-            .threads
+        // batcher never touches this lock — no deadlock.)
+        let mut batcher = self
+            .batcher
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(handles) = handles.take() {
-            for handle in handles {
-                handle.join().expect("serve worker threads never panic");
-            }
-            // Every batch returned before the joins (both stages settle
-            // synchronously inside their threads); give executors
-            // owning a dedicated substrate the chance to wait it out.
-            // Never blocks on shared resources — see
-            // BatchExecutor::quiesce.
-            self.inner.executor.quiesce();
+        if let Some(handle) = batcher.take() {
+            handle.join().expect("the batcher thread never panics");
         }
     }
 }
@@ -1213,7 +981,7 @@ mod tests {
     use geotext::{BoundingBox, GeoPoint};
     use semask::clock::MockClock;
     use semask::query::LatencyBreakdown;
-    use std::sync::mpsc::{channel, Sender};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     fn query(i: u8) -> SemaSkQuery {
         let center = GeoPoint::new(40.0, -90.0 + f64::from(i) * 0.01).unwrap();
@@ -1356,90 +1124,6 @@ mod tests {
         }
     }
 
-    /// A two-stage executor: filter counts candidates (the opaque
-    /// state), refine produces the outcomes. Scripted poison texts can
-    /// fail or panic either stage independently; a gated one announces
-    /// flushes entering the *filter* and can be held in the *refiner*.
-    struct SplitExecutor {
-        gate: Option<Gate>,
-        filter_fail: Option<String>,
-        filter_panic: Option<String>,
-        refine_panic: Option<String>,
-    }
-
-    impl SplitExecutor {
-        fn ok() -> Self {
-            Self {
-                gate: None,
-                filter_fail: None,
-                filter_panic: None,
-                refine_panic: None,
-            }
-        }
-
-        fn outcomes(n: usize) -> Vec<QueryOutcome> {
-            (0..n)
-                .map(|_| QueryOutcome {
-                    pois: Vec::new(),
-                    latency: LatencyBreakdown::default(),
-                })
-                .collect()
-        }
-    }
-
-    impl BatchExecutor for SplitExecutor {
-        fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-            // Pipelined servers must never take the single-stage path
-            // when a split mode exists.
-            panic!(
-                "single-stage path used on a split executor ({} queries)",
-                queries.len()
-            );
-        }
-
-        fn filter_stage(
-            &self,
-            queries: &[SemaSkQuery],
-        ) -> Option<Result<Box<dyn Any + Send>, EngineError>> {
-            if let Some(gate) = &self.gate {
-                gate.announce(queries);
-            }
-            if let Some(t) = &self.filter_panic {
-                assert!(
-                    !queries.iter().any(|q| q.text.contains(t.as_str())),
-                    "scripted filter panic"
-                );
-            }
-            if let Some(t) = &self.filter_fail {
-                if queries.iter().any(|q| q.text.contains(t.as_str())) {
-                    return Some(Err(EngineError::UnknownSuburb {
-                        suburb: "scripted".to_owned(),
-                    }));
-                }
-            }
-            Some(Ok(Box::new(queries.len())))
-        }
-
-        fn refine_stage(
-            &self,
-            queries: &[SemaSkQuery],
-            state: Box<dyn Any + Send>,
-        ) -> Result<Vec<QueryOutcome>, EngineError> {
-            if let Some(gate) = &self.gate {
-                gate.hold_plug(queries);
-            }
-            if let Some(t) = &self.refine_panic {
-                assert!(
-                    !queries.iter().any(|q| q.text.contains(t.as_str())),
-                    "scripted refine panic"
-                );
-            }
-            let n = *state.downcast::<usize>().expect("state from filter_stage");
-            assert_eq!(n, queries.len(), "stage state follows its own batch");
-            Ok(Self::outcomes(n))
-        }
-    }
-
     /// Records the executor-call order and counts mutations, so the
     /// mutations-before-queries contract of a mixed flush is pinned.
     struct MutationRecorder {
@@ -1492,7 +1176,6 @@ mod tests {
             ServeConfig {
                 max_batch: 2,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1531,7 +1214,6 @@ mod tests {
             ServeConfig {
                 max_batch: 2,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1548,117 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_flush_answers_tickets_and_counts_handoffs() {
-        let serve = ServeEngine::with_parts(
-            Arc::new(SplitExecutor::ok()),
-            Arc::new(MockClock::new()),
-            ServeConfig {
-                max_batch: 2,
-                queue_capacity: 8,
-                pipeline_depth: 2,
-                result_cache_entries: 0,
-                negative_cache: false,
-            },
-        );
-        let t1 = serve.submit(query(1)).unwrap();
-        let t2 = serve.submit(query(2)).unwrap();
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        let t3 = serve.submit(query(3)).unwrap();
-        let t4 = serve.submit(query(4)).unwrap();
-        assert!(t3.wait().is_ok());
-        assert!(t4.wait().is_ok());
-        let m = serve.metrics();
-        assert_eq!(m.served, 4);
-        assert_eq!(m.pipelined_batches, m.batches, "every flush overlapped");
-    }
-
-    #[test]
-    fn pipelined_stage_failures_poison_only_their_batch() {
-        // A filter-stage error and a refine-stage panic each fail their
-        // own flush; the server keeps serving afterwards.
-        let serve = ServeEngine::with_parts(
-            Arc::new(SplitExecutor {
-                filter_fail: Some("filter-poison".to_owned()),
-                refine_panic: Some("refine-poison".to_owned()),
-                ..SplitExecutor::ok()
-            }),
-            Arc::new(MockClock::new()),
-            ServeConfig {
-                max_batch: 1,
-                queue_capacity: 8,
-                pipeline_depth: 1,
-                result_cache_entries: 0,
-                negative_cache: false,
-            },
-        );
-        let bad_filter = serve
-            .submit(SemaSkQuery::new(query(1).range, "filter-poison"))
-            .unwrap();
-        let bad_refine = serve
-            .submit(SemaSkQuery::new(query(2).range, "refine-poison"))
-            .unwrap();
-        let good = serve.submit(query(3)).unwrap();
-        assert!(matches!(bad_filter.wait(), Err(ServeError::Engine(_))));
-        assert!(matches!(bad_refine.wait(), Err(ServeError::BatchPanicked)));
-        assert!(good.wait().is_ok(), "server survives both stage failures");
-        let m = serve.metrics();
-        assert_eq!(m.failed, 2);
-        assert_eq!(m.served, 1);
-        assert_eq!(m.panicked_batches, 1);
-    }
-
-    #[test]
-    fn pipelined_shutdown_drains_through_both_stages() {
-        // Whatever is still queued or in the hand-off channel when
-        // shutdown begins is answered through the refiner thread.
-        let serve = ServeEngine::with_parts(
-            Arc::new(SplitExecutor::ok()),
-            Arc::new(MockClock::new()),
-            ServeConfig {
-                max_batch: 64,
-                queue_capacity: 8,
-                pipeline_depth: 1,
-                result_cache_entries: 0,
-                negative_cache: false,
-            },
-        );
-        let t1 = serve.submit(query(1)).unwrap();
-        let t2 = serve.submit(query(2)).unwrap();
-        serve.shutdown();
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        let m = serve.metrics();
-        assert_eq!(m.served, 2);
-        assert_eq!(m.pipelined_batches, m.batches);
-    }
-
-    #[test]
-    fn single_stage_executor_falls_back_under_pipelining() {
-        // ScriptedExecutor has no split mode: a pipelined server must
-        // still answer via execute_batch, with zero pipelined flushes.
-        let exec = Arc::new(ScriptedExecutor::ok());
-        let serve = ServeEngine::with_parts(
-            Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-            Arc::new(MockClock::new()),
-            ServeConfig {
-                max_batch: 2,
-                queue_capacity: 8,
-                pipeline_depth: 4,
-                result_cache_entries: 0,
-                negative_cache: false,
-            },
-        );
-        let t1 = serve.submit(query(1)).unwrap();
-        let t2 = serve.submit(query(2)).unwrap();
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        let m = serve.metrics();
-        assert_eq!(m.served, 2);
-        assert_eq!(m.pipelined_batches, 0);
-    }
-
-    #[test]
     fn cap_flush_answers_tickets_without_time_advancing() {
         // Mock clock frozen at zero: nothing a flush needs is time.
         let exec = Arc::new(ScriptedExecutor::ok());
@@ -1668,7 +1239,6 @@ mod tests {
             ServeConfig {
                 max_batch: 2,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1694,7 +1264,6 @@ mod tests {
             ServeConfig {
                 max_batch: 64,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1725,7 +1294,6 @@ mod tests {
             ServeConfig {
                 max_batch: 2,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1759,7 +1327,6 @@ mod tests {
             ServeConfig {
                 max_batch: 4,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1802,7 +1369,6 @@ mod tests {
             ServeConfig {
                 max_batch: 64,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1830,7 +1396,6 @@ mod tests {
             ServeConfig {
                 max_batch: 2,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1863,7 +1428,6 @@ mod tests {
             ServeConfig {
                 max_batch: 64,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -1898,7 +1462,6 @@ mod tests {
             ServeConfig {
                 max_batch: 64,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 0,
                 negative_cache: false,
             },
@@ -2001,41 +1564,6 @@ mod tests {
         assert_eq!(m.queue_wait, 3 * Duration::from_millis(7));
     }
 
-    #[test]
-    fn arrivals_during_a_held_refinement_leave_as_the_next_batch() {
-        // The same rule per stage: with the refiner held and the
-        // one-slot hand-off full, stage 1 blocks in `send`, and what
-        // arrives meanwhile leaves as its next flush.
-        let (gate, holder) = gate();
-        let serve = ServeEngine::with_parts(
-            Arc::new(SplitExecutor {
-                gate: Some(gate),
-                ..SplitExecutor::ok()
-            }),
-            Arc::new(MockClock::new()),
-            ServeConfig {
-                pipeline_depth: 1,
-                ..ServeConfig::default()
-            },
-        );
-        let plug = holder.hold(&serve);
-        // `a` fills the hand-off slot behind the held plug; `b` is
-        // filtered and then stuck in `send` until the refiner moves.
-        let a = serve.submit(query(1)).unwrap();
-        assert_eq!(holder.next_flush(), 1);
-        let b = serve.submit(query(2)).unwrap();
-        assert_eq!(holder.next_flush(), 1);
-        let tickets: Vec<Ticket> = (3..8).map(|i| serve.submit(query(i)).unwrap()).collect();
-        holder.release(plug);
-        assert_eq!(holder.next_flush(), 5);
-        for t in tickets.into_iter().chain([a, b]) {
-            assert!(t.wait().is_ok());
-        }
-        let m = serve.metrics();
-        assert_eq!(m.pipelined_batches, 4);
-        assert_eq!(m.served, 8);
-    }
-
     /// A cache-battery executor: counts executed batches, stamps each
     /// outcome's `filtering_ms` with the execution ordinal (so a cached
     /// answer — which replays an *old* outcome — is distinguishable
@@ -2099,7 +1627,6 @@ mod tests {
             ServeConfig {
                 max_batch: 1,
                 queue_capacity: 8,
-                pipeline_depth: 0,
                 result_cache_entries: 8,
                 negative_cache: negative,
             },
@@ -2199,5 +1726,44 @@ mod tests {
             .pois
             .is_empty());
         serve.shutdown();
+    }
+
+    #[test]
+    fn a_shut_down_server_refuses_cached_shapes_too() {
+        let exec = Arc::new(EpochExecutor {
+            empty_text: Some("ghost".to_owned()),
+            ..EpochExecutor::new()
+        });
+        let serve = cache_serve(Arc::clone(&exec), true);
+        let ghost = || query(9).with_keywords("ghost");
+        // Up: the answered shape hits, the provably-empty keyword is
+        // answered negatively, through both entry points.
+        serve.submit(query(1)).unwrap().wait().unwrap();
+        assert!(serve.submit(query(1)).unwrap().wait().is_ok());
+        assert!(serve.submit(ghost()).unwrap().wait().is_ok());
+        let hit = serve.submit_request(api::Request::new(1, query(1))).wait();
+        assert_eq!(hit.cached, api::CacheStatus::Hit);
+        let negative = serve.submit_request(api::Request::new(2, ghost())).wait();
+        assert_eq!(negative.cached, api::CacheStatus::Negative);
+        assert_eq!(exec.executions(), 1);
+        let up = serve.metrics();
+
+        serve.shutdown();
+        // Down: the same shapes are refused like any fresh one.
+        for q in [query(1), ghost(), query(2)] {
+            assert!(matches!(
+                serve.submit(q.clone()),
+                Err(SubmitError::ShuttingDown)
+            ));
+            let refused = serve.submit_request(api::Request::new(3, q)).wait();
+            assert_eq!(refused.status, api::ServeStatus::ShuttingDown);
+            assert!(refused.outcome.is_none());
+        }
+        let down = serve.metrics();
+        assert_eq!(
+            (down.cache_hits, down.negative_hits),
+            (up.cache_hits, up.negative_hits),
+            "a refused query counts as neither"
+        );
     }
 }

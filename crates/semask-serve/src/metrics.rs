@@ -24,7 +24,6 @@ pub struct ServeMetrics {
     failed: AtomicU64,
     batches: AtomicU64,
     groups: AtomicU64,
-    pipelined_batches: AtomicU64,
     panicked_batches: AtomicU64,
     max_batch: AtomicU64,
     queue_wait_ns: AtomicU64,
@@ -84,14 +83,6 @@ impl ServeMetrics {
     /// Records `n` tickets answered with an error.
     pub fn record_failed(&self, n: usize) {
         self.failed.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Records a flush handed to the stage-2 refiner (its filter stage
-    /// succeeded; the batch is counted in `batches` too). `pipelined ==
-    /// batches` means every flush overlapped; 0 under single-stage
-    /// execution or an executor without a split mode.
-    pub fn record_pipelined_flush(&self) {
-        self.pipelined_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a batch whose executor panicked.
@@ -173,7 +164,6 @@ impl ServeMetrics {
             failed: self.failed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
-            pipelined_batches: self.pipelined_batches.load(Ordering::Relaxed),
             panicked_batches: self.panicked_batches.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
             queue_wait: Duration::from_nanos(self.queue_wait_ns.load(Ordering::Relaxed)),
@@ -209,10 +199,6 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Total distinct batch groups across all flushes (≥ `batches`).
     pub groups: u64,
-    /// Flushes whose refinement was handed to the stage-2 thread
-    /// (pipelined execution; 0 when `pipeline_depth` is 0 or the
-    /// executor has no split mode).
-    pub pipelined_batches: u64,
     /// Batches whose executor panicked (their tickets are in `failed`).
     pub panicked_batches: u64,
     /// Largest flushed batch.

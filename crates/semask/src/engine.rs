@@ -113,28 +113,6 @@ impl From<LlmError> for EngineError {
     }
 }
 
-/// Intermediate state of a two-stage batch: everything
-/// [`SemaSkEngine::refine_batch`] needs, produced by
-/// [`SemaSkEngine::filter_batch`]. Opaque on purpose — the only valid
-/// use is handing it back to the same engine's refinement stage.
-pub struct FilteredBatch {
-    items: Vec<FilteredQuery>,
-}
-
-impl FilteredBatch {
-    /// Queries this batch filtered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the batch filtered no queries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
 /// One query's filtering output: candidates in embedding order, the
 /// latency template its refinement will complete, and the mutation-epoch
 /// overlay captured while the filter gate was held — refinement resolves
@@ -222,22 +200,21 @@ impl SemaSkEngine {
     }
 
     /// Answers a query with the filter-and-refine procedure: a
-    /// [`SemaSkEngine::filter_batch`] of one, then refinement. The
-    /// filtering stage runs through the [`crate::retrieval::QueryPlanner`];
-    /// the chosen strategy is reported in the outcome's
+    /// [`SemaSkEngine::query_batch`] of one. The filtering stage runs
+    /// through the [`crate::retrieval::QueryPlanner`]; the chosen
+    /// strategy is reported in the outcome's
     /// [`LatencyBreakdown::filter_strategy`].
     pub fn query(&self, q: &SemaSkQuery) -> Result<QueryOutcome, EngineError> {
-        let mut filtered = self.filter_batch(std::slice::from_ref(q))?;
-        let item = filtered.items.pop().expect("one filtered query per query");
-        self.refine_with_view(&q.text, item.candidates, item.latency, &item.view)
+        let mut outcomes = self.query_batch(std::slice::from_ref(q))?;
+        Ok(outcomes.pop().expect("one outcome per query"))
     }
 
-    /// Answers a batch of queries: embeddings are computed up front, the
-    /// whole batch runs through
+    /// Answers a batch of queries, filter then refine: embeddings are
+    /// computed up front, the whole batch runs through
     /// [`crate::retrieval::QueryPlanner::retrieve_batch`] (one plan and
     /// one shared candidate set per distinct range group, one pass of
     /// the scoring kernel, pooled execution), and each query is then
-    /// refined individually.
+    /// refined individually, in order.
     ///
     /// A query's answer does not depend on the queries submitted with
     /// it. Each outcome's [`LatencyBreakdown::filtering_ms`] reports the
@@ -249,23 +226,21 @@ impl SemaSkEngine {
     /// # Errors
     /// Propagates the first filtering or refinement failure.
     pub fn query_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-        let filtered = self.filter_batch(queries)?;
-        self.refine_batch(queries, filtered)
+        queries
+            .iter()
+            .zip(self.filter_batch(queries)?)
+            .map(|(q, item)| {
+                self.refine_with_view(&q.text, item.candidates, item.latency, &item.view)
+            })
+            .collect()
     }
 
-    /// Stage 1 of the two-stage batch — the one filtering body: embeds
-    /// every query and runs the whole batch through the planner,
-    /// returning the per-query candidate lists and latency templates. Stage 2
-    /// ([`SemaSkEngine::refine_batch`]) finishes the same batch;
-    /// composing the two is exactly [`SemaSkEngine::query_batch`]. The
-    /// split exists so a pipelined serving layer can overlap flush N's
-    /// refinement with flush N+1's filtering.
-    ///
-    /// # Errors
-    /// Propagates the first filtering failure.
-    pub fn filter_batch(&self, queries: &[SemaSkQuery]) -> Result<FilteredBatch, EngineError> {
+    /// The one filtering body: embeds every query and runs the whole
+    /// batch through the planner, returning one candidate list and
+    /// latency template per query, aligned with `queries`.
+    fn filter_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<FilteredQuery>, EngineError> {
         if queries.is_empty() {
-            return Ok(FilteredBatch { items: Vec::new() });
+            return Ok(Vec::new());
         }
         // ---- Filtering (measured wall clock, shared) ----
         let t0 = Instant::now();
@@ -294,7 +269,7 @@ impl SemaSkEngine {
             t_retrieval.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
         let share_ms = t0.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
 
-        let items = batch
+        Ok(batch
             .into_iter()
             .map(|mut planned| {
                 let latency = LatencyBreakdown {
@@ -320,38 +295,7 @@ impl SemaSkEngine {
                     view: Arc::clone(&view),
                 }
             })
-            .collect();
-        Ok(FilteredBatch { items })
-    }
-
-    /// Stage 2 of the two-stage batch: refines the candidates produced
-    /// by [`SemaSkEngine::filter_batch`] for the same `queries` slice,
-    /// in order. Outcomes are bit-identical to the unsplit
-    /// [`SemaSkEngine::query_batch`].
-    ///
-    /// # Errors
-    /// Propagates the first refinement failure.
-    ///
-    /// # Panics
-    /// If `filtered` did not come from [`SemaSkEngine::filter_batch`]
-    /// over the same number of queries.
-    pub fn refine_batch(
-        &self,
-        queries: &[SemaSkQuery],
-        filtered: FilteredBatch,
-    ) -> Result<Vec<QueryOutcome>, EngineError> {
-        assert_eq!(
-            queries.len(),
-            filtered.items.len(),
-            "refine_batch must receive filter_batch's output for the same queries"
-        );
-        queries
-            .iter()
-            .zip(filtered.items)
-            .map(|(q, item)| {
-                self.refine_with_view(&q.text, item.candidates, item.latency, &item.view)
-            })
-            .collect()
+            .collect())
     }
 
     /// The refinement stage shared by [`SemaSkEngine::query`] and

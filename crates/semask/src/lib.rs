@@ -55,7 +55,7 @@ pub use cost::{
 };
 pub use cuckoo::CuckooFilter;
 pub use durable::{CheckpointPolicy, DurableEngine, DurableError, MutationReceipt, RecoverReport};
-pub use engine::{AppliedBatch, EngineError, FilteredBatch, SemaSkEngine, Variant};
+pub use engine::{AppliedBatch, EngineError, SemaSkEngine, Variant};
 pub use eval::{f1_at_k, CityScore, PrecisionRecall};
 pub use live::{LiveState, Overlay};
 pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};

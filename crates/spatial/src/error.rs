@@ -8,31 +8,12 @@ use std::fmt;
 pub enum SpatialError {
     /// Requested grid resolution was zero.
     ZeroResolution,
-    /// An item to remove was not found in the index.
-    NotFound {
-        /// Id of the missing item.
-        id: u32,
-    },
-    /// Invalid node fan-out configuration (need `2 <= min <= max/2`).
-    BadFanout {
-        /// Configured minimum entries.
-        min: usize,
-        /// Configured maximum entries.
-        max: usize,
-    },
 }
 
 impl fmt::Display for SpatialError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpatialError::ZeroResolution => write!(f, "grid resolution must be positive"),
-            SpatialError::NotFound { id } => write!(f, "item {id} not found in index"),
-            SpatialError::BadFanout { min, max } => {
-                write!(
-                    f,
-                    "invalid fanout: min={min}, max={max} (need 2 <= min <= max/2)"
-                )
-            }
         }
     }
 }

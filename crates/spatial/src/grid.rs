@@ -1,9 +1,9 @@
 //! A uniform grid index over point data.
 //!
 //! The simplest possible spatial index: partition the data's bounding box
-//! into `res × res` cells and keep a bucket per cell. Serves as a second,
-//! independently-implemented oracle for the R-tree in tests and as a
-//! baseline in the range-filtering benchmarks.
+//! into `res × res` cells and keep a bucket per cell. It is the range
+//! prefilter of the planner's grid strategy and of the keyword
+//! baselines; its tests check it against a linear scan.
 
 use geotext::{BoundingBox, GeoPoint, ObjectId};
 
@@ -173,10 +173,7 @@ impl GridIndex {
         }
     }
 
-    /// Exact k-nearest-neighbour by expanding ring search over cells.
-    ///
-    /// Correct but simpler than the R-tree's best-first search; used as an
-    /// oracle in tests.
+    /// Exact k-nearest-neighbour, by distance to every indexed item.
     #[must_use]
     pub fn knn(&self, query: &GeoPoint, k: usize) -> Vec<(ObjectId, f64)> {
         if k == 0 || self.len == 0 {

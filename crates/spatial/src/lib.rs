@@ -4,10 +4,8 @@
 //! `q.r`; its related work (and our Figure-1 reproduction) is built on
 //! classic spatial keyword indexes. This crate provides:
 //!
-//! - [`RTree`] — a dynamic R-tree (quadratic split) with STR bulk loading,
-//!   range queries, best-first k-nearest-neighbour search, and removal,
-//! - [`GridIndex`] — a uniform grid, the simple comparator used to sanity
-//!   check the R-tree and to benchmark range filtering,
+//! - [`GridIndex`] — a uniform grid: the range prefilter behind the
+//!   planner's grid strategy,
 //! - [`IrTree`] — the IR-tree of Li et al. (TKDE 2011) cited by the paper:
 //!   an R-tree whose nodes each carry an inverted index over the keywords
 //!   in their subtree, enabling pruned spatial keyword search. It is the
@@ -19,12 +17,10 @@
 pub mod error;
 pub mod grid;
 pub mod irtree;
-pub mod rtree;
 
 pub use error::SpatialError;
 pub use grid::GridIndex;
 pub use irtree::{IrTree, SpatialKeywordQuery};
-pub use rtree::RTree;
 
 use geotext::{GeoPoint, ObjectId};
 

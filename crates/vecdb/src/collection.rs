@@ -785,7 +785,7 @@ impl Collection {
     }
 
     /// The collection as one packed, checksummed snapshot — the bytes
-    /// [`crate::VectorDb::snapshot_collection`] writes (layout in
+    /// [`crate::VectorDb::restore_collection`] reads (layout in
     /// [`crate::db`]). Every stored float goes out as its own bits, so
     /// a restored collection scores identically; the encoding is
     /// canonical — a collection has exactly one byte string.

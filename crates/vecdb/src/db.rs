@@ -26,8 +26,6 @@
 //! disagree, is a [`VecDbError::Snapshot`], never a loaded collection.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -111,21 +109,6 @@ impl VectorDb {
         let mut names: Vec<String> = self.collections.read().keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Writes a collection snapshot to `path` and fsyncs it: one
-    /// create → `write_all` → `sync_all`. The collection's read lock is
-    /// held only while the bytes are packed, not across the write.
-    ///
-    /// # Errors
-    /// [`VecDbError::CollectionNotFound`], or [`VecDbError::Snapshot`]
-    /// carrying the I/O failure.
-    pub fn snapshot_collection(&self, name: &str, path: &Path) -> Result<(), VecDbError> {
-        let bytes = self.collection(name)?.read().to_snapshot_bytes()?;
-        let io = |e: std::io::Error| corrupt(e.to_string());
-        let mut file = File::create(path).map_err(io)?;
-        file.write_all(&bytes).map_err(io)?;
-        file.sync_all().map_err(io)
     }
 
     /// Loads a collection snapshot, registering it under `name`. The
@@ -216,7 +199,7 @@ mod tests {
                     .unwrap();
             }
         }
-        db.snapshot_collection("c", &path).unwrap();
+        std::fs::write(&path, h.read().to_snapshot_bytes().unwrap()).unwrap();
 
         let db2 = VectorDb::new();
         let h2 = db2.restore_collection("c2", &path).unwrap();

@@ -44,8 +44,7 @@
 //! again *on the same pool* executes inline (queue-and-wait from inside
 //! a worker could deadlock once every worker blocks on jobs stuck
 //! behind it), while fan-outs from foreign threads — e.g. the serving
-//! layer's stage-2 refinement thread — enqueue normally and get real
-//! parallelism.
+//! layer's batcher thread — enqueue normally and get real parallelism.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,7 +127,7 @@ pub mod cpu_bind {
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Shared coordination state: how many submitted jobs are not yet
-/// reserved by a worker, how many workers are mid-job, and shutdown.
+/// reserved by a worker, and shutdown.
 /// The deques themselves are per-worker; this counter is what makes
 /// work-stealing lossless — a worker *reserves* a job here before
 /// hunting for it, so jobs can never be dropped or double-run however
@@ -136,7 +135,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct Control {
     state: Mutex<ControlState>,
     ready: Condvar,
-    idle: Condvar,
     /// Lock-free mirror of `state.pending`, so idle workers can
     /// spin-poll for work without taking the control lock — and without
     /// the submitter paying a futex syscall to wake them. On
@@ -149,15 +147,11 @@ struct Control {
     /// Workers currently parked in `ready.wait` (mutated under the
     /// control lock; read by submitters to size their wakeups).
     ready_waiters: AtomicUsize,
-    /// Threads parked in `drain` on the `idle` condvar.
-    idle_waiters: AtomicUsize,
 }
 
 struct ControlState {
     /// Jobs pushed to some deque but not yet reserved by a worker.
     pending: usize,
-    /// Workers that reserved a job and have not finished running it.
-    active: usize,
     shutdown: bool,
 }
 
@@ -181,7 +175,7 @@ thread_local! {
     /// The pool id the current thread is a worker of (0 = none). A
     /// nested [`WorkerPool::run`] on the *same* pool inlines; runs on
     /// other pools — or from non-pool threads like the serving layer's
-    /// refinement stage — enqueue normally.
+    /// batcher — enqueue normally.
     static IN_POOL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -217,14 +211,11 @@ impl WorkerPool {
             control: Control {
                 state: Mutex::new(ControlState {
                     pending: 0,
-                    active: 0,
                     shutdown: false,
                 }),
                 ready: Condvar::new(),
-                idle: Condvar::new(),
                 pending_hint: AtomicUsize::new(0),
                 ready_waiters: AtomicUsize::new(0),
-                idle_waiters: AtomicUsize::new(0),
             },
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
@@ -243,31 +234,6 @@ impl WorkerPool {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Blocks until the pool is quiescent: no pending job and no worker
-    /// mid-job. The serving layer's shutdown path calls this after the
-    /// last batch returns, guaranteeing no pooled work is still running
-    /// when shutdown completes.
-    ///
-    /// Quiescence is instantaneous — a caller submitting concurrently
-    /// with `drain` can make the pool busy again right after it returns.
-    /// Callers that need a stable answer (shutdown paths) must first
-    /// stop submitting.
-    pub fn drain(&self) {
-        let control = &self.shared.control;
-        let mut state = control
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !(state.pending == 0 && state.active == 0) {
-            control.idle_waiters.fetch_add(1, Ordering::Relaxed);
-            state = control
-                .idle
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            control.idle_waiters.fetch_sub(1, Ordering::Relaxed);
-        }
     }
 
     /// Runs `f(0), f(1), …, f(n-1)` on the pool and returns the results
@@ -395,7 +361,6 @@ impl WorkerPool {
                     if state.pending > 0 {
                         state.pending -= 1;
                         control.pending_hint.store(state.pending, Ordering::Release);
-                        state.active += 1;
                         true
                     } else {
                         false
@@ -406,7 +371,6 @@ impl WorkerPool {
                 }
                 let job = find_job(&self.shared, None);
                 job();
-                finish_job(control);
             }
             latch.wait();
         }
@@ -526,22 +490,6 @@ impl Latch {
     }
 }
 
-/// Bookkeeping after running a reserved job, shared by workers and
-/// participating submitters: drop the active reservation and, when the
-/// pool just went quiescent with someone blocked in [`WorkerPool::drain`],
-/// wake them (guarded — the notify syscall is only paid for real
-/// waiters).
-fn finish_job(control: &Control) {
-    let mut state = control
-        .state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    state.active -= 1;
-    if state.pending == 0 && state.active == 0 && control.idle_waiters.load(Ordering::Relaxed) > 0 {
-        control.idle.notify_all();
-    }
-}
-
 /// Pops the next job for `me` (`Some(worker)` for a pool worker, `None`
 /// for a participating submitter with no deque of its own): the own
 /// deque's front first (home-affine, FIFO within a shard), otherwise
@@ -615,7 +563,6 @@ fn worker_loop(shared: &Shared, me: usize, bind_cores: bool) {
                 if state.pending > 0 {
                     state.pending -= 1;
                     control.pending_hint.store(state.pending, Ordering::Release);
-                    state.active += 1;
                     break true;
                 }
                 if state.shutdown {
@@ -640,7 +587,6 @@ fn worker_loop(shared: &Shared, me: usize, bind_cores: bool) {
         // …then go find it: home deque first, steal otherwise.
         let job = find_job(shared, Some(me));
         job();
-        finish_job(control);
     }
 }
 
@@ -800,49 +746,5 @@ mod tests {
         if let Some(&first) = cores.first() {
             let _ = first;
         }
-    }
-
-    #[test]
-    fn drain_on_idle_pool_returns_immediately() {
-        let pool = WorkerPool::new(2);
-        pool.drain();
-        pool.run(4, |i| i);
-        pool.drain();
-    }
-
-    #[test]
-    fn drain_waits_for_in_flight_jobs() {
-        use std::sync::mpsc;
-        let pool = std::sync::Arc::new(WorkerPool::new(2));
-        let completed = std::sync::Arc::new(AtomicUsize::new(0));
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-
-        let runner = {
-            let pool = std::sync::Arc::clone(&pool);
-            let completed = std::sync::Arc::clone(&completed);
-            std::thread::spawn(move || {
-                pool.run(8, |_| {
-                    started_tx.send(()).expect("started signal");
-                    release_rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv()
-                        .expect("release signal");
-                    completed.fetch_add(1, Ordering::SeqCst);
-                });
-            })
-        };
-
-        // At least one job is mid-execution (it told us so); release them
-        // all, then drain must not return before every job finished.
-        started_rx.recv().expect("a job started");
-        for _ in 0..8 {
-            release_tx.send(()).expect("release");
-        }
-        pool.drain();
-        assert_eq!(completed.load(Ordering::SeqCst), 8);
-        runner.join().expect("runner thread");
     }
 }

@@ -51,9 +51,6 @@ fn main() {
         ServeConfig {
             max_batch: 16,
             queue_capacity: 256,
-            // Overlap refinement of one flush with filtering of the
-            // next (0 = single-stage execution).
-            pipeline_depth: 2,
             result_cache_entries: 0,
             negative_cache: false,
         },
@@ -121,7 +118,6 @@ fn main() {
         ServeConfig {
             max_batch: 64,
             queue_capacity: 4,
-            pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         },

@@ -151,7 +151,6 @@ fn serve_harness() -> &'static ServeHarness {
         let base = ServeConfig {
             max_batch: 1,
             queue_capacity: 64,
-            pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         };
@@ -267,7 +266,6 @@ fn publish_invalidates_a_hot_cached_answer() {
     let base = ServeConfig {
         max_batch: 1,
         queue_capacity: 64,
-        pipeline_depth: 0,
         result_cache_entries: 0,
         negative_cache: false,
     };

@@ -71,7 +71,6 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
         ServeConfig {
             max_batch: 2,
             queue_capacity: 2,
-            pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         },
@@ -168,7 +167,6 @@ fn panicking_scorer_poisons_only_its_batch() {
         ServeConfig {
             max_batch: 2,
             queue_capacity: 8,
-            pipeline_depth: 0,
             result_cache_entries: 0,
             negative_cache: false,
         },

@@ -1,9 +1,8 @@
 //! Serving-layer parity: queries submitted concurrently through
 //! `ServeEngine` by many client threads receive **bit-identical**
-//! ids and scores to the same queries answered one at a time by
-//! `SemaSkEngine::query` — across batch caps {1, 16, 64}, shard
-//! counts {1, 4}, and both single-stage and pipelined (two-stage)
-//! execution.
+//! ids, scores and reasons to the same queries answered one at a time
+//! by `SemaSkEngine::query` — across batch caps {1, 16, 64}, shard
+//! counts {1, 4}, and the SemaSK-EM and full (LLM-refined) variants.
 //!
 //! Micro-batch composition is scheduling-dependent (a batch is whatever
 //! queued while the executor was busy), but the answers must not be: a
@@ -14,7 +13,9 @@
 
 use std::sync::Arc;
 
-use semask::{prepare_city, PlannerConfig, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+use semask::{
+    prepare_city, PlannerConfig, PreparedCity, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
+};
 use semask_serve::{ServeConfig, ServeEngine};
 
 /// The mixed workload: generated per-city queries (distinct ranges)
@@ -52,7 +53,27 @@ fn workload(data: &datagen::CityData) -> Vec<SemaSkQuery> {
     queries
 }
 
-fn engine_with_shards(shards: usize) -> (Arc<SemaSkEngine>, datagen::CityData) {
+/// One prepared city at `shards` slices, with what an engine of either
+/// variant is built from.
+struct World {
+    data: datagen::CityData,
+    prepared: Arc<PreparedCity>,
+    llm: Arc<llm::SimLlm>,
+    config: SemaSkConfig,
+}
+
+impl World {
+    fn engine(&self, variant: Variant) -> Arc<SemaSkEngine> {
+        Arc::new(SemaSkEngine::new(
+            Arc::clone(&self.prepared),
+            Arc::clone(&self.llm),
+            self.config.clone(),
+            variant,
+        ))
+    }
+}
+
+fn world_with_shards(shards: usize) -> World {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 17);
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
@@ -68,124 +89,126 @@ fn engine_with_shards(shards: usize) -> (Arc<SemaSkEngine>, datagen::CityData) {
         ..SemaSkConfig::default()
     };
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
-    (
-        Arc::new(SemaSkEngine::new(
-            prepared,
-            llm,
-            config,
-            Variant::EmbeddingOnly,
-        )),
+    World {
         data,
-    )
+        prepared,
+        llm,
+        config,
+    }
 }
 
-/// The bit-comparable signature of an outcome: POI ids, score bits, and
-/// recommendation flags in order.
-type Signature = Vec<(u32, u32, bool)>;
+/// The bit-comparable signature of an outcome: POI ids, score bits,
+/// recommendation flags and reasons in order — the reason is the
+/// re-rank's own words, so a refinement that differs shows.
+type Signature = Vec<(u32, u32, bool, String)>;
 
 fn signature(outcome: &semask::QueryOutcome) -> Signature {
     outcome
         .pois
         .iter()
-        .map(|p| (p.id.0, p.embed_score.to_bits(), p.recommended))
+        .map(|p| {
+            (
+                p.id.0,
+                p.embed_score.to_bits(),
+                p.recommended,
+                p.reason.clone(),
+            )
+        })
         .collect()
 }
 
 #[test]
 fn concurrent_serving_matches_sequential_queries() {
     for shards in [1usize, 4] {
-        let (engine, data) = engine_with_shards(shards);
-        let queries = workload(&data);
-        let reference: Vec<Signature> = queries
-            .iter()
-            .map(|q| signature(&engine.query(q).expect("sequential query")))
-            .collect();
+        let world = world_with_shards(shards);
+        let queries = workload(&world.data);
+        for variant in [Variant::EmbeddingOnly, Variant::Full] {
+            let engine = world.engine(variant);
+            let reference: Vec<Signature> = queries
+                .iter()
+                .map(|q| signature(&engine.query(q).expect("sequential query")))
+                .collect();
+            if variant == Variant::Full {
+                assert!(
+                    reference.iter().flatten().any(|poi| !poi.2),
+                    "the re-rank must demote something, or Full pins no more than EM"
+                );
+            }
 
-        // Depth 0 = single-stage flushes; depth 2 = refinement of flush
-        // N overlaps filtering of flush N+1 on the refiner thread. The
-        // overlap must be invisible in the answers.
-        for (max_batch, pipeline_depth) in [(1usize, 0usize), (16, 0), (16, 2), (64, 0), (64, 2)] {
-            let serve = ServeEngine::new(
-                Arc::clone(&engine),
-                ServeConfig {
-                    max_batch,
-                    queue_capacity: queries.len().max(64),
-                    pipeline_depth,
-                    result_cache_entries: 0,
-                    negative_cache: false,
-                },
-            );
+            for max_batch in [1usize, 16, 64] {
+                let serve = ServeEngine::new(
+                    Arc::clone(&engine),
+                    ServeConfig {
+                        max_batch,
+                        queue_capacity: queries.len().max(64),
+                        result_cache_entries: 0,
+                        negative_cache: false,
+                    },
+                );
 
-            // 4 client threads submit interleaved slices of the workload
-            // concurrently and wait on their own tickets.
-            const CLIENTS: usize = 4;
-            let served: Vec<(usize, Signature)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|c| {
-                        let serve = &serve;
-                        let queries = &queries;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for (i, q) in queries.iter().enumerate() {
-                                if i % CLIENTS != c {
-                                    continue;
+                // 4 client threads submit interleaved slices of the workload
+                // concurrently and wait on their own tickets.
+                const CLIENTS: usize = 4;
+                let served: Vec<(usize, Signature)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..CLIENTS)
+                        .map(|c| {
+                            let serve = &serve;
+                            let queries = &queries;
+                            scope.spawn(move || {
+                                let mut out = Vec::new();
+                                for (i, q) in queries.iter().enumerate() {
+                                    if i % CLIENTS != c {
+                                        continue;
+                                    }
+                                    let ticket =
+                                        serve.submit(q.clone()).expect("capacity covers workload");
+                                    let outcome = ticket.wait().expect("served");
+                                    out.push((i, signature(&outcome)));
                                 }
-                                let ticket =
-                                    serve.submit(q.clone()).expect("capacity covers workload");
-                                let outcome = ticket.wait().expect("served");
-                                out.push((i, signature(&outcome)));
-                            }
-                            out
+                                out
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("client thread"))
-                    .collect()
-            });
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("client thread"))
+                        .collect()
+                });
 
-            assert_eq!(
-                served.len(),
-                queries.len(),
-                "every submitted query answered \
-                 (shards {shards}, cap {max_batch}, depth {pipeline_depth})"
-            );
-            for (i, sig) in &served {
                 assert_eq!(
-                    sig, &reference[*i],
-                    "query {i} diverged from the sequential reference \
-                     (shards {shards}, cap {max_batch}, depth {pipeline_depth})"
+                    served.len(),
+                    queries.len(),
+                    "every submitted query answered \
+                     (shards {shards}, cap {max_batch}, {variant:?})"
                 );
-            }
-            assert!(
-                reference.iter().filter(|sig| !sig.is_empty()).count() > queries.len() / 2,
-                "parity would be vacuous if most answers were empty"
-            );
+                for (i, sig) in &served {
+                    assert_eq!(
+                        sig, &reference[*i],
+                        "query {i} diverged from the sequential reference \
+                         (shards {shards}, cap {max_batch}, {variant:?})"
+                    );
+                }
+                assert!(
+                    reference.iter().filter(|sig| !sig.is_empty()).count() > queries.len() / 2,
+                    "parity would be vacuous if most answers were empty"
+                );
 
-            serve.shutdown();
-            let m = serve.metrics();
-            assert_eq!(m.accepted, queries.len() as u64);
-            assert_eq!(m.served, queries.len() as u64);
-            assert_eq!(m.shed, 0);
-            assert_eq!(m.failed, 0);
-            assert!(m.max_batch <= max_batch as u64);
-            if pipeline_depth > 0 {
-                assert_eq!(
-                    m.pipelined_batches, m.batches,
-                    "the engine has a split mode, so every flush must overlap"
+                serve.shutdown();
+                let m = serve.metrics();
+                assert_eq!(m.accepted, queries.len() as u64);
+                assert_eq!(m.served, queries.len() as u64);
+                assert_eq!(m.shed, 0);
+                assert_eq!(m.failed, 0);
+                assert!(m.max_batch <= max_batch as u64);
+                // Planner observability flows through serving: calibrated
+                // plans carry nonzero predictions, and actual filtering
+                // time accumulates next to them.
+                assert!(
+                    m.misprediction_ratio().is_some(),
+                    "served queries must accumulate predicted filtering cost"
                 );
-            } else {
-                assert_eq!(m.pipelined_batches, 0);
+                assert!(!m.actual_filter.is_zero());
             }
-            // Planner observability flows through serving: calibrated
-            // plans carry nonzero predictions, and actual filtering
-            // time accumulates next to them.
-            assert!(
-                m.misprediction_ratio().is_some(),
-                "served queries must accumulate predicted filtering cost"
-            );
-            assert!(!m.actual_filter.is_zero());
         }
     }
 }

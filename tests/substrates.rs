@@ -4,7 +4,7 @@
 use embed::{Embedder, SemanticEmbedder};
 use geotext::BoundingBox;
 use serde_json::json;
-use spatial::{GridIndex, IrTree, Item, RTree, SpatialKeywordQuery};
+use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
 use vecdb::{CollectionConfig, Filter, Payload, SearchParams, VectorDb};
 
 fn city() -> datagen::CityData {
@@ -19,19 +19,15 @@ fn rtree_grid_and_scan_agree_on_generated_city() {
         .iter()
         .map(|o| Item::new(o.id, o.location))
         .collect();
-    let rtree = RTree::bulk_load(items.clone());
     let grid = GridIndex::build(items, 16).expect("grid");
     for i in 0..5 {
         let c = data.city.center().offset_km(i as f64 - 2.0, 2.0 - i as f64);
         let range = BoundingBox::from_center_km(c, 5.0, 5.0);
-        let mut a = rtree.range_query(&range);
-        let mut b = grid.range_query(&range);
-        let mut c2 = data.dataset.range_scan(&range);
-        a.sort();
-        b.sort();
-        c2.sort();
-        assert_eq!(a, b);
-        assert_eq!(a, c2);
+        let mut indexed = grid.range_query(&range);
+        let mut scanned = data.dataset.range_scan(&range);
+        indexed.sort();
+        scanned.sort();
+        assert_eq!(indexed, scanned);
     }
 }
 
