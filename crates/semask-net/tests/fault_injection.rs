@@ -289,7 +289,6 @@ fn cache_hit_flood_shares_admission_fairly() {
             queue_capacity: 64,
             result_cache_entries: 128,
             negative_cache: true,
-            ..ServeConfig::default()
         },
     ));
     let mut server = ServeServer::bind(
