@@ -4,7 +4,8 @@
 //! bench workload (same city, seed, and mid range as
 //! `benches/planner.rs`) — what grouping buys on the one filtering path —
 //! plus one exact-scan query fanned over 4 shards on the shared worker
-//! pool.
+//! pool, and N `SemaSkEngine::query` calls vs one `query_batch` of N over
+//! distinct ranges — what a batch is worth when it shares nothing.
 //!
 //! The recorded baseline lives in `BENCH_batch.json` at the repo root;
 //! regenerate it with `cargo bench --bench batch` after touching the
@@ -17,7 +18,9 @@ use std::sync::Arc;
 use embed::Embedder;
 use llm::SimLlm;
 use semask::sharded::CandidateSource;
-use semask::{prepare_city, PlannedQuery, RetrievalBackend, SemaSkConfig};
+use semask::{
+    prepare_city, PlannedQuery, RetrievalBackend, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
+};
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -33,7 +36,7 @@ const QUERY_TEXTS: [&str; 8] = [
 fn bench_batch(c: &mut Criterion) {
     let data = datagen::poi::generate_city(&datagen::CITIES[3], 1790, 7);
     let llm = Arc::new(SimLlm::new());
-    let prepared = prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep");
+    let prepared = Arc::new(prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep"));
     let collection = prepared
         .db
         .collection(&prepared.collection_name)
@@ -114,6 +117,42 @@ fn bench_batch(c: &mut Criterion) {
             )
         });
     });
+
+    // The whole engine (embed, plan, retrieve, refine; `EmbeddingOnly`)
+    // over 64 distinct ranges from 2 km to the whole city: no two
+    // queries share a plan or a candidate set, so the batch can only win
+    // by running queries side by side — and must not lose to N calls.
+    let engine = SemaSkEngine::new(
+        Arc::clone(&prepared),
+        llm,
+        SemaSkConfig::default(),
+        Variant::EmbeddingOnly,
+    );
+    let distinct: Vec<SemaSkQuery> = (0..64)
+        .map(|i| {
+            let shift = 0.001 * i as f64;
+            let centre = geotext::GeoPoint::new(center.lat + shift, center.lon - shift)
+                .expect("a jittered in-city coordinate");
+            let km = [2.0, 5.0, 8.0, 40.0][i % 4];
+            SemaSkQuery::new(
+                geotext::BoundingBox::from_center_km(centre, km, km),
+                format!("{i}: {}", QUERY_TEXTS[i % QUERY_TEXTS.len()]),
+            )
+        })
+        .collect();
+    for m in [16usize, 64] {
+        let slice = &distinct[..m];
+        group.bench_function(format!("engine/sequential-{m}"), |b| {
+            b.iter(|| {
+                for q in slice {
+                    black_box(engine.query(q).expect("query"));
+                }
+            });
+        });
+        group.bench_function(format!("engine/batched-{m}"), |b| {
+            b.iter(|| black_box(engine.query_batch(slice).expect("batch")));
+        });
+    }
     group.finish();
 }
 

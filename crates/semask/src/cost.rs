@@ -11,9 +11,9 @@
 //! measured filtering latency back into per-strategy scale factors
 //! (EWMA), so the model tracks the machine it is actually running on.
 //!
-//! Concurrency: plans are read on the serving batcher thread and inside
-//! `retrieve_batch` groups while observations stream in from finished
-//! queries. The mutable half of the model (the per-strategy scales)
+//! Concurrency: plans are read on every lane of a `query_batch` — the
+//! submitting thread and the pool's workers — while observations stream
+//! in from the queries finishing beside them. The mutable half of the model (the per-strategy scales)
 //! lives in a [`ScaleCell`] — a seqlock whose readers are lock-free and
 //! always see a *consistent* snapshot, so concurrent planners never
 //! compare costs from two different model generations.

@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,7 +17,7 @@ use crate::config::SemaSkConfig;
 use crate::live::Overlay;
 use crate::prep::PreparedCity;
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
-use crate::retrieval::RetrievalError;
+use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
 use crate::wal::{Mutation, PoiSpec, PoiUpdate};
 
 /// The system variants evaluated in the paper's Table 2.
@@ -113,15 +114,52 @@ impl From<LlmError> for EngineError {
     }
 }
 
-/// One query's filtering output: candidates in embedding order, the
-/// latency template its refinement will complete, and the mutation-epoch
-/// overlay captured while the filter gate was held — refinement resolves
-/// objects through it so a concurrent writer can never make one query
-/// mix two epochs' views.
+/// One query's filtering output: candidates in embedding order and the
+/// latency template its refinement will complete.
 struct FilteredQuery {
     candidates: Vec<(ObjectId, f32)>,
     latency: LatencyBreakdown,
-    view: Arc<Overlay>,
+}
+
+/// How many lanes a batch of `units` units runs on: one per unit, up to
+/// every pool worker plus the submitting thread, which helps. A single
+/// unit is one lane and never looks at the pool.
+fn lane_count(units: usize) -> usize {
+    if units <= 1 {
+        return units;
+    }
+    units.min(vecdb::pool::global().workers() + 1)
+}
+
+/// Runs `f(0), …, f(n-1)` on `lanes` lanes and returns the results in
+/// index order. More than one lane is that many jobs on the shared pool,
+/// each claiming the next index from one cursor until none is left — a
+/// long item occupies its lane, not the items a fixed split would have
+/// queued behind it. One lane is a loop on the caller: no pool call.
+fn run_lanes<T: Send>(lanes: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if lanes <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // A claim ticket: it publishes no data (inputs are borrowed by every
+    // lane, results return through the pool), so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let claimed = vecdb::pool::global().run(lanes, |_| {
+        let mut mine = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return mine;
+            }
+            mine.push((i, f(i)));
+        }
+    });
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, value) in claimed.into_iter().flatten() {
+        out[i] = Some(value);
+    }
+    out.into_iter()
+        .map(|value| value.expect("every index is claimed by exactly one lane"))
+        .collect()
 }
 
 /// The SemaSK query engine for one prepared city.
@@ -209,71 +247,118 @@ impl SemaSkEngine {
         Ok(outcomes.pop().expect("one outcome per query"))
     }
 
-    /// Answers a batch of queries, filter then refine: embeddings are
-    /// computed up front, the whole batch runs through
-    /// [`crate::retrieval::QueryPlanner::retrieve_batch`] (one plan and
-    /// one shared candidate set per distinct range group, one pass of
-    /// the scoring kernel, pooled execution), and each query is then
-    /// refined individually, in order.
+    /// Answers a batch of queries, filter then refine, fanning out once
+    /// per stage and by whole queries.
+    ///
+    /// The batch is partitioned into *units* — the queries sharing a
+    /// range (and this engine's `k`, `ef`) — and the units run on
+    /// `min(pool workers + 1, units)` lanes of [`vecdb::pool::global`],
+    /// each lane claiming the next unit until none is left. A lane takes
+    /// its unit the whole way: it embeds the unit's texts and runs them
+    /// through one [`crate::retrieval::QueryPlanner::retrieve_batch`], so
+    /// queries of one range still share one plan, one candidate set and
+    /// one pass of the scoring kernel, and keyword groups over it share
+    /// its spatial candidates. The submitting thread holds the mutation
+    /// gate's read side across that fan-out and captures the overlay once
+    /// inside it: the whole batch is planned, retrieved and later resolved
+    /// at one epoch. A second fan-out over the queries then refines each
+    /// against that overlay with the gate released, so a slow re-rank
+    /// never blocks a writer. A batch of one unit — every
+    /// [`SemaSkEngine::query`] — is one lane: it runs on the caller and
+    /// touches no pool.
     ///
     /// A query's answer does not depend on the queries submitted with
     /// it. Each outcome's [`LatencyBreakdown::filtering_ms`] reports the
-    /// query's equal share of the batch's measured filtering wall clock
-    /// (the work is genuinely amortized and cannot be attributed per
-    /// query — a share of one is the whole); refinement latency is per
+    /// query's equal share of the batch's filtering wall clock, measured
+    /// around the first fan-out (the lanes overlap, so the work cannot be
+    /// attributed per query — a share of one is the whole);
+    /// [`LatencyBreakdown::retrieval_ms`] is the query's equal share of
+    /// its own unit's retrieval time, and refinement latency is per
     /// query.
     ///
     /// # Errors
-    /// Propagates the first filtering or refinement failure.
+    /// A filtering failure before any refinement failure; within a stage,
+    /// the failure of the lowest query index, whichever lane met it.
     pub fn query_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-        queries
-            .iter()
-            .zip(self.filter_batch(queries)?)
-            .map(|(q, item)| {
-                self.refine_with_view(&q.text, item.candidates, item.latency, &item.view)
-            })
-            .collect()
-    }
-
-    /// The one filtering body: embeds every query and runs the whole
-    /// batch through the planner, returning one candidate list and
-    /// latency template per query, aligned with `queries`.
-    fn filter_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<FilteredQuery>, EngineError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
+        let units = group_indices(
+            queries
+                .iter()
+                .map(|q| BatchGroupKey::new(&q.range, self.config.k, self.config.ef)),
+        );
+        let lanes = lane_count(units.len());
+
         // ---- Filtering (measured wall clock, shared) ----
         let t0 = Instant::now();
-        let planned_queries: Vec<crate::retrieval::PlannedQuery> = queries
+        // The mutation gate is held for exactly the filter window: the
+        // plans, the candidate retrieval, and the overlay capture happen
+        // at one epoch for the whole batch, whichever threads run the
+        // lanes. Refinement (the slow LLM call) runs outside the gate
+        // against the captured view, so it never blocks writers.
+        let (filtered_units, view) = {
+            let _gate = self.prepared.live.gate_read();
+            let filtered = run_lanes(lanes, units.len(), |u| self.filter_unit(queries, &units[u]));
+            (filtered, self.prepared.live.overlay())
+        };
+        let share_ms = t0.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
+        // Units are in order of their first query, so the first failed
+        // unit here is the one holding the lowest failed query index.
+        let mut filtered: Vec<Option<FilteredQuery>> = queries.iter().map(|_| None).collect();
+        for (members, unit) in units.iter().zip(filtered_units) {
+            for (&i, mut item) in members.iter().zip(unit?) {
+                item.latency.filtering_ms = share_ms;
+                filtered[i] = Some(item);
+            }
+        }
+        let filtered: Vec<FilteredQuery> = filtered
+            .into_iter()
+            .map(|item| item.expect("every query belongs to exactly one unit"))
+            .collect();
+
+        // ---- Refinement (per query, gate released) ----
+        run_lanes(lanes, queries.len(), |i| {
+            let item = &filtered[i];
+            self.refine_with_view(&queries[i].text, &item.candidates, &item.latency, &view)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The filtering body of one unit (`members` index `queries` and
+    /// share a range): embeds each text and runs the unit through the
+    /// planner, returning one candidate list and latency template per
+    /// member, in `members` order. The caller holds the mutation gate.
+    fn filter_unit(
+        &self,
+        queries: &[SemaSkQuery],
+        members: &[usize],
+    ) -> Result<Vec<FilteredQuery>, EngineError> {
+        let planned_queries: Vec<PlannedQuery> = members
             .iter()
-            .map(|q| crate::retrieval::PlannedQuery {
-                vec: self.prepared.embedder.embed(&q.text),
-                range: q.range,
-                k: self.config.k,
-                ef: self.config.ef,
-                keywords: q.keywords.clone(),
+            .map(|&i| {
+                let q = &queries[i];
+                PlannedQuery {
+                    vec: self.prepared.embedder.embed(&q.text),
+                    range: q.range,
+                    k: self.config.k,
+                    ef: self.config.ef,
+                    keywords: q.keywords.clone(),
+                }
             })
             .collect();
         let t_retrieval = Instant::now();
-        // The mutation gate is held for exactly the filter window: the
-        // plans, the candidate retrieval, and the overlay capture happen
-        // at one epoch for the whole batch. Refinement (the slow LLM
-        // call) runs outside the gate against the captured view, so it
-        // never blocks writers.
-        let (batch, view) = {
-            let _gate = self.prepared.live.gate_read();
-            let batch = self.prepared.filtered_knn_batch(&planned_queries)?;
-            (batch, self.prepared.live.overlay())
-        };
+        let batch = self.prepared.filtered_knn_batch(&planned_queries)?;
         let retrieval_share_ms =
-            t_retrieval.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
-        let share_ms = t0.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
+            t_retrieval.elapsed().as_secs_f64() * 1000.0 / members.len() as f64;
 
         Ok(batch
             .into_iter()
             .map(|mut planned| {
                 let latency = LatencyBreakdown {
-                    filtering_ms: share_ms,
+                    // The batch's share, known once every lane is back.
+                    filtering_ms: 0.0,
                     retrieval_ms: retrieval_share_ms,
                     refinement_ms: 0.0,
                     filter_strategy: Some(planned.strategy),
@@ -292,7 +377,6 @@ impl SemaSkEngine {
                 FilteredQuery {
                     candidates,
                     latency,
-                    view: Arc::clone(&view),
                 }
             })
             .collect())
@@ -319,7 +403,7 @@ impl SemaSkEngine {
         latency: LatencyBreakdown,
     ) -> Result<QueryOutcome, EngineError> {
         let view = self.prepared.live.overlay();
-        self.refine_with_view(text, candidates, latency, &view)
+        self.refine_with_view(text, &candidates, &latency, &view)
     }
 
     /// [`SemaSkEngine::refine_candidates`] against an explicit overlay
@@ -329,12 +413,17 @@ impl SemaSkEngine {
     fn refine_with_view(
         &self,
         text: &str,
-        mut candidates: Vec<(ObjectId, f32)>,
-        latency: LatencyBreakdown,
+        candidates: &[(ObjectId, f32)],
+        latency: &LatencyBreakdown,
         view: &Overlay,
     ) -> Result<QueryOutcome, EngineError> {
         let base = self.prepared.dataset.as_ref();
-        candidates.retain(|&(id, _)| view.is_live(base, id));
+        let candidates: Vec<(ObjectId, f32)> = candidates
+            .iter()
+            .copied()
+            .filter(|&(id, _)| view.is_live(base, id))
+            .collect();
+        let latency = latency.clone();
         let resolve = |id: ObjectId| -> &GeoTextObject {
             view.get(base, id).expect("candidates filtered to live ids")
         };

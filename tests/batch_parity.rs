@@ -12,6 +12,12 @@
 //! - every exact strategy answers a 17-query slice exactly like the
 //!   brute-force `vecdb::FlatIndex` scan;
 //! - a group of one feeds the online cost model per shard;
+//! - an engine batch fans out by whole queries: mixed batches of distinct
+//!   and shared ranges, keyword-filtered and provably empty ones, at
+//!   sizes {2, 3, 16, 64} × shards {1, 4} × {`EmbeddingOnly`, `Full`}
+//!   answer exactly as N calls to `query`, report one `filtering_ms`
+//!   per batch, fail with the error of the lowest query index, and stay
+//!   correct when four threads submit at once;
 //! - the perf ledger's configuration (metro world, quantized tier, FSST
 //!   payloads) answers a batch of 64 like 64 batches of one at engine
 //!   level, and its exact strategy returns the top 10 of a naive `f64`
@@ -24,8 +30,8 @@ use std::sync::Arc;
 use embed::Embedder;
 use semask::retrieval::RetrievalStrategy;
 use semask::{
-    prepare_city, CostModel, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner,
-    SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
+    prepare_city, CostModel, EngineError, PlannedQuery, PlannedRetrieval, PlannerConfig,
+    QueryOutcome, QueryPlanner, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
 use vecdb::ScoredPoint;
 
@@ -355,12 +361,7 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
     };
     let prepared =
         Arc::new(semask::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep"));
-    let word = prepared.dataset.objects()[17]
-        .to_document()
-        .split_whitespace()
-        .find(|w| w.len() >= 4 && w.chars().all(char::is_alphabetic))
-        .expect("a plain corpus word")
-        .to_owned();
+    let word = common::corpus_word(&prepared.dataset, 17);
     let engine = SemaSkEngine::new(Arc::clone(&prepared), llm, config, Variant::EmbeddingOnly);
 
     let texts = [
@@ -479,4 +480,200 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
         assert_eq!(got, want, "query {i} vs the f64 reference");
     }
     assert!(decided >= 48, "the reference decided only {decided} of 64");
+}
+
+/// Engines of both refinement kinds over one city prepared at `shards`
+/// slices, on given coefficients (a `Fixed` planner never observes, so
+/// every pass plans against the same model), plus a word of the corpus.
+fn engines(shards: usize) -> (SemaSkEngine, SemaSkEngine, String) {
+    let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 77);
+    let llm = Arc::new(llm::SimLlm::new());
+    let config = SemaSkConfig {
+        planner: PlannerConfig {
+            shards,
+            cost_model: common::banded(),
+            online_updates: false,
+        },
+        ..SemaSkConfig::default()
+    };
+    let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
+    let word = common::corpus_word(&prepared.dataset, 3);
+    let engine = |variant| {
+        SemaSkEngine::new(
+            Arc::clone(&prepared),
+            Arc::clone(&llm),
+            config.clone(),
+            variant,
+        )
+    };
+    (engine(Variant::EmbeddingOnly), engine(Variant::Full), word)
+}
+
+/// A batch of `n` queries over mixed ranges: 2 km and 5 km boxes on
+/// centres that differ per query, and the whole city for every third —
+/// one range shared by several queries, some of them keyword-filtered.
+/// One query in four carries a corpus word, one in eight a word no
+/// document holds (provably empty), and from three queries up the last
+/// repeats the first one's range.
+fn mixed_engine_batch(engine: &SemaSkEngine, word: &str, n: usize) -> Vec<SemaSkQuery> {
+    let prepared = engine.prepared();
+    let center = prepared.city.center();
+    let texts = [
+        "cozy coffee with pastries",
+        "craft beer and live music",
+        "ramen with a long line",
+        "quiet bookstore cafe",
+        "late night tacos",
+    ];
+    let range_of = |i: usize| {
+        let shifted = geotext::GeoPoint::new(
+            center.lat + 0.0015 * (i / 3) as f64,
+            center.lon - 0.0015 * (i / 3) as f64,
+        )
+        .expect("a jittered in-city coordinate");
+        match i % 3 {
+            0 => geotext::BoundingBox::from_center_km(shifted, 2.0, 2.0),
+            1 => geotext::BoundingBox::from_center_km(shifted, 5.0, 5.0),
+            _ => prepared.dataset.bounds().expect("non-empty dataset"),
+        }
+    };
+    (0..n)
+        .map(|i| {
+            let range = range_of(if n >= 3 && i == n - 1 { 0 } else { i });
+            let q = SemaSkQuery::new(range, format!("{i}: {}", texts[i % texts.len()]));
+            match i % 8 {
+                1 | 5 => q.with_keywords(word),
+                6 => q.with_keywords("zzzunknowntoken"),
+                _ => q,
+            }
+        })
+        .collect()
+}
+
+/// Everything of an outcome that is an answer rather than a timing.
+fn answer_of(out: &QueryOutcome) -> impl PartialEq + std::fmt::Debug {
+    let pois: Vec<(u32, u32, bool, String)> = out
+        .pois
+        .iter()
+        .map(|p| {
+            (
+                p.id.0,
+                p.embed_score.to_bits(),
+                p.recommended,
+                p.reason.clone(),
+            )
+        })
+        .collect();
+    (
+        pois,
+        out.latency.filter_strategy,
+        out.latency.shard_candidates.clone(),
+    )
+}
+
+#[test]
+fn mixed_engine_batches_answer_like_sequential_queries() {
+    for shards in SHARD_COUNTS {
+        let (em, full, word) = engines(shards);
+        for engine in [&em, &full] {
+            for n in [2usize, 3, 16, 64] {
+                let context = format!("{:?} shards={shards} batch={n}", engine.variant());
+                let queries = mixed_engine_batch(engine, &word, n);
+                let batched = engine.query_batch(&queries).expect("batch");
+                assert_eq!(batched.len(), n, "{context}");
+                let mut strategies = std::collections::HashSet::new();
+                for (i, (q, b)) in queries.iter().zip(&batched).enumerate() {
+                    let single = engine.query(q).expect("query");
+                    assert_eq!(answer_of(b), answer_of(&single), "{context} query {i}");
+                    // One share of one wall clock for the whole batch.
+                    assert_eq!(
+                        b.latency.filtering_ms.to_bits(),
+                        batched[0].latency.filtering_ms.to_bits(),
+                        "{context} query {i}"
+                    );
+                    assert!(b.latency.filtering_ms > 0.0, "{context} query {i}");
+                    if i % 8 == 6 {
+                        assert!(engine.provably_empty(q) && b.pois.is_empty(), "{context}");
+                    }
+                    strategies.extend(b.latency.filter_strategy);
+                }
+                assert!(!batched[0].pois.is_empty(), "{context}");
+                if n >= 16 {
+                    assert!(strategies.len() >= 2, "{context}: {strategies:?}");
+                    assert!(!batched[1].pois.is_empty(), "{context}: `{word}` matches");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_failed_batch_reports_the_lowest_failed_query_index() {
+    // A query text can break the refinement prompt's framing two ways,
+    // each with its own error. Whichever lanes meet the two broken
+    // queries, and in whichever order, the batch fails with the error of
+    // the one submitted first.
+    let (_, full, word) = engines(1);
+    let no_query_section = "tacos\nInformation: [1";
+    let bad_poi_json = "tacos\nInformation: [1\nQuery: tacos";
+    let cause_of = |queries: &[SemaSkQuery]| match full.query_batch(queries) {
+        Err(EngineError::Llm(llm::LlmError::MalformedPrompt { cause })) => cause,
+        other => panic!("expected a malformed prompt, got {other:?}"),
+    };
+    for (early, late, expect) in [
+        (no_query_section, bad_poi_json, "missing Query section"),
+        (bad_poi_json, no_query_section, "bad POI JSON"),
+    ] {
+        let mut queries = mixed_engine_batch(&full, &word, 16);
+        // Two keyword-free queries over populated ranges of their own.
+        queries[3].text = early.to_owned();
+        queries[9].text = late.to_owned();
+        for _ in 0..20 {
+            let cause = cause_of(&queries);
+            assert!(cause.starts_with(expect), "`{cause}` is not `{expect}…`");
+        }
+    }
+}
+
+#[test]
+fn concurrent_submitters_each_get_their_own_batch_answered() {
+    // A submitter that helps may run another submitter's lane, and its
+    // own lanes may all run elsewhere: with units claimed from a cursor
+    // every batch must still come back whole and right.
+    const SUBMITTERS: usize = 4;
+    const ROUNDS: usize = 25;
+    let (em, _, word) = engines(1);
+    // 16 ranges per submitter, no two alike anywhere: the mixed batch
+    // without its whole-city queries and its range-repeating last one.
+    let whole_city = em.prepared().dataset.bounds().expect("bounds");
+    let mut distinct = mixed_engine_batch(&em, &word, 99);
+    distinct.pop();
+    distinct.retain(|q| q.range != whole_city);
+    let batches: Vec<&[SemaSkQuery]> = distinct.chunks(16).take(SUBMITTERS).collect();
+    assert!(batches.len() == SUBMITTERS && batches.iter().all(|b| b.len() == 16));
+    let expected: Vec<Vec<_>> = batches
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .map(|q| answer_of(&em.query(q).expect("query")))
+                .collect()
+        })
+        .collect();
+    let start = std::sync::Barrier::new(SUBMITTERS);
+    std::thread::scope(|scope| {
+        for (batch, expect) in batches.iter().zip(&expected) {
+            let (em, start) = (&em, &start);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    start.wait();
+                    let got = em.query_batch(batch).expect("batch");
+                    assert_eq!(got.len(), batch.len());
+                    for (i, (out, want)) in got.iter().zip(expect).enumerate() {
+                        assert_eq!(&answer_of(out), want, "round {round} query {i}");
+                    }
+                }
+            });
+        }
+    });
 }

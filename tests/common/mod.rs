@@ -52,3 +52,14 @@ pub fn banded() -> CostModel {
         ..Coefficients::default()
     })
 }
+
+/// A plain alphabetic word of at least four letters from object
+/// `index`'s document: a keyword filter that matches something.
+pub fn corpus_word(dataset: &geotext::Dataset, index: usize) -> String {
+    dataset.objects()[index]
+        .to_document()
+        .split_whitespace()
+        .find(|w| w.len() >= 4 && w.chars().all(char::is_alphabetic))
+        .expect("a plain corpus word")
+        .to_owned()
+}
