@@ -3,6 +3,10 @@
 //! frame decode — vs submitting to the same `ServeEngine` in process.
 //! The gap between `wire-64` and `inproc-64` is the protocol + socket
 //! overhead; both rows sit on the identical batch execution path.
+//! `wire-window-32` sends the same 64 requests the way a closed-loop
+//! client does — 32 in flight, one more per reply received — so its
+//! requests arrive one `write` at a time and its replies leave as they
+//! are answered, which the single packed burst of `wire-64` never does.
 //!
 //! Same city, seed, and grid-band range as `benches/serve.rs`, so the
 //! rows are comparable across files. SemaSK-EM keeps the measurement on
@@ -119,18 +123,58 @@ fn bench_net(c: &mut Criterion) {
         });
     });
 
+    // The flush-size gate at the end is about packed bursts: read the
+    // counters before the windowed row adds its many small flushes.
+    let m = serve.metrics();
+    let io = server.io_stats();
+
+    // The perf ledger's closed-loop shape: a window of 32 in flight,
+    // refilled one `send_request` per reply. Flushes are whatever
+    // queued while the executor was busy, so they are small and many;
+    // the row prices per-request writes, reader and writer wake-ups and
+    // how well replies answered together share a `write`.
+    const WINDOW: usize = 32;
+    group.bench_function("wire-window-32", |b| {
+        b.iter(|| {
+            let mut unsent = burst.iter();
+            for request in unsent.by_ref().take(WINDOW) {
+                client.send_request(request).expect("send");
+            }
+            for _ in 0..burst.len() {
+                black_box(client.recv_response().expect("response"));
+                if let Some(request) = unsent.next() {
+                    client.send_request(request).expect("send");
+                }
+            }
+        });
+    });
+
     group.finish();
     drop(client);
+    let windowed = server.io_stats();
     server.shutdown();
-    let m = serve.metrics();
     serve.shutdown();
     println!(
-        "serve behind the wire: batches {}, mean batch {:.1}, max batch {}, \
+        "serve behind the wire (through wire-64): batches {}, mean batch {:.1}, max batch {}, \
          mean queue wait {:.1} µs",
         m.batches,
         m.mean_batch_size(),
         m.max_batch,
         m.mean_queue_wait().as_secs_f64() * 1e6,
+    );
+    let per_call = |frames: u64, calls: u64| frames as f64 / calls.max(1) as f64;
+    println!(
+        "frames per read / per write: wire-64 {:.1} / {:.1}, wire-window-32 {:.1} / {:.1}",
+        per_call(io.frames_in, io.read_calls),
+        per_call(io.frames_out, io.write_calls),
+        per_call(
+            windowed.frames_in - io.frames_in,
+            windowed.read_calls - io.read_calls
+        ),
+        per_call(
+            windowed.frames_out - io.frames_out,
+            windowed.write_calls - io.write_calls
+        ),
     );
     // Regression gate on admission quality, not just latency: packed
     // bursts must actually fill flushes. The pre-burst client averaged

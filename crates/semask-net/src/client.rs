@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use semask_serve::api::{Request, Response};
 
-use crate::proto::{self, FrameKind, ProtoError};
+use crate::proto::{self, FrameKind, FrameReader, ProtoError};
 
 /// Connection policy for [`NetClient`].
 #[derive(Debug, Clone)]
@@ -41,7 +41,10 @@ impl Default for ClientConfig {
 
 /// One client connection to a [`crate::server::ServeServer`].
 pub struct NetClient {
-    stream: TcpStream,
+    /// Replies are read through the buffer (one `read` takes every
+    /// reply the socket holds); requests are written to the stream
+    /// inside it.
+    stream: FrameReader<TcpStream>,
 }
 
 impl NetClient {
@@ -59,7 +62,9 @@ impl NetClient {
                     Ok(stream) => {
                         stream.set_nodelay(true)?;
                         stream.set_read_timeout(Some(config.read_timeout))?;
-                        return Ok(Self { stream });
+                        return Ok(Self {
+                            stream: FrameReader::new(stream),
+                        });
                     }
                     Err(e) => last = e,
                 }
@@ -78,7 +83,7 @@ impl NetClient {
     /// [`ProtoError::Io`] when the connection broke.
     pub fn send_request(&mut self, request: &Request) -> Result<(), ProtoError> {
         proto::write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             FrameKind::Submit,
             request.id,
             &proto::encode_request(request),
@@ -86,14 +91,15 @@ impl NetClient {
     }
 
     /// Sends a whole burst of requests in **one** `write_all` (one
-    /// syscall, one TCP push) instead of one write per request. This is
-    /// what lets a pipelining client actually fill server batches: with
-    /// per-request writes and `TCP_NODELAY`, each request tends to
-    /// arrive as its own segment and the server's latency window
-    /// flushes sub-cap batches between them; a packed burst arrives
-    /// together, so the whole burst is eligible for one flush.
-    /// Responses still come back one per request, FIFO — drain with
-    /// [`NetClient::recv_response`].
+    /// syscall, one TCP push) instead of one write per request. The
+    /// server batches whatever queued while its executor was busy, so
+    /// how a burst arrives decides how it is batched: with per-request
+    /// writes and `TCP_NODELAY`, each request tends to arrive as its
+    /// own segment and the first ones leave in small flushes while the
+    /// rest are still on their way; a packed burst arrives together,
+    /// is taken off the socket by one `read`, and queues as a whole
+    /// behind at most one flush. Responses still come back one per
+    /// request, FIFO — drain with [`NetClient::recv_response`].
     ///
     /// # Errors
     /// [`ProtoError::Io`] when the connection broke; nothing is written
@@ -109,8 +115,9 @@ impl NetClient {
                 &proto::encode_request(request),
             )?;
         }
-        self.stream.write_all(&buf)?;
-        self.stream.flush()?;
+        let stream = self.stream.get_mut();
+        stream.write_all(&buf)?;
+        stream.flush()?;
         Ok(())
     }
 
@@ -118,10 +125,11 @@ impl NetClient {
     ///
     /// # Errors
     /// Timeouts surface as [`ProtoError::Io`] with
-    /// [`ProtoError::is_timeout`]; anything else means the connection is
-    /// unusable.
+    /// [`ProtoError::is_timeout`] (and lose nothing: a later call picks
+    /// the reply up where this one stopped); anything else means the
+    /// connection is unusable.
     pub fn recv_response(&mut self) -> Result<Response, ProtoError> {
-        let frame = proto::read_frame(&mut self.stream)?;
+        let frame = self.stream.next_frame()?;
         if frame.kind != FrameKind::SubmitReply {
             return Err(ProtoError::Malformed("expected a submit reply"));
         }
@@ -143,7 +151,7 @@ impl NetClient {
     /// # Errors
     /// [`ProtoError::Io`] when the socket rejects the option.
     pub fn set_read_timeout(&mut self, timeout: Duration) -> Result<(), ProtoError> {
-        self.stream.set_read_timeout(Some(timeout))?;
+        self.stream.get_ref().set_read_timeout(Some(timeout))?;
         Ok(())
     }
 }

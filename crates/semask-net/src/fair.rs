@@ -3,15 +3,45 @@
 //! The PR 4 serve layer admits strictly FIFO, so one hot client that
 //! floods the queue starves everyone else (the documented
 //! hot-client-starvation follow-up). [`FairGate`] fixes that at the
-//! network edge: each connection gets its own queue, and a single drain
-//! thread serves connections in rotation, taking up to the head item's
-//! *quantum* (derived from [`semask_serve::api::Priority`]) per turn.
-//! Combined with the per-connection in-flight cap in the server (which
-//! pushes back on the socket via unread bytes), no connection can
-//! monopolize admission no matter how fast it writes.
+//! network edge: each connection gets its own queue, and connections
+//! are served in rotation, up to the head item's *quantum* (derived
+//! from [`semask_serve::api::Priority`]) per turn. Combined with the
+//! per-connection in-flight cap in the server (which pushes back on the
+//! socket via unread bytes), no connection can monopolize admission no
+//! matter how fast it writes.
+//!
+//! The gate has no thread of its own. Whoever queues work also calls
+//! [`FairGate::serve`]; the first caller to find the gate idle takes the
+//! **baton** and runs turns until the gate is empty, and everyone who
+//! queues meanwhile returns at once — their items are served by the
+//! baton holder, in rotation. So the handler passed to `serve` never
+//! runs concurrently with itself, queued work always has a server, and a
+//! lone connection is served on its own thread with no hand-off at all.
+//!
+//! A holder that has served one full rotation offers the baton to the
+//! next caller of `serve` (and keeps serving until one comes), so under
+//! sustained load from several connections no thread is kept from its
+//! own socket for more than a rotation. The baton changes hands only
+//! *between* turns: a connection's items are handled strictly in push
+//! order, whichever threads handle them.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// Who is serving the gate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Baton {
+    /// Nobody: the next [`FairGate::serve`] caller takes it.
+    Down,
+    /// Some thread is in the turn loop and keeps the baton.
+    Held,
+    /// The holder has served a full rotation: the next `serve` caller
+    /// may claim the baton (the holder serves on until one does).
+    Offered,
+    /// A caller claimed the offered baton and waits for the turn in
+    /// progress to end.
+    Claimed,
+}
 
 struct GateState<T> {
     /// Per-connection FIFO of `(item, quantum)`.
@@ -19,12 +49,15 @@ struct GateState<T> {
     /// Round-robin rotation of connections that have queued items.
     order: VecDeque<u64>,
     closed: bool,
+    baton: Baton,
 }
 
-/// A blocking multi-producer queue that drains fairly across producers.
+/// A multi-producer queue that is served fairly across producers, by
+/// the producers themselves.
 pub struct FairGate<T> {
     state: Mutex<GateState<T>>,
-    ready: Condvar,
+    /// Signalled when the baton is passed on or put down.
+    baton_moved: Condvar,
 }
 
 impl<T> Default for FairGate<T> {
@@ -42,15 +75,22 @@ impl<T> FairGate<T> {
                 queues: HashMap::new(),
                 order: VecDeque::new(),
                 closed: false,
+                baton: Baton::Down,
             }),
-            ready: Condvar::new(),
+            baton_moved: Condvar::new(),
         }
     }
 
-    /// Enqueues `item` for `conn` with the given drain quantum. Returns
-    /// `false` (dropping the item) once the gate is closed.
+    fn lock(&self) -> MutexGuard<'_, GateState<T>> {
+        self.state.lock().expect("gate lock")
+    }
+
+    /// Enqueues `item` for `conn` with the given turn quantum. Returns
+    /// `false` (dropping the item) once the gate is closed. Never
+    /// blocks and never serves: follow every accepted push with
+    /// [`FairGate::serve`].
     pub fn push(&self, conn: u64, item: T, quantum: usize) -> bool {
-        let mut state = self.state.lock().expect("gate lock");
+        let mut state = self.lock();
         if state.closed {
             return false;
         }
@@ -60,37 +100,62 @@ impl<T> FairGate<T> {
         if was_empty {
             state.order.push_back(conn);
         }
-        drop(state);
-        self.ready.notify_one();
         true
     }
 
-    /// Blocks until a connection has queued work, then returns that
-    /// connection's id and up to one quantum of its items (the quantum
-    /// of the batch's head item — a high-priority head earns the whole
-    /// turn its larger slice). The connection is rotated to the back of
-    /// the order, so `N` active connections each get every `N`-th turn.
+    /// Serves queued turns with `handle` if nobody else is: takes the
+    /// baton when the gate is idle (or its holder offers it) and runs
+    /// turns until the gate is empty or another caller claims the
+    /// baton. Returns at once when another thread holds the baton and
+    /// keeps it — that thread serves what this caller pushed.
     ///
-    /// Returns `None` only when the gate is closed **and** fully
-    /// drained: close is graceful, queued work still gets served.
-    pub fn take(&self) -> Option<(u64, Vec<T>)> {
-        let mut state = self.state.lock().expect("gate lock");
-        loop {
-            if let Some(turn) = Self::pop_turn(&mut state) {
-                return Some(turn);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).expect("gate lock");
+    /// One turn is one connection's id and up to one quantum of its
+    /// items (the quantum of the turn's head item — a high-priority
+    /// head earns the whole turn its larger slice); the connection then
+    /// rotates to the back of the order, so `N` active connections each
+    /// get every `N`-th turn.
+    ///
+    /// `handle` runs outside the gate's lock and is never entered twice
+    /// at once. It must not block on anything that needs the gate
+    /// served to make progress. The only wait in here is a claimant's,
+    /// for the turn in progress to end.
+    pub fn serve(&self, mut handle: impl FnMut(u64, Vec<T>)) {
+        let mut state = self.lock();
+        if state.order.is_empty() {
+            return;
         }
-    }
-
-    /// Non-blocking [`FairGate::take`]; `None` when nothing is queued
-    /// right now (deterministic unit tests use this).
-    pub fn try_take(&self) -> Option<(u64, Vec<T>)> {
-        let mut state = self.state.lock().expect("gate lock");
-        Self::pop_turn(&mut state)
+        match state.baton {
+            Baton::Down => {}
+            Baton::Held | Baton::Claimed => return,
+            Baton::Offered => {
+                state.baton = Baton::Claimed;
+                while state.baton == Baton::Claimed {
+                    state = self.baton_moved.wait(state).expect("gate lock");
+                }
+            }
+        }
+        state.baton = Baton::Held;
+        let mut rotation = state.order.len();
+        loop {
+            if state.baton == Baton::Claimed {
+                // The claimant holds the baton from here.
+                state.baton = Baton::Held;
+                break;
+            }
+            if rotation == 0 {
+                state.baton = Baton::Offered;
+            }
+            let Some((conn, batch)) = Self::pop_turn(&mut state) else {
+                state.baton = Baton::Down;
+                break;
+            };
+            drop(state);
+            handle(conn, batch);
+            state = self.lock();
+            rotation = rotation.saturating_sub(1);
+        }
+        drop(state);
+        self.baton_moved.notify_all();
     }
 
     fn pop_turn(state: &mut GateState<T>) -> Option<(u64, Vec<T>)> {
@@ -115,24 +180,40 @@ impl<T> FairGate<T> {
     /// Drops everything queued for one connection (it disconnected; its
     /// pending work has nowhere to go).
     pub fn close_conn(&self, conn: u64) {
-        let mut state = self.state.lock().expect("gate lock");
+        let mut state = self.lock();
         state.queues.remove(&conn);
         state.order.retain(|&c| c != conn);
+        drop(state);
+        self.baton_moved.notify_all();
     }
 
-    /// Closes the gate: future pushes are refused, queued work is still
-    /// drained, and [`FairGate::take`] returns `None` once empty.
+    /// Closes the gate gracefully: later pushes are refused, and the
+    /// call returns once everything queued before it has been served
+    /// and the baton is down. (Each accepted push is followed by its
+    /// pusher's `serve`, so queued work always has someone to wait for.)
     pub fn close(&self) {
-        let mut state = self.state.lock().expect("gate lock");
+        let mut state = self.lock();
         state.closed = true;
-        drop(state);
-        self.ready.notify_all();
+        while state.baton != Baton::Down || !state.order.is_empty() {
+            state = self.baton_moved.wait(state).expect("gate lock");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+
+    /// Serves the gate on this thread and returns the turns in order.
+    fn turns<T>(gate: &FairGate<T>) -> Vec<(u64, Vec<T>)> {
+        let mut served = Vec::new();
+        gate.serve(|conn, batch| served.push((conn, batch)));
+        served
+    }
 
     #[test]
     fn drains_round_robin_across_connections() {
@@ -142,10 +223,9 @@ mod tests {
             assert!(gate.push(1, format!("a{i}"), 1));
         }
         assert!(gate.push(2, "b0".to_string(), 1));
-        let turns: Vec<u64> =
-            std::iter::from_fn(|| gate.try_take().map(|(conn, _)| conn)).collect();
+        let order: Vec<u64> = turns(&gate).into_iter().map(|(conn, _)| conn).collect();
         // Conn 2 is served on the second turn, not after conn 1's flood.
-        assert_eq!(turns, vec![1, 2, 1, 1, 1, 1, 1]);
+        assert_eq!(order, vec![1, 2, 1, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -155,23 +235,39 @@ mod tests {
             assert!(gate.push(1, i, 4));
         }
         assert!(gate.push(2, 100, 1));
-        let (conn, batch) = gate.try_take().expect("turn 1");
-        assert_eq!((conn, batch), (1, vec![0, 1, 2, 3]));
-        let (conn, batch) = gate.try_take().expect("turn 2");
-        assert_eq!((conn, batch), (2, vec![100]));
-        let (conn, batch) = gate.try_take().expect("turn 3");
-        assert_eq!((conn, batch), (1, vec![4]));
-        assert!(gate.try_take().is_none());
+        assert_eq!(
+            turns(&gate),
+            vec![(1, vec![0, 1, 2, 3]), (2, vec![100]), (1, vec![4])]
+        );
+        assert!(turns(&gate).is_empty());
     }
 
     #[test]
     fn close_drains_then_stops() {
-        let gate = FairGate::new();
+        let gate = Arc::new(FairGate::new());
         assert!(gate.push(7, "queued", 1));
-        gate.close();
+        let closed = Arc::new(AtomicBool::new(false));
+        let closer = {
+            let (gate, closed) = (Arc::clone(&gate), Arc::clone(&closed));
+            std::thread::spawn(move || {
+                gate.close();
+                closed.store(true, Ordering::SeqCst);
+            })
+        };
+        // Probes accepted before `close` got the lock are queued work
+        // like any other; the first refusal means `close` has marked
+        // the gate and, with work still queued, is waiting.
+        let mut queued = 1;
+        while gate.push(8, "probe", 1) {
+            queued += 1;
+            std::thread::yield_now();
+        }
+        assert!(!closed.load(Ordering::SeqCst), "close returned over work");
+        let served: usize = turns(&gate).iter().map(|(_, batch)| batch.len()).sum();
+        assert_eq!(served, queued);
+        closer.join().expect("closer");
+        assert!(closed.load(Ordering::SeqCst));
         assert!(!gate.push(7, "refused", 1));
-        assert_eq!(gate.take(), Some((7, vec!["queued"])));
-        assert_eq!(gate.take(), None);
     }
 
     #[test]
@@ -180,7 +276,115 @@ mod tests {
         assert!(gate.push(1, "gone", 1));
         assert!(gate.push(2, "kept", 1));
         gate.close_conn(1);
-        assert_eq!(gate.try_take(), Some((2, vec!["kept"])));
-        assert!(gate.try_take().is_none());
+        assert_eq!(turns(&gate), vec![(2, vec!["kept"])]);
+    }
+
+    /// The baton passes between turns, after one rotation, to the next
+    /// thread that serves — scripted: thread A is held inside each of
+    /// its turns until the test lets it go.
+    #[test]
+    fn baton_changes_hands_after_a_rotation() {
+        let gate = Arc::new(FairGate::new());
+        let (entered_tx, entered) = channel();
+        let (resume, resume_rx) = channel::<()>();
+        assert!(gate.push(1, "a0", 1));
+        let a = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let mut served = Vec::new();
+                gate.serve(|_, batch: Vec<&str>| {
+                    served.extend(batch);
+                    entered_tx.send(()).expect("test listening");
+                    resume_rx.recv().expect("resumed");
+                });
+                served
+            })
+        };
+        // A holds the baton inside its first turn (a rotation of one).
+        entered.recv().expect("A's first turn");
+        assert!(gate.push(2, "b0", 1));
+        assert!(gate.push(1, "a1", 1));
+        assert!(
+            turns(&gate).is_empty(),
+            "mid-rotation the holder keeps the baton and a second server returns at once"
+        );
+        // Rotation over: A offers the baton and serves on (b0) meanwhile.
+        resume.send(()).expect("A parked");
+        entered.recv().expect("A's second turn");
+        let b = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                assert!(gate.push(2, "b1", 1));
+                turns(&gate)
+            })
+        };
+        // B claims and waits for the turn in progress; only then is A
+        // let go, so the hand-over is A's next step.
+        while gate.lock().baton != Baton::Claimed {
+            std::thread::yield_now();
+        }
+        resume.send(()).expect("A parked");
+        assert_eq!(a.join().expect("A"), vec!["a0", "b0"]);
+        assert_eq!(
+            b.join().expect("B"),
+            vec![(1, vec!["a1"]), (2, vec!["b1"])],
+            "B serves what is left, each connection still in push order"
+        );
+        gate.close();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Pushers × items over connections: served exactly once, never
+        /// two turns at once, each connection in push order.
+        #[test]
+        fn every_item_is_served_once_in_connection_order(
+            pushers in 1usize..5,
+            conns_each in 1u64..4,
+            items in 1u64..60,
+            quantum in 1usize..5,
+        ) {
+            let gate = Arc::new(FairGate::new());
+            let busy = Arc::new(AtomicBool::new(false));
+            let served = Arc::new(Mutex::new(Vec::new()));
+            let threads: Vec<_> = (0..pushers as u64)
+                .map(|p| {
+                    let (gate, busy, served) =
+                        (Arc::clone(&gate), Arc::clone(&busy), Arc::clone(&served));
+                    std::thread::spawn(move || {
+                        for seq in 0..items {
+                            // Each connection has one pusher, so its
+                            // push order is that thread's `seq` order.
+                            let conn = p * conns_each + seq % conns_each;
+                            assert!(gate.push(conn, (conn, seq), quantum));
+                            gate.serve(|turn_conn, batch| {
+                                assert!(!busy.swap(true, Ordering::SeqCst), "two turns at once");
+                                let mut served = served.lock().expect("served");
+                                for (conn, seq) in batch {
+                                    assert_eq!(conn, turn_conn);
+                                    served.push((conn, seq));
+                                }
+                                drop(served);
+                                busy.store(false, Ordering::SeqCst);
+                            });
+                        }
+                    })
+                })
+                .collect();
+            for thread in threads {
+                thread.join().expect("pusher");
+            }
+            // Every pusher's last `serve` returned, so nothing is queued.
+            gate.close();
+            let served = served.lock().expect("served");
+            prop_assert_eq!(served.len() as u64, pushers as u64 * items);
+            let mut last: HashMap<u64, u64> = HashMap::new();
+            for &(conn, seq) in served.iter() {
+                if let Some(prev) = last.insert(conn, seq) {
+                    prop_assert!(prev < seq, "conn {} served {} after {}", conn, seq, prev);
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! ```text
 //!                       ┌────────────────────┐
 //!  NetClient ──frames──▶│ ServeServer        │   in-process: the same
-//!  NetClient ──frames──▶│  readers → FairGate│   envelopes drive
-//!                       │  → drain → writers │   ServeEngine::submit_request
+//!  NetClient ──frames──▶│  readers ⇄ FairGate│   envelopes drive
+//!                       │  → writers         │   ServeEngine::submit_request
 //!                       └─────────┬──────────┘
 //!                                 │ RouterHandler
 //!                       ┌─────────▼──────────┐
@@ -21,13 +21,16 @@
 //!                       └─────┘ └─────┘ └─────┘  deterministic dataset
 //! ```
 //!
-//! - [`proto`] — the versioned length-prefixed frame protocol and the
+//! - [`proto`] — the versioned length-prefixed frame protocol, the
 //!   request/response envelope codecs (floats as raw bits: answers
-//!   survive the wire bit-exactly).
+//!   survive the wire bit-exactly), and [`proto::FrameReader`], which
+//!   takes every frame a socket already holds in one `read`.
 //! - [`fair`] — weighted round-robin admission across connections (the
-//!   PR 4 hot-client-starvation fix).
+//!   PR 4 hot-client-starvation fix), served by the connections' own
+//!   reader threads, one at a time.
 //! - [`server`] — [`server::ServeServer`], thread-per-connection with
-//!   per-connection in-flight caps, read timeouts, and pipelined writes.
+//!   per-connection in-flight caps, read timeouts, and writers that
+//!   send every reply already answered in one `write`.
 //! - [`router`] — [`router::ShardRouter`]: bit-exact distributed
 //!   filtering with graceful degradation when shards go down.
 //! - [`client`] — [`client::NetClient`] with connect retry and
@@ -47,6 +50,6 @@ pub mod server;
 
 pub use client::{ClientConfig, NetClient};
 pub use fair::FairGate;
-pub use proto::{Frame, FrameKind, ProtoError, ShardQuery, ShardReply};
+pub use proto::{Frame, FrameKind, FrameReader, ProtoError, ShardQuery, ShardReply};
 pub use router::{RoutedOutcome, RouterConfig, RouterHandler, ShardEngineHandler, ShardRouter};
-pub use server::{NetHandler, Reply, ServeServer, ServerConfig};
+pub use server::{IoStats, NetHandler, Reply, ServeServer, ServerConfig};

@@ -186,11 +186,10 @@ pub fn write_frame(
     Ok(())
 }
 
-/// Reads and validates one frame. Blocks per the stream's read timeout;
-/// a timeout surfaces as [`ProtoError::Io`] with `is_timeout() == true`.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+/// Validates a frame header: kind, correlation id and declared payload
+/// length. The one header parser behind [`read_frame`] and
+/// [`FrameReader`].
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, u64, usize), ProtoError> {
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != MAGIC {
         return Err(ProtoError::BadMagic(magic));
@@ -204,13 +203,142 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
     if len > MAX_PAYLOAD {
         return Err(ProtoError::Oversize(len));
     }
-    let mut payload = vec![0u8; len as usize];
+    Ok((kind, corr, len as usize))
+}
+
+/// Reads and validates one frame. Blocks per the stream's read timeout;
+/// a timeout surfaces as [`ProtoError::Io`] with `is_timeout() == true`.
+///
+/// The one-shot form: two `read_exact`s and no state, so nothing past
+/// the frame is consumed. A connection that is read again and again
+/// wants a [`FrameReader`], which takes everything the socket already
+/// holds in one `read`.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let (kind, corr, len) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Frame {
         kind,
         corr,
         payload,
     })
+}
+
+/// The room a [`FrameReader`] offers each `read`, unless the frame in
+/// progress is larger — then exactly that frame's. So it is also the
+/// most the reader ever holds of frames it has not been asked for.
+const READ_AHEAD: usize = 64 * 1024;
+
+/// A buffered frame source over any [`Read`]: one `read` brings in every
+/// frame the stream already holds, and [`FrameReader::next_frame`] hands
+/// them out one at a time with [`read_frame`]'s validation and errors.
+///
+/// The buffer is 64 KiB, or the frame in progress if that is larger: a
+/// header is validated (so its declared length is under
+/// [`MAX_PAYLOAD`]) before the buffer grows for its payload, and what a
+/// large frame grew is given back once the frame is consumed.
+///
+/// An I/O error — a read timeout included — leaves the bytes read so
+/// far in place, so a caller with a retry budget can call again and
+/// resume mid-frame; after any other error the stream is out of sync
+/// and the connection should be dropped.
+pub struct FrameReader<R> {
+    inner: R,
+    /// `buf[start..end]` holds the bytes read and not yet handed out;
+    /// `buf.len()` is the room the next `read` may fill.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; nothing is read until the first frame is asked for.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The wrapped stream (to set socket options on).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The wrapped stream, mutably (to write on a duplex stream). Reading
+    /// from it directly would skip whatever is buffered here.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Bytes the buffer has allocated (the memory bound above is on this).
+    pub fn buffer_capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// The next frame: from the buffer when a whole one is already
+    /// there, otherwise after as many `read`s as it takes to complete it.
+    ///
+    /// # Errors
+    /// Exactly [`read_frame`]'s: the header checks, and
+    /// [`ProtoError::Io`] for timeouts and for a stream that ends
+    /// mid-frame (`UnexpectedEof`).
+    pub fn next_frame(&mut self) -> Result<Frame, ProtoError> {
+        self.fill(HEADER_LEN)?;
+        let header = self.buf[self.start..self.start + HEADER_LEN]
+            .try_into()
+            .expect("HEADER_LEN bytes");
+        let (kind, corr, len) = parse_header(header)?;
+        self.fill(HEADER_LEN + len)?;
+        let body = self.start + HEADER_LEN;
+        let payload = self.buf[body..body + len].to_vec();
+        self.start = body + len;
+        if self.buf.len() > READ_AHEAD {
+            // A large frame grew the buffer; what was read past it fits
+            // the usual room.
+            self.compact();
+            self.buf.truncate(READ_AHEAD);
+            self.buf.shrink_to_fit();
+        }
+        Ok(Frame {
+            kind,
+            corr,
+            payload,
+        })
+    }
+
+    /// Reads until `need` bytes are buffered, offering the stream
+    /// [`READ_AHEAD`] bytes of room, or `need` if that is more.
+    fn fill(&mut self, need: usize) -> Result<(), ProtoError> {
+        while self.end - self.start < need {
+            self.compact();
+            let room = need.max(READ_AHEAD);
+            if self.buf.len() < room {
+                self.buf.reserve_exact(room - self.buf.len());
+                self.buf.resize(room, 0);
+            }
+            match self.inner.read(&mut self.buf[self.end..room]) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the unread bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

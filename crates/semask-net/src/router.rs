@@ -32,7 +32,7 @@ use semask::{EngineError, LatencyBreakdown, QueryOutcome, SemaSkEngine, SemaSkQu
 use semask_serve::api::{Request, Response, ServeStatus};
 use vecdb::{merge_top_k, ScoredPoint, ShardSpec};
 
-use crate::proto::{self, FrameKind, ShardQuery, ShardReply};
+use crate::proto::{self, FrameKind, FrameReader, ShardQuery, ShardReply};
 use crate::server::{NetHandler, Reply};
 
 /// Connection and retry policy for shard calls.
@@ -89,7 +89,7 @@ struct Peer {
     /// Small pool of cached connections. Each slot holds one stream,
     /// dropped (and re-dialed on next use) on any error so a stale
     /// reply can never be matched to a later request on that stream.
-    conns: Vec<Mutex<Option<TcpStream>>>,
+    conns: Vec<Mutex<Option<FrameReader<TcpStream>>>>,
     /// Round-robin cursor over `conns`, so load spreads across slots.
     rr: AtomicUsize,
     /// Correlation ids, shared across the pool (unique per peer).
@@ -109,7 +109,7 @@ impl Peer {
     /// Claims a connection slot: first uncontended slot scanning from
     /// the round-robin cursor; if every slot is mid-exchange, blocks on
     /// the cursor's slot (bounded by the exchange's read timeout).
-    fn claim(&self) -> MutexGuard<'_, Option<TcpStream>> {
+    fn claim(&self) -> MutexGuard<'_, Option<FrameReader<TcpStream>>> {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let n = self.conns.len();
         for i in 0..n {
@@ -319,7 +319,7 @@ impl ShardRouter {
         exchanged
     }
 
-    fn dial(&self, addr: &str) -> Result<TcpStream, String> {
+    fn dial(&self, addr: &str) -> Result<FrameReader<TcpStream>, String> {
         let resolved = addr
             .to_socket_addrs()
             .map_err(|e| format!("resolve {addr}: {e}"))?
@@ -330,26 +330,27 @@ impl ShardRouter {
         stream
             .set_nodelay(true)
             .map_err(|e| format!("configure {addr}: {e}"))?;
-        Ok(stream)
+        Ok(FrameReader::new(stream))
     }
 
     fn exchange(
-        stream: &mut TcpStream,
+        stream: &mut FrameReader<TcpStream>,
         corr: u64,
         query: &ShardQuery,
         timeout: Duration,
     ) -> Result<Vec<ScoredPoint>, String> {
         stream
+            .get_ref()
             .set_read_timeout(Some(timeout))
             .map_err(|e| format!("set timeout: {e}"))?;
         proto::write_frame(
-            stream,
+            stream.get_mut(),
             FrameKind::ShardQuery,
             corr,
             &proto::encode_shard_query(query),
         )
         .map_err(|e| format!("send: {e}"))?;
-        let frame = proto::read_frame(stream).map_err(|e| format!("recv: {e}"))?;
+        let frame = stream.next_frame().map_err(|e| format!("recv: {e}"))?;
         if frame.kind != FrameKind::ShardReply || frame.corr != corr {
             return Err("out-of-protocol reply".to_owned());
         }

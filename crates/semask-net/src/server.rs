@@ -1,45 +1,59 @@
-//! The framed TCP server: thread-per-connection readers feeding a
-//! fair-admission drain, with per-connection in-flight caps and write
-//! pipelining.
+//! The framed TCP server: thread-per-connection readers that admit
+//! through a fair gate themselves, with per-connection in-flight caps
+//! and writers that send whatever is already answered in one go.
 //!
-//! Threading model, per connection:
+//! Threading model, per connection — two threads, and none per server
+//! besides the acceptor:
 //!
 //! ```text
-//! reader ──(FairGate, WRR)──▶ drain (1/server) ──▶ handler.handle()
-//!    ▲                                                │ Ready/Deferred
-//!    │ in-flight slot freed                           ▼
-//! writer ◀──(FIFO channel of completions)─────────────┘
+//! reader ──push──▶ FairGate (WRR) ──serve──▶ handler.handle()
+//!    ▲              turns run on whichever          │ Ready/Pending/Deferred
+//!    │              reader holds the baton          ▼
+//!    │ in-flight slots freed          FIFO channel of completions
+//!    └──────────────── writer ◀───────────────────┘
 //! ```
 //!
-//! - The **reader** parses frames and blocks when the connection already
-//!   has `max_inflight_per_conn` unanswered requests — unread bytes pile
-//!   up in the socket and TCP backpressure reaches the client. A read
-//!   timeout bounds how long a slow-loris client (drip-feeding header
-//!   bytes) can hold the thread: the connection is dropped, the server
-//!   keeps serving everyone else.
-//! - The **drain** pulls one weighted-round-robin turn at a time from
-//!   the [`FairGate`], so a hot connection cannot starve admission for
-//!   the rest (the PR 4 follow-up). It calls [`NetHandler::handle`],
-//!   which must not block; slow work returns [`Reply::Deferred`].
-//! - The **writer** runs deferred completions in FIFO order and owns the
+//! - The **reader** takes every frame its socket already holds in one
+//!   `read` ([`proto::FrameReader`]) and blocks when the connection
+//!   already has `max_inflight_per_conn` unanswered requests — unread
+//!   bytes pile up in the socket and TCP backpressure reaches the
+//!   client. A read timeout bounds how long a slow-loris client
+//!   (drip-feeding header bytes) can hold the thread: the connection is
+//!   dropped, the server keeps serving everyone else.
+//! - **Admission** has no thread of its own. A reader queues each
+//!   request on the [`FairGate`] and then serves the gate: if no one
+//!   else is, it runs weighted-round-robin turns — its own and any
+//!   other connection's — until the gate is empty, so a hot connection
+//!   cannot starve admission for the rest (the PR 4 follow-up) and a
+//!   lone connection is admitted with no thread hand-off. The gate lets
+//!   one thread at a time do this, so [`NetHandler::handle`] is never
+//!   concurrent with itself; it must not block, and slow work returns
+//!   [`Reply::Pending`] or [`Reply::Deferred`]. A reader never holds
+//!   the baton while it waits for an in-flight slot or its socket.
+//! - The **writer** resolves completions in FIFO order and owns the
 //!   socket's write half, so responses for one connection never
 //!   interleave and pipelined clients can match replies in order or by
-//!   correlation id.
+//!   correlation id. It encodes every completion that is already
+//!   answered into one buffer and sends them with one `write`, and it
+//!   sends what it has before it blocks on one that is not — a ready
+//!   reply never waits for an unready one. Deferred closures and shard
+//!   slices are opaque blocking work: the buffer is sent before each
+//!   runs.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use semask_serve::api::{Request, Response, ServeStatus};
+use semask_serve::api::{PendingResponse, Request, Response, ServeStatus};
 use semask_serve::ServeEngine;
 
 use crate::fair::FairGate;
-use crate::proto::{self, FrameKind, ShardQuery, ShardReply};
+use crate::proto::{self, FrameKind, FrameReader, ShardQuery, ShardReply};
 
 /// Tuning knobs for [`ServeServer`].
 #[derive(Debug, Clone)]
@@ -61,22 +75,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// What [`NetHandler::handle`] hands back to the drain thread.
+/// What [`NetHandler::handle`] hands back to the admitting thread.
 pub enum Reply {
     /// The response is already known (refusals, validation errors).
     Ready(Response),
-    /// The response needs blocking work; the closure runs on the
-    /// connection's writer thread (per-connection FIFO), keeping the
-    /// shared drain thread unblocked.
+    /// A serve-layer claim. The connection's writer probes it
+    /// ([`PendingResponse::try_wait`]) and waits on it only after
+    /// sending every reply that is already answered.
+    Pending(PendingResponse),
+    /// The response needs opaque blocking work; the closure runs on the
+    /// connection's writer thread (per-connection FIFO), keeping
+    /// admission unblocked.
     Deferred(Box<dyn FnOnce() -> Response + Send>),
 }
 
-/// The application behind a [`ServeServer`]. `handle` is called on the
-/// single drain thread and **must not block** — do admission there and
-/// defer waiting. `handle_shard` serves the shard fabric; the default
-/// refuses, which is correct for front-end servers.
+/// The application behind a [`ServeServer`]. `handle` is called by one
+/// thread at a time (whichever reader is serving the fair gate) and
+/// **must not block** — do admission there and defer waiting.
+/// `handle_shard` serves the shard fabric; the default refuses, which
+/// is correct for front-end servers.
 pub trait NetHandler: Send + Sync {
-    /// Admits one client request. Runs on the drain thread.
+    /// Admits one client request. Never entered twice at once.
     fn handle(&self, request: Request) -> Reply;
 
     /// Answers one shard-slice query. Runs on the connection's writer
@@ -94,16 +113,54 @@ pub trait NetHandler: Send + Sync {
 
 /// [`ServeEngine`] speaks the protocol directly: admission via
 /// `submit_request` is non-blocking (batching happens behind it), and
-/// the ticket wait is deferred to the writer thread.
+/// the claim travels to the writer thread as it is.
 impl NetHandler for ServeEngine {
     fn handle(&self, request: Request) -> Reply {
-        let pending = self.submit_request(request);
-        Reply::Deferred(Box::new(move || pending.wait()))
+        Reply::Pending(self.submit_request(request))
     }
 }
 
-/// One completion: runs on the writer thread, produces a frame.
-type Completion = Box<dyn FnOnce() -> (FrameKind, u64, Vec<u8>) + Send>;
+/// One admitted request on its way to the connection's writer.
+enum Completion {
+    Submit { corr: u64, reply: Reply },
+    Shard { corr: u64, query: ShardQuery },
+}
+
+/// Cumulative I/O counts of a [`ServeServer`], over every connection it
+/// has served. Rates over an interval are the caller's subtraction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoStats {
+    /// `read` calls the connection readers made.
+    pub read_calls: u64,
+    /// Request frames those reads delivered.
+    pub frames_in: u64,
+    /// `write` calls the connection writers made.
+    pub write_calls: u64,
+    /// Reply frames those writes carried.
+    pub frames_out: u64,
+}
+
+/// Statistics only: nothing is published through these.
+#[derive(Default)]
+struct IoCounters {
+    read_calls: AtomicU64,
+    frames_in: AtomicU64,
+    write_calls: AtomicU64,
+    frames_out: AtomicU64,
+}
+
+/// The read half of a connection, counting its `read` calls.
+struct CountedReads<'a> {
+    stream: TcpStream,
+    calls: &'a AtomicU64,
+}
+
+impl io::Read for CountedReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.stream.read(buf)
+    }
+}
 
 /// Per-connection in-flight accounting shared by reader and writer.
 struct Inflight {
@@ -143,9 +200,9 @@ impl Inflight {
         }
     }
 
-    fn release(&self) {
+    fn release(&self, slots: usize) {
         let mut count = self.count.lock().expect("inflight lock");
-        *count = count.saturating_sub(1);
+        *count = count.saturating_sub(slots);
         drop(count);
         self.freed.notify_one();
     }
@@ -173,6 +230,7 @@ struct ServerShared {
     shutdown: AtomicBool,
     conns: Mutex<HashMap<u64, ConnHandle>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    io: IoCounters,
 }
 
 /// A running TCP server. Bind with [`ServeServer::bind`], stop with
@@ -181,12 +239,11 @@ pub struct ServeServer {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    drain: Option<JoinHandle<()>>,
 }
 
 impl ServeServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept and drain threads.
+    /// accept thread.
     pub fn bind(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn NetHandler>,
@@ -194,7 +251,6 @@ impl ServeServer {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             handler,
             config,
@@ -202,6 +258,7 @@ impl ServeServer {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             workers: Mutex::new(Vec::new()),
+            io: IoCounters::default(),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -210,18 +267,10 @@ impl ServeServer {
                 .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn accept thread")
         };
-        let drain = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("net-drain".into())
-                .spawn(move || drain_loop(&shared))
-                .expect("spawn drain thread")
-        };
         Ok(Self {
             shared,
             local_addr,
             accept: Some(accept),
-            drain: Some(drain),
         })
     }
 
@@ -231,21 +280,37 @@ impl ServeServer {
         self.local_addr
     }
 
+    /// Cumulative I/O counts since [`ServeServer::bind`].
+    #[must_use]
+    pub fn io_stats(&self) -> IoStats {
+        let io = &self.shared.io;
+        IoStats {
+            read_calls: io.read_calls.load(Ordering::Relaxed),
+            frames_in: io.frames_in.load(Ordering::Relaxed),
+            write_calls: io.write_calls.load(Ordering::Relaxed),
+            frames_out: io.frames_out.load(Ordering::Relaxed),
+        }
+    }
+
     /// Stops accepting, drains queued work, kills live connections, and
     /// joins every server thread. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Close the gate: the drain thread finishes queued turns, then
-        // exits. Join it before killing sockets so queued responses for
-        // live clients still go out.
+        // Close the gate: returns once the readers have admitted every
+        // queued turn, before any socket is killed, so queued requests
+        // still reach the handler and their writers.
         self.shared.gate.close();
-        if let Some(handle) = self.drain.take() {
-            let _ = handle.join();
-        }
+        // The acceptor blocks in `accept`; one connection wakes it to
+        // see the flag.
+        let woken = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1)).is_ok();
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            // A listener that cannot be reached is left to end with the
+            // process rather than joined forever.
+            if woken || handle.is_finished() {
+                let _ = handle.join();
+            }
         }
         // Kill live connections: shutdown unblocks readers mid-read,
         // dropping the senders ends each writer's channel.
@@ -269,8 +334,12 @@ impl Drop for ServeServer {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     let mut next_conn: u64 = 1;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn_id = next_conn;
                 next_conn += 1;
@@ -280,9 +349,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                     let _ = e;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Out of descriptors, or the peer reset before we got to
+            // it: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -304,10 +372,11 @@ fn spawn_connection(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>)
     );
 
     let writer = {
+        let shared = Arc::clone(shared);
         let inflight = Arc::clone(&inflight);
         std::thread::Builder::new()
             .name(format!("net-write-{conn_id}"))
-            .spawn(move || writer_loop(rx, write_half, &inflight))
+            .spawn(move || writer_loop(&rx, write_half, &shared, &inflight))
             .expect("spawn writer thread")
     };
     let reader = {
@@ -326,21 +395,26 @@ fn spawn_connection(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>)
 
 fn reader_loop(
     conn_id: u64,
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &Arc<ServerShared>,
     inflight: &Arc<Inflight>,
 ) {
+    let mut frames = FrameReader::new(CountedReads {
+        stream,
+        calls: &shared.io.read_calls,
+    });
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let frame = match proto::read_frame(&mut stream) {
+        let frame = match frames.next_frame() {
             Ok(frame) => frame,
             // Timeouts (idle or slow-loris), EOF, and protocol
             // violations all end the connection; the server itself
             // keeps serving other clients.
             Err(_) => break,
         };
+        shared.io.frames_in.fetch_add(1, Ordering::Relaxed);
         let work = match frame.kind {
             FrameKind::Submit => match proto::decode_request(&frame.payload) {
                 Ok(request) => {
@@ -370,13 +444,19 @@ fn reader_loop(
             // Reply kinds from a client are a protocol violation.
             FrameKind::SubmitReply | FrameKind::ShardReply => break,
         };
+        // The slot is waited for here, with the baton down: the turns
+        // that free it are served by this thread below or by another
+        // reader, never by a thread parked on a slot.
         if !inflight.acquire(shared.config.max_inflight_per_conn, &shared.shutdown) {
             break;
         }
         if !shared.gate.push(conn_id, work.0, work.1) {
-            inflight.release();
+            inflight.release(1);
             break;
         }
+        shared
+            .gate
+            .serve(|conn, turn| admit_turn(shared, conn, turn));
     }
     // This connection is done: drop its unserved queue and its registry
     // entry (dropping the sender ends the writer once it drains).
@@ -387,67 +467,133 @@ fn reader_loop(
     }
 }
 
-fn drain_loop(shared: &Arc<ServerShared>) {
-    while let Some((conn_id, batch)) = shared.gate.take() {
-        let tx = shared
-            .conns
-            .lock()
-            .expect("conn registry")
-            .get(&conn_id)
-            .map(|c| c.tx.clone());
-        for work in batch {
-            let completion: Completion = match work {
-                Work::Submit { corr, request } => match shared.handler.handle(request) {
-                    Reply::Ready(response) => Box::new(move || {
-                        (
-                            FrameKind::SubmitReply,
-                            corr,
-                            proto::encode_response(&response),
-                        )
-                    }),
-                    Reply::Deferred(wait) => Box::new(move || {
-                        (
-                            FrameKind::SubmitReply,
-                            corr,
-                            proto::encode_response(&wait()),
-                        )
-                    }),
-                },
-                Work::Shard { corr, query } => {
-                    let handler = Arc::clone(&shared.handler);
-                    Box::new(move || {
-                        (
-                            FrameKind::ShardReply,
-                            corr,
-                            proto::encode_shard_reply(&handler.handle_shard(query)),
-                        )
-                    })
+/// One fair-gate turn: admits `conn`'s items in order and queues their
+/// completions on its writer. Runs on whichever reader holds the baton.
+fn admit_turn(shared: &ServerShared, conn_id: u64, turn: Vec<Work>) {
+    let tx = shared
+        .conns
+        .lock()
+        .expect("conn registry")
+        .get(&conn_id)
+        .map(|c| c.tx.clone());
+    for work in turn {
+        let completion = match work {
+            Work::Submit { corr, request } => Completion::Submit {
+                corr,
+                reply: shared.handler.handle(request),
+            },
+            Work::Shard { corr, query } => Completion::Shard { corr, query },
+        };
+        // The writer died (client gone): dropping the completion drops
+        // the pending claim, which abandons that query safely (the
+        // serve layer tolerates dropped tickets).
+        if let Some(tx) = &tx {
+            let _ = tx.send(completion);
+        }
+    }
+}
+
+/// The write half of a connection and the replies encoded for it but
+/// not yet sent.
+struct Outbox<'a> {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    frames: usize,
+    shared: &'a ServerShared,
+    inflight: &'a Inflight,
+}
+
+impl Outbox<'_> {
+    /// Encodes one reply behind those already waiting to be sent.
+    fn queue(&mut self, kind: FrameKind, corr: u64, payload: &[u8]) -> io::Result<()> {
+        self.frames += 1;
+        // An over-long reply cannot be framed; the client would wait
+        // for it forever, so the connection ends instead.
+        proto::encode_frame_into(&mut self.buf, kind, corr, payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    }
+
+    /// Sends everything queued in one `write` and frees its slots. The
+    /// writer calls this before anything that may block.
+    fn send(&mut self) -> io::Result<()> {
+        if self.frames == 0 {
+            return Ok(());
+        }
+        let frames = std::mem::take(&mut self.frames);
+        let io = &self.shared.io;
+        io.write_calls.fetch_add(1, Ordering::Relaxed);
+        io.frames_out.fetch_add(frames as u64, Ordering::Relaxed);
+        let sent = io::Write::write_all(&mut self.stream, &self.buf);
+        self.buf.clear();
+        self.inflight.release(frames);
+        sent
+    }
+}
+
+/// Resolves completions in order until a write fails or every sender
+/// is gone, sending whatever is queued before each wait.
+fn write_completions(
+    rx: &Receiver<Completion>,
+    out: &mut Outbox<'_>,
+    handler: &dyn NetHandler,
+) -> io::Result<()> {
+    loop {
+        let completion = match rx.try_recv() {
+            Ok(completion) => completion,
+            Err(TryRecvError::Empty) => {
+                out.send()?;
+                match rx.recv() {
+                    Ok(completion) => completion,
+                    Err(_) => return Ok(()),
                 }
-            };
-            // The writer died (client gone): dropping the completion
-            // drops the deferred ticket, which abandons that query's
-            // claim safely (the serve layer tolerates dropped tickets).
-            if let Some(tx) = &tx {
-                let _ = tx.send(completion);
+            }
+            Err(TryRecvError::Disconnected) => return out.send(),
+        };
+        match completion {
+            Completion::Submit { corr, reply } => {
+                let response = match reply {
+                    Reply::Ready(response) => response,
+                    Reply::Pending(pending) => match pending.try_wait() {
+                        Ok(response) => response,
+                        Err(pending) => {
+                            out.send()?;
+                            pending.wait()
+                        }
+                    },
+                    Reply::Deferred(wait) => {
+                        out.send()?;
+                        wait()
+                    }
+                };
+                let payload = proto::encode_response(&response);
+                out.queue(FrameKind::SubmitReply, corr, &payload)?;
+            }
+            Completion::Shard { corr, query } => {
+                out.send()?;
+                let payload = proto::encode_shard_reply(&handler.handle_shard(query));
+                out.queue(FrameKind::ShardReply, corr, &payload)?;
             }
         }
     }
 }
 
-fn writer_loop(rx: Receiver<Completion>, mut stream: TcpStream, inflight: &Inflight) {
-    while let Ok(produce) = rx.recv() {
-        let (kind, corr, payload) = produce();
-        let write_ok = proto::write_frame(&mut stream, kind, corr, &payload).is_ok();
-        inflight.release();
-        if !write_ok {
-            break;
-        }
-    }
+fn writer_loop(
+    rx: &Receiver<Completion>,
+    stream: TcpStream,
+    shared: &ServerShared,
+    inflight: &Inflight,
+) {
+    let mut out = Outbox {
+        stream,
+        buf: Vec::new(),
+        frames: 0,
+        shared,
+        inflight,
+    };
+    let _ = write_completions(rx, &mut out, shared.handler.as_ref());
     // Unblock a reader waiting on an in-flight slot, then discard
     // whatever is still queued (the connection is gone).
     inflight.mark_dead();
-    while let Ok(produce) = rx.try_recv() {
-        drop(produce);
-        inflight.release();
-    }
+    let unsent = out.frames + rx.try_iter().count();
+    inflight.release(unsent);
 }

@@ -1,5 +1,7 @@
 //! Property tests for the wire protocol: every envelope round-trips
-//! bit-exactly, and no byte soup can panic a decoder.
+//! bit-exactly, no byte soup can panic a decoder, and the buffered
+//! [`FrameReader`] is `read_frame` at any chopping of the stream — same
+//! frames, same errors — within its memory bound.
 //!
 //! Round trips are checked by **canonical bytes**: `encode(decode(
 //! encode(x)))` must equal `encode(x)`. That covers every field —
@@ -11,7 +13,8 @@ use proptest::prelude::*;
 use geotext::BoundingBox;
 use semask::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery, StrategyCost};
 use semask_net::proto::{
-    self, strategy_code, strategy_from_code, FrameKind, ShardQuery, ShardReply,
+    self, strategy_code, strategy_from_code, Frame, FrameKind, FrameReader, ProtoError, ShardQuery,
+    ShardReply, HEADER_LEN, MAX_PAYLOAD,
 };
 use semask_serve::api::{CacheStatus, Priority, Request, Response, ServeStatus};
 use vecdb::{ScoredPoint, ShardSpec};
@@ -31,8 +34,162 @@ fn status_from(code: u8, message: String) -> ServeStatus {
     ServeStatus::from_code(code % 7, message).expect("codes 0..=6 are valid")
 }
 
+/// A stream that hands its bytes out in the given piece sizes (cycled),
+/// optionally failing with `WouldBlock` — a read timeout — between
+/// pieces, and ends like a closed socket.
+struct Chopped {
+    data: Vec<u8>,
+    pos: usize,
+    pieces: Vec<usize>,
+    reads: usize,
+    stall_between: bool,
+}
+
+impl Chopped {
+    fn new(data: Vec<u8>, pieces: Vec<usize>) -> Self {
+        Self {
+            data,
+            pos: 0,
+            pieces,
+            reads: 0,
+            stall_between: false,
+        }
+    }
+}
+
+impl std::io::Read for Chopped {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        if self.stall_between && self.reads.is_multiple_of(2) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let piece = self.pieces[self.reads % self.pieces.len()];
+        let n = piece.min(buf.len()).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Frames until the first error, and what that error was.
+fn drain(mut next: impl FnMut() -> Result<Frame, ProtoError>) -> (Vec<(u8, u64, Vec<u8>)>, String) {
+    let mut frames = Vec::new();
+    loop {
+        match next() {
+            Ok(frame) => frames.push((frame.kind as u8, frame.corr, frame.payload)),
+            // `read_exact` words its EOF differently; the kind is the contract.
+            Err(ProtoError::Io(e)) => return (frames, format!("io: {:?}", e.kind())),
+            Err(e) => return (frames, format!("{e:?}")),
+        }
+    }
+}
+
+fn encode_stream(frames: &[(u8, u64, Vec<u8>)]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for (kind, corr, payload) in frames {
+        let kind = FrameKind::from_code(kind % 4 + 1).expect("codes 1..=4 are valid");
+        proto::encode_frame_into(&mut wire, kind, *corr, payload).expect("under the cap");
+    }
+    wire
+}
+
+#[test]
+fn frame_reader_holds_one_frame_in_progress_plus_the_read_ahead() {
+    const READ_AHEAD: usize = 64 * 1024;
+    let big = vec![0xAB_u8; 3 * 1024 * 1024];
+    let mut wire = Vec::new();
+    proto::encode_frame_into(&mut wire, FrameKind::SubmitReply, 1, &big).expect("under the cap");
+    proto::encode_frame_into(&mut wire, FrameKind::Submit, 2, b"after").expect("small");
+    let mut stream = Chopped::new(wire, vec![48 * 1024]);
+    stream.stall_between = true;
+    let mut frames = FrameReader::new(stream);
+
+    // Every stall is a look at the buffer with the big frame in progress.
+    let mut stalls = 0;
+    let frame = loop {
+        match frames.next_frame() {
+            Ok(frame) => break frame,
+            Err(e) => {
+                assert!(e.is_timeout(), "unexpected error: {e}");
+                stalls += 1;
+                assert!(
+                    frames.buffer_capacity() <= HEADER_LEN + big.len() + READ_AHEAD,
+                    "{} bytes held for a frame of {}",
+                    frames.buffer_capacity(),
+                    big.len()
+                );
+            }
+        }
+    };
+    assert!(stalls > 30, "the frame arrived in {stalls} pieces");
+    assert_eq!((frame.corr, frame.payload.len()), (1, big.len()));
+    assert!(frame.payload == big);
+    assert!(
+        frames.buffer_capacity() < 2 * READ_AHEAD,
+        "{} bytes kept after the big frame was handed out",
+        frames.buffer_capacity()
+    );
+    // What was read past the big frame survived giving the memory back.
+    let (rest, end) = drain(|| loop {
+        match frames.next_frame() {
+            Err(e) if e.is_timeout() => {}
+            other => return other,
+        }
+    });
+    assert_eq!(rest, vec![(FrameKind::Submit as u8, 2, b"after".to_vec())]);
+    assert_eq!(end, "io: UnexpectedEof");
+
+    // A length over the cap is refused on the header alone.
+    let mut oversize = Vec::new();
+    proto::encode_frame_into(&mut oversize, FrameKind::Submit, 3, b"").expect("empty");
+    oversize[12..16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+    let mut frames = FrameReader::new(oversize.as_slice());
+    assert!(matches!(frames.next_frame(), Err(ProtoError::Oversize(n)) if n == MAX_PAYLOAD + 1));
+    assert!(frames.buffer_capacity() <= HEADER_LEN + READ_AHEAD);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn frame_reader_is_read_frame_at_any_chopping(
+        frames in prop::collection::vec(
+            (0u8..4, 0u64..u64::MAX, prop::collection::vec(0u8..u8::MAX, 0..300)),
+            1..12,
+        ),
+        pieces in prop::collection::vec(1usize..97, 1..6),
+        one_byte_reads in 0u8..4,
+        // 0: intact; 1..=4: bad magic / version / kind / oversize in
+        // frame `victim`; 5: the stream ends `cut` bytes early.
+        damage in 0u8..6,
+        victim in 0usize..12,
+        cut in 1usize..400,
+    ) {
+        let mut wire = encode_stream(&frames);
+        let header = frames[..victim % frames.len()]
+            .iter()
+            .map(|(_, _, payload)| HEADER_LEN + payload.len())
+            .sum::<usize>();
+        match damage {
+            1 => wire[header] ^= 0xFF,
+            2 => wire[header + 2] = 9,
+            3 => wire[header + 3] = 200,
+            4 => wire[header + 12..header + 16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes()),
+            5 => wire.truncate(wire.len() - cut.min(wire.len())),
+            _ => {}
+        }
+        let pieces = if one_byte_reads == 0 { vec![1] } else { pieces };
+
+        let mut whole = wire.as_slice();
+        let expected = drain(|| proto::read_frame(&mut whole));
+        let mut reader = FrameReader::new(Chopped::new(wire.clone(), pieces));
+        let got = drain(|| reader.next_frame());
+        prop_assert_eq!(&got, &expected);
+        if damage == 0 {
+            prop_assert_eq!(got.0.len(), frames.len());
+            prop_assert_eq!(&got.1, "io: UnexpectedEof");
+        }
+    }
 
     #[test]
     fn requests_round_trip_canonically(

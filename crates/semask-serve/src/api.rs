@@ -423,6 +423,32 @@ impl PendingResponse {
             },
         }
     }
+
+    /// Non-blocking probe, mirroring [`Ticket::try_wait`]: the response
+    /// if [`PendingResponse::wait`] would return without parking (the
+    /// batch has executed, the request never queued, or its deadline
+    /// has passed), or the claim back, intact, if it would not.
+    ///
+    /// # Errors
+    /// The pending response itself, when the answer is not ready yet.
+    // The `Err` is the claim itself, moved back to its owner — not an
+    // error value anyone propagates.
+    #[allow(clippy::result_large_err)]
+    pub fn try_wait(mut self) -> Result<Response, Self> {
+        if let PendingState::Waiting(ticket) = self.state {
+            return match ticket.try_wait() {
+                Ok(result) => Ok(Response::from_result(self.id, result)),
+                Err(_abandoned) if self.deadline.is_some_and(|d| Instant::now() >= d) => {
+                    Ok(Response::failed(self.id, ServeStatus::Timeout))
+                }
+                Err(ticket) => {
+                    self.state = PendingState::Waiting(ticket);
+                    Err(self)
+                }
+            };
+        }
+        Ok(self.wait())
+    }
 }
 
 #[cfg(test)]

@@ -502,6 +502,52 @@ fn request_deadline_times_out_without_consuming_the_server() {
 }
 
 #[test]
+fn pending_response_probe_answers_exactly_when_wait_would_not_park() {
+    let (exec, holder) = ScriptedExecutor::held();
+    let serve = ServeEngine::with_parts(
+        Arc::new(exec),
+        Arc::new(MockClock::new()),
+        ServeConfig {
+            max_batch: 64,
+            queue_capacity: 2,
+            result_cache_entries: 0,
+            negative_cache: false,
+        },
+    );
+    let plug = holder.hold(&serve);
+    let queued = serve.submit_request(api::Request::new(1, query(1)));
+    let expired =
+        serve.submit_request(api::Request::new(2, query(2)).with_deadline(Duration::ZERO));
+    let refused = serve.submit_request(api::Request::new(3, query(3)));
+    // Held behind the plug with no deadline: the claim comes back.
+    let Err(queued) = queued.try_wait() else {
+        panic!("nothing flushes while the executor is held");
+    };
+    assert_eq!(queued.id(), 1);
+    // A passed deadline and a refusal are answers already.
+    let expired = expired.try_wait().ok().expect("deadline passed");
+    assert_eq!((expired.id, expired.status), (2, api::ServeStatus::Timeout));
+    let refused = refused.try_wait().ok().expect("shed at admission");
+    assert_eq!(
+        (refused.id, refused.status),
+        (3, api::ServeStatus::Overloaded)
+    );
+    holder.release(plug);
+    assert_eq!(holder.next_flush(), 2);
+    // The claim survived the probe, and once its flush has run the
+    // probe answers.
+    let mut queued = queued;
+    let response = loop {
+        match queued.try_wait() {
+            Ok(response) => break response,
+            Err(back) => queued = back,
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!((response.id, response.status), (1, api::ServeStatus::Ok));
+}
+
+#[test]
 fn unrepresentable_deadline_means_no_deadline() {
     let serve = ServeEngine::with_parts(
         Arc::new(ScriptedExecutor::ok()),
