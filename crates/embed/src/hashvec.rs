@@ -28,11 +28,11 @@ pub fn key_vector(key: u64, dim: usize) -> Vec<f32> {
     v
 }
 
-/// Adds `scale * key_vector(key)` into `acc` without allocating.
+/// Adds `scale * key_vector(key)` into `acc`. Builds the key vector to
+/// do it — one `Vec` a call; a memo of key vectors would spare both the
+/// allocation and the hashing (ROADMAP item 3).
 pub fn add_key_vector(acc: &mut [f32], key: u64, scale: f32) {
     let dim = acc.len();
-    // First pass to compute the norm (cheap: hashing dominates anyway, and
-    // dims are small); falls back to key_vector for clarity.
     let v = key_vector(key, dim);
     for (a, x) in acc.iter_mut().zip(v) {
         *a += scale * x;

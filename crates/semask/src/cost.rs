@@ -129,8 +129,10 @@ impl QueryFeatures {
 /// never go negative or NaN.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coefficients {
-    /// Geo-mask evaluation per stored point (the exact scan pays this
-    /// for **every** live point, whatever the selectivity).
+    /// Geo-mask evaluation per stored point: one pass over the store's
+    /// typed `(lat, lon)` column, which the exact scan pays for
+    /// **every** stored point, whatever the selectivity — ~2 ns a point,
+    /// where the JSON look-up it replaced cost ~58.
     pub mask_us: f64,
     /// Scoring one candidate through the fused-dot-product kernel.
     pub score_us: f64,
@@ -180,9 +182,13 @@ impl Default for Coefficients {
     /// Magnitudes transcribed from `BENCH_planner.json`'s recorded
     /// curves, used when a backend cannot be probed (empty collection,
     /// degenerate probe geometry). Calibration overrides them.
+    /// `mask_us` is the start-up fit's own answer on the 4,000-POI
+    /// ledger world (0.0020 – 0.0030 over three planners; the bare
+    /// column pass, `collection/geo-mask-4k`, is 2 ns a point and the
+    /// fit folds the scan's per-query constant in on top).
     fn default() -> Self {
         Self {
-            mask_us: 0.03,
+            mask_us: 0.002,
             score_us: 0.11,
             cell_us: 0.02,
             gen_us: 0.08,
@@ -292,11 +298,18 @@ fn keyword_intersect_us(f: &QueryFeatures, coef: &Coefficients) -> f64 {
 fn predict_us(strategy: RetrievalStrategy, f: &QueryFeatures, coef: &Coefficients) -> f64 {
     match strategy {
         // The geo mask visits every live point, qualifying candidates
-        // are scored.
+        // are scored — in place by the scan, or, when a keyword filter
+        // thinned them first, by id through `knn_among` like the IR-tree's
+        // (one id resolution per scored candidate). With the mask at a
+        // few µs that second path is one the planner takes.
         RetrievalStrategy::ExactScan => {
+            let per_scored = match f.keyword {
+                Some(_) => coef.gen_us + coef.score_us,
+                None => coef.score_us,
+            };
             coef.mask_us * f.points
                 + keyword_intersect_us(f, coef)
-                + coef.score_us * f.scored_candidates()
+                + per_scored * f.scored_candidates()
         }
         // Probe the covered cells, collect candidates, score them.
         RetrievalStrategy::GridPrefilter => {
@@ -952,8 +965,10 @@ mod tests {
 
     #[test]
     fn fit_recovers_synthetic_coefficients() {
+        // The mask term at what the geo column costs: a few µs of the
+        // narrow probe, and still separable from the scoring slope.
         let truth = Coefficients {
-            mask_us: 0.05,
+            mask_us: 0.002,
             score_us: 0.4,
             cell_us: 0.01,
             gen_us: 0.1,

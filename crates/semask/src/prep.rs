@@ -247,7 +247,7 @@ pub fn prepare_city_with_threads(
             ];
             // Under the compressed payload tier the collection carries
             // the tip summary too: long text the FSST layer packs while
-            // the geo filter keeps reading only the lat/lon skeleton.
+            // the geo filter keeps reading only the (lat, lon) column.
             if config.compress_payload_text {
                 if let Some(summary) = obj.attrs.get_text("tip_summary") {
                     pairs.push(("tip_summary", json!(summary)));

@@ -76,7 +76,9 @@ pub struct MemoryFootprint {
     pub quant_bytes: usize,
     /// The id → offset index.
     pub id_index_bytes: usize,
-    /// Payload storage (skeletons + text tier).
+    /// Payload storage: the geo column (16 B a point — where a float
+    /// position lives, and the only copy of it), the JSON skeletons of
+    /// everything else, and the text tier (see [`PayloadStore`]).
     pub payload_bytes: usize,
 }
 
@@ -438,13 +440,23 @@ impl Collection {
             .ok_or(VecDbError::PointNotFound { id })
     }
 
+    /// Which offsets qualify: live points, and of those the ones whose
+    /// payload matches `filter`.
+    fn live_mask(&self, filter: Option<&Filter>) -> Vec<bool> {
+        let mut mask =
+            filter.map_or_else(|| vec![true; self.deleted.len()], |f| self.payloads.mask(f));
+        for (qualifies, &dead) in mask.iter_mut().zip(&self.deleted) {
+            *qualifies &= !dead;
+        }
+        mask
+    }
+
     /// Ids of all live points whose payload matches `filter`.
     #[must_use]
     pub fn filter_ids(&self, filter: &Filter) -> Vec<PointId> {
-        (0..self.ids.len())
-            .filter(|&o| !self.deleted[o] && self.payloads.matches(o, filter))
-            .map(|o| self.ids[o])
-            .collect()
+        let mask = self.live_mask(Some(filter));
+        let qualifying = mask.iter().zip(&self.ids).filter(|(&m, _)| m);
+        qualifying.map(|(_, &id)| id).collect()
     }
 
     /// Component-by-component resident-memory accounting.
@@ -553,16 +565,8 @@ impl Collection {
 
         // Evaluate the filter once into a bitmap (deleted points never
         // qualify).
-        let mask: Option<Vec<bool>> = if params.filter.is_some() || self.live < self.ids.len() {
-            let f = params.filter.as_ref();
-            Some(
-                (0..self.ids.len())
-                    .map(|o| !self.deleted[o] && f.is_none_or(|f| self.payloads.matches(o, f)))
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let mask: Option<Vec<bool>> = (params.filter.is_some() || self.live < self.ids.len())
+            .then(|| self.live_mask(params.filter.as_ref()));
         let mask = mask.as_deref();
         let qualifying = mask.map_or(self.len(), |m| m.iter().filter(|&&b| b).count());
         if qualifying == 0 {

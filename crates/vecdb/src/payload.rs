@@ -1,17 +1,20 @@
 //! Point payloads, payload filters, and the payload storage tier.
 //!
 //! Payloads are JSON objects attached to points, as in Qdrant. Filters
-//! are a small condition language evaluated against payloads; SemaSK uses
-//! [`Filter::GeoBoundingBox`] to implement the query range.
+//! are a small condition language evaluated against stored payloads;
+//! SemaSK uses [`Filter::GeoBoundingBox`] to implement the query range.
 //!
-//! [`PayloadStore`] is the storage seam: in plain mode it is a
-//! `Vec<Payload>`; in compressed mode long text fields are split out of
-//! each payload into an FSST arena ([`crate::fsst`]) and the filter
-//! path evaluates against the remaining *skeleton* (geo coordinates,
-//! numbers, short strings) — a filter never decompresses text unless it
-//! explicitly references a compressed field.
+//! [`PayloadStore`] is the storage seam, and the one evaluator of a
+//! [`Filter`]. A point's position lives in a typed geo column — one
+//! `(lat, lon)` pair of `f64` per offset, Qdrant's typed geo payload
+//! field — and the geo filter reads nothing else. The rest of each
+//! payload is a JSON *skeleton*; in compressed mode long text fields are
+//! further split out of it into an FSST arena ([`crate::fsst`]), and a
+//! filter decompresses a text field only when it names that field.
 
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+
+use serde::{Content, DeError, Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::fsst::{CompressedStrings, SymbolTable};
@@ -55,18 +58,19 @@ impl Payload {
     }
 }
 
-/// A filter over payloads. All coordinates are in the payload's `lat` /
-/// `lon` fields unless field names are overridden.
+/// The payload fields a point's position is read from.
+const LAT: &str = "lat";
+const LON: &str = "lon";
+
+/// A filter over stored payloads, evaluated by [`PayloadStore::matches`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Filter {
-    /// Point's (`lat_key`, `lon_key`) numeric fields must fall inside the
-    /// box (edges inclusive). Qdrant's `geo_bounding_box` condition.
+    /// The point's position — its payload's numeric `lat` / `lon` fields,
+    /// as the store's geo column holds them — must fall inside the box
+    /// (edges inclusive). A point without a position is outside every
+    /// box. Qdrant's `geo_bounding_box` condition.
     GeoBoundingBox {
-        /// Payload field holding latitude.
-        lat_key: String,
-        /// Payload field holding longitude.
-        lon_key: String,
         /// Southern edge.
         min_lat: f64,
         /// Western edge.
@@ -101,50 +105,14 @@ pub enum Filter {
 }
 
 impl Filter {
-    /// Convenience constructor for the common geo filter on `lat`/`lon`.
+    /// The geo filter: positions inside the box, edges inclusive.
     #[must_use]
     pub fn geo_box(min_lat: f64, min_lon: f64, max_lat: f64, max_lon: f64) -> Self {
         Filter::GeoBoundingBox {
-            lat_key: "lat".to_owned(),
-            lon_key: "lon".to_owned(),
             min_lat,
             min_lon,
             max_lat,
             max_lon,
-        }
-    }
-
-    /// Evaluates the filter against a payload.
-    #[must_use]
-    pub fn matches(&self, payload: &Payload) -> bool {
-        match self {
-            Filter::GeoBoundingBox {
-                lat_key,
-                lon_key,
-                min_lat,
-                min_lon,
-                max_lat,
-                max_lon,
-            } => {
-                let (Some(lat), Some(lon)) = (payload.get_f64(lat_key), payload.get_f64(lon_key))
-                else {
-                    return false;
-                };
-                lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
-            }
-            Filter::MatchKeyword { key, value } => payload
-                .get(key)
-                .and_then(Value::as_str)
-                .is_some_and(|s| s == value),
-            Filter::Range { key, gte, lte } => {
-                let Some(x) = payload.get_f64(key) else {
-                    return false;
-                };
-                gte.is_none_or(|lo| x >= lo) && lte.is_none_or(|hi| x <= hi)
-            }
-            Filter::And(fs) => fs.iter().all(|f| f.matches(payload)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(payload)),
-            Filter::Not(f) => !f.matches(payload),
         }
     }
 }
@@ -191,27 +159,45 @@ struct TextTier {
     packed: Option<CompressedStrings>,
 }
 
-/// Payload storage with an optional compressed-text tier.
+/// Payload storage: a typed geo column, a JSON skeleton per point, and
+/// an optional compressed-text tier.
 ///
-/// Plain mode stores payloads verbatim. Compressed mode keeps a
-/// *skeleton* (every field except long text) inline and moves long
-/// text into a shared FSST arena with per-string random access; a
-/// payload is only reassembled — and its text only decompressed — when
-/// a caller asks for the full payload (refinement) or a filter
-/// explicitly references a compressed field (none of the hot geo /
-/// range / keyword filters do).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// **Where a position lives.** `geo[o]` is the `(lat, lon)` the geo
+/// filter evaluates for offset `o` and the only thing it reads: the
+/// payload's `lat` / `lon` as [`Payload::get_f64`] answers them, or a
+/// NaN pair — outside every box — when either is missing or not a
+/// number. When both are finite floats (every point SemaSK stores) the
+/// two fields are *moved*: they leave the skeleton and exist only in
+/// the column, and [`PayloadStore::get`] puts them back. Anything else
+/// — integers, non-finite floats, half a pair — stays in the skeleton
+/// as the `Value` it was, and the column carries the number beside it.
+/// So a position is in the column alone exactly when the column holds a
+/// latitude and the skeleton has no `lat` field.
+///
+/// **The skeleton** is every other field. Plain mode keeps all of them
+/// inline; compressed mode moves long text into a shared FSST arena
+/// with per-string random access. A payload is only reassembled — and
+/// its text only decompressed — when a caller asks for the full payload
+/// (refinement) or a filter names a compressed field (none of the hot
+/// geo / range / keyword filters do).
+///
+/// **Serialized** (the snapshot's meta section), a store is its
+/// payloads with every moved position merged back, and the reader moves
+/// them out again: the column is a resident layout, not a format.
+#[derive(Debug, Clone)]
 pub struct PayloadStore {
     skeletons: Vec<Payload>,
+    geo: Vec<[f64; 2]>,
     text: Option<TextTier>,
 }
 
 impl PayloadStore {
-    /// A store that keeps payloads verbatim.
+    /// A store that keeps payload text verbatim.
     #[must_use]
     pub fn plain() -> Self {
         Self {
             skeletons: Vec::new(),
+            geo: Vec::new(),
             text: None,
         }
     }
@@ -220,12 +206,12 @@ impl PayloadStore {
     #[must_use]
     pub fn compressed() -> Self {
         Self {
-            skeletons: Vec::new(),
             text: Some(TextTier {
                 slots: Vec::new(),
                 pending: 0,
                 packed: None,
             }),
+            ..Self::plain()
         }
     }
 
@@ -262,7 +248,8 @@ impl PayloadStore {
     }
 
     /// Appends a payload.
-    pub fn push(&mut self, payload: Payload) {
+    pub fn push(&mut self, mut payload: Payload) {
+        self.geo.push(take_position(&mut payload));
         if self.text.is_some() {
             let (skeleton, slots) = Self::split(payload);
             self.skeletons.push(skeleton);
@@ -281,7 +268,8 @@ impl PayloadStore {
     /// Replaces the payload at `offset`. Packed strings the old payload
     /// referenced stay in the arena as garbage until a rebuild; the
     /// arena is append-only by design.
-    pub fn set(&mut self, offset: usize, payload: Payload) {
+    pub fn set(&mut self, offset: usize, mut payload: Payload) {
+        self.geo[offset] = take_position(&mut payload);
         if self.text.is_some() {
             let (skeleton, slots) = Self::split(payload);
             self.skeletons[offset] = skeleton;
@@ -297,55 +285,89 @@ impl PayloadStore {
         }
     }
 
-    /// The skeleton at `offset`: the full payload in plain mode, the
-    /// payload minus compressed text fields in compressed mode. This is
-    /// the filter path's view — no decompression, ever.
-    #[must_use]
-    pub fn skeleton(&self, offset: usize) -> &Payload {
-        &self.skeletons[offset]
+    /// The position at `offset` when it lives in the column alone (see
+    /// the type docs).
+    fn moved_position(&self, offset: usize) -> Option<[f64; 2]> {
+        let position = self.geo[offset];
+        (!position[0].is_nan() && !self.skeletons[offset].0.contains_key(LAT)).then_some(position)
     }
 
-    /// The full payload at `offset`, reassembling compressed text.
+    /// The full payload at `offset` — what was stored, `Value` for
+    /// `Value`: a moved position put back, compressed text reassembled.
     #[must_use]
     pub fn get(&self, offset: usize) -> Payload {
         let mut p = self.skeletons[offset].clone();
+        if let Some([lat, lon]) = self.moved_position(offset) {
+            p.set(LAT, Value::from(lat));
+            p.set(LON, Value::from(lon));
+        }
         if let Some(tier) = &self.text {
             for slot in &tier.slots[offset] {
-                let v = match &slot.text {
-                    TextRef::Raw(s) => s.clone(),
-                    TextRef::Packed(i) => tier
-                        .packed
-                        .as_ref()
-                        .expect("packed ref implies trained arena")
-                        .get(*i),
-                };
-                p.set(slot.key.clone(), Value::String(v));
+                p.set(slot.key.clone(), Value::String(tier.text_of(slot)));
             }
         }
         p
     }
 
-    /// Evaluates `filter` at `offset` against the skeleton, falling
-    /// back to the reassembled payload only when the filter references
-    /// a field that was split into the text tier — so the hot filter
-    /// path (geo boxes, numeric ranges, short keywords) never touches
-    /// compressed bytes.
-    #[must_use]
-    pub fn matches(&self, offset: usize, filter: &Filter) -> bool {
-        if let Some(tier) = &self.text {
-            let slots = &tier.slots[offset];
-            if !slots.is_empty() && slots.iter().any(|s| filter_references(filter, &s.key)) {
-                return filter.matches(&self.get(offset));
+    /// One field of the payload at `offset`, from wherever it lives:
+    /// the skeleton, the geo column, or the text tier — the only place
+    /// the filter path decompresses anything, and only the field asked
+    /// for.
+    fn field(&self, offset: usize, key: &str) -> Option<Cow<'_, Value>> {
+        if let Some(v) = self.skeletons[offset].get(key) {
+            return Some(Cow::Borrowed(v));
+        }
+        if key == LAT || key == LON {
+            if let Some([lat, lon]) = self.moved_position(offset) {
+                return Some(Cow::Owned(Value::from(if key == LAT { lat } else { lon })));
             }
         }
-        filter.matches(&self.skeletons[offset])
+        let tier = self.text.as_ref()?;
+        let slot = tier.slots[offset].iter().find(|s| s.key == key)?;
+        Some(Cow::Owned(Value::String(tier.text_of(slot))))
     }
 
-    /// Estimated heap bytes: JSON size of the skeletons plus the text
-    /// tier (raw buffered strings at full size, packed strings at
-    /// arena size). An accounting estimate, not an allocator census.
+    /// Evaluates `filter` at `offset` — the one evaluator. A geo box
+    /// reads the `(lat, lon)` column and nothing else; keyword and
+    /// range conditions look their one field up.
+    #[must_use]
+    pub fn matches(&self, offset: usize, filter: &Filter) -> bool {
+        match filter {
+            Filter::GeoBoundingBox { .. } => in_box(self.geo[offset], filter),
+            Filter::MatchKeyword { key, value } => self
+                .field(offset, key)
+                .is_some_and(|v| v.as_str() == Some(value)),
+            Filter::Range { key, gte, lte } => {
+                let Some(x) = self.field(offset, key).and_then(|v| v.as_f64()) else {
+                    return false;
+                };
+                gte.is_none_or(|lo| x >= lo) && lte.is_none_or(|hi| x <= hi)
+            }
+            Filter::And(fs) => fs.iter().all(|f| self.matches(offset, f)),
+            Filter::Or(fs) => fs.iter().any(|f| self.matches(offset, f)),
+            Filter::Not(f) => !self.matches(offset, f),
+        }
+    }
+
+    /// [`PayloadStore::matches`] at every offset, in offset order. For
+    /// a geo box — the query range — that is one pass over a flat array
+    /// of `f64` pairs.
+    #[must_use]
+    pub fn mask(&self, filter: &Filter) -> Vec<bool> {
+        match filter {
+            Filter::GeoBoundingBox { .. } => self.geo.iter().map(|&p| in_box(p, filter)).collect(),
+            _ => (0..self.len()).map(|o| self.matches(o, filter)).collect(),
+        }
+    }
+
+    /// Estimated heap bytes: the geo column (16 B a point), the JSON
+    /// size of the skeletons — which no longer hold a moved position —
+    /// and the text tier (raw buffered strings at full size, packed
+    /// strings at arena size). An accounting estimate, not an allocator
+    /// census.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
+        let geo_bytes = self.geo.len() * std::mem::size_of::<[f64; 2]>();
         let skeleton_bytes: usize = self
             .skeletons
             .iter()
@@ -366,7 +388,7 @@ impl PayloadStore {
                 .as_ref()
                 .map_or(0, CompressedStrings::memory_bytes)
         });
-        skeleton_bytes + text_bytes
+        geo_bytes + skeleton_bytes + text_bytes
     }
 
     /// Splits a payload into its skeleton and extracted text slots.
@@ -425,21 +447,145 @@ impl PayloadStore {
     }
 }
 
-/// Whether `filter` mentions payload field `key` anywhere.
-fn filter_references(filter: &Filter, key: &str) -> bool {
-    match filter {
-        Filter::GeoBoundingBox {
-            lat_key, lon_key, ..
-        } => lat_key == key || lon_key == key,
-        Filter::MatchKeyword { key: k, .. } | Filter::Range { key: k, .. } => k == key,
-        Filter::And(fs) | Filter::Or(fs) => fs.iter().any(|f| filter_references(f, key)),
-        Filter::Not(f) => filter_references(f, key),
+/// The geo verdict: whether a column entry lies inside `filter`'s box,
+/// edges included. A NaN — no position, or a NaN edge — fails every
+/// comparison. `false` for any filter but a geo box.
+#[inline]
+fn in_box([lat, lon]: [f64; 2], filter: &Filter) -> bool {
+    let Filter::GeoBoundingBox {
+        min_lat,
+        min_lon,
+        max_lat,
+        max_lon,
+    } = filter
+    else {
+        return false;
+    };
+    lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
+}
+
+/// The geo-column entry for `payload` — its `lat` / `lon` as
+/// [`Payload::get_f64`] reads them, a NaN pair when either is missing
+/// or not a number — taking the two fields out of the payload when both
+/// are finite floats, the one shape the column gives back bit for bit.
+fn take_position(payload: &mut Payload) -> [f64; 2] {
+    let (Some(lat), Some(lon)) = (payload.get_f64(LAT), payload.get_f64(LON)) else {
+        return [f64::NAN; 2];
+    };
+    let finite_float = |key, x: f64| x.is_finite() && payload.get(key).is_some_and(Value::is_f64);
+    if finite_float(LAT, lat) && finite_float(LON, lon) {
+        payload.0.remove(LAT);
+        payload.0.remove(LON);
+    }
+    [lat, lon]
+}
+
+/// The stored shape is the one the derive gave the store before it had
+/// a column — `{"skeletons": [payload, ..], "text": tier}` with every
+/// position inside its payload — so a file does not say which layout
+/// wrote it.
+impl Serialize for PayloadStore {
+    fn to_content(&self) -> Content {
+        let payloads = (0..self.len())
+            .map(|o| {
+                let skeleton = &self.skeletons[o].0;
+                // Room for the position: one allocation a point, as
+                // when the skeleton held it.
+                let mut fields: Vec<(String, Content)> = Vec::with_capacity(skeleton.len() + 2);
+                fields.extend(skeleton.iter().map(|(k, v)| (k.clone(), v.to_content())));
+                if let Some([lat, lon]) = self.moved_position(o) {
+                    // Key order is the format: fields are sorted.
+                    for (key, x) in [(LAT, lat), (LON, lon)] {
+                        let at = fields.partition_point(|(k, _)| k.as_str() < key);
+                        fields.insert(at, (key.to_owned(), Content::F64(x)));
+                    }
+                }
+                Content::Map(fields)
+            })
+            .collect();
+        Content::Map(vec![
+            ("skeletons".to_owned(), Content::Seq(payloads)),
+            ("text".to_owned(), self.text.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for PayloadStore {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Stored {
+            skeletons: Vec<Payload>,
+            text: Option<TextTier>,
+        }
+        let Stored {
+            mut skeletons,
+            text,
+        } = Stored::from_content(content)?;
+        // A long `lat` string sits in the text tier and reads as no
+        // number, so a skeleton alone decides its point's position
+        // exactly as the whole payload did at `push`.
+        let geo = skeletons.iter_mut().map(take_position).collect();
+        Ok(Self {
+            skeletons,
+            geo,
+            text,
+        })
+    }
+}
+
+impl TextTier {
+    /// The text a slot holds, decompressed if packed.
+    fn text_of(&self, slot: &TextSlot) -> String {
+        match &slot.text {
+            TextRef::Raw(s) => s.clone(),
+            TextRef::Packed(i) => self
+                .packed
+                .as_ref()
+                .expect("packed ref implies trained arena")
+                .get(*i),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Filter {
+    /// The evaluator the store replaced, kept as the reference the
+    /// store is held to: every condition looked up in a reassembled
+    /// payload's JSON map.
+    fn matches_payload(&self, payload: &Payload) -> bool {
+        match self {
+            Filter::GeoBoundingBox {
+                min_lat,
+                min_lon,
+                max_lat,
+                max_lon,
+            } => {
+                let (Some(lat), Some(lon)) = (payload.get_f64(LAT), payload.get_f64(LON)) else {
+                    return false;
+                };
+                lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
+            }
+            Filter::MatchKeyword { key, value } => payload
+                .get(key)
+                .and_then(Value::as_str)
+                .is_some_and(|s| s == value),
+            Filter::Range { key, gte, lte } => {
+                let Some(x) = payload.get_f64(key) else {
+                    return false;
+                };
+                gte.is_none_or(|lo| x >= lo) && lte.is_none_or(|hi| x <= hi)
+            }
+            Filter::And(fs) => fs.iter().all(|f| f.matches_payload(payload)),
+            Filter::Or(fs) => fs.iter().any(|f| f.matches_payload(payload)),
+            Filter::Not(f) => !f.matches_payload(payload),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde_json::json;
 
     fn poi(lat: f64, lon: f64, city: &str, stars: f64) -> Payload {
@@ -451,18 +597,25 @@ mod tests {
         ])
     }
 
+    /// `filter`'s verdict on `payload` once stored.
+    fn holds(filter: &Filter, payload: Payload) -> bool {
+        let mut s = PayloadStore::plain();
+        s.push(payload);
+        s.matches(0, filter)
+    }
+
     #[test]
     fn geo_box_inclusive_edges() {
         let f = Filter::geo_box(0.0, 0.0, 1.0, 1.0);
-        assert!(f.matches(&poi(0.0, 0.0, "x", 3.0)));
-        assert!(f.matches(&poi(1.0, 1.0, "x", 3.0)));
-        assert!(!f.matches(&poi(1.00001, 0.5, "x", 3.0)));
+        assert!(holds(&f, poi(0.0, 0.0, "x", 3.0)));
+        assert!(holds(&f, poi(1.0, 1.0, "x", 3.0)));
+        assert!(!holds(&f, poi(1.00001, 0.5, "x", 3.0)));
     }
 
     #[test]
     fn geo_box_missing_fields_fails() {
         let f = Filter::geo_box(0.0, 0.0, 1.0, 1.0);
-        assert!(!f.matches(&Payload::new()));
+        assert!(!holds(&f, Payload::new()));
     }
 
     #[test]
@@ -471,8 +624,8 @@ mod tests {
             key: "city".to_owned(),
             value: "Nashville".to_owned(),
         };
-        assert!(f.matches(&poi(0.5, 0.5, "Nashville", 4.0)));
-        assert!(!f.matches(&poi(0.5, 0.5, "Philadelphia", 4.0)));
+        assert!(holds(&f, poi(0.5, 0.5, "Nashville", 4.0)));
+        assert!(!holds(&f, poi(0.5, 0.5, "Philadelphia", 4.0)));
     }
 
     #[test]
@@ -482,15 +635,15 @@ mod tests {
             gte: Some(3.0),
             lte: Some(4.5),
         };
-        assert!(f.matches(&poi(0.0, 0.0, "x", 3.0)));
-        assert!(f.matches(&poi(0.0, 0.0, "x", 4.5)));
-        assert!(!f.matches(&poi(0.0, 0.0, "x", 5.0)));
+        assert!(holds(&f, poi(0.0, 0.0, "x", 3.0)));
+        assert!(holds(&f, poi(0.0, 0.0, "x", 4.5)));
+        assert!(!holds(&f, poi(0.0, 0.0, "x", 5.0)));
         let open = Filter::Range {
             key: "stars".to_owned(),
             gte: Some(3.0),
             lte: None,
         };
-        assert!(open.matches(&poi(0.0, 0.0, "x", 5.0)));
+        assert!(holds(&open, poi(0.0, 0.0, "x", 5.0)));
     }
 
     #[test]
@@ -502,8 +655,8 @@ mod tests {
                 value: "Springfield".to_owned(),
             })),
         ]);
-        assert!(f.matches(&poi(0.5, 0.5, "Nashville", 3.0)));
-        assert!(!f.matches(&poi(0.5, 0.5, "Springfield", 3.0)));
+        assert!(holds(&f, poi(0.5, 0.5, "Nashville", 3.0)));
+        assert!(!holds(&f, poi(0.5, 0.5, "Springfield", 3.0)));
         let g = Filter::Or(vec![
             Filter::MatchKeyword {
                 key: "city".to_owned(),
@@ -514,8 +667,8 @@ mod tests {
                 value: "B".to_owned(),
             },
         ]);
-        assert!(g.matches(&poi(0.0, 0.0, "B", 1.0)));
-        assert!(!g.matches(&poi(0.0, 0.0, "C", 1.0)));
+        assert!(holds(&g, poi(0.0, 0.0, "B", 1.0)));
+        assert!(!holds(&g, poi(0.0, 0.0, "C", 1.0)));
     }
 
     fn tip_payload(i: usize) -> Payload {
@@ -541,7 +694,6 @@ mod tests {
         }
         assert_eq!(s.len(), 10);
         assert_eq!(s.get(3), tip_payload(3));
-        assert_eq!(s.skeleton(3), &tip_payload(3));
     }
 
     #[test]
@@ -585,8 +737,34 @@ mod tests {
         assert!(s.matches(3, &geo));
         assert!(!s.matches(10, &geo));
         // The skeleton genuinely lacks the long text field.
-        assert!(s.skeleton(3).get("tips").is_none());
-        assert!(s.skeleton(3).get("name").is_some());
+        assert!(s.skeletons[3].get("tips").is_none());
+        assert!(s.skeletons[3].get("name").is_some());
+    }
+
+    #[test]
+    fn a_float_position_is_moved_not_copied() {
+        let mut s = PayloadStore::plain();
+        let mut unmoved = PayloadStore::plain();
+        for i in 0..20 {
+            s.push(tip_payload(i));
+            let mut p = tip_payload(i);
+            p.set("lat", json!(i)); // an integer stays where it is
+            unmoved.push(p);
+        }
+        // The position is in the column and nowhere else, and the
+        // column's 16 B cost less than the JSON the two numbers were.
+        let skeleton = &s.skeletons[3];
+        assert!(skeleton.get("lat").is_none() && skeleton.get("lon").is_none());
+        assert!(unmoved.skeletons[3].get("lat").is_some());
+        assert!(s.memory_bytes() < unmoved.memory_bytes());
+        // A condition on the field by name still finds it.
+        let north = Filter::Range {
+            key: "lat".to_owned(),
+            gte: Some(0.025),
+            lte: None,
+        };
+        assert!(s.matches(3, &north) && !s.matches(2, &north));
+        assert_eq!(s.get(3), tip_payload(3));
     }
 
     #[test]
@@ -639,5 +817,246 @@ mod tests {
         assert_eq!(p.get("city").and_then(Value::as_str), Some("x"));
         p.set("is_open", json!(true));
         assert_eq!(p.get("is_open"), Some(&json!(true)));
+    }
+
+    // ---- the column against the evaluator it replaced ----
+
+    /// Every shape a `lat` / `lon` field has been seen to take, and a
+    /// few it should never: `None` is a missing field.
+    fn hostile_value(pick: usize, x: f64) -> Option<Value> {
+        let long = "a position written out in words, seventy characters or more of it, to be exact";
+        assert!(long.len() >= COMPRESS_MIN_LEN);
+        Some(match pick {
+            0 => return None,
+            1 => json!(x),
+            2 => json!(-0.0),
+            3 => json!(0.0),
+            4 => json!(1.0),
+            5 => json!(1e308),
+            6 => json!(0),
+            7 => json!(1),
+            8 => json!(-1),
+            9 => json!(u64::MAX),
+            10 => json!("0.5"),
+            11 => json!(long),
+            12 => Value::Null,
+            13 => json!({ "lat": 0.5, "lon": 0.5 }),
+            14 => json!(f64::NAN),
+            15 => json!(f64::INFINITY),
+            16 => json!(true),
+            _ => json!(-x),
+        })
+    }
+    const HOSTILE_VALUES: usize = 18;
+
+    fn hostile_payload((lat, lon, x, y, extras): (usize, usize, f64, f64, usize)) -> Payload {
+        let mut p = Payload::new();
+        for (key, v) in [
+            ("lat", hostile_value(lat, x)),
+            ("lon", hostile_value(lon, y)),
+        ] {
+            if let Some(v) = v {
+                p.set(key, v);
+            }
+        }
+        if extras & 1 == 1 {
+            p.set("name", json!("a"));
+            p.set("zone", json!(7));
+        }
+        if extras & 2 == 2 {
+            p.set(
+                "tips",
+                json!(format!(
+                    "visitor {lat}{lon} found the coffee here excellent and the staff kind"
+                )),
+            );
+        }
+        p
+    }
+
+    fn hostile_bound(pick: usize, x: f64) -> f64 {
+        match pick {
+            0 => x,
+            1 => -0.0,
+            2 => 0.0,
+            3 => 1.0,
+            4 => -1.0,
+            5 => 1e308,
+            6 => -1e308,
+            7 => f64::NAN,
+            8 => f64::INFINITY,
+            9 => f64::NEG_INFINITY,
+            10 => 180.0,
+            _ => -180.0,
+        }
+    }
+    const HOSTILE_BOUNDS: usize = 12;
+
+    /// The filters every stored payload is judged by: the whole world,
+    /// boxes with a stored position exactly on their edges, and the
+    /// generated boxes (inverted and NaN-edged ones among them) — each
+    /// also under `Not`, beside a keyword, and as a range on the moved
+    /// field's own name.
+    fn filters_over(boxes: &[Vec<(usize, f64)>], payloads: &[Payload]) -> Vec<Filter> {
+        let mut out = vec![Filter::geo_box(-90.0, -180.0, 90.0, 180.0)];
+        // Boxes with a stored position on their edges.
+        for p in payloads.iter().take(4) {
+            if let (Some(lat), Some(lon)) = (p.get_f64("lat"), p.get_f64("lon")) {
+                out.push(Filter::geo_box(lat, lon, lat, lon));
+                out.push(Filter::geo_box(f64::NEG_INFINITY, -180.0, lat, lon));
+                out.push(Filter::geo_box(lat, lon, 90.0, f64::INFINITY));
+            }
+        }
+        for b in boxes {
+            let [s, w, n, e] = [0, 1, 2, 3].map(|i| hostile_bound(b[i].0, b[i].1));
+            let geo = Filter::geo_box(s, w, n, e);
+            let lat_range = Filter::Range {
+                key: "lat".to_owned(),
+                gte: Some(s),
+                lte: Some(n),
+            };
+            let named = Filter::MatchKeyword {
+                key: "name".to_owned(),
+                value: "a".to_owned(),
+            };
+            out.push(Filter::Not(Box::new(geo.clone())));
+            out.push(Filter::And(vec![geo.clone(), named.clone()]));
+            out.push(Filter::Or(vec![lat_range, named]));
+            out.push(geo);
+        }
+        out
+    }
+
+    /// `store` holds exactly `model`, `Value` for `Value` (`Debug`
+    /// tells `1` from `1.0` and `-0.0` from `0.0`; `==` does not), and
+    /// gives every filter the reference's verdict at every offset.
+    fn check_against_model(
+        store: &PayloadStore,
+        model: &[Payload],
+        filters: &[Filter],
+        stage: &str,
+    ) -> Result<(), String> {
+        prop_assert_eq!(store.len(), model.len(), "{}", stage);
+        for (o, stored) in model.iter().enumerate() {
+            let got = store.get(o);
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{stored:?}"),
+                "{} offset {}",
+                stage,
+                o
+            );
+            for f in filters {
+                prop_assert_eq!(
+                    store.matches(o, f),
+                    f.matches_payload(&got),
+                    "{} offset {} payload {:?} filter {:?}",
+                    stage,
+                    o,
+                    stored,
+                    f
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn hostile_payloads(max: usize) -> impl Strategy<Value = Vec<Payload>> {
+        let one = (
+            0..HOSTILE_VALUES,
+            0..HOSTILE_VALUES,
+            -1.0f64..1.0,
+            -1.0f64..1.0,
+            0usize..4,
+        );
+        prop::collection::vec(one.prop_map(hostile_payload), 1..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The geo column gives every point the verdict the JSON
+        /// look-up gave it, and gives back the payload that was stored,
+        /// through a store's whole life: pushes, replacements, FSST
+        /// training, and a trip through the serialized form.
+        #[test]
+        fn the_column_answers_like_the_payload_it_was_read_from(
+            payloads in hostile_payloads(40),
+            replacements in hostile_payloads(12),
+            boxes in prop::collection::vec(
+                prop::collection::vec((0..HOSTILE_BOUNDS, -1.0f64..1.0), 4),
+                1..6,
+            ),
+            compressed in 0usize..2,
+            train in 0usize..4,
+        ) {
+            let filters = filters_over(&boxes, &payloads);
+            let mut store = if compressed == 1 {
+                PayloadStore::compressed()
+            } else {
+                PayloadStore::plain()
+            };
+            let mut model: Vec<Payload> = Vec::new();
+            for p in &payloads {
+                store.push(p.clone());
+                model.push(p.clone());
+            }
+            check_against_model(&store, &model, &filters, "pushed")?;
+
+            for (i, p) in replacements.iter().enumerate() {
+                let o = (i * 7) % model.len();
+                store.set(o, p.clone());
+                model[o] = p.clone();
+            }
+            check_against_model(&store, &model, &filters, "replaced")?;
+
+            // One case in four crosses the training trigger, so packed
+            // references and a trained arena are live for what follows.
+            if train == 0 {
+                for i in 0..TRAIN_AT {
+                    store.push(tip_payload(i));
+                    model.push(tip_payload(i));
+                }
+                prop_assert_eq!(
+                    store.text.as_ref().is_some_and(|t| t.packed.is_some()),
+                    compressed == 1
+                );
+                check_against_model(&store, &model, &filters[..3], "trained")?;
+            }
+
+            let text = serde_json::to_string(&store).unwrap();
+            let back: PayloadStore = serde_json::from_str(&text).unwrap();
+            prop_assert!(back.is_consistent());
+            // Non-finite floats are written as `null`, as they always were.
+            let reread: Vec<Payload> = (0..store.len()).map(|o| back.get(o)).collect();
+            for (o, p) in reread.iter().enumerate() {
+                let written: Payload =
+                    serde_json::from_str(&serde_json::to_string(&model[o]).unwrap()).unwrap();
+                prop_assert_eq!(format!("{p:?}"), format!("{written:?}"), "reloaded offset {}", o);
+            }
+            let few = if train == 0 { &filters[..3] } else { &filters[..] };
+            check_against_model(&back, &reread, few, "reloaded")?;
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        }
+    }
+
+    #[test]
+    fn the_serialized_store_is_the_shape_the_derive_wrote() {
+        let mut s = PayloadStore::plain();
+        s.push(Payload::from_pairs(&[
+            ("lon", json!(-86.5)),
+            ("a", json!(1)),
+            ("lat", json!(36.25)),
+            ("m", json!("x")),
+            ("z", json!(null)),
+        ]));
+        s.push(Payload::from_pairs(&[
+            ("lat", json!(3)),
+            ("lon", json!(4.0)),
+        ]));
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"skeletons":[{"a":1,"lat":36.25,"lon":-86.5,"m":"x","z":null},{"lat":3,"lon":4.0}],"text":null}"#
+        );
     }
 }

@@ -463,6 +463,202 @@ fn snapshot_with_meaningless_graph_parameters_is_refused_at_both_doors() {
     assert!(db.create_collection("c", with(2, 2, 1)).is_ok());
 }
 
+// ---- the file is older than the geo column ----
+
+/// The geo filter's verdict as the JSON look-up gave it: both fields
+/// numbers (integers convert) and inside the box, edges included.
+fn in_box_by_json(p: &Payload, [south, west, north, east]: [f64; 4]) -> bool {
+    let (Some(lat), Some(lon)) = (p.get_f64("lat"), p.get_f64("lon")) else {
+        return false;
+    };
+    lat >= south && lat <= north && lon >= west && lon <= east
+}
+
+/// Every box gives every live point the verdict its reassembled payload
+/// earns from [`in_box_by_json`] — through `filter_ids` and through
+/// both searches' masks.
+fn assert_filters_like_its_payloads(c: &Collection, ids: impl Iterator<Item = u64>, what: &str) {
+    let live: Vec<(u64, Payload)> = ids
+        .filter(|&id| c.contains(id))
+        .map(|id| (id, c.payload(id).unwrap()))
+        .collect();
+    let boxes = [
+        [-90.0, -180.0, 90.0, 180.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.2, 0.2],
+        [0.01, 0.0, 0.01, 0.0],
+        [0.2, 0.2, 0.0, 0.0],
+        [f64::NAN, 0.0, 1.0, 1.0],
+    ];
+    for b in boxes {
+        let expect: Vec<u64> = live
+            .iter()
+            .filter(|(_, p)| in_box_by_json(p, b))
+            .map(|&(id, _)| id)
+            .collect();
+        let filter = Filter::geo_box(b[0], b[1], b[2], b[3]);
+        let mut got = c.filter_ids(&filter);
+        got.sort_unstable();
+        assert_eq!(got, expect, "{what}: box {b:?}");
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+            let params = SearchParams::top_k(live.len())
+                .with_ef(4 * live.len())
+                .with_strategy(strategy)
+                .with_filter(filter.clone());
+            let planned = c.search_planned(&pseudo(77, DIM), &params).unwrap();
+            assert_eq!(planned.qualifying, expect.len(), "{what}: box {b:?}");
+            assert!(planned.hits.iter().all(|h| expect.contains(&h.id)));
+        }
+    }
+}
+
+const LONG_LAT: &str = "thirty-six degrees and nine minutes north of the equator, give or take";
+
+/// 60 points under the compressed tier whose positions take every shape
+/// a payload allows: mostly two floats, and one point each with an
+/// integer `lat`, no `lat`, a `lat` long enough for the text tier, two
+/// integers, and `-0.0`.
+fn odd_positions() -> Collection {
+    assert!(LONG_LAT.len() >= 64);
+    let mut c = Collection::new(config(ScoringTier::Quantized { rerank_factor: 4 }, true));
+    for i in 0..60u64 {
+        let mut p = payload(i);
+        match i {
+            3 => p.set("lat", json!(0)),
+            5 => {
+                p.0.remove("lat");
+            }
+            7 => p.set("lat", json!(LONG_LAT)),
+            9 => {
+                p.set("lat", json!(0));
+                p.set("lon", json!(0));
+            }
+            11 => p.set("lat", json!(-0.0)),
+            _ => {}
+        }
+        c.insert(i, pseudo(i + 1, DIM), p).unwrap();
+    }
+    c
+}
+
+/// `to_snapshot_bytes()` of three fixed collections is, byte for byte,
+/// what the store wrote when positions were JSON fields and nothing
+/// else: lengths and CRC-32s recorded at the commit before
+/// `PayloadStore` had a geo column (PR 24's parent, `a00fc74`).
+#[test]
+fn snapshot_bytes_are_the_ones_written_before_the_geo_column() {
+    let quantized = ScoringTier::Quantized { rerank_factor: 4 };
+    let worlds = [
+        (
+            "300 lived-in",
+            lived_in(config(quantized, true), 300),
+            PIN_300,
+        ),
+        (
+            "1,200 lived-in",
+            lived_in(config(quantized, true), 1_200),
+            PIN_1200,
+        ),
+        ("odd positions", odd_positions(), PIN_ODD),
+    ];
+    for (name, c, pin) in worlds {
+        let bytes = c.to_snapshot_bytes().unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), pin, "{name}");
+    }
+}
+const PIN_300: (usize, u32) = (131_420, 0x485b_bc19);
+const PIN_1200: (usize, u32) = (440_034, 0x449b_a99f);
+const PIN_ODD: (usize, u32) = (25_011, 0xc549_f662);
+
+#[test]
+fn snapshot_with_odd_positions_round_trips_and_filters_like_its_payloads() {
+    let original = odd_positions();
+    let bytes = original.to_snapshot_bytes().unwrap();
+    let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
+    for c in [&original, &restored] {
+        assert_filters_like_its_payloads(c, 0..60, "odd positions");
+        // What was stored comes back as the `Value` it was.
+        let lat = |id| format!("{:?}", c.payload(id).unwrap().get("lat"));
+        assert_eq!(lat(3), format!("{:?}", Some(&json!(0))));
+        assert_eq!(lat(5), "None");
+        assert_eq!(lat(7), format!("{:?}", Some(&json!(LONG_LAT))));
+        assert_eq!(lat(11), format!("{:?}", Some(&json!(-0.0))));
+        assert_eq!(lat(12), format!("{:?}", Some(&json!(0.12))));
+    }
+    assert_eq!(fingerprint(&restored), fingerprint(&original));
+    assert_eq!(restored.memory_footprint(), original.memory_footprint());
+    assert!(restored.to_snapshot_bytes().unwrap() == bytes);
+}
+
+/// Files no newer code wrote: a snapshot's meta section edited by hand
+/// so that one point's `lat` is an integer, is absent, or is a long
+/// string (in the plain store a skeleton field, in the compressed one a
+/// text slot, as the old writer would have put it). Each loads, gives
+/// the point back as written, filters like its payloads, and re-packs
+/// to the file it was read from.
+#[test]
+fn snapshot_hand_built_in_the_old_shape_loads_and_filters_like_its_payloads() {
+    for compress in [false, true] {
+        let file = lived_in(config(ScoringTier::Full, compress), 70)
+            .to_snapshot_bytes()
+            .unwrap();
+        // Point id 3 is payload(1): the only one at (0.01, 0.0).
+        let (position, tail) = if compress {
+            ("{\"lat\":0.01,\"lon\":0.0}", "}")
+        } else {
+            ("{\"lat\":0.01,\"lon\":0.0,", ",")
+        };
+        let long_lat = format!("\"lat\":\"{LONG_LAT}\",");
+        let edits = [
+            (
+                "lat an integer",
+                format!("{{\"lat\":0,\"lon\":0.0{tail}"),
+                json!(0),
+            ),
+            ("lat absent", format!("{{\"lon\":0.0{tail}"), json!(null)),
+            (
+                "lat a long string",
+                format!("{{{long_lat}\"lon\":0.0{tail}"),
+                json!(LONG_LAT),
+            ),
+        ];
+        for (what, replacement, lat) in edits {
+            let what = format!("{what}, compressed text {compress}");
+            let in_a_slot = compress && lat.as_str().is_some();
+            let old = with_meta(&file, |meta| {
+                assert_eq!(meta.matches(position).count(), 1, "{what}");
+                if !in_a_slot {
+                    return meta.replacen(position, &replacement, 1);
+                }
+                // The compressed store kept long strings out of the
+                // skeleton: the second point's slots gain the field.
+                let mut meta = meta.replacen(position, "{\"lon\":0.0}", 1);
+                let slots = "\"slots\":[[";
+                let second = meta.find(slots).unwrap() + slots.len();
+                let second = second + meta[second..].find("],[").unwrap() + 3;
+                let slot = format!("{{\"key\":\"lat\",\"text\":{{\"Raw\":\"{LONG_LAT}\"}}}},");
+                meta.insert_str(second, &slot);
+                meta
+            });
+            let c = Collection::from_snapshot_bytes(&old).expect(&what);
+            let got = c.payload(3).unwrap();
+            let expect = (!lat.is_null()).then_some(&lat);
+            assert_eq!(
+                format!("{:?}", got.get("lat")),
+                format!("{expect:?}"),
+                "{what}"
+            );
+            assert_eq!(got.get_f64("lon"), Some(0.0), "{what}");
+            assert!(got.get("tips").is_some(), "{what}");
+            assert_filters_like_its_payloads(&c, (0..70).map(|i| i * 3), &what);
+            assert!(
+                c.to_snapshot_bytes().unwrap() == old,
+                "{what}: re-packed differently"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 

@@ -83,6 +83,12 @@ impl Number {
         }
     }
 
+    /// Whether the number is a float (not an integer that converts).
+    #[must_use]
+    pub fn is_f64(&self) -> bool {
+        matches!(self.0, N::F(_))
+    }
+
     /// A float number (`None` for non-finite input, like real serde_json).
     #[must_use]
     pub fn from_f64(f: f64) -> Option<Self> {
@@ -274,6 +280,12 @@ impl Value {
             Value::Number(n) => n.as_f64(),
             _ => None,
         }
+    }
+
+    /// Whether this is a float number (not an integer that converts).
+    #[must_use]
+    pub fn is_f64(&self) -> bool {
+        matches!(self, Value::Number(n) if n.is_f64())
     }
 
     /// The numeric content as `i64`, if integral.
