@@ -98,6 +98,12 @@ fn bench_metro(c: &mut Criterion) {
         "metro: prepared (geocode + summarize + embed + index) in {:.1}s",
         t1.elapsed().as_secs_f64()
     );
+    // The embedder's own memory, outside every collection footprint.
+    println!(
+        "metro: embedder key-vector memo {} rows, {:.2} MiB",
+        prepared.embedder.memo_rows(),
+        prepared.embedder.memo_bytes() as f64 / f64::from(1 << 20)
+    );
     let handle = prepared
         .db
         .collection(&prepared.collection_name)

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use textindex::tokenizer::{stem, Tokenizer};
+use textindex::tokenizer::{stem_into, Tokenizer};
 
 use crate::concept::ConceptId;
 use crate::hash::{fnv1a, mix, unit_float};
@@ -114,6 +114,50 @@ impl FidelityProfile {
     }
 }
 
+/// The stemmed token sequence of one text, in one buffer — what
+/// detection matches phrases against. Every raw token (lower-cased, no
+/// stopwords removed) contributes its stem, empty stems included, so a
+/// phrase never matches across a word that stemmed away.
+#[derive(Debug, Default)]
+pub struct Stems {
+    buf: String,
+    ends: Vec<usize>,
+}
+
+impl Stems {
+    /// Appends the stem of the raw token `token` and returns it.
+    pub fn push(&mut self, token: &str) -> &str {
+        let start = self.buf.len();
+        stem_into(token, &mut self.buf);
+        self.ends.push(self.buf.len());
+        &self.buf[start..]
+    }
+
+    /// Number of stems.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no stems.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th stem.
+    #[must_use]
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.buf[start..self.ends[i]]
+    }
+
+    /// The stems in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
 struct PhraseRef {
     tokens: Vec<String>,
     concept: ConceptId,
@@ -137,10 +181,9 @@ impl ConceptDetector {
         for c in ontology.concepts() {
             for (phrases, surface) in [(c.surface, true), (c.paraphrases, false)] {
                 for phrase in phrases {
-                    let tokens: Vec<String> = tokenizer
-                        .tokenize(phrase)
-                        .into_iter()
-                        .map(|t| stem(&t))
+                    let tokens: Vec<String> = stems_of(&tokenizer, phrase)
+                        .iter()
+                        .map(str::to_owned)
                         .collect();
                     if tokens.is_empty() {
                         continue;
@@ -183,40 +226,53 @@ impl ConceptDetector {
         self.ontology
     }
 
+    /// The detector's tokenizer: raw (no stopwords, no stemming), so
+    /// [`Stems::push`] of each of its tokens builds what
+    /// [`ConceptDetector::detect_stems`] reads.
+    #[must_use]
+    pub fn tokenizer(&self) -> &Tokenizer {
+        &self.tokenizer
+    }
+
     /// Exact detection: every concept whose surface term or paraphrase
     /// occurs (as a stemmed token subsequence) in `text`.
     #[must_use]
     pub fn detect(&self, text: &str) -> Vec<Detection> {
-        let tokens: Vec<String> = self
-            .tokenizer
-            .tokenize(text)
-            .into_iter()
-            .map(|t| stem(&t))
-            .collect();
-        // concept → (via_surface, occurrences)
-        let mut found: HashMap<ConceptId, (bool, u32)> = HashMap::new();
-        for (i, tok) in tokens.iter().enumerate() {
-            let Some(candidates) = self.index.get(tok) else {
+        self.detect_stems(&stems_of(&self.tokenizer, text))
+    }
+
+    /// [`ConceptDetector::detect`] over a text's stems, for callers that
+    /// tokenize the text anyway.
+    #[must_use]
+    pub fn detect_stems(&self, stems: &Stems) -> Vec<Detection> {
+        let mut out: Vec<Detection> = Vec::new();
+        for i in 0..stems.len() {
+            let Some(candidates) = self.index.get(stems.get(i)) else {
                 continue;
             };
             for cand in candidates {
-                if cand.tokens.len() <= tokens.len() - i
-                    && tokens[i..i + cand.tokens.len()] == cand.tokens[..]
-                {
-                    let e = found.entry(cand.concept).or_insert((false, 0));
-                    e.0 |= cand.surface;
-                    e.1 += 1;
+                let matched = cand.tokens.len() <= stems.len() - i
+                    && cand
+                        .tokens
+                        .iter()
+                        .enumerate()
+                        .all(|(j, t)| stems.get(i + j) == t);
+                if !matched {
+                    continue;
+                }
+                match out.iter_mut().find(|d| d.concept == cand.concept) {
+                    Some(d) => {
+                        d.via_surface |= cand.surface;
+                        d.occurrences += 1;
+                    }
+                    None => out.push(Detection {
+                        concept: cand.concept,
+                        via_surface: cand.surface,
+                        occurrences: 1,
+                    }),
                 }
             }
         }
-        let mut out: Vec<Detection> = found
-            .into_iter()
-            .map(|(concept, (via_surface, occurrences))| Detection {
-                concept,
-                via_surface,
-                occurrences,
-            })
-            .collect();
         out.sort_by_key(|d| d.concept);
         out
     }
@@ -237,9 +293,23 @@ impl ConceptDetector {
     /// `(text, concept, profile.salt)`.
     #[must_use]
     pub fn detect_noisy(&self, text: &str, profile: &FidelityProfile) -> Vec<Detection> {
+        self.detect_noisy_stems(text, &stems_of(&self.tokenizer, text), profile)
+    }
+
+    /// [`ConceptDetector::detect_noisy`] with `text`'s stems already
+    /// computed (`stems` must be what [`Stems::push`] of each token of
+    /// [`ConceptDetector::tokenizer`] over `text` builds; the noise is
+    /// still drawn from `text` itself).
+    #[must_use]
+    pub fn detect_noisy_stems(
+        &self,
+        text: &str,
+        stems: &Stems,
+        profile: &FidelityProfile,
+    ) -> Vec<Detection> {
         let text_hash = fnv1a(text.as_bytes());
         let mut out: Vec<Detection> = self
-            .detect(text)
+            .detect_stems(stems)
             .into_iter()
             .filter(|d| {
                 let p = if d.via_surface {
@@ -280,6 +350,15 @@ impl ConceptDetector {
             .map(|d| d.concept)
             .collect()
     }
+}
+
+/// The stems of every token `tokenizer` finds in `text`.
+fn stems_of(tokenizer: &Tokenizer, text: &str) -> Stems {
+    let mut stems = Stems::default();
+    tokenizer.for_each_token(text, |tok| {
+        stems.push(tok);
+    });
+    stems
 }
 
 #[cfg(test)]

@@ -33,5 +33,5 @@ pub mod hash;
 pub mod ontology;
 
 pub use concept::{Concept, ConceptId, Domain};
-pub use detect::{ConceptDetector, Detection, FidelityProfile};
+pub use detect::{ConceptDetector, Detection, FidelityProfile, Stems};
 pub use ontology::Ontology;

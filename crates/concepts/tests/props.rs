@@ -1,7 +1,77 @@
 //! Property-based tests for the semantic world model.
 
-use concepts::{ConceptDetector, FidelityProfile, Ontology};
+use concepts::{ConceptDetector, ConceptId, Detection, FidelityProfile, Ontology, Stems};
 use proptest::prelude::*;
+use textindex::tokenizer::stem;
+use textindex::Tokenizer;
+
+/// Detection written out longhand: every ontology phrase, stemmed as
+/// collected tokens, counted wherever it occurs in the text's collected
+/// stems — one count per distinct (concept, stemmed phrase), surface-ness
+/// sticky across a concept's phrases.
+fn reference_detect(text: &str) -> Vec<Detection> {
+    let stems_of = |s: &str| -> Vec<String> {
+        Tokenizer::raw()
+            .tokenize(s)
+            .iter()
+            .map(|t| stem(t))
+            .collect()
+    };
+    let tokens = stems_of(text);
+    let mut phrases: Vec<(ConceptId, Vec<String>, bool)> = Vec::new();
+    for c in Ontology::builtin().concepts() {
+        for (list, surface) in [(c.surface, true), (c.paraphrases, false)] {
+            for phrase in list {
+                let stems = stems_of(phrase);
+                if stems.is_empty() {
+                    continue;
+                }
+                match phrases.iter_mut().find(|p| p.0 == c.id && p.1 == stems) {
+                    Some(p) => p.2 |= surface,
+                    None => phrases.push((c.id, stems, surface)),
+                }
+            }
+        }
+    }
+    let mut out: Vec<Detection> = Vec::new();
+    for (concept, stems, surface) in &phrases {
+        let hits = tokens.windows(stems.len()).filter(|w| w == stems).count() as u32;
+        if hits == 0 {
+            continue;
+        }
+        match out.iter_mut().find(|d| d.concept == *concept) {
+            Some(d) => {
+                d.via_surface |= surface;
+                d.occurrences += hits;
+            }
+            None => out.push(Detection {
+                concept: *concept,
+                via_surface: *surface,
+                occurrences: hits,
+            }),
+        }
+    }
+    out.sort_by_key(|d| d.concept);
+    out
+}
+
+/// Phrase texts with words that stem to nothing ("ness"), stopwords,
+/// apostrophes and upper case between the phrases.
+fn arb_mixed_text() -> impl Strategy<Value = String> {
+    const GLUE: &[&str] = &[
+        " ", " ness ", " the ", " Mike's ", ", ", " NESSES ", " 24/7 ",
+    ];
+    (
+        arb_phrase_text(),
+        prop::collection::vec(0usize..GLUE.len(), 1..4),
+    )
+        .prop_map(|(text, glue)| {
+            text.split(" and ")
+                .enumerate()
+                .map(|(i, part)| format!("{part}{}", GLUE[glue[i % glue.len()]]))
+                .collect()
+        })
+}
 
 fn arb_phrase_text() -> impl Strategy<Value = String> {
     // Texts assembled from real ontology phrases plus noise words.
@@ -50,6 +120,26 @@ proptest! {
         prop_assert_eq!(
             d.detect(&text),
             d.detect_noisy(&text, &FidelityProfile::perfect())
+        );
+    }
+
+    #[test]
+    fn detection_from_stems_equals_detection_from_text(text in arb_mixed_text()) {
+        let d = ConceptDetector::builtin();
+        let mut stems = Stems::default();
+        d.tokenizer().for_each_token(&text, |tok| {
+            stems.push(tok);
+        });
+        let collected: Vec<String> =
+            Tokenizer::raw().tokenize(&text).iter().map(|t| stem(t)).collect();
+        prop_assert_eq!(stems.iter().collect::<Vec<_>>(), collected);
+        let exact = d.detect(&text);
+        prop_assert_eq!(&d.detect_stems(&stems), &exact);
+        prop_assert_eq!(&exact, &reference_detect(&text), "{:?}", text);
+        let profile = FidelityProfile::embedding_small();
+        prop_assert_eq!(
+            d.detect_noisy_stems(&text, &stems, &profile),
+            d.detect_noisy(&text, &profile)
         );
     }
 

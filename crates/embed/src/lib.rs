@@ -24,6 +24,17 @@
 //! input text, so prep-time and query-time embeddings agree, and the
 //! whole pipeline is reproducible.
 //!
+//! Both channels sum *key vectors* — one pseudo-random unit vector per
+//! concept or stemmed word. Deriving one costs `dim` hashes, so each
+//! embedder computes a key's vector once and looks it up afterwards in a
+//! memo of its own, the way a real model reads its embedding table (see
+//! [`hashvec`]). The memo is bounded by
+//! [`hashvec::MEMO_BUDGET_BYTES`] (a constant, 16 MiB); past it a new key
+//! is computed per call and not stored, and a stored row adds exactly
+//! the bits a computed one would. A text is tokenized once: the raw
+//! token stream's stems feed concept detection, and the tokens the
+//! lexical channel keeps feed it.
+//!
 //! A concept-free [`HashEmbedder`] is provided for ablations: it is what
 //! an embedding would be *without* semantic understanding (it behaves
 //! like smoothed TF matching).

@@ -10,12 +10,12 @@ use embed::Embedder;
 use geotext::{GeoPoint, GeoTextObject, ObjectId};
 use llm::prompts::{rerank_prompt, summarize_prompt};
 use llm::{parse_rerank_response, ChatRequest, LlmError, ModelKind, SimLlm};
-use serde_json::{json, Value};
-use vecdb::{Payload, VecDbError};
+use serde_json::Value;
+use vecdb::VecDbError;
 
 use crate::config::SemaSkConfig;
 use crate::live::Overlay;
-use crate::prep::PreparedCity;
+use crate::prep::{poi_payload, PreparedCity};
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
 use crate::wal::{Mutation, PoiSpec, PoiUpdate};
@@ -673,11 +673,7 @@ impl SemaSkEngine {
         let obj = self.enrich_insert(id, spec)?;
         let text = PreparedCity::embedding_text_with(&obj, self.config.embed_raw_tips);
         let vector = self.prepared.embedder.embed(&text);
-        let payload = Payload::from_pairs(&[
-            ("lat", json!(obj.location.lat)),
-            ("lon", json!(obj.location.lon)),
-            ("name", json!(obj.name())),
-        ]);
+        let payload = poi_payload(&obj, self.config.compress_payload_text);
         self.collection()?
             .write()
             .insert(u64::from(id.0), vector, payload)?;
@@ -707,11 +703,7 @@ impl SemaSkEngine {
         }
         let text = PreparedCity::embedding_text_with(&obj, self.config.embed_raw_tips);
         let vector = self.prepared.embedder.embed(&text);
-        let payload = Payload::from_pairs(&[
-            ("lat", json!(obj.location.lat)),
-            ("lon", json!(obj.location.lon)),
-            ("name", json!(obj.name())),
-        ]);
+        let payload = poi_payload(&obj, self.config.compress_payload_text);
         {
             let collection = self.collection()?;
             let mut guard = collection.write();

@@ -133,6 +133,25 @@ impl PreparedCity {
     }
 }
 
+/// The collection payload of an enriched POI — one builder for a
+/// prepared POI and for an inserted or updated one, so a payload never
+/// depends on how its POI arrived. Under the compressed payload tier it
+/// carries the tip summary too: long text the FSST layer packs while the
+/// geo filter keeps reading only the (lat, lon) column.
+pub(crate) fn poi_payload(obj: &GeoTextObject, compress_payload_text: bool) -> Payload {
+    let mut pairs = vec![
+        ("lat", json!(obj.location.lat)),
+        ("lon", json!(obj.location.lon)),
+        ("name", json!(obj.name())),
+    ];
+    if compress_payload_text {
+        if let Some(summary) = obj.attrs.get_text("tip_summary") {
+            pairs.push(("tip_summary", json!(summary)));
+        }
+    }
+    Payload::from_pairs(&pairs)
+}
+
 /// Runs the full preparation pipeline for one generated city.
 pub fn prepare_city(
     data: &CityData,
@@ -154,6 +173,20 @@ pub fn prepare_city_with_threads(
     threads: usize,
 ) -> Result<PreparedCity, PrepError> {
     let threads = threads.max(1);
+    // The collection first: a configuration it refuses (dimension 0)
+    // fails before any POI is summarized.
+    let embedder = SemanticEmbedder::new(config.embedder.clone());
+    let db = VectorDb::new();
+    let collection_name = format!("pois-{}", data.city.key);
+    let handle = db.create_collection(
+        &collection_name,
+        CollectionConfig {
+            dim: embedder.dim(),
+            scoring_tier: config.scoring_tier,
+            compress_payload_text: config.compress_payload_text,
+            ..CollectionConfig::new(embedder.dim())
+        },
+    )?;
     let geocoder = ReverseGeocoder::for_city(&data.city);
     let mut dataset = data.dataset.clone();
     let n = dataset.len();
@@ -209,18 +242,6 @@ pub fn prepare_city_with_threads(
     }
 
     // Step 3: embedding generation into the vector database.
-    let embedder = SemanticEmbedder::new(config.embedder.clone());
-    let db = VectorDb::new();
-    let collection_name = format!("pois-{}", data.city.key);
-    let handle = db.create_collection(
-        &collection_name,
-        CollectionConfig {
-            dim: embedder.dim(),
-            scoring_tier: config.scoring_tier,
-            compress_payload_text: config.compress_payload_text,
-            ..CollectionConfig::new(embedder.dim())
-        },
-    )?;
     // Embedding vectors computed in parallel; HNSW insertion stays
     // sequential (it is the index's mutation path).
     let mut vectors: Vec<Option<Vec<f32>>> = vec![None; n];
@@ -240,24 +261,10 @@ pub fn prepare_city_with_threads(
     {
         let mut collection = handle.write();
         for (obj, vector) in dataset.iter().zip(vectors) {
-            let mut pairs = vec![
-                ("lat", json!(obj.location.lat)),
-                ("lon", json!(obj.location.lon)),
-                ("name", json!(obj.name())),
-            ];
-            // Under the compressed payload tier the collection carries
-            // the tip summary too: long text the FSST layer packs while
-            // the geo filter keeps reading only the (lat, lon) column.
-            if config.compress_payload_text {
-                if let Some(summary) = obj.attrs.get_text("tip_summary") {
-                    pairs.push(("tip_summary", json!(summary)));
-                }
-            }
-            let payload = Payload::from_pairs(&pairs);
             collection.insert(
                 u64::from(obj.id.0),
                 vector.expect("every vector computed"),
-                payload,
+                poi_payload(obj, config.compress_payload_text),
             )?;
         }
     }
@@ -367,6 +374,33 @@ mod tests {
             let obj = &tiered.dataset.objects()[h.id as usize];
             assert!(range.contains(&obj.location));
         }
+    }
+
+    /// A zero-dimension embedder would prepare a world whose every score
+    /// is 0; it is a start-up error, on either scoring tier.
+    #[test]
+    fn a_zero_dimension_embedder_refuses_to_prepare() {
+        let data = generate_city(&CITIES[0], 12, 3);
+        let llm = SimLlm::new();
+        for scoring_tier in [
+            vecdb::ScoringTier::Full,
+            vecdb::ScoringTier::Quantized { rerank_factor: 4 },
+        ] {
+            let mut config = SemaSkConfig {
+                scoring_tier,
+                ..SemaSkConfig::default()
+            };
+            config.embedder.dim = 0;
+            let refused = prepare_city(&data, &llm, &config).err();
+            assert!(
+                matches!(
+                    refused,
+                    Some(PrepError::VecDb(VecDbError::InvalidConfig { .. }))
+                ),
+                "{scoring_tier:?}: {refused:?}"
+            );
+        }
+        assert_eq!(llm.cost_log().num_calls(), 0, "refused before summarizing");
     }
 
     #[test]

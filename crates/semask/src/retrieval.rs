@@ -551,18 +551,6 @@ impl CorpusText {
         }
     }
 
-    /// Folds every token of a live document into the token filter so
-    /// absence answers stay authoritative. Skipping tokens the filter
-    /// already admits is sound: `contains` answers are stable forever
-    /// (nothing is deleted), and duplicates would only waste slots.
-    fn absorb_tokens(&mut self, doc: &str) {
-        for token in self.index.tokenizer().tokenize(doc) {
-            if !self.token_filter.contains(&token) {
-                self.token_filter.insert(&token);
-            }
-        }
-    }
-
     /// True when the conjunctive query is **provably empty**: some query
     /// token is definitely absent from the live corpus vocabulary, so no
     /// document can AND-match. `false` for blank keyword text (no
@@ -608,19 +596,6 @@ impl CorpusText {
             .collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Folds a live document's `(token, doc)` pairs into the pair
-    /// filter. Stale pairs from an earlier version of the document are
-    /// left behind — harmless, because the candidate-first path verifies
-    /// every survivor against the real postings.
-    fn absorb_pairs(&mut self, doc: textindex::DocId, text: &str) {
-        let salt = u64::from(doc);
-        for token in self.index.tokenizer().tokenize(text) {
-            if !self.pair_filter.contains_keyed(&token, salt) {
-                self.pair_filter.insert_keyed(&token, salt);
-            }
-        }
     }
 
     /// Sorted ids of the `candidates` whose documents contain **all**
@@ -701,29 +676,56 @@ impl CorpusText {
 
     /// Appends a live-inserted object's document. Dense object ids are
     /// claimed in corpus order, so the new doc id equals the object id.
+    /// The document is tokenized once: the index hands each token to
+    /// both filters as it interns it.
     fn live_insert(&mut self, obj: ObjectId, doc: &str) {
-        let d = self.index.add_document(doc);
+        let d = self.index.num_docs() as textindex::DocId;
         debug_assert_eq!(
             d as usize,
             self.doc_obj.len(),
             "corpus doc ids stay dense under live inserts"
         );
+        self.index.add_document_with(doc, |token| {
+            absorb(&mut self.token_filter, &mut self.pair_filter, token, d);
+        });
         self.doc_obj.push(obj);
-        self.absorb_tokens(doc);
-        self.absorb_pairs(d, doc);
     }
 
     /// Re-indexes an object's document after a live update.
     fn live_update(&mut self, obj: ObjectId, old_doc: &str, new_doc: &str) {
-        self.index.update_document(obj.0, old_doc, new_doc);
-        self.absorb_tokens(new_doc);
-        self.absorb_pairs(obj.0, new_doc);
+        self.index
+            .update_document(obj.0, old_doc, new_doc, |token| {
+                absorb(&mut self.token_filter, &mut self.pair_filter, token, obj.0);
+            });
     }
 
     /// Removes a deleted object's postings so df and match sets stay
     /// honest.
     fn live_delete(&mut self, obj: ObjectId, doc: &str) {
         self.index.remove_document(obj.0, doc);
+    }
+}
+
+/// Folds one token of live document `doc` into both prescreens: the
+/// token filter, so absence answers stay authoritative, and the pair
+/// filter, as the `(token, doc)` pair. Skipping what a filter already
+/// admits is sound: `contains` answers are stable forever (nothing is
+/// deleted), and duplicates would only waste slots. Stale pairs from an
+/// earlier version of the document are left behind — harmless, because
+/// the candidate-first path verifies every survivor against the real
+/// postings.
+fn absorb(
+    token_filter: &mut crate::cuckoo::CuckooFilter,
+    pair_filter: &mut crate::cuckoo::CuckooFilter,
+    token: &str,
+    doc: textindex::DocId,
+) {
+    if !token_filter.contains(token) {
+        token_filter.insert(token);
+    }
+    let salt = u64::from(doc);
+    if !pair_filter.contains_keyed(token, salt) {
+        pair_filter.insert_keyed(token, salt);
     }
 }
 

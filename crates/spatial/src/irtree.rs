@@ -85,12 +85,10 @@ impl IrTree {
 
         let mut entries: Vec<LeafEntry> = Vec::with_capacity(dataset.len());
         for o in dataset.iter() {
-            let tokens = tokenizer.tokenize(&o.to_document());
             let mut tf: HashMap<TermId, u32> = HashMap::new();
-            for t in tokens {
-                let id = vocab.intern(&t);
-                *tf.entry(id).or_insert(0) += 1;
-            }
+            tokenizer.for_each_token(&o.to_document(), |t| {
+                *tf.entry(vocab.intern(t)).or_insert(0) += 1;
+            });
             for &t in tf.keys() {
                 *doc_freq.entry(t).or_insert(0) += 1;
             }

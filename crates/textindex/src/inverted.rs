@@ -80,25 +80,18 @@ impl InvertedIndex {
 
     /// Adds a document, returning its id.
     pub fn add_document(&mut self, text: &str) -> DocId {
+        self.add_document_with(text, |_| {})
+    }
+
+    /// Adds a document, handing each of its tokens to `visit` as it is
+    /// interned — for callers that keep side structures keyed by token
+    /// and would otherwise tokenize the same text again.
+    pub fn add_document_with(&mut self, text: &str, visit: impl FnMut(&str)) -> DocId {
         let doc = self.doc_lens.len() as DocId;
-        let tokens = self.tokenizer.tokenize(text);
-        self.doc_lens.push(tokens.len() as u32);
-        // Count term frequencies for this document.
-        let mut ids = self.vocab.intern_all(&tokens);
-        ids.sort_unstable();
-        let mut i = 0;
-        while i < ids.len() {
-            let term = ids[i];
-            let mut tf = 0u32;
-            while i < ids.len() && ids[i] == term {
-                tf += 1;
-                i += 1;
-            }
-            let t = term as usize;
-            if t >= self.postings.len() {
-                self.postings.resize_with(t + 1, Vec::new);
-            }
-            self.postings[t].push(Posting { doc, tf });
+        let ids = self.intern_sorted(text, visit);
+        self.doc_lens.push(ids.len() as u32);
+        for (term, tf) in term_runs(&ids) {
+            self.postings_mut(term).push(Posting { doc, tf });
         }
         doc
     }
@@ -110,7 +103,7 @@ impl InvertedIndex {
     /// with the dataset), so `num_docs` does not shrink; the document
     /// simply stops matching any term and its length drops to zero.
     pub fn remove_document(&mut self, doc: DocId, text: &str) {
-        let mut ids = self.vocab.lookup_all(&self.tokenizer.tokenize(text));
+        let mut ids = self.query_terms(text);
         ids.sort_unstable();
         ids.dedup();
         for term in ids {
@@ -128,32 +121,49 @@ impl InvertedIndex {
     /// Re-indexes document `doc` in place: removes `old_text`'s postings
     /// and inserts `new_text`'s at the same id, keeping every posting
     /// list sorted by doc id so AND-queries stay sorted intersections.
-    pub fn update_document(&mut self, doc: DocId, old_text: &str, new_text: &str) {
+    /// Each token of `new_text` is handed to `visit` as it is interned.
+    pub fn update_document(
+        &mut self,
+        doc: DocId,
+        old_text: &str,
+        new_text: &str,
+        visit: impl FnMut(&str),
+    ) {
         self.remove_document(doc, old_text);
-        let tokens = self.tokenizer.tokenize(new_text);
+        let ids = self.intern_sorted(new_text, visit);
         if let Some(len) = self.doc_lens.get_mut(doc as usize) {
-            *len = tokens.len() as u32;
+            *len = ids.len() as u32;
         }
-        let mut ids = self.vocab.intern_all(&tokens);
-        ids.sort_unstable();
-        let mut i = 0;
-        while i < ids.len() {
-            let term = ids[i];
-            let mut tf = 0u32;
-            while i < ids.len() && ids[i] == term {
-                tf += 1;
-                i += 1;
-            }
-            let t = term as usize;
-            if t >= self.postings.len() {
-                self.postings.resize_with(t + 1, Vec::new);
-            }
-            let posts = &mut self.postings[t];
+        for (term, tf) in term_runs(&ids) {
+            let posts = self.postings_mut(term);
             let at = posts
                 .binary_search_by_key(&doc, |p| p.doc)
                 .unwrap_or_else(|e| e);
             posts.insert(at, Posting { doc, tf });
         }
+    }
+
+    /// Interns every token of `text` (ids in first-seen order, as the
+    /// tokens stream past `visit`) and returns the ids sorted, one per
+    /// token occurrence.
+    fn intern_sorted(&mut self, text: &str, mut visit: impl FnMut(&str)) -> Vec<TermId> {
+        let mut ids = Vec::new();
+        let vocab = &mut self.vocab;
+        self.tokenizer.for_each_token(text, |tok| {
+            ids.push(vocab.intern(tok));
+            visit(tok);
+        });
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The posting list of `term`, created empty if the term is new.
+    fn postings_mut(&mut self, term: TermId) -> &mut Vec<Posting> {
+        let t = term as usize;
+        if t >= self.postings.len() {
+            self.postings.resize_with(t + 1, Vec::new);
+        }
+        &mut self.postings[t]
     }
 
     /// Number of documents.
@@ -211,7 +221,11 @@ impl InvertedIndex {
     /// tokens to known term ids (OOV tokens drop out).
     #[must_use]
     pub fn query_terms(&self, text: &str) -> Vec<TermId> {
-        self.vocab.lookup_all(&self.tokenizer.tokenize(text))
+        let mut ids = Vec::new();
+        self.tokenizer.for_each_token(text, |tok| {
+            ids.extend(self.vocab.get(tok));
+        });
+        ids
     }
 
     /// Document-frequency / posting-length statistics of a conjunctive
@@ -310,6 +324,12 @@ impl InvertedIndex {
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
+}
+
+/// `(term, count)` for each run of equal ids in a sorted id list.
+fn term_runs(ids: &[TermId]) -> impl Iterator<Item = (TermId, u32)> + '_ {
+    ids.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
 }
 
 #[cfg(test)]
@@ -416,6 +436,7 @@ mod tests {
             1,
             "sports bar showing football games with chicken wings",
             "quiet coffee corner",
+            |_| {},
         );
         // Old terms are gone, new terms match at the same id.
         assert!(idx.and_query("football").is_empty());

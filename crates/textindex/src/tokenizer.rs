@@ -162,36 +162,71 @@ impl Tokenizer {
         self
     }
 
-    /// Splits `text` into normalized tokens.
+    /// Whether this tokenizer drops `token` (a lower-cased, unstemmed
+    /// token) as a stopword.
+    #[must_use]
+    pub fn is_stopword(&self, token: &str) -> bool {
+        self.stopwords.contains(token)
+    }
+
+    /// Splits `text` into normalized tokens: [`Tokenizer::for_each_token`]
+    /// collected.
     #[must_use]
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
-        let mut cur = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() || ch == '\'' {
-                for lc in ch.to_lowercase() {
-                    if lc != '\'' {
-                        cur.push(lc);
-                    }
-                }
-            } else if !cur.is_empty() {
-                self.push_token(&mut tokens, std::mem::take(&mut cur));
-            }
-        }
-        if !cur.is_empty() {
-            self.push_token(&mut tokens, cur);
-        }
+        self.for_each_token(text, |tok| tokens.push(tok.to_owned()));
         tokens
     }
 
-    fn push_token(&self, tokens: &mut Vec<String>, tok: String) {
-        if tok.is_empty() || self.stopwords.contains(tok.as_str()) {
-            return;
+    /// Hands each normalized token of `text` to `f`, in order, without
+    /// allocating per token: a token is lower-cased into one buffer that
+    /// every token reuses (ASCII bytes take a fast path), dropped if it
+    /// is a stopword, and stemmed in place.
+    ///
+    /// A token is a maximal run of alphanumeric characters and
+    /// apostrophes; the apostrophes are dropped ("Mike's" → "mikes").
+    pub fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
+        let mut buf = String::new();
+        let bytes = text.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let b = bytes[i];
+            let word = if b.is_ascii() {
+                i += 1;
+                if b.is_ascii_alphanumeric() {
+                    buf.push(char::from(b.to_ascii_lowercase()));
+                }
+                b.is_ascii_alphanumeric() || b == b'\''
+            } else {
+                let ch = text[i..].chars().next().expect("`i` is on a char boundary");
+                i += ch.len_utf8();
+                let alnum = ch.is_alphanumeric();
+                if alnum {
+                    buf.extend(ch.to_lowercase().filter(|&lc| lc != '\''));
+                }
+                alnum
+            };
+            if !word && !buf.is_empty() {
+                self.emit(&mut buf, &mut f);
+            }
         }
-        let tok = if self.stem { stem(&tok) } else { tok };
-        if !tok.is_empty() {
-            tokens.push(tok);
+        if !buf.is_empty() {
+            self.emit(&mut buf, &mut f);
         }
+    }
+
+    fn emit(&self, buf: &mut String, f: &mut impl FnMut(&str)) {
+        if !self.stopwords.contains(buf.as_str()) {
+            if self.stem {
+                let (keep, suffix) = stem_rule(buf);
+                buf.truncate(keep);
+                buf.push_str(suffix);
+            }
+            if !buf.is_empty() {
+                f(buf);
+            }
+        }
+        buf.clear();
     }
 }
 
@@ -202,53 +237,70 @@ impl Tokenizer {
 /// pipelines do, not to be linguistically complete.
 #[must_use]
 pub fn stem(word: &str) -> String {
+    let mut out = String::with_capacity(word.len() + 1);
+    stem_into(word, &mut out);
+    out
+}
+
+/// Appends the stem of `word` to `out` — [`stem`] without a fresh
+/// `String`.
+pub fn stem_into(word: &str, out: &mut String) {
+    let (keep, suffix) = stem_rule(word);
+    out.push_str(&word[..keep]);
+    out.push_str(suffix);
+}
+
+/// The stemming rule: the stem of `word` is its first `keep` bytes
+/// followed by `suffix`. Every rule strips an ASCII suffix, so `keep` is
+/// always a char boundary.
+fn stem_rule(word: &str) -> (usize, &'static str) {
     let w = word;
     let n = w.len();
     // Don't touch very short words; stemming them mostly destroys meaning.
     if n <= 3 {
-        return w.to_owned();
+        return (n, "");
     }
     // Order matters: longest suffixes first.
     if let Some(base) = w.strip_suffix("ations") {
-        return format!("{base}ate");
+        return (base.len(), "ate");
     }
     if let Some(base) = w.strip_suffix("nesses") {
-        return base.to_owned();
+        return (base.len(), "");
     }
     if let Some(base) = w.strip_suffix("fulness") {
-        return base.to_owned();
+        return (base.len(), "");
     }
     if let Some(base) = w.strip_suffix("ness") {
-        return base.to_owned();
+        return (base.len(), "");
     }
     if let Some(base) = w.strip_suffix("ingly") {
         if base.len() >= 3 {
-            return base.to_owned();
+            return (base.len(), "");
         }
     }
     if let Some(base) = w.strip_suffix("edly") {
         if base.len() >= 3 {
-            return base.to_owned();
+            return (base.len(), "");
         }
     }
     if let Some(base) = w.strip_suffix("ing") {
         if base.len() >= 3 {
-            return undouble(base);
+            return (undouble(base), "");
         }
     }
     if let Some(base) = w.strip_suffix("ied") {
-        return format!("{base}y");
+        return (base.len(), "y");
     }
     if let Some(base) = w.strip_suffix("ies") {
-        return format!("{base}y");
+        return (base.len(), "y");
     }
     if let Some(base) = w.strip_suffix("ed") {
         if base.len() >= 3 {
-            return undouble(base);
+            return (undouble(base), "");
         }
     }
     if let Some(base) = w.strip_suffix("sses") {
-        return format!("{base}ss");
+        return (base.len(), "ss");
     }
     if let Some(base) = w.strip_suffix("es") {
         // "dishes" -> "dish", "boxes" -> "box"; but "es" after a vowel is
@@ -258,32 +310,33 @@ pub fn stem(word: &str) -> String {
             || base.ends_with('x')
             || base.ends_with('z')
         {
-            return base.to_owned();
+            return (base.len(), "");
         }
     }
     if w.ends_with("ss") || w.ends_with("us") || w.ends_with("is") {
-        return w.to_owned();
+        return (n, "");
     }
     if let Some(base) = w.strip_suffix('s') {
         if base.len() >= 3 {
-            return base.to_owned();
+            return (base.len(), "");
         }
     }
-    w.to_owned()
+    (n, "")
 }
 
-/// Removes a doubled final consonant left behind by -ing/-ed stripping
-/// ("stopp" → "stop"), except for ll/ss/zz which are legitimate.
-fn undouble(base: &str) -> String {
+/// The length of `base` without a doubled final consonant left behind
+/// by -ing/-ed stripping ("stopp" → "stop"), except for ll/ss/zz which
+/// are legitimate.
+fn undouble(base: &str) -> usize {
     let bytes = base.as_bytes();
     let n = bytes.len();
     if n >= 2 && bytes[n - 1] == bytes[n - 2] {
         let c = bytes[n - 1] as char;
         if c.is_ascii_alphabetic() && !matches!(c, 'l' | 's' | 'z') && !is_vowel(c) {
-            return base[..n - 1].to_owned();
+            return n - 1;
         }
     }
-    base.to_owned()
+    n
 }
 
 fn is_vowel(c: char) -> bool {

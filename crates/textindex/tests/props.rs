@@ -1,6 +1,7 @@
 //! Property-based tests for the text retrieval substrate.
 
 use proptest::prelude::*;
+use textindex::tokenizer::{stem, stem_into};
 use textindex::{Bm25Model, InvertedIndex, SparseVector, TfIdfModel, Tokenizer};
 
 fn arb_word() -> impl Strategy<Value = String> {
@@ -9,6 +10,334 @@ fn arb_word() -> impl Strategy<Value = String> {
 
 fn arb_doc() -> impl Strategy<Value = String> {
     prop::collection::vec(arb_word(), 1..30).prop_map(|ws| ws.join(" "))
+}
+
+/// The tokenizer and stemmer as they were before tokens streamed: one
+/// `String` per token and per stem. The streaming implementation must
+/// produce exactly what these do.
+mod reference {
+    pub const STOPWORDS: &[&str] = &[
+        "a",
+        "an",
+        "the",
+        "and",
+        "or",
+        "but",
+        "if",
+        "then",
+        "else",
+        "of",
+        "to",
+        "in",
+        "on",
+        "at",
+        "by",
+        "for",
+        "with",
+        "about",
+        "as",
+        "is",
+        "are",
+        "was",
+        "were",
+        "be",
+        "been",
+        "being",
+        "am",
+        "do",
+        "does",
+        "did",
+        "have",
+        "has",
+        "had",
+        "i",
+        "you",
+        "he",
+        "she",
+        "it",
+        "we",
+        "they",
+        "me",
+        "my",
+        "your",
+        "their",
+        "our",
+        "this",
+        "that",
+        "these",
+        "those",
+        "there",
+        "here",
+        "which",
+        "who",
+        "whom",
+        "what",
+        "when",
+        "where",
+        "why",
+        "how",
+        "not",
+        "no",
+        "nor",
+        "so",
+        "too",
+        "very",
+        "can",
+        "could",
+        "will",
+        "would",
+        "shall",
+        "should",
+        "may",
+        "might",
+        "must",
+        "also",
+        "any",
+        "some",
+        "such",
+        "only",
+        "own",
+        "same",
+        "than",
+        "into",
+        "out",
+        "up",
+        "down",
+        "over",
+        "under",
+        "again",
+        "more",
+        "most",
+        "other",
+        "its",
+        "them",
+        "his",
+        "her",
+        "ours",
+        "yours",
+        "looking",
+        "find",
+        "want",
+        "need",
+        "please",
+        "recommend",
+        "recommendations",
+        "know",
+        "anywhere",
+        "somewhere",
+        "place",
+        "places",
+    ];
+
+    pub fn tokenize(text: &str, stopwords: &[&str], stemming: bool) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut cur = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() || ch == '\'' {
+                for lc in ch.to_lowercase() {
+                    if lc != '\'' {
+                        cur.push(lc);
+                    }
+                }
+            } else if !cur.is_empty() {
+                keep_token(&mut tokens, std::mem::take(&mut cur), stopwords, stemming);
+            }
+        }
+        if !cur.is_empty() {
+            keep_token(&mut tokens, cur, stopwords, stemming);
+        }
+        tokens
+    }
+
+    fn keep_token(tokens: &mut Vec<String>, tok: String, stopwords: &[&str], stemming: bool) {
+        if tok.is_empty() || stopwords.contains(&tok.as_str()) {
+            return;
+        }
+        let tok = if stemming { stem(&tok) } else { tok };
+        if !tok.is_empty() {
+            tokens.push(tok);
+        }
+    }
+
+    pub fn stem(word: &str) -> String {
+        let w = word;
+        let n = w.len();
+        if n <= 3 {
+            return w.to_owned();
+        }
+        if let Some(base) = w.strip_suffix("ations") {
+            return format!("{base}ate");
+        }
+        if let Some(base) = w.strip_suffix("nesses") {
+            return base.to_owned();
+        }
+        if let Some(base) = w.strip_suffix("fulness") {
+            return base.to_owned();
+        }
+        if let Some(base) = w.strip_suffix("ness") {
+            return base.to_owned();
+        }
+        if let Some(base) = w.strip_suffix("ingly") {
+            if base.len() >= 3 {
+                return base.to_owned();
+            }
+        }
+        if let Some(base) = w.strip_suffix("edly") {
+            if base.len() >= 3 {
+                return base.to_owned();
+            }
+        }
+        if let Some(base) = w.strip_suffix("ing") {
+            if base.len() >= 3 {
+                return undouble(base);
+            }
+        }
+        if let Some(base) = w.strip_suffix("ied") {
+            return format!("{base}y");
+        }
+        if let Some(base) = w.strip_suffix("ies") {
+            return format!("{base}y");
+        }
+        if let Some(base) = w.strip_suffix("ed") {
+            if base.len() >= 3 {
+                return undouble(base);
+            }
+        }
+        if let Some(base) = w.strip_suffix("sses") {
+            return format!("{base}ss");
+        }
+        if let Some(base) = w.strip_suffix("es") {
+            if base.ends_with("sh")
+                || base.ends_with("ch")
+                || base.ends_with('x')
+                || base.ends_with('z')
+            {
+                return base.to_owned();
+            }
+        }
+        if w.ends_with("ss") || w.ends_with("us") || w.ends_with("is") {
+            return w.to_owned();
+        }
+        if let Some(base) = w.strip_suffix('s') {
+            if base.len() >= 3 {
+                return base.to_owned();
+            }
+        }
+        w.to_owned()
+    }
+
+    fn undouble(base: &str) -> String {
+        let bytes = base.as_bytes();
+        let n = bytes.len();
+        if n >= 2 && bytes[n - 1] == bytes[n - 2] {
+            let c = bytes[n - 1] as char;
+            if c.is_ascii_alphabetic()
+                && !matches!(c, 'l' | 's' | 'z')
+                && !matches!(c, 'a' | 'e' | 'i' | 'o' | 'u')
+            {
+                return base[..n - 1].to_owned();
+            }
+        }
+        base.to_owned()
+    }
+}
+
+/// Characters a tokenizer has to get right: ASCII letters and digits,
+/// separators, apostrophes (straight and curly), letters whose lower
+/// case is longer or is more than one char, combining marks, numerals
+/// that are not ASCII digits — and, a tenth of the time, any scalar
+/// value at all.
+fn arb_char() -> impl Strategy<Value = char> {
+    const TRICKY: &[char] = &[
+        ' ', ' ', '\t', '\n', ',', '.', '-', '/', '\'', '\'', '’', 'İ', 'Ç', 'É', 'ß', 'ǅ', 'ﬁ',
+        'Σ', 'ς', 'Ⅻ', '½', '²', '٣', '\u{301}', '\u{307}', '中', 'K',
+    ];
+    (0u32..10, 0u32..0x11_0000, 0usize..TRICKY.len(), 0u8..36).prop_map(
+        |(pick, any, tricky, alnum)| match pick {
+            0 => char::from_u32(any).unwrap_or('\u{fffd}'),
+            1..=3 => TRICKY[tricky],
+            _ => char::from(b"abcdefghijklmnopqrstuvwxyz0123456789"[usize::from(alnum)]),
+        },
+    )
+}
+
+/// Arbitrary text, plus words that end in every suffix the stemmer
+/// knows and stopwords in any case.
+fn arb_text() -> impl Strategy<Value = String> {
+    const WORDS: &[&str] = &[
+        "Nesses",
+        "ness",
+        "fulness",
+        "stations",
+        "happily",
+        "excitedly",
+        "running",
+        "stopped",
+        "fizzing",
+        "tried",
+        "berries",
+        "classes",
+        "dishes",
+        "boxes",
+        "lattes",
+        "glass",
+        "focus",
+        "axis",
+        "wings",
+        "is",
+        "THE",
+        "Looking",
+        "I'm",
+        "ies",
+        "ied",
+        "ssing",
+        "abbed",
+        "İNG",
+    ];
+    (
+        prop::collection::vec(arb_char(), 0..60),
+        prop::collection::vec(0usize..WORDS.len(), 0..8),
+    )
+        .prop_map(|(chars, words)| {
+            let mut text: String = chars.into_iter().collect();
+            for w in words {
+                text.push(' ');
+                text.push_str(WORDS[w]);
+            }
+            text
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn tokenizers_stream_what_the_reference_collects(text in arb_text()) {
+        let configs = [
+            (Tokenizer::new(), reference::STOPWORDS, true),
+            (Tokenizer::raw(), &[][..], false),
+            (Tokenizer::raw().with_stemming(true), &[][..], true),
+            (Tokenizer::new().with_stemming(false), reference::STOPWORDS, false),
+        ];
+        for (tokenizer, stopwords, stemming) in configs {
+            let expected = reference::tokenize(&text, stopwords, stemming);
+            prop_assert_eq!(&tokenizer.tokenize(&text), &expected, "{:?}", text);
+            let mut streamed = Vec::new();
+            tokenizer.for_each_token(&text, |tok| streamed.push(tok.to_owned()));
+            prop_assert_eq!(&streamed, &expected, "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn stem_matches_the_reference(text in arb_text()) {
+        for word in text.split(|c: char| !c.is_alphanumeric()).chain([text.as_str()]) {
+            let expected = reference::stem(word);
+            prop_assert_eq!(&stem(word), &expected, "{:?}", word);
+            let mut appended = String::from("prefix");
+            stem_into(word, &mut appended);
+            prop_assert_eq!(&appended[6..], expected.as_str(), "{:?}", word);
+        }
+    }
 }
 
 proptest! {

@@ -58,6 +58,21 @@ impl CollectionConfig {
             compress_payload_text: false,
         }
     }
+
+    /// Refuses a configuration no collection can serve: `dim = 0` (every
+    /// vector is empty and every score 0, so a search "ranks" points by
+    /// nothing) and graph parameters [`HnswConfig::validate`] refuses.
+    ///
+    /// # Errors
+    /// [`VecDbError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), VecDbError> {
+        if self.dim == 0 {
+            return Err(VecDbError::InvalidConfig {
+                cause: "dim = 0 (must be at least 1)".to_owned(),
+            });
+        }
+        self.hnsw.validate()
+    }
 }
 
 /// Resident-memory accounting for one collection, component by
@@ -833,9 +848,9 @@ impl Collection {
     /// # Errors
     /// [`VecDbError::Snapshot`] naming the first check that failed
     /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity,
-    /// [`VecDbError::InvalidConfig`] for graph parameters
-    /// [`HnswConfig::validate`] refuses — the next insert would panic on
-    /// them).
+    /// [`VecDbError::InvalidConfig`] for a configuration
+    /// [`CollectionConfig::validate`] refuses — dimension 0, or graph
+    /// parameters the next insert would panic on).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
         let [mut meta, mut rows, mut norms, quant, hnsw] = codec::open(bytes)?;
         let meta = std::str::from_utf8(meta.take_rest())
@@ -849,7 +864,7 @@ impl Collection {
             payloads,
             quant_trained_at,
         } = serde_json::from_str(meta).map_err(|e| corrupt(format!("meta section: {e}")))?;
-        config.hnsw.validate()?;
+        config.validate()?;
 
         let n = ids.len();
         let dim = config.dim;

@@ -59,17 +59,15 @@ impl VectorDb {
     /// Creates a collection.
     ///
     /// # Errors
-    /// [`VecDbError::InvalidConfig`] if [`HnswConfig::validate`] refuses
-    /// the graph parameters; [`VecDbError::CollectionExists`] if the name
-    /// is taken.
-    ///
-    /// [`HnswConfig::validate`]: crate::HnswConfig::validate
+    /// [`VecDbError::InvalidConfig`] if [`CollectionConfig::validate`]
+    /// refuses the configuration (dimension 0, meaningless graph
+    /// parameters); [`VecDbError::CollectionExists`] if the name is taken.
     pub fn create_collection(
         &self,
         name: &str,
         config: CollectionConfig,
     ) -> Result<CollectionHandle, VecDbError> {
-        config.hnsw.validate()?;
+        config.validate()?;
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err(VecDbError::CollectionExists {

@@ -463,6 +463,45 @@ fn snapshot_with_meaningless_graph_parameters_is_refused_at_both_doors() {
     assert!(db.create_collection("c", with(2, 2, 1)).is_ok());
 }
 
+/// Dimension 0 stores empty vectors and scores every point 0: a search
+/// would return k "hits" ranked by nothing. Refused at both doors, on
+/// both scoring tiers.
+#[test]
+fn dimension_zero_is_refused_at_both_doors() {
+    for tier in [
+        ScoringTier::Full,
+        ScoringTier::Quantized { rerank_factor: 4 },
+    ] {
+        let config = CollectionConfig {
+            scoring_tier: tier,
+            hnsw: HnswConfig {
+                m: 4,
+                m0: 8,
+                ..HnswConfig::default()
+            },
+            ..CollectionConfig::new(4)
+        };
+        let file = lived_in(config.clone(), 70).to_snapshot_bytes().unwrap();
+        let bad = with_meta(&file, |meta| {
+            assert!(meta.contains("\"dim\":4"), "{tier:?}");
+            meta.replacen("\"dim\":4", "\"dim\":0", 1)
+        });
+        assert_rejected(&bad, "dim = 0");
+        let refused = Collection::from_snapshot_bytes(&bad).err();
+        assert!(
+            matches!(refused, Some(VecDbError::InvalidConfig { .. })),
+            "{tier:?}: {refused:?}"
+        );
+        let refused = VectorDb::new()
+            .create_collection("c", CollectionConfig { dim: 0, ..config })
+            .err();
+        assert!(
+            matches!(refused, Some(VecDbError::InvalidConfig { .. })),
+            "{tier:?}: {refused:?}"
+        );
+    }
+}
+
 // ---- the file is older than the geo column ----
 
 /// The geo filter's verdict as the JSON look-up gave it: both fields

@@ -130,6 +130,23 @@ fn fingerprint(engine: &SemaSkEngine, queries: &[SemaSkQuery]) -> Vec<Vec<(u32, 
         .collect()
 }
 
+/// Every live point's stored payload, by id: recovered ≡ rebuilt holds
+/// for what the collection keeps beside the vectors, too.
+fn payloads(engine: &SemaSkEngine) -> Vec<(u64, vecdb::Payload)> {
+    let prepared = engine.prepared();
+    let handle = prepared
+        .db
+        .collection(&prepared.collection_name)
+        .expect("collection");
+    let mut out: Vec<(u64, vecdb::Payload)> = handle
+        .read()
+        .iter_points()
+        .map(|(id, _, payload)| (id, payload))
+        .collect();
+    out.sort_by_key(|(id, _)| *id);
+    out
+}
+
 /// Child role: builds the durable engine in `$DURABILITY_DIR` and walks
 /// the script. With a crash point armed this aborts mid-protocol; with
 /// none it exits cleanly after all six mutations. The engine is dropped
@@ -232,11 +249,13 @@ fn crash_battery() {
     let script = scripted(center);
     let queries = probe_queries(center);
     let mut by_prefix = vec![fingerprint(&scratch, &queries)];
+    let mut payloads_by_prefix = vec![payloads(&scratch)];
     for mutation in &script {
         scratch
             .apply_mutations(std::slice::from_ref(mutation))
             .expect("scratch mutation");
         by_prefix.push(fingerprint(&scratch, &queries));
+        payloads_by_prefix.push(payloads(&scratch));
     }
 
     let exe = std::env::current_exe().expect("test binary path");
@@ -299,6 +318,12 @@ fn crash_battery() {
             by_prefix[s as usize],
             "{label} (after {}): recovered state diverges from a \
              from-scratch engine at prefix {s}",
+            run.after
+        );
+        assert_eq!(
+            payloads(recovered.engine()),
+            payloads_by_prefix[s as usize],
+            "{label} (after {}): recovered payloads diverge at prefix {s}",
             run.after
         );
         let _ = std::fs::remove_dir_all(&dir);

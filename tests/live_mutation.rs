@@ -219,3 +219,47 @@ fn sharded_planner_rejects_mutations() {
         .expect_err("sharded engines must reject live mutations");
     assert!(matches!(err, EngineError::Mutation { .. }));
 }
+
+/// A written POI's payload is the one preparation builds: under the
+/// compressed payload tier an inserted and an updated POI carry their
+/// tip summary, like every prepared one.
+#[test]
+fn written_pois_carry_the_prepared_payload() {
+    let data = generate_city(&CITIES[3], 80, 47);
+    let llm = Arc::new(SimLlm::new());
+    let config = semask::SemaSkConfig {
+        compress_payload_text: true,
+        ..common::exact_only_config()
+    };
+    let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
+    let engine = SemaSkEngine::new(prepared, llm, config, Variant::EmbeddingOnly);
+    let inserted = engine
+        .insert_poi(rotation_spec(data.city.center(), 1))
+        .expect("insert");
+    let updated = geotext::ObjectId(5);
+    engine
+        .update_poi(
+            updated,
+            PoiUpdate {
+                name: Some("Renamed Payload Bistro".to_owned()),
+                tips: Some(vec!["a completely new menu every week".to_owned()]),
+            },
+        )
+        .expect("update");
+
+    let prepared = engine.prepared();
+    let overlay = prepared.live.overlay();
+    let handle = prepared
+        .db
+        .collection(&prepared.collection_name)
+        .expect("collection");
+    let collection = handle.read();
+    for id in [inserted, updated, geotext::ObjectId(6)] {
+        let obj = overlay.get(&prepared.dataset, id).expect("live object");
+        let payload = collection.payload(u64::from(id.0)).expect("stored payload");
+        let text = |key: &str| payload.get(key).and_then(|v| v.as_str().map(str::to_owned));
+        let summary = obj.attrs.get_text("tip_summary").expect("enriched");
+        assert_eq!(text("tip_summary").as_deref(), Some(summary), "{id:?}");
+        assert_eq!(text("name").as_deref(), Some(obj.name()), "{id:?}");
+    }
+}

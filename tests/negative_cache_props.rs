@@ -51,7 +51,7 @@ proptest! {
         let mut filter = CuckooFilter::with_capacity(capacity);
         let mut truth: HashSet<String> = HashSet::new();
         for key in &inserts {
-            // The production discipline (CorpusText::absorb_tokens):
+            // The production discipline (the corpus's `absorb`):
             // skip keys the filter already admits. A `true` answer is
             // stable forever, so the skip can never create a false
             // negative — even when the `true` was itself a false
