@@ -34,18 +34,34 @@ impl Dataset {
         name: impl Into<String>,
         objects: Vec<GeoTextObject>,
     ) -> Result<Self, GeoTextError> {
-        for (i, o) in objects.iter().enumerate() {
-            if o.id.index() != i {
-                return Err(GeoTextError::NonDenseIds {
-                    expected: i as u32,
-                    found: o.id.0,
-                });
-            }
-        }
-        Ok(Self {
+        let dataset = Self {
             name: name.into(),
             objects,
-        })
+        };
+        dataset.check_dense_ids()?;
+        Ok(dataset)
+    }
+
+    /// Checks the invariant every id lookup relies on:
+    /// `objects[i].id == ObjectId(i)`. [`Dataset::from_objects`] runs it;
+    /// a dataset deserialized from outside must run it too, since
+    /// deserialization bypasses the constructors.
+    ///
+    /// # Errors
+    /// [`GeoTextError::NonDenseIds`] naming the first out-of-place id.
+    pub fn check_dense_ids(&self) -> Result<(), GeoTextError> {
+        match self
+            .objects
+            .iter()
+            .enumerate()
+            .find(|(i, o)| o.id.index() != *i)
+        {
+            Some((i, o)) => Err(GeoTextError::NonDenseIds {
+                expected: i as u32,
+                found: o.id.0,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Appends an object, assigning it the next dense id. Returns the id.

@@ -72,7 +72,9 @@ impl std::io::Read for Chopped {
 }
 
 /// Frames until the first error, and what that error was.
-fn drain(mut next: impl FnMut() -> Result<Frame, ProtoError>) -> (Vec<(u8, u64, Vec<u8>)>, String) {
+fn frames_until_error(
+    mut next: impl FnMut() -> Result<Frame, ProtoError>,
+) -> (Vec<(u8, u64, Vec<u8>)>, String) {
     let mut frames = Vec::new();
     loop {
         match next() {
@@ -130,7 +132,7 @@ fn frame_reader_holds_one_frame_in_progress_plus_the_read_ahead() {
         frames.buffer_capacity()
     );
     // What was read past the big frame survived giving the memory back.
-    let (rest, end) = drain(|| loop {
+    let (rest, end) = frames_until_error(|| loop {
         match frames.next_frame() {
             Err(e) if e.is_timeout() => {}
             other => return other,
@@ -181,9 +183,9 @@ proptest! {
         let pieces = if one_byte_reads == 0 { vec![1] } else { pieces };
 
         let mut whole = wire.as_slice();
-        let expected = drain(|| proto::read_frame(&mut whole));
+        let expected = frames_until_error(|| proto::read_frame(&mut whole));
         let mut reader = FrameReader::new(Chopped::new(wire.clone(), pieces));
-        let got = drain(|| reader.next_frame());
+        let got = frames_until_error(|| reader.next_frame());
         prop_assert_eq!(&got, &expected);
         if damage == 0 {
             prop_assert_eq!(got.0.len(), frames.len());

@@ -271,7 +271,7 @@ impl From<&ServeError> for ServeStatus {
 
 /// How the serving layer sourced a response — surfaced in the envelope
 /// (and on the wire) so clients and operators can tell a computed
-/// answer from a cached or prescreened one when debugging staleness.
+/// answer from a cached or provably empty one when debugging staleness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheStatus {
     /// Computed by the engine (or failed before reaching any cache) —
@@ -281,7 +281,7 @@ pub enum CacheStatus {
     /// Served from the epoch-stamped result cache without occupying a
     /// batch slot.
     Hit,
-    /// Proven empty by the negative cache's token prescreen; the empty
+    /// Proven empty by the negative cache's vocabulary check; the empty
     /// outcome never occupied a batch slot.
     Negative,
 }
@@ -322,7 +322,7 @@ pub struct Response {
     /// What happened.
     pub status: ServeStatus,
     /// How the answer was sourced (computed, result-cache hit, or
-    /// negative-cache prescreen).
+    /// negative cache).
     pub cached: CacheStatus,
 }
 

@@ -65,8 +65,8 @@ pub fn strategy_index(strategy: RetrievalStrategy) -> usize {
 }
 
 /// Keyword-derived features of one query, read from the corpus
-/// [`textindex::InvertedIndex`] statistics (document frequencies and
-/// posting lengths — see [`textindex::InvertedIndex::query_stats`]).
+/// [`textindex::InvertedIndex`] statistics (document frequencies — see
+/// [`textindex::InvertedIndex::query_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeywordFeatures {
     /// Distinct query terms found in the corpus vocabulary.
@@ -76,9 +76,6 @@ pub struct KeywordFeatures {
     pub unknown_terms: usize,
     /// Smallest document frequency among the known terms.
     pub min_doc_freq: f64,
-    /// Total posting-list length across the known terms (sorted-list
-    /// intersection work).
-    pub posting_len_total: f64,
     /// Estimated corpus-wide conjunctive match count.
     pub corpus_matches: f64,
     /// Estimated conjunctive matches **inside the query range**
@@ -750,7 +747,6 @@ mod tests {
                 terms: 2,
                 unknown_terms: 0,
                 min_doc_freq: 3.0,
-                posting_len_total: 5.0,
                 corpus_matches: 2.0,
                 range_matches: 2.0 * f.fraction,
             }),

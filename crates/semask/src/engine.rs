@@ -765,11 +765,12 @@ impl SemaSkEngine {
     }
 
     /// True when `query` is **provably empty** without executing it:
-    /// its conjunctive keyword filter names a token definitely absent
-    /// from the live corpus vocabulary, so no object can match. Serving
-    /// layers consult this before admission so empty-answer queries
-    /// never occupy a batch slot. `true` is authoritative (the executed
-    /// answer would be empty); `false` promises nothing.
+    /// its conjunctive keyword filter names a token the live corpus
+    /// vocabulary never interned, so no object can match. Serving layers
+    /// consult this before admission so empty-answer queries never
+    /// occupy a batch slot. `true` is exact (the executed answer would be
+    /// empty); `false` promises nothing — a token whose every document
+    /// was deleted stays in the vocabulary.
     #[must_use]
     pub fn provably_empty(&self, query: &SemaSkQuery) -> bool {
         query

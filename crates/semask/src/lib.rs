@@ -35,7 +35,6 @@ pub mod baselines;
 pub mod clock;
 pub mod config;
 pub mod cost;
-pub mod cuckoo;
 pub mod durable;
 pub mod engine;
 pub mod eval;
@@ -53,7 +52,6 @@ pub use cost::{
     CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
     QueryFeatures, StrategyCost,
 };
-pub use cuckoo::CuckooFilter;
 pub use durable::{CheckpointPolicy, DurableEngine, DurableError, MutationReceipt, RecoverReport};
 pub use engine::{AppliedBatch, EngineError, SemaSkEngine, Variant};
 pub use eval::{f1_at_k, CityScore, PrecisionRecall};

@@ -109,6 +109,9 @@ pub enum PersistError {
     /// The directory has no committed snapshot (`CURRENT` is missing or
     /// empty).
     NoSnapshot,
+    /// `dataset.json` parsed, but its object ids are not dense and in
+    /// order, so an id would look up another object.
+    Dataset(geotext::GeoTextError),
     /// The snapshot was prepared with another embedding dimension than
     /// the config it is being opened under, so query embeddings could
     /// not be compared with the stored vectors.
@@ -128,6 +131,7 @@ impl fmt::Display for PersistError {
             PersistError::UnknownCity { key } => write!(f, "unknown city key `{key}`"),
             PersistError::VecDb(e) => write!(f, "vecdb: {e}"),
             PersistError::NoSnapshot => write!(f, "no committed snapshot (CURRENT missing)"),
+            PersistError::Dataset(e) => write!(f, "{DATASET_FILE}: {e}"),
             PersistError::DimMismatch { stored, configured } => write!(
                 f,
                 "snapshot holds {stored}-d embeddings, config asks for {configured}-d"
@@ -399,6 +403,8 @@ fn as_id(v: &serde_json::Value) -> Option<u32> {
 /// another embedding dimension than `config.embedder.dim`;
 /// [`PersistError::Json`] naming the file and the field when
 /// `manifest.json` or `live.json` lacks one or holds another type;
+/// [`PersistError::Dataset`] when `dataset.json`'s ids are not dense and
+/// in order;
 /// otherwise whichever file failed to read, parse or validate.
 pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, PersistError> {
     let current = fs::read_to_string(dir.join(CURRENT_FILE))
@@ -428,6 +434,7 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
 
     let dataset: Dataset = serde_json::from_str(&fs::read_to_string(base_dir.join(DATASET_FILE))?)
         .map_err(|e| PersistError::Json(e.to_string()))?;
+    dataset.check_dense_ids().map_err(PersistError::Dataset)?;
     let dataset = std::sync::Arc::new(dataset);
 
     let db = VectorDb::new();
@@ -736,6 +743,39 @@ mod tests {
             load_prepared(&dir, &config),
             Err(PersistError::Json(_))
         ));
+        std::fs::write(&path, intact).unwrap();
+        assert!(load_prepared(&dir, &config).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_refuses_a_dataset_whose_ids_are_not_dense() {
+        let data = datagen::poi::generate_city(&datagen::CITIES[0], 30, 7);
+        let config = SemaSkConfig::default();
+        let prepared = prepare_city(&data, &SimLlm::new(), &config).expect("prep");
+        let dir = std::env::temp_dir().join("semask_persist_dense_ids");
+        let _ = std::fs::remove_dir_all(&dir);
+        save_prepared(&prepared, &dir).expect("save");
+        assert!(load_prepared(&dir, &config).is_ok());
+
+        // Swap the ids of the first two objects: the file still parses.
+        let path = dir.join("snap-0").join(DATASET_FILE);
+        let intact = std::fs::read_to_string(&path).unwrap();
+        let mut objects = prepared.dataset.objects().to_vec();
+        (objects[0].id, objects[1].id) = (objects[1].id, objects[0].id);
+        let swapped = serde_json::json!({
+            "name": prepared.dataset.name,
+            "objects": objects,
+        });
+        std::fs::write(&path, serde_json::to_string(&swapped).unwrap()).unwrap();
+        match load_prepared(&dir, &config) {
+            Err(PersistError::Dataset(geotext::GeoTextError::NonDenseIds { expected, found })) => {
+                assert_eq!((expected, found), (0, 1));
+            }
+            Err(e) => panic!("expected non-dense ids, got {e}"),
+            Ok(_) => panic!("a dataset with swapped ids loaded"),
+        }
+
         std::fs::write(&path, intact).unwrap();
         assert!(load_prepared(&dir, &config).is_ok());
         std::fs::remove_dir_all(&dir).ok();

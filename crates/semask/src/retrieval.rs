@@ -485,80 +485,33 @@ fn probe_fractions(points: usize) -> (f64, f64) {
 /// inverted index over the same `GeoTextObject::to_document()` texts
 /// (and the same tokenizer) the IR-tree indexes, so the spatial-first
 /// intersect path and the IR-tree's native keyword traversal agree on
-/// every query. Built lazily on the first keyword-aware call.
+/// every query. A doc id *is* an object id: a [`Dataset`]'s ids are dense
+/// and in order, and a live insert claims the next one. Built lazily on
+/// the first keyword-aware call.
 struct CorpusText {
     index: textindex::InvertedIndex,
-    /// Dense doc id → object id, in dataset iteration order.
-    doc_obj: Vec<ObjectId>,
-    /// Cuckoo fingerprints of every term interned in the corpus
-    /// vocabulary — the planner's provably-empty prescreen. Grows with
-    /// live inserts/updates; never shrinks (a term deleted from every
-    /// document leaves a harmless false positive). See
-    /// [`crate::cuckoo`] for why the *token-present* polarity is the
-    /// one that can never produce a wrong empty answer.
-    token_filter: crate::cuckoo::CuckooFilter,
-    /// Cuckoo fingerprints of every **(term, document)** pair in the
-    /// postings — the candidate-first prescreen. When the spatial
-    /// candidate set is small next to the query terms' posting lists,
-    /// each candidate is probed here per term (`contains_keyed` with the
-    /// doc id as salt) and rejected without touching a posting list the
-    /// moment any term is provably absent from its document. Survivors
-    /// are then *verified* by binary search in the real postings, so
-    /// false positives — and the stale pairs deletes and updates leave
-    /// behind (the filter never shrinks) — can never admit a wrong
-    /// match. A saturated filter disables the path entirely.
-    pair_filter: crate::cuckoo::CuckooFilter,
 }
 
 impl CorpusText {
     fn build(dataset: &Dataset) -> Self {
         let mut index = textindex::InvertedIndex::new();
-        let mut doc_obj = Vec::with_capacity(dataset.len());
         for o in dataset.iter() {
             index.add_document(&o.to_document());
-            doc_obj.push(o.id);
         }
-        let vocab = index.vocab();
-        let mut token_filter = crate::cuckoo::CuckooFilter::with_capacity(vocab.len().max(256));
-        for id in 0..vocab.len() {
-            let term = vocab
-                .term(id as textindex::TermId)
-                .expect("vocabulary ids are dense");
-            if !token_filter.contains(term) {
-                token_filter.insert(term);
-            }
-        }
-        // Two passes for the pair filter: size it to the exact number of
-        // (term, doc) pairs first, then fill — a cuckoo filter built at
-        // ≤ 50 % load never saturates on its own build input.
-        let total_pairs: usize = (0..vocab.len())
-            .map(|id| index.postings(id as textindex::TermId).len())
-            .sum();
-        let mut pair_filter = crate::cuckoo::CuckooFilter::with_capacity(total_pairs.max(256));
-        for id in 0..vocab.len() {
-            let term = vocab
-                .term(id as textindex::TermId)
-                .expect("vocabulary ids are dense");
-            for p in index.postings(id as textindex::TermId) {
-                pair_filter.insert_keyed(term, u64::from(p.doc));
-            }
-        }
-        Self {
-            index,
-            doc_obj,
-            token_filter,
-            pair_filter,
-        }
+        Self { index }
     }
 
     /// True when the conjunctive query is **provably empty**: some query
-    /// token is definitely absent from the live corpus vocabulary, so no
-    /// document can AND-match. `false` for blank keyword text (no
-    /// constraint) and whenever the filter cannot prove absence
-    /// (possible false positive, or a saturated filter failing open).
+    /// token was never interned into the corpus vocabulary, so no
+    /// document can AND-match. Exact, since the vocabulary is the set
+    /// itself; `false` for text without tokens (no constraint).
     fn provably_empty(&self, keywords: &str) -> bool {
-        let tokens = self.index.tokenizer().tokenize(keywords);
-        !tokens.is_empty() && tokens.iter().any(|t| !self.token_filter.contains(t))
+        let vocab = self.index.vocab();
+        let mut unknown = false;
+        self.index
+            .tokenizer()
+            .for_each_token(keywords, |t| unknown |= vocab.get(t).is_none());
+        unknown
     }
 
     /// Keyword features for the cost model, or `None` when the text
@@ -572,160 +525,27 @@ impl CorpusText {
             terms: stats.known_terms,
             unknown_terms: stats.unknown_terms,
             min_doc_freq: stats.min_doc_freq as f64,
-            posting_len_total: stats.total_posting_len as f64,
             corpus_matches: stats.estimated_and_matches,
             range_matches: stats.estimated_and_matches * fraction,
         })
     }
 
-    /// Sorted ids of all objects whose documents contain **all** the
-    /// query terms (empty when any token is unknown corpus-wide — the
-    /// IR-tree's native traversal semantics; `and_query` alone would
-    /// silently *drop* out-of-vocabulary tokens, answering a weaker
-    /// conjunction than the tree on mixed known/unknown queries).
-    fn conjunctive_matches(&self, keywords: &str) -> Vec<ObjectId> {
-        let tokens = self.index.tokenizer().tokenize(keywords);
-        if tokens.iter().any(|t| self.index.vocab().get(t).is_none()) {
-            return Vec::new();
-        }
-        let mut ids: Vec<ObjectId> = self
-            .index
-            .and_query(keywords)
-            .into_iter()
-            .map(|d| self.doc_obj[d as usize])
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Sorted ids of the `candidates` whose documents contain **all**
-    /// the query terms, computed candidate-first: per candidate, probe
-    /// the pair filter for every term (a definite miss rejects without
-    /// touching postings), then verify survivors by binary search in the
-    /// real posting lists. Returns `None` when the path is unavailable —
-    /// saturated filter, blank keywords, or a candidate outside the
-    /// dense id↔doc mapping — and the caller falls back to the full
-    /// AND-intersection. When it returns `Some`, the result is exactly
-    /// `intersect_sorted(candidates, conjunctive_matches(keywords))`.
-    fn conjunctive_among(&self, keywords: &str, candidates: &[ObjectId]) -> Option<Vec<ObjectId>> {
-        if self.pair_filter.is_saturated() {
-            return None;
-        }
-        let tokens = self.index.tokenizer().tokenize(keywords);
-        if tokens.is_empty() {
-            return None;
-        }
-        // One unknown token corpus-wide makes the conjunction empty —
-        // the same semantics as `conjunctive_matches`.
-        let mut terms: Vec<(&str, textindex::TermId)> = Vec::with_capacity(tokens.len());
-        for t in &tokens {
-            match self.index.vocab().get(t) {
-                None => return Some(Vec::new()),
-                Some(id) => {
-                    if !terms.iter().any(|(_, have)| *have == id) {
-                        terms.push((t.as_str(), id));
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        'candidate: for &obj in candidates {
-            let doc = obj.0;
-            // The prescreen keys pairs by doc id; it is only sound while
-            // doc ids and object ids coincide (dense, corpus order).
-            if self.doc_obj.get(doc as usize) != Some(&obj) {
-                return None;
-            }
-            for (term, _) in &terms {
-                if !self.pair_filter.contains_keyed(term, u64::from(doc)) {
-                    continue 'candidate; // provably not a match
-                }
-            }
-            for (_, id) in &terms {
-                if self
-                    .index
-                    .postings(*id)
-                    .binary_search_by_key(&doc, |p| p.doc)
-                    .is_err()
-                {
-                    continue 'candidate; // false positive or stale pair
-                }
-            }
-            out.push(obj);
-        }
-        Some(out)
-    }
-
-    /// The conjunctive matches **within** a sorted spatial candidate
-    /// set, choosing between the two equivalent plans by cost: the
-    /// candidate-first prescreen touches O(candidates × terms) filter
-    /// slots, the match-first intersection walks O(total posting length)
-    /// entries — whichever is cheaper answers, and both answer the same
-    /// set (the prescreen verifies against the same postings the
-    /// intersection walks).
-    fn matches_within(&self, keywords: &str, candidates: &[ObjectId]) -> Vec<ObjectId> {
-        let stats = self.index.query_stats(keywords);
-        let probe_cost = candidates.len() * (stats.known_terms + stats.unknown_terms).max(1);
-        if (probe_cost as f64) < stats.total_posting_len as f64 {
-            if let Some(ids) = self.conjunctive_among(keywords, candidates) {
-                return ids;
-            }
-        }
-        intersect_sorted(candidates, &self.conjunctive_matches(keywords))
-    }
-
     /// Appends a live-inserted object's document. Dense object ids are
     /// claimed in corpus order, so the new doc id equals the object id.
-    /// The document is tokenized once: the index hands each token to
-    /// both filters as it interns it.
     fn live_insert(&mut self, obj: ObjectId, doc: &str) {
-        let d = self.index.num_docs() as textindex::DocId;
-        debug_assert_eq!(
-            d as usize,
-            self.doc_obj.len(),
-            "corpus doc ids stay dense under live inserts"
-        );
-        self.index.add_document_with(doc, |token| {
-            absorb(&mut self.token_filter, &mut self.pair_filter, token, d);
-        });
-        self.doc_obj.push(obj);
+        let d = self.index.add_document(doc);
+        debug_assert_eq!(d, obj.0, "corpus doc ids stay dense under live inserts");
     }
 
     /// Re-indexes an object's document after a live update.
     fn live_update(&mut self, obj: ObjectId, old_doc: &str, new_doc: &str) {
-        self.index
-            .update_document(obj.0, old_doc, new_doc, |token| {
-                absorb(&mut self.token_filter, &mut self.pair_filter, token, obj.0);
-            });
+        self.index.update_document(obj.0, old_doc, new_doc);
     }
 
     /// Removes a deleted object's postings so df and match sets stay
     /// honest.
     fn live_delete(&mut self, obj: ObjectId, doc: &str) {
         self.index.remove_document(obj.0, doc);
-    }
-}
-
-/// Folds one token of live document `doc` into both prescreens: the
-/// token filter, so absence answers stay authoritative, and the pair
-/// filter, as the `(token, doc)` pair. Skipping what a filter already
-/// admits is sound: `contains` answers are stable forever (nothing is
-/// deleted), and duplicates would only waste slots. Stale pairs from an
-/// earlier version of the document are left behind — harmless, because
-/// the candidate-first path verifies every survivor against the real
-/// postings.
-fn absorb(
-    token_filter: &mut crate::cuckoo::CuckooFilter,
-    pair_filter: &mut crate::cuckoo::CuckooFilter,
-    token: &str,
-    doc: textindex::DocId,
-) {
-    if !token_filter.contains(token) {
-        token_filter.insert(token);
-    }
-    let salt = u64::from(doc);
-    if !pair_filter.contains_keyed(token, salt) {
-        pair_filter.insert_keyed(token, salt);
     }
 }
 
@@ -760,24 +580,6 @@ pub(crate) fn group_indices<K: std::hash::Hash + Eq>(
         groups[g].push(i);
     }
     groups
-}
-
-/// Ascending sorted-list intersection.
-fn intersect_sorted(a: &[ObjectId], b: &[ObjectId]) -> Vec<ObjectId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// A cost-based planner over the four retrieval backends.
@@ -1094,12 +896,13 @@ impl QueryPlanner {
     }
 
     /// True when a conjunctive keyword query is **provably empty**: some
-    /// query token is definitely absent from the live corpus vocabulary
-    /// (per the cuckoo token filter — see [`crate::cuckoo`]), so no
+    /// query token was never interned into the corpus vocabulary, so no
     /// document can AND-match and both keyword execution paths answer
-    /// the empty set. `false` never promises matches exist; `true` is
-    /// authoritative. `tests/negative_cache_props.rs` pins this against
-    /// brute-force ground truth.
+    /// the empty set. The vocabulary only grows — a token deleted from
+    /// every document stays known, and its query executes empty — so
+    /// `false` never promises matches exist, while `true` is exact.
+    /// `tests/negative_cache_props.rs` pins this against brute-force
+    /// ground truth.
     #[must_use]
     pub fn provably_empty(&self, keywords: &str) -> bool {
         if keywords.trim().is_empty() {
@@ -1269,7 +1072,11 @@ impl QueryPlanner {
                 Arc::clone(v.insert(computed))
             }
         };
-        Ok(self.corpus_text().read().matches_within(keywords, &spatial))
+        Ok(self
+            .corpus_text()
+            .read()
+            .index
+            .and_among(keywords, &spatial, |id| id.0))
     }
 
     /// Plans and executes the filtering stage for one query with an
@@ -1481,6 +1288,46 @@ mod tests {
         prepare_city(&data, &llm, &SemaSkConfig::default()).unwrap()
     }
 
+    /// Every object's document, by id (`None` once deleted).
+    fn documents(p: &crate::prep::PreparedCity) -> Vec<Option<String>> {
+        p.dataset.iter().map(|o| Some(o.to_document())).collect()
+    }
+
+    /// Brute force: the `candidates` whose document holds every token of
+    /// `keywords`.
+    fn holding_all(
+        docs: &[Option<String>],
+        keywords: &str,
+        candidates: &[ObjectId],
+    ) -> Vec<ObjectId> {
+        let tokenizer = textindex::Tokenizer::new();
+        let wanted = tokenizer.tokenize(keywords);
+        candidates
+            .iter()
+            .copied()
+            .filter(|id| {
+                docs[id.index()].as_ref().is_some_and(|doc| {
+                    let held: HashSet<String> = tokenizer.tokenize(doc).into_iter().collect();
+                    wanted.iter().all(|w| held.contains(w))
+                })
+            })
+            .collect()
+    }
+
+    /// Which loop `and_among` runs over `n` candidates: `Some(true)` for
+    /// the per-candidate search, `Some(false)` for the merge, `None` when
+    /// an unknown token answers before either.
+    fn search_loop(index: &textindex::InvertedIndex, keywords: &str, n: usize) -> Option<bool> {
+        let mut terms = Vec::new();
+        for token in index.tokenizer().tokenize(keywords) {
+            terms.push(index.vocab().get(&token)?);
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        let postings: usize = terms.iter().map(|&t| index.doc_freq(t)).sum();
+        Some(n * terms.len() < postings)
+    }
+
     #[test]
     fn all_backends_agree_on_answer_sets() {
         let p = prepared();
@@ -1585,14 +1432,13 @@ mod tests {
         let planned = planner
             .retrieve_keyword(&qv, &range, Some(&word), 10, None)
             .unwrap();
-        // Reference: intersect the exact spatial filter with the corpus
-        // AND-matches, then score — strategy-independent by design.
+        // Reference: the exact spatial filter narrowed to the documents
+        // holding the keyword — strategy-independent by design.
         let spatial = planner
             .backend(RetrievalStrategy::ExactScan)
             .filter_range(&range)
             .unwrap();
-        let matches = planner.corpus_text().read().conjunctive_matches(&word);
-        let expected = intersect_sorted(&spatial, &matches);
+        let expected = holding_all(&documents(&p), &word, &spatial);
         let got: Vec<ObjectId> = planned.hits.iter().map(|h| ObjectId(h.id as u32)).collect();
         assert!(!expected.is_empty(), "keyword `{word}` matches something");
         for id in &got {
@@ -1669,6 +1515,9 @@ mod tests {
 
     #[test]
     fn candidate_first_prescreen_matches_intersection() {
+        // The one matcher against brute force, each of its two loops
+        // forced by the size of the candidate set: the whole range merges
+        // against the postings, one or two candidates binary-search them.
         let p = prepared();
         let planner = &p.planner;
         let range = geotext::BoundingBox::from_center_km(p.city.center(), 12.0, 12.0);
@@ -1676,10 +1525,11 @@ mod tests {
             .backend(RetrievalStrategy::ExactScan)
             .filter_range(&range)
             .unwrap();
-        assert!(!spatial.is_empty());
+        assert!(spatial.len() > 2);
+        let docs = documents(&p);
         let corpus = planner.corpus_text().read();
         // Cover common terms (long postings), rare terms, an unknown
-        // term, and blank text.
+        // term, and an unknown term beside a known one.
         let mut probes: Vec<String> = Vec::new();
         for o in p.dataset.iter().take(10) {
             let doc = o.to_document();
@@ -1693,16 +1543,27 @@ mod tests {
         }
         probes.push("zzzunknowntoken".to_owned());
         probes.push("zzzunknowntoken coffee".to_owned());
+        let mid = spatial.len() / 2;
+        let (mut searched, mut merged) = (0, 0);
         for kw in &probes {
-            let expected = intersect_sorted(&spatial, &corpus.conjunctive_matches(kw));
-            // The forced prescreen (when available) and the cost-chosen
-            // path must both reproduce the intersection exactly.
-            if let Some(got) = corpus.conjunctive_among(kw, &spatial) {
-                assert_eq!(got, expected, "conjunctive_among diverged on `{kw}`");
+            for candidates in [&spatial[..], &spatial[..1], &spatial[mid..mid + 2]] {
+                match search_loop(&corpus.index, kw, candidates.len()) {
+                    Some(true) => searched += 1,
+                    Some(false) => merged += 1,
+                    None => {}
+                }
+                assert_eq!(
+                    corpus.index.and_among(kw, candidates, |id| id.0),
+                    holding_all(&docs, kw, candidates),
+                    "`{kw}` over {} candidates",
+                    candidates.len()
+                );
             }
-            let chosen = corpus.matches_within(kw, &spatial);
-            assert_eq!(chosen, expected, "matches_within diverged on `{kw}`");
         }
+        assert!(
+            searched > 0 && merged > 0,
+            "{searched} searched, {merged} merged"
+        );
     }
 
     #[test]
@@ -1711,35 +1572,52 @@ mod tests {
         let planner = &p.planner;
         let range = p.dataset.bounds().unwrap();
         // Seed the corpus, then mutate: delete one document, rewrite
-        // another. The pair filter keeps stale entries for both; the
-        // postings verification must reject them.
-        let d0 = p.dataset.objects()[0].to_document();
-        let d1 = p.dataset.objects()[1].to_document();
+        // another. Neither may match on its old text afterwards.
+        let mut docs = documents(&p);
+        let d0 = docs[0].take().unwrap();
+        let d1 = docs[1].replace("replacement text entirely different tokens".to_owned());
         planner.live_delete(ObjectId(0), &d0);
-        planner.live_update(
-            ObjectId(1),
-            &d1,
-            "replacement text entirely different tokens",
-        );
+        planner.live_update(ObjectId(1), &d1.unwrap(), docs[1].as_deref().unwrap());
         let spatial = planner
             .backend(RetrievalStrategy::ExactScan)
             .filter_range(&range)
             .unwrap();
         let corpus = planner.corpus_text().read();
+        // The deleted document's most widespread word: common enough for
+        // the search loop over two candidates.
+        let common = d0
+            .split_whitespace()
+            .max_by_key(|w| {
+                let stats = corpus.index.query_stats(w);
+                usize::from(stats.known_terms == 1 && stats.unknown_terms == 0) * stats.min_doc_freq
+            })
+            .unwrap()
+            .to_owned();
+        let (mut searched, mut merged) = (0, 0);
         for kw in [
             d0.split_whitespace().next().unwrap().to_owned(),
+            common,
             "replacement".to_owned(),
             "entirely different".to_owned(),
         ] {
-            let expected = intersect_sorted(&spatial, &corpus.conjunctive_matches(&kw));
-            if let Some(got) = corpus.conjunctive_among(&kw, &spatial) {
+            for candidates in [&spatial[..], &[ObjectId(0), ObjectId(1)], &[ObjectId(1)]] {
+                match search_loop(&corpus.index, &kw, candidates.len()) {
+                    Some(true) => searched += 1,
+                    Some(false) => merged += 1,
+                    None => {}
+                }
                 assert_eq!(
-                    got, expected,
-                    "prescreen diverged on `{kw}` after mutations"
+                    corpus.index.and_among(&kw, candidates, |id| id.0),
+                    holding_all(&docs, &kw, candidates),
+                    "`{kw}` over {} candidates after mutations",
+                    candidates.len()
                 );
             }
-            assert_eq!(corpus.matches_within(&kw, &spatial), expected);
         }
+        assert!(
+            searched > 0 && merged > 0,
+            "{searched} searched, {merged} merged"
+        );
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //! of an R-tree, to index all keywords appearing in the sub-tree of the
 //! node."
 //!
-//! This implementation is a static (STR-packed) variant. Each node stores
-//! the set of term ids appearing anywhere in its subtree, so an AND-query
-//! can prune a whole subtree the moment one query term is missing. Leaf
-//! entries store per-object term frequencies so results can be ranked by
-//! TF-IDF.
+//! This implementation is a static (STR-packed) variant that answers one
+//! query, the conjunctive range query [`IrTree::search`]; it has no top-k.
+//! Each node stores the set of term ids appearing anywhere in its subtree,
+//! so an AND-query can prune a whole subtree the moment one query term is
+//! missing, and each leaf entry keeps its object's distinct term ids,
+//! sorted.
 //!
 //! In the reproduction, the IR-tree plays the role of the *keyword
 //! matching* search engine in the paper's Figure 1: it finds objects whose
 //! text literally contains the query keywords — and misses the "Industry
 //! Beans" cafés that never say "café".
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use geotext::{BoundingBox, Dataset, GeoPoint, ObjectId};
 use textindex::{TermId, Tokenizer, Vocabulary};
@@ -35,8 +36,8 @@ pub struct SpatialKeywordQuery {
 struct LeafEntry {
     id: ObjectId,
     point: GeoPoint,
-    /// Term frequencies of the object's document.
-    tf: HashMap<TermId, u32>,
+    /// The distinct term ids of the object's document, ascending.
+    terms: Vec<TermId>,
 }
 
 #[derive(Debug)]
@@ -61,7 +62,6 @@ pub struct IrTree {
     root: usize,
     vocab: Vocabulary,
     tokenizer: Tokenizer,
-    doc_freq: HashMap<TermId, u32>,
     num_docs: usize,
     /// Node fan-out the tree was built with.
     pub fanout: usize,
@@ -81,21 +81,17 @@ impl IrTree {
         let fanout = fanout.max(2);
         let tokenizer = Tokenizer::new();
         let mut vocab = Vocabulary::new();
-        let mut doc_freq: HashMap<TermId, u32> = HashMap::new();
 
         let mut entries: Vec<LeafEntry> = Vec::with_capacity(dataset.len());
         for o in dataset.iter() {
-            let mut tf: HashMap<TermId, u32> = HashMap::new();
-            tokenizer.for_each_token(&o.to_document(), |t| {
-                *tf.entry(vocab.intern(t)).or_insert(0) += 1;
-            });
-            for &t in tf.keys() {
-                *doc_freq.entry(t).or_insert(0) += 1;
-            }
+            let mut terms = Vec::new();
+            tokenizer.for_each_token(&o.to_document(), |t| terms.push(vocab.intern(t)));
+            terms.sort_unstable();
+            terms.dedup();
             entries.push(LeafEntry {
                 id: o.id,
                 point: o.location,
-                tf,
+                terms,
             });
         }
         let num_docs = entries.len();
@@ -105,7 +101,6 @@ impl IrTree {
             root: 0,
             vocab,
             tokenizer,
-            doc_freq,
             num_docs,
             fanout,
         };
@@ -147,7 +142,7 @@ impl IrTree {
                     .expect("non-empty run");
                 let mut terms = HashSet::new();
                 for e in run {
-                    terms.extend(e.tf.keys().copied());
+                    terms.extend(e.terms.iter().copied());
                 }
                 tree.nodes.push(Node {
                     mbr,
@@ -216,22 +211,19 @@ impl IrTree {
         self.num_docs == 0
     }
 
+    /// The distinct term ids of `text`'s tokens, or `None` when some
+    /// token is absent from the whole corpus and can never AND-match.
     fn query_terms(&self, text: &str) -> Option<Vec<TermId>> {
-        let tokens = self.tokenizer.tokenize(text);
-        if tokens.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut terms = Vec::with_capacity(tokens.len());
-        for t in &tokens {
-            match self.vocab.get(t) {
-                // A token absent from the whole corpus can never AND-match.
-                None => return None,
+        let mut terms = Vec::new();
+        let mut known = true;
+        self.tokenizer
+            .for_each_token(text, |t| match self.vocab.get(t) {
                 Some(id) => terms.push(id),
-            }
-        }
+                None => known = false,
+            });
         terms.sort_unstable();
         terms.dedup();
-        Some(terms)
+        known.then_some(terms)
     }
 
     /// Conjunctive spatial keyword search: objects inside the range whose
@@ -257,7 +249,7 @@ impl IrTree {
                 NodeKind::Leaf(entries) => {
                     for e in entries {
                         if query.range.contains(&e.point)
-                            && terms.iter().all(|t| e.tf.contains_key(t))
+                            && terms.iter().all(|t| e.terms.binary_search(t).is_ok())
                         {
                             out.push(e.id);
                         }
@@ -268,187 +260,6 @@ impl IrTree {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Top-k spatial keyword search: objects inside the range ranked by
-    /// TF-IDF relevance to the keywords (disjunctive — any term may
-    /// match), descending. The classic top-k variant of the IR-tree query.
-    #[must_use]
-    pub fn topk(&self, query: &SpatialKeywordQuery, k: usize) -> Vec<(ObjectId, f32)> {
-        let tokens = self.tokenizer.tokenize(&query.keywords);
-        let mut terms: Vec<TermId> = tokens.iter().filter_map(|t| self.vocab.get(t)).collect();
-        terms.sort_unstable();
-        terms.dedup();
-        if terms.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let n = self.num_docs as f32;
-        let mut scored: Vec<(ObjectId, f32)> = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni];
-            if !node.mbr.intersects(&query.range) {
-                continue;
-            }
-            if !terms.iter().any(|t| node.terms.contains(t)) {
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Leaf(entries) => {
-                    for e in entries {
-                        if !query.range.contains(&e.point) {
-                            continue;
-                        }
-                        let mut s = 0.0f32;
-                        for t in &terms {
-                            if let Some(&tf) = e.tf.get(t) {
-                                let df = self.doc_freq.get(t).copied().unwrap_or(0) as f32;
-                                let idf = ((n + 1.0) / (df + 1.0)).ln() + 1.0;
-                                s += tf as f32 * idf;
-                            }
-                        }
-                        if s > 0.0 {
-                            scored.push((e.id, s));
-                        }
-                    }
-                }
-                NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-            }
-        }
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
-    }
-}
-
-impl IrTree {
-    /// The classic IR-tree top-k query of Li et al.: rank objects by a
-    /// combined score `alpha * spatial_proximity + (1 - alpha) *
-    /// text_relevance` to a query location and keywords, pruning subtrees
-    /// with a best-first search over score upper bounds.
-    ///
-    /// `spatial_proximity = 1 - dist/max_dist` (clamped to `[0, 1]`) and
-    /// `text_relevance` is TF-IDF normalised by the best possible score
-    /// for the query.
-    #[must_use]
-    pub fn topk_ranked(
-        &self,
-        query_point: &GeoPoint,
-        keywords: &str,
-        k: usize,
-        alpha: f64,
-        max_dist_km: f64,
-    ) -> Vec<(ObjectId, f64)> {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        let tokens = {
-            let mut t: Vec<TermId> = self
-                .tokenizer
-                .tokenize(keywords)
-                .iter()
-                .filter_map(|w| self.vocab.get(w))
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        if k == 0 || self.num_docs == 0 {
-            return Vec::new();
-        }
-        let n = self.num_docs as f32;
-        // Normalisation: the best possible text score (tf capped at 3 per
-        // term, the usual saturation assumption for bounds).
-        let idf = |t: &TermId| {
-            ((n + 1.0) / (self.doc_freq.get(t).copied().unwrap_or(0) as f32 + 1.0)).ln() + 1.0
-        };
-        let max_text: f32 = tokens.iter().map(|t| 3.0 * idf(t)).sum::<f32>().max(1e-6);
-
-        struct Cand {
-            bound: f64,
-            node: usize,
-        }
-        impl PartialEq for Cand {
-            fn eq(&self, other: &Self) -> bool {
-                self.bound == other.bound
-            }
-        }
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.bound
-                    .partial_cmp(&other.bound)
-                    .unwrap_or(Ordering::Equal)
-            }
-        }
-
-        let node_bound = |node: &Node| -> f64 {
-            let d = node.mbr.min_distance_km(query_point);
-            let spatial = (1.0 - d / max_dist_km).clamp(0.0, 1.0);
-            // Text bound: 1 if any query term occurs in the subtree (it
-            // could reach the maximal normalised score), else 0.
-            let text: f64 = if tokens.iter().any(|t| node.terms.contains(t)) {
-                1.0
-            } else {
-                0.0
-            };
-            alpha * spatial + (1.0 - alpha) * text
-        };
-
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
-        heap.push(Cand {
-            bound: node_bound(&self.nodes[self.root]),
-            node: self.root,
-        });
-        let mut results: Vec<(ObjectId, f64)> = Vec::new();
-        let mut kth_score = f64::NEG_INFINITY;
-
-        while let Some(Cand { bound, node }) = heap.pop() {
-            if results.len() >= k && bound <= kth_score {
-                break; // no unexplored subtree can beat the current top-k
-            }
-            match &self.nodes[node].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        let b = node_bound(&self.nodes[c]);
-                        if results.len() < k || b > kth_score {
-                            heap.push(Cand { bound: b, node: c });
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    for e in entries {
-                        let d = query_point.haversine_km(&e.point);
-                        let spatial = (1.0 - d / max_dist_km).clamp(0.0, 1.0);
-                        let text: f32 = tokens
-                            .iter()
-                            .filter_map(|t| e.tf.get(t).map(|&tf| (tf.min(3)) as f32 * idf(t)))
-                            .sum();
-                        let score = alpha * spatial + (1.0 - alpha) * f64::from(text / max_text);
-                        results.push((e.id, score));
-                    }
-                    results.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    results.truncate(k);
-                    if results.len() == k {
-                        kth_score = results[k - 1].1;
-                    }
-                }
-            }
-        }
-        results
     }
 }
 
@@ -577,19 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_ranks_by_relevance() {
-        let t = IrTree::build(&dataset());
-        let q = SpatialKeywordQuery {
-            range: cbd_range(),
-            keywords: "coffee cafe".to_owned(),
-        };
-        let r = t.topk(&q, 3);
-        assert!(!r.is_empty());
-        assert_eq!(r[0].0, ObjectId(0)); // matches both terms
-        assert!(r.windows(2).all(|w| w[0].1 >= w[1].1));
-    }
-
-    #[test]
     fn large_dataset_search_matches_bruteforce() {
         let mut d = Dataset::new("big");
         for i in 0..500u32 {
@@ -625,56 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_ranked_trades_distance_for_relevance() {
-        let t = IrTree::build(&dataset());
-        let q = GeoPoint::new(-37.810, 144.960).unwrap(); // at Melbourne Cafe Co
-                                                          // Pure spatial (alpha = 1): nearest POI first regardless of text.
-        let spatial = t.topk_ranked(&q, "coffee", 3, 1.0, 10.0);
-        assert_eq!(spatial[0].0, ObjectId(0));
-        // Pure textual (alpha = 0): the strongest "coffee" match wins even
-        // if it is not nearest.
-        let textual = t.topk_ranked(&q, "coffee", 3, 0.0, 10.0);
-        let doc0 = &dataset();
-        let top_doc = doc0.get(textual[0].0).unwrap().to_document().to_lowercase();
-        assert!(top_doc.contains("coffee"));
-        // Scores are sorted descending.
-        assert!(spatial.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert!(textual.windows(2).all(|w| w[0].1 >= w[1].1));
-    }
-
-    #[test]
-    fn topk_ranked_matches_bruteforce_on_large_data() {
-        let mut d = Dataset::new("big");
-        for i in 0..400u32 {
-            let lat = 40.0 + (i / 20) as f64 * 0.003;
-            let lon = -75.0 + (i % 20) as f64 * 0.003;
-            let text = if i % 5 == 0 {
-                "coffee espresso"
-            } else {
-                "burgers fries"
-            };
-            d.push(|id| {
-                GeoTextObject::builder(id, GeoPoint::new(lat, lon).unwrap())
-                    .attr("name", format!("poi-{i}"))
-                    .attr("tips", vec![text.to_owned()])
-                    .build()
-                    .unwrap()
-            });
-        }
-        let t = IrTree::build(&d);
-        let q = GeoPoint::new(40.03, -74.97).unwrap();
-        let got = t.topk_ranked(&q, "coffee", 10, 0.5, 10.0);
-        assert_eq!(got.len(), 10);
-        // Best-first pruning must agree with exhaustive scoring on the
-        // top score.
-        let all = t.topk_ranked(&q, "coffee", 400, 0.5, 10.0);
-        assert_eq!(got[0].0, all[0].0);
-        for (g, a) in got.iter().zip(all.iter().take(10)) {
-            assert!((g.1 - a.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_dataset() {
         let d = Dataset::new("empty");
         let t = IrTree::build(&d);
@@ -684,6 +432,5 @@ mod tests {
             keywords: "cafe".to_owned(),
         };
         assert!(t.search(&q).is_empty());
-        assert!(t.topk(&q, 5).is_empty());
     }
 }

@@ -7,10 +7,11 @@
 //! - [`GridIndex`] — a uniform grid: the range prefilter behind the
 //!   planner's grid strategy,
 //! - [`IrTree`] — the IR-tree of Li et al. (TKDE 2011) cited by the paper:
-//!   an R-tree whose nodes each carry an inverted index over the keywords
-//!   in their subtree, enabling pruned spatial keyword search. It is the
-//!   "keyword matching" competitor that SemaSK's Figure 1 motivates
-//!   against.
+//!   an R-tree whose nodes each carry the keywords in their subtree. It
+//!   answers conjunctive range queries ([`IrTree::search`]: in range, and
+//!   the document holds every keyword), pruning every subtree that lacks
+//!   a keyword; it has no top-k. It is the "keyword matching" competitor
+//!   that SemaSK's Figure 1 motivates against.
 
 #![warn(missing_docs)]
 

@@ -32,9 +32,6 @@ pub struct QueryTermStats {
     /// Smallest document frequency among the known terms (0 when there
     /// are none): the tightest upper bound on the AND-result size.
     pub min_doc_freq: usize,
-    /// Total posting-list length across the known terms — the work a
-    /// sorted-list intersection touches in the worst case.
-    pub total_posting_len: usize,
     /// Estimated number of documents matching **all** terms, under the
     /// usual attribute-independence assumption
     /// (`N * prod(df_i / N)`, and exactly 0 when any term is unknown).
@@ -80,15 +77,8 @@ impl InvertedIndex {
 
     /// Adds a document, returning its id.
     pub fn add_document(&mut self, text: &str) -> DocId {
-        self.add_document_with(text, |_| {})
-    }
-
-    /// Adds a document, handing each of its tokens to `visit` as it is
-    /// interned — for callers that keep side structures keyed by token
-    /// and would otherwise tokenize the same text again.
-    pub fn add_document_with(&mut self, text: &str, visit: impl FnMut(&str)) -> DocId {
         let doc = self.doc_lens.len() as DocId;
-        let ids = self.intern_sorted(text, visit);
+        let ids = self.intern_sorted(text);
         self.doc_lens.push(ids.len() as u32);
         for (term, tf) in term_runs(&ids) {
             self.postings_mut(term).push(Posting { doc, tf });
@@ -121,16 +111,9 @@ impl InvertedIndex {
     /// Re-indexes document `doc` in place: removes `old_text`'s postings
     /// and inserts `new_text`'s at the same id, keeping every posting
     /// list sorted by doc id so AND-queries stay sorted intersections.
-    /// Each token of `new_text` is handed to `visit` as it is interned.
-    pub fn update_document(
-        &mut self,
-        doc: DocId,
-        old_text: &str,
-        new_text: &str,
-        visit: impl FnMut(&str),
-    ) {
+    pub fn update_document(&mut self, doc: DocId, old_text: &str, new_text: &str) {
         self.remove_document(doc, old_text);
-        let ids = self.intern_sorted(new_text, visit);
+        let ids = self.intern_sorted(new_text);
         if let Some(len) = self.doc_lens.get_mut(doc as usize) {
             *len = ids.len() as u32;
         }
@@ -143,16 +126,13 @@ impl InvertedIndex {
         }
     }
 
-    /// Interns every token of `text` (ids in first-seen order, as the
-    /// tokens stream past `visit`) and returns the ids sorted, one per
-    /// token occurrence.
-    fn intern_sorted(&mut self, text: &str, mut visit: impl FnMut(&str)) -> Vec<TermId> {
+    /// Interns every token of `text` (ids in first-seen order) and
+    /// returns the ids sorted, one per token occurrence.
+    fn intern_sorted(&mut self, text: &str) -> Vec<TermId> {
         let mut ids = Vec::new();
         let vocab = &mut self.vocab;
-        self.tokenizer.for_each_token(text, |tok| {
-            ids.push(vocab.intern(tok));
-            visit(tok);
-        });
+        self.tokenizer
+            .for_each_token(text, |tok| ids.push(vocab.intern(tok)));
         ids.sort_unstable();
         ids
     }
@@ -194,9 +174,9 @@ impl InvertedIndex {
         &self.vocab
     }
 
-    /// The index's tokenizer — callers that maintain side structures
-    /// keyed by token (term filters, caches) must tokenize exactly the
-    /// way the index does.
+    /// The index's tokenizer — callers that look tokens up in
+    /// [`InvertedIndex::vocab`] must tokenize exactly the way the index
+    /// does.
     #[must_use]
     pub fn tokenizer(&self) -> &Tokenizer {
         &self.tokenizer
@@ -228,8 +208,8 @@ impl InvertedIndex {
         ids
     }
 
-    /// Document-frequency / posting-length statistics of a conjunctive
-    /// query, for cost-based planners. Tokenizes with the index's
+    /// Document-frequency statistics of a conjunctive query, for
+    /// cost-based planners. Tokenizes with the index's
     /// tokenizer; duplicate tokens collapse to one term.
     #[must_use]
     pub fn query_stats(&self, text: &str) -> QueryTermStats {
@@ -242,7 +222,6 @@ impl InvertedIndex {
             known_terms: 0,
             unknown_terms: 0,
             min_doc_freq: 0,
-            total_posting_len: 0,
             estimated_and_matches: if n == 0 { 0.0 } else { n as f64 },
         };
         for token in &seen {
@@ -251,7 +230,6 @@ impl InvertedIndex {
                 Some(term) => {
                     let df = self.doc_freq(term);
                     stats.known_terms += 1;
-                    stats.total_posting_len += df;
                     stats.min_doc_freq = if stats.known_terms == 1 {
                         df
                     } else {
@@ -269,42 +247,107 @@ impl InvertedIndex {
         stats
     }
 
-    /// Boolean AND query: ids of documents containing *all* query terms.
+    /// The distinct term ids of `text`'s tokens, rarest first — or
+    /// `None` when some token was never interned, which no document can
+    /// hold.
+    fn conjunction(&self, text: &str) -> Option<Vec<TermId>> {
+        let mut terms = Vec::new();
+        let mut known = true;
+        self.tokenizer
+            .for_each_token(text, |tok| match self.vocab.get(tok) {
+                Some(t) => terms.push(t),
+                None => known = false,
+            });
+        if !known {
+            return None;
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        terms.sort_by_key(|&t| self.doc_freq(t));
+        Some(terms)
+    }
+
+    /// Keeps the entries of `docs` (ascending by document) whose
+    /// documents hold every one of `terms`: one merge pass over each
+    /// posting list.
+    fn retain_holding<T: Copy>(
+        &self,
+        docs: &mut Vec<T>,
+        terms: &[TermId],
+        doc_of: impl Fn(T) -> DocId,
+    ) {
+        for &t in terms {
+            if docs.is_empty() {
+                return;
+            }
+            let posts = self.postings(t);
+            let mut j = 0;
+            docs.retain(|&c| {
+                let d = doc_of(c);
+                while j < posts.len() && posts[j].doc < d {
+                    j += 1;
+                }
+                j < posts.len() && posts[j].doc == d
+            });
+        }
+    }
+
+    /// Boolean AND query: ids (ascending) of documents containing *all*
+    /// query terms. A token the index has never seen empties the answer,
+    /// and so does a query with no tokens at all.
     ///
     /// This is the "query keywords to be matched by the textual attributes"
     /// semantics that the paper's Figure 1 shows failing for "café".
     #[must_use]
     pub fn and_query(&self, text: &str) -> Vec<DocId> {
-        let mut terms = self.query_terms(text);
-        if terms.is_empty() {
+        let Some(terms) = self.conjunction(text) else {
             return Vec::new();
+        };
+        let Some((&rarest, rest)) = terms.split_first() else {
+            return Vec::new();
+        };
+        let mut docs: Vec<DocId> = self.postings(rarest).iter().map(|p| p.doc).collect();
+        self.retain_holding(&mut docs, rest, |d| d);
+        docs
+    }
+
+    /// The entries of `candidates` (ascending by document, `doc_of`
+    /// naming each one's document) whose documents contain *all* of
+    /// `text`'s tokens, in candidate order. A token the index has never
+    /// seen empties the answer; a text with no tokens constrains nothing.
+    ///
+    /// Two loops answer the same set, whichever touches less:
+    /// when `candidates × terms` is below the terms' summed document
+    /// frequency, each candidate binary-searches every posting list;
+    /// otherwise the candidates are merged against each posting list in
+    /// turn, rarest first.
+    #[must_use]
+    pub fn and_among<T: Copy>(
+        &self,
+        text: &str,
+        candidates: &[T],
+        doc_of: impl Fn(T) -> DocId,
+    ) -> Vec<T> {
+        let Some(terms) = self.conjunction(text) else {
+            return Vec::new();
+        };
+        let postings_len: usize = terms.iter().map(|&t| self.doc_freq(t)).sum();
+        if candidates.len() * terms.len() < postings_len {
+            candidates
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    let d = doc_of(c);
+                    terms
+                        .iter()
+                        .all(|&t| self.postings(t).binary_search_by_key(&d, |p| p.doc).is_ok())
+                })
+                .collect()
+        } else {
+            let mut out = candidates.to_vec();
+            self.retain_holding(&mut out, &terms, doc_of);
+            out
         }
-        terms.sort_unstable();
-        terms.dedup();
-        // Intersect starting from the rarest term.
-        terms.sort_by_key(|&t| self.doc_freq(t));
-        let mut result: Vec<DocId> = self.postings(terms[0]).iter().map(|p| p.doc).collect();
-        for &t in &terms[1..] {
-            let posts = self.postings(t);
-            let mut next = Vec::with_capacity(result.len().min(posts.len()));
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < result.len() && j < posts.len() {
-                match result[i].cmp(&posts[j].doc) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        next.push(result[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            result = next;
-            if result.is_empty() {
-                break;
-            }
-        }
-        result
     }
 
     /// Boolean OR query with per-document match counts, useful for weak
@@ -358,6 +401,8 @@ mod tests {
         let idx = sample();
         assert!(idx.and_query("sushi").is_empty());
         assert!(idx.and_query("").is_empty());
+        // One unknown token empties the whole conjunction.
+        assert!(idx.and_query("coffee sushi").is_empty());
     }
 
     #[test]
@@ -394,7 +439,6 @@ mod tests {
         assert_eq!(s.known_terms, 2);
         assert_eq!(s.unknown_terms, 0);
         assert_eq!(s.min_doc_freq, 2);
-        assert_eq!(s.total_posting_len, 4);
         // Independence estimate: 4 * (2/4) * (2/4) = 1 — and the true
         // AND-result ("coffee bar" → doc 2) is indeed 1 document.
         assert!((s.estimated_and_matches - 1.0).abs() < 1e-9);
@@ -436,7 +480,6 @@ mod tests {
             1,
             "sports bar showing football games with chicken wings",
             "quiet coffee corner",
-            |_| {},
         );
         // Old terms are gone, new terms match at the same id.
         assert!(idx.and_query("football").is_empty());

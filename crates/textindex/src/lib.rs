@@ -5,10 +5,11 @@
 //! - [`Tokenizer`] — lower-casing, punctuation stripping, stopword removal,
 //!   and a light suffix-stripping stemmer,
 //! - [`Vocabulary`] — string interning to dense term ids,
-//! - [`InvertedIndex`] — term → postings with boolean AND queries,
+//! - [`InvertedIndex`] — term → postings with exact boolean AND queries,
+//!   over the whole corpus or among given candidates,
 //! - [`SparseVector`] — sorted sparse vectors with dot/cosine,
 //! - [`TfIdfModel`] — the TF-IDF baseline ranker of the paper's Table 2,
-//! - [`Bm25Model`] — BM25, used by the IR-tree's node relevance scores.
+//! - [`Bm25Model`] — BM25 ranking over an inverted index.
 //!
 //! The paper's observation that "the TF-IDF measure … ignores the broader
 //! semantics of the keywords" is exactly what this crate implements: a

@@ -1,8 +1,10 @@
 //! Property-based tests for the text retrieval substrate.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use textindex::tokenizer::{stem, stem_into};
-use textindex::{Bm25Model, InvertedIndex, SparseVector, TfIdfModel, Tokenizer};
+use textindex::{Bm25Model, DocId, InvertedIndex, SparseVector, TfIdfModel, Tokenizer};
 
 fn arb_word() -> impl Strategy<Value = String> {
     "[a-z]{2,8}"
@@ -440,5 +442,97 @@ proptest! {
         prop_assert!((va.dot(&vb) - vb.dot(&va)).abs() < 1e-3);
         prop_assert!(va.dot(&vb).abs() <= va.norm() * vb.norm() + 1e-3);
         prop_assert!(va.cosine(&vb).abs() <= 1.0 + 1e-5);
+    }
+}
+
+/// A document over a four-letter alphabet, so multi-word conjunctions
+/// often match.
+fn arb_small_doc() -> impl Strategy<Value = String> {
+    prop::collection::vec("[a-d]{2,3}", 1..12).prop_map(|ws| ws.join(" "))
+}
+
+/// Up to four query words, about one in five `zq…`, which no
+/// [`arb_small_doc`] holds.
+fn arb_conjunction() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u8..5, "[a-d]{2,3}"), 0..5).prop_map(|ws| {
+        ws.into_iter()
+            .map(|(unknown, w)| if unknown == 0 { format!("zq{w}") } else { w })
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+/// Brute force: the ids of `docs` holding every token of `query`.
+fn holding_all(docs: &[String], query: &str, ids: impl Iterator<Item = DocId>) -> Vec<DocId> {
+    let t = Tokenizer::new();
+    let wanted = t.tokenize(query);
+    ids.filter(|&d| {
+        let held: HashSet<String> = t.tokenize(&docs[d as usize]).into_iter().collect();
+        wanted.iter().all(|w| held.contains(w))
+    })
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn and_query_is_the_exact_conjunction(
+        docs in prop::collection::vec(arb_small_doc(), 1..30),
+        q in arb_conjunction(),
+    ) {
+        let mut idx = InvertedIndex::new();
+        for d in &docs {
+            idx.add_document(d);
+        }
+        // A query without tokens matches nothing; otherwise an unknown
+        // token empties it like any token no document holds.
+        let want = if Tokenizer::new().tokenize(&q).is_empty() {
+            Vec::new()
+        } else {
+            holding_all(&docs, &q, 0..docs.len() as DocId)
+        };
+        prop_assert_eq!(idx.and_query(&q), want, "query {:?}", q);
+    }
+
+    #[test]
+    fn and_among_is_the_exact_conjunction_in_both_loops(
+        docs in prop::collection::vec(arb_small_doc(), 1..30),
+        q in arb_conjunction(),
+        picks in prop::collection::vec(0u8..2, 30),
+    ) {
+        let mut idx = InvertedIndex::new();
+        for d in &docs {
+            idx.add_document(d);
+        }
+        let candidates: Vec<DocId> = (0..docs.len() as DocId)
+            .filter(|&d| picks[d as usize] == 1)
+            .collect();
+        let mut live = docs.clone();
+        for round in 0..2 {
+            if round == 1 {
+                // Rewrite the first document as the last and delete the
+                // second: the answers follow the live text.
+                let last = docs.len() - 1;
+                idx.update_document(0, &docs[0], &docs[last]);
+                live[0] = docs[last].clone();
+                if docs.len() > 1 {
+                    idx.remove_document(1, &docs[1]);
+                    live[1] = String::new();
+                }
+            }
+            // The picked set usually merges; one candidate at a time
+            // binary-searches whenever the query's terms hold more
+            // postings than it has terms.
+            let want = holding_all(&live, &q, candidates.iter().copied());
+            prop_assert_eq!(idx.and_among(&q, &candidates, |d| d), want.clone(), "query {:?}", q);
+            for &c in &candidates {
+                prop_assert_eq!(
+                    idx.and_among(&q, &[c], |d| d),
+                    want.iter().copied().filter(|&d| d == c).collect::<Vec<_>>(),
+                    "query {:?}, candidate {}, round {}", q, c, round
+                );
+            }
+        }
     }
 }

@@ -41,7 +41,6 @@ fn features(
             terms: 2,
             unknown_terms: 0,
             min_doc_freq: corpus_matches.ceil(),
-            posting_len_total: corpus_matches * 2.0,
             corpus_matches,
             range_matches: corpus_matches * fraction,
         }

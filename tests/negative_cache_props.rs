@@ -1,25 +1,22 @@
-//! The negative cache's one-sided error contract, pinned against brute
-//! force.
+//! The negative cache's contract, pinned against brute force.
 //!
-//! The planner's provably-empty prescreen is a cuckoo filter over
-//! **corpus tokens present** (see `semask::cuckoo` for why the polarity
-//! is inverted from a naive "remember empty shapes" cache). Its
-//! approximation may *false-positive* — claim a token is present when
-//! it is not, which merely recomputes an empty answer the slow way —
-//! but must never *false-negative*: claim a corpus token absent, which
-//! would wrongly serve an empty answer for a query that has matches.
+//! The planner's provably-empty answer is a look-up in the corpus
+//! vocabulary: a conjunctive keyword query is provably empty exactly when
+//! one of its tokens was never interned. The vocabulary is the exact set
+//! of tokens ever indexed, so the answer is exact in both directions.
 //!
-//! Three layers of the contract:
+//! Two layers of the contract, plus one edge:
 //!
-//! 1. the raw [`CuckooFilter`] vs an exact `HashSet` twin — every
-//!    `contains == false` answer must be truly absent, across arbitrary
-//!    insert/probe interleavings, before and after saturation;
-//! 2. the engine's [`SemaSkEngine::provably_empty`] vs the executed
-//!    answer — `true` must imply an empty result set for every probed
-//!    query shape;
-//! 3. stability under live growth — once a keyword stops being provably
-//!    empty (its tokens entered the corpus), no later mutation may flip
-//!    it back (vocabulary only grows).
+//! 1. exactness under live growth — [`SemaSkEngine::provably_empty`]
+//!    holds exactly when some token of the keywords appears in no
+//!    document ever indexed (the base corpus plus every insert and every
+//!    update's new text, tokenized by brute force), and a `true` answer
+//!    executes empty;
+//! 2. stability — once a keyword stops being provably empty (its tokens
+//!    entered the corpus), no later mutation may flip it back (the
+//!    vocabulary only grows);
+//! 3. deletion — deleting every POI that holds a token leaves the token
+//!    known, so its keyword is not provably empty, yet it executes empty.
 
 mod common;
 
@@ -27,95 +24,76 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use datagen::{poi::generate_city, CITIES};
-use geotext::{BoundingBox, GeoPoint};
+use geotext::{BoundingBox, GeoPoint, ObjectId};
 use llm::SimLlm;
 use proptest::prelude::*;
 use semask::{
-    prepare_city, CuckooFilter, Mutation, PoiSpec, RetrievalStrategy, SemaSkEngine, SemaSkQuery,
+    prepare_city, Mutation, PoiSpec, PoiUpdate, RetrievalStrategy, SemaSkEngine, SemaSkQuery,
     Variant,
 };
+use textindex::Tokenizer;
 
-// ---------------------------------------------------------------------
-// Layer 1: filter vs exact-set twin.
-// ---------------------------------------------------------------------
+fn engine_over(pois: usize) -> (SemaSkEngine, GeoPoint) {
+    let data = generate_city(&CITIES[1], pois, 23);
+    let center = data.city.center();
+    let llm = Arc::new(SimLlm::new());
+    let config = common::exact_only_config();
+    let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
+    let engine = SemaSkEngine::new(prepared, llm, config, Variant::EmbeddingOnly);
+    (engine, center)
+}
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// The current document of live object `id`.
+fn document(engine: &SemaSkEngine, id: ObjectId) -> String {
+    let prepared = engine.prepared();
+    prepared
+        .live
+        .overlay()
+        .get_raw(&prepared.dataset, id)
+        .expect("a live id")
+        .to_document()
+}
 
-    #[test]
-    fn absence_answers_are_always_authoritative(
-        capacity in 1usize..300,
-        inserts in prop::collection::vec("[a-z]{1,6}", 0..400),
-        probes in prop::collection::vec("[a-z]{1,6}", 0..64),
-    ) {
-        let mut filter = CuckooFilter::with_capacity(capacity);
-        let mut truth: HashSet<String> = HashSet::new();
-        for key in &inserts {
-            // The production discipline (the corpus's `absorb`):
-            // skip keys the filter already admits. A `true` answer is
-            // stable forever, so the skip can never create a false
-            // negative — even when the `true` was itself a false
-            // positive, the twin below only checks `false` answers.
-            if !filter.contains(key) {
-                filter.insert(key);
-            }
-            truth.insert(key.clone());
-            prop_assert!(
-                filter.contains(key),
-                "key {} vanished right after its insert", key
-            );
-        }
-        // Every inserted key must still be found — saturation fails
-        // open, so `contains` can only have become *more* permissive.
-        for key in &truth {
-            prop_assert!(filter.contains(key), "false negative for inserted key {}", key);
-        }
-        // And every "definitely absent" answer must be exactly true.
-        for key in &probes {
-            if !filter.contains(key) {
-                prop_assert!(
-                    !truth.contains(key),
-                    "filter claimed inserted key {} is absent", key
-                );
-            }
-        }
-        if filter.is_saturated() {
-            prop_assert!(filter.contains("anything-at-all"), "saturation must fail open");
-        }
+fn spec(name: String, center: GeoPoint, tip: String) -> PoiSpec {
+    PoiSpec {
+        name,
+        lat: center.lat + 0.002,
+        lon: center.lon - 0.002,
+        categories: vec!["cafe".to_owned()],
+        tips: vec![tip],
     }
 }
 
-// ---------------------------------------------------------------------
-// Layers 2 + 3: engine-level contract under live growth.
-// ---------------------------------------------------------------------
-
 struct EngineHarness {
-    engine: Arc<SemaSkEngine>,
+    engine: SemaSkEngine,
     center: GeoPoint,
-    /// Keywords observed non-provably-empty, with the insert counter at
-    /// observation time — later cases re-check them (layer 3).
+    /// Every token of every document ever indexed: the brute-force twin
+    /// of the corpus vocabulary.
+    indexed: Mutex<HashSet<String>>,
+    /// Keywords observed non-provably-empty — later cases re-check them
+    /// (layer 2).
     admitted: Mutex<Vec<String>>,
-    counter: Mutex<u32>,
+    /// Ids this test inserted, which its updates rewrite.
+    inserted: Mutex<Vec<ObjectId>>,
 }
 
 fn engine_harness() -> &'static EngineHarness {
     static HARNESS: OnceLock<EngineHarness> = OnceLock::new();
     HARNESS.get_or_init(|| {
-        let data = generate_city(&CITIES[1], 60, 23);
-        let center = data.city.center();
-        let llm = Arc::new(SimLlm::new());
-        let config = common::exact_only_config();
-        let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
+        let (engine, center) = engine_over(60);
+        let tokenizer = Tokenizer::new();
+        let indexed = engine
+            .prepared()
+            .dataset
+            .iter()
+            .flat_map(|o| tokenizer.tokenize(&o.to_document()))
+            .collect();
         EngineHarness {
-            engine: Arc::new(SemaSkEngine::new(
-                prepared,
-                llm,
-                config,
-                Variant::EmbeddingOnly,
-            )),
+            engine,
             center,
+            indexed: Mutex::new(indexed),
             admitted: Mutex::new(Vec::new()),
-            counter: Mutex::new(0),
+            inserted: Mutex::new(Vec::new()),
         }
     })
 }
@@ -123,7 +101,7 @@ fn engine_harness() -> &'static EngineHarness {
 /// Tip vocabulary the interleaving draws inserted-POI tokens from; the
 /// `zq`-prefixed ones cannot collide with generated city text, so
 /// whether they are corpus-known is controlled entirely by this test's
-/// own inserts.
+/// own inserts and updates.
 const TIP_WORDS: &[&str] = &["zqlantern", "zqorchard", "zqgranite", "zqvelvet"];
 
 proptest! {
@@ -131,40 +109,68 @@ proptest! {
 
     #[test]
     fn provably_empty_is_authoritative_and_never_flips_back(
-        ops in prop::collection::vec((0u8..4, 0u8..4, "[a-z]{1,7}"), 1..10),
+        ops in prop::collection::vec((0u8..6, 0u8..4, "[a-z]{1,7}"), 1..10),
     ) {
         let h = engine_harness();
+        let tokenizer = Tokenizer::new();
         let range = BoundingBox::from_center_km(h.center, 6.0, 6.0);
         for (kind, word, random_kw) in ops {
             let tip_word = TIP_WORDS[word as usize % TIP_WORDS.len()];
-            if kind == 0 {
-                // Grow the corpus with a tip containing one controlled
-                // token; POIs are never deleted here because the vocab
-                // (and thus the prescreen) is append-only by design.
-                let n = {
-                    let mut c = h.counter.lock().unwrap();
-                    *c += 1;
-                    *c
-                };
-                h.engine
-                    .apply_mutations(&[Mutation::Insert(PoiSpec {
-                        name: format!("Prescreen Probe {n}"),
-                        lat: h.center.lat + 0.002,
-                        lon: h.center.lon - 0.002,
-                        categories: vec!["cafe".to_owned()],
-                        tips: vec![format!("a {tip_word} on every table")],
-                    })])
-                    .expect("insert");
+            // Grow the corpus — an insert, or an update rewriting an
+            // earlier insert's tip — and record the indexed text. No POI
+            // is deleted here: layer 3 covers deletes on its own engine.
+            let inserted = h.inserted.lock().unwrap().clone();
+            let changed = match (kind, inserted.last()) {
+                (0, _) => {
+                    let n = inserted.len() + 1;
+                    let tip = format!("a {tip_word} on every table");
+                    let applied = h
+                        .engine
+                        .apply_mutations(&[Mutation::Insert(spec(
+                            format!("Prescreen Probe {n}"),
+                            h.center,
+                            tip,
+                        ))])
+                        .expect("insert");
+                    h.inserted.lock().unwrap().extend(&applied.inserted);
+                    applied.inserted.first().copied()
+                }
+                (1, Some(&id)) => {
+                    let tips = vec![format!("now a {tip_word} and {random_kw} corner")];
+                    h.engine
+                        .apply_mutations(&[Mutation::Update {
+                            id: id.0,
+                            update: PoiUpdate { name: None, tips: Some(tips) },
+                        }])
+                        .expect("update");
+                    Some(id)
+                }
+                _ => None,
+            };
+            if let Some(id) = changed {
+                h.indexed
+                    .lock()
+                    .unwrap()
+                    .extend(tokenizer.tokenize(&document(&h.engine, id)));
             }
             // Probe a mix: the controlled tokens (absent until an op
-            // inserts them, then present forever), and random keywords
-            // that are usually out-of-vocabulary.
+            // indexes them, then known forever), and random keywords that
+            // are usually out-of-vocabulary.
             for kw in [tip_word.to_owned(), random_kw.clone()] {
                 let query = SemaSkQuery::new(range, "somewhere to sit down")
                     .with_keywords(kw.clone());
-                if h.engine.provably_empty(&query) {
-                    // Layer 2: `true` is authoritative — the executed
-                    // answer must be empty.
+                // Layer 1: exact against the brute-force vocabulary.
+                let never_indexed = {
+                    let indexed = h.indexed.lock().unwrap();
+                    tokenizer.tokenize(&kw).iter().any(|t| !indexed.contains(t))
+                };
+                prop_assert_eq!(
+                    h.engine.provably_empty(&query),
+                    never_indexed,
+                    "keyword {:?}", kw
+                );
+                if never_indexed {
+                    // ... and `true` executes empty.
                     let outcome = h.engine.query(&query).expect("query");
                     // The executed answer is the exact scan's: spatial
                     // filter ∩ live corpus AND-matches, no index between.
@@ -182,7 +188,7 @@ proptest! {
                 }
             }
         }
-        // Layer 3: everything ever admitted stays admitted — corpus
+        // Layer 2: everything ever admitted stays admitted — corpus
         // vocabulary only grows, so a `false` can never become `true`.
         let admitted = h.admitted.lock().unwrap();
         for kw in admitted.iter() {
@@ -194,4 +200,45 @@ proptest! {
             );
         }
     }
+}
+
+#[test]
+fn a_token_deleted_everywhere_stays_known_and_matches_nothing() {
+    let (engine, center) = engine_over(40);
+    let range = BoundingBox::from_center_km(center, 6.0, 6.0);
+    let query = SemaSkQuery::new(range, "somewhere to sit down").with_keywords("zqquartz");
+    assert!(engine.provably_empty(&query), "not yet indexed");
+
+    let tips = ["a zqquartz counter", "zqquartz tiles everywhere"];
+    let holders = engine
+        .apply_mutations(
+            &tips
+                .iter()
+                .enumerate()
+                .map(|(i, tip)| {
+                    Mutation::Insert(spec(format!("Quartz {i}"), center, (*tip).to_owned()))
+                })
+                .collect::<Vec<_>>(),
+        )
+        .expect("insert")
+        .inserted;
+    assert!(!engine.provably_empty(&query));
+    assert_eq!(
+        engine.query(&query).expect("query").pois.len(),
+        holders.len()
+    );
+
+    engine
+        .apply_mutations(
+            &holders
+                .iter()
+                .map(|id| Mutation::Delete { id: id.0 })
+                .collect::<Vec<_>>(),
+        )
+        .expect("delete");
+    assert!(
+        !engine.provably_empty(&query),
+        "the vocabulary is append-only: a deleted token stays known"
+    );
+    assert!(engine.query(&query).expect("query").pois.is_empty());
 }
