@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use embed::{Embedder, SemanticEmbedder};
 use semask::{PreparedCity, SemaSkConfig};
-use vecdb::{inv_norm, Distance, FlatIndex, HnswConfig, HnswIndex, QuantizedVectors};
+use vecdb::{inv_norm, Distance, FlatIndex, HnswConfig, HnswIndex, QuantizedVectors, Rows};
 
 fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
     (0..dim)
@@ -25,10 +25,21 @@ fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
-fn build(vectors: &[Vec<f32>], inv: &[f32]) -> HnswIndex {
+/// `n` pseudo-random vectors of dimension `dim` as one row-major arena.
+fn arena(n: usize, dim: usize, first_seed: u64) -> Vec<f32> {
+    (0..n as u64)
+        .flat_map(|i| pseudo_vec(first_seed + i, dim))
+        .collect()
+}
+
+fn norms(rows: Rows<'_>) -> Vec<f32> {
+    rows.iter().map(inv_norm).collect()
+}
+
+fn build(rows: Rows<'_>, inv: &[f32]) -> HnswIndex {
     let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
-    for i in 0..vectors.len() {
-        idx.insert(i, vectors, inv);
+    for i in 0..rows.len() {
+        idx.insert(i, rows, inv);
     }
     idx
 }
@@ -37,9 +48,10 @@ fn bench_kernel(c: &mut Criterion) {
     let dim = 256usize;
     // A handful of stored vectors (8 KB of f32s, 2 KB of codes) so the
     // operands stay L1-resident without the loop collapsing to one pair.
-    let stored: Vec<Vec<f32>> = (0..8).map(|i| pseudo_vec(i, dim)).collect();
-    let inv: Vec<f32> = stored.iter().map(|v| inv_norm(v)).collect();
-    let codes = QuantizedVectors::encode(&stored);
+    let flat = arena(8, dim, 0);
+    let stored = Rows::new(&flat, dim);
+    let inv = norms(stored);
+    let codes = QuantizedVectors::encode(stored);
     let q = pseudo_vec(1_000_000, dim);
     let q_inv = inv_norm(&q);
 
@@ -48,7 +60,7 @@ fn bench_kernel(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % stored.len();
-            Distance::Cosine.distance_normed(black_box(&q), q_inv, &stored[i], inv[i])
+            Distance::Cosine.distance_normed(black_box(&q), q_inv, stored.row(i), inv[i])
         });
     });
     group.bench_function("u8-256", |b| {
@@ -64,33 +76,35 @@ fn bench_kernel(c: &mut Criterion) {
 fn bench_hnsw(c: &mut Criterion) {
     let n = 4000usize;
     let dim = 256usize;
-    let vectors: Vec<Vec<f32>> = (0..n).map(|i| pseudo_vec(i as u64, dim)).collect();
+    let uniform = arena(n, dim, 0);
+    let vectors = Rows::new(&uniform, dim);
     let queries: Vec<Vec<f32>> = (0..32).map(|i| pseudo_vec(1_000_000 + i, dim)).collect();
 
-    let inv: Vec<f32> = vectors.iter().map(|v| inv_norm(v)).collect();
-    let idx = build(&vectors, &inv);
+    let inv = norms(vectors);
+    let idx = build(vectors, &inv);
     let mut flat = FlatIndex::new(Distance::Cosine);
-    for v in &vectors {
-        flat.push(v.clone());
+    for v in vectors.iter() {
+        flat.push(v.to_vec());
     }
 
     // The ledger's world (4,000-POI metro, seed 7) through the engine's
     // embedder: the vectors `prep.prepare_s` inserts.
     let embedder = SemanticEmbedder::new(SemaSkConfig::default().embedder);
-    let metro: Vec<Vec<f32>> = datagen::generate_metro(&datagen::MetroConfig::new(n, 7))
+    let metro_arena: Vec<f32> = datagen::generate_metro(&datagen::MetroConfig::new(n, 7))
         .dataset
         .iter()
-        .map(|obj| embedder.embed(&PreparedCity::embedding_text(obj)))
+        .flat_map(|obj| embedder.embed(&PreparedCity::embedding_text(obj)))
         .collect();
-    let metro_inv: Vec<f32> = metro.iter().map(|v| inv_norm(v)).collect();
+    let metro = Rows::new(&metro_arena, embedder.dim());
+    let metro_inv = norms(metro);
 
     let mut group = c.benchmark_group("hnsw");
     // The ledger's world size and dimension: what `prep.prepare_s` pays.
     group.bench_function("build-4k-256", |b| {
-        b.iter_with_large_drop(|| build(&vectors, &inv));
+        b.iter_with_large_drop(|| build(vectors, &inv));
     });
     group.bench_function("build-4k-metro", |b| {
-        b.iter_with_large_drop(|| build(&metro, &metro_inv));
+        b.iter_with_large_drop(|| build(metro, &metro_inv));
     });
     for ef in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("search_ef", ef), &ef, |b, &ef| {
@@ -98,7 +112,7 @@ fn bench_hnsw(c: &mut Criterion) {
             b.iter(|| {
                 let q = &queries[i % queries.len()];
                 i += 1;
-                black_box(idx.search(q, 10, ef, &vectors, &inv, None))
+                black_box(idx.search(q, 10, ef, vectors, &inv, None))
             });
         });
     }
@@ -113,7 +127,7 @@ fn bench_hnsw(c: &mut Criterion) {
     group.bench_function("insert_1", |b| {
         b.iter_with_large_drop(|| {
             // Rebuild a small index to measure amortized insert cost.
-            build(&vectors[..200], &inv[..200])
+            build(Rows::new(&uniform[..200 * dim], dim), &inv[..200])
         });
     });
     group.finish();

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use bench::scale_from_env;
 use embed::{Embedder, SemanticEmbedder};
-use vecdb::{Distance, FlatIndex, HnswConfig, HnswIndex};
+use vecdb::{Distance, FlatIndex, HnswConfig, HnswIndex, Rows};
 
 fn recall(got: &[(usize, f32)], truth: &[(usize, f32)]) -> f64 {
     let t: Vec<usize> = truth.iter().map(|x| x.0).collect();
@@ -40,15 +40,17 @@ fn main() {
     println!("\n--- recall@10 vs ef (M = 16) ---");
     println!("{:<8}{:>12}{:>16}", "ef", "recall@10", "mean query us");
     let inv: Vec<f32> = vectors.iter().map(|v| vecdb::inv_norm(v)).collect();
+    let arena = vectors.concat();
+    let rows = Rows::new(&arena, embedder.dim());
     let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
     for i in 0..vectors.len() {
-        idx.insert(i, &vectors, &inv);
+        idx.insert(i, rows, &inv);
     }
     for ef in [10usize, 20, 40, 80, 160, 320] {
         let mut r = 0.0;
         let t0 = Instant::now();
         for (q, truth) in queries.iter().zip(&truths) {
-            let got = idx.search(q, 10, ef, &vectors, &inv, None);
+            let got = idx.search(q, 10, ef, rows, &inv, None);
             r += recall(&got, truth);
         }
         let us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
@@ -67,11 +69,11 @@ fn main() {
             },
         );
         for i in 0..vectors.len() {
-            idx.insert(i, &vectors, &inv);
+            idx.insert(i, rows, &inv);
         }
         let mut r = 0.0;
         for (q, truth) in queries.iter().zip(&truths) {
-            let got = idx.search(q, 10, 64, &vectors, &inv, None);
+            let got = idx.search(q, 10, 64, rows, &inv, None);
             r += recall(&got, truth);
         }
         println!("{m:<8}{:>12.3}", r / queries.len() as f64);

@@ -1,5 +1,7 @@
 //! Collections: vectors + payloads + index + query planning.
 
+use std::collections::BinaryHeap;
+
 use serde::{Content, Deserialize, Serialize};
 
 use crate::codec::{self, corrupt};
@@ -9,6 +11,7 @@ use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::learned::LearnedIdIndex;
 use crate::payload::{Filter, Payload, PayloadStore};
 use crate::quant::{QuantizedVectors, ScoringTier};
+use crate::rows::Rows;
 use crate::PointId;
 
 /// Point count at which [`ScoringTier::Auto`] switches the exact-scan
@@ -269,7 +272,9 @@ impl SearchParams {
 pub struct Collection {
     config: CollectionConfig,
     ids: Vec<PointId>,
-    vectors: Vec<Vec<f32>>,
+    /// Every stored vector in one row-major arena: offset `o` is
+    /// `vectors[o * dim..(o + 1) * dim]`, read through [`Rows`].
+    vectors: Vec<f32>,
     /// Cached inverse L2 norm per offset, filled at insert time: stored
     /// data is immutable, so cosine scoring never re-derives a stored
     /// vector's norm (it degenerates to one fused dot product).
@@ -281,7 +286,7 @@ pub struct Collection {
     deleted: Vec<bool>,
     live: usize,
     hnsw: HnswIndex,
-    /// u8 codes for the quantized scoring tier, parallel to `vectors`.
+    /// u8 codes for the quantized scoring tier, one row per offset.
     /// Built lazily when the tier activates; grown per insert with the
     /// frozen codebook and re-encoded when the collection doubles.
     quant: Option<QuantizedVectors>,
@@ -332,16 +337,21 @@ impl Collection {
         &self.config
     }
 
+    /// The stored vectors, row `o` at offset `o`.
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(&self.vectors, self.config.dim)
+    }
+
     /// Statistical summary for cost-based planners: size, dimensionality,
     /// metric, and whether the norm cache covers every stored vector.
     #[must_use]
     pub fn stats(&self) -> CollectionStats {
         CollectionStats {
             points: self.live,
-            deleted: self.vectors.len() - self.live,
+            deleted: self.ids.len() - self.live,
             dim: self.config.dim,
             distance: self.config.distance,
-            norm_cached: self.inv_norms.len() == self.vectors.len(),
+            norm_cached: self.inv_norms.len() == self.ids.len(),
         }
     }
 
@@ -354,6 +364,9 @@ impl Collection {
         vector: Vec<f32>,
         payload: Payload,
     ) -> Result<(), VecDbError> {
+        // What `VectorDb::create_collection` refuses, `new` may not
+        // smuggle in: dimension 0 has no rows to store.
+        self.config.validate()?;
         if vector.len() != self.config.dim {
             return Err(VecDbError::DimensionMismatch {
                 expected: self.config.dim,
@@ -366,15 +379,16 @@ impl Collection {
         if self.by_id.contains_key(id) {
             return Err(VecDbError::PointExists { id });
         }
-        let offset = self.vectors.len();
+        let offset = self.ids.len();
         self.ids.push(id);
         self.inv_norms.push(inv_norm(&vector));
-        self.vectors.push(vector);
+        self.vectors.extend_from_slice(&vector);
         self.payloads.push(payload);
         self.deleted.push(false);
         self.live += 1;
         self.by_id.insert(id, offset);
-        self.hnsw.insert(offset, &self.vectors, &self.inv_norms);
+        let rows = Rows::new(&self.vectors, self.config.dim);
+        self.hnsw.insert(offset, rows, &self.inv_norms);
         self.maintain_quant();
         Ok(())
     }
@@ -390,15 +404,16 @@ impl Collection {
             ScoringTier::Quantized { .. } => QUANT_MIN_POINTS,
             ScoringTier::Auto => AUTO_QUANT_THRESHOLD,
         };
-        let n = self.vectors.len();
+        let n = self.ids.len();
         if n < activate_at {
             return;
         }
+        let rows = Rows::new(&self.vectors, self.config.dim);
         if self.quant.is_none() || n >= self.quant_trained_at.saturating_mul(2) {
-            self.quant = Some(QuantizedVectors::encode(&self.vectors));
+            self.quant = Some(QuantizedVectors::encode(rows));
             self.quant_trained_at = n;
         } else if let Some(q) = &mut self.quant {
-            q.push(&self.vectors[n - 1]);
+            q.push(rows.row(n - 1));
         }
     }
 
@@ -451,7 +466,7 @@ impl Collection {
     pub fn vector(&self, id: PointId) -> Result<&[f32], VecDbError> {
         self.by_id
             .get(id)
-            .map(|o| self.vectors[o].as_slice())
+            .map(|o| self.rows().row(o))
             .ok_or(VecDbError::PointNotFound { id })
     }
 
@@ -477,12 +492,11 @@ impl Collection {
     /// Component-by-component resident-memory accounting.
     #[must_use]
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        let n = self.vectors.len();
+        let n = self.ids.len();
         MemoryFootprint {
             points: n,
-            // Vec<Vec<f32>> data + per-vector (ptr, cap, len) headers,
-            // plus the inverse-norm cache.
-            vector_bytes: n * (self.config.dim * 4 + 24) + n * 4,
+            // The row-major arena plus the inverse-norm cache.
+            vector_bytes: (self.vectors.len() + self.inv_norms.len()) * 4,
             quant_bytes: self
                 .quant
                 .as_ref()
@@ -606,7 +620,7 @@ impl Collection {
                 // Offsets double as the tie-break key: equal distances
                 // keep insertion order. The coarse pass runs only when it
                 // would prune something.
-                let candidates = (0..self.vectors.len())
+                let candidates = (0..self.ids.len())
                     .filter(|&o| mask.is_none_or(|m| m[o]))
                     .map(|o| (o, o));
                 let quant = self
@@ -715,6 +729,7 @@ impl Collection {
         I: Iterator<Item = (K, usize)> + Clone,
     {
         let distance = self.config.distance;
+        let rows = self.rows();
         let by_distance = |a: f32, b: f32| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
         let q_invs: Vec<f32> = queries.iter().map(|q| inv_norm(q)).collect();
         let mut scored: Vec<Vec<(K, f32)>> = match quant {
@@ -722,24 +737,26 @@ impl Collection {
                 .iter()
                 .zip(&q_invs)
                 .map(|(q, &q_inv)| {
-                    let mut coarse: Vec<(K, usize, f32)> = candidates
-                        .clone()
-                        .map(|(key, o)| {
-                            let d = codes.distance_with_query_inv(distance, q, q_inv, o);
-                            (key, o, d)
-                        })
-                        .collect();
-                    top_k_by(&mut coarse, fetch, |a, b| {
-                        by_distance(a.2, b.2).then(a.0.cmp(&b.0))
-                    });
-                    coarse
+                    // The best `fetch` so far, worst on top: a candidate
+                    // that cannot place costs one comparison.
+                    let mut best: BinaryHeap<Ranked<K>> = BinaryHeap::with_capacity(fetch);
+                    for (key, o) in candidates.clone() {
+                        let d = codes.distance_with_query_inv(distance, q, q_inv, o);
+                        let ranked = Ranked(d, key, o);
+                        if best.len() < fetch {
+                            best.push(ranked);
+                        } else if let Some(mut worst) = best.peek_mut() {
+                            if ranked < *worst {
+                                *worst = ranked;
+                            }
+                        }
+                    }
+                    best.into_sorted_vec()
                         .into_iter()
-                        .map(|(key, o, _)| {
-                            let v = &self.vectors[o];
-                            (
-                                key,
-                                distance.distance_normed(q, q_inv, v, self.inv_norms[o]),
-                            )
+                        .map(|Ranked(_, key, o)| {
+                            let d =
+                                distance.distance_normed(q, q_inv, rows.row(o), self.inv_norms[o]);
+                            (key, d)
                         })
                         .collect()
                 })
@@ -751,19 +768,11 @@ impl Collection {
                     .map(|_| Vec::with_capacity(capacity))
                     .collect();
                 let mut row = vec![0.0f32; queries.len()];
-                let mut candidates = candidates.peekable();
-                while let Some((key, o)) = candidates.next() {
-                    // Candidate offsets may be scattered, so the hardware
-                    // stream prefetcher can't follow them — hint the next
-                    // candidate's vector toward L1 while scoring this one
-                    // (a pure hint, never affects results).
-                    if let Some(&(_, next)) = candidates.peek() {
-                        crate::distance::prefetch_slice(&self.vectors[next]);
-                    }
+                for (key, o) in candidates {
                     distance.score_batch(
                         queries,
                         &q_invs,
-                        &self.vectors[o],
+                        rows.row(o),
                         self.inv_norms[o],
                         &mut row,
                     );
@@ -794,11 +803,11 @@ impl Collection {
         match mask {
             None => self
                 .hnsw
-                .search(query, k, ef, &self.vectors, &self.inv_norms, None),
+                .search(query, k, ef, self.rows(), &self.inv_norms, None),
             Some(m) => {
                 let accept = |o: usize| m[o];
                 self.hnsw
-                    .search(query, k, ef, &self.vectors, &self.inv_norms, Some(&accept))
+                    .search(query, k, ef, self.rows(), &self.inv_norms, Some(&accept))
             }
         }
     }
@@ -813,15 +822,13 @@ impl Collection {
     /// [`VecDbError::Snapshot`] if the meta section fails to serialize.
     pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, VecDbError> {
         let meta = serde_json::to_string(&MetaRef(self)).map_err(|e| corrupt(e.to_string()))?;
-        let n = self.vectors.len();
+        let n = self.ids.len();
         // Vectors, norms, codes + their norms, and ~2·m0 links a node.
         let hint = meta.len() + n * (self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0);
         let mut w = codec::Writer::with_capacity(hint);
         w.bytes(meta.as_bytes());
         w.end_section();
-        for v in &self.vectors {
-            w.f32s(v);
-        }
+        w.f32s(&self.vectors);
         w.end_section();
         w.f32s(&self.inv_norms);
         w.end_section();
@@ -874,19 +881,12 @@ impl Collection {
                 rows.remaining()
             )));
         }
-        let vectors = (0..n)
-            .map(|_| rows.f32s(dim))
-            .collect::<Result<Vec<_>, _>>()?;
+        let vectors = rows.f32s(n * dim)?;
         let inv_norms = norms.f32s(n)?;
         norms.finish()?;
         // What `insert` refuses, a snapshot may not smuggle in: a NaN
         // would break the total order every top-k sort relies on.
-        if !vectors
-            .iter()
-            .flatten()
-            .chain(&inv_norms)
-            .all(|x| x.is_finite())
-        {
+        if !vectors.iter().chain(&inv_norms).all(|x| x.is_finite()) {
             return Err(VecDbError::NonFiniteVector);
         }
         let quant = match quant.remaining() {
@@ -947,7 +947,7 @@ impl Collection {
             .iter()
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
-            .map(|(o, &id)| (id, self.vectors[o].as_slice(), self.payloads.get(o)))
+            .map(|(o, &id)| (id, self.rows().row(o), self.payloads.get(o)))
     }
 }
 
@@ -985,6 +985,35 @@ impl Serialize for MetaRef<'_> {
         ])
     }
 }
+
+/// A coarse-pass survivor `(distance, key, offset)`, ordered by
+/// `(distance, key)` — the order every top-k of the collection selects
+/// by, so the `fetch` least of a bounded heap are exactly the first
+/// `fetch` of a full sort.
+struct Ranked<K>(f32, K, usize);
+
+impl<K: Ord> Ord for Ranked<K> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let by_distance = self.0.partial_cmp(&other.0);
+        by_distance
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(self.1.cmp(&other.1))
+    }
+}
+
+impl<K: Ord> PartialOrd for Ranked<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord> PartialEq for Ranked<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<K: Ord> Eq for Ranked<K> {}
 
 /// Reduces `items` to its `k` smallest elements under `cmp`, sorted —
 /// exactly the first `k` of a full sort by `cmp`, computed with an O(n)
@@ -1308,6 +1337,56 @@ mod tests {
                 .map(|(o, d)| c.scored_point(o as PointId, d))
                 .collect();
             assert_eq!(b, &expect);
+        }
+    }
+
+    #[test]
+    fn coarse_pass_keeps_the_first_fetch_of_a_full_sort() {
+        // Every vector stored three times, so coarse distances tie in
+        // threes and the key decides: the bounded heap must keep exactly
+        // the first `fetch` of a full sort by (distance, key). With a
+        // rerank factor of 1 the coarse cut of 10 splits a triple and is
+        // the answer itself; the candidate list runs in descending id
+        // order, so arrival order cannot stand in for the key.
+        let mut c = Collection::new(CollectionConfig {
+            scoring_tier: ScoringTier::Quantized { rerank_factor: 1 },
+            ..CollectionConfig::new(2)
+        });
+        for i in 0..300u64 {
+            c.insert(i, unit((i / 3) as f32 * 0.05), Payload::new())
+                .unwrap();
+        }
+        let codes = c.quant.as_ref().expect("tier active");
+        let metric = c.config.distance;
+        let by =
+            |a: &(f32, usize), b: &(f32, usize)| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1));
+        let descending: Vec<PointId> = (0..300).rev().collect();
+        for qi in 0..12 {
+            let q = unit(qi as f32 * 0.37);
+            let q_inv = inv_norm(&q);
+            let mut coarse: Vec<(f32, usize)> = (0..300)
+                .map(|o| (codes.distance_with_query_inv(metric, &q, q_inv, o), o))
+                .collect();
+            coarse.sort_by(by);
+            let mut fine: Vec<(f32, usize)> = coarse[..10]
+                .iter()
+                .map(|&(_, o)| {
+                    let v = c.rows().row(o);
+                    (metric.distance_normed(&q, q_inv, v, c.inv_norms[o]), o)
+                })
+                .collect();
+            fine.sort_by(by);
+            let want: Vec<ScoredPoint> = fine
+                .iter()
+                .map(|&(d, o)| c.scored_point(o as PointId, d))
+                .collect();
+            let exact = SearchParams::top_k(10).with_strategy(SearchStrategy::Exact);
+            assert_eq!(c.search(&q, &exact).unwrap(), want, "query {qi}");
+            assert_eq!(
+                c.knn_among(&q, &descending, 10).unwrap(),
+                want,
+                "query {qi}"
+            );
         }
     }
 

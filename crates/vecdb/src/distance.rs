@@ -3,14 +3,27 @@
 //!
 //! Every comparison in the crate — HNSW insert, re-selection and search, the
 //! exact scan, the quantized coarse pass, the rerank — is a sum of
-//! per-element terms over two equal-length slices. `lane_sum` is the
-//! only place such a sum is accumulated: `L` independent partial sums
+//! per-element terms over two equal-length slices. `lanes` is the only
+//! place such a sum is accumulated and `halve` the only place it is
+//! reduced (`lane_sum` is the two in a row; `f32_lane_sum` puts a
+//! codegen fence between them): `L` independent partial sums
 //! over the full `L`-element chunks, a sequential tail, a fixed halving
 //! reduction. A single `f32` add chain may not be reordered by the
 //! compiler and runs at add latency; `L` independent chains are plain
 //! safe Rust that it vectorizes. That order — lanes, halving, then tail
 //! — is the **canonical accumulation order** of the crate: there is no
 //! second kernel for results to be bit-identical *to*.
+//!
+//! That one source is compiled twice. The kernels built on it — the
+//! `f32` dot product and squared distance, and the dot product of an
+//! `f32` query with `u8` codes — exist once for the target's baseline
+//! features (the portable build, and the only one off x86-64) and once
+//! more, on x86-64, under `#[target_feature(enable = "avx2")]`; each call
+//! takes the AVX2 build when `is_x86_feature_detected!("avx2")` says the
+//! CPU has it. The two builds add the same terms in the same lane and
+//! halving order with no fused multiply-add (AVX2 alone has none to
+//! offer), so they return the same bits — the build changes how many
+//! lanes one instruction adds, never what is added to what.
 //!
 //! Collection data is immutable once inserted, so the L2 norm of every
 //! stored vector is known at insert time. [`inv_norm`] computes the
@@ -22,10 +35,19 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Lane count of the kernel for `f32 × f32` operands. At 256-d one
-/// chain measures ~145 ns a comparison, 4 lanes ~49, 8 or 16 lanes ~40,
-/// 32 lanes ~50 (`kernel/f32-256` in `cargo bench --bench hnsw`).
+/// Lane count of the kernel for `f32 × f32` operands. One L1-hot 256-d
+/// comparison (best of 30 rounds, 2-core x86-64 host with AVX2), baseline
+/// / AVX2 build: one chain ~150 / 150 ns, 4 lanes ~48 / 50, 8 lanes
+/// ~29 / 28, 16 lanes ~24 / 20, 32 lanes ~25 / 21, 64 lanes ~31 / 25
+/// (`kernel/f32-256` in `cargo bench --bench hnsw` times the one in use).
 const F32_LANES: usize = 16;
+
+/// Lane count of the kernel for `f32 × u8` operands. Wider than the
+/// `f32` kernel's 16 because the codes are widened on the fly; measured
+/// as [`F32_LANES`] is, baseline / AVX2: 4 to 16 lanes ~140–150 / 125 ns
+/// a comparison, 32 lanes ~63 / 32, 64 lanes no better
+/// (`kernel/u8-256` in `cargo bench --bench hnsw`).
+pub(crate) const U8_LANES: usize = 32;
 
 /// The crate's one accumulation loop: `Σ term(a[i], b[i])` over the
 /// common prefix of `a` and `b`, summed as `L` independent lanes
@@ -33,6 +55,31 @@ const F32_LANES: usize = 16;
 /// halving (`acc[l] += acc[l + w]` for `w = L/2, L/4, …, 1`), with the
 /// `len % L` tail elements summed sequentially and added last. `L` must
 /// be a power of two.
+#[inline(always)]
+pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    term: impl Fn(A, B) -> f32,
+) -> f32 {
+    let (acc, tail) = lanes::<L, _, _>(a, b, term);
+    halve(acc) + tail
+}
+
+/// [`lane_sum`] for the `f32` kernels: the same lanes, handed to the same
+/// halving through [`std::hint::black_box`] — the same sum, bit for bit.
+/// The fence is for the vectorizer: with the reduction inlined, it packs
+/// the lanes in pairs to match the halving's last steps and the loop runs
+/// two `f32`s an instruction; behind the fence it runs 4 (baseline) or 8
+/// (AVX2), and a 256-d comparison takes about two thirds (baseline) or
+/// half (AVX2) the time. The `u8` kernel vectorizes at full width either
+/// way and is a few percent faster without it.
+#[inline(always)]
+fn f32_lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+    let (acc, tail) = lanes::<F32_LANES, _, _>(a, b, term);
+    halve(std::hint::black_box(acc)) + tail
+}
+
+/// The lanes and the tail of [`lane_sum`], before the halving.
 ///
 /// The tail is a scalar sum of its own on purpose: folding tail
 /// elements into `acc[l]` by a run-time lane index turns the vector
@@ -41,11 +88,11 @@ const F32_LANES: usize = 16;
 /// to the same vector loop, while unoptimized ones — every test that
 /// builds an index — run this form about 2.7x faster.
 #[inline(always)]
-pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
+fn lanes<const L: usize, A: Copy, B: Copy>(
     a: &[A],
     b: &[B],
     term: impl Fn(A, B) -> f32,
-) -> f32 {
+) -> ([f32; L], f32) {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let full = n - n % L;
@@ -65,6 +112,13 @@ pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
         tail += term(a[i], b[i]);
         i += 1;
     }
+    (acc, tail)
+}
+
+/// The halving reduction of [`lane_sum`]: `acc[l] += acc[l + w]` for
+/// `w = L/2, L/4, …, 1`, then `acc[0]`.
+#[inline(always)]
+fn halve<const L: usize>(mut acc: [f32; L]) -> f32 {
     let mut width = L / 2;
     while width > 0 {
         for l in 0..width {
@@ -72,22 +126,99 @@ pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
         }
         width /= 2;
     }
-    acc[0] + tail
+    acc[0]
+}
+
+/// The kernels' one source, compiled for the target's baseline features.
+mod portable {
+    use super::{f32_lane_sum, lane_sum, U8_LANES};
+
+    #[inline(always)]
+    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
+        f32_lane_sum(a, b, |x, y| x * y)
+    }
+
+    #[inline(always)]
+    pub(super) fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
+        f32_lane_sum(a, b, |x, y| {
+            let d = x - y;
+            d * d
+        })
+    }
+
+    #[inline(always)]
+    pub(super) fn code_dot(q: &[f32], codes: &[u8], min: f32, scale: f32) -> f32 {
+        lane_sum::<U8_LANES, _, _>(q, codes, |x, c| x * (min + scale * f32::from(c)))
+    }
+}
+
+/// The same source compiled a second time with AVX2 enabled: each
+/// function here is its `portable` namesake inlined into an AVX2 body.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::portable;
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
+        portable::dot(a, b)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
+        portable::sq_euclid(a, b)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn code_dot(q: &[f32], codes: &[u8], min: f32, scale: f32) -> f32 {
+        portable::code_dot(q, codes, min, scale)
+    }
+}
+
+/// Whether this CPU runs the AVX2 build (the detection is cached by
+/// `std` after the first call).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Dot product `Σ aᵢ·bᵢ` in the canonical order.
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum::<F32_LANES, _, _>(a, b, |x, y| x * y)
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")`,
+        // so this CPU executes the AVX2 instructions the body uses.
+        return unsafe { avx2::dot(a, b) };
+    }
+    portable::dot(a, b)
 }
 
 /// Squared Euclidean distance `Σ (aᵢ−bᵢ)²` in the canonical order.
 #[inline]
 fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum::<F32_LANES, _, _>(a, b, |x, y| {
-        let d = x - y;
-        d * d
-    })
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")`,
+        // so this CPU executes the AVX2 instructions the body uses.
+        return unsafe { avx2::sq_euclid(a, b) };
+    }
+    portable::sq_euclid(a, b)
+}
+
+/// `Σ qᵢ·(min + scale·codesᵢ)` in the canonical order at
+/// [`U8_LANES`] — the dot product of a query with a vector stored as
+/// `u8` codes of the affine codebook `(min, scale)`, which are widened
+/// inside the loop and never materialized as `f32`s.
+#[inline]
+pub(crate) fn code_dot(q: &[f32], codes: &[u8], min: f32, scale: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")`,
+        // so this CPU executes the AVX2 instructions the body uses.
+        return unsafe { avx2::code_dot(q, codes, min, scale) };
+    }
+    portable::code_dot(q, codes, min, scale)
 }
 
 /// `1/√n` for a squared norm `n`, `0.0` for `n == 0` — which makes the
@@ -108,35 +239,6 @@ pub(crate) fn inv_sqrt_or_zero(n: f32) -> f32 {
 #[must_use]
 pub fn inv_norm(v: &[f32]) -> f32 {
     inv_sqrt_or_zero(dot(v, v))
-}
-
-/// Software-prefetches the first cache lines of `v` into L1, for use
-/// just before scoring the *next* stored vector while the current one
-/// is still being processed. No-op on targets without a stable prefetch
-/// intrinsic; prefetching is a pure hint either way (never faults).
-#[inline]
-pub fn prefetch_slice(v: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint: it performs no architectural
-    // load, cannot fault and changes no program-visible state whatever
-    // address it is given, so the first call is sound even for an empty
-    // slice (whose pointer is dangling but non-null and aligned). SSE,
-    // which provides it, is part of the x86_64 baseline. `ptr.add(64)`
-    // is 64 bytes = 16 `f32`s past the start, and is only formed when
-    // `v.len() > 16`, so it stays inside the slice's allocation as
-    // `pointer::add` requires.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let ptr = v.as_ptr().cast::<i8>();
-        _mm_prefetch(ptr, _MM_HINT_T0);
-        if v.len() > 16 {
-            _mm_prefetch(ptr.add(64), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = v;
-    }
 }
 
 /// Supported vector distance metrics (Qdrant's set).
@@ -421,8 +523,77 @@ mod tests {
             Distance::Cosine.score_batch(&[&z], &[0.0], &v, inv_norm(&v), &mut out);
             assert_eq!(out[0], 1.0);
         }
-        // The prefetch hint is callable on any slice.
-        prefetch_slice(&[]);
-        prefetch_slice(&pseudo(1, 200));
+    }
+
+    /// `dim` codes drawn from `seed`, half of them at the ends of the
+    /// code range.
+    fn codes(seed: u64, dim: usize) -> Vec<u8> {
+        pseudo(seed, dim)
+            .iter()
+            .map(|&x| match x {
+                x if x < -0.5 => 0,
+                x if x > 0.5 => 255,
+                x => ((x + 0.5) * 255.0) as u8,
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// Both builds of every kernel return the same bits at every
+        /// dimension through 300 — every tail length of the 16- and
+        /// 32-lane loops — on random, zero and self-paired operands.
+        /// The three metrics are made of `dot` (cosine: `a·b`, `a·a`,
+        /// `b·b`; dot) and `sq_euclid` (Euclid) alone.
+        #[test]
+        fn avx2_kernels_are_bit_identical_to_portable(
+            seed in 0u64..u64::MAX,
+            scale in -30i32..30,
+            min in -2.0f32..2.0,
+            step in 0.0f32..0.05,
+        ) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if !has_avx2() {
+                    println!("this CPU lacks AVX2: only the portable build runs here");
+                    return Ok(());
+                }
+                let unit = 2f32.powi(scale);
+                for dim in 0..=300usize {
+                    let a: Vec<f32> = pseudo(seed, dim).iter().map(|x| x * unit).collect();
+                    let b = pseudo(seed ^ 0x5bd1_e995, dim);
+                    let zero = vec![0.0f32; dim];
+                    for (x, y) in [(&a, &b), (&a, &a), (&b, &b), (&zero, &b)] {
+                        // SAFETY: `has_avx2()` returned true above, so this
+                        // CPU executes the AVX2 builds.
+                        let (dot, euclid) = unsafe { (avx2::dot(x, y), avx2::sq_euclid(x, y)) };
+                        proptest::prop_assert_eq!(
+                            dot.to_bits(), portable::dot(x, y).to_bits(), "dot, dim {}", dim
+                        );
+                        proptest::prop_assert_eq!(
+                            euclid.to_bits(),
+                            portable::sq_euclid(x, y).to_bits(),
+                            "sq_euclid, dim {}", dim
+                        );
+                    }
+                    let c = codes(seed.wrapping_add(1), dim);
+                    for (q, c) in [(&a, &c), (&zero, &c), (&a, &vec![0u8; dim]), (&b, &vec![255u8; dim])] {
+                        // SAFETY: as above, `has_avx2()` returned true.
+                        let got = unsafe { avx2::code_dot(q, c, min, step) };
+                        proptest::prop_assert_eq!(
+                            got.to_bits(),
+                            portable::code_dot(q, c, min, step).to_bits(),
+                            "code_dot, dim {}", dim
+                        );
+                    }
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                let _ = (seed, scale, min, step);
+                println!("not an x86-64 target: only the portable build exists here");
+            }
+        }
     }
 }

@@ -3,8 +3,16 @@
 //! (and therefore SemaSK's) filtering step.
 //!
 //! The index stores only graph links; vectors live in the owning
-//! [`crate::Collection`] and are passed into each call, keeping the two
-//! halves independently testable.
+//! [`crate::Collection`]'s row-major arena and every call reads them
+//! through a [`Rows`] view of it (row `o` is node `o`'s vector), keeping
+//! the two halves independently testable.
+//!
+//! A beam search needs a visited set over every node and two heaps. They
+//! are per-thread scratch that outlives the search (hnswlib's reused
+//! visited list): "visited" is a `u32` stamp per node equal to the
+//! running search's epoch, so starting a search is bumping one counter
+//! rather than allocating and zeroing `nodes.len()` flags, and the heaps
+//! keep their capacity from one search to the next.
 //!
 //! # Re-selection resumes
 //!
@@ -44,6 +52,7 @@
 //! `m_max + 1`, and a handful of heuristic comparisons instead of a few
 //! hundred.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -52,6 +61,7 @@ use serde::{Deserialize, Serialize};
 use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
+use crate::rows::Rows;
 use concepts_free_hash::{mix, unit_float};
 
 /// Tiny local copy of the deterministic hash helpers (kept dependency-free
@@ -201,6 +211,53 @@ impl Ord for Far {
     }
 }
 
+/// A beam search's working set, reused by every search on its thread
+/// (module docs).
+#[derive(Default)]
+struct SearchScratch {
+    /// `visited[n] == epoch` iff the running search has reached node
+    /// `n`; an earlier search left a smaller stamp, or 0.
+    visited: Vec<u32>,
+    /// The running search's stamp, never 0.
+    epoch: u32,
+    candidates: BinaryHeap<Near>,
+    results: BinaryHeap<Far>,
+}
+
+impl SearchScratch {
+    /// Readies the scratch for a search over `nodes` nodes: a new
+    /// stamp and empty heaps — whatever the last search left, including
+    /// one that unwound out of an `accept` closure.
+    fn begin(&mut self, nodes: usize) {
+        if self.visited.len() < nodes {
+            self.visited.resize(nodes, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The stamps of 2³² searches ago would read as this one's.
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        self.candidates.clear();
+        self.results.clear();
+    }
+
+    /// Marks node `n` visited; `false` if it already was.
+    fn visit(&mut self, n: usize) -> bool {
+        let fresh = self.visited[n] != self.epoch;
+        self.visited[n] = self.epoch;
+        fresh
+    }
+}
+
+thread_local! {
+    /// This thread's [`SearchScratch`]. A search takes it out and puts it
+    /// back, so a search nested inside another's `accept` closure starts
+    /// from an empty one instead of sharing it, and one that panics
+    /// leaves an empty one behind.
+    static SCRATCH: Cell<SearchScratch> = Cell::default();
+}
+
 /// An HNSW graph over externally-stored vectors.
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
@@ -328,11 +385,11 @@ impl HnswIndex {
         ((-u.ln()) * ml).floor() as usize
     }
 
-    /// Inserts the vector at `vectors[offset]`. Offsets must be inserted
+    /// Inserts the vector at `rows.row(offset)`. Offsets must be inserted
     /// in increasing order (`offset == self.len()`). `inv_norms` carries
-    /// the cached inverse L2 norm per offset (aligned with `vectors`),
+    /// the cached inverse L2 norm per offset (aligned with `rows`),
     /// letting every cosine comparison run as one fused dot product.
-    pub fn insert(&mut self, offset: usize, vectors: &[Vec<f32>], inv_norms: &[f32]) {
+    pub fn insert(&mut self, offset: usize, rows: Rows<'_>, inv_norms: &[f32]) {
         debug_assert_eq!(offset, self.nodes.len(), "insert offsets must be dense");
         let level = self.gen_level(offset);
         self.nodes.push(NodeLinks {
@@ -344,13 +401,13 @@ impl HnswIndex {
             self.top_level = level;
             return;
         };
-        let q = &vectors[offset];
+        let q = rows.row(offset);
         let q_inv = inv_norms[offset];
 
         // Greedy descent through layers above the new node's level.
         let mut l = self.top_level;
         while l > level {
-            ep = self.greedy_closest(q, q_inv, ep, l, vectors, inv_norms);
+            ep = self.greedy_closest(q, q_inv, ep, l, rows, inv_norms);
             l -= 1;
         }
 
@@ -364,7 +421,7 @@ impl HnswIndex {
                 &eps,
                 self.config.ef_construction,
                 layer,
-                vectors,
+                rows,
                 inv_norms,
                 None,
             );
@@ -375,14 +432,14 @@ impl HnswIndex {
             };
             // `cands` holds the distances from `q`, which is this node's
             // vector, so its list is born with its selection state.
-            let list = self.select_neighbors(&cands, m_max, vectors, inv_norms);
+            let list = self.select_neighbors(&cands, m_max, rows, inv_norms);
             for &n in &list.links {
                 let back = &mut self.nodes[n as usize].neighbors[layer];
                 if back.links.len() < m_max {
                     back.links.push(offset as u32);
                     back.dists.clear();
                 } else {
-                    self.reselect(n as usize, layer, offset, m_max, vectors, inv_norms);
+                    self.reselect(n as usize, layer, offset, m_max, rows, inv_norms);
                 }
             }
             self.nodes[offset].neighbors[layer] = list;
@@ -407,15 +464,15 @@ impl HnswIndex {
         layer: usize,
         x: usize,
         m_max: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
     ) {
-        let (v, v_inv) = (&vectors[node], inv_norms[node]);
+        let (v, v_inv) = (rows.row(node), inv_norms[node]);
         // Node-first, as every cached distance is: the cosine kernel
         // multiplies by the two inverse norms in argument order.
         let from_node = |n: usize| {
             self.distance
-                .distance_normed(v, v_inv, &vectors[n], inv_norms[n])
+                .distance_normed(v, v_inv, rows.row(n), inv_norms[n])
         };
         let list = &self.nodes[node].neighbors[layer];
         let reselected = if list.dists.is_empty() {
@@ -426,9 +483,9 @@ impl HnswIndex {
                 .collect();
             cands.push((from_node(x), x));
             cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            self.select_neighbors(&cands, m_max, vectors, inv_norms)
+            self.select_neighbors(&cands, m_max, rows, inv_norms)
         } else {
-            self.resume_selection(list, (from_node(x), x), m_max, vectors, inv_norms)
+            self.resume_selection(list, (from_node(x), x), m_max, rows, inv_norms)
         };
         self.nodes[node].neighbors[layer] = reselected;
     }
@@ -441,7 +498,7 @@ impl HnswIndex {
         list: &LinkList,
         x: (f32, usize),
         m: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
     ) -> LinkList {
         /// What a stored link's old verdict is still worth.
@@ -473,7 +530,7 @@ impl HnswIndex {
                 break;
             }
             let dominated = if c == x.1 {
-                let dominated = self.dominated((d, c), &selected, vectors, inv_norms);
+                let dominated = self.dominated((d, c), &selected, rows, inv_norms);
                 if !dominated {
                     stage = Stage::PlusX;
                 }
@@ -483,13 +540,13 @@ impl HnswIndex {
                     Stage::Stands => !was_selected,
                     Stage::PlusX if !was_selected => true,
                     Stage::PlusX => {
-                        let demoted = self.dominated((d, c), &[x], vectors, inv_norms);
+                        let demoted = self.dominated((d, c), &[x], rows, inv_norms);
                         if demoted {
                             stage = Stage::Void;
                         }
                         demoted
                     }
-                    Stage::Void => self.dominated((d, c), &selected, vectors, inv_norms),
+                    Stage::Void => self.dominated((d, c), &selected, rows, inv_norms),
                 }
             };
             if dominated {
@@ -509,19 +566,19 @@ impl HnswIndex {
         q_inv: f32,
         mut ep: usize,
         layer: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
     ) -> usize {
         let mut best = self
             .distance
-            .distance_normed(q, q_inv, &vectors[ep], inv_norms[ep]);
+            .distance_normed(q, q_inv, rows.row(ep), inv_norms[ep]);
         loop {
             let mut improved = false;
             for &n in &self.nodes[ep].neighbors[layer].links {
                 let d = self.distance.distance_normed(
                     q,
                     q_inv,
-                    &vectors[n as usize],
+                    rows.row(n as usize),
                     inv_norms[n as usize],
                 );
                 if d < best {
@@ -548,54 +605,51 @@ impl HnswIndex {
         eps: &[usize],
         ef: usize,
         layer: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
         accept: Option<&dyn Fn(usize) -> bool>,
     ) -> Vec<(f32, usize)> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut candidates: BinaryHeap<Near> = BinaryHeap::new();
-        let mut results: BinaryHeap<Far> = BinaryHeap::new();
-
+        let mut s = SCRATCH.take();
+        s.begin(self.nodes.len());
         for &ep in eps {
-            if visited[ep] {
+            if !s.visit(ep) {
                 continue;
             }
-            visited[ep] = true;
             let d = self
                 .distance
-                .distance_normed(q, q_inv, &vectors[ep], inv_norms[ep]);
-            candidates.push(Near(d, ep));
+                .distance_normed(q, q_inv, rows.row(ep), inv_norms[ep]);
+            s.candidates.push(Near(d, ep));
             if accept.is_none_or(|a| a(ep)) {
-                results.push(Far(d, ep));
+                s.results.push(Far(d, ep));
             }
         }
-        while let Some(Near(d, c)) = candidates.pop() {
-            let worst = results.peek().map_or(f32::INFINITY, |f| f.0);
-            if d > worst && results.len() >= ef {
+        while let Some(Near(d, c)) = s.candidates.pop() {
+            let worst = s.results.peek().map_or(f32::INFINITY, |f| f.0);
+            if d > worst && s.results.len() >= ef {
                 break;
             }
             for &n in &self.nodes[c].neighbors[layer].links {
                 let n = n as usize;
-                if visited[n] {
+                if !s.visit(n) {
                     continue;
                 }
-                visited[n] = true;
                 let dn = self
                     .distance
-                    .distance_normed(q, q_inv, &vectors[n], inv_norms[n]);
-                let worst = results.peek().map_or(f32::INFINITY, |f| f.0);
-                if dn < worst || results.len() < ef {
-                    candidates.push(Near(dn, n));
+                    .distance_normed(q, q_inv, rows.row(n), inv_norms[n]);
+                let worst = s.results.peek().map_or(f32::INFINITY, |f| f.0);
+                if dn < worst || s.results.len() < ef {
+                    s.candidates.push(Near(dn, n));
                     if accept.is_none_or(|a| a(n)) {
-                        results.push(Far(dn, n));
-                        if results.len() > ef {
-                            results.pop();
+                        s.results.push(Far(dn, n));
+                        if s.results.len() > ef {
+                            s.results.pop();
                         }
                     }
                 }
             }
         }
-        let mut out: Vec<(f32, usize)> = results.into_iter().map(|Far(d, n)| (d, n)).collect();
+        let mut out: Vec<(f32, usize)> = s.results.drain().map(|Far(d, n)| (d, n)).collect();
+        SCRATCH.set(s);
         out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
         out
     }
@@ -608,7 +662,7 @@ impl HnswIndex {
         &self,
         cands: &[(f32, usize)],
         m: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
     ) -> LinkList {
         let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
@@ -617,7 +671,7 @@ impl HnswIndex {
             if selected.len() >= m {
                 break;
             }
-            if self.dominated((d, c), &selected, vectors, inv_norms) {
+            if self.dominated((d, c), &selected, rows, inv_norms) {
                 skipped.push((d, c));
             } else {
                 selected.push((d, c));
@@ -632,12 +686,12 @@ impl HnswIndex {
         &self,
         (d, c): (f32, usize),
         selected: &[(f32, usize)],
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
     ) -> bool {
         selected.iter().any(|&(_, s)| {
             self.distance
-                .distance_normed(&vectors[c], inv_norms[c], &vectors[s], inv_norms[s])
+                .distance_normed(rows.row(c), inv_norms[c], rows.row(s), inv_norms[s])
                 < d
         })
     }
@@ -645,7 +699,7 @@ impl HnswIndex {
     /// k-NN search: returns up to `k` `(offset, distance)` pairs sorted by
     /// distance ascending. `ef` is the layer-0 beam width (clamped to
     /// ≥ k). `inv_norms` carries the cached inverse norms aligned with
-    /// `vectors` (the query's own norm is derived once per search).
+    /// `rows` (the query's own norm is derived once per search).
     /// `accept` optionally filters which offsets may be returned.
     #[must_use]
     pub fn search(
@@ -653,7 +707,7 @@ impl HnswIndex {
         q: &[f32],
         k: usize,
         ef: usize,
-        vectors: &[Vec<f32>],
+        rows: Rows<'_>,
         inv_norms: &[f32],
         accept: Option<&dyn Fn(usize) -> bool>,
     ) -> Vec<(usize, f32)> {
@@ -665,10 +719,10 @@ impl HnswIndex {
         }
         let q_inv = inv_norm(q);
         for layer in (1..=self.top_level).rev() {
-            ep = self.greedy_closest(q, q_inv, ep, layer, vectors, inv_norms);
+            ep = self.greedy_closest(q, q_inv, ep, layer, rows, inv_norms);
         }
         let ef = ef.max(k);
-        let found = self.search_layer(q, q_inv, &[ep], ef, 0, vectors, inv_norms, accept);
+        let found = self.search_layer(q, q_inv, &[ep], ef, 0, rows, inv_norms, accept);
         found.into_iter().take(k).map(|(d, n)| (n, d)).collect()
     }
 }
@@ -684,18 +738,35 @@ mod tests {
             .collect()
     }
 
-    fn norms(vectors: &[Vec<f32>]) -> Vec<f32> {
-        vectors.iter().map(|v| inv_norm(v)).collect()
+    /// Test vectors as the index reads them — one arena and its inverse
+    /// norms — and nested, for the brute-force references.
+    struct Stored {
+        vectors: Vec<Vec<f32>>,
+        flat: Vec<f32>,
+        inv: Vec<f32>,
     }
 
-    fn build(n: usize, dim: usize) -> (HnswIndex, Vec<Vec<f32>>) {
-        let vectors: Vec<Vec<f32>> = (0..n).map(|i| pseudo_vec(i as u64, dim)).collect();
-        let inv = norms(&vectors);
+    impl Stored {
+        fn new(vectors: Vec<Vec<f32>>) -> Self {
+            Self {
+                flat: vectors.concat(),
+                inv: vectors.iter().map(|v| inv_norm(v)).collect(),
+                vectors,
+            }
+        }
+
+        fn rows(&self) -> Rows<'_> {
+            Rows::new(&self.flat, self.vectors.first().map_or(1, Vec::len))
+        }
+    }
+
+    fn build(n: usize, dim: usize) -> (HnswIndex, Stored) {
+        let st = Stored::new((0..n).map(|i| pseudo_vec(i as u64, dim)).collect());
         let mut idx = HnswIndex::new(Distance::Euclid, HnswConfig::default());
         for i in 0..n {
-            idx.insert(i, &vectors, &inv);
+            idx.insert(i, st.rows(), &st.inv);
         }
-        (idx, vectors)
+        (idx, st)
     }
 
     fn brute(q: &[f32], vectors: &[Vec<f32>], k: usize) -> Vec<usize> {
@@ -711,22 +782,21 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let idx = HnswIndex::new(Distance::Euclid, HnswConfig::default());
-        assert!(idx.search(&[0.0; 8], 3, 10, &[], &[], None).is_empty());
-        let vectors = vec![pseudo_vec(7, 8)];
-        let inv = norms(&vectors);
+        let none = Rows::new(&[], 8);
+        assert!(idx.search(&[0.0; 8], 3, 10, none, &[], None).is_empty());
+        let st = Stored::new(vec![pseudo_vec(7, 8)]);
         let mut idx = HnswIndex::new(Distance::Euclid, HnswConfig::default());
-        idx.insert(0, &vectors, &inv);
-        let r = idx.search(&vectors[0], 1, 10, &vectors, &inv, None);
+        idx.insert(0, st.rows(), &st.inv);
+        let r = idx.search(&st.vectors[0], 1, 10, st.rows(), &st.inv, None);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].0, 0);
     }
 
     #[test]
     fn exact_match_found_first() {
-        let (idx, vectors) = build(300, 16);
-        let inv = norms(&vectors);
+        let (idx, st) = build(300, 16);
         for probe in [0usize, 57, 123, 299] {
-            let r = idx.search(&vectors[probe], 1, 64, &vectors, &inv, None);
+            let r = idx.search(&st.vectors[probe], 1, 64, st.rows(), &st.inv, None);
             assert_eq!(r[0].0, probe, "probe {probe}");
             assert!(r[0].1 < 1e-6);
         }
@@ -734,14 +804,14 @@ mod tests {
 
     #[test]
     fn recall_at_10_is_high() {
-        let (idx, vectors) = build(1000, 24);
+        let (idx, st) = build(1000, 24);
         let mut hits = 0usize;
         let mut total = 0usize;
         for qi in 0..50 {
             let q = pseudo_vec(10_000 + qi, 24);
-            let truth = brute(&q, &vectors, 10);
+            let truth = brute(&q, &st.vectors, 10);
             let got: Vec<usize> = idx
-                .search(&q, 10, 128, &vectors, &norms(&vectors), None)
+                .search(&q, 10, 128, st.rows(), &st.inv, None)
                 .into_iter()
                 .map(|(i, _)| i)
                 .collect();
@@ -754,31 +824,32 @@ mod tests {
 
     #[test]
     fn results_sorted_by_distance() {
-        let (idx, vectors) = build(200, 8);
+        let (idx, st) = build(200, 8);
         let q = pseudo_vec(555, 8);
-        let r = idx.search(&q, 20, 64, &vectors, &norms(&vectors), None);
+        let r = idx.search(&q, 20, 64, st.rows(), &st.inv, None);
         assert!(r.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
     fn filtered_search_respects_predicate() {
-        let (idx, vectors) = build(500, 16);
+        let (idx, st) = build(500, 16);
         let q = pseudo_vec(777, 16);
         let accept = |i: usize| i.is_multiple_of(3);
-        let r = idx.search(&q, 10, 128, &vectors, &norms(&vectors), Some(&accept));
+        let r = idx.search(&q, 10, 128, st.rows(), &st.inv, Some(&accept));
         assert!(!r.is_empty());
         assert!(r.iter().all(|&(i, _)| i % 3 == 0));
     }
 
     #[test]
     fn filtered_recall_reasonable() {
-        let (idx, vectors) = build(600, 16);
+        let (idx, st) = build(600, 16);
         let accept = |i: usize| i.is_multiple_of(2);
         let mut hits = 0;
         let mut total = 0;
         for qi in 0..30 {
             let q = pseudo_vec(40_000 + qi, 16);
-            let mut truth: Vec<(f32, usize)> = vectors
+            let mut truth: Vec<(f32, usize)> = st
+                .vectors
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % 2 == 0)
@@ -787,7 +858,7 @@ mod tests {
             truth.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let truth: Vec<usize> = truth[..5].iter().map(|&(_, i)| i).collect();
             let got: Vec<usize> = idx
-                .search(&q, 5, 128, &vectors, &norms(&vectors), Some(&accept))
+                .search(&q, 5, 128, st.rows(), &st.inv, Some(&accept))
                 .into_iter()
                 .map(|(i, _)| i)
                 .collect();
@@ -802,10 +873,10 @@ mod tests {
     fn deterministic_build_and_search() {
         let (a, va) = build(300, 12);
         let (b, vb) = build(300, 12);
-        assert_eq!(va, vb);
+        assert_eq!(va.flat, vb.flat);
         let q = pseudo_vec(9, 12);
-        let ra = a.search(&q, 10, 50, &va, &norms(&va), None);
-        let rb = b.search(&q, 10, 50, &vb, &norms(&vb), None);
+        let ra = a.search(&q, 10, 50, va.rows(), &va.inv, None);
+        let rb = b.search(&q, 10, 50, vb.rows(), &vb.inv, None);
         assert_eq!(ra, rb);
     }
 
@@ -813,15 +884,14 @@ mod tests {
     fn dim_256_build_is_deterministic_and_keeps_recall() {
         // The embedding dimension the engine runs at: 16 full chunks of
         // the scoring kernel per comparison, no tail.
-        let (a, vectors) = build(1000, 256);
+        let (a, st) = build(1000, 256);
         let (b, _) = build(1000, 256);
-        let inv = norms(&vectors);
         let mut hits = 0usize;
         for qi in 0..50 {
             let q = pseudo_vec(20_000 + qi, 256);
-            let got = a.search(&q, 10, 128, &vectors, &inv, None);
-            assert_eq!(got, b.search(&q, 10, 128, &vectors, &inv, None));
-            let truth = brute(&q, &vectors, 10);
+            let got = a.search(&q, 10, 128, st.rows(), &st.inv, None);
+            assert_eq!(got, b.search(&q, 10, 128, st.rows(), &st.inv, None));
+            let truth = brute(&q, &st.vectors, 10);
             hits += got.iter().filter(|(i, _)| truth.contains(i)).count();
         }
         let recall = hits as f64 / 500.0;
@@ -846,20 +916,14 @@ mod tests {
     /// so each overflow recomputes every node → link distance,
     /// stable-sorts stored order + newcomer and runs `select_neighbors`
     /// from scratch.
-    fn grown(
-        vectors: &[Vec<f32>],
-        distance: Distance,
-        config: &HnswConfig,
-        restart: bool,
-    ) -> HnswIndex {
-        let inv = norms(vectors);
+    fn grown(st: &Stored, distance: Distance, config: &HnswConfig, restart: bool) -> HnswIndex {
         let mut idx = HnswIndex::new(distance, config.clone());
-        for i in 0..vectors.len() {
+        for i in 0..st.vectors.len() {
             if restart {
                 let lists = idx.nodes.iter_mut().flat_map(|node| &mut node.neighbors);
                 lists.for_each(|list| list.dists.clear());
             }
-            idx.insert(i, vectors, &inv);
+            idx.insert(i, st.rows(), &st.inv);
         }
         idx
     }
@@ -900,9 +964,9 @@ mod tests {
             // A beam just past the cap: re-selection, which this is about,
             // runs as often; the searches around it cost a third.
             let config = HnswConfig { m, m0, ef_construction: 40, seed };
-            let vectors = pool(kind, n, dim, seed);
-            let resumed = grown(&vectors, distance, &config, false);
-            let restarted = grown(&vectors, distance, &config, true);
+            let st = Stored::new(pool(kind, n, dim, seed));
+            let resumed = grown(&st, distance, &config, false);
+            let restarted = grown(&st, distance, &config, true);
             proptest::prop_assert!(
                 packed(&resumed) == packed(&restarted),
                 "n {} dim {} m {} {:?} pool {} seed {}", n, dim, m, distance, kind, seed
@@ -916,15 +980,14 @@ mod tests {
         // by C alone (E sits just behind C). X then arrives closer to P
         // than C and prunes C — and with C demoted nothing prunes E.
         let [a, b, c, e, p, x] = [0usize, 1, 2, 3, 4, 5];
-        let vectors = vec![
+        let st = Stored::new(vec![
             vec![-1.0, 0.0],
             vec![-0.3, 1.2],
             vec![2.0, 0.0],
             vec![2.2, 1.0],
             vec![0.0, 0.0],
             vec![1.1, -1.2],
-        ];
-        let inv = norms(&vectors);
+        ]);
         let config = HnswConfig {
             m: 4,
             m0: 4,
@@ -932,36 +995,35 @@ mod tests {
         };
         let mut idx = HnswIndex::new(Distance::Euclid, config.clone());
         for i in 0..x {
-            idx.insert(i, &vectors, &inv);
+            idx.insert(i, st.rows(), &st.inv);
         }
         let list = &idx.nodes[p].neighbors[0];
         assert_eq!(list.links, [a, b, c, e].map(|n| n as u32));
         assert_eq!((list.selected, list.dists.len()), (3, 4), "born with state");
 
-        idx.insert(x, &vectors, &inv);
+        idx.insert(x, st.rows(), &st.inv);
         let list = &idx.nodes[p].neighbors[0];
         assert_eq!(list.links, [a, b, x, e].map(|n| n as u32));
         assert_eq!(list.selected, 4, "E is selected again, C is gone");
-        let restarted = grown(&vectors, Distance::Euclid, &config, true);
+        let restarted = grown(&st, Distance::Euclid, &config, true);
         assert!(packed(&idx) == packed(&restarted));
     }
 
     #[test]
     fn higher_ef_does_not_reduce_recall() {
-        let (idx, vectors) = build(800, 16);
+        let (idx, st) = build(800, 16);
         let mut recall_lo = 0usize;
         let mut recall_hi = 0usize;
         for qi in 0..25 {
             let q = pseudo_vec(70_000 + qi, 16);
-            let truth = brute(&q, &vectors, 10);
-            let inv = norms(&vectors);
+            let truth = brute(&q, &st.vectors, 10);
             let lo: Vec<usize> = idx
-                .search(&q, 10, 10, &vectors, &inv, None)
+                .search(&q, 10, 10, st.rows(), &st.inv, None)
                 .iter()
                 .map(|x| x.0)
                 .collect();
             let hi: Vec<usize> = idx
-                .search(&q, 10, 256, &vectors, &inv, None)
+                .search(&q, 10, 256, st.rows(), &st.inv, None)
                 .iter()
                 .map(|x| x.0)
                 .collect();
@@ -969,5 +1031,101 @@ mod tests {
             recall_hi += truth.iter().filter(|t| hi.contains(t)).count();
         }
         assert!(recall_hi >= recall_lo, "lo={recall_lo} hi={recall_hi}");
+    }
+
+    /// `idx.search` from a scratch no search has touched.
+    fn fresh_search(idx: &HnswIndex, st: &Stored, q: &[f32], k: usize) -> Vec<(usize, f32)> {
+        SCRATCH.set(SearchScratch::default());
+        idx.search(q, k, 64, st.rows(), &st.inv, None)
+    }
+
+    #[test]
+    fn an_epoch_wrap_clears_stale_marks() {
+        let (idx, st) = build(300, 16);
+        let q = pseudo_vec(31, 16);
+        let expect = fresh_search(&idx, &st, &q, 10);
+        // The last search ran at the final stamp. Every node carries that
+        // stamp, the one the wrap restarts from, or the 0 of a node no
+        // search has reached — each of which the next stamp must not be.
+        let stale = (0..idx.len() as u32)
+            .map(|n| [0, 1, u32::MAX][n as usize % 3])
+            .collect();
+        SCRATCH.set(SearchScratch {
+            visited: stale,
+            epoch: u32::MAX,
+            ..SearchScratch::default()
+        });
+        assert_eq!(idx.search(&q, 10, 64, st.rows(), &st.inv, None), expect);
+        let after = SCRATCH.take();
+        assert_eq!(after.epoch, 1, "one search since the wrap");
+        assert!(after.visited.iter().all(|&v| v <= 1));
+    }
+
+    #[test]
+    fn interleaved_graphs_of_different_sizes_answer_as_fresh() {
+        let (big, big_st) = build(700, 16);
+        let (small, small_st) = build(40, 16);
+        let queries: Vec<Vec<f32>> = (0..12).map(|i| pseudo_vec(90_000 + i, 16)).collect();
+        let fresh: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                (
+                    fresh_search(&big, &big_st, q, 10),
+                    fresh_search(&small, &small_st, q, 10),
+                )
+            })
+            .collect();
+        // Small first, so the scratch grows mid-run, then alternating.
+        for (q, (want_big, want_small)) in queries.iter().zip(&fresh) {
+            let got_small = small.search(q, 10, 64, small_st.rows(), &small_st.inv, None);
+            let got_big = big.search(q, 10, 64, big_st.rows(), &big_st.inv, None);
+            assert_eq!(&got_small, want_small);
+            assert_eq!(&got_big, want_big);
+        }
+    }
+
+    #[test]
+    fn a_panicking_accept_does_not_poison_the_next_search() {
+        let (idx, st) = build(400, 16);
+        let q = pseudo_vec(4_242, 16);
+        let even = |o: usize| o.is_multiple_of(2);
+        SCRATCH.set(SearchScratch::default());
+        let expect = idx.search(&q, 10, 64, st.rows(), &st.inv, Some(&even));
+        let calls = Cell::new(0);
+        let explode = |o: usize| {
+            calls.set(calls.get() + 1);
+            assert!(calls.get() < 20, "accept gave up at node {o}");
+            true
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            idx.search(&q, 10, 64, st.rows(), &st.inv, Some(&explode))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            idx.search(&q, 10, 64, st.rows(), &st.inv, Some(&even)),
+            expect
+        );
+    }
+
+    #[test]
+    fn search_is_callable_from_many_threads_at_once() {
+        let (idx, st) = build(500, 16);
+        let queries: Vec<Vec<f32>> = (0..16).map(|i| pseudo_vec(60_000 + i, 16)).collect();
+        let expect: Vec<_> = queries
+            .iter()
+            .map(|q| idx.search(q, 10, 64, st.rows(), &st.inv, None))
+            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (idx, st, queries, expect) = (&idx, &st, &queries, &expect);
+                scope.spawn(move || {
+                    for round in 0..25 {
+                        let i = (t * 7 + round) % queries.len();
+                        let got = idx.search(&queries[i], 10, 64, st.rows(), &st.inv, None);
+                        assert_eq!(got, expect[i], "thread {t} query {i}");
+                    }
+                });
+            }
+        });
     }
 }

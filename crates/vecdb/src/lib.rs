@@ -33,6 +33,7 @@ pub mod learned;
 pub mod payload;
 pub mod pool;
 pub mod quant;
+pub mod rows;
 pub mod sharded;
 
 pub use codec::crc32;
@@ -50,6 +51,7 @@ pub use learned::LearnedIdIndex;
 pub use payload::{Filter, Payload, PayloadStore};
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};
+pub use rows::Rows;
 pub use sharded::{merge_top_k, merge_top_k_batch, partition, shard_of, ShardSpec};
 
 /// Id of a point within a collection (caller-assigned, e.g. the

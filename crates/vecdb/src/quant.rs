@@ -2,27 +2,24 @@
 //!
 //! Qdrant's memory-saving technique: store 8-bit codes (4× smaller than
 //! f32), search over the codes, then *rescore* a small oversampled
-//! candidate set with the original vectors to recover accuracy. Provided
-//! here as an optional storage layer; the `hnsw_recall` harness and the
-//! tests quantify the recall cost.
+//! candidate set with the original vectors to recover accuracy. The
+//! store here holds the codes; the two passes are the collection's exact
+//! scan under [`ScoringTier::Quantized`] (`Collection::top_k_scored`).
 //!
 //! Every sum over codes — the asymmetric distances and the cached norms
 //! of the dequantized vectors — runs through the crate's one scoring
 //! kernel, [`crate::distance`]'s lane-strided reduction, at 32 lanes
 //! (`U8_LANES`); the per-element formula `min + scale · code` is applied
-//! inside it, so codes are never materialized as `f32`s.
+//! inside it, so codes are never materialized as `f32`s. The coarse
+//! pass's dot product is `distance::code_dot`, the build of that
+//! reduction selected by CPU feature.
 
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{corrupt, Reader, Writer};
-use crate::distance::{inv_norm, inv_sqrt_or_zero, lane_sum, Distance};
+use crate::distance::{code_dot, inv_norm, inv_sqrt_or_zero, lane_sum, Distance, U8_LANES};
 use crate::error::VecDbError;
-
-/// Lane count of the kernel for `f32 × u8` operands. Wider than the
-/// `f32` kernel's 16 because the codes are widened on the fly: on 256-d
-/// codes 8 or 16 lanes measure ~140 ns a comparison, 32 lanes ~60
-/// (`kernel/u8-256` in `cargo bench --bench hnsw`).
-const U8_LANES: usize = 32;
+use crate::rows::Rows;
 
 /// Which representation the exact-scan scoring paths read.
 ///
@@ -72,20 +69,17 @@ pub struct QuantizedVectors {
 }
 
 impl QuantizedVectors {
-    /// Quantizes `vectors` (all of equal dimension) into u8 codes.
+    /// Quantizes every row of `rows` into u8 codes under one affine
+    /// codebook spanning their values.
     ///
     /// Returns an empty store for empty input.
     #[must_use]
-    pub fn encode(vectors: &[Vec<f32>]) -> Self {
-        let len = vectors.len();
-        let dim = vectors.first().map_or(0, Vec::len);
+    pub fn encode(rows: Rows<'_>) -> Self {
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
-        for v in vectors {
-            for &x in v {
-                min = min.min(x);
-                max = max.max(x);
-            }
+        for &x in rows.as_flat() {
+            min = min.min(x);
+            max = max.max(x);
         }
         if !min.is_finite() || !max.is_finite() || min >= max {
             min = 0.0;
@@ -93,14 +87,14 @@ impl QuantizedVectors {
         }
         let scale = (max - min) / 255.0;
         let mut store = Self {
-            codes: Vec::with_capacity(len * dim),
-            dim,
+            codes: Vec::with_capacity(rows.as_flat().len()),
+            dim: rows.dim(),
             len: 0,
             min,
             scale,
-            inv_norms: Vec::with_capacity(len),
+            inv_norms: Vec::with_capacity(rows.len()),
         };
-        for v in vectors {
+        for v in rows.iter() {
             store.push(v);
         }
         store
@@ -236,7 +230,7 @@ impl QuantizedVectors {
         debug_assert_eq!(q.len(), self.dim);
         let start = i * self.dim;
         let codes = &self.codes[start..start + self.dim];
-        let dot = || lane_sum::<U8_LANES, _, _>(q, codes, |x, c| x * self.dequantize(c));
+        let dot = || code_dot(q, codes, self.min, self.scale);
         match metric {
             Distance::Cosine => {
                 if q_inv == 0.0 || self.inv_norms[i] == 0.0 {
@@ -250,39 +244,6 @@ impl QuantizedVectors {
                 d * d
             }),
         }
-    }
-
-    /// Top-k search over the quantized codes, optionally rescoring an
-    /// `oversample`-times larger candidate set against the original
-    /// vectors (pass them via `full`). Returns `(offset, distance)`
-    /// sorted ascending (distances are full-precision when rescored).
-    #[must_use]
-    pub fn search(
-        &self,
-        metric: Distance,
-        q: &[f32],
-        k: usize,
-        oversample: usize,
-        full: Option<&[Vec<f32>]>,
-    ) -> Vec<(usize, f32)> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        let fetch = (k * oversample.max(1)).min(self.len);
-        let q_inv = inv_norm(q);
-        let mut scored: Vec<(usize, f32)> = (0..self.len)
-            .map(|i| (i, self.distance_with_query_inv(metric, q, q_inv, i)))
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(fetch);
-        if let Some(full) = full {
-            for (i, d) in &mut scored {
-                *d = metric.distance(q, &full[*i]);
-            }
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        }
-        scored.truncate(k);
-        scored
     }
 }
 
@@ -306,10 +267,15 @@ mod tests {
         (0..n).map(|i| pseudo(i as u64 + 1, dim)).collect()
     }
 
+    /// [`QuantizedVectors::encode`] over `vs` laid out as one arena.
+    fn encode(vs: &[Vec<f32>], dim: usize) -> QuantizedVectors {
+        QuantizedVectors::encode(Rows::new(&vs.concat(), dim))
+    }
+
     #[test]
     fn decode_is_close_to_original() {
         let vs = vectors(50, 16);
-        let q = QuantizedVectors::encode(&vs);
+        let q = encode(&vs, 16);
         for (i, v) in vs.iter().enumerate() {
             let d = q.decode(i);
             for (a, b) in v.iter().zip(&d) {
@@ -324,51 +290,61 @@ mod tests {
     #[test]
     fn memory_is_quarter_of_f32() {
         let vs = vectors(100, 64);
-        let q = QuantizedVectors::encode(&vs);
+        let q = encode(&vs, 64);
         assert_eq!(q.memory_bytes(), 100 * 64);
         assert_eq!(q.memory_bytes() * 4, 100 * 64 * 4); // vs f32 bytes
     }
 
     #[test]
     fn quantized_search_recall_high_with_rescore() {
+        // The collection's two passes: a coarse top-30 over the codes,
+        // rescored at full precision.
         let vs = vectors(500, 32);
-        let q = QuantizedVectors::encode(&vs);
+        let mut c = crate::Collection::new(crate::CollectionConfig {
+            distance: Distance::Euclid,
+            scoring_tier: ScoringTier::Quantized { rerank_factor: 3 },
+            ..crate::CollectionConfig::new(32)
+        });
+        for (i, v) in vs.iter().enumerate() {
+            c.insert(i as u64, v.clone(), crate::Payload::new())
+                .unwrap();
+        }
         let query = pseudo(9999, 32);
-        // Exact truth.
         let mut truth: Vec<(usize, f32)> = vs
             .iter()
             .enumerate()
             .map(|(i, v)| (i, Distance::Euclid.distance(&query, v)))
             .collect();
         truth.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let truth_ids: Vec<usize> = truth[..10].iter().map(|x| x.0).collect();
+        let truth_ids: Vec<u64> = truth[..10].iter().map(|x| x.0 as u64).collect();
 
-        let rescored = q.search(Distance::Euclid, &query, 10, 3, Some(&vs));
+        let exact = crate::SearchParams::top_k(10).with_exact(true);
+        let rescored = c.search(&query, &exact).unwrap();
         let hits = rescored
             .iter()
-            .filter(|(i, _)| truth_ids.contains(i))
+            .filter(|p| truth_ids.contains(&p.id))
             .count();
         assert!(hits >= 9, "rescored recall {hits}/10");
         // Rescored distances are the exact full-precision ones.
-        for (i, d) in &rescored {
-            assert!((d - Distance::Euclid.distance(&query, &vs[*i])).abs() < 1e-6);
+        for p in &rescored {
+            let full = Distance::Euclid.distance(&query, &vs[p.id as usize]);
+            assert_eq!(p.score, -full);
         }
     }
 
     #[test]
     fn quantized_only_search_is_decent() {
         let vs = vectors(300, 32);
-        let q = QuantizedVectors::encode(&vs);
+        let q = encode(&vs, 32);
         let query = pseudo(777, 32);
-        let raw = q.search(Distance::Cosine, &query, 10, 1, None);
-        let mut truth: Vec<(usize, f32)> = vs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, Distance::Cosine.distance(&query, v)))
-            .collect();
-        truth.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let truth_ids: Vec<usize> = truth[..10].iter().map(|x| x.0).collect();
-        let hits = raw.iter().filter(|(i, _)| truth_ids.contains(i)).count();
+        let top10 = |d: &dyn Fn(usize) -> f32| {
+            let mut all: Vec<(usize, f32)> = (0..vs.len()).map(|i| (i, d(i))).collect();
+            all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+            all[..10].iter().map(|x| x.0).collect::<Vec<usize>>()
+        };
+        let raw = top10(&|i| q.distance(Distance::Cosine, &query, i));
+        let truth_ids = top10(&|i| Distance::Cosine.distance(&query, &vs[i]));
+        let hits = raw.iter().filter(|i| truth_ids.contains(i)).count();
         assert!(hits >= 7, "unrescored recall {hits}/10");
     }
 
@@ -379,7 +355,7 @@ mod tests {
         // the quantization error at 8 bits — pins the two scoring paths
         // to the same norm-caching semantics.
         let vs = vectors(200, 32);
-        let q = QuantizedVectors::encode(&vs);
+        let q = encode(&vs, 32);
         let query = pseudo(4242, 32);
         let q_inv = crate::distance::inv_norm(&query);
         for (i, v) in vs.iter().enumerate() {
@@ -401,10 +377,11 @@ mod tests {
     #[test]
     fn code_kernel_matches_f64_reference_and_the_f32_kernel_over_decode() {
         // Chunk boundaries of the 32-lane code kernel and the 16-lane
-        // f32 kernel, the empty input and tail-only inputs.
-        for dim in [0usize, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257] {
+        // f32 kernel and tail-only inputs (the empty sum is the kernel
+        // parity test's: no store has dimension 0).
+        for dim in [1usize, 15, 16, 17, 31, 32, 33, 255, 256, 257] {
             let vs = vectors(3, dim);
-            let q = QuantizedVectors::encode(&vs);
+            let q = encode(&vs, dim);
             let query = pseudo(4242, dim);
             let q_inv = inv_norm(&query);
             for i in 0..vs.len() {
@@ -447,13 +424,13 @@ mod tests {
     #[test]
     fn push_matches_bulk_encode() {
         let vs = vectors(120, 16);
-        let bulk = QuantizedVectors::encode(&vs);
+        let bulk = encode(&vs, 16);
         // Re-encode the first 100, then push the remaining 20 with the
         // frozen codebook: identical codes because bulk encoding uses
         // one global codebook anyway.
-        let mut grown = QuantizedVectors::encode(&vs);
+        let mut grown = encode(&vs, 16);
         let mut grown_from_prefix = {
-            let mut q = QuantizedVectors::encode(&vs[..100]);
+            let mut q = encode(&vs[..100], 16);
             for v in &vs[100..] {
                 q.push(v);
             }
@@ -478,12 +455,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let empty = QuantizedVectors::encode(&[]);
+        let empty = QuantizedVectors::encode(Rows::new(&[], 8));
         assert!(empty.is_empty());
-        assert!(empty.search(Distance::Cosine, &[], 5, 2, None).is_empty());
+        assert_eq!(empty.dim(), 8);
         // Constant vectors (min == max) still encode without NaNs.
         let constant = vec![vec![0.5f32; 8]; 3];
-        let q = QuantizedVectors::encode(&constant);
+        let q = encode(&constant, 8);
         let d = q.decode(0);
         assert!(d.iter().all(|x| x.is_finite()));
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use serde_json::json;
 use vecdb::{
     Collection, CollectionConfig, Distance, Filter, FlatIndex, HnswConfig, HnswIndex, Payload,
-    SearchParams,
+    Rows, SearchParams,
 };
 
 fn arb_vectors(dim: usize, max: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -18,11 +18,13 @@ proptest! {
     fn hnsw_exact_match_is_top1(vectors in arb_vectors(8, 120), probe in 0usize..100) {
         let probe = probe % vectors.len();
         let inv: Vec<f32> = vectors.iter().map(|v| vecdb::inv_norm(v)).collect();
+        let flat = vectors.concat();
+        let rows = Rows::new(&flat, 8);
         let mut idx = HnswIndex::new(Distance::Euclid, HnswConfig::default());
         for i in 0..vectors.len() {
-            idx.insert(i, &vectors, &inv);
+            idx.insert(i, rows, &inv);
         }
-        let r = idx.search(&vectors[probe], 1, 64, &vectors, &inv, None);
+        let r = idx.search(rows.row(probe), 1, 64, rows, &inv, None);
         prop_assert_eq!(r.len(), 1);
         // The stored vector itself has distance 0; any returned vector at
         // distance 0 is acceptable (duplicates possible).
@@ -32,12 +34,14 @@ proptest! {
     #[test]
     fn hnsw_results_sorted_and_within_k(vectors in arb_vectors(6, 100), k in 1usize..20) {
         let inv: Vec<f32> = vectors.iter().map(|v| vecdb::inv_norm(v)).collect();
+        let flat = vectors.concat();
+        let rows = Rows::new(&flat, 6);
         let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
         for i in 0..vectors.len() {
-            idx.insert(i, &vectors, &inv);
+            idx.insert(i, rows, &inv);
         }
         let q = vec![0.5f32; 6];
-        let r = idx.search(&q, k, 64, &vectors, &inv, None);
+        let r = idx.search(&q, k, 64, rows, &inv, None);
         prop_assert!(r.len() <= k);
         prop_assert!(r.windows(2).all(|w| w[0].1 <= w[1].1));
     }
