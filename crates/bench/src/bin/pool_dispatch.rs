@@ -1,16 +1,18 @@
 //! Micro-diagnostic for the worker pool's fan-out dispatch cost.
 //!
 //! Times `WorkerPool::run` over trivial jobs — so the measurement is
-//! pure coordination: deque pushes, the reserve protocol, participation,
-//! wakeups, and the completion latch — and tallies how many jobs ran on
-//! the submitting thread versus pool workers.
+//! pure coordination: publishing the fan-out record, claims from its
+//! cursor, participation, wakeups, and the completion latch — and
+//! tallies how many jobs ran on the submitting thread versus pool
+//! workers. With jobs this short the submitter usually claims nearly
+//! every index before a worker reaches the record.
 //!
 //! Context for the numbers: on para-virtualized hosts (gVisor-style
 //! syscall interception) a single futex syscall costs 5–12 µs, so any
 //! parked-thread wakeup on the fan-out path dominates microsecond-scale
-//! per-shard work. The pool therefore spin-polls a lock-free pending
-//! hint before parking and guards every condvar notify behind a waiter
-//! count; this binary is how that stays honest. Expect low single-digit
+//! per-shard work. The pool therefore spin-polls a lock-free count of
+//! open fan-outs before parking and guards every condvar notify behind a
+//! waiter count; this binary is how that stays honest. Expect low single-digit
 //! microseconds for `run(2)` on a warm pool; tens of microseconds means
 //! a syscall crept back into the steady-state path.
 

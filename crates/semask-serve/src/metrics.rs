@@ -249,10 +249,11 @@ impl MetricsSnapshot {
     pub fn mean_queue_wait(&self) -> Duration {
         let flushed = self.served + self.failed;
         if flushed == 0 {
-            Duration::ZERO
-        } else {
-            self.queue_wait / u32::try_from(flushed).unwrap_or(u32::MAX)
+            return Duration::ZERO;
         }
+        // In nanoseconds: `Duration`'s own division takes a `u32`.
+        let mean = self.queue_wait.as_nanos() / u128::from(flushed);
+        Duration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
     }
 
     /// Result-cache hit rate over queries that consulted it (`None`
@@ -314,6 +315,16 @@ mod tests {
         let s = ServeMetrics::default().snapshot();
         assert_eq!(s.mean_batch_size(), 0.0);
         assert_eq!(s.mean_queue_wait(), Duration::ZERO);
+    }
+
+    #[test]
+    fn mean_queue_wait_counts_past_u32_queries() {
+        let s = MetricsSnapshot {
+            served: 1 << 33,
+            queue_wait: Duration::from_secs(1 << 33),
+            ..ServeMetrics::default().snapshot()
+        };
+        assert_eq!(s.mean_queue_wait(), Duration::from_secs(1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! measured filtering latency back into per-strategy scale factors
 //! (EWMA), so the model tracks the machine it is actually running on.
 //!
-//! Concurrency: plans are read on every lane of a `query_batch` — the
+//! Concurrency: plans are read on every thread of a `query_batch` — the
 //! submitting thread and the pool's workers — while observations stream
 //! in from the queries finishing beside them. The mutable half of the model (the per-strategy scales)
 //! lives in a [`ScaleCell`] — a seqlock whose readers are lock-free and

@@ -2,7 +2,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -121,47 +120,6 @@ struct FilteredQuery {
     latency: LatencyBreakdown,
 }
 
-/// How many lanes a batch of `units` units runs on: one per unit, up to
-/// every pool worker plus the submitting thread, which helps. A single
-/// unit is one lane and never looks at the pool.
-fn lane_count(units: usize) -> usize {
-    if units <= 1 {
-        return units;
-    }
-    units.min(vecdb::pool::global().workers() + 1)
-}
-
-/// Runs `f(0), …, f(n-1)` on `lanes` lanes and returns the results in
-/// index order. More than one lane is that many jobs on the shared pool,
-/// each claiming the next index from one cursor until none is left — a
-/// long item occupies its lane, not the items a fixed split would have
-/// queued behind it. One lane is a loop on the caller: no pool call.
-fn run_lanes<T: Send>(lanes: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if lanes <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // A claim ticket: it publishes no data (inputs are borrowed by every
-    // lane, results return through the pool), so `Relaxed` suffices.
-    let cursor = AtomicUsize::new(0);
-    let claimed = vecdb::pool::global().run(lanes, |_| {
-        let mut mine = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return mine;
-            }
-            mine.push((i, f(i)));
-        }
-    });
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, value) in claimed.into_iter().flatten() {
-        out[i] = Some(value);
-    }
-    out.into_iter()
-        .map(|value| value.expect("every index is claimed by exactly one lane"))
-        .collect()
-}
-
 /// The SemaSK query engine for one prepared city.
 pub struct SemaSkEngine {
     prepared: Arc<PreparedCity>,
@@ -251,11 +209,11 @@ impl SemaSkEngine {
     /// per stage and by whole queries.
     ///
     /// The batch is partitioned into *units* — the queries sharing a
-    /// range (and this engine's `k`, `ef`) — and the units run on
-    /// `min(pool workers + 1, units)` lanes of [`vecdb::pool::global`],
-    /// each lane claiming the next unit until none is left. A lane takes
-    /// its unit the whole way: it embeds the unit's texts and runs them
-    /// through one [`crate::retrieval::QueryPlanner::retrieve_batch`], so
+    /// range (and this engine's `k`, `ef`) — and the units fan out on
+    /// [`vecdb::pool::global`], whose workers and the submitting thread
+    /// each claim the next unit until none is left. A thread takes the
+    /// unit it claimed the whole way: it embeds the unit's texts and runs
+    /// them through one [`crate::retrieval::QueryPlanner::retrieve_batch`], so
     /// queries of one range still share one plan, one candidate set and
     /// one pass of the scoring kernel, and keyword groups over it share
     /// its spatial candidates. The submitting thread holds the mutation
@@ -264,13 +222,12 @@ impl SemaSkEngine {
     /// at one epoch. A second fan-out over the queries then refines each
     /// against that overlay with the gate released, so a slow re-rank
     /// never blocks a writer. A batch of one unit — every
-    /// [`SemaSkEngine::query`] — is one lane: it runs on the caller and
-    /// touches no pool.
+    /// [`SemaSkEngine::query`] — runs on the caller and touches no pool.
     ///
     /// A query's answer does not depend on the queries submitted with
     /// it. Each outcome's [`LatencyBreakdown::filtering_ms`] reports the
     /// query's equal share of the batch's filtering wall clock, measured
-    /// around the first fan-out (the lanes overlap, so the work cannot be
+    /// around the first fan-out (the units overlap, so the work cannot be
     /// attributed per query — a share of one is the whole);
     /// [`LatencyBreakdown::retrieval_ms`] is the query's equal share of
     /// its own unit's retrieval time, and refinement latency is per
@@ -278,7 +235,7 @@ impl SemaSkEngine {
     ///
     /// # Errors
     /// A filtering failure before any refinement failure; within a stage,
-    /// the failure of the lowest query index, whichever lane met it.
+    /// the failure of the lowest query index, whichever thread met it.
     pub fn query_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -288,18 +245,24 @@ impl SemaSkEngine {
                 .iter()
                 .map(|q| BatchGroupKey::new(&q.range, self.config.k, self.config.ef)),
         );
-        let lanes = lane_count(units.len());
+        // One unit is a loop on the caller that never touches the pool.
+        let pooled = units.len() > 1;
 
         // ---- Filtering (measured wall clock, shared) ----
         let t0 = Instant::now();
         // The mutation gate is held for exactly the filter window: the
         // plans, the candidate retrieval, and the overlay capture happen
         // at one epoch for the whole batch, whichever threads run the
-        // lanes. Refinement (the slow LLM call) runs outside the gate
+        // units. Refinement (the slow LLM call) runs outside the gate
         // against the captured view, so it never blocks writers.
         let (filtered_units, view) = {
             let _gate = self.prepared.live.gate_read();
-            let filtered = run_lanes(lanes, units.len(), |u| self.filter_unit(queries, &units[u]));
+            let filter = |u: usize| self.filter_unit(queries, &units[u]);
+            let filtered = if pooled {
+                vecdb::pool::global().run(units.len(), filter)
+            } else {
+                vec![filter(0)]
+            };
             (filtered, self.prepared.live.overlay())
         };
         let share_ms = t0.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
@@ -318,12 +281,16 @@ impl SemaSkEngine {
             .collect();
 
         // ---- Refinement (per query, gate released) ----
-        run_lanes(lanes, queries.len(), |i| {
+        let refine = |i: usize| {
             let item = &filtered[i];
             self.refine_with_view(&queries[i].text, &item.candidates, &item.latency, &view)
-        })
-        .into_iter()
-        .collect()
+        };
+        let refined = if pooled {
+            vecdb::pool::global().run(queries.len(), refine)
+        } else {
+            (0..queries.len()).map(refine).collect()
+        };
+        refined.into_iter().collect()
     }
 
     /// The filtering body of one unit (`members` index `queries` and
@@ -357,7 +324,7 @@ impl SemaSkEngine {
             .into_iter()
             .map(|mut planned| {
                 let latency = LatencyBreakdown {
-                    // The batch's share, known once every lane is back.
+                    // The batch's share, known once every unit is back.
                     filtering_ms: 0.0,
                     retrieval_ms: retrieval_share_ms,
                     refinement_ms: 0.0,

@@ -6,10 +6,10 @@
 //!
 //! - A batch of queries takes the **gate** in read mode once, on the
 //!   submitting thread, for exactly its filtering window — the one
-//!   fan-out in which lanes embed, plan and retrieve every query — and
-//!   captures the current [`Overlay`] `Arc` inside it. The lanes may run
-//!   on pool threads; they take no gate of their own, because the
-//!   submitter's read guard outlives the fan-out that runs them.
+//!   fan-out that embeds, plans and retrieves every query — and
+//!   captures the current [`Overlay`] `Arc` inside it. The fan-out's
+//!   units may run on pool threads; they take no gate of their own,
+//!   because the submitter's read guard outlives the fan-out.
 //!   Refinement — the LLM call — runs *outside* the gate against the
 //!   captured overlay, so a slow re-rank never blocks writers, yet still
 //!   resolves names and attributes at the epoch its candidates were

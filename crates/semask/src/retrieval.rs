@@ -1152,8 +1152,8 @@ impl QueryPlanner {
     /// candidate set across the whole group and streams stored vectors
     /// through the scoring kernel once. Groups run one after another on
     /// the calling thread, in order of their first query; a caller that
-    /// wants distinct ranges side by side runs one call per range on its
-    /// own lanes, as [`crate::engine::SemaSkEngine::query_batch`] does.
+    /// wants distinct ranges side by side runs one call per range on the
+    /// shared pool, as [`crate::engine::SemaSkEngine::query_batch`] does.
     /// Within a group, a backend over more than one collection slice
     /// fans the queries out across the slices.
     ///

@@ -23,9 +23,9 @@
 //!   cross-process shard server executes.
 //! - With one slice the job runs inline on the caller's thread: no pool
 //!   dispatch, no hashing, no merge, no per-shard bookkeeping. With more,
-//!   slice `i` is enqueued on its home worker of the shared pool
-//!   ([`vecdb::pool::global`]) and the per-slice top-k lists combine
-//!   through [`vecdb::merge_top_k_batch`]'s k-way merge.
+//!   the slices fan out on the shared pool ([`vecdb::pool::global`]) and
+//!   the per-slice top-k lists combine through
+//!   [`vecdb::merge_top_k_batch`]'s k-way merge.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -164,13 +164,11 @@ impl RetrievalBackend {
 
     /// Runs `job(i)` for every slice and collects the results in slice
     /// order. One slice runs inline and reports no timings. More run on
-    /// the shared worker pool with each job's execution time in
-    /// microseconds (the job body only — queueing and merge excluded, so
-    /// the number tracks the slice's own work and can feed the per-shard
-    /// cost scales); slice `i` is enqueued on its *home worker*
-    /// (`run_homed` with the slice index as the home), so the same worker
-    /// — and, when the pool is core-bound, the same core — scores the
-    /// same slice on every fan-out; idle workers steal if one runs long.
+    /// the shared worker pool — the pool's threads claim slices in
+    /// order, so a long slice holds up only the thread that took it —
+    /// with each job's execution time in microseconds (the job body
+    /// only — queueing and merge excluded, so the number tracks the
+    /// slice's own work and can feed the per-shard cost scales).
     fn fan_out<T, F>(&self, job: F) -> Result<(Vec<T>, Vec<f64>), RetrievalError>
     where
         T: Send,
@@ -180,15 +178,11 @@ impl RetrievalBackend {
         if n == 1 {
             return Ok((vec![job(0)?], Vec::new()));
         }
-        let timed: Vec<(Result<T, RetrievalError>, f64)> = vecdb::pool::global().run_homed(
-            n,
-            |i| i,
-            |i| {
-                let t0 = Instant::now();
-                let result = job(i);
-                (result, t0.elapsed().as_secs_f64() * 1e6)
-            },
-        );
+        let timed: Vec<(Result<T, RetrievalError>, f64)> = vecdb::pool::global().run(n, |i| {
+            let t0 = Instant::now();
+            let result = job(i);
+            (result, t0.elapsed().as_secs_f64() * 1e6)
+        });
         let mut values = Vec::with_capacity(n);
         let mut timings = Vec::with_capacity(n);
         for (result, us) in timed {

@@ -1,160 +1,53 @@
-//! A persistent shared worker pool for query fan-out, built around
-//! per-worker deques with shard-home affinity and work-stealing.
+//! A persistent shared worker pool: a scoped parallel-for over indices.
 //!
-//! The sharded search layers used to spawn one scoped OS thread per
-//! shard per query; at microsecond-scale per-shard work the
-//! ~20–50 µs spawn/join cost dominated end-to-end latency
-//! (`BENCH_sharding.json` records the curve). The first pool replaced
-//! that with long-lived workers fed by **one** shared channel queue —
-//! cheap dispatch, but every job landed on whichever worker woke first,
-//! so a shard's data migrated across cores on every fan-out and a
-//! skewed shard could serialize behind unrelated work.
+//! [`WorkerPool::run`]`(n, f)` publishes one *fan-out record* — the
+//! caller's `f` with its lifetime erased, `n`, a claim cursor and a
+//! completion latch (`f`'s results land in per-index slots on the
+//! caller's stack) — and the pool's workers and the submitting thread
+//! take indices from that cursor, in ascending order, until none is
+//! left. A long index occupies the thread that claimed it, never the
+//! indices behind it, so no split is guessed up front and no queue has
+//! to be rebalanced.
 //!
-//! This version gives each worker its **own deque** and makes placement
-//! a first-class hint:
+//! Two properties of the dispatch path are there because they were
+//! measured (`pool_dispatch`, the narrow rows of `BENCH_sharding.json`):
 //!
-//! - [`WorkerPool::run_homed`] enqueues job `i` on the deque of its
-//!   *home worker* (`home(i) % workers`). Sharded backends pass the
-//!   shard index as the home, so shard `i`'s work lands on the same
-//!   worker — and, when the pool is core-bound, the same core — on
-//!   every fan-out, keeping that shard's vectors warm in that core's
-//!   cache.
-//! - Idle workers **steal from the back of the busiest deque**, so a
-//!   pathologically skewed shard (or a stalled home worker) never
-//!   serializes the batch: affinity is a placement hint, never a
-//!   constraint. A global pending-job count makes stealing lossless —
-//!   every submitted job is reserved by exactly one worker.
-//! - The [`cpu_bind`] seam pins workers to distinct allowed cores on
-//!   Linux (`sched_setaffinity` through the already-linked libc — no
-//!   new dependency) and degrades to a portable no-op elsewhere or when
-//!   the kernel refuses. Set `VECDB_POOL_NO_PIN` to disable pinning.
-//! - The **submitting thread participates**: instead of parking on the
-//!   completion latch while workers wake up, it reserves and runs jobs
-//!   itself through the same protocol. A 2-shard fan-out of
-//!   microsecond-scale jobs typically finishes entirely on the caller
-//!   before the first worker clears its futex wait — fan-out dispatch
-//!   stays in single-digit microseconds instead of paying a context
-//!   switch per call (the narrow rows of `BENCH_sharding.json`).
+//! - The **submitting thread participates**: it claims indices like any
+//!   worker, so a fan-out of a few microsecond-scale jobs usually
+//!   finishes on the caller before a parked worker clears its futex
+//!   wait, instead of paying a context switch per call.
+//! - Idle workers **spin a bounded while** on a lock-free count of open
+//!   records before parking, and a submitter notifies only workers that
+//!   are actually parked: on para-virtualized hosts a single futex
+//!   syscall costs microseconds, more than the fan-outs it would serve.
 //!
-//! [`WorkerPool::run`] keeps the scoped fan-out contract every sharded
-//! backend relies on: it blocks until all submitted jobs finish, which
-//! is what makes lending the caller's stack borrows to the workers
-//! sound. Nested fan-outs are detected with a **thread-local in-pool
-//! marker** carrying the pool's identity: a pooled job that fans out
-//! again *on the same pool* executes inline (queue-and-wait from inside
-//! a worker could deadlock once every worker blocks on jobs stuck
-//! behind it), while fan-outs from foreign threads — e.g. the serving
-//! layer's batcher thread — enqueue normally and get real parallelism.
-//! A submitter carries the marker too for as long as it helps, so a job
-//! behaves the same whichever thread runs it.
+//! `run` blocks until every index has settled — that wait is what makes
+//! lending the caller's stack borrows to the workers sound. Nested
+//! fan-outs are detected with a **thread-local in-pool marker** carrying
+//! the pool's identity: a job that fans out again *on the same pool*
+//! runs the inner indices inline (queue-and-wait from inside a worker
+//! could deadlock the fixed-size pool), while fan-outs from foreign
+//! threads — e.g. the serving layer's batcher thread — get real
+//! parallelism. A submitter carries the marker too for as long as it
+//! helps, so a job behaves the same whichever thread runs it.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Best-effort CPU core binding for pool workers: the seam the
-/// shard-home affinity design pins through, with a portable no-op
-/// fallback (non-Linux targets, restricted cpusets, failed syscalls).
-pub mod cpu_bind {
-    /// Logical cores the current thread is allowed to run on, in
-    /// ascending order. Empty when the platform cannot report affinity
-    /// (the no-op fallback — callers must treat binding as unavailable).
-    #[must_use]
-    pub fn allowed_cores() -> Vec<usize> {
-        imp::allowed_cores()
-    }
-
-    /// Pins the calling thread to the `index`-th *allowed* core
-    /// (wrapping), so worker `i` of a pool lands on a distinct core
-    /// whenever the cpuset offers one per worker. Returns `false` — and
-    /// changes nothing — when binding is unavailable or refused.
-    pub fn bind_worker(index: usize) -> bool {
-        let cores = imp::allowed_cores();
-        if cores.is_empty() {
-            return false;
-        }
-        imp::bind_to_core(cores[index % cores.len()])
-    }
-
-    #[cfg(target_os = "linux")]
-    mod imp {
-        /// 1024-bit cpu set, glibc's `cpu_set_t` default width.
-        const WORDS: usize = 1024 / 64;
-
-        // Declared directly against the libc every Rust binary on Linux
-        // already links; pid 0 addresses the calling thread.
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-        }
-
-        pub fn allowed_cores() -> Vec<usize> {
-            let mut mask = [0u64; WORDS];
-            let ok = unsafe {
-                sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) == 0
-            };
-            if !ok {
-                return Vec::new();
-            }
-            (0..WORDS * 64)
-                .filter(|c| mask[c / 64] >> (c % 64) & 1 == 1)
-                .collect()
-        }
-
-        pub fn bind_to_core(core: usize) -> bool {
-            if core >= WORDS * 64 {
-                return false;
-            }
-            let mut mask = [0u64; WORDS];
-            mask[core / 64] |= 1u64 << (core % 64);
-            unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-        }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    mod imp {
-        pub fn allowed_cores() -> Vec<usize> {
-            Vec::new()
-        }
-
-        pub fn bind_to_core(_core: usize) -> bool {
-            false
-        }
-    }
-}
-
-/// A type-erased unit of work. The `'static` bound is satisfied by
-/// [`WorkerPool::run`] erasing the caller's lifetime *after* arranging to
-/// outwait every job it submits.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared coordination state: how many submitted jobs are not yet
-/// reserved by a worker, and shutdown.
-/// The deques themselves are per-worker; this counter is what makes
-/// work-stealing lossless — a worker *reserves* a job here before
-/// hunting for it, so jobs can never be dropped or double-run however
-/// the steal race resolves.
-struct Control {
-    state: Mutex<ControlState>,
-    ready: Condvar,
-    /// Lock-free mirror of `state.pending`, so idle workers can
-    /// spin-poll for work without taking the control lock — and without
-    /// the submitter paying a futex syscall to wake them. On
-    /// para-virtualized hosts a single no-waiter `notify_one` costs
-    /// microseconds of syscall interception, which dominated
-    /// microsecond-scale fan-outs (see `BENCH_sharding.json` narrow
-    /// rows); every condvar here is therefore guarded so the syscall
-    /// only happens when a thread is actually parked.
-    pending_hint: AtomicUsize,
-    /// Workers currently parked in `ready.wait` (mutated under the
-    /// control lock; read by submitters to size their wakeups).
-    ready_waiters: AtomicUsize,
-}
-
-struct ControlState {
-    /// Jobs pushed to some deque but not yet reserved by a worker.
-    pending: usize,
-    shutdown: bool,
+/// One [`WorkerPool::run`] call as the pool's threads see it.
+struct FanOut {
+    /// Runs index `i` and stores its result — or its panic — in the
+    /// caller's slot `i`. Borrowed from the caller's frame: the `SAFETY:`
+    /// comment in [`WorkerPool::run`] says why it is only ever called
+    /// while that frame is alive.
+    body: &'static (dyn Fn(usize) + Sync),
+    n: usize,
+    /// The next index to hand out. A claim ticket only — `fetch_add`
+    /// gives each index below `n` to exactly one thread, and results
+    /// travel through the slots and the latch — so `Relaxed` suffices.
+    next: AtomicUsize,
+    /// Counts the indices that have not finished.
+    done: Latch,
 }
 
 /// Bounded pre-park spin (4,096 `spin_loop`s: tens of microseconds —
@@ -166,12 +59,56 @@ struct ControlState {
 const SPIN_ROUNDS: u32 = 1 << 12;
 
 struct Shared {
-    control: Control,
-    /// One deque per worker; `run_homed` pushes each job on its home
-    /// worker's deque, idle workers steal from the busiest.
-    deques: Vec<Mutex<VecDeque<Job>>>,
+    state: Mutex<State>,
+    ready: Condvar,
+    /// Lock-free mirror of `state.open.len()`, so idle workers can
+    /// spin-poll for work without taking the lock — and without the
+    /// submitter paying a futex syscall to wake them. Every condvar
+    /// notify here is likewise guarded so the syscall only happens when
+    /// a thread is actually parked.
+    open_hint: AtomicUsize,
+    /// Workers currently parked in `ready.wait` (mutated under the lock;
+    /// read by submitters to size their wakeups).
+    ready_waiters: AtomicUsize,
     /// Process-unique pool identity for the in-pool thread-local marker.
     id: usize,
+}
+
+struct State {
+    /// Fan-outs with an index left to claim, oldest first. A record
+    /// leaves as soon as its last index is claimed.
+    open: Vec<Arc<FanOut>>,
+    shutdown: bool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Claims and runs indices of `fan_out` until its cursor passes the
+    /// end, then counts them off its latch in one step. Whoever claims
+    /// the last index takes the record off the open list first, so idle
+    /// threads stop finding it.
+    fn work(&self, fan_out: &FanOut) {
+        let mut ran = 0;
+        loop {
+            let i = fan_out.next.fetch_add(1, Ordering::Relaxed);
+            if i >= fan_out.n {
+                fan_out.done.count_down(ran);
+                return;
+            }
+            if i + 1 == fan_out.n {
+                let mut state = self.lock();
+                state.open.retain(|open| !std::ptr::eq(&**open, fan_out));
+                self.open_hint.store(state.open.len(), Ordering::Release);
+            }
+            (fan_out.body)(i);
+            ran += 1;
+        }
+    }
 }
 
 thread_local! {
@@ -179,7 +116,7 @@ thread_local! {
     /// worker for its whole life, a submitter while it helps. A nested
     /// [`WorkerPool::run`] on the *same* pool inlines; runs on other
     /// pools — or from non-pool threads like the serving layer's
-    /// batcher — enqueue normally.
+    /// batcher — fan out normally.
     static IN_POOL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -206,8 +143,8 @@ impl Drop for InPoolGuard {
 /// Source of process-unique pool ids (0 is reserved for "no pool").
 static POOL_IDS: AtomicUsize = AtomicUsize::new(1);
 
-/// A fixed-size pool of long-lived worker threads with per-worker
-/// deques, shard-home placement, and work-stealing.
+/// A fixed-size pool of long-lived worker threads that run fan-outs
+/// index by index from one cursor each.
 ///
 /// Most callers want the process-wide [`global`] pool; dedicated pools
 /// are for tests and for isolating workloads with different lifetimes.
@@ -217,38 +154,25 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool with `workers` threads (at least 1), started immediately,
-    /// with no core binding — the right default for short-lived and
-    /// test pools, which would otherwise pile onto the first cores.
+    /// A pool with `workers` threads (at least 1), started immediately.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        Self::with_binding(workers, false)
-    }
-
-    /// A pool whose workers additionally bind to distinct allowed cores
-    /// when `bind_cores` is set (via [`cpu_bind`]; silently a no-op
-    /// where binding is unavailable).
-    #[must_use]
-    pub fn with_binding(workers: usize, bind_cores: bool) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            control: Control {
-                state: Mutex::new(ControlState {
-                    pending: 0,
-                    shutdown: false,
-                }),
-                ready: Condvar::new(),
-                pending_hint: AtomicUsize::new(0),
-                ready_waiters: AtomicUsize::new(0),
-            },
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            state: Mutex::new(State {
+                open: Vec::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+            open_hint: AtomicUsize::new(0),
+            ready_waiters: AtomicUsize::new(0),
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         });
         for i in 0..workers {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("vecdb-pool-{i}"))
-                .spawn(move || worker_loop(&shared, i, bind_cores))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawning a pool worker");
         }
         Self { shared, workers }
@@ -261,150 +185,82 @@ impl WorkerPool {
     }
 
     /// Runs `f(0), f(1), …, f(n-1)` on the pool and returns the results
-    /// in index order, with job `i` placed on worker `i % workers` —
-    /// equivalent to [`WorkerPool::run_homed`] with the identity home
-    /// function. Blocks until every job has finished — that wait is
-    /// what lets the jobs borrow from the caller's stack.
+    /// in index order. The workers and the calling thread claim indices
+    /// from one cursor in ascending order until none is left; the call
+    /// blocks until every index has finished — that wait is what lets
+    /// the jobs borrow from the caller's stack.
     ///
-    /// Falls back to inline sequential execution when `n <= 1` (nothing
-    /// to fan out) or when called from inside a job of *this* pool
-    /// (detected by the thread-local in-pool marker; queueing and
-    /// blocking from a worker could deadlock the fixed-size pool).
+    /// Runs inline and in order when `n <= 1` (nothing to fan out) or
+    /// when called from inside a job of *this* pool (detected by the
+    /// thread-local in-pool marker; blocking a worker on indices queued
+    /// behind it could deadlock the fixed-size pool). While the caller
+    /// helps it carries the marker, so a job that fans out again on
+    /// this pool inlines on the caller just as it does on a worker; the
+    /// caller's previous marker is back before `run` returns or unwinds.
     ///
     /// # Panics
-    /// Re-raises the first panic raised by any job, after all jobs have
-    /// settled.
+    /// Re-raises the panic of the lowest panicking index, after every
+    /// index has settled; the pool stays usable.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_homed(n, |i| i, f)
-    }
-
-    /// Like [`WorkerPool::run`], but job `i` is enqueued on the deque of
-    /// worker `home(i) % workers` — its *home*. Sharded backends pass
-    /// the shard index, so a shard's work lands on the same worker (and
-    /// core, when bound) every fan-out while its data is warm there.
-    /// Homes are placement hints only: idle workers steal from the
-    /// busiest deque, so a skewed home never serializes the batch.
-    ///
-    /// The calling thread participates while it waits: it reserves and
-    /// runs queued jobs through the same lossless protocol as the
-    /// workers, so small fan-outs usually complete inline without a
-    /// context switch. (A job picked up this way may belong to another
-    /// concurrent fan-out on the same pool — executing it early is
-    /// always sound.) For as long as it helps, the caller carries the
-    /// in-pool marker, so a job that fans out again on this pool inlines
-    /// on the caller just as it does on a worker; the caller's previous
-    /// marker is back before `run_homed` returns or unwinds.
-    ///
-    /// # Panics
-    /// Re-raises the first panic raised by any job, after all jobs have
-    /// settled.
-    pub fn run_homed<T, F, H>(&self, n: usize, home: H, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        H: Fn(usize) -> usize,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 || IN_POOL.with(std::cell::Cell::get) == self.shared.id {
+        if n <= 1 || IN_POOL.with(std::cell::Cell::get) == self.shared.id {
             return (0..n).map(f).collect();
         }
 
         type Slot<T> = Mutex<Option<std::thread::Result<T>>>;
         let slots: Vec<Slot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let latch = Latch::new(n);
+        let body = |i: usize| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)));
+            *slots[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+        };
+        let body: &(dyn Fn(usize) + Sync + '_) = &body;
+        // SAFETY: `body` borrows `f` and `slots` from this frame. A thread
+        // calls it only for an index it claimed below `n`, and counts that
+        // index off `done` after the call has returned; `done.wait()`
+        // below returns only once all `n` are counted, and this frame does
+        // not end before it. A thread that still holds the record after
+        // that reads its cursor and nothing else.
+        let body = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync + '_), &'static (dyn Fn(usize) + Sync)>(
+                body,
+            )
+        };
+        let fan_out = Arc::new(FanOut {
+            body,
+            n,
+            next: AtomicUsize::new(0),
+            done: Latch::new(n),
+        });
 
-        {
-            // Erase the borrow lifetimes: sound because this block (and
-            // the latch wait below) strictly outlives every job — `run`
-            // does not return until the latch reaches zero.
-            let submit = |i: usize| {
-                let f = &f;
-                let slots = &slots;
-                let latch = &latch;
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)));
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                    latch.count_down();
-                });
-                // SAFETY: the job only borrows `f`, `slots`, and `latch`,
-                // all of which live until `latch.wait()` below returns —
-                // and the latch is counted down exactly once per job, as
-                // the last thing the job does.
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-                job
-            };
-            for i in 0..n {
-                let worker = home(i) % self.workers;
-                self.shared.deques[worker]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push_back(submit(i));
+        let shared = &self.shared;
+        let wakes = {
+            let mut state = shared.lock();
+            state.open.push(Arc::clone(&fan_out));
+            shared.open_hint.store(state.open.len(), Ordering::Release);
+            // Wake at most n-1 *parked* workers: the caller is about to
+            // claim indices itself, and spinning (unparked) idle workers
+            // see the hint without a syscall. Read under the lock —
+            // parking requires it, so the count cannot grow until we
+            // release.
+            (n - 1).min(shared.ready_waiters.load(Ordering::Relaxed))
+        };
+        if wakes >= self.workers {
+            shared.ready.notify_all();
+        } else {
+            for _ in 0..wakes {
+                shared.ready.notify_one();
             }
-            let control = &self.shared.control;
-            let wakes = {
-                // Publish after all pushes: a worker that reserves one of
-                // these jobs is guaranteed to find a job in *some* deque
-                // (at most `pending` reservations are ever hunting, and
-                // the deques hold at least that many jobs).
-                let mut state = control
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.pending += n;
-                control.pending_hint.store(state.pending, Ordering::Release);
-                // Wake at most n-1 *parked* workers: the caller is about
-                // to help run jobs itself, and spinning (unparked) idle
-                // workers see the pending hint without a syscall. Read
-                // under the lock — parking requires it, so the count
-                // cannot grow until we release.
-                (n - 1).min(control.ready_waiters.load(Ordering::Relaxed))
-            };
-            if wakes >= self.workers {
-                control.ready.notify_all();
-            } else {
-                for _ in 0..wakes {
-                    control.ready.notify_one();
-                }
-            }
-            // Help: reserve and run jobs through the workers' own
-            // protocol until nothing is left to reserve or our batch is
-            // done. Only then park on the latch (covers jobs a worker
-            // reserved but has not finished). While helping, this thread
-            // is a lane of the pool like any worker: a job that fans out
-            // again on this pool inlines here exactly as it would there.
-            let helping = InPoolGuard::enter(self.shared.id);
-            while !latch.done() {
-                let reserved = {
-                    let mut state = control
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if state.pending > 0 {
-                        state.pending -= 1;
-                        control.pending_hint.store(state.pending, Ordering::Release);
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if !reserved {
-                    break;
-                }
-                let job = find_job(&self.shared, None);
-                job();
-            }
-            drop(helping);
-            latch.wait();
         }
+        {
+            let _helping = InPoolGuard::enter(shared.id);
+            shared.work(&fan_out);
+        }
+        fan_out.done.wait();
 
         slots
             .into_iter()
@@ -424,38 +280,24 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let mut state = self
-            .shared
-            .control
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.shutdown = true;
-        drop(state);
-        self.shared.control.ready.notify_all();
-        // Workers reserve and run every still-pending job, then exit;
-        // they hold their own Arc to the shared state, so no join is
-        // required for soundness (jobs never outlive the `run` call
-        // that submitted them).
+        self.shared.lock().shutdown = true;
+        self.shared.ready.notify_all();
+        // Workers finish whatever record is still open, then exit; they
+        // hold their own Arc to the shared state, so no join is required
+        // for soundness (no index outlives the `run` call that published
+        // it).
     }
 }
 
-/// A countdown latch: `wait` blocks until `count_down` has been called
-/// `n` times. The count is a plain atomic so the common path — the
-/// submitter polling while it helps run jobs, then spinning out the
-/// last stragglers — never touches a lock or a futex; the condvar is
-/// only armed (and its notify syscall only paid) when the waiter
-/// actually parks.
+/// A countdown latch: `wait` blocks until `n` indices have been counted
+/// off. The count is a plain atomic so the common path — the submitter
+/// finishing its own claims, then spinning out the last stragglers —
+/// never touches a lock or a futex; the condvar is only armed (and its
+/// notify syscall only paid) when the waiter actually parks.
 struct Latch {
-    /// `remaining << 1 | parked`: the job count and the "waiter is
-    /// parked" bit share one atomic, which is what makes the teardown
-    /// race impossible to lose. The waiter may free the latch the
-    /// instant it observes the count at zero, so `count_down` must not
-    /// touch `self` after the final decrement — *unless* that same
-    /// decrement observed the parked bit, in which case the waiter is
-    /// provably inside `zero.wait` (it parks while holding `parked` and
-    /// cannot return, let alone free the latch, until the notifier
-    /// releases the mutex).
+    /// `remaining << 1 | parked`: the count and the "waiter is parked"
+    /// bit share one atomic, so the final `count_down` knows from its own
+    /// decrement whether anyone needs a notify.
     state: AtomicUsize,
     parked: Mutex<()>,
     zero: Condvar,
@@ -475,12 +317,15 @@ impl Latch {
         self.state.load(Ordering::Acquire) >> 1 == 0
     }
 
-    fn count_down(&self) {
-        let prev = self.state.fetch_sub(2, Ordering::AcqRel);
-        if prev >> 1 == 1 && prev & 1 == 1 {
-            // Last job, waiter parked: safe to touch (see `state`), and
-            // holding the mutex across the notify pins the waiter in
-            // `zero.wait` until we are done with the latch.
+    fn count_down(&self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        let prev = self.state.fetch_sub(k << 1, Ordering::AcqRel);
+        if prev >> 1 == k && prev & 1 == 1 {
+            // Count reached zero with the waiter parked: holding the
+            // mutex across the notify means the waiter is inside
+            // `zero.wait`, not between its check and its wait.
             let guard = self
                 .parked
                 .lock()
@@ -502,9 +347,9 @@ impl Latch {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // Announce the park under the lock. If the count hit zero
-        // before the bit landed, the last job saw the bit unset and will
-        // never notify — but then this check sees zero and we never
-        // wait. Otherwise the last job is still outstanding and is
+        // before the bit landed, the last `count_down` saw the bit unset
+        // and will never notify — but then this check sees zero and we
+        // never wait. Otherwise that `count_down` is still to come and is
         // guaranteed to see the bit.
         if self.state.fetch_or(1, Ordering::AcqRel) >> 1 == 0 {
             return;
@@ -521,80 +366,24 @@ impl Latch {
     }
 }
 
-/// Pops the next job for `me` (`Some(worker)` for a pool worker, `None`
-/// for a participating submitter with no deque of its own): the own
-/// deque's front first (home-affine, FIFO within a shard), otherwise
-/// the *back* of the busiest other deque (stealing the coldest work of
-/// the most loaded worker). The caller has already reserved a job in
-/// the control state, so a job is guaranteed to exist in some deque;
-/// the loop only spins across momentary races with other hunters
-/// mid-pop.
-fn find_job(shared: &Shared, me: Option<usize>) -> Job {
-    loop {
-        if let Some(own) = me {
-            if let Some(job) = shared.deques[own]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_front()
-            {
-                return job;
-            }
-        }
-        let mut busiest: Option<(usize, usize)> = None; // (len, index)
-        for (i, deque) in shared.deques.iter().enumerate() {
-            if Some(i) == me {
-                continue;
-            }
-            let len = deque
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len();
-            if len > 0 && busiest.is_none_or(|(best, _)| len > best) {
-                busiest = Some((len, i));
-            }
-        }
-        if let Some((_, victim)) = busiest {
-            if let Some(job) = shared.deques[victim]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_back()
-            {
-                return job;
-            }
-        }
-        std::hint::spin_loop();
-    }
-}
-
-fn worker_loop(shared: &Shared, me: usize, bind_cores: bool) {
-    if bind_cores {
-        // Best effort: a refused bind leaves the thread free-floating.
-        let _ = cpu_bind::bind_worker(me);
-    }
+fn worker_loop(shared: &Shared) {
     IN_POOL.with(|pool| pool.set(shared.id));
-    let control = &shared.control;
     loop {
-        // Reserve one job (or exit on drained shutdown). Spin on the
-        // lock-free pending hint first: under a steady stream of
-        // fan-outs the worker picks up the next job without a single
-        // futex syscall on either side; only a genuinely idle pool
-        // parks.
+        // Find an open record (or exit on shutdown). Spin on the
+        // lock-free hint first: under a steady stream of fan-outs the
+        // worker picks up the next one without a single futex syscall on
+        // either side; only a genuinely idle pool parks.
         let mut spins = SPIN_ROUNDS;
-        loop {
-            if spins > 0 && control.pending_hint.load(Ordering::Acquire) == 0 {
+        let fan_out = loop {
+            if spins > 0 && shared.open_hint.load(Ordering::Acquire) == 0 {
                 spins -= 1;
                 std::hint::spin_loop();
                 continue;
             }
-            let mut state = control
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let reserved = loop {
-                if state.pending > 0 {
-                    state.pending -= 1;
-                    control.pending_hint.store(state.pending, Ordering::Release);
-                    break true;
+            let mut state = shared.lock();
+            let found = loop {
+                if let Some(open) = state.open.first() {
+                    break Some(Arc::clone(open));
                 }
                 if state.shutdown {
                     return;
@@ -602,39 +391,33 @@ fn worker_loop(shared: &Shared, me: usize, bind_cores: bool) {
                 if spins > 0 {
                     // Spin budget left: release the lock and go back to
                     // polling the hint instead of parking.
-                    break false;
+                    break None;
                 }
-                control.ready_waiters.fetch_add(1, Ordering::Relaxed);
-                state = control
+                shared.ready_waiters.fetch_add(1, Ordering::Relaxed);
+                state = shared
                     .ready
                     .wait(state)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                control.ready_waiters.fetch_sub(1, Ordering::Relaxed);
+                shared.ready_waiters.fetch_sub(1, Ordering::Relaxed);
             };
-            if reserved {
-                break;
+            if let Some(fan_out) = found {
+                break fan_out;
             }
-        }
-        // …then go find it: home deque first, steal otherwise.
-        let job = find_job(shared, Some(me));
-        job();
+        };
+        shared.work(&fan_out);
     }
 }
 
 /// The process-wide pool shared by every sharded backend and batch
 /// executor: one thread per available core *minus one*, created on
-/// first use — the submitting thread participates in execution while it
-/// waits, so it is itself the remaining lane, and a full complement of
-/// workers would only fight it for cores. Workers bind to distinct
-/// cores (see [`cpu_bind`]) unless `VECDB_POOL_NO_PIN` is set; with the
-/// sharded layers' index-keyed homes this gives every shard a stable
-/// home core.
+/// first use — the submitting thread claims indices while it waits, so
+/// it is itself the remaining thread, and a full complement of workers
+/// would only fight it for cores.
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         let cores = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-        let bind = std::env::var_os("VECDB_POOL_NO_PIN").is_none();
-        WorkerPool::with_binding(cores.saturating_sub(1).max(1), bind)
+        WorkerPool::new(cores.saturating_sub(1).max(1))
     })
 }
 
@@ -671,25 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn run_homed_single_home_is_rebalanced_by_stealing() {
-        // Every job homed on worker 0: without stealing, one worker
-        // would run the whole batch while three idle. The results must
-        // still come back complete and in index order.
-        let pool = WorkerPool::new(4);
-        let counter = AtomicUsize::new(0);
-        let out = pool.run_homed(
-            32,
-            |_| 0,
-            |i| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i * 3
-            },
-        );
-        assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
     fn nested_run_executes_inline_without_deadlock() {
         let pool = global();
         // Every outer job fans out again on the same pool; the inner
@@ -721,8 +485,7 @@ mod tests {
         // One worker plus the submitter: the two outer jobs meet, so one
         // of them is on the submitter. That one fans out again while the
         // other keeps the worker busy. Inlined, the nested jobs run in
-        // index order on the submitter; enqueued, the submitter would
-        // take them off the back of the worker's deque, last first.
+        // index order on the submitter.
         let pool = WorkerPool::new(1);
         let submitter = std::thread::current().id();
         let arrived = AtomicUsize::new(0);
@@ -809,20 +572,5 @@ mod tests {
     fn global_pool_is_shared_and_sized() {
         assert!(global().workers() >= 1);
         assert!(std::ptr::eq(global(), global()));
-    }
-
-    #[test]
-    fn cpu_bind_is_safe_to_call() {
-        // Either real binding (Linux with an inspectable cpuset) or the
-        // portable no-op — both must return without disturbing the
-        // thread. Re-bind to every allowed core and end unrestricted
-        // among them.
-        let cores = cpu_bind::allowed_cores();
-        for i in 0..cores.len() {
-            cpu_bind::bind_worker(i);
-        }
-        if let Some(&first) = cores.first() {
-            let _ = first;
-        }
     }
 }

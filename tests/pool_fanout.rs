@@ -1,16 +1,14 @@
-//! Shard-pinned, work-stealing execution is an *execution* detail:
-//! fan-outs with shard-home affinity (and core binding on the global
-//! pool) must return **bit-identical** ids and scores to the flat
-//! collection queried one query at a time — across shards {1, 4, 8} ×
-//! batch {1, 64}, and on a
-//! pathologically skewed partition where one shard owns almost every
-//! point (so the stealing path, not just the pinned path, does the
-//! work). A property test pins the pool's core invariant directly:
-//! however jobs are homed and stolen, every job runs exactly once, and
-//! dropping the pool (shutdown) never drops or double-runs one.
+//! How the shared pool schedules a fan-out is an *execution* detail:
+//! sliced fan-outs must return **bit-identical** ids and scores to the
+//! flat collection queried one query at a time — across shards {1, 4, 8}
+//! × batch {1, 64}, and on a pathologically skewed partition where one
+//! shard owns almost every point (one long index beside seven short
+//! ones). The pool's own contract is pinned directly: every index runs
+//! exactly once however many fan-outs share the pool and however soon it
+//! is dropped, and indices are handed out in ascending order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use semask::sharded::CandidateSource;
@@ -117,7 +115,7 @@ fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
 }
 
 #[test]
-fn pinned_fanout_matches_flat_sequential_search() {
+fn pooled_fanout_matches_flat_sequential_search() {
     let ids: Vec<u64> = (0..400).collect();
     assert_parity(&ids, &[1, 4, 8], "uniform ids");
 }
@@ -125,9 +123,9 @@ fn pinned_fanout_matches_flat_sequential_search() {
 #[test]
 fn pathologically_skewed_shard_still_matches() {
     // Build an id population where, at 8 shards, one shard owns ~95% of
-    // the points: the home worker of that shard cannot finish alone, so
-    // correctness here rides on idle workers *stealing* its queued
-    // batch work — and the merge must still be bit-identical.
+    // the points: one slice's job runs far longer than the others while
+    // the rest of the pool claims past it — and the merge must still be
+    // bit-identical.
     let hot_shard = 0usize;
     let mut ids: Vec<u64> = Vec::new();
     let mut cold = 0usize;
@@ -154,62 +152,75 @@ fn pathologically_skewed_shard_still_matches() {
     assert_parity(&ids, &[1, 4, 8], "skewed ids");
 }
 
+/// The cursor hands indices out in ascending order: when index `i`
+/// starts, every index below it has been claimed. A claim is not visible
+/// from inside the job, but each thread records the index it claimed
+/// before it claims another, so an index below `i` that is not recorded
+/// yet is held by another thread between its claim and its record — at
+/// most one such index per other participant (every worker, plus the
+/// submitter, less the thread recording `i`).
 #[test]
-fn all_jobs_homed_on_one_worker_run_exactly_once() {
-    // Directly exercise the pinned+stolen deque path: every job homed
-    // on worker 0 of a 4-worker pool; stealing must spread them without
-    // dropping or duplicating any.
-    let pool = WorkerPool::new(4);
-    let counts: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
-    pool.run_homed(
-        counts.len(),
-        |_| 0,
-        |i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        },
-    );
-    for (i, c) in counts.iter().enumerate() {
-        assert_eq!(c.load(Ordering::SeqCst), 1, "job {i}");
+fn indices_are_claimed_in_ascending_order() {
+    const N: usize = 64;
+    for workers in 1..=4 {
+        let pool = WorkerPool::new(workers);
+        for _ in 0..50 {
+            let claims = Mutex::new(Vec::with_capacity(N));
+            pool.run(N, |i| {
+                claims.lock().expect("claim log").push(i);
+                // A little work per index, so every participant claims.
+                std::hint::black_box((0..200).sum::<usize>());
+            });
+            let claims = claims.into_inner().expect("claim log");
+            let mut recorded = [false; N];
+            for &i in &claims {
+                let unrecorded_below = recorded[..i].iter().filter(|&&seen| !seen).count();
+                assert!(
+                    unrecorded_below <= workers,
+                    "index {i} started with {unrecorded_below} lower indices unclaimed \
+                     ({workers} workers): {claims:?}"
+                );
+                recorded[i] = true;
+            }
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever the worker count, job count, and (possibly constant,
-    /// possibly striped) home mapping, `run_homed` runs every job
-    /// exactly once — and dropping the pool immediately afterwards
-    /// (shutdown with stealing possibly mid-flight on other deques)
-    /// never loses or re-runs one.
+    /// Back-to-back fan-outs of mixed sizes (0, 1 and inline included)
+    /// from one client on one pool: each runs every index exactly once
+    /// and returns its results in index order, while a worker may still
+    /// hold the previous record, reading its spent cursor, as the next
+    /// one is published.
     #[test]
-    fn stealing_never_drops_or_double_runs(
+    fn back_to_back_fanouts_run_every_index_exactly_once(
         workers in 1usize..5,
-        jobs in 0usize..48,
-        stripe in 1usize..7,
-        constant_home in 0usize..8,
-        use_constant in 0usize..2,
+        sizes in proptest::collection::vec(0usize..49, 1..8),
     ) {
         let pool = WorkerPool::new(workers);
-        let counts: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_homed(jobs, |i| {
-            if use_constant == 1 { constant_home } else { i / stripe }
-        }, |i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        drop(pool);
-        for (i, c) in counts.iter().enumerate() {
-            prop_assert_eq!(c.load(Ordering::SeqCst), 1, "job {}", i);
+        for (f, &jobs) in sizes.iter().enumerate() {
+            let counts: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+            let results = pool.run(jobs, |i| {
+                counts[i].fetch_add(1, Ordering::SeqCst);
+                i
+            });
+            prop_assert_eq!(results, (0..jobs).collect::<Vec<_>>(), "fan-out {}", f);
+            for (i, count) in counts.iter().enumerate() {
+                prop_assert_eq!(count.load(Ordering::SeqCst), 1, "fan-out {} job {}", f, i);
+            }
         }
     }
 
     /// Concurrent fan-outs from several client threads on one shared
-    /// pool, then shutdown: the reservation protocol keeps every
-    /// client's jobs exactly-once even while their deques steal from
-    /// each other.
+    /// pool, then shutdown: every client's indices run exactly once
+    /// while the pool's threads move between their records, and
+    /// dropping the pool right afterwards never loses or re-runs one.
     #[test]
     fn concurrent_fanouts_survive_shutdown_exactly_once(
-        workers in 1usize..4,
-        jobs in 1usize..32,
+        workers in 1usize..5,
+        jobs in 0usize..49,
         clients in 1usize..4,
     ) {
         let pool = Arc::new(WorkerPool::new(workers));
@@ -221,7 +232,7 @@ proptest! {
                 let pool = Arc::clone(&pool);
                 let counts = &counts;
                 scope.spawn(move || {
-                    pool.run_homed(jobs, |i| i % 2, |i| {
+                    pool.run(jobs, |i| {
                         counts[c][i].fetch_add(1, Ordering::SeqCst);
                     });
                 });
