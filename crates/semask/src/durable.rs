@@ -15,14 +15,15 @@
 //!    ([`CheckpointPolicy`]) the log folds into a fresh snapshot. The
 //!    writer that trips the threshold pays only for the first two steps:
 //!    - **cut** — still under the log mutex, so no writer can move the
-//!      state: [`cut_prepared`] packs the collection into memory, pins
-//!      the dataset and the published overlay, and reads the sequence
-//!      number they all stand at;
+//!      state: [`cut_prepared`] packs the collection into memory (no
+//!      text encoding, no checksum), pins the dataset and the published
+//!      overlay, and reads the sequence number they all stand at;
 //!    - **rotate** — `wal.log` becomes `wal.prev` by rename and a fresh,
 //!      empty `wal.log` continues the numbering ([`Wal::rotate`]). The
 //!      writer returns and later batches log into the fresh file;
 //!    - **write beside** — one thread runs [`write_snapshot`] on the
-//!      cut: stage, fsync, rename, flip `CURRENT`;
+//!      cut: checksum the packed collection, encode the JSON files,
+//!      stage, fsync, rename, flip `CURRENT`;
 //!    - **retire** — the same thread then removes `wal.prev`, whose
 //!      every record the committed snapshot now contains.
 //!
@@ -446,7 +447,7 @@ impl DurableEngine {
             // Once CURRENT flips, every record of `wal.prev` is
             // redundant — but the file stays until the retire, so a
             // crash in between merely re-reads (and skips) them.
-            write_snapshot(&cut, &dir)?;
+            write_snapshot(cut, &dir)?;
             crash_point("ckpt-before-reset");
             retire(&prev)?;
             crash_point("ckpt-after-reset");

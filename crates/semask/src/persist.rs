@@ -30,10 +30,12 @@
 //!
 //! A snapshot is taken in two steps. [`cut_prepared`] freezes the state
 //! at one log sequence number — the collection packed into memory under
-//! its read lock, the dataset and the published overlay pinned by `Arc`
-//! — and needs the city to hold still only for that long.
-//! [`write_snapshot`] does the rest on whichever thread has the cut: it
-//! stages everything in `snap-<k>.tmp/` with per-file fsync, renames the
+//! its read lock but not yet checksummed, the dataset and the published
+//! overlay pinned by `Arc` — and needs the city to hold still only for
+//! that long. [`write_snapshot`] does the rest on whichever thread has
+//! the cut: it seals `collection.bin` (section table and CRC-32), encodes
+//! the JSON files, stages everything in `snap-<k>.tmp/` with per-file
+//! fsync, renames the
 //! directory to `snap-<k>/`, then atomically rewrites `CURRENT` (temp
 //! file + fsync + rename). [`save_prepared`] is the two in a row. A
 //! crash at any point leaves either the old `CURRENT` (pointing at the
@@ -45,13 +47,17 @@
 //! naming the file and the field, never a default. The two log files
 //! are [`crate::durable`]'s; nothing here reads or removes them.
 //!
-//! The three JSON files are small or read once; `collection.bin` is
-//! where the bytes are (a million floats and codes at 4,000 POIs), so
-//! `vecdb` writes it itself as raw little-endian sections behind a
-//! CRC-32 (format in [`vecdb::db`]). A damaged `collection.bin` is
-//! detected — checksum, declared lengths, then agreement between the
-//! parts — and surfaces as [`PersistError::VecDb`]; it is never parsed
-//! into a collection that fails later.
+//! `collection.bin` is `vecdb`'s own packed format (format in
+//! [`vecdb::db`]): raw little-endian sections behind a CRC-32, its meta
+//! section — ids, delete flags, id index, payloads — as binary as the
+//! vectors, so the cut is a few copies and no text encoding at all. A
+//! damaged `collection.bin` is detected — checksum, declared lengths,
+//! then agreement between the parts — and surfaces as
+//! [`PersistError::VecDb`]; it is never parsed into a collection that
+//! fails later. The three other files are still JSON, encoded on the
+//! snapshot thread: `manifest.json` and `live.json` are a few lines, and
+//! `dataset.json` (5.6 MB at 4,000 POIs, tens of milliseconds to encode
+//! and about half of a load) is the largest thing left to pack.
 //!
 //! # Live state
 //!
@@ -74,7 +80,7 @@ use datagen::ReverseGeocoder;
 use embed::SemanticEmbedder;
 use geotext::{Dataset, GeoTextObject, ObjectId};
 use serde::{Content, Serialize};
-use vecdb::VectorDb;
+use vecdb::{UnsealedSnapshot, VectorDb};
 
 use crate::config::SemaSkConfig;
 use crate::live::{LiveState, Overlay};
@@ -250,25 +256,27 @@ impl Serialize for FoldedDataset<'_> {
 
 /// A prepared city frozen at one log sequence number — what
 /// [`cut_prepared`] takes and [`write_snapshot`] stores. It owns or
-/// pins everything it names (the collection as packed bytes, the dataset
-/// and the overlay by `Arc`), so writing it needs no lock and no further
-/// look at the city, which may go on changing.
+/// pins everything it names (the collection as packed sections, the
+/// dataset and the overlay by `Arc`), so writing it needs no lock and no
+/// further look at the city, which may go on changing.
 pub struct SnapshotCut {
     city_key: &'static str,
     collection_name: String,
     embedder_dim: usize,
     dataset: Arc<Dataset>,
     overlay: Arc<Overlay>,
-    /// `collection.bin`, packed.
-    collection: Vec<u8>,
+    /// `collection.bin`, packed but not yet sealed: its checksum pass
+    /// belongs to the thread that writes the file.
+    collection: UnsealedSnapshot,
     last_seq: u64,
 }
 
 /// Freezes `prepared` for a snapshot: packs the collection under its
-/// read lock, pins the published overlay and the base dataset, and reads
-/// the applied-WAL watermark. The three agree only if no mutation is
-/// applied meanwhile — [`crate::durable::DurableEngine`] cuts under its
-/// log mutex, which excludes writers; queries may run throughout.
+/// read lock (no checksum — [`write_snapshot`] seals it), pins the
+/// published overlay and the base dataset, and reads the applied-WAL
+/// watermark. The three agree only if no mutation is applied meanwhile
+/// — [`crate::durable::DurableEngine`] cuts under its log mutex, which
+/// excludes writers; queries may run throughout.
 ///
 /// # Errors
 /// [`PersistError::VecDb`] if the collection is missing or fails to pack.
@@ -276,7 +284,7 @@ pub fn cut_prepared(prepared: &PreparedCity) -> Result<SnapshotCut, PersistError
     let handle = prepared.db.collection(&prepared.collection_name)?;
     let (embedder_dim, collection) = {
         let collection = handle.read();
-        (collection.config().dim, collection.to_snapshot_bytes()?)
+        (collection.config().dim, collection.pack_snapshot()?)
     };
     Ok(SnapshotCut {
         city_key: prepared.city.key,
@@ -293,12 +301,13 @@ pub fn cut_prepared(prepared: &PreparedCity) -> Result<SnapshotCut, PersistError
 /// atomically rewriting the `CURRENT` pointer. The live mutation overlay
 /// is folded into the stored dataset (see the module docs), so a
 /// subsequent [`load_prepared`] starts from the world as of the cut with
-/// empty side buffers.
+/// empty side buffers. The collection's checksum is computed here, on
+/// the writing thread.
 ///
 /// # Errors
 /// Whichever file failed to encode or write; `CURRENT` then still names
 /// the previous snapshot.
-pub fn write_snapshot(cut: &SnapshotCut, dir: &Path) -> Result<(), PersistError> {
+pub fn write_snapshot(cut: SnapshotCut, dir: &Path) -> Result<(), PersistError> {
     fs::create_dir_all(dir)?;
     let snap_name = format!("{SNAP_PREFIX}{}", next_snapshot_index(dir));
     let tmp = dir.join(format!("{snap_name}.tmp"));
@@ -323,7 +332,7 @@ pub fn write_snapshot(cut: &SnapshotCut, dir: &Path) -> Result<(), PersistError>
 
     crash_point("ckpt-mid-snapshot");
 
-    write_synced(&tmp.join(COLLECTION_FILE), &cut.collection)?;
+    write_synced(&tmp.join(COLLECTION_FILE), &cut.collection.seal())?;
 
     let mut tombstones: Vec<u32> = cut.overlay.tombstones().iter().copied().collect();
     tombstones.sort_unstable();
@@ -361,7 +370,7 @@ pub fn write_snapshot(cut: &SnapshotCut, dir: &Path) -> Result<(), PersistError>
 /// # Errors
 /// See the two halves.
 pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistError> {
-    write_snapshot(&cut_prepared(prepared)?, dir)
+    write_snapshot(cut_prepared(prepared)?, dir)
 }
 
 /// Parses one of a snapshot's small JSON files.
@@ -682,7 +691,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("semask_persist_fold");
         let _ = std::fs::remove_dir_all(&dir);
-        write_snapshot(&cut, &dir).expect("write");
+        write_snapshot(cut, &dir).expect("write");
         for (file, bytes) in &expected {
             let stored = std::fs::read(dir.join("snap-0").join(file)).unwrap();
             assert!(stored == *bytes, "{file} differs from the state at the cut");

@@ -212,13 +212,27 @@ pub struct WalStats {
 /// Appends are buffered in the kernel until [`Wal::sync`]; the durable
 /// commit point of a mutation batch is the fsync, and the caller applies
 /// the batch in memory only after it.
+///
+/// **A failure takes back everything since the last sync.** When an
+/// append or a sync fails, the file is cut back to its length at the
+/// last successful sync (or open, or rotation) and the counters with it,
+/// so no record of the failed batch — a complete one the next sync would
+/// make durable, or a torn one that would hide every record written
+/// after it — stays in the log. If that cut itself fails, the log refuses
+/// every later append until it is reopened; the file then holds what a
+/// crash at that moment would have left.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
-    next_seq: u64,
-    records: u64,
-    bytes: u64,
+    /// What [`Wal::stats`] reports.
+    stats: WalStats,
+    /// `stats` as of the last successful sync, open or rotation: what a
+    /// failure rolls back to.
+    synced: WalStats,
+    /// Set when a rollback failed: the file may hold records of a failed
+    /// batch, so nothing more may be appended behind them.
+    broken: bool,
 }
 
 impl Wal {
@@ -245,13 +259,17 @@ impl Wal {
             file.sync_all()?;
         }
         file.seek(SeekFrom::Start(consumed as u64))?;
-        let next_seq = records.last().map_or(1, |r| r.seq + 1);
+        let stats = WalStats {
+            records: records.len() as u64,
+            bytes: consumed as u64,
+            next_seq: records.last().map_or(1, |r| r.seq + 1),
+        };
         let wal = Self {
             file,
             path,
-            next_seq,
-            records: records.len() as u64,
-            bytes: consumed as u64,
+            stats,
+            synced: stats,
+            broken: false,
         };
         Ok((wal, records))
     }
@@ -260,31 +278,68 @@ impl Wal {
     /// recovery so a log a checkpoint left empty continues the
     /// snapshot's numbering instead of restarting from 1.
     pub fn ensure_next_seq(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq);
+        self.stats.next_seq = self.stats.next_seq.max(seq);
+        self.synced.next_seq = self.synced.next_seq.max(seq);
     }
 
     /// Appends one mutation record (kernel-buffered; durable only after
     /// [`Wal::sync`]) and returns its sequence number.
     ///
     /// # Errors
-    /// [`WalError`] on encode or write failure.
+    /// [`WalError`] on encode or write failure — every record appended
+    /// since the last sync is then gone from the file (type docs) — or
+    /// when an earlier rollback failed.
     pub fn append(&mut self, mutation: &Mutation) -> Result<u64, WalError> {
-        let seq = self.next_seq;
-        let bytes = encode_record(seq, mutation)?;
-        self.file.write_all(&bytes)?;
-        self.next_seq = seq + 1;
-        self.records += 1;
-        self.bytes += bytes.len() as u64;
-        Ok(seq)
+        if self.broken {
+            return Err(WalError::Io(std::io::Error::other(
+                "a failed write could not be rolled back; reopen the log",
+            )));
+        }
+        let seq = self.stats.next_seq;
+        let written = encode_record(seq, mutation).and_then(|bytes| {
+            self.file.write_all(&bytes)?;
+            Ok(bytes.len() as u64)
+        });
+        match written {
+            Ok(len) => {
+                self.stats.next_seq = seq + 1;
+                self.stats.records += 1;
+                self.stats.bytes += len;
+                Ok(seq)
+            }
+            Err(e) => Err(self.roll_back(e)),
+        }
     }
 
     /// Fsyncs everything appended so far — the durability commit point.
     ///
     /// # Errors
-    /// [`WalError::Io`] on fsync failure.
+    /// [`WalError::Io`] on fsync failure; every record appended since the
+    /// last sync is then gone from the file (type docs).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_all()?;
-        Ok(())
+        match self.file.sync_all() {
+            Ok(()) => {
+                self.synced = self.stats;
+                Ok(())
+            }
+            Err(e) => Err(self.roll_back(e.into())),
+        }
+    }
+
+    /// Cuts the file and the counters back to the last sync after
+    /// `cause`, and returns `cause`. A cut that fails leaves the log
+    /// refusing appends.
+    fn roll_back(&mut self, cause: WalError) -> WalError {
+        let bytes = self.synced.bytes;
+        let cut = self
+            .file
+            .set_len(bytes)
+            .and_then(|()| self.file.seek(SeekFrom::Start(bytes)));
+        match cut {
+            Ok(_) => self.stats = self.synced,
+            Err(_) => self.broken = true,
+        }
+        cause
     }
 
     /// Switches to a fresh, empty log: renames this file to `retired`,
@@ -316,8 +371,9 @@ impl Wal {
                 return Err(e.into());
             }
         };
-        self.records = 0;
-        self.bytes = 0;
+        self.stats.records = 0;
+        self.stats.bytes = 0;
+        self.synced = self.stats;
         // A record fsynced into the fresh file is only as durable as the
         // file's name.
         let dir = match self.path.parent() {
@@ -331,11 +387,7 @@ impl Wal {
     /// Current log statistics.
     #[must_use]
     pub fn stats(&self) -> WalStats {
-        WalStats {
-            records: self.records,
-            bytes: self.bytes,
-            next_seq: self.next_seq,
-        }
+        self.stats
     }
 
     /// The log file's path.

@@ -2,9 +2,9 @@
 
 use std::collections::BinaryHeap;
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
-use crate::codec::{self, corrupt};
+use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
 use crate::hnsw::{HnswConfig, HnswIndex};
@@ -32,7 +32,7 @@ const FULL_SCAN_THRESHOLD: f64 = 0.10;
 const QUANT_MIN_POINTS: usize = 64;
 
 /// Configuration of a collection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollectionConfig {
     /// Vector dimensionality.
     pub dim: usize,
@@ -75,6 +75,66 @@ impl CollectionConfig {
             });
         }
         self.hnsw.validate()
+    }
+
+    /// Appends the configuration to a snapshot's meta section: `dim`
+    /// (`u64`), the metric (`u8`: 0 cosine, 1 dot, 2 Euclid), `m`, `m0`,
+    /// `ef_construction` and `seed` (`u64` each), the scoring tier (`u8`:
+    /// 0 auto, 1 full, 2 quantized followed by its `rerank_factor` as
+    /// `u64`) and the text-compression flag (`u8`).
+    fn pack(&self, w: &mut Writer) {
+        w.len64(self.dim);
+        w.u8(match self.distance {
+            Distance::Cosine => 0,
+            Distance::Dot => 1,
+            Distance::Euclid => 2,
+        });
+        w.len64(self.hnsw.m);
+        w.len64(self.hnsw.m0);
+        w.len64(self.hnsw.ef_construction);
+        w.u64(self.hnsw.seed);
+        match self.scoring_tier {
+            ScoringTier::Auto => w.u8(0),
+            ScoringTier::Full => w.u8(1),
+            ScoringTier::Quantized { rerank_factor } => {
+                w.u8(2);
+                w.len64(rerank_factor);
+            }
+        }
+        w.bool(self.compress_payload_text);
+    }
+
+    /// Reads back what [`CollectionConfig::pack`] wrote. The values are
+    /// not judged here: that is [`CollectionConfig::validate`]'s job.
+    fn unpack(r: &mut Reader<'_>) -> Result<Self, VecDbError> {
+        let dim = r.len64()?;
+        let distance = match r.u8()? {
+            0 => Distance::Cosine,
+            1 => Distance::Dot,
+            2 => Distance::Euclid,
+            t => return Err(corrupt(format!("distance tag {t}"))),
+        };
+        let hnsw = HnswConfig {
+            m: r.len64()?,
+            m0: r.len64()?,
+            ef_construction: r.len64()?,
+            seed: r.u64()?,
+        };
+        let scoring_tier = match r.u8()? {
+            0 => ScoringTier::Auto,
+            1 => ScoringTier::Full,
+            2 => ScoringTier::Quantized {
+                rerank_factor: r.len64()?,
+            },
+            t => return Err(corrupt(format!("scoring tier tag {t}"))),
+        };
+        Ok(Self {
+            dim,
+            distance,
+            hnsw,
+            scoring_tier,
+            compress_payload_text: r.bool()?,
+        })
     }
 }
 
@@ -816,17 +876,39 @@ impl Collection {
     /// [`crate::VectorDb::restore_collection`] reads (layout in
     /// [`crate::db`]). Every stored float goes out as its own bits, so
     /// a restored collection scores identically; the encoding is
-    /// canonical — a collection has exactly one byte string.
+    /// canonical — a collection has exactly one byte string. This is
+    /// [`Collection::pack_snapshot`] followed by
+    /// [`UnsealedSnapshot::seal`].
     ///
     /// # Errors
-    /// [`VecDbError::Snapshot`] if the meta section fails to serialize.
+    /// See [`Collection::pack_snapshot`].
     pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, VecDbError> {
-        let meta = serde_json::to_string(&MetaRef(self)).map_err(|e| corrupt(e.to_string()))?;
+        Ok(self.pack_snapshot()?.seal())
+    }
+
+    /// Every section of the snapshot, packed, with the checksum pass
+    /// left to [`UnsealedSnapshot::seal`] — so a caller that must hold
+    /// the collection still while it packs (a checkpoint's cut) can
+    /// checksum after letting go.
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] for a payload the format cannot hold: one
+    /// nested deeper than 128 levels, or a string or container longer
+    /// than `u32::MAX`.
+    pub fn pack_snapshot(&self) -> Result<UnsealedSnapshot, VecDbError> {
         let n = self.ids.len();
-        // Vectors, norms, codes + their norms, and ~2·m0 links a node.
-        let hint = meta.len() + n * (self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0);
-        let mut w = codec::Writer::with_capacity(hint);
-        w.bytes(meta.as_bytes());
+        // Meta (~150 B a point for SemaSK's payloads), vectors, norms,
+        // codes + their norms, and ~2·m0 links a node.
+        let hint = n * (256 + self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0);
+        let mut w = Writer::with_capacity(hint);
+        self.config.pack(&mut w);
+        w.len64(n);
+        w.u64s(&self.ids);
+        w.bools(&self.deleted);
+        w.len64(self.live);
+        w.len64(self.quant_trained_at);
+        self.by_id.pack(&mut w);
+        self.payloads.pack(&mut w)?;
         w.end_section();
         w.f32s(&self.vectors);
         w.end_section();
@@ -847,33 +929,32 @@ impl Collection {
     /// is checked against the bytes that remain before anything is
     /// allocated for it, and the parts must then agree with each other —
     /// one point count across ids, vectors, norms, payloads, delete
-    /// flags, graph nodes and codes, the configured dimension
-    /// throughout, every live id resolving to its own offset, and every
-    /// graph link inside the graph. A file that fails any of this is an
-    /// error here rather than a panic in some later query.
+    /// flags, graph nodes and codes, the configured dimension and text
+    /// tier throughout, every live id resolving to its own offset, each
+    /// payload's position agreeing with the geo column, and every graph
+    /// link inside the graph. A file that fails any of this is an error
+    /// here rather than a panic in some later query.
     ///
     /// # Errors
-    /// [`VecDbError::Snapshot`] naming the first check that failed
+    /// [`VecDbError::Snapshot`] naming the first check that failed — a
+    /// file of another format version among them, named by its version
     /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity,
     /// [`VecDbError::InvalidConfig`] for a configuration
     /// [`CollectionConfig::validate`] refuses — dimension 0, or graph
     /// parameters the next insert would panic on).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
         let [mut meta, mut rows, mut norms, quant, hnsw] = codec::open(bytes)?;
-        let meta = std::str::from_utf8(meta.take_rest())
-            .map_err(|e| corrupt(format!("meta section: {e}")))?;
-        let Meta {
-            config,
-            ids,
-            by_id,
-            deleted,
-            live,
-            payloads,
-            quant_trained_at,
-        } = serde_json::from_str(meta).map_err(|e| corrupt(format!("meta section: {e}")))?;
+        let config = CollectionConfig::unpack(&mut meta)?;
         config.validate()?;
+        let n = meta.len64()?;
+        let ids = meta.u64s(n)?;
+        let deleted = meta.bools(n)?;
+        let live = meta.len64()?;
+        let quant_trained_at = meta.len64()?;
+        let by_id = LearnedIdIndex::unpack(&mut meta)?;
+        let payloads = PayloadStore::unpack(&mut meta)?;
+        meta.finish()?;
 
-        let n = ids.len();
         let dim = config.dim;
         if n.checked_mul(dim).and_then(|x| x.checked_mul(4)) != Some(rows.remaining()) {
             return Err(corrupt(format!(
@@ -896,7 +977,6 @@ impl Collection {
         let hnsw = HnswIndex::unpack(hnsw, config.distance, config.hnsw.clone())?;
 
         let counts = [
-            ("delete flags", deleted.len()),
             ("payloads", payloads.len()),
             ("graph nodes", hnsw.len()),
             (
@@ -910,10 +990,13 @@ impl Collection {
         if quant.as_ref().is_some_and(|q| q.dim() != dim) {
             return Err(corrupt("quantized vectors of another dimension"));
         }
-        if !payloads.is_consistent() || !by_id.is_well_formed() {
+        if payloads.is_compressed() != config.compress_payload_text {
             return Err(corrupt(
-                "payload store or id index is internally inconsistent",
+                "payload store of another text tier than configured",
             ));
+        }
+        if !by_id.is_well_formed() {
+            return Err(corrupt("id index is internally inconsistent"));
         }
         let resolves = |o: usize| deleted[o] || by_id.get(ids[o]) == Some(o);
         if live != deleted.iter().filter(|&&d| !d).count()
@@ -948,41 +1031,6 @@ impl Collection {
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
             .map(|(o, &id)| (id, self.rows().row(o), self.payloads.get(o)))
-    }
-}
-
-/// The schema-bearing part of a snapshot — everything but the bulk
-/// arrays — as it is read back from the meta section.
-#[derive(Deserialize)]
-struct Meta {
-    config: CollectionConfig,
-    ids: Vec<PointId>,
-    by_id: LearnedIdIndex,
-    deleted: Vec<bool>,
-    live: usize,
-    payloads: PayloadStore,
-    quant_trained_at: usize,
-}
-
-/// The writing side of [`Meta`]: the same fields under the same names,
-/// borrowed from the collection (the derive cannot borrow).
-struct MetaRef<'a>(&'a Collection);
-
-impl Serialize for MetaRef<'_> {
-    fn to_content(&self) -> Content {
-        let c = self.0;
-        Content::Map(vec![
-            ("config".to_owned(), c.config.to_content()),
-            ("ids".to_owned(), c.ids.to_content()),
-            ("by_id".to_owned(), c.by_id.to_content()),
-            ("deleted".to_owned(), c.deleted.to_content()),
-            ("live".to_owned(), c.live.to_content()),
-            ("payloads".to_owned(), c.payloads.to_content()),
-            (
-                "quant_trained_at".to_owned(),
-                c.quant_trained_at.to_content(),
-            ),
-        ])
     }
 }
 

@@ -7,9 +7,24 @@
 //! bits (`f32::to_le_bytes`), nothing is recomputed on load.
 //!
 //! ```text
-//! "VECDBSNP"  version: u32 = 1  crc32: u32   # CRC-32 of every byte after it
+//! "VECDBSNP"  version: u32 = 2  crc32: u32   # CRC-32 of every byte after it
 //! section count: u32 = 5, then one u64 byte length per section
-//! 0 meta      JSON: config, ids, by_id, deleted, live, payloads, quant_trained_at
+//! 0 meta      config    dim u64, metric u8 (0 cosine, 1 dot, 2 Euclid), m u64,
+//!                       m0 u64, ef_construction u64, seed u64, tier u8 (0 auto,
+//!                       1 full, 2 quantized + rerank_factor u64), compress u8
+//!             points    n u64, n × u64 ids, n × u8 delete flags, live u64,
+//!                       quant_trained_at u64
+//!             id index  base: count u64, keys × u64, offsets × u32; segments:
+//!                       count u64, each first_key u64 first_pos u64 slope f64;
+//!                       overlay: count u64, keys × u64 ascending, offsets × u32;
+//!                       tombstones: count u64, keys × u64 ascending
+//!             payloads  count u64, count × (lat f64, lon f64) geo column, one
+//!                       skeleton object each (tagged values, below), text flag
+//!                       u8; if set: pending u64, per payload a slot count u32
+//!                       and per slot key + (0 + raw string | 1 + index u32),
+//!                       arena flag u8; if set: symbol count u32, each len u8 +
+//!                       bytes, codes (len u64 + bytes), offsets (count u64 +
+//!                       count × u64), uncompressed bytes u64
 //! 1 vectors   len × dim f32, row-major
 //! 2 inv_norms len f32
 //! 3 quant     empty when the tier is off, else dim u64, len u64, min f32,
@@ -18,12 +33,24 @@
 //!             node: level u32 and, per layer 0..=level, count u32 + count × u32
 //! ```
 //!
+//! A payload value is a tag byte and its contents: 0 null, 1 false,
+//! 2 true, 3 i64, 4 u64, 5 f64 (8 bytes each: the integer or the float's
+//! bits), 6 string (u32 byte length + UTF-8), 7 array (u32 count +
+//! values), 8 object (u32 count + key string and value each, keys
+//! strictly ascending); a skeleton is an object's entries without the
+//! tag. Numbers keep the kind they were stored as, `-0.0` its sign, and
+//! nesting stops at 128 levels on both sides. Strings are `u32`
+//! length-prefixed UTF-8 throughout.
+//!
 //! Sections tile the file exactly and the encoding is canonical: a
 //! collection has one byte string, and re-packing a restored collection
 //! reproduces the file. There is one version. A layout change bumps it
 //! and readers reject every version but their own — no migration, no
-//! fallback reader. A file that fails the checksum, or whose parts
-//! disagree, is a [`VecDbError::Snapshot`], never a loaded collection.
+//! fallback reader: version 2 packed the meta section, which version 1
+//! wrote as JSON, and left sections 1–4 byte for byte as they were; a
+//! version-1 file is refused with an error that names its version. A
+//! file that fails the checksum, or whose parts disagree, is a
+//! [`VecDbError::Snapshot`], never a loaded collection.
 
 use std::collections::HashMap;
 use std::path::Path;

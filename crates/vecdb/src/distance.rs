@@ -33,8 +33,6 @@
 //! squares). [`Distance::score_batch`] scores one stored vector against
 //! M query vectors while it is hot in L1.
 
-use serde::{Deserialize, Serialize};
-
 /// Lane count of the kernel for `f32 × f32` operands. One L1-hot 256-d
 /// comparison (best of 30 rounds, 2-core x86-64 host with AVX2), baseline
 /// / AVX2 build: one chain ~150 / 150 ns, 4 lanes ~48 / 50, 8 lanes
@@ -242,7 +240,7 @@ pub fn inv_norm(v: &[f32]) -> f32 {
 }
 
 /// Supported vector distance metrics (Qdrant's set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Distance {
     /// Cosine distance `1 - cos(a, b)`. The paper's setting (OpenAI
     /// embeddings are compared by cosine).

@@ -15,8 +15,15 @@
 //! symbols and merges of adjacent pairs, keep the 255 candidates with
 //! the highest gain (`frequency × length`), repeat. A handful of
 //! rounds converges for natural-language tips.
+//!
+//! In a snapshot an arena is its symbols, its code bytes and its string
+//! offsets (`CompressedStrings::pack`); the per-byte lookup buckets are
+//! rebuilt from the symbols on load, and every stored string is checked
+//! to decode — each escape complete, each code a symbol, the result
+//! UTF-8 — before the arena is handed out.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{corrupt, Reader, Writer};
+use crate::error::VecDbError;
 
 /// Escape code: the next output byte is a literal. Symbol codes are
 /// `0..=254`, so a table holds at most 255 symbols.
@@ -29,11 +36,7 @@ const MAX_SYMBOL_LEN: usize = 8;
 const TRAIN_ROUNDS: usize = 5;
 
 /// A trained symbol table.
-///
-/// `by_first` is derived from `symbols` but serialized anyway: it is
-/// tiny (one list per leading byte) and keeping it materialized means
-/// a deserialized table compresses immediately with no rebuild hook.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SymbolTable {
     /// Symbol bytes, indexed by code.
     symbols: Vec<Vec<u8>>,
@@ -90,17 +93,20 @@ impl SymbolTable {
         let mut candidates: Vec<(Vec<u8>, u64)> = gain.into_iter().collect();
         candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         candidates.truncate(255);
-        let mut next = Self {
-            symbols: candidates.into_iter().map(|(s, _)| s).collect(),
-            by_first: vec![Vec::new(); 256],
-        };
-        for (code, sym) in next.symbols.iter().enumerate() {
-            next.by_first[sym[0] as usize].push(code as u8);
+        Self::from_symbols(candidates.into_iter().map(|(s, _)| s).collect())
+    }
+
+    /// The table over `symbols` (each 1..=[`MAX_SYMBOL_LEN`] bytes, at
+    /// most 255), with its lookup buckets derived.
+    fn from_symbols(symbols: Vec<Vec<u8>>) -> Self {
+        let mut by_first = vec![Vec::new(); 256];
+        for (code, sym) in symbols.iter().enumerate() {
+            by_first[sym[0] as usize].push(code as u8);
         }
-        for bucket in &mut next.by_first {
-            bucket.sort_by_key(|&c| std::cmp::Reverse(next.symbols[c as usize].len()));
+        for bucket in &mut by_first {
+            bucket.sort_by_key(|&c| std::cmp::Reverse(symbols[c as usize].len()));
         }
-        next
+        Self { symbols, by_first }
     }
 
     /// Code of the longest symbol prefixing `tail`, if any.
@@ -146,21 +152,42 @@ impl SymbolTable {
     }
 
     /// Exact inverse of [`SymbolTable::compress`].
+    ///
+    /// # Panics
+    /// On codes no compression by this table produced (a dangling escape
+    /// or an unknown symbol) — a loaded arena has been checked for both.
     #[must_use]
     pub fn decompress(&self, codes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(codes.len() * 3);
+        assert!(
+            self.decompress_into(codes, &mut out),
+            "codes this table did not produce"
+        );
+        out
+    }
+
+    /// Appends the decompression of `codes` to `out`; `false` (with
+    /// `out` partly written) when the codes end inside an escape or name
+    /// a symbol the table does not have.
+    fn decompress_into(&self, codes: &[u8], out: &mut Vec<u8>) -> bool {
         let mut pos = 0;
         while pos < codes.len() {
             let c = codes[pos];
             if c == ESCAPE {
-                out.push(codes[pos + 1]);
+                let Some(&literal) = codes.get(pos + 1) else {
+                    return false;
+                };
+                out.push(literal);
                 pos += 2;
             } else {
-                out.extend_from_slice(&self.symbols[c as usize]);
+                let Some(symbol) = self.symbols.get(c as usize) else {
+                    return false;
+                };
+                out.extend_from_slice(symbol);
                 pos += 1;
             }
         }
-        out
+        true
     }
 
     /// Heap bytes of the table itself.
@@ -173,7 +200,7 @@ impl SymbolTable {
 
 /// An append-only arena of independently compressed strings with O(1)
 /// random access: `get(i)` decompresses string `i` and nothing else.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompressedStrings {
     table: SymbolTable,
     data: Vec<u8>,
@@ -217,8 +244,7 @@ impl CompressedStrings {
     /// Number of stored strings.
     #[must_use]
     pub fn len(&self) -> usize {
-        // Saturating: a deserialized arena may lack the leading offset.
-        self.offsets.len().saturating_sub(1)
+        self.offsets.len() - 1
     }
 
     /// Whether the arena holds no strings.
@@ -237,6 +263,77 @@ impl CompressedStrings {
     #[must_use]
     pub fn raw_bytes(&self) -> usize {
         self.raw_bytes as usize
+    }
+
+    /// Appends the arena to a snapshot section: the symbol count (`u32`)
+    /// and each symbol as a length byte and its bytes; the code bytes
+    /// (`u64` length + bytes); the `len + 1` string offsets (`u64` count
+    /// + one `u64` block); the uncompressed byte total (`u64`).
+    pub(crate) fn pack(&self, w: &mut Writer) {
+        w.u32(self.table.symbols.len() as u32);
+        for symbol in &self.table.symbols {
+            w.u8(symbol.len() as u8);
+            w.bytes(symbol);
+        }
+        w.len64(self.data.len());
+        w.bytes(&self.data);
+        w.len64(self.offsets.len());
+        w.u64s(&self.offsets);
+        w.u64(self.raw_bytes);
+    }
+
+    /// Reads back what [`CompressedStrings::pack`] wrote and checks that
+    /// every string can be read: at most 255 symbols of 1..=8 bytes,
+    /// offsets from 0 to the code length in order, and each string's
+    /// codes decoding — no dangling escape, no unknown symbol — to UTF-8
+    /// that adds up to the stored uncompressed total.
+    pub(crate) fn unpack(r: &mut Reader<'_>) -> Result<Self, VecDbError> {
+        let count = r.u32()? as usize;
+        if count > usize::from(ESCAPE) {
+            return Err(corrupt(format!("{count} FSST symbols")));
+        }
+        let symbols = (0..count)
+            .map(|_| {
+                let len = usize::from(r.u8()?);
+                if !(1..=MAX_SYMBOL_LEN).contains(&len) {
+                    return Err(corrupt(format!("an FSST symbol of {len} bytes")));
+                }
+                Ok(r.take(len)?.to_vec())
+            })
+            .collect::<Result<Vec<_>, VecDbError>>()?;
+        let table = SymbolTable::from_symbols(symbols);
+        let data_len = r.len64()?;
+        let data = r.take(data_len)?.to_vec();
+        let count = r.len64()?;
+        let offsets = r.u64s(count)?;
+        let raw_bytes = r.u64()?;
+        let ordered = offsets.first() == Some(&0)
+            && offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.last() == Some(&(data.len() as u64));
+        if !ordered {
+            return Err(corrupt("FSST offsets do not tile the code bytes"));
+        }
+        let mut text = Vec::new();
+        let mut total = 0u64;
+        for w in offsets.windows(2) {
+            text.clear();
+            let codes = &data[w[0] as usize..w[1] as usize];
+            if !table.decompress_into(codes, &mut text) || std::str::from_utf8(&text).is_err() {
+                return Err(corrupt("an FSST string that does not decode to UTF-8"));
+            }
+            total += text.len() as u64;
+        }
+        if total != raw_bytes {
+            return Err(corrupt(format!(
+                "FSST strings of {total} bytes, {raw_bytes} recorded"
+            )));
+        }
+        Ok(Self {
+            table,
+            data,
+            offsets,
+            raw_bytes,
+        })
     }
 }
 
@@ -314,13 +411,68 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_compresses_identically() {
+    fn packed_arena_reads_back_and_compresses_identically() {
         let c = corpus();
-        let t = SymbolTable::train(&as_bytes(&c));
-        let json = serde_json::to_string(&t).unwrap();
-        let back: SymbolTable = serde_json::from_str(&json).unwrap();
-        for s in c.iter().take(10) {
-            assert_eq!(back.compress(s.as_bytes()), t.compress(s.as_bytes()));
+        let mut arena = CompressedStrings::new(SymbolTable::train(&as_bytes(&c)));
+        for s in &c {
+            arena.push(s);
         }
+        arena.push("");
+        let mut w = Writer::with_capacity(0);
+        arena.pack(&mut w);
+        let body = w.into_body();
+        let mut r = Reader::over(&body);
+        let back = CompressedStrings::unpack(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.len(), arena.len());
+        assert_eq!(back.raw_bytes(), arena.raw_bytes());
+        assert_eq!(back.memory_bytes(), arena.memory_bytes());
+        for (i, s) in c.iter().enumerate() {
+            assert_eq!(back.get(i as u32), *s);
+            assert_eq!(
+                back.table.compress(s.as_bytes()),
+                arena.table.compress(s.as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn damaged_arenas_are_refused() {
+        let c = corpus();
+        let mut arena = CompressedStrings::new(SymbolTable::train(&as_bytes(&c)));
+        for s in c.iter().take(5) {
+            arena.push(s);
+        }
+        let good = {
+            let mut w = Writer::with_capacity(0);
+            arena.pack(&mut w);
+            w.into_body()
+        };
+        let load = |bytes: &[u8]| {
+            let mut r = Reader::over(bytes);
+            CompressedStrings::unpack(&mut r).and_then(|a| r.finish().map(|()| a))
+        };
+        assert!(load(&good).is_ok());
+        // Every truncation and every flipped bit either fails or loads an
+        // arena whose every string reads back without a panic.
+        for cut in 0..good.len() {
+            assert!(load(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        for bit in 0..good.len() * 8 {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(a) = load(&bad) {
+                for i in 0..a.len() {
+                    let _ = a.get(i as u32);
+                }
+            }
+        }
+        // A string ending inside an escape.
+        let mut bad = CompressedStrings::new(arena.table.clone());
+        bad.data.push(ESCAPE);
+        bad.offsets.push(1);
+        let mut w = Writer::with_capacity(0);
+        bad.pack(&mut w);
+        assert!(load(&w.into_body()).is_err());
     }
 }

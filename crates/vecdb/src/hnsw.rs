@@ -56,8 +56,6 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
@@ -85,7 +83,7 @@ mod concepts_free_hash {
 }
 
 /// HNSW build/search parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswConfig {
     /// Max links per node on layers ≥ 1.
     pub m: usize,
@@ -907,7 +905,7 @@ mod tests {
         }
         idx.pack(&mut w);
         w.end_section();
-        w.finish()
+        w.finish().seal()
     }
 
     /// The graph over `vectors` as shipped (`restart == false`), or as

@@ -23,10 +23,10 @@
 //! search over the base keys, so answers never depend on the learned
 //! model being right — it is an accelerator, not an oracle.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
+use crate::codec::{corrupt, Reader, Writer};
+use crate::error::VecDbError;
 use crate::PointId;
 
 /// Maximum slots the linear prediction may be off by. 64 keeps the
@@ -41,7 +41,7 @@ const MIN_REBUILD: usize = 1024;
 
 /// One ε-bounded linear segment: predicts positions for keys in
 /// `[first_key, next segment's first_key)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Segment {
     first_key: u64,
     first_pos: u64,
@@ -51,7 +51,7 @@ struct Segment {
 /// Learned id → offset index with exact-search fallback. Drop-in for
 /// the collection's former `HashMap<PointId, usize>`: same observable
 /// answers for `get` / `insert` / `remove` / `contains_key`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearnedIdIndex {
     /// Base keys, sorted ascending, deduplicated.
     keys: Vec<u64>,
@@ -61,9 +61,8 @@ pub struct LearnedIdIndex {
     segments: Vec<Segment>,
     /// Out-of-order inserts since the last rebuild.
     overlay: HashMap<PointId, u32>,
-    /// Base keys deleted since the last rebuild (value unused; a map
-    /// because the vendored serde lacks a `HashSet` impl).
-    tombstones: HashMap<PointId, u8>,
+    /// Base keys deleted since the last rebuild.
+    tombstones: HashSet<PointId>,
 }
 
 impl Default for LearnedIdIndex {
@@ -81,7 +80,7 @@ impl LearnedIdIndex {
             vals: Vec::new(),
             segments: Vec::new(),
             overlay: HashMap::new(),
-            tombstones: HashMap::new(),
+            tombstones: HashSet::new(),
         }
     }
 
@@ -95,6 +94,73 @@ impl LearnedIdIndex {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Appends the index to a snapshot section, every count a `u64`:
+    /// the base (`n`, `n` keys as one `u64` block, `n` offsets as one
+    /// `u32` block), the segments (count, then `first_key` `u64`,
+    /// `first_pos` `u64` and `slope` as `f64` bits each), the overlay
+    /// (count, keys ascending as a `u64` block, their offsets as a `u32`
+    /// block) and the tombstones (count, keys ascending as a `u64`
+    /// block). The hash maps are written in key order, so an index has
+    /// one encoding.
+    pub(crate) fn pack(&self, w: &mut Writer) {
+        w.len64(self.keys.len());
+        w.u64s(&self.keys);
+        w.u32s(&self.vals);
+        w.len64(self.segments.len());
+        for seg in &self.segments {
+            w.u64(seg.first_key);
+            w.u64(seg.first_pos);
+            w.f64(seg.slope);
+        }
+        let mut overlay: Vec<(u64, u32)> = self.overlay.iter().map(|(&k, &v)| (k, v)).collect();
+        overlay.sort_unstable();
+        let (keys, vals): (Vec<u64>, Vec<u32>) = overlay.into_iter().unzip();
+        w.len64(keys.len());
+        w.u64s(&keys);
+        w.u32s(&vals);
+        let mut tombstones: Vec<u64> = self.tombstones.iter().copied().collect();
+        tombstones.sort_unstable();
+        w.len64(tombstones.len());
+        w.u64s(&tombstones);
+    }
+
+    /// Reads back what [`LearnedIdIndex::pack`] wrote. Overlay and
+    /// tombstone keys must be strictly ascending (the one order `pack`
+    /// writes); the rest of the structure is
+    /// [`LearnedIdIndex::is_well_formed`]'s to judge.
+    pub(crate) fn unpack(r: &mut Reader<'_>) -> Result<Self, VecDbError> {
+        let ascending = |keys: &[u64]| keys.windows(2).all(|w| w[0] < w[1]);
+        let n = r.len64()?;
+        let keys = r.u64s(n)?;
+        let vals = r.u32s(n)?;
+        let count = r.len64()?;
+        let count = r.count(count, 24)?;
+        let segments = (0..count)
+            .map(|_| {
+                Ok(Segment {
+                    first_key: r.u64()?,
+                    first_pos: r.u64()?,
+                    slope: r.f64()?,
+                })
+            })
+            .collect::<Result<Vec<_>, VecDbError>>()?;
+        let count = r.len64()?;
+        let overlay_keys = r.u64s(count)?;
+        let overlay_vals = r.u32s(count)?;
+        let count = r.len64()?;
+        let tombstones = r.u64s(count)?;
+        if !ascending(&overlay_keys) || !ascending(&tombstones) {
+            return Err(corrupt("id index overlay or tombstones out of order"));
+        }
+        Ok(Self {
+            keys,
+            vals,
+            segments,
+            overlay: overlay_keys.into_iter().zip(overlay_vals).collect(),
+            tombstones: tombstones.into_iter().collect(),
+        })
     }
 
     /// Whether a deserialized index can be searched and counted without
@@ -111,7 +177,7 @@ impl LearnedIdIndex {
                 .all(|w| w[0].first_key <= w[1].first_key)
             && self
                 .tombstones
-                .keys()
+                .iter()
                 .all(|k| self.keys.binary_search(k).is_ok())
     }
 
@@ -122,7 +188,7 @@ impl LearnedIdIndex {
         if let Some(&v) = self.overlay.get(&key) {
             return Some(v as usize);
         }
-        if self.tombstones.contains_key(&key) {
+        if self.tombstones.contains(&key) {
             return None;
         }
         self.base_get(key).map(|i| self.vals[i] as usize)
@@ -151,7 +217,7 @@ impl LearnedIdIndex {
             Some(_) => {
                 // Shadow the stale base value.
                 self.overlay.insert(key, offset);
-                self.tombstones.insert(key, 0);
+                self.tombstones.insert(key);
             }
             None => {
                 self.overlay.insert(key, offset);
@@ -167,15 +233,15 @@ impl LearnedIdIndex {
             // The key may *also* exist in the base (overlay shadowed
             // it); tombstone the base copy so it doesn't resurrect.
             if self.base_get(key).is_some() {
-                self.tombstones.insert(key, 0);
+                self.tombstones.insert(key);
             }
             return Some(v as usize);
         }
-        if self.tombstones.contains_key(&key) {
+        if self.tombstones.contains(&key) {
             return None;
         }
         if let Some(i) = self.base_get(key) {
-            self.tombstones.insert(key, 0);
+            self.tombstones.insert(key);
             return Some(self.vals[i] as usize);
         }
         None
@@ -239,7 +305,7 @@ impl LearnedIdIndex {
     fn rebuild(&mut self) {
         let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(self.len());
         for (i, &k) in self.keys.iter().enumerate() {
-            if !self.tombstones.contains_key(&k) && !self.overlay.contains_key(&k) {
+            if !self.tombstones.contains(&k) && !self.overlay.contains_key(&k) {
                 pairs.push((k, self.vals[i]));
             }
         }
@@ -393,18 +459,33 @@ mod tests {
     }
 
     #[test]
-    fn survives_serde_round_trip() {
+    fn packed_index_reads_back_and_repacks_to_the_same_bytes() {
         let mut idx = LearnedIdIndex::new();
         for i in 0..2_500u64 {
             idx.insert(i * 5, i as usize);
         }
+        // A rebuilt base, then an overlay (one key shadowing a base
+        // entry) and tombstones on top of it.
         idx.remove(10);
-        let json = serde_json::to_string(&idx).unwrap();
-        let back: LearnedIdIndex = serde_json::from_str(&json).unwrap();
+        idx.insert(25, 9_999);
+        idx.insert(1_000_000, 7);
+        let pack = |idx: &LearnedIdIndex| {
+            let mut w = Writer::with_capacity(0);
+            idx.pack(&mut w);
+            w.into_body()
+        };
+        let bytes = pack(&idx);
+        let mut r = Reader::over(&bytes);
+        let back = LearnedIdIndex::unpack(&mut r).unwrap();
+        r.finish().unwrap();
+        assert!(back.is_well_formed());
         assert_eq!(back.len(), idx.len());
         for i in 0..2_500u64 {
             assert_eq!(back.get(i * 5), idx.get(i * 5));
         }
+        assert_eq!(back.get(1_000_000), Some(7));
+        assert_eq!(back.memory_bytes(), idx.memory_bytes());
+        assert_eq!(pack(&back), bytes, "hash-map order leaked into the bytes");
     }
 
     #[test]

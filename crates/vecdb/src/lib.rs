@@ -36,7 +36,7 @@ pub mod quant;
 pub mod rows;
 pub mod sharded;
 
-pub use codec::crc32;
+pub use codec::{crc32, UnsealedSnapshot};
 pub use collection::{
     default_ef, Collection, CollectionConfig, CollectionStats, ExecutedStrategy, MemoryFootprint,
     PlannedSearch, ScoredPoint, SearchParams, SearchStrategy, AUTO_QUANT_THRESHOLD,

@@ -14,9 +14,11 @@
 
 use std::borrow::Cow;
 
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
+use crate::codec::{corrupt, Reader, Writer};
+use crate::error::VecDbError;
 use crate::fsst::{CompressedStrings, SymbolTable};
 
 /// A JSON-object payload attached to a point.
@@ -133,7 +135,7 @@ const TRAIN_SAMPLE: usize = 1024;
 
 /// A long text field split out of a payload: either still raw (table
 /// not yet trained) or an index into the FSST arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TextRef {
     /// Uncompressed, awaiting table training.
     Raw(String),
@@ -142,14 +144,14 @@ enum TextRef {
 }
 
 /// One extracted text field of one payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TextSlot {
     key: String,
     text: TextRef,
 }
 
 /// The compressed-text side table of a [`PayloadStore`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TextTier {
     /// Extracted fields per payload offset (parallel to the skeletons).
     slots: Vec<Vec<TextSlot>>,
@@ -181,9 +183,12 @@ struct TextTier {
 /// (refinement) or a filter names a compressed field (none of the hot
 /// geo / range / keyword filters do).
 ///
-/// **Serialized** (the snapshot's meta section), a store is its
-/// payloads with every moved position merged back, and the reader moves
-/// them out again: the column is a resident layout, not a format.
+/// **Packed** (the snapshot's meta section, `PayloadStore::pack`), a
+/// store is its parts as they are: the column as `f64` bits, the
+/// skeletons in the binary `Value` encoding, the text tier's slots and
+/// arena. The reader accepts only parts `push` could have produced
+/// together, so a restored store answers every filter and gives back
+/// every payload as the stored one did.
 #[derive(Debug, Clone)]
 pub struct PayloadStore {
     skeletons: Vec<Payload>,
@@ -233,18 +238,150 @@ impl PayloadStore {
         self.skeletons.is_empty()
     }
 
-    /// Whether a deserialized store can be read without indexing past
-    /// anything: text slots parallel the skeletons and every packed
-    /// reference names a string the arena holds.
-    pub(crate) fn is_consistent(&self) -> bool {
-        self.text.as_ref().is_none_or(|tier| {
-            let arena = tier.packed.as_ref().map_or(0, CompressedStrings::len);
-            tier.slots.len() == self.skeletons.len()
-                && tier.slots.iter().flatten().all(|slot| match slot.text {
-                    TextRef::Raw(_) => true,
-                    TextRef::Packed(i) => (i as usize) < arena,
-                })
-        })
+    /// Appends the store to a snapshot section: the payload count
+    /// (`u64`); the geo column as one block of `(lat, lon)` `f64` pairs;
+    /// each skeleton as a binary `Value` object (entries only, no tag);
+    /// then a text-tier flag byte and, when set, the count of raw
+    /// strings awaiting training (`u64`), per payload its slot count
+    /// (`u32`) and per slot its key and either `0` + the raw string or
+    /// `1` + the arena index (`u32`), and an arena flag byte followed,
+    /// once trained, by the arena ([`CompressedStrings::pack`]).
+    ///
+    /// # Errors
+    /// A payload nested deeper than the codec allows, or a string or
+    /// container too long for its `u32` length.
+    pub(crate) fn pack(&self, w: &mut Writer) -> Result<(), VecDbError> {
+        w.len64(self.len());
+        w.f64s(self.geo.as_flattened());
+        for skeleton in &self.skeletons {
+            w.object(&skeleton.0)?;
+        }
+        w.bool(self.text.is_some());
+        let Some(tier) = &self.text else {
+            return Ok(());
+        };
+        w.len64(tier.pending);
+        for slots in &tier.slots {
+            w.u32(u32::try_from(slots.len()).map_err(|_| corrupt("text slots"))?);
+            for slot in slots {
+                w.str(&slot.key)?;
+                match &slot.text {
+                    TextRef::Raw(text) => {
+                        w.u8(0);
+                        w.str(text)?;
+                    }
+                    TextRef::Packed(i) => {
+                        w.u8(1);
+                        w.u32(*i);
+                    }
+                }
+            }
+        }
+        w.bool(tier.packed.is_some());
+        if let Some(arena) = &tier.packed {
+            arena.pack(w);
+        }
+        Ok(())
+    }
+
+    /// Reads back what [`PayloadStore::pack`] wrote and checks that the
+    /// parts agree the way `push` leaves them: each column entry is the
+    /// position its skeleton holds, or — when the skeleton has neither
+    /// `lat` nor `lon` — a moved pair of finite floats; a payload's text
+    /// slots have ascending keys its skeleton lacks; every packed slot
+    /// names a string the arena holds; and once the arena is trained
+    /// nothing is left raw.
+    pub(crate) fn unpack(r: &mut Reader<'_>) -> Result<Self, VecDbError> {
+        let n = r.len64()?;
+        let flat = r.f64s(n.checked_mul(2).ok_or_else(|| corrupt("payload count"))?)?;
+        let geo: Vec<[f64; 2]> = flat.chunks_exact(2).map(|p| [p[0], p[1]]).collect();
+        // Every skeleton takes at least its entry count.
+        r.count(n, 4)?;
+        let mut skeletons = Vec::with_capacity(n);
+        for _ in 0..n {
+            skeletons.push(Payload(r.object()?));
+        }
+        let text = if r.bool()? {
+            let pending = r.len64()?;
+            let mut slots = Vec::with_capacity(n);
+            for _ in 0..n {
+                let count = r.u32()? as usize;
+                // A key length, a kind byte and four bytes of either kind.
+                let count = r.count(count, 9)?;
+                let mut row = Vec::new();
+                for _ in 0..count {
+                    let key = r.str()?.to_owned();
+                    let text = match r.u8()? {
+                        0 => TextRef::Raw(r.str()?.to_owned()),
+                        1 => TextRef::Packed(r.u32()?),
+                        k => return Err(corrupt(format!("text slot kind {k}"))),
+                    };
+                    row.push(TextSlot { key, text });
+                }
+                slots.push(row);
+            }
+            let packed = if r.bool()? {
+                Some(CompressedStrings::unpack(r)?)
+            } else {
+                None
+            };
+            Some(TextTier {
+                slots,
+                pending,
+                packed,
+            })
+        } else {
+            None
+        };
+        let store = Self {
+            skeletons,
+            geo,
+            text,
+        };
+        store.check()?;
+        Ok(store)
+    }
+
+    /// The agreement [`PayloadStore::unpack`] requires of its parts.
+    fn check(&self) -> Result<(), VecDbError> {
+        for (o, (skeleton, &stored)) in self.skeletons.iter().zip(&self.geo).enumerate() {
+            let m = &skeleton.0;
+            let moved = !m.contains_key(LAT)
+                && !m.contains_key(LON)
+                && stored.iter().all(|x| x.is_finite());
+            let agrees = moved || {
+                let (position, movable) = position_of(skeleton);
+                !movable && position.map(f64::to_bits) == stored.map(f64::to_bits)
+            };
+            if !agrees {
+                return Err(corrupt(format!(
+                    "payload {o}: the geo column disagrees with the payload"
+                )));
+            }
+            let Some(tier) = &self.text else { continue };
+            let slots = &tier.slots[o];
+            let keys_fit = slots.windows(2).all(|w| w[0].key < w[1].key)
+                && slots.iter().all(|slot| {
+                    !m.contains_key(&slot.key) && !(moved && (slot.key == LAT || slot.key == LON))
+                });
+            if !keys_fit {
+                return Err(corrupt(format!(
+                    "payload {o}: a text slot's key repeats a field"
+                )));
+            }
+        }
+        let Some(tier) = &self.text else {
+            return Ok(());
+        };
+        let arena = tier.packed.as_ref().map_or(0, CompressedStrings::len);
+        let slots_resolve = tier.slots.iter().flatten().all(|slot| match slot.text {
+            TextRef::Raw(_) => tier.packed.is_none(),
+            TextRef::Packed(i) => (i as usize) < arena,
+        });
+        if !slots_resolve || (tier.packed.is_some() && tier.pending != 0) {
+            return Err(corrupt("text slots and the FSST arena disagree"));
+        }
+        Ok(())
     }
 
     /// Appends a payload.
@@ -466,71 +603,25 @@ fn in_box([lat, lon]: [f64; 2], filter: &Filter) -> bool {
 
 /// The geo-column entry for `payload` — its `lat` / `lon` as
 /// [`Payload::get_f64`] reads them, a NaN pair when either is missing
-/// or not a number — taking the two fields out of the payload when both
-/// are finite floats, the one shape the column gives back bit for bit.
-fn take_position(payload: &mut Payload) -> [f64; 2] {
+/// or not a number — and whether both are finite floats, the one shape
+/// the column gives back bit for bit.
+fn position_of(payload: &Payload) -> ([f64; 2], bool) {
     let (Some(lat), Some(lon)) = (payload.get_f64(LAT), payload.get_f64(LON)) else {
-        return [f64::NAN; 2];
+        return ([f64::NAN; 2], false);
     };
     let finite_float = |key, x: f64| x.is_finite() && payload.get(key).is_some_and(Value::is_f64);
-    if finite_float(LAT, lat) && finite_float(LON, lon) {
+    ([lat, lon], finite_float(LAT, lat) && finite_float(LON, lon))
+}
+
+/// [`position_of`], taking the two fields out of the payload when they
+/// are movable.
+fn take_position(payload: &mut Payload) -> [f64; 2] {
+    let (position, movable) = position_of(payload);
+    if movable {
         payload.0.remove(LAT);
         payload.0.remove(LON);
     }
-    [lat, lon]
-}
-
-/// The stored shape is the one the derive gave the store before it had
-/// a column — `{"skeletons": [payload, ..], "text": tier}` with every
-/// position inside its payload — so a file does not say which layout
-/// wrote it.
-impl Serialize for PayloadStore {
-    fn to_content(&self) -> Content {
-        let payloads = (0..self.len())
-            .map(|o| {
-                let skeleton = &self.skeletons[o].0;
-                // Room for the position: one allocation a point, as
-                // when the skeleton held it.
-                let mut fields: Vec<(String, Content)> = Vec::with_capacity(skeleton.len() + 2);
-                fields.extend(skeleton.iter().map(|(k, v)| (k.clone(), v.to_content())));
-                if let Some([lat, lon]) = self.moved_position(o) {
-                    // Key order is the format: fields are sorted.
-                    for (key, x) in [(LAT, lat), (LON, lon)] {
-                        let at = fields.partition_point(|(k, _)| k.as_str() < key);
-                        fields.insert(at, (key.to_owned(), Content::F64(x)));
-                    }
-                }
-                Content::Map(fields)
-            })
-            .collect();
-        Content::Map(vec![
-            ("skeletons".to_owned(), Content::Seq(payloads)),
-            ("text".to_owned(), self.text.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for PayloadStore {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        #[derive(Deserialize)]
-        struct Stored {
-            skeletons: Vec<Payload>,
-            text: Option<TextTier>,
-        }
-        let Stored {
-            mut skeletons,
-            text,
-        } = Stored::from_content(content)?;
-        // A long `lat` string sits in the text tier and reads as no
-        // number, so a skeleton alone decides its point's position
-        // exactly as the whole payload did at `push`.
-        let geo = skeletons.iter_mut().map(take_position).collect();
-        Ok(Self {
-            skeletons,
-            geo,
-            text,
-        })
-    }
+    position
 }
 
 impl TextTier {
@@ -796,18 +887,29 @@ mod tests {
         assert_eq!(s.get(4), tip_payload(1000));
     }
 
+    /// `store` packed, and read back from those bytes.
+    fn repack(store: &PayloadStore) -> (Vec<u8>, Result<PayloadStore, VecDbError>) {
+        let mut w = Writer::with_capacity(0);
+        store.pack(&mut w).unwrap();
+        let bytes = w.into_body();
+        let mut r = Reader::over(&bytes);
+        let back = PayloadStore::unpack(&mut r).and_then(|s| r.finish().map(|()| s));
+        (bytes, back)
+    }
+
     #[test]
-    fn store_serde_round_trip() {
+    fn packed_store_round_trip() {
         let mut s = PayloadStore::compressed();
         for i in 0..(super::TRAIN_AT + 10) {
             s.push(tip_payload(i));
         }
-        let json = serde_json::to_string(&s).unwrap();
-        let back: PayloadStore = serde_json::from_str(&json).unwrap();
+        let (_, back) = repack(&s);
+        let back = back.unwrap();
         assert_eq!(back.len(), s.len());
         for i in [0, super::TRAIN_AT + 5] {
             assert_eq!(back.get(i), s.get(i));
         }
+        assert_eq!(back.memory_bytes(), s.memory_bytes());
     }
 
     #[test]
@@ -1024,39 +1126,49 @@ mod tests {
                 check_against_model(&store, &model, &filters[..3], "trained")?;
             }
 
-            let text = serde_json::to_string(&store).unwrap();
-            let back: PayloadStore = serde_json::from_str(&text).unwrap();
-            prop_assert!(back.is_consistent());
-            // Non-finite floats are written as `null`, as they always were.
-            let reread: Vec<Payload> = (0..store.len()).map(|o| back.get(o)).collect();
-            for (o, p) in reread.iter().enumerate() {
-                let written: Payload =
-                    serde_json::from_str(&serde_json::to_string(&model[o]).unwrap()).unwrap();
-                prop_assert_eq!(format!("{p:?}"), format!("{written:?}"), "reloaded offset {}", o);
-            }
+            // Packed and read back, the store is the one that was packed:
+            // every payload `Value` for `Value`, every verdict, the bytes.
+            let (bytes, back) = repack(&store);
+            let back = back.unwrap();
             let few = if train == 0 { &filters[..3] } else { &filters[..] };
-            check_against_model(&back, &reread, few, "reloaded")?;
-            prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+            check_against_model(&back, &model, few, "reloaded")?;
+            prop_assert!(repack(&back).0 == bytes);
         }
     }
 
     #[test]
-    fn the_serialized_store_is_the_shape_the_derive_wrote() {
+    fn a_column_that_disagrees_with_its_skeleton_is_refused() {
         let mut s = PayloadStore::plain();
-        s.push(Payload::from_pairs(&[
-            ("lon", json!(-86.5)),
-            ("a", json!(1)),
-            ("lat", json!(36.25)),
-            ("m", json!("x")),
-            ("z", json!(null)),
-        ]));
-        s.push(Payload::from_pairs(&[
-            ("lat", json!(3)),
-            ("lon", json!(4.0)),
-        ]));
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            r#"{"skeletons":[{"a":1,"lat":36.25,"lon":-86.5,"m":"x","z":null},{"lat":3,"lon":4.0}],"text":null}"#
-        );
+        s.push(tip_payload(1)); // moved: floats
+        let mut p = tip_payload(2);
+        p.set("lat", json!(3)); // kept: an integer
+        s.push(p);
+        s.push(Payload::new()); // no position
+        assert!(repack(&s).1.is_ok());
+        // An empty skeleton beside a finite pair reads as a moved
+        // position, beside a NaN pair as none: both are payloads `push`
+        // makes. Everything else disagrees.
+        let nan = [f64::NAN; 2];
+        for (o, column, loads) in [
+            (0, [f64::NAN, 0.5], false),
+            (0, nan, true),
+            (1, [3.0, 0.25], false),
+            (1, nan, false),
+            (2, [0.5, 0.5], true),
+            (2, [0.5, f64::NAN], false),
+        ] {
+            let mut damaged = s.clone();
+            damaged.geo[o] = column;
+            assert_eq!(
+                repack(&damaged).1.is_ok(),
+                loads,
+                "offset {o} column {column:?}"
+            );
+        }
+        // A skeleton that still holds a movable pair.
+        let mut damaged = s.clone();
+        damaged.skeletons[0].set("lat", json!(0.01));
+        damaged.skeletons[0].set("lon", json!(-0.01));
+        assert!(repack(&damaged).1.is_err());
     }
 }

@@ -14,8 +14,6 @@
 //! pass's dot product is `distance::code_dot`, the build of that
 //! reduction selected by CPU feature.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{code_dot, inv_norm, inv_sqrt_or_zero, lane_sum, Distance, U8_LANES};
 use crate::error::VecDbError;
@@ -29,7 +27,7 @@ use crate::rows::Rows;
 /// and the existing parity suites — see bit-identical results without
 /// opting out. `Full` is the explicit escape hatch; `Quantized` forces
 /// the tier on at any size with a chosen rerank budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringTier {
     /// Quantized-first above [`crate::collection::AUTO_QUANT_THRESHOLD`]
     /// points, full precision below.

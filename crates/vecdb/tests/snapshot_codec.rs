@@ -7,14 +7,17 @@
 //! searches, same accounting, and it re-packs to the same bytes.
 //! **Hostile bytes:** whatever is handed to the reader — a truncation, a
 //! flipped bit, a length that overruns the file, a graph link to a node
-//! that does not exist behind a *recomputed* checksum — the result is an
-//! `Err`: never a panic, and never an allocation sized by the lie.
+//! that does not exist or a meta field that disagrees with the rest
+//! behind a *recomputed* checksum, a file of format 1 — the result is an
+//! `Err`: never a panic, and never an allocation sized by the lie. The
+//! meta section's fields are found by `meta_layout`, a reader of the
+//! layout table in `vecdb::db` written independently of the crate's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use proptest::prelude::*;
-use serde_json::json;
+use serde_json::{json, Value};
 use vecdb::{
     crc32, Collection, CollectionConfig, Filter, HnswConfig, Payload, ScoringTier, SearchParams,
     SearchStrategy, VecDbError, VectorDb,
@@ -287,9 +290,9 @@ fn snapshot_with_a_flipped_header_bit_is_rejected() {
     }
     // An unknown version is refused even with a checksum that matches.
     let mut next = file.clone();
-    next[8..12].copy_from_slice(&2u32.to_le_bytes());
+    next[8..12].copy_from_slice(&3u32.to_le_bytes());
     reseal(&mut next);
-    assert_rejected(&next, "format version 2");
+    assert_rejected(&next, "format version 3");
 }
 
 #[test]
@@ -361,14 +364,168 @@ fn snapshot_parts_that_disagree_are_rejected_behind_a_valid_checksum() {
     assert_rejected(&bad, "a section boundary moved");
 }
 
-/// `file` with its meta section (the JSON) rewritten by `edit`, the
-/// section table and checksum brought up to date.
-fn with_meta(file: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+// ---- the meta section, walked by a second reader ----
+
+/// Positions in the file of the meta section's fields, found by walking
+/// the layout `vecdb::db` documents — a second reader of the format,
+/// written from its table rather than from `vecdb`'s code.
+#[derive(Debug, Default)]
+struct MetaLayout {
+    dim: usize,
+    distance: usize,
+    m: usize,
+    m0: usize,
+    ef_construction: usize,
+    compress: usize,
+    ids: usize,
+    deleted: usize,
+    live: usize,
+    overlay: usize,
+    tombstones: usize,
+    geo: usize,
+    /// Where each payload's skeleton starts (its entry count).
+    skeletons: Vec<usize>,
+    /// `(position, width)` of every count or length the reader sizes
+    /// something by.
+    counts: Vec<(usize, usize)>,
+}
+
+fn le(file: &[u8], at: usize, width: usize) -> usize {
+    let mut word = [0u8; 8];
+    word[..width].copy_from_slice(&file[at..at + width]);
+    u64::from_le_bytes(word) as usize
+}
+
+/// Past the `u32`-length-prefixed string at `at`.
+fn skip_str(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
+    counts.push((at, 4));
+    at + 4 + le(file, at, 4)
+}
+
+/// Past the object entries (count, then key + value each) at `at`.
+fn skip_object(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
+    counts.push((at, 4));
+    let mut at = at + 4;
+    for _ in 0..le(file, at - 4, 4) {
+        at = skip_str(file, at, counts);
+        at = skip_value(file, at, counts);
+    }
+    at
+}
+
+/// Past the tagged value at `at`.
+fn skip_value(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
+    match file[at] {
+        0..=2 => at + 1,
+        3..=5 => at + 9,
+        6 => skip_str(file, at + 1, counts),
+        7 => {
+            counts.push((at + 1, 4));
+            let mut next = at + 5;
+            for _ in 0..le(file, at + 1, 4) {
+                next = skip_value(file, next, counts);
+            }
+            next
+        }
+        8 => skip_object(file, at + 1, counts),
+        t => panic!("value tag {t} at {at}"),
+    }
+}
+
+fn meta_layout(file: &[u8]) -> MetaLayout {
+    let mut m = MetaLayout::default();
+    let mut at = HEADER;
+    m.dim = at;
+    m.distance = at + 8;
+    m.m = at + 9;
+    m.m0 = at + 17;
+    m.ef_construction = at + 25;
+    at += 41; // + seed
+    at += if file[at] == 2 { 9 } else { 1 }; // scoring tier
+    m.compress = at;
+    at += 1;
+    m.counts.push((at, 8));
+    let n = le(file, at, 8);
+    m.ids = at + 8;
+    m.deleted = m.ids + 8 * n;
+    m.live = m.deleted + n;
+    at = m.live + 16; // + quant_trained_at
+                      // The id index: base, segments, overlay, tombstones.
+    for (per_item, slot) in [(12, None), (24, None), (12, Some(0)), (8, Some(1))] {
+        match slot {
+            Some(0) => m.overlay = at,
+            Some(_) => m.tombstones = at,
+            None => {}
+        }
+        m.counts.push((at, 8));
+        at += 8 + per_item * le(file, at, 8);
+    }
+    m.counts.push((at, 8));
+    let payloads = le(file, at, 8);
+    m.geo = at + 8;
+    at = m.geo + 16 * payloads;
+    for _ in 0..payloads {
+        m.skeletons.push(at);
+        at = skip_object(file, at, &mut m.counts);
+    }
+    at += 1;
+    if file[at - 1] == 1 {
+        at += 8; // pending
+        for _ in 0..payloads {
+            m.counts.push((at, 4));
+            let slots = le(file, at, 4);
+            at += 4;
+            for _ in 0..slots {
+                at = skip_str(file, at, &mut m.counts);
+                at += 1;
+                at = if file[at - 1] == 0 {
+                    skip_str(file, at, &mut m.counts)
+                } else {
+                    at + 4
+                };
+            }
+        }
+        at += 1;
+        if file[at - 1] == 1 {
+            m.counts.push((at, 4));
+            for _ in 0..le(file, at, 4) {
+                at += 1 + usize::from(file[at + 4]);
+            }
+            at += 4;
+            m.counts.push((at, 8));
+            at += 8 + le(file, at, 8);
+            m.counts.push((at, 8));
+            at += 8 + 8 * le(file, at, 8);
+            at += 8; // uncompressed total
+        }
+    }
+    assert_eq!(
+        at,
+        section_starts(file)[1],
+        "the layout table and the file disagree"
+    );
+    m
+}
+
+/// `file` with `bytes` written at `at`, resealed.
+fn patched(file: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut out = file.to_vec();
+    assert!(
+        out[at..at + bytes.len()] != *bytes,
+        "a patch that changes nothing"
+    );
+    out[at..at + bytes.len()].copy_from_slice(bytes);
+    reseal(&mut out);
+    out
+}
+
+/// `file` with its meta section replaced by `meta`, the section table
+/// and checksum brought up to date.
+fn with_meta(file: &[u8], meta: &[u8]) -> Vec<u8> {
     let bulk = section_starts(file)[1];
-    let meta = edit(std::str::from_utf8(&file[HEADER..bulk]).unwrap());
     let mut out = file[..HEADER].to_vec();
     out[PREFIX + 4..PREFIX + 12].copy_from_slice(&(meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(meta.as_bytes());
+    out.extend_from_slice(meta);
     out.extend_from_slice(&file[bulk..]);
     reseal(&mut out);
     out
@@ -377,32 +534,212 @@ fn with_meta(file: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
 #[test]
 fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
     let file = small();
-    assert!(Collection::from_snapshot_bytes(&with_meta(&file, str::to_owned)).is_ok());
-    let edits: [(&str, &str, &str); 5] = [
-        ("one id fewer", "\"ids\":[0,", "\"ids\":["),
-        ("a live count off by one", "\"live\":62", "\"live\":63"),
+    let meta = meta_layout(&file);
+    let u64_le = |v: u64| v.to_le_bytes().to_vec();
+    let live = le(&file, meta.live, 8) as u64;
+    let first_two_overlay_keys = {
+        let keys = meta.overlay + 8;
+        let mut swapped = file[keys + 8..keys + 16].to_vec();
+        swapped.extend_from_slice(&file[keys..keys + 8]);
+        swapped
+    };
+    // Offset 0 was deleted, offset 1 holds id 3 at (0.01, 0.0).
+    assert_eq!(file[meta.deleted], 1);
+    assert_eq!(le(&file, meta.ids + 8, 8), 3);
+    let edits: [(&str, usize, Vec<u8>); 9] = [
+        ("a live count off by one", meta.live, u64_le(live + 1)),
+        ("a deleted point resurrected", meta.deleted, vec![0]),
         (
-            "a deleted point resurrected",
-            "\"deleted\":[true,",
-            "\"deleted\":[false,",
+            "a delete flag that is neither 0 nor 1",
+            meta.deleted + 1,
+            vec![2],
         ),
-        ("another dimension", "\"dim\":4", "\"dim\":8"),
+        ("a live point's id changed", meta.ids + 8, u64_le(5)),
+        ("another dimension", meta.dim, u64_le(8)),
+        ("a metric that does not exist", meta.distance, vec![3]),
+        ("another text tier than the store's", meta.compress, vec![1]),
         (
-            "a tombstone on no base key",
-            "\"tombstones\":{}",
-            "\"tombstones\":{\"5\":0}",
+            "half of a moved position gone",
+            meta.geo + 16,
+            f64::NAN.to_le_bytes().to_vec(),
+        ),
+        (
+            "id overlay keys out of order",
+            meta.overlay + 8,
+            first_two_overlay_keys,
         ),
     ];
-    for (what, from, to) in edits {
-        let bad = with_meta(&file, |meta| {
-            assert!(
-                meta.contains(from),
-                "{what}: `{from}` not in the meta section"
-            );
-            meta.replacen(from, to, 1)
-        });
-        assert_rejected(&bad, what);
+    for (what, at, bytes) in edits {
+        assert_rejected(&patched(&file, at, &bytes), what);
     }
+
+    // Edits that change the section's length.
+    let section = &file[HEADER..section_starts(&file)[1]];
+    let rel = |at: usize| at - HEADER;
+    let mut one_fewer = section.to_vec();
+    let n = le(&file, meta.ids - 8, 8) as u64;
+    one_fewer.drain(rel(meta.ids)..rel(meta.ids) + 8);
+    one_fewer[rel(meta.ids) - 8..rel(meta.ids)].copy_from_slice(&(n - 1).to_le_bytes());
+    assert_rejected(&with_meta(&file, &one_fewer), "one id fewer");
+    // No base key is 5 (the base is empty: every id is in the overlay).
+    let mut tombstone = section.to_vec();
+    let count = rel(meta.tombstones);
+    let had = le(section, count, 8) as u64;
+    tombstone.splice(count + 8..count + 8, 5u64.to_le_bytes());
+    tombstone[count..count + 8].copy_from_slice(&(had + 1).to_le_bytes());
+    assert_rejected(&with_meta(&file, &tombstone), "a tombstone on no base key");
+    assert!(Collection::from_snapshot_bytes(&with_meta(&file, section)).is_ok());
+}
+
+#[test]
+fn snapshot_meta_counts_larger_than_the_section_never_allocate() {
+    for file in [small(), tiny_of_every_kind()] {
+        let meta = meta_layout(&file);
+        assert!(meta.counts.len() > 20, "{} counts found", meta.counts.len());
+        for &(at, width) in &meta.counts {
+            let max = if width == 4 {
+                u64::from(u32::MAX)
+            } else {
+                u64::MAX
+            };
+            for lie in [file.len() as u64 + 1, max / 2, max] {
+                let bad = patched(&file, at, &lie.to_le_bytes()[..width]);
+                assert_rejected(&bad, &format!("count at byte {at} set to {lie}"));
+            }
+        }
+    }
+}
+
+/// 12 points under the compressed text tier whose payloads hold every
+/// kind of value — integers of both signs, a `u64` past `i64::MAX`,
+/// floats with `-0.0` among them, booleans, null, empty and non-ASCII
+/// strings, nested arrays and objects — and long text waiting raw for
+/// the arena.
+fn tiny_of_every_kind() -> Vec<u8> {
+    let config = CollectionConfig {
+        compress_payload_text: true,
+        hnsw: HnswConfig {
+            m: 4,
+            m0: 8,
+            ..HnswConfig::default()
+        },
+        ..CollectionConfig::new(4)
+    };
+    let mut c = Collection::new(config);
+    for i in 0..12u64 {
+        let mut p = payload(i);
+        p.set("n", json!(i));
+        p.set("neg", json!(-(i as i64)));
+        p.set("big", json!(u64::MAX - i));
+        p.set("z", json!(-0.0));
+        p.set("open", json!(i % 2 == 0));
+        p.set("none", Value::Null);
+        p.set("s", json!(if i % 3 == 0 { "" } else { "naïve ☕" }));
+        p.set("list", json!([i, [2.5, []], {"k": "v", "ключ": [null]}]));
+        c.insert(i, pseudo(i + 1, 4), p).unwrap();
+    }
+    c.delete(5).unwrap();
+    c.to_snapshot_bytes().unwrap()
+}
+
+/// Any single flipped bit of the meta section, and any truncation of
+/// it, *behind a recomputed checksum*: the load fails, or it succeeds
+/// (a changed letter in a string is a different, valid collection) and
+/// every search and payload read over what it loaded works — never a
+/// panic, never an allocation past the input.
+#[test]
+fn snapshot_meta_damaged_anywhere_behind_a_valid_checksum_never_panics() {
+    let file = tiny_of_every_kind();
+    let bulk = section_starts(&file)[1];
+    let section = file[HEADER..bulk].to_vec();
+    for cut in 0..section.len() {
+        assert_rejected(
+            &with_meta(&file, &section[..cut]),
+            &format!("meta cut at {cut}"),
+        );
+    }
+    let mut loaded = 0;
+    for bit in HEADER * 8..bulk * 8 {
+        let mut bad = file.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        reseal(&mut bad);
+        loaded += usize::from(survives(&bad, &format!("meta bit {bit}")));
+    }
+    // Flips inside strings and floats load; structure flips do not.
+    assert!(
+        loaded > 0 && loaded < (bulk - HEADER) * 8,
+        "{loaded} loaded"
+    );
+}
+
+/// Loads `bytes` if it can, within the allocation bound, and exercises
+/// what it loaded; whether it loaded.
+fn survives(bytes: &[u8], what: &str) -> bool {
+    let (loaded, peak) = peak_during(|| Collection::from_snapshot_bytes(bytes));
+    assert!(
+        peak <= bytes.len() + MESSAGE,
+        "{what}: a {peak}-byte allocation for {} bytes of input",
+        bytes.len()
+    );
+    let Ok(c) = loaded else { return false };
+    let dim = c.config().dim;
+    for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+        let params = SearchParams::top_k(5)
+            .with_strategy(strategy)
+            .with_filter(Filter::geo_box(0.0, 0.0, 0.2, 0.2));
+        assert!(c.search(&pseudo(3, dim), &params).is_ok(), "{what}");
+    }
+    for (id, _, payload) in c.iter_points() {
+        let again = c.payload(id).unwrap();
+        assert_eq!(format!("{again:?}"), format!("{payload:?}"), "{what}");
+    }
+    true
+}
+
+/// A format-1 file, byte for byte: an empty dimension-4 collection with
+/// its JSON meta section, as `to_snapshot_bytes()` wrote it at commit
+/// `c8d97ba` (388 bytes, CRC-32 `2e17e298`, both recorded there).
+fn format_1_file() -> Vec<u8> {
+    let meta = concat!(
+        r#"{"config":{"dim":4,"distance":"Cosine","hnsw":{"m":16,"m0":32,"#,
+        r#""ef_construction":128,"seed":24301},"scoring_tier":"Auto","#,
+        r#""compress_payload_text":false},"ids":[],"by_id":{"keys":[],"vals":[],"#,
+        r#""segments":[],"overlay":{},"tombstones":{}},"deleted":[],"live":0,"#,
+        r#""payloads":{"skeletons":[],"text":null},"quant_trained_at":0}"#
+    );
+    // An empty graph: no entry, top level 0, no nodes.
+    let graph = [255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0];
+    let mut file = b"VECDBSNP".to_vec();
+    file.extend_from_slice(&1u32.to_le_bytes());
+    file.extend_from_slice(&[0; 4]);
+    file.extend_from_slice(&5u32.to_le_bytes());
+    for len in [meta.len(), 0, 0, 0, graph.len()] {
+        file.extend_from_slice(&(len as u64).to_le_bytes());
+    }
+    file.extend_from_slice(meta.as_bytes());
+    file.extend_from_slice(&graph);
+    reseal(&mut file);
+    file
+}
+
+#[test]
+fn a_format_1_snapshot_is_refused_naming_its_version() {
+    let file = format_1_file();
+    assert_eq!((file.len(), crc32(&file)), (388, 0x2e17_e298));
+    assert_rejected(&file, "format 1");
+    let refused = Collection::from_snapshot_bytes(&file).err();
+    assert!(
+        matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 1")),
+        "{refused:?}"
+    );
+    let path = std::env::temp_dir().join(format!("vecdb_format_1_{}.bin", std::process::id()));
+    std::fs::write(&path, &file).unwrap();
+    let refused = VectorDb::new().restore_collection("c", &path).err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 1")),
+        "{refused:?}"
+    );
 }
 
 /// `m = 1` makes the level generator's `1 / ln(m)` infinite: a
@@ -411,24 +748,15 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
 #[test]
 fn snapshot_with_meaningless_graph_parameters_is_refused_at_both_doors() {
     let file = small();
+    let meta = meta_layout(&file);
     let edits = [
-        ("m = 1", "\"m\":4,", "\"m\":1,"),
-        ("m = 0", "\"m\":4,", "\"m\":0,"),
-        ("m0 < m", "\"m0\":8,", "\"m0\":3,"),
-        (
-            "ef_construction = 0",
-            "\"ef_construction\":128,",
-            "\"ef_construction\":0,",
-        ),
+        ("m = 1", meta.m, 1u64),
+        ("m = 0", meta.m, 0),
+        ("m0 < m", meta.m0, 3),
+        ("ef_construction = 0", meta.ef_construction, 0),
     ];
-    for (what, from, to) in edits {
-        let bad = with_meta(&file, |meta| {
-            assert!(
-                meta.contains(from),
-                "{what}: `{from}` not in the meta section"
-            );
-            meta.replacen(from, to, 1)
-        });
+    for (what, at, value) in edits {
+        let bad = patched(&file, at, &value.to_le_bytes());
         assert_rejected(&bad, what);
         let refused = Collection::from_snapshot_bytes(&bad).err();
         assert!(
@@ -482,10 +810,7 @@ fn dimension_zero_is_refused_at_both_doors() {
             ..CollectionConfig::new(4)
         };
         let file = lived_in(config.clone(), 70).to_snapshot_bytes().unwrap();
-        let bad = with_meta(&file, |meta| {
-            assert!(meta.contains("\"dim\":4"), "{tier:?}");
-            meta.replacen("\"dim\":4", "\"dim\":0", 1)
-        });
+        let bad = patched(&file, meta_layout(&file).dim, &0u64.to_le_bytes());
         assert_rejected(&bad, "dim = 0");
         let refused = Collection::from_snapshot_bytes(&bad).err();
         assert!(
@@ -502,7 +827,7 @@ fn dimension_zero_is_refused_at_both_doors() {
     }
 }
 
-// ---- the file is older than the geo column ----
+// ---- positions of every shape ----
 
 /// The geo filter's verdict as the JSON look-up gave it: both fields
 /// numbers (integers convert) and inside the box, edges included.
@@ -553,13 +878,16 @@ fn assert_filters_like_its_payloads(c: &Collection, ids: impl Iterator<Item = u6
 
 const LONG_LAT: &str = "thirty-six degrees and nine minutes north of the equator, give or take";
 
-/// 60 points under the compressed tier whose positions take every shape
-/// a payload allows: mostly two floats, and one point each with an
+/// 60 points under `compress`'s text tier whose positions take every
+/// shape a payload allows: mostly two floats, and one point each with an
 /// integer `lat`, no `lat`, a `lat` long enough for the text tier, two
 /// integers, and `-0.0`.
-fn odd_positions() -> Collection {
+fn odd_positions(compress: bool) -> Collection {
     assert!(LONG_LAT.len() >= 64);
-    let mut c = Collection::new(config(ScoringTier::Quantized { rerank_factor: 4 }, true));
+    let mut c = Collection::new(config(
+        ScoringTier::Quantized { rerank_factor: 4 },
+        compress,
+    ));
     for i in 0..60u64 {
         let mut p = payload(i);
         match i {
@@ -580,121 +908,207 @@ fn odd_positions() -> Collection {
     c
 }
 
-/// `to_snapshot_bytes()` of three fixed collections is, byte for byte,
-/// what the store wrote when positions were JSON fields and nothing
-/// else: lengths and CRC-32s recorded at the commit before
-/// `PayloadStore` had a geo column (PR 24's parent, `a00fc74`).
+/// `to_snapshot_bytes()` of three fixed collections, pinned: the whole
+/// file's length and CRC-32 at format 2, and for the four bulk sections
+/// (vectors, inverse norms, quantizer, graph) the lengths and CRC-32s
+/// format 1 wrote for the same collections, recorded at commit
+/// `c8d97ba` — format 2 changed the meta section and nothing else.
 #[test]
-fn snapshot_bytes_are_the_ones_written_before_the_geo_column() {
+fn snapshot_bytes_are_pinned_and_the_bulk_sections_are_format_1s() {
     let quantized = ScoringTier::Quantized { rerank_factor: 4 };
     let worlds = [
         (
             "300 lived-in",
             lived_in(config(quantized, true), 300),
             PIN_300,
+            V1_BULK_300,
         ),
         (
             "1,200 lived-in",
             lived_in(config(quantized, true), 1_200),
             PIN_1200,
+            V1_BULK_1200,
         ),
-        ("odd positions", odd_positions(), PIN_ODD),
+        ("odd positions", odd_positions(true), PIN_ODD, V1_BULK_ODD),
     ];
-    for (name, c, pin) in worlds {
+    for (name, c, pin, bulk) in worlds {
         let bytes = c.to_snapshot_bytes().unwrap();
         assert_eq!((bytes.len(), crc32(&bytes)), pin, "{name}");
+        let starts = section_starts(&bytes);
+        let ends = [starts[2], starts[3], starts[4], bytes.len()];
+        for (i, &end) in ends.iter().enumerate() {
+            let section = &bytes[starts[i + 1]..end];
+            assert_eq!(
+                (section.len(), crc32(section)),
+                bulk[i],
+                "{name}: section {}",
+                i + 1
+            );
+        }
     }
 }
-const PIN_300: (usize, u32) = (131_420, 0x485b_bc19);
-const PIN_1200: (usize, u32) = (440_034, 0x449b_a99f);
-const PIN_ODD: (usize, u32) = (25_011, 0xc549_f662);
+const PIN_300: (usize, u32) = (124_917, 0x3bec_9088);
+const PIN_1200: (usize, u32) = (376_412, 0x3501_56ff);
+const PIN_ODD: (usize, u32) = (23_849, 0x382f_aadc);
+const V1_BULK_300: [(usize, u32); 4] = [
+    (19_328, 0x73b4_2ec5),
+    (1_208, 0x56e5_00f9),
+    (6_064, 0x37b0_8e68),
+    (42_584, 0x49d0_a160),
+];
+const V1_BULK_1200: [(usize, u32); 4] = [
+    (76_928, 0xfc4f_541c),
+    (4_808, 0x46e4_a96b),
+    (24_064, 0x49fc_9338),
+    (169_072, 0x0370_c9a5),
+];
+const V1_BULK_ODD: [(usize, u32); 4] = [
+    (3_840, 0x909f_8d89),
+    (240, 0x4409_b518),
+    (0, 0),
+    (8_316, 0xde09_9ae0),
+];
 
 #[test]
 fn snapshot_with_odd_positions_round_trips_and_filters_like_its_payloads() {
-    let original = odd_positions();
-    let bytes = original.to_snapshot_bytes().unwrap();
-    let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
-    for c in [&original, &restored] {
-        assert_filters_like_its_payloads(c, 0..60, "odd positions");
-        // What was stored comes back as the `Value` it was.
-        let lat = |id| format!("{:?}", c.payload(id).unwrap().get("lat"));
-        assert_eq!(lat(3), format!("{:?}", Some(&json!(0))));
-        assert_eq!(lat(5), "None");
-        assert_eq!(lat(7), format!("{:?}", Some(&json!(LONG_LAT))));
-        assert_eq!(lat(11), format!("{:?}", Some(&json!(-0.0))));
-        assert_eq!(lat(12), format!("{:?}", Some(&json!(0.12))));
+    for compress in [false, true] {
+        let what = format!("odd positions, compressed text {compress}");
+        let original = odd_positions(compress);
+        let bytes = original.to_snapshot_bytes().unwrap();
+        let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
+        for c in [&original, &restored] {
+            assert_filters_like_its_payloads(c, 0..60, &what);
+            // What was stored comes back as the `Value` it was.
+            let lat = |id| format!("{:?}", c.payload(id).unwrap().get("lat"));
+            assert_eq!(lat(3), format!("{:?}", Some(&json!(0))));
+            assert_eq!(lat(5), "None");
+            assert_eq!(lat(7), format!("{:?}", Some(&json!(LONG_LAT))));
+            assert_eq!(lat(9), format!("{:?}", Some(&json!(0))));
+            assert_eq!(lat(11), format!("{:?}", Some(&json!(-0.0))));
+            assert_eq!(lat(12), format!("{:?}", Some(&json!(0.12))));
+        }
+        assert_eq!(fingerprint(&restored), fingerprint(&original), "{what}");
+        assert_eq!(
+            restored.memory_footprint(),
+            original.memory_footprint(),
+            "{what}"
+        );
+        assert!(restored.to_snapshot_bytes().unwrap() == bytes, "{what}");
     }
-    assert_eq!(fingerprint(&restored), fingerprint(&original));
-    assert_eq!(restored.memory_footprint(), original.memory_footprint());
-    assert!(restored.to_snapshot_bytes().unwrap() == bytes);
 }
 
-/// Files no newer code wrote: a snapshot's meta section edited by hand
-/// so that one point's `lat` is an integer, is absent, or is a long
-/// string (in the plain store a skeleton field, in the compressed one a
-/// text slot, as the old writer would have put it). Each loads, gives
-/// the point back as written, filters like its payloads, and re-packs
-/// to the file it was read from.
-#[test]
-fn snapshot_hand_built_in_the_old_shape_loads_and_filters_like_its_payloads() {
-    for compress in [false, true] {
-        let file = lived_in(config(ScoringTier::Full, compress), 70)
-            .to_snapshot_bytes()
-            .unwrap();
-        // Point id 3 is payload(1): the only one at (0.01, 0.0).
-        let (position, tail) = if compress {
-            ("{\"lat\":0.01,\"lon\":0.0}", "}")
-        } else {
-            ("{\"lat\":0.01,\"lon\":0.0,", ",")
-        };
-        let long_lat = format!("\"lat\":\"{LONG_LAT}\",");
-        let edits = [
-            (
-                "lat an integer",
-                format!("{{\"lat\":0,\"lon\":0.0{tail}"),
-                json!(0),
-            ),
-            ("lat absent", format!("{{\"lon\":0.0{tail}"), json!(null)),
-            (
-                "lat a long string",
-                format!("{{{long_lat}\"lon\":0.0{tail}"),
-                json!(LONG_LAT),
-            ),
-        ];
-        for (what, replacement, lat) in edits {
-            let what = format!("{what}, compressed text {compress}");
-            let in_a_slot = compress && lat.as_str().is_some();
-            let old = with_meta(&file, |meta| {
-                assert_eq!(meta.matches(position).count(), 1, "{what}");
-                if !in_a_slot {
-                    return meta.replacen(position, &replacement, 1);
-                }
-                // The compressed store kept long strings out of the
-                // skeleton: the second point's slots gain the field.
-                let mut meta = meta.replacen(position, "{\"lon\":0.0}", 1);
-                let slots = "\"slots\":[[";
-                let second = meta.find(slots).unwrap() + slots.len();
-                let second = second + meta[second..].find("],[").unwrap() + 3;
-                let slot = format!("{{\"key\":\"lat\",\"text\":{{\"Raw\":\"{LONG_LAT}\"}}}},");
-                meta.insert_str(second, &slot);
-                meta
-            });
-            let c = Collection::from_snapshot_bytes(&old).expect(&what);
-            let got = c.payload(3).unwrap();
-            let expect = (!lat.is_null()).then_some(&lat);
-            assert_eq!(
-                format!("{:?}", got.get("lat")),
-                format!("{expect:?}"),
-                "{what}"
-            );
-            assert_eq!(got.get_f64("lon"), Some(0.0), "{what}");
-            assert!(got.get("tips").is_some(), "{what}");
-            assert_filters_like_its_payloads(&c, (0..70).map(|i| i * 3), &what);
-            assert!(
-                c.to_snapshot_bytes().unwrap() == old,
-                "{what}: re-packed differently"
-            );
+// ---- payload values of every kind ----
+
+/// The next number of a xorshift stream.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// A string that is empty, short, non-ASCII, or long enough for the
+/// compressed text tier, as `r` picks.
+fn text_of(r: u64) -> String {
+    match r % 4 {
+        0 => String::new(),
+        1 => format!("s{}", r % 97),
+        2 => format!("naïve ☕ ключ {}", r % 89),
+        _ => format!("{LONG_LAT} — reading number {r}, which is long on purpose"),
+    }
+}
+
+/// A value of any kind, nested at most three deep.
+fn value_of(state: &mut u64, depth: usize) -> Value {
+    let r = next(state);
+    match r % if depth >= 3 { 10 } else { 12 } {
+        0 => Value::Null,
+        1 => json!(r & 1 == 0),
+        2 => json!((r >> 3) as i64),
+        3 => json!(-((r >> 4) as i64)),
+        4 => json!(u64::MAX - (r >> 40)),
+        // A small `u64` kept as one (JSON would read it back as `i64`).
+        5 => Value::from(&serde::Content::U64(r >> 50)),
+        6 => json!((r >> 11) as f64 / 7.0),
+        7 => json!(-0.0),
+        8 => Value::from(&serde::Content::F64(f64::NAN)),
+        9 => json!(text_of(r >> 8)),
+        10 => Value::Array((0..r % 4).map(|_| value_of(state, depth + 1)).collect()),
+        _ => {
+            let mut m = serde_json::Map::new();
+            for k in 0..r % 4 {
+                let key = ["", "k", "ключ", "name"][((r >> (8 * k)) % 4) as usize];
+                m.insert(format!("{key}{k}"), value_of(state, depth + 1));
+            }
+            Value::Object(m)
         }
+    }
+}
+
+/// A payload from `seed`: a position of any shape (two floats, an
+/// integer, a string short or long, nothing), then a few fields of any
+/// kind.
+fn payload_of(seed: u64) -> Payload {
+    let mut state = seed | 1;
+    let mut p = Payload::new();
+    for key in ["lat", "lon"] {
+        let r = next(&mut state);
+        let v = match r % 6 {
+            0 | 1 => json!((r >> 11) as f64 / (1u64 << 53) as f64),
+            2 => json!(r % 90),
+            3 => json!(text_of(r >> 8)),
+            4 => value_of(&mut state, 0),
+            _ => continue,
+        };
+        p.set(key, v);
+    }
+    for k in 0..next(&mut state) % 5 {
+        let key = ["tips", "name", "", "ключ", "z"][k as usize];
+        p.set(key, value_of(&mut state, 0));
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Payloads of every kind, through both text tiers — raw slots
+    /// waiting for the arena, and in one case in three packed ones —
+    /// come back from a snapshot as the `Value`s that were stored
+    /// (`Debug` tells `1` from `1.0`, `-0.0` from `0.0`, and `u64` from
+    /// `i64`), and the restored collection re-packs to the same bytes.
+    #[test]
+    fn payload_values_of_every_kind_round_trip_through_both_text_tiers(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 1..40),
+        compress in 0usize..2,
+        train in 0usize..3,
+    ) {
+        let config = CollectionConfig {
+            compress_payload_text: compress == 1,
+            hnsw: HnswConfig { m: 4, m0: 8, ef_construction: 16, ..HnswConfig::default() },
+            ..CollectionConfig::new(4)
+        };
+        let mut c = Collection::new(config);
+        let mut stored: Vec<(u64, Payload)> = Vec::new();
+        for (i, &seed) in seeds.iter().enumerate() {
+            stored.push((i as u64, payload_of(seed)));
+        }
+        if train == 0 {
+            // Past the arena's training trigger: every slot is packed.
+            let base = stored.len() as u64;
+            stored.extend((0..1_030).map(|i| (base + i, payload(i))));
+        }
+        for (id, p) in &stored {
+            c.insert(*id, pseudo(*id + 1, 4), p.clone()).unwrap();
+        }
+        let bytes = c.to_snapshot_bytes().unwrap();
+        let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
+        for (id, p) in &stored {
+            let expect = format!("{p:?}");
+            prop_assert_eq!(format!("{:?}", c.payload(*id).unwrap()), expect.clone(), "stored {}", id);
+            prop_assert_eq!(format!("{:?}", restored.payload(*id).unwrap()), expect, "restored {}", id);
+        }
+        prop_assert!(restored.to_snapshot_bytes().unwrap() == bytes);
     }
 }
 
@@ -738,4 +1152,44 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Damage to the meta section of a collection whose text is packed
+    /// in a trained arena — symbols, code bytes, offsets, slot indices —
+    /// behind a recomputed checksum: a load that succeeds reads every
+    /// payload back without a panic.
+    #[test]
+    fn snapshot_packed_text_damaged_behind_a_valid_checksum_never_panics(
+        picks in proptest::collection::vec((0usize..usize::MAX, 0u8..=255), 1..4),
+    ) {
+        let file = trained();
+        let bulk = section_starts(file)[1];
+        let mut bad = file.clone();
+        for (pick, byte) in picks {
+            bad[HEADER + pick % (bulk - HEADER)] = byte;
+        }
+        reseal(&mut bad);
+        survives(&bad, "packed text");
+    }
+}
+
+/// 1,100 points under the compressed tier, past the arena's training
+/// trigger, packed once for every case that damages it.
+fn trained() -> &'static Vec<u8> {
+    static FILE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    FILE.get_or_init(|| {
+        let config = CollectionConfig {
+            hnsw: HnswConfig {
+                m: 4,
+                m0: 8,
+                ef_construction: 16,
+                ..HnswConfig::default()
+            },
+            ..config(ScoringTier::Full, true)
+        };
+        lived_in(config, 1_100).to_snapshot_bytes().unwrap()
+    })
 }

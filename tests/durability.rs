@@ -388,6 +388,86 @@ fn durable_metro_reopens_after_mutations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Gates the log-rollback child: the log file it appends to.
+const WAL_CHILD_ENV: &str = "DURABILITY_WAL_FILE";
+
+/// The three records of the rollback script: two deletes, small enough
+/// that both fit under a file-size limit of one block (512 or 1,024
+/// bytes, as the shell counts them), and an insert whose tips take it
+/// past any such limit.
+fn rollback_script() -> [Mutation; 3] {
+    let long_tip = "the espresso here survives anything, even a full disk; ".repeat(80);
+    [
+        Mutation::Delete { id: 1 },
+        Mutation::Delete { id: 2 },
+        Mutation::Insert(PoiSpec {
+            name: "Disk Full Diner".to_owned(),
+            lat: 34.4,
+            lon: -119.7,
+            categories: vec!["diner".to_owned()],
+            tips: vec![long_tip],
+        }),
+    ]
+}
+
+/// Child role: runs under a file-size limit, so the write of the third
+/// record is cut short. Appends A and syncs it, appends B (not synced),
+/// then C, whose append must fail; the log it leaves is the parent's to
+/// read.
+#[test]
+fn wal_rollback_child() {
+    let Ok(path) = std::env::var(WAL_CHILD_ENV) else {
+        return;
+    };
+    let [a, b, c] = rollback_script();
+    let (mut wal, replayed) = semask::wal::Wal::open(&path).expect("open");
+    assert!(replayed.is_empty());
+    wal.append(&a).expect("A");
+    wal.sync().expect("A is synced");
+    wal.append(&b).expect("B");
+    assert!(wal.append(&c).is_err(), "C must hit the file-size limit");
+}
+
+/// A batch whose append fails leaves nothing in the log: neither its
+/// complete records (which the next batch's fsync would make durable,
+/// and recovery replay) nor a torn frame (which would hide every record
+/// written after it). The child's file-size limit (`ulimit -f`, with
+/// `SIGXFSZ` ignored so the write returns an error instead of killing
+/// it) cuts record C short after B was appended; the log must reopen
+/// holding A alone.
+#[cfg(unix)]
+#[test]
+fn a_failed_append_takes_back_the_unsynced_records() {
+    if std::env::var(DIR_ENV).is_ok() || std::env::var(WAL_CHILD_ENV).is_ok() {
+        return;
+    }
+    let [a, b, c] = rollback_script();
+    let size = |seq, m: &Mutation| semask::wal::encode_record(seq, m).unwrap().len();
+    assert!(size(1, &a) + size(2, &b) < 512);
+    assert!(size(1, &a) + size(2, &b) + size(3, &c) > 1_024);
+
+    let dir = battery_dir(0, "wal_rollback");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal.log");
+    let exe = std::env::current_exe().expect("test binary path");
+    let status = Command::new("sh")
+        .arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 1; exec \"$0\" --exact wal_rollback_child --nocapture")
+        .arg(&exe)
+        .env(WAL_CHILD_ENV, &path)
+        .env_remove(DIR_ENV)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn child");
+    assert!(status.success(), "the child's own checks failed");
+
+    let (_, replayed) = semask::wal::Wal::open(&path).expect("reopen");
+    let kept: Vec<(u64, Mutation)> = replayed.into_iter().map(|r| (r.seq, r.mutation)).collect();
+    assert_eq!(kept, [(1, a)], "only the synced record survives");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The names in `dir` that belong to the log, sorted.
 fn log_files(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
