@@ -20,7 +20,7 @@
 //!
 //! The recorded baseline lives in `BENCH_metro.json` at the repo root;
 //! regenerate it with `cargo bench --bench metro` after touching the
-//! quantized tier, the learned id index, payload compression, or the
+//! quantized tier, the id column, payload compression, or the
 //! metro generator. `METRO_POIS=<n>` shrinks the world for local
 //! iteration (the recorded numbers are at the default 100,000).
 

@@ -2,7 +2,7 @@
 //! large extent.
 //!
 //! The paper evaluates on 19,795 POIs across five cities. To exercise
-//! the memory-efficiency tier (quantized scoring, learned id lookups,
+//! the memory-efficiency tier (quantized scoring, a 12 B id column,
 //! compressed tip text) we need worlds two to three orders of magnitude
 //! larger, and they must stay *Yelp-shaped*: the same archetype mix,
 //! the same latent-concept ground truth, the same tip style. Rather

@@ -49,7 +49,7 @@
 //!
 //! `collection.bin` is `vecdb`'s own packed format (format in
 //! [`vecdb::db`]): raw little-endian sections behind a CRC-32, its meta
-//! section — ids, delete flags, id index, payloads — as binary as the
+//! section — ids, delete flags, payloads — as binary as the
 //! vectors, so the cut is a few copies and no text encoding at all. A
 //! damaged `collection.bin` is detected — checksum, declared lengths,
 //! then agreement between the parts — and surfaces as

@@ -47,7 +47,7 @@ use crate::error::VecDbError;
 const MAGIC: [u8; 8] = *b"VECDBSNP";
 /// The only format version this build writes or reads. A layout change
 /// bumps it; any other value is rejected, never migrated.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Sections in a snapshot, in file order: meta, vectors, inverse norms,
 /// quantizer, HNSW graph.
 const SECTIONS: usize = 5;

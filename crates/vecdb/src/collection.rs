@@ -8,7 +8,6 @@ use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
 use crate::hnsw::{HnswConfig, HnswIndex};
-use crate::learned::LearnedIdIndex;
 use crate::payload::{Filter, Payload, PayloadStore};
 use crate::quant::{QuantizedVectors, ScoringTier};
 use crate::rows::Rows;
@@ -152,7 +151,8 @@ pub struct MemoryFootprint {
     /// Quantized codes + their cached inverse norms (0 when the tier is
     /// off).
     pub quant_bytes: usize,
-    /// The id → offset index.
+    /// The id → offset column: 12 B for every id the collection has
+    /// stored (an 8 B id and a 4 B offset), a deleted one included.
     pub id_index_bytes: usize,
     /// Payload storage: the geo column (16 B a point — where a float
     /// position lives, and the only copy of it), the JSON skeletons of
@@ -275,7 +275,7 @@ pub struct SearchParams {
     pub k: usize,
     /// HNSW beam width (defaults to [`default_ef`] when `None`).
     pub ef: Option<usize>,
-    /// Optional payload filter.
+    /// Optional geo box.
     pub filter: Option<Filter>,
     /// Execution strategy.
     pub strategy: SearchStrategy,
@@ -340,10 +340,13 @@ pub struct Collection {
     /// vector's norm (it degenerates to one fused dot product).
     inv_norms: Vec<f32>,
     payloads: PayloadStore,
-    by_id: LearnedIdIndex,
+    /// Where each id lives, derived from `ids` and `deleted` — so a
+    /// snapshot does not store it.
+    by_id: IdColumn,
     /// Soft-delete flags per offset (the HNSW graph keeps the node for
     /// connectivity; search skips flagged offsets — Qdrant's strategy).
     deleted: Vec<bool>,
+    /// Offsets not flagged in `deleted`.
     live: usize,
     hnsw: HnswIndex,
     /// u8 codes for the quantized scoring tier, one row per offset.
@@ -370,7 +373,7 @@ impl Collection {
             vectors: Vec::new(),
             inv_norms: Vec::new(),
             payloads,
-            by_id: LearnedIdIndex::new(),
+            by_id: IdColumn::default(),
             deleted: Vec::new(),
             live: 0,
             hnsw,
@@ -436,17 +439,16 @@ impl Collection {
         if vector.iter().any(|x| !x.is_finite()) {
             return Err(VecDbError::NonFiniteVector);
         }
-        if self.by_id.contains_key(id) {
+        let offset = self.ids.len();
+        if !self.by_id.claim(id, offset) {
             return Err(VecDbError::PointExists { id });
         }
-        let offset = self.ids.len();
         self.ids.push(id);
         self.inv_norms.push(inv_norm(&vector));
         self.vectors.extend_from_slice(&vector);
         self.payloads.push(payload);
         self.deleted.push(false);
         self.live += 1;
-        self.by_id.insert(id, offset);
         let rows = Rows::new(&self.vectors, self.config.dim);
         self.hnsw.insert(offset, rows, &self.inv_norms);
         self.maintain_quant();
@@ -500,17 +502,10 @@ impl Collection {
         Ok(())
     }
 
-    /// Replaces the payload of an existing point (Qdrant `set_payload`).
-    pub fn update_payload(&mut self, id: PointId, payload: Payload) -> Result<(), VecDbError> {
-        let offset = self.by_id.get(id).ok_or(VecDbError::PointNotFound { id })?;
-        self.payloads.set(offset, payload);
-        Ok(())
-    }
-
     /// Whether a live (non-deleted) point with this id exists.
     #[must_use]
     pub fn contains(&self, id: PointId) -> bool {
-        self.by_id.contains_key(id)
+        self.by_id.get(id).is_some()
     }
 
     /// The payload of a point (reassembled when the compressed text
@@ -531,7 +526,7 @@ impl Collection {
     }
 
     /// Which offsets qualify: live points, and of those the ones whose
-    /// payload matches `filter`.
+    /// position lies inside `filter`'s box.
     fn live_mask(&self, filter: Option<&Filter>) -> Vec<bool> {
         let mut mask =
             filter.map_or_else(|| vec![true; self.deleted.len()], |f| self.payloads.mask(f));
@@ -541,7 +536,7 @@ impl Collection {
         mask
     }
 
-    /// Ids of all live points whose payload matches `filter`.
+    /// Ids of all live points whose position lies inside `filter`'s box.
     #[must_use]
     pub fn filter_ids(&self, filter: &Filter) -> Vec<PointId> {
         let mask = self.live_mask(Some(filter));
@@ -566,7 +561,7 @@ impl Collection {
         }
     }
 
-    /// k-NN search with optional payload filtering: a one-query
+    /// k-NN search with an optional geo box: a one-query
     /// [`Collection::search_batch`] with the execution metadata dropped.
     pub fn search(
         &self,
@@ -905,9 +900,7 @@ impl Collection {
         w.len64(n);
         w.u64s(&self.ids);
         w.bools(&self.deleted);
-        w.len64(self.live);
         w.len64(self.quant_trained_at);
-        self.by_id.pack(&mut w);
         self.payloads.pack(&mut w)?;
         w.end_section();
         w.f32s(&self.vectors);
@@ -930,8 +923,8 @@ impl Collection {
     /// allocated for it, and the parts must then agree with each other —
     /// one point count across ids, vectors, norms, payloads, delete
     /// flags, graph nodes and codes, the configured dimension and text
-    /// tier throughout, every live id resolving to its own offset, each
-    /// payload's position agreeing with the geo column, and every graph
+    /// tier throughout, no id live at two offsets, each payload's
+    /// position agreeing with the geo column, and every graph
     /// link inside the graph. A file that fails any of this is an error
     /// here rather than a panic in some later query.
     ///
@@ -949,9 +942,7 @@ impl Collection {
         let n = meta.len64()?;
         let ids = meta.u64s(n)?;
         let deleted = meta.bools(n)?;
-        let live = meta.len64()?;
         let quant_trained_at = meta.len64()?;
-        let by_id = LearnedIdIndex::unpack(&mut meta)?;
         let payloads = PayloadStore::unpack(&mut meta)?;
         meta.finish()?;
 
@@ -995,16 +986,8 @@ impl Collection {
                 "payload store of another text tier than configured",
             ));
         }
-        if !by_id.is_well_formed() {
-            return Err(corrupt("id index is internally inconsistent"));
-        }
-        let resolves = |o: usize| deleted[o] || by_id.get(ids[o]) == Some(o);
-        if live != deleted.iter().filter(|&&d| !d).count()
-            || live != by_id.len()
-            || !(0..n).all(resolves)
-        {
-            return Err(corrupt("id index disagrees with the stored points"));
-        }
+        let by_id = IdColumn::derive(&ids, &deleted)?;
+        let live = deleted.iter().filter(|&&d| !d).count();
 
         Ok(Self {
             config,
@@ -1031,6 +1014,98 @@ impl Collection {
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
             .map(|(o, &id)| (id, self.rows().row(o), self.payloads.get(o)))
+    }
+}
+
+/// The offset an id holds in [`IdColumn`] once its point is deleted.
+const GONE: u32 = u32::MAX;
+
+/// Id → offset: every id the collection has stored, ascending, beside
+/// the offset of its live point or [`GONE`]. A deleted id keeps its
+/// slot, so deleting a point and inserting its id again — an update —
+/// is two binary searches and no allocation; a new id above the largest
+/// is a push.
+#[derive(Debug, Clone, Default)]
+struct IdColumn {
+    keys: Vec<PointId>,
+    offsets: Vec<u32>,
+}
+
+impl IdColumn {
+    /// The offset of `id`'s live point.
+    fn get(&self, id: PointId) -> Option<usize> {
+        let i = self.keys.binary_search(&id).ok()?;
+        let offset = self.offsets[i];
+        (offset != GONE).then_some(offset as usize)
+    }
+
+    /// Maps `id` to `offset`, unless `id` is live already.
+    fn claim(&mut self, id: PointId, offset: usize) -> bool {
+        let offset = u32::try_from(offset)
+            .ok()
+            .filter(|&o| o != GONE)
+            .expect("fewer than u32::MAX points");
+        match self.keys.binary_search(&id) {
+            Ok(i) if self.offsets[i] != GONE => return false,
+            Ok(i) => self.offsets[i] = offset,
+            Err(i) => {
+                self.keys.insert(i, id);
+                self.offsets.insert(i, offset);
+            }
+        }
+        true
+    }
+
+    /// Takes `id` out, returning the offset its live point had.
+    fn remove(&mut self, id: PointId) -> Option<usize> {
+        let i = self.keys.binary_search(&id).ok()?;
+        let offset = std::mem::replace(&mut self.offsets[i], GONE);
+        (offset != GONE).then_some(offset as usize)
+    }
+
+    /// The column `claim` and `remove` leave behind for points stored as
+    /// `ids` with these delete flags: every stored id, at its one live
+    /// offset or [`GONE`].
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] for an id live at two offsets, or for
+    /// more points than an offset can name.
+    fn derive(ids: &[PointId], deleted: &[bool]) -> Result<Self, VecDbError> {
+        let n = u32::try_from(ids.len())
+            .ok()
+            .filter(|&n| n != GONE)
+            .ok_or_else(|| corrupt(format!("{} points", ids.len())))?;
+        // Stable: an id's offsets stay ascending.
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&o| ids[o as usize]);
+        let mut column = Self {
+            keys: Vec::with_capacity(ids.len()),
+            offsets: Vec::with_capacity(ids.len()),
+        };
+        for o in order {
+            let id = ids[o as usize];
+            let offset = if deleted[o as usize] { GONE } else { o };
+            if column.keys.last() != Some(&id) {
+                column.keys.push(id);
+                column.offsets.push(offset);
+                continue;
+            }
+            let slot = column.offsets.last_mut().expect("parallel to keys");
+            if offset != GONE {
+                if *slot != GONE {
+                    return Err(corrupt(format!(
+                        "id {id} is live at offsets {slot} and {o}"
+                    )));
+                }
+                *slot = offset;
+            }
+        }
+        Ok(column)
+    }
+
+    /// 12 B an id: the id and its offset.
+    fn memory_bytes(&self) -> usize {
+        self.keys.len() * (std::mem::size_of::<PointId>() + std::mem::size_of::<u32>())
     }
 }
 
@@ -1149,15 +1224,13 @@ mod tests {
     #[test]
     fn filtered_search_respects_filter() {
         let c = collection_with_points(200);
-        let f = Filter::MatchKeyword {
-            key: "city".to_owned(),
-            value: "A".to_owned(),
-        };
+        // Points 100..=200 — half the collection, so not selective.
+        let f = Filter::geo_box(0.0995, -0.2005, 0.2005, -0.0995);
         let r = c
             .search(&unit(0.31), &SearchParams::top_k(5).with_filter(f))
             .unwrap();
         assert_eq!(r.len(), 5);
-        assert!(r.iter().all(|p| p.id % 2 == 0));
+        assert!(r.iter().all(|p| p.id >= 100));
     }
 
     #[test]
@@ -1178,10 +1251,7 @@ mod tests {
     #[test]
     fn empty_filter_result_is_empty() {
         let c = collection_with_points(50);
-        let f = Filter::MatchKeyword {
-            key: "city".to_owned(),
-            value: "Z".to_owned(),
-        };
+        let f = Filter::geo_box(10.0, 10.0, 11.0, 11.0);
         let r = c
             .search(&unit(0.0), &SearchParams::top_k(5).with_filter(f))
             .unwrap();
@@ -1297,13 +1367,7 @@ mod tests {
         let c = collection_with_points(300);
         let owned: Vec<Vec<f32>> = (0..17).map(|i| unit(i as f32 * 0.13)).collect();
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
-        let filters = [
-            None,
-            Some(Filter::MatchKeyword {
-                key: "city".to_owned(),
-                value: "A".to_owned(),
-            }),
-        ];
+        let filters = [None, Some(Filter::geo_box(0.0995, -0.3, 0.3, -0.0995))];
         for filter in filters {
             for strategy in [
                 SearchStrategy::Auto,
@@ -1341,14 +1405,11 @@ mod tests {
         }
         let owned: Vec<Vec<f32>> = (0..17).map(|i| unit(i as f32 * 0.13)).collect();
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
-        let city_a = Filter::MatchKeyword {
-            key: "city".to_owned(),
-            value: "A".to_owned(),
-        };
+        let broad = Filter::geo_box(0.0995, -0.3, 0.3, -0.0995);
         let narrow = Filter::geo_box(0.0, -0.010, 0.010, 0.0);
         let cases = [
             (SearchStrategy::Exact, None),
-            (SearchStrategy::Exact, Some(city_a)),
+            (SearchStrategy::Exact, Some(broad)),
             // Selective filter: `Auto` resolves to the exact scan.
             (SearchStrategy::Auto, Some(narrow)),
         ];
@@ -1507,5 +1568,149 @@ mod tests {
             c.search(&[1.0, 2.0, 3.0], &SearchParams::top_k(1)),
             Err(VecDbError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn id_column_starts_empty() {
+        let column = IdColumn::default();
+        assert_eq!(column.get(0), None);
+        assert_eq!(column.get(u64::MAX), None);
+        assert_eq!(column.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn id_column_dense_sequential_ids() {
+        let mut column = IdColumn::default();
+        for i in 0..10_000u64 {
+            assert!(column.claim(i, i as usize * 3));
+        }
+        for i in 0..10_000u64 {
+            assert_eq!(column.get(i), Some(i as usize * 3), "key {i}");
+        }
+        assert_eq!(column.get(10_000), None);
+    }
+
+    #[test]
+    fn id_column_sparse_and_clustered_ids() {
+        // Not ascending: every few keys lands below one already stored.
+        let keys: Vec<u64> = (0..5_000u64)
+            .map(|i| i * 17 + (i % 7) * 1000 + if i > 2500 { 1 << 40 } else { 0 })
+            .chain([u64::MAX, u64::MAX - 1])
+            .collect();
+        let mut column = IdColumn::default();
+        for (offset, &k) in keys.iter().enumerate() {
+            assert!(column.claim(k, offset));
+        }
+        for (offset, &k) in keys.iter().enumerate() {
+            assert_eq!(column.get(k), Some(offset), "key {k}");
+        }
+        assert!(column.keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(column.get(3), None);
+        assert_eq!(column.get((1 << 40) + 3), None);
+    }
+
+    #[test]
+    fn id_column_remove_and_reinsert() {
+        let mut column = IdColumn::default();
+        for i in 0..3_000u64 {
+            column.claim(i, i as usize);
+        }
+        for i in (0..3_000u64).step_by(3) {
+            assert_eq!(column.remove(i), Some(i as usize), "remove {i}");
+            assert_eq!(column.remove(i), None, "double remove {i}");
+        }
+        for i in 0..3_000u64 {
+            let want = (i % 3 != 0).then_some(i as usize);
+            assert_eq!(column.get(i), want, "key {i}");
+        }
+        // The same ids again at new offsets reuse their slots.
+        for i in (0..3_000u64).step_by(3) {
+            assert!(column.claim(i, i as usize + 100_000));
+        }
+        for i in (0..3_000u64).step_by(3) {
+            assert_eq!(column.get(i), Some(i as usize + 100_000));
+        }
+        assert_eq!(column.keys.len(), 3_000);
+        assert_eq!(column.offsets.len(), 3_000);
+    }
+
+    #[test]
+    fn id_column_refuses_to_claim_a_live_id() {
+        let mut column = IdColumn::default();
+        for i in 0..2_000u64 {
+            assert!(column.claim(i, 1));
+        }
+        for i in 0..2_000u64 {
+            assert!(!column.claim(i, 2), "key {i} claimed twice");
+            assert_eq!(column.get(i), Some(1));
+        }
+        // An update is a remove, then a claim at the new offset.
+        for i in 0..2_000u64 {
+            column.remove(i);
+            assert!(column.claim(i, 2));
+        }
+        for i in 0..2_000u64 {
+            assert_eq!(column.get(i), Some(2));
+        }
+        assert_eq!(column.keys.len(), 2_000);
+    }
+
+    #[test]
+    fn id_column_derived_on_load_equals_the_one_built_by_claims() {
+        // Offsets are appended as the collection appends points: a
+        // re-insert of a deleted id takes a fresh offset.
+        let mut built = IdColumn::default();
+        let mut ids = Vec::new();
+        let mut deleted = Vec::new();
+        let mut insert = |built: &mut IdColumn, ids: &mut Vec<PointId>, id: PointId| {
+            assert!(built.claim(id, ids.len()));
+            ids.push(id);
+            deleted.push(false);
+        };
+        for i in 0..2_500u64 {
+            insert(&mut built, &mut ids, i * 5);
+        }
+        insert(&mut built, &mut ids, 1_000_000);
+        insert(&mut built, &mut ids, 3);
+        let removed = [10, 25, 3].map(|id| built.remove(id).unwrap());
+        insert(&mut built, &mut ids, 25);
+        for o in removed {
+            deleted[o] = true;
+        }
+
+        let derived = IdColumn::derive(&ids, &deleted).unwrap();
+        assert_eq!(derived.keys, built.keys);
+        assert_eq!(derived.offsets, built.offsets);
+        assert_eq!(derived.get(25), Some(ids.len() - 1));
+        assert_eq!(derived.get(10), None);
+        assert_eq!(derived.memory_bytes(), built.memory_bytes());
+
+        // One id live at two offsets is refused.
+        let mut twice = deleted.clone();
+        twice[5] = false; // offset 5 held id 25 before its delete
+        assert!(matches!(
+            IdColumn::derive(&ids, &twice),
+            Err(VecDbError::Snapshot { .. })
+        ));
+    }
+
+    #[test]
+    fn id_column_memory_is_12_bytes_an_id_and_beats_a_hashmap() {
+        let mut column = IdColumn::default();
+        for i in 0..100_000u64 {
+            column.claim(i, i as usize);
+        }
+        for i in (0..100_000u64).step_by(2) {
+            column.remove(i);
+        }
+        // A deleted id keeps its slot.
+        assert_eq!(column.memory_bytes(), 100_000 * 12);
+        let hashmap_estimate = 100_000 * 21; // SwissTable (u64, usize) at 7/8 load
+        assert!(
+            column.memory_bytes() < hashmap_estimate * 3 / 4,
+            "id column {} vs hashmap {}",
+            column.memory_bytes(),
+            hashmap_estimate
+        );
     }
 }

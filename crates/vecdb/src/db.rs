@@ -4,20 +4,16 @@
 //!
 //! One file per collection, written and read only by this crate. All
 //! integers and floats are little-endian; floats are stored as their
-//! bits (`f32::to_le_bytes`), nothing is recomputed on load.
+//! bits (`f32::to_le_bytes`), and no float is recomputed on load.
 //!
 //! ```text
-//! "VECDBSNP"  version: u32 = 2  crc32: u32   # CRC-32 of every byte after it
+//! "VECDBSNP"  version: u32 = 3  crc32: u32   # CRC-32 of every byte after it
 //! section count: u32 = 5, then one u64 byte length per section
 //! 0 meta      config    dim u64, metric u8 (0 cosine, 1 dot, 2 Euclid), m u64,
 //!                       m0 u64, ef_construction u64, seed u64, tier u8 (0 auto,
 //!                       1 full, 2 quantized + rerank_factor u64), compress u8
-//!             points    n u64, n × u64 ids, n × u8 delete flags, live u64,
+//!             points    n u64, n × u64 ids, n × u8 delete flags,
 //!                       quant_trained_at u64
-//!             id index  base: count u64, keys × u64, offsets × u32; segments:
-//!                       count u64, each first_key u64 first_pos u64 slope f64;
-//!                       overlay: count u64, keys × u64 ascending, offsets × u32;
-//!                       tombstones: count u64, keys × u64 ascending
 //!             payloads  count u64, count × (lat f64, lon f64) geo column, one
 //!                       skeleton object each (tagged values, below), text flag
 //!                       u8; if set: pending u64, per payload a slot count u32
@@ -44,11 +40,16 @@
 //!
 //! Sections tile the file exactly and the encoding is canonical: a
 //! collection has one byte string, and re-packing a restored collection
-//! reproduces the file. There is one version. A layout change bumps it
-//! and readers reject every version but their own — no migration, no
-//! fallback reader: version 2 packed the meta section, which version 1
-//! wrote as JSON, and left sections 1–4 byte for byte as they were; a
-//! version-1 file is refused with an error that names its version. A
+//! reproduces the file. Nothing derived is stored: the id → offset
+//! index and the live count are rebuilt from the ids and delete flags
+//! on load, and a file with one id live at two offsets is refused.
+//!
+//! There is one version. A layout change bumps it and readers reject
+//! every version but their own — no migration, no fallback reader:
+//! version 2 packed the meta section, which version 1 wrote as JSON;
+//! version 3 dropped the stored id index and live count from it. Both
+//! left sections 1–4 byte for byte as they were, and a file of either
+//! earlier version is refused with an error that names its version. A
 //! file that fails the checksum, or whose parts disagree, is a
 //! [`VecDbError::Snapshot`], never a loaded collection.
 
@@ -117,25 +118,6 @@ impl VectorDb {
             })
     }
 
-    /// Drops a collection.
-    pub fn drop_collection(&self, name: &str) -> Result<(), VecDbError> {
-        self.collections
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| VecDbError::CollectionNotFound {
-                name: name.to_owned(),
-            })
-    }
-
-    /// Names of all collections, sorted.
-    #[must_use]
-    pub fn list_collections(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.collections.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Loads a collection snapshot, registering it under `name`. The
     /// file is verified and validated, never trusted (see
     /// [`Collection::from_snapshot_bytes`]).
@@ -169,18 +151,16 @@ mod tests {
     use crate::payload::Payload;
 
     #[test]
-    fn create_get_drop() {
+    fn create_then_get() {
         let db = VectorDb::new();
+        assert!(db.collection("pois").is_err());
         db.create_collection("pois", CollectionConfig::new(4))
             .unwrap();
         assert!(db.collection("pois").is_ok());
-        assert_eq!(db.list_collections(), vec!["pois".to_owned()]);
         assert!(db
             .create_collection("pois", CollectionConfig::new(4))
             .is_err());
-        db.drop_collection("pois").unwrap();
-        assert!(db.collection("pois").is_err());
-        assert!(db.drop_collection("pois").is_err());
+        assert!(db.collection("other").is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! - **approximate k-NN over embeddings** via an [`hnsw::HnswIndex`]
 //!   (Malkov & Yashunin's Hierarchical Navigable Small World graphs, the
 //!   same algorithm Qdrant runs), and
-//! - **payload filtering** — restricting search to points whose JSON
-//!   payload satisfies a filter; SemaSK uses a geo bounding-box filter
-//!   for the query range `q.r`.
+//! - **a geo bounding-box filter** — restricting search to points whose
+//!   position lies inside the query range `q.r`, read from a typed
+//!   `(lat, lon)` column beside each point's payload.
 //!
 //! A [`Collection`] owns vectors + payloads + the HNSW graph and picks a
 //! query strategy the way Qdrant does: when a filter is so selective that
@@ -29,7 +29,6 @@ pub mod error;
 pub mod flat;
 pub mod fsst;
 pub mod hnsw;
-pub mod learned;
 pub mod payload;
 pub mod pool;
 pub mod quant;
@@ -47,7 +46,6 @@ pub use error::VecDbError;
 pub use flat::FlatIndex;
 pub use fsst::{CompressedStrings, SymbolTable};
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use learned::LearnedIdIndex;
 pub use payload::{Filter, Payload, PayloadStore};
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};

@@ -1,18 +1,15 @@
-//! Point payloads, payload filters, and the payload storage tier.
+//! Point payloads, the geo filter, and the payload storage tier.
 //!
-//! Payloads are JSON objects attached to points, as in Qdrant. Filters
-//! are a small condition language evaluated against stored payloads;
-//! SemaSK uses [`Filter::GeoBoundingBox`] to implement the query range.
+//! Payloads are JSON objects attached to points, as in Qdrant. The one
+//! filter is [`Filter::GeoBoundingBox`], SemaSK's query range.
 //!
 //! [`PayloadStore`] is the storage seam, and the one evaluator of a
 //! [`Filter`]. A point's position lives in a typed geo column — one
 //! `(lat, lon)` pair of `f64` per offset, Qdrant's typed geo payload
 //! field — and the geo filter reads nothing else. The rest of each
 //! payload is a JSON *skeleton*; in compressed mode long text fields are
-//! further split out of it into an FSST arena ([`crate::fsst`]), and a
-//! filter decompresses a text field only when it names that field.
-
-use std::borrow::Cow;
+//! further split out of it into an FSST arena ([`crate::fsst`]), which
+//! no filter reads.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -82,28 +79,6 @@ pub enum Filter {
         /// Eastern edge.
         max_lon: f64,
     },
-    /// A string field must equal the given value exactly.
-    MatchKeyword {
-        /// Payload field.
-        key: String,
-        /// Required value.
-        value: String,
-    },
-    /// A numeric field must lie in `[gte, lte]` (either bound optional).
-    Range {
-        /// Payload field.
-        key: String,
-        /// Lower bound, inclusive.
-        gte: Option<f64>,
-        /// Upper bound, inclusive.
-        lte: Option<f64>,
-    },
-    /// All sub-filters must hold.
-    And(Vec<Filter>),
-    /// At least one sub-filter must hold.
-    Or(Vec<Filter>),
-    /// The sub-filter must not hold.
-    Not(Box<Filter>),
 }
 
 impl Filter {
@@ -121,7 +96,7 @@ impl Filter {
 
 /// Text fields at least this long are eligible for compression;
 /// shorter values stay in the skeleton (compressing a city name saves
-/// nothing and would force decompression on keyword filters).
+/// nothing).
 const COMPRESS_MIN_LEN: usize = 64;
 
 /// Number of buffered long strings that triggers symbol-table training.
@@ -179,15 +154,13 @@ struct TextTier {
 /// **The skeleton** is every other field. Plain mode keeps all of them
 /// inline; compressed mode moves long text into a shared FSST arena
 /// with per-string random access. A payload is only reassembled — and
-/// its text only decompressed — when a caller asks for the full payload
-/// (refinement) or a filter names a compressed field (none of the hot
-/// geo / range / keyword filters do).
+/// its text only decompressed — when a caller asks for the full payload.
 ///
 /// **Packed** (the snapshot's meta section, `PayloadStore::pack`), a
 /// store is its parts as they are: the column as `f64` bits, the
 /// skeletons in the binary `Value` encoding, the text tier's slots and
 /// arena. The reader accepts only parts `push` could have produced
-/// together, so a restored store answers every filter and gives back
+/// together, so a restored store answers every geo box and gives back
 /// every payload as the stored one did.
 #[derive(Debug, Clone)]
 pub struct PayloadStore {
@@ -402,26 +375,6 @@ impl PayloadStore {
         }
     }
 
-    /// Replaces the payload at `offset`. Packed strings the old payload
-    /// referenced stay in the arena as garbage until a rebuild; the
-    /// arena is append-only by design.
-    pub fn set(&mut self, offset: usize, mut payload: Payload) {
-        self.geo[offset] = take_position(&mut payload);
-        if self.text.is_some() {
-            let (skeleton, slots) = Self::split(payload);
-            self.skeletons[offset] = skeleton;
-            let tier = self.text.as_mut().expect("checked above");
-            tier.pending += slots
-                .iter()
-                .filter(|s| matches!(s.text, TextRef::Raw(_)))
-                .count();
-            tier.slots[offset] = slots;
-            self.absorb_pending();
-        } else {
-            self.skeletons[offset] = payload;
-        }
-    }
-
     /// The position at `offset` when it lives in the column alone (see
     /// the type docs).
     fn moved_position(&self, offset: usize) -> Option<[f64; 2]> {
@@ -446,55 +399,18 @@ impl PayloadStore {
         p
     }
 
-    /// One field of the payload at `offset`, from wherever it lives:
-    /// the skeleton, the geo column, or the text tier — the only place
-    /// the filter path decompresses anything, and only the field asked
-    /// for.
-    fn field(&self, offset: usize, key: &str) -> Option<Cow<'_, Value>> {
-        if let Some(v) = self.skeletons[offset].get(key) {
-            return Some(Cow::Borrowed(v));
-        }
-        if key == LAT || key == LON {
-            if let Some([lat, lon]) = self.moved_position(offset) {
-                return Some(Cow::Owned(Value::from(if key == LAT { lat } else { lon })));
-            }
-        }
-        let tier = self.text.as_ref()?;
-        let slot = tier.slots[offset].iter().find(|s| s.key == key)?;
-        Some(Cow::Owned(Value::String(tier.text_of(slot))))
-    }
-
-    /// Evaluates `filter` at `offset` — the one evaluator. A geo box
-    /// reads the `(lat, lon)` column and nothing else; keyword and
-    /// range conditions look their one field up.
+    /// Evaluates `filter` at `offset` — the one evaluator: the geo box
+    /// reads the `(lat, lon)` column and nothing else.
     #[must_use]
     pub fn matches(&self, offset: usize, filter: &Filter) -> bool {
-        match filter {
-            Filter::GeoBoundingBox { .. } => in_box(self.geo[offset], filter),
-            Filter::MatchKeyword { key, value } => self
-                .field(offset, key)
-                .is_some_and(|v| v.as_str() == Some(value)),
-            Filter::Range { key, gte, lte } => {
-                let Some(x) = self.field(offset, key).and_then(|v| v.as_f64()) else {
-                    return false;
-                };
-                gte.is_none_or(|lo| x >= lo) && lte.is_none_or(|hi| x <= hi)
-            }
-            Filter::And(fs) => fs.iter().all(|f| self.matches(offset, f)),
-            Filter::Or(fs) => fs.iter().any(|f| self.matches(offset, f)),
-            Filter::Not(f) => !self.matches(offset, f),
-        }
+        in_box(self.geo[offset], filter)
     }
 
-    /// [`PayloadStore::matches`] at every offset, in offset order. For
-    /// a geo box — the query range — that is one pass over a flat array
-    /// of `f64` pairs.
+    /// [`PayloadStore::matches`] at every offset, in offset order: one
+    /// pass over a flat array of `f64` pairs.
     #[must_use]
     pub fn mask(&self, filter: &Filter) -> Vec<bool> {
-        match filter {
-            Filter::GeoBoundingBox { .. } => self.geo.iter().map(|&p| in_box(p, filter)).collect(),
-            _ => (0..self.len()).map(|o| self.matches(o, filter)).collect(),
-        }
+        self.geo.iter().map(|&p| in_box(p, filter)).collect()
     }
 
     /// Estimated heap bytes: the geo column (16 B a point), the JSON
@@ -586,7 +502,7 @@ impl PayloadStore {
 
 /// The geo verdict: whether a column entry lies inside `filter`'s box,
 /// edges included. A NaN — no position, or a NaN edge — fails every
-/// comparison. `false` for any filter but a geo box.
+/// comparison.
 #[inline]
 fn in_box([lat, lon]: [f64; 2], filter: &Filter) -> bool {
     let Filter::GeoBoundingBox {
@@ -594,10 +510,7 @@ fn in_box([lat, lon]: [f64; 2], filter: &Filter) -> bool {
         min_lon,
         max_lat,
         max_lon,
-    } = filter
-    else {
-        return false;
-    };
+    } = filter;
     lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
 }
 
@@ -640,36 +553,20 @@ impl TextTier {
 
 #[cfg(test)]
 impl Filter {
-    /// The evaluator the store replaced, kept as the reference the
-    /// store is held to: every condition looked up in a reassembled
-    /// payload's JSON map.
+    /// The evaluator the geo column replaced, kept as the reference the
+    /// column is held to: the box checked against a reassembled
+    /// payload's `lat` / `lon` as its JSON map holds them.
     fn matches_payload(&self, payload: &Payload) -> bool {
-        match self {
-            Filter::GeoBoundingBox {
-                min_lat,
-                min_lon,
-                max_lat,
-                max_lon,
-            } => {
-                let (Some(lat), Some(lon)) = (payload.get_f64(LAT), payload.get_f64(LON)) else {
-                    return false;
-                };
-                lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
-            }
-            Filter::MatchKeyword { key, value } => payload
-                .get(key)
-                .and_then(Value::as_str)
-                .is_some_and(|s| s == value),
-            Filter::Range { key, gte, lte } => {
-                let Some(x) = payload.get_f64(key) else {
-                    return false;
-                };
-                gte.is_none_or(|lo| x >= lo) && lte.is_none_or(|hi| x <= hi)
-            }
-            Filter::And(fs) => fs.iter().all(|f| f.matches_payload(payload)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches_payload(payload)),
-            Filter::Not(f) => !f.matches_payload(payload),
-        }
+        let Filter::GeoBoundingBox {
+            min_lat,
+            min_lon,
+            max_lat,
+            max_lon,
+        } = self;
+        let (Some(lat), Some(lon)) = (payload.get_f64(LAT), payload.get_f64(LON)) else {
+            return false;
+        };
+        lat >= *min_lat && lat <= *max_lat && lon >= *min_lon && lon <= *max_lon
     }
 }
 
@@ -707,59 +604,6 @@ mod tests {
     fn geo_box_missing_fields_fails() {
         let f = Filter::geo_box(0.0, 0.0, 1.0, 1.0);
         assert!(!holds(&f, Payload::new()));
-    }
-
-    #[test]
-    fn match_keyword() {
-        let f = Filter::MatchKeyword {
-            key: "city".to_owned(),
-            value: "Nashville".to_owned(),
-        };
-        assert!(holds(&f, poi(0.5, 0.5, "Nashville", 4.0)));
-        assert!(!holds(&f, poi(0.5, 0.5, "Philadelphia", 4.0)));
-    }
-
-    #[test]
-    fn range_bounds() {
-        let f = Filter::Range {
-            key: "stars".to_owned(),
-            gte: Some(3.0),
-            lte: Some(4.5),
-        };
-        assert!(holds(&f, poi(0.0, 0.0, "x", 3.0)));
-        assert!(holds(&f, poi(0.0, 0.0, "x", 4.5)));
-        assert!(!holds(&f, poi(0.0, 0.0, "x", 5.0)));
-        let open = Filter::Range {
-            key: "stars".to_owned(),
-            gte: Some(3.0),
-            lte: None,
-        };
-        assert!(holds(&open, poi(0.0, 0.0, "x", 5.0)));
-    }
-
-    #[test]
-    fn boolean_combinators() {
-        let f = Filter::And(vec![
-            Filter::geo_box(0.0, 0.0, 1.0, 1.0),
-            Filter::Not(Box::new(Filter::MatchKeyword {
-                key: "city".to_owned(),
-                value: "Springfield".to_owned(),
-            })),
-        ]);
-        assert!(holds(&f, poi(0.5, 0.5, "Nashville", 3.0)));
-        assert!(!holds(&f, poi(0.5, 0.5, "Springfield", 3.0)));
-        let g = Filter::Or(vec![
-            Filter::MatchKeyword {
-                key: "city".to_owned(),
-                value: "A".to_owned(),
-            },
-            Filter::MatchKeyword {
-                key: "city".to_owned(),
-                value: "B".to_owned(),
-            },
-        ]);
-        assert!(holds(&g, poi(0.0, 0.0, "B", 1.0)));
-        assert!(!holds(&g, poi(0.0, 0.0, "C", 1.0)));
     }
 
     fn tip_payload(i: usize) -> Payload {
@@ -848,43 +692,10 @@ mod tests {
         assert!(skeleton.get("lat").is_none() && skeleton.get("lon").is_none());
         assert!(unmoved.skeletons[3].get("lat").is_some());
         assert!(s.memory_bytes() < unmoved.memory_bytes());
-        // A condition on the field by name still finds it.
-        let north = Filter::Range {
-            key: "lat".to_owned(),
-            gte: Some(0.025),
-            lte: None,
-        };
+        // The box still finds it.
+        let north = Filter::geo_box(0.025, -1.0, 1.0, 0.0);
         assert!(s.matches(3, &north) && !s.matches(2, &north));
         assert_eq!(s.get(3), tip_payload(3));
-    }
-
-    #[test]
-    fn filters_on_compressed_fields_still_answer_correctly() {
-        let mut s = PayloadStore::compressed();
-        for i in 0..5 {
-            s.push(tip_payload(i));
-        }
-        let text = tip_payload(2)
-            .get("tips")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_owned();
-        let f = Filter::MatchKeyword {
-            key: "tips".to_owned(),
-            value: text,
-        };
-        assert!(s.matches(2, &f));
-        assert!(!s.matches(3, &f));
-    }
-
-    #[test]
-    fn set_replaces_and_reassembles() {
-        let mut s = PayloadStore::compressed();
-        for i in 0..10 {
-            s.push(tip_payload(i));
-        }
-        s.set(4, tip_payload(1000));
-        assert_eq!(s.get(4), tip_payload(1000));
     }
 
     /// `store` packed, and read back from those bytes.
@@ -994,11 +805,9 @@ mod tests {
     }
     const HOSTILE_BOUNDS: usize = 12;
 
-    /// The filters every stored payload is judged by: the whole world,
+    /// The boxes every stored payload is judged by: the whole world,
     /// boxes with a stored position exactly on their edges, and the
-    /// generated boxes (inverted and NaN-edged ones among them) — each
-    /// also under `Not`, beside a keyword, and as a range on the moved
-    /// field's own name.
+    /// generated boxes (inverted and NaN-edged ones among them).
     fn filters_over(boxes: &[Vec<(usize, f64)>], payloads: &[Payload]) -> Vec<Filter> {
         let mut out = vec![Filter::geo_box(-90.0, -180.0, 90.0, 180.0)];
         // Boxes with a stored position on their edges.
@@ -1011,20 +820,7 @@ mod tests {
         }
         for b in boxes {
             let [s, w, n, e] = [0, 1, 2, 3].map(|i| hostile_bound(b[i].0, b[i].1));
-            let geo = Filter::geo_box(s, w, n, e);
-            let lat_range = Filter::Range {
-                key: "lat".to_owned(),
-                gte: Some(s),
-                lte: Some(n),
-            };
-            let named = Filter::MatchKeyword {
-                key: "name".to_owned(),
-                value: "a".to_owned(),
-            };
-            out.push(Filter::Not(Box::new(geo.clone())));
-            out.push(Filter::And(vec![geo.clone(), named.clone()]));
-            out.push(Filter::Or(vec![lat_range, named]));
-            out.push(geo);
+            out.push(Filter::geo_box(s, w, n, e));
         }
         out
     }
@@ -1079,12 +875,11 @@ mod tests {
 
         /// The geo column gives every point the verdict the JSON
         /// look-up gave it, and gives back the payload that was stored,
-        /// through a store's whole life: pushes, replacements, FSST
-        /// training, and a trip through the serialized form.
+        /// through a store's whole life: pushes, FSST training, and a
+        /// trip through the serialized form.
         #[test]
         fn the_column_answers_like_the_payload_it_was_read_from(
             payloads in hostile_payloads(40),
-            replacements in hostile_payloads(12),
             boxes in prop::collection::vec(
                 prop::collection::vec((0..HOSTILE_BOUNDS, -1.0f64..1.0), 4),
                 1..6,
@@ -1104,13 +899,6 @@ mod tests {
                 model.push(p.clone());
             }
             check_against_model(&store, &model, &filters, "pushed")?;
-
-            for (i, p) in replacements.iter().enumerate() {
-                let o = (i * 7) % model.len();
-                store.set(o, p.clone());
-                model[o] = p.clone();
-            }
-            check_against_model(&store, &model, &filters, "replaced")?;
 
             // One case in four crosses the training trigger, so packed
             // references and a trained arena are live for what follows.

@@ -87,20 +87,3 @@ fn delete_everything_empties_collection() {
     let r = c.search(&[0.0, 0.0], &SearchParams::top_k(5)).unwrap();
     assert!(r.is_empty());
 }
-
-#[test]
-fn update_payload_changes_filter_result() {
-    let mut c = collection(5);
-    let f = Filter::MatchKeyword {
-        key: "tag".to_owned(),
-        value: "special".to_owned(),
-    };
-    assert!(c.filter_ids(&f).is_empty());
-    c.update_payload(1, Payload::from_pairs(&[("tag", json!("special"))]))
-        .unwrap();
-    assert_eq!(c.filter_ids(&f), vec![1]);
-    assert!(matches!(
-        c.update_payload(99, Payload::new()),
-        Err(VecDbError::PointNotFound { id: 99 })
-    ));
-}

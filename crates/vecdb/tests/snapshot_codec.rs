@@ -8,7 +8,7 @@
 //! **Hostile bytes:** whatever is handed to the reader — a truncation, a
 //! flipped bit, a length that overruns the file, a graph link to a node
 //! that does not exist or a meta field that disagrees with the rest
-//! behind a *recomputed* checksum, a file of format 1 — the result is an
+//! behind a *recomputed* checksum, a file of format 1 or 2 — the result is an
 //! `Err`: never a panic, and never an allocation sized by the lie. The
 //! meta section's fields are found by `meta_layout`, a reader of the
 //! layout table in `vecdb::db` written independently of the crate's.
@@ -113,8 +113,8 @@ fn payload(i: u64) -> Payload {
 
 /// A collection that has lived: `n` inserts, every seventh point
 /// deleted, and two ids deleted then inserted again at new offsets — so
-/// the learned id index carries a rebuilt base, a hash overlay and
-/// tombstones, and the graph holds soft-deleted nodes.
+/// the id column holds ids with no live point and ids whose live point
+/// moved, and the graph holds soft-deleted nodes.
 fn lived_in(config: CollectionConfig, n: u64) -> Collection {
     let dim = config.dim;
     let mut c = Collection::new(config);
@@ -166,8 +166,8 @@ fn fingerprint(c: &Collection) -> Vec<Answer> {
 #[test]
 fn snapshot_round_trip_is_bit_identical_and_repacks_to_the_same_bytes() {
     let quantized = ScoringTier::Quantized { rerank_factor: 4 };
-    // 1,200 points: past the FSST training trigger (1,024 long strings)
-    // and the id index's first rebuild, so every representation is live.
+    // 1,200 points: past the FSST training trigger (1,024 long strings),
+    // so every representation is live.
     let mut worlds: Vec<(String, Collection)> = Vec::new();
     for tier in [ScoringTier::Full, quantized] {
         for compress in [false, true] {
@@ -290,9 +290,9 @@ fn snapshot_with_a_flipped_header_bit_is_rejected() {
     }
     // An unknown version is refused even with a checksum that matches.
     let mut next = file.clone();
-    next[8..12].copy_from_slice(&3u32.to_le_bytes());
+    next[8..12].copy_from_slice(&4u32.to_le_bytes());
     reseal(&mut next);
-    assert_rejected(&next, "format version 3");
+    assert_rejected(&next, "format version 4");
 }
 
 #[test]
@@ -379,9 +379,6 @@ struct MetaLayout {
     compress: usize,
     ids: usize,
     deleted: usize,
-    live: usize,
-    overlay: usize,
-    tombstones: usize,
     geo: usize,
     /// Where each payload's skeleton starts (its entry count).
     skeletons: Vec<usize>,
@@ -448,18 +445,7 @@ fn meta_layout(file: &[u8]) -> MetaLayout {
     let n = le(file, at, 8);
     m.ids = at + 8;
     m.deleted = m.ids + 8 * n;
-    m.live = m.deleted + n;
-    at = m.live + 16; // + quant_trained_at
-                      // The id index: base, segments, overlay, tombstones.
-    for (per_item, slot) in [(12, None), (24, None), (12, Some(0)), (8, Some(1))] {
-        match slot {
-            Some(0) => m.overlay = at,
-            Some(_) => m.tombstones = at,
-            None => {}
-        }
-        m.counts.push((at, 8));
-        at += 8 + per_item * le(file, at, 8);
-    }
+    at = m.deleted + n + 8; // + quant_trained_at
     m.counts.push((at, 8));
     let payloads = le(file, at, 8);
     m.geo = at + 8;
@@ -536,25 +522,34 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
     let file = small();
     let meta = meta_layout(&file);
     let u64_le = |v: u64| v.to_le_bytes().to_vec();
-    let live = le(&file, meta.live, 8) as u64;
-    let first_two_overlay_keys = {
-        let keys = meta.overlay + 8;
-        let mut swapped = file[keys + 8..keys + 16].to_vec();
-        swapped.extend_from_slice(&file[keys..keys + 8]);
-        swapped
-    };
-    // Offset 0 was deleted, offset 1 holds id 3 at (0.01, 0.0).
+    // Offset 0 holds id 0, deleted and inserted again at offset 70;
+    // offsets 1 and 2 hold ids 3 and 6, live.
     assert_eq!(file[meta.deleted], 1);
+    assert_eq!(le(&file, meta.ids + 70 * 8, 8), 0);
     assert_eq!(le(&file, meta.ids + 8, 8), 3);
-    let edits: [(&str, usize, Vec<u8>); 9] = [
-        ("a live count off by one", meta.live, u64_le(live + 1)),
-        ("a deleted point resurrected", meta.deleted, vec![0]),
+    assert_eq!(le(&file, meta.ids + 16, 8), 6);
+    for (what, at, bytes) in [
+        (
+            "id 0 resurrected beside its re-insert",
+            meta.deleted,
+            vec![0],
+        ),
+        ("id 6 at offsets 1 and 2", meta.ids + 8, u64_le(6)),
+    ] {
+        let bad = patched(&file, at, &bytes);
+        assert_rejected(&bad, what);
+        let refused = Collection::from_snapshot_bytes(&bad).err();
+        assert!(
+            matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("live at offsets")),
+            "{what}: {refused:?}"
+        );
+    }
+    let edits: [(&str, usize, Vec<u8>); 5] = [
         (
             "a delete flag that is neither 0 nor 1",
             meta.deleted + 1,
             vec![2],
         ),
-        ("a live point's id changed", meta.ids + 8, u64_le(5)),
         ("another dimension", meta.dim, u64_le(8)),
         ("a metric that does not exist", meta.distance, vec![3]),
         ("another text tier than the store's", meta.compress, vec![1]),
@@ -562,11 +557,6 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
             "half of a moved position gone",
             meta.geo + 16,
             f64::NAN.to_le_bytes().to_vec(),
-        ),
-        (
-            "id overlay keys out of order",
-            meta.overlay + 8,
-            first_two_overlay_keys,
         ),
     ];
     for (what, at, bytes) in edits {
@@ -581,13 +571,6 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
     one_fewer.drain(rel(meta.ids)..rel(meta.ids) + 8);
     one_fewer[rel(meta.ids) - 8..rel(meta.ids)].copy_from_slice(&(n - 1).to_le_bytes());
     assert_rejected(&with_meta(&file, &one_fewer), "one id fewer");
-    // No base key is 5 (the base is empty: every id is in the overlay).
-    let mut tombstone = section.to_vec();
-    let count = rel(meta.tombstones);
-    let had = le(section, count, 8) as u64;
-    tombstone.splice(count + 8..count + 8, 5u64.to_le_bytes());
-    tombstone[count..count + 8].copy_from_slice(&(had + 1).to_le_bytes());
-    assert_rejected(&with_meta(&file, &tombstone), "a tombstone on no base key");
     assert!(Collection::from_snapshot_bytes(&with_meta(&file, section)).is_ok());
 }
 
@@ -738,6 +721,51 @@ fn a_format_1_snapshot_is_refused_naming_its_version() {
     std::fs::remove_file(&path).ok();
     assert!(
         matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 1")),
+        "{refused:?}"
+    );
+}
+
+/// A format-2 file, byte for byte: the same empty collection with its
+/// packed meta section, stored id index and live count included, as
+/// `to_snapshot_bytes()` wrote it at commit `96574f4` (180 bytes,
+/// CRC-32 `9b03fee6`, both recorded there).
+fn format_2_file() -> Vec<u8> {
+    let mut meta = Vec::new();
+    // Config: dim 4, cosine, m 16, m0 32, ef_construction 128, seed
+    // 24301, tier auto, uncompressed text.
+    meta.extend_from_slice(&4u64.to_le_bytes());
+    meta.push(0);
+    for v in [16u64, 32, 128, 24_301] {
+        meta.extend_from_slice(&v.to_le_bytes());
+    }
+    meta.extend_from_slice(&[0, 0]);
+    // No points, live 0, quant_trained_at 0; an empty id index (base,
+    // segments, overlay, tombstones); no payloads, no text tier.
+    for _ in 0..3 + 4 + 1 {
+        meta.extend_from_slice(&0u64.to_le_bytes());
+    }
+    meta.push(0);
+    let graph = [255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0];
+    let mut file = b"VECDBSNP".to_vec();
+    file.extend_from_slice(&2u32.to_le_bytes());
+    file.extend_from_slice(&[0; 4]);
+    file.extend_from_slice(&5u32.to_le_bytes());
+    for len in [meta.len(), 0, 0, 0, graph.len()] {
+        file.extend_from_slice(&(len as u64).to_le_bytes());
+    }
+    file.extend_from_slice(&meta);
+    file.extend_from_slice(&graph);
+    reseal(&mut file);
+    file
+}
+#[test]
+fn a_format_2_snapshot_is_refused_naming_its_version() {
+    let file = format_2_file();
+    assert_eq!((file.len(), crc32(&file)), (180, 0x9b03_fee6));
+    assert_rejected(&file, "format 2");
+    let refused = Collection::from_snapshot_bytes(&file).err();
+    assert!(
+        matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 2")),
         "{refused:?}"
     );
 }
@@ -909,10 +937,11 @@ fn odd_positions(compress: bool) -> Collection {
 }
 
 /// `to_snapshot_bytes()` of three fixed collections, pinned: the whole
-/// file's length and CRC-32 at format 2, and for the four bulk sections
+/// file's length and CRC-32 at format 3, and for the four bulk sections
 /// (vectors, inverse norms, quantizer, graph) the lengths and CRC-32s
 /// format 1 wrote for the same collections, recorded at commit
-/// `c8d97ba` — format 2 changed the meta section and nothing else.
+/// `c8d97ba` — formats 2 and 3 changed the meta section and nothing
+/// else.
 #[test]
 fn snapshot_bytes_are_pinned_and_the_bulk_sections_are_format_1s() {
     let quantized = ScoringTier::Quantized { rerank_factor: 4 };
@@ -947,9 +976,9 @@ fn snapshot_bytes_are_pinned_and_the_bulk_sections_are_format_1s() {
         }
     }
 }
-const PIN_300: (usize, u32) = (124_917, 0x3bec_9088);
-const PIN_1200: (usize, u32) = (376_412, 0x3501_56ff);
-const PIN_ODD: (usize, u32) = (23_849, 0x382f_aadc);
+const PIN_300: (usize, u32) = (121_769, 0x96a0_0e28);
+const PIN_1200: (usize, u32) = (361_048, 0xfddc_595b);
+const PIN_ODD: (usize, u32) = (23_089, 0xbeb7_9dbb);
 const V1_BULK_300: [(usize, u32); 4] = [
     (19_328, 0x73b4_2ec5),
     (1_208, 0x56e5_00f9),
