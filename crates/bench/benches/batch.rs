@@ -3,8 +3,7 @@
 //! vs one `retrieve_batch` of N at N in {1, 16, 64} on the planner
 //! bench workload (same city, seed, and mid range as
 //! `benches/planner.rs`) — what grouping buys on the one filtering path —
-//! plus one exact-scan query fanned over 4 shards on the shared worker
-//! pool, and N `SemaSkEngine::query` calls vs one `query_batch` of N over
+//! and N `SemaSkEngine::query` calls vs one `query_batch` of N over
 //! distinct ranges — what a batch is worth when it shares nothing.
 //!
 //! The recorded baseline lives in `BENCH_batch.json` at the repo root;
@@ -17,10 +16,7 @@ use std::sync::Arc;
 
 use embed::Embedder;
 use llm::SimLlm;
-use semask::sharded::CandidateSource;
-use semask::{
-    prepare_city, PlannedQuery, RetrievalBackend, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
-};
+use semask::{prepare_city, PlannedQuery, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -37,10 +33,6 @@ fn bench_batch(c: &mut Criterion) {
     let data = datagen::poi::generate_city(&datagen::CITIES[3], 1790, 7);
     let llm = Arc::new(SimLlm::new());
     let prepared = Arc::new(prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep"));
-    let collection = prepared
-        .db
-        .collection(&prepared.collection_name)
-        .expect("collection");
 
     let center = prepared.city.center();
     // Two selectivity bands off the planner bench workload: "grid"
@@ -97,26 +89,6 @@ fn bench_batch(c: &mut Criterion) {
             });
         }
     }
-
-    // Sharded fan-out dispatch: the exact-scan backend over 4 slices on
-    // the shared worker pool, one query.
-    let shards = 4usize;
-    let pooled = RetrievalBackend::new(
-        CandidateSource::ExactScan,
-        vecdb::partition(&collection.read(), shards).expect("partition"),
-        Arc::default(),
-    );
-    let qv = &embedded[0];
-    let fan_range = &bands[1].1;
-    group.bench_function(format!("fanout/pooled-{shards}"), |b| {
-        b.iter(|| {
-            black_box(
-                pooled
-                    .knn_in_range(&[qv], fan_range, 10, None)
-                    .expect("pooled"),
-            )
-        });
-    });
 
     // The whole engine (embed, plan, retrieve, refine; `EmbeddingOnly`)
     // over 64 distinct ranges from 2 km to the whole city: no two

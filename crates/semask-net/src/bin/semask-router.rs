@@ -6,9 +6,9 @@
 //! semask-router --peers HOST:PORT,HOST:PORT [--city C --pois P --seed S --port PORT]
 //! ```
 //!
-//! The peer list is in shard order and its length fixes the shard
-//! fan-out (overriding `--shards`). Prints `LISTENING <port>` once
-//! bound and exits when stdin reaches EOF.
+//! The peer list is in shard order and its length is the shard count.
+//! The router's engine holds the whole city. Prints `LISTENING <port>`
+//! once bound and exits when stdin reaches EOF.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -24,14 +24,11 @@ fn main() {
         .split(',')
         .map(str::to_owned)
         .collect();
-    let mut params = boot::node_params(&args);
-    params.shards = peers.len() as u32;
+    let params = boot::node_params(&args);
     let port: u16 = boot::flag_parsed(&args, "--port", 0);
 
     let engine = boot::build_engine(&params);
-    let router = Arc::new(
-        ShardRouter::new(engine, peers, RouterConfig::default()).expect("router topology"),
-    );
+    let router = Arc::new(ShardRouter::new(engine, peers, RouterConfig::default()));
     let handler = Arc::new(RouterHandler::new(router));
     let mut server = ServeServer::bind(("127.0.0.1", port), handler, ServerConfig::default())
         .expect("bind router server");

@@ -1,6 +1,7 @@
-//! Shard server process: rebuilds the deterministic dataset and answers
-//! shard-slice queries (and direct client queries) over the framed
-//! protocol.
+//! Shard node process: rebuilds the deterministic dataset, keeps only
+//! the slice of the collection its `--shard` owns, and answers that
+//! slice's shard queries over the framed protocol. Client queries go to
+//! the router.
 //!
 //! ```text
 //! semask-shard --shard I [--shards N --city C --pois P --seed S --port PORT]
@@ -13,7 +14,6 @@ use std::io::Write;
 use std::sync::Arc;
 
 use semask_net::boot;
-use semask_net::router::ShardEngineHandler;
 use semask_net::server::{ServeServer, ServerConfig};
 use vecdb::ShardSpec;
 
@@ -25,8 +25,7 @@ fn main() {
     let spec = ShardSpec::new(params.shards, shard)
         .unwrap_or_else(|| panic!("shard {shard} out of range for {} shards", params.shards));
 
-    let engine = boot::build_engine(&params);
-    let handler = Arc::new(ShardEngineHandler::new(engine, spec).expect("shard topology"));
+    let handler = Arc::new(boot::build_shard(&params, spec));
     let mut server = ServeServer::bind(("127.0.0.1", port), handler, ServerConfig::default())
         .expect("bind shard server");
 

@@ -1,6 +1,6 @@
 //! Process bootstrap shared by the `semask-shard` / `semask-router`
-//! binaries and the `net_serve` example: CLI-style flag parsing and the
-//! deterministic engine build.
+//! binaries and the `net_serve` example: CLI-style flag parsing, the
+//! router's engine and a shard node's slice.
 //!
 //! Every node in the fabric rebuilds the **identical** dataset from
 //! `(city, pois, seed)` — generation and preparation are fully
@@ -9,7 +9,13 @@
 
 use std::sync::Arc;
 
-use semask::{prepare_city, PlannerConfig, SemaSkConfig, SemaSkEngine, Variant};
+use semask::{
+    prepare_city, Coefficients, CostModel, PlannerConfig, PreparedCity, QueryPlanner, SemaSkConfig,
+    SemaSkEngine, Variant,
+};
+use vecdb::ShardSpec;
+
+use crate::router::ShardHandler;
 
 /// Dataset/topology parameters every node must agree on.
 #[derive(Debug, Clone)]
@@ -20,7 +26,7 @@ pub struct NodeParams {
     pub pois: usize,
     /// Generation seed.
     pub seed: u64,
-    /// Shard fan-out of the planner (and of the process topology).
+    /// Number of shard processes the collection is split across.
     pub shards: u32,
 }
 
@@ -74,34 +80,73 @@ pub fn node_params(args: &[String]) -> NodeParams {
     }
 }
 
-/// Builds the deterministic engine every node shares: generated city,
-/// sharded planner with a **frozen** cost model (`online_updates:
-/// false` — cross-process parity needs every node to keep planning from
-/// identical state), SemaSK-EM variant (refinement stays deterministic
-/// and cheap for the wire tests; the router refines centrally anyway).
+/// The generated city of `params`, prepared under `config`.
 ///
 /// # Panics
 /// When preparation fails — a node that cannot build its dataset cannot
 /// serve, so it dies loudly before binding a port.
+fn prepare(params: &NodeParams, llm: &llm::SimLlm, config: &SemaSkConfig) -> PreparedCity {
+    let data = datagen::poi::generate_city(&datagen::CITIES[params.city], params.pois, params.seed);
+    prepare_city(&data, llm, config).expect("prepare city")
+}
+
+/// Builds the router's engine over the whole city: the planner with a
+/// **frozen** cost model (`online_updates: false` — every plan of a
+/// parity run is made from one model state), SemaSK-EM variant
+/// (refinement stays deterministic and cheap for the wire tests).
+///
+/// # Panics
+/// When preparation fails.
 #[must_use]
 pub fn build_engine(params: &NodeParams) -> Arc<SemaSkEngine> {
-    let data = datagen::poi::generate_city(&datagen::CITIES[params.city], params.pois, params.seed);
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
         planner: PlannerConfig {
-            shards: params.shards as usize,
             online_updates: false,
             ..PlannerConfig::default()
         },
         ..SemaSkConfig::default()
     };
-    let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prepare city"));
+    let prepared = Arc::new(prepare(params, &llm, &config));
     Arc::new(SemaSkEngine::new(
         prepared,
         llm,
         config,
         Variant::EmbeddingOnly,
     ))
+}
+
+/// Builds the shard node for `spec`: the prepared city is cut down to
+/// the slice `spec` owns ([`vecdb::partition`]) and the whole collection
+/// is dropped, leaving the dataset, the embedder and a planner over the
+/// slice. A node never plans — it runs the strategy the router ships —
+/// so its planner takes given coefficients and runs no probes.
+///
+/// # Panics
+/// When preparation fails.
+#[must_use]
+pub fn build_shard(params: &NodeParams, spec: ShardSpec) -> ShardHandler {
+    let planner = PlannerConfig {
+        cost_model: CostModel::Fixed(Coefficients::default()),
+        online_updates: false,
+    };
+    let config = SemaSkConfig {
+        planner,
+        ..SemaSkConfig::default()
+    };
+    let prepared = prepare(params, &llm::SimLlm::new(), &config);
+    let whole = prepared
+        .db
+        .collection(&prepared.collection_name)
+        .expect("the prepared collection");
+    let slice = vecdb::partition(&whole.read(), spec).expect("partition the prepared collection");
+    drop(whole);
+    let PreparedCity {
+        dataset, embedder, ..
+    } = prepared;
+    let planner =
+        QueryPlanner::for_city(dataset, Arc::new(parking_lot::RwLock::new(slice)), planner);
+    ShardHandler::new(embedder, planner, spec)
 }
 
 /// Blocks until stdin reaches EOF — the lifecycle contract for spawned

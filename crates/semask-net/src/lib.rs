@@ -17,8 +17,8 @@
 //!                  ShardQuery  ShardQuery  ShardQuery
 //!                       ┌──▼──┐ ┌──▼──┐ ┌──▼──┐
 //!                       │shard│ │shard│ │shard│  separate processes,
-//!                       │  0  │ │  1  │ │  2  │  each rebuilds the same
-//!                       └─────┘ └─────┘ └─────┘  deterministic dataset
+//!                       │  0  │ │  1  │ │  2  │  each holding the dataset
+//!                       └─────┘ └─────┘ └─────┘  and its own slice
 //! ```
 //!
 //! - [`proto`] — the versioned length-prefixed frame protocol, the
@@ -31,8 +31,14 @@
 //! - [`server`] — [`server::ServeServer`], thread-per-connection with
 //!   per-connection in-flight caps, read timeouts, and writers that
 //!   send every reply already answered in one `write`.
-//! - [`router`] — [`router::ShardRouter`]: bit-exact distributed
-//!   filtering with graceful degradation when shards go down.
+//! - [`router`] — [`router::ShardRouter`], the one place per-shard
+//!   answers merge: for every exact plan the routed answer is
+//!   bit-identical to the router's engine over the whole collection, and
+//!   every routed answer is the merge of the nodes' own replies
+//!   (see the module docs); graceful degradation when shards go down or
+//!   answer what the merge cannot trust. [`router::ShardHandler`] is a
+//!   shard node: the dataset plus its slice, built by
+//!   [`boot::build_shard`].
 //! - [`client`] — [`client::NetClient`] with connect retry and
 //!   pipelining.
 //!
@@ -51,5 +57,5 @@ pub mod server;
 pub use client::{ClientConfig, NetClient};
 pub use fair::FairGate;
 pub use proto::{Frame, FrameKind, FrameReader, ProtoError, ShardQuery, ShardReply};
-pub use router::{RoutedOutcome, RouterConfig, RouterHandler, ShardEngineHandler, ShardRouter};
+pub use router::{RoutedOutcome, RouterConfig, RouterHandler, ShardHandler, ShardRouter};
 pub use server::{IoStats, NetHandler, Reply, ServeServer, ServerConfig};

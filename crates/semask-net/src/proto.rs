@@ -7,7 +7,7 @@
 //! │ magic  │ version │ kind │ correlation id   │ payload len │ payload │
 //! │ u16 LE │ u8      │ u8   │ u64 LE           │ u32 LE      │ bytes   │
 //! └────────┴─────────┴──────┴──────────────────┴─────────────┴─────────┘
-//!   0x534B    1                                  ≤ 16 MiB
+//!   0x534B    2                                  ≤ 16 MiB
 //! ```
 //!
 //! The 16-byte header is fixed; the payload encoding depends on
@@ -33,8 +33,10 @@ use vecdb::{ScoredPoint, ShardSpec};
 
 /// Frame magic: `"SK"` little-endian.
 pub const MAGIC: u16 = 0x4B53;
-/// Protocol version carried in every header.
-pub const VERSION: u8 = 1;
+/// Protocol version carried in every header. Version 2 dropped the
+/// per-shard predicted costs from a response's latency block; a version
+/// 1 peer is refused by this byte rather than misparsed.
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on a single frame's payload; anything larger is rejected
@@ -543,10 +545,6 @@ fn put_latency(w: &mut Wire, l: &LatencyBreakdown) {
     for &n in &l.shard_candidates {
         w.put_u64(n as u64);
     }
-    w.put_u32(l.shard_predicted_us.len() as u32);
-    for &us in &l.shard_predicted_us {
-        w.put_f64(us);
-    }
 }
 
 fn take_latency(c: &mut Cursor<'_>) -> Result<LatencyBreakdown, ProtoError> {
@@ -565,11 +563,6 @@ fn take_latency(c: &mut Cursor<'_>) -> Result<LatencyBreakdown, ProtoError> {
     for _ in 0..n {
         shard_candidates.push(c.take_u64()? as usize);
     }
-    let n = c.take_u32()? as usize;
-    let mut shard_predicted_us = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        shard_predicted_us.push(c.take_f64()?);
-    }
     Ok(LatencyBreakdown {
         filtering_ms,
         retrieval_ms,
@@ -580,7 +573,6 @@ fn take_latency(c: &mut Cursor<'_>) -> Result<LatencyBreakdown, ProtoError> {
         runner_up,
         cost_model_version,
         shard_candidates,
-        shard_predicted_us,
     })
 }
 
@@ -822,12 +814,14 @@ mod tests {
             read_frame(&mut bad_magic.as_slice()),
             Err(ProtoError::BadMagic(_))
         ));
-        let mut bad_version = buf.clone();
-        bad_version[2] = 9;
-        assert!(matches!(
-            read_frame(&mut bad_version.as_slice()),
-            Err(ProtoError::BadVersion(9))
-        ));
+        for old_or_unknown in [1, 9] {
+            let mut bad_version = buf.clone();
+            bad_version[2] = old_or_unknown;
+            assert!(matches!(
+                read_frame(&mut bad_version.as_slice()),
+                Err(ProtoError::BadVersion(v)) if v == old_or_unknown
+            ));
+        }
         let mut bad_kind = buf.clone();
         bad_kind[3] = 200;
         assert!(matches!(

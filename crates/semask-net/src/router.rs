@@ -1,25 +1,33 @@
 //! The cross-process shard router: plans locally, fans the filtering
-//! stage out to shard servers over the wire, merges with the k-way
-//! merge, and finishes with the engine's own refinement.
+//! stage out to shard nodes over the wire, merges with the k-way merge,
+//! and finishes with the engine's own refinement. It is the one place
+//! per-shard answers are merged.
 //!
-//! Parity contract: with a frozen cost model (`online_updates: false`),
-//! routing a query through `N` shard processes produces **bit-identical
-//! answers** to the same planner's in-process fan-out
-//! ([`semask::RetrievalBackend::knn_in_range`]) — the router is the sole
-//! planner (shards execute the shipped strategy, never re-plan), shards
-//! embed the query text with the same deterministic embedder, each
-//! answers only its [`vecdb::ShardSpec`] slice — the very per-slice job
-//! the in-process fan-out runs
-//! ([`semask::RetrievalBackend::knn_in_range_shard`]) — and
-//! [`vecdb::merge_top_k`] reproduces the in-process merge exactly.
-//! Keyword-aware plans score against the *global* collection, which
-//! cannot be fanned out bit-exactly, so those queries execute locally
-//! on the router's own engine.
+//! Each shard node ([`ShardHandler`]) holds the dataset and its own
+//! [`vecdb::ShardSpec`] slice of the collection, embeds the query text
+//! with the same deterministic embedder, and runs the strategy the
+//! router shipped ([`semask::RetrievalBackend::knn_in_range`] over its
+//! slice) — the router is the sole planner. Parity contract, with a
+//! frozen cost model (`online_updates: false`):
+//!
+//! - **(a)** for every plan on an exact strategy (exact scan, grid,
+//!   IR-tree) the routed answer is **bit-identical** to the router's own
+//!   engine answering over the whole collection: exact per-slice top-k
+//!   lists merge ([`vecdb::merge_top_k`], ties by ascending id) to the
+//!   whole collection's top-k. Keyword-aware plans execute locally on
+//!   the router's engine, so they are identical too. Filtered HNSW
+//!   searches one graph per slice, so its answer is not the whole
+//!   graph's;
+//! - **(b)** every routed answer is the merge of the nodes' own
+//!   [`NetHandler::handle_shard`] replies, refined by the router's
+//!   engine — the wire adds nothing and loses nothing.
 //!
 //! Degradation contract: a down shard costs a bounded retry-with-backoff
 //! per attempt budget, then its slice is dropped and the merged result
 //! is flagged degraded — a client gets a partial answer with an explicit
 //! [`semask_serve::api::ServeStatus::Degraded`] status, never a hang.
+//! A reply the merge cannot trust (a non-finite score, scores out of
+//! best-first order, more than `k` hits) is that shard's failure too.
 //! Only when *every* shard fails does the query error.
 
 use std::net::{TcpStream, ToSocketAddrs};
@@ -27,8 +35,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use embed::{Embedder, SemanticEmbedder};
 use geotext::ObjectId;
-use semask::{EngineError, LatencyBreakdown, QueryOutcome, SemaSkEngine, SemaSkQuery};
+use semask::{
+    EngineError, LatencyBreakdown, QueryOutcome, QueryPlanner, SemaSkEngine, SemaSkQuery,
+};
 use semask_serve::api::{Request, Response, ServeStatus};
 use vecdb::{merge_top_k, ScoredPoint, ShardSpec};
 
@@ -40,19 +51,13 @@ use crate::server::{NetHandler, Reply};
 pub struct RouterConfig {
     /// TCP connect budget per attempt.
     pub connect_timeout: Duration,
-    /// Floor for the per-shard read timeout.
+    /// How long a shard call waits for its reply.
     pub read_timeout: Duration,
     /// Retries after the first failed attempt (total attempts =
     /// `retries + 1`).
     pub retries: usize,
     /// Backoff before the first retry; doubles per subsequent retry.
     pub backoff: Duration,
-    /// When the plan carries per-shard predicted costs, the read
-    /// timeout for shard `i` stretches to
-    /// `max(read_timeout, shard_us[i] × cost_timeout_factor)` — the
-    /// calibrated per-(strategy, shard) scales price the wait, so a
-    /// known-slow shard is not misread as down.
-    pub cost_timeout_factor: f64,
 }
 
 impl Default for RouterConfig {
@@ -62,7 +67,6 @@ impl Default for RouterConfig {
             read_timeout: Duration::from_secs(2),
             retries: 2,
             backoff: Duration::from_millis(50),
-            cost_timeout_factor: 50.0,
         }
     }
 }
@@ -131,32 +135,17 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Creates a router over `peer_addrs` (one address per shard, in
-    /// shard order). The peer count must match the engine planner's
-    /// shard count — a mismatched topology would silently drop slices.
-    ///
-    /// # Errors
-    /// [`EngineError::Remote`] when the topology does not match.
-    pub fn new(
-        engine: Arc<SemaSkEngine>,
-        peer_addrs: Vec<String>,
-        config: RouterConfig,
-    ) -> Result<Self, EngineError> {
-        let shard_count = engine.prepared().planner.shard_count();
-        if peer_addrs.len() != shard_count {
-            return Err(EngineError::Remote {
-                message: format!(
-                    "router has {} peers but the planner fans out over {shard_count} shards",
-                    peer_addrs.len()
-                ),
-            });
-        }
-        let peers = peer_addrs.into_iter().map(Peer::new).collect();
-        Ok(Self {
+    /// Creates a router over `peer_addrs`, one address per shard in
+    /// shard order: the peer count is the shard count of every
+    /// [`ShardSpec`] the router sends, and each node checks the spec of
+    /// every query it receives against its own.
+    #[must_use]
+    pub fn new(engine: Arc<SemaSkEngine>, peer_addrs: Vec<String>, config: RouterConfig) -> Self {
+        Self {
             engine,
-            peers,
+            peers: peer_addrs.into_iter().map(Peer::new).collect(),
             config,
-        })
+        }
     }
 
     /// The engine the router plans and refines with.
@@ -202,8 +191,7 @@ impl ShardRouter {
                         strategy: plan.chosen,
                         spec,
                     };
-                    let timeout = self.shard_timeout(plan.shard_us.get(shard).copied());
-                    scope.spawn(move || self.call_shard(shard, &shard_query, timeout))
+                    scope.spawn(move || self.call_shard(shard, &shard_query))
                 })
                 .collect();
             handles
@@ -245,7 +233,6 @@ impl ShardRouter {
             runner_up: plan.runner_up,
             cost_model_version: plan.model_version,
             shard_candidates: contributed,
-            shard_predicted_us: plan.shard_us.clone(),
         };
         let candidates: Vec<(ObjectId, f32)> = hits
             .iter()
@@ -261,29 +248,13 @@ impl ShardRouter {
         })
     }
 
-    fn shard_timeout(&self, predicted_us: Option<f64>) -> Duration {
-        let base = self.config.read_timeout;
-        match predicted_us {
-            Some(us) if us.is_finite() && us > 0.0 => {
-                let priced = Duration::from_micros((us * self.config.cost_timeout_factor) as u64);
-                base.max(priced)
-            }
-            _ => base,
-        }
-    }
-
     /// One shard call with the bounded retry/backoff budget.
-    fn call_shard(
-        &self,
-        shard: usize,
-        query: &ShardQuery,
-        timeout: Duration,
-    ) -> Result<Vec<ScoredPoint>, String> {
+    fn call_shard(&self, shard: usize, query: &ShardQuery) -> Result<Vec<ScoredPoint>, String> {
         let peer = &self.peers[shard];
         let mut delay = self.config.backoff;
         let mut last_error = String::new();
         for attempt in 0..=self.config.retries {
-            match self.call_once(peer, query, timeout) {
+            match self.call_once(peer, query) {
                 Ok(hits) => return Ok(hits),
                 Err(e) => {
                     last_error = e;
@@ -297,19 +268,14 @@ impl ShardRouter {
         Err(last_error)
     }
 
-    fn call_once(
-        &self,
-        peer: &Peer,
-        query: &ShardQuery,
-        timeout: Duration,
-    ) -> Result<Vec<ScoredPoint>, String> {
+    fn call_once(&self, peer: &Peer, query: &ShardQuery) -> Result<Vec<ScoredPoint>, String> {
         let mut guard = peer.claim();
         if guard.is_none() {
             *guard = Some(self.dial(&peer.addr)?);
         }
         let stream = guard.as_mut().expect("dialed above");
         let corr = peer.corr.fetch_add(1, Ordering::Relaxed);
-        let exchanged = Self::exchange(stream, corr, query, timeout);
+        let exchanged = Self::exchange(stream, corr, query, self.config.read_timeout);
         if exchanged.is_err() {
             // Drop the connection on any failure: a late reply on a
             // reused stream could otherwise be matched to the next
@@ -357,10 +323,35 @@ impl ShardRouter {
         let ShardReply { status, hits } =
             proto::decode_shard_reply(&frame.payload).map_err(|e| format!("decode: {e}"))?;
         match status {
-            ServeStatus::Ok => Ok(hits),
+            ServeStatus::Ok => {
+                check_slice(&hits, query.k as usize)?;
+                Ok(hits)
+            }
             other => Err(format!("shard status: {other}")),
         }
     }
+}
+
+/// What the k-way merge assumes of a slice: at most `k` hits, finite
+/// scores, best first. A reply breaking any of them would rank a NaN
+/// above every real score or corrupt the merge, so it is refused.
+fn check_slice(hits: &[ScoredPoint], k: usize) -> Result<(), String> {
+    if hits.len() > k {
+        return Err(format!("malformed reply: {} hits for k = {k}", hits.len()));
+    }
+    if let Some(hit) = hits.iter().find(|h| !h.score.is_finite()) {
+        return Err(format!(
+            "malformed reply: non-finite score {} for id {}",
+            hit.score, hit.id
+        ));
+    }
+    if let Some(pair) = hits.windows(2).find(|w| w[1].score > w[0].score) {
+        return Err(format!(
+            "malformed reply: id {} scores {} after {}, not best first",
+            pair[1].id, pair[1].score, pair[0].score
+        ));
+    }
+    Ok(())
 }
 
 /// [`NetHandler`] that serves client requests through a [`ShardRouter`].
@@ -407,48 +398,38 @@ fn route_to_response(router: &ShardRouter, request: &Request) -> Response {
     }
 }
 
-/// [`NetHandler`] for a shard server: answers shard-slice queries with
-/// [`semask::QueryPlanner::execute_shard_slice`] and (for operational
-/// convenience) full client queries with the local engine.
-pub struct ShardEngineHandler {
-    engine: Arc<SemaSkEngine>,
+/// [`NetHandler`] for a shard node: the dataset (for the grid and
+/// IR-tree candidate sources and the embedder) plus the node's own
+/// slice of the collection, answering the shard queries of its
+/// [`ShardSpec`] and nothing else. Built by [`crate::boot::build_shard`].
+pub struct ShardHandler {
+    embedder: SemanticEmbedder,
+    planner: QueryPlanner,
     spec: ShardSpec,
 }
 
-impl ShardEngineHandler {
-    /// A handler answering for `spec`'s slice of the id space. The
-    /// spec's shard count must match the engine planner's — a server
-    /// partitioned two ways would otherwise answer slice 0-of-2 to a
-    /// router that merges it as 0-of-4.
-    ///
-    /// # Errors
-    /// [`EngineError::Remote`] when the topology does not match.
-    pub fn new(engine: Arc<SemaSkEngine>, spec: ShardSpec) -> Result<Self, EngineError> {
-        let shard_count = engine.prepared().planner.shard_count();
-        if spec.shards as usize != shard_count {
-            return Err(EngineError::Remote {
-                message: format!(
-                    "handler answers shard {}/{} but the planner fans out over {shard_count} shards",
-                    spec.shard, spec.shards
-                ),
-            });
+impl ShardHandler {
+    /// A node answering for `spec` with `planner` over its slice.
+    pub(crate) fn new(embedder: SemanticEmbedder, planner: QueryPlanner, spec: ShardSpec) -> Self {
+        Self {
+            embedder,
+            planner,
+            spec,
         }
-        Ok(Self { engine, spec })
     }
 }
 
-impl NetHandler for ShardEngineHandler {
+impl NetHandler for ShardHandler {
     fn handle(&self, request: Request) -> Reply {
-        let engine = Arc::clone(&self.engine);
-        Reply::Deferred(Box::new(move || match engine.query(&request.query) {
-            Ok(outcome) => Response::ok(request.id, outcome),
-            Err(e) => Response::failed(
-                request.id,
-                ServeStatus::EngineError {
-                    message: e.to_string(),
-                },
-            ),
-        }))
+        Reply::Ready(Response::failed(
+            request.id,
+            ServeStatus::EngineError {
+                message: format!(
+                    "shard node {}/{} answers only shard queries; send client queries to the router",
+                    self.spec.shard, self.spec.shards
+                ),
+            },
+        ))
     }
 
     fn handle_shard(&self, query: ShardQuery) -> ShardReply {
@@ -456,27 +437,24 @@ impl NetHandler for ShardEngineHandler {
             return ShardReply {
                 status: ServeStatus::EngineError {
                     message: format!(
-                        "topology mismatch: this server answers shard {}/{} but was asked for {}/{}",
+                        "topology mismatch: this node answers shard {}/{} but was asked for {}/{}",
                         self.spec.shard, self.spec.shards, query.spec.shard, query.spec.shards
                     ),
                 },
                 hits: Vec::new(),
             };
         }
-        use embed::Embedder;
-        let prepared = self.engine.prepared();
-        let query_vec = prepared.embedder.embed(&query.text);
-        match prepared.planner.execute_shard_slice(
-            query.strategy,
-            &query_vec,
+        let query_vec = self.embedder.embed(&query.text);
+        let answered = self.planner.backend(query.strategy).knn_in_range(
+            &[&query_vec],
             &query.range,
             query.k as usize,
             query.ef.map(|ef| ef as usize),
-            query.spec.shard as usize,
-        ) {
-            Ok(hits) => ShardReply {
+        );
+        match answered {
+            Ok(mut hits) => ShardReply {
                 status: ServeStatus::Ok,
-                hits,
+                hits: hits.pop().expect("one answer per query"),
             },
             Err(e) => ShardReply {
                 status: ServeStatus::EngineError {
@@ -492,23 +470,93 @@ impl NetHandler for ShardEngineHandler {
 mod tests {
     use super::*;
     use crate::boot::{self, NodeParams};
+    use semask::RetrievalStrategy;
 
-    #[test]
-    fn shard_handler_refuses_a_spec_the_planner_was_not_built_for() {
-        let engine = boot::build_engine(&NodeParams {
+    fn params() -> NodeParams {
+        NodeParams {
             pois: 60,
             shards: 2,
             ..NodeParams::default()
-        });
-        let spec = |shards, shard| ShardSpec::new(shards, shard).expect("valid spec");
-        assert!(ShardEngineHandler::new(Arc::clone(&engine), spec(2, 1)).is_ok());
-        match ShardEngineHandler::new(engine, spec(4, 0)) {
-            Err(EngineError::Remote { message }) => assert_eq!(
-                message,
-                "handler answers shard 0/4 but the planner fans out over 2 shards"
-            ),
-            Err(other) => panic!("unexpected error: {other}"),
-            Ok(_) => panic!("a 0-of-4 handler over a 2-shard planner was accepted"),
         }
+    }
+
+    /// Every id `node` holds: an exact scan over a range covering the
+    /// whole world, with room for all `pois` points.
+    fn held_ids(node: &ShardHandler, spec: ShardSpec, pois: usize) -> Vec<u64> {
+        let reply = node.handle_shard(ShardQuery {
+            text: "anything".to_owned(),
+            range: geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("world"),
+            k: pois as u32,
+            ef: None,
+            strategy: RetrievalStrategy::ExactScan,
+            spec,
+        });
+        assert_eq!(reply.status, ServeStatus::Ok);
+        let mut ids: Vec<u64> = reply.hits.iter().map(|h| h.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn a_node_holds_exactly_the_ids_its_spec_owns() {
+        let params = params();
+        let mut all = Vec::new();
+        for shard in 0..params.shards {
+            let spec = ShardSpec::new(params.shards, shard).expect("valid spec");
+            let held = held_ids(&boot::build_shard(&params, spec), spec, params.pois);
+            assert!(!held.is_empty(), "shard {shard} holds points");
+            assert!(held.iter().all(|&id| spec.owns(id)), "shard {shard}");
+            all.extend(held);
+        }
+        all.sort_unstable();
+        let expected: Vec<u64> = (0..params.pois as u64).collect();
+        assert_eq!(all, expected, "the slices cover the city once");
+    }
+
+    #[test]
+    fn shard_handler_refuses_a_spec_the_planner_was_not_built_for() {
+        let spec = |shards, shard| ShardSpec::new(shards, shard).expect("valid spec");
+        let node = boot::build_shard(&params(), spec(2, 1));
+        let query = |spec| ShardQuery {
+            text: "late night ramen".to_owned(),
+            range: geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("world"),
+            k: 10,
+            ef: None,
+            strategy: RetrievalStrategy::ExactScan,
+            spec,
+        };
+        assert_eq!(node.handle_shard(query(spec(2, 1))).status, ServeStatus::Ok);
+        let refused = node.handle_shard(query(spec(4, 0)));
+        assert!(refused.hits.is_empty());
+        assert_eq!(
+            refused.status,
+            ServeStatus::EngineError {
+                message: "topology mismatch: this node answers shard 1/2 but was asked for 0/4"
+                    .to_owned()
+            }
+        );
+    }
+
+    #[test]
+    fn a_node_refuses_client_queries() {
+        let node = boot::build_shard(&params(), ShardSpec::new(2, 0).expect("valid spec"));
+        let request = Request::new(
+            7,
+            SemaSkQuery::new(
+                geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("world"),
+                "late night ramen",
+            ),
+        );
+        let Reply::Ready(response) = node.handle(request) else {
+            panic!("a refusal is ready at once");
+        };
+        assert_eq!(response.id, 7);
+        assert!(response.outcome.is_none());
+        assert!(
+            matches!(&response.status, ServeStatus::EngineError { message }
+                if message.contains("answers only shard queries")),
+            "{:?}",
+            response.status
+        );
     }
 }

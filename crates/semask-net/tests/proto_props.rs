@@ -264,7 +264,6 @@ proptest! {
                 }),
                 cost_model_version: latency_bits[0],
                 shard_candidates: vec![latency_bits[1] as usize % 1024, 3],
-                shard_predicted_us: vec![f64::from_bits(latency_bits[2])],
             },
         });
         let response = Response { id, outcome, status, cached };

@@ -13,10 +13,10 @@
 //!
 //! Concurrency: plans are read on every thread of a `query_batch` — the
 //! submitting thread and the pool's workers — while observations stream
-//! in from the queries finishing beside them. The mutable half of the model (the per-strategy scales)
-//! lives in a [`ScaleCell`] — a seqlock whose readers are lock-free and
-//! always see a *consistent* snapshot, so concurrent planners never
-//! compare costs from two different model generations.
+//! in from the queries finishing beside them. The mutable half of the
+//! model (the per-strategy scales) lives behind a seqlock whose readers
+//! are lock-free and always see a *consistent* snapshot, so concurrent
+//! planners never compare costs from two different model generations.
 //!
 //! There is one decision procedure — features → price → argmin.
 //! [`CostModel`] only says where the coefficients come from: timing
@@ -109,8 +109,7 @@ impl QueryFeatures {
     /// The number of candidates the chosen scan strategy will actually
     /// score: all spatial candidates, narrowed by the keyword filter
     /// when one is present.
-    #[must_use]
-    pub fn scored_candidates(&self) -> f64 {
+    fn scored_candidates(&self) -> f64 {
         match &self.keyword {
             Some(kw) => kw.range_matches.min(self.candidates),
             None => self.candidates,
@@ -119,11 +118,10 @@ impl QueryFeatures {
 }
 
 /// Calibrated per-unit costs, all in microseconds. Fixed after
-/// calibration; the online loop adjusts per-strategy *scales* on top
-/// (see [`ScaleCell`]), which keeps every invariant trivial: base
-/// coefficients are clamped positive once, scales are clamped to
-/// `[SCALE_MIN, SCALE_MAX]` on every update, so predicted costs can
-/// never go negative or NaN.
+/// calibration; the online loop adjusts per-strategy *scales* on top,
+/// which keeps every invariant trivial: base coefficients are clamped
+/// positive once, scales are clamped to `[0.1, 10]` on every update, so
+/// predicted costs can never go negative or NaN.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coefficients {
     /// Geo-mask evaluation per stored point: one pass over the store's
@@ -139,8 +137,8 @@ pub struct Coefficients {
     /// reporting, `knn_among` id resolution).
     pub gen_us: f64,
     /// HNSW cost per unit of effective beam width at fraction 1 (the
-    /// filtered beam degrades as the filter tightens — see
-    /// [`FRACTION_FLOOR`]).
+    /// filtered beam degrades as the filter tightens, down to a 2 %
+    /// selectivity floor).
     pub hop_us: f64,
     /// Touching one element of a sorted-list intersection (keyword
     /// candidate ∩ spatial candidate merge).
@@ -150,7 +148,7 @@ pub struct Coefficients {
 /// Selectivity floor for the filtered-HNSW cost: below this fraction
 /// the beam search mostly visits filtered-out nodes and the model stops
 /// extrapolating further.
-pub const FRACTION_FLOOR: f64 = 0.02;
+const FRACTION_FLOOR: f64 = 0.02;
 
 /// Below one estimated in-range object every strategy costs less than
 /// the measurement noise; the planner pins the exact scan (the
@@ -161,9 +159,9 @@ const COEF_MIN: f64 = 1e-6;
 const COEF_MAX: f64 = 1e7;
 /// Online scale clamp: observations can speed a strategy up or slow it
 /// down at most this far from its calibrated baseline.
-pub const SCALE_MIN: f64 = 0.1;
+const SCALE_MIN: f64 = 0.1;
 /// See [`SCALE_MIN`].
-pub const SCALE_MAX: f64 = 10.0;
+const SCALE_MAX: f64 = 10.0;
 const RATIO_CLAMP: f64 = 4.0;
 const EWMA_ALPHA: f64 = 0.3;
 
@@ -379,14 +377,6 @@ pub struct PlanDecision {
     pub near_empty: bool,
     /// Whether keyword features entered this decision.
     pub keyword_aware: bool,
-    /// Predicted cost of the chosen strategy on each shard (base
-    /// prediction × that shard's online scale), in shard order. Empty
-    /// when the model is unsharded.
-    pub shard_us: Vec<f64>,
-    /// The straggler's predicted cost: the max over `shard_us`, equal to
-    /// `predicted_us` (the planner prices fan-out completion time, which
-    /// is set by the slowest shard, not the average).
-    pub max_shard_us: f64,
 }
 
 impl PlanDecision {
@@ -395,69 +385,44 @@ impl PlanDecision {
     pub fn predicted_for(&self, strategy: RetrievalStrategy) -> f64 {
         self.costs[strategy_index(strategy)].predicted_us
     }
-
-    /// The chosen strategy's predicted cost on one shard, falling back
-    /// to the whole-query prediction when the model is unsharded.
-    #[must_use]
-    pub fn shard_predicted(&self, shard: usize) -> f64 {
-        self.shard_us
-            .get(shard)
-            .copied()
-            .unwrap_or(self.predicted_us)
-    }
 }
 
-/// Lock-free snapshot of the online scale slots: a seqlock.
-/// Readers retry while a writer is mid-update (sequence odd) or raced
-/// one (sequence changed), so every returned snapshot is a consistent
-/// model generation; writers serialize on a mutex. The sequence doubles
-/// as the model version (two increments per completed update).
-///
-/// The slot count is fixed at construction: 4 (one per strategy) for an
-/// unsharded model, `4 × shards` for a sharded one (strategy-major
-/// layout, shard contiguous — see [`CalibratedModel::with_shards`]).
-pub struct ScaleCell {
+/// Lock-free snapshot of the four online scales (one per strategy, in
+/// [`STRATEGIES`] order): a seqlock. Readers retry while a writer is
+/// mid-update (sequence odd) or raced one (sequence changed), so every
+/// returned snapshot is a consistent model generation; writers serialize
+/// on a mutex. The sequence doubles as the model version (two increments
+/// per completed update).
+struct ScaleCell {
     seq: AtomicU64,
-    slots: Box<[AtomicU64]>,
+    slots: [AtomicU64; 4],
     write: Mutex<()>,
 }
 
 impl ScaleCell {
-    /// Four slots (one per strategy) at 1.0, version 0 — the unsharded
-    /// layout.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_slots(4)
-    }
-
-    /// `n` slots (at least 1), all at 1.0 (the calibrated baseline),
-    /// version 0.
-    #[must_use]
-    pub fn with_slots(n: usize) -> Self {
-        let one = 1.0f64.to_bits();
+    /// Every scale at 1.0 (the calibrated baseline), version 0.
+    fn new() -> Self {
+        let one = || AtomicU64::new(1.0f64.to_bits());
         Self {
             seq: AtomicU64::new(0),
-            slots: (0..n.max(1)).map(|_| AtomicU64::new(one)).collect(),
+            slots: [one(), one(), one(), one()],
             write: Mutex::new(()),
         }
     }
 
-    /// A consistent `(scales, version)` snapshot of every slot.
-    /// Lock-free: never blocks, retries only while an update is in
-    /// flight.
-    #[must_use]
-    pub fn load(&self) -> (Vec<f64>, u64) {
+    /// A consistent `(scales, version)` snapshot. Lock-free: never
+    /// blocks, retries only while an update is in flight.
+    fn load(&self) -> ([f64; 4], u64) {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let vals: Vec<f64> = self
+            let vals = self
                 .slots
-                .iter()
-                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
-                .collect();
+                .each_ref()
+                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)));
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) == s1 {
                 return (vals, s1 / 2);
@@ -466,8 +431,7 @@ impl ScaleCell {
     }
 
     /// Completed updates so far (the model version).
-    #[must_use]
-    pub fn version(&self) -> u64 {
+    fn version(&self) -> u64 {
         self.seq.load(Ordering::Acquire) / 2
     }
 
@@ -492,47 +456,23 @@ impl ScaleCell {
     }
 }
 
-impl Default for ScaleCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The cost model: base coefficients (fitted from the build-time
-/// micro-probes, or given — see [`CostModel`]) plus the online scales —
-/// one EWMA scale per **(strategy, shard)** pair, all behind one seqlock
-/// snapshot.
-///
-/// The base coefficients are fitted by probing the *sharded* backends,
-/// so a base prediction already prices the whole fan-out's wall clock.
-/// Each shard's scale then tracks how that shard deviates from it:
-/// `shard_us[s] = base_prediction × scale[strategy][s]`. The cost fed
-/// to the argmin is the **max over shards** — fan-out completion time
-/// is set by the straggler, not the average — which with uniform scales
-/// (a fresh model, or one shard) reduces exactly to the per-strategy
-/// model this generalizes.
+/// micro-probes, or given — see [`CostModel`]) plus one online EWMA
+/// scale per strategy, all four behind one seqlock snapshot. A
+/// strategy's price is its base prediction times its scale.
 pub struct CalibratedModel {
     base: Coefficients,
-    shards: usize,
     scales: ScaleCell,
 }
 
 impl CalibratedModel {
-    /// An unsharded model over calibrated (or default) coefficients.
+    /// A model over calibrated (or default) coefficients, every scale
+    /// at 1.
     #[must_use]
     pub fn new(base: Coefficients) -> Self {
-        Self::with_shards(base, 1)
-    }
-
-    /// A model tracking one online scale per (strategy, shard) pair
-    /// (strategy-major slot layout). `shards` is clamped to at least 1.
-    #[must_use]
-    pub fn with_shards(base: Coefficients, shards: usize) -> Self {
-        let shards = shards.max(1);
         Self {
             base,
-            shards,
-            scales: ScaleCell::with_slots(4 * shards),
+            scales: ScaleCell::new(),
         }
     }
 
@@ -542,38 +482,10 @@ impl CalibratedModel {
         &self.base
     }
 
-    /// Shards this model tracks scales for (1 when unsharded).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Slot index of `(strategy, shard)` in the strategy-major layout.
-    fn slot(&self, strategy: RetrievalStrategy, shard: usize) -> usize {
-        strategy_index(strategy) * self.shards + shard.min(self.shards - 1)
-    }
-
-    /// Current effective per-strategy scales (the straggler's — max over
-    /// that strategy's shard scales), in [`STRATEGIES`] order.
+    /// Current per-strategy scales, in [`STRATEGIES`] order.
     #[must_use]
     pub fn scales(&self) -> [f64; 4] {
-        let (slots, _) = self.scales.load();
-        let mut out = [1.0f64; 4];
-        for (i, scale) in out.iter_mut().enumerate() {
-            *scale = slots[i * self.shards..(i + 1) * self.shards]
-                .iter()
-                .copied()
-                .fold(f64::MIN, f64::max);
-        }
-        out
-    }
-
-    /// One strategy's per-shard scales, in shard order.
-    #[must_use]
-    pub fn shard_scales(&self, strategy: RetrievalStrategy) -> Vec<f64> {
-        let (slots, _) = self.scales.load();
-        let i = strategy_index(strategy);
-        slots[i * self.shards..(i + 1) * self.shards].to_vec()
+        self.scales.load().0
     }
 
     /// Completed online updates (the model version).
@@ -589,26 +501,12 @@ impl CalibratedModel {
     #[must_use]
     pub fn plan(&self, features: &QueryFeatures) -> PlanDecision {
         let (scales, version) = self.scales.load();
-        let strategy_scale = |i: usize| -> f64 {
-            // The straggler's scale: fan-out completion time is the max
-            // over shards, so that is what prices the strategy.
-            scales[i * self.shards..(i + 1) * self.shards]
-                .iter()
-                .copied()
-                .fold(f64::MIN, f64::max)
-        };
-        let mut raws = [0.0f64; 4];
         let costs: Vec<StrategyCost> = STRATEGIES
             .iter()
-            .enumerate()
-            .map(|(i, &strategy)| {
+            .zip(scales)
+            .map(|(&strategy, scale)| {
                 let raw = predict_us(strategy, features, &self.base);
-                raws[i] = raw;
-                let predicted_us = if raw.is_finite() {
-                    raw * strategy_scale(i)
-                } else {
-                    raw
-                };
+                let predicted_us = if raw.is_finite() { raw * scale } else { raw };
                 StrategyCost {
                     strategy,
                     predicted_us,
@@ -632,72 +530,25 @@ impl CalibratedModel {
             .filter(|c| c.viable && c.strategy != chosen)
             .min_by(|a, b| a.predicted_us.total_cmp(&b.predicted_us))
             .copied();
-        let chosen_i = strategy_index(chosen);
-        let shard_us: Vec<f64> = if self.shards > 1 && raws[chosen_i].is_finite() {
-            scales[chosen_i * self.shards..(chosen_i + 1) * self.shards]
-                .iter()
-                .map(|s| raws[chosen_i] * s)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let predicted_us = costs[chosen_i].predicted_us;
         PlanDecision {
             chosen,
-            predicted_us,
+            predicted_us: costs[strategy_index(chosen)].predicted_us,
             runner_up,
             costs,
             fraction: features.fraction,
             model_version: version,
             near_empty,
             keyword_aware: features.keyword.is_some(),
-            shard_us,
-            max_shard_us: predicted_us,
         }
     }
 
     /// Folds one observed execution back into the model: the strategy's
     /// scale moves toward `actual / predicted` by an EWMA step in the
     /// log domain, ratio-clamped per observation and hard-clamped to
-    /// `[SCALE_MIN, SCALE_MAX]` overall. Non-finite or non-positive
-    /// inputs are rejected, so no observation sequence can ever make a
-    /// predicted cost negative or NaN.
+    /// `[0.1, 10]` overall. Non-finite or non-positive inputs are
+    /// rejected, so no observation sequence can ever make a predicted
+    /// cost negative or NaN.
     pub fn observe(&self, strategy: RetrievalStrategy, predicted_us: f64, actual_us: f64) {
-        // The whole-query prediction priced the straggler, so the wall
-        // clock folds into the straggler's slot (shard 0 when unsharded —
-        // exactly the pre-sharded behavior).
-        let slot = if self.shards == 1 {
-            self.slot(strategy, 0)
-        } else {
-            let i = strategy_index(strategy);
-            let (slots, _) = self.scales.load();
-            let span = &slots[i * self.shards..(i + 1) * self.shards];
-            let straggler = span
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(s, _)| s);
-            self.slot(strategy, straggler)
-        };
-        self.observe_slot(slot, predicted_us, actual_us);
-    }
-
-    /// Folds one shard's measured execution time back into that shard's
-    /// scale — same validation, ratio clamp, and log-domain EWMA as
-    /// [`CalibratedModel::observe`], applied to the (strategy, shard)
-    /// slot. `predicted_us` should be the decision's
-    /// [`PlanDecision::shard_predicted`] for this shard.
-    pub fn observe_shard(
-        &self,
-        strategy: RetrievalStrategy,
-        shard: usize,
-        predicted_us: f64,
-        actual_us: f64,
-    ) {
-        self.observe_slot(self.slot(strategy, shard), predicted_us, actual_us);
-    }
-
-    fn observe_slot(&self, slot: usize, predicted_us: f64, actual_us: f64) {
         if !predicted_us.is_finite()
             || !actual_us.is_finite()
             || predicted_us <= 0.0
@@ -706,7 +557,7 @@ impl CalibratedModel {
             return;
         }
         let ratio = (actual_us / predicted_us).clamp(1.0 / RATIO_CLAMP, RATIO_CLAMP);
-        self.scales.update(slot, |current| {
+        self.scales.update(strategy_index(strategy), |current| {
             let target = (current * ratio).clamp(SCALE_MIN, SCALE_MAX);
             (current.ln() * (1.0 - EWMA_ALPHA) + target.ln() * EWMA_ALPHA).exp()
         });
@@ -852,73 +703,6 @@ mod tests {
             (after - actual).abs() / actual < 0.1,
             "EWMA converges near the observed level: {before} -> {after} (target {actual})"
         );
-    }
-
-    #[test]
-    fn sharded_model_prices_the_straggler_not_the_average() {
-        let model = CalibratedModel::with_shards(Coefficients::default(), 4);
-        let f = features(1000.0, 0.3);
-        let fresh = model.plan(&f);
-        // Fresh scales are uniform, so the sharded model must agree with
-        // the unsharded one exactly — same argmin, same prices.
-        let flat = CalibratedModel::new(Coefficients::default()).plan(&f);
-        assert_eq!(fresh.chosen, flat.chosen);
-        assert_eq!(fresh.predicted_us, flat.predicted_us);
-        assert_eq!(fresh.shard_us.len(), 4);
-        assert_eq!(fresh.max_shard_us, fresh.predicted_us);
-
-        // Make shard 2 of the chosen strategy consistently 3x slower.
-        let chosen = fresh.chosen;
-        for _ in 0..50 {
-            let plan = model.plan(&f);
-            let p = plan.shard_predicted(2);
-            model.observe_shard(chosen, 2, p, p * 3.0);
-        }
-        // Only shard 2's scale moved…
-        let scales = model.shard_scales(chosen);
-        assert!((scales[0] - 1.0).abs() < 1e-9);
-        assert!((scales[1] - 1.0).abs() < 1e-9);
-        assert!(
-            scales[2] > 2.0,
-            "straggler scale must have risen: {scales:?}"
-        );
-        assert!((scales[3] - 1.0).abs() < 1e-9);
-        // …and the strategy is now priced at the straggler's scale (the
-        // max over shards), not the average: 3 of 4 shards are still at
-        // 1.0, so average pricing would barely move the prediction.
-        let after = model.plan(&f);
-        let expected = fresh.predicted_for(chosen) * scales[2];
-        let repriced = after.predicted_for(chosen);
-        assert!(
-            (repriced - expected).abs() / expected < 1e-9,
-            "strategy must be priced at the straggler: {repriced} vs {expected}"
-        );
-        // The argmin saw the straggler price too — the plan's own shard
-        // rows always describe the *chosen* strategy and max out at its
-        // predicted cost.
-        if after.chosen == chosen {
-            let max_shard = after.shard_us.iter().copied().fold(f64::MIN, f64::max);
-            assert_eq!(after.predicted_us, max_shard);
-        }
-    }
-
-    #[test]
-    fn whole_query_observe_updates_the_straggler_slot() {
-        let model = CalibratedModel::with_shards(Coefficients::default(), 2);
-        let f = features(1000.0, 0.3);
-        let chosen = model.plan(&f).chosen;
-        // Mark shard 1 as the straggler…
-        let p = model.plan(&f).shard_predicted(1);
-        model.observe_shard(chosen, 1, p, p * 4.0);
-        let before = model.shard_scales(chosen);
-        assert!(before[1] > before[0]);
-        // …then a whole-query observation must fold into shard 1's slot
-        // (the one the prediction priced), leaving shard 0 untouched.
-        let plan = model.plan(&f);
-        model.observe(chosen, plan.predicted_us, plan.predicted_us * 4.0);
-        let after = model.shard_scales(chosen);
-        assert!((after[0] - before[0]).abs() < 1e-12);
-        assert!(after[1] > before[1]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub enum EngineError {
         message: String,
     },
     /// A live mutation batch was rejected before any substrate changed
-    /// (unknown/deleted id, invalid spec, or a sharded planner).
+    /// (unknown/deleted id or invalid spec).
     Mutation {
         /// Why the batch was rejected.
         message: String,
@@ -322,7 +322,7 @@ impl SemaSkEngine {
 
         Ok(batch
             .into_iter()
-            .map(|mut planned| {
+            .map(|planned| {
                 let latency = LatencyBreakdown {
                     // The batch's share, known once every unit is back.
                     filtering_ms: 0.0,
@@ -333,8 +333,7 @@ impl SemaSkEngine {
                     predicted_cost_us: planned.predicted_cost_us,
                     runner_up: planned.runner_up,
                     cost_model_version: planned.model_version,
-                    shard_candidates: std::mem::take(&mut planned.shard_candidates),
-                    shard_predicted_us: std::mem::take(&mut planned.shard_predicted_us),
+                    shard_candidates: Vec::new(),
                 };
                 let candidates: Vec<(ObjectId, f32)> = planned
                     .hits
@@ -490,18 +489,11 @@ impl SemaSkEngine {
     /// state by replaying the WAL over the last checkpoint.
     ///
     /// # Errors
-    /// [`EngineError::Mutation`] when the batch is invalid or the planner
-    /// is sharded; substrate errors otherwise.
+    /// [`EngineError::Mutation`] when the batch is invalid; substrate
+    /// errors otherwise.
     pub fn apply_mutations(&self, mutations: &[Mutation]) -> Result<AppliedBatch, EngineError> {
         let live = &self.prepared.live;
         let _gate = live.gate_write();
-        if !self.prepared.planner.supports_mutations() {
-            return Err(EngineError::Mutation {
-                message: "sharded planners do not support live mutations; apply them to an \
-                          unsharded engine and re-shard from a checkpoint"
-                    .to_owned(),
-            });
-        }
         if mutations.is_empty() {
             return Ok(AppliedBatch {
                 epoch: live.epoch(),

@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod baselines;
 pub mod clock;
 pub mod config;
@@ -43,9 +44,9 @@ pub mod persist;
 pub mod prep;
 pub mod query;
 pub mod retrieval;
-pub mod sharded;
 pub mod wal;
 
+pub use backend::RetrievalBackend;
 pub use clock::{Clock, MockClock, SystemClock};
 pub use config::SemaSkConfig;
 pub use cost::{
@@ -59,8 +60,7 @@ pub use live::{LiveState, Overlay};
 pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};
 pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 pub use retrieval::{
-    BatchGroupKey, KnnAnswers, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner,
-    RetrievalError, RetrievalStrategy, SelectivityEstimator,
+    BatchGroupKey, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner, RetrievalError,
+    RetrievalStrategy, SelectivityEstimator,
 };
-pub use sharded::RetrievalBackend;
 pub use wal::{Mutation, PoiSpec, PoiUpdate, Wal, WalError, WalRecord, WalStats};

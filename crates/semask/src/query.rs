@@ -90,17 +90,10 @@ pub struct LatencyBreakdown {
     pub cost_model_version: u64,
     /// Size of each shard's pre-merge top-k candidate pool in the
     /// filtering stage, aligned with shard index (each at most `k`, so
-    /// the sum exceeds `k` on balanced shards). Empty when the planner
-    /// runs over one collection slice (`QueryPlanner::shard_count()`
-    /// is 1): one slice answers with no merge and no counts.
+    /// the sum exceeds `k` on balanced shards), as `semask-net`'s router
+    /// counts them in its merge. Empty for an answer filtered in one
+    /// process: one collection answers with no merge and no counts.
     pub shard_candidates: Vec<usize>,
-    /// The cost model's predicted filtering cost **per shard** for the
-    /// chosen strategy, microseconds, aligned with shard index. The max
-    /// row is the straggler whose cost `predicted_cost_us` reports —
-    /// compare rows against each other to spot a skewed shard, and the
-    /// max row against `retrieval_ms` to spot straggler misprediction.
-    /// Empty when the planner runs over one slice.
-    pub shard_predicted_us: Vec<f64>,
 }
 
 impl LatencyBreakdown {

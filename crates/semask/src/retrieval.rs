@@ -15,11 +15,11 @@
 //!    the range, then candidates are scored. Conjunctive keyword filters
 //!    prune this traversal natively.
 //!
-//! All four execute through one type, [`crate::sharded::RetrievalBackend`]
-//! — a candidate source over one or many collection slices, with **one**
-//! k-NN method over a slice of query vectors (a single query is a slice
-//! of one). [`QueryPlanner`] picks among them per query group by pricing
-//! each strategy with the calibrated cost models in [`crate::cost`] —
+//! All four execute through one type, [`crate::backend::RetrievalBackend`]
+//! — a candidate source over one collection, with **one** k-NN method
+//! over a slice of query vectors (a single query is a slice of one).
+//! [`QueryPlanner`] picks among them per query group by pricing each
+//! strategy with the calibrated cost models in [`crate::cost`] —
 //! fed by grid-cell cardinality estimates from [`SelectivityEstimator`],
 //! keyword posting statistics from the corpus inverted index, and
 //! `vecdb` collection statistics — and dispatching to the argmin. Every
@@ -36,11 +36,11 @@ use parking_lot::RwLock;
 use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
 use vecdb::{CollectionHandle, ScoredPoint, VecDbError};
 
+use crate::backend::{CandidateSource, RetrievalBackend};
 use crate::cost::{
     CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
     ProbeSample, QueryFeatures, StrategyCost,
 };
-use crate::sharded::{CandidateSource, RetrievalBackend};
 
 /// Errors from the retrieval layer.
 #[derive(Debug)]
@@ -48,22 +48,12 @@ use crate::sharded::{CandidateSource, RetrievalBackend};
 pub enum RetrievalError {
     /// Vector database failure.
     VecDb(VecDbError),
-    /// A shard slice was requested that the backend does not have.
-    NoSuchShard {
-        /// The requested slice index.
-        shard: usize,
-        /// How many slices the backend runs over.
-        shards: usize,
-    },
 }
 
 impl fmt::Display for RetrievalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RetrievalError::VecDb(e) => write!(f, "vector db: {e}"),
-            RetrievalError::NoSuchShard { shard, shards } => {
-                write!(f, "no shard {shard}: the planner fans out over {shards}")
-            }
         }
     }
 }
@@ -106,44 +96,6 @@ impl RetrievalStrategy {
 impl fmt::Display for RetrievalStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// What [`RetrievalBackend::knn_in_range`] answers for a slice of query
-/// vectors sharing one range.
-#[derive(Debug, Clone, Default)]
-pub struct KnnAnswers {
-    /// Per query, aligned with the submitted vectors: the top-k hits
-    /// (best first) and the size of each shard's pre-merge top-k pool
-    /// (each at most `k`; they sum to at least the merged length, not to
-    /// `k`) — the counts are empty when the backend has one slice.
-    pub per_query: Vec<(Vec<ScoredPoint>, Vec<usize>)>,
-    /// Each shard's measured execution time for the whole slice in
-    /// microseconds (the shard's own job, queueing and merge excluded) —
-    /// empty when the backend has one slice. For a slice of one this is the
-    /// per-shard cost of that query, which the per-shard cost model
-    /// learns from.
-    pub shard_us: Vec<f64>,
-}
-
-impl KnnAnswers {
-    /// An answer scored against one collection: hits only.
-    #[must_use]
-    pub fn unsharded(per_query_hits: Vec<Vec<ScoredPoint>>) -> Self {
-        Self {
-            per_query: per_query_hits
-                .into_iter()
-                .map(|hits| (hits, Vec::new()))
-                .collect(),
-            shard_us: Vec::new(),
-        }
-    }
-
-    /// The hits of a one-query answer.
-    #[must_use]
-    pub fn into_only_hits(mut self) -> Vec<ScoredPoint> {
-        debug_assert_eq!(self.per_query.len(), 1, "a one-query answer");
-        self.per_query.pop().map_or_else(Vec::new, |(hits, _)| hits)
     }
 }
 
@@ -268,8 +220,7 @@ impl SidePoints {
     }
 
     /// Number of buffered points inside `range`.
-    #[must_use]
-    pub fn count_in_range(&self, range: &BoundingBox) -> usize {
+    fn count_in_range(&self, range: &BoundingBox) -> usize {
         self.points
             .read()
             .iter()
@@ -307,8 +258,7 @@ impl SelectivityEstimator {
     }
 
     /// Estimated number of objects inside `range`.
-    #[must_use]
-    pub fn estimate_count(&self, range: &BoundingBox) -> f64 {
+    fn estimate_count(&self, range: &BoundingBox) -> f64 {
         self.grid.estimate_range_count(range)
     }
 
@@ -344,11 +294,6 @@ pub struct PlannerConfig {
     /// suites that compare plans across separate executions pin this
     /// off. A [`CostModel::Fixed`] planner never observes.
     pub online_updates: bool,
-    /// Number of collection slices the filtering stage runs over. `1`
-    /// (the default) is the collection itself; above 1 the planner
-    /// re-partitions it with [`vecdb::partition`] and every strategy fans
-    /// each query out across the slices in parallel and merges top-k.
-    pub shards: usize,
 }
 
 impl Default for PlannerConfig {
@@ -356,7 +301,6 @@ impl Default for PlannerConfig {
         Self {
             cost_model: CostModel::Calibrated,
             online_updates: true,
-            shards: 1,
         }
     }
 }
@@ -424,17 +368,6 @@ pub struct PlannedRetrieval {
     pub runner_up: Option<StrategyCost>,
     /// Cost-model generation the plan was made against.
     pub model_version: u64,
-    /// Size of each shard's pre-merge top-k candidate pool, aligned
-    /// with shard index (each at most `k`). Empty when the planner runs
-    /// over one slice ([`QueryPlanner::shard_count`] is 1) and on
-    /// keyword-filtered retrievals (which score through the shared
-    /// global collection).
-    pub shard_candidates: Vec<usize>,
-    /// Predicted cost of the chosen strategy on each shard (the cost
-    /// model's per-shard rows, shard order). The max row is the
-    /// straggler the whole-query prediction priced. Empty when the
-    /// planner runs over one slice.
-    pub shard_predicted_us: Vec<f64>,
 }
 
 /// Effective HNSW beam width: the explicit `ef`, or the default the
@@ -593,11 +526,9 @@ pub(crate) fn group_indices<K: std::hash::Hash + Eq>(
 /// latencies feed back into the model online
 /// ([`PlannerConfig::online_updates`]).
 ///
-/// Every strategy runs over the same collection slices — the collection
-/// itself, or with [`PlannerConfig::shards`] above 1 its
-/// [`vecdb::partition`]s: the plan is still made once per query from the
-/// global selectivity estimate, then the chosen strategy fans out across
-/// the slices in parallel and the per-slice top-k lists merge.
+/// Every strategy runs over the one collection the planner was built
+/// on: a prepared city's, or a shard process's slice of it
+/// ([`vecdb::partition`]) beside indexes over the whole dataset.
 pub struct QueryPlanner {
     exact: RetrievalBackend,
     hnsw: RetrievalBackend,
@@ -622,9 +553,6 @@ pub struct QueryPlanner {
     live_dirty: AtomicBool,
     dataset: Arc<Dataset>,
     collection: CollectionHandle,
-    /// What every strategy scores against, in shard order: `collection`
-    /// itself, or its hash partitions.
-    slices: Vec<CollectionHandle>,
     estimator: SelectivityEstimator,
     config: PlannerConfig,
     cost: CalibratedModel,
@@ -633,10 +561,7 @@ pub struct QueryPlanner {
 impl QueryPlanner {
     /// Builds the planner for a prepared city: a grid over the dataset
     /// plus the two collection-backed strategies (the IR-tree backend is
-    /// built lazily on first use), all over one list of collection
-    /// slices — `collection` itself, or [`PlannerConfig::shards`] hash
-    /// partitions of it. Candidate-generation indexes (grid, IR-tree)
-    /// stay global at any slice count.
+    /// built lazily on first use), all scoring against `collection`.
     #[must_use]
     pub fn for_city(
         dataset: Arc<Dataset>,
@@ -645,22 +570,14 @@ impl QueryPlanner {
     ) -> Self {
         let grid = Arc::new(grid_over(&dataset, GRID_RESOLUTION));
         let side = Arc::new(SidePoints::default());
-        let slices = match config.shards {
-            0 | 1 => vec![Arc::clone(&collection)],
-            n => vecdb::partition(&collection.read(), n)
-                .expect("re-partitioning a well-formed collection"),
-        };
-        let backend = |source| RetrievalBackend::new(source, slices.clone(), Arc::clone(&side));
+        let backend =
+            |source| RetrievalBackend::new(source, Arc::clone(&collection), Arc::clone(&side));
         let exact = backend(CandidateSource::ExactScan);
         let hnsw = backend(CandidateSource::FilteredHnsw);
         let gridb = backend(CandidateSource::Grid(Arc::clone(&grid)));
         let estimator = SelectivityEstimator::new(grid);
         let coefficients = match config.cost_model {
             CostModel::Fixed(given) => given,
-            // The probes run against the backends as built (fan-out
-            // included), so the fitted coefficients price the whole
-            // execution; per-shard scales then track each slice's
-            // deviation.
             CostModel::Calibrated => Coefficients::fit(&Self::probe_backends(
                 &estimator,
                 &collection,
@@ -668,7 +585,7 @@ impl QueryPlanner {
                 [&exact, &hnsw, &gridb],
             )),
         };
-        let cost = CalibratedModel::with_shards(coefficients, slices.len());
+        let cost = CalibratedModel::new(coefficients);
         Self {
             exact,
             hnsw,
@@ -679,7 +596,6 @@ impl QueryPlanner {
             live_dirty: AtomicBool::new(false),
             dataset,
             collection,
-            slices,
             estimator,
             config,
             cost,
@@ -780,13 +696,6 @@ impl QueryPlanner {
         &self.config
     }
 
-    /// Number of collection slices the filtering stage runs over (1
-    /// when unsharded).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.slices.len()
-    }
-
     /// The selectivity estimator (exposed for diagnostics and benches).
     #[must_use]
     pub fn estimator(&self) -> &SelectivityEstimator {
@@ -800,7 +709,7 @@ impl QueryPlanner {
             let tree = Arc::new(IrTree::build(&self.dataset));
             let backend = RetrievalBackend::new(
                 CandidateSource::IrTree(Arc::clone(&tree)),
-                self.slices.clone(),
+                Arc::clone(&self.collection),
                 Arc::clone(&self.side),
             );
             (tree, backend)
@@ -829,44 +738,10 @@ impl QueryPlanner {
         }
     }
 
-    /// Executes one shard's slice of an already-planned query: no
-    /// planning, no cost-model observation, just the `strategy`
-    /// backend's [`RetrievalBackend::knn_in_range_shard`]. This is what
-    /// a cross-process shard server runs — the router plans once,
-    /// ships the chosen strategy with the query, and merges the slices
-    /// with [`vecdb::merge_top_k`], which reproduces the in-process
-    /// answer bit-identically because each slice is the very job the
-    /// in-process fan-out runs.
-    ///
-    /// # Errors
-    /// [`RetrievalError::NoSuchShard`] when `shard >= shard_count()`;
-    /// otherwise as [`RetrievalBackend::knn_in_range`].
-    pub fn execute_shard_slice(
-        &self,
-        strategy: RetrievalStrategy,
-        query_vec: &[f32],
-        range: &BoundingBox,
-        k: usize,
-        ef: Option<usize>,
-        shard: usize,
-    ) -> Result<Vec<ScoredPoint>, RetrievalError> {
-        self.backend(strategy)
-            .knn_in_range_shard(shard, query_vec, range, k, ef)
-    }
-
     /// The cost model every plan is priced against.
     #[must_use]
     pub fn cost_model(&self) -> &CalibratedModel {
         &self.cost
-    }
-
-    /// Whether this planner can absorb live mutations. Only a planner
-    /// over the collection itself can: hash partitions are *copies*, so a
-    /// mutation applied to the global collection would desynchronize
-    /// them.
-    #[must_use]
-    pub fn supports_mutations(&self) -> bool {
-        self.shard_count() == 1
     }
 
     /// Absorbs a live insert: the point joins the side buffer (so the
@@ -1014,20 +889,6 @@ impl QueryPlanner {
         }
     }
 
-    /// Feeds per-shard measured execution times back into the
-    /// per-(strategy, shard) scales — the sharded counterpart of
-    /// [`QueryPlanner::observe`], called instead of it when the backend
-    /// reported shard timings (observing the wall clock *too* would
-    /// double-count the same execution).
-    fn observe_shards(&self, strategy: RetrievalStrategy, plan: &PlanDecision, timings: &[f64]) {
-        if self.learns() {
-            for (shard, &us) in timings.iter().enumerate() {
-                self.cost
-                    .observe_shard(strategy, shard, plan.shard_predicted(shard), us);
-            }
-        }
-    }
-
     /// Candidate ids of a keyword-filtered query under a strategy: the
     /// IR-tree traverses range and keywords together (its node keyword
     /// summaries prune non-matching subtrees); the scan strategies
@@ -1154,8 +1015,6 @@ impl QueryPlanner {
     /// the calling thread, in order of their first query; a caller that
     /// wants distinct ranges side by side runs one call per range on the
     /// shared pool, as [`crate::engine::SemaSkEngine::query_batch`] does.
-    /// Within a group, a backend over more than one collection slice
-    /// fans the queries out across the slices.
     ///
     /// Results align with `queries`, and the answer for query `i` does
     /// not depend on the other queries submitted with it
@@ -1163,9 +1022,8 @@ impl QueryPlanner {
     /// one and against brute force).
     ///
     /// A group of one feeds its measured latency back into the calibrated
-    /// model when [`PlannerConfig::online_updates`] is on — per shard
-    /// when the backend reports shard timings, the whole execution
-    /// otherwise. Multi-member groups feed nothing: a group amortizes
+    /// model when [`PlannerConfig::online_updates`] is on. Multi-member
+    /// groups feed nothing: a group amortizes
     /// candidate generation across its members, so its per-query share
     /// is *not* comparable to the single-query cost the model predicts —
     /// folding it in would drag the strategy's scale toward the
@@ -1225,29 +1083,19 @@ impl QueryPlanner {
                 let candidates =
                     self.keyword_candidates(strategy, &first.range, kw, &mut spatial_shared)?;
                 let ids: Vec<u64> = candidates.iter().map(|id| u64::from(id.0)).collect();
-                // Keyword-filtered candidates score against the global
-                // collection at any slice count.
-                let collection = self.collection.read();
-                KnnAnswers::unsharded(collection.knn_among_batch(&vecs, &ids, first.k)?)
+                self.collection
+                    .read()
+                    .knn_among_batch(&vecs, &ids, first.k)?
             } else {
                 backend.knn_in_range(&vecs, &first.range, first.k, first.ef)?
             };
             let elapsed_us = t0.elapsed().as_secs_f64() * 1e6;
             if members.len() == 1 {
-                // Shard timings, when reported, replace the wall clock
-                // (observing both would double-count one execution) —
-                // except under a forced strategy: a forced execution is
-                // still a real measurement, fed under that strategy's
-                // own prediction, but the plan's shard rows describe its
-                // *chosen* strategy, so only the whole execution can be
-                // observed.
-                if forced.is_none() && !answers.shard_us.is_empty() {
-                    self.observe_shards(strategy, &decision, &answers.shard_us);
-                } else {
-                    self.observe(strategy, &decision, elapsed_us);
-                }
+                // A forced execution is still a real measurement, fed
+                // under that strategy's own prediction.
+                self.observe(strategy, &decision, elapsed_us);
             }
-            for (&i, (hits, shard_candidates)) in members.iter().zip(answers.per_query) {
+            for (&i, hits) in members.iter().zip(answers) {
                 out[i] = Some(PlannedRetrieval {
                     hits,
                     strategy,
@@ -1255,14 +1103,6 @@ impl QueryPlanner {
                     predicted_cost_us: decision.predicted_for(strategy),
                     runner_up: decision.runner_up,
                     model_version: decision.model_version,
-                    shard_candidates,
-                    // The plan's shard rows describe its own chosen
-                    // strategy — under a forced one report none rather
-                    // than wrong rows.
-                    shard_predicted_us: match forced {
-                        None => decision.shard_us.clone(),
-                        Some(_) => Vec::new(),
-                    },
                 });
             }
         }
@@ -1338,8 +1178,7 @@ mod tests {
             planner
                 .backend(strategy)
                 .knn_in_range(&[&qv], &range, 5, None)
-                .unwrap()
-                .into_only_hits()
+                .unwrap()[0]
                 .iter()
                 .map(|h| h.id)
                 .collect()

@@ -1006,7 +1006,7 @@ impl Collection {
 
     /// Iterates over the live points: `(id, vector, payload)`. Offsets of
     /// soft-deleted points are skipped. This is the bulk-read surface the
-    /// sharding layer uses to re-partition an existing collection. The
+    /// shard nodes use to cut their slice out of a prepared collection. The
     /// payload is owned: the compressed text tier reassembles it.
     pub fn iter_points(&self) -> impl Iterator<Item = (PointId, &[f32], Payload)> + '_ {
         self.ids

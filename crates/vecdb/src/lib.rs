@@ -50,7 +50,7 @@ pub use payload::{Filter, Payload, PayloadStore};
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};
 pub use rows::Rows;
-pub use sharded::{merge_top_k, merge_top_k_batch, partition, shard_of, ShardSpec};
+pub use sharded::{merge_top_k, partition, shard_of, ShardSpec};
 
 /// Id of a point within a collection (caller-assigned, e.g. the
 /// `ObjectId` of a POI).

@@ -10,7 +10,7 @@
 //! to be rebalanced.
 //!
 //! Two properties of the dispatch path are there because they were
-//! measured (`pool_dispatch`, the narrow rows of `BENCH_sharding.json`):
+//! measured (`cargo run --release -p bench --bin pool_dispatch`):
 //!
 //! - The **submitting thread participates**: it claims indices like any
 //!   worker, so a fan-out of a few microsecond-scale jobs usually
@@ -408,8 +408,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The process-wide pool shared by every sharded backend and batch
-/// executor: one thread per available core *minus one*, created on
+/// The process-wide pool shared by every batch executor: one thread per available core *minus one*, created on
 /// first use — the submitting thread claims indices while it waits, so
 /// it is itself the remaining thread, and a full complement of workers
 /// would only fight it for cores.

@@ -13,15 +13,14 @@
 //! merge breaks equal scores by ascending id, matching the flat exact
 //! scan over id-ordered insertions).
 //!
-//! The crate has one search surface, [`Collection`]'s; who searches
-//! which slice, and on which thread, is the caller's business (`semask`'s
-//! retrieval backend fans out over [`crate::pool`]).
+//! The crate has one search surface, [`Collection`]'s. A slice lives in
+//! a process of its own (`semask-net`'s shard nodes); the router is the
+//! one place per-slice answers are merged.
 
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
 use crate::collection::{Collection, ScoredPoint};
-use crate::db::CollectionHandle;
 use crate::error::VecDbError;
 use crate::PointId;
 
@@ -138,54 +137,23 @@ pub fn merge_top_k(per_shard: &[Vec<ScoredPoint>], k: usize) -> (Vec<ScoredPoint
     (merged, contributed)
 }
 
-/// Batched counterpart of [`merge_top_k`]: consumes a `per_shard[s][q]`
-/// matrix of per-shard, per-query top-k lists, transposes it by move
-/// (no hit cloning), and merges each query's lists. Returns one
-/// `(merged top-k, per-shard contribution counts)` pair per query —
-/// the one transpose-and-merge every batched sharded backend shares.
-#[must_use]
-pub fn merge_top_k_batch(
-    per_shard: Vec<Vec<Vec<ScoredPoint>>>,
-    k: usize,
-) -> Vec<(Vec<ScoredPoint>, Vec<usize>)> {
-    let shards = per_shard.len();
-    let n_queries = per_shard.first().map_or(0, Vec::len);
-    let mut by_query: Vec<Vec<Vec<ScoredPoint>>> =
-        (0..n_queries).map(|_| Vec::with_capacity(shards)).collect();
-    for shard in per_shard {
-        debug_assert_eq!(shard.len(), n_queries, "ragged per-shard batch");
-        for (q, hits) in shard.into_iter().enumerate() {
-            by_query[q].push(hits);
-        }
-    }
-    by_query
-        .into_iter()
-        .map(|lists| merge_top_k(&lists, k))
-        .collect()
-}
-
-/// Re-partitions the live points of `source` into `shards` disjoint
-/// collections (at least 1), aligned with shard index: point `id` lands
-/// in slice [`shard_of`]`(id, shards)`, in the source's insertion order,
-/// and each slice builds its own HNSW graph on insertion. Every slice is
-/// an ordinary [`CollectionHandle`], so per-slice readers lock and search
-/// independently.
+/// The slice of `source` that `spec` owns: every live point with
+/// [`ShardSpec::owns`]`(id)`, in the source's insertion order, in a
+/// collection of the source's configuration that builds its own HNSW
+/// graph on insertion. A shard process calls this once at boot and then
+/// drops the source.
 ///
 /// # Errors
 /// Propagates insertion failures (cannot happen for a well-formed
 /// source: ids are unique and vectors already validated).
-pub fn partition(source: &Collection, shards: usize) -> Result<Vec<CollectionHandle>, VecDbError> {
-    let mut slices: Vec<Collection> = (0..shards.max(1))
-        .map(|_| Collection::new(source.config().clone()))
-        .collect();
+pub fn partition(source: &Collection, spec: ShardSpec) -> Result<Collection, VecDbError> {
+    let mut slice = Collection::new(source.config().clone());
     for (id, vector, payload) in source.iter_points() {
-        let slice = shard_of(id, slices.len());
-        slices[slice].insert(id, vector.to_vec(), payload)?;
+        if spec.owns(id) {
+            slice.insert(id, vector.to_vec(), payload)?;
+        }
     }
-    Ok(slices
-        .into_iter()
-        .map(|c| CollectionHandle::new(parking_lot::RwLock::new(c)))
-        .collect())
+    Ok(slice)
 }
 
 #[cfg(test)]
@@ -212,16 +180,23 @@ mod tests {
         flat
     }
 
+    /// The `shards` slices of `flat`, in shard order.
+    fn slices(flat: &Collection, shards: u32) -> Vec<Collection> {
+        (0..shards)
+            .map(|shard| partition(flat, ShardSpec::new(shards, shard).unwrap()).unwrap())
+            .collect()
+    }
+
     /// Every slice's answer to one search, merged — the module's
     /// contract is that this equals the flat collection's answer.
     fn merged_search(
-        slices: &[CollectionHandle],
+        slices: &[Collection],
         query: &[f32],
         params: &SearchParams,
     ) -> Vec<ScoredPoint> {
         let per_slice: Vec<Vec<ScoredPoint>> = slices
             .iter()
-            .map(|s| s.read().search(query, params).unwrap())
+            .map(|s| s.search(query, params).unwrap())
             .collect();
         merge_top_k(&per_slice, params.k).0
     }
@@ -241,20 +216,20 @@ mod tests {
     #[test]
     fn repartition_preserves_membership() {
         let flat = flat(200);
-        let slices = partition(&flat, 4).unwrap();
-        assert_eq!(slices.len(), 4);
+        let slices = slices(&flat, 4);
         for id in 0..200u64 {
             for (i, slice) in slices.iter().enumerate() {
-                assert_eq!(slice.read().contains(id), i == shard_of(id, 4), "id {id}");
+                assert_eq!(slice.contains(id), i == shard_of(id, 4), "id {id}");
             }
-            let owner = slices[shard_of(id, 4)].read();
+            let owner = &slices[shard_of(id, 4)];
             assert_eq!(owner.vector(id).unwrap(), flat.vector(id).unwrap());
             assert_eq!(owner.payload(id).unwrap(), flat.payload(id).unwrap());
         }
-        let per_slice: Vec<usize> = slices.iter().map(|s| s.read().len()).collect();
+        let per_slice: Vec<usize> = slices.iter().map(Collection::len).collect();
         assert_eq!(per_slice.iter().sum::<usize>(), flat.len());
         assert!(per_slice.iter().all(|&n| n > 0), "no empty slice at n=200");
-        assert_eq!(partition(&flat, 0).unwrap().len(), 1, "at least one slice");
+        let whole = partition(&flat, ShardSpec::new(1, 0).unwrap()).unwrap();
+        assert_eq!(whole.len(), flat.len(), "one shard owns every point");
     }
 
     #[test]
@@ -264,9 +239,8 @@ mod tests {
         let q = unit(1.1);
         let expect = flat.search(&q, &params).unwrap();
         for shards in [1, 2, 4, 8] {
-            let slices = partition(&flat, shards).unwrap();
             assert_eq!(
-                merged_search(&slices, &q, &params),
+                merged_search(&slices(&flat, shards), &q, &params),
                 expect,
                 "shards={shards}"
             );
@@ -276,12 +250,9 @@ mod tests {
     #[test]
     fn filtered_search_and_filter_ids_match_flat() {
         let flat = flat(400);
-        let slices = partition(&flat, 4).unwrap();
+        let slices = slices(&flat, 4);
         let f = Filter::geo_box(0.0, -0.05, 0.05, 0.0);
-        let mut ids: Vec<PointId> = slices
-            .iter()
-            .flat_map(|s| s.read().filter_ids(&f))
-            .collect();
+        let mut ids: Vec<PointId> = slices.iter().flat_map(|s| s.filter_ids(&f)).collect();
         ids.sort_unstable();
         assert_eq!(ids, flat.filter_ids(&f));
         let params = SearchParams::top_k(5)
@@ -310,8 +281,7 @@ mod tests {
             vec![0, 1, 2]
         );
         for shards in [1, 2, 4, 8] {
-            let slices = partition(&flat, shards).unwrap();
-            let got = merged_search(&slices, &[1.0, 0.0], &params);
+            let got = merged_search(&slices(&flat, shards), &[1.0, 0.0], &params);
             assert_eq!(got, expect, "shards={shards}");
         }
     }

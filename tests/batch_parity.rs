@@ -6,15 +6,14 @@
 //! - the answer for a query does not depend on the queries submitted
 //!   with it: a batch of N equals N batches of one (shared vs unshared
 //!   candidate sets) and equals the same queries at other lane counts —
-//!   across shard counts {1, 4}, batch sizes {1, 16, 64}, mixed-range
-//!   batches (grouping must not leak results between groups), and
-//!   duplicate-vector tie cases;
+//!   across batch sizes {1, 16, 64}, mixed-range batches (grouping must
+//!   not leak results between groups), and duplicate-vector tie cases;
 //! - every exact strategy answers a 17-query slice exactly like the
 //!   brute-force `vecdb::FlatIndex` scan;
-//! - a group of one feeds the online cost model per shard;
+//! - a group of one feeds the online cost model, a larger group does not;
 //! - an engine batch fans out by whole queries: mixed batches of distinct
 //!   and shared ranges, keyword-filtered and provably empty ones, at
-//!   sizes {2, 3, 16, 64} × shards {1, 4} × {`EmbeddingOnly`, `Full`}
+//!   sizes {2, 3, 16, 64} × {`EmbeddingOnly`, `Full`}
 //!   answer exactly as N calls to `query`, report one `filtering_ms`
 //!   per batch, fail with the error of the lowest query index, and stay
 //!   correct when four threads submit at once;
@@ -35,7 +34,6 @@ use semask::{
 };
 use vecdb::ScoredPoint;
 
-const SHARD_COUNTS: [usize; 2] = [1, 4];
 const BATCH_SIZES: [usize; 3] = [1, 16, 64];
 
 fn prepared() -> semask::PreparedCity {
@@ -49,13 +47,12 @@ fn prepared() -> semask::PreparedCity {
 /// against the *same* model state, or a mid-test model update could
 /// legitimately flip a strategy choice. Probed and given coefficients
 /// are both exercised via the `cost_model` parameter.
-fn planner_with(p: &semask::PreparedCity, shards: usize, cost_model: CostModel) -> QueryPlanner {
+fn planner_with(p: &semask::PreparedCity, cost_model: CostModel) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
         Arc::clone(&p.dataset),
         collection,
         PlannerConfig {
-            shards,
             cost_model,
             online_updates: false,
         },
@@ -102,7 +99,6 @@ fn assert_same_retrieval(a: &PlannedRetrieval, b: &PlannedRetrieval, context: &s
     );
     assert_eq!(a.strategy, b.strategy, "{context}");
     assert_eq!(a.estimated_fraction, b.estimated_fraction, "{context}");
-    assert_eq!(a.shard_candidates, b.shard_candidates, "{context}");
     assert_eq!(a.predicted_cost_us, b.predicted_cost_us, "{context}");
     assert_eq!(a.model_version, b.model_version, "{context}");
 }
@@ -114,28 +110,26 @@ fn retrieve_batch_matches_sequential_retrieve() {
     // entry point, and the same queries in lanes of 5.
     let p = prepared();
     for cost_model in [CostModel::Calibrated, common::banded()] {
-        for shards in SHARD_COUNTS {
-            let planner = planner_with(&p, shards, cost_model);
-            for batch_size in BATCH_SIZES {
-                let context = format!("{cost_model:?} shards={shards} batch={batch_size}");
-                let batch = make_batch(&p, batch_size);
-                let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
-                assert_eq!(batched.len(), batch.len());
-                let in_fives: Vec<PlannedRetrieval> = batch
-                    .chunks(5)
-                    .flat_map(|lane| planner.retrieve_batch(lane).expect("lane of 5"))
-                    .collect();
-                for ((q, b), five) in batch.iter().zip(&batched).zip(&in_fives) {
-                    let mut one = planner
-                        .retrieve_batch(std::slice::from_ref(q))
-                        .expect("batch of one");
-                    assert_same_retrieval(b, &one.pop().expect("one answer"), &context);
-                    let single = planner
-                        .retrieve_keyword(&q.vec, &q.range, None, q.k, q.ef)
-                        .expect("one-query entry point");
-                    assert_same_retrieval(b, &single, &context);
-                    assert_same_retrieval(b, five, &context);
-                }
+        let planner = planner_with(&p, cost_model);
+        for batch_size in BATCH_SIZES {
+            let context = format!("{cost_model:?} batch={batch_size}");
+            let batch = make_batch(&p, batch_size);
+            let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
+            assert_eq!(batched.len(), batch.len());
+            let in_fives: Vec<PlannedRetrieval> = batch
+                .chunks(5)
+                .flat_map(|lane| planner.retrieve_batch(lane).expect("lane of 5"))
+                .collect();
+            for ((q, b), five) in batch.iter().zip(&batched).zip(&in_fives) {
+                let mut one = planner
+                    .retrieve_batch(std::slice::from_ref(q))
+                    .expect("batch of one");
+                assert_same_retrieval(b, &one.pop().expect("one answer"), &context);
+                let single = planner
+                    .retrieve_keyword(&q.vec, &q.range, None, q.k, q.ef)
+                    .expect("one-query entry point");
+                assert_same_retrieval(b, &single, &context);
+                assert_same_retrieval(b, five, &context);
             }
         }
     }
@@ -146,7 +140,7 @@ fn exact_strategies_match_flat_index_brute_force() {
     // The surviving kernel held to an independent reference rather than
     // to itself: every exact strategy's backend answers a 17-query slice
     // bit for bit like `FlatIndex` (per-query scoring, stable full sort)
-    // masked to the range — unsharded and over 4 shards.
+    // masked to the range.
     let p = prepared();
     let collection = p.db.collection(&p.collection_name).expect("collection");
     let distance = collection.read().config().distance;
@@ -165,33 +159,27 @@ fn exact_strategies_match_flat_index_brute_force() {
         geotext::BoundingBox::from_center_km(center, 2.0, 2.0),
         geotext::BoundingBox::from_center_km(center, 9.0, 9.0),
     ];
-    for shards in SHARD_COUNTS {
-        let planner = planner_with(&p, shards, CostModel::Calibrated);
-        for range in &ranges {
-            let in_range = |o: usize| range.contains(&p.dataset.objects()[o].location);
-            for strategy in [
-                RetrievalStrategy::ExactScan,
-                RetrievalStrategy::GridPrefilter,
-                RetrievalStrategy::IrTree,
-            ] {
-                let answers = planner
-                    .backend(strategy)
-                    .knn_in_range(&queries, range, 10, None)
-                    .expect("exact strategy");
-                assert_eq!(answers.per_query.len(), queries.len());
-                for (q, (hits, _)) in queries.iter().zip(&answers.per_query) {
-                    let expect: Vec<(u64, u32)> = flat
-                        .search(q, 10, Some(&in_range))
-                        .into_iter()
-                        .map(|(o, d)| (o as u64, distance.similarity_from_distance(d).to_bits()))
-                        .collect();
-                    assert!(!expect.is_empty(), "the range holds points");
-                    assert_eq!(
-                        ids_and_scores(hits),
-                        expect,
-                        "{strategy} shards={shards} vs brute force"
-                    );
-                }
+    let planner = planner_with(&p, CostModel::Calibrated);
+    for range in &ranges {
+        let in_range = |o: usize| range.contains(&p.dataset.objects()[o].location);
+        for strategy in [
+            RetrievalStrategy::ExactScan,
+            RetrievalStrategy::GridPrefilter,
+            RetrievalStrategy::IrTree,
+        ] {
+            let answers = planner
+                .backend(strategy)
+                .knn_in_range(&queries, range, 10, None)
+                .expect("exact strategy");
+            assert_eq!(answers.len(), queries.len());
+            for (q, hits) in queries.iter().zip(&answers) {
+                let expect: Vec<(u64, u32)> = flat
+                    .search(q, 10, Some(&in_range))
+                    .into_iter()
+                    .map(|(o, d)| (o as u64, distance.similarity_from_distance(d).to_bits()))
+                    .collect();
+                assert!(!expect.is_empty(), "the range holds points");
+                assert_eq!(ids_and_scores(hits), expect, "{strategy} vs brute force");
             }
         }
     }
@@ -216,8 +204,8 @@ fn retrieve_batch_spans_strategy_groups() {
 fn retrieve_batch_handles_duplicate_distance_ties() {
     // Duplicate vectors inside the collection produce tied scores; a
     // group of 16 must keep the tie order (ascending id) a group of one
-    // produces, at every shard count. Build a planner over a collection
-    // with deliberate duplicates.
+    // produces. Build a planner over a collection with deliberate
+    // duplicates.
     let data = datagen::poi::generate_city(&datagen::CITIES[0], 60, 5);
     let llm = llm::SimLlm::new();
     let p = prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep");
@@ -241,66 +229,52 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
             c.insert(id, v.clone(), payload).expect("insert duplicate");
         }
     }
-    for shards in SHARD_COUNTS {
-        // The banded coefficients route the broad range to
-        // filtered-HNSW: the tie semantics below need a collection-backed
-        // strategy that sees the duplicates inserted past the
-        // dataset-derived indexes.
-        let planner = QueryPlanner::for_city(
-            Arc::clone(&p.dataset),
-            Arc::clone(&collection),
-            PlannerConfig {
-                shards,
-                cost_model: common::banded(),
-                ..PlannerConfig::default()
-            },
-        );
-        let qv = collection.read().vector(0).expect("point 0").to_vec();
-        // The full dataset bounds: routes to filtered-HNSW, whose mask is
-        // collection-backed and therefore sees the duplicate points.
-        let range = p.dataset.bounds().expect("non-empty dataset");
-        let batch: Vec<PlannedQuery> = (0..16)
-            .map(|_| PlannedQuery::new(qv.clone(), range, 10))
-            .collect();
-        let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
-        let single = planner
-            .retrieve_keyword(&qv, &range, None, 10, None)
-            .expect("group of one");
-        assert_eq!(single.strategy, RetrievalStrategy::FilteredHnsw);
-        for b in &batched {
-            assert_eq!(
-                ids_and_scores(&b.hits),
-                ids_and_scores(&single.hits),
-                "shards={shards}"
-            );
-        }
-        // The ties are real: the duplicate ids share one score.
-        let tied: Vec<u64> = single
-            .hits
-            .iter()
-            .filter(|h| (h.score - single.hits[0].score).abs() < 1e-9)
-            .map(|h| h.id)
-            .collect();
-        assert!(tied.len() >= 2, "expected tied top scores, got {tied:?}");
-    }
-}
-
-#[test]
-fn one_query_batch_feeds_the_per_shard_cost_scales() {
-    // A group of one is a single-query measurement whichever entry point
-    // submitted it: on a sharded planner it must move every shard's
-    // scale of the executed strategy (one observation per shard), not
-    // just the straggler's slot with the whole fan-out's wall clock.
-    let p = prepared();
-    let collection = p.db.collection(&p.collection_name).expect("collection");
+    // The banded coefficients route the broad range to
+    // filtered-HNSW: the tie semantics below need a collection-backed
+    // strategy that sees the duplicates inserted past the
+    // dataset-derived indexes.
     let planner = QueryPlanner::for_city(
         Arc::clone(&p.dataset),
-        collection,
+        Arc::clone(&collection),
         PlannerConfig {
-            shards: 4,
+            cost_model: common::banded(),
             ..PlannerConfig::default()
         },
     );
+    let qv = collection.read().vector(0).expect("point 0").to_vec();
+    // The full dataset bounds: routes to filtered-HNSW, whose mask is
+    // collection-backed and therefore sees the duplicate points.
+    let range = p.dataset.bounds().expect("non-empty dataset");
+    let batch: Vec<PlannedQuery> = (0..16)
+        .map(|_| PlannedQuery::new(qv.clone(), range, 10))
+        .collect();
+    let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
+    let single = planner
+        .retrieve_keyword(&qv, &range, None, 10, None)
+        .expect("group of one");
+    assert_eq!(single.strategy, RetrievalStrategy::FilteredHnsw);
+    for b in &batched {
+        assert_eq!(ids_and_scores(&b.hits), ids_and_scores(&single.hits));
+    }
+    // The ties are real: the duplicate ids share one score.
+    let tied: Vec<u64> = single
+        .hits
+        .iter()
+        .filter(|h| (h.score - single.hits[0].score).abs() < 1e-9)
+        .map(|h| h.id)
+        .collect();
+    assert!(tied.len() >= 2, "expected tied top scores, got {tied:?}");
+}
+
+#[test]
+fn one_query_batch_feeds_the_cost_model() {
+    // A group of one is a single-query measurement whichever entry point
+    // submitted it: it moves the executed strategy's scale by one
+    // observation.
+    let p = prepared();
+    let collection = p.db.collection(&p.collection_name).expect("collection");
+    let planner =
+        QueryPlanner::for_city(Arc::clone(&p.dataset), collection, PlannerConfig::default());
     let model = planner.cost_model();
     let query = PlannedQuery::new(
         p.embedder.embed("ramen with a long line"),
@@ -311,24 +285,21 @@ fn one_query_batch_feeds_the_per_shard_cost_scales() {
     let strategy = planner
         .plan_query(&query.range, None, query.k, query.ef)
         .chosen;
-    let (version, before) = (model.version(), model.shard_scales(strategy));
+    let slot = semask::cost::strategy_index(strategy);
+    let (version, before) = (model.version(), model.scales()[slot]);
     let one = planner
         .retrieve_batch(std::slice::from_ref(&query))
         .expect("batch of one");
     assert_eq!(one[0].strategy, strategy);
-    assert_eq!(one[0].shard_candidates.len(), 4);
-    assert_eq!(model.version(), version + 4, "one observation per shard");
-    let after = model.shard_scales(strategy);
-    for (shard, (b, a)) in before.iter().zip(&after).enumerate() {
-        assert_ne!(b, a, "shard {shard}'s scale did not move");
-    }
+    assert_eq!(model.version(), version + 1, "one observation");
+    assert_ne!(model.scales()[slot], before, "the scale did not move");
 
     // The one-query entry point feeds the model the same way.
     let version = model.version();
     planner
         .retrieve_keyword(&query.vec, &query.range, None, query.k, query.ef)
         .expect("one-query entry point");
-    assert_eq!(model.version(), version + 4);
+    assert_eq!(model.version(), version + 1);
 
     // A multi-member group shares work across its members, so its
     // per-query share is not a single-query cost: it feeds nothing.
@@ -482,15 +453,14 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
     assert!(decided >= 48, "the reference decided only {decided} of 64");
 }
 
-/// Engines of both refinement kinds over one city prepared at `shards`
-/// slices, on given coefficients (a `Fixed` planner never observes, so
-/// every pass plans against the same model), plus a word of the corpus.
-fn engines(shards: usize) -> (SemaSkEngine, SemaSkEngine, String) {
+/// Engines of both refinement kinds over one prepared city, on given
+/// coefficients (a `Fixed` planner never observes, so every pass plans
+/// against the same model), plus a word of the corpus.
+fn engines() -> (SemaSkEngine, SemaSkEngine, String) {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 77);
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
         planner: PlannerConfig {
-            shards,
             cost_model: common::banded(),
             online_updates: false,
         },
@@ -573,35 +543,33 @@ fn answer_of(out: &QueryOutcome) -> impl PartialEq + std::fmt::Debug {
 
 #[test]
 fn mixed_engine_batches_answer_like_sequential_queries() {
-    for shards in SHARD_COUNTS {
-        let (em, full, word) = engines(shards);
-        for engine in [&em, &full] {
-            for n in [2usize, 3, 16, 64] {
-                let context = format!("{:?} shards={shards} batch={n}", engine.variant());
-                let queries = mixed_engine_batch(engine, &word, n);
-                let batched = engine.query_batch(&queries).expect("batch");
-                assert_eq!(batched.len(), n, "{context}");
-                let mut strategies = std::collections::HashSet::new();
-                for (i, (q, b)) in queries.iter().zip(&batched).enumerate() {
-                    let single = engine.query(q).expect("query");
-                    assert_eq!(answer_of(b), answer_of(&single), "{context} query {i}");
-                    // One share of one wall clock for the whole batch.
-                    assert_eq!(
-                        b.latency.filtering_ms.to_bits(),
-                        batched[0].latency.filtering_ms.to_bits(),
-                        "{context} query {i}"
-                    );
-                    assert!(b.latency.filtering_ms > 0.0, "{context} query {i}");
-                    if i % 8 == 6 {
-                        assert!(engine.provably_empty(q) && b.pois.is_empty(), "{context}");
-                    }
-                    strategies.extend(b.latency.filter_strategy);
+    let (em, full, word) = engines();
+    for engine in [&em, &full] {
+        for n in [2usize, 3, 16, 64] {
+            let context = format!("{:?} batch={n}", engine.variant());
+            let queries = mixed_engine_batch(engine, &word, n);
+            let batched = engine.query_batch(&queries).expect("batch");
+            assert_eq!(batched.len(), n, "{context}");
+            let mut strategies = std::collections::HashSet::new();
+            for (i, (q, b)) in queries.iter().zip(&batched).enumerate() {
+                let single = engine.query(q).expect("query");
+                assert_eq!(answer_of(b), answer_of(&single), "{context} query {i}");
+                // One share of one wall clock for the whole batch.
+                assert_eq!(
+                    b.latency.filtering_ms.to_bits(),
+                    batched[0].latency.filtering_ms.to_bits(),
+                    "{context} query {i}"
+                );
+                assert!(b.latency.filtering_ms > 0.0, "{context} query {i}");
+                if i % 8 == 6 {
+                    assert!(engine.provably_empty(q) && b.pois.is_empty(), "{context}");
                 }
-                assert!(!batched[0].pois.is_empty(), "{context}");
-                if n >= 16 {
-                    assert!(strategies.len() >= 2, "{context}: {strategies:?}");
-                    assert!(!batched[1].pois.is_empty(), "{context}: `{word}` matches");
-                }
+                strategies.extend(b.latency.filter_strategy);
+            }
+            assert!(!batched[0].pois.is_empty(), "{context}");
+            if n >= 16 {
+                assert!(strategies.len() >= 2, "{context}: {strategies:?}");
+                assert!(!batched[1].pois.is_empty(), "{context}: `{word}` matches");
             }
         }
     }
@@ -613,7 +581,7 @@ fn a_failed_batch_reports_the_lowest_failed_query_index() {
     // each with its own error. Whichever lanes meet the two broken
     // queries, and in whichever order, the batch fails with the error of
     // the one submitted first.
-    let (_, full, word) = engines(1);
+    let (_, full, word) = engines();
     let no_query_section = "tacos\nInformation: [1";
     let bad_poi_json = "tacos\nInformation: [1\nQuery: tacos";
     let cause_of = |queries: &[SemaSkQuery]| match full.query_batch(queries) {
@@ -642,7 +610,7 @@ fn concurrent_submitters_each_get_their_own_batch_answered() {
     // every batch must still come back whole and right.
     const SUBMITTERS: usize = 4;
     const ROUNDS: usize = 25;
-    let (em, _, word) = engines(1);
+    let (em, _, word) = engines();
     // 16 ranges per submitter, no two alike anywhere: the mixed batch
     // without its whole-city queries and its range-repeating last one.
     let whole_city = em.prepared().dataset.bounds().expect("bounds");

@@ -16,15 +16,14 @@ use datagen::{poi::generate_city, CITIES};
 use geotext::BoundingBox;
 use llm::SimLlm;
 use semask::wal::{Mutation, PoiSpec, PoiUpdate};
-use semask::{prepare_city, EngineError, RetrievalStrategy, SemaSkEngine, SemaSkQuery, Variant};
+use semask::{prepare_city, RetrievalStrategy, SemaSkEngine, SemaSkQuery, Variant};
 
 const ROTATIONS: u32 = 24;
 
-fn engine_with(shards: usize) -> (SemaSkEngine, datagen::CityData) {
+fn engine() -> (SemaSkEngine, datagen::CityData) {
     let data = generate_city(&CITIES[3], 80, 47);
     let llm = Arc::new(SimLlm::new());
-    let mut config = common::exact_only_config();
-    config.planner.shards = shards;
+    let config = common::exact_only_config();
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     (
         SemaSkEngine::new(prepared, llm, config, Variant::EmbeddingOnly),
@@ -44,7 +43,7 @@ fn rotation_spec(center: geotext::GeoPoint, n: u32) -> PoiSpec {
 
 #[test]
 fn swap_batches_are_atomic_under_concurrent_queries() {
-    let (engine, data) = engine_with(1);
+    let (engine, data) = engine();
     let engine = Arc::new(engine);
     let center = data.city.center();
     let range = BoundingBox::from_center_km(center, 5.0, 5.0);
@@ -109,7 +108,7 @@ fn swap_batches_are_atomic_under_concurrent_queries() {
 
 #[test]
 fn corpus_statistics_track_published_mutations() {
-    let (engine, data) = engine_with(1);
+    let (engine, data) = engine();
     let center = data.city.center();
     let range = BoundingBox::from_center_km(center, 5.0, 5.0);
     let planner = &engine.prepared().planner;
@@ -175,7 +174,7 @@ fn plans_after_a_live_insert_are_fresh() {
     // that carries the keyword must differ, and the plan after must be
     // the one a planner built from scratch over the post-insert city
     // makes (same `Fixed` coefficients, so the whole table is comparable).
-    let (engine, data) = engine_with(1);
+    let (engine, data) = engine();
     let center = data.city.center();
     let range = engine.prepared().dataset.bounds().expect("non-empty city");
     let planner = &engine.prepared().planner;
@@ -207,17 +206,6 @@ fn plans_after_a_live_insert_are_fresh() {
     assert_eq!(rebuilt.dataset.len(), data.dataset.len() + 1);
     assert_eq!(after, plan(&rebuilt.planner));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_planner_rejects_mutations() {
-    let (engine, data) = engine_with(4);
-    let center = data.city.center();
-    assert!(!engine.prepared().planner.supports_mutations());
-    let err = engine
-        .insert_poi(rotation_spec(center, 0))
-        .expect_err("sharded engines must reject live mutations");
-    assert!(matches!(err, EngineError::Mutation { .. }));
 }
 
 /// A written POI's payload is the one preparation builds: under the

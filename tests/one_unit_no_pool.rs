@@ -2,7 +2,7 @@
 //! whose queries share a range — runs on the caller and touches no pool.
 //!
 //! The shared pool starts its `vecdb-pool-N` threads on first use and
-//! nothing else in an unsharded engine uses it, so "no such thread in
+//! nothing else in an engine uses it, so "no such thread in
 //! this process" is "no pool call was made". That is a statement about
 //! the whole process: this file holds one test and must keep to one.
 

@@ -276,7 +276,7 @@ fn plan_and_costs_are_observable_in_latency_breakdown() {
     }
     assert!(
         out.latency.shard_candidates.is_empty(),
-        "default config is unsharded"
+        "only the router's merge counts shard candidates"
     );
     assert!(out.latency.estimated_selectivity <= 0.10);
 

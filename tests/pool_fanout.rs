@@ -1,7 +1,8 @@
 //! How the shared pool schedules a fan-out is an *execution* detail:
-//! sliced fan-outs must return **bit-identical** ids and scores to the
-//! flat collection queried one query at a time — across shards {1, 4, 8}
-//! × batch {1, 64}, and on a pathologically skewed partition where one
+//! one backend per `vecdb::partition` slice, run as one pool job each
+//! and merged, must return **bit-identical** ids and scores to the flat
+//! collection queried one query at a time — across shards {1, 4, 8} ×
+//! batch {1, 64}, and on a pathologically skewed partition where one
 //! shard owns almost every point (one long index beside seven short
 //! ones). The pool's own contract is pinned directly: every index runs
 //! exactly once however many fan-outs share the pool and however soon it
@@ -11,11 +12,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use semask::sharded::CandidateSource;
+use semask::backend::CandidateSource;
 use semask::RetrievalBackend;
 use vecdb::{
-    partition, shard_of, Collection, CollectionConfig, Payload, ScoredPoint, SearchParams,
-    WorkerPool,
+    merge_top_k, partition, shard_of, Collection, CollectionConfig, Payload, ScoredPoint,
+    SearchParams, ShardSpec, WorkerPool,
 };
 
 const DIM: usize = 8;
@@ -56,17 +57,31 @@ fn ids_and_scores(hits: &[ScoredPoint]) -> Vec<(u64, u32)> {
     hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
 }
 
+/// Every slice's answer to `queries`, one job per slice on the shared
+/// pool, merged per query.
+fn pooled_fanout(slices: &[RetrievalBackend], queries: &[&[f32]]) -> Vec<Vec<ScoredPoint>> {
+    let everywhere = geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("valid range");
+    let per_slice = vecdb::pool::global().run(slices.len(), |i| {
+        slices[i]
+            .knn_in_range(queries, &everywhere, 10, None)
+            .expect("slice search")
+    });
+    (0..queries.len())
+        .map(|q| {
+            let lists: Vec<Vec<ScoredPoint>> = per_slice.iter().map(|s| s[q].clone()).collect();
+            merge_top_k(&lists, 10).0
+        })
+        .collect()
+}
+
 /// The parity harness: for each shard count and batch size, the pooled
-/// sharded fan-out must reproduce the flat sequential reference bit for
-/// bit, single-query and batched paths alike.
-fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
+/// fan-out over slices must reproduce the flat sequential reference bit
+/// for bit, single-query and batched paths alike.
+fn assert_parity(ids: &[u64], shard_counts: &[u32], label: &str) {
     let flat = flat_over(ids);
     // Forced-exact search: deterministic scoring, so bit-identity is a
     // hard requirement, not a heuristic coincidence.
     let params = SearchParams::top_k(10).with_exact(true);
-    // Every test point sits inside this range, so the backend's geo
-    // filter qualifies what the unfiltered flat reference scans.
-    let everywhere = geotext::BoundingBox::new(-90.0, -180.0, 90.0, 180.0).expect("valid range");
     for &batch in &[1usize, 64] {
         let queries: Vec<Vec<f32>> = (0..batch).map(|q| vector(1_000_000 + q as u64)).collect();
         let query_refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
@@ -79,30 +94,35 @@ fn assert_parity(ids: &[u64], shard_counts: &[usize], label: &str) {
             "parity would be vacuous on empty answers ({label})"
         );
         for &shards in shard_counts {
-            let sharded = RetrievalBackend::new(
-                CandidateSource::ExactScan,
-                partition(&flat, shards).expect("partition"),
-                Arc::default(),
-            );
+            // Every test point sits inside the fan-out's range, so the
+            // backends' geo filter qualifies what the unfiltered flat
+            // reference scans.
+            let slices: Vec<RetrievalBackend> = (0..shards)
+                .map(|shard| {
+                    let spec = ShardSpec::new(shards, shard).expect("valid spec");
+                    RetrievalBackend::new(
+                        CandidateSource::ExactScan,
+                        Arc::new(parking_lot::RwLock::new(
+                            partition(&flat, spec).expect("partition"),
+                        )),
+                        Arc::default(),
+                    )
+                })
+                .collect();
             // Single-query fan-out, one query at a time.
             for (q, want) in query_refs.iter().zip(&reference) {
-                let got = sharded
-                    .knn_in_range(&[q], &everywhere, 10, None)
-                    .expect("sharded search");
+                let got = pooled_fanout(&slices, &[q]);
                 assert_eq!(
-                    &ids_and_scores(&got.into_only_hits()),
+                    &ids_and_scores(&got[0]),
                     want,
                     "single-query fan-out diverged ({label}, {shards} shards, batch {batch})"
                 );
             }
-            // Batched fan-out: one pooled job per shard for the whole
+            // Batched fan-out: one pooled job per slice for the whole
             // batch.
-            let got = sharded
-                .knn_in_range(&query_refs, &everywhere, 10, None)
-                .expect("sharded batch")
-                .per_query;
+            let got = pooled_fanout(&slices, &query_refs);
             assert_eq!(got.len(), batch);
-            for (i, ((hits, _), want)) in got.iter().zip(&reference).enumerate() {
+            for (i, (hits, want)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(
                     &ids_and_scores(hits),
                     want,

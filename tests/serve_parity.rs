@@ -1,8 +1,8 @@
 //! Serving-layer parity: queries submitted concurrently through
 //! `ServeEngine` by many client threads receive **bit-identical**
 //! ids, scores and reasons to the same queries answered one at a time
-//! by `SemaSkEngine::query` — across batch caps {1, 16, 64}, shard
-//! counts {1, 4}, and the SemaSK-EM and full (LLM-refined) variants.
+//! by `SemaSkEngine::query` — across batch caps {1, 16, 64} and the
+//! SemaSK-EM and full (LLM-refined) variants.
 //!
 //! Micro-batch composition is scheduling-dependent (a batch is whatever
 //! queued while the executor was busy), but the answers must not be: a
@@ -53,8 +53,8 @@ fn workload(data: &datagen::CityData) -> Vec<SemaSkQuery> {
     queries
 }
 
-/// One prepared city at `shards` slices, with what an engine of either
-/// variant is built from.
+/// One prepared city, with what an engine of either variant is built
+/// from.
 struct World {
     data: datagen::CityData,
     prepared: Arc<PreparedCity>,
@@ -73,12 +73,11 @@ impl World {
     }
 }
 
-fn world_with_shards(shards: usize) -> World {
+fn world() -> World {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 17);
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
         planner: PlannerConfig {
-            shards,
             // Freeze the calibrated model: the sequential reference pass
             // and the served pass must plan against identical state for
             // a bit-exact comparison (online updates could otherwise
@@ -119,95 +118,93 @@ fn signature(outcome: &semask::QueryOutcome) -> Signature {
 
 #[test]
 fn concurrent_serving_matches_sequential_queries() {
-    for shards in [1usize, 4] {
-        let world = world_with_shards(shards);
-        let queries = workload(&world.data);
-        for variant in [Variant::EmbeddingOnly, Variant::Full] {
-            let engine = world.engine(variant);
-            let reference: Vec<Signature> = queries
-                .iter()
-                .map(|q| signature(&engine.query(q).expect("sequential query")))
-                .collect();
+    let world = world();
+    let queries = workload(&world.data);
+    for variant in [Variant::EmbeddingOnly, Variant::Full] {
+        let engine = world.engine(variant);
+        let reference: Vec<Signature> = queries
+            .iter()
+            .map(|q| signature(&engine.query(q).expect("sequential query")))
+            .collect();
+        assert!(
+            reference.iter().filter(|sig| !sig.is_empty()).count() > queries.len() / 2,
+            "parity would be vacuous if most answers were empty"
+        );
+        if variant == Variant::Full {
             assert!(
-                reference.iter().filter(|sig| !sig.is_empty()).count() > queries.len() / 2,
-                "parity would be vacuous if most answers were empty"
+                reference.iter().flatten().any(|poi| !poi.2),
+                "the re-rank must demote something, or Full pins no more than EM"
             );
-            if variant == Variant::Full {
-                assert!(
-                    reference.iter().flatten().any(|poi| !poi.2),
-                    "the re-rank must demote something, or Full pins no more than EM"
-                );
-            }
+        }
 
-            for max_batch in [1usize, 16, 64] {
-                let serve = ServeEngine::new(
-                    Arc::clone(&engine),
-                    ServeConfig {
-                        max_batch,
-                        queue_capacity: queries.len().max(64),
-                        result_cache_entries: 0,
-                        negative_cache: false,
-                    },
-                );
+        for max_batch in [1usize, 16, 64] {
+            let serve = ServeEngine::new(
+                Arc::clone(&engine),
+                ServeConfig {
+                    max_batch,
+                    queue_capacity: queries.len().max(64),
+                    result_cache_entries: 0,
+                    negative_cache: false,
+                },
+            );
 
-                // 4 client threads submit interleaved slices of the workload
-                // concurrently and wait on their own tickets.
-                const CLIENTS: usize = 4;
-                let served: Vec<(usize, Signature)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..CLIENTS)
-                        .map(|c| {
-                            let serve = &serve;
-                            let queries = &queries;
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                for (i, q) in queries.iter().enumerate() {
-                                    if i % CLIENTS != c {
-                                        continue;
-                                    }
-                                    let ticket =
-                                        serve.submit(q.clone()).expect("capacity covers workload");
-                                    let outcome = ticket.wait().expect("served");
-                                    out.push((i, signature(&outcome)));
+            // 4 client threads submit interleaved slices of the workload
+            // concurrently and wait on their own tickets.
+            const CLIENTS: usize = 4;
+            let served: Vec<(usize, Signature)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..CLIENTS)
+                    .map(|c| {
+                        let serve = &serve;
+                        let queries = &queries;
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            for (i, q) in queries.iter().enumerate() {
+                                if i % CLIENTS != c {
+                                    continue;
                                 }
-                                out
-                            })
+                                let ticket =
+                                    serve.submit(q.clone()).expect("capacity covers workload");
+                                let outcome = ticket.wait().expect("served");
+                                out.push((i, signature(&outcome)));
+                            }
+                            out
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("client thread"))
-                        .collect()
-                });
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("client thread"))
+                    .collect()
+            });
 
+            assert_eq!(
+                served.len(),
+                queries.len(),
+                "every submitted query answered \
+                 (cap {max_batch}, {variant:?})"
+            );
+            for (i, sig) in &served {
                 assert_eq!(
-                    served.len(),
-                    queries.len(),
-                    "every submitted query answered \
-                     (shards {shards}, cap {max_batch}, {variant:?})"
+                    sig, &reference[*i],
+                    "query {i} diverged from the sequential reference \
+                     (cap {max_batch}, {variant:?})"
                 );
-                for (i, sig) in &served {
-                    assert_eq!(
-                        sig, &reference[*i],
-                        "query {i} diverged from the sequential reference \
-                         (shards {shards}, cap {max_batch}, {variant:?})"
-                    );
-                }
-                serve.shutdown();
-                let m = serve.metrics();
-                assert_eq!(m.accepted, queries.len() as u64);
-                assert_eq!(m.served, queries.len() as u64);
-                assert_eq!(m.shed, 0);
-                assert_eq!(m.failed, 0);
-                assert!(m.max_batch <= max_batch as u64);
-                // Planner observability flows through serving: calibrated
-                // plans carry nonzero predictions, and actual filtering
-                // time accumulates next to them.
-                assert!(
-                    m.misprediction_ratio().is_some(),
-                    "served queries must accumulate predicted filtering cost"
-                );
-                assert!(!m.actual_filter.is_zero());
             }
+            serve.shutdown();
+            let m = serve.metrics();
+            assert_eq!(m.accepted, queries.len() as u64);
+            assert_eq!(m.served, queries.len() as u64);
+            assert_eq!(m.shed, 0);
+            assert_eq!(m.failed, 0);
+            assert!(m.max_batch <= max_batch as u64);
+            // Planner observability flows through serving: calibrated
+            // plans carry nonzero predictions, and actual filtering
+            // time accumulates next to them.
+            assert!(
+                m.misprediction_ratio().is_some(),
+                "served queries must accumulate predicted filtering cost"
+            );
+            assert!(!m.actual_filter.is_zero());
         }
     }
 }
