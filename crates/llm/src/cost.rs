@@ -16,7 +16,7 @@ pub enum TaskKind {
     QueryGen,
 }
 
-/// One metered call.
+/// One metered call, as [`CostLog::push`] takes it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CallRecord {
     /// Which model served the call.
@@ -31,10 +31,37 @@ pub struct CallRecord {
     pub cost_usd: f64,
 }
 
-/// An append-only log of calls with aggregate queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Cumulative totals of the calls of one `(model, task)` pair.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Totals {
+    calls: usize,
+    prompt_tokens: u64,
+    completion_tokens: u64,
+    latency_ms: f64,
+    cost_usd: f64,
+}
+
+impl Totals {
+    fn add(&mut self, r: &CallRecord) {
+        self.calls += 1;
+        self.prompt_tokens += u64::from(r.usage.prompt_tokens);
+        self.completion_tokens += u64::from(r.usage.completion_tokens);
+        self.latency_ms += r.latency_ms;
+        self.cost_usd += r.cost_usd;
+    }
+}
+
+/// Models, in the order of [`ModelKind`]'s variants.
+const MODELS: usize = 3;
+/// Tasks, in the order of [`TaskKind`]'s variants.
+const TASKS: usize = 3;
+
+/// Cumulative call totals per `(model, task)`, with aggregate queries.
+/// A record is folded into its pair's totals and not kept, so the log is
+/// the same few cells however many calls it has seen.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CostLog {
-    records: Vec<CallRecord>,
+    totals: [[Totals; TASKS]; MODELS],
 }
 
 impl CostLog {
@@ -44,64 +71,60 @@ impl CostLog {
         Self::default()
     }
 
-    /// Appends a record.
+    /// Adds a call to its `(model, task)` totals.
     pub fn push(&mut self, record: CallRecord) {
-        self.records.push(record);
+        self.totals[record.model as usize][record.task as usize].add(&record);
     }
 
-    /// All records.
-    #[must_use]
-    pub fn records(&self) -> &[CallRecord] {
-        &self.records
+    /// Every pair's totals.
+    fn cells(&self) -> impl Iterator<Item = &Totals> {
+        self.totals.iter().flatten()
     }
 
     /// Number of calls.
     #[must_use]
     pub fn num_calls(&self) -> usize {
-        self.records.len()
+        self.cells().map(|t| t.calls).sum()
     }
 
     /// Total USD across all calls.
     #[must_use]
     pub fn total_cost_usd(&self) -> f64 {
-        self.records.iter().map(|r| r.cost_usd).sum()
+        self.cells().map(|t| t.cost_usd).sum()
     }
 
     /// Total simulated latency in milliseconds.
     #[must_use]
     pub fn total_latency_ms(&self) -> f64 {
-        self.records.iter().map(|r| r.latency_ms).sum()
+        self.cells().map(|t| t.latency_ms).sum()
     }
 
     /// Mean latency per call (0 for an empty log).
     #[must_use]
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.records.is_empty() {
-            0.0
-        } else {
-            self.total_latency_ms() / self.records.len() as f64
+        match self.num_calls() {
+            0 => 0.0,
+            calls => self.total_latency_ms() / calls as f64,
         }
     }
 
     /// `(calls, total tokens, cost)` for one model.
     #[must_use]
     pub fn by_model(&self, model: ModelKind) -> (usize, u64, f64) {
-        let mut calls = 0usize;
-        let mut tokens = 0u64;
-        let mut cost = 0.0f64;
-        for r in &self.records {
-            if r.model == model {
-                calls += 1;
-                tokens += u64::from(r.usage.total());
-                cost += r.cost_usd;
-            }
-        }
-        (calls, tokens, cost)
+        self.totals[model as usize]
+            .iter()
+            .fold((0, 0, 0.0), |(calls, tokens, cost), t| {
+                (
+                    calls + t.calls,
+                    tokens + t.prompt_tokens + t.completion_tokens,
+                    cost + t.cost_usd,
+                )
+            })
     }
 
     /// Clears the log.
     pub fn clear(&mut self) {
-        self.records.clear();
+        *self = Self::default();
     }
 }
 
@@ -135,6 +158,24 @@ mod tests {
         assert!(cost > 0.0);
         assert!(log.total_cost_usd() > cost);
         assert!(log.mean_latency_ms() > 0.0);
+    }
+
+    #[test]
+    fn the_log_does_not_grow_with_the_calls_it_counts() {
+        // `Copy` types own no heap memory: a log is its inline cells.
+        fn owns_nothing<T: Copy>(_: &T) {}
+        let mut log = CostLog::new();
+        for i in 0..100_000u32 {
+            let model =
+                [ModelKind::Gpt35Turbo, ModelKind::Gpt4o, ModelKind::O1Mini][i as usize % 3];
+            log.push(rec(model, 100 + i % 7, 10));
+        }
+        owns_nothing(&log);
+        assert_eq!(std::mem::size_of_val(&log), std::mem::size_of::<CostLog>());
+        assert_eq!(log.num_calls(), 100_000);
+        let (calls, tokens, _) = log.by_model(ModelKind::Gpt4o);
+        assert_eq!(calls, 33_333);
+        assert!(tokens > 33_333 * 110);
     }
 
     #[test]

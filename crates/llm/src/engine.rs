@@ -47,7 +47,7 @@ impl SimLlm {
     /// A snapshot of the call log.
     #[must_use]
     pub fn cost_log(&self) -> CostLog {
-        self.log.lock().clone()
+        *self.log.lock()
     }
 
     /// Clears the call log.

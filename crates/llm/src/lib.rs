@@ -45,7 +45,7 @@ pub mod tasks;
 pub mod tokens;
 
 pub use api::{ChatMessage, ChatRequest, ChatResponse, Role, Usage};
-pub use cost::{CallRecord, CostLog};
+pub use cost::CostLog;
 pub use engine::SimLlm;
 pub use error::LlmError;
 pub use models::ModelKind;

@@ -2,28 +2,40 @@
 //! [`SemaSkEngine`].
 //!
 //! [`DurableEngine`] wraps an engine with the classic write-ahead
-//! protocol:
+//! protocol, a write being the engine's three stages
+//! ([`SemaSkEngine::apply_mutations`]) with the log between them:
 //!
-//! 1. **Log** — the batch is validated, appended to `wal.log`, and
-//!    fsynced. The fsync is the commit point: a mutation whose record
-//!    is durable *will* be applied (now, or by recovery); one whose
-//!    record is torn away by a crash is wholly dropped.
-//! 2. **Apply** — only after the fsync does the batch mutate the
-//!    in-memory engine ([`SemaSkEngine::apply_mutations`]), so queries
-//!    never observe state that could be lost.
-//! 3. **Checkpoint** — past a size/record threshold
+//! 1. **Begin and log** — the batch takes the engine's writer lock and
+//!    is validated, then appended to `wal.log`.
+//! 2. **Prepare beside the fsync** — the log's fsync is the commit
+//!    point: a mutation whose record is durable *will* be applied (now,
+//!    or by recovery); one whose record is torn away by a crash is
+//!    wholly dropped. While it runs the batch is prepared — enriched,
+//!    embedded, its graph inserts planned — which changes nothing a
+//!    reader sees, so the two overlap as the two indices of one
+//!    [`vecdb::pool::global`] fan-out — the prepare is index 0, so it is
+//!    claimed first, and the fsync index 1, which a free worker takes
+//!    beside it (with none free, the writer runs both, one after the
+//!    other). If the fsync fails, the prepared batch is
+//!    dropped, the log rolls back to its last sync, and nothing is
+//!    published.
+//! 3. **Commit** — only after the fsync does the batch take the mutation
+//!    gate and change the in-memory engine, so queries never observe
+//!    state that could be lost, and readers wait only for the commit.
+//! 4. **Checkpoint** — past a size/record threshold
 //!    ([`CheckpointPolicy`]) the log folds into a fresh snapshot. The
 //!    writer that trips the threshold pays only for the first two steps:
 //!    - **cut** — still under the log mutex, so no writer can move the
-//!      state: [`cut_prepared`] packs the collection into memory (no
-//!      text encoding, no checksum), pins the dataset and the published
-//!      overlay, and reads the sequence number they all stand at;
+//!      state: [`cut_prepared`] packs the header and the collection into
+//!      memory (no text encoding, no checksum), pins the dataset and the
+//!      published overlay, and reads the sequence number they all stand
+//!      at;
 //!    - **rotate** — `wal.log` becomes `wal.prev` by rename and a fresh,
 //!      empty `wal.log` continues the numbering ([`Wal::rotate`]). The
 //!      writer returns and later batches log into the fresh file;
 //!    - **write beside** — one thread runs [`write_snapshot`] on the
-//!      cut: checksum the packed collection, encode the JSON files,
-//!      stage, fsync, rename, flip `CURRENT`;
+//!      cut: pack the dataset section, checksum the file, stage, fsync,
+//!      rename, flip `CURRENT`;
 //!    - **retire** — the same thread then removes `wal.prev`, whose
 //!      every record the committed snapshot now contains.
 //!
@@ -84,7 +96,7 @@ use crate::wal::{crash_point, decode_buffer, Mutation, Wal, WalError, WalStats};
 use geotext::ObjectId;
 
 /// The active log inside a durable engine's directory, next to the
-/// snapshot machinery (`CURRENT`, `snap-<k>/`).
+/// snapshot machinery (`CURRENT`, `snap-<k>`).
 const WAL_FILE: &str = "wal.log";
 /// The log a checkpoint rotated out, until its snapshot commits.
 const WAL_PREV: &str = "wal.prev";
@@ -227,8 +239,9 @@ fn retire(prev: &Path) -> Result<(), WalError> {
 /// Queries go straight to [`DurableEngine::engine`] — durability adds
 /// nothing to the read path. Mutations go through
 /// [`DurableEngine::mutate`] / [`DurableEngine::mutate_batch`], which
-/// serialize writers on the log mutex (the engine's write gate excludes
-/// readers; the log mutex orders the loggers). Dropping the engine joins
+/// serialize writers on the log mutex (the log mutex orders the loggers,
+/// the engine's writer lock the appliers, and its gate excludes readers
+/// only while a batch commits). Dropping the engine joins
 /// the checkpoint in flight: no thread outlives it in its directory.
 pub struct DurableEngine {
     engine: SemaSkEngine,
@@ -345,8 +358,10 @@ impl DurableEngine {
         self.mutate_batch(&[mutation])
     }
 
-    /// Logs, fsyncs, applies, and (policy permitting) starts a
-    /// checkpoint for one mutation batch. The batch is atomic at every
+    /// Logs, prepares while the log fsyncs, commits, and (policy
+    /// permitting) starts a checkpoint for one mutation batch. A receipt
+    /// comes back only after the batch's records are durable. The batch
+    /// is atomic at every
     /// layer: invalid batches are rejected before any record is written;
     /// queries observe all of it or none of it; recovery replays all of
     /// it or — if the crash beat the fsync — none of it.
@@ -364,19 +379,35 @@ impl DurableEngine {
             log.settle()?;
         }
         // Validate before logging: the WAL must never hold a batch that
-        // cannot apply. The log mutex serializes mutators, so the state
-        // validated here is the state the apply below sees.
-        self.engine.validate_batch(mutations)?;
+        // cannot apply. The turn holds the engine's writer lock, so the
+        // state validated here is the state the batch commits over.
+        let turn = self.engine.begin_mutations(mutations)?;
 
         let mut last_seq = 0u64;
         for m in mutations {
             last_seq = log.wal.append(m)?;
         }
         crash_point("wal-before-fsync");
-        log.wal.sync()?;
+        // The batch is prepared while its records sync (module docs).
+        // Preparing changes nothing a reader sees, so a failed fsync only
+        // has to drop it.
+        let wal = Mutex::new(&mut log.wal);
+        let mut stages = vecdb::pool::global().run(2, |stage| {
+            if stage == 0 {
+                let prepared = self.engine.prepare_mutations(&turn);
+                crash_point("wal-prepared");
+                (Some(prepared), None)
+            } else {
+                (None, Some(wal.lock().sync()))
+            }
+        });
+        let (_, synced) = stages.pop().expect("the sync stage");
+        let (prepared, _) = stages.pop().expect("the prepare stage");
+        synced.expect("stage 1 syncs")?;
         crash_point("wal-after-fsync");
 
-        let batch = self.engine.apply_mutations(mutations)?;
+        let prepared = prepared.expect("stage 0 prepares")?;
+        let batch = self.engine.commit_mutations(turn, prepared)?;
         if last_seq > 0 {
             self.engine.prepared().live.set_last_seq(last_seq);
         }

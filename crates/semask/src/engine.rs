@@ -18,6 +18,7 @@ use crate::prep::{poi_payload, PreparedCity};
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
 use crate::wal::{Mutation, PoiSpec, PoiUpdate};
+use parking_lot::MutexGuard;
 
 /// The system variants evaluated in the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -477,7 +478,12 @@ impl SemaSkEngine {
 
     /// Applies a batch of mutations atomically with respect to queries:
     /// readers observe either the epoch before the whole batch or the
-    /// epoch after it, never a prefix.
+    /// epoch after it, never a prefix. It is the write path's three
+    /// stages in a row — *begin* (the writer lock and validation),
+    /// *prepare* (everything that changes nothing a reader sees) and
+    /// *commit* (under the mutation gate) — the one apply path, which
+    /// [`crate::durable::DurableEngine`] runs with the log's fsync
+    /// beside the prepare stage.
     ///
     /// Validation runs first, against the batch's own pending effects
     /// (e.g. a delete followed by an update of the same id fails), and a
@@ -492,42 +498,165 @@ impl SemaSkEngine {
     /// [`EngineError::Mutation`] when the batch is invalid; substrate
     /// errors otherwise.
     pub fn apply_mutations(&self, mutations: &[Mutation]) -> Result<AppliedBatch, EngineError> {
+        let turn = self.begin_mutations(mutations)?;
+        let prepared = self.prepare_mutations(&turn)?;
+        self.commit_mutations(turn, prepared)
+    }
+
+    /// Stage 1, **begin**: takes the writer lock — held until the batch
+    /// commits or is dropped, so the state validated here is the state
+    /// the later stages see — and validates the batch against it.
+    /// Readers never take this lock.
+    pub(crate) fn begin_mutations<'a>(
+        &'a self,
+        mutations: &'a [Mutation],
+    ) -> Result<WriteTurn<'a>, EngineError> {
+        let writer = self.prepared.live.begin_write();
+        self.validate_mutations(&self.prepared.live.overlay(), mutations)?;
+        Ok(WriteTurn {
+            _writer: writer,
+            mutations,
+        })
+    }
+
+    /// Stage 2, **prepare**: everything a batch costs that changes
+    /// nothing a reader sees — enrichment (reverse geocoding, tip
+    /// summaries), embeddings, payloads, the next overlay and each
+    /// insert's graph plan, the last under the collection's read lock.
+    /// Queries run throughout, and the mutation gate is not taken.
+    pub(crate) fn prepare_mutations(
+        &self,
+        turn: &WriteTurn<'_>,
+    ) -> Result<PreparedBatch, EngineError> {
+        let base = self.prepared.dataset.as_ref();
+        let collection = self.collection()?;
+        let mut next = (*self.prepared.live.overlay()).clone();
+        let mut steps = Vec::with_capacity(turn.mutations.len());
+        let mut inserted = Vec::new();
+        // The point an insert or update stores: its vector, payload and
+        // the graph plan made for it.
+        let point = |obj: &GeoTextObject| -> Result<PlannedPoint, EngineError> {
+            let text = PreparedCity::embedding_text_with(obj, self.config.embed_raw_tips);
+            let vector = self.prepared.embedder.embed(&text);
+            let plan = collection.read().plan_insert(&vector)?;
+            Ok(PlannedPoint {
+                vector,
+                payload: poi_payload(obj, self.config.compress_payload_text),
+                plan,
+            })
+        };
+        for m in turn.mutations {
+            let step = match m {
+                Mutation::Insert(spec) => {
+                    let id = ObjectId(next.next_id());
+                    let obj = self.enrich_insert(id, spec)?;
+                    let step = Step::Insert {
+                        id,
+                        point: point(&obj)?,
+                        location: obj.location,
+                        doc: obj.to_document(),
+                    };
+                    inserted.push(next.insert(obj));
+                    step
+                }
+                Mutation::Update { id, update } => {
+                    let id = ObjectId(*id);
+                    let current = next.get(base, id).expect("validated: id is live");
+                    let old_doc = current.to_document();
+                    let mut obj = current.clone();
+                    if let Some(name) = &update.name {
+                        obj.attrs.set("name", name.clone());
+                    }
+                    if let Some(tips) = &update.tips {
+                        obj.attrs.set("tips", tips.clone());
+                        let summary = self.summarize_tips(tips)?;
+                        obj.attrs.set("tip_summary", summary);
+                    }
+                    let step = Step::Update {
+                        id,
+                        point: point(&obj)?,
+                        old_doc,
+                        doc: obj.to_document(),
+                    };
+                    next.update(id, obj);
+                    step
+                }
+                Mutation::Delete { id } => {
+                    let id = ObjectId(*id);
+                    let doc = next
+                        .get(base, id)
+                        .expect("validated: id is live")
+                        .to_document();
+                    next.delete(id);
+                    Step::Delete { id, doc }
+                }
+            };
+            steps.push(step);
+        }
+        Ok(PreparedBatch {
+            steps,
+            next,
+            inserted,
+        })
+    }
+
+    /// Stage 3, **commit**: takes the mutation gate in write mode and
+    /// makes the prepared batch so — the planned points into the
+    /// collection (a plan made stale by an earlier insert of the batch
+    /// is made again here), the planner's side buffers and corpus, then
+    /// the overlay, published as the next epoch. An empty batch
+    /// publishes nothing.
+    pub(crate) fn commit_mutations(
+        &self,
+        turn: WriteTurn<'_>,
+        batch: PreparedBatch,
+    ) -> Result<AppliedBatch, EngineError> {
         let live = &self.prepared.live;
-        let _gate = live.gate_write();
-        if mutations.is_empty() {
+        if batch.steps.is_empty() {
             return Ok(AppliedBatch {
                 epoch: live.epoch(),
                 inserted: Vec::new(),
             });
         }
-        let mut next = (*live.overlay()).clone();
-        self.validate_mutations(&next, mutations)?;
-        let mut inserted = Vec::new();
-        for m in mutations {
-            match m {
-                Mutation::Insert(spec) => inserted.push(self.apply_insert(&mut next, spec)?),
-                Mutation::Update { id, update } => {
-                    self.apply_update(&mut next, ObjectId(*id), update)?;
+        let _gate = live.gate_write();
+        let collection = self.collection()?;
+        let planner = &self.prepared.planner;
+        for step in batch.steps {
+            match step {
+                Step::Insert {
+                    id,
+                    point,
+                    location,
+                    doc,
+                } => {
+                    point.store(&mut collection.write(), id)?;
+                    planner.live_insert(id, location, &doc);
                 }
-                Mutation::Delete { id } => self.apply_delete(&mut next, ObjectId(*id))?,
+                Step::Update {
+                    id,
+                    point,
+                    old_doc,
+                    doc,
+                } => {
+                    {
+                        let mut guard = collection.write();
+                        guard.delete(u64::from(id.0))?;
+                        point.store(&mut guard, id)?;
+                    }
+                    planner.live_update(id, &old_doc, &doc);
+                }
+                Step::Delete { id, doc } => {
+                    collection.write().delete(u64::from(id.0))?;
+                    planner.live_delete(id, &doc);
+                }
             }
         }
-        let epoch = live.publish(next);
-        Ok(AppliedBatch { epoch, inserted })
-    }
-
-    /// Validates `mutations` against the current live state without
-    /// applying anything. The durable engine calls this before logging a
-    /// batch so an invalid batch never reaches the WAL. Only meaningful
-    /// when the caller serializes mutators (the durable engine's log
-    /// mutex does); [`SemaSkEngine::apply_mutations`] re-validates under
-    /// the write gate regardless.
-    ///
-    /// # Errors
-    /// [`EngineError::Mutation`] describing the first invalid mutation.
-    pub fn validate_batch(&self, mutations: &[Mutation]) -> Result<(), EngineError> {
-        let overlay = self.prepared.live.overlay();
-        self.validate_mutations(&overlay, mutations)
+        let epoch = live.publish(batch.next);
+        drop(turn);
+        Ok(AppliedBatch {
+            epoch,
+            inserted: batch.inserted,
+        })
     }
 
     /// Rejects the whole batch before any substrate changes, tracking the
@@ -627,66 +756,6 @@ impl SemaSkEngine {
         Ok(obj)
     }
 
-    fn apply_insert(&self, next: &mut Overlay, spec: &PoiSpec) -> Result<ObjectId, EngineError> {
-        let id = ObjectId(next.next_id());
-        let obj = self.enrich_insert(id, spec)?;
-        let text = PreparedCity::embedding_text_with(&obj, self.config.embed_raw_tips);
-        let vector = self.prepared.embedder.embed(&text);
-        let payload = poi_payload(&obj, self.config.compress_payload_text);
-        self.collection()?
-            .write()
-            .insert(u64::from(id.0), vector, payload)?;
-        self.prepared
-            .planner
-            .live_insert(id, obj.location, &obj.to_document());
-        Ok(next.insert(obj))
-    }
-
-    fn apply_update(
-        &self,
-        next: &mut Overlay,
-        id: ObjectId,
-        update: &PoiUpdate,
-    ) -> Result<(), EngineError> {
-        let base = self.prepared.dataset.as_ref();
-        let current = next.get(base, id).expect("validated: id is live");
-        let old_doc = current.to_document();
-        let mut obj = current.clone();
-        if let Some(name) = &update.name {
-            obj.attrs.set("name", name.clone());
-        }
-        if let Some(tips) = &update.tips {
-            obj.attrs.set("tips", tips.clone());
-            let summary = self.summarize_tips(tips)?;
-            obj.attrs.set("tip_summary", summary);
-        }
-        let text = PreparedCity::embedding_text_with(&obj, self.config.embed_raw_tips);
-        let vector = self.prepared.embedder.embed(&text);
-        let payload = poi_payload(&obj, self.config.compress_payload_text);
-        {
-            let collection = self.collection()?;
-            let mut guard = collection.write();
-            guard.delete(u64::from(id.0))?;
-            guard.insert(u64::from(id.0), vector, payload)?;
-        }
-        self.prepared
-            .planner
-            .live_update(id, &old_doc, &obj.to_document());
-        next.update(id, obj);
-        Ok(())
-    }
-
-    fn apply_delete(&self, next: &mut Overlay, id: ObjectId) -> Result<(), EngineError> {
-        let doc = next
-            .get(self.prepared.dataset.as_ref(), id)
-            .expect("validated: id is live")
-            .to_document();
-        self.collection()?.write().delete(u64::from(id.0))?;
-        self.prepared.planner.live_delete(id, &doc);
-        next.delete(id);
-        Ok(())
-    }
-
     /// Inserts one POI and returns its assigned dense id.
     ///
     /// # Errors
@@ -746,6 +815,57 @@ pub struct AppliedBatch {
     pub epoch: u64,
     /// Ids assigned to the batch's inserts, in batch order.
     pub inserted: Vec<ObjectId>,
+}
+
+/// A write batch past [`SemaSkEngine::begin_mutations`]: the writer
+/// lock, held until the batch commits or is dropped, and the validated
+/// mutations.
+pub(crate) struct WriteTurn<'a> {
+    _writer: MutexGuard<'a, ()>,
+    mutations: &'a [Mutation],
+}
+
+/// What [`SemaSkEngine::prepare_mutations`] computed, for
+/// [`SemaSkEngine::commit_mutations`] to make so.
+pub(crate) struct PreparedBatch {
+    steps: Vec<Step>,
+    /// The overlay the batch publishes.
+    next: Overlay,
+    inserted: Vec<ObjectId>,
+}
+
+/// One mutation, prepared.
+enum Step {
+    Insert {
+        id: ObjectId,
+        point: PlannedPoint,
+        location: GeoPoint,
+        doc: String,
+    },
+    Update {
+        id: ObjectId,
+        point: PlannedPoint,
+        old_doc: String,
+        doc: String,
+    },
+    Delete {
+        id: ObjectId,
+        doc: String,
+    },
+}
+
+/// A point ready to store: its vector, its payload and the graph plan
+/// made for it.
+struct PlannedPoint {
+    vector: Vec<f32>,
+    payload: vecdb::Payload,
+    plan: vecdb::InsertPlan,
+}
+
+impl PlannedPoint {
+    fn store(self, collection: &mut vecdb::Collection, id: ObjectId) -> Result<(), VecDbError> {
+        collection.insert_planned(u64::from(id.0), self.vector, self.payload, self.plan)
+    }
 }
 
 #[cfg(test)]
@@ -972,6 +1092,54 @@ mod tests {
         assert_eq!(Variant::Full.label(), "SemaSK");
         assert_eq!(Variant::O1.label(), "SemaSK-O1");
         assert_eq!(Variant::EmbeddingOnly.label(), "SemaSK-EM");
+    }
+
+    #[test]
+    fn a_prepared_write_is_invisible_until_it_commits() {
+        let (engine, data) = setup(Variant::EmbeddingOnly);
+        let center = data.city.center();
+        let q = SemaSkQuery::new(
+            BoundingBox::from_center_km(center, 4.0, 4.0),
+            "zanzibar moonlight espresso",
+        );
+        let before = engine.query(&q).unwrap().answer_ids();
+        let victim = before[0];
+        let epoch = engine.mutation_epoch();
+        let handle = engine.collection().unwrap();
+        let points = handle.read().len();
+        let espresso = |n: usize| {
+            Mutation::Insert(crate::wal::PoiSpec {
+                name: format!("Zanzibar Moonlight Espresso {n}"),
+                lat: center.lat,
+                lon: center.lon,
+                categories: vec!["coffee shop".to_owned()],
+                tips: vec!["the espresso here is phenomenal".to_owned()],
+            })
+        };
+        // Two inserts: the second one's graph plan goes stale when the
+        // first commits, and is made again.
+        let batch = [espresso(1), espresso(2), Mutation::Delete { id: victim.0 }];
+
+        // Prepared and dropped: nothing happened.
+        let turn = engine.begin_mutations(&batch).unwrap();
+        drop(engine.prepare_mutations(&turn).unwrap());
+        drop(turn);
+        assert_eq!(engine.mutation_epoch(), epoch);
+
+        let turn = engine.begin_mutations(&batch).unwrap();
+        let prepared = engine.prepare_mutations(&turn).unwrap();
+        assert_eq!(prepared.inserted, [ObjectId(150), ObjectId(151)]);
+        // Queries run while the writer holds its turn, and see none of it.
+        assert_eq!(engine.query(&q).unwrap().answer_ids(), before);
+        assert_eq!(engine.mutation_epoch(), epoch);
+        assert_eq!(handle.read().len(), points);
+
+        let applied = engine.commit_mutations(turn, prepared).unwrap();
+        assert_eq!(applied.epoch, epoch + 1);
+        assert_eq!(handle.read().len(), points + 1);
+        let after = engine.query(&q).unwrap().answer_ids();
+        assert!(after.contains(&ObjectId(150)) && after.contains(&ObjectId(151)));
+        assert!(!after.contains(&victim));
     }
 
     #[test]

@@ -14,10 +14,16 @@
 //!   captured overlay, so a slow re-rank never blocks writers, yet still
 //!   resolves names and attributes at the epoch its candidates were
 //!   filtered under.
-//! - The single writer ([`SemaSkEngine::apply_mutations`]) takes the
-//!   gate in write mode, mutates every substrate (collection, side
-//!   points, corpus index), publishes a new overlay `Arc`, and bumps the
-//!   epoch **once per batch** — a reader can never observe half a batch.
+//! - The single writer ([`SemaSkEngine::apply_mutations`]) holds the
+//!   **writer lock** from validation to publish — readers never take
+//!   it — and runs in three stages: *begin* validates the batch against
+//!   the published overlay; *prepare* enriches, embeds, builds the next
+//!   overlay and plans each graph insert under the collection's read
+//!   lock, all while queries run; *commit* takes the gate in write mode,
+//!   applies the planned points to every substrate (collection, side
+//!   points, corpus index), publishes the new overlay `Arc`, and bumps
+//!   the epoch **once per batch** — a reader can never observe half a
+//!   batch, and waits only for the commit.
 //!
 //! The overlay itself is tiny: base data stays in the immutable
 //! [`geotext::Dataset`]; the overlay carries only deltas (tombstoned
@@ -35,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use geotext::{Dataset, GeoTextObject, ObjectId};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The delta between the immutable base dataset and the live state, at
 /// one mutation epoch. Cheap to clone-on-write: the writer clones the
@@ -43,9 +49,11 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[derive(Debug, Clone, Default)]
 pub struct Overlay {
     /// Objects that differ from the base: live inserts and updated
-    /// copies of base objects, keyed by dense id. Shared between epochs
-    /// — the writer's per-batch clone copies pointers, so a write does
-    /// not get slower with every object written before it.
+    /// copies of base objects, keyed by dense id. Shared between epochs:
+    /// the writer's per-batch clone copies pointers, not objects — but
+    /// it still copies the map, so a batch costs O(objects in the
+    /// overlay) here (~3 µs at 223 objects and ~8.5 µs at 666, measured
+    /// on a 2-core x86-64 host), and nothing but a restart empties it.
     objects: HashMap<u32, Arc<GeoTextObject>>,
     /// Dense ids that are deleted (base or inserted). Tombstoned
     /// objects stay in `objects`/the base so ids remain dense.
@@ -95,8 +103,8 @@ impl Overlay {
     }
 
     /// Resolves `id` **ignoring tombstones** — the checkpoint fold keeps
-    /// tombstoned objects so dense ids survive the rebuild; `live.json`
-    /// re-masks them on load.
+    /// tombstoned objects so dense ids survive the rebuild; the
+    /// snapshot's tombstone list re-masks them on load.
     #[must_use]
     pub fn get_raw<'a>(&'a self, base: &'a Dataset, id: ObjectId) -> Option<&'a GeoTextObject> {
         self.objects
@@ -141,17 +149,20 @@ impl Overlay {
 /// epoch counter, and the durability watermark.
 #[derive(Debug)]
 pub struct LiveState {
+    /// One writer at a time, from validation to publish. Readers never
+    /// take it. Lock order: writer before gate.
+    writer: Mutex<()>,
     /// Readers hold `read` across the filter stage; the writer holds
-    /// `write` across one whole mutation batch. Lock order: gate before
-    /// any substrate lock (collection, corpus, side points).
+    /// `write` across one batch's commit. Lock order: gate before any
+    /// substrate lock (collection, corpus, side points).
     gate: RwLock<()>,
     /// The published overlay for the current epoch.
     overlay: RwLock<Arc<Overlay>>,
     /// Bumped once per applied batch, after every substrate mutated.
     epoch: AtomicU64,
     /// Highest WAL sequence number applied to this in-memory state.
-    /// The checkpoint folds it into `live.json`; recovery replays only
-    /// records beyond it.
+    /// The checkpoint stores it in the snapshot's header; recovery
+    /// replays only records beyond it.
     last_seq: AtomicU64,
 }
 
@@ -166,6 +177,7 @@ impl LiveState {
     #[must_use]
     pub fn with_overlay(overlay: Overlay, last_seq: u64) -> Self {
         Self {
+            writer: Mutex::new(()),
             gate: RwLock::new(()),
             overlay: RwLock::new(Arc::new(overlay)),
             epoch: AtomicU64::new(0),
@@ -178,7 +190,13 @@ impl LiveState {
         self.gate.read()
     }
 
-    /// Enters the write side of the gate for one mutation batch.
+    /// Takes the writer lock for one mutation batch, from validation to
+    /// publish.
+    pub(crate) fn begin_write(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock()
+    }
+
+    /// Enters the write side of the gate for one batch's commit.
     pub fn gate_write(&self) -> RwLockWriteGuard<'_, ()> {
         self.gate.write()
     }

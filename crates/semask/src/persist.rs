@@ -7,68 +7,77 @@
 //! [`load_prepared`] restores a fully query-ready [`PreparedCity`]
 //! without touching the LLM or the embedder for the stored POIs.
 //!
-//! # Atomic, versioned snapshots
+//! # One packed file per snapshot
 //!
-//! A snapshot spans several files (manifest, dataset, collection, live
-//! state), so "temp file + rename" per file is not enough — a crash
-//! between renames could mix files from two snapshot generations. The
-//! layout instead versions whole directories with a single commit
-//! point, the classic `CURRENT`-pointer idiom:
+//! A snapshot is one file, committed by the classic `CURRENT`-pointer
+//! idiom:
 //!
 //! ```text
 //! dir/
-//!   CURRENT          # the committed snapshot's directory name
-//!   snap-3/          # a committed snapshot (all files fsynced)
-//!     manifest.json  # city key, collection name, embedder dimension
-//!     dataset.json   # the enriched POIs, live overlay folded in
-//!     collection.bin # vectors, codes, graph, payloads: packed, checksummed
-//!     live.json      # tombstones, id watermark, applied-WAL seq
-//!   snap-4.tmp/      # a snapshot being written, or one that crashed mid-write
-//!   wal.log          # DurableEngine's active log: records after the last cut
-//!   wal.prev         # the log rotated out at that cut, until snap-4 commits
+//!   CURRENT        # the committed snapshot's file name
+//!   snap-3         # a committed snapshot (fsynced, renamed, dir fsynced)
+//!   snap-4.tmp     # a snapshot being staged, or one that crashed mid-write
+//!   wal.log        # DurableEngine's active log: records after the last cut
+//!   wal.prev       # the log rotated out at that cut, until snap-4 commits
+//! ```
+//!
+//! The file is a [`vecdb::codec`] container of format [`SNAPSHOT`]
+//! (magic `SEMASKSN`, version 3): the crate's one codec, one CRC-32 over
+//! everything after its field, and seven sections, all little-endian:
+//!
+//! ```text
+//! 0     header   city key (u32 length + UTF-8), collection name (same),
+//!                embedder dim u64, next_id u32, last_applied_seq u64,
+//!                tombstone count u32 + that many ids u32, ascending
+//! 1–5   the collection's five sections, as `vecdb::db` lays them out
+//! 6     dataset  name (u32 length + UTF-8), object count u32, then per
+//!                object: id u32, lat f64, lon f64, attribute count u32,
+//!                and per attribute its key and a tagged value:
+//!                0 text + string, 1 number + f64, 2 integer + i64,
+//!                3 bool + one byte 0 or 1, 4 list + u32 count + strings,
+//!                5 map + u32 count + (key, value) strings, keys ascending
 //! ```
 //!
 //! A snapshot is taken in two steps. [`cut_prepared`] freezes the state
-//! at one log sequence number — the collection packed into memory under
-//! its read lock but not yet checksummed, the dataset and the published
-//! overlay pinned by `Arc` — and needs the city to hold still only for
-//! that long. [`write_snapshot`] does the rest on whichever thread has
-//! the cut: it seals `collection.bin` (section table and CRC-32), encodes
-//! the JSON files, stages everything in `snap-<k>.tmp/` with per-file
-//! fsync, renames the
-//! directory to `snap-<k>/`, then atomically rewrites `CURRENT` (temp
-//! file + fsync + rename). [`save_prepared`] is the two in a row. A
-//! crash at any point leaves either the old `CURRENT` (pointing at the
-//! intact previous snapshot) or the new one (pointing at the fully
-//! written new snapshot) — never a mix. [`load_prepared`] follows
-//! `CURRENT` — without one there is no snapshot to load — and removes
-//! orphaned `*.tmp` staging directories and superseded snapshots; a
-//! field it needs that is absent or of the wrong type is an error
-//! naming the file and the field, never a default. The two log files
-//! are [`crate::durable`]'s; nothing here reads or removes them.
+//! at one log sequence number — the header and the collection packed
+//! into one buffer under the collection's read lock, the dataset and the
+//! published overlay pinned by `Arc` — and needs the city to hold still
+//! only for that long. [`write_snapshot`] does the rest on whichever
+//! thread has the cut: it packs the dataset section, seals the file
+//! (section table and CRC-32), stages it as `snap-<k>.tmp`, fsyncs it,
+//! renames it to `snap-<k>`, fsyncs the directory, then atomically
+//! rewrites `CURRENT` (temp file + fsync + rename + directory fsync).
+//! [`save_prepared`] is the two in a row. A crash at any point leaves
+//! either the old `CURRENT` (naming the intact previous snapshot) or the
+//! new one (naming the fully written new snapshot) — never a mix, and a
+//! directory fsync that fails fails the snapshot. [`load_prepared`]
+//! follows `CURRENT` — without one there is no snapshot to load — and
+//! removes orphaned `*.tmp` staging entries and superseded snapshots.
+//! The two log files are [`crate::durable`]'s; nothing here reads or
+//! removes them.
 //!
-//! `collection.bin` is `vecdb`'s own packed format (format in
-//! [`vecdb::db`]): raw little-endian sections behind a CRC-32, its meta
-//! section — ids, delete flags, payloads — as binary as the
-//! vectors, so the cut is a few copies and no text encoding at all. A
-//! damaged `collection.bin` is detected — checksum, declared lengths,
-//! then agreement between the parts — and surfaces as
-//! [`PersistError::VecDb`]; it is never parsed into a collection that
-//! fails later. The three other files are still JSON, encoded on the
-//! snapshot thread: `manifest.json` and `live.json` are a few lines, and
-//! `dataset.json` (5.6 MB at 4,000 POIs, tens of milliseconds to encode
-//! and about half of a load) is the largest thing left to pack.
+//! Nothing in the file is trusted: [`from_snapshot_bytes`] checks magic,
+//! version and checksum before a section is read, every count against
+//! the bytes that remain before anything is sized by it, and then that
+//! the parts agree (one object per id below `next_id`, ids dense and in
+//! order, tombstones ascending and below `next_id`). A damaged file is a
+//! typed error, never a panic and never a city that fails later. There
+//! is one version: format 2 stored a directory of four files (three of
+//! them JSON), and a `CURRENT` naming a directory is refused as that
+//! version, unread; a file of another version is refused by the version
+//! it names.
 //!
 //! # Live state
 //!
-//! The snapshot *folds* the live mutation overlay into `dataset.json`:
-//! updated objects replace their base versions and inserted objects are
-//! appended, so the reloaded grid/IR-tree/corpus indexes are built over
-//! the post-mutation world and the side buffers start empty. Tombstoned
-//! objects are **kept** in the dataset (ids must stay dense for the
-//! index builders) and re-masked on load from `live.json`'s tombstone
-//! list: the restored collection already soft-deletes them, and the
-//! corpus index drops their postings so keyword statistics stay honest.
+//! The snapshot *folds* the live mutation overlay into the dataset
+//! section: updated objects replace their base versions and inserted
+//! objects are appended, so the reloaded grid/IR-tree/corpus indexes are
+//! built over the post-mutation world and the side buffers start empty.
+//! Tombstoned objects are **kept** in the dataset (ids must stay dense
+//! for the index builders) and re-masked on load from the header's
+//! tombstone list: the restored collection already soft-deletes them,
+//! and the corpus index drops their postings so keyword statistics stay
+//! honest.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -78,24 +87,29 @@ use std::sync::Arc;
 
 use datagen::ReverseGeocoder;
 use embed::SemanticEmbedder;
-use geotext::{Dataset, GeoTextObject, ObjectId};
-use serde::{Content, Serialize};
-use vecdb::{UnsealedSnapshot, VectorDb};
+use geotext::{AttributeValue, Dataset, GeoPoint, GeoTextObject, ObjectId};
+use vecdb::codec::{corrupt, Format, Reader, Writer};
+use vecdb::{Collection, VecDbError, VectorDb};
 
 use crate::config::SemaSkConfig;
 use crate::live::{LiveState, Overlay};
 use crate::prep::PreparedCity;
 use crate::wal::crash_point;
 
-/// The pointer file naming the committed snapshot directory.
+/// The pointer file naming the committed snapshot.
 const CURRENT_FILE: &str = "CURRENT";
-/// Snapshot directories are `snap-<k>`; staging directories `snap-<k>.tmp`.
+/// Snapshots are files `snap-<k>`, staged as `snap-<k>.tmp`.
 const SNAP_PREFIX: &str = "snap-";
-/// The files of one snapshot directory.
-const MANIFEST_FILE: &str = "manifest.json";
-const DATASET_FILE: &str = "dataset.json";
-const COLLECTION_FILE: &str = "collection.bin";
-const LIVE_FILE: &str = "live.json";
+
+/// A prepared city's snapshot file: header, the collection's five
+/// sections, dataset (module docs).
+pub const SNAPSHOT: Format<7> = Format {
+    magic: *b"SEMASKSN",
+    version: 3,
+};
+
+/// The version of the layout that kept a snapshot as a directory.
+const DIRECTORY_VERSION: u32 = 2;
 
 /// Errors from saving/loading prepared cities.
 #[derive(Debug)]
@@ -103,26 +117,30 @@ const LIVE_FILE: &str = "live.json";
 pub enum PersistError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// JSON (de)serialization failure.
-    Json(String),
     /// The manifest referenced an unknown city key.
     UnknownCity {
         /// The offending key.
         key: String,
     },
-    /// The vector collection failed to store or restore.
-    VecDb(vecdb::VecDbError),
+    /// The snapshot file could not be packed, or failed a check on load:
+    /// its container, the collection's sections or the ones beside them.
+    VecDb(VecDbError),
     /// The directory has no committed snapshot (`CURRENT` is missing or
     /// empty).
     NoSnapshot,
-    /// `dataset.json` parsed, but its object ids are not dense and in
-    /// order, so an id would look up another object.
+    /// The snapshot is of another format version than this build reads.
+    Version {
+        /// The version found: the file's, or 2 for a snapshot directory.
+        found: u32,
+    },
+    /// The dataset section decoded, but its object ids are not dense and
+    /// in order, so an id would look up another object.
     Dataset(geotext::GeoTextError),
     /// The snapshot was prepared with another embedding dimension than
     /// the config it is being opened under, so query embeddings could
     /// not be compared with the stored vectors.
     DimMismatch {
-        /// `embedder_dim` recorded in the snapshot's manifest.
+        /// `embedder_dim` recorded in the snapshot's header.
         stored: usize,
         /// `embedder.dim` of the supplied config.
         configured: usize,
@@ -133,11 +151,15 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "io: {e}"),
-            PersistError::Json(e) => write!(f, "json: {e}"),
             PersistError::UnknownCity { key } => write!(f, "unknown city key `{key}`"),
-            PersistError::VecDb(e) => write!(f, "vecdb: {e}"),
+            PersistError::VecDb(e) => write!(f, "snapshot: {e}"),
             PersistError::NoSnapshot => write!(f, "no committed snapshot (CURRENT missing)"),
-            PersistError::Dataset(e) => write!(f, "{DATASET_FILE}: {e}"),
+            PersistError::Version { found } => write!(
+                f,
+                "snapshot format version {found}, this build reads only {}",
+                SNAPSHOT.version
+            ),
+            PersistError::Dataset(e) => write!(f, "dataset section: {e}"),
             PersistError::DimMismatch { stored, configured } => write!(
                 f,
                 "snapshot holds {stored}-d embeddings, config asks for {configured}-d"
@@ -154,8 +176,8 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-impl From<vecdb::VecDbError> for PersistError {
-    fn from(e: vecdb::VecDbError) -> Self {
+impl From<VecDbError> for PersistError {
+    fn from(e: VecDbError) -> Self {
         PersistError::VecDb(e)
     }
 }
@@ -168,11 +190,8 @@ fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Fsyncs a directory so renames/creations inside it are durable.
-/// Best-effort: not every platform supports opening directories.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// The next unused snapshot index: one past the highest `snap-<k>` or
@@ -196,7 +215,7 @@ fn next_snapshot_index(dir: &Path) -> u64 {
 }
 
 /// Removes orphaned `*.tmp` staging entries and, when a committed
-/// snapshot is known, superseded `snap-*` directories.
+/// snapshot is known, superseded `snap-*` ones.
 fn cleanup_stale(dir: &Path, keep: Option<&str>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -219,146 +238,163 @@ fn cleanup_stale(dir: &Path, keep: Option<&str>) {
     }
 }
 
-/// The dataset as stored: the live overlay folded over the base, by
-/// reference. Updates replace their base objects, inserts are appended
-/// in id order, and tombstoned objects are kept (dense ids) for
-/// `live.json` to re-mask on load. Serializes exactly as the
-/// [`Dataset`] holding the same objects would.
-struct FoldedDataset<'a> {
-    name: &'a str,
-    objects: Vec<&'a GeoTextObject>,
-}
-
-impl<'a> FoldedDataset<'a> {
-    fn new(base: &'a Dataset, overlay: &'a Overlay) -> Self {
-        let objects = (0..overlay.next_id())
-            .map(|id| {
-                overlay
-                    .get_raw(base, ObjectId(id))
-                    .expect("dense ids: every id below the watermark resolves")
-            })
-            .collect();
-        Self {
-            name: &base.name,
-            objects,
-        }
-    }
-}
-
-impl Serialize for FoldedDataset<'_> {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("name".to_owned(), self.name.to_content()),
-            ("objects".to_owned(), self.objects.to_content()),
-        ])
-    }
-}
-
 /// A prepared city frozen at one log sequence number — what
 /// [`cut_prepared`] takes and [`write_snapshot`] stores. It owns or
-/// pins everything it names (the collection as packed sections, the
-/// dataset and the overlay by `Arc`), so writing it needs no lock and no
-/// further look at the city, which may go on changing.
+/// pins everything it names (the header and the collection as packed
+/// sections, the dataset and the overlay by `Arc`), so writing it needs
+/// no lock and no further look at the city, which may go on changing.
 pub struct SnapshotCut {
-    city_key: &'static str,
-    collection_name: String,
-    embedder_dim: usize,
     dataset: Arc<Dataset>,
     overlay: Arc<Overlay>,
-    /// `collection.bin`, packed but not yet sealed: its checksum pass
-    /// belongs to the thread that writes the file.
-    collection: UnsealedSnapshot,
-    last_seq: u64,
+    /// The file's first six sections, packed: the dataset section, the
+    /// section table and the checksum belong to the thread that writes
+    /// the file.
+    packed: Writer,
 }
 
-/// Freezes `prepared` for a snapshot: packs the collection under its
-/// read lock (no checksum — [`write_snapshot`] seals it), pins the
-/// published overlay and the base dataset, and reads the applied-WAL
-/// watermark. The three agree only if no mutation is applied meanwhile
-/// — [`crate::durable::DurableEngine`] cuts under its log mutex, which
-/// excludes writers; queries may run throughout.
+/// Freezes `prepared` for a snapshot: pins the published overlay and the
+/// base dataset, packs the header and the collection under its read lock
+/// (no checksum — [`write_snapshot`] seals it), and reads the
+/// applied-WAL watermark. They agree only if no mutation is applied
+/// meanwhile — [`crate::durable::DurableEngine`] cuts under its log
+/// mutex, which excludes writers; queries may run throughout.
 ///
 /// # Errors
 /// [`PersistError::VecDb`] if the collection is missing or fails to pack.
 pub fn cut_prepared(prepared: &PreparedCity) -> Result<SnapshotCut, PersistError> {
     let handle = prepared.db.collection(&prepared.collection_name)?;
-    let (embedder_dim, collection) = {
-        let collection = handle.read();
-        (collection.config().dim, collection.pack_snapshot()?)
-    };
+    let overlay = prepared.live.overlay();
+    let collection = handle.read();
+    let mut packed = SNAPSHOT.writer(0);
+    packed.str(prepared.city.key)?;
+    packed.str(&prepared.collection_name)?;
+    packed.len64(collection.config().dim);
+    packed.u32(overlay.next_id());
+    packed.u64(prepared.live.last_seq());
+    let mut tombstones: Vec<u32> = overlay.tombstones().iter().copied().collect();
+    tombstones.sort_unstable();
+    packed.u32(count32(tombstones.len())?);
+    packed.u32s(&tombstones);
+    packed.end_section();
+    collection.pack_sections(&mut packed)?;
+    drop(collection);
     Ok(SnapshotCut {
-        city_key: prepared.city.key,
-        collection_name: prepared.collection_name.clone(),
-        embedder_dim,
         dataset: Arc::clone(&prepared.dataset),
-        overlay: prepared.live.overlay(),
-        collection,
-        last_seq: prepared.live.last_seq(),
+        overlay,
+        packed,
     })
 }
 
-/// Writes `cut` into `dir` as a new versioned snapshot and commits it by
+/// Appends the dataset section: the overlay folded over the base. Updates
+/// replace their base objects, inserts are appended in id order, and
+/// tombstoned objects are kept (dense ids) for the header's list to
+/// re-mask on load.
+fn pack_dataset(w: &mut Writer, base: &Dataset, overlay: &Overlay) -> Result<(), VecDbError> {
+    w.str(&base.name)?;
+    w.u32(overlay.next_id());
+    for id in 0..overlay.next_id() {
+        let obj = overlay
+            .get_raw(base, ObjectId(id))
+            .expect("dense ids: every id below the watermark resolves");
+        w.u32(obj.id.0);
+        w.f64(obj.location.lat);
+        w.f64(obj.location.lon);
+        w.u32(count32(obj.attrs.len())?);
+        for (key, value) in obj.attrs.iter() {
+            w.str(key)?;
+            match value {
+                AttributeValue::Text(s) => {
+                    w.u8(attr::TEXT);
+                    w.str(s)?;
+                }
+                AttributeValue::Number(x) => {
+                    w.u8(attr::NUMBER);
+                    w.f64(*x);
+                }
+                AttributeValue::Integer(i) => {
+                    w.u8(attr::INTEGER);
+                    w.u64(*i as u64);
+                }
+                AttributeValue::Bool(b) => {
+                    w.u8(attr::BOOL);
+                    w.bool(*b);
+                }
+                AttributeValue::List(items) => {
+                    w.u8(attr::LIST);
+                    w.u32(count32(items.len())?);
+                    for item in items {
+                        w.str(item)?;
+                    }
+                }
+                AttributeValue::Map(m) => {
+                    w.u8(attr::MAP);
+                    w.u32(count32(m.len())?);
+                    for (k, v) in m {
+                        w.str(k)?;
+                        w.str(v)?;
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Tags of the attribute values in the dataset section (module docs).
+mod attr {
+    pub const TEXT: u8 = 0;
+    pub const NUMBER: u8 = 1;
+    pub const INTEGER: u8 = 2;
+    pub const BOOL: u8 = 3;
+    pub const LIST: u8 = 4;
+    pub const MAP: u8 = 5;
+}
+
+/// A container length as the `u32` the format stores.
+fn count32(n: usize) -> Result<u32, VecDbError> {
+    u32::try_from(n).map_err(|_| corrupt(format!("{n} items in one container")))
+}
+
+/// A stored `u32` count of things that each take at least `min_bytes`,
+/// refused if the bytes that remain cannot hold them.
+fn read_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, VecDbError> {
+    let count = r.u32()? as usize;
+    r.count(count, min_bytes)
+}
+
+/// Writes `cut` into `dir` as a new snapshot file and commits it by
 /// atomically rewriting the `CURRENT` pointer. The live mutation overlay
 /// is folded into the stored dataset (see the module docs), so a
 /// subsequent [`load_prepared`] starts from the world as of the cut with
-/// empty side buffers. The collection's checksum is computed here, on
-/// the writing thread.
+/// empty side buffers. The dataset section and the file's checksum are
+/// computed here, on the writing thread.
 ///
 /// # Errors
-/// Whichever file failed to encode or write; `CURRENT` then still names
-/// the previous snapshot.
+/// Whichever step failed to encode, write, rename or fsync; `CURRENT`
+/// then still names the previous snapshot.
 pub fn write_snapshot(cut: SnapshotCut, dir: &Path) -> Result<(), PersistError> {
+    let SnapshotCut {
+        dataset,
+        overlay,
+        mut packed,
+    } = cut;
+    pack_dataset(&mut packed, &dataset, &overlay)?;
+    packed.end_section();
+    let bytes = packed.finish().seal();
+
     fs::create_dir_all(dir)?;
     let snap_name = format!("{SNAP_PREFIX}{}", next_snapshot_index(dir));
     let tmp = dir.join(format!("{snap_name}.tmp"));
-    let _ = fs::remove_dir_all(&tmp);
-    fs::create_dir_all(&tmp)?;
-
-    let manifest = serde_json::json!({
-        "city_key": cut.city_key,
-        "collection_name": cut.collection_name,
-        "embedder_dim": cut.embedder_dim,
-    });
-    write_synced(
-        &tmp.join(MANIFEST_FILE),
-        serde_json::to_string_pretty(&manifest)
-            .map_err(|e| PersistError::Json(e.to_string()))?
-            .as_bytes(),
-    )?;
-
-    let dataset_json = serde_json::to_string(&FoldedDataset::new(&cut.dataset, &cut.overlay))
-        .map_err(|e| PersistError::Json(e.to_string()))?;
-    write_synced(&tmp.join(DATASET_FILE), dataset_json.as_bytes())?;
-
+    write_synced(&tmp, &bytes)?;
     crash_point("ckpt-mid-snapshot");
-
-    write_synced(&tmp.join(COLLECTION_FILE), &cut.collection.seal())?;
-
-    let mut tombstones: Vec<u32> = cut.overlay.tombstones().iter().copied().collect();
-    tombstones.sort_unstable();
-    let live = serde_json::json!({
-        "tombstones": tombstones,
-        "next_id": cut.overlay.next_id(),
-        "last_applied_seq": cut.last_seq,
-    });
-    write_synced(
-        &tmp.join(LIVE_FILE),
-        serde_json::to_string_pretty(&live)
-            .map_err(|e| PersistError::Json(e.to_string()))?
-            .as_bytes(),
-    )?;
-    sync_dir(&tmp);
-
-    let snap_dir = dir.join(&snap_name);
-    let _ = fs::remove_dir_all(&snap_dir);
-    fs::rename(&tmp, &snap_dir)?;
-    sync_dir(dir);
+    fs::rename(&tmp, dir.join(&snap_name))?;
+    sync_dir(dir)?;
 
     // The single commit point: CURRENT flips to the new snapshot.
     let current_tmp = dir.join("CURRENT.tmp");
     write_synced(&current_tmp, snap_name.as_bytes())?;
     fs::rename(&current_tmp, dir.join(CURRENT_FILE))?;
-    sync_dir(dir);
+    sync_dir(dir)?;
 
     cleanup_stale(dir, Some(&snap_name));
     Ok(())
@@ -373,111 +409,212 @@ pub fn save_prepared(prepared: &PreparedCity, dir: &Path) -> Result<(), PersistE
     write_snapshot(cut_prepared(prepared)?, dir)
 }
 
-/// Parses one of a snapshot's small JSON files.
-fn read_json(snap_dir: &Path, file: &str) -> Result<serde_json::Value, PersistError> {
-    serde_json::from_str(&fs::read_to_string(snap_dir.join(file))?)
-        .map_err(|e| PersistError::Json(format!("{file}: {e}")))
-}
-
-/// Reads field `name` of `file`'s object through `read`. A field that is
-/// absent or of another type is an error naming both: a guessed
-/// `last_applied_seq` would replay folded log records a second time, a
-/// guessed `next_id` would hand out ids already taken.
-fn field<'a, T>(
-    file: &str,
-    object: &'a serde_json::Value,
-    name: &str,
-    read: impl FnOnce(&'a serde_json::Value) -> Option<T>,
-) -> Result<T, PersistError> {
-    read(&object[name])
-        .ok_or_else(|| PersistError::Json(format!("{file}: `{name}` is missing or mistyped")))
-}
-
-fn as_id(v: &serde_json::Value) -> Option<u32> {
-    u32::try_from(v.as_u64()?).ok()
-}
-
 /// Restores a prepared city saved by [`save_prepared`]. The embedder is
 /// reconstructed from `config` (it is a pure function, so query-time
 /// embeddings still match the stored POI vectors as long as the same
 /// embedder configuration is supplied).
 ///
 /// Follows the `CURRENT` pointer to the committed snapshot and cleans
-/// up orphaned `*.tmp` staging directories left by a crashed
+/// up orphaned `*.tmp` staging entries left by a crashed
 /// [`save_prepared`].
 ///
 /// # Errors
 /// [`PersistError::NoSnapshot`] when `dir` has no committed snapshot;
-/// [`PersistError::DimMismatch`] when the snapshot was prepared at
-/// another embedding dimension than `config.embedder.dim`;
-/// [`PersistError::Json`] naming the file and the field when
-/// `manifest.json` or `live.json` lacks one or holds another type;
-/// [`PersistError::Dataset`] when `dataset.json`'s ids are not dense and
-/// in order;
-/// otherwise whichever file failed to read, parse or validate.
+/// [`PersistError::Version`] when `CURRENT` names a directory (format 2)
+/// or a file of another version; otherwise what
+/// [`from_snapshot_bytes`] refuses, or the I/O error that kept the file
+/// from being read.
 pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, PersistError> {
     let current = fs::read_to_string(dir.join(CURRENT_FILE))
         .ok()
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
         .ok_or(PersistError::NoSnapshot)?;
-    let base_dir = dir.join(&current);
+    let path = dir.join(&current);
+    if path.is_dir() {
+        return Err(PersistError::Version {
+            found: DIRECTORY_VERSION,
+        });
+    }
+    let prepared = from_snapshot_bytes(&fs::read(&path)?, config)?;
     cleanup_stale(dir, Some(&current));
+    Ok(prepared)
+}
 
-    let manifest = read_json(&base_dir, MANIFEST_FILE)?;
-    let stored = field(MANIFEST_FILE, &manifest, "embedder_dim", |v| {
-        usize::try_from(v.as_u64()?).ok()
-    })?;
-    if stored != config.embedder.dim {
+/// The header section's fields.
+struct Header<'a> {
+    city_key: &'a str,
+    collection_name: &'a str,
+    embedder_dim: usize,
+    next_id: u32,
+    last_seq: u64,
+    tombstones: Vec<u32>,
+}
+
+impl<'a> Header<'a> {
+    fn unpack(mut r: Reader<'a>) -> Result<Self, VecDbError> {
+        let city_key = r.str()?;
+        let collection_name = r.str()?;
+        let embedder_dim = r.len64()?;
+        let next_id = r.u32()?;
+        let last_seq = r.u64()?;
+        let count = r.u32()? as usize;
+        let tombstones = r.u32s(count)?;
+        r.finish()?;
+        if tombstones.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("tombstones out of order"));
+        }
+        if tombstones.last().is_some_and(|&t| t >= next_id) {
+            return Err(corrupt(format!("a tombstone at or past next_id {next_id}")));
+        }
+        Ok(Self {
+            city_key,
+            collection_name,
+            embedder_dim,
+            next_id,
+            last_seq,
+            tombstones,
+        })
+    }
+}
+
+/// Reads back what [`pack_dataset`] wrote. Objects are decoded one at a
+/// time, never sized by the declared count, and a repeated attribute key
+/// is refused (two files must not decode to one object).
+fn unpack_dataset(mut r: Reader<'_>) -> Result<Dataset, PersistError> {
+    let name = r.str()?.to_owned();
+    // id, lat, lon and an attribute count.
+    let count = read_count(&mut r, 24)?;
+    let mut objects = Vec::new();
+    for _ in 0..count {
+        let id = ObjectId(r.u32()?);
+        let (lat, lon) = (r.f64()?, r.f64()?);
+        let location = GeoPoint::new(lat, lon).map_err(|e| corrupt(format!("object {id}: {e}")))?;
+        // A key length and a tag.
+        let attrs = read_count(&mut r, 5)?;
+        let mut entries: Vec<(String, AttributeValue)> = Vec::new();
+        for _ in 0..attrs {
+            let key = r.str()?;
+            if entries.iter().any(|(k, _)| k == key) {
+                return Err(corrupt(format!("object {id}: attribute `{key}` twice")).into());
+            }
+            let value = match r.u8()? {
+                attr::TEXT => AttributeValue::Text(r.str()?.to_owned()),
+                attr::NUMBER => AttributeValue::Number(r.f64()?),
+                attr::INTEGER => AttributeValue::Integer(r.u64()? as i64),
+                attr::BOOL => AttributeValue::Bool(r.bool()?),
+                attr::LIST => {
+                    let n = read_count(&mut r, 4)?;
+                    let mut items = Vec::new();
+                    for _ in 0..n {
+                        items.push(r.str()?.to_owned());
+                    }
+                    AttributeValue::List(items)
+                }
+                attr::MAP => {
+                    let n = read_count(&mut r, 8)?;
+                    let mut m = std::collections::BTreeMap::new();
+                    let mut last: Option<&str> = None;
+                    for _ in 0..n {
+                        let k = r.str()?;
+                        if last.is_some_and(|prev| prev >= k) {
+                            return Err(corrupt(format!(
+                                "object {id}: map key `{k}` out of order"
+                            ))
+                            .into());
+                        }
+                        last = Some(k);
+                        m.insert(k.to_owned(), r.str()?.to_owned());
+                    }
+                    AttributeValue::Map(m)
+                }
+                t => return Err(corrupt(format!("object {id}: attribute tag {t}")).into()),
+            };
+            entries.push((key.to_owned(), value));
+        }
+        objects.push(GeoTextObject {
+            id,
+            location,
+            attrs: entries.into_iter().collect(),
+        });
+    }
+    r.finish()?;
+    Dataset::from_objects(name, objects).map_err(PersistError::Dataset)
+}
+
+/// Restores a prepared city from the bytes of a snapshot file, trusting
+/// none of them (module docs) — what [`load_prepared`] does with the
+/// file `CURRENT` names.
+///
+/// # Errors
+/// [`PersistError::Version`] for a file of another format version;
+/// [`PersistError::DimMismatch`] when the snapshot was prepared at
+/// another embedding dimension than `config.embedder.dim`;
+/// [`PersistError::UnknownCity`] for a city key no city has;
+/// [`PersistError::Dataset`] when the dataset's ids are not dense and in
+/// order; [`PersistError::VecDb`] for anything else the file gets wrong.
+pub fn from_snapshot_bytes(
+    bytes: &[u8],
+    config: &SemaSkConfig,
+) -> Result<PreparedCity, PersistError> {
+    // A file of this format names its version right after the magic; one
+    // that names another is refused by it, before any other check.
+    if let Some(version) = bytes
+        .strip_prefix(&SNAPSHOT.magic)
+        .and_then(|rest| rest.get(..4))
+    {
+        let found = u32::from_le_bytes(version.try_into().expect("four bytes"));
+        if found != SNAPSHOT.version {
+            return Err(PersistError::Version { found });
+        }
+    }
+    let [header, meta, vectors, norms, quant, graph, data] = SNAPSHOT.open(bytes)?;
+    let header = Header::unpack(header)?;
+    if header.embedder_dim != config.embedder.dim {
         return Err(PersistError::DimMismatch {
-            stored,
+            stored: header.embedder_dim,
             configured: config.embedder.dim,
         });
     }
-    let key = field(MANIFEST_FILE, &manifest, "city_key", |v| v.as_str())?;
-    let city = datagen::City::by_key(key).ok_or_else(|| PersistError::UnknownCity {
-        key: key.to_owned(),
+    let city = datagen::City::by_key(header.city_key).ok_or_else(|| PersistError::UnknownCity {
+        key: header.city_key.to_owned(),
     })?;
-    let collection_name =
-        field(MANIFEST_FILE, &manifest, "collection_name", |v| v.as_str())?.to_owned();
-
-    let dataset: Dataset = serde_json::from_str(&fs::read_to_string(base_dir.join(DATASET_FILE))?)
-        .map_err(|e| PersistError::Json(e.to_string()))?;
-    dataset.check_dense_ids().map_err(PersistError::Dataset)?;
-    let dataset = std::sync::Arc::new(dataset);
+    let collection = Collection::from_sections([meta, vectors, norms, quant, graph])?;
+    let dataset = unpack_dataset(data)?;
+    if dataset.len() != header.next_id as usize {
+        return Err(corrupt(format!(
+            "{} objects for next_id {}",
+            dataset.len(),
+            header.next_id
+        ))
+        .into());
+    }
+    let dataset = Arc::new(dataset);
 
     let db = VectorDb::new();
-    let handle = db.restore_collection(&collection_name, &base_dir.join(COLLECTION_FILE))?;
+    let handle = db.add_collection(header.collection_name, collection)?;
     // The planner's indexes (grid, IR-tree) are pure functions of the
     // dataset, so they are rebuilt rather than stored.
-    let planner = crate::retrieval::QueryPlanner::for_city(
-        std::sync::Arc::clone(&dataset),
-        handle,
-        config.planner,
-    );
-
-    let live = read_json(&base_dir, LIVE_FILE)?;
-    let tombstones: Vec<u32> = field(LIVE_FILE, &live, "tombstones", |v| {
-        v.as_array()?.iter().map(as_id).collect()
-    })?;
-    let next_id = field(LIVE_FILE, &live, "next_id", as_id)?;
-    let last_seq = field(LIVE_FILE, &live, "last_applied_seq", |v| v.as_u64())?;
+    let planner =
+        crate::retrieval::QueryPlanner::for_city(Arc::clone(&dataset), handle, config.planner);
     // Re-mask tombstoned objects in the corpus index: the restored
     // collection already soft-deletes them (every spatial path masks
     // through it), but keyword df/match statistics must drop their
     // postings too.
-    for &t in &tombstones {
-        if let Some(obj) = dataset.get(ObjectId(t)) {
-            planner.live_delete(obj.id, &obj.to_document());
-        }
+    for &t in &header.tombstones {
+        let obj = &dataset[ObjectId(t)];
+        planner.live_delete(obj.id, &obj.to_document());
     }
-    let live = LiveState::with_overlay(Overlay::restore(next_id, tombstones), last_seq);
+    let live = LiveState::with_overlay(
+        Overlay::restore(header.next_id, header.tombstones),
+        header.last_seq,
+    );
 
     Ok(PreparedCity {
         city,
         dataset,
         db,
-        collection_name,
+        collection_name: header.collection_name.to_owned(),
         embedder: SemanticEmbedder::new(config.embedder.clone()),
         geocoder: ReverseGeocoder::for_city(&city),
         planner,
@@ -631,8 +768,8 @@ mod tests {
             ])
             .expect("mutations apply");
 
-        // The reference for `dataset.json`: the fold as owned clones in
-        // a real `Dataset`.
+        // The reference for the dataset section: the fold as owned
+        // clones in a real `Dataset`, stored with nothing over it.
         let overlay = prepared.live.overlay();
         let owned: Vec<GeoTextObject> = (0..overlay.next_id())
             .map(|id| {
@@ -649,37 +786,23 @@ mod tests {
         );
         assert_eq!(owned[3].name(), "Renamed On Fold");
         let reference = Dataset::from_objects(prepared.dataset.name.clone(), owned).unwrap();
-        // And for the other three files, what a snapshot taken in one
-        // piece stored for this state: read straight off the city.
-        let handle = prepared.db.collection(&prepared.collection_name).unwrap();
-        let manifest = serde_json::json!({
-            "city_key": prepared.city.key,
-            "collection_name": prepared.collection_name,
-            "embedder_dim": handle.read().config().dim,
-        });
-        let live = serde_json::json!({
-            "tombstones": [5],
-            "next_id": 41,
-            "last_applied_seq": 9,
-        });
+        // And for the rest, what a snapshot taken in one piece stored for
+        // this state: read straight off the city.
         prepared.live.set_last_seq(9);
-        let expected = [
-            (
-                MANIFEST_FILE,
-                serde_json::to_string_pretty(&manifest)
-                    .unwrap()
-                    .into_bytes(),
-            ),
-            (
-                DATASET_FILE,
-                serde_json::to_string(&reference).unwrap().into_bytes(),
-            ),
-            (COLLECTION_FILE, handle.read().to_snapshot_bytes().unwrap()),
-            (
-                LIVE_FILE,
-                serde_json::to_string_pretty(&live).unwrap().into_bytes(),
-            ),
-        ];
+        let handle = prepared.db.collection(&prepared.collection_name).unwrap();
+        let mut w = SNAPSHOT.writer(0);
+        w.str(prepared.city.key).unwrap();
+        w.str(&prepared.collection_name).unwrap();
+        w.len64(handle.read().config().dim);
+        w.u32(41);
+        w.u64(9);
+        w.u32(1);
+        w.u32s(&[5]);
+        w.end_section();
+        handle.read().pack_sections(&mut w).unwrap();
+        pack_dataset(&mut w, &reference, &Overlay::new(41)).unwrap();
+        w.end_section();
+        let expected = w.finish().seal();
 
         // A cut is frozen: what is written later is the state at the
         // cut, whatever has been applied since.
@@ -692,12 +815,45 @@ mod tests {
         let dir = std::env::temp_dir().join("semask_persist_fold");
         let _ = std::fs::remove_dir_all(&dir);
         write_snapshot(cut, &dir).expect("write");
-        for (file, bytes) in &expected {
-            let stored = std::fs::read(dir.join("snap-0").join(file)).unwrap();
-            assert!(stored == *bytes, "{file} differs from the state at the cut");
-        }
-        assert_eq!(std::fs::read_dir(dir.join("snap-0")).unwrap().count(), 4);
+        let stored = std::fs::read(dir.join("snap-0")).unwrap();
+        assert!(
+            stored == expected,
+            "the file differs from the state at the cut"
+        );
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["CURRENT", "snap-0"], "one file a snapshot");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Where each of a snapshot file's sections starts and ends, read
+    /// off its section table.
+    fn sections(file: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut start = 16 + 4 + 7 * 8;
+        (0..7)
+            .map(|i| {
+                let at = 20 + i * 8;
+                let len = u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+                start += len;
+                start - len..start
+            })
+            .collect()
+    }
+
+    /// `file` with section `i` replaced by `bytes`, table and checksum
+    /// made to match.
+    fn with_section(file: &[u8], i: usize, bytes: &[u8]) -> Vec<u8> {
+        let range = sections(file)[i].clone();
+        let mut out = file[..range.start].to_vec();
+        out.extend_from_slice(bytes);
+        out.extend_from_slice(&file[range.end..]);
+        out[20 + i * 8..28 + i * 8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        let crc = vecdb::crc32(&out[16..]);
+        out[12..16].copy_from_slice(&crc.to_le_bytes());
+        out
     }
 
     #[test]
@@ -708,52 +864,91 @@ mod tests {
         let dir = std::env::temp_dir().join("semask_persist_fields");
         let _ = std::fs::remove_dir_all(&dir);
         save_prepared(&prepared, &dir).expect("save");
-        assert!(load_prepared(&dir, &config).is_ok());
+        let file = std::fs::read(dir.join("snap-0")).unwrap();
+        assert!(from_snapshot_bytes(&file, &config).is_ok());
 
-        let mistyped = |v: &serde_json::Value| match v {
-            serde_json::Value::String(_) => serde_json::json!(7),
-            _ => serde_json::json!("seven"),
+        // A header section alone: the body of a one-section container.
+        let one = Format::<1> {
+            magic: SNAPSHOT.magic,
+            version: SNAPSHOT.version,
         };
-        for (file, name) in [
-            (MANIFEST_FILE, "city_key"),
-            (MANIFEST_FILE, "collection_name"),
-            (MANIFEST_FILE, "embedder_dim"),
-            (LIVE_FILE, "tombstones"),
-            (LIVE_FILE, "next_id"),
-            (LIVE_FILE, "last_applied_seq"),
-        ] {
-            let path = dir.join("snap-0").join(file);
-            let intact = std::fs::read_to_string(&path).unwrap();
-            let serde_json::Value::Object(fields) = serde_json::from_str(&intact).unwrap() else {
-                panic!("{file} holds an object");
-            };
-            let mut removed = fields.clone();
-            removed.remove(name).expect("the field is written");
-            let mut retyped = fields.clone();
-            retyped.insert(name.to_owned(), mistyped(fields.get(name).unwrap()));
-            for damaged in [removed, retyped] {
-                let text = serde_json::to_string(&serde_json::Value::Object(damaged)).unwrap();
-                std::fs::write(&path, text).unwrap();
-                match load_prepared(&dir, &config) {
-                    Err(PersistError::Json(e)) => {
-                        assert!(e.contains(file) && e.contains(name), "{e}");
-                    }
-                    Err(e) => panic!("{file} without a usable `{name}`: {e}"),
-                    Ok(_) => panic!("{file} without a usable `{name}` loaded"),
-                }
+        let header = |key: &str, dim: u64, next_id: u32, tombstones: &[u32]| {
+            let mut w = one.writer(0);
+            w.str(key).unwrap();
+            w.str(&prepared.collection_name).unwrap();
+            w.u64(dim);
+            w.u32(next_id);
+            w.u64(0);
+            w.u32(tombstones.len() as u32);
+            w.u32s(tombstones);
+            w.end_section();
+            let mut bytes = w.finish().seal();
+            bytes.drain(..16 + 4 + 8);
+            bytes
+        };
+        let dim = config.embedder.dim as u64;
+        let intact = header(prepared.city.key, dim, 30, &[]);
+        assert_eq!(
+            intact,
+            file[sections(&file)[0].clone()],
+            "the header as the module docs lay it out"
+        );
+        // Every field cut short: the header ends before it.
+        for cut in 0..intact.len() {
+            match from_snapshot_bytes(&with_section(&file, 0, &intact[..cut]), &config) {
+                Err(PersistError::VecDb(_)) => {}
+                Err(e) => panic!("header cut at {cut}: {e}"),
+                Ok(_) => panic!("header cut at {cut} loaded"),
             }
-            std::fs::write(&path, intact).unwrap();
         }
-        // One non-numeric tombstone is an error too, not a dropped one.
-        let path = dir.join("snap-0").join(LIVE_FILE);
-        let intact = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, intact.replace("[]", "[3, \"4\"]")).unwrap();
+        // Fields that do not agree with the rest of the file.
+        for (what, bad) in [
+            (
+                "next_id past the dataset",
+                header(prepared.city.key, dim, 31, &[]),
+            ),
+            (
+                "next_id short of it",
+                header(prepared.city.key, dim, 29, &[]),
+            ),
+            (
+                "a tombstone past next_id",
+                header(prepared.city.key, dim, 30, &[30]),
+            ),
+            (
+                "tombstones out of order",
+                header(prepared.city.key, dim, 30, &[4, 3]),
+            ),
+            (
+                "a tombstone twice",
+                header(prepared.city.key, dim, 30, &[3, 3]),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    from_snapshot_bytes(&with_section(&file, 0, &bad), &config),
+                    Err(PersistError::VecDb(_))
+                ),
+                "{what}"
+            );
+        }
         assert!(matches!(
-            load_prepared(&dir, &config),
-            Err(PersistError::Json(_))
+            from_snapshot_bytes(&with_section(&file, 0, &header("ATLANTIS", dim, 30, &[])), &config),
+            Err(PersistError::UnknownCity { key }) if key == "ATLANTIS"
         ));
-        std::fs::write(&path, intact).unwrap();
-        assert!(load_prepared(&dir, &config).is_ok());
+        assert!(matches!(
+            from_snapshot_bytes(
+                &with_section(&file, 0, &header(prepared.city.key, 7, 30, &[])),
+                &config
+            ),
+            Err(PersistError::DimMismatch { stored: 7, .. })
+        ));
+        let masked = with_section(&file, 0, &header(prepared.city.key, dim, 30, &[3, 4]));
+        let restored = from_snapshot_bytes(&masked, &config).expect("two tombstones");
+        assert!(!restored
+            .live
+            .overlay()
+            .is_live(&restored.dataset, ObjectId(4)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -765,18 +960,17 @@ mod tests {
         let dir = std::env::temp_dir().join("semask_persist_dense_ids");
         let _ = std::fs::remove_dir_all(&dir);
         save_prepared(&prepared, &dir).expect("save");
-        assert!(load_prepared(&dir, &config).is_ok());
+        let path = dir.join("snap-0");
+        let intact = std::fs::read(&path).unwrap();
 
-        // Swap the ids of the first two objects: the file still parses.
-        let path = dir.join("snap-0").join(DATASET_FILE);
-        let intact = std::fs::read_to_string(&path).unwrap();
-        let mut objects = prepared.dataset.objects().to_vec();
-        (objects[0].id, objects[1].id) = (objects[1].id, objects[0].id);
-        let swapped = serde_json::json!({
-            "name": prepared.dataset.name,
-            "objects": objects,
-        });
-        std::fs::write(&path, serde_json::to_string(&swapped).unwrap()).unwrap();
+        // Give the first object the second one's id: the section still
+        // decodes, behind a checksum that matches.
+        let range = sections(&intact)[6].clone();
+        let mut section = intact[range].to_vec();
+        let first_id = 4 + prepared.dataset.name.len() + 4;
+        assert_eq!(section[first_id..first_id + 4], 0u32.to_le_bytes());
+        section[first_id..first_id + 4].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, with_section(&intact, 6, &section)).unwrap();
         match load_prepared(&dir, &config) {
             Err(PersistError::Dataset(geotext::GeoTextError::NonDenseIds { expected, found })) => {
                 assert_eq!((expected, found), (0, 1));
@@ -788,6 +982,14 @@ mod tests {
         std::fs::write(&path, intact).unwrap();
         assert!(load_prepared(&dir, &config).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_fsync_that_fails_is_an_error() {
+        let missing = std::env::temp_dir().join("semask_persist_no_such_dir");
+        let _ = std::fs::remove_dir_all(&missing);
+        assert!(sync_dir(&missing).is_err());
+        assert!(sync_dir(&std::env::temp_dir()).is_ok());
     }
 
     #[test]
@@ -805,10 +1007,9 @@ mod tests {
         assert!(!dir.join("snap-0").exists());
         assert!(dir.join("snap-1").exists());
 
-        // Simulate a crash mid-save: an orphaned staging dir and a
+        // Simulate a crash mid-save: an orphaned staging file and a
         // stranded CURRENT.tmp.
-        std::fs::create_dir_all(dir.join("snap-2.tmp")).unwrap();
-        std::fs::write(dir.join("snap-2.tmp/dataset.json"), b"partial").unwrap();
+        std::fs::write(dir.join("snap-2.tmp"), b"partial").unwrap();
         std::fs::write(dir.join("CURRENT.tmp"), b"snap-2").unwrap();
 
         let restored = load_prepared(&dir, &config).expect("load");

@@ -12,7 +12,7 @@
 //! monotonically increasing sequence number plus one [`Mutation`].
 //! Sequence numbers never restart, even across the checkpoints that
 //! rotate the log ([`Wal::rotate`]): the snapshot records the last
-//! sequence it folded (`last_applied_seq` in `live.json`), and recovery
+//! sequence it folded (`last_applied_seq` in its header), and recovery
 //! replays only the records beyond it — so a crash *between* snapshot
 //! commit and the removal of the rotated-out log can never double-apply
 //! a mutation.

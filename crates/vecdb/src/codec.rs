@@ -1,22 +1,27 @@
-//! The byte layer under collection snapshots: the crate's one checksum,
-//! a section-framed container, a bounds-checked cursor, and the binary
+//! The byte layer under snapshots: the crate's one checksum, a
+//! section-framed container, a bounds-checked cursor, and the binary
 //! encoding of JSON payload values.
 //!
-//! A snapshot is `magic | version | crc32 | section table | sections`
-//! (see [`crate::db`] for the layout). [`Writer`] builds one in a single
-//! buffer and [`Writer::finish`] hands it over as an
-//! [`UnsealedSnapshot`] — every section in place, the section table and
-//! checksum not yet written — so the caller decides on which thread the
-//! checksum pass runs; [`UnsealedSnapshot::seal`] writes them. [`open`]
-//! verifies magic, version and checksum and only then hands out one
-//! [`Reader`] per section. A `Reader` never indexes past its slice and
-//! never allocates for a count it has not first checked against the
-//! bytes that remain, so a hostile length costs an `Err`, not a panic or
-//! an allocation.
+//! A container is `magic | version | crc32 | section table | sections`;
+//! a [`Format`] names its magic, the one version its readers accept and
+//! its section count. A collection snapshot is one of five sections
+//! (layout in [`crate::db`]); a crate that stores more beside a collection declares
+//! a format of its own and packs the collection's sections into it with
+//! [`crate::Collection::pack_sections`], so one file carries one
+//! checksum. [`Writer`] builds a container in a single buffer and
+//! [`Writer::finish`] hands it over as an [`UnsealedSnapshot`] — every
+//! section in place, the section table and checksum not yet written — so
+//! the caller decides on which thread the checksum pass runs;
+//! [`UnsealedSnapshot::seal`] writes them. [`Format::open`] verifies
+//! magic, version and checksum and only then hands out one [`Reader`]
+//! per section. A `Reader` never indexes past its slice and never
+//! allocates for a count it has not first checked against the bytes
+//! that remain, so a hostile length costs an `Err`, not a panic or an
+//! allocation.
 //!
 //! Fixed-width arrays (vectors, norms, ids, codes, links, offsets) go
-//! out and come back as one block each ([`Writer::f32s`],
-//! [`Reader::f32s`] and their `u32` / `u64` / `f64` twins), not element
+//! out and come back as one block each (`Writer::f32s`,
+//! `Reader::f32s` and their `u32` / `u64` / `f64` twins), not element
 //! by element.
 //!
 //! A JSON [`Value`] is written as a one-byte tag and its contents, all
@@ -34,7 +39,7 @@
 //! Each number keeps the kind it was stored as — `1`, `1.0` and a `u64`
 //! above `i64::MAX` are three encodings, and `-0.0` keeps its sign bit —
 //! so a restored payload is the stored one `Value` for `Value`. Nesting
-//! is bounded at [`MAX_DEPTH`] both ways: a writer refuses to produce
+//! is bounded at `MAX_DEPTH` (128) both ways: a writer refuses to produce
 //! what a reader would refuse to read, and a hostile file cannot recurse
 //! the reader off its stack.
 
@@ -43,19 +48,26 @@ use serde_json::{Map, Value};
 
 use crate::error::VecDbError;
 
-/// First bytes of every collection snapshot.
-const MAGIC: [u8; 8] = *b"VECDBSNP";
-/// The only format version this build writes or reads. A layout change
-/// bumps it; any other value is rejected, never migrated.
-const VERSION: u32 = 3;
-/// Sections in a snapshot, in file order: meta, vectors, inverse norms,
-/// quantizer, HNSW graph.
-const SECTIONS: usize = 5;
+/// A container format: the bytes it starts with, the only version its
+/// readers accept, and `N` sections. A layout change bumps the version;
+/// any other value is rejected, never migrated.
+#[derive(Debug, Clone, Copy)]
+pub struct Format<const N: usize> {
+    /// First bytes of every file of this format.
+    pub magic: [u8; 8],
+    /// The version this build writes and the only one it reads.
+    pub version: u32,
+}
+
+/// A collection snapshot: meta, vectors, inverse norms, quantizer, HNSW
+/// graph.
+pub(crate) const COLLECTION: Format<5> = Format {
+    magic: *b"VECDBSNP",
+    version: 3,
+};
+
 /// Byte offset the checksum covers from (everything after the CRC field).
-const BODY: usize = MAGIC.len() + 4 + 4;
-/// Bytes before the first section: the fixed prefix, the section count
-/// and one `u64` length per section.
-const HEADER: usize = BODY + 4 + SECTIONS * 8;
+const BODY: usize = 8 + 4 + 4;
 
 /// Deepest nesting of arrays and objects a stored payload may have
 /// (serde_json's own recursion limit).
@@ -129,56 +141,118 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// A snapshot that could not be written, read or believed.
-pub(crate) fn corrupt(cause: impl Into<String>) -> VecDbError {
+pub fn corrupt(cause: impl Into<String>) -> VecDbError {
     VecDbError::Snapshot {
         cause: cause.into(),
     }
 }
 
-/// Builds a snapshot in one buffer: append a section's bytes, call
-/// [`Writer::end_section`], repeat [`SECTIONS`] times, [`Writer::finish`].
-pub(crate) struct Writer {
+impl<const N: usize> Format<N> {
+    /// Bytes before the first section: the fixed prefix, the section
+    /// count and one `u64` length per section.
+    const HEADER: usize = BODY + 4 + N * 8;
+
+    /// A writer of this format with room for `body_hint` section bytes.
+    #[must_use]
+    pub fn writer(&self, body_hint: usize) -> Writer {
+        let mut buf = Vec::with_capacity(Self::HEADER + body_hint);
+        buf.extend_from_slice(&self.magic);
+        buf.extend_from_slice(&self.version.to_le_bytes());
+        // Checksum and section table: filled in by `seal`.
+        buf.resize(Self::HEADER, 0);
+        Writer {
+            buf,
+            ends: Vec::with_capacity(N),
+            sections: N,
+        }
+    }
+
+    /// Verifies a file's magic, version and checksum, then its section
+    /// table (the declared lengths must tile the rest of the file
+    /// exactly), and returns one cursor per section.
+    ///
+    /// # Errors
+    /// [`VecDbError::Snapshot`] naming the first check that failed; a
+    /// file of another version is named by its version.
+    pub fn open<'a>(&self, file: &'a [u8]) -> Result<[Reader<'a>; N], VecDbError> {
+        let mut head = Reader { rest: file };
+        if head.take(self.magic.len())? != self.magic {
+            return Err(corrupt(format!(
+                "not a {} file (bad magic)",
+                String::from_utf8_lossy(&self.magic)
+            )));
+        }
+        let version = head.u32()?;
+        if version != self.version {
+            return Err(corrupt(format!(
+                "snapshot format version {version}, this build reads only {}",
+                self.version
+            )));
+        }
+        let stored = head.u32()?;
+        if crc32(head.rest) != stored {
+            return Err(corrupt("checksum mismatch"));
+        }
+        if head.u32()? as usize != N {
+            return Err(corrupt("wrong section count"));
+        }
+        let mut lens = [0usize; N];
+        for len in &mut lens {
+            *len = head.len64()?;
+        }
+        let mut sections = [Reader { rest: &[] }; N];
+        for (section, len) in sections.iter_mut().zip(lens) {
+            section.rest = head.take(len)?;
+        }
+        head.finish()?;
+        Ok(sections)
+    }
+}
+
+/// Builds a container in one buffer: append a section's bytes, call
+/// [`Writer::end_section`], repeat for every section of the format,
+/// [`Writer::finish`]. [`Format::writer`] makes one.
+#[derive(Debug)]
+pub struct Writer {
     buf: Vec<u8>,
     /// Where each finished section ended.
     ends: Vec<usize>,
+    /// Sections the format holds.
+    sections: usize,
 }
 
 impl Writer {
-    /// A writer with room for `body_hint` section bytes.
-    pub(crate) fn with_capacity(body_hint: usize) -> Self {
-        let mut buf = Vec::with_capacity(HEADER + body_hint);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        // Checksum and section table: filled in by `seal`.
-        buf.resize(HEADER, 0);
-        Self {
-            buf,
-            ends: Vec::with_capacity(SECTIONS),
-        }
+    /// Makes room for `additional` more bytes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn bool(&mut self, v: bool) {
+    /// One byte, 0 or 1.
+    pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// A `usize` length or count, stored as `u64`.
-    pub(crate) fn len64(&mut self, v: usize) {
+    pub fn len64(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
@@ -186,12 +260,13 @@ impl Writer {
         self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn f64(&mut self, v: f64) {
+    /// An `f64`'s bits, little-endian.
+    pub fn f64(&mut self, v: f64) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// A length-prefixed (`u32`) string.
-    pub(crate) fn str(&mut self, s: &str) -> Result<(), VecDbError> {
+    pub fn str(&mut self, s: &str) -> Result<(), VecDbError> {
         let len =
             u32::try_from(s.len()).map_err(|_| corrupt(format!("a {}-byte string", s.len())))?;
         self.u32(len);
@@ -218,7 +293,8 @@ impl Writer {
         self.words(vs, f32::to_le_bytes);
     }
 
-    pub(crate) fn u32s(&mut self, vs: &[u32]) {
+    /// `vs` as one block of little-endian words.
+    pub fn u32s(&mut self, vs: &[u32]) {
         self.words(vs, u32::to_le_bytes);
     }
 
@@ -303,17 +379,22 @@ impl Writer {
     }
 
     /// Closes the current section at the bytes appended so far.
-    pub(crate) fn end_section(&mut self) {
+    pub fn end_section(&mut self) {
         self.ends.push(self.buf.len());
     }
 
     /// Hands over every section's bytes, the section table and the
     /// checksum still unwritten.
-    pub(crate) fn finish(self) -> UnsealedSnapshot {
+    ///
+    /// # Panics
+    /// If the sections ended are not the format's count.
+    #[must_use]
+    pub fn finish(self) -> UnsealedSnapshot {
         assert_eq!(
             self.ends.len(),
-            SECTIONS,
-            "a snapshot has {SECTIONS} sections"
+            self.sections,
+            "a container of this format has {} sections",
+            self.sections
         );
         UnsealedSnapshot {
             buf: self.buf,
@@ -322,9 +403,9 @@ impl Writer {
     }
 }
 
-/// A packed collection snapshot whose section table and checksum are
-/// not yet written: what [`crate::Collection::pack_snapshot`] returns,
-/// cheap to take under a lock. [`UnsealedSnapshot::seal`] finishes it
+/// A packed container whose section table and checksum are not yet
+/// written: what [`crate::Collection::pack_snapshot`] returns, cheap to
+/// take under a lock. [`UnsealedSnapshot::seal`] finishes it
 /// into the file bytes — the checksum is a pass over every byte, so a
 /// caller that holds a lock while packing seals after releasing it.
 #[derive(Debug)]
@@ -339,56 +420,24 @@ impl UnsealedSnapshot {
     /// after the CRC field, and returns the file bytes.
     #[must_use]
     pub fn seal(mut self) -> Vec<u8> {
-        let mut table = Vec::with_capacity(HEADER - BODY);
-        table.extend_from_slice(&(SECTIONS as u32).to_le_bytes());
-        let mut start = HEADER;
+        let header = BODY + 4 + self.ends.len() * 8;
+        let mut table = Vec::with_capacity(header - BODY);
+        table.extend_from_slice(&(self.ends.len() as u32).to_le_bytes());
+        let mut start = header;
         for &end in &self.ends {
             table.extend_from_slice(&((end - start) as u64).to_le_bytes());
             start = end;
         }
-        self.buf[BODY..HEADER].copy_from_slice(&table);
+        self.buf[BODY..header].copy_from_slice(&table);
         let crc = crc32(&self.buf[BODY..]);
         self.buf[BODY - 4..BODY].copy_from_slice(&crc.to_le_bytes());
         self.buf
     }
 }
 
-/// Verifies a snapshot's magic, version and checksum, then its section
-/// table (the declared lengths must tile the rest of the file exactly),
-/// and returns one cursor per section.
-pub(crate) fn open(file: &[u8]) -> Result<[Reader<'_>; SECTIONS], VecDbError> {
-    let mut head = Reader { rest: file };
-    if head.take(MAGIC.len())? != MAGIC {
-        return Err(corrupt("not a collection snapshot (bad magic)"));
-    }
-    let version = head.u32()?;
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "snapshot format version {version}, this build reads only {VERSION}"
-        )));
-    }
-    let stored = head.u32()?;
-    if crc32(head.rest) != stored {
-        return Err(corrupt("checksum mismatch"));
-    }
-    if head.u32()? as usize != SECTIONS {
-        return Err(corrupt("wrong section count"));
-    }
-    let mut lens = [0usize; SECTIONS];
-    for len in &mut lens {
-        *len = head.len64()?;
-    }
-    let mut sections = [Reader { rest: &[] }; SECTIONS];
-    for (section, len) in sections.iter_mut().zip(lens) {
-        section.rest = head.take(len)?;
-    }
-    head.finish()?;
-    Ok(sections)
-}
-
 /// A bounds-checked cursor over one section's bytes.
 #[derive(Clone, Copy)]
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     rest: &'a [u8],
 }
 
@@ -417,21 +466,24 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, VecDbError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, VecDbError> {
         self.array().map(|[b]| b)
     }
 
     /// A byte that must be 0 or 1 — anything else would make two files
     /// decode to one collection.
-    pub(crate) fn bool(&mut self) -> Result<bool, VecDbError> {
+    pub fn bool(&mut self) -> Result<bool, VecDbError> {
         self.bools(1).map(|b| b[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, VecDbError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, VecDbError> {
         self.array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, VecDbError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, VecDbError> {
         self.array().map(u64::from_le_bytes)
     }
 
@@ -439,12 +491,13 @@ impl<'a> Reader<'a> {
         self.array().map(f32::from_le_bytes)
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, VecDbError> {
+    /// An `f64` from its little-endian bits.
+    pub fn f64(&mut self) -> Result<f64, VecDbError> {
         self.array().map(f64::from_le_bytes)
     }
 
     /// A stored `u64` length or count as a `usize`.
-    pub(crate) fn len64(&mut self) -> Result<usize, VecDbError> {
+    pub fn len64(&mut self) -> Result<usize, VecDbError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| corrupt(format!("length {v} does not fit this platform")))
     }
@@ -452,7 +505,7 @@ impl<'a> Reader<'a> {
     /// A count of things that each take at least `min_bytes` of what
     /// remains — refused if they cannot all fit, so nothing is sized by
     /// a count the bytes do not back.
-    pub(crate) fn count(&mut self, count: usize, min_bytes: usize) -> Result<usize, VecDbError> {
+    pub fn count(&mut self, count: usize, min_bytes: usize) -> Result<usize, VecDbError> {
         if count > self.rest.len() / min_bytes.max(1) {
             return Err(corrupt(format!(
                 "{count} items declared, {} bytes remain",
@@ -463,7 +516,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed (`u32`) UTF-8 string.
-    pub(crate) fn str(&mut self) -> Result<&'a str, VecDbError> {
+    pub fn str(&mut self) -> Result<&'a str, VecDbError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|e| corrupt(format!("string: {e}")))
     }
@@ -502,7 +555,9 @@ impl<'a> Reader<'a> {
         self.words(count, f32::from_le_bytes)
     }
 
-    pub(crate) fn u32s(&mut self, count: usize) -> Result<Vec<u32>, VecDbError> {
+    /// `count` little-endian `u32`s, the bytes checked before anything
+    /// is allocated.
+    pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, VecDbError> {
         self.words(count, u32::from_le_bytes)
     }
 
@@ -572,7 +627,7 @@ impl<'a> Reader<'a> {
 
     /// Errors unless the section was consumed exactly — trailing bytes
     /// would make two different files decode to one collection.
-    pub(crate) fn finish(self) -> Result<(), VecDbError> {
+    pub fn finish(self) -> Result<(), VecDbError> {
         if self.rest.is_empty() {
             Ok(())
         } else {
@@ -586,7 +641,7 @@ impl Writer {
     /// What has been appended after the header — one part's bytes, for
     /// a unit test of that part alone.
     pub(crate) fn into_body(self) -> Vec<u8> {
-        self.buf[HEADER..].to_vec()
+        self.buf[BODY + 4 + self.sections * 8..].to_vec()
     }
 }
 
@@ -635,7 +690,7 @@ mod tests {
     }
 
     fn sample() -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
+        let mut w = COLLECTION.writer(64);
         w.bytes(b"meta");
         w.end_section();
         w.f32s(&[1.5, -0.0, f32::MIN_POSITIVE]);
@@ -651,7 +706,7 @@ mod tests {
     #[test]
     fn sections_round_trip_bit_for_bit() {
         let file = sample();
-        let [mut meta, mut floats, empty, mut len, mut words] = open(&file).unwrap();
+        let [mut meta, mut floats, empty, mut len, mut words] = COLLECTION.open(&file).unwrap();
         assert_eq!(meta.take_rest(), b"meta");
         let back = floats.f32s(3).unwrap();
         assert_eq!(
@@ -669,22 +724,22 @@ mod tests {
     fn damaged_containers_are_rejected() {
         let file = sample();
         for cut in 0..file.len() {
-            assert!(open(&file[..cut]).is_err(), "truncated at {cut}");
+            assert!(COLLECTION.open(&file[..cut]).is_err(), "truncated at {cut}");
         }
         for bit in 0..file.len() * 8 {
             let mut bad = file.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(open(&bad).is_err(), "bit {bit} flipped");
+            assert!(COLLECTION.open(&bad).is_err(), "bit {bit} flipped");
         }
         let mut longer = file.clone();
         longer.push(0);
-        assert!(open(&longer).is_err(), "trailing byte");
+        assert!(COLLECTION.open(&longer).is_err(), "trailing byte");
     }
 
     #[test]
     fn a_count_larger_than_the_section_never_allocates() {
         let file = sample();
-        let [_, mut floats, ..] = open(&file).unwrap();
+        let [_, mut floats, ..] = COLLECTION.open(&file).unwrap();
         assert!(floats.f32s(usize::MAX / 2).is_err());
         assert!(floats.f32s(4).is_err());
         assert_eq!(floats.remaining(), 12, "a failed read consumes nothing");
@@ -692,13 +747,13 @@ mod tests {
 
     /// One section holding `v`, sealed, and the value read back out.
     fn value_round_trip(v: &Value) -> Result<Value, VecDbError> {
-        let mut w = Writer::with_capacity(64);
+        let mut w = COLLECTION.writer(64);
         w.value_at(v, 0)?;
-        for _ in 0..SECTIONS {
+        for _ in 0..5 {
             w.end_section();
         }
         let file = w.finish().seal();
-        let [mut section, ..] = open(&file)?;
+        let [mut section, ..] = COLLECTION.open(&file)?;
         let back = section.value_at(0)?;
         section.finish()?;
         Ok(back)

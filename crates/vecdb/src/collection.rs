@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
-use crate::hnsw::{HnswConfig, HnswIndex};
+use crate::hnsw::{HnswConfig, HnswIndex, InsertPlan};
 use crate::payload::{Filter, Payload, PayloadStore};
 use crate::quant::{QuantizedVectors, ScoringTier};
 use crate::rows::Rows;
@@ -420,13 +420,68 @@ impl Collection {
 
     /// Inserts a point. Live ids must be unique; to change a point,
     /// delete it and insert the id again (the HNSW graph itself is
-    /// append-only).
+    /// append-only). [`Collection::plan_insert`] then
+    /// [`Collection::insert_planned`].
     pub fn insert(
         &mut self,
         id: PointId,
         vector: Vec<f32>,
         payload: Payload,
     ) -> Result<(), VecDbError> {
+        let plan = self.plan_insert(&vector)?;
+        self.insert_planned(id, vector, payload, plan)
+    }
+
+    /// Plans the graph insert of `vector` as the next point without
+    /// changing anything, so it runs under a read lock (module docs of
+    /// [`crate::hnsw`], "Planned inserts").
+    ///
+    /// # Errors
+    /// What [`Collection::insert`] refuses about the vector: a dimension
+    /// other than the configured one, a NaN or infinity, or a
+    /// configuration [`CollectionConfig::validate`] refuses.
+    pub fn plan_insert(&self, vector: &[f32]) -> Result<InsertPlan, VecDbError> {
+        self.check_vector(vector)?;
+        Ok(self.hnsw.plan_insert(vector, self.rows(), &self.inv_norms))
+    }
+
+    /// Stores a point with the graph edits `plan` (made for `vector` by
+    /// [`Collection::plan_insert`]) computed. A plan gone stale — another
+    /// point was inserted since, as by an earlier insert of the same
+    /// batch — is made again here.
+    ///
+    /// # Errors
+    /// As [`Collection::insert`]; nothing is stored then.
+    pub fn insert_planned(
+        &mut self,
+        id: PointId,
+        vector: Vec<f32>,
+        payload: Payload,
+        plan: InsertPlan,
+    ) -> Result<(), VecDbError> {
+        self.check_vector(&vector)?;
+        let offset = self.ids.len();
+        if !self.by_id.claim(id, offset) {
+            return Err(VecDbError::PointExists { id });
+        }
+        self.ids.push(id);
+        self.inv_norms.push(inv_norm(&vector));
+        self.vectors.extend_from_slice(&vector);
+        self.payloads.push(payload);
+        self.deleted.push(false);
+        self.live += 1;
+        let plan = if plan.offset() == offset {
+            plan
+        } else {
+            self.hnsw.plan_insert(&vector, self.rows(), &self.inv_norms)
+        };
+        self.hnsw.apply(plan);
+        self.maintain_quant();
+        Ok(())
+    }
+
+    /// What every insert refuses about a vector.
+    fn check_vector(&self, vector: &[f32]) -> Result<(), VecDbError> {
         // What `VectorDb::create_collection` refuses, `new` may not
         // smuggle in: dimension 0 has no rows to store.
         self.config.validate()?;
@@ -439,19 +494,6 @@ impl Collection {
         if vector.iter().any(|x| !x.is_finite()) {
             return Err(VecDbError::NonFiniteVector);
         }
-        let offset = self.ids.len();
-        if !self.by_id.claim(id, offset) {
-            return Err(VecDbError::PointExists { id });
-        }
-        self.ids.push(id);
-        self.inv_norms.push(inv_norm(&vector));
-        self.vectors.extend_from_slice(&vector);
-        self.payloads.push(payload);
-        self.deleted.push(false);
-        self.live += 1;
-        let rows = Rows::new(&self.vectors, self.config.dim);
-        self.hnsw.insert(offset, rows, &self.inv_norms);
-        self.maintain_quant();
         Ok(())
     }
 
@@ -887,33 +929,45 @@ impl Collection {
     /// checksum after letting go.
     ///
     /// # Errors
+    /// See [`Collection::pack_sections`].
+    pub fn pack_snapshot(&self) -> Result<UnsealedSnapshot, VecDbError> {
+        let mut w = codec::COLLECTION.writer(0);
+        self.pack_sections(&mut w)?;
+        Ok(w.finish())
+    }
+
+    /// Appends the snapshot's five sections (meta, vectors, inverse
+    /// norms, quantizer, graph; layout in [`crate::db`]) to `w`, ending
+    /// each — the body of [`Collection::pack_snapshot`], and what a
+    /// container of another [`codec::Format`] holds the collection as.
+    ///
+    /// # Errors
     /// [`VecDbError::Snapshot`] for a payload the format cannot hold: one
     /// nested deeper than 128 levels, or a string or container longer
     /// than `u32::MAX`.
-    pub fn pack_snapshot(&self) -> Result<UnsealedSnapshot, VecDbError> {
+    pub fn pack_sections(&self, w: &mut Writer) -> Result<(), VecDbError> {
         let n = self.ids.len();
         // Meta (~150 B a point for SemaSK's payloads), vectors, norms,
         // codes + their norms, and ~2·m0 links a node.
-        let hint = n * (256 + self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0);
-        let mut w = Writer::with_capacity(hint);
-        self.config.pack(&mut w);
+        w.reserve(n * (256 + self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0));
+        self.config.pack(w);
         w.len64(n);
         w.u64s(&self.ids);
         w.bools(&self.deleted);
         w.len64(self.quant_trained_at);
-        self.payloads.pack(&mut w)?;
+        self.payloads.pack(w)?;
         w.end_section();
         w.f32s(&self.vectors);
         w.end_section();
         w.f32s(&self.inv_norms);
         w.end_section();
         if let Some(quant) = &self.quant {
-            quant.pack(&mut w);
+            quant.pack(w);
         }
         w.end_section();
-        self.hnsw.pack(&mut w);
+        self.hnsw.pack(w);
         w.end_section();
-        Ok(w.finish())
+        Ok(())
     }
 
     /// Rebuilds a collection from [`Collection::to_snapshot_bytes`]
@@ -936,7 +990,19 @@ impl Collection {
     /// [`CollectionConfig::validate`] refuses — dimension 0, or graph
     /// parameters the next insert would panic on).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
-        let [mut meta, mut rows, mut norms, quant, hnsw] = codec::open(bytes)?;
+        Self::from_sections(codec::COLLECTION.open(bytes)?)
+    }
+
+    /// Rebuilds a collection from the five sections
+    /// [`Collection::pack_sections`] wrote, with every check
+    /// [`Collection::from_snapshot_bytes`] makes after the container's
+    /// own.
+    ///
+    /// # Errors
+    /// See [`Collection::from_snapshot_bytes`].
+    pub fn from_sections(
+        [mut meta, mut rows, mut norms, quant, hnsw]: [Reader<'_>; 5],
+    ) -> Result<Self, VecDbError> {
         let config = CollectionConfig::unpack(&mut meta)?;
         config.validate()?;
         let n = meta.len64()?;

@@ -131,7 +131,19 @@ impl VectorDb {
         path: &Path,
     ) -> Result<CollectionHandle, VecDbError> {
         let bytes = std::fs::read(path).map_err(|e| corrupt(e.to_string()))?;
-        let collection = Collection::from_snapshot_bytes(&bytes)?;
+        self.add_collection(name, Collection::from_snapshot_bytes(&bytes)?)
+    }
+
+    /// Registers `collection` — one restored from some other container,
+    /// say — under `name`.
+    ///
+    /// # Errors
+    /// [`VecDbError::CollectionExists`] if the name is taken.
+    pub fn add_collection(
+        &self,
+        name: &str,
+        collection: Collection,
+    ) -> Result<CollectionHandle, VecDbError> {
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err(VecDbError::CollectionExists {

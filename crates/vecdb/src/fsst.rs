@@ -418,7 +418,7 @@ mod tests {
             arena.push(s);
         }
         arena.push("");
-        let mut w = Writer::with_capacity(0);
+        let mut w = crate::codec::COLLECTION.writer(0);
         arena.pack(&mut w);
         let body = w.into_body();
         let mut r = Reader::over(&body);
@@ -444,7 +444,7 @@ mod tests {
             arena.push(s);
         }
         let good = {
-            let mut w = Writer::with_capacity(0);
+            let mut w = crate::codec::COLLECTION.writer(0);
             arena.pack(&mut w);
             w.into_body()
         };
@@ -471,7 +471,7 @@ mod tests {
         let mut bad = CompressedStrings::new(arena.table.clone());
         bad.data.push(ESCAPE);
         bad.offsets.push(1);
-        let mut w = Writer::with_capacity(0);
+        let mut w = crate::codec::COLLECTION.writer(0);
         bad.pack(&mut w);
         assert!(load(&w.into_body()).is_err());
     }

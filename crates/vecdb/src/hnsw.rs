@@ -51,6 +51,21 @@
 //! resumed one needs one distance for the newcomer instead of
 //! `m_max + 1`, and a handful of heuristic comparisons instead of a few
 //! hundred.
+//!
+//! # Planned inserts
+//!
+//! An insert reads the whole graph and changes little of it: the new
+//! node's lists and, per link it takes, one back-link — a push onto a
+//! list under its cap or a re-selected list. [`HnswIndex::plan_insert`]
+//! computes all of that through `&self`, so a writer can plan under a
+//! read lock while searches go on, and [`HnswIndex::apply`] makes it so
+//! under the write lock in a few pointer moves. Planning reads each
+//! layer before any of that layer's edits, exactly as an in-place insert
+//! would: no search reaches the new node (nothing links to it yet), and
+//! each edit replaces one list computed from that list alone. So a plan
+//! applied to the graph it was made on is the in-place insert, link for
+//! link. A plan records the offset it was made for; once another node
+//! has been inserted it is stale, and `apply` refuses it.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -178,6 +193,52 @@ struct NodeLinks {
 /// On-disk `entry` of an empty graph (node offsets are `u32`, and a
 /// graph never holds `u32::MAX` nodes).
 const NO_ENTRY: u32 = u32::MAX;
+
+/// What inserting one node changes in a graph, computed against the
+/// graph as it stood ([`HnswIndex::plan_insert`]) and made so by
+/// [`HnswIndex::apply`] (module docs, "Planned inserts").
+#[derive(Debug, Clone)]
+pub struct InsertPlan {
+    /// The offset the node takes: the graph's length when planned.
+    offset: usize,
+    level: usize,
+    /// The new node's lists, layer 0 first.
+    lists: Vec<LinkList>,
+    /// Back-links, as `(layer, node, edit)`: the node's re-selected list,
+    /// or `None` for a plain push onto a list under its cap.
+    back: Vec<(usize, u32, Option<LinkList>)>,
+}
+
+impl InsertPlan {
+    /// The offset the plan was made for. It is stale once the graph no
+    /// longer has that many nodes.
+    #[must_use]
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+}
+
+/// The vectors an insert plan reads: the stored rows, and the newcomer's
+/// row at its offset, which the rows need not hold yet.
+#[derive(Clone, Copy)]
+struct Vectors<'a> {
+    rows: Rows<'a>,
+    inv_norms: &'a [f32],
+    /// `(offset, row, inverse norm)` of the node being planned.
+    new: (usize, &'a [f32], f32),
+}
+
+impl<'a> Vectors<'a> {
+    /// Node `n`'s vector and inverse norm.
+    fn row(&self, n: usize) -> (&'a [f32], f32) {
+        let (offset, row, inv) = self.new;
+        if n == offset {
+            (row, inv)
+        } else {
+            (self.rows.row(n), self.inv_norms[n])
+        }
+    }
+}
 
 /// Candidate ordered by distance (min-heap via reversed compare).
 #[derive(PartialEq)]
@@ -383,38 +444,58 @@ impl HnswIndex {
         ((-u.ln()) * ml).floor() as usize
     }
 
-    /// Inserts the vector at `rows.row(offset)`. Offsets must be inserted
-    /// in increasing order (`offset == self.len()`). `inv_norms` carries
-    /// the cached inverse L2 norm per offset (aligned with `rows`),
-    /// letting every cosine comparison run as one fused dot product.
+    /// Inserts the vector at `rows.row(offset)`, `offset == self.len()`:
+    /// [`HnswIndex::plan_insert`] then [`HnswIndex::apply`]. `inv_norms`
+    /// carries the cached inverse L2 norm per offset (aligned with
+    /// `rows`), letting every cosine comparison run as one fused dot
+    /// product.
     pub fn insert(&mut self, offset: usize, rows: Rows<'_>, inv_norms: &[f32]) {
         debug_assert_eq!(offset, self.nodes.len(), "insert offsets must be dense");
+        let plan = self.plan_insert(rows.row(offset), rows, inv_norms);
+        self.apply(plan);
+    }
+
+    /// Computes, without changing the graph, what inserting `row` as node
+    /// `self.len()` does to it (module docs, "Planned inserts"). `rows`
+    /// and `inv_norms` hold the stored nodes; `row` need not be among
+    /// them yet. Its inverse norm is derived here as the owning
+    /// collection derives it.
+    #[must_use]
+    pub fn plan_insert(&self, row: &[f32], rows: Rows<'_>, inv_norms: &[f32]) -> InsertPlan {
+        let offset = self.nodes.len();
         let level = self.gen_level(offset);
-        self.nodes.push(NodeLinks {
+        let mut plan = InsertPlan {
+            offset,
             level,
-            neighbors: vec![LinkList::default(); level + 1],
-        });
-        let Some(mut ep) = self.entry else {
-            self.entry = Some(offset);
-            self.top_level = level;
-            return;
+            lists: vec![LinkList::default(); level + 1],
+            back: Vec::new(),
         };
-        let q = rows.row(offset);
-        let q_inv = inv_norms[offset];
+        let Some(mut ep) = self.entry else {
+            return plan;
+        };
+        let q_inv = inv_norm(row);
+        let vectors = Vectors {
+            rows,
+            inv_norms,
+            new: (offset, row, q_inv),
+        };
 
         // Greedy descent through layers above the new node's level.
         let mut l = self.top_level;
         while l > level {
-            ep = self.greedy_closest(q, q_inv, ep, l, rows, inv_norms);
+            ep = self.greedy_closest(row, q_inv, ep, l, rows, inv_norms);
             l -= 1;
         }
 
         // Beam search + connect from min(level, top_level) down to 0.
+        // No search reaches the new node: nothing links to it before the
+        // plan is applied, just as nothing did while the in-place insert
+        // searched the layers below the one it had linked.
         let mut eps = vec![ep];
         let start = level.min(self.top_level);
         for layer in (0..=start).rev() {
             let cands = self.search_layer(
-                q,
+                row,
                 q_inv,
                 &eps,
                 self.config.ef_construction,
@@ -428,52 +509,79 @@ impl HnswIndex {
             } else {
                 self.config.m
             };
-            // `cands` holds the distances from `q`, which is this node's
-            // vector, so its list is born with its selection state.
-            let list = self.select_neighbors(&cands, m_max, rows, inv_norms);
+            // `cands` holds the distances from `row`, which is this
+            // node's vector, so its list is born with its selection state.
+            let list = self.select_neighbors(&cands, m_max, vectors);
             for &n in &list.links {
-                let back = &mut self.nodes[n as usize].neighbors[layer];
-                if back.links.len() < m_max {
-                    back.links.push(offset as u32);
-                    back.dists.clear();
-                } else {
-                    self.reselect(n as usize, layer, offset, m_max, rows, inv_norms);
-                }
+                let back = &self.nodes[n as usize].neighbors[layer];
+                let edit = (back.links.len() >= m_max)
+                    .then(|| self.reselect(n as usize, layer, offset, m_max, vectors));
+                plan.back.push((layer, n, edit));
             }
-            self.nodes[offset].neighbors[layer] = list;
+            plan.lists[layer] = list;
             eps = cands.iter().map(|&(_, n)| n).collect();
             if eps.is_empty() {
                 eps = vec![ep];
             }
         }
+        plan
+    }
 
-        if level > self.top_level {
+    /// Makes `plan` so: the new node with its lists, every back-link
+    /// edit, and the entry point if the node tops the graph.
+    ///
+    /// # Panics
+    /// If the plan is stale — made for another offset than
+    /// `self.len()`, because a node was inserted since.
+    pub fn apply(&mut self, plan: InsertPlan) {
+        let InsertPlan {
+            offset,
+            level,
+            lists,
+            back,
+        } = plan;
+        assert_eq!(offset, self.nodes.len(), "a stale insert plan");
+        self.nodes.push(NodeLinks {
+            level,
+            neighbors: lists,
+        });
+        for (layer, n, edit) in back {
+            let list = &mut self.nodes[n as usize].neighbors[layer];
+            match edit {
+                Some(reselected) => *list = reselected,
+                None => {
+                    list.links.push(offset as u32);
+                    list.dists.clear();
+                }
+            }
+        }
+        if self.entry.is_none() || level > self.top_level {
             self.top_level = level;
             self.entry = Some(offset);
         }
     }
 
-    /// The back-link `x` arrived on `node`'s full list on `layer`: keeps
-    /// `m_max` of the `m_max + 1` — resuming the list's last selection
-    /// if it carries one, restarting it otherwise (module docs).
+    /// The back-link `x` arrives on `node`'s full list on `layer`: the
+    /// `m_max` of the `m_max + 1` it keeps — resuming the list's last
+    /// selection if it carries one, restarting it otherwise (module
+    /// docs).
     fn reselect(
-        &mut self,
+        &self,
         node: usize,
         layer: usize,
         x: usize,
         m_max: usize,
-        rows: Rows<'_>,
-        inv_norms: &[f32],
-    ) {
-        let (v, v_inv) = (rows.row(node), inv_norms[node]);
+        vectors: Vectors<'_>,
+    ) -> LinkList {
+        let (v, v_inv) = vectors.row(node);
         // Node-first, as every cached distance is: the cosine kernel
         // multiplies by the two inverse norms in argument order.
         let from_node = |n: usize| {
-            self.distance
-                .distance_normed(v, v_inv, rows.row(n), inv_norms[n])
+            let (row, inv) = vectors.row(n);
+            self.distance.distance_normed(v, v_inv, row, inv)
         };
         let list = &self.nodes[node].neighbors[layer];
-        let reselected = if list.dists.is_empty() {
+        if list.dists.is_empty() {
             let mut cands: Vec<(f32, usize)> = list
                 .links
                 .iter()
@@ -481,11 +589,10 @@ impl HnswIndex {
                 .collect();
             cands.push((from_node(x), x));
             cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            self.select_neighbors(&cands, m_max, rows, inv_norms)
+            self.select_neighbors(&cands, m_max, vectors)
         } else {
-            self.resume_selection(list, (from_node(x), x), m_max, rows, inv_norms)
-        };
-        self.nodes[node].neighbors[layer] = reselected;
+            self.resume_selection(list, (from_node(x), x), m_max, vectors)
+        }
     }
 
     /// [`HnswIndex::select_neighbors`] over `list` and the newcomer `x`,
@@ -496,8 +603,7 @@ impl HnswIndex {
         list: &LinkList,
         x: (f32, usize),
         m: usize,
-        rows: Rows<'_>,
-        inv_norms: &[f32],
+        vectors: Vectors<'_>,
     ) -> LinkList {
         /// What a stored link's old verdict is still worth.
         enum Stage {
@@ -528,7 +634,7 @@ impl HnswIndex {
                 break;
             }
             let dominated = if c == x.1 {
-                let dominated = self.dominated((d, c), &selected, rows, inv_norms);
+                let dominated = self.dominated((d, c), &selected, vectors);
                 if !dominated {
                     stage = Stage::PlusX;
                 }
@@ -538,13 +644,13 @@ impl HnswIndex {
                     Stage::Stands => !was_selected,
                     Stage::PlusX if !was_selected => true,
                     Stage::PlusX => {
-                        let demoted = self.dominated((d, c), &[x], rows, inv_norms);
+                        let demoted = self.dominated((d, c), &[x], vectors);
                         if demoted {
                             stage = Stage::Void;
                         }
                         demoted
                     }
-                    Stage::Void => self.dominated((d, c), &selected, rows, inv_norms),
+                    Stage::Void => self.dominated((d, c), &selected, vectors),
                 }
             };
             if dominated {
@@ -656,20 +762,14 @@ impl HnswIndex {
     /// candidates that are closer to the query than to any already
     /// selected neighbour, which keeps links spread out. `cands` arrive
     /// ascending by distance from the query.
-    fn select_neighbors(
-        &self,
-        cands: &[(f32, usize)],
-        m: usize,
-        rows: Rows<'_>,
-        inv_norms: &[f32],
-    ) -> LinkList {
+    fn select_neighbors(&self, cands: &[(f32, usize)], m: usize, vectors: Vectors<'_>) -> LinkList {
         let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
         let mut skipped: Vec<(f32, usize)> = Vec::new();
         for &(d, c) in cands {
             if selected.len() >= m {
                 break;
             }
-            if self.dominated((d, c), &selected, rows, inv_norms) {
+            if self.dominated((d, c), &selected, vectors) {
                 skipped.push((d, c));
             } else {
                 selected.push((d, c));
@@ -684,13 +784,12 @@ impl HnswIndex {
         &self,
         (d, c): (f32, usize),
         selected: &[(f32, usize)],
-        rows: Rows<'_>,
-        inv_norms: &[f32],
+        vectors: Vectors<'_>,
     ) -> bool {
+        let (c_row, c_inv) = vectors.row(c);
         selected.iter().any(|&(_, s)| {
-            self.distance
-                .distance_normed(rows.row(c), inv_norms[c], rows.row(s), inv_norms[s])
-                < d
+            let (s_row, s_inv) = vectors.row(s);
+            self.distance.distance_normed(c_row, c_inv, s_row, s_inv) < d
         })
     }
 
@@ -899,7 +998,7 @@ mod tests {
     /// A snapshot whose last section — the graph's — is the only one
     /// with anything in it.
     fn packed(idx: &HnswIndex) -> Vec<u8> {
-        let mut w = Writer::with_capacity(0);
+        let mut w = crate::codec::COLLECTION.writer(0);
         for _ in 0..4 {
             w.end_section();
         }
@@ -970,6 +1069,64 @@ mod tests {
                 "n {} dim {} m {} {:?} pool {} seed {}", n, dim, m, distance, kind, seed
             );
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Plan then apply ≡ insert, stale plans included. Each batch of
+        /// `k` inserts is planned against the graph before the batch,
+        /// over rows that hold only the nodes already stored, so every
+        /// plan after a batch's first is stale and is made again — and
+        /// the graph comes out as the one-at-a-time inserts build it.
+        #[test]
+        fn planned_inserts_build_the_inserted_graph(
+            n in 1usize..=300,
+            k in 1usize..=4,
+            shape in (0usize..3, 0usize..3, 0usize..3),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (dim, metric, kind) = shape;
+            let dim = [2, 8, 64][dim];
+            let distance = [Distance::Cosine, Distance::Dot, Distance::Euclid][metric];
+            let config = HnswConfig { m: 4, m0: 8, ef_construction: 40, seed };
+            let st = Stored::new(pool(kind, n, dim, seed));
+            let inserted = grown(&st, distance, &config, false);
+
+            let mut planned = HnswIndex::new(distance, config);
+            let plan = |idx: &HnswIndex, i: usize| {
+                let stored = idx.len();
+                let rows = Rows::new(&st.flat[..stored * dim], dim);
+                idx.plan_insert(&st.vectors[i], rows, &st.inv[..stored])
+            };
+            let mut stale = 0;
+            for first in (0..n).step_by(k) {
+                let batch: Vec<usize> = (first..n.min(first + k)).collect();
+                let plans: Vec<InsertPlan> = batch.iter().map(|&i| plan(&planned, i)).collect();
+                for (&i, p) in batch.iter().zip(plans) {
+                    let p = if p.offset() == planned.len() {
+                        p
+                    } else {
+                        stale += 1;
+                        plan(&planned, i)
+                    };
+                    planned.apply(p);
+                }
+            }
+            proptest::prop_assert_eq!(stale, n - n.div_ceil(k));
+            proptest::prop_assert!(packed(&planned) == packed(&inserted));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stale")]
+    fn a_stale_plan_is_refused() {
+        let st = Stored::new(vec![pseudo_vec(1, 4), pseudo_vec(2, 4)]);
+        let mut idx = HnswIndex::new(Distance::Euclid, HnswConfig::default());
+        let first = idx.plan_insert(&st.vectors[0], st.rows(), &st.inv);
+        let second = idx.plan_insert(&st.vectors[1], st.rows(), &st.inv);
+        idx.apply(first);
+        idx.apply(second);
     }
 
     #[test]

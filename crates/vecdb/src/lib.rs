@@ -21,7 +21,7 @@
 
 #![warn(missing_docs)]
 
-mod codec;
+pub mod codec;
 pub mod collection;
 pub mod db;
 pub mod distance;
@@ -45,7 +45,7 @@ pub use distance::{inv_norm, Distance};
 pub use error::VecDbError;
 pub use flat::FlatIndex;
 pub use fsst::{CompressedStrings, SymbolTable};
-pub use hnsw::{HnswConfig, HnswIndex};
+pub use hnsw::{HnswConfig, HnswIndex, InsertPlan};
 pub use payload::{Filter, Payload, PayloadStore};
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};

@@ -700,7 +700,7 @@ mod tests {
 
     /// `store` packed, and read back from those bytes.
     fn repack(store: &PayloadStore) -> (Vec<u8>, Result<PayloadStore, VecDbError>) {
-        let mut w = Writer::with_capacity(0);
+        let mut w = crate::codec::COLLECTION.writer(0);
         store.pack(&mut w).unwrap();
         let bytes = w.into_body();
         let mut r = Reader::over(&bytes);

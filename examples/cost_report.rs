@@ -50,14 +50,15 @@ fn main() {
             latency += out.latency.refinement_ms;
         }
         let log = llm.cost_log();
+        let tokens: u64 = [ModelKind::Gpt35Turbo, ModelKind::Gpt4o, ModelKind::O1Mini]
+            .into_iter()
+            .map(|model| log.by_model(model).1)
+            .sum();
         println!(
             "{:<10} {:>3} calls  {:>8} tokens  ${:>8.4}  avg latency {:>6.0} ms",
             engine.variant().label(),
             log.num_calls(),
-            log.records()
-                .iter()
-                .map(|r| u64::from(r.usage.total()))
-                .sum::<u64>(),
+            tokens,
             log.total_cost_usd(),
             latency / queries.len() as f64,
         );
