@@ -1,7 +1,8 @@
 //! Criterion bench for the HNSW substrate: build throughput and search
 //! latency vs beam width, against flat exact search — and the scoring
 //! kernel all of them bottom out in, on its own (`kernel/*`: one 256-d
-//! comparison, L1-hot, over `f32` vectors and over `u8` codes).
+//! comparison, L1-hot, over `f32` vectors and over `u8` codes, and four
+//! `f32` rows in one call).
 //!
 //! The build is timed on two kinds of vector, because neighbour
 //! selection spends very differently on them: `hnsw/build-4k-256` over
@@ -61,6 +62,21 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % stored.len();
             Distance::Cosine.distance_normed(black_box(&q), q_inv, stored.row(i), inv[i])
+        });
+    });
+    // Four of the stored rows in one call, as the beam search scores a
+    // node's neighbours; per row it is `f32-256`'s comparison bit for bit.
+    group.bench_function("f32-256x4", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % stored.len();
+            let pick = |r: usize| (i + r) % stored.len();
+            Distance::Cosine.distance_normed_rows(
+                black_box(&q),
+                q_inv,
+                std::array::from_fn(|r| stored.row(pick(r))),
+                std::array::from_fn(|r| inv[pick(r)]),
+            )
         });
     });
     group.bench_function("u8-256", |b| {

@@ -1003,6 +1003,11 @@ impl Collection {
     pub fn from_sections(
         [mut meta, mut rows, mut norms, quant, hnsw]: [Reader<'_>; 5],
     ) -> Result<Self, VecDbError> {
+        // What the graph's arenas may take: no more than the snapshot.
+        let budget = [&meta, &rows, &norms, &quant, &hnsw]
+            .iter()
+            .map(|r| r.remaining())
+            .sum();
         let config = CollectionConfig::unpack(&mut meta)?;
         config.validate()?;
         let n = meta.len64()?;
@@ -1031,7 +1036,7 @@ impl Collection {
             0 => None,
             _ => Some(QuantizedVectors::unpack(quant)?),
         };
-        let hnsw = HnswIndex::unpack(hnsw, config.distance, config.hnsw.clone())?;
+        let hnsw = HnswIndex::unpack(hnsw, config.distance, config.hnsw.clone(), budget)?;
 
         let counts = [
             ("payloads", payloads.len()),

@@ -5,7 +5,7 @@
 //! exact scan, the quantized coarse pass, the rerank — is a sum of
 //! per-element terms over two equal-length slices. `lanes` is the only
 //! place such a sum is accumulated and `halve` the only place it is
-//! reduced (`lane_sum` is the two in a row; `f32_lane_sum` puts a
+//! reduced (`lane_sum` is the two in a row; `f32_lane_sums` puts a
 //! codegen fence between them): `L` independent partial sums
 //! over the full `L`-element chunks, a sequential tail, a fixed halving
 //! reduction. A single `f32` add chain may not be reordered by the
@@ -14,9 +14,16 @@
 //! — is the **canonical accumulation order** of the crate: there is no
 //! second kernel for results to be bit-identical *to*.
 //!
+//! `lanes` takes `R` rows against one operand. The one-row call is
+//! `R = 1`; [`Distance::distance_normed_rows`] is `R = ROWS`, which reads
+//! each chunk of the shared operand (an HNSW search's query) once for
+//! four stored rows. Row `r` has accumulators and a tail of its own, fed
+//! in the one-row order, so each of its results is the one-row call's,
+//! bit for bit — the same source with more rows, not a second kernel.
+//!
 //! That one source is compiled twice. The kernels built on it — the
-//! `f32` dot product and squared distance, and the dot product of an
-//! `f32` query with `u8` codes — exist once for the target's baseline
+//! `f32` dot product and squared distance (one row or [`ROWS`]), and the
+//! dot product of an `f32` query with `u8` codes — exist once for the target's baseline
 //! features (the portable build, and the only one off x86-64) and once
 //! more, on x86-64, under `#[target_feature(enable = "avx2")]`; each call
 //! takes the AVX2 build when `is_x86_feature_detected!("avx2")` says the
@@ -47,6 +54,11 @@ const F32_LANES: usize = 16;
 /// (`kernel/u8-256` in `cargo bench --bench hnsw`).
 pub(crate) const U8_LANES: usize = 32;
 
+/// Rows one [`Distance::distance_normed_rows`] call scores: four 16-lane
+/// accumulators of the `f32` kernel fill half of AVX2's sixteen vector
+/// registers, leaving the rest for the operands.
+pub const ROWS: usize = 4;
+
 /// The crate's one accumulation loop: `Σ term(a[i], b[i])` over the
 /// common prefix of `a` and `b`, summed as `L` independent lanes
 /// (element `i` of each full `L`-chunk goes to lane `i % L`), reduced by
@@ -59,25 +71,37 @@ pub(crate) fn lane_sum<const L: usize, A: Copy, B: Copy>(
     b: &[B],
     term: impl Fn(A, B) -> f32,
 ) -> f32 {
-    let (acc, tail) = lanes::<L, _, _>(a, b, term);
+    let ([acc], [tail]) = lanes::<L, 1, _, _>(a, [b], term);
     halve(acc) + tail
 }
 
-/// [`lane_sum`] for the `f32` kernels: the same lanes, handed to the same
-/// halving through [`std::hint::black_box`] — the same sum, bit for bit.
-/// The fence is for the vectorizer: with the reduction inlined, it packs
-/// the lanes in pairs to match the halving's last steps and the loop runs
+/// [`lane_sum`] for the `f32` kernels, of `a` against each of the `R`
+/// rows of `b`: the same lanes, each row's handed to the same halving
+/// through [`std::hint::black_box`] — the same sums, bit for bit. The
+/// fence is for the vectorizer: with the reduction inlined, it packs the
+/// lanes in pairs to match the halving's last steps and the loop runs
 /// two `f32`s an instruction; behind the fence it runs 4 (baseline) or 8
 /// (AVX2), and a 256-d comparison takes about two thirds (baseline) or
 /// half (AVX2) the time. The `u8` kernel vectorizes at full width either
-/// way and is a few percent faster without it.
+/// way and is a few percent faster without it. There is one fence per
+/// row: one around all `R` rows' lanes changed how the one-row kernel's
+/// callers inline, and made a one-row comparison ~10 ns slower.
 #[inline(always)]
-fn f32_lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
-    let (acc, tail) = lanes::<F32_LANES, _, _>(a, b, term);
-    halve(std::hint::black_box(acc)) + tail
+fn f32_lane_sums<const R: usize>(
+    a: &[f32],
+    b: [&[f32]; R],
+    term: impl Fn(f32, f32) -> f32,
+) -> [f32; R] {
+    let (acc, tail) = lanes::<F32_LANES, R, _, _>(a, b, term);
+    std::array::from_fn(|r| halve(std::hint::black_box(acc[r])) + tail[r])
 }
 
-/// The lanes and the tail of [`lane_sum`], before the halving.
+/// The lanes and the tail of [`lane_sum`], before the halving, for `a`
+/// against each of the `R` rows of `b` over the prefix all of them
+/// share. Each chunk of `a` is read once for all rows, and row `r`
+/// alone feeds `acc[r]` and `tail[r]`: each row's terms are added in
+/// the order `R = 1` adds them — the multi-row form is this loop with
+/// more rows, not a second kernel.
 ///
 /// The tail is a scalar sum of its own on purpose: folding tail
 /// elements into `acc[l]` by a run-time lane index turns the vector
@@ -86,29 +110,39 @@ fn f32_lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
 /// to the same vector loop, while unoptimized ones — every test that
 /// builds an index — run this form about 2.7x faster.
 #[inline(always)]
-fn lanes<const L: usize, A: Copy, B: Copy>(
+fn lanes<const L: usize, const R: usize, A: Copy, B: Copy>(
     a: &[A],
-    b: &[B],
+    b: [&[B]; R],
     term: impl Fn(A, B) -> f32,
-) -> ([f32; L], f32) {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
+) -> ([[f32; L]; R], [f32; R]) {
+    let n = b.iter().fold(a.len(), |n, row| n.min(row.len()));
+    let (a, b) = (&a[..n], b.map(|row| &row[..n]));
     let full = n - n % L;
-    let mut acc = [0.0f32; L];
+    let mut acc = [[0.0f32; L]; R];
     let mut i = 0;
     while i < full {
-        let (ca, cb) = (&a[i..i + L], &b[i..i + L]);
-        let mut l = 0;
-        while l < L {
-            acc[l] += term(ca[l], cb[l]);
-            l += 1;
+        let ca = &a[i..i + L];
+        let mut r = 0;
+        while r < R {
+            let cb = &b[r][i..i + L];
+            let mut l = 0;
+            while l < L {
+                acc[r][l] += term(ca[l], cb[l]);
+                l += 1;
+            }
+            r += 1;
         }
         i += L;
     }
-    let mut tail = 0.0f32;
-    while i < n {
-        tail += term(a[i], b[i]);
-        i += 1;
+    let mut tail = [0.0f32; R];
+    let mut r = 0;
+    while r < R {
+        let mut j = full;
+        while j < n {
+            tail[r] += term(a[j], b[r][j]);
+            j += 1;
+        }
+        r += 1;
     }
     (acc, tail)
 }
@@ -129,19 +163,32 @@ fn halve<const L: usize>(mut acc: [f32; L]) -> f32 {
 
 /// The kernels' one source, compiled for the target's baseline features.
 mod portable {
-    use super::{f32_lane_sum, lane_sum, U8_LANES};
+    use super::{f32_lane_sums, lane_sum, U8_LANES};
+
+    /// The dot product (or, with `EUCLID`, the squared distance) of `a`
+    /// with each row of `b`.
+    #[inline(always)]
+    pub(super) fn rows<const EUCLID: bool, const R: usize>(a: &[f32], b: [&[f32]; R]) -> [f32; R] {
+        if EUCLID {
+            f32_lane_sums(a, b, |x, y| {
+                let d = x - y;
+                d * d
+            })
+        } else {
+            f32_lane_sums(a, b, |x, y| x * y)
+        }
+    }
 
     #[inline(always)]
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        f32_lane_sum(a, b, |x, y| x * y)
+        let [d] = rows::<false, 1>(a, [b]);
+        d
     }
 
     #[inline(always)]
     pub(super) fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
-        f32_lane_sum(a, b, |x, y| {
-            let d = x - y;
-            d * d
-        })
+        let [d] = rows::<true, 1>(a, [b]);
+        d
     }
 
     #[inline(always)]
@@ -154,7 +201,12 @@ mod portable {
 /// function here is its `portable` namesake inlined into an AVX2 body.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::portable;
+    use super::{portable, ROWS};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn rows<const EUCLID: bool>(a: &[f32], b: [&[f32]; ROWS]) -> [f32; ROWS] {
+        portable::rows::<EUCLID, ROWS>(a, b)
+    }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -202,6 +254,19 @@ fn sq_euclid(a: &[f32], b: &[f32]) -> f32 {
         return unsafe { avx2::sq_euclid(a, b) };
     }
     portable::sq_euclid(a, b)
+}
+
+/// [`dot`] (or, with `EUCLID`, [`sq_euclid`]) of `a` with each of
+/// [`ROWS`] rows, each bit for bit the one-row call's.
+#[inline]
+fn rows<const EUCLID: bool>(a: &[f32], b: [&[f32]; ROWS]) -> [f32; ROWS] {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")`,
+        // so this CPU executes the AVX2 instructions the body uses.
+        return unsafe { avx2::rows::<EUCLID>(a, b) };
+    }
+    portable::rows::<EUCLID, ROWS>(a, b)
 }
 
 /// `Σ qᵢ·(min + scale·codesᵢ)` in the canonical order at
@@ -293,6 +358,34 @@ impl Distance {
                 1.0 - dot(a, b) * inv_a * inv_b
             }
             Distance::Dot | Distance::Euclid => self.distance(a, b),
+        }
+    }
+
+    /// [`Distance::distance_normed`] of `a` against [`ROWS`] vectors in
+    /// one call: `out[r]` is `distance_normed(a, inv_a, b[r], inv_b[r])`
+    /// bit for bit, and each chunk of `a` is loaded once for all rows.
+    #[must_use]
+    pub fn distance_normed_rows(
+        self,
+        a: &[f32],
+        inv_a: f32,
+        b: [&[f32]; ROWS],
+        inv_b: [f32; ROWS],
+    ) -> [f32; ROWS] {
+        debug_assert!(b.iter().all(|row| row.len() == a.len()));
+        match self {
+            Distance::Cosine => {
+                let dots = rows::<false>(a, b);
+                std::array::from_fn(|r| {
+                    if inv_a == 0.0 || inv_b[r] == 0.0 {
+                        1.0
+                    } else {
+                        1.0 - dots[r] * inv_a * inv_b[r]
+                    }
+                })
+            }
+            Distance::Dot => rows::<false>(a, b).map(|d| -d),
+            Distance::Euclid => rows::<true>(a, b),
         }
     }
 
@@ -520,6 +613,76 @@ mod tests {
             let mut out = [0.0f32];
             Distance::Cosine.score_batch(&[&z], &[0.0], &v, inv_norm(&v), &mut out);
             assert_eq!(out[0], 1.0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The multi-row kernel is [`ROWS`] one-row calls, bit for bit:
+        /// through `Distance::distance_normed_rows` for every metric, and
+        /// build by build — the portable rows against the portable
+        /// one-row kernels (what a CPU without AVX2 runs), and the AVX2
+        /// rows against them too. Rows repeat, include the query itself
+        /// and the zero vector, and the query is sometimes zero.
+        #[test]
+        fn row_kernel_is_one_row_calls_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            scale in -30i32..30,
+            picks in (0usize..5, 0usize..5, 0usize..5, 0usize..5),
+            zero_query in 0u8..5,
+        ) {
+            for dim in [1usize, 15, 16, 17, 255, 256, 300] {
+                let unit = 2f32.powi(scale);
+                let a: Vec<f32> = pseudo(seed, dim).iter().map(|x| x * unit).collect();
+                let zero = vec![0.0f32; dim];
+                let pool = [
+                    pseudo(seed ^ 1, dim),
+                    pseudo(seed ^ 2, dim),
+                    a.clone(),
+                    zero.clone(),
+                    pseudo(seed ^ 1, dim),
+                ];
+                let q = if zero_query == 0 { &zero } else { &a };
+                let rows: [&[f32]; ROWS] =
+                    [picks.0, picks.1, picks.2, picks.3].map(|i| pool[i].as_slice());
+                let invs = rows.map(inv_norm);
+                let q_inv = inv_norm(q);
+                for metric in [Distance::Cosine, Distance::Dot, Distance::Euclid] {
+                    let got = metric.distance_normed_rows(q, q_inv, rows, invs);
+                    for r in 0..ROWS {
+                        let one = metric.distance_normed(q, q_inv, rows[r], invs[r]);
+                        proptest::prop_assert_eq!(
+                            got[r].to_bits(), one.to_bits(), "{:?}, dim {}, row {}", metric, dim, r
+                        );
+                    }
+                }
+                let builds = [
+                    portable::rows::<false, ROWS>(q, rows),
+                    portable::rows::<true, ROWS>(q, rows),
+                ];
+                #[cfg(target_arch = "x86_64")]
+                let builds: Vec<[f32; ROWS]> = if has_avx2() {
+                    // SAFETY: `has_avx2()` returned true, so this CPU
+                    // executes the AVX2 builds.
+                    let avx2 = unsafe { [avx2::rows::<false>(q, rows), avx2::rows::<true>(q, rows)] };
+                    builds.into_iter().chain(avx2).collect()
+                } else {
+                    builds.to_vec()
+                };
+                for (i, build) in builds.iter().enumerate() {
+                    for r in 0..ROWS {
+                        let one = if i % 2 == 0 {
+                            portable::dot(q, rows[r])
+                        } else {
+                            portable::sq_euclid(q, rows[r])
+                        };
+                        proptest::prop_assert_eq!(
+                            build[r].to_bits(), one.to_bits(), "build {}, dim {}, row {}", i, dim, r
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -12,7 +12,24 @@
 //! visited list): "visited" is a `u32` stamp per node equal to the
 //! running search's epoch, so starting a search is bumping one counter
 //! rather than allocating and zeroing `nodes.len()` flags, and the heaps
-//! keep their capacity from one search to the next.
+//! keep their capacity from one search to the next. A node taken from
+//! the beam has its unvisited neighbours collected first and scored
+//! [`ROWS`] to a kernel call ([`Distance::distance_normed_rows`], each
+//! distance the one-row call's bit for bit); the heaps then take them in
+//! link order, as they would one at a time.
+//!
+//! # Graph arena
+//!
+//! All lists of one cap live in one `Lists` arena: layer 0's (cap
+//! `m0`, list `n` is node `n`'s) and, in a second arena, the upper
+//! layers' (cap `m`), reached through a side table of where each node's
+//! first upper list is — a node's level is how many it has. An arena
+//! gives every list the same stride: a length slot and `stride` link
+//! slots, with `stride` distance slots and a selected-run length beside
+//! them in parallel arenas. The stride follows the longest list so far,
+//! doubling as lists grow until it reaches the cap; a graph read back
+//! from a snapshot starts at its longest stored list, so what loading
+//! allocates follows the file's contents, never a cap it declares.
 //!
 //! # Re-selection resumes
 //!
@@ -27,12 +44,16 @@
 //! * **Invariant.** A list that carries selection state is stored as
 //!   `[selected, ascending by distance] ++ [kept-pruned, ascending]` —
 //!   the order `select_neighbors` writes — with the distance of every
-//!   link from the node beside it and the length of the first run.
-//!   Re-running the heuristic over that list (stable-sorted by
-//!   distance) reproduces exactly those verdicts.
+//!   link from the node in its distance slots and the length of the
+//!   first run. Re-running the heuristic over that list (stable-sorted
+//!   by distance) reproduces exactly those verdicts.
 //! * **Tie order.** The list and the newcomer `x` are stable-sorted by
 //!   distance from the stored order with `x` last, so among equal
 //!   distances selected links come before kept-pruned ones before `x`.
+//!   The two stored runs are already ascending, so that sort is a merge
+//!   of the runs with `x` placed behind every link no farther than it;
+//!   only a NaN distance, which no merge can order as the sort does,
+//!   sends a list through the sort itself.
 //! * **Resume** (`resume_selection`). Links before `x` keep their
 //!   verdict without a comparison; `x` is tested against the selected
 //!   links before it; behind a skipped `x` nothing changes; behind a
@@ -43,14 +64,15 @@
 //! * **Restart.** A list that took a plain push while under its cap, and
 //!   every list of a graph read back by `HnswIndex::unpack` (the
 //!   snapshot stores links only — no distances, no verdicts), carries
-//!   no state. Its first overflow recomputes every node → link distance
-//!   and runs `select_neighbors` from scratch, which leaves it in the
-//!   shape above for good: a full list never shrinks.
+//!   the arena's no-state mark (`NO_STATE` for a selected-run length).
+//!   Its first overflow recomputes every node → link distance and runs
+//!   `select_neighbors` from scratch, which leaves it in the shape above
+//!   for good: a full list never shrinks.
 //!
 //! Both routes produce the same links in the same stored order; the
 //! resumed one needs one distance for the newcomer instead of
 //! `m_max + 1`, and a handful of heuristic comparisons instead of a few
-//! hundred.
+//! hundred. Both run in per-thread scratch and allocate nothing.
 //!
 //! # Planned inserts
 //!
@@ -59,20 +81,25 @@
 //! list under its cap or a re-selected list. [`HnswIndex::plan_insert`]
 //! computes all of that through `&self`, so a writer can plan under a
 //! read lock while searches go on, and [`HnswIndex::apply`] makes it so
-//! under the write lock in a few pointer moves. Planning reads each
-//! layer before any of that layer's edits, exactly as an in-place insert
-//! would: no search reaches the new node (nothing links to it yet), and
-//! each edit replaces one list computed from that list alone. So a plan
-//! applied to the graph it was made on is the in-place insert, link for
-//! link. A plan records the offset it was made for; once another node
-//! has been inserted it is stale, and `apply` refuses it.
+//! under the write lock. A plan is a list of edits over two buffers
+//! (links and distances, every written list one after another): a push,
+//! or a list to copy into its arena slots. A re-selection that leaves a
+//! full list as it was — the newcomer pruned, and no closer than the
+//! kept-pruned links it would have displaced — records no edit at all.
+//! Planning reads each layer before any of that layer's edits, exactly
+//! as an in-place insert would: no search reaches the new node (nothing
+//! links to it yet), and each edit replaces one list computed from that
+//! list alone. So a plan applied to the graph it was made on is the
+//! in-place insert, link for link. A plan records the offset it was made
+//! for; once another node has been inserted it is stale, and `apply`
+//! refuses it.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::codec::{corrupt, Reader, Writer};
-use crate::distance::{inv_norm, Distance};
+use crate::distance::{inv_norm, Distance, ROWS};
 use crate::error::VecDbError;
 use crate::rows::Rows;
 use concepts_free_hash::{mix, unit_float};
@@ -144,50 +171,116 @@ impl HnswConfig {
     }
 }
 
-/// One node's links on one layer, with what the last neighbour
-/// selection on them knew (module docs, "Re-selection resumes").
-#[derive(Debug, Clone, Default)]
-struct LinkList {
-    /// Adjacent node offsets — the only part a snapshot stores.
+/// The selected-run length of a list that carries no selection state
+/// (module docs, "Restart").
+const NO_STATE: u32 = u32::MAX;
+
+/// Every list of one cap, in fixed-stride arenas (module docs, "Graph
+/// arena"). A list with selection state is `[selected, ascending by
+/// distance from its node] ++ [kept-pruned, ascending]`, equal distances
+/// ordered selected before kept-pruned before a newcomer. Lists are
+/// independent: a re-selection reads the vectors and the list's own
+/// cached distances, never another list.
+#[derive(Debug, Clone)]
+struct Lists {
+    /// The most links a list may hold: `m0` on layer 0, `m` above.
+    cap: usize,
+    /// Link and distance slots per list: at least the longest list's
+    /// length, at most `cap`.
+    stride: usize,
+    /// Per list, its length and then `stride` link slots (node offsets).
     links: Vec<u32>,
-    /// Empty when the list carries no selection state (it took a plain
-    /// push, or was read from a snapshot). Otherwise `dists[i]` is the
-    /// distance from the owning node to `links[i]`, computed node-first,
-    /// and the list is `[selected, ascending] ++ [kept-pruned,
-    /// ascending]`.
+    /// Per list, `stride` slots: the distance from the list's node to
+    /// each link, computed node-first. Meaningful only beside a
+    /// selected-run length.
     dists: Vec<f32>,
-    /// Length of the selected run. Meaningful only beside `dists`.
-    selected: usize,
+    /// Per list, the length of its selected run, or [`NO_STATE`].
+    selected: Vec<u32>,
 }
 
-impl LinkList {
-    /// Assembles Algorithm 4's answer: the selected links, topped up to
-    /// `m` from the skipped ones (`keepPrunedConnections`); both arrive
-    /// ascending by distance.
-    fn from_verdicts(selected: &[(f32, usize)], skipped: &[(f32, usize)], m: usize) -> Self {
-        let kept = &skipped[..skipped.len().min(m.saturating_sub(selected.len()))];
-        let all = || selected.iter().chain(kept);
+impl Lists {
+    fn new(cap: usize) -> Self {
         Self {
-            links: all().map(|&(_, n)| n as u32).collect(),
-            dists: all().map(|&(d, _)| d).collect(),
-            selected: selected.len(),
+            cap,
+            stride: 0,
+            links: Vec::new(),
+            dists: Vec::new(),
+            selected: Vec::new(),
         }
     }
-}
 
-/// One node: its level and one [`LinkList`] per layer. A list with
-/// selection state is `[selected, ascending by distance from this node]
-/// ++ [kept-pruned, ascending]`, equal distances ordered selected before
-/// kept-pruned before a newcomer; a list read from a snapshot has none
-/// (the file stores links only) and restarts its selection on its first
-/// overflow. Lists are independent: a re-selection reads the vectors and
-/// the list's own cached distances, never another list.
-#[derive(Debug, Clone)]
-struct NodeLinks {
-    /// Highest layer this node appears on.
-    level: usize,
-    /// `neighbors[l]` = the node's links on layer `l` (0 ≤ l ≤ level).
-    neighbors: Vec<LinkList>,
+    /// Number of lists.
+    fn len(&self) -> usize {
+        self.selected.len()
+    }
+
+    /// List `i`'s length slot and its link slots.
+    fn slots_mut(&mut self, i: usize) -> &mut [u32] {
+        let width = self.stride + 1;
+        &mut self.links[i * width..(i + 1) * width]
+    }
+
+    /// List `i`'s links.
+    fn links(&self, i: usize) -> &[u32] {
+        let at = i * (self.stride + 1);
+        &self.links[at + 1..at + 1 + self.links[at] as usize]
+    }
+
+    /// List `i`'s cached distances and selected-run length, if it
+    /// carries selection state.
+    fn state(&self, i: usize) -> Option<(&[f32], usize)> {
+        let selected = self.selected[i];
+        (selected != NO_STATE).then(|| {
+            let at = i * self.stride;
+            (&self.dists[at..at + self.links(i).len()], selected as usize)
+        })
+    }
+
+    /// Appends `count` empty lists without state.
+    fn extend(&mut self, count: usize) {
+        let lists = self.len() + count;
+        self.links.resize(lists * (self.stride + 1), 0);
+        self.dists.resize(lists * self.stride, 0.0);
+        self.selected.resize(lists, NO_STATE);
+    }
+
+    /// Widens every list's slots to hold `len` links: the stride doubles
+    /// (at least), up to the cap.
+    fn make_room(&mut self, len: usize) {
+        if len <= self.stride {
+            return;
+        }
+        debug_assert!(len <= self.cap, "a list past its cap");
+        let (old, stride) = (self.stride, len.max(2 * self.stride).min(self.cap));
+        let mut links = vec![0; self.len() * (stride + 1)];
+        let mut dists = vec![0.0; self.len() * stride];
+        for i in 0..self.len() {
+            links[i * (stride + 1)..][..=old].copy_from_slice(&self.links[i * (old + 1)..][..=old]);
+            dists[i * stride..][..old].copy_from_slice(&self.dists[i * old..][..old]);
+        }
+        (self.stride, self.links, self.dists) = (stride, links, dists);
+    }
+
+    /// Appends `link` to list `i`, which drops its selection state.
+    fn push(&mut self, i: usize, link: u32) {
+        let len = self.links(i).len();
+        self.make_room(len + 1);
+        let slots = self.slots_mut(i);
+        slots[0] += 1;
+        slots[1 + len] = link;
+        self.selected[i] = NO_STATE;
+    }
+
+    /// Makes list `i` `links`, with their distances and the length of
+    /// their selected run.
+    fn set(&mut self, i: usize, links: &[u32], dists: &[f32], selected: usize) {
+        self.make_room(links.len());
+        let slots = self.slots_mut(i);
+        slots[0] = links.len() as u32;
+        slots[1..=links.len()].copy_from_slice(links);
+        self.dists[i * self.stride..][..dists.len()].copy_from_slice(dists);
+        self.selected[i] = selected as u32;
+    }
 }
 
 /// On-disk `entry` of an empty graph (node offsets are `u32`, and a
@@ -202,11 +295,29 @@ pub struct InsertPlan {
     /// The offset the node takes: the graph's length when planned.
     offset: usize,
     level: usize,
-    /// The new node's lists, layer 0 first.
-    lists: Vec<LinkList>,
-    /// Back-links, as `(layer, node, edit)`: the node's re-selected list,
-    /// or `None` for a plain push onto a list under its cap.
-    back: Vec<(usize, u32, Option<LinkList>)>,
+    /// The links of every list a [`Edit::Set`] writes, one after another.
+    links: Vec<u32>,
+    /// Their distances from the list's node, aligned with `links`.
+    dists: Vec<f32>,
+    /// The new node's lists and the back-links, layer by layer from the
+    /// top.
+    edits: Vec<Edit>,
+}
+
+/// One list an [`InsertPlan`] writes.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// The new node goes onto `node`'s list on `layer`, under its cap.
+    Push { layer: usize, node: usize },
+    /// `node`'s list on `layer` becomes the plan's `links[start..end]`
+    /// (and `dists` alike), `selected` of them selected.
+    Set {
+        layer: usize,
+        node: usize,
+        start: usize,
+        end: usize,
+        selected: usize,
+    },
 }
 
 impl InsertPlan {
@@ -216,6 +327,75 @@ impl InsertPlan {
     pub fn offset(&self) -> usize {
         self.offset
     }
+
+    /// Records Algorithm 4's answer as `node`'s list on `layer`: the
+    /// selected links, topped up to `m` from the skipped ones
+    /// (`keepPrunedConnections`); both arrive ascending by distance.
+    /// Returns where its links start in `self.links`.
+    fn set(&mut self, layer: usize, node: usize, verdicts: &Verdicts, m: usize) -> usize {
+        let start = self.links.len();
+        for &(d, n) in verdicts.list(m) {
+            self.links.push(n as u32);
+            self.dists.push(d);
+        }
+        self.edits.push(Edit::Set {
+            layer,
+            node,
+            start,
+            end: self.links.len(),
+            selected: verdicts.selected.len(),
+        });
+        start
+    }
+}
+
+/// The verdicts of one neighbour selection, as `(distance, node)` in the
+/// order they were reached.
+#[derive(Default)]
+struct Verdicts {
+    selected: Vec<(f32, usize)>,
+    skipped: Vec<(f32, usize)>,
+}
+
+impl Verdicts {
+    fn clear(&mut self) {
+        self.selected.clear();
+        self.skipped.clear();
+    }
+
+    /// The list the verdicts make: the selected links, then the first
+    /// skipped ones up to `m` in all.
+    fn list(&self, m: usize) -> impl Iterator<Item = &(f32, usize)> {
+        let kept = m
+            .saturating_sub(self.selected.len())
+            .min(self.skipped.len());
+        self.selected.iter().chain(&self.skipped[..kept])
+    }
+
+    /// Whether the verdicts make exactly the stored list `links` with
+    /// its first `selected` selected.
+    fn remake(&self, m: usize, links: &[u32], selected: usize) -> bool {
+        self.selected.len() == selected
+            && self.list(m).count() == links.len()
+            && self.list(m).zip(links).all(|(&(_, n), &l)| n == l as usize)
+    }
+}
+
+/// A neighbour selection's working set, reused by every insert planned
+/// on its thread.
+#[derive(Default)]
+struct SelectScratch {
+    /// A restarted list's candidates, ascending by distance.
+    cands: Vec<(f32, usize)>,
+    /// A resumed list's candidates: `(distance, node, selected last
+    /// time)`, in the tie order.
+    order: Vec<(f32, usize, bool)>,
+    verdicts: Verdicts,
+}
+
+thread_local! {
+    /// This thread's [`SelectScratch`], taken by a plan for its length.
+    static SELECT: Cell<SelectScratch> = Cell::default();
 }
 
 /// The vectors an insert plan reads: the stored rows, and the newcomer's
@@ -281,6 +461,10 @@ struct SearchScratch {
     epoch: u32,
     candidates: BinaryHeap<Near>,
     results: BinaryHeap<Far>,
+    /// The unvisited neighbours of the node being expanded, and their
+    /// distances from the query.
+    fresh: Vec<u32>,
+    scores: Vec<f32>,
 }
 
 impl SearchScratch {
@@ -317,12 +501,26 @@ thread_local! {
     static SCRATCH: Cell<SearchScratch> = Cell::default();
 }
 
+/// Whether `dists` is ascending with no NaN: a run a merge can order as
+/// the stable sort does.
+fn ascending(dists: &[f32]) -> bool {
+    dists.iter().all(|d| !d.is_nan()) && dists.windows(2).all(|w| w[0] <= w[1])
+}
+
 /// An HNSW graph over externally-stored vectors.
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
     config: HnswConfig,
     distance: Distance,
-    nodes: Vec<NodeLinks>,
+    /// Layer 0: list `n` is node `n`'s.
+    layer0: Lists,
+    /// Layers ≥ 1: node `n`'s list on layer `l` is list
+    /// `upper_first[n] + l - 1`.
+    upper: Lists,
+    /// Where each node's upper lists start, and one past the last node's:
+    /// node `n` has `upper_first[n + 1] - upper_first[n]` of them, its
+    /// level.
+    upper_first: Vec<usize>,
     entry: Option<usize>,
     top_level: usize,
 }
@@ -332,9 +530,11 @@ impl HnswIndex {
     #[must_use]
     pub fn new(distance: Distance, config: HnswConfig) -> Self {
         Self {
+            layer0: Lists::new(config.m0),
+            upper: Lists::new(config.m),
+            upper_first: vec![0],
             config,
             distance,
-            nodes: Vec::new(),
             entry: None,
             top_level: 0,
         }
@@ -343,19 +543,45 @@ impl HnswIndex {
     /// Number of indexed nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.layer0.len()
     }
 
     /// Whether the graph is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
     /// The configuration.
     #[must_use]
     pub fn config(&self) -> &HnswConfig {
         &self.config
+    }
+
+    /// Highest layer node `n` appears on.
+    fn level(&self, n: usize) -> usize {
+        self.upper_first[n + 1] - self.upper_first[n]
+    }
+
+    /// The arena holding node `n`'s list on `layer`, and its index there.
+    fn list(&self, n: usize, layer: usize) -> (&Lists, usize) {
+        match layer {
+            0 => (&self.layer0, n),
+            _ => (&self.upper, self.upper_first[n] + layer - 1),
+        }
+    }
+
+    fn list_mut(&mut self, n: usize, layer: usize) -> (&mut Lists, usize) {
+        match layer {
+            0 => (&mut self.layer0, n),
+            _ => (&mut self.upper, self.upper_first[n] + layer - 1),
+        }
+    }
+
+    /// Node `n`'s links on `layer`.
+    fn links(&self, n: usize, layer: usize) -> &[u32] {
+        let (lists, i) = self.list(n, layer);
+        lists.links(i)
     }
 
     /// Appends the graph to a snapshot section: `entry` (`u32::MAX` for
@@ -366,73 +592,110 @@ impl HnswIndex {
     pub(crate) fn pack(&self, w: &mut Writer) {
         w.u32(self.entry.map_or(NO_ENTRY, |e| e as u32));
         w.u32(self.top_level as u32);
-        w.u32(self.nodes.len() as u32);
-        for node in &self.nodes {
-            w.u32(node.level as u32);
-            for layer in &node.neighbors {
-                w.u32(layer.links.len() as u32);
-                w.u32s(&layer.links);
+        w.u32(self.len() as u32);
+        for n in 0..self.len() {
+            w.u32(self.level(n) as u32);
+            for layer in 0..=self.level(n) {
+                let links = self.links(n, layer);
+                w.u32(links.len() as u32);
+                w.u32s(links);
             }
         }
     }
 
     /// Reads back what [`HnswIndex::pack`] wrote and checks that a
     /// search can follow every link: each neighbour names an existing
-    /// node that has the layer it is linked on, and the entry point is a
-    /// node whose level is `top_level`. The lists come back without
-    /// selection state; each restarts its selection on its first
-    /// overflow (module docs).
+    /// node that has the layer it is linked on, no list is longer than
+    /// its cap, and the entry point is a node whose level is
+    /// `top_level`. The lists come back without selection state; each
+    /// restarts its selection on its first overflow (module docs).
+    ///
+    /// The section is read twice: once for each node's level and the
+    /// longest list of each arena, then — with the arenas sized by
+    /// those, and refused if either would take more than `budget`
+    /// bytes (the snapshot the section came from) — for the links.
     pub(crate) fn unpack(
-        mut r: Reader<'_>,
+        r: Reader<'_>,
         distance: Distance,
         config: HnswConfig,
+        budget: usize,
     ) -> Result<Self, VecDbError> {
-        let entry = r.u32()?;
-        let top_level = r.u32()? as usize;
-        let count = r.u32()? as usize;
+        let mut idx = Self::new(distance, config);
+        let mut shape = r;
+        let entry = shape.u32()?;
+        let top_level = shape.u32()? as usize;
+        let count = shape.u32()? as usize;
         // Every node takes at least its level and one layer count.
-        if count > r.remaining() / 8 {
+        if count > shape.remaining() / 8 {
             return Err(corrupt(format!("{count} graph nodes declared")));
         }
-        let mut nodes = Vec::with_capacity(count);
+        idx.upper_first.reserve_exact(count);
+        let (mut uppers, mut longest) = (0, [0usize; 2]);
         for _ in 0..count {
-            let level = r.u32()? as usize;
-            if level >= r.remaining() / 4 {
+            let level = shape.u32()? as usize;
+            if level >= shape.remaining() / 4 {
                 return Err(corrupt(format!("node level {level} declared")));
             }
-            let neighbors = (0..=level)
-                .map(|_| {
-                    let count = r.u32()? as usize;
-                    let links = r.u32s(count)?;
-                    Ok(LinkList {
-                        links,
-                        ..LinkList::default()
-                    })
-                })
-                .collect::<Result<Vec<_>, VecDbError>>()?;
-            nodes.push(NodeLinks { level, neighbors });
+            for layer in 0..=level {
+                let len = shape.u32()? as usize;
+                shape.take(len.saturating_mul(4))?;
+                let (arena, cap) = match layer {
+                    0 => (0, idx.config.m0),
+                    _ => (1, idx.config.m),
+                };
+                if len > cap {
+                    return Err(corrupt(format!(
+                        "a list of {len} links, past its cap {cap}"
+                    )));
+                }
+                longest[arena] = longest[arena].max(len);
+            }
+            uppers += level;
+            idx.upper_first.push(uppers);
         }
-        r.finish()?;
-        for node in &nodes {
-            for (layer, list) in node.neighbors.iter().enumerate() {
-                let dangling = |&n: &u32| nodes.get(n as usize).is_none_or(|t| t.level < layer);
-                if list.links.iter().any(dangling) {
+        shape.finish()?;
+        let lists = [count, uppers];
+        if (0..2).any(|a| lists[a].saturating_mul(longest[a] + 1).saturating_mul(4) > budget) {
+            return Err(corrupt("a graph whose arena outgrows its snapshot"));
+        }
+        for (arena, (&count, &stride)) in [&mut idx.layer0, &mut idx.upper]
+            .into_iter()
+            .zip(lists.iter().zip(&longest))
+        {
+            arena.stride = stride;
+            arena.extend(count);
+        }
+
+        let mut r = r;
+        r.take(12)?;
+        for n in 0..count {
+            r.u32()?;
+            for layer in 0..=idx.level(n) {
+                let len = r.u32()? as usize;
+                let bytes = r.take(len * 4)?;
+                let (lists, i) = idx.list_mut(n, layer);
+                let slots = lists.slots_mut(i);
+                slots[0] = len as u32;
+                for (slot, word) in slots[1..].iter_mut().zip(bytes.chunks_exact(4)) {
+                    *slot = u32::from_le_bytes(word.try_into().expect("chunks_exact yields 4"));
+                }
+            }
+        }
+        for n in 0..count {
+            for layer in 0..=idx.level(n) {
+                let dangling = |&t: &u32| t as usize >= count || idx.level(t as usize) < layer;
+                if idx.links(n, layer).iter().any(dangling) {
                     return Err(corrupt("graph link to a node or layer that does not exist"));
                 }
             }
         }
-        let entry = match nodes.get(entry as usize) {
-            Some(node) if node.level == top_level => Some(entry as usize),
-            None if entry == NO_ENTRY && count == 0 && top_level == 0 => None,
+        idx.entry = match entry as usize {
+            e if e < count && idx.level(e) == top_level => Some(e),
+            _ if entry == NO_ENTRY && count == 0 && top_level == 0 => None,
             _ => return Err(corrupt("graph entry point does not match its nodes")),
         };
-        Ok(Self {
-            config,
-            distance,
-            nodes,
-            entry,
-            top_level,
-        })
+        idx.top_level = top_level;
+        Ok(idx)
     }
 
     /// Deterministic level for the node at `offset`: geometric with ratio
@@ -450,7 +713,7 @@ impl HnswIndex {
     /// `rows`), letting every cosine comparison run as one fused dot
     /// product.
     pub fn insert(&mut self, offset: usize, rows: Rows<'_>, inv_norms: &[f32]) {
-        debug_assert_eq!(offset, self.nodes.len(), "insert offsets must be dense");
+        debug_assert_eq!(offset, self.len(), "insert offsets must be dense");
         let plan = self.plan_insert(rows.row(offset), rows, inv_norms);
         self.apply(plan);
     }
@@ -462,15 +725,16 @@ impl HnswIndex {
     /// collection derives it.
     #[must_use]
     pub fn plan_insert(&self, row: &[f32], rows: Rows<'_>, inv_norms: &[f32]) -> InsertPlan {
-        let offset = self.nodes.len();
+        let offset = self.len();
         let level = self.gen_level(offset);
         let mut plan = InsertPlan {
             offset,
             level,
-            lists: vec![LinkList::default(); level + 1],
-            back: Vec::new(),
+            links: Vec::new(),
+            dists: Vec::new(),
+            edits: Vec::new(),
         };
-        let Some(mut ep) = self.entry else {
+        let Some(ep) = self.entry else {
             return plan;
         };
         let q_inv = inv_norm(row);
@@ -481,6 +745,10 @@ impl HnswIndex {
         };
 
         // Greedy descent through layers above the new node's level.
+        let d = self
+            .distance
+            .distance_normed(row, q_inv, rows.row(ep), inv_norms[ep]);
+        let mut ep = (d, ep);
         let mut l = self.top_level;
         while l > level {
             ep = self.greedy_closest(row, q_inv, ep, l, rows, inv_norms);
@@ -491,6 +759,7 @@ impl HnswIndex {
         // No search reaches the new node: nothing links to it before the
         // plan is applied, just as nothing did while the in-place insert
         // searched the layers below the one it had linked.
+        let mut scratch = SELECT.take();
         let mut eps = vec![ep];
         let start = level.min(self.top_level);
         for layer in (0..=start).rev() {
@@ -504,26 +773,22 @@ impl HnswIndex {
                 inv_norms,
                 None,
             );
-            let m_max = if layer == 0 {
-                self.config.m0
-            } else {
-                self.config.m
-            };
+            let m_max = self.list(0, layer).0.cap;
             // `cands` holds the distances from `row`, which is this
             // node's vector, so its list is born with its selection state.
-            let list = self.select_neighbors(&cands, m_max, vectors);
-            for &n in &list.links {
-                let back = &self.nodes[n as usize].neighbors[layer];
-                let edit = (back.links.len() >= m_max)
-                    .then(|| self.reselect(n as usize, layer, offset, m_max, vectors));
-                plan.back.push((layer, n, edit));
+            self.select_neighbors(&cands, m_max, vectors, &mut scratch.verdicts);
+            let first = plan.set(layer, offset, &scratch.verdicts, m_max);
+            for i in first..plan.links.len() {
+                let n = plan.links[i] as usize;
+                if self.links(n, layer).len() < m_max {
+                    plan.edits.push(Edit::Push { layer, node: n });
+                } else {
+                    self.reselect(n, layer, offset, m_max, vectors, &mut scratch, &mut plan);
+                }
             }
-            plan.lists[layer] = list;
-            eps = cands.iter().map(|&(_, n)| n).collect();
-            if eps.is_empty() {
-                eps = vec![ep];
-            }
+            eps = if cands.is_empty() { vec![ep] } else { cands };
         }
+        SELECT.set(scratch);
         plan
     }
 
@@ -534,29 +799,36 @@ impl HnswIndex {
     /// If the plan is stale — made for another offset than
     /// `self.len()`, because a node was inserted since.
     pub fn apply(&mut self, plan: InsertPlan) {
-        let InsertPlan {
-            offset,
-            level,
-            lists,
-            back,
-        } = plan;
-        assert_eq!(offset, self.nodes.len(), "a stale insert plan");
-        self.nodes.push(NodeLinks {
-            level,
-            neighbors: lists,
-        });
-        for (layer, n, edit) in back {
-            let list = &mut self.nodes[n as usize].neighbors[layer];
+        let offset = plan.offset;
+        assert_eq!(offset, self.len(), "a stale insert plan");
+        self.layer0.extend(1);
+        self.upper.extend(plan.level);
+        self.upper_first.push(self.upper_first[offset] + plan.level);
+        for &edit in &plan.edits {
             match edit {
-                Some(reselected) => *list = reselected,
-                None => {
-                    list.links.push(offset as u32);
-                    list.dists.clear();
+                Edit::Push { layer, node } => {
+                    let (lists, i) = self.list_mut(node, layer);
+                    lists.push(i, offset as u32);
+                }
+                Edit::Set {
+                    layer,
+                    node,
+                    start,
+                    end,
+                    selected,
+                } => {
+                    let (lists, i) = self.list_mut(node, layer);
+                    lists.set(
+                        i,
+                        &plan.links[start..end],
+                        &plan.dists[start..end],
+                        selected,
+                    );
                 }
             }
         }
-        if self.entry.is_none() || level > self.top_level {
-            self.top_level = level;
+        if self.entry.is_none() || plan.level > self.top_level {
+            self.top_level = plan.level;
             self.entry = Some(offset);
         }
     }
@@ -564,7 +836,8 @@ impl HnswIndex {
     /// The back-link `x` arrives on `node`'s full list on `layer`: the
     /// `m_max` of the `m_max + 1` it keeps — resuming the list's last
     /// selection if it carries one, restarting it otherwise (module
-    /// docs).
+    /// docs) — recorded in `plan` unless it is the list as it stands.
+    #[allow(clippy::too_many_arguments)]
     fn reselect(
         &self,
         node: usize,
@@ -572,7 +845,9 @@ impl HnswIndex {
         x: usize,
         m_max: usize,
         vectors: Vectors<'_>,
-    ) -> LinkList {
+        scratch: &mut SelectScratch,
+        plan: &mut InsertPlan,
+    ) {
         let (v, v_inv) = vectors.row(node);
         // Node-first, as every cached distance is: the cosine kernel
         // multiplies by the two inverse norms in argument order.
@@ -580,31 +855,53 @@ impl HnswIndex {
             let (row, inv) = vectors.row(n);
             self.distance.distance_normed(v, v_inv, row, inv)
         };
-        let list = &self.nodes[node].neighbors[layer];
-        if list.dists.is_empty() {
-            let mut cands: Vec<(f32, usize)> = list
-                .links
-                .iter()
-                .map(|&n| (from_node(n as usize), n as usize))
-                .collect();
+        let (lists, i) = self.list(node, layer);
+        let links = lists.links(i);
+        let SelectScratch {
+            cands,
+            order,
+            verdicts,
+        } = scratch;
+        if let Some((dists, selected)) = lists.state(i) {
+            self.resume_selection(
+                links,
+                dists,
+                selected,
+                (from_node(x), x),
+                m_max,
+                vectors,
+                order,
+                verdicts,
+            );
+            if verdicts.remake(m_max, links, selected) {
+                return;
+            }
+        } else {
+            cands.clear();
+            cands.extend(links.iter().map(|&n| (from_node(n as usize), n as usize)));
             cands.push((from_node(x), x));
             cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            self.select_neighbors(&cands, m_max, vectors)
-        } else {
-            self.resume_selection(list, (from_node(x), x), m_max, vectors)
+            self.select_neighbors(cands, m_max, vectors, verdicts);
         }
+        plan.set(layer, node, verdicts, m_max);
     }
 
-    /// [`HnswIndex::select_neighbors`] over `list` and the newcomer `x`,
-    /// spending comparisons only where `x` can change a verdict of the
-    /// selection that produced `list` (module docs).
+    /// [`HnswIndex::select_neighbors`] over a stored list — `links`, the
+    /// first `selected` of them selected last time, at `dists` — and the
+    /// newcomer `x`, spending comparisons only where `x` can change a
+    /// verdict of the selection that produced the list (module docs).
+    #[allow(clippy::too_many_arguments)]
     fn resume_selection(
         &self,
-        list: &LinkList,
+        links: &[u32],
+        dists: &[f32],
+        selected: usize,
         x: (f32, usize),
         m: usize,
         vectors: Vectors<'_>,
-    ) -> LinkList {
+        order: &mut Vec<(f32, usize, bool)>,
+        verdicts: &mut Verdicts,
+    ) {
         /// What a stored link's old verdict is still worth.
         enum Stage {
             /// It stands: every selected link so far was selected then.
@@ -614,27 +911,46 @@ impl HnswIndex {
             /// A selected link was demoted; old verdicts say nothing.
             Void,
         }
-        // (distance from the node, link, selected last time)
-        let mut cands: Vec<(f32, usize, bool)> = list
-            .links
-            .iter()
-            .zip(&list.dists)
-            .enumerate()
-            .map(|(i, (&n, &d))| (d, n as usize, i < list.selected))
-            .collect();
-        cands.push((x.0, x.1, false));
-        // Stable over `[selected ++ kept-pruned ++ x]`: the tie order.
-        cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        // The candidates in the tie order: the stable sort of
+        // `[selected ++ kept-pruned ++ x]` by distance.
+        order.clear();
+        let stored = |i: usize| (dists[i], links[i] as usize, i < selected);
+        let newcomer = (x.0, x.1, false);
+        let (runs, len) = (dists.split_at(selected), links.len());
+        if ascending(runs.0) && ascending(runs.1) && !x.0.is_nan() {
+            let (mut a, mut b) = (0, selected);
+            let mut pending = true;
+            while a < selected || b < len {
+                let next = if a < selected && (b == len || dists[a] <= dists[b]) {
+                    a += 1;
+                    a - 1
+                } else {
+                    b += 1;
+                    b - 1
+                };
+                if pending && x.0 < dists[next] {
+                    order.push(newcomer);
+                    pending = false;
+                }
+                order.push(stored(next));
+            }
+            if pending {
+                order.push(newcomer);
+            }
+        } else {
+            order.extend((0..len).map(stored));
+            order.push(newcomer);
+            order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        }
 
-        let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
-        let mut skipped: Vec<(f32, usize)> = Vec::new();
+        verdicts.clear();
         let mut stage = Stage::Stands;
-        for &(d, c, was_selected) in &cands {
-            if selected.len() >= m {
+        for &(d, c, was_selected) in order.iter() {
+            if verdicts.selected.len() >= m {
                 break;
             }
             let dominated = if c == x.1 {
-                let dominated = self.dominated((d, c), &selected, vectors);
+                let dominated = self.dominated((d, c), &verdicts.selected, vectors);
                 if !dominated {
                     stage = Stage::PlusX;
                 }
@@ -650,35 +966,32 @@ impl HnswIndex {
                         }
                         demoted
                     }
-                    Stage::Void => self.dominated((d, c), &selected, vectors),
+                    Stage::Void => self.dominated((d, c), &verdicts.selected, vectors),
                 }
             };
             if dominated {
-                skipped.push((d, c));
+                verdicts.skipped.push((d, c));
             } else {
-                selected.push((d, c));
+                verdicts.selected.push((d, c));
             }
         }
-        LinkList::from_verdicts(&selected, &skipped, m)
     }
 
-    /// Greedy single-entry descent on one layer.
-    #[allow(clippy::too_many_arguments)]
+    /// Greedy single-entry descent on one layer from `ep`, at distance
+    /// `ep.0` from the query: the closest node it reaches, with its
+    /// distance.
     fn greedy_closest(
         &self,
         q: &[f32],
         q_inv: f32,
-        mut ep: usize,
+        (mut best, mut ep): (f32, usize),
         layer: usize,
         rows: Rows<'_>,
         inv_norms: &[f32],
-    ) -> usize {
-        let mut best = self
-            .distance
-            .distance_normed(q, q_inv, rows.row(ep), inv_norms[ep]);
+    ) -> (f32, usize) {
         loop {
             let mut improved = false;
-            for &n in &self.nodes[ep].neighbors[layer].links {
+            for &n in self.links(ep, layer) {
                 let d = self.distance.distance_normed(
                     q,
                     q_inv,
@@ -692,21 +1005,22 @@ impl HnswIndex {
                 }
             }
             if !improved {
-                return ep;
+                return (best, ep);
             }
         }
     }
 
-    /// Beam search on one layer. Returns up to `ef` nodes sorted by
-    /// distance ascending. `accept` restricts which nodes may enter the
-    /// *result* set (the graph is still traversed through non-matching
-    /// nodes, the standard filtered-HNSW strategy).
+    /// Beam search on one layer from `eps`, each at its distance from
+    /// the query. Returns up to `ef` nodes sorted by distance ascending.
+    /// `accept` restricts which nodes may enter the *result* set (the
+    /// graph is still traversed through non-matching nodes, the standard
+    /// filtered-HNSW strategy).
     #[allow(clippy::too_many_arguments)]
     fn search_layer(
         &self,
         q: &[f32],
         q_inv: f32,
-        eps: &[usize],
+        eps: &[(f32, usize)],
         ef: usize,
         layer: usize,
         rows: Rows<'_>,
@@ -714,14 +1028,11 @@ impl HnswIndex {
         accept: Option<&dyn Fn(usize) -> bool>,
     ) -> Vec<(f32, usize)> {
         let mut s = SCRATCH.take();
-        s.begin(self.nodes.len());
-        for &ep in eps {
+        s.begin(self.len());
+        for &(d, ep) in eps {
             if !s.visit(ep) {
                 continue;
             }
-            let d = self
-                .distance
-                .distance_normed(q, q_inv, rows.row(ep), inv_norms[ep]);
             s.candidates.push(Near(d, ep));
             if accept.is_none_or(|a| a(ep)) {
                 s.results.push(Far(d, ep));
@@ -732,14 +1043,15 @@ impl HnswIndex {
             if d > worst && s.results.len() >= ef {
                 break;
             }
-            for &n in &self.nodes[c].neighbors[layer].links {
-                let n = n as usize;
-                if !s.visit(n) {
-                    continue;
+            s.fresh.clear();
+            for &n in self.links(c, layer) {
+                if s.visit(n as usize) {
+                    s.fresh.push(n);
                 }
-                let dn = self
-                    .distance
-                    .distance_normed(q, q_inv, rows.row(n), inv_norms[n]);
+            }
+            self.score(q, q_inv, &s.fresh, rows, inv_norms, &mut s.scores);
+            for (&n, &dn) in s.fresh.iter().zip(&s.scores) {
+                let n = n as usize;
                 let worst = s.results.peek().map_or(f32::INFINITY, |f| f.0);
                 if dn < worst || s.results.len() < ef {
                     s.candidates.push(Near(dn, n));
@@ -758,24 +1070,60 @@ impl HnswIndex {
         out
     }
 
+    /// The distance from the query to each of `nodes`, into `out`:
+    /// [`ROWS`] to a kernel call, the rest one at a time — every one
+    /// [`Distance::distance_normed`]'s, bit for bit.
+    fn score(
+        &self,
+        q: &[f32],
+        q_inv: f32,
+        nodes: &[u32],
+        rows: Rows<'_>,
+        inv_norms: &[f32],
+        out: &mut Vec<f32>,
+    ) {
+        out.clear();
+        let mut chunks = nodes.chunks_exact(ROWS);
+        for chunk in &mut chunks {
+            let n = |r: usize| chunk[r] as usize;
+            out.extend(self.distance.distance_normed_rows(
+                q,
+                q_inv,
+                std::array::from_fn(|r| rows.row(n(r))),
+                std::array::from_fn(|r| inv_norms[n(r)]),
+            ));
+        }
+        for &n in chunks.remainder() {
+            let n = n as usize;
+            out.push(
+                self.distance
+                    .distance_normed(q, q_inv, rows.row(n), inv_norms[n]),
+            );
+        }
+    }
+
     /// Heuristic neighbour selection (Algorithm 4 of the paper): prefer
     /// candidates that are closer to the query than to any already
     /// selected neighbour, which keeps links spread out. `cands` arrive
     /// ascending by distance from the query.
-    fn select_neighbors(&self, cands: &[(f32, usize)], m: usize, vectors: Vectors<'_>) -> LinkList {
-        let mut selected: Vec<(f32, usize)> = Vec::with_capacity(m);
-        let mut skipped: Vec<(f32, usize)> = Vec::new();
+    fn select_neighbors(
+        &self,
+        cands: &[(f32, usize)],
+        m: usize,
+        vectors: Vectors<'_>,
+        verdicts: &mut Verdicts,
+    ) {
+        verdicts.clear();
         for &(d, c) in cands {
-            if selected.len() >= m {
+            if verdicts.selected.len() >= m {
                 break;
             }
-            if self.dominated((d, c), &selected, vectors) {
-                skipped.push((d, c));
+            if self.dominated((d, c), &verdicts.selected, vectors) {
+                verdicts.skipped.push((d, c));
             } else {
-                selected.push((d, c));
+                verdicts.selected.push((d, c));
             }
         }
-        LinkList::from_verdicts(&selected, &skipped, m)
     }
 
     /// Algorithm 4's test: is the candidate `c`, at distance `d` from
@@ -808,13 +1156,17 @@ impl HnswIndex {
         inv_norms: &[f32],
         accept: Option<&dyn Fn(usize) -> bool>,
     ) -> Vec<(usize, f32)> {
-        let Some(mut ep) = self.entry else {
+        let Some(ep) = self.entry else {
             return Vec::new();
         };
         if k == 0 {
             return Vec::new();
         }
         let q_inv = inv_norm(q);
+        let d = self
+            .distance
+            .distance_normed(q, q_inv, rows.row(ep), inv_norms[ep]);
+        let mut ep = (d, ep);
         for layer in (1..=self.top_level).rev() {
             ep = self.greedy_closest(q, q_inv, ep, layer, rows, inv_norms);
         }
@@ -1008,17 +1360,17 @@ mod tests {
     }
 
     /// The graph over `vectors` as shipped (`restart == false`), or as
-    /// the reference that never resumes: every list loses its selection
-    /// state before every insert — what `pack` → `unpack` does to it —
-    /// so each overflow recomputes every node → link distance,
+    /// the reference that never resumes: every list takes the arena's
+    /// no-state mark before every insert — what `pack` → `unpack` does
+    /// to it — so each overflow recomputes every node → link distance,
     /// stable-sorts stored order + newcomer and runs `select_neighbors`
     /// from scratch.
     fn grown(st: &Stored, distance: Distance, config: &HnswConfig, restart: bool) -> HnswIndex {
         let mut idx = HnswIndex::new(distance, config.clone());
         for i in 0..st.vectors.len() {
             if restart {
-                let lists = idx.nodes.iter_mut().flat_map(|node| &mut node.neighbors);
-                lists.for_each(|list| list.dists.clear());
+                idx.layer0.selected.fill(NO_STATE);
+                idx.upper.selected.fill(NO_STATE);
             }
             idx.insert(i, st.rows(), &st.inv);
         }
@@ -1118,6 +1470,107 @@ mod tests {
         }
     }
 
+    /// The graph `packed` wrote, read back: every list without state.
+    fn reloaded(idx: &HnswIndex) -> HnswIndex {
+        let bytes = packed(idx);
+        let [.., graph] = crate::codec::COLLECTION.open(&bytes).unwrap();
+        HnswIndex::unpack(graph, idx.distance, idx.config.clone(), usize::MAX).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Saved ≡ never saved: a graph read back from its snapshot
+        /// section — a stride of its longest list, every list restarting
+        /// — and then grown further is the graph that was never saved,
+        /// link for link.
+        #[test]
+        fn a_reloaded_graph_keeps_inserting_as_the_never_saved_one(
+            n in 2usize..=300,
+            cut in 0.0f64..1.0,
+            shape in (0usize..3, 0usize..3, 0usize..3),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (dim, metric, kind) = shape;
+            let dim = [2, 8, 64][dim];
+            let distance = [Distance::Cosine, Distance::Dot, Distance::Euclid][metric];
+            let config = HnswConfig { m: 4, m0: 8, ef_construction: 40, seed };
+            let st = Stored::new(pool(kind, n, dim, seed));
+            let saved_at = 1 + ((n - 1) as f64 * cut) as usize;
+            let mut kept = HnswIndex::new(distance, config);
+            for i in 0..saved_at {
+                kept.insert(i, st.rows(), &st.inv);
+            }
+            let mut loaded = reloaded(&kept);
+            proptest::prop_assert!(packed(&loaded) == packed(&kept));
+            proptest::prop_assert!(loaded.layer0.selected.iter().all(|&s| s == NO_STATE));
+            for i in saved_at..n {
+                kept.insert(i, st.rows(), &st.inv);
+                loaded.insert(i, st.rows(), &st.inv);
+            }
+            proptest::prop_assert!(packed(&loaded) == packed(&kept));
+        }
+    }
+
+    #[test]
+    fn a_back_link_the_newcomer_leaves_unchanged_records_no_edit() {
+        // P's list is A, B, C selected and E kept-pruned (as in the
+        // demotion test below). Y, far out past A, links to P, but from
+        // P it sits behind A (A prunes it) and behind E, the one
+        // kept-pruned link that fits: P's list stays as it is.
+        let [a, b, c, e, p, y] = [0usize, 1, 2, 3, 4, 5];
+        let st = Stored::new(vec![
+            vec![-1.0, 0.0],
+            vec![-0.3, 1.2],
+            vec![2.0, 0.0],
+            vec![2.2, 1.0],
+            vec![0.0, 0.0],
+            vec![-3.0, 0.0],
+        ]);
+        let config = HnswConfig {
+            m: 4,
+            m0: 4,
+            ..HnswConfig::default()
+        };
+        let mut idx = HnswIndex::new(Distance::Euclid, config.clone());
+        for i in 0..y {
+            idx.insert(i, st.rows(), &st.inv);
+        }
+        let before = (
+            idx.links(p, 0).to_vec(),
+            idx.layer0.state(p).map(|(_, s)| s),
+        );
+        assert_eq!(before, ([a, b, c, e].map(|n| n as u32).to_vec(), Some(3)));
+
+        let plan = idx.plan_insert(&st.vectors[y], st.rows(), &st.inv);
+        let own = plan.edits.iter().find_map(|edit| match *edit {
+            Edit::Set {
+                layer: 0,
+                node,
+                start,
+                end,
+                ..
+            } if node == y => Some(start..end),
+            _ => None,
+        });
+        assert!(
+            plan.links[own.unwrap()].contains(&(p as u32)),
+            "Y links to P"
+        );
+        let touches_p = |edit: &Edit| match *edit {
+            Edit::Push { layer, node } | Edit::Set { layer, node, .. } => (layer, node) == (0, p),
+        };
+        assert!(!plan.edits.iter().any(touches_p), "{:?}", plan.edits);
+
+        idx.apply(plan);
+        let after = (
+            idx.links(p, 0).to_vec(),
+            idx.layer0.state(p).map(|(_, s)| s),
+        );
+        assert_eq!(after, before);
+        assert!(packed(&idx) == packed(&grown(&st, Distance::Euclid, &config, true)));
+    }
+
     #[test]
     #[should_panic(expected = "stale")]
     fn a_stale_plan_is_refused() {
@@ -1152,14 +1605,14 @@ mod tests {
         for i in 0..x {
             idx.insert(i, st.rows(), &st.inv);
         }
-        let list = &idx.nodes[p].neighbors[0];
-        assert_eq!(list.links, [a, b, c, e].map(|n| n as u32));
-        assert_eq!((list.selected, list.dists.len()), (3, 4), "born with state");
+        assert_eq!(idx.links(p, 0), [a, b, c, e].map(|n| n as u32));
+        let state = idx.layer0.state(p).map(|(d, s)| (s, d.len()));
+        assert_eq!(state, Some((3, 4)), "born with state");
 
         idx.insert(x, st.rows(), &st.inv);
-        let list = &idx.nodes[p].neighbors[0];
-        assert_eq!(list.links, [a, b, x, e].map(|n| n as u32));
-        assert_eq!(list.selected, 4, "E is selected again, C is gone");
+        assert_eq!(idx.links(p, 0), [a, b, x, e].map(|n| n as u32));
+        let selected = idx.layer0.state(p).map(|(_, s)| s);
+        assert_eq!(selected, Some(4), "E is selected again, C is gone");
         let restarted = grown(&st, Distance::Euclid, &config, true);
         assert!(packed(&idx) == packed(&restarted));
     }

@@ -360,18 +360,25 @@ impl PayloadStore {
     /// Appends a payload.
     pub fn push(&mut self, mut payload: Payload) {
         self.geo.push(take_position(&mut payload));
-        if self.text.is_some() {
-            let (skeleton, slots) = Self::split(payload);
-            self.skeletons.push(skeleton);
-            let tier = self.text.as_mut().expect("checked above");
-            tier.pending += slots
-                .iter()
-                .filter(|s| matches!(s.text, TextRef::Raw(_)))
-                .count();
-            tier.slots.push(slots);
-            self.absorb_pending();
-        } else {
+        let Some(tier) = self.text.as_mut() else {
             self.skeletons.push(payload);
+            return;
+        };
+        let (skeleton, mut slots) = Self::split(payload);
+        self.skeletons.push(skeleton);
+        match tier.packed.as_mut() {
+            // Trained: this payload's text is the only raw text there is.
+            Some(arena) => {
+                for slot in &mut slots {
+                    slot.pack_into(arena);
+                }
+                tier.slots.push(slots);
+            }
+            None => {
+                tier.pending += slots.len();
+                tier.slots.push(slots);
+                tier.train_when_due();
+            }
         }
     }
 
@@ -463,40 +470,43 @@ impl PayloadStore {
         }
         (Payload(skeleton), slots)
     }
+}
 
-    /// Trains the symbol table once enough raw text has accumulated,
-    /// then drains every raw slot into the arena. Also compresses
-    /// stragglers that arrive after training.
-    fn absorb_pending(&mut self) {
-        let Some(tier) = self.text.as_mut() else {
+impl TextSlot {
+    /// Moves raw text into `arena`; packed text stays where it is.
+    fn pack_into(&mut self, arena: &mut CompressedStrings) {
+        if let TextRef::Raw(t) = &self.text {
+            self.text = TextRef::Packed(arena.push(t));
+        }
+    }
+}
+
+impl TextTier {
+    /// Trains the symbol table once [`TRAIN_AT`] raw strings have
+    /// accumulated, then drains every one of them into the arena in slot
+    /// order. Called only before training: afterwards each push packs
+    /// its own text on arrival.
+    fn train_when_due(&mut self) {
+        if self.pending < TRAIN_AT {
             return;
-        };
-        if tier.pending == 0 {
-            return;
         }
-        if tier.packed.is_none() {
-            if tier.pending < TRAIN_AT {
-                return;
-            }
-            let sample: Vec<&[u8]> = tier
-                .slots
-                .iter()
-                .flatten()
-                .filter_map(|s| match &s.text {
-                    TextRef::Raw(t) => Some(t.as_bytes()),
-                    TextRef::Packed(_) => None,
-                })
-                .take(TRAIN_SAMPLE)
-                .collect();
-            tier.packed = Some(CompressedStrings::new(SymbolTable::train(&sample)));
+        let sample: Vec<&[u8]> = self
+            .slots
+            .iter()
+            .flatten()
+            .filter_map(|s| match &s.text {
+                TextRef::Raw(t) => Some(t.as_bytes()),
+                TextRef::Packed(_) => None,
+            })
+            .take(TRAIN_SAMPLE)
+            .collect();
+        let arena = self
+            .packed
+            .insert(CompressedStrings::new(SymbolTable::train(&sample)));
+        for slot in self.slots.iter_mut().flatten() {
+            slot.pack_into(arena);
         }
-        let arena = tier.packed.as_mut().expect("trained above");
-        for slot in tier.slots.iter_mut().flatten() {
-            if let TextRef::Raw(t) = &slot.text {
-                slot.text = TextRef::Packed(arena.push(t));
-            }
-        }
-        tier.pending = 0;
+        self.pending = 0;
     }
 }
 
