@@ -10,8 +10,7 @@ use std::sync::Arc;
 use embed::Embedder;
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig};
-use serde_json::json;
-use vecdb::{Collection, CollectionConfig, Filter, Payload};
+use vecdb::{Collection, CollectionConfig, Filter};
 
 fn bench_filtering(c: &mut Criterion) {
     // Santa Barbara at ~paper scale (1,790 POIs) keeps bench setup fast
@@ -74,30 +73,18 @@ fn bench_filtering(c: &mut Criterion) {
 /// What one whole-metro request pays before it scores anything: the
 /// geo mask over every stored point (`Collection::filter_ids`, the body
 /// `search_batch` builds its mask with). The ledger world's shape
-/// without its preparation — 4,000 points under the compressed text
-/// tier, each `lat` / `lon` / `name` plus a long tip summary — and a
-/// box that admits all of them.
+/// without its preparation — 4,000 points, each with its position — and
+/// a box that admits all of them.
 fn bench_geo_mask(c: &mut Criterion) {
-    let mut collection = Collection::new(CollectionConfig {
-        compress_payload_text: true,
-        ..CollectionConfig::new(8)
-    });
+    let mut collection = Collection::new(CollectionConfig::new(8));
     for i in 0..4000u64 {
         let x = i as f32;
         let vector: Vec<f32> = (0..8).map(|d| (x * 0.37 + d as f32).sin()).collect();
-        let payload = Payload::from_pairs(&[
-            ("lat", json!(36.0 + (i % 64) as f64 * 0.003)),
-            ("lon", json!(-86.9 + (i / 64) as f64 * 0.003)),
-            ("name", json!(format!("poi {i}"))),
-            (
-                "tip_summary",
-                json!(format!(
-                    "visitors to place {i} praise the coffee and the staff, and \
-                     say the pastries are worth the queue on a weekend morning"
-                )),
-            ),
-        ]);
-        collection.insert(i, vector, payload).expect("insert");
+        let position = (
+            36.0 + (i % 64) as f64 * 0.003,
+            -86.9 + (i / 64) as f64 * 0.003,
+        );
+        collection.insert(i, vector, position).expect("insert");
     }
     let whole = Filter::geo_box(-90.0, -180.0, 90.0, 180.0);
     assert_eq!(collection.filter_ids(&whole).len(), 4000);

@@ -3,14 +3,14 @@
 //! Builds one synthetic metro (`datagen::generate_metro`, five paper
 //! cities composed as districts, heavier tip corpora), prepares it with
 //! the metro serving config — `ScoringTier::Auto` activates the
-//! quantized-first tier above 32,768 points and payload text rides the
-//! FSST-compressed tier — and then measures three things:
+//! quantized-first tier above 32,768 points — and then measures three
+//! things:
 //!
 //! 1. **Planned serving latency** per selectivity band (`narrow` /
 //!    `mid` / `broad`), plus a one-shot pass proving all four forced
 //!    strategies still serve at this scale.
 //! 2. **The quantized-vs-full trade**, against a full-precision
-//!    reference collection holding the *same* vectors and payloads:
+//!    reference collection holding the *same* vectors and positions:
 //!    `broad/exact-quantized` vs `broad/exact-full` whole-collection
 //!    scans, recall@10 of the tiered scan against full-precision ground
 //!    truth, and the component-by-component memory footprint.
@@ -20,8 +20,8 @@
 //!
 //! The recorded baseline lives in `BENCH_metro.json` at the repo root;
 //! regenerate it with `cargo bench --bench metro` after touching the
-//! quantized tier, the id column, payload compression, or the
-//! metro generator. `METRO_POIS=<n>` shrinks the world for local
+//! quantized tier, the id column, the position column, or the metro
+//! generator. `METRO_POIS=<n>` shrinks the world for local
 //! iteration (the recorded numbers are at the default 100,000).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -85,13 +85,10 @@ fn bench_metro(c: &mut Criterion) {
         t0.elapsed().as_secs_f64()
     );
 
-    // The metro serving config: Auto tier (activates quantized-first
-    // scoring at this scale) + compressed payload text.
+    // The metro serving config: the Auto tier activates quantized-first
+    // scoring at this scale.
     let llm = Arc::new(SimLlm::new());
-    let config = SemaSkConfig {
-        compress_payload_text: true,
-        ..SemaSkConfig::default()
-    };
+    let config = SemaSkConfig::default();
     let t1 = Instant::now();
     let prepared = prepare_city_with_threads(&data, &llm, &config, 2).expect("prep");
     println!(
@@ -109,10 +106,10 @@ fn bench_metro(c: &mut Criterion) {
         .collection(&prepared.collection_name)
         .expect("collection");
 
-    // Full-precision reference: the same points and payloads under the
-    // pre-tier layout (f32 scoring store, raw payload text). Only its
-    // exact paths are exercised, so the HNSW build is dialed down to
-    // construction-cost minimum.
+    // Full-precision reference: the same points and positions under the
+    // pre-tier layout (f32 scoring store). Only its exact paths are
+    // exercised, so the HNSW build is dialed down to construction-cost
+    // minimum.
     let t2 = Instant::now();
     let mut full = Collection::new(CollectionConfig {
         scoring_tier: ScoringTier::Full,
@@ -126,8 +123,8 @@ fn bench_metro(c: &mut Criterion) {
     });
     {
         let guard = handle.read();
-        for (id, vector, payload) in guard.iter_points() {
-            full.insert(id, vector.to_vec(), payload).expect("insert");
+        for (id, vector, position) in guard.iter_points() {
+            full.insert(id, vector.to_vec(), position).expect("insert");
         }
     }
     println!(
@@ -156,7 +153,7 @@ fn bench_metro(c: &mut Criterion) {
         per(fp_full.id_index_bytes, &fp_full)
     );
     println!(
-        "metro:   payloads              {:>8}  {:>8}",
+        "metro:   positions             {:>8}  {:>8}",
         per(fp_tier.payload_bytes, &fp_tier),
         per(fp_full.payload_bytes, &fp_full)
     );

@@ -107,7 +107,6 @@ fn bench_wal(c: &mut Criterion) {
 fn bench_checkpoint(c: &mut Criterion) {
     let data = datagen::generate_metro(&datagen::MetroConfig::new(4_000, 7));
     let config = SemaSkConfig {
-        compress_payload_text: true,
         scoring_tier: ScoringTier::Quantized {
             rerank_factor: ScoringTier::DEFAULT_RERANK_FACTOR,
         },

@@ -152,7 +152,7 @@ impl RetrievalBackend {
                 ids
             }
             // The graph accelerates similarity search, not pure range
-            // filters: both scan sources answer with a payload scan.
+            // filters: both scan sources answer with a position scan.
             None => collection.filter_ids(&geo_filter(range)),
         };
         ids.sort_unstable();

@@ -31,12 +31,15 @@ pub struct SemaSkConfig {
     /// suites ride); `Quantized` forces the tier with an explicit
     /// rerank factor.
     pub scoring_tier: vecdb::ScoringTier,
-    /// Store each POI's tip summary in the collection payload and run
-    /// payload text through the compressed tier (metro-scale memory
-    /// knob; the geo filter path never touches the compressed text).
+    /// Read nowhere: the collection stores a vector and a position per
+    /// POI and no text to compress. Kept only because
+    /// `ledger/src/sut.rs:232` sets it; leaves with the next benchmark
+    /// PR (ROADMAP 8(d)).
+    #[deprecated(note = "read nowhere: the collection keeps no payload text")]
     pub compress_payload_text: bool,
 }
 
+#[allow(deprecated)]
 impl Default for SemaSkConfig {
     fn default() -> Self {
         Self {
@@ -81,6 +84,5 @@ mod tests {
         assert_eq!(c.refine_model, ModelKind::Gpt4o);
         assert_eq!(c.summarize_model, ModelKind::Gpt35Turbo);
         assert_eq!(c.scoring_tier, vecdb::ScoringTier::Auto);
-        assert!(!c.compress_payload_text);
     }
 }

@@ -59,7 +59,13 @@
 //!
 //! and a reopen that found a `wal.prev` folds both logs into one
 //! synchronous checkpoint before it takes writes, so a rotation never
-//! meets an occupied name.
+//! meets an occupied name. Because that fold retires `wal.prev`,
+//! recovery refuses — before anything is written — a `wal.prev` that
+//! does not decode to its end (it was synced whole before the rotation,
+//! so damage there is not a torn tail) and a replayed record whose
+//! sequence number is not one past the last applied, counting from the
+//! snapshot's `last_applied_seq`: replaying around either would fold a
+//! hole into the new snapshot and delete the log that could explain it.
 //!
 //! **A failed checkpoint loses nothing and fails no write.** The batch
 //! that tripped the policy was logged, fsynced and applied before the
@@ -92,7 +98,7 @@ use parking_lot::Mutex;
 use crate::config::SemaSkConfig;
 use crate::engine::{EngineError, SemaSkEngine, Variant};
 use crate::persist::{cut_prepared, load_prepared, save_prepared, write_snapshot, PersistError};
-use crate::wal::{crash_point, decode_buffer, Mutation, Wal, WalError, WalStats};
+use crate::wal::{crash_point, decode, Mutation, Wal, WalError, WalStats};
 use geotext::ObjectId;
 
 /// The active log inside a durable engine's directory, next to the
@@ -290,10 +296,19 @@ impl DurableEngine {
     /// returns, leaving one empty log.
     ///
     /// # Errors
-    /// Snapshot/log I/O failure, or an apply failure during replay
-    /// (a record inconsistent with the snapshot it follows — indicates
-    /// external tampering, since the protocol never logs an invalid
-    /// batch).
+    /// Snapshot/log I/O failure; a `wal.prev` that does not decode to
+    /// its end ([`WalError::Incomplete`]: it was synced whole before it
+    /// was rotated out, so it has no torn tail to cut); a record in
+    /// either log that passes its checksum but does not decode
+    /// ([`WalError::Undecodable`]); a replayed record that is not the
+    /// one after the last applied, counting from the snapshot's
+    /// `last_applied_seq` ([`WalError::SequenceGap`]); or an apply
+    /// failure during replay (a record inconsistent with the snapshot it
+    /// follows — indicates external tampering, since the protocol never
+    /// logs an invalid batch). Each is found before a snapshot or a log
+    /// is written; a damaged `wal.prev` even before loading the snapshot
+    /// removes stale staging files. Only a torn tail of `wal.log` is
+    /// cut ([`Wal::open`]).
     pub fn open(
         dir: &Path,
         llm: Arc<SimLlm>,
@@ -301,14 +316,26 @@ impl DurableEngine {
         variant: Variant,
         policy: CheckpointPolicy,
     ) -> Result<(Self, RecoverReport), DurableError> {
-        let prepared = Arc::new(load_prepared(dir, &config)?);
-        let engine = SemaSkEngine::new(prepared, llm, config, variant);
+        // `wal.prev` is judged first: damage there is refused before
+        // loading the snapshot cleans up anything.
         let prev_path = dir.join(WAL_PREV);
         let prev = match std::fs::read(&prev_path) {
-            Ok(bytes) => Some(decode_buffer(&bytes).0),
+            Ok(bytes) => {
+                let log = decode(&bytes);
+                if log.consumed != bytes.len() {
+                    return Err(WalError::Incomplete {
+                        offset: log.consumed as u64,
+                        len: bytes.len() as u64,
+                    }
+                    .into());
+                }
+                Some(log.records)
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(WalError::Io(e).into()),
         };
+        let prepared = Arc::new(load_prepared(dir, &config)?);
+        let engine = SemaSkEngine::new(prepared, llm, config, variant);
         let (mut wal, records) = Wal::open(dir.join(WAL_FILE))?;
 
         let snapshot_seq = engine.prepared().live.last_seq();
@@ -318,6 +345,14 @@ impl DurableEngine {
             if record.seq <= snapshot_seq {
                 skipped += 1;
                 continue;
+            }
+            let expected = engine.prepared().live.last_seq() + 1;
+            if record.seq != expected {
+                return Err(WalError::SequenceGap {
+                    expected,
+                    found: record.seq,
+                }
+                .into());
             }
             engine.apply_mutations(std::slice::from_ref(&record.mutation))?;
             engine.prepared().live.set_last_seq(record.seq);
@@ -656,8 +691,31 @@ mod tests {
     }
 
     fn seqs_in(path: &Path) -> Vec<u64> {
-        let (records, _) = decode_buffer(&std::fs::read(path).unwrap());
+        let records = decode(&std::fs::read(path).unwrap()).records;
         records.iter().map(|r| r.seq).collect()
+    }
+
+    /// Where each record of a whole log starts, read from the length
+    /// in its header.
+    fn record_starts(log: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            starts.push(at);
+            at += 8 + u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        }
+        starts
+    }
+
+    /// Every file in `dir` with its bytes, by name.
+    fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        names_in(dir)
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect()
     }
 
     fn current(dir: &Path) -> String {
@@ -825,6 +883,93 @@ mod tests {
         );
         assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
         drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `wal.prev` was synced whole before it was rotated out, and the
+    /// two logs number their records one after another from the
+    /// snapshot on. Damage in the middle of `wal.prev`, or a record
+    /// missing from `wal.log`, is refused before anything is written —
+    /// not replayed around and then folded into a snapshot.
+    #[test]
+    fn recovery_refuses_a_damaged_prev_log_and_a_sequence_gap() {
+        let (engine, data, llm, config) = fresh_engine();
+        let dir = tmpdir("refuses_gaps");
+        let policy = CheckpointPolicy {
+            max_records: 4,
+            max_bytes: u64::MAX,
+        };
+        let durable = DurableEngine::create(engine, &dir, policy).unwrap();
+        let squatter = block_commits(&dir);
+        let center = data.city.center();
+        durable.mutate(insert("Gap Dumplings", center)).unwrap();
+        for id in 0..3 {
+            durable.mutate(Mutation::Delete { id }).unwrap();
+        }
+        assert!(durable.checkpoint().is_err());
+        durable.mutate(insert("After The Gap", center)).unwrap();
+        durable.mutate(Mutation::Delete { id: 3 }).unwrap();
+        drop(durable);
+        std::fs::remove_dir(squatter).unwrap();
+        // The failed checkpoint's staged snapshot goes with the first
+        // load, refusal or not; sweep it now so what remains is data.
+        load_prepared(&dir, &config).unwrap();
+        assert_eq!(seqs_in(&dir.join(WAL_PREV)), [1, 2, 3, 4]);
+        assert_eq!(seqs_in(&dir.join(WAL_FILE)), [5, 6]);
+        let intact = contents(&dir);
+        let open = || {
+            DurableEngine::open(
+                &dir,
+                Arc::clone(&llm),
+                config.clone(),
+                Variant::EmbeddingOnly,
+                policy,
+            )
+        };
+
+        // One byte of record 2's payload flipped: records 3 and 4 would
+        // be dropped without a word.
+        let prev = std::fs::read(dir.join(WAL_PREV)).unwrap();
+        let second = record_starts(&prev)[1];
+        let mut damaged = prev.clone();
+        damaged[second + 12] ^= 0x01;
+        std::fs::write(dir.join(WAL_PREV), &damaged).unwrap();
+        let before = contents(&dir);
+        let refused = open().err();
+        assert!(
+            matches!(
+                refused,
+                Some(DurableError::Wal(WalError::Incomplete { offset, len }))
+                    if offset == second as u64 && len == prev.len() as u64
+            ),
+            "{refused:?}"
+        );
+        assert!(contents(&dir) == before, "no byte in the directory changed");
+        std::fs::write(dir.join(WAL_PREV), &prev).unwrap();
+
+        // Record 5 gone from the active log.
+        let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let sixth = record_starts(&log)[1];
+        std::fs::write(dir.join(WAL_FILE), &log[sixth..]).unwrap();
+        let before = contents(&dir);
+        let refused = open().err();
+        assert!(
+            matches!(
+                refused,
+                Some(DurableError::Wal(WalError::SequenceGap {
+                    expected: 5,
+                    found: 6
+                }))
+            ),
+            "{refused:?}"
+        );
+        assert!(contents(&dir) == before, "no byte in the directory changed");
+
+        // Whole again, the directory recovers.
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        assert!(contents(&dir) == intact);
+        let (_, report) = open().unwrap();
+        assert_eq!(report.last_seq, 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 

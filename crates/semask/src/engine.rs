@@ -14,7 +14,7 @@ use vecdb::VecDbError;
 
 use crate::config::SemaSkConfig;
 use crate::live::Overlay;
-use crate::prep::{poi_payload, PreparedCity};
+use crate::prep::PreparedCity;
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
 use crate::wal::{Mutation, PoiSpec, PoiUpdate};
@@ -521,7 +521,7 @@ impl SemaSkEngine {
 
     /// Stage 2, **prepare**: everything a batch costs that changes
     /// nothing a reader sees — enrichment (reverse geocoding, tip
-    /// summaries), embeddings, payloads, the next overlay and each
+    /// summaries), embeddings, the next overlay and each
     /// insert's graph plan, the last under the collection's read lock.
     /// Queries run throughout, and the mutation gate is not taken.
     pub(crate) fn prepare_mutations(
@@ -533,15 +533,15 @@ impl SemaSkEngine {
         let mut next = (*self.prepared.live.overlay()).clone();
         let mut steps = Vec::with_capacity(turn.mutations.len());
         let mut inserted = Vec::new();
-        // The point an insert or update stores: its vector, payload and
-        // the graph plan made for it.
+        // The point an insert or update stores: its vector, its position
+        // and the graph plan made for it.
         let point = |obj: &GeoTextObject| -> Result<PlannedPoint, EngineError> {
             let text = PreparedCity::embedding_text_with(obj, self.config.embed_raw_tips);
             let vector = self.prepared.embedder.embed(&text);
             let plan = collection.read().plan_insert(&vector)?;
             Ok(PlannedPoint {
                 vector,
-                payload: poi_payload(obj, self.config.compress_payload_text),
+                location: obj.location,
                 plan,
             })
         };
@@ -553,7 +553,6 @@ impl SemaSkEngine {
                     let step = Step::Insert {
                         id,
                         point: point(&obj)?,
-                        location: obj.location,
                         doc: obj.to_document(),
                     };
                     inserted.push(next.insert(obj));
@@ -623,12 +622,8 @@ impl SemaSkEngine {
         let planner = &self.prepared.planner;
         for step in batch.steps {
             match step {
-                Step::Insert {
-                    id,
-                    point,
-                    location,
-                    doc,
-                } => {
+                Step::Insert { id, point, doc } => {
+                    let location = point.location;
                     point.store(&mut collection.write(), id)?;
                     planner.live_insert(id, location, &doc);
                 }
@@ -839,7 +834,6 @@ enum Step {
     Insert {
         id: ObjectId,
         point: PlannedPoint,
-        location: GeoPoint,
         doc: String,
     },
     Update {
@@ -854,17 +848,18 @@ enum Step {
     },
 }
 
-/// A point ready to store: its vector, its payload and the graph plan
-/// made for it.
+/// A point ready to store: its vector, its POI's position and the graph
+/// plan made for it.
 struct PlannedPoint {
     vector: Vec<f32>,
-    payload: vecdb::Payload,
+    location: GeoPoint,
     plan: vecdb::InsertPlan,
 }
 
 impl PlannedPoint {
     fn store(self, collection: &mut vecdb::Collection, id: ObjectId) -> Result<(), VecDbError> {
-        collection.insert_planned(u64::from(id.0), self.vector, self.payload, self.plan)
+        let position = (self.location.lat, self.location.lon);
+        collection.insert_planned(u64::from(id.0), self.vector, position, self.plan)
     }
 }
 

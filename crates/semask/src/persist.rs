@@ -22,14 +22,16 @@
 //! ```
 //!
 //! The file is a [`vecdb::codec`] container of format [`SNAPSHOT`]
-//! (magic `SEMASKSN`, version 3): the crate's one codec, one CRC-32 over
+//! (magic `SEMASKSN`, version 4): the crate's one codec, one CRC-32 over
 //! everything after its field, and seven sections, all little-endian:
 //!
 //! ```text
 //! 0     header   city key (u32 length + UTF-8), collection name (same),
 //!                embedder dim u64, next_id u32, last_applied_seq u64,
 //!                tombstone count u32 + that many ids u32, ascending
-//! 1–5   the collection's five sections, as `vecdb::db` lays them out
+//! 1–5   the collection's five sections, as `vecdb::db` lays them out:
+//!       each point an id, a delete flag, a position, a vector and its
+//!       graph node — a POI's attributes live in section 6 only
 //! 6     dataset  name (u32 length + UTF-8), object count u32, then per
 //!                object: id u32, lat f64, lon f64, attribute count u32,
 //!                and per attribute its key and a tagged value:
@@ -64,8 +66,10 @@
 //! typed error, never a panic and never a city that fails later. There
 //! is one version: format 2 stored a directory of four files (three of
 //! them JSON), and a `CURRENT` naming a directory is refused as that
-//! version, unread; a file of another version is refused by the version
-//! it names.
+//! version, unread; format 3 was this file with a second copy of each
+//! POI's name (and, under a since-deleted knob, its tip summary) in the
+//! collection's meta section; a file of another version is refused by
+//! the version it names.
 //!
 //! # Live state
 //!
@@ -105,7 +109,7 @@ const SNAP_PREFIX: &str = "snap-";
 /// sections, dataset (module docs).
 pub const SNAPSHOT: Format<7> = Format {
     magic: *b"SEMASKSN",
-    version: 3,
+    version: 4,
 };
 
 /// The version of the layout that kept a snapshot as a directory.
@@ -276,7 +280,7 @@ pub fn cut_prepared(prepared: &PreparedCity) -> Result<SnapshotCut, PersistError
     packed.u32(count32(tombstones.len())?);
     packed.u32s(&tombstones);
     packed.end_section();
-    collection.pack_sections(&mut packed)?;
+    collection.pack_sections(&mut packed);
     drop(collection);
     Ok(SnapshotCut {
         dataset: Arc::clone(&prepared.dataset),
@@ -799,7 +803,7 @@ mod tests {
         w.u32(1);
         w.u32s(&[5]);
         w.end_section();
-        handle.read().pack_sections(&mut w).unwrap();
+        handle.read().pack_sections(&mut w);
         pack_dataset(&mut w, &reference, &Overlay::new(41)).unwrap();
         w.end_section();
         let expected = w.finish().seal();

@@ -8,7 +8,7 @@
 //!    the paper's summarization prompt; store the ~55-token summary.
 //! 3. **Embedding generation** — embed "POI name, address, categories,
 //!    hours, and tip summary" and store the vectors in the vector
-//!    database with a geo payload.
+//!    database, each beside its POI's position.
 
 use std::fmt;
 use std::sync::Arc;
@@ -18,8 +18,7 @@ use embed::{Embedder, SemanticEmbedder};
 use geotext::{Dataset, GeoTextObject};
 use llm::prompts::summarize_prompt;
 use llm::{ChatRequest, LlmError, SimLlm};
-use serde_json::json;
-use vecdb::{CollectionConfig, Payload, VecDbError, VectorDb};
+use vecdb::{CollectionConfig, VecDbError, VectorDb};
 
 use crate::config::SemaSkConfig;
 use crate::retrieval::{PlannedQuery, PlannedRetrieval, QueryPlanner, RetrievalError};
@@ -133,25 +132,6 @@ impl PreparedCity {
     }
 }
 
-/// The collection payload of an enriched POI — one builder for a
-/// prepared POI and for an inserted or updated one, so a payload never
-/// depends on how its POI arrived. Under the compressed payload tier it
-/// carries the tip summary too: long text the FSST layer packs while the
-/// geo filter keeps reading only the (lat, lon) column.
-pub(crate) fn poi_payload(obj: &GeoTextObject, compress_payload_text: bool) -> Payload {
-    let mut pairs = vec![
-        ("lat", json!(obj.location.lat)),
-        ("lon", json!(obj.location.lon)),
-        ("name", json!(obj.name())),
-    ];
-    if compress_payload_text {
-        if let Some(summary) = obj.attrs.get_text("tip_summary") {
-            pairs.push(("tip_summary", json!(summary)));
-        }
-    }
-    Payload::from_pairs(&pairs)
-}
-
 /// Runs the full preparation pipeline for one generated city.
 pub fn prepare_city(
     data: &CityData,
@@ -183,7 +163,6 @@ pub fn prepare_city_with_threads(
         CollectionConfig {
             dim: embedder.dim(),
             scoring_tier: config.scoring_tier,
-            compress_payload_text: config.compress_payload_text,
             ..CollectionConfig::new(embedder.dim())
         },
     )?;
@@ -264,7 +243,7 @@ pub fn prepare_city_with_threads(
             collection.insert(
                 u64::from(obj.id.0),
                 vector.expect("every vector computed"),
-                poi_payload(obj, config.compress_payload_text),
+                (obj.location.lat, obj.location.lon),
             )?;
         }
     }
@@ -350,18 +329,21 @@ mod tests {
             &llm,
             &SemaSkConfig {
                 scoring_tier: vecdb::ScoringTier::Quantized { rerank_factor: 4 },
-                compress_payload_text: true,
                 ..SemaSkConfig::default()
             },
         )
         .unwrap();
         let c = tiered.db.collection(&tiered.collection_name).unwrap();
         let guard = c.read();
-        // The forced tier built the quantized store and the payload now
-        // carries the tip summary (compressible text).
-        assert!(guard.memory_footprint().quant_bytes > 0);
-        let payload = guard.payload(0).unwrap();
-        assert!(payload.get("tip_summary").is_some());
+        // The forced tier built the quantized store, and each point sits
+        // at its POI's position and holds nothing else beside its vector.
+        let footprint = guard.memory_footprint();
+        assert!(footprint.quant_bytes > 0);
+        assert_eq!(footprint.payload_bytes, 16 * tiered.dataset.len());
+        for (id, _, (lat, lon)) in guard.iter_points() {
+            let obj = &tiered.dataset.objects()[id as usize];
+            assert_eq!((lat, lon), (obj.location.lat, obj.location.lon));
+        }
         drop(guard);
         // Retrieval still respects the range under the tier.
         let center = tiered.city.center();
@@ -374,6 +356,40 @@ mod tests {
             let obj = &tiered.dataset.objects()[h.id as usize];
             assert!(range.contains(&obj.location));
         }
+    }
+
+    /// `compress_payload_text` is read nowhere: a city prepared with it
+    /// set is the city prepared without it, snapshot byte for byte and
+    /// footprint for footprint.
+    #[test]
+    #[allow(deprecated)]
+    fn the_compress_payload_text_residue_changes_nothing() {
+        let data = generate_city(&CITIES[3], 80, 21);
+        let llm = SimLlm::new();
+        let mut snapshots = Vec::new();
+        for compress_payload_text in [true, false] {
+            let config = SemaSkConfig {
+                compress_payload_text,
+                ..SemaSkConfig::default()
+            };
+            let p = prepare_city(&data, &llm, &config).unwrap();
+            let footprint =
+                p.db.collection(&p.collection_name)
+                    .unwrap()
+                    .read()
+                    .memory_footprint();
+            let dir = std::env::temp_dir().join(format!(
+                "semask_prep_residue_{compress_payload_text}_{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            crate::persist::save_prepared(&p, &dir).unwrap();
+            let bytes = std::fs::read(dir.join("snap-0")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            snapshots.push((bytes, footprint));
+        }
+        assert_eq!(snapshots[0].1, snapshots[1].1);
+        assert!(snapshots[0].0 == snapshots[1].0, "the snapshots differ");
     }
 
     /// A zero-dimension embedder would prepare a world whose every score

@@ -20,10 +20,14 @@
 //! [`Wal::open`] replays the longest valid prefix and truncates the
 //! file at the first torn or corrupt record — a partial tail write (the
 //! crash case) or a flipped bit (the corruption case) drops that record
-//! and everything after it, never a panic and never a partial apply.
-//! The pure [`decode_buffer`] seam carries the same guarantee and is
-//! what the proptest battery drives with arbitrary truncations and bit
-//! flips.
+//! and everything after it, never a panic and never a partial apply. A
+//! record whose checksum holds but that does not decode is neither: no
+//! crash writes one, another encoder did. Cutting there would delete
+//! writes that were already synced, so `open` refuses the file with
+//! [`WalError::Undecodable`] and leaves it as it is. The pure [`decode`]
+//! seam tells the two stops apart ([`LogEnd`]); [`decode_buffer`] is its
+//! records and length, what the proptest battery drives with arbitrary
+//! truncations and bit flips.
 //!
 //! The crash-point seam ([`crash_point`]) lets the fault-injection
 //! battery abort the process at named points (before/after the fsync,
@@ -117,6 +121,29 @@ pub enum WalError {
     /// mutations; kept explicit rather than panicking in a durability
     /// path).
     Encode(String),
+    /// The record at byte `offset` passes its checksum but does not
+    /// decode: another encoder wrote it, no crash did. The file is left
+    /// as it is.
+    Undecodable {
+        /// Where the record starts.
+        offset: u64,
+    },
+    /// A log that was synced whole — one rotated out at a checkpoint —
+    /// stops decoding at byte `offset` of `len`.
+    Incomplete {
+        /// Where decoding stopped.
+        offset: u64,
+        /// The file's length.
+        len: u64,
+    },
+    /// Recovery met a record that is not the one after the last it
+    /// applied: records between are missing.
+    SequenceGap {
+        /// The sequence number the next record had to carry.
+        expected: u64,
+        /// The one it carried.
+        found: u64,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -124,6 +151,18 @@ impl fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal io: {e}"),
             WalError::Encode(e) => write!(f, "wal encode: {e}"),
+            WalError::Undecodable { offset } => write!(
+                f,
+                "wal record at byte {offset} passes its checksum but does not decode"
+            ),
+            WalError::Incomplete { offset, len } => write!(
+                f,
+                "a rotated-out wal stops decoding at byte {offset} of {len}"
+            ),
+            WalError::SequenceGap { expected, found } => write!(
+                f,
+                "wal sequence gap: expected record {expected}, found {found}"
+            ),
         }
     }
 }
@@ -162,38 +201,78 @@ pub fn encode_record(seq: u64, mutation: &Mutation) -> Result<Vec<u8>, WalError>
     Ok(out)
 }
 
-/// Decodes the longest valid record prefix of `buf`. Returns the
-/// decoded records and the number of bytes they span; decoding stops —
-/// without panicking — at the first record that is torn (header or
-/// payload extends past the buffer), checksum-corrupt, or undecodable
-/// JSON. `consumed` is exactly where [`Wal::open`] truncates the file.
+/// Why decoding a log stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogEnd {
+    /// At the end of the buffer: every byte decoded.
+    Whole,
+    /// At a record a crash or a flipped bit leaves: a header or payload
+    /// past the end of the buffer, a length past the bound, a checksum
+    /// that fails, or an empty record — what a zero-filled tail reads
+    /// as, and nothing the encoder writes.
+    Torn,
+    /// At a record whose checksum holds but that does not decode.
+    Undecodable,
+}
+
+/// The longest valid record prefix of a log, and why it ends there.
+#[derive(Debug)]
+pub struct Decoded {
+    /// The records of the prefix, in order.
+    pub records: Vec<WalRecord>,
+    /// The bytes they span: where the stopping record starts.
+    pub consumed: usize,
+    /// Why decoding stopped at `consumed`.
+    pub end: LogEnd,
+}
+
+/// Decodes the longest valid record prefix of `buf`, without panicking
+/// on any input, and says why it stopped ([`LogEnd`]).
 #[must_use]
-pub fn decode_buffer(buf: &[u8]) -> (Vec<WalRecord>, usize) {
+pub fn decode(buf: &[u8]) -> Decoded {
     let mut records = Vec::new();
     let mut at = 0usize;
-    while let Some(header) = buf.get(at..at + RECORD_HEADER) {
+    let end = loop {
+        if at == buf.len() {
+            break LogEnd::Whole;
+        }
+        let Some(header) = buf.get(at..at + RECORD_HEADER) else {
+            break LogEnd::Torn;
+        };
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
         let stored_crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if len > MAX_PAYLOAD {
-            break;
-        }
         let start = at + RECORD_HEADER;
-        let Some(payload) = buf.get(start..start + len as usize) else {
-            break;
+        let payload = buf.get(start..start + len as usize);
+        let Some(payload) = payload.filter(|p| len <= MAX_PAYLOAD && !p.is_empty()) else {
+            break LogEnd::Torn;
         };
         if crc32(payload) != stored_crc {
-            break;
+            break LogEnd::Torn;
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(record) = serde_json::from_str::<WalRecord>(text) else {
-            break;
+        let record = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| serde_json::from_str::<WalRecord>(text).ok());
+        let Some(record) = record else {
+            break LogEnd::Undecodable;
         };
         records.push(record);
         at = start + len as usize;
+    };
+    Decoded {
+        records,
+        consumed: at,
+        end,
     }
-    (records, at)
+}
+
+/// [`decode`]'s records and the bytes they span, whatever the stop:
+/// `consumed` is where [`Wal::open`] truncates a torn file.
+#[must_use]
+pub fn decode_buffer(buf: &[u8]) -> (Vec<WalRecord>, usize) {
+    let Decoded {
+        records, consumed, ..
+    } = decode(buf);
+    (records, consumed)
 }
 
 /// Aggregate state of an open log, for checkpoint policies and metrics.
@@ -242,7 +321,9 @@ impl Wal {
     /// damaged file — damage costs the damaged suffix, nothing more.
     ///
     /// # Errors
-    /// [`WalError::Io`] on filesystem failure.
+    /// [`WalError::Io`] on filesystem failure;
+    /// [`WalError::Undecodable`] — the file untouched — when a record
+    /// passes its checksum but does not decode (module docs).
     pub fn open(path: impl Into<PathBuf>) -> Result<(Self, Vec<WalRecord>), WalError> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -253,7 +334,16 @@ impl Wal {
             .open(&path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let (records, consumed) = decode_buffer(&buf);
+        let Decoded {
+            records,
+            consumed,
+            end,
+        } = decode(&buf);
+        if end == LogEnd::Undecodable {
+            return Err(WalError::Undecodable {
+                offset: consumed as u64,
+            });
+        }
         if consumed < buf.len() {
             file.set_len(consumed as u64)?;
             file.sync_all()?;
@@ -537,6 +627,65 @@ mod tests {
         assert_eq!(replayed.len(), 4);
         assert_eq!(replayed[3].seq, 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `payload` framed as a record: its length and its checksum.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn a_record_that_checks_but_does_not_decode_is_refused_not_cut() {
+        let dir = std::env::temp_dir().join(format!("semask_wal_foreign_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let muts = sample_mutations();
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            wal.append(&muts[0]).unwrap();
+            wal.append(&muts[1]).unwrap();
+            wal.sync().unwrap();
+        }
+        let good = std::fs::read(&path).unwrap();
+        for foreign in [&b"{\"not\": \"a record\"}"[..], &[0xFF, 0xFE][..]] {
+            let mut file = good.clone();
+            file.extend_from_slice(&framed(foreign));
+            file.extend_from_slice(&encode_record(3, &muts[2]).unwrap());
+            std::fs::write(&path, &file).unwrap();
+
+            let decoded = decode(&file);
+            assert_eq!(decoded.end, LogEnd::Undecodable);
+            assert_eq!((decoded.records.len(), decoded.consumed), (2, good.len()));
+            let refused = Wal::open(&path).err();
+            assert!(
+                matches!(refused, Some(WalError::Undecodable { offset }) if offset == good.len() as u64),
+                "{refused:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), file, "the file is untouched");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_zero_filled_tail_is_torn_and_cut() {
+        let muts = sample_mutations();
+        let mut buf = encode_record(1, &muts[0]).unwrap();
+        let end = buf.len();
+        assert_eq!(decode(&buf).end, LogEnd::Whole);
+        // An empty record checks (the CRC-32 of nothing is 0), but the
+        // encoder never writes one: it is a crash's zero-filled tail.
+        for zeros in [3, 8, 4096] {
+            let mut tail = buf.clone();
+            tail.resize(end + zeros, 0);
+            let decoded = decode(&tail);
+            assert_eq!((decoded.end, decoded.consumed), (LogEnd::Torn, end));
+        }
+        buf.truncate(end - 1);
+        assert_eq!(decode(&buf).end, LogEnd::Torn);
     }
 
     #[test]

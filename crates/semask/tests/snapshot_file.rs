@@ -334,8 +334,9 @@ fn a_format_2_directory_and_other_versions_are_refused_by_their_version() {
     assert!(dir.join("snap-0").join("collection.bin").exists());
     std::fs::remove_dir_all(&dir).ok();
 
-    // A file naming another version is refused by it, checksum or not.
-    for version in [1u32, 2, 4, u32::MAX] {
+    // A file naming another version, the previous format 3 among them,
+    // is refused by it, checksum or not.
+    for version in [1u32, 2, 3, 5, u32::MAX] {
         let mut other = file.clone();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(

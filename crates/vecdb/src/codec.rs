@@ -1,12 +1,11 @@
 //! The byte layer under snapshots: the crate's one checksum, a
-//! section-framed container, a bounds-checked cursor, and the binary
-//! encoding of JSON payload values.
+//! section-framed container and a bounds-checked cursor.
 //!
 //! A container is `magic | version | crc32 | section table | sections`;
 //! a [`Format`] names its magic, the one version its readers accept and
 //! its section count. A collection snapshot is one of five sections
-//! (layout in [`crate::db`]); a crate that stores more beside a collection declares
-//! a format of its own and packs the collection's sections into it with
+//! (layout in [`crate::db`]); a crate that stores more beside a
+//! collection declares a format of its own and packs the collection's sections into it with
 //! [`crate::Collection::pack_sections`], so one file carries one
 //! checksum. [`Writer`] builds a container in a single buffer and
 //! [`Writer::finish`] hands it over as an [`UnsealedSnapshot`] — every
@@ -23,28 +22,6 @@
 //! out and come back as one block each (`Writer::f32s`,
 //! `Reader::f32s` and their `u32` / `u64` / `f64` twins), not element
 //! by element.
-//!
-//! A JSON [`Value`] is written as a one-byte tag and its contents, all
-//! little-endian:
-//!
-//! ```text
-//! 0 null   1 false   2 true
-//! 3 i64    4 u64     5 f64        8 bytes: the integer, or the float's bits
-//! 6 string u32 byte length + UTF-8
-//! 7 array  u32 count + count values
-//! 8 object u32 count + count × (u32 key length + UTF-8 key, value),
-//!          keys strictly ascending
-//! ```
-//!
-//! Each number keeps the kind it was stored as — `1`, `1.0` and a `u64`
-//! above `i64::MAX` are three encodings, and `-0.0` keeps its sign bit —
-//! so a restored payload is the stored one `Value` for `Value`. Nesting
-//! is bounded at `MAX_DEPTH` (128) both ways: a writer refuses to produce
-//! what a reader would refuse to read, and a hostile file cannot recurse
-//! the reader off its stack.
-
-use serde::Content;
-use serde_json::{Map, Value};
 
 use crate::error::VecDbError;
 
@@ -63,28 +40,11 @@ pub struct Format<const N: usize> {
 /// graph.
 pub(crate) const COLLECTION: Format<5> = Format {
     magic: *b"VECDBSNP",
-    version: 3,
+    version: 4,
 };
 
 /// Byte offset the checksum covers from (everything after the CRC field).
 const BODY: usize = 8 + 4 + 4;
-
-/// Deepest nesting of arrays and objects a stored payload may have
-/// (serde_json's own recursion limit).
-const MAX_DEPTH: usize = 128;
-
-/// Tags of the binary [`Value`] encoding (module docs).
-mod tag {
-    pub const NULL: u8 = 0;
-    pub const FALSE: u8 = 1;
-    pub const TRUE: u8 = 2;
-    pub const I64: u8 = 3;
-    pub const U64: u8 = 4;
-    pub const F64: u8 = 5;
-    pub const STRING: u8 = 6;
-    pub const ARRAY: u8 = 7;
-    pub const OBJECT: u8 = 8;
-}
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum of WAL
 /// records and of collection snapshots. Hand-rolled tables so nothing
@@ -306,78 +266,6 @@ impl Writer {
         self.words(vs, f64::to_le_bytes);
     }
 
-    /// A JSON object's entries (no tag), keys ascending as the map
-    /// keeps them, in the encoding of the module docs.
-    ///
-    /// # Errors
-    /// A value nested deeper than [`MAX_DEPTH`], or a string or
-    /// container too long for its `u32` length.
-    pub(crate) fn object(&mut self, m: &Map<String, Value>) -> Result<(), VecDbError> {
-        self.object_at(m, 0)
-    }
-
-    fn value_at(&mut self, v: &Value, depth: usize) -> Result<(), VecDbError> {
-        match v {
-            Value::Null => self.u8(tag::NULL),
-            Value::Bool(false) => self.u8(tag::FALSE),
-            Value::Bool(true) => self.u8(tag::TRUE),
-            // `Content` is the one place the number's stored kind shows.
-            Value::Number(n) => match Content::from(&Value::Number(*n)) {
-                Content::I64(i) => {
-                    self.u8(tag::I64);
-                    self.bytes(&i.to_le_bytes());
-                }
-                Content::U64(u) => {
-                    self.u8(tag::U64);
-                    self.u64(u);
-                }
-                Content::F64(x) => {
-                    self.u8(tag::F64);
-                    self.f64(x);
-                }
-                _ => unreachable!("a number converts to a number"),
-            },
-            Value::String(s) => {
-                self.u8(tag::STRING);
-                self.str(s)?;
-            }
-            Value::Array(items) => {
-                self.u8(tag::ARRAY);
-                self.count32(items.len(), depth)?;
-                for item in items {
-                    self.value_at(item, depth + 1)?;
-                }
-            }
-            Value::Object(m) => {
-                self.u8(tag::OBJECT);
-                self.object_at(m, depth)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn object_at(&mut self, m: &Map<String, Value>, depth: usize) -> Result<(), VecDbError> {
-        self.count32(m.len(), depth)?;
-        for (k, v) in m.iter() {
-            self.str(k)?;
-            self.value_at(v, depth + 1)?;
-        }
-        Ok(())
-    }
-
-    /// The element count of a container opened at `depth`.
-    fn count32(&mut self, count: usize, depth: usize) -> Result<(), VecDbError> {
-        if depth >= MAX_DEPTH {
-            return Err(corrupt(format!(
-                "a payload nested deeper than {MAX_DEPTH} levels"
-            )));
-        }
-        let count =
-            u32::try_from(count).map_err(|_| corrupt(format!("a {count}-element container")))?;
-        self.u32(count);
-        Ok(())
-    }
-
     /// Closes the current section at the bytes appended so far.
     pub fn end_section(&mut self) {
         self.ends.push(self.buf.len());
@@ -569,62 +457,6 @@ impl<'a> Reader<'a> {
         self.words(count, f64::from_le_bytes)
     }
 
-    /// A JSON object's entries as [`Writer::object`] wrote them.
-    pub(crate) fn object(&mut self) -> Result<Map<String, Value>, VecDbError> {
-        self.object_at(0)
-    }
-
-    fn value_at(&mut self, depth: usize) -> Result<Value, VecDbError> {
-        Ok(match self.u8()? {
-            tag::NULL => Value::Null,
-            tag::FALSE => Value::Bool(false),
-            tag::TRUE => Value::Bool(true),
-            tag::I64 => Value::from(&Content::I64(self.array().map(i64::from_le_bytes)?)),
-            tag::U64 => Value::from(&Content::U64(self.u64()?)),
-            tag::F64 => Value::from(&Content::F64(self.f64()?)),
-            tag::STRING => Value::String(self.str()?.to_owned()),
-            tag::ARRAY => {
-                // Every element takes at least its tag byte.
-                let count = self.count32(depth, 1)?;
-                let mut items = Vec::new();
-                for _ in 0..count {
-                    items.push(self.value_at(depth + 1)?);
-                }
-                Value::Array(items)
-            }
-            tag::OBJECT => Value::Object(self.object_at(depth)?),
-            t => return Err(corrupt(format!("value tag {t}"))),
-        })
-    }
-
-    fn object_at(&mut self, depth: usize) -> Result<Map<String, Value>, VecDbError> {
-        // Every entry takes at least a key length and a tag.
-        let count = self.count32(depth, 5)?;
-        let mut m = Map::new();
-        let mut last: Option<&str> = None;
-        for _ in 0..count {
-            let key = self.str()?;
-            if last.is_some_and(|prev| prev >= key) {
-                return Err(corrupt(format!("object key `{key}` out of order")));
-            }
-            last = Some(key);
-            let v = self.value_at(depth + 1)?;
-            m.insert(key.to_owned(), v);
-        }
-        Ok(m)
-    }
-
-    /// The element count of a container opened at `depth`.
-    fn count32(&mut self, depth: usize, min_bytes: usize) -> Result<usize, VecDbError> {
-        if depth >= MAX_DEPTH {
-            return Err(corrupt(format!(
-                "a payload nested deeper than {MAX_DEPTH} levels"
-            )));
-        }
-        let count = self.u32()? as usize;
-        self.count(count, min_bytes)
-    }
-
     /// Errors unless the section was consumed exactly — trailing bytes
     /// would make two different files decode to one collection.
     pub fn finish(self) -> Result<(), VecDbError> {
@@ -745,93 +577,18 @@ mod tests {
         assert_eq!(floats.remaining(), 12, "a failed read consumes nothing");
     }
 
-    /// One section holding `v`, sealed, and the value read back out.
-    fn value_round_trip(v: &Value) -> Result<Value, VecDbError> {
-        let mut w = COLLECTION.writer(64);
-        w.value_at(v, 0)?;
-        for _ in 0..5 {
-            w.end_section();
-        }
-        let file = w.finish().seal();
-        let [mut section, ..] = COLLECTION.open(&file)?;
-        let back = section.value_at(0)?;
-        section.finish()?;
-        Ok(back)
-    }
-
-    #[test]
-    fn values_keep_their_kind() {
-        use serde_json::json;
-        let minus_zero = Value::from(-0.0f64);
-        for v in [
-            json!(null),
-            json!(true),
-            json!(1),
-            json!(1.0),
-            json!(-1),
-            json!(u64::MAX),
-            Value::from(&Content::U64(5)),
-            minus_zero.clone(),
-            Value::from(&Content::F64(f64::NAN)),
-            json!(""),
-            json!("naïve ☕"),
-            json!([1, [2.5, []], {"a": {}}]),
-            json!({"b": null, "a": [false, "x"], "": 0}),
-        ] {
-            let back = value_round_trip(&v).unwrap();
-            assert_eq!(format!("{back:?}"), format!("{v:?}"));
-        }
-        let back = value_round_trip(&minus_zero).unwrap();
-        assert!(back.as_f64().unwrap().is_sign_negative());
-    }
-
-    #[test]
-    fn nesting_is_bounded_both_ways() {
-        let nest = |depth: usize| (0..depth).fold(Value::Null, |v, _| Value::Array(vec![v]));
-        assert!(value_round_trip(&nest(MAX_DEPTH)).is_ok());
-        assert!(value_round_trip(&nest(MAX_DEPTH + 1)).is_err(), "writer");
-        // A reader handed a deeper nest than any writer produces refuses
-        // it instead of recursing as deep as the bytes go.
-        let mut bytes = Vec::new();
-        for _ in 0..100_000 {
-            bytes.extend_from_slice(&[tag::ARRAY, 1, 0, 0, 0]);
-        }
-        bytes.push(tag::NULL);
-        assert!(Reader { rest: &bytes }.value_at(0).is_err(), "reader");
-    }
-
     #[test]
     fn values_that_are_not_canonical_are_refused() {
-        // Keys out of order or repeated; a tag past the last; a flag that
-        // is neither 0 nor 1; a count larger than the bytes behind it.
-        let object = |keys: &[&str]| {
-            let mut out = vec![tag::OBJECT];
-            out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-            for k in keys {
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-                out.push(tag::NULL);
-            }
-            out
-        };
-        assert!(Reader {
-            rest: &object(&["a", "b"])
-        }
-        .value_at(0)
-        .is_ok());
-        assert!(Reader {
-            rest: &object(&["b", "a"])
-        }
-        .value_at(0)
-        .is_err());
-        assert!(Reader {
-            rest: &object(&["a", "a"])
-        }
-        .value_at(0)
-        .is_err());
-        assert!(Reader { rest: &[9] }.value_at(0).is_err());
-        assert!(Reader { rest: &[2] }.bool().is_err());
-        let lie = [tag::ARRAY, 0xFF, 0xFF, 0xFF, 0xFF, tag::NULL];
-        assert!(Reader { rest: &lie }.value_at(0).is_err());
+        // A flag that is neither 0 nor 1, a string that is not UTF-8,
+        // and a count larger than the bytes behind it.
+        let over = |rest: &'static [u8]| Reader { rest };
+        assert!(over(&[2]).bool().is_err());
+        assert!(over(&[0, 1, 2]).bools(3).is_err());
+        assert!(over(&[0, 1]).bools(2).is_ok());
+        assert!(over(&[1, 0, 0, 0, 0xFF]).str().is_err());
+        assert!(over(&[1, 0, 0, 0, b'a']).str().is_ok());
+        let lie = &[0xFF, 0xFF, 0xFF, 0xFF, 0];
+        assert!(over(lie).str().is_err());
+        assert!(over(lie).count(usize::MAX, 1).is_err());
     }
 }

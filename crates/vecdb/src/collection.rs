@@ -1,4 +1,4 @@
-//! Collections: vectors + payloads + index + query planning.
+//! Collections: vectors + positions + index + query planning.
 
 use std::collections::BinaryHeap;
 
@@ -8,7 +8,7 @@ use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
 use crate::hnsw::{HnswConfig, HnswIndex, InsertPlan};
-use crate::payload::{Filter, Payload, PayloadStore};
+use crate::payload::{self, Filter, PayloadStore};
 use crate::quant::{QuantizedVectors, ScoringTier};
 use crate::rows::Rows;
 use crate::PointId;
@@ -42,10 +42,6 @@ pub struct CollectionConfig {
     /// Which representation exact scans score over (quantized-first
     /// with full-precision rerank vs. full precision throughout).
     pub scoring_tier: ScoringTier,
-    /// Whether long payload text fields are stored FSST-compressed
-    /// (see [`PayloadStore`]). Off by default; the metro-scale prep
-    /// turns it on.
-    pub compress_payload_text: bool,
 }
 
 impl CollectionConfig {
@@ -57,7 +53,6 @@ impl CollectionConfig {
             distance: Distance::Cosine,
             hnsw: HnswConfig::default(),
             scoring_tier: ScoringTier::Auto,
-            compress_payload_text: false,
         }
     }
 
@@ -78,9 +73,9 @@ impl CollectionConfig {
 
     /// Appends the configuration to a snapshot's meta section: `dim`
     /// (`u64`), the metric (`u8`: 0 cosine, 1 dot, 2 Euclid), `m`, `m0`,
-    /// `ef_construction` and `seed` (`u64` each), the scoring tier (`u8`:
-    /// 0 auto, 1 full, 2 quantized followed by its `rerank_factor` as
-    /// `u64`) and the text-compression flag (`u8`).
+    /// `ef_construction` and `seed` (`u64` each) and the scoring tier
+    /// (`u8`: 0 auto, 1 full, 2 quantized followed by its
+    /// `rerank_factor` as `u64`).
     fn pack(&self, w: &mut Writer) {
         w.len64(self.dim);
         w.u8(match self.distance {
@@ -100,7 +95,6 @@ impl CollectionConfig {
                 w.len64(rerank_factor);
             }
         }
-        w.bool(self.compress_payload_text);
     }
 
     /// Reads back what [`CollectionConfig::pack`] wrote. The values are
@@ -132,7 +126,6 @@ impl CollectionConfig {
             distance,
             hnsw,
             scoring_tier,
-            compress_payload_text: r.bool()?,
         })
     }
 }
@@ -154,9 +147,7 @@ pub struct MemoryFootprint {
     /// The id → offset column: 12 B for every id the collection has
     /// stored (an 8 B id and a 4 B offset), a deleted one included.
     pub id_index_bytes: usize,
-    /// Payload storage: the geo column (16 B a point — where a float
-    /// position lives, and the only copy of it), the JSON skeletons of
-    /// everything else, and the text tier (see [`PayloadStore`]).
+    /// The position column: 16 B a point, a `(lat, lon)` pair of `f64`.
     pub payload_bytes: usize,
 }
 
@@ -164,7 +155,7 @@ impl MemoryFootprint {
     /// Bytes the steady-state *scoring* path keeps hot: codes when the
     /// quantized tier is active (the f32 store is then only touched for
     /// the `rerank_factor × k` survivors per query), the full vectors
-    /// otherwise — plus the id index and payloads, which every filtered
+    /// otherwise — plus the id index and positions, which every filtered
     /// query walks.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
@@ -327,7 +318,8 @@ impl SearchParams {
     }
 }
 
-/// A named set of points: vectors, payloads, and an HNSW index.
+/// A named set of points — an id, a vector and a position each — and an
+/// HNSW index.
 #[derive(Debug, Clone)]
 pub struct Collection {
     config: CollectionConfig,
@@ -339,7 +331,7 @@ pub struct Collection {
     /// data is immutable, so cosine scoring never re-derives a stored
     /// vector's norm (it degenerates to one fused dot product).
     inv_norms: Vec<f32>,
-    payloads: PayloadStore,
+    positions: PayloadStore,
     /// Where each id lives, derived from `ids` and `deleted` — so a
     /// snapshot does not store it.
     by_id: IdColumn,
@@ -362,17 +354,12 @@ impl Collection {
     #[must_use]
     pub fn new(config: CollectionConfig) -> Self {
         let hnsw = HnswIndex::new(config.distance, config.hnsw.clone());
-        let payloads = if config.compress_payload_text {
-            PayloadStore::compressed()
-        } else {
-            PayloadStore::plain()
-        };
         Self {
             config,
             ids: Vec::new(),
             vectors: Vec::new(),
             inv_norms: Vec::new(),
-            payloads,
+            positions: PayloadStore::default(),
             by_id: IdColumn::default(),
             deleted: Vec::new(),
             live: 0,
@@ -418,18 +405,21 @@ impl Collection {
         }
     }
 
-    /// Inserts a point. Live ids must be unique; to change a point,
-    /// delete it and insert the id again (the HNSW graph itself is
-    /// append-only). [`Collection::plan_insert`] then
-    /// [`Collection::insert_planned`].
+    /// Inserts a point at `position`, a `(lat, lon)` pair. Live ids must
+    /// be unique; to change a point, delete it and insert the id again
+    /// (the HNSW graph itself is append-only).
+    /// [`Collection::plan_insert`] then [`Collection::insert_planned`].
+    ///
+    /// # Errors
+    /// See [`Collection::insert_planned`].
     pub fn insert(
         &mut self,
         id: PointId,
         vector: Vec<f32>,
-        payload: Payload,
+        position: (f64, f64),
     ) -> Result<(), VecDbError> {
         let plan = self.plan_insert(&vector)?;
-        self.insert_planned(id, vector, payload, plan)
+        self.insert_planned(id, vector, position, plan)
     }
 
     /// Plans the graph insert of `vector` as the next point without
@@ -451,15 +441,19 @@ impl Collection {
     /// batch — is made again here.
     ///
     /// # Errors
-    /// As [`Collection::insert`]; nothing is stored then.
+    /// What [`Collection::plan_insert`] refuses about the vector,
+    /// [`VecDbError::NonFinitePosition`] for a NaN or infinite
+    /// coordinate, and [`VecDbError::PointExists`] for a live id; nothing
+    /// is stored then.
     pub fn insert_planned(
         &mut self,
         id: PointId,
         vector: Vec<f32>,
-        payload: Payload,
+        position: (f64, f64),
         plan: InsertPlan,
     ) -> Result<(), VecDbError> {
         self.check_vector(&vector)?;
+        let position = payload::checked(position)?;
         let offset = self.ids.len();
         if !self.by_id.claim(id, offset) {
             return Err(VecDbError::PointExists { id });
@@ -467,7 +461,7 @@ impl Collection {
         self.ids.push(id);
         self.inv_norms.push(inv_norm(&vector));
         self.vectors.extend_from_slice(&vector);
-        self.payloads.push(payload);
+        self.positions.push(position);
         self.deleted.push(false);
         self.live += 1;
         let plan = if plan.offset() == offset {
@@ -550,15 +544,6 @@ impl Collection {
         self.by_id.get(id).is_some()
     }
 
-    /// The payload of a point (reassembled when the compressed text
-    /// tier is active, hence owned).
-    pub fn payload(&self, id: PointId) -> Result<Payload, VecDbError> {
-        self.by_id
-            .get(id)
-            .map(|o| self.payloads.get(o))
-            .ok_or(VecDbError::PointNotFound { id })
-    }
-
     /// The vector of a point.
     pub fn vector(&self, id: PointId) -> Result<&[f32], VecDbError> {
         self.by_id
@@ -570,8 +555,10 @@ impl Collection {
     /// Which offsets qualify: live points, and of those the ones whose
     /// position lies inside `filter`'s box.
     fn live_mask(&self, filter: Option<&Filter>) -> Vec<bool> {
-        let mut mask =
-            filter.map_or_else(|| vec![true; self.deleted.len()], |f| self.payloads.mask(f));
+        let mut mask = filter.map_or_else(
+            || vec![true; self.deleted.len()],
+            |f| self.positions.mask(f),
+        );
         for (qualifies, &dead) in mask.iter_mut().zip(&self.deleted) {
             *qualifies &= !dead;
         }
@@ -599,7 +586,7 @@ impl Collection {
                 .as_ref()
                 .map_or(0, |q| q.memory_bytes() + q.len() * 4),
             id_index_bytes: self.by_id.memory_bytes(),
-            payload_bytes: self.payloads.memory_bytes(),
+            payload_bytes: self.positions.memory_bytes(),
         }
     }
 
@@ -916,46 +903,37 @@ impl Collection {
     /// canonical — a collection has exactly one byte string. This is
     /// [`Collection::pack_snapshot`] followed by
     /// [`UnsealedSnapshot::seal`].
-    ///
-    /// # Errors
-    /// See [`Collection::pack_snapshot`].
-    pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, VecDbError> {
-        Ok(self.pack_snapshot()?.seal())
+    #[must_use]
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        self.pack_snapshot().seal()
     }
 
     /// Every section of the snapshot, packed, with the checksum pass
     /// left to [`UnsealedSnapshot::seal`] — so a caller that must hold
     /// the collection still while it packs (a checkpoint's cut) can
     /// checksum after letting go.
-    ///
-    /// # Errors
-    /// See [`Collection::pack_sections`].
-    pub fn pack_snapshot(&self) -> Result<UnsealedSnapshot, VecDbError> {
+    #[must_use]
+    pub fn pack_snapshot(&self) -> UnsealedSnapshot {
         let mut w = codec::COLLECTION.writer(0);
-        self.pack_sections(&mut w)?;
-        Ok(w.finish())
+        self.pack_sections(&mut w);
+        w.finish()
     }
 
     /// Appends the snapshot's five sections (meta, vectors, inverse
     /// norms, quantizer, graph; layout in [`crate::db`]) to `w`, ending
     /// each — the body of [`Collection::pack_snapshot`], and what a
     /// container of another [`codec::Format`] holds the collection as.
-    ///
-    /// # Errors
-    /// [`VecDbError::Snapshot`] for a payload the format cannot hold: one
-    /// nested deeper than 128 levels, or a string or container longer
-    /// than `u32::MAX`.
-    pub fn pack_sections(&self, w: &mut Writer) -> Result<(), VecDbError> {
+    pub fn pack_sections(&self, w: &mut Writer) {
         let n = self.ids.len();
-        // Meta (~150 B a point for SemaSK's payloads), vectors, norms,
+        // Meta (25 B a point: id, delete flag, position), vectors, norms,
         // codes + their norms, and ~2·m0 links a node.
-        w.reserve(n * (256 + self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0));
+        w.reserve(n * (25 + self.config.dim * 5 + 8 + 8 * self.config.hnsw.m0));
         self.config.pack(w);
         w.len64(n);
         w.u64s(&self.ids);
         w.bools(&self.deleted);
         w.len64(self.quant_trained_at);
-        self.payloads.pack(w)?;
+        self.positions.pack(w);
         w.end_section();
         w.f32s(&self.vectors);
         w.end_section();
@@ -967,7 +945,6 @@ impl Collection {
         w.end_section();
         self.hnsw.pack(w);
         w.end_section();
-        Ok(())
     }
 
     /// Rebuilds a collection from [`Collection::to_snapshot_bytes`]
@@ -975,11 +952,10 @@ impl Collection {
     /// verified before a section is interpreted, every declared length
     /// is checked against the bytes that remain before anything is
     /// allocated for it, and the parts must then agree with each other —
-    /// one point count across ids, vectors, norms, payloads, delete
-    /// flags, graph nodes and codes, the configured dimension and text
-    /// tier throughout, no id live at two offsets, each payload's
-    /// position agreeing with the geo column, and every graph
-    /// link inside the graph. A file that fails any of this is an error
+    /// one point count across ids, vectors, norms, positions, delete
+    /// flags, graph nodes and codes, the configured dimension
+    /// throughout, no id live at two offsets, every position finite, and
+    /// every graph link inside the graph. A file that fails any of this is an error
     /// here rather than a panic in some later query.
     ///
     /// # Errors
@@ -1014,7 +990,7 @@ impl Collection {
         let ids = meta.u64s(n)?;
         let deleted = meta.bools(n)?;
         let quant_trained_at = meta.len64()?;
-        let payloads = PayloadStore::unpack(&mut meta)?;
+        let positions = PayloadStore::unpack(&mut meta, n)?;
         meta.finish()?;
 
         let dim = config.dim;
@@ -1039,7 +1015,6 @@ impl Collection {
         let hnsw = HnswIndex::unpack(hnsw, config.distance, config.hnsw.clone(), budget)?;
 
         let counts = [
-            ("payloads", payloads.len()),
             ("graph nodes", hnsw.len()),
             (
                 "quantized vectors",
@@ -1052,11 +1027,6 @@ impl Collection {
         if quant.as_ref().is_some_and(|q| q.dim() != dim) {
             return Err(corrupt("quantized vectors of another dimension"));
         }
-        if payloads.is_compressed() != config.compress_payload_text {
-            return Err(corrupt(
-                "payload store of another text tier than configured",
-            ));
-        }
         let by_id = IdColumn::derive(&ids, &deleted)?;
         let live = deleted.iter().filter(|&&d| !d).count();
 
@@ -1065,7 +1035,7 @@ impl Collection {
             ids,
             vectors,
             inv_norms,
-            payloads,
+            positions,
             by_id,
             deleted,
             live,
@@ -1075,16 +1045,16 @@ impl Collection {
         })
     }
 
-    /// Iterates over the live points: `(id, vector, payload)`. Offsets of
-    /// soft-deleted points are skipped. This is the bulk-read surface the
-    /// shard nodes use to cut their slice out of a prepared collection. The
-    /// payload is owned: the compressed text tier reassembles it.
-    pub fn iter_points(&self) -> impl Iterator<Item = (PointId, &[f32], Payload)> + '_ {
+    /// Iterates over the live points: `(id, vector, (lat, lon))`.
+    /// Offsets of soft-deleted points are skipped. This is the bulk-read
+    /// surface the shard nodes use to cut their slice out of a prepared
+    /// collection.
+    pub fn iter_points(&self) -> impl Iterator<Item = (PointId, &[f32], (f64, f64))> + '_ {
         self.ids
             .iter()
             .enumerate()
             .filter(|(o, _)| !self.deleted[*o])
-            .map(|(o, &id)| (id, self.rows().row(o), self.payloads.get(o)))
+            .map(|(o, &id)| (id, self.rows().row(o), self.positions.position(o)))
     }
 }
 
@@ -1227,7 +1197,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     fn unit(angle: f32) -> Vec<f32> {
         vec![angle.cos(), angle.sin()]
@@ -1237,12 +1206,8 @@ mod tests {
         let mut c = Collection::new(CollectionConfig::new(2));
         for i in 0..n {
             let angle = i as f32 * 0.01;
-            let payload = Payload::from_pairs(&[
-                ("lat", json!(i as f64 * 0.001)),
-                ("lon", json!(-(i as f64) * 0.001)),
-                ("city", json!(if i % 2 == 0 { "A" } else { "B" })),
-            ]);
-            c.insert(i as PointId, unit(angle), payload).unwrap();
+            let position = (i as f64 * 0.001, -(i as f64) * 0.001);
+            c.insert(i as PointId, unit(angle), position).unwrap();
         }
         c
     }
@@ -1251,30 +1216,31 @@ mod tests {
     fn insert_and_lookup() {
         let c = collection_with_points(10);
         assert_eq!(c.len(), 10);
-        assert_eq!(c.payload(3).unwrap().get_f64("lat"), Some(0.003));
-        assert!(c.payload(99).is_err());
+        let (_, _, position) = c.iter_points().find(|&(id, ..)| id == 3).unwrap();
+        assert_eq!(position, (0.003, -0.003));
+        assert!(c.vector(99).is_err());
         assert_eq!(c.vector(0).unwrap().len(), 2);
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let mut c = Collection::new(CollectionConfig::new(4));
-        let err = c.insert(0, vec![1.0; 3], Payload::new());
+        let err = c.insert(0, vec![1.0; 3], (0.0, 0.0));
         assert!(matches!(err, Err(VecDbError::DimensionMismatch { .. })));
     }
 
     #[test]
     fn nan_rejected() {
         let mut c = Collection::new(CollectionConfig::new(2));
-        let err = c.insert(0, vec![f32::NAN, 0.0], Payload::new());
+        let err = c.insert(0, vec![f32::NAN, 0.0], (0.0, 0.0));
         assert_eq!(err, Err(VecDbError::NonFiniteVector));
     }
 
     #[test]
     fn duplicate_id_rejected() {
         let mut c = Collection::new(CollectionConfig::new(2));
-        c.insert(7, vec![1.0, 0.0], Payload::new()).unwrap();
-        assert!(c.insert(7, vec![0.0, 1.0], Payload::new()).is_err());
+        c.insert(7, vec![1.0, 0.0], (0.0, 0.0)).unwrap();
+        assert!(c.insert(7, vec![0.0, 1.0], (0.0, 0.0)).is_err());
     }
 
     #[test]
@@ -1533,7 +1499,7 @@ mod tests {
             ..CollectionConfig::new(2)
         });
         for i in 0..300u64 {
-            c.insert(i, unit((i / 3) as f32 * 0.05), Payload::new())
+            c.insert(i, unit((i / 3) as f32 * 0.05), (0.0, 0.0))
                 .unwrap();
         }
         let codes = c.quant.as_ref().expect("tier active");
@@ -1576,7 +1542,7 @@ mod tests {
         // the insertion-order tie-break at every lane count.
         let mut c = Collection::new(CollectionConfig::new(2));
         for id in 0..6u64 {
-            c.insert(id, vec![1.0, 0.0], Payload::new()).unwrap();
+            c.insert(id, vec![1.0, 0.0], (0.0, 0.0)).unwrap();
         }
         let params = SearchParams::top_k(4).with_strategy(SearchStrategy::Exact);
         let queries: [&[f32]; 2] = [&[1.0, 0.0], &[0.6, 0.8]];

@@ -7,20 +7,13 @@
 //! bits (`f32::to_le_bytes`), and no float is recomputed on load.
 //!
 //! ```text
-//! "VECDBSNP"  version: u32 = 3  crc32: u32   # CRC-32 of every byte after it
+//! "VECDBSNP"  version: u32 = 4  crc32: u32   # CRC-32 of every byte after it
 //! section count: u32 = 5, then one u64 byte length per section
 //! 0 meta      config    dim u64, metric u8 (0 cosine, 1 dot, 2 Euclid), m u64,
 //!                       m0 u64, ef_construction u64, seed u64, tier u8 (0 auto,
-//!                       1 full, 2 quantized + rerank_factor u64), compress u8
+//!                       1 full, 2 quantized + rerank_factor u64)
 //!             points    n u64, n × u64 ids, n × u8 delete flags,
-//!                       quant_trained_at u64
-//!             payloads  count u64, count × (lat f64, lon f64) geo column, one
-//!                       skeleton object each (tagged values, below), text flag
-//!                       u8; if set: pending u64, per payload a slot count u32
-//!                       and per slot key + (0 + raw string | 1 + index u32),
-//!                       arena flag u8; if set: symbol count u32, each len u8 +
-//!                       bytes, codes (len u64 + bytes), offsets (count u64 +
-//!                       count × u64), uncompressed bytes u64
+//!                       quant_trained_at u64, n × (lat f64, lon f64)
 //! 1 vectors   len × dim f32, row-major
 //! 2 inv_norms len f32
 //! 3 quant     empty when the tier is off, else dim u64, len u64, min f32,
@@ -29,14 +22,10 @@
 //!             node: level u32 and, per layer 0..=level, count u32 + count × u32
 //! ```
 //!
-//! A payload value is a tag byte and its contents: 0 null, 1 false,
-//! 2 true, 3 i64, 4 u64, 5 f64 (8 bytes each: the integer or the float's
-//! bits), 6 string (u32 byte length + UTF-8), 7 array (u32 count +
-//! values), 8 object (u32 count + key string and value each, keys
-//! strictly ascending); a skeleton is an object's entries without the
-//! tag. Numbers keep the kind they were stored as, `-0.0` its sign, and
-//! nesting stops at 128 levels on both sides. Strings are `u32`
-//! length-prefixed UTF-8 throughout.
+//! A point is its id, its delete flag, its position, its vector, its
+//! inverse norm, its codes when the quantized tier is on, and its graph
+//! node. A position is finite: a NaN or infinite coordinate is refused
+//! on load as it is on insert.
 //!
 //! Sections tile the file exactly and the encoding is canonical: a
 //! collection has one byte string, and re-packing a restored collection
@@ -47,9 +36,12 @@
 //! There is one version. A layout change bumps it and readers reject
 //! every version but their own — no migration, no fallback reader:
 //! version 2 packed the meta section, which version 1 wrote as JSON;
-//! version 3 dropped the stored id index and live count from it. Both
-//! left sections 1–4 byte for byte as they were, and a file of either
-//! earlier version is refused with an error that names its version. A
+//! version 3 dropped the stored id index and live count from it;
+//! version 4 dropped each point's payload — a JSON skeleton and an
+//! FSST-compressed text tier — and the text-compression flag, keeping
+//! only the position. Each left sections 1–4 byte for byte as they were,
+//! and a file of any earlier version is refused with an error that names
+//! its version. A
 //! file that fails the checksum, or whose parts disagree, is a
 //! [`VecDbError::Snapshot`], never a loaded collection.
 
@@ -160,7 +152,6 @@ impl VectorDb {
 mod tests {
     use super::*;
     use crate::collection::SearchParams;
-    use crate::payload::Payload;
 
     #[test]
     fn create_then_get() {
@@ -183,7 +174,7 @@ mod tests {
             let mut c = h.write();
             for i in 0..100u64 {
                 let a = i as f32 * 0.05;
-                c.insert(i, vec![a.cos(), a.sin()], Payload::new()).unwrap();
+                c.insert(i, vec![a.cos(), a.sin()], (0.0, 0.0)).unwrap();
             }
         }
         let handles: Vec<_> = (0..4)
@@ -212,11 +203,10 @@ mod tests {
         {
             let mut c = h.write();
             for i in 0..20u64 {
-                c.insert(i, vec![i as f32, 0.0, 1.0], Payload::new())
-                    .unwrap();
+                c.insert(i, vec![i as f32, 0.0, 1.0], (0.0, 0.0)).unwrap();
             }
         }
-        std::fs::write(&path, h.read().to_snapshot_bytes().unwrap()).unwrap();
+        std::fs::write(&path, h.read().to_snapshot_bytes()).unwrap();
 
         let db2 = VectorDb::new();
         let h2 = db2.restore_collection("c2", &path).unwrap();

@@ -35,6 +35,8 @@ pub enum VecDbError {
     },
     /// A vector contained NaN or infinity.
     NonFiniteVector,
+    /// A position's latitude or longitude was NaN or infinite.
+    NonFinitePosition,
     /// Snapshot (de)serialization failed.
     Snapshot {
         /// Human-readable cause.
@@ -64,6 +66,7 @@ impl fmt::Display for VecDbError {
             VecDbError::PointNotFound { id } => write!(f, "point {id} not found"),
             VecDbError::PointExists { id } => write!(f, "point {id} already exists"),
             VecDbError::NonFiniteVector => write!(f, "vector contains NaN or infinity"),
+            VecDbError::NonFinitePosition => write!(f, "position is NaN or infinite"),
             VecDbError::Snapshot { cause } => write!(f, "snapshot error: {cause}"),
             VecDbError::InvalidConfig { cause } => write!(f, "invalid configuration: {cause}"),
         }

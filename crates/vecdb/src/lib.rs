@@ -9,12 +9,15 @@
 //!   same algorithm Qdrant runs), and
 //! - **a geo bounding-box filter** — restricting search to points whose
 //!   position lies inside the query range `q.r`, read from a typed
-//!   `(lat, lon)` column beside each point's payload.
+//!   `(lat, lon)` column.
 //!
-//! A [`Collection`] owns vectors + payloads + the HNSW graph and picks a
-//! query strategy the way Qdrant does: when a filter is so selective that
-//! few points qualify, it brute-force scans the candidates (exact); when
-//! the filter is broad, it runs filtered HNSW search (approximate).
+//! A point is an id, a vector and a position — nothing else: the
+//! attributes the LLM reads live in the caller's dataset, not here. A
+//! [`Collection`] owns the vectors, the positions and the HNSW graph and
+//! picks a query strategy the way Qdrant does: when a filter is so
+//! selective that few points qualify, it brute-force scans the
+//! candidates (exact); when the filter is broad, it runs filtered HNSW
+//! search (approximate).
 //! [`VectorDb`] manages named collections behind `parking_lot` locks and
 //! persists each as one packed, checksummed snapshot file (format in
 //! [`db`]).
@@ -27,7 +30,6 @@ pub mod db;
 pub mod distance;
 pub mod error;
 pub mod flat;
-pub mod fsst;
 pub mod hnsw;
 pub mod payload;
 pub mod pool;
@@ -44,9 +46,8 @@ pub use db::{CollectionHandle, VectorDb};
 pub use distance::{inv_norm, Distance};
 pub use error::VecDbError;
 pub use flat::FlatIndex;
-pub use fsst::{CompressedStrings, SymbolTable};
 pub use hnsw::{HnswConfig, HnswIndex, InsertPlan};
-pub use payload::{Filter, Payload, PayloadStore};
+pub use payload::Filter;
 pub use pool::WorkerPool;
 pub use quant::{QuantizedVectors, ScoringTier};
 pub use rows::Rows;

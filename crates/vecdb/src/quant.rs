@@ -304,8 +304,7 @@ mod tests {
             ..crate::CollectionConfig::new(32)
         });
         for (i, v) in vs.iter().enumerate() {
-            c.insert(i as u64, v.clone(), crate::Payload::new())
-                .unwrap();
+            c.insert(i as u64, v.clone(), (0.0, 0.0)).unwrap();
         }
         let query = pseudo(9999, 32);
         let mut truth: Vec<(usize, f32)> = vs

@@ -148,9 +148,9 @@ pub fn merge_top_k(per_shard: &[Vec<ScoredPoint>], k: usize) -> (Vec<ScoredPoint
 /// source: ids are unique and vectors already validated).
 pub fn partition(source: &Collection, spec: ShardSpec) -> Result<Collection, VecDbError> {
     let mut slice = Collection::new(source.config().clone());
-    for (id, vector, payload) in source.iter_points() {
+    for (id, vector, position) in source.iter_points() {
         if spec.owns(id) {
-            slice.insert(id, vector.to_vec(), payload)?;
+            slice.insert(id, vector.to_vec(), position)?;
         }
     }
     Ok(slice)
@@ -160,8 +160,7 @@ pub fn partition(source: &Collection, spec: ShardSpec) -> Result<Collection, Vec
 mod tests {
     use super::*;
     use crate::collection::{CollectionConfig, SearchParams, SearchStrategy};
-    use crate::payload::{Filter, Payload};
-    use serde_json::json;
+    use crate::payload::Filter;
 
     fn unit(angle: f32) -> Vec<f32> {
         vec![angle.cos(), angle.sin()]
@@ -171,11 +170,8 @@ mod tests {
         let mut flat = Collection::new(CollectionConfig::new(2));
         for i in 0..n {
             let angle = i as f32 * 0.01;
-            let payload = Payload::from_pairs(&[
-                ("lat", json!(i as f64 * 0.001)),
-                ("lon", json!(-(i as f64) * 0.001)),
-            ]);
-            flat.insert(i as PointId, unit(angle), payload).unwrap();
+            let position = (i as f64 * 0.001, -(i as f64) * 0.001);
+            flat.insert(i as PointId, unit(angle), position).unwrap();
         }
         flat
     }
@@ -223,8 +219,13 @@ mod tests {
             }
             let owner = &slices[shard_of(id, 4)];
             assert_eq!(owner.vector(id).unwrap(), flat.vector(id).unwrap());
-            assert_eq!(owner.payload(id).unwrap(), flat.payload(id).unwrap());
         }
+        // Each point keeps its position.
+        let positions =
+            |c: &Collection| -> Vec<_> { c.iter_points().map(|(id, _, p)| (id, p)).collect() };
+        let mut cut: Vec<_> = slices.iter().flat_map(positions).collect();
+        cut.sort_by_key(|&(id, _)| id);
+        assert_eq!(cut, positions(&flat));
         let per_slice: Vec<usize> = slices.iter().map(Collection::len).collect();
         assert_eq!(per_slice.iter().sum::<usize>(), flat.len());
         assert!(per_slice.iter().all(|&n| n > 0), "no empty slice at n=200");
@@ -272,7 +273,7 @@ mod tests {
         // reproduce that order across any slice count.
         let mut flat = Collection::new(CollectionConfig::new(2));
         for id in 0..5u64 {
-            flat.insert(id, vec![1.0, 0.0], Payload::new()).unwrap();
+            flat.insert(id, vec![1.0, 0.0], (0.0, 0.0)).unwrap();
         }
         let params = SearchParams::top_k(3).with_strategy(SearchStrategy::Exact);
         let expect = flat.search(&[1.0, 0.0], &params).unwrap();

@@ -1,7 +1,6 @@
 //! Soft-deletion behaviour of collections.
 
-use serde_json::json;
-use vecdb::{Collection, CollectionConfig, Distance, Filter, Payload, SearchParams, VecDbError};
+use vecdb::{Collection, CollectionConfig, Distance, Filter, SearchParams, VecDbError};
 
 fn collection(n: usize) -> Collection {
     let mut c = Collection::new(CollectionConfig {
@@ -9,8 +8,7 @@ fn collection(n: usize) -> Collection {
         ..CollectionConfig::new(2)
     });
     for i in 0..n as u64 {
-        let payload = Payload::from_pairs(&[("lat", json!(i as f64)), ("lon", json!(0.0))]);
-        c.insert(i, vec![i as f32, 0.0], payload).unwrap();
+        c.insert(i, vec![i as f32, 0.0], (i as f64, 0.0)).unwrap();
     }
     c
 }
@@ -35,10 +33,7 @@ fn deleted_points_vanish_from_search() {
 fn deleted_points_vanish_from_lookups_and_filters() {
     let mut c = collection(10);
     c.delete(3).unwrap();
-    assert!(matches!(
-        c.payload(3),
-        Err(VecDbError::PointNotFound { id: 3 })
-    ));
+    assert!(c.iter_points().all(|(id, ..)| id != 3));
     assert!(matches!(
         c.vector(3),
         Err(VecDbError::PointNotFound { id: 3 })
@@ -62,7 +57,7 @@ fn delete_twice_errors() {
 fn id_reusable_after_delete() {
     let mut c = collection(5);
     c.delete(2).unwrap();
-    c.insert(2, vec![100.0, 0.0], Payload::new()).unwrap();
+    c.insert(2, vec![100.0, 0.0], (0.0, 0.0)).unwrap();
     assert_eq!(c.len(), 5);
     let v = c.vector(2).unwrap();
     assert_eq!(v, &[100.0, 0.0]);
@@ -72,7 +67,7 @@ fn id_reusable_after_delete() {
 fn duplicate_live_id_rejected() {
     let mut c = collection(5);
     assert!(matches!(
-        c.insert(2, vec![0.0, 0.0], Payload::new()),
+        c.insert(2, vec![0.0, 0.0], (0.0, 0.0)),
         Err(VecDbError::PointExists { id: 2 })
     ));
 }

@@ -10,7 +10,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use vecdb::{Collection, CollectionConfig, HnswConfig, Payload, PointId, VecDbError};
+use vecdb::{Collection, CollectionConfig, HnswConfig, PointId, VecDbError};
 
 const DIM: usize = 4;
 
@@ -47,28 +47,23 @@ struct Model {
     stored: BTreeSet<PointId>,
 }
 
-/// One id's answers: whether it is live, its vector, and whether its
-/// payload reads.
-type IdAnswer = (bool, Result<Vec<f32>, VecDbError>, bool);
+/// One id's answers: whether it is live, and its vector.
+type IdAnswer = (bool, Result<Vec<f32>, VecDbError>);
 
 fn answers_for(c: &Collection, id: PointId) -> IdAnswer {
-    (
-        c.contains(id),
-        c.vector(id).map(<[f32]>::to_vec),
-        c.payload(id).is_ok(),
-    )
+    (c.contains(id), c.vector(id).map(<[f32]>::to_vec))
 }
 
 /// `c` gives the model's answer for `id`.
 fn check_id(c: &Collection, model: &Model, id: PointId, step: usize) -> Result<(), String> {
-    let (contains, vector, payload) = answers_for(c, id);
+    let (contains, vector) = answers_for(c, id);
     match model.live.get(&id) {
         Some(v) => {
-            prop_assert!(contains && payload, "step {}: id {} lost", step, id);
+            prop_assert!(contains, "step {}: id {} lost", step, id);
             prop_assert_eq!(vector, Ok(v.clone()), "step {}: id {}", step, id);
         }
         None => {
-            prop_assert!(!contains && !payload, "step {}: id {} live", step, id);
+            prop_assert!(!contains, "step {}: id {} live", step, id);
             prop_assert_eq!(
                 vector,
                 Err(VecDbError::PointNotFound { id }),
@@ -148,7 +143,7 @@ proptest! {
         for (step, &(kind, pick, seed)) in ops.iter().enumerate() {
             if step == snapshot_at {
                 let before = everything(&c, &model);
-                let restored = Collection::from_snapshot_bytes(&c.to_snapshot_bytes().unwrap())
+                let restored = Collection::from_snapshot_bytes(&c.to_snapshot_bytes())
                     .unwrap();
                 prop_assert_eq!(restored.memory_footprint(), c.memory_footprint());
                 prop_assert_eq!(everything(&restored, &model), before, "step {}", step);
@@ -165,7 +160,7 @@ proptest! {
                 0 | 1 => {
                     let id = if kind == 0 { fresh_id(mode, last, seed) } else { old_id };
                     let v = vector_of(seed);
-                    let result = c.insert(id, v.clone(), Payload::new());
+                    let result = c.insert(id, v.clone(), (0.0, 0.0));
                     if let Entry::Vacant(slot) = model.live.entry(id) {
                         prop_assert_eq!(result, Ok(()));
                         slot.insert(v);
@@ -216,7 +211,7 @@ proptest! {
         let mut model = Model::default();
         for i in 0..n as u64 {
             let v = vector_of(i);
-            c.insert(i * 3, v.clone(), Payload::new()).unwrap();
+            c.insert(i * 3, v.clone(), (0.0, 0.0)).unwrap();
             model.live.insert(i * 3, v);
             model.stored.insert(i * 3);
         }
@@ -226,7 +221,7 @@ proptest! {
             if let Entry::Occupied(mut slot) = model.live.entry(id) {
                 prop_assert_eq!(result, Ok(()));
                 let v = vector_of(1_000_000 + k);
-                c.insert(id, v.clone(), Payload::new()).unwrap();
+                c.insert(id, v.clone(), (0.0, 0.0)).unwrap();
                 slot.insert(v);
             } else {
                 prop_assert_eq!(result, Err(VecDbError::PointNotFound { id }));

@@ -1,10 +1,9 @@
 //! Property-based tests for the vector database.
 
 use proptest::prelude::*;
-use serde_json::json;
 use vecdb::{
-    Collection, CollectionConfig, Distance, Filter, FlatIndex, HnswConfig, HnswIndex, Payload,
-    Rows, SearchParams,
+    Collection, CollectionConfig, Distance, Filter, FlatIndex, HnswConfig, HnswIndex, Rows,
+    SearchParams,
 };
 
 fn arb_vectors(dim: usize, max: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -72,8 +71,7 @@ proptest! {
         let mut c = Collection::new(CollectionConfig::new(4));
         for (i, v) in vectors.iter().enumerate() {
             let lat = i as f64 / vectors.len() as f64;
-            let payload = Payload::from_pairs(&[("lat", json!(lat)), ("lon", json!(0.0))]);
-            c.insert(i as u64, v.clone(), payload).unwrap();
+            c.insert(i as u64, v.clone(), (lat, 0.0)).unwrap();
         }
         let f = Filter::geo_box(min_lat, -1.0, (min_lat + span).min(1.0), 1.0);
         let r = c
@@ -92,7 +90,7 @@ proptest! {
             ..CollectionConfig::new(8)
         });
         for (i, v) in vectors.iter().enumerate() {
-            c.insert(i as u64, v.clone(), Payload::new()).unwrap();
+            c.insert(i as u64, v.clone(), (0.0, 0.0)).unwrap();
         }
         let q = vec![0.0f32; 8];
         let exact = c.search(&q, &SearchParams::top_k(1).with_exact(true)).unwrap();

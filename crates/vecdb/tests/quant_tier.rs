@@ -8,10 +8,7 @@
 //!   bit-identical, so existing small-collection callers see no change
 //!   without opting out.
 
-use serde_json::json;
-use vecdb::{
-    Collection, CollectionConfig, Filter, Payload, ScoringTier, SearchParams, SearchStrategy,
-};
+use vecdb::{Collection, CollectionConfig, Filter, ScoringTier, SearchParams, SearchStrategy};
 
 const DIM: usize = 32;
 
@@ -33,11 +30,9 @@ fn build(n: usize, tier: ScoringTier) -> Collection {
         ..CollectionConfig::new(DIM)
     });
     for i in 0..n {
-        let p = Payload::from_pairs(&[
-            ("lat", json!((i % 100) as f64 * 0.01)),
-            ("lon", json!((i / 100) as f64 * 0.01)),
-        ]);
-        c.insert(i as u64, pseudo(i as u64 + 1, DIM), p).unwrap();
+        let position = ((i % 100) as f64 * 0.01, (i / 100) as f64 * 0.01);
+        c.insert(i as u64, pseudo(i as u64 + 1, DIM), position)
+            .unwrap();
     }
     c
 }

@@ -8,8 +8,8 @@
 //! **Hostile bytes:** whatever is handed to the reader — a truncation, a
 //! flipped bit, a length that overruns the file, a graph link to a node
 //! that does not exist or a meta field that disagrees with the rest
-//! behind a *recomputed* checksum, a file of format 1 or 2 — the result is an
-//! `Err`: never a panic, and never an allocation sized by the lie. The
+//! behind a *recomputed* checksum, a file of format 1, 2 or 3 — the result
+//! is an `Err`: never a panic, and never an allocation sized by the lie. The
 //! meta section's fields are found by `meta_layout`, a reader of the
 //! layout table in `vecdb::db` written independently of the crate's.
 
@@ -17,9 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use proptest::prelude::*;
-use serde_json::{json, Value};
 use vecdb::{
-    crc32, Collection, CollectionConfig, Filter, HnswConfig, Payload, ScoringTier, SearchParams,
+    crc32, Collection, CollectionConfig, Filter, HnswConfig, ScoringTier, SearchParams,
     SearchStrategy, VecDbError, VectorDb,
 };
 
@@ -96,19 +95,8 @@ fn pseudo(seed: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
-fn payload(i: u64) -> Payload {
-    Payload::from_pairs(&[
-        ("lat", json!((i % 40) as f64 * 0.01)),
-        ("lon", json!((i / 40) as f64 * 0.01)),
-        // Long enough for the compressed text tier to take it.
-        (
-            "tips",
-            json!(format!(
-                "visit {i}: the coffee here is excellent and the staff were friendly, \
-                 the pastries remain outstanding and the queue moves quickly"
-            )),
-        ),
-    ])
+fn position(i: u64) -> (f64, f64) {
+    ((i % 40) as f64 * 0.01, (i / 40) as f64 * 0.01)
 }
 
 /// A collection that has lived: `n` inserts, every seventh point
@@ -119,13 +107,13 @@ fn lived_in(config: CollectionConfig, n: u64) -> Collection {
     let dim = config.dim;
     let mut c = Collection::new(config);
     for i in 0..n {
-        c.insert(i * 3, pseudo(i + 1, dim), payload(i)).unwrap();
+        c.insert(i * 3, pseudo(i + 1, dim), position(i)).unwrap();
     }
     for i in (0..n).step_by(7) {
         c.delete(i * 3).unwrap();
     }
     for i in [0, 14] {
-        c.insert(i * 3, pseudo(i + 9_000, dim), payload(i + 9_000))
+        c.insert(i * 3, pseudo(i + 9_000, dim), position(i + 9_000))
             .unwrap();
     }
     c
@@ -133,20 +121,22 @@ fn lived_in(config: CollectionConfig, n: u64) -> Collection {
 
 const DIM: usize = 16;
 
-fn config(tier: ScoringTier, compress: bool) -> CollectionConfig {
+fn config(tier: ScoringTier) -> CollectionConfig {
     CollectionConfig {
         scoring_tier: tier,
-        compress_payload_text: compress,
         ..CollectionConfig::new(DIM)
     }
 }
 
-/// One search's answer: ids with score bits, and the best hit's
-/// reassembled payload.
-type Answer = (Vec<(u64, u32)>, Option<Payload>);
+/// One search's answer: ids with score bits.
+type Answer = Vec<(u64, u32)>;
 
-/// 50 exact and 50 graph searches, half of them behind a payload filter.
-fn fingerprint(c: &Collection) -> Vec<Answer> {
+/// A live point as bits: its id and its position.
+type PointBits = (u64, [u64; 2]);
+
+/// 50 exact and 50 graph searches, half of them behind a geo filter,
+/// and every live point's position, bit for bit.
+fn fingerprint(c: &Collection) -> (Vec<Answer>, Vec<PointBits>) {
     let mut out = Vec::new();
     for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
         for q in 0..50u64 {
@@ -155,30 +145,27 @@ fn fingerprint(c: &Collection) -> Vec<Answer> {
                 params = params.with_filter(Filter::geo_box(0.0, 0.0, 0.2, 0.2));
             }
             let hits = c.search(&pseudo(q + 500, DIM), &params).unwrap();
-            let first = hits.first().map(|h| c.payload(h.id).unwrap());
-            let bits = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
-            out.push((bits, first));
+            out.push(hits.iter().map(|h| (h.id, h.score.to_bits())).collect());
         }
     }
-    out
+    let points = c
+        .iter_points()
+        .map(|(id, _, (lat, lon))| (id, [lat.to_bits(), lon.to_bits()]))
+        .collect();
+    (out, points)
 }
 
 #[test]
 fn snapshot_round_trip_is_bit_identical_and_repacks_to_the_same_bytes() {
     let quantized = ScoringTier::Quantized { rerank_factor: 4 };
-    // 1,200 points: past the FSST training trigger (1,024 long strings),
-    // so every representation is live.
     let mut worlds: Vec<(String, Collection)> = Vec::new();
     for tier in [ScoringTier::Full, quantized] {
-        for compress in [false, true] {
-            let name = format!("{tier:?}, compressed text {compress}");
-            worlds.push((name, lived_in(config(tier, compress), 1_200)));
-        }
+        worlds.push((format!("{tier:?}"), lived_in(config(tier), 1_200)));
     }
-    worlds.push(("empty".to_owned(), Collection::new(config(quantized, true))));
+    worlds.push(("empty".to_owned(), Collection::new(config(quantized))));
 
     for (name, original) in &worlds {
-        let bytes = original.to_snapshot_bytes().unwrap();
+        let bytes = original.to_snapshot_bytes();
         let restored = Collection::from_snapshot_bytes(&bytes).expect(name);
         assert_eq!(restored.len(), original.len(), "{name}");
         assert_eq!(fingerprint(&restored), fingerprint(original), "{name}");
@@ -188,13 +175,13 @@ fn snapshot_round_trip_is_bit_identical_and_repacks_to_the_same_bytes() {
             "{name}"
         );
         assert!(
-            restored.to_snapshot_bytes().unwrap() == bytes,
+            restored.to_snapshot_bytes() == bytes,
             "{name}: re-packing a restored collection changed the bytes"
         );
     }
-    let (_, lived) = &worlds[3];
+    let (_, lived) = &worlds[1];
     assert!(lived.len() < 1_200 && lived.contains(0) && !lived.contains(21));
-    assert!(!fingerprint(lived)[0].0.is_empty());
+    assert!(!fingerprint(lived).0[0].is_empty());
 }
 
 /// Build N, snapshot, restore, insert M more ≡ build N + M straight.
@@ -209,22 +196,21 @@ fn snapshot_restored_collection_keeps_taking_writes() {
         ScoringTier::Full,
         ScoringTier::Quantized { rerank_factor: 4 },
     ] {
-        let mut original = lived_in(config(tier, true), 300);
-        let mut restored =
-            Collection::from_snapshot_bytes(&original.to_snapshot_bytes().unwrap()).unwrap();
+        let mut original = lived_in(config(tier), 300);
+        let mut restored = Collection::from_snapshot_bytes(&original.to_snapshot_bytes()).unwrap();
         for c in [&mut original, &mut restored] {
             for i in 0..100u64 {
-                c.insert(10_000 + i, pseudo(i + 70_000, DIM), payload(i))
+                c.insert(10_000 + i, pseudo(i + 70_000, DIM), position(i))
                     .unwrap();
             }
             c.delete(3).unwrap();
         }
         assert_eq!(fingerprint(&restored), fingerprint(&original), "{tier:?}");
-        let bytes = original.to_snapshot_bytes().unwrap();
-        assert!(restored.to_snapshot_bytes().unwrap() == bytes, "{tier:?}");
+        let bytes = original.to_snapshot_bytes();
+        assert!(restored.to_snapshot_bytes() == bytes, "{tier:?}");
         // No cached state reaches the canonical bytes.
         let reread = Collection::from_snapshot_bytes(&bytes).unwrap();
-        assert!(reread.to_snapshot_bytes().unwrap() == bytes, "{tier:?}");
+        assert!(reread.to_snapshot_bytes() == bytes, "{tier:?}");
     }
 }
 
@@ -246,7 +232,7 @@ fn small() -> Vec<u8> {
         },
         ..CollectionConfig::new(4)
     };
-    lived_in(config, 70).to_snapshot_bytes().unwrap()
+    lived_in(config, 70).to_snapshot_bytes()
 }
 
 /// Where each section starts, read from the section table.
@@ -290,9 +276,9 @@ fn snapshot_with_a_flipped_header_bit_is_rejected() {
     }
     // An unknown version is refused even with a checksum that matches.
     let mut next = file.clone();
-    next[8..12].copy_from_slice(&4u32.to_le_bytes());
+    next[8..12].copy_from_slice(&5u32.to_le_bytes());
     reseal(&mut next);
-    assert_rejected(&next, "format version 4");
+    assert_rejected(&next, "format version 5");
 }
 
 #[test]
@@ -376,12 +362,9 @@ struct MetaLayout {
     m: usize,
     m0: usize,
     ef_construction: usize,
-    compress: usize,
     ids: usize,
     deleted: usize,
     geo: usize,
-    /// Where each payload's skeleton starts (its entry count).
-    skeletons: Vec<usize>,
     /// `(position, width)` of every count or length the reader sizes
     /// something by.
     counts: Vec<(usize, usize)>,
@@ -391,42 +374,6 @@ fn le(file: &[u8], at: usize, width: usize) -> usize {
     let mut word = [0u8; 8];
     word[..width].copy_from_slice(&file[at..at + width]);
     u64::from_le_bytes(word) as usize
-}
-
-/// Past the `u32`-length-prefixed string at `at`.
-fn skip_str(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
-    counts.push((at, 4));
-    at + 4 + le(file, at, 4)
-}
-
-/// Past the object entries (count, then key + value each) at `at`.
-fn skip_object(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
-    counts.push((at, 4));
-    let mut at = at + 4;
-    for _ in 0..le(file, at - 4, 4) {
-        at = skip_str(file, at, counts);
-        at = skip_value(file, at, counts);
-    }
-    at
-}
-
-/// Past the tagged value at `at`.
-fn skip_value(file: &[u8], at: usize, counts: &mut Vec<(usize, usize)>) -> usize {
-    match file[at] {
-        0..=2 => at + 1,
-        3..=5 => at + 9,
-        6 => skip_str(file, at + 1, counts),
-        7 => {
-            counts.push((at + 1, 4));
-            let mut next = at + 5;
-            for _ in 0..le(file, at + 1, 4) {
-                next = skip_value(file, next, counts);
-            }
-            next
-        }
-        8 => skip_object(file, at + 1, counts),
-        t => panic!("value tag {t} at {at}"),
-    }
 }
 
 fn meta_layout(file: &[u8]) -> MetaLayout {
@@ -439,52 +386,12 @@ fn meta_layout(file: &[u8]) -> MetaLayout {
     m.ef_construction = at + 25;
     at += 41; // + seed
     at += if file[at] == 2 { 9 } else { 1 }; // scoring tier
-    m.compress = at;
-    at += 1;
     m.counts.push((at, 8));
     let n = le(file, at, 8);
     m.ids = at + 8;
     m.deleted = m.ids + 8 * n;
-    at = m.deleted + n + 8; // + quant_trained_at
-    m.counts.push((at, 8));
-    let payloads = le(file, at, 8);
-    m.geo = at + 8;
-    at = m.geo + 16 * payloads;
-    for _ in 0..payloads {
-        m.skeletons.push(at);
-        at = skip_object(file, at, &mut m.counts);
-    }
-    at += 1;
-    if file[at - 1] == 1 {
-        at += 8; // pending
-        for _ in 0..payloads {
-            m.counts.push((at, 4));
-            let slots = le(file, at, 4);
-            at += 4;
-            for _ in 0..slots {
-                at = skip_str(file, at, &mut m.counts);
-                at += 1;
-                at = if file[at - 1] == 0 {
-                    skip_str(file, at, &mut m.counts)
-                } else {
-                    at + 4
-                };
-            }
-        }
-        at += 1;
-        if file[at - 1] == 1 {
-            m.counts.push((at, 4));
-            for _ in 0..le(file, at, 4) {
-                at += 1 + usize::from(file[at + 4]);
-            }
-            at += 4;
-            m.counts.push((at, 8));
-            at += 8 + le(file, at, 8);
-            m.counts.push((at, 8));
-            at += 8 + 8 * le(file, at, 8);
-            at += 8; // uncompressed total
-        }
-    }
+    m.geo = m.deleted + n + 8; // + quant_trained_at
+    at = m.geo + 16 * n;
     assert_eq!(
         at,
         section_starts(file)[1],
@@ -544,7 +451,7 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
             "{what}: {refused:?}"
         );
     }
-    let edits: [(&str, usize, Vec<u8>); 5] = [
+    let edits: [(&str, usize, Vec<u8>); 3] = [
         (
             "a delete flag that is neither 0 nor 1",
             meta.deleted + 1,
@@ -552,15 +459,25 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
         ),
         ("another dimension", meta.dim, u64_le(8)),
         ("a metric that does not exist", meta.distance, vec![3]),
-        ("another text tier than the store's", meta.compress, vec![1]),
-        (
-            "half of a moved position gone",
-            meta.geo + 16,
-            f64::NAN.to_le_bytes().to_vec(),
-        ),
     ];
     for (what, at, bytes) in edits {
         assert_rejected(&patched(&file, at, &bytes), what);
+    }
+    // A position `insert` would have refused, at either coordinate of
+    // a live point and of a deleted one (offset 0).
+    for offset in [0, 1, 71] {
+        for coordinate in 0..2 {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let at = meta.geo + 16 * offset + 8 * coordinate;
+                let bad = patched(&file, at, &bad.to_le_bytes());
+                assert_rejected(&bad, "a position that is not finite");
+                let refused = Collection::from_snapshot_bytes(&bad).err();
+                assert!(
+                    matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("not finite")),
+                    "offset {offset}: {refused:?}"
+                );
+            }
+        }
     }
 
     // Edits that change the section's length.
@@ -576,9 +493,11 @@ fn snapshot_meta_that_disagrees_is_rejected_behind_a_valid_checksum() {
 
 #[test]
 fn snapshot_meta_counts_larger_than_the_section_never_allocate() {
-    for file in [small(), tiny_of_every_kind()] {
+    for file in [small(), tiny()] {
         let meta = meta_layout(&file);
-        assert!(meta.counts.len() > 20, "{} counts found", meta.counts.len());
+        // The point count sizes the ids, the delete flags and the
+        // positions; nothing else in the section is a count.
+        assert_eq!(meta.counts.len(), 1);
         for &(at, width) in &meta.counts {
             let max = if width == 4 {
                 u64::from(u32::MAX)
@@ -593,14 +512,9 @@ fn snapshot_meta_counts_larger_than_the_section_never_allocate() {
     }
 }
 
-/// 12 points under the compressed text tier whose payloads hold every
-/// kind of value — integers of both signs, a `u64` past `i64::MAX`,
-/// floats with `-0.0` among them, booleans, null, empty and non-ASCII
-/// strings, nested arrays and objects — and long text waiting raw for
-/// the arena.
-fn tiny_of_every_kind() -> Vec<u8> {
+/// 12 points in a small graph, one of them deleted.
+fn tiny() -> Vec<u8> {
     let config = CollectionConfig {
-        compress_payload_text: true,
         hnsw: HnswConfig {
             m: 4,
             m0: 8,
@@ -610,29 +524,21 @@ fn tiny_of_every_kind() -> Vec<u8> {
     };
     let mut c = Collection::new(config);
     for i in 0..12u64 {
-        let mut p = payload(i);
-        p.set("n", json!(i));
-        p.set("neg", json!(-(i as i64)));
-        p.set("big", json!(u64::MAX - i));
-        p.set("z", json!(-0.0));
-        p.set("open", json!(i % 2 == 0));
-        p.set("none", Value::Null);
-        p.set("s", json!(if i % 3 == 0 { "" } else { "naïve ☕" }));
-        p.set("list", json!([i, [2.5, []], {"k": "v", "ключ": [null]}]));
-        c.insert(i, pseudo(i + 1, 4), p).unwrap();
+        c.insert(i, pseudo(i + 1, 4), position(i)).unwrap();
     }
     c.delete(5).unwrap();
-    c.to_snapshot_bytes().unwrap()
+    c.to_snapshot_bytes()
 }
 
 /// Any single flipped bit of the meta section, and any truncation of
 /// it, *behind a recomputed checksum*: the load fails, or it succeeds
-/// (a changed letter in a string is a different, valid collection) and
-/// every search and payload read over what it loaded works — never a
-/// panic, never an allocation past the input.
+/// (a changed bit of a finite position, or a point deleted, is a
+/// different, valid collection) and every search and point read over
+/// what it loaded works — never a panic, never an allocation past the
+/// input.
 #[test]
 fn snapshot_meta_damaged_anywhere_behind_a_valid_checksum_never_panics() {
-    let file = tiny_of_every_kind();
+    let file = tiny();
     let bulk = section_starts(&file)[1];
     let section = file[HEADER..bulk].to_vec();
     for cut in 0..section.len() {
@@ -648,7 +554,7 @@ fn snapshot_meta_damaged_anywhere_behind_a_valid_checksum_never_panics() {
         reseal(&mut bad);
         loaded += usize::from(survives(&bad, &format!("meta bit {bit}")));
     }
-    // Flips inside strings and floats load; structure flips do not.
+    // Flips inside positions load; structure flips do not.
     assert!(
         loaded > 0 && loaded < (bulk - HEADER) * 8,
         "{loaded} loaded"
@@ -672,9 +578,9 @@ fn survives(bytes: &[u8], what: &str) -> bool {
             .with_filter(Filter::geo_box(0.0, 0.0, 0.2, 0.2));
         assert!(c.search(&pseudo(3, dim), &params).is_ok(), "{what}");
     }
-    for (id, _, payload) in c.iter_points() {
-        let again = c.payload(id).unwrap();
-        assert_eq!(format!("{again:?}"), format!("{payload:?}"), "{what}");
+    for (id, vector, (lat, lon)) in c.iter_points() {
+        assert_eq!(c.vector(id).unwrap(), vector, "{what}");
+        assert!(lat.is_finite() && lon.is_finite(), "{what}");
     }
     true
 }
@@ -758,6 +664,7 @@ fn format_2_file() -> Vec<u8> {
     reseal(&mut file);
     file
 }
+
 #[test]
 fn a_format_2_snapshot_is_refused_naming_its_version() {
     let file = format_2_file();
@@ -766,6 +673,52 @@ fn a_format_2_snapshot_is_refused_naming_its_version() {
     let refused = Collection::from_snapshot_bytes(&file).err();
     assert!(
         matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 2")),
+        "{refused:?}"
+    );
+}
+
+/// A format-3 file, byte for byte: the same empty collection with the
+/// text-compression flag in its config, and an empty payload store (a
+/// count and the text-tier flag) after its points, as
+/// `to_snapshot_bytes()` wrote it at commit `0856931` (140 bytes, CRC-32
+/// `aceb3a41`, both recorded there).
+fn format_3_file() -> Vec<u8> {
+    let mut meta = Vec::new();
+    // Config: dim 4, cosine, m 16, m0 32, ef_construction 128, seed
+    // 24301, tier auto, uncompressed text.
+    meta.extend_from_slice(&4u64.to_le_bytes());
+    meta.push(0);
+    for v in [16u64, 32, 128, 24_301] {
+        meta.extend_from_slice(&v.to_le_bytes());
+    }
+    meta.extend_from_slice(&[0, 0]);
+    // No points, quant_trained_at 0, no payloads, no text tier.
+    for _ in 0..3 {
+        meta.extend_from_slice(&0u64.to_le_bytes());
+    }
+    meta.push(0);
+    let graph = [255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0];
+    let mut file = b"VECDBSNP".to_vec();
+    file.extend_from_slice(&3u32.to_le_bytes());
+    file.extend_from_slice(&[0; 4]);
+    file.extend_from_slice(&5u32.to_le_bytes());
+    for len in [meta.len(), 0, 0, 0, graph.len()] {
+        file.extend_from_slice(&(len as u64).to_le_bytes());
+    }
+    file.extend_from_slice(&meta);
+    file.extend_from_slice(&graph);
+    reseal(&mut file);
+    file
+}
+
+#[test]
+fn a_format_3_snapshot_is_refused_naming_its_version() {
+    let file = format_3_file();
+    assert_eq!((file.len(), crc32(&file)), (140, 0xaceb_3a41));
+    assert_rejected(&file, "format 3");
+    let refused = Collection::from_snapshot_bytes(&file).err();
+    assert!(
+        matches!(&refused, Some(VecDbError::Snapshot { cause }) if cause.contains("version 3")),
         "{refused:?}"
     );
 }
@@ -837,7 +790,7 @@ fn dimension_zero_is_refused_at_both_doors() {
             },
             ..CollectionConfig::new(4)
         };
-        let file = lived_in(config.clone(), 70).to_snapshot_bytes().unwrap();
+        let file = lived_in(config.clone(), 70).to_snapshot_bytes();
         let bad = patched(&file, meta_layout(&file).dim, &0u64.to_le_bytes());
         assert_rejected(&bad, "dim = 0");
         let refused = Collection::from_snapshot_bytes(&bad).err();
@@ -857,23 +810,17 @@ fn dimension_zero_is_refused_at_both_doors() {
 
 // ---- positions of every shape ----
 
-/// The geo filter's verdict as the JSON look-up gave it: both fields
-/// numbers (integers convert) and inside the box, edges included.
-fn in_box_by_json(p: &Payload, [south, west, north, east]: [f64; 4]) -> bool {
-    let (Some(lat), Some(lon)) = (p.get_f64("lat"), p.get_f64("lon")) else {
-        return false;
-    };
+/// The geo filter's verdict, written out: inside the box, edges
+/// included.
+fn in_box((lat, lon): (f64, f64), [south, west, north, east]: [f64; 4]) -> bool {
     lat >= south && lat <= north && lon >= west && lon <= east
 }
 
-/// Every box gives every live point the verdict its reassembled payload
-/// earns from [`in_box_by_json`] — through `filter_ids` and through
-/// both searches' masks.
-fn assert_filters_like_its_payloads(c: &Collection, ids: impl Iterator<Item = u64>, what: &str) {
-    let live: Vec<(u64, Payload)> = ids
-        .filter(|&id| c.contains(id))
-        .map(|id| (id, c.payload(id).unwrap()))
-        .collect();
+/// Every box gives every live point the verdict its stored position
+/// earns from [`in_box`] — through `filter_ids` and through both
+/// searches' masks.
+fn assert_filters_like_its_positions(c: &Collection, what: &str) {
+    let live: Vec<(u64, (f64, f64))> = c.iter_points().map(|(id, _, p)| (id, p)).collect();
     let boxes = [
         [-90.0, -180.0, 90.0, 180.0],
         [0.0, 0.0, 0.0, 0.0],
@@ -881,11 +828,13 @@ fn assert_filters_like_its_payloads(c: &Collection, ids: impl Iterator<Item = u6
         [0.01, 0.0, 0.01, 0.0],
         [0.2, 0.2, 0.0, 0.0],
         [f64::NAN, 0.0, 1.0, 1.0],
+        [-f64::MAX, -f64::MAX, f64::MAX, f64::MAX],
+        [f64::MIN_POSITIVE, -1.0, 1.0, 1.0],
     ];
     for b in boxes {
         let expect: Vec<u64> = live
             .iter()
-            .filter(|(_, p)| in_box_by_json(p, b))
+            .filter(|&&(_, p)| in_box(p, b))
             .map(|&(id, _)| id)
             .collect();
         let filter = Filter::geo_box(b[0], b[1], b[2], b[3]);
@@ -904,64 +853,59 @@ fn assert_filters_like_its_payloads(c: &Collection, ids: impl Iterator<Item = u6
     }
 }
 
-const LONG_LAT: &str = "thirty-six degrees and nine minutes north of the equator, give or take";
+/// The odd positions of [`odd_positions`], by id.
+const ODD: [(u64, (f64, f64)); 6] = [
+    (3, (-0.0, 0.0)),
+    (5, (0.0, -0.0)),
+    (7, (f64::MAX, -f64::MAX)),
+    (9, (5e-324, -5e-324)),
+    (11, (90.0, -180.0)),
+    (13, (0.2, 0.2)),
+];
 
-/// 60 points under `compress`'s text tier whose positions take every
-/// shape a payload allows: mostly two floats, and one point each with an
-/// integer `lat`, no `lat`, a `lat` long enough for the text tier, two
-/// integers, and `-0.0`.
-fn odd_positions(compress: bool) -> Collection {
-    assert!(LONG_LAT.len() >= 64);
-    let mut c = Collection::new(config(
-        ScoringTier::Quantized { rerank_factor: 4 },
-        compress,
-    ));
+/// 60 points whose positions take every shape a finite pair allows:
+/// mostly grid positions, and one point each at `-0.0`, the largest
+/// finite magnitudes, the smallest subnormals, a pole and antimeridian
+/// corner, and exactly on a box's corner.
+fn odd_positions() -> Collection {
+    let mut c = Collection::new(config(ScoringTier::Quantized { rerank_factor: 4 }));
     for i in 0..60u64 {
-        let mut p = payload(i);
-        match i {
-            3 => p.set("lat", json!(0)),
-            5 => {
-                p.0.remove("lat");
-            }
-            7 => p.set("lat", json!(LONG_LAT)),
-            9 => {
-                p.set("lat", json!(0));
-                p.set("lon", json!(0));
-            }
-            11 => p.set("lat", json!(-0.0)),
-            _ => {}
-        }
+        let p = ODD
+            .iter()
+            .find(|&&(id, _)| id == i)
+            .map_or(position(i), |&(_, p)| p);
         c.insert(i, pseudo(i + 1, DIM), p).unwrap();
     }
     c
 }
 
 /// `to_snapshot_bytes()` of three fixed collections, pinned: the whole
-/// file's length and CRC-32 at format 3, and for the four bulk sections
+/// file's length and CRC-32 at format 4, and for the four bulk sections
 /// (vectors, inverse norms, quantizer, graph) the lengths and CRC-32s
 /// format 1 wrote for the same collections, recorded at commit
-/// `c8d97ba` — formats 2 and 3 changed the meta section and nothing
-/// else.
+/// `c8d97ba` — formats 2, 3 and 4 changed the meta section and nothing
+/// else (format 1 stored payloads beside these positions; no bulk
+/// section ever depended on them).
 #[test]
 fn snapshot_bytes_are_pinned_and_the_bulk_sections_are_format_1s() {
     let quantized = ScoringTier::Quantized { rerank_factor: 4 };
     let worlds = [
         (
             "300 lived-in",
-            lived_in(config(quantized, true), 300),
+            lived_in(config(quantized), 300),
             PIN_300,
             V1_BULK_300,
         ),
         (
             "1,200 lived-in",
-            lived_in(config(quantized, true), 1_200),
+            lived_in(config(quantized), 1_200),
             PIN_1200,
             V1_BULK_1200,
         ),
-        ("odd positions", odd_positions(true), PIN_ODD, V1_BULK_ODD),
+        ("odd positions", odd_positions(), PIN_ODD, V1_BULK_ODD),
     ];
     for (name, c, pin, bulk) in worlds {
-        let bytes = c.to_snapshot_bytes().unwrap();
+        let bytes = c.to_snapshot_bytes();
         assert_eq!((bytes.len(), crc32(&bytes)), pin, "{name}");
         let starts = section_starts(&bytes);
         let ends = [starts[2], starts[3], starts[4], bytes.len()];
@@ -976,9 +920,9 @@ fn snapshot_bytes_are_pinned_and_the_bulk_sections_are_format_1s() {
         }
     }
 }
-const PIN_300: (usize, u32) = (121_769, 0x96a0_0e28);
-const PIN_1200: (usize, u32) = (361_048, 0xfddc_595b);
-const PIN_ODD: (usize, u32) = (23_089, 0xbeb7_9dbb);
+const PIN_300: (usize, u32) = (76_860, 0xe684_7b23);
+const PIN_1200: (usize, u32) = (305_048, 0xf5f4_a923);
+const PIN_ODD: (usize, u32) = (14_022, 0x7812_648e);
 const V1_BULK_300: [(usize, u32); 4] = [
     (19_328, 0x73b4_2ec5),
     (1_208, 0x56e5_00f9),
@@ -1000,145 +944,26 @@ const V1_BULK_ODD: [(usize, u32); 4] = [
 
 #[test]
 fn snapshot_with_odd_positions_round_trips_and_filters_like_its_payloads() {
-    for compress in [false, true] {
-        let what = format!("odd positions, compressed text {compress}");
-        let original = odd_positions(compress);
-        let bytes = original.to_snapshot_bytes().unwrap();
-        let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
-        for c in [&original, &restored] {
-            assert_filters_like_its_payloads(c, 0..60, &what);
-            // What was stored comes back as the `Value` it was.
-            let lat = |id| format!("{:?}", c.payload(id).unwrap().get("lat"));
-            assert_eq!(lat(3), format!("{:?}", Some(&json!(0))));
-            assert_eq!(lat(5), "None");
-            assert_eq!(lat(7), format!("{:?}", Some(&json!(LONG_LAT))));
-            assert_eq!(lat(9), format!("{:?}", Some(&json!(0))));
-            assert_eq!(lat(11), format!("{:?}", Some(&json!(-0.0))));
-            assert_eq!(lat(12), format!("{:?}", Some(&json!(0.12))));
-        }
-        assert_eq!(fingerprint(&restored), fingerprint(&original), "{what}");
-        assert_eq!(
-            restored.memory_footprint(),
-            original.memory_footprint(),
-            "{what}"
-        );
-        assert!(restored.to_snapshot_bytes().unwrap() == bytes, "{what}");
+    let original = odd_positions();
+    let bytes = original.to_snapshot_bytes();
+    let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
+    for c in [&original, &restored] {
+        assert_filters_like_its_positions(c, "odd positions");
+        // What was stored comes back bit for bit.
+        let stored: Vec<(u64, [u64; 2])> = c
+            .iter_points()
+            .map(|(id, _, (lat, lon))| (id, [lat.to_bits(), lon.to_bits()]))
+            .filter(|(id, _)| ODD.iter().any(|&(odd, _)| odd == *id))
+            .collect();
+        let want: Vec<(u64, [u64; 2])> = ODD
+            .iter()
+            .map(|&(id, (lat, lon))| (id, [lat.to_bits(), lon.to_bits()]))
+            .collect();
+        assert_eq!(stored, want);
     }
-}
-
-// ---- payload values of every kind ----
-
-/// The next number of a xorshift stream.
-fn next(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
-/// A string that is empty, short, non-ASCII, or long enough for the
-/// compressed text tier, as `r` picks.
-fn text_of(r: u64) -> String {
-    match r % 4 {
-        0 => String::new(),
-        1 => format!("s{}", r % 97),
-        2 => format!("naïve ☕ ключ {}", r % 89),
-        _ => format!("{LONG_LAT} — reading number {r}, which is long on purpose"),
-    }
-}
-
-/// A value of any kind, nested at most three deep.
-fn value_of(state: &mut u64, depth: usize) -> Value {
-    let r = next(state);
-    match r % if depth >= 3 { 10 } else { 12 } {
-        0 => Value::Null,
-        1 => json!(r & 1 == 0),
-        2 => json!((r >> 3) as i64),
-        3 => json!(-((r >> 4) as i64)),
-        4 => json!(u64::MAX - (r >> 40)),
-        // A small `u64` kept as one (JSON would read it back as `i64`).
-        5 => Value::from(&serde::Content::U64(r >> 50)),
-        6 => json!((r >> 11) as f64 / 7.0),
-        7 => json!(-0.0),
-        8 => Value::from(&serde::Content::F64(f64::NAN)),
-        9 => json!(text_of(r >> 8)),
-        10 => Value::Array((0..r % 4).map(|_| value_of(state, depth + 1)).collect()),
-        _ => {
-            let mut m = serde_json::Map::new();
-            for k in 0..r % 4 {
-                let key = ["", "k", "ключ", "name"][((r >> (8 * k)) % 4) as usize];
-                m.insert(format!("{key}{k}"), value_of(state, depth + 1));
-            }
-            Value::Object(m)
-        }
-    }
-}
-
-/// A payload from `seed`: a position of any shape (two floats, an
-/// integer, a string short or long, nothing), then a few fields of any
-/// kind.
-fn payload_of(seed: u64) -> Payload {
-    let mut state = seed | 1;
-    let mut p = Payload::new();
-    for key in ["lat", "lon"] {
-        let r = next(&mut state);
-        let v = match r % 6 {
-            0 | 1 => json!((r >> 11) as f64 / (1u64 << 53) as f64),
-            2 => json!(r % 90),
-            3 => json!(text_of(r >> 8)),
-            4 => value_of(&mut state, 0),
-            _ => continue,
-        };
-        p.set(key, v);
-    }
-    for k in 0..next(&mut state) % 5 {
-        let key = ["tips", "name", "", "ключ", "z"][k as usize];
-        p.set(key, value_of(&mut state, 0));
-    }
-    p
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Payloads of every kind, through both text tiers — raw slots
-    /// waiting for the arena, and in one case in three packed ones —
-    /// come back from a snapshot as the `Value`s that were stored
-    /// (`Debug` tells `1` from `1.0`, `-0.0` from `0.0`, and `u64` from
-    /// `i64`), and the restored collection re-packs to the same bytes.
-    #[test]
-    fn payload_values_of_every_kind_round_trip_through_both_text_tiers(
-        seeds in proptest::collection::vec(0u64..u64::MAX, 1..40),
-        compress in 0usize..2,
-        train in 0usize..3,
-    ) {
-        let config = CollectionConfig {
-            compress_payload_text: compress == 1,
-            hnsw: HnswConfig { m: 4, m0: 8, ef_construction: 16, ..HnswConfig::default() },
-            ..CollectionConfig::new(4)
-        };
-        let mut c = Collection::new(config);
-        let mut stored: Vec<(u64, Payload)> = Vec::new();
-        for (i, &seed) in seeds.iter().enumerate() {
-            stored.push((i as u64, payload_of(seed)));
-        }
-        if train == 0 {
-            // Past the arena's training trigger: every slot is packed.
-            let base = stored.len() as u64;
-            stored.extend((0..1_030).map(|i| (base + i, payload(i))));
-        }
-        for (id, p) in &stored {
-            c.insert(*id, pseudo(*id + 1, 4), p.clone()).unwrap();
-        }
-        let bytes = c.to_snapshot_bytes().unwrap();
-        let restored = Collection::from_snapshot_bytes(&bytes).unwrap();
-        for (id, p) in &stored {
-            let expect = format!("{p:?}");
-            prop_assert_eq!(format!("{:?}", c.payload(*id).unwrap()), expect.clone(), "stored {}", id);
-            prop_assert_eq!(format!("{:?}", restored.payload(*id).unwrap()), expect, "restored {}", id);
-        }
-        prop_assert!(restored.to_snapshot_bytes().unwrap() == bytes);
-    }
+    assert_eq!(fingerprint(&restored), fingerprint(&original));
+    assert_eq!(restored.memory_footprint(), original.memory_footprint());
+    assert!(restored.to_snapshot_bytes() == bytes);
 }
 
 proptest! {
@@ -1181,44 +1006,4 @@ proptest! {
             }
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Damage to the meta section of a collection whose text is packed
-    /// in a trained arena — symbols, code bytes, offsets, slot indices —
-    /// behind a recomputed checksum: a load that succeeds reads every
-    /// payload back without a panic.
-    #[test]
-    fn snapshot_packed_text_damaged_behind_a_valid_checksum_never_panics(
-        picks in proptest::collection::vec((0usize..usize::MAX, 0u8..=255), 1..4),
-    ) {
-        let file = trained();
-        let bulk = section_starts(file)[1];
-        let mut bad = file.clone();
-        for (pick, byte) in picks {
-            bad[HEADER + pick % (bulk - HEADER)] = byte;
-        }
-        reseal(&mut bad);
-        survives(&bad, "packed text");
-    }
-}
-
-/// 1,100 points under the compressed tier, past the arena's training
-/// trigger, packed once for every case that damages it.
-fn trained() -> &'static Vec<u8> {
-    static FILE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-    FILE.get_or_init(|| {
-        let config = CollectionConfig {
-            hnsw: HnswConfig {
-                m: 4,
-                m0: 8,
-                ef_construction: 16,
-                ..HnswConfig::default()
-            },
-            ..config(ScoringTier::Full, true)
-        };
-        lived_in(config, 1_100).to_snapshot_bytes().unwrap()
-    })
 }

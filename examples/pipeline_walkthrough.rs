@@ -68,7 +68,7 @@ fn main() {
     let etext = PreparedCity::embedding_text(&prepared.dataset.objects()[42]);
     println!("  embedding input:\n    {}", etext.replace('\n', "\n    "));
     println!(
-        "  -> {}-d vector stored in collection `{}` with geo payload",
+        "  -> {}-d vector stored in collection `{}` at its position",
         config.embedder.dim, prepared.collection_name
     );
 

@@ -17,8 +17,8 @@
 //!   answer exactly as N calls to `query`, report one `filtering_ms`
 //!   per batch, fail with the error of the lowest query index, and stay
 //!   correct when four threads submit at once;
-//! - the perf ledger's configuration (metro world, quantized tier, FSST
-//!   payloads) answers a batch of 64 like 64 batches of one at engine
+//! - the perf ledger's configuration (metro world, quantized tier)
+//!   answers a batch of 64 like 64 batches of one at engine
 //!   level, and its exact strategy returns the top 10 of a naive `f64`
 //!   cosine — a reference that does not run the scoring kernel.
 
@@ -216,17 +216,9 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
         let mut c = collection.write();
         let v = c.vector(0).expect("point 0").to_vec();
         for id in 1000..1006u64 {
-            let payload = vecdb::Payload::from_pairs(&[
-                (
-                    "lat",
-                    serde_json::json!(p.dataset[geotext::ObjectId(0)].location.lat),
-                ),
-                (
-                    "lon",
-                    serde_json::json!(p.dataset[geotext::ObjectId(0)].location.lon),
-                ),
-            ]);
-            c.insert(id, v.clone(), payload).expect("insert duplicate");
+            let at = p.dataset[geotext::ObjectId(0)].location;
+            c.insert(id, v.clone(), (at.lat, at.lon))
+                .expect("insert duplicate");
         }
     }
     // The banded coefficients route the broad range to
@@ -312,15 +304,14 @@ fn one_query_batch_feeds_the_cost_model() {
 
 #[test]
 fn ledger_configuration_batch_of_64_matches_batches_of_one() {
-    // The perf ledger's world and tiers — `generate_metro`, the forced
-    // quantized scoring tier, FSST-compressed payload text — with drift
+    // The perf ledger's world and tier — `generate_metro`, the forced
+    // quantized scoring tier — with drift
     // of the online model excluded: over 64 distinct ranges (a quarter
     // keyword-filtered, narrow to metro-wide) any difference between a
     // batch of 64, lanes of 7, and 64 batches of one is a kernel bug.
     let data = datagen::generate_metro(&datagen::MetroConfig::new(4_000, 7));
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
-        compress_payload_text: true,
         scoring_tier: vecdb::ScoringTier::Quantized {
             rerank_factor: vecdb::ScoringTier::DEFAULT_RERANK_FACTOR,
         },

@@ -130,18 +130,18 @@ fn fingerprint(engine: &SemaSkEngine, queries: &[SemaSkQuery]) -> Vec<Vec<(u32, 
         .collect()
 }
 
-/// Every live point's stored payload, by id: recovered ≡ rebuilt holds
+/// Every live point's stored position, by id: recovered ≡ rebuilt holds
 /// for what the collection keeps beside the vectors, too.
-fn payloads(engine: &SemaSkEngine) -> Vec<(u64, vecdb::Payload)> {
+fn positions(engine: &SemaSkEngine) -> Vec<(u64, (f64, f64))> {
     let prepared = engine.prepared();
     let handle = prepared
         .db
         .collection(&prepared.collection_name)
         .expect("collection");
-    let mut out: Vec<(u64, vecdb::Payload)> = handle
+    let mut out: Vec<(u64, (f64, f64))> = handle
         .read()
         .iter_points()
-        .map(|(id, _, payload)| (id, payload))
+        .map(|(id, _, position)| (id, position))
         .collect();
     out.sort_by_key(|(id, _)| *id);
     out
@@ -263,13 +263,13 @@ fn crash_battery() {
     let script = scripted(center);
     let queries = probe_queries(center);
     let mut by_prefix = vec![fingerprint(&scratch, &queries)];
-    let mut payloads_by_prefix = vec![payloads(&scratch)];
+    let mut positions_by_prefix = vec![positions(&scratch)];
     for mutation in &script {
         scratch
             .apply_mutations(std::slice::from_ref(mutation))
             .expect("scratch mutation");
         by_prefix.push(fingerprint(&scratch, &queries));
-        payloads_by_prefix.push(payloads(&scratch));
+        positions_by_prefix.push(positions(&scratch));
     }
 
     let exe = std::env::current_exe().expect("test binary path");
@@ -335,9 +335,9 @@ fn crash_battery() {
             run.after
         );
         assert_eq!(
-            payloads(recovered.engine()),
-            payloads_by_prefix[s as usize],
-            "{label} (after {}): recovered payloads diverge at prefix {s}",
+            positions(recovered.engine()),
+            positions_by_prefix[s as usize],
+            "{label} (after {}): recovered positions diverge at prefix {s}",
             run.after
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use datagen::{poi::generate_city, CITIES};
+use embed::Embedder;
 use geotext::BoundingBox;
 use llm::SimLlm;
 use semask::wal::{Mutation, PoiSpec, PoiUpdate};
@@ -208,17 +209,15 @@ fn plans_after_a_live_insert_are_fresh() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A written POI's payload is the one preparation builds: under the
-/// compressed payload tier an inserted and an updated POI carry their
-/// tip summary, like every prepared one.
+/// A written POI's stored point is the one preparation builds: an
+/// inserted and an updated POI sit at their object's position with the
+/// embedding of their enriched text, like every prepared one — and the
+/// collection keeps nothing else of them.
 #[test]
 fn written_pois_carry_the_prepared_payload() {
     let data = generate_city(&CITIES[3], 80, 47);
     let llm = Arc::new(SimLlm::new());
-    let config = semask::SemaSkConfig {
-        compress_payload_text: true,
-        ..common::exact_only_config()
-    };
+    let config = common::exact_only_config();
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     let engine = SemaSkEngine::new(prepared, llm, config, Variant::EmbeddingOnly);
     let inserted = engine
@@ -244,10 +243,21 @@ fn written_pois_carry_the_prepared_payload() {
     let collection = handle.read();
     for id in [inserted, updated, geotext::ObjectId(6)] {
         let obj = overlay.get(&prepared.dataset, id).expect("live object");
-        let payload = collection.payload(u64::from(id.0)).expect("stored payload");
-        let text = |key: &str| payload.get(key).and_then(|v| v.as_str().map(str::to_owned));
-        let summary = obj.attrs.get_text("tip_summary").expect("enriched");
-        assert_eq!(text("tip_summary").as_deref(), Some(summary), "{id:?}");
-        assert_eq!(text("name").as_deref(), Some(obj.name()), "{id:?}");
+        let (_, vector, position) = collection
+            .iter_points()
+            .find(|&(point, ..)| point == u64::from(id.0))
+            .expect("stored point");
+        assert_eq!(position, (obj.location.lat, obj.location.lon), "{id:?}");
+        let text = semask::PreparedCity::embedding_text(obj);
+        assert_eq!(vector, prepared.embedder.embed(&text).as_slice(), "{id:?}");
+        assert!(
+            obj.attrs.get_text("tip_summary").is_some(),
+            "{id:?} enriched"
+        );
     }
+    assert_eq!(
+        collection.memory_footprint().payload_bytes,
+        16 * (data.dataset.len() + 2),
+        "16 B a stored point: the prepared ones, the insert, and the update's re-insert"
+    );
 }

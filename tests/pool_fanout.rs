@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use semask::backend::CandidateSource;
 use semask::RetrievalBackend;
 use vecdb::{
-    merge_top_k, partition, shard_of, Collection, CollectionConfig, Payload, ScoredPoint,
-    SearchParams, ShardSpec, WorkerPool,
+    merge_top_k, partition, shard_of, Collection, CollectionConfig, ScoredPoint, SearchParams,
+    ShardSpec, WorkerPool,
 };
 
 const DIM: usize = 8;
@@ -37,18 +37,15 @@ fn vector(seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn payload(id: u64) -> Payload {
-    Payload::from_pairs(&[
-        ("lat", serde_json::json!(0.001 * id as f64)),
-        ("lon", serde_json::json!(-0.001 * id as f64)),
-    ])
+fn position(id: u64) -> (f64, f64) {
+    (0.001 * id as f64, -0.001 * id as f64)
 }
 
 /// A flat collection over the given point ids.
 fn flat_over(ids: &[u64]) -> Collection {
     let mut flat = Collection::new(CollectionConfig::new(DIM));
     for &id in ids {
-        flat.insert(id, vector(id), payload(id)).expect("insert");
+        flat.insert(id, vector(id), position(id)).expect("insert");
     }
     flat
 }

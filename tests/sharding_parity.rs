@@ -14,9 +14,7 @@ use std::sync::Arc;
 use semask::backend::CandidateSource;
 use semask::retrieval::RetrievalStrategy;
 use semask::{prepare_city, PlannerConfig, QueryPlanner, RetrievalBackend, SemaSkConfig};
-use vecdb::{
-    merge_top_k, partition, Collection, CollectionConfig, Payload, ScoredPoint, ShardSpec,
-};
+use vecdb::{merge_top_k, partition, Collection, CollectionConfig, ScoredPoint, ShardSpec};
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
@@ -146,16 +144,13 @@ fn duplicate_distance_ties_merge_identically() {
     // order (ascending id) at every shard count, through the one backend.
     let mut flat = Collection::new(CollectionConfig::new(2));
     for id in 0..10u64 {
-        let payload = Payload::from_pairs(&[
-            ("lat", serde_json::json!(0.001 * id as f64)),
-            ("lon", serde_json::json!(-0.001 * id as f64)),
-        ]);
+        let position = (0.001 * id as f64, -0.001 * id as f64);
         let vector = if id < 8 {
             vec![1.0, 0.0]
         } else {
             vec![0.0, 1.0]
         };
-        flat.insert(id, vector, payload).unwrap();
+        flat.insert(id, vector, position).unwrap();
     }
     let range = geotext::BoundingBox::new(-1.0, -1.0, 1.0, 1.0).unwrap();
     let query = [1.0, 0.0];

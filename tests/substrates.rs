@@ -3,9 +3,8 @@
 
 use embed::{Embedder, SemanticEmbedder};
 use geotext::BoundingBox;
-use serde_json::json;
 use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
-use vecdb::{CollectionConfig, Filter, Payload, SearchParams, VectorDb};
+use vecdb::{CollectionConfig, Filter, SearchParams, VectorDb};
 
 fn city() -> datagen::CityData {
     datagen::poi::generate_city(&datagen::CITIES[3], 400, 13)
@@ -62,11 +61,8 @@ fn vecdb_geo_filter_equals_dataset_range_scan() {
         let mut c = handle.write();
         for o in data.dataset.iter() {
             let v = embedder.embed(&o.to_document());
-            let p = Payload::from_pairs(&[
-                ("lat", json!(o.location.lat)),
-                ("lon", json!(o.location.lon)),
-            ]);
-            c.insert(u64::from(o.id.0), v, p).expect("insert");
+            let position = (o.location.lat, o.location.lon);
+            c.insert(u64::from(o.id.0), v, position).expect("insert");
         }
     }
     let range = BoundingBox::from_center_km(data.city.center(), 5.0, 5.0);
@@ -100,8 +96,7 @@ fn semantically_similar_pois_are_neighbors_in_vecdb() {
         let mut c = handle.write();
         for o in data.dataset.iter() {
             let v = embedder.embed(&o.to_document());
-            c.insert(u64::from(o.id.0), v, Payload::new())
-                .expect("insert");
+            c.insert(u64::from(o.id.0), v, (0.0, 0.0)).expect("insert");
         }
     }
     // Query with a coffee paraphrase: the top hits should be dominated by
