@@ -1,13 +1,17 @@
 //! Criterion bench for the simulated LLM runtime: prompt parsing + task
 //! execution throughput (the *wall-clock* cost of the simulator, as
 //! opposed to the virtual latency it reports).
+//!
+//! `rerank_call_real_10` is the refinement stage as the engine runs it,
+//! minus retrieval: write the prompt from ten prepared POIs of a
+//! generated city, serve it, parse the answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use llm::prompts::{rerank_prompt, summarize_prompt};
-use llm::{ChatRequest, ModelKind, SimLlm};
-use serde_json::json;
+use llm::{parse_rerank_response, ChatRequest, ModelKind, SimLlm};
+use semask::{prepare_city, SemaSkConfig};
 
 fn bench_llm(c: &mut Criterion) {
     let llm = SimLlm::new();
@@ -16,27 +20,23 @@ fn bench_llm(c: &mut Criterion) {
         .collect();
     let sum_req = ChatRequest::user(ModelKind::Gpt35Turbo, summarize_prompt(&tips));
 
-    let pois: Vec<serde_json::Value> = (0..10)
-        .map(|i| {
-            json!({
-                "name": format!("POI {i}"),
-                "categories": "Bars, Sports Bars",
-                "tips": ["big screens on every wall", "crispy skin falling off the bone",
-                         "packed on game day", "rotating taps of local brews"]
-            })
-        })
-        .collect();
-    let rerank_req = ChatRequest::user(
-        ModelKind::Gpt4o,
-        rerank_prompt(&json!(pois), "a bar to watch football that serves chicken"),
-    );
+    let data = datagen::poi::generate_city(&datagen::CITIES[1], 200, 7);
+    let prepared = prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep");
+    let candidates: Vec<&geotext::GeoTextObject> = prepared.dataset.iter().take(10).collect();
+    let query = "a bar to watch football that serves chicken wings";
 
     let mut group = c.benchmark_group("llm_sim");
     group.bench_function("summarize_call", |b| {
         b.iter(|| black_box(llm.complete(&sum_req).unwrap()));
     });
-    group.bench_function("rerank_call_10_pois", |b| {
-        b.iter(|| black_box(llm.complete(&rerank_req).unwrap()));
+    group.bench_function("rerank_call_real_10", |b| {
+        b.iter(|| {
+            let prompt = rerank_prompt(&geotext::json_array(candidates.iter().copied()), query);
+            let resp = llm
+                .complete(&ChatRequest::user(ModelKind::Gpt4o, prompt))
+                .unwrap();
+            black_box(parse_rerank_response(&resp.content))
+        });
     });
     group.finish();
 }

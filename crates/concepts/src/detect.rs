@@ -5,8 +5,18 @@
 //! with [`ConceptDetector::detect_noisy`] it simulates an imperfect model
 //! through a [`FidelityProfile`] — deterministic per (text, concept,
 //! model), so the simulated world is stable across pipeline stages.
+//!
+//! The phrase index is interned. [`ConceptDetector::new`] numbers every
+//! stem that occurs in an ontology phrase (a dense `u32` id), stores each
+//! phrase as its stems' ids, and files the phrases in a `Vec` indexed by
+//! the id of their first stem. Detection looks each of the text's stems
+//! up once — one hash map with a small local multiply–rotate hasher, not
+//! SipHash — and a stem outside the vocabulary gets a sentinel id, which
+//! starts no phrase and equals no phrase token. Matching a phrase is then
+//! a comparison of `u32` slices.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use textindex::tokenizer::{stem_into, Tokenizer};
 
@@ -158,8 +168,40 @@ impl Stems {
     }
 }
 
+/// The id of a stem that occurs in no ontology phrase.
+const UNKNOWN: u32 = u32::MAX;
+
+/// A multiply–rotate hash over 8-byte words, in the style of rustc's
+/// `FxHasher`. The keys are stems the detector itself interned, so no
+/// adversary picks them; SipHash's collision resistance buys nothing.
+#[derive(Default)]
+struct StemHasher(u64);
+
+impl StemHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for StemHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One ontology phrase, as the ids of its stems.
 struct PhraseRef {
-    tokens: Vec<String>,
+    tokens: Box<[u32]>,
     concept: ConceptId,
     surface: bool,
 }
@@ -167,8 +209,10 @@ struct PhraseRef {
 /// Detects ontology concepts in free text via stemmed phrase matching.
 pub struct ConceptDetector {
     ontology: &'static Ontology,
-    /// first-stemmed-token → candidate phrases starting with it.
-    index: HashMap<String, Vec<PhraseRef>>,
+    /// Stem → its id: every stem of every phrase, numbered densely.
+    stem_ids: HashMap<Box<str>, u32, BuildHasherDefault<StemHasher>>,
+    /// Stem id → the phrases starting with that stem.
+    index: Vec<Vec<PhraseRef>>,
     tokenizer: Tokenizer,
 }
 
@@ -177,18 +221,26 @@ impl ConceptDetector {
     #[must_use]
     pub fn new(ontology: &'static Ontology) -> Self {
         let tokenizer = Tokenizer::raw();
-        let mut index: HashMap<String, Vec<PhraseRef>> = HashMap::new();
+        let mut stem_ids: HashMap<Box<str>, u32, BuildHasherDefault<StemHasher>> =
+            HashMap::default();
+        let mut index: Vec<Vec<PhraseRef>> = Vec::new();
         for c in ontology.concepts() {
             for (phrases, surface) in [(c.surface, true), (c.paraphrases, false)] {
                 for phrase in phrases {
-                    let tokens: Vec<String> = stems_of(&tokenizer, phrase)
+                    let tokens: Box<[u32]> = stems_of(&tokenizer, phrase)
                         .iter()
-                        .map(str::to_owned)
+                        .map(|stem| {
+                            let next = stem_ids.len() as u32;
+                            *stem_ids.entry(stem.into()).or_insert(next)
+                        })
                         .collect();
-                    if tokens.is_empty() {
+                    let Some(&first) = tokens.first() else {
                         continue;
+                    };
+                    if index.len() <= first as usize {
+                        index.resize_with(first as usize + 1, Vec::new);
                     }
-                    let bucket = index.entry(tokens[0].clone()).or_default();
+                    let bucket = &mut index[first as usize];
                     // Different raw phrases can stem to the same token
                     // sequence ("pizza"/"pizzas"); keep one entry, with
                     // surface-ness sticky.
@@ -209,6 +261,7 @@ impl ConceptDetector {
         }
         Self {
             ontology,
+            stem_ids,
             index,
             tokenizer,
         }
@@ -245,19 +298,17 @@ impl ConceptDetector {
     /// tokenize the text anyway.
     #[must_use]
     pub fn detect_stems(&self, stems: &Stems) -> Vec<Detection> {
+        let ids: Vec<u32> = stems
+            .iter()
+            .map(|stem| self.stem_ids.get(stem).copied().unwrap_or(UNKNOWN))
+            .collect();
         let mut out: Vec<Detection> = Vec::new();
-        for i in 0..stems.len() {
-            let Some(candidates) = self.index.get(stems.get(i)) else {
+        for (i, &id) in ids.iter().enumerate() {
+            let Some(candidates) = self.index.get(id as usize) else {
                 continue;
             };
             for cand in candidates {
-                let matched = cand.tokens.len() <= stems.len() - i
-                    && cand
-                        .tokens
-                        .iter()
-                        .enumerate()
-                        .all(|(j, t)| stems.get(i + j) == t);
-                if !matched {
+                if !ids[i..].starts_with(&cand.tokens) {
                     continue;
                 }
                 match out.iter_mut().find(|d| d.concept == cand.concept) {

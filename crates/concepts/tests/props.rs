@@ -73,6 +73,26 @@ fn arb_mixed_text() -> impl Strategy<Value = String> {
         })
 }
 
+/// Phrase texts with a word outside the phrase vocabulary ("xq…") pushed
+/// in after every `step`-th word, so multi-word phrases are cut apart by
+/// a stem that has no id.
+fn arb_interrupted_text() -> impl Strategy<Value = String> {
+    (arb_phrase_text(), 1usize..4, "[a-z]{0,3}").prop_map(|(text, step, tail)| {
+        let mut out = String::new();
+        for (i, word) in text.split(' ').enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(word);
+            if i % step == step - 1 {
+                out.push_str(" xq");
+                out.push_str(&tail);
+            }
+        }
+        out
+    })
+}
+
 fn arb_phrase_text() -> impl Strategy<Value = String> {
     // Texts assembled from real ontology phrases plus noise words.
     let o = Ontology::builtin();
@@ -141,6 +161,18 @@ proptest! {
             d.detect_noisy_stems(&text, &stems, &profile),
             d.detect_noisy(&text, &profile)
         );
+    }
+
+    #[test]
+    fn stems_outside_the_vocabulary_break_phrases(text in arb_interrupted_text()) {
+        let d = ConceptDetector::builtin();
+        let mut stems = Stems::default();
+        d.tokenizer().for_each_token(&text, |tok| {
+            stems.push(tok);
+        });
+        let exact = d.detect(&text);
+        prop_assert_eq!(&d.detect_stems(&stems), &exact);
+        prop_assert_eq!(&exact, &reference_detect(&text), "{:?}", text);
     }
 
     #[test]

@@ -52,13 +52,12 @@ impl From<std::io::Error> for ExportError {
 pub fn write_jsonl(dataset: &Dataset, path: &Path) -> Result<(), ExportError> {
     let file = std::fs::File::create(path)?;
     let mut w = BufWriter::new(file);
+    let mut line = String::new();
     for obj in dataset.iter() {
-        let json = obj.to_json();
-        serde_json::to_writer(&mut w, &json).map_err(|e| ExportError::BadRecord {
-            line: obj.id.index() + 1,
-            cause: e.to_string(),
-        })?;
-        w.write_all(b"\n")?;
+        line.clear();
+        obj.write_json(&mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     w.flush()?;
     Ok(())

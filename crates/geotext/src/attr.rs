@@ -85,21 +85,6 @@ impl AttributeValue {
                 .join(", "),
         }
     }
-
-    /// Converts into a `serde_json::Value`, used when serialising POI
-    /// attributes into the refinement prompt ("will be given to you in
-    /// JSON format").
-    #[must_use]
-    pub fn to_json(&self) -> serde_json::Value {
-        match self {
-            AttributeValue::Text(s) => serde_json::Value::String(s.clone()),
-            AttributeValue::Number(n) => serde_json::json!(n),
-            AttributeValue::Integer(i) => serde_json::json!(i),
-            AttributeValue::Bool(b) => serde_json::Value::Bool(*b),
-            AttributeValue::List(v) => serde_json::json!(v),
-            AttributeValue::Map(m) => serde_json::json!(m),
-        }
-    }
 }
 
 impl fmt::Display for AttributeValue {
@@ -227,16 +212,6 @@ impl AttributeSet {
         }
         doc
     }
-
-    /// Serialises the attribute set into a JSON object (insertion order).
-    #[must_use]
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut map = serde_json::Map::new();
-        for (k, v) in &self.entries {
-            map.insert(k.clone(), v.to_json());
-        }
-        serde_json::Value::Object(map)
-    }
 }
 
 impl FromIterator<(String, AttributeValue)> for AttributeSet {
@@ -312,19 +287,5 @@ mod tests {
         );
         let doc = a.to_document();
         assert_eq!(doc, "name: Pep Boys\ncategories: Automotive, Tires");
-    }
-
-    #[test]
-    fn to_json_round_trips_types() {
-        let mut a = AttributeSet::new();
-        a.set("name", "X");
-        a.set("stars", 4.5);
-        a.set("tip_count", 10i64);
-        a.set("is_open", true);
-        let j = a.to_json();
-        assert_eq!(j["name"], "X");
-        assert_eq!(j["stars"], 4.5);
-        assert_eq!(j["tip_count"], 10);
-        assert_eq!(j["is_open"], true);
     }
 }

@@ -12,7 +12,9 @@
 //! - [`GeoPoint`] — WGS84 latitude/longitude with great-circle distance,
 //! - [`BoundingBox`] — axis-aligned query ranges (`q.r` in the paper),
 //! - [`AttributeValue`] / [`AttributeSet`] — the `o.A` attribute model,
-//! - [`GeoTextObject`] — a full geo-textual object (POI),
+//! - [`GeoTextObject`] — a full geo-textual object (POI), and its JSON
+//!   text ([`GeoTextObject::write_json`], the refinement prompt's and the
+//!   JSONL export's format, written without a value tree),
 //! - [`Dataset`] — an in-memory collection with id lookup and text
 //!   statistics (used to check the generator against the paper's dataset
 //!   statistics: 19,795 POIs, avg 11 tips / 147 tokens per POI).
@@ -23,6 +25,7 @@ pub mod attr;
 pub mod bbox;
 pub mod dataset;
 pub mod error;
+mod json;
 pub mod object;
 pub mod point;
 
@@ -30,6 +33,7 @@ pub use attr::{AttributeSet, AttributeValue};
 pub use bbox::BoundingBox;
 pub use dataset::{Dataset, DatasetStats};
 pub use error::GeoTextError;
+pub use json::json_array;
 pub use object::{GeoTextObject, ObjectBuilder, ObjectId};
 pub use point::GeoPoint;
 

@@ -65,18 +65,6 @@ impl GeoTextObject {
     pub fn to_document(&self) -> String {
         self.attrs.to_document()
     }
-
-    /// JSON view of the raw attributes (including coordinates), as fed to
-    /// the LLM refinement prompt.
-    #[must_use]
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut j = self.attrs.to_json();
-        if let serde_json::Value::Object(map) = &mut j {
-            map.insert("latitude".to_owned(), serde_json::json!(self.location.lat));
-            map.insert("longitude".to_owned(), serde_json::json!(self.location.lon));
-        }
-        j
-    }
 }
 
 /// Builder for [`GeoTextObject`], enforcing the "at least one textual
@@ -148,10 +136,15 @@ mod tests {
     }
 
     #[test]
-    fn to_json_includes_coordinates() {
-        let j = sample().to_json();
-        assert!((j["latitude"].as_f64().unwrap() - 36.162649).abs() < 1e-9);
-        assert_eq!(j["name"], "Mike's Ice Cream");
+    fn write_json_includes_coordinates() {
+        let mut j = String::new();
+        sample().write_json(&mut j);
+        assert_eq!(
+            j,
+            "{\"address\":\"129 2nd Ave N\",\"categories\":[\"Ice Cream & Frozen Yogurt\",\
+             \"Fast Food\"],\"is_open\":true,\"latitude\":36.162649,\"longitude\":-86.775973,\
+             \"name\":\"Mike's Ice Cream\",\"stars\":1.5,\"tip_count\":10}"
+        );
     }
 
     #[test]

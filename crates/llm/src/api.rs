@@ -1,5 +1,7 @@
 //! Chat-completion request/response types.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::models::ModelKind;
@@ -64,9 +66,13 @@ impl ChatRequest {
         }
     }
 
-    /// Concatenated prompt text of all messages.
+    /// Prompt text of all messages, joined by newlines; the one
+    /// message's text itself, borrowed, when there is one.
     #[must_use]
-    pub fn full_text(&self) -> String {
+    pub fn full_text(&self) -> Cow<'_, str> {
+        if let [only] = self.messages.as_slice() {
+            return Cow::Borrowed(&only.content);
+        }
         let mut s = String::new();
         for m in &self.messages {
             if !s.is_empty() {
@@ -74,7 +80,7 @@ impl ChatRequest {
             }
             s.push_str(&m.content);
         }
-        s
+        Cow::Owned(s)
     }
 }
 

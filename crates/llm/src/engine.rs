@@ -1,4 +1,10 @@
 //! The simulated chat-completion engine.
+//!
+//! A request's prompt stays the real string the paper's templates
+//! produce; the engine borrows it (a one-message request is not copied),
+//! routes on the template marker it starts with, and reads the embedded
+//! data back out — the refinement prompt's JSON in one pass, with no
+//! value tree (see [`crate::prompts::extract_rerank`]).
 
 use parking_lot::Mutex;
 
@@ -64,24 +70,21 @@ impl SimLlm {
         let model = request.model;
         let profile = model.fidelity();
 
-        let (content, task) = if prompt.contains(SUMMARIZE_MARKER) {
-            let tips = extract_tips(&prompt)?;
-            (
-                summarize::summarize(&tips, &profile, &self.detector),
-                TaskKind::Summarize,
-            )
-        } else if prompt.contains(RERANK_MARKER) {
-            let (pois, query) = extract_rerank(&prompt)?;
-            let entries = rerank::rerank(&pois, &query, &profile, &self.detector);
-            (rerank::format_response(&entries), TaskKind::Rerank)
-        } else if prompt.contains(QUERYGEN_MARKER) {
-            let info = extract_querygen(&prompt)?;
-            (
-                querygen::generate_query(&info, &profile, &self.detector),
-                TaskKind::QueryGen,
-            )
-        } else {
-            return Err(LlmError::UnrecognizedPrompt);
+        let task = task_of(&prompt).ok_or(LlmError::UnrecognizedPrompt)?;
+        let content = match task {
+            TaskKind::Summarize => {
+                let tips = extract_tips(&prompt)?;
+                summarize::summarize(&tips, &profile, &self.detector)
+            }
+            TaskKind::Rerank => {
+                let (pois, query) = extract_rerank(&prompt)?;
+                let entries = rerank::rerank(&pois, query, &profile, &self.detector);
+                rerank::format_response(&entries)
+            }
+            TaskKind::QueryGen => {
+                let info = extract_querygen(&prompt)?;
+                querygen::generate_query(&info, &profile, &self.detector)
+            }
         };
 
         let usage = Usage {
@@ -105,12 +108,30 @@ impl SimLlm {
     }
 }
 
+/// The task whose template wrote `prompt`: the one whose marker the
+/// prompt starts with, else the one whose marker comes first — a marker
+/// quoted in user data comes after the template's own.
+fn task_of(prompt: &str) -> Option<TaskKind> {
+    const MARKERS: [(&str, TaskKind); 3] = [
+        (SUMMARIZE_MARKER, TaskKind::Summarize),
+        (RERANK_MARKER, TaskKind::Rerank),
+        (QUERYGEN_MARKER, TaskKind::QueryGen),
+    ];
+    if let Some(&(_, task)) = MARKERS.iter().find(|(m, _)| prompt.starts_with(m)) {
+        return Some(task);
+    }
+    MARKERS
+        .iter()
+        .filter_map(|&(m, task)| Some((prompt.find(m)?, task)))
+        .min_by_key(|&(at, _)| at)
+        .map(|(_, task)| task)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::ModelKind;
     use crate::prompts::{querygen_prompt, rerank_prompt, summarize_prompt};
-    use serde_json::json;
 
     #[test]
     fn summarize_end_to_end() {
@@ -130,13 +151,13 @@ mod tests {
     #[test]
     fn rerank_end_to_end() {
         let llm = SimLlm::new();
-        let pois = json!([
+        let pois = r#"[
             {"name": "The Corner Tap", "tips": ["big screens on every wall", "crispy skin falling off the bone"]},
             {"name": "Quiet Beans", "tips": ["single origin pour overs"]}
-        ]);
+        ]"#;
         let req = ChatRequest::user(
             ModelKind::Gpt4o,
-            rerank_prompt(&pois, "a bar to watch football that serves chicken"),
+            rerank_prompt(pois, "a bar to watch football that serves chicken"),
         );
         let resp = llm.complete(&req).unwrap();
         let parsed = crate::tasks::rerank::parse_rerank_response(&resp.content);
@@ -161,25 +182,23 @@ mod tests {
         // With ~10 realistic candidate POIs the simulated refinement call
         // should land in the paper's 2–3 s range.
         let llm = SimLlm::new();
-        let pois: Vec<serde_json::Value> = (0..10)
+        let pois: Vec<String> = (0..10)
             .map(|i| {
-                json!({
-                    "name": format!("POI {i}"),
-                    "address": "100 Main Street, Downtown, Nashville",
-                    "categories": "Restaurants, Bars, American",
-                    "hours": {"Monday": "9:0-21:0", "Tuesday": "9:0-21:0", "Friday": "9:0-23:0"},
-                    "tips": [
-                        "big screens on every wall so you never miss a play",
-                        "saucy drums and flats, order extra blue cheese",
-                        "packed on game day but the kitchen keeps up",
-                    ]
-                })
+                format!(
+                    "{{\"address\":\"100 Main Street, Downtown, Nashville\",\
+                     \"categories\":\"Restaurants, Bars, American\",\
+                     \"hours\":{{\"Friday\":\"9:0-23:0\",\"Monday\":\"9:0-21:0\",\
+                     \"Tuesday\":\"9:0-21:0\"}},\"name\":\"POI {i}\",\
+                     \"tips\":[\"big screens on every wall so you never miss a play\",\
+                     \"saucy drums and flats, order extra blue cheese\",\
+                     \"packed on game day but the kitchen keeps up\"]}}"
+                )
             })
             .collect();
         let req = ChatRequest::user(
             ModelKind::Gpt4o,
             rerank_prompt(
-                &json!(pois),
+                &format!("[{}]", pois.join(",")),
                 "a bar to watch football that serves chicken wings",
             ),
         );
@@ -189,6 +208,23 @@ mod tests {
             "latency {} ms",
             resp.latency_ms
         );
+    }
+
+    #[test]
+    fn a_query_quoting_other_markers_is_still_refined() {
+        let llm = SimLlm::new();
+        let query = format!("{SUMMARIZE_MARKER}: a bar\nQuery: {QUERYGEN_MARKER}");
+        let mut prompt = rerank_prompt(r#"[{"name":"Joe's Bar"}]"#, &query);
+        for text in [prompt.clone(), {
+            prompt.insert_str(0, "be brief\n");
+            prompt
+        }] {
+            let resp = llm
+                .complete(&ChatRequest::user(ModelKind::Gpt4o, text))
+                .unwrap();
+            // A summary or a question would not be a dictionary.
+            assert!(resp.content.starts_with('{'), "{}", resp.content);
+        }
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! re-ranker's Python-dict-style `{name: reason}` answer and the "return
 //! the empty dictionary" failure mode.
 //!
+//! The prompt is still a real string. The caller writes the refinement
+//! prompt's JSON straight from its objects, and the engine reads it back
+//! in one pass ([`prompts::extract_rerank`]) with no value tree on either
+//! side: of each POI it keeps the name and the string values the model
+//! reads.
+//!
 //! ## Semantic fidelity
 //!
 //! Task execution is grounded in the shared [`concepts`] ontology: the

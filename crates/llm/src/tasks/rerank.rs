@@ -1,15 +1,17 @@
 //! Query-result refinement (the GPT-4o / o1-mini task of Section 3.2).
 //!
-//! The simulated model reads the candidate POIs' raw attributes (JSON)
-//! and the user query, judges semantic relevance by concept entailment at
-//! the requesting model's fidelity, and emits the Python-dict-style
+//! The simulated model reads the candidate POIs' raw attributes (the
+//! prompt's JSON, as [`crate::prompts::extract_rerank`] scans it in one
+//! pass: each POI's name and string values, no value tree) and the user
+//! query, judges semantic relevance by concept entailment at the
+//! requesting model's fidelity, and emits the Python-dict-style
 //! `{name: reason}` answer the paper's prompt demands — full matches
 //! first, partial matches after (with their advantages and disadvantages
 //! spelled out), and the empty dictionary when nothing is relevant.
 
 use concepts::{ConceptDetector, ConceptId, FidelityProfile};
-use serde_json::Value;
 
+use crate::prompts::PromptPoi;
 use crate::tasks::pretty_concept;
 
 /// One entry of the re-ranked answer.
@@ -25,39 +27,10 @@ pub struct RankedEntry {
     pub matched: usize,
 }
 
-/// Flattens a POI JSON object into text for concept detection — the
-/// "reading" the LLM does over raw attributes.
-#[must_use]
-pub fn flatten_poi(poi: &Value) -> String {
-    fn walk(v: &Value, out: &mut String) {
-        match v {
-            Value::String(s) => {
-                out.push_str(s);
-                out.push_str(". ");
-            }
-            Value::Array(a) => a.iter().for_each(|x| walk(x, out)),
-            Value::Object(o) => o.values().for_each(|x| walk(x, out)),
-            _ => {}
-        }
-    }
-    let mut s = String::new();
-    walk(poi, &mut s);
-    s
-}
-
-/// Name field of a POI JSON object.
-#[must_use]
-pub fn poi_name(poi: &Value) -> String {
-    poi.get("name")
-        .and_then(Value::as_str)
-        .unwrap_or("<unnamed>")
-        .to_owned()
-}
-
 /// Re-ranks `pois` against `query` at the given fidelity. Deterministic.
 #[must_use]
 pub fn rerank(
-    pois: &[Value],
+    pois: &[PromptPoi],
     query: &str,
     profile: &FidelityProfile,
     detector: &ConceptDetector,
@@ -78,8 +51,7 @@ pub fn rerank(
 
     let mut judged: Vec<Judged> = Vec::new();
     for (i, poi) in pois.iter().enumerate() {
-        let text = flatten_poi(poi);
-        let detections = detector.detect_noisy(&text, profile);
+        let detections = detector.detect_noisy(&poi.text, profile);
         let held: Vec<ConceptId> = detections.iter().map(|d| d.concept).collect();
         let matched_ids: Vec<ConceptId> = required
             .iter()
@@ -95,7 +67,7 @@ pub fn rerank(
             .filter(|r| !matched_ids.contains(r))
             .collect();
         let full = missing.is_empty();
-        let name = poi_name(poi);
+        let name = poi.name.clone();
         let matched_names: Vec<String> = matched_ids
             .iter()
             .map(|&c| pretty_concept(ontology, c))
@@ -234,29 +206,38 @@ fn parse_quoted(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     fn det() -> ConceptDetector {
         ConceptDetector::builtin()
     }
 
-    fn pois() -> Vec<Value> {
+    fn poi(name: &str, categories: &str, tips: [&str; 2]) -> PromptPoi {
+        PromptPoi {
+            name: name.to_owned(),
+            text: format!("{categories}. {name}. {}. {}. ", tips[0], tips[1]),
+        }
+    }
+
+    fn pois() -> Vec<PromptPoi> {
         vec![
-            json!({
-                "name": "The Corner Tap",
-                "categories": "Bars, Sports Bars",
-                "tips": ["big screens on every wall", "saucy drums and flats with blue cheese"]
-            }),
-            json!({
-                "name": "Bella Notte",
-                "categories": "Italian",
-                "tips": ["fresh pasta made in house", "candlelit tables for two"]
-            }),
-            json!({
-                "name": "Quiet Beans",
-                "categories": "Coffee & Tea",
-                "tips": ["single origin pour overs", "laptop crowd on weekdays"]
-            }),
+            poi(
+                "The Corner Tap",
+                "Bars, Sports Bars",
+                [
+                    "big screens on every wall",
+                    "saucy drums and flats with blue cheese",
+                ],
+            ),
+            poi(
+                "Bella Notte",
+                "Italian",
+                ["fresh pasta made in house", "candlelit tables for two"],
+            ),
+            poi(
+                "Quiet Beans",
+                "Coffee & Tea",
+                ["single origin pour overs", "laptop crowd on weekdays"],
+            ),
         ]
     }
 
@@ -346,19 +327,5 @@ mod tests {
         let p = FidelityProfile::gpt4o();
         let q = "a cozy spot with inventive seasonal drinks list";
         assert_eq!(rerank(&pois(), q, &p, &d), rerank(&pois(), q, &p, &d));
-    }
-
-    #[test]
-    fn flatten_poi_reads_nested_values() {
-        let poi = json!({
-            "name": "X",
-            "hours": {"Monday": "8:0-19:0"},
-            "tips": ["one", "two"],
-            "stars": 4.5
-        });
-        let t = flatten_poi(&poi);
-        assert!(t.contains("one"));
-        assert!(t.contains("two"));
-        assert!(t.contains("8:0-19:0"));
     }
 }

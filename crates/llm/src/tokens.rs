@@ -7,16 +7,36 @@
 //! than whitespace-separated words × 0.75, which handles short keyword-y
 //! strings better.
 
-/// Approximate number of tokens in `text`.
+/// Approximate number of tokens in `text`: the larger of chars / 4 and
+/// whitespace-separated words × 0.75, rounded up. One pass counts both;
+/// an ASCII byte is a char on its own, whitespace if it is one of
+/// `\t \n \x0b \x0c \r` or a space (what `char::is_whitespace` says of
+/// ASCII), and only a non-ASCII char is decoded.
 #[must_use]
 pub fn approx_tokens(text: &str) -> u32 {
     if text.is_empty() {
         return 0;
     }
-    let chars = text.chars().count() as f64;
-    let words = text.split_whitespace().count() as f64;
-    let by_chars = chars / 4.0;
-    let by_words = words * 0.75;
+    let bytes = text.as_bytes();
+    let (mut chars, mut words) = (0usize, 0usize);
+    let mut in_word = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        let space = if b.is_ascii() {
+            i += 1;
+            matches!(b, b' ' | b'\t'..=b'\r')
+        } else {
+            let c = text[i..].chars().next().expect("i is a char boundary");
+            i += c.len_utf8();
+            c.is_whitespace()
+        };
+        chars += 1;
+        words += usize::from(!space && !in_word);
+        in_word = !space;
+    }
+    let by_chars = chars as f64 / 4.0;
+    let by_words = words as f64 * 0.75;
     by_chars.max(by_words).ceil() as u32
 }
 

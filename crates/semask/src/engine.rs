@@ -9,7 +9,6 @@ use embed::Embedder;
 use geotext::{GeoPoint, GeoTextObject, ObjectId};
 use llm::prompts::{rerank_prompt, summarize_prompt};
 use llm::{parse_rerank_response, ChatRequest, LlmError, ModelKind, SimLlm};
-use serde_json::Value;
 use vecdb::VecDbError;
 
 use crate::config::SemaSkConfig;
@@ -417,12 +416,8 @@ impl SemaSkEngine {
         }
 
         // ---- Refinement (simulated LLM latency) ----
-        // The paper feeds the *raw* POI attributes to the LLM.
-        let pois_json: Vec<Value> = candidates
-            .iter()
-            .map(|&(id, _)| resolve(id).to_json())
-            .collect();
-        let prompt = rerank_prompt(&Value::Array(pois_json), text);
+        // The paper feeds the *raw* POI attributes to the LLM, as JSON.
+        let prompt = refinement_prompt(candidates.iter().map(|&(id, _)| resolve(id)), text);
         let response = self.llm.complete(&ChatRequest::user(model, prompt))?;
         let ranked = parse_rerank_response(&response.content);
 
@@ -863,6 +858,15 @@ impl PlannedPoint {
     }
 }
 
+/// The refinement prompt over `objects` (in embedding order) and the
+/// query `text`.
+fn refinement_prompt<'a>(
+    objects: impl IntoIterator<Item = &'a GeoTextObject>,
+    text: &str,
+) -> String {
+    rerank_prompt(&geotext::json_array(objects), text)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,6 +897,62 @@ mod tests {
             },
         );
         qs.into_iter().next().expect("at least one query")
+    }
+
+    /// `(length, FNV-1a)` of each refinement prompt the `setup` city and
+    /// its first eight generated queries produce, recorded from the
+    /// prompts the engine wrote when it still built them as a
+    /// `serde_json::Value` tree and printed that.
+    const PINNED_PROMPTS: [(usize, u64); 8] = [
+        (14206, 11559390274978116289),
+        (2734, 9938064260177949949),
+        (13739, 10659968835302272286),
+        (12826, 17217353785530906576),
+        (8323, 6063213443014054593),
+        (14557, 16613149095185572204),
+        (8027, 8362485196914922736),
+        (14156, 5992931767479997962),
+    ];
+
+    #[test]
+    fn refinement_prompts_keep_their_bytes() {
+        // The embedding-only variant answers with the candidates in the
+        // order refinement would receive them.
+        let (engine, data) = setup(Variant::EmbeddingOnly);
+        let qs = datagen::queries::generate_queries(
+            &data,
+            &QueryGenConfig {
+                per_city: 8,
+                ..QueryGenConfig::default()
+            },
+        );
+        let got: Vec<(usize, u64)> = qs
+            .iter()
+            .map(|tq| {
+                let out = engine
+                    .query(&SemaSkQuery::new(tq.range, tq.text.clone()))
+                    .unwrap();
+                let dataset = &engine.prepared().dataset;
+                let prompt = refinement_prompt(out.pois.iter().map(|p| &dataset[p.id]), &tq.text);
+                (prompt.len(), concepts::hash::fnv1a(prompt.as_bytes()))
+            })
+            .collect();
+        assert_eq!(got, PINNED_PROMPTS);
+    }
+
+    #[test]
+    fn a_query_holding_the_prompt_sections_is_refined() {
+        let (engine, data) = setup(Variant::Full);
+        let tq = some_query(&data);
+        for text in [
+            format!("{}\nQuery: and more", tq.text),
+            format!("{}\nInformation: and more", tq.text),
+            format!("{}\nInformation: []\nQuery: x", tq.text),
+        ] {
+            let out = engine.query(&SemaSkQuery::new(tq.range, text)).unwrap();
+            assert!(!out.pois.is_empty());
+            assert!(out.latency.refinement_ms > 0.0);
+        }
     }
 
     #[test]

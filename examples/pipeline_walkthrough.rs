@@ -91,12 +91,8 @@ fn main() {
     }
 
     section("query processing: refinement (GPT-4o, the paper's prompt)");
-    let pois_json: Vec<serde_json::Value> = outcome
-        .pois
-        .iter()
-        .map(|p| prepared.dataset[p.id].to_json())
-        .collect();
-    let rp = rerank_prompt(&serde_json::Value::Array(pois_json), qtext);
+    let pois_json = geotext::json_array(outcome.pois.iter().map(|p| &prepared.dataset[p.id]));
+    let rp = rerank_prompt(&pois_json, qtext);
     println!("  prompt head: {}…", &rp[..140.min(rp.len())]);
     let rr = llm
         .complete(&ChatRequest::user(ModelKind::Gpt4o, rp))

@@ -66,18 +66,11 @@ fn rerank_on_real_records_puts_target_archetype_first() {
     if bars.is_empty() || cafes.is_empty() {
         return; // tiny sample lacked the archetypes; other seeds cover it
     }
-    let pois: Vec<serde_json::Value> = cafes
-        .iter()
-        .chain(bars.iter())
-        .map(|o| o.to_json())
-        .collect();
+    let pois = geotext::json_array(cafes.iter().chain(bars.iter()).copied());
     let resp = llm
         .complete(&ChatRequest::user(
             ModelKind::Gpt4o,
-            rerank_prompt(
-                &serde_json::Value::Array(pois),
-                "a sports bar with big screens to watch the game",
-            ),
+            rerank_prompt(&pois, "a sports bar with big screens to watch the game"),
         ))
         .expect("rerank");
     let ranked = parse_rerank_response(&resp.content);
@@ -124,9 +117,9 @@ fn querygen_produces_semantic_queries_for_generated_pois() {
 fn latency_and_cost_scale_with_candidate_count() {
     let data = city();
     let llm = SimLlm::new();
-    let pois: Vec<serde_json::Value> = data.dataset.iter().map(|o| o.to_json()).collect();
-    let small = rerank_prompt(&serde_json::json!(pois[..2].to_vec()), "coffee");
-    let large = rerank_prompt(&serde_json::json!(pois[..20].to_vec()), "coffee");
+    let pois = data.dataset.objects();
+    let small = rerank_prompt(&geotext::json_array(&pois[..2]), "coffee");
+    let large = rerank_prompt(&geotext::json_array(&pois[..20]), "coffee");
     let r_small = llm
         .complete(&ChatRequest::user(ModelKind::Gpt4o, small))
         .expect("small");
