@@ -4,12 +4,16 @@
 //!
 //! `rerank_call_real_10` is the refinement stage as the engine runs it,
 //! minus retrieval: write the prompt from ten prepared POIs of a
-//! generated city, serve it, parse the answer.
+//! generated city, serve it, parse the answer. `read_10_pois` is the
+//! model's reading of that prompt on its own: scan the JSON of the ten
+//! POIs, read each POI's strings and detect its concepts at GPT-4o's
+//! fidelity, the prompt written once outside the loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use llm::prompts::{rerank_prompt, summarize_prompt};
+use concepts::FidelityProfile;
+use llm::prompts::{extract_rerank, rerank_prompt, summarize_prompt};
 use llm::{parse_rerank_response, ChatRequest, ModelKind, SimLlm};
 use semask::{prepare_city, SemaSkConfig};
 
@@ -36,6 +40,19 @@ fn bench_llm(c: &mut Criterion) {
                 .complete(&ChatRequest::user(ModelKind::Gpt4o, prompt))
                 .unwrap();
             black_box(parse_rerank_response(&resp.content))
+        });
+    });
+    let prompt = rerank_prompt(&geotext::json_array(candidates.iter().copied()), query);
+    let detector = llm.detector();
+    let profile = FidelityProfile::gpt4o();
+    group.bench_function("read_10_pois", |b| {
+        b.iter(|| {
+            let (pois, _) = extract_rerank(&prompt, detector).unwrap();
+            let found: usize = pois
+                .iter()
+                .map(|p| detector.detect_noisy_reading(&p.reading, &profile).len())
+                .sum();
+            black_box(found)
         });
     });
     group.finish();

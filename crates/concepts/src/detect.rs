@@ -6,22 +6,31 @@
 //! through a [`FidelityProfile`] — deterministic per (text, concept,
 //! model), so the simulated world is stable across pipeline stages.
 //!
+//! A text is read once, as a [`Reading`]: its FNV-1a hash (what the
+//! noise is drawn from) and the interned ids of its stems (what phrases
+//! are matched against). A [`Reader`] builds one from segments fed in
+//! order — the decoded strings of a prompt, a POI's tips — as the
+//! reading of the text they would join into, without that text ever
+//! being written: each segment extends the hash, and each token the
+//! detector's tokenizer finishes is stemmed and looked up there and then
+//! (a stem is a slice of its token unless the stemmer put a suffix back,
+//! and only then is it assembled, in one scratch buffer).
+//!
 //! The phrase index is interned. [`ConceptDetector::new`] numbers every
 //! stem that occurs in an ontology phrase (a dense `u32` id), stores each
 //! phrase as its stems' ids, and files the phrases in a `Vec` indexed by
-//! the id of their first stem. Detection looks each of the text's stems
-//! up once — one hash map with a small local multiply–rotate hasher, not
-//! SipHash — and a stem outside the vocabulary gets a sentinel id, which
-//! starts no phrase and equals no phrase token. Matching a phrase is then
-//! a comparison of `u32` slices.
+//! the id of their first stem. Stem ids live in a flat open-addressing
+//! table keyed by the stem's bytes; a stem longer than the vocabulary's
+//! longest is not looked up at all. A stem outside the vocabulary gets a
+//! sentinel id, which starts no phrase and equals no phrase token.
+//! Matching a phrase is then a comparison of `u32` slices.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use textindex::tokenizer::{stem_into, Tokenizer};
+use textindex::tokenizer::{stem, stem_parts, Tokenizer};
 
 use crate::concept::ConceptId;
-use crate::hash::{fnv1a, mix, unit_float};
+use crate::hash::{fnv1a_extend, mix, unit_float, FNV_OFFSET};
 use crate::ontology::Ontology;
 
 /// One detected concept occurrence in a text.
@@ -124,78 +133,211 @@ impl FidelityProfile {
     }
 }
 
-/// The stemmed token sequence of one text, in one buffer — what
-/// detection matches phrases against. Every raw token (lower-cased, no
-/// stopwords removed) contributes its stem, empty stems included, so a
-/// phrase never matches across a word that stemmed away.
-#[derive(Debug, Default)]
-pub struct Stems {
-    buf: String,
-    ends: Vec<usize>,
-}
-
-impl Stems {
-    /// Appends the stem of the raw token `token` and returns it.
-    pub fn push(&mut self, token: &str) -> &str {
-        let start = self.buf.len();
-        stem_into(token, &mut self.buf);
-        self.ends.push(self.buf.len());
-        &self.buf[start..]
-    }
-
-    /// Number of stems.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether there are no stems.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// The `i`-th stem.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.buf[start..self.ends[i]]
-    }
-
-    /// The stems in order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-}
-
 /// The id of a stem that occurs in no ontology phrase.
 const UNKNOWN: u32 = u32::MAX;
 
-/// A multiply–rotate hash over 8-byte words, in the style of rustc's
-/// `FxHasher`. The keys are stems the detector itself interned, so no
-/// adversary picks them; SipHash's collision resistance buys nothing.
-#[derive(Default)]
-struct StemHasher(u64);
+/// Stem → id, for every stem of every ontology phrase: open addressing
+/// with linear probing over a power-of-two slot array at most half full.
+/// A slot holds a tag (hash bits the index did not use) and the id; the
+/// stems' bytes sit in one buffer in id order, so a lookup compares
+/// bytes only when the tag agrees.
+struct StemTable {
+    /// `(tag, id)` per slot; an empty slot's id is [`UNKNOWN`].
+    slots: Box<[(u32, u32)]>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick its first slot.
+    shift: u32,
+    /// Every stem's bytes, in id order.
+    bytes: Vec<u8>,
+    /// Where each id's stem ends in `bytes`.
+    ends: Vec<u32>,
+    /// The longest stem's length in bytes.
+    longest: usize,
+}
 
-impl StemHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+impl StemTable {
+    fn new(stems: &[String]) -> Self {
+        let len = (2 * stems.len()).next_power_of_two().max(2);
+        let mut table = Self {
+            slots: vec![(0, UNKNOWN); len].into_boxed_slice(),
+            shift: 64 - len.trailing_zeros(),
+            bytes: Vec::new(),
+            ends: Vec::with_capacity(stems.len()),
+            longest: 0,
+        };
+        for (id, stem) in stems.iter().enumerate() {
+            table.bytes.extend_from_slice(stem.as_bytes());
+            table.ends.push(table.bytes.len() as u32);
+            table.longest = table.longest.max(stem.len());
+            let (mut at, tag) = table.home(stem.as_bytes());
+            while table.slots[at].1 != UNKNOWN {
+                at = (at + 1) & (len - 1);
+            }
+            table.slots[at] = (tag, id as u32);
+        }
+        table
+    }
+
+    /// The first slot and the tag of `key`: a multiply–rotate hash, in
+    /// the style of rustc's `FxHasher`, over the key's length and its
+    /// bytes a word at a time (a key of at most 8 bytes is one word,
+    /// read from two overlapping places). The keys are stems of the
+    /// detector's own vocabulary, so no adversary picks them.
+    fn home(&self, key: &[u8]) -> (usize, u32) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let n = key.len();
+        let word = |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                key[at..at + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        let mut h = (n as u64).wrapping_mul(K);
+        let mut add = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+        match n {
+            0 => {}
+            1..=3 => {
+                add(u64::from(key[0]) | u64::from(key[n / 2]) << 8 | u64::from(key[n - 1]) << 16)
+            }
+            4..=8 => add(half(0) | half(n - 4) << 32),
+            _ => {
+                let mut at = 0;
+                while at + 8 < n {
+                    add(word(at));
+                    at += 8;
+                }
+                add(word(n - 8));
+            }
+        }
+        ((h >> self.shift) as usize, (h >> 8) as u32)
+    }
+
+    fn stem(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        let start = if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        };
+        &self.bytes[start..self.ends[id] as usize]
+    }
+
+    /// The id of `stem`, or [`UNKNOWN`].
+    fn get(&self, stem: &str) -> u32 {
+        let key = stem.as_bytes();
+        if key.len() > self.longest {
+            return UNKNOWN;
+        }
+        let (mut at, tag) = self.home(key);
+        let mask = self.slots.len() - 1;
+        loop {
+            let (t, id) = self.slots[at];
+            if id == UNKNOWN || (t == tag && self.stem(id) == key) {
+                return id;
+            }
+            at = (at + 1) & mask;
+        }
     }
 }
 
-impl Hasher for StemHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        let mut tail = [0u8; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.add(u64::from_le_bytes(tail));
+/// What detection reads of one text: its FNV-1a hash and the ids of its
+/// stems in order. Every raw token (lower-cased, no stopwords removed)
+/// contributes one id, an empty stem's included, so a phrase never
+/// matches across a word that stemmed away. Build one with
+/// [`ConceptDetector::read`] or a [`Reader`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reading {
+    hash: u64,
+    ids: Vec<u32>,
+}
+
+impl Reading {
+    /// Reads one token: looks its stem up and hands `f` both. A stem
+    /// that is a prefix of its token (most are) is not copied; any other
+    /// is assembled in `scratch`.
+    fn add(
+        &mut self,
+        detector: &ConceptDetector,
+        scratch: &mut String,
+        token: &str,
+        f: &mut impl FnMut(&str, &str),
+    ) {
+        let stem = match stem_parts(token) {
+            (head, "") => head,
+            (head, tail) => {
+                scratch.clear();
+                scratch.push_str(head);
+                scratch.push_str(tail);
+                scratch
+            }
+        };
+        self.ids.push(detector.stem_ids.get(stem));
+        f(token, stem);
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// The FNV-1a hash of the text read ([`crate::hash::fnv1a`] of it).
+    #[must_use]
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Reads a text fed in segments into a [`Reading`]: the reading of the
+/// segments' concatenation, whatever the cuts. Its scratch buffers
+/// outlive each [`Reader::finish`], so one reader serves many texts.
+pub struct Reader<'d> {
+    detector: &'d ConceptDetector,
+    /// The token running at the end of the last segment.
+    pending: String,
+    /// A stem that is not a prefix of its token.
+    stem: String,
+    reading: Reading,
+}
+
+impl Reader<'_> {
+    /// Reads the next segment of the text.
+    pub fn push(&mut self, segment: &str) {
+        self.push_with(segment, |_, _| {});
+    }
+
+    /// [`Reader::push`], handing `f` each token finished on the way and
+    /// its stem, `(token, stem)`.
+    pub fn push_with(&mut self, segment: &str, mut f: impl FnMut(&str, &str)) {
+        self.reading.hash = fnv1a_extend(self.reading.hash, segment.as_bytes());
+        let Self {
+            detector,
+            pending,
+            stem,
+            reading,
+        } = self;
+        detector.tokenizer.feed_tokens(pending, segment, |token| {
+            reading.add(detector, stem, token, &mut f)
+        });
+    }
+
+    /// Ends the text: reads the token left running, returns the reading
+    /// and starts the next text.
+    pub fn finish(&mut self) -> Reading {
+        self.finish_with(|_, _| {})
+    }
+
+    /// [`Reader::finish`], handing `f` the last token and its stem as
+    /// [`Reader::push_with`] does.
+    pub fn finish_with(&mut self, mut f: impl FnMut(&str, &str)) -> Reading {
+        let Self {
+            detector,
+            pending,
+            stem,
+            reading,
+        } = self;
+        detector
+            .tokenizer
+            .finish_tokens(pending, |token| reading.add(detector, stem, token, &mut f));
+        // The next text is likely about as long as this one.
+        let next = Reading {
+            hash: FNV_OFFSET,
+            ids: Vec::with_capacity(reading.ids.len()),
+        };
+        std::mem::replace(reading, next)
     }
 }
 
@@ -210,7 +352,7 @@ struct PhraseRef {
 pub struct ConceptDetector {
     ontology: &'static Ontology,
     /// Stem → its id: every stem of every phrase, numbered densely.
-    stem_ids: HashMap<Box<str>, u32, BuildHasherDefault<StemHasher>>,
+    stem_ids: StemTable,
     /// Stem id → the phrases starting with that stem.
     index: Vec<Vec<PhraseRef>>,
     tokenizer: Tokenizer,
@@ -221,19 +363,21 @@ impl ConceptDetector {
     #[must_use]
     pub fn new(ontology: &'static Ontology) -> Self {
         let tokenizer = Tokenizer::raw();
-        let mut stem_ids: HashMap<Box<str>, u32, BuildHasherDefault<StemHasher>> =
-            HashMap::default();
+        let mut vocabulary: Vec<String> = Vec::new();
+        let mut ids: HashMap<String, u32> = HashMap::new();
         let mut index: Vec<Vec<PhraseRef>> = Vec::new();
         for c in ontology.concepts() {
             for (phrases, surface) in [(c.surface, true), (c.paraphrases, false)] {
                 for phrase in phrases {
-                    let tokens: Box<[u32]> = stems_of(&tokenizer, phrase)
-                        .iter()
-                        .map(|stem| {
-                            let next = stem_ids.len() as u32;
-                            *stem_ids.entry(stem.into()).or_insert(next)
-                        })
-                        .collect();
+                    let mut tokens: Vec<u32> = Vec::new();
+                    tokenizer.for_each_token(phrase, |token| {
+                        let id = *ids.entry(stem(token)).or_insert_with_key(|stem| {
+                            vocabulary.push(stem.clone());
+                            vocabulary.len() as u32 - 1
+                        });
+                        tokens.push(id);
+                    });
+                    let tokens = tokens.into_boxed_slice();
                     let Some(&first) = tokens.first() else {
                         continue;
                     };
@@ -261,7 +405,7 @@ impl ConceptDetector {
         }
         Self {
             ontology,
-            stem_ids,
+            stem_ids: StemTable::new(&vocabulary),
             index,
             tokenizer,
         }
@@ -279,29 +423,39 @@ impl ConceptDetector {
         self.ontology
     }
 
-    /// The detector's tokenizer: raw (no stopwords, no stemming), so
-    /// [`Stems::push`] of each of its tokens builds what
-    /// [`ConceptDetector::detect_stems`] reads.
+    /// A [`Reader`] over this detector's vocabulary.
     #[must_use]
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
+    pub fn reader(&self) -> Reader<'_> {
+        Reader {
+            detector: self,
+            pending: String::new(),
+            stem: String::new(),
+            reading: Reading {
+                hash: FNV_OFFSET,
+                ids: Vec::new(),
+            },
+        }
+    }
+
+    /// The [`Reading`] of `text`.
+    #[must_use]
+    pub fn read(&self, text: &str) -> Reading {
+        let mut reader = self.reader();
+        reader.push(text);
+        reader.finish()
     }
 
     /// Exact detection: every concept whose surface term or paraphrase
     /// occurs (as a stemmed token subsequence) in `text`.
     #[must_use]
     pub fn detect(&self, text: &str) -> Vec<Detection> {
-        self.detect_stems(&stems_of(&self.tokenizer, text))
+        self.detect_reading(&self.read(text))
     }
 
-    /// [`ConceptDetector::detect`] over a text's stems, for callers that
-    /// tokenize the text anyway.
+    /// [`ConceptDetector::detect`] over a text's [`Reading`].
     #[must_use]
-    pub fn detect_stems(&self, stems: &Stems) -> Vec<Detection> {
-        let ids: Vec<u32> = stems
-            .iter()
-            .map(|stem| self.stem_ids.get(stem).copied().unwrap_or(UNKNOWN))
-            .collect();
+    pub fn detect_reading(&self, reading: &Reading) -> Vec<Detection> {
+        let ids = &reading.ids[..];
         let mut out: Vec<Detection> = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
             let Some(candidates) = self.index.get(id as usize) else {
@@ -344,23 +498,20 @@ impl ConceptDetector {
     /// `(text, concept, profile.salt)`.
     #[must_use]
     pub fn detect_noisy(&self, text: &str, profile: &FidelityProfile) -> Vec<Detection> {
-        self.detect_noisy_stems(text, &stems_of(&self.tokenizer, text), profile)
+        self.detect_noisy_reading(&self.read(text), profile)
     }
 
-    /// [`ConceptDetector::detect_noisy`] with `text`'s stems already
-    /// computed (`stems` must be what [`Stems::push`] of each token of
-    /// [`ConceptDetector::tokenizer`] over `text` builds; the noise is
-    /// still drawn from `text` itself).
+    /// [`ConceptDetector::detect_noisy`] over a text's [`Reading`]; the
+    /// noise is drawn from the text's hash the reading carries.
     #[must_use]
-    pub fn detect_noisy_stems(
+    pub fn detect_noisy_reading(
         &self,
-        text: &str,
-        stems: &Stems,
+        reading: &Reading,
         profile: &FidelityProfile,
     ) -> Vec<Detection> {
-        let text_hash = fnv1a(text.as_bytes());
+        let text_hash = reading.hash;
         let mut out: Vec<Detection> = self
-            .detect_stems(stems)
+            .detect_reading(reading)
             .into_iter()
             .filter(|d| {
                 let p = if d.via_surface {
@@ -403,21 +554,61 @@ impl ConceptDetector {
     }
 }
 
-/// The stems of every token `tokenizer` finds in `text`.
-fn stems_of(tokenizer: &Tokenizer, text: &str) -> Stems {
-    let mut stems = Stems::default();
-    tokenizer.for_each_token(text, |tok| {
-        stems.push(tok);
-    });
-    stems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn det() -> ConceptDetector {
         ConceptDetector::builtin()
+    }
+
+    #[test]
+    fn the_stem_table_finds_every_stem_and_nothing_else() {
+        // Every length the hash reads differently, keys that agree on
+        // the bytes a short key's hash reads, and one past 16 bytes.
+        let mut stems: Vec<String> = [
+            "",
+            "a",
+            "ab",
+            "abb",
+            "abc",
+            "abcd",
+            "abcdabcd",
+            "abcdefgh",
+            "abcdefghi",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        stems.extend((10..=24).map(|n| "xyz".repeat(8)[..n].to_owned()));
+        stems.extend((0..2000).map(|i| format!("w{i}")));
+        let table = StemTable::new(&stems);
+        for (id, stem) in stems.iter().enumerate() {
+            assert_eq!(table.get(stem), id as u32, "{stem:?}");
+        }
+        for miss in [
+            "b",
+            "aa",
+            "ba",
+            "abbb",
+            "abcdabc",
+            "abcdabce",
+            "abcdefghj",
+            "w2000",
+            "w-1",
+            "xyzxyzxyzxyzxyzxyzxyzxyzx",
+        ] {
+            assert_eq!(table.get(miss), UNKNOWN, "{miss:?}");
+        }
+        assert_eq!(StemTable::new(&[]).get("a"), UNKNOWN);
+    }
+
+    #[test]
+    fn the_builtin_vocabulary_reads_back_its_ids() {
+        let d = det();
+        for id in 0..d.stem_ids.ends.len() as u32 {
+            let stem = std::str::from_utf8(d.stem_ids.stem(id)).expect("UTF-8");
+            assert_eq!(d.stem_ids.get(stem), id, "{stem:?}");
+        }
     }
 
     #[test]

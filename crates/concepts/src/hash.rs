@@ -5,12 +5,20 @@
 //! repeated runs, and different pipeline stages looking at the same text,
 //! agree.
 
+/// The FNV-1a hash of the empty string, where every hash starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a hash of a byte string.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a hash of a text whose hash so far is `h`, extended by
+/// `bytes`: `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+#[must_use]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(PRIME);
@@ -50,6 +58,15 @@ mod tests {
         assert_eq!(fnv1a(b"hello"), fnv1a(b"hello"));
         assert_ne!(fnv1a(b"hello"), fnv1a(b"hellp"));
         assert_ne!(fnv1a(b""), fnv1a(b"a"));
+    }
+
+    #[test]
+    fn fnv_extends_across_cuts() {
+        let text = b"big screens on every wall";
+        for cut in 0..=text.len() {
+            let (a, b) = text.split_at(cut);
+            assert_eq!(fnv1a_extend(fnv1a(a), b), fnv1a(text));
+        }
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod hash;
 pub mod ontology;
 
 pub use concept::{Concept, ConceptId, Domain};
-pub use detect::{ConceptDetector, Detection, FidelityProfile, Stems};
+pub use detect::{ConceptDetector, Detection, FidelityProfile, Reader, Reading};
 pub use ontology::Ontology;

@@ -1,6 +1,7 @@
 //! Property-based tests for the semantic world model.
 
-use concepts::{ConceptDetector, ConceptId, Detection, FidelityProfile, Ontology, Stems};
+use concepts::hash::fnv1a;
+use concepts::{ConceptDetector, ConceptId, Detection, FidelityProfile, Ontology, Reading};
 use proptest::prelude::*;
 use textindex::tokenizer::stem;
 use textindex::Tokenizer;
@@ -117,6 +118,80 @@ fn arb_phrase_text() -> impl Strategy<Value = String> {
         })
 }
 
+/// Words a reader must get right: ontology phrase words with suffixes
+/// that stem back into the vocabulary ("screens", "watching", "berries"),
+/// multi-char lower-casing (`İ` → `i̇`), apostrophes inside and around
+/// words, digits, tokens longer than 16 bytes (longer than any stem),
+/// non-ASCII letters and whitespace, and upper case.
+fn arb_segments() -> impl Strategy<Value = Vec<String>> {
+    const WORDS: &[&str] = &[
+        "big",
+        "screens",
+        "wall",
+        "watching",
+        "games",
+        "pizzas",
+        "berries",
+        "burgers",
+        "coffee",
+        "pour",
+        "overs",
+        "candlelit",
+        "tables",
+        "sportsbars",
+        "Mike's",
+        "'quoted'",
+        "don't",
+        "24/7",
+        "9:0-21:0",
+        "4.5",
+        "İstanbul",
+        "İİ",
+        "CAFÉ",
+        "straße",
+        "ΣΟΦΙΑ",
+        "ǅemal",
+        "naïve",
+        "\u{a0}",
+        "\u{3000}",
+        "supercalifragilisticexpialidocious",
+        "screeningsnesses",
+        "ness",
+        "relaxations",
+        "tea",
+        "live",
+        "music",
+        "happy",
+        "hour",
+        "wifi",
+    ];
+    const GLUE: &[&str] = &[" ", " ", ", ", "'", "-", "", ". ", "\n"];
+    prop::collection::vec(
+        prop::collection::vec((0usize..WORDS.len(), 0usize..GLUE.len()), 0..8),
+        0..6,
+    )
+    .prop_map(|segments| {
+        segments
+            .iter()
+            .map(|words| {
+                words
+                    .iter()
+                    .map(|&(w, g)| format!("{}{}", WORDS[w], GLUE[g]))
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// Reads `segments` in order through one reader.
+fn read_segments(d: &ConceptDetector, segments: &[&str]) -> Reading {
+    let mut reader = d.reader();
+    for s in segments {
+        reader.push(s);
+    }
+    reader.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -144,21 +219,16 @@ proptest! {
     }
 
     #[test]
-    fn detection_from_stems_equals_detection_from_text(text in arb_mixed_text()) {
+    fn detection_from_a_reading_equals_detection_from_text(text in arb_mixed_text()) {
         let d = ConceptDetector::builtin();
-        let mut stems = Stems::default();
-        d.tokenizer().for_each_token(&text, |tok| {
-            stems.push(tok);
-        });
-        let collected: Vec<String> =
-            Tokenizer::raw().tokenize(&text).iter().map(|t| stem(t)).collect();
-        prop_assert_eq!(stems.iter().collect::<Vec<_>>(), collected);
+        let reading = d.read(&text);
+        prop_assert_eq!(reading.hash(), fnv1a(text.as_bytes()));
         let exact = d.detect(&text);
-        prop_assert_eq!(&d.detect_stems(&stems), &exact);
+        prop_assert_eq!(&d.detect_reading(&reading), &exact);
         prop_assert_eq!(&exact, &reference_detect(&text), "{:?}", text);
         let profile = FidelityProfile::embedding_small();
         prop_assert_eq!(
-            d.detect_noisy_stems(&text, &stems, &profile),
+            d.detect_noisy_reading(&reading, &profile),
             d.detect_noisy(&text, &profile)
         );
     }
@@ -166,13 +236,43 @@ proptest! {
     #[test]
     fn stems_outside_the_vocabulary_break_phrases(text in arb_interrupted_text()) {
         let d = ConceptDetector::builtin();
-        let mut stems = Stems::default();
-        d.tokenizer().for_each_token(&text, |tok| {
-            stems.push(tok);
-        });
-        let exact = d.detect(&text);
-        prop_assert_eq!(&d.detect_stems(&stems), &exact);
+        let exact = d.detect_reading(&d.read(&text));
         prop_assert_eq!(&exact, &reference_detect(&text), "{:?}", text);
+    }
+
+    #[test]
+    fn a_reading_of_segments_is_the_reading_of_their_text(
+        segments in arb_segments(),
+        sep in 0usize..2,
+        cut in 0usize..64,
+    ) {
+        let d = ConceptDetector::builtin();
+        let sep = [". ", " "][sep];
+        // Each segment followed by `sep`, as the prompt scanner feeds
+        // string values, and joined by `sep`, as the summarizer feeds
+        // tips.
+        let mut followed = Vec::new();
+        for s in &segments {
+            followed.push(s.as_str());
+            followed.push(sep);
+        }
+        let joined = segments.join(sep);
+        for (parts, text) in [
+            (followed.clone(), followed.concat()),
+            (followed[..followed.len().saturating_sub(1)].to_vec(), joined),
+        ] {
+            let reading = read_segments(&d, &parts);
+            prop_assert_eq!(reading.hash(), fnv1a(text.as_bytes()), "{:?}", text);
+            prop_assert_eq!(&reading, &d.read(&text), "{:?}", text);
+            prop_assert_eq!(&d.detect_reading(&reading), &reference_detect(&text), "{:?}", text);
+            // Cut anywhere, even inside a word, the pieces read the same.
+            let at = (0..=text.len())
+                .filter(|&i| text.is_char_boundary(i))
+                .nth(cut)
+                .unwrap_or(text.len());
+            let (a, b) = text.split_at(at);
+            prop_assert_eq!(&read_segments(&d, &[a, "", b]), &reading, "{:?} cut at {}", text, at);
+        }
     }
 
     #[test]

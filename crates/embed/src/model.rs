@@ -1,7 +1,7 @@
 //! The semantic embedding simulator.
 
 use concepts::hash::{fnv1a, mix};
-use concepts::{ConceptDetector, FidelityProfile, Stems};
+use concepts::{ConceptDetector, FidelityProfile};
 use textindex::tokenizer::{stem_into, Tokenizer};
 
 use crate::hashvec::{normalize, KeyVectorMemo};
@@ -102,22 +102,23 @@ impl Embedder for SemanticEmbedder {
         // lexical key. The second stemming is deliberate: it is what
         // every stored vector was built with (the golden hashes in the
         // crate tests pin it), and dropping it would change them all.
-        let mut stems = Stems::default();
         let mut token_keys: Vec<u64> = Vec::new();
         let mut again = String::new();
-        self.detector.tokenizer().for_each_token(text, |tok| {
-            let stem = stems.push(tok);
-            if !stem.is_empty() && !self.lexical.is_stopword(tok) {
+        let mut lexical_key = |token: &str, stem: &str| {
+            if !stem.is_empty() && !self.lexical.is_stopword(token) {
                 again.clear();
                 stem_into(stem, &mut again);
                 token_keys.push(fnv1a(again.as_bytes()));
             }
-        });
+        };
+        let mut reader = self.detector.reader();
+        reader.push_with(text, &mut lexical_key);
+        let reading = reader.finish_with(&mut lexical_key);
 
         // Semantic channel: noisy concept detections.
         let detections = self
             .detector
-            .detect_noisy_stems(text, &stems, &self.config.profile);
+            .detect_noisy_reading(&reading, &self.config.profile);
         let mut terms: Vec<(u64, f32)> =
             Vec::with_capacity(detections.len() * 3 + token_keys.len());
         for d in &detections {

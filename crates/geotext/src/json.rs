@@ -129,32 +129,32 @@ fn write_f64(x: f64, out: &mut String) {
 }
 
 /// Writes `s` as a JSON string, copying each run of bytes that needs no
-/// escape as one slice.
+/// escape as one slice: one scan finds where the run stops.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0c => "\\f",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    while let Some(n) = bytes[run..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
         // Every byte that stops the run is ASCII, so both cuts fall on
         // character boundaries.
-        out.push_str(&s[run..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
+        let at = run + n;
+        out.push_str(&s[run..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
-        run = i + 1;
+        run = at + 1;
     }
     out.push_str(&s[run..]);
     out.push('"');

@@ -77,7 +77,7 @@ impl SimLlm {
                 summarize::summarize(&tips, &profile, &self.detector)
             }
             TaskKind::Rerank => {
-                let (pois, query) = extract_rerank(&prompt)?;
+                let (pois, query) = extract_rerank(&prompt, &self.detector)?;
                 let entries = rerank::rerank(&pois, query, &profile, &self.detector);
                 rerank::format_response(&entries)
             }

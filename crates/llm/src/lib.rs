@@ -20,8 +20,8 @@
 //! The prompt is still a real string. The caller writes the refinement
 //! prompt's JSON straight from its objects, and the engine reads it back
 //! in one pass ([`prompts::extract_rerank`]) with no value tree on either
-//! side: of each POI it keeps the name and the string values the model
-//! reads.
+//! side: of each POI it keeps the name and the concept reading of the
+//! string values the model reads, fed straight from the prompt.
 //!
 //! ## Semantic fidelity
 //!

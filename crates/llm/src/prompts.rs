@@ -6,8 +6,10 @@
 //! tips travelling as a Python-style list and POI attributes as JSON.
 //! The refinement prompt's JSON array is text the caller wrote (see
 //! `geotext::GeoTextObject::write_json`); [`extract_rerank`] reads it
-//! back in one pass, without building a value tree, keeping of each POI
-//! only what the simulated model reads: its name and its string values.
+//! back in one pass, without building a value tree or copying text,
+//! keeping of each POI only what the simulated model reads: its name
+//! and the [`concepts::Reading`] of its string values, which each
+//! decoded string is fed into as the scanner leaves it.
 //!
 //! Each parser reads the section its template wrote: the first section
 //! anchor after the template's marker. User text repeating an anchor (a
@@ -15,6 +17,8 @@
 //! comes after it and is read as data.
 
 use std::borrow::Cow;
+
+use concepts::{ConceptDetector, Reader, Reading};
 
 use crate::error::LlmError;
 
@@ -166,26 +170,31 @@ pub struct PromptPoi {
     /// The element's top-level `name`, if that is a string; otherwise
     /// `<unnamed>`.
     pub name: String,
-    /// Every string value of the element, at any depth and in document
-    /// order, each followed by `". "`. Keys, numbers, booleans and nulls
-    /// contribute nothing.
-    pub text: String,
+    /// The reading of the element's text: every string value, at any
+    /// depth and in document order, each followed by `". "`. Keys,
+    /// numbers, booleans and nulls contribute nothing.
+    pub reading: Reading,
 }
 
 /// Extracts `(pois, query)` from a refinement prompt, reading its JSON
-/// array in one pass with no value tree.
+/// array in one pass with no value tree and no text copied: each string
+/// value, once decoded (a slice of the prompt unless it holds an
+/// escape), is fed with its `". "` straight into `detector`'s reader.
 ///
 /// The array starts after the template's `Information:` line and must be
 /// well-formed JSON (an element may be any value); the query is what
 /// follows the array's closing bracket and the template's `Query:` line,
 /// trimmed, whatever it contains. An object that repeats a key keeps
-/// every value's strings in its text, and its last `name`.
-pub fn extract_rerank(prompt: &str) -> Result<(Vec<PromptPoi>, &str), LlmError> {
+/// every value's strings in its reading, and its last `name`.
+pub fn extract_rerank<'p>(
+    prompt: &'p str,
+    detector: &ConceptDetector,
+) -> Result<(Vec<PromptPoi>, &'p str), LlmError> {
     let json = section(prompt, RERANK_MARKER, RERANK_INFO_SECTION)
         .ok_or_else(|| malformed("missing Information section"))?;
     let mut scan = Scanner { src: json, pos: 0 };
     let pois = scan
-        .pois()
+        .pois(&mut detector.reader())
         .map_err(|e| malformed(format!("bad POI JSON: {e} at byte {}", scan.pos)))?;
     let query = json[scan.pos..]
         .strip_prefix(RERANK_QUERY_SECTION)
@@ -221,8 +230,9 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The array of POIs, up to and including its `]`.
-    fn pois(&mut self) -> Scan<Vec<PromptPoi>> {
+    /// The array of POIs, up to and including its `]`, each element's
+    /// text read by `reader`.
+    fn pois(&mut self, reader: &mut Reader<'_>) -> Scan<Vec<PromptPoi>> {
         self.skip_ws();
         if !self.eat(b'[') {
             return Err("expected `[`");
@@ -234,11 +244,10 @@ impl<'a> Scanner<'a> {
         }
         let mut stack = Vec::new();
         loop {
-            let mut text = String::new();
-            let name = self.element(&mut stack, &mut text)?;
+            let name = self.element(&mut stack, reader)?;
             pois.push(PromptPoi {
                 name: name.map_or_else(|| "<unnamed>".to_owned(), Cow::into_owned),
-                text,
+                reading: reader.finish(),
             });
             self.skip_ws();
             if self.eat(b']') {
@@ -250,9 +259,13 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// One array element: appends each of its strings to `text` and
+    /// One array element: feeds each of its strings to `reader` and
     /// returns its top-level `name` string, if any.
-    fn element(&mut self, stack: &mut Vec<u8>, text: &mut String) -> Scan<Option<Cow<'a, str>>> {
+    fn element(
+        &mut self,
+        stack: &mut Vec<u8>,
+        reader: &mut Reader<'_>,
+    ) -> Scan<Option<Cow<'a, str>>> {
         let mut name = None;
         // Whether the value about to be read is the element's `name`.
         let mut is_name = false;
@@ -263,8 +276,8 @@ impl<'a> Scanner<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     let s = self.string()?;
-                    text.push_str(&s);
-                    text.push_str(". ");
+                    reader.push(&s);
+                    reader.push(". ");
                     if this_is_name {
                         name = Some(s);
                     }
@@ -337,38 +350,43 @@ impl<'a> Scanner<'a> {
     }
 
     /// A string's content, its opening quote already read. A string
-    /// without escapes is a slice of the input.
+    /// without escapes is a slice of the input; one scan finds where
+    /// each run of plain bytes stops.
     fn string(&mut self) -> Scan<Cow<'a, str>> {
         let bytes = self.src.as_bytes();
         let mut owned: Option<String> = None;
         let mut run = self.pos;
         loop {
-            let Some(&b) = bytes.get(self.pos) else {
+            let Some(n) = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            else {
+                self.pos = bytes.len();
                 return Err("unterminated string");
             };
-            match b {
+            self.pos += n;
+            // `"` and `\\` are ASCII, so every cut is a char boundary.
+            let plain = &self.src[run..self.pos];
+            match bytes[self.pos] {
                 b'"' => {
-                    // `"` and `\\` are ASCII, so every cut is a char boundary.
-                    let tail = &self.src[run..self.pos];
                     self.pos += 1;
                     return Ok(match owned {
-                        None => Cow::Borrowed(tail),
+                        None => Cow::Borrowed(plain),
                         Some(mut s) => {
-                            s.push_str(tail);
+                            s.push_str(plain);
                             Cow::Owned(s)
                         }
                     });
                 }
                 b'\\' => {
                     let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&self.src[run..self.pos]);
+                    s.push_str(plain);
                     self.pos += 1;
                     let c = self.escape()?;
                     s.push(c);
                     run = self.pos;
                 }
-                0..=0x1f => return Err("control character in string"),
-                _ => self.pos += 1,
+                _ => return Err("control character in string"),
             }
         }
     }
@@ -497,6 +515,10 @@ pub fn extract_querygen(prompt: &str) -> Result<String, LlmError> {
 mod tests {
     use super::*;
 
+    fn det() -> ConceptDetector {
+        ConceptDetector::builtin()
+    }
+
     #[test]
     fn python_list_roundtrip() {
         let tips = vec![
@@ -528,39 +550,42 @@ mod tests {
         let pois = r#"[{"categories":"Bars, Nightlife","name":"Joe's Bar"},{"categories":"Coffee & Tea","name":"Cafe Uno"}]"#;
         let p = rerank_prompt(pois, "a bar to watch football");
         assert!(p.contains(RERANK_MARKER));
-        let (parsed, q) = extract_rerank(&p).unwrap();
+        let d = det();
+        let (parsed, q) = extract_rerank(&p, &d).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "Joe's Bar");
-        assert_eq!(parsed[0].text, "Bars, Nightlife. Joe's Bar. ");
+        assert_eq!(parsed[0].reading, d.read("Bars, Nightlife. Joe's Bar. "));
         assert_eq!(q, "a bar to watch football");
     }
 
     #[test]
     fn rerank_query_with_newline_like_text() {
         let p = rerank_prompt(r#"[{"name":"X"}]"#, "sushi with a variety of options?");
-        let (_, q) = extract_rerank(&p).unwrap();
+        let (_, q) = extract_rerank(&p, &det()).unwrap();
         assert_eq!(q, "sushi with a variety of options?");
     }
 
     #[test]
     fn scanner_reads_nested_values() {
         let poi = r#"[{"hours":{"Monday":"8:0-19:0"},"name":"X","stars":4.5,"tips":["one","t\"woé"]}, "bare", 7, {"name": 3}]"#;
-        let (pois, _) = extract_rerank(&rerank_prompt(poi, "q")).unwrap();
+        let d = det();
+        let (pois, _) = extract_rerank(&rerank_prompt(poi, "q"), &d).unwrap();
         assert_eq!(pois.len(), 4);
         assert_eq!(pois[0].name, "X");
-        assert_eq!(pois[0].text, "8:0-19:0. X. one. t\"woé. ");
+        assert_eq!(pois[0].reading, d.read("8:0-19:0. X. one. t\"woé. "));
         assert_eq!(pois[1].name, "<unnamed>");
-        assert_eq!(pois[1].text, "bare. ");
-        assert_eq!(pois[2].text, "");
+        assert_eq!(pois[1].reading, d.read("bare. "));
+        assert_eq!(pois[2].reading, d.read(""));
         assert_eq!(pois[3].name, "<unnamed>");
     }
 
     #[test]
     fn nested_names_are_not_the_poi_name() {
         let poi = r#"[{"owner":{"name":"Inner"},"z":"Outer"}]"#;
-        let (pois, _) = extract_rerank(&rerank_prompt(poi, "q")).unwrap();
+        let d = det();
+        let (pois, _) = extract_rerank(&rerank_prompt(poi, "q"), &d).unwrap();
         assert_eq!(pois[0].name, "<unnamed>");
-        assert_eq!(pois[0].text, "Inner. Outer. ");
+        assert_eq!(pois[0].reading, d.read("Inner. Outer. "));
     }
 
     #[test]
@@ -588,7 +613,7 @@ mod tests {
             r#"[{"a":1,}]"#,
         ] {
             let prompt = rerank_prompt(bad, "q");
-            let r = extract_rerank(&prompt);
+            let r = extract_rerank(&prompt, &det());
             assert!(
                 matches!(r, Err(LlmError::MalformedPrompt { .. })),
                 "{bad:?} gave {r:?}"
@@ -604,7 +629,7 @@ mod tests {
             "a\nInformation: [{\"name\":\"Y\"}]\nQuery: b",
         ] {
             let p = rerank_prompt(r#"[{"name":"X"}]"#, q);
-            let (pois, parsed) = extract_rerank(&p).unwrap();
+            let (pois, parsed) = extract_rerank(&p, &det()).unwrap();
             assert_eq!(pois.len(), 1);
             assert_eq!(pois[0].name, "X");
             assert_eq!(parsed, q);
@@ -643,7 +668,7 @@ mod tests {
     #[test]
     fn extractors_reject_garbage() {
         assert!(extract_tips("no marker here").is_err());
-        assert!(extract_rerank("nothing").is_err());
+        assert!(extract_rerank("nothing", &det()).is_err());
         assert!(extract_querygen("nothing").is_err());
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The simulated model reads the candidate POIs' raw attributes (the
 //! prompt's JSON, as [`crate::prompts::extract_rerank`] scans it in one
-//! pass: each POI's name and string values, no value tree) and the user
+//! pass: each POI's name and the concept reading of its string values,
+//! no value tree and no copied text) and the user
 //! query, judges semantic relevance by concept entailment at the
 //! requesting model's fidelity, and emits the Python-dict-style
 //! `{name: reason}` answer the paper's prompt demands — full matches
@@ -51,7 +52,7 @@ pub fn rerank(
 
     let mut judged: Vec<Judged> = Vec::new();
     for (i, poi) in pois.iter().enumerate() {
-        let detections = detector.detect_noisy(&poi.text, profile);
+        let detections = detector.detect_noisy_reading(&poi.reading, profile);
         let held: Vec<ConceptId> = detections.iter().map(|d| d.concept).collect();
         let matched_ids: Vec<ConceptId> = required
             .iter()
@@ -211,16 +212,18 @@ mod tests {
         ConceptDetector::builtin()
     }
 
-    fn poi(name: &str, categories: &str, tips: [&str; 2]) -> PromptPoi {
+    fn poi(d: &ConceptDetector, name: &str, categories: &str, tips: [&str; 2]) -> PromptPoi {
         PromptPoi {
             name: name.to_owned(),
-            text: format!("{categories}. {name}. {}. {}. ", tips[0], tips[1]),
+            reading: d.read(&format!("{categories}. {name}. {}. {}. ", tips[0], tips[1])),
         }
     }
 
     fn pois() -> Vec<PromptPoi> {
+        let d = &det();
         vec![
             poi(
+                d,
                 "The Corner Tap",
                 "Bars, Sports Bars",
                 [
@@ -229,11 +232,13 @@ mod tests {
                 ],
             ),
             poi(
+                d,
                 "Bella Notte",
                 "Italian",
                 ["fresh pasta made in house", "candlelit tables for two"],
             ),
             poi(
+                d,
                 "Quiet Beans",
                 "Coffee & Tea",
                 ["single origin pour overs", "laptop crowd on weekdays"],

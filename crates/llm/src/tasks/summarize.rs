@@ -5,8 +5,12 @@
 //! information, which then degrades the embeddings built *from* the
 //! summary, exactly as in the real pipeline), and writes a ~55-token
 //! fluent summary mentioning each recovered concept.
+//!
+//! The tips are read once: fed to the detector's [`concepts::Reader`] as
+//! the text they would join into with `" "`, which is never written.
+//! Detection noise and the phrase salt both come from that reading's
+//! hash, the FNV-1a of the joined text.
 
-use concepts::hash::fnv1a;
 use concepts::{ConceptDetector, FidelityProfile};
 
 use crate::tasks::render_concept;
@@ -18,8 +22,16 @@ const MAX_CONCEPTS: usize = 7;
 /// Summarizes `tips` at the given fidelity. Deterministic.
 #[must_use]
 pub fn summarize(tips: &[String], profile: &FidelityProfile, detector: &ConceptDetector) -> String {
-    let joined = tips.join(" ");
-    let mut detections = detector.detect_noisy(&joined, profile);
+    // The tips are read as the one text they would join into with " ".
+    let mut reader = detector.reader();
+    for (i, tip) in tips.iter().enumerate() {
+        if i > 0 {
+            reader.push(" ");
+        }
+        reader.push(tip);
+    }
+    let reading = reader.finish();
+    let mut detections = detector.detect_noisy_reading(&reading, profile);
     // Most-mentioned concepts first: a summarizer keeps the dominant
     // themes.
     detections.sort_by(|a, b| {
@@ -34,7 +46,7 @@ pub fn summarize(tips: &[String], profile: &FidelityProfile, detector: &ConceptD
     }
 
     let ontology = detector.ontology();
-    let salt = fnv1a(joined.as_bytes());
+    let salt = reading.hash();
     let phrases: Vec<String> = detections
         .iter()
         .enumerate()

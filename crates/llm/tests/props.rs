@@ -1,5 +1,6 @@
 //! Property-based tests for the LLM runtime's wire formats.
 
+use concepts::ConceptDetector;
 use llm::prompts::{
     extract_querygen, extract_rerank, extract_tips, parse_python_list, python_list,
     querygen_prompt, rerank_prompt, summarize_prompt, QUERYGEN_MARKER, RERANK_MARKER,
@@ -222,7 +223,7 @@ proptest! {
     #[test]
     fn rerank_prompt_roundtrips_query(q in arb_hostile_text()) {
         let p = rerank_prompt(r#"[{"name":"X"}]"#, &q);
-        let (parsed_pois, parsed_q) = extract_rerank(&p).unwrap();
+        let (parsed_pois, parsed_q) = extract_rerank(&p, &ConceptDetector::builtin()).unwrap();
         prop_assert_eq!(parsed_pois.len(), 1);
         prop_assert_eq!(&parsed_pois[0].name, "X");
         prop_assert_eq!(parsed_q, q.trim());
@@ -251,15 +252,16 @@ proptest! {
             .collect();
         let compact = serde_json::to_string(&Value::Array(docs.clone())).unwrap();
         let pretty = serde_json::to_string_pretty(&Value::Array(docs)).unwrap();
+        let d = ConceptDetector::builtin();
         for json in [compact, pretty] {
             let oracle: Vec<Value> = serde_json::from_str(&json).unwrap();
             let prompt = rerank_prompt(&json, "q");
-            let (pois, q) = extract_rerank(&prompt).unwrap();
+            let (pois, q) = extract_rerank(&prompt, &d).unwrap();
             prop_assert_eq!(q, "q");
             prop_assert_eq!(pois.len(), oracle.len());
             for (poi, value) in pois.iter().zip(&oracle) {
                 prop_assert_eq!(&poi.name, &tree_name(value), "{}", json);
-                prop_assert_eq!(&poi.text, &tree_text(value), "{}", json);
+                prop_assert_eq!(&poi.reading, &d.read(&tree_text(value)), "{}", json);
             }
         }
     }
@@ -290,6 +292,33 @@ proptest! {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
         prop_assert!(m.latency_ms(lo, c) <= m.latency_ms(hi, c));
         prop_assert!(m.cost_usd(lo, c) <= m.cost_usd(hi, c));
+    }
+}
+
+#[test]
+fn approx_tokens_agrees_on_every_ascii_byte_at_every_offset_of_a_word() {
+    // Long enough that ASCII is counted eight bytes at a time, with each
+    // byte value at each position of a word and across the tail. In the
+    // second text words decide the count, and one word more or less
+    // changes it.
+    for base in [
+        "ab cd\tef gh  ij\nkl mnopq rst",
+        "a b c d e f g h i j k l m n o p q r",
+    ] {
+        for b in 0..0x80u8 {
+            for at in 0..base.len() {
+                let mut text = base.as_bytes().to_vec();
+                text[at] = b;
+                let text = String::from_utf8(text).expect("ASCII");
+                for text in [text.clone(), format!(" {text}"), format!("{text}é{text}")] {
+                    assert_eq!(
+                        llm::tokens::approx_tokens(&text),
+                        reference_approx_tokens(&text),
+                        "{text:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -940,6 +940,55 @@ mod tests {
         assert_eq!(got, PINNED_PROMPTS);
     }
 
+    /// `(length, FNV-1a, prompt tokens, completion tokens)` of the
+    /// simulated model's answer to each prompt of
+    /// [`PINNED_PROMPTS`], recorded before the model read its prompt in
+    /// one pass: the answer and its simulated latency must not move.
+    const PINNED_ANSWERS: [(usize, u64, u32, u32); 8] = [
+        (198, 751442142613757243, 3552, 50),
+        (104, 9845107727633758515, 684, 26),
+        (258, 8111241280606920793, 3435, 65),
+        (115, 4980026673938403726, 3207, 29),
+        (237, 15757110288144554819, 2081, 60),
+        (249, 18111424861003862417, 3640, 63),
+        (91, 2997264125523550711, 2007, 23),
+        (362, 1343532185329717409, 3539, 91),
+    ];
+
+    #[test]
+    fn refinement_answers_keep_their_bytes() {
+        let (engine, data) = setup(Variant::EmbeddingOnly);
+        let model = Variant::Full.refine_model(&engine.config).expect("refines");
+        let qs = datagen::queries::generate_queries(
+            &data,
+            &QueryGenConfig {
+                per_city: 8,
+                ..QueryGenConfig::default()
+            },
+        );
+        let got: Vec<(usize, u64, u32, u32)> = qs
+            .iter()
+            .map(|tq| {
+                let out = engine
+                    .query(&SemaSkQuery::new(tq.range, tq.text.clone()))
+                    .unwrap();
+                let dataset = &engine.prepared().dataset;
+                let prompt = refinement_prompt(out.pois.iter().map(|p| &dataset[p.id]), &tq.text);
+                let answer = engine
+                    .llm
+                    .complete(&ChatRequest::user(model, prompt))
+                    .unwrap();
+                (
+                    answer.content.len(),
+                    concepts::hash::fnv1a(answer.content.as_bytes()),
+                    answer.usage.prompt_tokens,
+                    answer.usage.completion_tokens,
+                )
+            })
+            .collect();
+        assert_eq!(got, PINNED_ANSWERS);
+    }
+
     #[test]
     fn a_query_holding_the_prompt_sections_is_refined() {
         let (engine, data) = setup(Variant::Full);

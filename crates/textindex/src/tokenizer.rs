@@ -180,38 +180,89 @@ impl Tokenizer {
 
     /// Hands each normalized token of `text` to `f`, in order, without
     /// allocating per token: a token is lower-cased into one buffer that
-    /// every token reuses (ASCII bytes take a fast path), dropped if it
-    /// is a stopword, and stemmed in place.
+    /// every token reuses, dropped if it is a stopword, and stemmed in
+    /// place. A run of ASCII letters and digits is taken whole, and a
+    /// token that is already lower case, such a run with an ASCII
+    /// separator after it, is handed on as a slice of `text` unless it
+    /// must be stemmed.
     ///
     /// A token is a maximal run of alphanumeric characters and
     /// apostrophes; the apostrophes are dropped ("Mike's" → "mikes").
     pub fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
-        let mut buf = String::new();
-        let bytes = text.as_bytes();
+        let mut pending = String::new();
+        self.feed_tokens(&mut pending, text, &mut f);
+        self.finish_tokens(&mut pending, f);
+    }
+
+    /// [`Tokenizer::for_each_token`] over a text that arrives in pieces:
+    /// hands `f` each token that ends inside `piece`, and leaves the
+    /// token still running at its end, lower-cased so far, in `pending`
+    /// for the next piece. Feeding the pieces of a text in order and
+    /// then calling [`Tokenizer::finish_tokens`] hands `f` exactly the
+    /// tokens of the whole text, wherever the cuts fall.
+    pub fn feed_tokens(&self, pending: &mut String, piece: &str, mut f: impl FnMut(&str)) {
+        let bytes = piece.as_bytes();
         let mut i = 0;
         while i < bytes.len() {
+            // A run of ASCII letters and digits is taken whole. If no
+            // token runs into it, it holds no upper case and an ASCII
+            // byte that is not an apostrophe ends it, the run is a token
+            // and is handed on as a slice of the piece; any other run
+            // joins `pending`, lower-cased.
+            let start = i;
+            let mut upper = false;
+            while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_alphanumeric()) {
+                upper |= b.is_ascii_uppercase();
+                i += 1;
+            }
+            if i > start {
+                let run = &piece[start..i];
+                let ends = bytes.get(i).is_some_and(|&b| b.is_ascii() && b != b'\'');
+                if ends && !upper && pending.is_empty() {
+                    i += 1;
+                    if self.stem {
+                        pending.push_str(run);
+                        self.emit(pending, &mut f);
+                    } else if !self.stopwords.contains(run) {
+                        f(run);
+                    }
+                    continue;
+                }
+                let at = pending.len();
+                pending.push_str(run);
+                pending[at..].make_ascii_lowercase();
+                if i == bytes.len() {
+                    break;
+                }
+            }
+            // One char that is not an ASCII letter or digit.
             let b = bytes[i];
             let word = if b.is_ascii() {
                 i += 1;
-                if b.is_ascii_alphanumeric() {
-                    buf.push(char::from(b.to_ascii_lowercase()));
-                }
-                b.is_ascii_alphanumeric() || b == b'\''
+                b == b'\''
             } else {
-                let ch = text[i..].chars().next().expect("`i` is on a char boundary");
+                let ch = piece[i..]
+                    .chars()
+                    .next()
+                    .expect("`i` is on a char boundary");
                 i += ch.len_utf8();
                 let alnum = ch.is_alphanumeric();
                 if alnum {
-                    buf.extend(ch.to_lowercase().filter(|&lc| lc != '\''));
+                    pending.extend(ch.to_lowercase().filter(|&lc| lc != '\''));
                 }
                 alnum
             };
-            if !word && !buf.is_empty() {
-                self.emit(&mut buf, &mut f);
+            if !word && !pending.is_empty() {
+                self.emit(pending, &mut f);
             }
         }
-        if !buf.is_empty() {
-            self.emit(&mut buf, &mut f);
+    }
+
+    /// Ends the text [`Tokenizer::feed_tokens`] was fed: hands `f` the
+    /// token left in `pending`, if any, and clears it.
+    pub fn finish_tokens(&self, pending: &mut String, mut f: impl FnMut(&str)) {
+        if !pending.is_empty() {
+            self.emit(pending, &mut f);
         }
     }
 
@@ -245,9 +296,18 @@ pub fn stem(word: &str) -> String {
 /// Appends the stem of `word` to `out` — [`stem`] without a fresh
 /// `String`.
 pub fn stem_into(word: &str, out: &mut String) {
-    let (keep, suffix) = stem_rule(word);
-    out.push_str(&word[..keep]);
-    out.push_str(suffix);
+    let (head, tail) = stem_parts(word);
+    out.push_str(head);
+    out.push_str(tail);
+}
+
+/// The stem of `word` in two parts, a prefix of `word` and a suffix the
+/// rule put back: the stem is `head` followed by `tail`, and most words
+/// have an empty `tail`, so their stem is a slice of the word.
+#[must_use]
+pub fn stem_parts(word: &str) -> (&str, &'static str) {
+    let (keep, tail) = stem_rule(word);
+    (&word[..keep], tail)
 }
 
 /// The stemming rule: the stem of `word` is its first `keep` bytes
@@ -256,8 +316,9 @@ pub fn stem_into(word: &str, out: &mut String) {
 fn stem_rule(word: &str) -> (usize, &'static str) {
     let w = word;
     let n = w.len();
-    // Don't touch very short words; stemming them mostly destroys meaning.
-    if n <= 3 {
+    // Don't touch very short words; stemming them mostly destroys
+    // meaning. Every suffix below ends in `s`, `y`, `g` or `d`.
+    if n <= 3 || !matches!(w.as_bytes()[n - 1], b's' | b'y' | b'g' | b'd') {
         return (n, "");
     }
     // Order matters: longest suffixes first.

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use textindex::tokenizer::{stem, stem_into};
+use textindex::tokenizer::{stem, stem_into, stem_parts};
 use textindex::{Bm25Model, DocId, InvertedIndex, SparseVector, TfIdfModel, Tokenizer};
 
 fn arb_word() -> impl Strategy<Value = String> {
@@ -331,6 +331,44 @@ proptest! {
     }
 
     #[test]
+    fn tokens_fed_in_pieces_are_the_tokens_of_the_whole(
+        text in arb_text(),
+        cuts in prop::collection::vec(0usize..80, 0..5),
+    ) {
+        let mut cuts: Vec<usize> = cuts
+            .into_iter()
+            .map(|c| (0..=c.min(text.len())).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0))
+            .collect();
+        cuts.sort_unstable();
+        let mut pieces = Vec::new();
+        let mut from = 0;
+        for &cut in &cuts {
+            pieces.push(&text[from..cut]);
+            from = cut;
+        }
+        pieces.push(&text[from..]);
+        for (tokenizer, stopwords, stemming) in [
+            (Tokenizer::new(), reference::STOPWORDS, true),
+            (Tokenizer::raw(), &[][..], false),
+        ] {
+            let mut pending = String::new();
+            let mut streamed = Vec::new();
+            for piece in &pieces {
+                tokenizer.feed_tokens(&mut pending, piece, |tok| streamed.push(tok.to_owned()));
+            }
+            tokenizer.finish_tokens(&mut pending, |tok| streamed.push(tok.to_owned()));
+            prop_assert!(pending.is_empty());
+            prop_assert_eq!(
+                &streamed,
+                &reference::tokenize(&text, stopwords, stemming),
+                "{:?} in {:?}",
+                text,
+                pieces
+            );
+        }
+    }
+
+    #[test]
     fn stem_matches_the_reference(text in arb_text()) {
         for word in text.split(|c: char| !c.is_alphanumeric()).chain([text.as_str()]) {
             let expected = reference::stem(word);
@@ -338,6 +376,9 @@ proptest! {
             let mut appended = String::from("prefix");
             stem_into(word, &mut appended);
             prop_assert_eq!(&appended[6..], expected.as_str(), "{:?}", word);
+            let (head, tail) = stem_parts(word);
+            prop_assert!(word.starts_with(head));
+            prop_assert_eq!(format!("{head}{tail}"), expected, "{:?}", word);
         }
     }
 }

@@ -152,6 +152,9 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("lone surrogate"));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err(self.err("lone surrogate"));
@@ -229,5 +232,41 @@ fn utf8_len(first: u8) -> usize {
         0xC0..=0xDF => 2,
         0xE0..=0xEF => 3,
         _ => 4,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+    use serde::Content;
+
+    #[test]
+    fn lone_surrogates_are_refused() {
+        for text in [
+            r#""\ud800""#,
+            r#""\ud800A""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\udbff""#,
+            r#""\udbff\ud800""#,
+            r#""\udc00""#,
+            r#""\udfff\ud800""#,
+        ] {
+            assert!(parse(text).is_err(), "{text} parsed");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        for (text, want) in [
+            (r#""\ud83e\udd80""#, "\u{1f980}"),
+            (r#""\uD83E\uDD80""#, "\u{1f980}"),
+            (r#""\ud800\udc00""#, "\u{10000}"),
+            (r#""\udbff\udfff""#, "\u{10ffff}"),
+        ] {
+            match parse(text) {
+                Ok(Content::Str(s)) => assert_eq!(s, want, "{text}"),
+                other => panic!("{text} gave {other:?}"),
+            }
+        }
     }
 }

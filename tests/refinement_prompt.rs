@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use concepts::ConceptDetector;
 use geotext::GeoTextObject;
 use llm::prompts::{extract_rerank, rerank_prompt};
 use llm::{LlmError, SimLlm};
@@ -97,6 +98,7 @@ fn tree_name(poi: &Value) -> String {
 #[test]
 fn written_prompts_are_the_value_trees_and_read_back_like_them() {
     let city = prepared();
+    let detector = ConceptDetector::builtin();
     let objects = city.dataset.objects();
     for o in objects {
         let mut written = String::new();
@@ -107,21 +109,23 @@ fn written_prompts_are_the_value_trees_and_read_back_like_them() {
         let json = geotext::json_array(chunk);
         let oracle: Vec<Value> = serde_json::from_str(&json).expect("valid JSON");
         let prompt = rerank_prompt(&json, "a quiet cafe");
-        let (pois, query) = extract_rerank(&prompt).expect("a written prompt reads back");
+        let (pois, query) =
+            extract_rerank(&prompt, &detector).expect("a written prompt reads back");
         assert_eq!(query, "a quiet cafe");
         assert_eq!(pois.len(), chunk.len());
         for ((poi, value), o) in pois.iter().zip(&oracle).zip(chunk) {
             assert_eq!(poi.name, tree_name(value));
             assert_eq!(poi.name, o.name());
-            assert_eq!(poi.text, tree_text(value));
+            assert_eq!(poi.reading, detector.read(&tree_text(value)));
         }
     }
 }
 
 /// Reads `prompt`, which must come back `Ok` or `MalformedPrompt`, and
 /// returns the peak heap bytes the read held.
-fn read_damaged(prompt: &str) -> usize {
-    let (result, peak) = peak_bytes_of(|| extract_rerank(prompt).map(|(pois, _)| pois.len()));
+fn read_damaged(detector: &ConceptDetector, prompt: &str) -> usize {
+    let (result, peak) =
+        peak_bytes_of(|| extract_rerank(prompt, detector).map(|(pois, _)| pois.len()));
     match result {
         Ok(_) | Err(LlmError::MalformedPrompt { .. }) => peak,
         Err(e) => panic!("{e:?} for {prompt:?}"),
@@ -131,18 +135,19 @@ fn read_damaged(prompt: &str) -> usize {
 #[test]
 fn damaged_prompts_are_refused_without_panic_or_outsized_allocation() {
     let city = prepared();
+    let detector = ConceptDetector::builtin();
     let objects: Vec<&GeoTextObject> = city.dataset.iter().take(2).collect();
     let prompt = rerank_prompt(&geotext::json_array(objects), "a quiet cafe");
     let json_start = prompt.find("\nInformation: ").expect("template") + "\nInformation: ".len();
     let json_end = prompt.rfind("\nQuery: ").expect("template");
     // Reading the intact prompt holds the scanned text of two POIs.
-    let intact = read_damaged(&prompt);
+    let intact = read_damaged(&detector, &prompt);
     assert!(intact > 0, "the counter sees the reader's heap");
     let bound = 2 * prompt.len() + 1024;
     assert!(intact <= bound, "{intact} B held for the intact prompt");
 
     for cut in (0..=prompt.len()).filter(|&i| prompt.is_char_boundary(i)) {
-        let peak = read_damaged(&prompt[..cut]);
+        let peak = read_damaged(&detector, &prompt[..cut]);
         assert!(peak <= bound, "cut at {cut}: {peak} B held");
     }
     let mut bytes = prompt.clone().into_bytes();
@@ -159,7 +164,7 @@ fn damaged_prompts_are_refused_without_panic_or_outsized_allocation() {
         ] {
             bytes[i] = flipped;
             if let Ok(damaged) = std::str::from_utf8(&bytes) {
-                let peak = read_damaged(damaged);
+                let peak = read_damaged(&detector, damaged);
                 assert!(peak <= bound, "byte {i} as {flipped:#x}: {peak} B held");
             }
         }
@@ -169,6 +174,7 @@ fn damaged_prompts_are_refused_without_panic_or_outsized_allocation() {
 
 #[test]
 fn hostile_shapes_cost_heap_in_proportion_to_their_length() {
+    let detector = ConceptDetector::builtin();
     let n = 100_000;
     for json in [
         format!("{}{}", "[".repeat(n), "]".repeat(n)),
@@ -178,7 +184,7 @@ fn hostile_shapes_cost_heap_in_proportion_to_their_length() {
         "[".repeat(n),
     ] {
         let prompt = rerank_prompt(&json, "q");
-        let peak = read_damaged(&prompt);
+        let peak = read_damaged(&detector, &prompt);
         assert!(
             peak <= 64 * prompt.len(),
             "{} B held for a {} B prompt",
