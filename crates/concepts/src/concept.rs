@@ -1,11 +1,7 @@
 //! Concept definitions.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense id of a concept within an [`crate::Ontology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ConceptId(pub u16);
 
 impl ConceptId {
@@ -19,7 +15,7 @@ impl ConceptId {
 /// Broad semantic domain of a concept; the data generator uses domains to
 /// compose plausible POIs (a ramen shop gets food and service concepts,
 /// not oil changes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Domain {
     /// National or regional cuisines.
@@ -49,7 +45,7 @@ pub enum Domain {
 }
 
 /// One semantic concept.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Concept {
     /// Dense id.
     pub id: ConceptId,

@@ -10,11 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeValue {
     /// Free text, e.g. a name, address, or tip summary.
     Text(String),
@@ -131,7 +128,7 @@ impl From<Vec<String>> for AttributeValue {
 
 /// An ordered set of named attributes (insertion order preserved so that
 /// prompt serialisations are deterministic).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeSet {
     entries: Vec<(String, AttributeValue)>,
 }

@@ -5,8 +5,6 @@
 //! point in each city. Boxes are also the building block of the R-tree in
 //! the `spatial` crate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GeoTextError;
 use crate::point::GeoPoint;
 
@@ -14,7 +12,7 @@ use crate::point::GeoPoint;
 ///
 /// Degenerate (point) boxes are allowed. Boxes never wrap the antimeridian;
 /// the synthetic world and the paper's US cities never need that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Southern edge (minimum latitude).
     pub min_lat: f64,

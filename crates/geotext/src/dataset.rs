@@ -1,7 +1,5 @@
 //! In-memory datasets of geo-textual objects.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bbox::BoundingBox;
 use crate::error::GeoTextError;
 use crate::object::{GeoTextObject, ObjectId};
@@ -11,7 +9,7 @@ use crate::object::{GeoTextObject, ObjectId};
 /// Objects are stored in id order (`objects[i].id == ObjectId(i)`), so id
 /// lookup is O(1) slice indexing. Datasets are the unit handed to index
 /// builders, the data-preparation pipeline, and the evaluation harness.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Human-readable dataset name (e.g. the city name).
     pub name: String,
@@ -43,13 +41,12 @@ impl Dataset {
     }
 
     /// Checks the invariant every id lookup relies on:
-    /// `objects[i].id == ObjectId(i)`. [`Dataset::from_objects`] runs it;
-    /// a dataset deserialized from outside must run it too, since
-    /// deserialization bypasses the constructors.
+    /// `objects[i].id == ObjectId(i)`. [`Dataset::push`] keeps it by
+    /// construction; [`Dataset::from_objects`] runs this.
     ///
     /// # Errors
     /// [`GeoTextError::NonDenseIds`] naming the first out-of-place id.
-    pub fn check_dense_ids(&self) -> Result<(), GeoTextError> {
+    fn check_dense_ids(&self) -> Result<(), GeoTextError> {
         match self
             .objects
             .iter()
@@ -168,7 +165,7 @@ impl std::ops::Index<ObjectId> for Dataset {
 }
 
 /// Summary statistics of a dataset's textual content.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetStats {
     /// Total number of objects.
     pub num_objects: usize,

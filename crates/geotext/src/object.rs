@@ -1,7 +1,5 @@
 //! Geo-textual objects (POIs).
 
-use serde::{Deserialize, Serialize};
-
 use crate::attr::{AttributeSet, AttributeValue};
 use crate::error::GeoTextError;
 use crate::point::GeoPoint;
@@ -11,9 +9,7 @@ use crate::point::GeoPoint;
 /// Stored as a `u32` index (the paper's datasets top out at ~81,500 POIs,
 /// and keeping ids small keeps index postings compact — see the perf-guide
 /// note on smaller integers).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -32,7 +28,7 @@ impl std::fmt::Display for ObjectId {
 
 /// A geo-textual object `o = (o.l, o.A)`: a location plus an attribute set
 /// with at least one textual attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoTextObject {
     /// Identifier within the owning dataset.
     pub id: ObjectId,

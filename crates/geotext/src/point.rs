@@ -1,7 +1,5 @@
 //! WGS84 geographic points and distance computations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GeoTextError;
 use crate::EARTH_RADIUS_KM;
 
@@ -10,7 +8,7 @@ use crate::EARTH_RADIUS_KM;
 /// This is the paper's location attribute `o.l` ("a pair of
 /// geo-coordinates"). Latitude is constrained to `[-90, 90]` and longitude
 /// to `[-180, 180]`; use [`GeoPoint::new`] for checked construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in decimal degrees, positive north.
     pub lat: f64,

@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use textindex::TermId;
 
 /// LDA hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaConfig {
     /// Number of latent topics.
     pub num_topics: usize,
@@ -36,7 +35,7 @@ impl Default for LdaConfig {
 }
 
 /// A trained LDA model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaModel {
     config: LdaConfig,
     vocab_size: usize,

@@ -2,13 +2,10 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
-
 use crate::models::ModelKind;
 
 /// Message author role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// System instruction.
     System,
@@ -19,7 +16,7 @@ pub enum Role {
 }
 
 /// One chat message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChatMessage {
     /// Author role.
     pub role: Role,
@@ -48,7 +45,7 @@ impl ChatMessage {
 }
 
 /// A chat-completion request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChatRequest {
     /// Target model.
     pub model: ModelKind,
@@ -85,7 +82,7 @@ impl ChatRequest {
 }
 
 /// Token accounting for one call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Usage {
     /// Tokens in the prompt.
     pub prompt_tokens: u32,
@@ -102,7 +99,7 @@ impl Usage {
 }
 
 /// A chat-completion response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChatResponse {
     /// The model that answered.
     pub model: ModelKind,

@@ -1,12 +1,10 @@
 //! Cost and latency accounting for simulated LLM calls.
 
-use serde::{Deserialize, Serialize};
-
 use crate::api::Usage;
 use crate::models::ModelKind;
 
 /// The task a call performed (inferred from the prompt template).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Tip summarization.
     Summarize,
@@ -17,7 +15,7 @@ pub enum TaskKind {
 }
 
 /// One metered call, as [`CostLog::push`] takes it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CallRecord {
     /// Which model served the call.
     pub model: ModelKind,

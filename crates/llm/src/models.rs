@@ -1,10 +1,9 @@
 //! Model catalogue: fidelity, pricing, throughput.
 
 use concepts::FidelityProfile;
-use serde::{Deserialize, Serialize};
 
 /// The models the paper uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// GPT-3.5 Turbo — tip summarization ("for its lower costs").
     Gpt35Turbo,

@@ -11,10 +11,14 @@
 //! ```
 //!
 //! The 16-byte header is fixed; the payload encoding depends on
-//! [`FrameKind`]. All integers are little-endian, floats travel as raw
-//! IEEE-754 bits (`to_bits`/`from_bits`, so answers survive the wire
-//! bit-exactly), strings are UTF-8 with a `u32` length prefix, and
-//! `Option<T>` is a `u8` tag (0 = none, 1 = some) followed by `T`.
+//! [`FrameKind`] and goes through `vecdb::codec`, the byte layer of
+//! snapshots and log records. All integers are little-endian, floats
+//! travel as raw IEEE-754 bits (`to_bits`/`from_bits`, so answers survive
+//! the wire bit-exactly), strings are UTF-8 with a `u32` length prefix,
+//! `Option<T>` is a `u8` tag (0 = none, 1 = some) followed by `T`, and a
+//! list is a `u32` count, checked against the bytes behind it before
+//! anything is allocated, followed by its items. An encoder panics on a
+//! string of 4 GiB or more, which no frame could carry.
 //!
 //! The correlation id in the header echoes the request id: responses may
 //! arrive pipelined and the client matches them back by id. Malformed
@@ -29,7 +33,8 @@ use semask::{
     LatencyBreakdown, QueryOutcome, RankedPoi, RetrievalStrategy, SemaSkQuery, StrategyCost,
 };
 use semask_serve::api::{CacheStatus, Priority, Request, Response, ServeStatus};
-use vecdb::{ScoredPoint, ShardSpec};
+use vecdb::codec::{Reader, Writer};
+use vecdb::{ScoredPoint, ShardSpec, VecDbError};
 
 /// Frame magic: `"SK"` little-endian.
 pub const MAGIC: u16 = 0x4B53;
@@ -86,8 +91,13 @@ pub enum ProtoError {
     BadKind(u8),
     /// Declared payload length exceeds [`MAX_PAYLOAD`].
     Oversize(u32),
-    /// The payload bytes did not decode as the kind's envelope.
+    /// The payload bytes did not decode as the kind's envelope: a code
+    /// or value no envelope holds.
     Malformed(&'static str),
+    /// The payload bytes broke a rule of the byte layer: cut short, a
+    /// count the bytes do not back, a flag neither 0 nor 1, a string that
+    /// is not UTF-8, or bytes left over.
+    Codec(VecDbError),
 }
 
 impl ProtoError {
@@ -115,6 +125,7 @@ impl fmt::Display for ProtoError {
             Self::BadKind(k) => write!(f, "unknown frame kind {k}"),
             Self::Oversize(n) => write!(f, "payload of {n} bytes exceeds the {MAX_PAYLOAD} cap"),
             Self::Malformed(what) => write!(f, "malformed payload: {what}"),
+            Self::Codec(e) => write!(f, "malformed payload: {e}"),
         }
     }
 }
@@ -123,6 +134,7 @@ impl std::error::Error for ProtoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io(e) => Some(e),
+            Self::Codec(e) => Some(e),
             _ => None,
         }
     }
@@ -131,6 +143,12 @@ impl std::error::Error for ProtoError {
 impl From<std::io::Error> for ProtoError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
+    }
+}
+
+impl From<VecDbError> for ProtoError {
+    fn from(e: VecDbError) -> Self {
+        Self::Codec(e)
     }
 }
 
@@ -344,103 +362,50 @@ impl<R: Read> FrameReader<R> {
 }
 
 // ---------------------------------------------------------------------
-// Primitive put/take helpers. `Wire` appends to a Vec; `Cursor` walks a
-// slice and fails loudly (never panics) on truncated input.
+// Primitives are `vecdb::codec`'s, the byte layer of snapshots and log
+// records too: little-endian words, floats as their bits, `u32`-prefixed
+// UTF-8 strings, 0/1 flag bytes. The helpers below add the option and
+// string forms the envelopes share; a count is checked against the bytes
+// behind it before anything is sized by it.
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct Wire(Vec<u8>);
+/// A length-prefixed string.
+///
+/// # Panics
+/// If `s` is 4 GiB or longer: no frame carries more than [`MAX_PAYLOAD`].
+fn put_str(w: &mut Writer, s: &str) {
+    w.str(s)
+        .expect("a wire string is under 4 GiB, far past the frame cap");
+}
 
-impl Wire {
-    fn put_u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-    fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn put_opt<T: ?Sized>(&mut self, v: Option<&T>, encode: impl FnOnce(&mut Self, &T)) {
-        match v {
-            None => self.put_u8(0),
-            Some(inner) => {
-                self.put_u8(1);
-                encode(self, inner);
-            }
-        }
+fn take_str(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+    Ok(r.str()?.to_owned())
+}
+
+/// `v` behind a flag byte: 0 for none, 1 then the value.
+fn put_opt<T: ?Sized>(w: &mut Writer, v: Option<&T>, put: impl FnOnce(&mut Writer, &T)) {
+    w.bool(v.is_some());
+    if let Some(v) = v {
+        put(w, v);
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn take_opt<'a, T>(
+    r: &mut Reader<'a>,
+    take: impl FnOnce(&mut Reader<'a>) -> Result<T, ProtoError>,
+) -> Result<Option<T>, ProtoError> {
+    if r.bool()? {
+        take(r).map(Some)
+    } else {
+        Ok(None)
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ProtoError::Malformed("truncated payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-    fn take_u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn take_u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn take_f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.take_u32()?))
-    }
-    fn take_f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-    fn take_str(&mut self) -> Result<String, ProtoError> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("non-UTF-8 string"))
-    }
-    fn take_opt<T>(
-        &mut self,
-        decode: impl FnOnce(&mut Self) -> Result<T, ProtoError>,
-    ) -> Result<Option<T>, ProtoError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(decode(self)?)),
-            _ => Err(ProtoError::Malformed("bad option tag")),
-        }
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed("trailing bytes after payload"))
-        }
-    }
+/// A `u32` count of items that each take at least `min_bytes`, refused
+/// when the bytes left cannot hold them.
+fn take_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, ProtoError> {
+    let count = r.u32()? as usize;
+    Ok(r.count(count, min_bytes)?)
 }
 
 /// Wire code of a retrieval strategy (stable across releases; extend,
@@ -467,174 +432,154 @@ pub fn strategy_from_code(code: u8) -> Option<RetrievalStrategy> {
     }
 }
 
-fn put_range(w: &mut Wire, range: &BoundingBox) {
-    w.put_f64(range.min_lat);
-    w.put_f64(range.min_lon);
-    w.put_f64(range.max_lat);
-    w.put_f64(range.max_lon);
+fn put_range(w: &mut Writer, range: &BoundingBox) {
+    w.f64(range.min_lat);
+    w.f64(range.min_lon);
+    w.f64(range.max_lat);
+    w.f64(range.max_lon);
 }
 
-fn take_range(c: &mut Cursor<'_>) -> Result<BoundingBox, ProtoError> {
+fn take_range(r: &mut Reader<'_>) -> Result<BoundingBox, ProtoError> {
     Ok(BoundingBox {
-        min_lat: c.take_f64()?,
-        min_lon: c.take_f64()?,
-        max_lat: c.take_f64()?,
-        max_lon: c.take_f64()?,
+        min_lat: r.f64()?,
+        min_lon: r.f64()?,
+        max_lat: r.f64()?,
+        max_lon: r.f64()?,
     })
 }
 
-fn put_query(w: &mut Wire, q: &SemaSkQuery) {
+fn put_query(w: &mut Writer, q: &SemaSkQuery) {
     put_range(w, &q.range);
-    w.put_str(&q.text);
-    w.put_opt(q.keywords.as_deref(), |w, kw| w.put_str(kw));
+    put_str(w, &q.text);
+    put_opt(w, q.keywords.as_deref(), put_str);
 }
 
-fn take_query(c: &mut Cursor<'_>) -> Result<SemaSkQuery, ProtoError> {
+fn take_query(r: &mut Reader<'_>) -> Result<SemaSkQuery, ProtoError> {
     Ok(SemaSkQuery {
-        range: take_range(c)?,
-        text: c.take_str()?,
-        keywords: c.take_opt(Cursor::take_str)?,
+        range: take_range(r)?,
+        text: take_str(r)?,
+        keywords: take_opt(r, take_str)?,
     })
 }
 
-fn put_status(w: &mut Wire, status: &ServeStatus) {
-    w.put_u8(status.code());
-    w.put_str(status.message());
+fn put_status(w: &mut Writer, status: &ServeStatus) {
+    w.u8(status.code());
+    put_str(w, status.message());
 }
 
-fn take_status(c: &mut Cursor<'_>) -> Result<ServeStatus, ProtoError> {
-    let code = c.take_u8()?;
-    let message = c.take_str()?;
+fn take_status(r: &mut Reader<'_>) -> Result<ServeStatus, ProtoError> {
+    let code = r.u8()?;
+    let message = take_str(r)?;
     ServeStatus::from_code(code, message).ok_or(ProtoError::Malformed("unknown status code"))
 }
 
-fn put_strategy_cost(w: &mut Wire, cost: &StrategyCost) {
-    w.put_u8(strategy_code(cost.strategy));
-    w.put_f64(cost.predicted_us);
-    w.put_u8(u8::from(cost.viable));
+fn take_strategy(r: &mut Reader<'_>) -> Result<RetrievalStrategy, ProtoError> {
+    strategy_from_code(r.u8()?).ok_or(ProtoError::Malformed("unknown strategy code"))
 }
 
-fn take_strategy_cost(c: &mut Cursor<'_>) -> Result<StrategyCost, ProtoError> {
-    let strategy =
-        strategy_from_code(c.take_u8()?).ok_or(ProtoError::Malformed("unknown strategy code"))?;
-    let predicted_us = c.take_f64()?;
-    let viable = match c.take_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(ProtoError::Malformed("bad bool")),
-    };
+fn put_strategy_cost(w: &mut Writer, cost: &StrategyCost) {
+    w.u8(strategy_code(cost.strategy));
+    w.f64(cost.predicted_us);
+    w.bool(cost.viable);
+}
+
+fn take_strategy_cost(r: &mut Reader<'_>) -> Result<StrategyCost, ProtoError> {
     Ok(StrategyCost {
-        strategy,
-        predicted_us,
-        viable,
+        strategy: take_strategy(r)?,
+        predicted_us: r.f64()?,
+        viable: r.bool()?,
     })
 }
 
-fn put_latency(w: &mut Wire, l: &LatencyBreakdown) {
-    w.put_f64(l.filtering_ms);
-    w.put_f64(l.retrieval_ms);
-    w.put_f64(l.refinement_ms);
-    w.put_opt(l.filter_strategy.as_ref(), |w, s| {
-        w.put_u8(strategy_code(*s));
+fn put_latency(w: &mut Writer, l: &LatencyBreakdown) {
+    w.f64(l.filtering_ms);
+    w.f64(l.retrieval_ms);
+    w.f64(l.refinement_ms);
+    put_opt(w, l.filter_strategy.as_ref(), |w, &s| {
+        w.u8(strategy_code(s))
     });
-    w.put_f64(l.estimated_selectivity);
-    w.put_f64(l.predicted_cost_us);
-    w.put_opt(l.runner_up.as_ref(), put_strategy_cost);
-    w.put_u64(l.cost_model_version);
-    w.put_u32(l.shard_candidates.len() as u32);
+    w.f64(l.estimated_selectivity);
+    w.f64(l.predicted_cost_us);
+    put_opt(w, l.runner_up.as_ref(), put_strategy_cost);
+    w.u64(l.cost_model_version);
+    w.u32(l.shard_candidates.len() as u32);
     for &n in &l.shard_candidates {
-        w.put_u64(n as u64);
+        w.u64(n as u64);
     }
 }
 
-fn take_latency(c: &mut Cursor<'_>) -> Result<LatencyBreakdown, ProtoError> {
-    let filtering_ms = c.take_f64()?;
-    let retrieval_ms = c.take_f64()?;
-    let refinement_ms = c.take_f64()?;
-    let filter_strategy = c.take_opt(|c| {
-        strategy_from_code(c.take_u8()?).ok_or(ProtoError::Malformed("unknown strategy code"))
-    })?;
-    let estimated_selectivity = c.take_f64()?;
-    let predicted_cost_us = c.take_f64()?;
-    let runner_up = c.take_opt(take_strategy_cost)?;
-    let cost_model_version = c.take_u64()?;
-    let n = c.take_u32()? as usize;
-    let mut shard_candidates = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        shard_candidates.push(c.take_u64()? as usize);
-    }
+fn take_latency(r: &mut Reader<'_>) -> Result<LatencyBreakdown, ProtoError> {
     Ok(LatencyBreakdown {
-        filtering_ms,
-        retrieval_ms,
-        refinement_ms,
-        filter_strategy,
-        estimated_selectivity,
-        predicted_cost_us,
-        runner_up,
-        cost_model_version,
-        shard_candidates,
+        filtering_ms: r.f64()?,
+        retrieval_ms: r.f64()?,
+        refinement_ms: r.f64()?,
+        filter_strategy: take_opt(r, take_strategy)?,
+        estimated_selectivity: r.f64()?,
+        predicted_cost_us: r.f64()?,
+        runner_up: take_opt(r, take_strategy_cost)?,
+        cost_model_version: r.u64()?,
+        shard_candidates: {
+            let n = take_count(r, 8)?;
+            (0..n).map(|_| r.len64()).collect::<Result<_, _>>()?
+        },
     })
 }
 
-fn put_outcome(w: &mut Wire, o: &QueryOutcome) {
-    w.put_u32(o.pois.len() as u32);
+/// The fewest wire bytes of one ranked POI: id, name length, score,
+/// flag, reason length.
+const POI_MIN_BYTES: usize = 4 + 4 + 4 + 1 + 4;
+
+fn put_outcome(w: &mut Writer, o: &QueryOutcome) {
+    w.u32(o.pois.len() as u32);
     for p in &o.pois {
-        w.put_u32(p.id.0);
-        w.put_str(&p.name);
-        w.put_f32(p.embed_score);
-        w.put_u8(u8::from(p.recommended));
-        w.put_str(&p.reason);
+        w.u32(p.id.0);
+        put_str(w, &p.name);
+        w.f32(p.embed_score);
+        w.bool(p.recommended);
+        put_str(w, &p.reason);
     }
     put_latency(w, &o.latency);
 }
 
-fn take_outcome(c: &mut Cursor<'_>) -> Result<QueryOutcome, ProtoError> {
-    let n = c.take_u32()? as usize;
-    let mut pois = Vec::with_capacity(n.min(4096));
+fn take_outcome(r: &mut Reader<'_>) -> Result<QueryOutcome, ProtoError> {
+    let n = take_count(r, POI_MIN_BYTES)?;
+    let mut pois = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = geotext::ObjectId(c.take_u32()?);
-        let name = c.take_str()?;
-        let embed_score = c.take_f32()?;
-        let recommended = match c.take_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ProtoError::Malformed("bad bool")),
-        };
-        let reason = c.take_str()?;
         pois.push(RankedPoi {
-            id,
-            name,
-            embed_score,
-            recommended,
-            reason,
+            id: geotext::ObjectId(r.u32()?),
+            name: take_str(r)?,
+            embed_score: r.f32()?,
+            recommended: r.bool()?,
+            reason: take_str(r)?,
         });
     }
-    let latency = take_latency(c)?;
+    let latency = take_latency(r)?;
     Ok(QueryOutcome { pois, latency })
 }
 
-/// Encodes a [`Request`] envelope ([`FrameKind::Submit`] payload).
+/// Encodes a [`Request`] envelope ([`FrameKind::Submit`] payload). A
+/// deadline past `u64::MAX` µs (about 584,000 years) is sent as that.
 #[must_use]
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut w = Wire::default();
-    w.put_u64(request.id);
+    let mut w = Writer::plain(64 + request.query.text.len());
+    w.u64(request.id);
     put_query(&mut w, &request.query);
-    w.put_u8(request.priority.code());
-    w.put_opt(request.deadline.as_ref(), |w, d| {
-        w.put_u64(d.as_micros() as u64);
+    w.u8(request.priority.code());
+    put_opt(&mut w, request.deadline.as_ref(), |w, d| {
+        w.u64(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     });
-    w.0
+    w.into_bytes()
 }
 
 /// Decodes a [`FrameKind::Submit`] payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let id = c.take_u64()?;
-    let query = take_query(&mut c)?;
+    let mut r = Reader::over(payload);
+    let id = r.u64()?;
+    let query = take_query(&mut r)?;
     let priority =
-        Priority::from_code(c.take_u8()?).ok_or(ProtoError::Malformed("unknown priority code"))?;
-    let deadline = c.take_opt(|c| Ok(std::time::Duration::from_micros(c.take_u64()?)))?;
-    c.finish()?;
+        Priority::from_code(r.u8()?).ok_or(ProtoError::Malformed("unknown priority code"))?;
+    let deadline = take_opt(&mut r, |r| Ok(std::time::Duration::from_micros(r.u64()?)))?;
+    r.finish()?;
     let mut request = Request::new(id, query).with_priority(priority);
     if let Some(d) = deadline {
         request = request.with_deadline(d);
@@ -645,23 +590,23 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 /// Encodes a [`Response`] envelope ([`FrameKind::SubmitReply`] payload).
 #[must_use]
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut w = Wire::default();
-    w.put_u64(response.id);
+    let mut w = Writer::plain(256);
+    w.u64(response.id);
     put_status(&mut w, &response.status);
-    w.put_opt(response.outcome.as_ref(), put_outcome);
-    w.put_u8(response.cached.code());
-    w.0
+    put_opt(&mut w, response.outcome.as_ref(), put_outcome);
+    w.u8(response.cached.code());
+    w.into_bytes()
 }
 
 /// Decodes a [`FrameKind::SubmitReply`] payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let id = c.take_u64()?;
-    let status = take_status(&mut c)?;
-    let outcome = c.take_opt(take_outcome)?;
-    let cached = CacheStatus::from_code(c.take_u8()?)
+    let mut r = Reader::over(payload);
+    let id = r.u64()?;
+    let status = take_status(&mut r)?;
+    let outcome = take_opt(&mut r, take_outcome)?;
+    let cached = CacheStatus::from_code(r.u8()?)
         .ok_or(ProtoError::Malformed("unknown cache-status code"))?;
-    c.finish()?;
+    r.finish()?;
     Ok(Response {
         id,
         outcome,
@@ -696,29 +641,28 @@ pub struct ShardQuery {
 /// Encodes a [`ShardQuery`] ([`FrameKind::ShardQuery`] payload).
 #[must_use]
 pub fn encode_shard_query(q: &ShardQuery) -> Vec<u8> {
-    let mut w = Wire::default();
-    w.put_str(&q.text);
+    let mut w = Writer::plain(64 + q.text.len());
+    put_str(&mut w, &q.text);
     put_range(&mut w, &q.range);
-    w.put_u32(q.k);
-    w.put_opt(q.ef.as_ref(), |w, &ef| w.put_u32(ef));
-    w.put_u8(strategy_code(q.strategy));
-    w.put_u32(q.spec.shards);
-    w.put_u32(q.spec.shard);
-    w.0
+    w.u32(q.k);
+    put_opt(&mut w, q.ef.as_ref(), |w, &ef| w.u32(ef));
+    w.u8(strategy_code(q.strategy));
+    w.u32(q.spec.shards);
+    w.u32(q.spec.shard);
+    w.into_bytes()
 }
 
 /// Decodes a [`FrameKind::ShardQuery`] payload.
 pub fn decode_shard_query(payload: &[u8]) -> Result<ShardQuery, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let text = c.take_str()?;
-    let range = take_range(&mut c)?;
-    let k = c.take_u32()?;
-    let ef = c.take_opt(Cursor::take_u32)?;
-    let strategy =
-        strategy_from_code(c.take_u8()?).ok_or(ProtoError::Malformed("unknown strategy code"))?;
-    let shards = c.take_u32()?;
-    let shard = c.take_u32()?;
-    c.finish()?;
+    let mut r = Reader::over(payload);
+    let text = take_str(&mut r)?;
+    let range = take_range(&mut r)?;
+    let k = r.u32()?;
+    let ef = take_opt(&mut r, |r| Ok(r.u32()?))?;
+    let strategy = take_strategy(&mut r)?;
+    let shards = r.u32()?;
+    let shard = r.u32()?;
+    r.finish()?;
     let spec = ShardSpec::new(shards, shard).ok_or(ProtoError::Malformed("invalid shard spec"))?;
     Ok(ShardQuery {
         text,
@@ -742,28 +686,29 @@ pub struct ShardReply {
 /// Encodes a [`ShardReply`].
 #[must_use]
 pub fn encode_shard_reply(reply: &ShardReply) -> Vec<u8> {
-    let mut w = Wire::default();
+    let mut w = Writer::plain(16 + reply.status.message().len() + 12 * reply.hits.len());
     put_status(&mut w, &reply.status);
-    w.put_u32(reply.hits.len() as u32);
+    w.u32(reply.hits.len() as u32);
     for hit in &reply.hits {
-        w.put_u64(hit.id);
-        w.put_f32(hit.score);
+        w.u64(hit.id);
+        w.f32(hit.score);
     }
-    w.0
+    w.into_bytes()
 }
 
 /// Decodes a [`FrameKind::ShardReply`] payload.
 pub fn decode_shard_reply(payload: &[u8]) -> Result<ShardReply, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let status = take_status(&mut c)?;
-    let n = c.take_u32()? as usize;
-    let mut hits = Vec::with_capacity(n.min(4096));
+    let mut r = Reader::over(payload);
+    let status = take_status(&mut r)?;
+    let n = take_count(&mut r, 12)?;
+    let mut hits = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = c.take_u64()?;
-        let score = c.take_f32()?;
-        hits.push(ScoredPoint { id, score });
+        hits.push(ScoredPoint {
+            id: r.u64()?,
+            score: r.f32()?,
+        });
     }
-    c.finish()?;
+    r.finish()?;
     Ok(ShardReply { status, hits })
 }
 

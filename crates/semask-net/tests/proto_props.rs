@@ -7,7 +7,14 @@
 //! encode(x)))` must equal `encode(x)`. That covers every field —
 //! including float payloads, which travel as raw IEEE-754 bits, so even
 //! NaN payload patterns must survive.
+//!
+//! A list's count is checked against the bytes behind it before anything
+//! is sized by it (the per-thread heap counter of `tests/common/heap.rs`).
 
+#[path = "../../../tests/common/heap.rs"]
+mod heap;
+
+use heap::peak_bytes_of;
 use proptest::prelude::*;
 
 use geotext::BoundingBox;
@@ -323,5 +330,160 @@ proptest! {
         let _ = proto::decode_shard_query(&payload);
         let _ = proto::decode_shard_reply(&payload);
         let _ = proto::read_frame(&mut payload.as_slice());
+    }
+}
+
+/// The four envelopes of [`fixed_envelopes_keep_their_bytes`]: every
+/// field set, both option arms, non-ASCII text.
+fn fixed_envelopes() -> [Vec<u8>; 4] {
+    let range = BoundingBox {
+        min_lat: 34.25,
+        min_lon: -119.875,
+        max_lat: 34.5,
+        max_lon: -119.5,
+    };
+    let request = Request::new(
+        0x0102_0304_0506_0708,
+        SemaSkQuery {
+            range,
+            text: "quiet café with \"wifi\"".into(),
+            keywords: Some("espresso".into()),
+        },
+    )
+    .with_priority(Priority::High)
+    .with_deadline(std::time::Duration::from_micros(250_000));
+    let outcome = QueryOutcome {
+        pois: vec![
+            RankedPoi {
+                id: geotext::ObjectId(7),
+                name: "Blue Door Café".into(),
+                embed_score: 0.875,
+                recommended: true,
+                reason: "quiet, good wifi".into(),
+            },
+            RankedPoi {
+                id: geotext::ObjectId(u32::MAX),
+                name: String::new(),
+                embed_score: -0.0,
+                recommended: false,
+                reason: "\u{1F600}".into(),
+            },
+        ],
+        latency: LatencyBreakdown {
+            filtering_ms: 1.5,
+            retrieval_ms: 0.75,
+            refinement_ms: 2077.5,
+            filter_strategy: strategy_from_code(1),
+            estimated_selectivity: 0.125,
+            predicted_cost_us: 640.0,
+            runner_up: Some(StrategyCost {
+                strategy: strategy_from_code(2).expect("code 2 is valid"),
+                predicted_us: 900.25,
+                viable: true,
+            }),
+            cost_model_version: 42,
+            shard_candidates: vec![10, 0, 7],
+        },
+    };
+    let response = Response {
+        id: 99,
+        outcome: Some(outcome),
+        status: status_from(0, String::new()),
+        cached: CacheStatus::from_code(1).expect("code 1 is valid"),
+    };
+    let query = ShardQuery {
+        text: "ramen near the pier".into(),
+        range,
+        k: 10,
+        ef: Some(64),
+        strategy: strategy_from_code(3).expect("code 3 is valid"),
+        spec: ShardSpec::new(4, 2).expect("shard < shards"),
+    };
+    let reply = ShardReply {
+        status: status_from(4, "shard 2 of 4 is draining".into()),
+        hits: vec![
+            ScoredPoint { id: 9, score: 0.75 },
+            ScoredPoint {
+                id: u64::MAX,
+                score: f32::MIN_POSITIVE,
+            },
+        ],
+    };
+    [
+        proto::encode_request(&request),
+        proto::encode_response(&response),
+        proto::encode_shard_query(&query),
+        proto::encode_shard_reply(&reply),
+    ]
+}
+
+/// Every payload byte of protocol version 2, pinned by length and
+/// CRC-32: an encoder change that moves one byte must bump
+/// [`proto::VERSION`].
+#[test]
+fn fixed_envelopes_keep_their_bytes() {
+    let got = fixed_envelopes().map(|bytes| (bytes.len(), vecdb::crc32(&bytes)));
+    assert_eq!(
+        got,
+        [
+            (90, 0x4AB0_D9D7),
+            (177, 0xF87F_2961),
+            (73, 0x42AB_4653),
+            (33, 0xB531_9444),
+        ]
+    );
+    assert_eq!(proto::VERSION, 2);
+}
+
+/// A count larger than the bytes left behind it is refused before the
+/// decoder sizes anything by it: for hits, ranked POIs and per-shard
+/// candidate counts, one item short or `u32::MAX` items declared.
+#[test]
+fn a_count_the_bytes_do_not_back_is_refused_before_it_allocates() {
+    let ok_status = [0u8, 0, 0, 0, 0];
+    let mut refused = Vec::new();
+    for (count, present) in [(u32::MAX, 0usize), (1_000_000, 3), (4, 3)] {
+        // A shard reply: status, then `count` hits of 12 bytes.
+        let mut reply = ok_status.to_vec();
+        reply.extend_from_slice(&count.to_le_bytes());
+        reply.extend(std::iter::repeat_n(7u8, 12 * present));
+        refused.push(reply);
+
+        // A response: id, status, an outcome of `count` ranked POIs
+        // (17 bytes at least each), each here 17 zero bytes.
+        let mut response = 5u64.to_le_bytes().to_vec();
+        response.extend_from_slice(&ok_status);
+        response.push(1);
+        response.extend_from_slice(&count.to_le_bytes());
+        response.extend(std::iter::repeat_n(0u8, 17 * present));
+        refused.push(response);
+
+        // A response whose latency block declares `count` shard
+        // candidates of 8 bytes.
+        let mut latency = 5u64.to_le_bytes().to_vec();
+        latency.extend_from_slice(&ok_status);
+        latency.extend_from_slice(&[1, 0, 0, 0, 0]);
+        latency.extend_from_slice(&[0; 24]);
+        latency.push(0);
+        latency.extend_from_slice(&[0; 16]);
+        latency.push(0);
+        latency.extend_from_slice(&[0; 8]);
+        latency.extend_from_slice(&count.to_le_bytes());
+        latency.extend(std::iter::repeat_n(0u8, 8 * present));
+        refused.push(latency);
+    }
+    for (i, payload) in refused.iter().enumerate() {
+        let (result, peak) = peak_bytes_of(|| {
+            if i % 3 == 0 {
+                proto::decode_shard_reply(payload).map(drop)
+            } else {
+                proto::decode_response(payload).map(drop)
+            }
+        });
+        assert!(
+            matches!(result, Err(ProtoError::Codec(_))),
+            "payload {i}: {result:?}"
+        );
+        assert!(peak <= 512, "payload {i}: {peak} B held before the refusal");
     }
 }

@@ -8,7 +8,9 @@
 //!   by piece — the reader that admits it never waits for a slot while
 //!   it is the one who would have to free it;
 //! - a fresh connection is served at once, not at the acceptor's next
-//!   poll.
+//!   poll;
+//! - a deadline too far off for the serve layer to keep is no deadline
+//!   over the wire too, as in process.
 //!
 //! The executor is a test double behind `ServeEngine::with_parts`: it
 //! answers every query with an empty outcome, one batch per permit.
@@ -21,6 +23,7 @@ use semask::clock::MockClock;
 use semask::engine::EngineError;
 use semask::query::{LatencyBreakdown, QueryOutcome, SemaSkQuery};
 use semask_net::client::{ClientConfig, NetClient};
+use semask_net::proto;
 use semask_net::server::{NetHandler, ServeServer, ServerConfig};
 use semask_serve::api::{Request, ServeStatus};
 use semask_serve::{BatchExecutor, ServeConfig, ServeEngine};
@@ -245,6 +248,33 @@ fn a_fresh_connection_is_served_at_once() {
     assert!(
         median < Duration::from_millis(5),
         "connect + one request took {median:?} at the median of {took:?}"
+    );
+    rig.stop();
+}
+
+#[test]
+fn a_deadline_past_the_clock_is_no_deadline_over_the_wire_too() {
+    let rig = Rig::start(64, 64);
+    // 2^68 × 15,625 µs: its microseconds do not fit a `u64`, and no
+    // `Instant` reaches it.
+    let request = request(0).with_deadline(Duration::from_secs(1 << 62));
+    let in_process = rig.serve.submit_request(request.clone());
+    rig.executor.allow(1);
+    let in_process = in_process.wait();
+    assert_eq!(in_process.status, ServeStatus::Ok);
+
+    let mut client = rig.connect();
+    client.send_request(&request).expect("send");
+    rig.await_accepted(2);
+    // Held until the query is in: a deadline that arrived as "now" has
+    // already answered `Timeout`.
+    rig.executor.allow(1);
+    let over_wire = client.recv_response().expect("reply");
+    assert_eq!(over_wire.status, in_process.status);
+    assert_eq!(
+        proto::encode_response(&over_wire),
+        proto::encode_response(&in_process),
+        "the same answer, field for field"
     );
     rig.stop();
 }

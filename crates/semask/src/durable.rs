@@ -974,6 +974,27 @@ mod tests {
     }
 
     #[test]
+    fn a_log_of_the_json_format_is_refused_not_cut() {
+        let (engine, _, llm, config) = fresh_engine();
+        let dir = tmpdir("json_log");
+        let policy = CheckpointPolicy::default();
+        drop(DurableEngine::create(engine, &dir, policy).unwrap());
+        let json_log = include_bytes!("../tests/fixtures/wal-json-parent.log");
+        std::fs::write(dir.join(WAL_FILE), json_log).unwrap();
+        let before = contents(&dir);
+        let refused = DurableEngine::open(&dir, llm, config, Variant::EmbeddingOnly, policy).err();
+        assert!(
+            matches!(
+                refused,
+                Some(DurableError::Wal(WalError::Undecodable { offset: 0 }))
+            ),
+            "{refused:?}"
+        );
+        assert!(contents(&dir) == before, "no byte in the directory changed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn drop_right_after_a_trigger_leaves_a_committed_checkpoint() {
         let (engine, data, llm, config) = fresh_engine();
         let dir = tmpdir("drop_joins");

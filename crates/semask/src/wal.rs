@@ -8,8 +8,28 @@
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload bytes]
 //! ```
 //!
-//! where the payload is the JSON encoding of a [`WalRecord`] — a
-//! monotonically increasing sequence number plus one [`Mutation`].
+//! where the payload is a [`WalRecord`] — a monotonically increasing
+//! sequence number plus one [`Mutation`] — packed by `vecdb::codec`,
+//! little-endian:
+//!
+//! ```text
+//! [version = 1: u8][seq: u64][tag: u8][fields of the tag]
+//!
+//! tag 0, insert   name: str, lat: f64, lon: f64, categories: list, tips: list
+//! tag 1, update   id: u32, name: 0 | 1 str, tips: 0 | 1 list
+//! tag 2, delete   id: u32
+//!
+//! str   [byte length: u32][UTF-8 bytes]
+//! list  [count: u64][str × count]
+//! f64   its IEEE-754 bits, so a coordinate comes back bit for bit
+//! ```
+//!
+//! An `Option` is a flag byte, 0 or 1, then the value when 1; the reader
+//! checks every count against the bytes behind it before it allocates,
+//! and must consume the payload exactly. A payload of any other version
+//! — the JSON text logs of earlier builds among them — is refused, not
+//! migrated.
+//!
 //! Sequence numbers never restart, even across the checkpoints that
 //! rotate the log ([`Wal::rotate`]): the snapshot records the last
 //! sequence it folded (`last_applied_seq` in its header), and recovery
@@ -42,7 +62,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use serde::{Deserialize, Serialize};
+use vecdb::codec::{corrupt, Reader, Writer};
+use vecdb::VecDbError;
 
 /// The record checksum — the one CRC-32 the workspace has, shared with
 /// the collection snapshot format.
@@ -53,7 +74,7 @@ pub use vecdb::crc32;
 /// the engine runs the same enrichment (reverse geocoding, tip
 /// summarization, embedding) on insert that `prepare_city` runs at prep
 /// time, so a live-inserted POI is indistinguishable from a prepared one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoiSpec {
     /// Display name (also a textual attribute and part of the payload).
     pub name: String,
@@ -71,7 +92,7 @@ pub struct PoiSpec {
 /// A partial update to an existing POI. `None` fields keep their
 /// current value. Changing `tips` re-runs summarization and re-embeds;
 /// changing `name` rewrites the payload and re-embeds.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoiUpdate {
     /// New display name.
     pub name: Option<String>,
@@ -83,7 +104,7 @@ pub struct PoiUpdate {
 /// in-memory apply. A mutation is either wholly durable (its record
 /// survives in the snapshot or the log) or wholly dropped; recovery
 /// never applies half of one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Create a new POI; the engine assigns the next dense id.
     Insert(PoiSpec),
@@ -103,7 +124,7 @@ pub enum Mutation {
 }
 
 /// One durable log entry: a mutation stamped with its sequence number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// Monotonic sequence number (1-based, never reused).
     pub seq: u64,
@@ -117,9 +138,9 @@ pub struct WalRecord {
 pub enum WalError {
     /// An underlying filesystem error.
     Io(std::io::Error),
-    /// A record failed to encode (never expected for well-formed
-    /// mutations; kept explicit rather than panicking in a durability
-    /// path).
+    /// A record failed to encode: a string of 4 GiB or more, or a
+    /// payload past the bound a reader accepts. Kept explicit rather
+    /// than panicking in a durability path.
     Encode(String),
     /// The record at byte `offset` passes its checksum but does not
     /// decode: another encoder wrote it, no crash did. The file is left
@@ -181,24 +202,116 @@ const RECORD_HEADER: usize = 8;
 /// treated as a torn/corrupt header rather than an allocation request.
 const MAX_PAYLOAD: u32 = 64 << 20;
 
+/// The payload version this build writes and the only one it reads.
+const VERSION: u8 = 1;
+
+/// Payload tags, one per [`Mutation`] variant.
+const INSERT: u8 = 0;
+const UPDATE: u8 = 1;
+const DELETE: u8 = 2;
+
 /// Encodes one `(seq, mutation)` into its on-disk record bytes
 /// (header + payload). Pure; the bench and proptest batteries call this
 /// directly.
 ///
 /// # Errors
-/// [`WalError::Encode`] if JSON serialization fails.
+/// [`WalError::Encode`] for a string of 4 GiB or more, or a payload
+/// over the 64 MiB a reader accepts.
 pub fn encode_record(seq: u64, mutation: &Mutation) -> Result<Vec<u8>, WalError> {
-    let record = WalRecord {
-        seq,
-        mutation: mutation.clone(),
-    };
-    let payload = serde_json::to_string(&record).map_err(|e| WalError::Encode(e.to_string()))?;
-    let payload = payload.into_bytes();
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut w = Writer::plain(128);
+    // The frame header, filled in once the payload's length is known.
+    w.u64(0);
+    w.u8(VERSION);
+    w.u64(seq);
+    put_mutation(&mut w, mutation).map_err(|e| WalError::Encode(e.to_string()))?;
+    let mut out = w.into_bytes();
+    let len = u32::try_from(out.len() - RECORD_HEADER)
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)
+        .ok_or_else(|| WalError::Encode(format!("a {}-byte record", out.len())))?;
+    let crc = crc32(&out[RECORD_HEADER..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
+}
+
+fn put_mutation(w: &mut Writer, mutation: &Mutation) -> Result<(), VecDbError> {
+    match mutation {
+        Mutation::Insert(spec) => {
+            w.u8(INSERT);
+            w.str(&spec.name)?;
+            w.f64(spec.lat);
+            w.f64(spec.lon);
+            put_list(w, &spec.categories)?;
+            put_list(w, &spec.tips)?;
+        }
+        Mutation::Update { id, update } => {
+            w.u8(UPDATE);
+            w.u32(*id);
+            w.bool(update.name.is_some());
+            if let Some(name) = &update.name {
+                w.str(name)?;
+            }
+            w.bool(update.tips.is_some());
+            if let Some(tips) = &update.tips {
+                put_list(w, tips)?;
+            }
+        }
+        Mutation::Delete { id } => {
+            w.u8(DELETE);
+            w.u32(*id);
+        }
+    }
+    Ok(())
+}
+
+fn put_list(w: &mut Writer, items: &[String]) -> Result<(), VecDbError> {
+    w.len64(items.len());
+    items.iter().try_for_each(|item| w.str(item))
+}
+
+/// The record a payload holds: the version this build writes, then
+/// the fields, every byte consumed.
+fn take_record(payload: &[u8]) -> Result<WalRecord, VecDbError> {
+    let mut r = Reader::over(payload);
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(corrupt(format!(
+            "wal record version {version}, this build reads only {VERSION}"
+        )));
+    }
+    let seq = r.u64()?;
+    let mutation = match r.u8()? {
+        INSERT => Mutation::Insert(PoiSpec {
+            name: r.str()?.to_owned(),
+            lat: r.f64()?,
+            lon: r.f64()?,
+            categories: take_list(&mut r)?,
+            tips: take_list(&mut r)?,
+        }),
+        UPDATE => Mutation::Update {
+            id: r.u32()?,
+            update: PoiUpdate {
+                name: r.bool()?.then(|| r.str()).transpose()?.map(str::to_owned),
+                tips: r.bool()?.then(|| take_list(&mut r)).transpose()?,
+            },
+        },
+        DELETE => Mutation::Delete { id: r.u32()? },
+        tag => return Err(corrupt(format!("wal mutation tag {tag}"))),
+    };
+    r.finish()?;
+    Ok(WalRecord { seq, mutation })
+}
+
+fn take_list(r: &mut Reader<'_>) -> Result<Vec<String>, VecDbError> {
+    // Each item holds at least its 4-byte length.
+    let count = r.len64()?;
+    let count = r.count(count, 4)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(r.str()?.to_owned());
+    }
+    Ok(items)
 }
 
 /// Why decoding a log stopped.
@@ -249,10 +362,7 @@ pub fn decode(buf: &[u8]) -> Decoded {
         if crc32(payload) != stored_crc {
             break LogEnd::Torn;
         }
-        let record = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| serde_json::from_str::<WalRecord>(text).ok());
-        let Some(record) = record else {
+        let Ok(record) = take_record(payload) else {
             break LogEnd::Undecodable;
         };
         records.push(record);
@@ -520,6 +630,9 @@ pub const CRASH_AFTER_ENV: &str = "SEMASK_CRASH_AFTER";
 mod tests {
     use super::*;
 
+    /// One mutation of each kind. Changing one changes the pinned
+    /// bytes of `records_keep_their_bytes`, and no longer matches the
+    /// JSON log `JSON_LOG` holds.
     fn sample_mutations() -> Vec<Mutation> {
         vec![
             Mutation::Insert(PoiSpec {
@@ -637,6 +750,15 @@ mod tests {
         out
     }
 
+    /// The payload of `encode_record(seq, mutation)`.
+    fn payload_of(seq: u64, mutation: &Mutation) -> Vec<u8> {
+        encode_record(seq, mutation).unwrap()[RECORD_HEADER..].to_vec()
+    }
+
+    /// A log the JSON-text format of earlier builds wrote:
+    /// `sample_mutations()` appended as records 1–3.
+    const JSON_LOG: &[u8] = include_bytes!("../tests/fixtures/wal-json-parent.log");
+
     #[test]
     fn a_record_that_checks_but_does_not_decode_is_refused_not_cut() {
         let dir = std::env::temp_dir().join(format!("semask_wal_foreign_{}", std::process::id()));
@@ -651,7 +773,25 @@ mod tests {
             wal.sync().unwrap();
         }
         let good = std::fs::read(&path).unwrap();
-        for foreign in [&b"{\"not\": \"a record\"}"[..], &[0xFF, 0xFE][..]] {
+        let delete = payload_of(3, &muts[2]);
+        let mut next_version = delete.clone();
+        next_version[0] = VERSION + 1;
+        let mut unknown_tag = delete.clone();
+        unknown_tag[9] = DELETE + 1;
+        let mut trailing = delete.clone();
+        trailing.push(0);
+        let json_len = u32::from_le_bytes(JSON_LOG[..4].try_into().unwrap()) as usize;
+        let json_record = &JSON_LOG[RECORD_HEADER..][..json_len];
+        let foreign: [&[u8]; 7] = [
+            b"{\"not\": \"a record\"}",
+            &[0xFF, 0xFE],
+            json_record,
+            &next_version,
+            &unknown_tag,
+            &trailing,
+            &delete[..delete.len() - 1],
+        ];
+        for foreign in foreign {
             let mut file = good.clone();
             file.extend_from_slice(&framed(foreign));
             file.extend_from_slice(&encode_record(3, &muts[2]).unwrap());
@@ -667,7 +807,71 @@ mod tests {
             );
             assert_eq!(std::fs::read(&path).unwrap(), file, "the file is untouched");
         }
+
+        // A whole log of the JSON format: its first record checks and
+        // does not decode.
+        std::fs::write(&path, JSON_LOG).unwrap();
+        let decoded = decode(JSON_LOG);
+        assert_eq!((decoded.end, decoded.consumed), (LogEnd::Undecodable, 0));
+        let refused = Wal::open(&path).err();
+        assert!(
+            matches!(refused, Some(WalError::Undecodable { offset: 0 })),
+            "{refused:?}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            JSON_LOG,
+            "the file is untouched"
+        );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The record layout of the module docs, byte for byte, and each
+    /// record's length and CRC-32: a format change must fail here and
+    /// bump [`VERSION`].
+    #[test]
+    fn records_keep_their_bytes() {
+        fn str(out: &mut Vec<u8>, s: &str) {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        fn list(out: &mut Vec<u8>, items: &[&str]) {
+            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+            items.iter().for_each(|s| str(out, s));
+        }
+        let head = |seq: u64, tag: u8| {
+            let mut out = vec![1];
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.push(tag);
+            out
+        };
+        let mut insert = head(1, 0);
+        str(&mut insert, "Crash Proof Cafe");
+        insert.extend_from_slice(&34.42f64.to_le_bytes());
+        insert.extend_from_slice(&(-119.7f64).to_le_bytes());
+        list(&mut insert, &["Coffee & Tea"]);
+        list(&mut insert, &["the espresso survives anything"]);
+        let mut update = head(2, 1);
+        update.extend_from_slice(&7u32.to_le_bytes());
+        update.push(0);
+        update.push(1);
+        list(&mut update, &["now with new tips"]);
+        let mut delete = head(3, 2);
+        delete.extend_from_slice(&3u32.to_le_bytes());
+
+        let muts = sample_mutations();
+        let mut pins = Vec::new();
+        for (i, (m, expected)) in muts.iter().zip([insert, update, delete]).enumerate() {
+            let record = encode_record(i as u64 + 1, m).unwrap();
+            assert_eq!(record[RECORD_HEADER..], expected, "{m:?}");
+            assert_eq!(record[..4], (expected.len() as u32).to_le_bytes());
+            assert_eq!(record[4..8], crc32(&expected).to_le_bytes());
+            pins.push((record.len(), crc32(&record)));
+        }
+        assert_eq!(
+            pins,
+            [(120, 0xE990_625A), (53, 0x8B00_F680), (22, 0x6326_64C6)]
+        );
     }
 
     #[test]

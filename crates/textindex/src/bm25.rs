@@ -1,7 +1,5 @@
 //! Okapi BM25 scoring over an [`InvertedIndex`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::inverted::{DocId, InvertedIndex};
 
 /// BM25 parameters and precomputed statistics.
@@ -9,7 +7,7 @@ use crate::inverted::{DocId, InvertedIndex};
 /// Used by the IR-tree for node-level relevance upper bounds and available
 /// as an alternative keyword ranker. Default parameters `k1 = 1.2`,
 /// `b = 0.75` are the standard Robertson values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bm25Model {
     index: InvertedIndex,
     /// Term-frequency saturation parameter.

@@ -1,7 +1,5 @@
 //! Inverted index: term → postings with term frequencies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenizer::Tokenizer;
 use crate::vocab::{TermId, Vocabulary};
 
@@ -9,7 +7,7 @@ use crate::vocab::{TermId, Vocabulary};
 pub type DocId = u32;
 
 /// One posting: a document and the term's frequency in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// Document containing the term.
     pub doc: DocId,
@@ -43,12 +41,11 @@ pub struct QueryTermStats {
 /// Documents are added once via [`InvertedIndex::add_document`]; postings
 /// are kept sorted by doc id (documents are added in increasing order) so
 /// AND-queries are sorted-list intersections.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     vocab: Vocabulary,
     postings: Vec<Vec<Posting>>,
     doc_lens: Vec<u32>,
-    #[serde(skip, default = "Tokenizer::new")]
     tokenizer: Tokenizer,
 }
 

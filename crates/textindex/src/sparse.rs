@@ -1,12 +1,10 @@
 //! Sorted sparse vectors with dot product and cosine similarity.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse vector: parallel `(index, value)` arrays sorted by index.
 ///
 /// Used for TF-IDF document vectors, where dimensionality equals the
 /// vocabulary size but documents touch only dozens of terms.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVector {
     indices: Vec<u32>,
     values: Vec<f32>,

@@ -2,8 +2,6 @@
 //! two baselines ("TF-IDF is more accurate, despite being a simpler
 //! model").
 
-use serde::{Deserialize, Serialize};
-
 use crate::inverted::{DocId, InvertedIndex};
 use crate::sparse::SparseVector;
 
@@ -13,7 +11,7 @@ use crate::sparse::SparseVector;
 /// `idf(t) = ln((N + 1) / (df(t) + 1)) + 1` (smoothed, always positive),
 /// and document vectors are L2-normalized so ranking reduces to dot
 /// products.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TfIdfModel {
     index: InvertedIndex,
     idf: Vec<f32>,

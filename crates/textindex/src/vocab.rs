@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense id of an interned term.
 pub type TermId = u32;
 
@@ -11,7 +9,7 @@ pub type TermId = u32;
 ///
 /// Term ids are dense and allocated in first-seen order, so they can index
 /// into `Vec`-based statistics (document frequencies, topic counts, …).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     map: HashMap<String, TermId>,
     terms: Vec<String>,

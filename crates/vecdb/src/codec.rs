@@ -1,5 +1,6 @@
-//! The byte layer under snapshots: the crate's one checksum, a
-//! section-framed container and a bounds-checked cursor.
+//! The workspace's one byte layer: a checksum, a section-framed
+//! container and a bounds-checked cursor, under snapshots, write-ahead
+//! log records (`semask::wal`) and wire payloads (`semask_net::proto`).
 //!
 //! A container is `magic | version | crc32 | section table | sections`;
 //! a [`Format`] names its magic, the one version its readers accept and
@@ -17,6 +18,11 @@
 //! allocates for a count it has not first checked against the bytes
 //! that remain, so a hostile length costs an `Err`, not a panic or an
 //! allocation.
+//!
+//! A log record or a wire payload is plain bytes, outside any
+//! container: [`Writer::plain`] writes them and [`Writer::into_bytes`]
+//! hands them back; [`Reader::over`] reads them with the same checks,
+//! and the caller frames and checksums them its own way.
 //!
 //! Fixed-width arrays (vectors, norms, ids, codes, links, offsets) go
 //! out and come back as one block each (`Writer::f32s`,
@@ -100,7 +106,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// A snapshot that could not be written, read or believed.
+/// A snapshot that could not be written, read or believed. Cold: every
+/// read's error path builds one, and none is taken on a good input.
+#[cold]
 pub fn corrupt(cause: impl Into<String>) -> VecDbError {
     VecDbError::Snapshot {
         cause: cause.into(),
@@ -171,61 +179,94 @@ impl<const N: usize> Format<N> {
 
 /// Builds a container in one buffer: append a section's bytes, call
 /// [`Writer::end_section`], repeat for every section of the format,
-/// [`Writer::finish`]. [`Format::writer`] makes one.
+/// [`Writer::finish`]. [`Format::writer`] makes one; [`Writer::plain`]
+/// makes one for bytes outside any container.
 #[derive(Debug)]
 pub struct Writer {
     buf: Vec<u8>,
     /// Where each finished section ended.
     ends: Vec<usize>,
-    /// Sections the format holds.
+    /// Sections the format holds; 0 for a plain writer.
     sections: usize,
 }
 
 impl Writer {
+    /// A writer of plain bytes — no magic, section table or checksum —
+    /// with room for `capacity` of them.
+    #[inline]
+    #[must_use]
+    pub fn plain(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+            ends: Vec::new(),
+            sections: 0,
+        }
+    }
+
+    /// The bytes a plain writer ([`Writer::plain`]) has appended. A
+    /// container's writer hands its bytes over through
+    /// [`Writer::finish`] instead.
+    #[inline]
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        debug_assert_eq!(self.sections, 0, "a container is sealed, not taken");
+        self.buf
+    }
+
     /// Makes room for `additional` more bytes.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
+    #[inline]
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// One byte, 0 or 1.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// A little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// A `usize` length or count, stored as `u64`.
+    #[inline]
     pub fn len64(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    pub(crate) fn f32(&mut self, v: f32) {
+    /// An `f32`'s bits, little-endian.
+    #[inline]
+    pub fn f32(&mut self, v: f32) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// An `f64`'s bits, little-endian.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.bytes(&v.to_le_bytes());
     }
 
     /// A length-prefixed (`u32`) string.
+    #[inline]
     pub fn str(&mut self, s: &str) -> Result<(), VecDbError> {
         let len =
             u32::try_from(s.len()).map_err(|_| corrupt(format!("a {}-byte string", s.len())))?;
@@ -323,19 +364,39 @@ impl UnsealedSnapshot {
     }
 }
 
-/// A bounds-checked cursor over one section's bytes.
+/// A flag byte: 0 or 1, nothing else.
+#[inline]
+fn flag(b: u8) -> Result<bool, VecDbError> {
+    match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(corrupt(format!("flag byte {b}"))),
+    }
+}
+
+/// A bounds-checked cursor over one section's bytes, or over plain
+/// bytes ([`Reader::over`]).
 #[derive(Clone, Copy)]
 pub struct Reader<'a> {
     rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
+    /// A cursor over plain bytes — a log record's or a wire payload's —
+    /// that sits in no container.
+    #[inline]
+    #[must_use]
+    pub fn over(rest: &'a [u8]) -> Self {
+        Self { rest }
+    }
+
     /// Bytes not yet consumed.
     pub(crate) fn remaining(&self) -> usize {
         self.rest.len()
     }
 
     /// The next `n` bytes, or an error if fewer remain.
+    #[inline]
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], VecDbError> {
         if n > self.rest.len() {
             return Err(corrupt(format!(
@@ -348,6 +409,7 @@ impl<'a> Reader<'a> {
         Ok(taken)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], VecDbError> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
@@ -355,36 +417,44 @@ impl<'a> Reader<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, VecDbError> {
         self.array().map(|[b]| b)
     }
 
     /// A byte that must be 0 or 1 — anything else would make two files
     /// decode to one collection.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, VecDbError> {
-        self.bools(1).map(|b| b[0])
+        self.u8().and_then(flag)
     }
 
     /// A little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, VecDbError> {
         self.array().map(u32::from_le_bytes)
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, VecDbError> {
         self.array().map(u64::from_le_bytes)
     }
 
-    pub(crate) fn f32(&mut self) -> Result<f32, VecDbError> {
+    /// An `f32` from its little-endian bits.
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, VecDbError> {
         self.array().map(f32::from_le_bytes)
     }
 
     /// An `f64` from its little-endian bits.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, VecDbError> {
         self.array().map(f64::from_le_bytes)
     }
 
     /// A stored `u64` length or count as a `usize`.
+    #[inline]
     pub fn len64(&mut self) -> Result<usize, VecDbError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| corrupt(format!("length {v} does not fit this platform")))
@@ -393,6 +463,7 @@ impl<'a> Reader<'a> {
     /// A count of things that each take at least `min_bytes` of what
     /// remains — refused if they cannot all fit, so nothing is sized by
     /// a count the bytes do not back.
+    #[inline]
     pub fn count(&mut self, count: usize, min_bytes: usize) -> Result<usize, VecDbError> {
         if count > self.rest.len() / min_bytes.max(1) {
             return Err(corrupt(format!(
@@ -404,6 +475,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed (`u32`) UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Result<&'a str, VecDbError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|e| corrupt(format!("string: {e}")))
@@ -429,14 +501,7 @@ impl<'a> Reader<'a> {
 
     /// `count` flag bytes, each 0 or 1.
     pub(crate) fn bools(&mut self, count: usize) -> Result<Vec<bool>, VecDbError> {
-        self.take(count)?
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                b => Err(corrupt(format!("flag byte {b}"))),
-            })
-            .collect()
+        self.take(count)?.iter().map(|&b| flag(b)).collect()
     }
 
     pub(crate) fn f32s(&mut self, count: usize) -> Result<Vec<f32>, VecDbError> {
@@ -457,8 +522,9 @@ impl<'a> Reader<'a> {
         self.words(count, f64::from_le_bytes)
     }
 
-    /// Errors unless the section was consumed exactly — trailing bytes
-    /// would make two different files decode to one collection.
+    /// Errors unless the bytes were consumed exactly — trailing bytes
+    /// would make two different inputs decode to one value.
+    #[inline]
     pub fn finish(self) -> Result<(), VecDbError> {
         if self.rest.is_empty() {
             Ok(())
@@ -469,21 +535,7 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-impl Writer {
-    /// What has been appended after the header — one part's bytes, for
-    /// a unit test of that part alone.
-    pub(crate) fn into_body(self) -> Vec<u8> {
-        self.buf[BODY + 4 + self.sections * 8..].to_vec()
-    }
-}
-
-#[cfg(test)]
 impl<'a> Reader<'a> {
-    /// A cursor over `rest`, for a unit test of one part.
-    pub(crate) fn over(rest: &'a [u8]) -> Self {
-        Self { rest }
-    }
-
     /// Everything that is left.
     fn take_rest(&mut self) -> &'a [u8] {
         std::mem::take(&mut self.rest)
@@ -553,6 +605,35 @@ mod tests {
     }
 
     #[test]
+    fn plain_bytes_round_trip_outside_a_container() {
+        let mut w = Writer::plain(0);
+        w.u8(7);
+        w.bool(true);
+        w.u32(u32::MAX);
+        w.u64(1 << 40);
+        w.f32(-0.0);
+        w.f64(f64::from_bits(1));
+        w.str("é").unwrap();
+        w.len64(3);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            bytes.len(),
+            1 + 1 + 4 + 8 + 4 + 8 + (4 + 2) + 8,
+            "no header"
+        );
+        let mut r = Reader::over(&bytes);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert!(r.bool().unwrap());
+        assert_eq!(r.u32().unwrap(), u32::MAX);
+        assert_eq!(r.u64().unwrap(), 1 << 40);
+        assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(r.f64().unwrap().to_bits(), 1);
+        assert_eq!(r.str().unwrap(), "é");
+        assert_eq!(r.len64().unwrap(), 3);
+        r.finish().unwrap();
+    }
+
+    #[test]
     fn damaged_containers_are_rejected() {
         let file = sample();
         for cut in 0..file.len() {
@@ -581,7 +662,7 @@ mod tests {
     fn values_that_are_not_canonical_are_refused() {
         // A flag that is neither 0 nor 1, a string that is not UTF-8,
         // and a count larger than the bytes behind it.
-        let over = |rest: &'static [u8]| Reader { rest };
+        let over = |rest: &'static [u8]| Reader::over(rest);
         assert!(over(&[2]).bool().is_err());
         assert!(over(&[0, 1, 2]).bools(3).is_err());
         assert!(over(&[0, 1]).bools(2).is_ok());

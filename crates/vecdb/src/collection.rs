@@ -2,8 +2,6 @@
 
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
@@ -135,7 +133,7 @@ impl CollectionConfig {
 /// Every figure is an accounting estimate from container sizes, not an
 /// allocator census. The HNSW graph — each link, and the 4 B of cached
 /// distance beside it — is outside this accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryFootprint {
     /// Stored points (including soft-deleted offsets).
     pub points: usize,
@@ -202,7 +200,7 @@ pub struct CollectionStats {
 }
 
 /// A search hit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredPoint {
     /// Caller-assigned point id.
     pub id: PointId,
@@ -218,7 +216,7 @@ pub struct ScoredPoint {
 /// Cost-based planners — like `semask`'s `QueryPlanner` — decide per query
 /// and pass `Exact` or `Hnsw` explicitly, so the decision lives in one
 /// observable place instead of being buried here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategy {
     /// Scan when the filter is selective, search the graph otherwise.
     #[default]

@@ -6,13 +6,11 @@
 //! that column and the one evaluator of a [`Filter`], whose one variant
 //! is [`Filter::GeoBoundingBox`], SemaSK's query range.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{corrupt, Reader, Writer};
 use crate::error::VecDbError;
 
 /// A filter over stored positions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Filter {
     /// The point's position must fall inside the box (edges inclusive).
@@ -155,9 +153,9 @@ mod tests {
 
     /// `store` packed, and read back from those bytes.
     fn repack(store: &PayloadStore) -> (Vec<u8>, Result<PayloadStore, VecDbError>) {
-        let mut w = crate::codec::COLLECTION.writer(0);
+        let mut w = Writer::plain(0);
         store.pack(&mut w);
-        let bytes = w.into_body();
+        let bytes = w.into_bytes();
         let mut r = Reader::over(&bytes);
         let n = store.geo.len();
         let back = PayloadStore::unpack(&mut r, n).and_then(|s| r.finish().map(|()| s));

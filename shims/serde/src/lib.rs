@@ -1,27 +1,24 @@
 //! Minimal vendored stand-in for the `serde` crate.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the small slice of serde's API the codebase uses: a
-//! self-describing [`Content`] data model, the [`Serialize`] /
-//! [`Deserialize`] traits expressed against it, and blanket impls for the
-//! std types that appear in our serialized structs. The matching derive
-//! macros live in the sibling `serde_derive` crate and are re-exported
-//! here, so `use serde::{Serialize, Deserialize}` works exactly as with
-//! the real crate for the shapes this codebase relies on.
+//! workspace vendors the small slice of serde's API the `serde_json` shim
+//! is built on: a self-describing [`Content`] data model, the
+//! [`Serialize`] / [`Deserialize`] traits expressed against it, and
+//! impls for the std types `serde_json::Value`, `json!` and
+//! `from_str` reach. There are no derive macros: the workspace's own
+//! types are packed by `vecdb::codec`, and JSON at the edges is built
+//! and read as a `serde_json::Value`.
 //!
 //! Intentional deviations from real serde, chosen for determinism:
 //!
 //! - Floats deserialize only from float content (the JSON writer in our
 //!   `serde_json` shim always emits a fraction or exponent for floats),
-//!   which keeps `#[serde(untagged)]` enums able to distinguish integer
-//!   from float variants by content kind.
+//!   so an integer and a float never decode as each other.
 //! - Maps with integer keys serialize with stringified, sorted keys.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A self-describing serialized value — the pivot between Rust values and
 /// concrete formats (JSON, in our case).
@@ -46,24 +43,6 @@ pub enum Content {
 }
 
 impl Content {
-    /// The map entries if this is a `Map`.
-    #[must_use]
-    pub fn as_map(&self) -> Option<&[(String, Content)]> {
-        match self {
-            Content::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The string if this is a `Str`.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Content::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// A short name of the content kind, for error messages.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -79,12 +58,6 @@ impl Content {
     }
 }
 
-/// Looks up a key in serialized map entries (used by derived impls).
-#[must_use]
-pub fn content_get<'a>(entries: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// A deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeError(String);
@@ -94,12 +67,6 @@ impl DeError {
     #[must_use]
     pub fn custom(msg: impl Into<String>) -> Self {
         DeError(msg.into())
-    }
-
-    /// A missing-field error.
-    #[must_use]
-    pub fn missing_field(field: &str, ty: &str) -> Self {
-        DeError(format!("missing field `{field}` for `{ty}`"))
     }
 
     /// A type-mismatch error.

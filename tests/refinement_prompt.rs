@@ -3,12 +3,14 @@
 //! reader reads back what the value tree held, and no damage to a real
 //! prompt makes the reader panic or allocate out of proportion to it.
 
+#[path = "common/heap.rs"]
+mod heap;
 #[path = "../crates/geotext/tests/oracle/mod.rs"]
 mod oracle;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
+
+use heap::peak_bytes_of;
 
 use concepts::ConceptDetector;
 use geotext::GeoTextObject;
@@ -16,53 +18,6 @@ use llm::prompts::{extract_rerank, rerank_prompt};
 use llm::{LlmError, SimLlm};
 use semask::{prepare_city, PreparedCity, SemaSkConfig};
 use serde_json::Value;
-
-/// Counts the live and peak heap bytes of each thread (a test's own
-/// allocations, whatever other tests run beside it).
-struct PerThreadCount;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn add_live(delta: isize) {
-    // `try_with`: a thread's last frees may come after its locals died.
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + delta);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters
-// are thread-local cells that never allocate.
-unsafe impl GlobalAlloc for PerThreadCount {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        add_live(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        add_live(-(layout.size() as isize));
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        add_live(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: PerThreadCount = PerThreadCount;
-
-/// Peak heap bytes `f` holds above what was live when it started.
-fn peak_bytes_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let out = f();
-    (out, (PEAK.with(Cell::get) - base) as usize)
-}
 
 fn prepared() -> PreparedCity {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 120, 9);

@@ -6,34 +6,95 @@
 //! records and never a partially-applied or corrupted record, and it
 //! must never panic. `Wal::open` must additionally truncate the file to
 //! that prefix so the next append lands on a clean boundary.
+//!
+//! Records that check but were never written by the encoder — arbitrary
+//! payload bytes behind a valid CRC, every cut and bit flip of a real
+//! record with its CRC recomputed — decode to a record or stop the log as
+//! undecodable, without a panic and without heap out of proportion to
+//! their length (the per-thread counter in `common/heap.rs`).
 
+#[path = "common/heap.rs"]
+mod heap;
+
+use heap::peak_bytes_of;
 use proptest::prelude::*;
-use semask::wal::{decode_buffer, encode_record, Mutation, PoiSpec, PoiUpdate, Wal};
+use semask::wal::{
+    crc32, decode, decode_buffer, encode_record, LogEnd, Mutation, PoiSpec, PoiUpdate, Wal,
+};
+
+/// Strings a text format gets wrong: nothing at all, quotes,
+/// backslashes, control characters and non-ASCII text.
+const AWKWARD: [&str; 7] = [
+    "",
+    "say \"cheese\"",
+    "C:\\tips\\",
+    "tab\there\nnull\0bell\u{7}",
+    "\u{1}\u{1f}\u{7f}",
+    "Café Zürich · 東京 ラーメン 🍜",
+    "\u{2028}\u{FEFF}\\u0000",
+];
+
+/// A string from `seed`: mostly one of [`AWKWARD`], else a plain one.
+fn text(seed: u64) -> String {
+    match AWKWARD.get((seed % 10) as usize) {
+        Some(awkward) => (*awkward).to_owned(),
+        None => format!("generated {seed}"),
+    }
+}
+
+/// `count` strings from `seed`; a count of 0 is the empty list.
+fn texts(seed: u64, count: u64) -> Vec<String> {
+    (0..count)
+        .map(|i| text(seed.wrapping_mul(31).wrapping_add(i)))
+        .collect()
+}
+
+/// A coordinate from `seed`: either zero, subnormals of both signs, or an
+/// ordinary value within `±span` degrees.
+fn coordinate(seed: u64, span: u64) -> f64 {
+    match seed % 8 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::from_bits(1),
+        3 => -f64::MIN_POSITIVE / 3.0,
+        _ => (seed % (20 * span)) as f64 / 10.0 - span as f64,
+    }
+}
 
 /// A mutation from raw numbers — every variant reachable, all payload
 /// sizes small enough to keep thousands of cases cheap.
 fn mutation(kind: u8, id: u32, salt: u64) -> Mutation {
     match kind % 3 {
         0 => Mutation::Insert(PoiSpec {
-            name: format!("generated poi {salt}"),
-            lat: (salt % 1800) as f64 / 10.0 - 90.0,
-            lon: (salt % 3600) as f64 / 10.0 - 180.0,
-            categories: vec![format!("category-{}", salt % 7)],
-            tips: (0..(salt % 4))
-                .map(|t| format!("tip {t} of {salt}"))
-                .collect(),
+            name: text(salt),
+            lat: coordinate(salt / 3, 90),
+            lon: coordinate(salt / 5, 180),
+            categories: texts(salt / 7, salt % 3),
+            tips: texts(salt / 11, salt % 4),
         }),
         1 => Mutation::Update {
             id: id % 500,
             update: PoiUpdate {
-                name: salt.is_multiple_of(2).then(|| format!("renamed {salt}")),
-                tips: salt
-                    .is_multiple_of(3)
-                    .then(|| vec![format!("fresh tip {salt}")]),
+                name: (!salt.is_multiple_of(3)).then(|| text(salt / 3)),
+                tips: match (salt / 3) % 3 {
+                    0 => None,
+                    1 => Some(Vec::new()),
+                    _ => Some(texts(salt / 13, 1 + salt % 3)),
+                },
             },
         },
         _ => Mutation::Delete { id: id % 500 },
     }
+}
+
+/// `a` and `b` are the same mutation down to the bits of each
+/// coordinate (`==` takes `-0.0` for `0.0`).
+fn same_bits(a: &Mutation, b: &Mutation) -> bool {
+    let bits = |m: &Mutation| match m {
+        Mutation::Insert(spec) => Some((spec.lat.to_bits(), spec.lon.to_bits())),
+        _ => None,
+    };
+    a == b && bits(a) == bits(b)
 }
 
 /// Encoded log of `muts` with 1-based sequence numbers, plus the byte
@@ -67,7 +128,7 @@ proptest! {
         prop_assert_eq!(records.len(), muts.len());
         for (i, r) in records.iter().enumerate() {
             prop_assert_eq!(r.seq, i as u64 + 1);
-            prop_assert_eq!(&r.mutation, &muts[i]);
+            prop_assert!(same_bits(&r.mutation, &muts[i]), "{:?} != {:?}", r.mutation, muts[i]);
         }
     }
 
@@ -90,7 +151,7 @@ proptest! {
         prop_assert_eq!(records.len(), whole);
         prop_assert!(consumed <= cut);
         for (i, r) in records.iter().enumerate() {
-            prop_assert_eq!(&r.mutation, &muts[i]);
+            prop_assert!(same_bits(&r.mutation, &muts[i]));
         }
     }
 
@@ -116,7 +177,7 @@ proptest! {
         prop_assert!(consumed <= buf.len());
         for (i, r) in records.iter().enumerate() {
             prop_assert_eq!(r.seq, i as u64 + 1);
-            prop_assert_eq!(&r.mutation, &muts[i]);
+            prop_assert!(same_bits(&r.mutation, &muts[i]));
         }
     }
 }
@@ -157,5 +218,84 @@ proptest! {
         let (_, reread) = Wal::open(&path).expect("reopen");
         prop_assert_eq!(reread.len() as u64, n + 1);
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// `payload` behind a header whose length and CRC-32 hold.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Decodes `payload` framed as one record: it must come back as that
+/// record or stop the log as undecodable — never torn, since its CRC
+/// holds — and the decode must hold no more heap than a bound in
+/// proportion to the payload (a list's count is checked against the
+/// bytes behind it before anything is sized by it).
+fn decode_hostile(payload: &[u8]) -> LogEnd {
+    let log = framed(payload);
+    let (decoded, peak) = peak_bytes_of(|| decode(&log));
+    let bound = 8 * payload.len() + 1024;
+    assert!(
+        peak <= bound,
+        "{peak} B held for a {}-byte payload",
+        payload.len()
+    );
+    match decoded.end {
+        LogEnd::Whole => assert_eq!((decoded.records.len(), decoded.consumed), (1, log.len())),
+        LogEnd::Undecodable => assert_eq!((decoded.records.len(), decoded.consumed), (0, 0)),
+        LogEnd::Torn => panic!("a payload whose CRC holds read as torn: {payload:?}"),
+    }
+    decoded.end
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes behind a valid CRC, bare or after a well-formed
+    /// version, sequence number and tag (3 is no tag).
+    #[test]
+    fn any_payload_behind_a_valid_crc_decodes_or_is_refused(
+        head in (0u8..3, 0u64..u64::MAX, 0u8..4),
+        tail in proptest::collection::vec(0u8..u8::MAX, 0..256),
+    ) {
+        let (shape, seq, tag) = head;
+        let mut payload = Vec::new();
+        if shape > 0 {
+            payload.push(1);
+            payload.extend_from_slice(&seq.to_le_bytes());
+            payload.push(tag);
+        }
+        payload.extend_from_slice(&tail);
+        if !payload.is_empty() {
+            decode_hostile(&payload);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every cut of a real record's payload, and every single bit flipped
+    /// in it, with the CRC recomputed: a cut never decodes (the format is
+    /// prefix-free), a flip decodes to some record or is refused.
+    #[test]
+    fn every_cut_and_flip_of_a_real_record_decodes_or_is_refused(
+        raw in (0u8..6, 0u32..1000, 0u64..10_000),
+    ) {
+        let record = encode_record(7, &mutation(raw.0, raw.1, raw.2)).expect("encode");
+        let payload = &record[8..];
+        prop_assert_eq!(decode_hostile(payload), LogEnd::Whole);
+        for cut in 1..payload.len() {
+            prop_assert_eq!(decode_hostile(&payload[..cut]), LogEnd::Undecodable, "cut at {}", cut);
+        }
+        let mut flipped = payload.to_vec();
+        for bit in 0..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decode_hostile(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }
