@@ -5,7 +5,7 @@
 //! and the cost of one plan (`plan_only`). The CI gate fails if a
 //! `planned` row regresses more than 2x against `BENCH_planner.json`.
 //!
-//! Before each band's rows, the bench prints the calibrated model's
+//! Before each band's rows, the bench prints the cost model's
 //! predicted per-strategy costs next to the measured means — the
 //! predicted-vs-actual columns recorded in `BENCH_planner.json`.
 //!
@@ -57,7 +57,7 @@ fn bench_planner(c: &mut Criterion) {
         let frac = prepared.planner.estimator().estimate_fraction(range);
         let plan = prepared.planner.plan(range);
         println!(
-            "range {label}: estimated selectivity {frac:.3}, calibrated choice {} \
+            "range {label}: estimated selectivity {frac:.3}, planned choice {} \
              (runner-up {})",
             plan.chosen,
             plan.runner_up

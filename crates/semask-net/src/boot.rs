@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use semask::{
-    prepare_city, Coefficients, CostModel, PlannerConfig, PreparedCity, QueryPlanner, SemaSkConfig,
-    SemaSkEngine, Variant,
+    prepare_city, PlannerConfig, PreparedCity, QueryPlanner, SemaSkConfig, SemaSkEngine, Variant,
 };
 use vecdb::ShardSpec;
 
@@ -90,23 +89,18 @@ fn prepare(params: &NodeParams, llm: &llm::SimLlm, config: &SemaSkConfig) -> Pre
     prepare_city(&data, llm, config).expect("prepare city")
 }
 
-/// Builds the router's engine over the whole city: the planner with a
-/// **frozen** cost model (`online_updates: false` — every plan of a
-/// parity run is made from one model state), SemaSK-EM variant
-/// (refinement stays deterministic and cheap for the wire tests).
+/// Builds the router's engine over the whole city: the default
+/// configuration (its planner prices with the constant coefficients, so
+/// every plan of a parity run is a function of the query alone),
+/// SemaSK-EM variant (refinement stays deterministic and cheap for the
+/// wire tests).
 ///
 /// # Panics
 /// When preparation fails.
 #[must_use]
 pub fn build_engine(params: &NodeParams) -> Arc<SemaSkEngine> {
     let llm = Arc::new(llm::SimLlm::new());
-    let config = SemaSkConfig {
-        planner: PlannerConfig {
-            online_updates: false,
-            ..PlannerConfig::default()
-        },
-        ..SemaSkConfig::default()
-    };
+    let config = SemaSkConfig::default();
     let prepared = Arc::new(prepare(params, &llm, &config));
     Arc::new(SemaSkEngine::new(
         prepared,
@@ -119,22 +113,13 @@ pub fn build_engine(params: &NodeParams) -> Arc<SemaSkEngine> {
 /// Builds the shard node for `spec`: the prepared city is cut down to
 /// the slice `spec` owns ([`vecdb::partition`]) and the whole collection
 /// is dropped, leaving the dataset, the embedder and a planner over the
-/// slice. A node never plans — it runs the strategy the router ships —
-/// so its planner takes given coefficients and runs no probes.
+/// slice. A node never plans — it runs the strategy the router ships.
 ///
 /// # Panics
 /// When preparation fails.
 #[must_use]
 pub fn build_shard(params: &NodeParams, spec: ShardSpec) -> ShardHandler {
-    let planner = PlannerConfig {
-        cost_model: CostModel::Fixed(Coefficients::default()),
-        online_updates: false,
-    };
-    let config = SemaSkConfig {
-        planner,
-        ..SemaSkConfig::default()
-    };
-    let prepared = prepare(params, &llm::SimLlm::new(), &config);
+    let prepared = prepare(params, &llm::SimLlm::new(), &SemaSkConfig::default());
     let whole = prepared
         .db
         .collection(&prepared.collection_name)
@@ -144,8 +129,11 @@ pub fn build_shard(params: &NodeParams, spec: ShardSpec) -> ShardHandler {
     let PreparedCity {
         dataset, embedder, ..
     } = prepared;
-    let planner =
-        QueryPlanner::for_city(dataset, Arc::new(parking_lot::RwLock::new(slice)), planner);
+    let planner = QueryPlanner::for_city(
+        dataset,
+        Arc::new(parking_lot::RwLock::new(slice)),
+        PlannerConfig::default(),
+    );
     ShardHandler::new(embedder, planner, spec)
 }
 

@@ -7,7 +7,7 @@
 //! │ magic  │ version │ kind │ correlation id   │ payload len │ payload │
 //! │ u16 LE │ u8      │ u8   │ u64 LE           │ u32 LE      │ bytes   │
 //! └────────┴─────────┴──────┴──────────────────┴─────────────┴─────────┘
-//!   0x534B    2                                  ≤ 16 MiB
+//!   0x534B    3                                  ≤ 16 MiB
 //! ```
 //!
 //! The 16-byte header is fixed; the payload encoding depends on
@@ -39,9 +39,11 @@ use vecdb::{ScoredPoint, ShardSpec, VecDbError};
 /// Frame magic: `"SK"` little-endian.
 pub const MAGIC: u16 = 0x4B53;
 /// Protocol version carried in every header. Version 2 dropped the
-/// per-shard predicted costs from a response's latency block; a version
-/// 1 peer is refused by this byte rather than misparsed.
-pub const VERSION: u8 = 2;
+/// per-shard predicted costs from a response's latency block, and
+/// version 3 its cost-model generation (plans are priced with constant
+/// coefficients); an older peer is refused by this byte rather than
+/// misparsed.
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on a single frame's payload; anything larger is rejected
@@ -501,7 +503,6 @@ fn put_latency(w: &mut Writer, l: &LatencyBreakdown) {
     w.f64(l.estimated_selectivity);
     w.f64(l.predicted_cost_us);
     put_opt(w, l.runner_up.as_ref(), put_strategy_cost);
-    w.u64(l.cost_model_version);
     w.u32(l.shard_candidates.len() as u32);
     for &n in &l.shard_candidates {
         w.u64(n as u64);
@@ -517,7 +518,6 @@ fn take_latency(r: &mut Reader<'_>) -> Result<LatencyBreakdown, ProtoError> {
         estimated_selectivity: r.f64()?,
         predicted_cost_us: r.f64()?,
         runner_up: take_opt(r, take_strategy_cost)?,
-        cost_model_version: r.u64()?,
         shard_candidates: {
             let n = take_count(r, 8)?;
             (0..n).map(|_| r.len64()).collect::<Result<_, _>>()?
@@ -759,7 +759,7 @@ mod tests {
             read_frame(&mut bad_magic.as_slice()),
             Err(ProtoError::BadMagic(_))
         ));
-        for old_or_unknown in [1, 9] {
+        for old_or_unknown in [1, 2, 9] {
             let mut bad_version = buf.clone();
             bad_version[2] = old_or_unknown;
             assert!(matches!(

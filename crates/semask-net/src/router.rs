@@ -7,8 +7,9 @@
 //! [`vecdb::ShardSpec`] slice of the collection, embeds the query text
 //! with the same deterministic embedder, and runs the strategy the
 //! router shipped ([`semask::RetrievalBackend::knn_in_range`] over its
-//! slice) — the router is the sole planner. Parity contract, with a
-//! frozen cost model (`online_updates: false`):
+//! slice) — the router is the sole planner. Parity contract, with plans
+//! priced by constant coefficients (so a plan is a function of the
+//! query alone):
 //!
 //! - **(a)** for every plan on an exact strategy (exact scan, grid,
 //!   IR-tree) the routed answer is **bit-identical** to the router's own
@@ -231,7 +232,6 @@ impl ShardRouter {
             estimated_selectivity: plan.fraction,
             predicted_cost_us: plan.predicted_us,
             runner_up: plan.runner_up,
-            cost_model_version: plan.model_version,
             shard_candidates: contributed,
         };
         let candidates: Vec<(ObjectId, f32)> = hits

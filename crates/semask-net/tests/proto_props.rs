@@ -269,7 +269,6 @@ proptest! {
                     predicted_us: f64::from_bits(latency_bits[7]),
                     viable: latency_bits[7] % 2 == 0,
                 }),
-                cost_model_version: latency_bits[0],
                 shard_candidates: vec![latency_bits[1] as usize % 1024, 3],
             },
         });
@@ -381,7 +380,6 @@ fn fixed_envelopes() -> [Vec<u8>; 4] {
                 predicted_us: 900.25,
                 viable: true,
             }),
-            cost_model_version: 42,
             shard_candidates: vec![10, 0, 7],
         },
     };
@@ -417,7 +415,7 @@ fn fixed_envelopes() -> [Vec<u8>; 4] {
     ]
 }
 
-/// Every payload byte of protocol version 2, pinned by length and
+/// Every payload byte of protocol version 3, pinned by length and
 /// CRC-32: an encoder change that moves one byte must bump
 /// [`proto::VERSION`].
 #[test]
@@ -427,12 +425,12 @@ fn fixed_envelopes_keep_their_bytes() {
         got,
         [
             (90, 0x4AB0_D9D7),
-            (177, 0xF87F_2961),
+            (169, 0x58AB_6848),
             (73, 0x42AB_4653),
             (33, 0xB531_9444),
         ]
     );
-    assert_eq!(proto::VERSION, 2);
+    assert_eq!(proto::VERSION, 3);
 }
 
 /// A count larger than the bytes left behind it is refused before the
@@ -467,7 +465,6 @@ fn a_count_the_bytes_do_not_back_is_refused_before_it_allocates() {
         latency.push(0);
         latency.extend_from_slice(&[0; 16]);
         latency.push(0);
-        latency.extend_from_slice(&[0; 8]);
         latency.extend_from_slice(&count.to_le_bytes());
         latency.extend(std::iter::repeat_n(0u8, 8 * present));
         refused.push(latency);

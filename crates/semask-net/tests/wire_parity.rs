@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use geotext::ObjectId;
 use semask::{
-    prepare_city, Coefficients, CostModel, LatencyBreakdown, PlannerConfig, QueryOutcome,
-    RetrievalStrategy, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
+    prepare_city, Coefficients, LatencyBreakdown, PlannerConfig, QueryOutcome, RetrievalStrategy,
+    SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
 use semask_net::boot::{self, NodeParams};
 use semask_net::client::{ClientConfig, NetClient};
@@ -231,11 +231,10 @@ fn graph_leaning_engine(params: &NodeParams) -> Arc<SemaSkEngine> {
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
         planner: PlannerConfig {
-            cost_model: CostModel::Fixed(Coefficients {
+            coefficients: Coefficients {
                 hop_us: 0.05,
                 ..Coefficients::default()
-            }),
-            online_updates: false,
+            },
         },
         ..SemaSkConfig::default()
     };

@@ -284,7 +284,6 @@ impl Inner {
                 self.metrics.record_served(n);
                 for outcome in &outcomes {
                     self.metrics.record_plan(
-                        outcome.latency.cost_model_version,
                         outcome.latency.predicted_cost_us,
                         outcome.latency.retrieval_ms,
                     );

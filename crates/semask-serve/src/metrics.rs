@@ -27,10 +27,9 @@ pub struct ServeMetrics {
     panicked_batches: AtomicU64,
     max_batch: AtomicU64,
     queue_wait_ns: AtomicU64,
-    /// Planner cost-model observability: the newest model generation
-    /// seen in served outcomes, plus cumulative predicted vs measured
-    /// filtering time — a drifting ratio means the model is misrouting.
-    cost_model_version: AtomicU64,
+    /// Planner cost-model observability: cumulative predicted vs
+    /// measured filtering time — a drifting ratio means the model is
+    /// misrouting.
     predicted_filter_ns: AtomicU64,
     actual_filter_ns: AtomicU64,
     /// Live-mutation observability: applied-mutation count plus the
@@ -90,16 +89,13 @@ impl ServeMetrics {
         self.panicked_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one served outcome's planner observability: the cost
-    /// model generation its plan was made against and the predicted vs
-    /// measured retrieval time. The pair accumulates only when *both*
-    /// sides are usable — a zero prediction (an outcome that never
-    /// planned) or a non-finite value would otherwise pour unpaired
-    /// time into one counter and corrupt
+    /// Records one served outcome's planner observability: the
+    /// predicted vs measured retrieval time. The pair accumulates only
+    /// when *both* sides are usable — a zero prediction (an outcome that
+    /// never planned) or a non-finite value would otherwise pour
+    /// unpaired time into one counter and corrupt
     /// [`MetricsSnapshot::misprediction_ratio`].
-    pub fn record_plan(&self, model_version: u64, predicted_us: f64, actual_retrieval_ms: f64) {
-        self.cost_model_version
-            .fetch_max(model_version, Ordering::Relaxed);
+    pub fn record_plan(&self, predicted_us: f64, actual_retrieval_ms: f64) {
         let usable = |v: f64| v.is_finite() && v > 0.0;
         if !usable(predicted_us) || !usable(actual_retrieval_ms) {
             return;
@@ -167,7 +163,6 @@ impl ServeMetrics {
             panicked_batches: self.panicked_batches.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
             queue_wait: Duration::from_nanos(self.queue_wait_ns.load(Ordering::Relaxed)),
-            cost_model_version: self.cost_model_version.load(Ordering::Relaxed),
             predicted_filter: Duration::from_nanos(
                 self.predicted_filter_ns.load(Ordering::Relaxed),
             ),
@@ -205,9 +200,6 @@ pub struct MetricsSnapshot {
     pub max_batch: u64,
     /// Total admission-to-flush queue wait across all flushed queries.
     pub queue_wait: Duration,
-    /// Newest planner cost-model generation observed in served
-    /// outcomes (0 until a calibrated plan with online updates serves).
-    pub cost_model_version: u64,
     /// Cumulative filtering time the cost model *predicted* for served
     /// queries.
     pub predicted_filter: Duration,
@@ -269,8 +261,8 @@ impl MetricsSnapshot {
     }
 
     /// Measured-over-predicted filtering time across served queries
-    /// (1.0 = the cost model is calibrated; `None` until predictions
-    /// accumulate). Persistently far from 1 means misrouting risk —
+    /// (1.0 = the constant coefficients price this host exactly; `None`
+    /// until predictions accumulate). Persistently far from 1 means misrouting risk —
     /// check per-outcome `LatencyBreakdown::runner_up` margins.
     #[must_use]
     pub fn misprediction_ratio(&self) -> Option<f64> {
@@ -331,18 +323,17 @@ mod tests {
     fn plan_observability_accumulates() {
         let m = ServeMetrics::default();
         assert_eq!(m.snapshot().misprediction_ratio(), None);
-        m.record_plan(3, 100.0, 0.2); // predicted 100 µs, measured 200 µs
-        m.record_plan(7, 100.0, 0.2);
+        m.record_plan(100.0, 0.2); // predicted 100 µs, measured 200 µs
+        m.record_plan(100.0, 0.2);
         let s = m.snapshot();
-        assert_eq!(s.cost_model_version, 7);
         assert_eq!(s.predicted_filter, Duration::from_micros(200));
         assert_eq!(s.actual_filter, Duration::from_micros(400));
         assert!((s.misprediction_ratio().unwrap() - 2.0).abs() < 1e-9);
         // Poison inputs drop the whole pair — neither counter moves,
         // even when the other half of the pair is valid.
-        m.record_plan(0, f64::NAN, -5.0);
-        m.record_plan(0, 50.0, f64::NAN);
-        m.record_plan(0, 0.0, 1.0); // an outcome that never planned
+        m.record_plan(f64::NAN, -5.0);
+        m.record_plan(50.0, f64::NAN);
+        m.record_plan(0.0, 1.0); // an outcome that never planned
         let s = m.snapshot();
         assert_eq!(s.predicted_filter, Duration::from_micros(200));
         assert_eq!(s.actual_filter, Duration::from_micros(400));

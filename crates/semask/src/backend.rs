@@ -164,7 +164,6 @@ impl RetrievalBackend {
 mod tests {
     use super::*;
     use crate::config::SemaSkConfig;
-    use crate::cost::{Coefficients, CostModel};
     use crate::prep::prepare_city;
     use crate::retrieval::{PlannerConfig, QueryPlanner};
     use datagen::{poi::generate_city, CITIES};
@@ -174,10 +173,7 @@ mod tests {
         let data = generate_city(&CITIES[2], 220, 33);
         let p = prepare_city(&data, &llm::SimLlm::new(), &SemaSkConfig::default()).unwrap();
         let whole = p.db.collection(&p.collection_name).unwrap();
-        let config = PlannerConfig {
-            cost_model: CostModel::Fixed(Coefficients::default()),
-            online_updates: false,
-        };
+        let config = PlannerConfig::default();
         let slices: Vec<QueryPlanner> = (0..4)
             .map(|shard| {
                 let spec = vecdb::ShardSpec::new(4, shard).unwrap();

@@ -57,23 +57,6 @@ impl Default for SemaSkConfig {
 }
 
 #[cfg(test)]
-impl SemaSkConfig {
-    /// The default configuration on given (default) cost coefficients:
-    /// separately built engines plan identically, which in-crate tests
-    /// that compare answers across engines need and timing probes
-    /// cannot give.
-    pub(crate) fn with_fixed_costs() -> Self {
-        Self {
-            planner: PlannerConfig {
-                cost_model: crate::cost::CostModel::Fixed(crate::cost::Coefficients::default()),
-                ..PlannerConfig::default()
-            },
-            ..Self::default()
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 

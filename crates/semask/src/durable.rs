@@ -578,7 +578,7 @@ mod tests {
     fn fresh_engine() -> (SemaSkEngine, datagen::CityData, Arc<SimLlm>, SemaSkConfig) {
         let data = generate_city(&CITIES[2], 80, 33);
         let llm = Arc::new(SimLlm::new());
-        let config = SemaSkConfig::with_fixed_costs();
+        let config = SemaSkConfig::default();
         let prepared = Arc::new(crate::prep::prepare_city(&data, &llm, &config).unwrap());
         let engine = SemaSkEngine::new(
             prepared,

@@ -332,7 +332,6 @@ impl SemaSkEngine {
                     estimated_selectivity: planned.estimated_fraction,
                     predicted_cost_us: planned.predicted_cost_us,
                     runner_up: planned.runner_up,
-                    cost_model_version: planned.model_version,
                     shard_candidates: Vec::new(),
                 };
                 let candidates: Vec<(ObjectId, f32)> = planned
@@ -877,13 +876,10 @@ mod tests {
     fn setup(variant: Variant) -> (SemaSkEngine, datagen::CityData) {
         let data = generate_city(&CITIES[4], 150, 21);
         let llm = Arc::new(SimLlm::new());
-        // Given coefficients: several tests below compare answers
-        // across separately prepared engines (full vs embedding-only),
-        // whose calibrated models would probe independently and could
-        // route a near-tie query differently. The calibrated path has
-        // its own coverage in `retrieval`/`cost` tests and
-        // `tests/planner_routing.rs`.
-        let config = SemaSkConfig::with_fixed_costs();
+        // Several tests below compare answers across separately
+        // prepared engines (full vs embedding-only); both price with the
+        // same constant coefficients, so they route every query alike.
+        let config = SemaSkConfig::default();
         let prepared = Arc::new(prepare_city(&data, &llm, &config).unwrap());
         (SemaSkEngine::new(prepared, llm, config, variant), data)
     }
@@ -1108,9 +1104,9 @@ mod tests {
 
     #[test]
     fn keyword_queries_filter_conjunctively_end_to_end() {
-        // Default (calibrated) config: keyword answers are
-        // strategy-independent — every path scores exactly over the
-        // same conjunctive candidate set — so no pinning is needed.
+        // Default config: keyword answers are strategy-independent —
+        // every path scores exactly over the same conjunctive candidate
+        // set — so no pinning is needed.
         let data = generate_city(&CITIES[1], 150, 33);
         let llm = Arc::new(SimLlm::new());
         let prepared = Arc::new(prepare_city(&data, &llm, &SemaSkConfig::default()).unwrap());

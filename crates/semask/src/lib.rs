@@ -50,8 +50,7 @@ pub use backend::RetrievalBackend;
 pub use clock::{Clock, MockClock, SystemClock};
 pub use config::SemaSkConfig;
 pub use cost::{
-    CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
-    QueryFeatures, StrategyCost,
+    Coefficients, KeywordFeatures, PlanDecision, PlanMemoStats, QueryFeatures, StrategyCost,
 };
 pub use durable::{CheckpointPolicy, DurableEngine, DurableError, MutationReceipt, RecoverReport};
 pub use engine::{AppliedBatch, EngineError, SemaSkEngine, Variant};

@@ -1,8 +1,7 @@
 //! Live-mutation state: the epoch-gated overlay queries read and the
 //! single-writer apply path publishes.
 //!
-//! The concurrency idiom is the generation-snapshot one the cost model
-//! already uses for its EWMA scales, lifted to whole mutations:
+//! The concurrency idiom is a generation snapshot over whole mutations:
 //!
 //! - A batch of queries takes the **gate** in read mode once, on the
 //!   submitting thread, for exactly its filtering window — the one

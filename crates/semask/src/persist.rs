@@ -670,9 +670,9 @@ mod tests {
         // A `generate_metro` world carries the `METRO` key, which is not
         // one of the paper's five `CITIES`.
         let data = datagen::metro::generate_metro(&datagen::metro::MetroConfig::new(2_000, 7));
-        // Two separately built planners: given coefficients, so answers
-        // can be compared across them.
-        let config = SemaSkConfig::with_fixed_costs();
+        // Two separately built planners price with the same constant
+        // coefficients, so answers can be compared across them.
+        let config = SemaSkConfig::default();
         let llm = Arc::new(SimLlm::new());
         let prepared =
             crate::prep::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep");

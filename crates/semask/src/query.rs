@@ -85,9 +85,6 @@ pub struct LatencyBreakdown {
     /// The best strategy the plan beat — a misroute investigation
     /// starts by comparing this margin with the observed latency.
     pub runner_up: Option<StrategyCost>,
-    /// Cost-model generation the plan was made against (0 = no
-    /// observations yet).
-    pub cost_model_version: u64,
     /// Size of each shard's pre-merge top-k candidate pool in the
     /// filtering stage, aligned with shard index (each at most `k`, so
     /// the sum exceeds `k` on balanced shards), as `semask-net`'s router

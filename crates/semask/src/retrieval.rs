@@ -19,7 +19,7 @@
 //! — a candidate source over one collection, with **one** k-NN method
 //! over a slice of query vectors (a single query is a slice of one).
 //! [`QueryPlanner`] picks among them per query group by pricing each
-//! strategy with the calibrated cost models in [`crate::cost`] —
+//! strategy with the cost formulas in [`crate::cost`] —
 //! fed by grid-cell cardinality estimates from [`SelectivityEstimator`],
 //! keyword posting statistics from the corpus inverted index, and
 //! `vecdb` collection statistics — and dispatching to the argmin. Every
@@ -29,7 +29,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use geotext::{BoundingBox, Dataset, GeoPoint, ObjectId};
 use parking_lot::RwLock;
@@ -38,8 +37,7 @@ use vecdb::{CollectionHandle, ScoredPoint, VecDbError};
 
 use crate::backend::{CandidateSource, RetrievalBackend};
 use crate::cost::{
-    CalibratedModel, Coefficients, CostModel, KeywordFeatures, PlanDecision, PlanMemoStats,
-    ProbeSample, QueryFeatures, StrategyCost,
+    Coefficients, KeywordFeatures, PlanDecision, PlanMemoStats, QueryFeatures, StrategyCost,
 };
 
 /// Errors from the retrieval layer.
@@ -280,29 +278,12 @@ impl SelectivityEstimator {
 }
 
 /// Planner configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PlannerConfig {
-    /// Where the cost coefficients come from. The default,
-    /// [`CostModel::Calibrated`], micro-probes the live backends at
-    /// [`QueryPlanner::for_city`] time; [`CostModel::Fixed`] takes them
-    /// as given. Either way every strategy is priced and the argmin
-    /// wins.
-    pub cost_model: CostModel,
-    /// Whether observed filtering latencies feed back into the
-    /// calibrated model (EWMA per-strategy scales). Disable to freeze
-    /// the model after calibration ("probe, then freeze") — parity
-    /// suites that compare plans across separate executions pin this
-    /// off. A [`CostModel::Fixed`] planner never observes.
-    pub online_updates: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            cost_model: CostModel::Calibrated,
-            online_updates: true,
-        }
-    }
+    /// The coefficients every strategy is priced with; the argmin wins.
+    /// The default is [`Coefficients::default`]. Pricing a strategy out
+    /// of reach pins a route, which is how tests hold one.
+    pub coefficients: Coefficients,
 }
 
 /// One query of a batch submitted to [`QueryPlanner::retrieve_batch`]:
@@ -366,8 +347,6 @@ pub struct PlannedRetrieval {
     /// The best strategy the plan beat, with its predicted cost — the
     /// margin a misroute investigation starts from.
     pub runner_up: Option<StrategyCost>,
-    /// Cost-model generation the plan was made against.
-    pub model_version: u64,
 }
 
 /// Effective HNSW beam width: the explicit `ef`, or the default the
@@ -384,35 +363,6 @@ const DEFAULT_PLAN_K: usize = 10;
 /// Grid resolution (cells per axis) of the prefilter index and the
 /// selectivity estimator.
 const GRID_RESOLUTION: usize = 32;
-
-/// Rough candidate budget for one calibration probe. Above this, probe
-/// ranges shrink with collection size so planner construction stays
-/// sub-second at metro scale instead of brute-forcing quarter-million
-/// candidate sets four times per strategy.
-const PROBE_CANDIDATE_CAP: f64 = 20_000.0;
-
-/// Wall-clock budget for one probe's repetitions. Once spent, the best
-/// measurement so far stands — a single timed repetition is still a
-/// valid sample for the coefficient fit, just a noisier one.
-const PROBE_TIME_CAP_US: f64 = 50_000.0;
-
-/// Per-axis sub-range fractions `(narrow, mid)` the calibration probes
-/// span. The historical defaults `(0.125, 0.5)` hold until the mid
-/// probe would cover roughly [`PROBE_CANDIDATE_CAP`] candidates; past
-/// that, both shrink with `sqrt(cap / points)` — covered *area* (and so
-/// expected candidates, to first order) scales quadratically with the
-/// per-axis fraction. Pure, so tests pin the scaling directly.
-#[must_use]
-fn probe_fractions(points: usize) -> (f64, f64) {
-    const NARROW: f64 = 0.125;
-    const MID: f64 = 0.5;
-    let expected_mid = points as f64 * MID * MID;
-    if expected_mid <= PROBE_CANDIDATE_CAP {
-        return (NARROW, MID);
-    }
-    let mid = (PROBE_CANDIDATE_CAP / points as f64).sqrt().min(MID);
-    (mid * (NARROW / MID), mid)
-}
 
 /// The corpus keyword statistics and conjunctive match source: an
 /// inverted index over the same `GeoTextObject::to_document()` texts
@@ -517,14 +467,12 @@ pub(crate) fn group_indices<K: std::hash::Hash + Eq>(
 
 /// A cost-based planner over the four retrieval backends.
 ///
-/// Each strategy is priced by the [`crate::cost`] model (see
-/// [`PlannerConfig::cost_model`]) and the argmin wins: broad ranges land
+/// Each strategy is priced by the [`crate::cost`] formulas (see
+/// [`PlannerConfig::coefficients`]) and the argmin wins: broad ranges land
 /// on the HNSW graph, mid-selectivity ranges on the grid prefilter,
 /// near-empty ranges on the exact scan, and **conjunctive keyword-heavy
 /// queries on the IR-tree**, whose per-node keyword summaries prune the
-/// traversal down to the matching candidates. Observed filtering
-/// latencies feed back into the model online
-/// ([`PlannerConfig::online_updates`]).
+/// traversal down to the matching candidates.
 ///
 /// Every strategy runs over the one collection the planner was built
 /// on: a prepared city's, or a shard process's slice of it
@@ -555,7 +503,6 @@ pub struct QueryPlanner {
     collection: CollectionHandle,
     estimator: SelectivityEstimator,
     config: PlannerConfig,
-    cost: CalibratedModel,
 }
 
 impl QueryPlanner {
@@ -576,16 +523,6 @@ impl QueryPlanner {
         let hnsw = backend(CandidateSource::FilteredHnsw);
         let gridb = backend(CandidateSource::Grid(Arc::clone(&grid)));
         let estimator = SelectivityEstimator::new(grid);
-        let coefficients = match config.cost_model {
-            CostModel::Fixed(given) => given,
-            CostModel::Calibrated => Coefficients::fit(&Self::probe_backends(
-                &estimator,
-                &collection,
-                &dataset,
-                [&exact, &hnsw, &gridb],
-            )),
-        };
-        let cost = CalibratedModel::new(coefficients);
         Self {
             exact,
             hnsw,
@@ -598,96 +535,7 @@ impl QueryPlanner {
             collection,
             estimator,
             config,
-            cost,
         }
-    }
-
-    /// Micro-probes the scan backends to calibrate the cost model: a
-    /// handful of timed one-query retrievals — the same
-    /// [`RetrievalBackend::knn_in_range`] body the planner executes, so
-    /// the model prices the code that serves — at a narrow, a mid, and a
-    /// broad range derived from the dataset bounds (minimum over
-    /// repetitions, robust against preemption). The IR-tree is
-    /// deliberately *not* probed — that would force building the lazily
-    /// constructed tree on every `prepare_city`; its formula shares the
-    /// calibrated candidate coefficients and refines online (see
-    /// [`Coefficients::fit`]).
-    fn probe_backends(
-        estimator: &SelectivityEstimator,
-        collection: &CollectionHandle,
-        dataset: &Dataset,
-        [exact, hnsw, grid]: [&RetrievalBackend; 3],
-    ) -> Vec<ProbeSample> {
-        let stats = collection.read().stats();
-        let Some(bounds) = dataset.bounds() else {
-            return Vec::new();
-        };
-        if stats.points == 0 {
-            return Vec::new();
-        }
-        let center = bounds.center();
-        let half_lat = ((bounds.max_lat - bounds.min_lat) / 2.0).max(1e-6);
-        let half_lon = ((bounds.max_lon - bounds.min_lon) / 2.0).max(1e-6);
-        let sub_range = |f: f64| {
-            BoundingBox::new(
-                center.lat - half_lat * f,
-                center.lon - half_lon * f,
-                center.lat + half_lat * f,
-                center.lon + half_lon * f,
-            )
-            .expect("probe range within the dataset bounds")
-        };
-        let (narrow_f, mid_f) = probe_fractions(stats.points);
-        let narrow = sub_range(narrow_f);
-        let mid = sub_range(mid_f);
-        let probe_vec = vec![1.0 / (stats.dim as f32).sqrt().max(1.0); stats.dim];
-        let k = DEFAULT_PLAN_K;
-        let probes: [(&RetrievalBackend, &BoundingBox); 5] = [
-            (exact, &narrow),
-            (exact, &mid),
-            (grid, &narrow),
-            (grid, &mid),
-            (hnsw, &bounds),
-        ];
-        probes
-            .into_iter()
-            .filter_map(|(backend, range)| {
-                let fraction = estimator.estimate_fraction(range);
-                let mut best_us = f64::INFINITY;
-                let mut spent_us = 0.0;
-                // One warmup, three timed repetitions, keep the minimum —
-                // stopping early once this probe's time budget is spent
-                // (if even the warmup blew it, the warmup measurement
-                // stands rather than paying the cost four more times).
-                for rep in 0..4 {
-                    let t0 = Instant::now();
-                    let ok = backend.knn_in_range(&[&probe_vec], range, k, None).is_ok();
-                    let us = t0.elapsed().as_secs_f64() * 1e6;
-                    if !ok {
-                        return None;
-                    }
-                    if rep > 0 {
-                        best_us = best_us.min(us);
-                    }
-                    spent_us += us;
-                    if spent_us >= PROBE_TIME_CAP_US {
-                        if best_us.is_infinite() {
-                            best_us = us;
-                        }
-                        break;
-                    }
-                }
-                Some(ProbeSample {
-                    strategy: backend.strategy(),
-                    points: stats.points as f64,
-                    candidates: fraction * stats.points as f64,
-                    covered_cells: estimator.covered_cells(range) as f64,
-                    fraction,
-                    ef_effective: ef_effective(k, None),
-                    elapsed_us: best_us,
-                })
-            })
-            .collect()
     }
 
     /// The planner's configuration.
@@ -736,12 +584,6 @@ impl QueryPlanner {
             RetrievalStrategy::GridPrefilter => &self.grid,
             RetrievalStrategy::IrTree => &self.irtree().1,
         }
-    }
-
-    /// The cost model every plan is priced against.
-    #[must_use]
-    pub fn cost_model(&self) -> &CalibratedModel {
-        &self.cost
     }
 
     /// Absorbs a live insert: the point joins the side buffer (so the
@@ -842,8 +684,8 @@ impl QueryPlanner {
     /// Plans one fully specified query: prices every strategy for the
     /// range (and conjunctive keywords, if any) and returns the argmin
     /// decision with the complete cost table. Always computed from the
-    /// live features and the current model snapshot, so a plan after a
-    /// mutation or an observation is fresh by construction.
+    /// live features, so a plan after a mutation is fresh by
+    /// construction.
     #[must_use]
     pub fn plan_query(
         &self,
@@ -852,7 +694,9 @@ impl QueryPlanner {
         k: usize,
         ef: Option<usize>,
     ) -> PlanDecision {
-        self.cost.plan(&self.features(range, keywords, k, ef))
+        self.config
+            .coefficients
+            .plan(&self.features(range, keywords, k, ef))
     }
 
     /// Zeroes: plans are no longer memoized. Kept only because
@@ -871,22 +715,6 @@ impl QueryPlanner {
     #[must_use]
     pub fn plan(&self, range: &BoundingBox) -> PlanDecision {
         self.plan_query(range, None, DEFAULT_PLAN_K, None)
-    }
-
-    /// Whether measured latencies feed back into the model: a
-    /// calibrated planner with online updates on. Given coefficients
-    /// ([`CostModel::Fixed`]) stay as given.
-    fn learns(&self) -> bool {
-        self.config.online_updates && self.config.cost_model == CostModel::Calibrated
-    }
-
-    /// Feeds one observed execution back into the model (a no-op unless
-    /// the planner [learns](Self::learns)).
-    fn observe(&self, strategy: RetrievalStrategy, plan: &PlanDecision, elapsed_us: f64) {
-        if self.learns() {
-            self.cost
-                .observe(strategy, plan.predicted_for(strategy), elapsed_us);
-        }
     }
 
     /// Candidate ids of a keyword-filtered query under a strategy: the
@@ -1021,14 +849,6 @@ impl QueryPlanner {
     /// (`tests/batch_parity.rs` pins a batch of N against N batches of
     /// one and against brute force).
     ///
-    /// A group of one feeds its measured latency back into the calibrated
-    /// model when [`PlannerConfig::online_updates`] is on. Multi-member
-    /// groups feed nothing: a group amortizes
-    /// candidate generation across its members, so its per-query share
-    /// is *not* comparable to the single-query cost the model predicts —
-    /// folding it in would drag the strategy's scale toward the
-    /// amortized floor and skew single-query routing.
-    ///
     /// # Errors
     /// Propagates the failure of the first group, in that order, to fail.
     pub fn retrieve_batch(
@@ -1071,10 +891,6 @@ impl QueryPlanner {
             // Borrowed straight from the callers' `PlannedQuery`s —
             // grouping copies no embedding data.
             let vecs: Vec<&[f32]> = members.iter().map(|&i| queries[i].vec.as_slice()).collect();
-            // Resolved outside the timer: a lazily built backend is not
-            // part of the execution the model learns from.
-            let backend = self.backend(strategy);
-            let t0 = Instant::now();
             let answers = if decision.keyword_aware {
                 let kw = first
                     .keywords
@@ -1087,14 +903,9 @@ impl QueryPlanner {
                     .read()
                     .knn_among_batch(&vecs, &ids, first.k)?
             } else {
-                backend.knn_in_range(&vecs, &first.range, first.k, first.ef)?
+                self.backend(strategy)
+                    .knn_in_range(&vecs, &first.range, first.k, first.ef)?
             };
-            let elapsed_us = t0.elapsed().as_secs_f64() * 1e6;
-            if members.len() == 1 {
-                // A forced execution is still a real measurement, fed
-                // under that strategy's own prediction.
-                self.observe(strategy, &decision, elapsed_us);
-            }
             for (&i, hits) in members.iter().zip(answers) {
                 out[i] = Some(PlannedRetrieval {
                     hits,
@@ -1102,7 +913,6 @@ impl QueryPlanner {
                     estimated_fraction: decision.fraction,
                     predicted_cost_us: decision.predicted_for(strategy),
                     runner_up: decision.runner_up,
-                    model_version: decision.model_version,
                 });
             }
         }
@@ -1223,7 +1033,7 @@ mod tests {
     #[test]
     fn calibrated_plan_is_argmin_and_pins_near_empty() {
         let p = prepared();
-        let planner = &p.planner; // default config = calibrated
+        let planner = &p.planner; // the default coefficients
         for km in [1.0, 4.0, 12.0, 40.0] {
             let range = geotext::BoundingBox::from_center_km(p.city.center(), km, km);
             let plan = planner.plan(&range);
@@ -1326,30 +1136,6 @@ mod tests {
                 "strategy {strategy} still returns the deleted point"
             );
         }
-    }
-
-    #[test]
-    fn probe_fractions_cap_metro_scale_probes() {
-        // Small collections keep the historical probe shape exactly.
-        assert_eq!(probe_fractions(0), (0.125, 0.5));
-        assert_eq!(probe_fractions(200), (0.125, 0.5));
-        assert_eq!(probe_fractions(19_795), (0.125, 0.5));
-        // Past the cap, the mid probe's expected candidate count pins to
-        // the budget and the narrow probe keeps its 1:4 ratio.
-        for points in [100_000usize, 500_000, 1_000_000] {
-            let (narrow, mid) = probe_fractions(points);
-            assert!(mid < 0.5, "{points} points: mid {mid}");
-            let expected = points as f64 * mid * mid;
-            assert!(
-                (expected - PROBE_CANDIDATE_CAP).abs() < 1.0,
-                "{points} points: expected candidates {expected}"
-            );
-            assert!((narrow - mid / 4.0).abs() < 1e-12);
-        }
-        // Monotone: more points never widens a probe.
-        let (_, a) = probe_fractions(100_000);
-        let (_, b) = probe_fractions(1_000_000);
-        assert!(b < a);
     }
 
     #[test]

@@ -20,10 +20,7 @@ use std::sync::Arc;
 
 use llm::SimLlm;
 use semask::persist::{from_snapshot_bytes, load_prepared, save_prepared, PersistError, SNAPSHOT};
-use semask::{
-    prepare_city, Coefficients, CostModel, Mutation, PoiSpec, PoiUpdate, SemaSkConfig,
-    SemaSkEngine, Variant,
-};
+use semask::{prepare_city, Mutation, PoiSpec, PoiUpdate, SemaSkConfig, SemaSkEngine, Variant};
 use vecdb::VecDbError;
 
 // ---- the largest single allocation a thread makes ----
@@ -109,10 +106,8 @@ fn refused(bytes: &[u8], config: &SemaSkConfig, what: &str) {
 /// the dataset section.
 fn snapshot(tag: &str) -> (Vec<u8>, SemaSkConfig) {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 8, 5);
-    // Short embeddings keep the file, and so the battery, small; given
-    // cost coefficients keep each load that succeeds from timing probes.
+    // Short embeddings keep the file, and so the battery, small.
     let mut config = SemaSkConfig::default();
-    config.planner.cost_model = CostModel::Fixed(Coefficients::default());
     config.embedder.dim = 32;
     let llm = Arc::new(SimLlm::new());
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));

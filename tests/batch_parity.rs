@@ -10,7 +10,6 @@
 //!   not leak results between groups), and duplicate-vector tie cases;
 //! - every exact strategy answers a 17-query slice exactly like the
 //!   brute-force `vecdb::FlatIndex` scan;
-//! - a group of one feeds the online cost model, a larger group does not;
 //! - an engine batch fans out by whole queries: mixed batches of distinct
 //!   and shared ranges, keyword-filtered and provably empty ones, at
 //!   sizes {2, 3, 16, 64} × {`EmbeddingOnly`, `Full`}
@@ -29,7 +28,7 @@ use std::sync::Arc;
 use embed::Embedder;
 use semask::retrieval::RetrievalStrategy;
 use semask::{
-    prepare_city, CostModel, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryOutcome,
+    prepare_city, Coefficients, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryOutcome,
     QueryPlanner, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
 use vecdb::ScoredPoint;
@@ -42,20 +41,15 @@ fn prepared() -> semask::PreparedCity {
     prepare_city(&data, &llm, &SemaSkConfig::default()).expect("prep")
 }
 
-/// Parity planners freeze the cost model after calibration
-/// (`online_updates: false`): every pass over the same queries must plan
-/// against the *same* model state, or a mid-test model update could
-/// legitimately flip a strategy choice. Probed and given coefficients
-/// are both exercised via the `cost_model` parameter.
-fn planner_with(p: &semask::PreparedCity, cost_model: CostModel) -> QueryPlanner {
+/// A planner over the prepared collection on `coefficients`: the
+/// defaults and the banded set route the same queries differently, so
+/// the parity below holds on more than one mix of strategies.
+fn planner_with(p: &semask::PreparedCity, coefficients: Coefficients) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
         Arc::clone(&p.dataset),
         collection,
-        PlannerConfig {
-            cost_model,
-            online_updates: false,
-        },
+        PlannerConfig { coefficients },
     )
 }
 
@@ -100,7 +94,6 @@ fn assert_same_retrieval(a: &PlannedRetrieval, b: &PlannedRetrieval, context: &s
     assert_eq!(a.strategy, b.strategy, "{context}");
     assert_eq!(a.estimated_fraction, b.estimated_fraction, "{context}");
     assert_eq!(a.predicted_cost_us, b.predicted_cost_us, "{context}");
-    assert_eq!(a.model_version, b.model_version, "{context}");
 }
 
 #[test]
@@ -109,10 +102,10 @@ fn retrieve_batch_matches_sequential_retrieve() {
     // pass) against N batches of one (nothing shared), the one-query
     // entry point, and the same queries in lanes of 5.
     let p = prepared();
-    for cost_model in [CostModel::Calibrated, common::banded()] {
-        let planner = planner_with(&p, cost_model);
+    for coefficients in [Coefficients::default(), common::banded()] {
+        let planner = planner_with(&p, coefficients);
         for batch_size in BATCH_SIZES {
-            let context = format!("{cost_model:?} batch={batch_size}");
+            let context = format!("{coefficients:?} batch={batch_size}");
             let batch = make_batch(&p, batch_size);
             let batched = planner.retrieve_batch(&batch).expect("batched retrieval");
             assert_eq!(batched.len(), batch.len());
@@ -159,7 +152,7 @@ fn exact_strategies_match_flat_index_brute_force() {
         geotext::BoundingBox::from_center_km(center, 2.0, 2.0),
         geotext::BoundingBox::from_center_km(center, 9.0, 9.0),
     ];
-    let planner = planner_with(&p, CostModel::Calibrated);
+    let planner = &p.planner;
     for range in &ranges {
         let in_range = |o: usize| range.contains(&p.dataset.objects()[o].location);
         for strategy in [
@@ -229,8 +222,7 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
         Arc::clone(&p.dataset),
         Arc::clone(&collection),
         PlannerConfig {
-            cost_model: common::banded(),
-            ..PlannerConfig::default()
+            coefficients: common::banded(),
         },
     );
     let qv = collection.read().vector(0).expect("point 0").to_vec();
@@ -259,54 +251,9 @@ fn retrieve_batch_handles_duplicate_distance_ties() {
 }
 
 #[test]
-fn one_query_batch_feeds_the_cost_model() {
-    // A group of one is a single-query measurement whichever entry point
-    // submitted it: it moves the executed strategy's scale by one
-    // observation.
-    let p = prepared();
-    let collection = p.db.collection(&p.collection_name).expect("collection");
-    let planner =
-        QueryPlanner::for_city(Arc::clone(&p.dataset), collection, PlannerConfig::default());
-    let model = planner.cost_model();
-    let query = PlannedQuery::new(
-        p.embedder.embed("ramen with a long line"),
-        geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0),
-        10,
-    );
-
-    let strategy = planner
-        .plan_query(&query.range, None, query.k, query.ef)
-        .chosen;
-    let slot = semask::cost::strategy_index(strategy);
-    let (version, before) = (model.version(), model.scales()[slot]);
-    let one = planner
-        .retrieve_batch(std::slice::from_ref(&query))
-        .expect("batch of one");
-    assert_eq!(one[0].strategy, strategy);
-    assert_eq!(model.version(), version + 1, "one observation");
-    assert_ne!(model.scales()[slot], before, "the scale did not move");
-
-    // The one-query entry point feeds the model the same way.
-    let version = model.version();
-    planner
-        .retrieve_keyword(&query.vec, &query.range, None, query.k, query.ef)
-        .expect("one-query entry point");
-    assert_eq!(model.version(), version + 1);
-
-    // A multi-member group shares work across its members, so its
-    // per-query share is not a single-query cost: it feeds nothing.
-    let version = model.version();
-    planner
-        .retrieve_batch(&[query.clone(), query.clone()])
-        .expect("group of two");
-    assert_eq!(model.version(), version);
-}
-
-#[test]
 fn ledger_configuration_batch_of_64_matches_batches_of_one() {
     // The perf ledger's world and tier — `generate_metro`, the forced
-    // quantized scoring tier — with drift
-    // of the online model excluded: over 64 distinct ranges (a quarter
+    // quantized scoring tier: over 64 distinct ranges (a quarter
     // keyword-filtered, narrow to metro-wide) any difference between a
     // batch of 64, lanes of 7, and 64 batches of one is a kernel bug.
     let data = datagen::generate_metro(&datagen::MetroConfig::new(4_000, 7));
@@ -314,10 +261,6 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
     let config = SemaSkConfig {
         scoring_tier: vecdb::ScoringTier::Quantized {
             rerank_factor: vecdb::ScoringTier::DEFAULT_RERANK_FACTOR,
-        },
-        planner: PlannerConfig {
-            online_updates: false,
-            ..PlannerConfig::default()
         },
         ..SemaSkConfig::default()
     };
@@ -444,16 +387,14 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
     assert!(decided >= 48, "the reference decided only {decided} of 64");
 }
 
-/// Engines of both refinement kinds over one prepared city, on given
-/// coefficients (a `Fixed` planner never observes, so every pass plans
-/// against the same model), plus a word of the corpus.
+/// Engines of both refinement kinds over one prepared city, on the
+/// banded coefficients, plus a word of the corpus.
 fn engines() -> (SemaSkEngine, SemaSkEngine, String) {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 77);
     let llm = Arc::new(llm::SimLlm::new());
     let config = SemaSkConfig {
         planner: PlannerConfig {
-            cost_model: common::banded(),
-            online_updates: false,
+            coefficients: common::banded(),
         },
         ..SemaSkConfig::default()
     };

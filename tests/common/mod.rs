@@ -1,17 +1,15 @@
-//! Cost coefficients the parity suites share. `CostModel::Fixed` plans
-//! with the one decision procedure but takes its coefficients as given,
-//! so two planners built separately plan identically — which the timing
-//! probes of `CostModel::Calibrated` cannot give. Every suite that
-//! depends on a particular route asserts it, so a change to these
-//! values (or to the formulas) fails loudly rather than silently
+//! Cost coefficients the parity suites share. A planner prices every
+//! strategy with `PlannerConfig::coefficients`; these sets price some
+//! strategies out of reach (or bring one closer) to pin a route. Every
+//! suite that depends on a particular route asserts it, so a change to
+//! these values (or to the formulas) fails loudly rather than silently
 //! testing another strategy.
 
 #![allow(dead_code)] // each suite uses a subset
 
-use semask::{Coefficients, CostModel, SemaSkConfig};
+use semask::{Coefficients, SemaSkConfig};
 
-/// A coefficient no query of these suites can afford (`cost::COEF_MAX`,
-/// the ceiling calibration itself clamps to).
+/// A coefficient no query of these suites can afford.
 const PRICED_OUT: f64 = 1e7;
 
 /// Everything on the exact scan: grid cells, candidate collection and
@@ -21,12 +19,12 @@ const PRICED_OUT: f64 = 1e7;
 /// computed them.
 pub fn exact_only_config() -> SemaSkConfig {
     let mut config = SemaSkConfig::default();
-    config.planner.cost_model = CostModel::Fixed(Coefficients {
+    config.planner.coefficients = Coefficients {
         cell_us: PRICED_OUT,
         gen_us: PRICED_OUT,
         hop_us: PRICED_OUT,
         ..Coefficients::default()
-    });
+    };
     config
 }
 
@@ -34,23 +32,23 @@ pub fn exact_only_config() -> SemaSkConfig {
 /// priced out. Between the two the formulas differ by exactly
 /// `cell_us × (covered cells − log2(points + 2))`, so the IR-tree wins
 /// once a range covers more than a handful of grid cells.
-pub fn prefilter_only() -> CostModel {
-    CostModel::Fixed(Coefficients {
+pub fn prefilter_only() -> Coefficients {
+    Coefficients {
         mask_us: PRICED_OUT,
         hop_us: PRICED_OUT,
         ..Coefficients::default()
-    })
+    }
 }
 
 /// Routes by selectivity on the few-hundred-POI cities of these suites:
 /// the defaults with a cheap HNSW hop, so a range holding most of the
 /// city lands on the graph, a selective one on a prefilter, and keyword
 /// queries (which the graph cannot serve exactly) never on the graph.
-pub fn banded() -> CostModel {
-    CostModel::Fixed(Coefficients {
+pub fn banded() -> Coefficients {
+    Coefficients {
         hop_us: 0.05,
         ..Coefficients::default()
-    })
+    }
 }
 
 /// A plain alphabetic word of at least four letters from object

@@ -14,10 +14,9 @@
 //! injection point.
 //!
 //! Determinism pinning: `common::exact_only_config` gives every engine
-//! the same `CostModel::Fixed` coefficients, which price every query
-//! onto the exact scan (no timing probes or observations, which differ
-//! between a recovered and a from-scratch run; `fingerprint` asserts the
-//! route), and `Variant::EmbeddingOnly` keeps the LLM out of the ranking.
+//! the same coefficients, which price every query onto the exact scan
+//! (`fingerprint` asserts the route), and `Variant::EmbeddingOnly` keeps
+//! the LLM out of the ranking.
 
 mod common;
 

@@ -1,15 +1,16 @@
 //! Integration tests for the query planner's routing.
 //!
-//! One decision procedure, two sources of coefficients:
+//! One decision procedure over constant coefficients:
 //!
-//! - **Calibrated** (the default): the plan must be the argmin of the
-//!   reported per-strategy cost table, near-empty ranges pin the exact
-//!   scan, and — the keyword-aware part — a conjunctive *rare*-keyword
-//!   query must route to the IR-tree while a no-keyword near-empty query
-//!   stays on the exact scan.
-//! - **Fixed**: given coefficients are used exactly as given, never
-//!   probed over and never observed into, and route by selectivity the
-//!   same way on every build.
+//! - **The defaults**: the plan must be the argmin of the reported
+//!   per-strategy cost table, near-empty ranges pin the exact scan, and —
+//!   the keyword-aware part — a conjunctive *rare*-keyword query must
+//!   route to the IR-tree while a no-keyword near-empty query stays on
+//!   the exact scan. Two engines built separately over one city plan
+//!   every query alike.
+//! - **Given coefficients** (`PlannerConfig::coefficients`): used
+//!   exactly as given, and route by selectivity the same way on every
+//!   build.
 
 mod common;
 
@@ -17,8 +18,7 @@ use std::sync::Arc;
 
 use semask::retrieval::RetrievalStrategy;
 use semask::{
-    prepare_city, CostModel, PlannerConfig, QueryPlanner, SemaSkConfig, SemaSkEngine, SemaSkQuery,
-    Variant,
+    prepare_city, PlannerConfig, QueryPlanner, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
 
 fn prepared() -> semask::PreparedCity {
@@ -28,16 +28,14 @@ fn prepared() -> semask::PreparedCity {
 }
 
 /// A planner over the same prepared collection on the shared banded
-/// coefficients (online updates left on: a `Fixed` planner must ignore
-/// them).
+/// coefficients.
 fn fixed_planner(p: &semask::PreparedCity) -> QueryPlanner {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     QueryPlanner::for_city(
         Arc::clone(&p.dataset),
         collection,
         PlannerConfig {
-            cost_model: common::banded(),
-            ..PlannerConfig::default()
+            coefficients: common::banded(),
         },
     )
 }
@@ -70,7 +68,7 @@ fn near_empty_range_routes_to_exact_scan() {
     let p = prepared();
     // A range far outside the city: nothing is estimated to qualify, so
     // every strategy's predicted cost is below measurement noise and the
-    // calibrated planner pins the deterministic exact scan.
+    // planner pins the deterministic exact scan.
     let nowhere =
         geotext::BoundingBox::from_center_km(geotext::GeoPoint::new(10.0, 10.0).unwrap(), 1.0, 1.0);
     let plan = p.planner.plan(&nowhere);
@@ -84,6 +82,8 @@ fn near_empty_range_routes_to_exact_scan() {
 
 #[test]
 fn calibrated_plan_is_the_argmin_of_its_cost_table() {
+    // The default coefficients, calibrated once offline from the curves
+    // in `BENCH_planner.json`.
     let p = prepared();
     for km in [1.0, 3.0, 8.0, 25.0] {
         let range = geotext::BoundingBox::from_center_km(p.city.center(), km, km);
@@ -182,7 +182,7 @@ fn keyword_retrieval_answers_the_conjunctive_set() {
 fn fixed_coefficients_band_by_selectivity() {
     // The selectivity banding the deleted static cutoffs hard-coded, now
     // an outcome of the one procedure on given coefficients — identical
-    // on every build, which probed coefficients cannot promise.
+    // on every build.
     let p = prepared();
     let planner = fixed_planner(&p);
     // Selective but non-empty → the grid prefilter (the range covers
@@ -209,21 +209,77 @@ fn fixed_coefficients_band_by_selectivity() {
 fn fixed_coefficients_are_used_as_given() {
     let p = prepared();
     let planner = fixed_planner(&p);
-    let CostModel::Fixed(given) = common::banded() else {
-        unreachable!("the banded coefficients are given");
-    };
-    // No probes: the model prices with exactly what it was handed.
-    assert_eq!(planner.cost_model().coefficients(), &given);
-    // No observations either, although `online_updates` is on.
+    assert_eq!(planner.config().coefficients, common::banded());
+    // Executions change nothing: the plan after them is the plan before.
     let qv = embed::Embedder::embed(&p.embedder, "anything at all");
     let range = geotext::BoundingBox::from_center_km(p.city.center(), 4.0, 4.0);
+    let before = planner.plan(&range);
     for _ in 0..5 {
         planner
             .retrieve_keyword(&qv, &range, None, 10, None)
             .expect("query");
     }
-    assert_eq!(planner.cost_model().version(), 0);
-    assert_eq!(planner.plan(&range).model_version, 0);
+    assert_eq!(planner.plan(&range), before);
+    // The banded coefficients price the graph below the defaults do, and
+    // the table shows exactly that change.
+    let hnsw = |plan: &semask::PlanDecision| plan.predicted_for(RetrievalStrategy::FilteredHnsw);
+    let default_plan = p.planner.plan(&range);
+    assert_eq!(before.fraction, default_plan.fraction);
+    assert!(hnsw(&before) < hnsw(&default_plan));
+    for strategy in [
+        RetrievalStrategy::ExactScan,
+        RetrievalStrategy::GridPrefilter,
+        RetrievalStrategy::IrTree,
+    ] {
+        assert_eq!(
+            before.predicted_for(strategy),
+            default_plan.predicted_for(strategy)
+        );
+    }
+}
+
+#[test]
+fn separately_built_engines_plan_identically() {
+    // Two builds of one city under the default configuration: nothing a
+    // build measures enters a plan, so the whole decision — chosen
+    // strategy, runner-up, cost table — is equal for every query, and so
+    // is the answer wherever the route is exact.
+    let (a, b) = (prepared(), prepared());
+    let broad = a.dataset.bounds().expect("non-empty dataset");
+    let common_word = corpus_word_with_df(&a, &broad, |df| df >= 20.0).expect("a common word");
+    let rare_word =
+        corpus_word_with_df(&a, &broad, |df| (1.0..=8.0).contains(&df)).expect("a rare word");
+    let qv = embed::Embedder::embed(&a.embedder, "a friendly place to eat");
+    let mut exact_routes = 0;
+    for km in [1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0] {
+        let range = geotext::BoundingBox::from_center_km(a.city.center(), km, km);
+        for keywords in [None, Some(common_word.as_str()), Some(rare_word.as_str())] {
+            let context = format!("{km} km, keywords {keywords:?}");
+            let plan = a.planner.plan_query(&range, keywords, 10, None);
+            assert_eq!(
+                plan,
+                b.planner.plan_query(&range, keywords, 10, None),
+                "{context}"
+            );
+            if plan.chosen == RetrievalStrategy::FilteredHnsw {
+                continue;
+            }
+            exact_routes += 1;
+            let answer = |p: &semask::PreparedCity| {
+                let got = p
+                    .planner
+                    .retrieve_keyword(&qv, &range, keywords, 10, None)
+                    .expect("retrieval");
+                assert_eq!(got.strategy, plan.chosen, "{context}");
+                got.hits
+                    .iter()
+                    .map(|h| (h.id, h.score.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(answer(&a), answer(&b), "{context}");
+        }
+    }
+    assert!(exact_routes >= 16, "only {exact_routes} exact routes");
 }
 
 #[test]
@@ -265,8 +321,8 @@ fn plan_and_costs_are_observable_in_latency_breakdown() {
     let out = engine
         .query(&SemaSkQuery::new(narrow, "coffee"))
         .expect("narrow query");
-    // The strategy in the breakdown is the planner's live decision for
-    // this range (calibrated, so not asserted to a fixed band)…
+    // The strategy in the breakdown is the planner's decision for this
+    // range (not asserted to a fixed band here)…
     let strategy = out.latency.filter_strategy.expect("strategy recorded");
     // …and the full cost table context rides along.
     assert!(out.latency.predicted_cost_us >= 0.0);
@@ -295,55 +351,13 @@ fn plan_and_costs_are_observable_in_latency_breakdown() {
 }
 
 #[test]
-fn online_updates_advance_the_model_version() {
-    let p = prepared();
-    let range = geotext::BoundingBox::from_center_km(p.city.center(), 4.0, 4.0);
-    let qv = embed::Embedder::embed(&p.embedder, "anything at all");
-    let before = p.planner.plan(&range).model_version;
-    for _ in 0..5 {
-        p.planner
-            .retrieve_keyword(&qv, &range, None, 10, None)
-            .expect("query");
-    }
-    let after = p.planner.plan(&range).model_version;
-    assert!(
-        after > before,
-        "observed executions must advance the model ({before} -> {after})"
-    );
-    // Frozen planners must not learn.
-    let collection = p.db.collection(&p.collection_name).expect("collection");
-    let frozen = QueryPlanner::for_city(
-        Arc::clone(&p.dataset),
-        collection,
-        PlannerConfig {
-            online_updates: false,
-            ..PlannerConfig::default()
-        },
-    );
-    for _ in 0..5 {
-        frozen
-            .retrieve_keyword(&qv, &range, None, 10, None)
-            .expect("query");
-    }
-    assert_eq!(frozen.plan(&range).model_version, 0);
-}
-
-#[test]
 fn keyword_batch_matches_sequential_keyword_queries() {
     let p = prepared();
     let broad = p.dataset.bounds().expect("non-empty dataset");
     let word = corpus_word_with_df(&p, &broad, |df| df >= 1.0).expect("an indexable corpus word");
-    // Frozen model: batch and sequential runs must plan identically so
-    // the comparison below is bit-exact even for approximate strategies.
-    let collection = p.db.collection(&p.collection_name).expect("collection");
-    let planner = QueryPlanner::for_city(
-        Arc::clone(&p.dataset),
-        collection,
-        PlannerConfig {
-            online_updates: false,
-            ..PlannerConfig::default()
-        },
-    );
+    // Batch and sequential runs plan identically, so the comparison
+    // below is bit-exact even for approximate strategies.
+    let planner = &p.planner;
     let texts = ["quiet coffee", "live music", "late ramen"];
     let batch: Vec<semask::PlannedQuery> = texts
         .iter()

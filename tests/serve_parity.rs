@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use semask::{
-    prepare_city, PlannerConfig, PreparedCity, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
-};
+use semask::{prepare_city, PreparedCity, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
 use semask_serve::{ServeConfig, ServeEngine};
 
 /// The mixed workload: generated per-city queries (distinct ranges)
@@ -76,17 +74,9 @@ impl World {
 fn world() -> World {
     let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 17);
     let llm = Arc::new(llm::SimLlm::new());
-    let config = SemaSkConfig {
-        planner: PlannerConfig {
-            // Freeze the calibrated model: the sequential reference pass
-            // and the served pass must plan against identical state for
-            // a bit-exact comparison (online updates could otherwise
-            // flip a near-tie strategy between the passes).
-            online_updates: false,
-            ..PlannerConfig::default()
-        },
-        ..SemaSkConfig::default()
-    };
+    // Plans are a function of the query alone, so the sequential
+    // reference pass and the served pass route every query alike.
+    let config = SemaSkConfig::default();
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     World {
         data,
@@ -197,8 +187,8 @@ fn concurrent_serving_matches_sequential_queries() {
             assert_eq!(m.shed, 0);
             assert_eq!(m.failed, 0);
             assert!(m.max_batch <= max_batch as u64);
-            // Planner observability flows through serving: calibrated
-            // plans carry nonzero predictions, and actual filtering
+            // Planner observability flows through serving: plans carry
+            // nonzero predictions, and actual filtering
             // time accumulates next to them.
             assert!(
                 m.misprediction_ratio().is_some(),

@@ -30,7 +30,8 @@ fn specs(n: u32) -> impl Iterator<Item = ShardSpec> {
 }
 
 /// One planner per slice of an `n`-way split, over the whole dataset as
-/// a shard node builds it: given coefficients, no probes.
+/// a shard node builds it, on coefficients that price the exact scan and
+/// the graph out of reach.
 fn slice_planners(p: &semask::PreparedCity, n: u32) -> Vec<QueryPlanner> {
     let collection = p.db.collection(&p.collection_name).expect("collection");
     specs(n)
@@ -40,8 +41,7 @@ fn slice_planners(p: &semask::PreparedCity, n: u32) -> Vec<QueryPlanner> {
                 Arc::clone(&p.dataset),
                 Arc::new(parking_lot::RwLock::new(slice)),
                 PlannerConfig {
-                    cost_model: common::prefilter_only(),
-                    online_updates: false,
+                    coefficients: common::prefilter_only(),
                 },
             )
         })
@@ -112,8 +112,7 @@ fn planned_path_matches_across_shard_counts() {
         Arc::clone(&p.dataset),
         collection,
         PlannerConfig {
-            cost_model: common::prefilter_only(),
-            online_updates: false,
+            coefficients: common::prefilter_only(),
         },
     );
     let qv = embed::Embedder::embed(&p.embedder, "quiet spot to read with good tea");
