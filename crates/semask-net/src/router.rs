@@ -11,8 +11,8 @@
 //! priced by constant coefficients (so a plan is a function of the
 //! query alone):
 //!
-//! - **(a)** for every plan on an exact strategy (exact scan, grid,
-//!   IR-tree) the routed answer is **bit-identical** to the router's own
+//! - **(a)** for every plan on an exact strategy (exact scan, grid)
+//!   the routed answer is **bit-identical** to the router's own
 //!   engine answering over the whole collection: exact per-slice top-k
 //!   lists merge ([`vecdb::merge_top_k`], ties by ascending id) to the
 //!   whole collection's top-k. Keyword-aware plans execute locally on

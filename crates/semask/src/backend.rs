@@ -6,7 +6,11 @@
 //! an exact scan or a filtered HNSW search of the collection itself, or
 //! exact scoring of the candidates a uniform grid or an IR-tree finds in
 //! the range. [`RetrievalBackend`] executes all four the same way:
-//! *generate candidates once → score them against the collection*.
+//! *generate candidates once → score them against the collection*. The
+//! planner routes to the first three; the IR-tree is reached only by
+//! forcing it (`QueryPlanner::retrieve_with`). Keyword filters are the
+//! planner's: it reads them from the live corpus postings and scores the
+//! matches by id.
 //!
 //! - An index source is queried **once** per query group, and the
 //!   live-inserted [`SidePoints`] in range are appended. Scan sources
@@ -36,8 +40,8 @@ pub enum CandidateSource {
     /// A uniform grid narrows candidates in O(cells); they are then
     /// scored exactly.
     Grid(Arc<GridIndex>),
-    /// The spatial keyword index (Li et al., TKDE 2011); with an empty
-    /// keyword set its traversal is an R-tree range query.
+    /// The spatial keyword index (Li et al., TKDE 2011), searched with an
+    /// empty keyword set: an R-tree range query. Never planned.
     IrTree(Arc<IrTree>),
 }
 
@@ -138,7 +142,7 @@ impl RetrievalBackend {
     }
 
     /// Ids of all live objects within `range`, ascending — the pure
-    /// spatial filter keyword-filtered queries intersect with.
+    /// spatial filter the grid's keyword route intersects with.
     ///
     /// # Errors
     /// [`RetrievalError::VecDb`] on store errors.

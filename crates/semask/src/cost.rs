@@ -6,9 +6,12 @@
 //! (estimated candidates, grid cells touched, HNSW beam width, keyword
 //! posting statistics) in work units, weighted by [`Coefficients`], and
 //! the planner picks the argmin of the predicted costs
-//! ([`Coefficients::plan`]). Nothing here reads a clock: a decision is a
-//! pure function of the features and the coefficients, so two planners
-//! built separately over the same data plan every query alike.
+//! ([`Coefficients::plan`]). The IR-tree is priced at `+∞`: it is the
+//! keyword-matching baseline, kept as a forced route only, so a keyword
+//! plan chooses between the exact scan and the grid prefilter. Nothing
+//! here reads a clock: a decision is a pure function of the features and
+//! the coefficients, so two planners built separately over the same data
+//! plan every query alike.
 
 use crate::retrieval::RetrievalStrategy;
 
@@ -93,21 +96,23 @@ pub struct Coefficients {
     /// Geo-mask evaluation per stored point: one pass over the store's
     /// typed `(lat, lon)` column, which the exact scan pays for
     /// **every** stored point, whatever the selectivity — ~2 ns a point,
-    /// where the JSON look-up it replaced cost ~58.
+    /// where the JSON look-up it replaced cost ~58. The postings-first
+    /// keyword scan pays it once per corpus match instead (one position
+    /// look-up).
     pub mask_us: f64,
     /// Scoring one candidate through the fused-dot-product kernel.
     pub score_us: f64,
     /// Probing one covered grid cell.
     pub cell_us: f64,
-    /// Collecting/routing one candidate id (grid collect, IR-tree leaf
-    /// reporting, `knn_among` id resolution).
+    /// Collecting/routing one candidate id (grid collect, `knn_among`
+    /// id resolution).
     pub gen_us: f64,
     /// HNSW cost per unit of effective beam width at fraction 1 (the
     /// filtered beam degrades as the filter tightens, down to a 2 %
     /// selectivity floor).
     pub hop_us: f64,
-    /// Touching one element of a sorted-list intersection (keyword
-    /// candidate ∩ spatial candidate merge).
+    /// Touching one element of a sorted-list intersection (posting list
+    /// ∩ posting list, or spatial candidates ∩ corpus matches).
     pub isect_us: f64,
 }
 
@@ -139,40 +144,34 @@ impl Default for Coefficients {
     }
 }
 
-/// Cost of a keyword filter for the spatial-first strategies: a sorted
-/// intersection of the spatial candidates with the corpus AND-match
-/// list.
-fn keyword_intersect_us(f: &QueryFeatures, coef: &Coefficients) -> f64 {
-    match &f.keyword {
-        Some(kw) => coef.isect_us * (f.candidates + kw.corpus_matches),
-        None => 0.0,
-    }
-}
-
 /// The cost formula of each strategy: a pure function of query features
 /// and coefficients, in microseconds.
 /// `INFINITY` means *not executable* for this query shape.
 fn predict_us(strategy: RetrievalStrategy, f: &QueryFeatures, coef: &Coefficients) -> f64 {
     match strategy {
-        // The geo mask visits every live point, qualifying candidates
-        // are scored — in place by the scan, or, when a keyword filter
-        // thinned them first, by id through `knn_among` like the IR-tree's
-        // (one id resolution per scored candidate). With the mask at a
-        // few µs that second path is one the planner takes.
-        RetrievalStrategy::ExactScan => {
-            let per_scored = match f.keyword {
-                Some(_) => coef.gen_us + coef.score_us,
-                None => coef.score_us,
-            };
-            coef.mask_us * f.points
-                + keyword_intersect_us(f, coef)
-                + per_scored * f.scored_candidates()
-        }
-        // Probe the covered cells, collect candidates, score them.
+        // Without keywords the geo mask visits every live point and the
+        // qualifying ones are scored in place. With keywords the scan
+        // runs postings-first: intersect the posting lists (the rarest
+        // list against each of the others), look up the position of
+        // every match, and score the ones in range by id through
+        // `knn_among` (one id resolution each).
+        RetrievalStrategy::ExactScan => match &f.keyword {
+            None => coef.mask_us * f.points + coef.score_us * f.candidates,
+            Some(kw) => {
+                coef.isect_us * kw.min_doc_freq * kw.terms as f64
+                    + coef.mask_us * kw.corpus_matches
+                    + (coef.gen_us + coef.score_us) * f.scored_candidates()
+            }
+        },
+        // Probe the covered cells, collect candidates, intersect them
+        // with the corpus matches when keywords are present, score them.
         RetrievalStrategy::GridPrefilter => {
+            let intersect = f
+                .keyword
+                .map_or(0.0, |kw| coef.isect_us * (f.candidates + kw.corpus_matches));
             coef.cell_us * f.covered_cells
                 + coef.gen_us * f.candidates
-                + keyword_intersect_us(f, coef)
+                + intersect
                 + coef.score_us * f.scored_candidates()
         }
         // Beam search whose effective cost grows as the filter tightens;
@@ -184,21 +183,9 @@ fn predict_us(strategy: RetrievalStrategy, f: &QueryFeatures, coef: &Coefficient
             }
             coef.hop_us * f.ef_effective / f.fraction.max(FRACTION_FLOOR)
         }
-        // R-tree descent plus per-candidate reporting and scoring. With
-        // conjunctive keywords the node keyword summaries prune the
-        // traversal down to the *matching* candidates — which is exactly
-        // why rare-keyword queries route here.
-        RetrievalStrategy::IrTree => {
-            let descent = coef.cell_us * (f.points + 2.0).log2();
-            match &f.keyword {
-                None => descent + (coef.gen_us + coef.score_us) * f.candidates,
-                Some(kw) => {
-                    descent
-                        + coef.gen_us * kw.terms as f64
-                        + (coef.gen_us + coef.score_us) * f.scored_candidates()
-                }
-            }
-        }
+        // Not a planner route: the keyword-matching baseline runs only
+        // when a caller forces it (`QueryPlanner::retrieve_with`).
+        RetrievalStrategy::IrTree => f64::INFINITY,
     }
 }
 
@@ -362,18 +349,34 @@ mod tests {
     }
 
     #[test]
-    fn rare_conjunctive_keywords_route_to_the_irtree() {
+    fn rare_conjunctive_keywords_route_postings_first() {
         let coef = Coefficients::default();
-        // Broad range, rare keyword: the keyword-pruned traversal
-        // touches ~2 candidates while every scan strategy pays for the
-        // full spatial candidate set.
+        // Broad range, rare keyword: the postings-first scan touches ~2
+        // matches while the grid pays for the full spatial candidate set.
         let f = rare_keyword(&features(2000.0, 0.8));
         let plan = coef.plan(&f);
-        assert_eq!(plan.chosen, RetrievalStrategy::IrTree);
+        assert_eq!(plan.chosen, RetrievalStrategy::ExactScan);
         assert!(plan.keyword_aware);
-        // HNSW is priced out entirely for conjunctive keyword queries.
-        let hnsw = plan.costs[strategy_index(RetrievalStrategy::FilteredHnsw)];
-        assert!(!hnsw.viable);
-        assert!(hnsw.predicted_us.is_infinite());
+        // HNSW is priced out entirely for conjunctive keyword queries,
+        // and the IR-tree for every query.
+        for strategy in [RetrievalStrategy::FilteredHnsw, RetrievalStrategy::IrTree] {
+            let cost = plan.costs[strategy_index(strategy)];
+            assert!(!cost.viable);
+            assert!(cost.predicted_us.is_infinite());
+        }
+        // A common keyword over a small range: the grid's few spatial
+        // candidates are cheaper to intersect than the long postings.
+        let small = features(2000.0, 0.01);
+        let common = QueryFeatures {
+            keyword: Some(KeywordFeatures {
+                terms: 1,
+                unknown_terms: 0,
+                min_doc_freq: 1500.0,
+                corpus_matches: 1500.0,
+                range_matches: 1500.0 * small.fraction,
+            }),
+            ..small
+        };
+        assert_eq!(coef.plan(&common).chosen, RetrievalStrategy::GridPrefilter);
     }
 }

@@ -17,9 +17,9 @@ pub struct SemaSkQuery {
     pub text: String,
     /// Optional conjunctive keyword filter: only POIs whose documents
     /// literally contain **all** these terms qualify for the filtering
-    /// stage (the classic spatial-keyword semantics). The planner's
-    /// cost model routes keyword-heavy queries to the IR-tree when its
-    /// pruned traversal is predicted cheapest.
+    /// stage (the classic spatial-keyword semantics), read from the live
+    /// corpus postings: postings-first for rare keywords, intersected
+    /// with the grid's candidates for common ones.
     pub keywords: Option<String>,
 }
 

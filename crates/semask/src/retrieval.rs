@@ -2,37 +2,45 @@
 //! corpus keyword statistics, and a cost-based query planner.
 //!
 //! The paper's filtering step answers one question — *top-k objects by
-//! embedding similarity within the range `q.r`* — and this codebase can
-//! answer it four ways ([`RetrievalStrategy`]):
+//! embedding similarity within the range `q.r`* — and the planner
+//! answers it three ways ([`RetrievalStrategy`]):
 //!
 //! 1. **Exact scan**: brute-force the qualifying points. Optimal when
-//!    the range is highly selective.
+//!    the range is highly selective. With a conjunctive keyword filter
+//!    it runs **postings-first**: the corpus posting lists are
+//!    intersected, rarest first, and the matches whose collection
+//!    position lies in range are scored.
 //! 2. **Filtered HNSW**: beam search over the graph with a geo filter
-//!    mask. Wins when the range is broad.
+//!    mask. Wins when the range is broad; never serves keywords.
 //! 3. **Grid prefilter**: a uniform grid narrows candidates in O(cells),
-//!    then only those are scored.
-//! 4. **IR-tree**: the spatial keyword index traverses its R-tree for
-//!    the range, then candidates are scored. Conjunctive keyword filters
-//!    prune this traversal natively.
+//!    then only those are scored (with keywords: the candidates holding
+//!    every keyword).
+//!
+//! A fourth, the **IR-tree** (Li et al., TKDE 2011), is the
+//! keyword-matching baseline the paper argues against. It is not a
+//! planner route — the cost model prices it at `+∞` — and runs only when
+//! a caller forces it through [`QueryPlanner::retrieve_with`].
 //!
 //! All four execute through one type, [`crate::backend::RetrievalBackend`]
 //! — a candidate source over one collection, with **one** k-NN method
 //! over a slice of query vectors (a single query is a slice of one).
-//! [`QueryPlanner`] picks among them per query group by pricing each
-//! strategy with the cost formulas in [`crate::cost`] —
+//! [`QueryPlanner`] picks among the three routes per query group by
+//! pricing each with the cost formulas in [`crate::cost`] —
 //! fed by grid-cell cardinality estimates from [`SelectivityEstimator`],
 //! keyword posting statistics from the corpus inverted index, and
 //! `vecdb` collection statistics — and dispatching to the argmin. Every
 //! consumer of the filtering stage — `SemaSkEngine`, `PreparedCity`, the
 //! shard servers of `semask-net` — goes through the planner.
+//!
+//! A keyword text with no tokens is no constraint (the tokenless rule,
+//! stated once on `QueryPlanner::keyword_constraint`).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use geotext::{BoundingBox, Dataset, GeoPoint, ObjectId};
 use parking_lot::RwLock;
-use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
+use spatial::{GridIndex, IrTree, Item};
 use vecdb::{CollectionHandle, ScoredPoint, VecDbError};
 
 use crate::backend::{CandidateSource, RetrievalBackend};
@@ -68,13 +76,17 @@ impl From<VecDbError> for RetrievalError {
 /// `LatencyBreakdown::filter_strategy` and result debug output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetrievalStrategy {
-    /// Exact scan of points qualifying under the geo filter.
+    /// Exact scan of points qualifying under the geo filter; with
+    /// keywords, postings-first — the corpus matches whose position lies
+    /// in range, scored by id.
     ExactScan,
     /// Filtered HNSW graph search.
     FilteredHnsw,
     /// Uniform-grid candidate prefilter, then exact scoring.
     GridPrefilter,
-    /// IR-tree range traversal, then exact scoring.
+    /// IR-tree range traversal, then exact scoring: the keyword-matching
+    /// baseline. Never planned (priced at `+∞`); reachable only through
+    /// [`QueryPlanner::retrieve_with`], for debugging and benches.
     IrTree,
 }
 
@@ -188,7 +200,7 @@ pub(crate) fn grid_over(dataset: &Dataset, resolution: usize) -> GridIndex {
 /// Live-inserted points the frozen dataset-derived indexes (grid,
 /// IR-tree) cannot see. The collection-backed strategies (exact scan,
 /// filtered HNSW) pick inserts up from the collection itself; the
-/// prefilter strategies merge this buffer into their candidate sets so
+/// index strategies merge this buffer into their candidate sets so
 /// all four keep answering `filter_range` and `knn_in_range` from the
 /// same live membership. Deletes need no counterpart here — every
 /// candidate path already masks them through the collection's
@@ -202,13 +214,13 @@ pub struct SidePoints {
 
 impl SidePoints {
     /// Records a live-inserted point.
-    pub fn push(&self, id: u64, location: GeoPoint) {
+    pub(crate) fn push(&self, id: u64, location: GeoPoint) {
         self.points.write().push((id, location));
     }
 
     /// Ids of buffered points inside `range`, in insertion order.
     #[must_use]
-    pub fn ids_in_range(&self, range: &BoundingBox) -> Vec<ObjectId> {
+    pub(crate) fn ids_in_range(&self, range: &BoundingBox) -> Vec<ObjectId> {
         self.points
             .read()
             .iter()
@@ -227,15 +239,8 @@ impl SidePoints {
     }
 
     /// Number of buffered points.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.points.read().len()
-    }
-
-    /// True when no live inserts are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.read().is_empty()
     }
 }
 
@@ -300,7 +305,8 @@ pub struct PlannedQuery {
     pub ef: Option<usize>,
     /// Optional conjunctive keyword filter: only objects whose documents
     /// contain **all** these terms qualify (the classic spatial-keyword
-    /// semantics, answered natively by the IR-tree).
+    /// semantics), answered from the live corpus postings. A text with
+    /// no tokens is no constraint.
     pub keywords: Option<String>,
 }
 
@@ -364,11 +370,11 @@ const DEFAULT_PLAN_K: usize = 10;
 /// selectivity estimator.
 const GRID_RESOLUTION: usize = 32;
 
-/// The corpus keyword statistics and conjunctive match source: an
-/// inverted index over the same `GeoTextObject::to_document()` texts
-/// (and the same tokenizer) the IR-tree indexes, so the spatial-first
-/// intersect path and the IR-tree's native keyword traversal agree on
-/// every query. A doc id *is* an object id: a [`Dataset`]'s ids are dense
+/// The corpus keyword statistics and the one exact conjunctive match
+/// source: an inverted index over every object's
+/// `GeoTextObject::to_document()` text, kept live by the mutation hooks,
+/// so the postings-first scan and the grid's intersection read the same
+/// postings. A doc id *is* an object id: a [`Dataset`]'s ids are dense
 /// and in order, and a live insert claims the next one. Built lazily on
 /// the first keyword-aware call.
 struct CorpusText {
@@ -384,57 +390,22 @@ impl CorpusText {
         Self { index }
     }
 
-    /// True when the conjunctive query is **provably empty**: some query
-    /// token was never interned into the corpus vocabulary, so no
-    /// document can AND-match. Exact, since the vocabulary is the set
-    /// itself; `false` for text without tokens (no constraint).
-    fn provably_empty(&self, keywords: &str) -> bool {
-        let vocab = self.index.vocab();
-        let mut unknown = false;
-        self.index
-            .tokenizer()
-            .for_each_token(keywords, |t| unknown |= vocab.get(t).is_none());
-        unknown
-    }
-
-    /// Keyword features for the cost model, or `None` when the text
-    /// tokenizes to nothing (no constraint).
-    fn keyword_features(&self, keywords: &str, fraction: f64) -> Option<KeywordFeatures> {
+    /// Keyword features for the cost model of a text with tokens.
+    fn keyword_features(&self, keywords: &str, fraction: f64) -> KeywordFeatures {
         let stats = self.index.query_stats(keywords);
-        if stats.known_terms == 0 && stats.unknown_terms == 0 {
-            return None;
-        }
-        Some(KeywordFeatures {
+        KeywordFeatures {
             terms: stats.known_terms,
             unknown_terms: stats.unknown_terms,
             min_doc_freq: stats.min_doc_freq as f64,
             corpus_matches: stats.estimated_and_matches,
             range_matches: stats.estimated_and_matches * fraction,
-        })
-    }
-
-    /// Appends a live-inserted object's document. Dense object ids are
-    /// claimed in corpus order, so the new doc id equals the object id.
-    fn live_insert(&mut self, obj: ObjectId, doc: &str) {
-        let d = self.index.add_document(doc);
-        debug_assert_eq!(d, obj.0, "corpus doc ids stay dense under live inserts");
-    }
-
-    /// Re-indexes an object's document after a live update.
-    fn live_update(&mut self, obj: ObjectId, old_doc: &str, new_doc: &str) {
-        self.index.update_document(obj.0, old_doc, new_doc);
-    }
-
-    /// Removes a deleted object's postings so df and match sets stay
-    /// honest.
-    fn live_delete(&mut self, obj: ObjectId, doc: &str) {
-        self.index.remove_document(obj.0, doc);
+        }
     }
 }
 
-/// The bit pattern identifying a bounding box exactly — the spatial half
-/// of a candidate-sharing key (two ranges share a spatial candidate set
-/// only when every coordinate is bit-identical).
+/// The bit pattern identifying a bounding box exactly — the key of a
+/// shared spatial candidate set (two ranges share one only when every
+/// coordinate is bit-identical).
 fn range_key_bits(range: &BoundingBox) -> [u64; 4] {
     [
         range.min_lat.to_bits(),
@@ -445,8 +416,10 @@ fn range_key_bits(range: &BoundingBox) -> [u64; 4] {
 }
 
 /// Spatial candidate sets computed during one planner execution, keyed
-/// by `(range bits, strategy)` (see [`QueryPlanner::keyword_candidates`]).
-type SpatialShared = std::collections::HashMap<([u64; 4], RetrievalStrategy), Arc<Vec<ObjectId>>>;
+/// by range bits (see [`QueryPlanner::keyword_candidates`]). Only the
+/// grid route builds one, and every backend's `filter_range` answers the
+/// same set, so the strategy is no part of the key.
+type SpatialShared = std::collections::HashMap<[u64; 4], Arc<Vec<ObjectId>>>;
 
 /// The positions of equal keys, one list per distinct key, lists in order
 /// of each key's first appearance and positions ascending within a list.
@@ -465,14 +438,16 @@ pub(crate) fn group_indices<K: std::hash::Hash + Eq>(
     groups
 }
 
-/// A cost-based planner over the four retrieval backends.
+/// A cost-based planner over the retrieval backends.
 ///
 /// Each strategy is priced by the [`crate::cost`] formulas (see
 /// [`PlannerConfig::coefficients`]) and the argmin wins: broad ranges land
 /// on the HNSW graph, mid-selectivity ranges on the grid prefilter,
-/// near-empty ranges on the exact scan, and **conjunctive keyword-heavy
-/// queries on the IR-tree**, whose per-node keyword summaries prune the
-/// traversal down to the matching candidates.
+/// near-empty ranges on the exact scan. A conjunctive keyword query
+/// chooses between the postings-first exact scan (rare keywords, broad
+/// ranges) and the grid's spatial-first intersection (common keywords,
+/// small ranges). The IR-tree is never chosen; its backend serves only
+/// [`QueryPlanner::retrieve_with`].
 ///
 /// Every strategy runs over the one collection the planner was built
 /// on: a prepared city's, or a shard process's slice of it
@@ -481,24 +456,17 @@ pub struct QueryPlanner {
     exact: RetrievalBackend,
     hnsw: RetrievalBackend,
     grid: RetrievalBackend,
-    /// The IR-tree and the backend over it, built on first use:
-    /// similarity queries without keywords route to the other three
-    /// backends, so eager construction — tokenizing the whole corpus —
-    /// would tax every `prepare_city` for an index only keyword-driven
-    /// callers touch.
-    irtree: OnceLock<(Arc<IrTree>, RetrievalBackend)>,
+    /// The backend over the IR-tree, built on the first forced IR-tree
+    /// call: no plan routes there, so eager construction — tokenizing the
+    /// whole corpus — would tax every `prepare_city` for a debugging
+    /// route.
+    irtree: OnceLock<RetrievalBackend>,
     /// Corpus keyword statistics, built on the first keyword-aware call.
     /// Behind a lock because live mutations delta it in place.
     corpus_text: OnceLock<RwLock<CorpusText>>,
     /// Live-inserted points the frozen grid/IR-tree cannot see; shared
     /// with the backends over those indexes.
     side: Arc<SidePoints>,
-    /// Set once a live insert or update changes any document text: the
-    /// IR-tree's per-node keyword summaries were built at prep time, so
-    /// its *native* keyword traversal can no longer be trusted and
-    /// keyword candidates fall back to the intersect path (which reads
-    /// the live corpus index) until compaction rebuilds the tree.
-    live_dirty: AtomicBool,
     dataset: Arc<Dataset>,
     collection: CollectionHandle,
     estimator: SelectivityEstimator,
@@ -530,7 +498,6 @@ impl QueryPlanner {
             irtree: OnceLock::new(),
             corpus_text: OnceLock::new(),
             side,
-            live_dirty: AtomicBool::new(false),
             dataset,
             collection,
             estimator,
@@ -550,17 +517,14 @@ impl QueryPlanner {
         &self.estimator
     }
 
-    /// The shared IR-tree and the backend over it, built on first
-    /// request.
-    fn irtree(&self) -> &(Arc<IrTree>, RetrievalBackend) {
+    /// The backend over the IR-tree, built on first request.
+    fn irtree(&self) -> &RetrievalBackend {
         self.irtree.get_or_init(|| {
-            let tree = Arc::new(IrTree::build(&self.dataset));
-            let backend = RetrievalBackend::new(
-                CandidateSource::IrTree(Arc::clone(&tree)),
+            RetrievalBackend::new(
+                CandidateSource::IrTree(Arc::new(IrTree::build(&self.dataset))),
                 Arc::clone(&self.collection),
                 Arc::clone(&self.side),
-            );
-            (tree, backend)
+            )
         })
     }
 
@@ -582,34 +546,54 @@ impl QueryPlanner {
             RetrievalStrategy::ExactScan => &self.exact,
             RetrievalStrategy::FilteredHnsw => &self.hnsw,
             RetrievalStrategy::GridPrefilter => &self.grid,
-            RetrievalStrategy::IrTree => &self.irtree().1,
+            RetrievalStrategy::IrTree => self.irtree(),
         }
     }
 
     /// Absorbs a live insert: the point joins the side buffer (so the
     /// frozen grid/IR-tree prefilters see it) and its document joins the
-    /// corpus index (so keyword df/match statistics price it). Caller
-    /// (the engine's apply path) holds the mutation write gate.
+    /// corpus index (so keyword matches and statistics hold it; dense
+    /// object ids are claimed in corpus order, so the doc id is the
+    /// object id). Caller (the engine's apply path) holds the mutation
+    /// write gate.
     pub(crate) fn live_insert(&self, id: ObjectId, location: GeoPoint, doc: &str) {
-        self.corpus_text().write().live_insert(id, doc);
+        let d = self.corpus_text().write().index.add_document(doc);
+        debug_assert_eq!(d, id.0, "corpus doc ids stay dense under live inserts");
         self.side.push(u64::from(id.0), location);
-        self.live_dirty.store(true, Ordering::Release);
     }
 
     /// Absorbs a live text update: the corpus index re-indexes the
     /// document in place.
     pub(crate) fn live_update(&self, id: ObjectId, old_doc: &str, new_doc: &str) {
-        self.corpus_text().write().live_update(id, old_doc, new_doc);
-        self.live_dirty.store(true, Ordering::Release);
+        let mut corpus = self.corpus_text().write();
+        corpus.index.update_document(id.0, old_doc, new_doc);
     }
 
     /// Absorbs a live delete: the corpus index drops the document's
     /// postings. The spatial side needs no bookkeeping — every candidate
     /// path masks deletes through the collection's soft-delete set.
     pub(crate) fn live_delete(&self, id: ObjectId, doc: &str) {
-        // No `live_dirty` here: deletes reach candidates through the
-        // collection's soft-delete masks.
-        self.corpus_text().write().live_delete(id, doc);
+        self.corpus_text().write().index.remove_document(id.0, doc);
+    }
+
+    /// **The tokenless rule**, stated once: a keyword text with no tokens
+    /// under the corpus tokenizer — empty, whitespace-only, stopword-only
+    /// (`"the of and"`) or punctuation-only — is no constraint, so the
+    /// query answers exactly as it would without keywords and is never
+    /// provably empty. Returns the text that constrains, if any. Features,
+    /// plans, `provably_empty` and `keyword_stats` all ask here first, so
+    /// the corpus matchers, which answer nothing for such text, never
+    /// see it.
+    fn keyword_constraint<'a>(&self, keywords: Option<&'a str>) -> Option<&'a str> {
+        // Blank text needs no corpus to be told apart.
+        let keywords = keywords.filter(|kw| !kw.trim().is_empty())?;
+        let mut tokens = false;
+        let corpus = self.corpus_text().read();
+        corpus
+            .index
+            .tokenizer()
+            .for_each_token(keywords, |_| tokens = true);
+        tokens.then_some(keywords)
     }
 
     /// True when a conjunctive keyword query is **provably empty**: some
@@ -617,26 +601,35 @@ impl QueryPlanner {
     /// document can AND-match and both keyword execution paths answer
     /// the empty set. The vocabulary only grows — a token deleted from
     /// every document stays known, and its query executes empty — so
-    /// `false` never promises matches exist, while `true` is exact.
+    /// `false` never promises matches exist, while `true` is exact. A
+    /// text with no tokens is no constraint, so never provably empty.
     /// `tests/negative_cache_props.rs` pins this against brute-force
     /// ground truth.
     #[must_use]
     pub fn provably_empty(&self, keywords: &str) -> bool {
-        if keywords.trim().is_empty() {
+        let Some(keywords) = self.keyword_constraint(Some(keywords)) else {
             return false;
-        }
-        self.corpus_text().read().provably_empty(keywords)
+        };
+        let corpus = self.corpus_text().read();
+        let mut unknown = false;
+        corpus.index.tokenizer().for_each_token(keywords, |t| {
+            unknown |= corpus.index.vocab().get(t).is_none();
+        });
+        unknown
     }
 
     /// Keyword features of `keywords` against the corpus statistics —
     /// the planner's view of a conjunctive filter, exposed for
-    /// diagnostics and tests. `None` when the text tokenizes to nothing.
+    /// diagnostics and tests. `None` when the text has no tokens.
     #[must_use]
     pub fn keyword_stats(&self, keywords: &str, range: &BoundingBox) -> Option<KeywordFeatures> {
+        let keywords = self.keyword_constraint(Some(keywords))?;
         let fraction = self.estimate_live_fraction(range);
-        self.corpus_text()
-            .read()
-            .keyword_features(keywords, fraction)
+        Some(
+            self.corpus_text()
+                .read()
+                .keyword_features(keywords, fraction),
+        )
     }
 
     /// Selectivity estimate including live inserts: the grid histogram
@@ -666,9 +659,9 @@ impl QueryPlanner {
     ) -> QueryFeatures {
         let fraction = self.estimate_live_fraction(range);
         let stats = self.collection.read().stats();
-        let keyword = keywords
-            .filter(|kw| !kw.trim().is_empty())
-            .and_then(|kw| self.corpus_text().read().keyword_features(kw, fraction));
+        let keyword = self
+            .keyword_constraint(keywords)
+            .map(|kw| self.corpus_text().read().keyword_features(kw, fraction));
         QueryFeatures {
             points: stats.points as f64,
             dim: stats.dim as f64,
@@ -717,18 +710,20 @@ impl QueryPlanner {
         self.plan_query(range, None, DEFAULT_PLAN_K, None)
     }
 
-    /// Candidate ids of a keyword-filtered query under a strategy: the
-    /// IR-tree traverses range and keywords together (its node keyword
-    /// summaries prune non-matching subtrees); the scan strategies
-    /// intersect their spatial candidates with the corpus AND-match
-    /// list. Both paths answer the same set — pinned by
-    /// `tests/planner_routing.rs`.
+    /// Candidate ids of a keyword-filtered query under a strategy,
+    /// ascending, all read from the live corpus postings. The exact scan
+    /// runs postings-first: `and_query` intersects the posting lists,
+    /// rarest first, and the live matches whose collection position lies
+    /// in `range` stay. Every other strategy runs spatial-first: its
+    /// backend's `filter_range`, narrowed by `and_among`. Both answer the
+    /// same set — pinned fresh and across live mutations by
+    /// `keyword_retrieval_matches_across_strategies`.
     ///
     /// `spatial_shared` is the caller's cache of spatial candidate sets
-    /// keyed by `(range bits, strategy)`: keyword groups of one
-    /// execution that share a range run `filter_range` **once** and each
-    /// intersect the shared set with their own conjunctive matches —
-    /// pure reuse of a deterministic computation.
+    /// keyed by range bits: keyword groups of one execution that share a
+    /// range run `filter_range` **once** and each intersect the shared
+    /// set with their own conjunctive matches — pure reuse of a
+    /// deterministic computation.
     fn keyword_candidates(
         &self,
         strategy: RetrievalStrategy,
@@ -736,27 +731,21 @@ impl QueryPlanner {
         keywords: &str,
         spatial_shared: &mut SpatialShared,
     ) -> Result<Vec<ObjectId>, RetrievalError> {
-        // The native traversal prunes with per-node keyword summaries
-        // frozen at prep time, so once any live mutation has changed
-        // document text every strategy takes the intersect path: its
-        // spatial side is side-point-aware and its corpus side reads the
-        // live index, so the candidate set stays equal to what a freshly
-        // built tree would answer.
-        if strategy == RetrievalStrategy::IrTree && !self.live_dirty.load(Ordering::Acquire) {
-            // Couples range and keywords; nothing to share across groups.
-            let mut ids = self.irtree().0.search(&SpatialKeywordQuery {
-                range: *range,
-                keywords: keywords.to_owned(),
-            });
-            // The tree was built at prep time: drop points deleted since.
+        if strategy == RetrievalStrategy::ExactScan {
+            let matches = self.corpus_text().read().index.and_query(keywords);
             let live = self.collection.read();
-            ids.retain(|id| live.contains(u64::from(id.0)));
-            return Ok(ids);
+            return Ok(matches
+                .into_iter()
+                .filter(|&doc| {
+                    live.position(u64::from(doc))
+                        .is_some_and(|(lat, lon)| range.contains(&GeoPoint { lat, lon }))
+                })
+                .map(ObjectId)
+                .collect());
         }
-        use std::collections::hash_map::Entry;
-        let spatial = match spatial_shared.entry((range_key_bits(range), strategy)) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(v) => {
+        let spatial = match spatial_shared.entry(range_key_bits(range)) {
+            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
+            std::collections::hash_map::Entry::Vacant(v) => {
                 let computed = Arc::new(self.backend(strategy).filter_range(range)?);
                 Arc::clone(v.insert(computed))
             }
@@ -773,9 +762,9 @@ impl QueryPlanner {
     /// [`QueryPlanner::retrieve_batch`]: top-k by embedding similarity
     /// among the objects inside `range` whose documents contain **all**
     /// the keywords. The cost model weighs the keyword statistics — rare
-    /// conjunctions route to the IR-tree's pruned traversal, common ones
-    /// stay on the scan strategies with a posting-list intersection, and
-    /// filtered HNSW is priced out (it cannot apply the filter exactly).
+    /// conjunctions run postings-first on the exact scan, common ones
+    /// over small ranges intersect the grid's candidates, and filtered
+    /// HNSW is priced out (it cannot apply the filter exactly).
     ///
     /// # Errors
     /// Propagates backend failures.
@@ -797,10 +786,12 @@ impl QueryPlanner {
         self.execute_one(&query, None)
     }
 
-    /// Executes the filtering stage for one query with an explicitly
-    /// chosen strategy (bypassing the cost model's choice — used by
-    /// benches and ablations): the same executor as
-    /// [`QueryPlanner::retrieve_batch`] with the strategy forced.
+    /// A debugging entry point: executes the filtering stage for one
+    /// keyword-free query on an explicitly chosen strategy, bypassing the
+    /// cost model's choice — the same executor as
+    /// [`QueryPlanner::retrieve_batch`] with the strategy forced. It is
+    /// the only way to reach the IR-tree, whose plan reports a predicted
+    /// cost of `+∞` (not a planner route).
     ///
     /// # Errors
     /// Propagates backend failures.
@@ -837,7 +828,7 @@ impl QueryPlanner {
     /// Queries are grouped by (range, k, ef, keywords): each distinct
     /// group is **planned once** (one selectivity estimate, one strategy
     /// choice) and handed to its backend's
-    /// [`RetrievalBackend::knn_in_range`], which shares the grid/IR-tree
+    /// [`RetrievalBackend::knn_in_range`], which shares the index
     /// candidate set across the whole group and streams stored vectors
     /// through the scoring kernel once. Groups run one after another on
     /// the calling thread, in order of their first query; a caller that
@@ -938,44 +929,71 @@ mod tests {
         prepare_city(&data, &llm, &SemaSkConfig::default()).unwrap()
     }
 
-    /// Every object's document, by id (`None` once deleted).
-    fn documents(p: &crate::prep::PreparedCity) -> Vec<Option<String>> {
-        p.dataset.iter().map(|o| Some(o.to_document())).collect()
+    /// Every object's document tokens at the live overlay's epoch, by
+    /// id (`None` once deleted).
+    fn documents(p: &crate::prep::PreparedCity) -> Vec<Option<HashSet<String>>> {
+        let tokenizer = textindex::Tokenizer::new();
+        let overlay = p.live.overlay();
+        (0..overlay.next_id())
+            .map(|i| {
+                let doc = overlay.get(&p.dataset, ObjectId(i))?.to_document();
+                Some(tokenizer.tokenize(&doc).into_iter().collect())
+            })
+            .collect()
     }
 
     /// Brute force: the `candidates` whose document holds every token of
     /// `keywords`.
     fn holding_all(
-        docs: &[Option<String>],
+        docs: &[Option<HashSet<String>>],
         keywords: &str,
         candidates: &[ObjectId],
     ) -> Vec<ObjectId> {
-        let tokenizer = textindex::Tokenizer::new();
-        let wanted = tokenizer.tokenize(keywords);
-        candidates
-            .iter()
-            .copied()
-            .filter(|id| {
-                docs[id.index()].as_ref().is_some_and(|doc| {
-                    let held: HashSet<String> = tokenizer.tokenize(doc).into_iter().collect();
-                    wanted.iter().all(|w| held.contains(w))
-                })
-            })
-            .collect()
+        let wanted = textindex::Tokenizer::new().tokenize(keywords);
+        let holds = |id: &ObjectId| {
+            let held = docs[id.index()].as_ref();
+            held.is_some_and(|held| wanted.iter().all(|w| held.contains(w)))
+        };
+        candidates.iter().copied().filter(holds).collect()
     }
 
-    /// Which loop `and_among` runs over `n` candidates: `Some(true)` for
-    /// the per-candidate search, `Some(false)` for the merge, `None` when
-    /// an unknown token answers before either.
-    fn search_loop(index: &textindex::InvertedIndex, keywords: &str, n: usize) -> Option<bool> {
-        let mut terms = Vec::new();
-        for token in index.tokenizer().tokenize(keywords) {
-            terms.push(index.vocab().get(&token)?);
+    /// The postings route, the grid route and a forced IR-tree intersect
+    /// each answer the brute-force candidate set for every probe, and so
+    /// does `and_among` over one candidate at a time (its binary-search
+    /// loop; the routes run its merge). Returns how many probes match
+    /// something.
+    fn assert_routes_agree(
+        planner: &QueryPlanner,
+        docs: &[Option<HashSet<String>>],
+        range: &BoundingBox,
+        probes: &[String],
+    ) -> usize {
+        let spatial = planner
+            .backend(RetrievalStrategy::ExactScan)
+            .filter_range(range)
+            .unwrap();
+        let mut matching = 0;
+        for kw in probes {
+            let expected = holding_all(docs, kw, &spatial);
+            matching += usize::from(!expected.is_empty());
+            for strategy in [
+                RetrievalStrategy::ExactScan,
+                RetrievalStrategy::GridPrefilter,
+                RetrievalStrategy::IrTree,
+            ] {
+                let got = planner
+                    .keyword_candidates(strategy, range, kw, &mut SpatialShared::new())
+                    .unwrap();
+                assert_eq!(got, expected, "{strategy} on `{kw}`");
+            }
+            let corpus = planner.corpus_text().read();
+            for &c in &spatial {
+                let want = Vec::from_iter(expected.contains(&c).then_some(c));
+                let got = corpus.index.and_among(kw, &[c], |id| id.0);
+                assert_eq!(got, want, "`{kw}` over {c:?}");
+            }
         }
-        terms.sort_unstable();
-        terms.dedup();
-        let postings: usize = terms.iter().map(|&t| index.doc_freq(t)).sum();
-        Some(n * terms.len() < postings)
+        matching
     }
 
     #[test]
@@ -1066,44 +1084,97 @@ mod tests {
 
     #[test]
     fn keyword_retrieval_matches_across_strategies() {
-        let p = prepared();
+        use crate::engine::{SemaSkEngine, Variant};
+        use crate::wal::{Mutation, PoiSpec, PoiUpdate};
+        let p = Arc::new(prepared());
         let planner = &p.planner;
-        let qv = p.embedder.embed("somewhere nice");
-        let range = geotext::BoundingBox::from_center_km(p.city.center(), 20.0, 20.0);
-        // Pick a keyword that actually occurs in the corpus: the first
-        // token of some object's document.
-        let doc = p.dataset.iter().next().unwrap().to_document();
+        let center = p.city.center();
+        let range = geotext::BoundingBox::from_center_km(center, 20.0, 20.0);
+        // A keyword that occurs in the corpus: a plain word of the first
+        // object's document.
+        let docs = documents(&p);
+        let doc = p.dataset[ObjectId(0)].to_document();
         let word = doc
             .split_whitespace()
             .find(|w| w.chars().all(char::is_alphabetic) && w.len() >= 4)
             .expect("a plain word in the corpus")
             .to_owned();
+        let qv = p.embedder.embed("somewhere nice");
         let planned = planner
             .retrieve_keyword(&qv, &range, Some(&word), 10, None)
             .unwrap();
-        // Reference: the exact spatial filter narrowed to the documents
-        // holding the keyword — strategy-independent by design.
-        let spatial = planner
-            .backend(RetrievalStrategy::ExactScan)
-            .filter_range(&range)
+        let holders = planner
+            .keyword_candidates(
+                RetrievalStrategy::ExactScan,
+                &range,
+                &word,
+                &mut SpatialShared::new(),
+            )
             .unwrap();
-        let expected = holding_all(&documents(&p), &word, &spatial);
-        let got: Vec<ObjectId> = planned.hits.iter().map(|h| ObjectId(h.id as u32)).collect();
-        assert!(!expected.is_empty(), "keyword `{word}` matches something");
-        for id in &got {
-            assert!(expected.contains(id), "hit outside the conjunctive set");
+        assert!(holders.len() >= 2, "keyword `{word}` matches {holders:?}");
+        for h in &planned.hits {
+            assert!(
+                holders.contains(&ObjectId(h.id as u32)),
+                "hit outside the set"
+            );
         }
-        // And the IR-tree's native traversal agrees with the intersect
-        // path on the full candidate set.
-        let mut shared = SpatialShared::new();
-        let native = planner
-            .keyword_candidates(RetrievalStrategy::IrTree, &range, &word, &mut shared)
+        let (rewritten, victim) = (holders[0], holders[holders.len() - 1]);
+        let mut probes: Vec<String> = vec![word.clone()];
+        probes.extend(docs[victim.index()].clone().unwrap());
+        assert_eq!(
+            assert_routes_agree(planner, &docs, &range, &probes),
+            probes.len()
+        );
+
+        // Insert a POI whose tips carry a token the corpus never held,
+        // rewrite one holder's tips to carry it too, and delete another
+        // holder: the routes must still agree with brute force.
+        let engine = SemaSkEngine::new(
+            Arc::clone(&p),
+            Arc::new(llm::SimLlm::new()),
+            SemaSkConfig::default(),
+            Variant::EmbeddingOnly,
+        );
+        assert!(planner.provably_empty("zorblatt"));
+        let tips = |text: &str| vec![text.to_owned()];
+        let spec = PoiSpec {
+            name: "Quokka Lantern".to_owned(),
+            lat: center.lat,
+            lon: center.lon,
+            categories: tips("cafe"),
+            tips: tips("the zorblatt pastries are superb"),
+        };
+        let update = PoiUpdate {
+            name: None,
+            tips: Some(tips("a zorblatt counter opened here")),
+        };
+        engine
+            .apply_mutations(&[
+                Mutation::Insert(spec),
+                Mutation::Update {
+                    id: rewritten.0,
+                    update,
+                },
+                Mutation::Delete { id: victim.0 },
+            ])
             .unwrap();
-        let intersected = planner
-            .keyword_candidates(RetrievalStrategy::GridPrefilter, &range, &word, &mut shared)
-            .unwrap();
-        assert_eq!(native, intersected);
-        assert_eq!(native, expected);
+        let live = documents(&p);
+        assert!(live[victim.index()].is_none());
+        // The new token alone and beside the keyword, an unknown token
+        // beside it, and every token the rewrite took out of the holder's
+        // document.
+        probes.push("zorblatt".to_owned());
+        probes.push(format!("zorblatt {word}"));
+        probes.push(format!("zzzunknowntoken {word}"));
+        let (old, new) = (&docs[rewritten.index()], &live[rewritten.index()]);
+        probes.extend(
+            old.as_ref()
+                .unwrap()
+                .difference(new.as_ref().unwrap())
+                .cloned(),
+        );
+        let matching = assert_routes_agree(planner, &live, &range, &probes);
+        assert!(matching >= 3, "{matching} of {probes:?} match");
     }
 
     #[test]
@@ -1136,113 +1207,6 @@ mod tests {
                 "strategy {strategy} still returns the deleted point"
             );
         }
-    }
-
-    #[test]
-    fn candidate_first_prescreen_matches_intersection() {
-        // The one matcher against brute force, each of its two loops
-        // forced by the size of the candidate set: the whole range merges
-        // against the postings, one or two candidates binary-search them.
-        let p = prepared();
-        let planner = &p.planner;
-        let range = geotext::BoundingBox::from_center_km(p.city.center(), 12.0, 12.0);
-        let spatial = planner
-            .backend(RetrievalStrategy::ExactScan)
-            .filter_range(&range)
-            .unwrap();
-        assert!(spatial.len() > 2);
-        let docs = documents(&p);
-        let corpus = planner.corpus_text().read();
-        // Cover common terms (long postings), rare terms, an unknown
-        // term, and an unknown term beside a known one.
-        let mut probes: Vec<String> = Vec::new();
-        for o in p.dataset.iter().take(10) {
-            let doc = o.to_document();
-            let mut words = doc.split_whitespace().filter(|w| w.len() >= 3);
-            if let Some(w) = words.next() {
-                probes.push(w.to_owned());
-            }
-            if let (Some(a), Some(b)) = (words.next(), words.next()) {
-                probes.push(format!("{a} {b}"));
-            }
-        }
-        probes.push("zzzunknowntoken".to_owned());
-        probes.push("zzzunknowntoken coffee".to_owned());
-        let mid = spatial.len() / 2;
-        let (mut searched, mut merged) = (0, 0);
-        for kw in &probes {
-            for candidates in [&spatial[..], &spatial[..1], &spatial[mid..mid + 2]] {
-                match search_loop(&corpus.index, kw, candidates.len()) {
-                    Some(true) => searched += 1,
-                    Some(false) => merged += 1,
-                    None => {}
-                }
-                assert_eq!(
-                    corpus.index.and_among(kw, candidates, |id| id.0),
-                    holding_all(&docs, kw, candidates),
-                    "`{kw}` over {} candidates",
-                    candidates.len()
-                );
-            }
-        }
-        assert!(
-            searched > 0 && merged > 0,
-            "{searched} searched, {merged} merged"
-        );
-    }
-
-    #[test]
-    fn prescreen_stays_exact_across_live_mutations() {
-        let p = prepared();
-        let planner = &p.planner;
-        let range = p.dataset.bounds().unwrap();
-        // Seed the corpus, then mutate: delete one document, rewrite
-        // another. Neither may match on its old text afterwards.
-        let mut docs = documents(&p);
-        let d0 = docs[0].take().unwrap();
-        let d1 = docs[1].replace("replacement text entirely different tokens".to_owned());
-        planner.live_delete(ObjectId(0), &d0);
-        planner.live_update(ObjectId(1), &d1.unwrap(), docs[1].as_deref().unwrap());
-        let spatial = planner
-            .backend(RetrievalStrategy::ExactScan)
-            .filter_range(&range)
-            .unwrap();
-        let corpus = planner.corpus_text().read();
-        // The deleted document's most widespread word: common enough for
-        // the search loop over two candidates.
-        let common = d0
-            .split_whitespace()
-            .max_by_key(|w| {
-                let stats = corpus.index.query_stats(w);
-                usize::from(stats.known_terms == 1 && stats.unknown_terms == 0) * stats.min_doc_freq
-            })
-            .unwrap()
-            .to_owned();
-        let (mut searched, mut merged) = (0, 0);
-        for kw in [
-            d0.split_whitespace().next().unwrap().to_owned(),
-            common,
-            "replacement".to_owned(),
-            "entirely different".to_owned(),
-        ] {
-            for candidates in [&spatial[..], &[ObjectId(0), ObjectId(1)], &[ObjectId(1)]] {
-                match search_loop(&corpus.index, &kw, candidates.len()) {
-                    Some(true) => searched += 1,
-                    Some(false) => merged += 1,
-                    None => {}
-                }
-                assert_eq!(
-                    corpus.index.and_among(&kw, candidates, |id| id.0),
-                    holding_all(&docs, &kw, candidates),
-                    "`{kw}` over {} candidates after mutations",
-                    candidates.len()
-                );
-            }
-        }
-        assert!(
-            searched > 0 && merged > 0,
-            "{searched} searched, {merged} merged"
-        );
     }
 
     #[test]

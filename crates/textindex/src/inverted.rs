@@ -17,7 +17,7 @@ pub struct Posting {
 
 /// Aggregate statistics of one conjunctive keyword query against an
 /// index — the feature source a cost-based planner reads to decide
-/// whether keyword-first traversal (IR-tree) beats spatial-first
+/// whether a postings-first intersection beats spatial-first
 /// filtering. Computed from the vocabulary and posting metadata alone;
 /// no posting list is walked.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -542,6 +542,13 @@ impl Collection {
         self.by_id.get(id).is_some()
     }
 
+    /// The `(lat, lon)` of a live point; `None` when the id is unknown or
+    /// deleted.
+    #[must_use]
+    pub fn position(&self, id: PointId) -> Option<(f64, f64)> {
+        self.by_id.get(id).map(|o| self.positions.position(o))
+    }
+
     /// The vector of a point.
     pub fn vector(&self, id: PointId) -> Result<&[f32], VecDbError> {
         self.by_id

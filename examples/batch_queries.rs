@@ -3,7 +3,7 @@
 //! the same queries issued one at a time.
 //!
 //! One filtering path serves both: `query` is `query_batch` of one. A
-//! batch plans once per distinct range group, shares the grid/IR-tree
+//! batch plans once per distinct range group, shares the grid
 //! candidate set across each group, and streams stored vectors through
 //! the single-pass scoring kernel — a query's answer never depends on
 //! its batch-mates (`tests/batch_parity.rs` pins this bit-for-bit at

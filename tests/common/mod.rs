@@ -13,8 +13,8 @@ use semask::{Coefficients, SemaSkConfig};
 const PRICED_OUT: f64 = 1e7;
 
 /// Everything on the exact scan: grid cells, candidate collection and
-/// HNSW hops are priced out, which leaves the grid, the IR-tree and the
-/// graph millions of microseconds behind the scan for any range. Answers
+/// HNSW hops are priced out, which leaves the grid and the graph
+/// millions of microseconds behind the scan for any range. Answers
 /// are then a function of the corpus alone, whichever engine instance
 /// computed them.
 pub fn exact_only_config() -> SemaSkConfig {
@@ -28,10 +28,8 @@ pub fn exact_only_config() -> SemaSkConfig {
     config
 }
 
-/// Only the candidates-first prefilters: the geo mask and HNSW hops are
-/// priced out. Between the two the formulas differ by exactly
-/// `cell_us × (covered cells − log2(points + 2))`, so the IR-tree wins
-/// once a range covers more than a handful of grid cells.
+/// Only the grid prefilter: the geo mask and HNSW hops are priced out,
+/// and the IR-tree is no planner route.
 pub fn prefilter_only() -> Coefficients {
     Coefficients {
         mask_us: PRICED_OUT,

@@ -14,10 +14,10 @@
 //!   from one point to a billion, with or without keywords — ever make a
 //!   viable strategy's predicted cost negative, NaN, or non-finite.
 //! - **Keyword viability**: filtered HNSW is priced out (non-viable,
-//!   infinite) for every keyword-bearing query, and the conjunctive
-//!   keyword filter never *raises* the IR-tree's predicted cost above
-//!   its keyword-free prediction for the same range when the keyword
-//!   narrows the candidate set.
+//!   infinite) for every keyword-bearing query, and a rarer conjunction
+//!   never costs the postings-first exact scan more.
+//! - **Two keyword routes**: the IR-tree is never viable nor chosen, and
+//!   a keyword plan picks the exact scan or the grid prefilter.
 
 use proptest::prelude::*;
 use semask::cost::{
@@ -88,8 +88,8 @@ proptest! {
         let f = features(points, fraction, cells, k, None);
         let plan = coef.plan(&f);
         prop_assert_eq!(plan.costs.len(), STRATEGIES.len());
-        for c in &plan.costs {
-            prop_assert!(c.viable, "no keywords: every strategy is viable");
+        for c in plan.costs.iter().filter(|c| c.strategy != RetrievalStrategy::IrTree) {
+            prop_assert!(c.viable, "no keywords: every planner route is viable");
             prop_assert!(
                 c.predicted_us.is_finite() && c.predicted_us >= 0.0,
                 "cost of {} is {}", c.strategy, c.predicted_us
@@ -158,21 +158,45 @@ proptest! {
         kw_selectivity in 0.0f64..1.0,
         coef in coefficients(),
     ) {
-        let plain = features(points, fraction, 512.0, 10, None);
         let kw = features(points, fraction, 512.0, 10, Some(kw_selectivity));
         let plan = coef.plan(&kw);
         let hnsw = plan.costs[strategy_index(RetrievalStrategy::FilteredHnsw)];
         prop_assert!(!hnsw.viable);
         prop_assert!(hnsw.predicted_us.is_infinite());
-        // A keyword filter narrows what the IR-tree traverses, so its
-        // keyword prediction never exceeds its keyword-free prediction
-        // by more than the constant per-term overhead (up to rounding).
-        let ir_plain = coef.plan(&plain).predicted_for(RetrievalStrategy::IrTree);
-        let ir_kw = plan.predicted_for(RetrievalStrategy::IrTree);
-        let per_term = coef.gen_us * kw.keyword.expect("keyword features").terms as f64;
+        // The postings-first scan walks, looks up and scores only the
+        // conjunctive matches, so a rarer conjunction never costs more.
+        let rarer = features(points, fraction, 512.0, 10, Some(kw_selectivity / 2.0));
+        let exact = |plan: &semask::PlanDecision| plan.predicted_for(RetrievalStrategy::ExactScan);
         prop_assert!(
-            ir_kw <= (ir_plain + per_term) * (1.0 + 1e-12),
-            "keyword IR-tree {ir_kw} vs plain {ir_plain}"
+            exact(&coef.plan(&rarer)) <= exact(&plan),
+            "rarer {} vs {}", exact(&coef.plan(&rarer)), exact(&plan)
         );
+    }
+
+    #[test]
+    fn the_irtree_is_never_planned(
+        coef in coefficients(),
+        points in 1.0f64..1e9,
+        fraction in 0.0f64..1.0,
+        cells in 0.0f64..1e6,
+        k in 1usize..1000,
+        keyword in (0u8..2, 0.0f64..1.0),
+    ) {
+        let kw_selectivity = (keyword.0 == 1).then_some(keyword.1);
+        let plan = coef.plan(&features(points, fraction, cells, k, kw_selectivity));
+        let irtree = plan.costs[strategy_index(RetrievalStrategy::IrTree)];
+        prop_assert!(!irtree.viable);
+        prop_assert!(plan.chosen != RetrievalStrategy::IrTree);
+        prop_assert!(plan.runner_up.is_none_or(|ru| ru.strategy != RetrievalStrategy::IrTree));
+        if kw_selectivity.is_some() {
+            prop_assert!(plan.keyword_aware);
+            prop_assert!(
+                matches!(
+                    plan.chosen,
+                    RetrievalStrategy::ExactScan | RetrievalStrategy::GridPrefilter
+                ),
+                "keyword plan chose {}", plan.chosen
+            );
+        }
     }
 }

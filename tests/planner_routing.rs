@@ -5,8 +5,8 @@
 //! - **The defaults**: the plan must be the argmin of the reported
 //!   per-strategy cost table, near-empty ranges pin the exact scan, and —
 //!   the keyword-aware part — a conjunctive *rare*-keyword query must
-//!   route to the IR-tree while a no-keyword near-empty query stays on
-//!   the exact scan. Two engines built separately over one city plan
+//!   run postings-first on the exact scan, the IR-tree is never chosen,
+//!   and a no-keyword near-empty query stays on the exact scan. Two engines built separately over one city plan
 //!   every query alike.
 //! - **Given coefficients** (`PlannerConfig::coefficients`): used
 //!   exactly as given, and route by selectivity the same way on every
@@ -107,7 +107,7 @@ fn calibrated_plan_is_the_argmin_of_its_cost_table() {
 }
 
 #[test]
-fn conjunctive_rare_keyword_routes_to_irtree() {
+fn conjunctive_rare_keyword_routes_postings_first() {
     let p = prepared();
     let broad = p.dataset.bounds().expect("non-empty dataset");
     let rare = corpus_word_with_df(&p, &broad, |df| (1.0..=8.0).contains(&df))
@@ -116,25 +116,30 @@ fn conjunctive_rare_keyword_routes_to_irtree() {
     assert!(plan.keyword_aware);
     assert_eq!(
         plan.chosen,
-        RetrievalStrategy::IrTree,
-        "rare keyword `{rare}` over a broad range must take the pruned IR-tree traversal"
+        RetrievalStrategy::ExactScan,
+        "rare keyword `{rare}` over a broad range must run postings-first"
     );
-    // Filtered HNSW cannot apply a conjunctive filter exactly — it must
-    // be priced out, never merely disfavored.
-    let hnsw = plan
-        .costs
-        .iter()
-        .find(|c| c.strategy == RetrievalStrategy::FilteredHnsw)
-        .unwrap();
-    assert!(!hnsw.viable);
+    // Filtered HNSW cannot apply a conjunctive filter exactly, and the
+    // IR-tree is no planner route: both must be priced out, never
+    // merely disfavored.
+    for strategy in [RetrievalStrategy::FilteredHnsw, RetrievalStrategy::IrTree] {
+        let cost = plan.costs.iter().find(|c| c.strategy == strategy).unwrap();
+        assert!(!cost.viable, "{strategy}");
+    }
 
     // Without keywords the same broad range plans on spatial features
-    // alone (the IR-tree may still win — it is an exact strategy and
-    // measurably competitive with the grid — but HNSW must be viable
-    // again and the decision must be the table's argmin).
+    // alone: HNSW is viable again, the IR-tree still is not, and the
+    // decision is the table's argmin.
     let plan = p.planner.plan(&broad);
     assert!(!plan.keyword_aware);
-    assert!(plan.costs.iter().all(|c| c.viable));
+    for c in &plan.costs {
+        assert_eq!(
+            c.viable,
+            c.strategy != RetrievalStrategy::IrTree,
+            "{}",
+            c.strategy
+        );
+    }
     let best = plan
         .costs
         .iter()
@@ -185,8 +190,8 @@ fn fixed_coefficients_band_by_selectivity() {
     // on every build.
     let p = prepared();
     let planner = fixed_planner(&p);
-    // Selective but non-empty → the grid prefilter (the range covers
-    // fewer cells than an IR-tree descent costs).
+    // Selective but non-empty → the grid prefilter (probing the few
+    // covered cells costs less than masking every point).
     let narrow = geotext::BoundingBox::from_center_km(p.city.center(), 1.0, 1.0);
     let plan = planner.plan(&narrow);
     assert!(!plan.near_empty, "fraction {}", plan.fraction);
@@ -345,8 +350,8 @@ fn plan_and_costs_are_observable_in_latency_breakdown() {
         .expect("keyword query");
     assert_eq!(
         out.latency.filter_strategy,
-        Some(RetrievalStrategy::IrTree),
-        "rare conjunctive keywords route to the IR-tree"
+        Some(RetrievalStrategy::ExactScan),
+        "rare conjunctive keywords run postings-first"
     );
 }
 
@@ -392,4 +397,41 @@ fn keyword_batch_matches_sequential_keyword_queries() {
     let backend = planner.backend(RetrievalStrategy::ExactScan);
     let in_range = backend.filter_range(&broad).expect("range filter");
     assert!(batched[0].hits.len() <= in_range.len());
+}
+
+#[test]
+fn tokenless_keywords_are_no_constraint() {
+    // Empty, blank, stopword-only and punctuation-only texts carry no
+    // token: each answers bit for bit as the query without keywords,
+    // plans identically, and is never provably empty.
+    let p = prepared();
+    let planner = &p.planner;
+    let qv = embed::Embedder::embed(&p.embedder, "somewhere nice");
+    for km in [2.0, 8.0, 40.0] {
+        let range = geotext::BoundingBox::from_center_km(p.city.center(), km, km);
+        let answer = |keywords| {
+            let got = planner.retrieve_keyword(&qv, &range, keywords, 10, None);
+            let got = got.expect("retrieval");
+            let hits = got.hits.iter().map(|h| (h.id, h.score.to_bits()));
+            (got.strategy, hits.collect::<Vec<_>>())
+        };
+        for text in [
+            "",
+            " \t\n ",
+            "the of and",
+            "!!! -- ... ?",
+            " The, of; AND! ",
+        ] {
+            let context = format!("`{text}` at {km} km");
+            assert_eq!(answer(Some(text)), answer(None), "{context}");
+            assert!(!planner.provably_empty(text), "{context}");
+            assert!(planner.keyword_stats(text, &range).is_none(), "{context}");
+            let plan = planner.plan_query(&range, Some(text), 10, None);
+            assert_eq!(
+                plan,
+                planner.plan_query(&range, None, 10, None),
+                "{context}"
+            );
+        }
+    }
 }

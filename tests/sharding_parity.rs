@@ -117,14 +117,14 @@ fn planned_path_matches_across_shard_counts() {
     );
     let qv = embed::Embedder::embed(&p.embedder, "quiet spot to read with good tea");
     // A mid-selectivity range: the pinned coefficients route it to the
-    // (exact scoring) IR-tree prefilter, so the router's path — plan on
+    // (exact scoring) grid prefilter, so the router's path — plan on
     // the whole collection, ship the strategy, merge the slices — must
     // answer what the planner answers in process.
     let range = geotext::BoundingBox::from_center_km(p.city.center(), 6.0, 6.0);
     let reference = planner
         .retrieve_keyword(&qv, &range, None, 10, None)
         .expect("planned");
-    assert_eq!(reference.strategy, RetrievalStrategy::IrTree);
+    assert_eq!(reference.strategy, RetrievalStrategy::GridPrefilter);
     let strategy = planner.plan_query(&range, None, 10, None).chosen;
     assert_eq!(strategy, reference.strategy);
     for n in SHARD_COUNTS {
