@@ -7,7 +7,7 @@
 //! │ magic  │ version │ kind │ correlation id   │ payload len │ payload │
 //! │ u16 LE │ u8      │ u8   │ u64 LE           │ u32 LE      │ bytes   │
 //! └────────┴─────────┴──────┴──────────────────┴─────────────┴─────────┘
-//!   0x534B    3                                  ≤ 16 MiB
+//!   0x534B    4                                  ≤ 16 MiB
 //! ```
 //!
 //! The 16-byte header is fixed; the payload encoding depends on
@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 
 use geotext::BoundingBox;
 use semask::{
-    LatencyBreakdown, QueryOutcome, RankedPoi, RetrievalStrategy, SemaSkQuery, StrategyCost,
+    LatencyBreakdown, QueryOutcome, RankedPoi, Reason, RetrievalStrategy, SemaSkQuery, StrategyCost,
 };
 use semask_serve::api::{CacheStatus, Priority, Request, Response, ServeStatus};
 use vecdb::codec::{Reader, Writer};
@@ -39,11 +39,12 @@ use vecdb::{ScoredPoint, ShardSpec, VecDbError};
 /// Frame magic: `"SK"` little-endian.
 pub const MAGIC: u16 = 0x4B53;
 /// Protocol version carried in every header. Version 2 dropped the
-/// per-shard predicted costs from a response's latency block, and
-/// version 3 its cost-model generation (plans are priced with constant
-/// coefficients); an older peer is refused by this byte rather than
-/// misparsed.
-pub const VERSION: u8 = 3;
+/// per-shard predicted costs from a response's latency block, version 3
+/// its cost-model generation (plans are priced with constant
+/// coefficients), and version 4 sends a ranked POI's reason as a tag
+/// byte, with text only for the model's own reason; an older peer is
+/// refused by this byte rather than misparsed.
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on a single frame's payload; anything larger is rejected
@@ -525,9 +526,36 @@ fn take_latency(r: &mut Reader<'_>) -> Result<LatencyBreakdown, ProtoError> {
     })
 }
 
+/// Wire tag of each [`Reason`]: only [`Reason::Model`] is followed by
+/// its text, and [`Reason::Embedding`] takes its score from the POI's
+/// `embed_score` (stable across releases; extend, never renumber).
+const REASON_EMBEDDING: u8 = 0;
+const REASON_NOT_RELEVANT: u8 = 1;
+const REASON_MODEL: u8 = 2;
+
 /// The fewest wire bytes of one ranked POI: id, name length, score,
-/// flag, reason length.
-const POI_MIN_BYTES: usize = 4 + 4 + 4 + 1 + 4;
+/// flag, reason tag.
+const POI_MIN_BYTES: usize = 4 + 4 + 4 + 1 + 1;
+
+fn put_reason(w: &mut Writer, reason: &Reason) {
+    match reason {
+        Reason::Embedding { .. } => w.u8(REASON_EMBEDDING),
+        Reason::NotRelevant => w.u8(REASON_NOT_RELEVANT),
+        Reason::Model(text) => {
+            w.u8(REASON_MODEL);
+            put_str(w, text);
+        }
+    }
+}
+
+fn take_reason(r: &mut Reader<'_>, embed_score: f32) -> Result<Reason, ProtoError> {
+    match r.u8()? {
+        REASON_EMBEDDING => Ok(Reason::Embedding { score: embed_score }),
+        REASON_NOT_RELEVANT => Ok(Reason::NotRelevant),
+        REASON_MODEL => Ok(Reason::Model(take_str(r)?)),
+        _ => Err(ProtoError::Malformed("unknown reason tag")),
+    }
+}
 
 fn put_outcome(w: &mut Writer, o: &QueryOutcome) {
     w.u32(o.pois.len() as u32);
@@ -536,7 +564,7 @@ fn put_outcome(w: &mut Writer, o: &QueryOutcome) {
         put_str(w, &p.name);
         w.f32(p.embed_score);
         w.bool(p.recommended);
-        put_str(w, &p.reason);
+        put_reason(w, &p.reason);
     }
     put_latency(w, &o.latency);
 }
@@ -545,12 +573,15 @@ fn take_outcome(r: &mut Reader<'_>) -> Result<QueryOutcome, ProtoError> {
     let n = take_count(r, POI_MIN_BYTES)?;
     let mut pois = Vec::with_capacity(n);
     for _ in 0..n {
+        let id = geotext::ObjectId(r.u32()?);
+        let name = r.str()?.into();
+        let embed_score = r.f32()?;
         pois.push(RankedPoi {
-            id: geotext::ObjectId(r.u32()?),
-            name: take_str(r)?,
-            embed_score: r.f32()?,
+            id,
+            name,
+            embed_score,
             recommended: r.bool()?,
-            reason: take_str(r)?,
+            reason: take_reason(r, embed_score)?,
         });
     }
     let latency = take_latency(r)?;
@@ -759,7 +790,7 @@ mod tests {
             read_frame(&mut bad_magic.as_slice()),
             Err(ProtoError::BadMagic(_))
         ));
-        for old_or_unknown in [1, 2, 9] {
+        for old_or_unknown in [1, 2, 3, 9] {
             let mut bad_version = buf.clone();
             bad_version[2] = old_or_unknown;
             assert!(matches!(

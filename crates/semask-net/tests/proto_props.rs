@@ -18,7 +18,7 @@ use heap::peak_bytes_of;
 use proptest::prelude::*;
 
 use geotext::BoundingBox;
-use semask::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery, StrategyCost};
+use semask::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery, StrategyCost};
 use semask_net::proto::{
     self, strategy_code, strategy_from_code, Frame, FrameKind, FrameReader, ProtoError, ShardQuery,
     ShardReply, HEADER_LEN, MAX_PAYLOAD,
@@ -237,7 +237,7 @@ proptest! {
         status_raw in (0u8..16, "[ -~]{0,32}"),
         has_outcome in 0u8..2,
         pois in prop::collection::vec(
-            (0u32..u32::MAX, "[ -~]{0,24}", 0u32..u32::MAX, 0u8..2, "[ -~]{0,24}"),
+            (0u32..u32::MAX, "[ -~]{0,24}", 0u32..u32::MAX, 0u8..2, (0u8..3, "[ -~]{0,24}")),
             0..6,
         ),
         latency_bits in prop::collection::vec(0u64..u64::MAX, 8),
@@ -248,12 +248,16 @@ proptest! {
         let outcome = (has_outcome == 1).then(|| QueryOutcome {
             pois: pois
                 .iter()
-                .map(|(id, name, score_bits, rec, reason)| RankedPoi {
+                .map(|(id, name, score_bits, rec, (tag, text))| RankedPoi {
                     id: geotext::ObjectId(*id),
-                    name: name.clone(),
+                    name: name.as_str().into(),
                     embed_score: f32::from_bits(*score_bits),
                     recommended: *rec == 1,
-                    reason: reason.clone(),
+                    reason: match tag {
+                        0 => Reason::Embedding { score: f32::from_bits(*score_bits) },
+                        1 => Reason::NotRelevant,
+                        _ => Reason::Model(text.clone()),
+                    },
                 })
                 .collect(),
             latency: LatencyBreakdown {
@@ -333,7 +337,7 @@ proptest! {
 }
 
 /// The four envelopes of [`fixed_envelopes_keep_their_bytes`]: every
-/// field set, both option arms, non-ASCII text.
+/// field set, both option arms, every reason tag, non-ASCII text.
 fn fixed_envelopes() -> [Vec<u8>; 4] {
     let range = BoundingBox {
         min_lat: 34.25,
@@ -358,14 +362,21 @@ fn fixed_envelopes() -> [Vec<u8>; 4] {
                 name: "Blue Door Café".into(),
                 embed_score: 0.875,
                 recommended: true,
-                reason: "quiet, good wifi".into(),
+                reason: Reason::Model("quiet, good wifi \u{1F600}".into()),
+            },
+            RankedPoi {
+                id: geotext::ObjectId(12),
+                name: "Espresso Lab".into(),
+                embed_score: 0.8125,
+                recommended: true,
+                reason: Reason::Embedding { score: 0.8125 },
             },
             RankedPoi {
                 id: geotext::ObjectId(u32::MAX),
-                name: String::new(),
+                name: "".into(),
                 embed_score: -0.0,
                 recommended: false,
-                reason: "\u{1F600}".into(),
+                reason: Reason::NotRelevant,
             },
         ],
         latency: LatencyBreakdown {
@@ -415,7 +426,7 @@ fn fixed_envelopes() -> [Vec<u8>; 4] {
     ]
 }
 
-/// Every payload byte of protocol version 3, pinned by length and
+/// Every payload byte of protocol version 4, pinned by length and
 /// CRC-32: an encoder change that moves one byte must bump
 /// [`proto::VERSION`].
 #[test]
@@ -425,12 +436,89 @@ fn fixed_envelopes_keep_their_bytes() {
         got,
         [
             (90, 0x4AB0_D9D7),
-            (169, 0x58AB_6848),
+            (194, 0xE2CA_5BA9),
             (73, 0x42AB_4653),
             (33, 0xB531_9444),
         ]
     );
-    assert_eq!(proto::VERSION, 3);
+    assert_eq!(proto::VERSION, 4);
+}
+
+/// The payload of a response holding one unnamed POI whose reason is
+/// the model's `text`, and the offset of that POI's reason tag: id (8),
+/// status (5), outcome flag (1), count (4), POI id (4), name length (4),
+/// score (4), recommended flag (1).
+fn response_with_model_reason(text: &str) -> (Vec<u8>, usize) {
+    let outcome = QueryOutcome {
+        pois: vec![RankedPoi {
+            id: geotext::ObjectId(3),
+            name: "".into(),
+            embed_score: 0.5,
+            recommended: true,
+            reason: Reason::Model(text.into()),
+        }],
+        latency: LatencyBreakdown::default(),
+    };
+    let response = Response::from_result(5, Ok(outcome));
+    (
+        proto::encode_response(&response),
+        8 + 5 + 1 + 4 + 4 + 4 + 4 + 1,
+    )
+}
+
+#[test]
+fn a_reason_tag_no_version_defines_is_malformed() {
+    let (payload, tag_at) = response_with_model_reason("");
+    assert_eq!(payload[tag_at], 2, "the model's reason is tag 2");
+    for tag in [3u8, 7, 255] {
+        let mut bad = payload.clone();
+        bad[tag_at] = tag;
+        let (result, peak) = peak_bytes_of(|| proto::decode_response(&bad).map(drop));
+        assert!(
+            matches!(result, Err(ProtoError::Malformed("unknown reason tag"))),
+            "tag {tag}: {result:?}"
+        );
+        assert!(peak <= 512, "tag {tag}: {peak} B held before the refusal");
+    }
+}
+
+#[test]
+fn a_model_reason_the_bytes_do_not_back_is_refused_before_it_allocates() {
+    let (payload, tag_at) = response_with_model_reason("fine");
+    let len_at = tag_at + 1;
+    let behind = (payload.len() - len_at - 4) as u32;
+    for declared in [u32::MAX, 1_000_000, behind + 1] {
+        let mut bad = payload.clone();
+        bad[len_at..len_at + 4].copy_from_slice(&declared.to_le_bytes());
+        let (result, peak) = peak_bytes_of(|| proto::decode_response(&bad).map(drop));
+        assert!(
+            matches!(result, Err(ProtoError::Codec(_))),
+            "length {declared}: {result:?}"
+        );
+        assert!(
+            peak <= 512,
+            "length {declared}: {peak} B held before the refusal"
+        );
+    }
+}
+
+#[test]
+fn a_version_3_frame_is_refused_by_its_version() {
+    let (payload, _) = response_with_model_reason("a reason");
+    let mut frame = Vec::new();
+    proto::write_frame(&mut frame, FrameKind::SubmitReply, 5, &payload).expect("write");
+    frame[2] = 3;
+    let (result, peak) = peak_bytes_of(|| proto::read_frame(&mut frame.as_slice()).map(drop));
+    assert!(
+        matches!(result, Err(ProtoError::BadVersion(3))),
+        "{result:?}"
+    );
+    assert!(peak <= 512, "{peak} B held before the refusal");
+    let mut reader = FrameReader::new(frame.as_slice());
+    assert!(matches!(
+        reader.next_frame(),
+        Err(ProtoError::BadVersion(3))
+    ));
 }
 
 /// A count larger than the bytes left behind it is refused before the
@@ -448,12 +536,12 @@ fn a_count_the_bytes_do_not_back_is_refused_before_it_allocates() {
         refused.push(reply);
 
         // A response: id, status, an outcome of `count` ranked POIs
-        // (17 bytes at least each), each here 17 zero bytes.
+        // (14 bytes at least each), each here 14 zero bytes.
         let mut response = 5u64.to_le_bytes().to_vec();
         response.extend_from_slice(&ok_status);
         response.push(1);
         response.extend_from_slice(&count.to_le_bytes());
-        response.extend(std::iter::repeat_n(0u8, 17 * present));
+        response.extend(std::iter::repeat_n(0u8, 14 * present));
         refused.push(response);
 
         // A response whose latency block declares `count` shard

@@ -95,14 +95,23 @@ fn spawn_shards(params: &NodeParams) -> Vec<Node> {
         .collect()
 }
 
-/// The bit-exact comparison key: id, raw score bits, recommendation.
-type Signature = Vec<(u32, u32, bool)>;
+/// The bit-exact comparison key: id, name, raw score bits,
+/// recommendation and the rendered reason.
+type Signature = Vec<(u32, String, u32, bool, String)>;
 
 fn signature(outcome: &QueryOutcome) -> Signature {
     outcome
         .pois
         .iter()
-        .map(|p| (p.id.0, p.embed_score.to_bits(), p.recommended))
+        .map(|p| {
+            (
+                p.id.0,
+                p.name.to_string(),
+                p.embed_score.to_bits(),
+                p.recommended,
+                p.reason.to_string(),
+            )
+        })
         .collect()
 }
 

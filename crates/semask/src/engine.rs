@@ -12,9 +12,9 @@ use llm::{parse_rerank_response, ChatRequest, LlmError, ModelKind, SimLlm};
 use vecdb::VecDbError;
 
 use crate::config::SemaSkConfig;
-use crate::live::Overlay;
+use crate::live::{Overlay, Resolution};
 use crate::prep::PreparedCity;
-use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
+use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
 use crate::wal::{Mutation, PoiSpec, PoiUpdate};
 use parking_lot::MutexGuard;
@@ -110,6 +110,27 @@ impl From<RetrievalError> for EngineError {
 impl From<LlmError> for EngineError {
     fn from(e: LlmError) -> Self {
         EngineError::Llm(e)
+    }
+}
+
+/// A filtered candidate live at the refinement's epoch: its id, its
+/// embedding score, the object the prompt shows and its shared name.
+struct Candidate<'a> {
+    id: ObjectId,
+    score: f32,
+    object: &'a GeoTextObject,
+    name: Arc<str>,
+}
+
+impl Candidate<'_> {
+    fn ranked(&self, recommended: bool, reason: Reason) -> RankedPoi {
+        RankedPoi {
+            id: self.id,
+            name: Arc::clone(&self.name),
+            embed_score: self.score,
+            recommended,
+            reason,
+        }
     }
 }
 
@@ -382,31 +403,19 @@ impl SemaSkEngine {
         latency: &LatencyBreakdown,
         view: &Overlay,
     ) -> Result<QueryOutcome, EngineError> {
-        let base = self.prepared.dataset.as_ref();
-        let candidates: Vec<(ObjectId, f32)> = candidates
-            .iter()
-            .copied()
-            .filter(|&(id, _)| view.is_live(base, id))
-            .collect();
         let latency = latency.clone();
-        let resolve = |id: ObjectId| -> &GeoTextObject {
-            view.get(base, id).expect("candidates filtered to live ids")
-        };
+        let candidates: Vec<Candidate<'_>> = candidates
+            .iter()
+            .filter_map(|&(id, score)| self.live_candidate(view, id, score))
+            .collect();
         let Some(model) = self.variant.refine_model(&self.config) else {
             // SemaSK-EM: embedding order *is* the answer.
             let pois = candidates
                 .iter()
-                .map(|&(id, score)| RankedPoi {
-                    id,
-                    name: resolve(id).name().to_owned(),
-                    embed_score: score,
-                    recommended: true,
-                    reason: format!("Retrieved by embedding similarity (score {score:.3})."),
-                })
+                .map(|c| c.ranked(true, Reason::Embedding { score: c.score }))
                 .collect();
             return Ok(QueryOutcome { pois, latency });
         };
-
         if candidates.is_empty() {
             return Ok(QueryOutcome {
                 pois: Vec::new(),
@@ -416,7 +425,7 @@ impl SemaSkEngine {
 
         // ---- Refinement (simulated LLM latency) ----
         // The paper feeds the *raw* POI attributes to the LLM, as JSON.
-        let prompt = refinement_prompt(candidates.iter().map(|&(id, _)| resolve(id)), text);
+        let prompt = refinement_prompt(candidates.iter().map(|c| c.object), text);
         let response = self.llm.complete(&ChatRequest::user(model, prompt))?;
         let ranked = parse_rerank_response(&response.content);
 
@@ -425,37 +434,23 @@ impl SemaSkEngine {
         // candidate. One pass over the candidates builds a name → indices
         // queue, so each reranked row is an O(1) lookup.
         let mut by_name: HashMap<&str, VecDeque<usize>> = HashMap::new();
-        for (i, &(id, _)) in candidates.iter().enumerate() {
-            by_name.entry(resolve(id).name()).or_default().push_back(i);
+        for (i, c) in candidates.iter().enumerate() {
+            by_name.entry(&c.name).or_default().push_back(i);
         }
         let mut used = vec![false; candidates.len()];
         let mut pois: Vec<RankedPoi> = Vec::with_capacity(candidates.len());
-        for (name, reason) in &ranked {
+        for (name, reason) in ranked {
             let Some(i) = by_name.get_mut(name.as_str()).and_then(VecDeque::pop_front) else {
                 continue;
             };
-            let (id, score) = candidates[i];
             used[i] = true;
-            pois.push(RankedPoi {
-                id,
-                name: name.clone(),
-                embed_score: score,
-                recommended: true,
-                reason: reason.clone(),
-            });
+            pois.push(candidates[i].ranked(true, Reason::Model(reason)));
         }
         // Non-recommended candidates follow, in embedding order (the blue
         // markers).
-        for (i, &(id, score)) in candidates.iter().enumerate() {
-            if !used[i] {
-                pois.push(RankedPoi {
-                    id,
-                    name: resolve(id).name().to_owned(),
-                    embed_score: score,
-                    recommended: false,
-                    reason: "Fetched by embedding similarity but judged not relevant by the LLM."
-                        .to_owned(),
-                });
+        for (c, used) in candidates.iter().zip(used) {
+            if !used {
+                pois.push(c.ranked(false, Reason::NotRelevant));
             }
         }
 
@@ -465,6 +460,31 @@ impl SemaSkEngine {
                 refinement_ms: response.latency_ms,
                 ..latency
             },
+        })
+    }
+
+    /// The candidate `id` scored `score` under `view`, or `None` when it
+    /// is not live there: one overlay lookup, then the overlay's object,
+    /// or the base object and the name column's shared name.
+    fn live_candidate<'a>(
+        &'a self,
+        view: &'a Overlay,
+        id: ObjectId,
+        score: f32,
+    ) -> Option<Candidate<'a>> {
+        let (object, name) = match view.resolve(id) {
+            Resolution::Deleted => return None,
+            Resolution::Changed(object) => (object, Arc::from(object.name())),
+            Resolution::Base => (
+                self.prepared.dataset.get(id)?,
+                Arc::clone(self.prepared.names.get(id.index())?),
+            ),
+        };
+        Some(Candidate {
+            id,
+            score,
+            object,
+            name,
         })
     }
 
@@ -1282,7 +1302,30 @@ mod tests {
             .query(&SemaSkQuery::new(range, "zanzibar espresso"))
             .unwrap();
         let hit = out.pois.iter().find(|p| p.id == id).expect("still found");
-        assert_eq!(hit.name, "Zanzibar Midnight Espresso");
+        assert_eq!(&*hit.name, "Zanzibar Midnight Espresso");
+
+        // A renamed base POI is named by the overlay's copy, not by the
+        // name column prepared with the base.
+        let renamed = out
+            .pois
+            .iter()
+            .map(|p| p.id)
+            .find(|&p| p != id)
+            .expect("a base POI in range");
+        engine
+            .update_poi(
+                renamed,
+                crate::wal::PoiUpdate {
+                    name: Some("Quillfeather Lantern Bistro".to_owned()),
+                    tips: None,
+                },
+            )
+            .unwrap();
+        let out = engine
+            .query(&SemaSkQuery::new(range, "quillfeather lantern bistro"))
+            .unwrap();
+        let hit = out.pois.iter().find(|p| p.id == renamed).expect("found");
+        assert_eq!(&*hit.name, "Quillfeather Lantern Bistro");
 
         // Delete: gone from results; stale references rejected.
         engine.delete_poi(id).unwrap();

@@ -57,7 +57,7 @@ pub use engine::{AppliedBatch, EngineError, SemaSkEngine, Variant};
 pub use eval::{f1_at_k, CityScore, PrecisionRecall};
 pub use live::{LiveState, Overlay};
 pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};
-pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, SemaSkQuery};
+pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery};
 pub use retrieval::{
     BatchGroupKey, PlannedQuery, PlannedRetrieval, PlannerConfig, QueryPlanner, RetrievalError,
     RetrievalStrategy, SelectivityEstimator,

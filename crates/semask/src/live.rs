@@ -84,15 +84,30 @@ impl Overlay {
         }
     }
 
+    /// What `id` is at this epoch, in one lookup and without the base:
+    /// tombstoned, held by the overlay (inserted or updated), or as the
+    /// base has it.
+    #[must_use]
+    pub(crate) fn resolve(&self, id: ObjectId) -> Resolution<'_> {
+        if self.tombstones.contains(&id.0) {
+            Resolution::Deleted
+        } else if let Some(obj) = self.objects.get(&id.0) {
+            Resolution::Changed(obj)
+        } else {
+            Resolution::Base
+        }
+    }
+
     /// Resolves `id` at this epoch: `None` when tombstoned or unknown,
     /// the overlay's copy when inserted/updated, the base object
     /// otherwise.
     #[must_use]
     pub fn get<'a>(&'a self, base: &'a Dataset, id: ObjectId) -> Option<&'a GeoTextObject> {
-        if self.tombstones.contains(&id.0) {
-            return None;
+        match self.resolve(id) {
+            Resolution::Deleted => None,
+            Resolution::Changed(obj) => Some(obj),
+            Resolution::Base => base.get(id),
         }
-        self.get_raw(base, id)
     }
 
     /// True when `id` resolves to a live object at this epoch.
@@ -142,6 +157,17 @@ impl Overlay {
     pub fn tombstones(&self) -> &HashSet<u32> {
         &self.tombstones
     }
+}
+
+/// What an id is at one epoch ([`Overlay::resolve`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resolution<'a> {
+    /// Tombstoned: no longer live.
+    Deleted,
+    /// Inserted or updated since the base: the overlay's copy.
+    Changed(&'a GeoTextObject),
+    /// Untouched: the base dataset's object, if it has one at this id.
+    Base,
 }
 
 /// The shared live-mutation state: the gate, the published overlay, the

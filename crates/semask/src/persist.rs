@@ -613,6 +613,7 @@ pub fn from_snapshot_bytes(
         Overlay::restore(header.next_id, header.tombstones),
         header.last_seq,
     );
+    let names = crate::prep::name_column(&dataset);
 
     Ok(PreparedCity {
         city,
@@ -623,6 +624,7 @@ pub fn from_snapshot_bytes(
         geocoder: ReverseGeocoder::for_city(&city),
         planner,
         live,
+        names,
     })
 }
 

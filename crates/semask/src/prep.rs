@@ -78,6 +78,12 @@ pub struct PreparedCity {
     /// Live-mutation state: the query/writer gate, the published
     /// overlay, the mutation epoch, and the applied-WAL watermark.
     pub live: crate::live::LiveState,
+    /// Each base object's display name by dense id ([`name_column`]):
+    /// what answers name a POI with, shared rather than copied. Built
+    /// beside the dataset when it is prepared or loaded, never
+    /// persisted, and outside the collection; a POI the overlay holds
+    /// takes its name from the overlay's object instead.
+    pub(crate) names: Vec<Arc<str>>,
 }
 
 impl PreparedCity {
@@ -130,6 +136,13 @@ impl PreparedCity {
     ) -> Result<Vec<PlannedRetrieval>, RetrievalError> {
         self.planner.retrieve_batch(queries)
     }
+}
+
+/// The name column of `dataset`: each object's [`GeoTextObject::name`],
+/// by dense id.
+#[must_use]
+pub(crate) fn name_column(dataset: &Dataset) -> Vec<Arc<str>> {
+    dataset.iter().map(|obj| Arc::from(obj.name())).collect()
 }
 
 /// Runs the full preparation pipeline for one generated city.
@@ -251,6 +264,7 @@ pub fn prepare_city_with_threads(
     let dataset = Arc::new(dataset);
     let planner = QueryPlanner::for_city(Arc::clone(&dataset), handle, config.planner);
     let live = crate::live::LiveState::new(dataset.len() as u32);
+    let names = name_column(&dataset);
 
     Ok(PreparedCity {
         city: data.city,
@@ -261,6 +275,7 @@ pub fn prepare_city_with_threads(
         geocoder,
         planner,
         live,
+        names,
     })
 }
 

@@ -1,5 +1,8 @@
 //! Query and result types.
 
+use std::fmt;
+use std::sync::Arc;
+
 use geotext::{BoundingBox, ObjectId};
 
 use crate::cost::StrategyCost;
@@ -47,16 +50,53 @@ impl SemaSkQuery {
 pub struct RankedPoi {
     /// The POI.
     pub id: ObjectId,
-    /// Display name.
-    pub name: String,
+    /// Display name, shared with the engine's name column (or, for a
+    /// POI inserted or updated since the base was prepared, with its
+    /// live object's name): cloning an outcome copies a refcount, not
+    /// the text.
+    pub name: Arc<str>,
     /// Embedding similarity from the filtering step.
     pub embed_score: f32,
     /// Whether the LLM recommended it (green marker in the demo UI).
     /// `true` for every candidate in the SemaSK-EM variant.
     pub recommended: bool,
-    /// The LLM's reason (why it was or was not recommended; the demo's
-    /// click-a-marker panel).
-    pub reason: String,
+    /// Why it is in the outcome (the demo's click-a-marker panel);
+    /// renders with [`fmt::Display`].
+    pub reason: Reason,
+}
+
+/// Why a POI is in an outcome. Only the LLM's own reason holds text;
+/// the two fixed reasons render theirs on demand.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reason {
+    /// SemaSK-EM: retrieved by embedding similarity, nothing refined.
+    /// `score` is the POI's [`RankedPoi::embed_score`]; the wire carries
+    /// it once, as that field. Renders as
+    /// `Retrieved by embedding similarity (score 0.873).`
+    Embedding {
+        /// The embedding similarity, rendered to three decimals.
+        score: f32,
+    },
+    /// A candidate the LLM left out of its answer (a blue marker).
+    /// Renders as `Fetched by embedding similarity but judged not
+    /// relevant by the LLM.`
+    NotRelevant,
+    /// The LLM's reason for recommending the POI, verbatim.
+    Model(String),
+}
+
+impl fmt::Display for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Reason::Embedding { score } => {
+                write!(f, "Retrieved by embedding similarity (score {score:.3}).")
+            }
+            Reason::NotRelevant => {
+                f.write_str("Fetched by embedding similarity but judged not relevant by the LLM.")
+            }
+            Reason::Model(text) => f.write_str(text),
+        }
+    }
 }
 
 /// Per-stage latency of one query.
@@ -152,10 +192,10 @@ impl QueryOutcome {
                         "coordinates": [obj.location.lon, obj.location.lat],
                     },
                     "properties": {
-                        "name": p.name,
+                        "name": &*p.name,
                         "recommended": p.recommended,
                         "marker-color": if p.recommended { "#2ecc40" } else { "#0074d9" },
-                        "reason": p.reason,
+                        "reason": p.reason.to_string(),
                         "embed_score": p.embed_score,
                         "categories": obj.attrs.get("categories").map(|v| v.flatten()),
                     },
@@ -182,14 +222,14 @@ mod tests {
                     name: "A".into(),
                     embed_score: 0.9,
                     recommended: true,
-                    reason: "matches".into(),
+                    reason: Reason::Model("matches".into()),
                 },
                 RankedPoi {
                     id: ObjectId(2),
                     name: "B".into(),
                     embed_score: 0.8,
                     recommended: false,
-                    reason: "not relevant".into(),
+                    reason: Reason::NotRelevant,
                 },
             ],
             latency: LatencyBreakdown::default(),
@@ -214,7 +254,7 @@ mod tests {
                 name: "Joe's Bar".into(),
                 embed_score: 0.7,
                 recommended: true,
-                reason: "matches".into(),
+                reason: Reason::Model("matches".into()),
             }],
             latency: LatencyBreakdown::default(),
         };
@@ -225,6 +265,74 @@ mod tests {
         assert_eq!(f["geometry"]["coordinates"][1], 38.6);
         assert_eq!(f["properties"]["marker-color"], "#2ecc40");
         assert_eq!(f["properties"]["name"], "Joe's Bar");
+        assert_eq!(f["properties"]["reason"], "matches");
+    }
+
+    #[test]
+    fn geojson_writes_each_reason_as_its_text() {
+        let mut dataset = geotext::Dataset::new("t");
+        let id = dataset.push(|id| {
+            geotext::GeoTextObject::builder(id, geotext::GeoPoint::new(38.6, -90.2).unwrap())
+                .attr("name", "Joe's Bar")
+                .build()
+                .unwrap()
+        });
+        for (reason, text) in [
+            (
+                Reason::Embedding { score: 0.8735 },
+                "Retrieved by embedding similarity (score 0.873).",
+            ),
+            (
+                Reason::NotRelevant,
+                "Fetched by embedding similarity but judged not relevant by the LLM.",
+            ),
+            (Reason::Model("great wings".into()), "great wings"),
+        ] {
+            let outcome = QueryOutcome {
+                pois: vec![RankedPoi {
+                    id,
+                    name: "Joe's Bar".into(),
+                    embed_score: 0.8735,
+                    recommended: true,
+                    reason,
+                }],
+                latency: LatencyBreakdown::default(),
+            };
+            let gj = outcome.to_geojson(&dataset);
+            assert_eq!(gj["features"][0]["properties"]["reason"], text);
+        }
+    }
+
+    /// The texts the engine stored per POI before reasons were typed:
+    /// `format!("Retrieved by embedding similarity (score {score:.3}).")`
+    /// over an `f32`, and one fixed sentence.
+    #[test]
+    fn reasons_render_the_texts_they_replaced() {
+        for (score, shown) in [
+            (0.9995f32, "0.999"),
+            (0.00049, "0.000"),
+            (0.0005, "0.001"),
+            (-0.0, "-0.000"),
+            (1.0, "1.000"),
+            (-0.4567, "-0.457"),
+            (-0.0004, "-0.000"),
+        ] {
+            let text = Reason::Embedding { score }.to_string();
+            assert_eq!(
+                text,
+                format!("Retrieved by embedding similarity (score {shown}).")
+            );
+            assert_eq!(
+                text,
+                format!("Retrieved by embedding similarity (score {score:.3}).")
+            );
+        }
+        assert_eq!(
+            Reason::NotRelevant.to_string(),
+            "Fetched by embedding similarity but judged not relevant by the LLM."
+        );
+        let said = "Cozy \u{2615} spot, it's 'the best'";
+        assert_eq!(Reason::Model(said.to_owned()).to_string(), said);
     }
 
     #[test]

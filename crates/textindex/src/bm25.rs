@@ -84,7 +84,7 @@ impl Bm25Model {
         let mut scores: std::collections::HashMap<DocId, f32> = std::collections::HashMap::new();
         for t in terms {
             let idf = self.idf(t);
-            for p in self.index.postings(t) {
+            for p in self.index.postings(t).iter().filter(|p| p.is_live()) {
                 let dl = self.index.doc_len(p.doc) as f32;
                 let tf = p.tf as f32;
                 let denom = tf + self.k1 * (1.0 - self.b + self.b * dl / self.avg_len);

@@ -11,8 +11,17 @@ pub type DocId = u32;
 pub struct Posting {
     /// Document containing the term.
     pub doc: DocId,
-    /// Term frequency in that document.
+    /// Term frequency in that document; 0 marks a removed document's
+    /// posting, left in place until its list is compacted.
     pub tf: u32,
+}
+
+impl Posting {
+    /// False for a removed document's posting.
+    #[must_use]
+    pub(crate) fn is_live(&self) -> bool {
+        self.tf > 0
+    }
 }
 
 /// Aggregate statistics of one conjunctive keyword query against an
@@ -41,10 +50,18 @@ pub struct QueryTermStats {
 /// Documents are added once via [`InvertedIndex::add_document`]; postings
 /// are kept sorted by doc id (documents are added in increasing order) so
 /// AND-queries are sorted-list intersections.
+///
+/// Removing a document marks its postings dead in place (`tf == 0`)
+/// rather than shifting every posting behind them: a list is compacted
+/// once half of it is dead, so a remove costs a binary search per term
+/// and the dead share of any list stays below one half. Each term counts
+/// its dead postings, so [`InvertedIndex::doc_freq`] stays exact.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     vocab: Vocabulary,
     postings: Vec<Vec<Posting>>,
+    /// Dead postings in each term's list.
+    dead: Vec<u32>,
     doc_lens: Vec<u32>,
     tokenizer: Tokenizer,
 }
@@ -53,12 +70,7 @@ impl InvertedIndex {
     /// An empty index with the default tokenizer.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            vocab: Vocabulary::new(),
-            postings: Vec::new(),
-            doc_lens: Vec::new(),
-            tokenizer: Tokenizer::new(),
-        }
+        Self::with_tokenizer(Tokenizer::new())
     }
 
     /// An empty index with a custom tokenizer.
@@ -67,6 +79,7 @@ impl InvertedIndex {
         Self {
             vocab: Vocabulary::new(),
             postings: Vec::new(),
+            dead: Vec::new(),
             doc_lens: Vec::new(),
             tokenizer,
         }
@@ -94,10 +107,21 @@ impl InvertedIndex {
         ids.sort_unstable();
         ids.dedup();
         for term in ids {
-            if let Some(posts) = self.postings.get_mut(term as usize) {
-                if let Ok(i) = posts.binary_search_by_key(&doc, |p| p.doc) {
-                    posts.remove(i);
-                }
+            let t = term as usize;
+            let Some(posts) = self.postings.get_mut(t) else {
+                continue;
+            };
+            let Ok(i) = posts.binary_search_by_key(&doc, |p| p.doc) else {
+                continue;
+            };
+            if !posts[i].is_live() {
+                continue;
+            }
+            posts[i].tf = 0;
+            self.dead[t] += 1;
+            if 2 * self.dead[t] as usize >= posts.len() {
+                posts.retain(Posting::is_live);
+                self.dead[t] = 0;
             }
         }
         if let Some(len) = self.doc_lens.get_mut(doc as usize) {
@@ -106,8 +130,10 @@ impl InvertedIndex {
     }
 
     /// Re-indexes document `doc` in place: removes `old_text`'s postings
-    /// and inserts `new_text`'s at the same id, keeping every posting
-    /// list sorted by doc id so AND-queries stay sorted intersections.
+    /// and gives `new_text`'s the same id — reviving a dead posting where
+    /// the list still holds one, inserting in doc order otherwise — so
+    /// every posting list stays sorted and AND-queries stay sorted
+    /// intersections.
     pub fn update_document(&mut self, doc: DocId, old_text: &str, new_text: &str) {
         self.remove_document(doc, old_text);
         let ids = self.intern_sorted(new_text);
@@ -116,10 +142,16 @@ impl InvertedIndex {
         }
         for (term, tf) in term_runs(&ids) {
             let posts = self.postings_mut(term);
-            let at = posts
-                .binary_search_by_key(&doc, |p| p.doc)
-                .unwrap_or_else(|e| e);
-            posts.insert(at, Posting { doc, tf });
+            match posts.binary_search_by_key(&doc, |p| p.doc) {
+                Ok(i) => {
+                    let revived = !posts[i].is_live();
+                    posts[i].tf = tf;
+                    if revived {
+                        self.dead[term as usize] -= 1;
+                    }
+                }
+                Err(at) => posts.insert(at, Posting { doc, tf }),
+            }
         }
     }
 
@@ -139,6 +171,7 @@ impl InvertedIndex {
         let t = term as usize;
         if t >= self.postings.len() {
             self.postings.resize_with(t + 1, Vec::new);
+            self.dead.resize(t + 1, 0);
         }
         &mut self.postings[t]
     }
@@ -179,7 +212,9 @@ impl InvertedIndex {
         &self.tokenizer
     }
 
-    /// Postings for a term id (empty slice if unseen).
+    /// Postings for a term id (empty slice if unseen), removed
+    /// documents' dead ones (`tf == 0`) included until the list is
+    /// compacted.
     #[must_use]
     pub fn postings(&self, term: TermId) -> &[Posting] {
         self.postings
@@ -188,10 +223,11 @@ impl InvertedIndex {
             .unwrap_or(&[])
     }
 
-    /// Document frequency of a term.
+    /// Document frequency of a term: its live postings.
     #[must_use]
     pub fn doc_freq(&self, term: TermId) -> usize {
-        self.postings(term).len()
+        let dead = self.dead.get(term as usize).copied().unwrap_or(0);
+        self.postings(term).len() - dead as usize
     }
 
     /// Tokenizes raw query text with the index's tokenizer and maps the
@@ -284,7 +320,7 @@ impl InvertedIndex {
                 while j < posts.len() && posts[j].doc < d {
                     j += 1;
                 }
-                j < posts.len() && posts[j].doc == d
+                j < posts.len() && posts[j].doc == d && posts[j].is_live()
             });
         }
     }
@@ -303,7 +339,12 @@ impl InvertedIndex {
         let Some((&rarest, rest)) = terms.split_first() else {
             return Vec::new();
         };
-        let mut docs: Vec<DocId> = self.postings(rarest).iter().map(|p| p.doc).collect();
+        let mut docs: Vec<DocId> = self
+            .postings(rarest)
+            .iter()
+            .filter(|p| p.is_live())
+            .map(|p| p.doc)
+            .collect();
         self.retain_holding(&mut docs, rest, |d| d);
         docs
     }
@@ -335,9 +376,12 @@ impl InvertedIndex {
                 .copied()
                 .filter(|&c| {
                     let d = doc_of(c);
-                    terms
-                        .iter()
-                        .all(|&t| self.postings(t).binary_search_by_key(&d, |p| p.doc).is_ok())
+                    terms.iter().all(|&t| {
+                        let posts = self.postings(t);
+                        posts
+                            .binary_search_by_key(&d, |p| p.doc)
+                            .is_ok_and(|i| posts[i].is_live())
+                    })
                 })
                 .collect()
         } else {
@@ -356,7 +400,7 @@ impl InvertedIndex {
         terms.dedup();
         let mut counts: std::collections::HashMap<DocId, u32> = std::collections::HashMap::new();
         for t in terms {
-            for p in self.postings(t) {
+            for p in self.postings(t).iter().filter(|p| p.is_live()) {
                 *counts.entry(p.doc).or_insert(0) += 1;
             }
         }

@@ -32,7 +32,7 @@ impl TfIdfModel {
         // Build normalized document vectors by walking all postings.
         let mut pairs: Vec<Vec<(u32, f32)>> = vec![Vec::new(); index.num_docs()];
         for t in 0..vocab_len as u32 {
-            for p in index.postings(t) {
+            for p in index.postings(t).iter().filter(|p| p.is_live()) {
                 pairs[p.doc as usize].push((t, p.tf as f32 * idf[t as usize]));
             }
         }

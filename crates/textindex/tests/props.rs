@@ -576,4 +576,60 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn removes_and_updates_leave_the_counts_of_a_rebuilt_index(
+        docs in prop::collection::vec(arb_small_doc(), 2..30),
+        ops in prop::collection::vec((0u8..3, 0usize..30, 0usize..30), 1..40),
+        queries in prop::collection::vec(arb_conjunction(), 4),
+    ) {
+        let mut idx = InvertedIndex::new();
+        for d in &docs {
+            idx.add_document(d);
+        }
+        // One remove in three, updates otherwise (to another document's
+        // text, so postings die, revive and move); a removed document
+        // stays removed.
+        let mut live: Vec<Option<String>> = docs.iter().cloned().map(Some).collect();
+        for (op, a, b) in ops {
+            let d = a % docs.len();
+            let Some(text) = live[d].clone() else { continue };
+            if op == 0 {
+                idx.remove_document(d as DocId, &text);
+                live[d] = None;
+            } else {
+                let new = docs[b % docs.len()].clone();
+                idx.update_document(d as DocId, &text, &new);
+                live[d] = Some(new);
+            }
+        }
+        let mut rebuilt = InvertedIndex::new();
+        for text in &live {
+            rebuilt.add_document(text.as_deref().unwrap_or(""));
+        }
+        prop_assert_eq!(idx.num_docs(), rebuilt.num_docs());
+        // Every term either index ever interned: the same live count.
+        for t in 0..idx.vocab().len() as u32 {
+            let token = idx.vocab().term(t).expect("interned");
+            let want = rebuilt.vocab().get(token).map_or(0, |r| rebuilt.doc_freq(r));
+            prop_assert_eq!(idx.doc_freq(t), want, "term {:?}", token);
+        }
+        for r in 0..rebuilt.vocab().len() as u32 {
+            prop_assert!(idx.vocab().get(rebuilt.vocab().term(r).expect("interned")).is_some());
+        }
+        // Statistics of every surviving text, and of any query whose
+        // tokens both indexes know or neither does (a token only removed
+        // documents held is known to the first with no documents).
+        let t = Tokenizer::new();
+        let surviving = live.iter().flatten().cloned();
+        for q in surviving.chain(queries) {
+            prop_assert_eq!(idx.and_query(&q), rebuilt.and_query(&q), "query {:?}", q);
+            let comparable = t.tokenize(&q).iter().all(|tok| {
+                idx.vocab().get(tok).is_some() == rebuilt.vocab().get(tok).is_some()
+            });
+            if comparable {
+                prop_assert_eq!(idx.query_stats(&q), rebuilt.query_stats(&q), "query {:?}", q);
+            }
+        }
+    }
 }

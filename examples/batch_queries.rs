@@ -78,7 +78,7 @@ fn main() {
         println!(
             "  [{strategy:>14}] \"{}\" -> top: {}",
             q.text,
-            b.pois.first().map_or("(no results)", |p| p.name.as_str()),
+            b.pois.first().map_or("(no results)", |p| &*p.name),
         );
     }
     println!("batched answers identical to sequential — batching is pure execution speed");

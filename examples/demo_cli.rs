@@ -122,9 +122,9 @@ fn main() {
             "  [{marker}] {:<26} {}",
             poi.name,
             if poi.recommended {
-                &poi.reason
+                poi.reason.to_string()
             } else {
-                "filtered out by the LLM"
+                "filtered out by the LLM".to_owned()
             }
         );
     }

@@ -67,14 +67,11 @@ impl Bencher {
                 black_box(f());
             }
             let elapsed = start.elapsed();
-            if elapsed >= self.measure_window || iters >= 1 << 24 {
+            if elapsed >= self.measure_window || iters >= MAX_ITERS {
                 self.mean_ns = elapsed.as_nanos() as f64 / iters as f64;
                 return;
             }
-            // Aim straight for the window based on what we just saw.
-            let per_iter = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-            let target = self.measure_window.as_nanos() as f64 / per_iter;
-            iters = (target.ceil() as u64).clamp(iters * 2, 1 << 24);
+            iters = next_iters(iters, elapsed, self.measure_window);
         }
     }
 
@@ -84,6 +81,19 @@ impl Bencher {
     pub fn iter_with_large_drop<O, F: FnMut() -> O>(&mut self, f: F) {
         self.iter(f);
     }
+}
+
+/// The most iterations one timing round runs.
+const MAX_ITERS: u64 = 1 << 24;
+
+/// The iterations of the next timing round after `iters` took `elapsed`:
+/// aimed straight at the window from what that round saw, at least
+/// double, and never past [`MAX_ITERS`] (a fast closure can pass half of
+/// it before the window fills).
+fn next_iters(iters: u64, elapsed: Duration, window: Duration) -> u64 {
+    let per_iter = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
+    let target = window.as_nanos() as f64 / per_iter;
+    (target.ceil() as u64).max(iters * 2).min(MAX_ITERS)
 }
 
 fn measure_window() -> Duration {
@@ -227,5 +237,20 @@ mod tests {
         });
         group.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn the_iteration_count_stops_at_the_cap() {
+        let window = Duration::from_millis(1000);
+        // Past half the cap with the window not yet full: the doubling
+        // would overshoot, so the cap holds.
+        let iters = MAX_ITERS / 2 + 1;
+        assert_eq!(
+            next_iters(iters, Duration::from_millis(100), window),
+            MAX_ITERS
+        );
+        // Below it: aimed at the window, at least double.
+        assert_eq!(next_iters(1000, Duration::from_millis(100), window), 10_000);
+        assert_eq!(next_iters(1000, Duration::from_millis(900), window), 2000);
     }
 }

@@ -454,15 +454,16 @@ fn mixed_engine_batch(engine: &SemaSkEngine, word: &str, n: usize) -> Vec<SemaSk
 
 /// Everything of an outcome that is an answer rather than a timing.
 fn answer_of(out: &QueryOutcome) -> impl PartialEq + std::fmt::Debug {
-    let pois: Vec<(u32, u32, bool, String)> = out
+    let pois: Vec<(u32, String, u32, bool, String)> = out
         .pois
         .iter()
         .map(|p| {
             (
                 p.id.0,
+                p.name.to_string(),
                 p.embed_score.to_bits(),
                 p.recommended,
-                p.reason.clone(),
+                p.reason.to_string(),
             )
         })
         .collect();

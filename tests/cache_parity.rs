@@ -99,10 +99,10 @@ fn signature(outcome: &QueryOutcome) -> Vec<(u32, String, u32, bool, String)> {
         .map(|p| {
             (
                 p.id.0,
-                p.name.clone(),
+                p.name.to_string(),
                 p.embed_score.to_bits(),
                 p.recommended,
-                p.reason.clone(),
+                p.reason.to_string(),
             )
         })
         .collect()

@@ -56,7 +56,7 @@ fn full_pipeline_answers_queries() {
         }
         // Reasons are non-empty prose.
         for poi in &out.pois {
-            assert!(!poi.reason.is_empty());
+            assert!(!poi.reason.to_string().is_empty());
         }
     }
 }
@@ -138,7 +138,7 @@ fn whole_pipeline_is_deterministic() {
             .expect("query");
         out.pois
             .iter()
-            .map(|p| (p.id, p.recommended, p.reason.clone()))
+            .map(|p| (p.id, p.recommended, p.reason.to_string()))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

@@ -104,7 +104,7 @@ fn swap_batches_are_atomic_under_concurrent_queries() {
     assert!(out
         .pois
         .iter()
-        .any(|p| p.name == format!("Phoenix Rotation {ROTATIONS}")));
+        .any(|p| *p.name == format!("Phoenix Rotation {ROTATIONS}")));
 }
 
 #[test]

@@ -86,10 +86,10 @@ fn world() -> World {
     }
 }
 
-/// The bit-comparable signature of an outcome: POI ids, score bits,
-/// recommendation flags and reasons in order — the reason is the
-/// re-rank's own words, so a refinement that differs shows.
-type Signature = Vec<(u32, u32, bool, String)>;
+/// The bit-comparable signature of an outcome: POI ids, names, score
+/// bits, recommendation flags and rendered reasons in order — the reason
+/// is the re-rank's own words, so a refinement that differs shows.
+type Signature = Vec<(u32, String, u32, bool, String)>;
 
 fn signature(outcome: &semask::QueryOutcome) -> Signature {
     outcome
@@ -98,9 +98,10 @@ fn signature(outcome: &semask::QueryOutcome) -> Signature {
         .map(|p| {
             (
                 p.id.0,
+                p.name.to_string(),
                 p.embed_score.to_bits(),
                 p.recommended,
-                p.reason.clone(),
+                p.reason.to_string(),
             )
         })
         .collect()
@@ -122,7 +123,7 @@ fn concurrent_serving_matches_sequential_queries() {
         );
         if variant == Variant::Full {
             assert!(
-                reference.iter().flatten().any(|poi| !poi.2),
+                reference.iter().flatten().any(|poi| !poi.3),
                 "the re-rank must demote something, or Full pins no more than EM"
             );
         }
