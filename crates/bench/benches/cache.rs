@@ -27,7 +27,8 @@ use std::sync::Arc;
 
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
-use semask_serve::{ServeConfig, ServeEngine, Ticket};
+use semask_serve::api::{PendingResponse, Request, ServeStatus};
+use semask_serve::{ServeConfig, ServeEngine};
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -116,16 +117,15 @@ fn bench_cache(c: &mut Criterion) {
             b.iter(|| {
                 let chunk = &stream[window * WINDOW..(window + 1) * WINDOW];
                 window = (window + 1) % WINDOWS;
-                let tickets: Vec<Ticket> = chunk
+                let claims: Vec<PendingResponse> = chunk
                     .iter()
-                    .map(|&r| {
-                        serve
-                            .submit(shapes[r].clone())
-                            .expect("capacity covers workload")
-                    })
+                    .enumerate()
+                    .map(|(i, &r)| serve.submit_request(Request::new(i as u64, shapes[r].clone())))
                     .collect();
-                for t in tickets {
-                    black_box(t.wait().expect("served"));
+                for claim in claims {
+                    let response = claim.wait();
+                    assert_eq!(response.status, ServeStatus::Ok, "capacity covers workload");
+                    black_box(response);
                 }
             });
         });
@@ -159,12 +159,15 @@ fn bench_cache(c: &mut Criterion) {
         .collect();
     group.bench_function("negative-64", |b| {
         b.iter(|| {
-            let tickets: Vec<Ticket> = ghost
+            let claims: Vec<PendingResponse> = ghost
                 .iter()
-                .map(|q| serve.submit(q.clone()).expect("negative admission"))
+                .enumerate()
+                .map(|(i, q)| serve.submit_request(Request::new(i as u64, q.clone())))
                 .collect();
-            for t in tickets {
-                black_box(t.wait().expect("served"));
+            for claim in claims {
+                let response = claim.wait();
+                assert_eq!(response.status, ServeStatus::Ok, "negative admission");
+                black_box(response);
             }
         });
     });

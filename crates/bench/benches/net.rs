@@ -74,7 +74,7 @@ fn bench_net(c: &mut Criterion) {
     let mut group = c.benchmark_group("net");
 
     // Baseline: the same envelopes submitted in process — admission,
-    // batching, and ticket delivery, but no frames and no sockets.
+    // batching, and claim delivery, but no frames and no sockets.
     group.bench_function("inproc-64", |b| {
         b.iter(|| {
             let pending: Vec<_> = queries

@@ -1,9 +1,10 @@
 //! Criterion bench for the serving layer: the full
-//! `ServeEngine::submit` → admission queue → batcher thread → `Ticket`
-//! round trip vs calling `SemaSkEngine::query_batch` directly on the
-//! same 64-query workload. The gap between `served-64` and `direct-64`
-//! is the serving layer's overhead — queue locking, condvar wakeups,
-//! ticket delivery — on top of identical batch execution.
+//! `ServeEngine::submit_request` → admission queue → batcher thread →
+//! `PendingResponse` round trip vs calling `SemaSkEngine::query_batch`
+//! directly on the same 64-query workload. The gap between `served-64`
+//! and `direct-64` is the serving layer's overhead — queue locking,
+//! condvar wakeups, claim delivery — on top of identical batch
+//! execution.
 //!
 //! Same city, seed, and grid-band range as `benches/batch.rs`, so the
 //! numbers are comparable across the two files. The engine runs the
@@ -20,7 +21,8 @@ use std::sync::Arc;
 
 use llm::SimLlm;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
-use semask_serve::{ServeConfig, ServeEngine, Ticket};
+use semask_serve::api::{PendingResponse, Request, ServeStatus};
+use semask_serve::{ServeConfig, ServeEngine};
 
 const QUERY_TEXTS: [&str; 8] = [
     "a quiet cafe with strong espresso and pastries",
@@ -67,7 +69,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // One long-lived server per cap, reused across iterations (as in
     // production); each iteration submits the 64 queries from one
-    // thread and waits for every ticket. The batcher flushes whatever
+    // thread and waits for every claim. The batcher flushes whatever
     // has queued each time the executor comes free, so an iteration is
     // a short run of flushes — the first few queries, then what the
     // submit loop added meanwhile — never larger than the cap; the
@@ -84,12 +86,19 @@ fn bench_serve(c: &mut Criterion) {
         );
         group.bench_function(name, |b| {
             b.iter(|| {
-                let tickets: Vec<Ticket> = queries
+                let claims: Vec<PendingResponse> = queries
                     .iter()
-                    .map(|q| serve.submit(q.clone()).expect("capacity covers the batch"))
+                    .enumerate()
+                    .map(|(i, q)| serve.submit_request(Request::new(i as u64, q.clone())))
                     .collect();
-                for t in tickets {
-                    black_box(t.wait().expect("served"));
+                for claim in claims {
+                    let response = claim.wait();
+                    assert_eq!(
+                        response.status,
+                        ServeStatus::Ok,
+                        "capacity covers the batch"
+                    );
+                    black_box(response);
                 }
             });
         });

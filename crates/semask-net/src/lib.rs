@@ -6,9 +6,9 @@
 //!
 //! ```text
 //!                       ┌────────────────────┐
-//!  NetClient ──frames──▶│ ServeServer        │   in-process: the same
-//!  NetClient ──frames──▶│  readers ⇄ FairGate│   envelopes drive
-//!                       │  → writers         │   ServeEngine::submit_request
+//!  NetClient ──frames──▶│ ServeServer        │   NetHandler for ServeEngine:
+//!  NetClient ──frames──▶│  readers ⇄ FairGate│   submit_request → PendingResponse,
+//!                       │  → writers         │   the serve layer's one way in
 //!                       └─────────┬──────────┘
 //!                                 │ RouterHandler
 //!                       ┌─────────▼──────────┐
@@ -30,7 +30,10 @@
 //!   reader threads, one at a time.
 //! - [`server`] — [`server::ServeServer`], thread-per-connection with
 //!   per-connection in-flight caps, read timeouts, and writers that
-//!   send every reply already answered in one `write`.
+//!   send every reply already answered in one `write`. In front of a
+//!   `ServeEngine` a request is admitted by
+//!   `ServeEngine::submit_request`, and the writer probes the claim it
+//!   returns (`PendingResponse::try_wait`) before it parks on it.
 //! - [`router`] — [`router::ShardRouter`], the one place per-shard
 //!   answers merge: for every exact plan the routed answer is
 //!   bit-identical to the router's engine over the whole collection, and

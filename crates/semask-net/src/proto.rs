@@ -618,10 +618,41 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
     Ok(request)
 }
 
+/// The most bytes [`encode_response`] writes for `response`, read off
+/// the layout: the fixed envelope and the status message, and for an
+/// outcome its fixed block, its shard counts and, per POI, the fewest
+/// bytes a POI takes plus the name and a [`Reason::Model`] text. The
+/// encoder sizes its buffer with it, so a reply is written without a
+/// reallocation.
+#[must_use]
+pub fn response_size_bound(response: &Response) -> usize {
+    // Id, status code and message length, outcome flag, cache code.
+    const ENVELOPE: usize = 8 + 1 + 4 + 1 + 1;
+    // POI count; three times; strategy flag and code; selectivity and
+    // predicted cost; runner-up flag, strategy, cost and viability;
+    // shard-count length.
+    const OUTCOME_FIXED: usize = 4 + 3 * 8 + 2 + 2 * 8 + (1 + 1 + 8 + 1) + 4;
+    let outcome = response.outcome.as_ref().map_or(0, |o| {
+        let pois: usize = o
+            .pois
+            .iter()
+            .map(|p| {
+                let reason = match &p.reason {
+                    Reason::Model(text) => 4 + text.len(),
+                    Reason::Embedding { .. } | Reason::NotRelevant => 0,
+                };
+                POI_MIN_BYTES + p.name.len() + reason
+            })
+            .sum();
+        OUTCOME_FIXED + 8 * o.latency.shard_candidates.len() + pois
+    });
+    ENVELOPE + response.status.message().len() + outcome
+}
+
 /// Encodes a [`Response`] envelope ([`FrameKind::SubmitReply`] payload).
 #[must_use]
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut w = Writer::plain(256);
+    let mut w = Writer::plain(response_size_bound(response));
     w.u64(response.id);
     put_status(&mut w, &response.status);
     put_opt(&mut w, response.outcome.as_ref(), put_outcome);

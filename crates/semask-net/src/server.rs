@@ -8,7 +8,8 @@
 //! ```text
 //! reader ──push──▶ FairGate (WRR) ──serve──▶ handler.handle()
 //!    ▲              turns run on whichever          │ Ready/Pending/Deferred
-//!    │              reader holds the baton          ▼
+//!    │              reader holds the baton          │ (ServeEngine: submit_request
+//!    │                                              ▼  → Pending(PendingResponse))
 //!    │ in-flight slots freed          FIFO channel of completions
 //!    └──────────────── writer ◀───────────────────┘
 //! ```
@@ -486,7 +487,7 @@ fn admit_turn(shared: &ServerShared, conn_id: u64, turn: Vec<Work>) {
         };
         // The writer died (client gone): dropping the completion drops
         // the pending claim, which abandons that query safely (the
-        // serve layer tolerates dropped tickets).
+        // serve layer tolerates dropped claims).
         if let Some(tx) = &tx {
             let _ = tx.send(completion);
         }

@@ -278,6 +278,7 @@ proptest! {
         });
         let response = Response { id, outcome, status, cached };
         let bytes = proto::encode_response(&response);
+        prop_assert!(bytes.len() <= proto::response_size_bound(&response));
         let decoded = proto::decode_response(&bytes).expect("round trip");
         prop_assert_eq!(decoded.id, id);
         prop_assert_eq!(decoded.cached, cached);

@@ -172,7 +172,7 @@ fn replies_answered_together_leave_in_one_write() {
     assert_eq!((io.frames_in, io.frames_out), (32, 32));
     assert!(
         io.write_calls <= 3,
-        "two flushes answered 32 tickets; {} writes carried them",
+        "two flushes answered 32 claims; {} writes carried them",
         io.write_calls
     );
     assert!(

@@ -1,29 +1,28 @@
-//! The unified request/response surface of the serving layer.
+//! The request/response surface of the serving layer.
 //!
 //! One [`Request`] / [`Response`] pair is the contract everywhere a
 //! query crosses a serving boundary: the in-process path
-//! ([`crate::ServeEngine::submit_request`]) and the `semask-net` wire
-//! protocol encode exactly these types, so a client sees the same ids,
-//! priorities, deadlines, and status space whether the server lives in
-//! its process or across a socket.
+//! ([`crate::ServeEngine::submit_request`], the serve layer's one way
+//! in) and the `semask-net` wire protocol encode exactly these types,
+//! so a client sees the same ids, priorities, deadlines, and status
+//! space whether the server lives in its process or across a socket.
+//! [`PendingResponse`] is the one claim on an answer.
 //!
-//! The status space is deliberately one flat enum ([`ServeStatus`])
-//! rather than the layered `SubmitError`-vs-`ServeError` split the
-//! serving internals use: a remote client cannot tell (and should not
-//! care) whether a refusal happened at admission or at execution. The
-//! `From`/`TryFrom` impls between the internal errors and
-//! [`ServeStatus`] are lossless in both directions — engine errors
-//! carry their rendered message through the wire and come back as
-//! [`semask::engine::EngineError::Remote`].
+//! The status space is deliberately one flat enum ([`ServeStatus`]): a
+//! remote client cannot tell (and should not care) whether a refusal
+//! happened at admission or at execution. Admission refuses with a
+//! status directly; an execution failure ([`ServeError`]) folds into
+//! one through `From<&ServeError>`, and an engine error carries its
+//! rendered message through the wire.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use semask::engine::EngineError;
 use semask::query::{QueryOutcome, SemaSkQuery};
 use std::sync::Arc;
 
-use crate::{ServeError, SubmitError, Ticket};
+use crate::ticket::TicketState;
+use crate::ServeError;
 
 /// Admission priority of a request. Higher priorities survive load
 /// longer: under queue pressure [`Priority::Low`] requests are shed
@@ -200,25 +199,6 @@ impl ServeStatus {
     pub fn is_success(&self) -> bool {
         matches!(self, ServeStatus::Ok | ServeStatus::Degraded { .. })
     }
-
-    /// Maps an execution-side status back onto the internal
-    /// [`ServeError`] it came from, for callers that want to stay in
-    /// the layered error space. Engine errors come back as
-    /// [`EngineError::Remote`] carrying the rendered message — the
-    /// inverse of `From<&ServeError>`. `None` for statuses that are not
-    /// execution failures (success, admission refusals, timeouts).
-    #[must_use]
-    pub fn to_serve_error(&self) -> Option<ServeError> {
-        match self {
-            ServeStatus::EngineError { message } => {
-                Some(ServeError::Engine(Arc::new(EngineError::Remote {
-                    message: message.clone(),
-                })))
-            }
-            ServeStatus::BatchPanicked => Some(ServeError::BatchPanicked),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ServeStatus {
@@ -231,29 +211,6 @@ impl fmt::Display for ServeStatus {
             ServeStatus::BatchPanicked => write!(f, "batch panicked"),
             ServeStatus::Degraded { message } => write!(f, "degraded: {message}"),
             ServeStatus::Timeout => write!(f, "deadline elapsed"),
-        }
-    }
-}
-
-impl From<SubmitError> for ServeStatus {
-    fn from(e: SubmitError) -> Self {
-        match e {
-            SubmitError::Overloaded => ServeStatus::Overloaded,
-            SubmitError::ShuttingDown => ServeStatus::ShuttingDown,
-        }
-    }
-}
-
-impl TryFrom<&ServeStatus> for SubmitError {
-    type Error = ();
-
-    /// The inverse of `From<SubmitError>`: succeeds exactly for the
-    /// admission-refusal statuses.
-    fn try_from(status: &ServeStatus) -> Result<Self, ()> {
-        match status {
-            ServeStatus::Overloaded => Ok(SubmitError::Overloaded),
-            ServeStatus::ShuttingDown => Ok(SubmitError::ShuttingDown),
-            _ => Err(()),
         }
     }
 }
@@ -368,7 +325,8 @@ impl Response {
         self
     }
 
-    /// Folds a ticket's settled result into the unified shape.
+    /// Folds a settled result — a claim's, or a direct engine call's —
+    /// into the unified shape.
     #[must_use]
     pub fn from_result(id: u64, result: Result<QueryOutcome, ServeError>) -> Self {
         match result {
@@ -378,11 +336,13 @@ impl Response {
     }
 }
 
-/// A claim on one submitted [`Request`]'s eventual [`Response`] — the
-/// unified-API counterpart of [`Ticket`]. Refused submissions resolve
+/// The claim on one submitted [`Request`]'s eventual [`Response`] — the
+/// only one the serve layer hands out. Refused submissions resolve
 /// immediately; admitted ones resolve when their batch executes or the
-/// request's deadline elapses, whichever comes first. Never an error:
-/// every failure mode is a [`ServeStatus`].
+/// request's deadline elapses, whichever comes first. Every admitted
+/// claim is answered exactly once — by its batch's flush, or by the
+/// shutdown drain. Never an error: every failure mode is a
+/// [`ServeStatus`].
 pub struct PendingResponse {
     pub(crate) id: u64,
     pub(crate) deadline: Option<Instant>,
@@ -394,8 +354,8 @@ pub(crate) enum PendingState {
     Ready(ServeStatus),
     /// Already answered by a cache tier at admission — never queued.
     Cached(QueryOutcome, CacheStatus),
-    /// Waiting on the batch.
-    Waiting(Ticket),
+    /// Admitted: waiting on the slot its batch fulfils.
+    Waiting(Arc<TicketState>),
 }
 
 impl PendingResponse {
@@ -414,37 +374,32 @@ impl PendingResponse {
             PendingState::Cached(outcome, cached) => {
                 Response::ok(self.id, outcome).with_cache(cached)
             }
-            PendingState::Waiting(ticket) => match self.deadline {
-                None => Response::from_result(self.id, ticket.wait()),
-                Some(deadline) => match ticket.wait_deadline(deadline) {
-                    Ok(result) => Response::from_result(self.id, result),
-                    Err(_abandoned) => Response::failed(self.id, ServeStatus::Timeout),
-                },
+            PendingState::Waiting(slot) => match slot.wait_until(self.deadline) {
+                Some(result) => Response::from_result(self.id, result),
+                None => Response::failed(self.id, ServeStatus::Timeout),
             },
         }
     }
 
-    /// Non-blocking probe, mirroring [`Ticket::try_wait`]: the response
-    /// if [`PendingResponse::wait`] would return without parking (the
-    /// batch has executed, the request never queued, or its deadline
-    /// has passed), or the claim back, intact, if it would not.
+    /// Non-blocking probe: the response if [`PendingResponse::wait`]
+    /// would return without parking (the batch has executed, the
+    /// request never queued, or its deadline has passed), or the claim
+    /// back, intact, if it would not — so a poll loop can keep the
+    /// claim and wait on it later.
     ///
     /// # Errors
     /// The pending response itself, when the answer is not ready yet.
     // The `Err` is the claim itself, moved back to its owner — not an
     // error value anyone propagates.
     #[allow(clippy::result_large_err)]
-    pub fn try_wait(mut self) -> Result<Response, Self> {
-        if let PendingState::Waiting(ticket) = self.state {
-            return match ticket.try_wait() {
-                Ok(result) => Ok(Response::from_result(self.id, result)),
-                Err(_abandoned) if self.deadline.is_some_and(|d| Instant::now() >= d) => {
+    pub fn try_wait(self) -> Result<Response, Self> {
+        if let PendingState::Waiting(slot) = &self.state {
+            return match slot.take() {
+                Some(result) => Ok(Response::from_result(self.id, result)),
+                None if self.deadline.is_some_and(|d| Instant::now() >= d) => {
                     Ok(Response::failed(self.id, ServeStatus::Timeout))
                 }
-                Err(ticket) => {
-                    self.state = PendingState::Waiting(ticket);
-                    Err(self)
-                }
+                None => Err(self),
             };
         }
         Ok(self.wait())
@@ -454,6 +409,7 @@ impl PendingResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semask::engine::EngineError;
 
     #[test]
     fn status_codes_round_trip() {
@@ -478,37 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn submit_error_maps_both_ways() {
-        for e in [SubmitError::Overloaded, SubmitError::ShuttingDown] {
-            let status = ServeStatus::from(e);
-            assert_eq!(SubmitError::try_from(&status), Ok(e));
-        }
-        assert!(SubmitError::try_from(&ServeStatus::Ok).is_err());
-        assert!(SubmitError::try_from(&ServeStatus::Timeout).is_err());
-    }
-
-    #[test]
     fn serve_error_round_trips_through_status() {
         let engine = ServeError::Engine(Arc::new(EngineError::UnknownSuburb {
             suburb: "atlantis".to_owned(),
         }));
+        // The engine error's rendered message travels in the status.
         let status = ServeStatus::from(&engine);
-        let back = status.to_serve_error().unwrap();
-        // The message survives the round trip inside EngineError::Remote.
-        match back {
-            ServeError::Engine(e) => {
-                assert!(e.to_string().contains("atlantis"), "{e}");
-                assert!(matches!(*e, EngineError::Remote { .. }));
-            }
-            ServeError::BatchPanicked => panic!("wrong variant"),
-        }
-        let panicked = ServeError::BatchPanicked;
-        assert!(matches!(
-            ServeStatus::from(&panicked).to_serve_error(),
-            Some(ServeError::BatchPanicked)
-        ));
-        assert!(ServeStatus::Ok.to_serve_error().is_none());
-        assert!(ServeStatus::Overloaded.to_serve_error().is_none());
+        assert_eq!(status.code(), 3);
+        assert!(status.message().contains("atlantis"), "{status}");
+        let back = ServeStatus::from_code(status.code(), status.message().to_owned());
+        assert_eq!(back.as_ref(), Some(&status));
+        assert_eq!(
+            ServeStatus::from(&ServeError::BatchPanicked),
+            ServeStatus::BatchPanicked
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! tests drive the very same code single-threaded.
 //!
 //! Generic over the payload `T` (the serving layer carries a query plus
-//! its ticket; tests carry a bare id) so the state machine can be
+//! its claim's slot; tests carry a bare id) so the state machine can be
 //! exercised without building a city.
 
 use std::time::Duration;
@@ -73,7 +73,7 @@ impl<T> BatcherCore<T> {
     ///
     /// # Errors
     /// The rejected item when the queue is at capacity (the caller maps
-    /// this to `SubmitError::Overloaded`).
+    /// this to `ServeStatus::Overloaded`).
     pub fn submit(&mut self, item: T, key: BatchGroupKey, now: Duration) -> Result<(), T> {
         let seq = self.next_seq;
         let pending = Pending {

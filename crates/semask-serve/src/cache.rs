@@ -14,11 +14,12 @@
 //! answer — and makes the never-serve-pre-mutation-post-publish
 //! guarantee a one-integer comparison.
 //!
-//! The insert side holds the matching discipline: the serving layer
-//! captures the epoch *after* a flush's mutations apply and *before* its
-//! queries execute, and re-checks it at insert time — an outcome whose
-//! execution raced a publish is simply not cached (see
-//! `Inner::cache_outcomes`).
+//! The insert side holds the matching discipline: writers publish
+//! through the engine directly (nothing but queries rides the admission
+//! queue), so the serving layer captures the epoch *before* each flush
+//! executes, stamps the flush's outcomes with it, and re-checks it at
+//! insert time — an outcome whose execution raced a publish is simply
+//! not cached (see `Inner::cache_outcomes`).
 //!
 //! # Shape
 //!

@@ -1,10 +1,8 @@
 //! The seam between the admission layer and the engine.
 
-use semask::durable::{DurableEngine, DurableError, MutationReceipt};
 use semask::engine::{EngineError, SemaSkEngine};
 use semask::query::{QueryOutcome, SemaSkQuery};
 use semask::retrieval::BatchGroupKey;
-use semask::wal::Mutation;
 
 /// Executes a flushed micro-batch. The seam between the admission layer
 /// and the engine: production uses [`SemaSkEngine`] (via
@@ -14,7 +12,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
     /// Answers the batch, one outcome per query, aligned with `queries`.
     ///
     /// # Errors
-    /// An engine error fails the whole batch (every ticket receives it).
+    /// An engine error fails the whole batch (every claim receives it).
     fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError>;
 
     /// The key a query will be batch-grouped under. Defaults to the
@@ -24,30 +22,15 @@ pub trait BatchExecutor: Send + Sync + 'static {
         BatchGroupKey::new(&query.range, 0, None)
     }
 
-    /// Applies a batch of live mutations, ordered before any queries
-    /// flushed alongside them. Executors without a mutation path keep
-    /// the default, which rejects the batch (every mutation ticket gets
-    /// the error); [`SemaSkEngine`] applies in memory,
-    /// [`DurableEngine`] logs + fsyncs first.
-    ///
-    /// # Errors
-    /// An error fails the whole mutation batch; queries in the same
-    /// flush still execute.
-    fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
-        let _ = mutations;
-        Err(EngineError::Mutation {
-            message: "this executor does not accept live mutations".to_owned(),
-        })
-    }
-
     /// The executor's current mutation epoch: a counter that advances
-    /// whenever a mutation batch publishes. The result cache stamps
-    /// every entry with the epoch its outcome was computed at and
-    /// serves it only while the epoch still matches — so a published
-    /// mutation invalidates every cached answer at once. Executors
-    /// without a mutation path keep the default constant 0, making
-    /// cached entries valid forever (correct: nothing can change their
-    /// answers).
+    /// whenever a mutation batch publishes. Writers publish through the
+    /// engine directly, never through the admission queue. The result
+    /// cache stamps every entry with the epoch its outcome was computed
+    /// at and serves it only while the epoch still matches — so a
+    /// published mutation invalidates every cached answer at once.
+    /// Executors without a mutation path keep the default constant 0,
+    /// making cached entries valid forever (correct: nothing can change
+    /// their answers).
     fn mutation_epoch(&self) -> u64 {
         0
     }
@@ -73,49 +56,11 @@ impl BatchExecutor for SemaSkEngine {
         self.batch_group_key(query)
     }
 
-    fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
-        let batch = SemaSkEngine::apply_mutations(self, mutations)?;
-        Ok(MutationReceipt {
-            epoch: batch.epoch,
-            inserted: batch.inserted,
-            applied: mutations.len() as u64,
-            wal_bytes: 0,
-            checkpoint_records: None,
-        })
-    }
-
     fn mutation_epoch(&self) -> u64 {
         SemaSkEngine::mutation_epoch(self)
     }
 
     fn provably_empty(&self, query: &SemaSkQuery) -> bool {
         SemaSkEngine::provably_empty(self, query)
-    }
-}
-
-impl BatchExecutor for DurableEngine {
-    fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-        self.engine().query_batch(queries)
-    }
-
-    fn group_key(&self, query: &SemaSkQuery) -> BatchGroupKey {
-        self.engine().batch_group_key(query)
-    }
-
-    fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
-        self.mutate_batch(mutations).map_err(|e| match e {
-            DurableError::Engine(e) => e,
-            other => EngineError::Mutation {
-                message: format!("durability: {other}"),
-            },
-        })
-    }
-
-    fn mutation_epoch(&self) -> u64 {
-        self.engine().mutation_epoch()
-    }
-
-    fn provably_empty(&self, query: &SemaSkQuery) -> bool {
-        self.engine().provably_empty(query)
     }
 }

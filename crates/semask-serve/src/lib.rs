@@ -1,21 +1,23 @@
 //! # semask-serve — the micro-batching serving layer
 //!
-//! PR 3 built the *execution* engine for high throughput
-//! (`SemaSkEngine::query_batch` on the shared worker pool); this crate
-//! is the *admission* side that turns live concurrent traffic into
-//! batches that engine can exploit:
+//! `SemaSkEngine::query_batch` runs a batch of queries on the shared
+//! worker pool; this crate is the *admission* side that turns live
+//! concurrent traffic into batches that engine can exploit:
 //!
 //! ```text
-//!  client threads ──submit()──▶ bounded admission queue ──▶ batcher
-//!        ▲                      (full ⇒ Overloaded, shed)     │ executor free ⇒
-//!        │                                                    │ flush what queued
-//!   Ticket::wait() ◀── tickets fulfilled per batch ◀──────────┘ (≤ max_batch)
-//!                          SemaSkEngine::query_batch (worker pool)
+//!  client threads ──submit_request()──▶ bounded admission queue ──▶ batcher
+//!        ▲                           (full ⇒ Overloaded, shed)     │ executor free ⇒
+//!        │                                                         │ flush what queued
+//!   PendingResponse::wait() ◀── claims fulfilled per batch ◀───────┘ (≤ max_batch)
+//!                              SemaSkEngine::query_batch (worker pool)
 //! ```
 //!
-//! - [`ServeEngine::submit`] accepts queries from any number of threads
-//!   and returns a [`Ticket`] immediately; [`Ticket::wait`] blocks until
-//!   the query's micro-batch has executed.
+//! - [`ServeEngine::submit_request`] is the one way in. It accepts
+//!   [`api::Request`]s from any number of threads and returns an
+//!   [`api::PendingResponse`] immediately; [`api::PendingResponse::wait`]
+//!   blocks until the query's micro-batch has executed (or the
+//!   request's deadline passes), and
+//!   [`api::PendingResponse::try_wait`] probes without parking.
 //! - There is **one flush rule**: the moment the executor is free, the
 //!   batcher flushes whatever has queued — up to
 //!   [`ServeConfig::max_batch`] of the oldest entries — and it parks
@@ -24,15 +26,18 @@
 //!   batch is what arrived while the previous flush ran. Each flush is
 //!   ordered by [`semask::retrieval::BatchGroupKey`] so
 //!   range-compatible queries stay contiguous through `query_batch`'s
-//!   group sharing.
+//!   group sharing. Only queries are queued: writers publish through
+//!   the engine directly, and the result cache reads the epoch they
+//!   bump ([`BatchExecutor::mutation_epoch`]).
 //! - Backpressure is explicit and immediate: a full queue sheds with
-//!   [`SubmitError::Overloaded`] instead of blocking unboundedly.
+//!   [`api::ServeStatus::Overloaded`] instead of blocking unboundedly.
 //! - [`ServeEngine::shutdown`] stops admissions, drains every accepted
 //!   query through the executor and joins the batcher thread; every
-//!   accepted ticket is answered exactly once, and every later
-//!   submission — cached shape or not — is refused.
-//! - A panicking executor poisons **only its batch** (those tickets get
-//!   [`ServeError::BatchPanicked`]); the server keeps serving.
+//!   accepted claim is answered exactly once, and every later
+//!   submission — cached shape or not — is refused with
+//!   [`api::ServeStatus::ShuttingDown`].
+//! - A panicking executor poisons **only its batch** (those claims get
+//!   [`api::ServeStatus::BatchPanicked`]); the server keeps serving.
 //!
 //! The rule lives in the deterministic [`batcher::BatcherCore`] state
 //! machine, which the property tests drive single-threaded; the
@@ -58,8 +63,6 @@ use std::time::{Duration, Instant};
 use semask::clock::{Clock, SystemClock};
 use semask::engine::{EngineError, SemaSkEngine};
 use semask::query::{LatencyBreakdown, QueryOutcome, SemaSkQuery};
-use semask::retrieval::BatchGroupKey;
-use semask::wal::Mutation;
 
 use batcher::{BatcherCore, Pending};
 use cache::{CacheKey, Lookup, ResultCache};
@@ -68,7 +71,6 @@ use ticket::{Doorbell, TicketState};
 
 pub use executor::BatchExecutor;
 pub use metrics::MetricsSnapshot as ServeMetricsSnapshot;
-pub use ticket::Ticket;
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -79,13 +81,13 @@ pub struct ServeConfig {
     /// executor is free.
     pub max_batch: usize,
     /// Admission-queue capacity: submissions beyond this shed with
-    /// [`SubmitError::Overloaded`]. Bounds the server's memory and
+    /// [`api::ServeStatus::Overloaded`]. Bounds the server's memory and
     /// worst-case queueing delay.
     pub queue_capacity: usize,
     /// Result-cache capacity in entries; 0 (default) disables the
     /// cache. When enabled, queries whose exact shape (range bits,
     /// text, keywords) was answered at the executor's *current*
-    /// mutation epoch are fulfilled at admission without occupying a
+    /// mutation epoch are answered at admission without occupying a
     /// batch slot; any published mutation batch bumps the epoch and
     /// invalidates every cached answer, so a cached response is always
     /// bit-identical to what a fresh execution would return.
@@ -110,33 +112,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// Why a submission was refused. Refusals are immediate — `submit`
-/// never blocks on a full queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The admission queue is full; the query was shed. Retry later (or
-    /// against another replica) — accepted work is unaffected.
-    Overloaded,
-    /// [`ServeEngine::shutdown`] has begun; no new work is admitted.
-    ShuttingDown,
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Overloaded => write!(f, "admission queue full (overloaded, query shed)"),
-            SubmitError::ShuttingDown => write!(f, "server is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Why an *accepted* query failed (delivered through [`Ticket::wait`]).
+/// Why an *accepted* query failed. A claim never hands one out: the
+/// batcher settles each claim with a `Result` of this error, and
+/// [`api::PendingResponse::wait`] folds it into the response's
+/// [`api::ServeStatus`] through [`api::Response::from_result`] — the
+/// same fold a handler uses to answer from a direct engine call.
 #[derive(Debug, Clone)]
 pub enum ServeError {
     /// The engine reported an error for this query's batch. The error is
-    /// shared by every ticket of the batch.
+    /// shared by every claim of the batch.
     Engine(Arc<EngineError>),
     /// This query's batch panicked in the executor (or the executor
     /// broke its length contract). Only this batch is poisoned; the
@@ -155,19 +139,9 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One admitted work item: a query to batch, or a live mutation to
-/// apply ahead of the queries in its flush. Mutations ride the same
-/// bounded admission queue (same backpressure, same shutdown drain) so
-/// readers and writers share one fairness domain.
-enum Work {
-    /// A query, batch-grouped by its range/budget key.
-    Query(SemaSkQuery),
-    /// A live mutation, grouped under [`BatchGroupKey::mutation`].
-    Mutate(Mutation),
-}
-
-/// The queue entry the batcher carries: the work item plus its ticket.
-type Job = (Work, Arc<TicketState>);
+/// The queue entry the batcher carries: the query plus its claim's
+/// slot.
+type Job = (SemaSkQuery, Arc<TicketState>);
 
 struct Inner {
     /// The admission queue and its flush rule.
@@ -179,7 +153,7 @@ struct Inner {
     shutdown: AtomicBool,
     /// Wakes the batcher: new submission, or shutdown.
     wake: Condvar,
-    /// Wakes ticket waiters, once per fulfilled flush.
+    /// Wakes parked claims, once per fulfilled flush.
     bell: Arc<Doorbell>,
     clock: Arc<dyn Clock>,
     executor: Arc<dyn BatchExecutor>,
@@ -259,7 +233,7 @@ impl Inner {
 
     /// Fulfils a whole flush in one pass: write every slot, then ring
     /// the doorbell once. `results` must yield exactly one entry per
-    /// ticket.
+    /// claim.
     fn fulfil_batch(
         &self,
         tickets: Vec<Arc<TicketState>>,
@@ -319,7 +293,7 @@ impl Inner {
         }
     }
 
-    /// Executes one flushed batch and fulfils its tickets. Never
+    /// Executes one flushed batch and fulfils its claims. Never
     /// unwinds: executor panics are contained to the batch.
     fn execute(&self, batch: Vec<Pending<Job>>, flushed_at: Duration) {
         let n = batch.len();
@@ -330,34 +304,11 @@ impl Inner {
             batch.iter().map(|p| flushed_at.saturating_sub(p.arrival)),
         );
         // The batch owns its entries: split them into the query slice
-        // the executor sees and the tickets to fulfil, no clones.
-        // Mutations flushed alongside queries apply *first*, so every
-        // query in the flush observes the post-mutation epoch — the
-        // simplest consistency story for a mixed flush.
-        let mut queries: Vec<SemaSkQuery> = Vec::with_capacity(n);
-        let mut tickets: Vec<Arc<TicketState>> = Vec::with_capacity(n);
-        let mut mutations: Vec<Mutation> = Vec::new();
-        let mut mutation_tickets: Vec<Arc<TicketState>> = Vec::new();
-        for p in batch {
-            match p.item.0 {
-                Work::Query(q) => {
-                    queries.push(q);
-                    tickets.push(p.item.1);
-                }
-                Work::Mutate(m) => {
-                    mutations.push(m);
-                    mutation_tickets.push(p.item.1);
-                }
-            }
-        }
-        if !mutations.is_empty() {
-            self.apply_mutation_batch(&mutations, mutation_tickets);
-        }
-        if queries.is_empty() {
-            return;
-        }
-        // The cache stamp for this flush's outcomes: captured after its
-        // mutations applied, before anything executes.
+        // the executor sees and the claims to fulfil, no clones.
+        let (queries, tickets): (Vec<SemaSkQuery>, Vec<Arc<TicketState>>) =
+            batch.into_iter().map(|p| p.item).unzip();
+        // The cache stamp for this flush's outcomes, captured before
+        // anything executes.
         let epoch = self.executor.mutation_epoch();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.executor.execute_batch(&queries)
@@ -366,53 +317,6 @@ impl Inner {
             self.cache_outcomes(&queries, outcomes, epoch);
         }
         self.settle(tickets, result);
-    }
-
-    /// Applies one flush's mutations through the executor and fulfils
-    /// their tickets: an empty outcome on success (the batch's fate is
-    /// shared — it applied atomically or not at all), the error or a
-    /// panic marker otherwise. Mirrors [`Inner::settle`]'s containment.
-    fn apply_mutation_batch(&self, mutations: &[Mutation], tickets: Vec<Arc<TicketState>>) {
-        let n = tickets.len();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.executor.apply_mutations(mutations)
-        }));
-        match result {
-            Ok(Ok(receipt)) => {
-                self.metrics.record_mutations(
-                    receipt.applied,
-                    receipt.wal_bytes,
-                    receipt.checkpoint_records,
-                );
-                self.metrics.record_served(n);
-                self.fulfil_batch(
-                    tickets,
-                    std::iter::repeat_with(|| {
-                        Ok(QueryOutcome {
-                            pois: Vec::new(),
-                            latency: LatencyBreakdown::default(),
-                        })
-                    })
-                    .take(n),
-                );
-            }
-            Ok(Err(e)) => {
-                self.metrics.record_failed(n);
-                let e = Arc::new(e);
-                self.fulfil_batch(
-                    tickets,
-                    std::iter::repeat_with(|| Err(ServeError::Engine(Arc::clone(&e)))).take(n),
-                );
-            }
-            Err(_panic) => {
-                self.metrics.record_panicked_batch();
-                self.metrics.record_failed(n);
-                self.fulfil_batch(
-                    tickets,
-                    std::iter::repeat_with(|| Err(ServeError::BatchPanicked)).take(n),
-                );
-            }
-        }
     }
 }
 
@@ -445,8 +349,8 @@ fn batcher_loop(inner: &Inner) {
     }
 }
 
-/// The serving front end: concurrent `submit`, micro-batched execution,
-/// explicit backpressure, graceful shutdown.
+/// The serving front end: concurrent `submit_request`, micro-batched
+/// execution, explicit backpressure, graceful shutdown.
 ///
 /// Cheap to share: clone an `Arc<ServeEngine>` into each client thread.
 pub struct ServeEngine {
@@ -497,57 +401,13 @@ impl ServeEngine {
         }
     }
 
-    /// Submits a query for batched execution. Returns immediately: a
-    /// [`Ticket`] on admission, [`SubmitError::Overloaded`] when the
-    /// bounded queue is full (the query is shed, never queued), or
-    /// [`SubmitError::ShuttingDown`] after [`ServeEngine::shutdown`].
-    ///
-    /// Deprecated in favor of [`ServeEngine::submit_request`], the
-    /// unified-API form that carries a correlation id, priority, and
-    /// deadline and reports every failure mode as one
-    /// [`api::ServeStatus`] space shared with the wire protocol. This
-    /// wrapper stays (without a `#[deprecated]` attribute, so existing
-    /// callers build warning-free) and submits at
-    /// [`api::Priority::Normal`] with no deadline.
-    ///
-    /// # Errors
-    /// See above — `submit` never blocks on queue pressure.
-    ///
-    /// With the caches enabled ([`ServeConfig::result_cache_entries`],
-    /// [`ServeConfig::negative_cache`]) a query answerable at admission
-    /// returns an already-fulfilled ticket — it never occupies a queue
-    /// slot, so it can succeed even when a fresh query would shed. Not
-    /// after [`ServeEngine::shutdown`], though: a server that has shut
-    /// down refuses a cached shape like any other.
-    pub fn submit(&self, query: SemaSkQuery) -> Result<Ticket, SubmitError> {
-        if let Some((outcome, _cached)) = self.inner.cached_answer(&query) {
-            let state = Arc::new(TicketState::new(Arc::clone(&self.inner.bell)));
-            state.set(Ok(outcome));
-            return Ok(Ticket { state });
-        }
-        self.submit_inner(Work::Query(query), api::Priority::Normal)
-    }
-
-    /// Submits a live mutation. It rides the same bounded admission
-    /// queue as queries (same backpressure, same shutdown drain) and
-    /// applies *before* the queries of whatever flush carries it, so a
-    /// ticket-holder's subsequent queries observe its effects. The
-    /// ticket resolves with an empty outcome on success; a mutation
-    /// batch rejected by the executor fails every mutation ticket in
-    /// its flush with the executor's error.
-    ///
-    /// # Errors
-    /// [`SubmitError::Overloaded`] / [`SubmitError::ShuttingDown`],
-    /// exactly as for [`ServeEngine::submit`].
-    pub fn submit_mutation(&self, mutation: Mutation) -> Result<Ticket, SubmitError> {
-        self.submit_inner(Work::Mutate(mutation), api::Priority::Normal)
-    }
-
     /// Submits one [`api::Request`] and returns the claim on its
-    /// [`api::Response`]. Never an error: admission refusals resolve
-    /// the pending response immediately with the matching
-    /// [`api::ServeStatus`], and a request deadline turns into
-    /// [`api::ServeStatus::Timeout`] at wait time. This is the same
+    /// [`api::Response`] — the serve layer's one way in. Never an
+    /// error: admission refusals resolve the claim immediately with
+    /// [`api::ServeStatus::Overloaded`] (the bounded queue is full; the
+    /// query is shed, never queued) or [`api::ServeStatus::ShuttingDown`]
+    /// (after [`ServeEngine::shutdown`]), and a request deadline turns
+    /// into [`api::ServeStatus::Timeout`] at wait time. This is the same
     /// request/response contract the `semask-net` wire protocol
     /// carries, so a caller cannot tell a local server from a remote
     /// one by its API shape.
@@ -556,6 +416,13 @@ impl ServeEngine {
     /// admission would leave at least a quarter of the queue's capacity
     /// free — under load the best-effort class sheds first, leaving
     /// headroom for the classes above it.
+    ///
+    /// With the caches enabled ([`ServeConfig::result_cache_entries`],
+    /// [`ServeConfig::negative_cache`]) a query answerable at admission
+    /// returns an already-answered claim — it never occupies a queue
+    /// slot, so it can succeed even when a fresh query would shed. Not
+    /// after [`ServeEngine::shutdown`], though: a server that has shut
+    /// down refuses a cached shape like any other.
     #[must_use]
     pub fn submit_request(&self, request: api::Request) -> api::PendingResponse {
         let api::Request {
@@ -566,13 +433,9 @@ impl ServeEngine {
         } = request;
         // A deadline `Instant` cannot represent is no deadline.
         let deadline = deadline.and_then(|d| Instant::now().checked_add(d));
-        let state = if let Some((outcome, cached)) = self.inner.cached_answer(&query) {
-            api::PendingState::Cached(outcome, cached)
-        } else {
-            match self.submit_inner(Work::Query(query), priority) {
-                Ok(ticket) => api::PendingState::Waiting(ticket),
-                Err(e) => api::PendingState::Ready(api::ServeStatus::from(e)),
-            }
+        let state = match self.inner.cached_answer(&query) {
+            Some((outcome, cached)) => api::PendingState::Cached(outcome, cached),
+            None => self.admit(query, priority),
         };
         api::PendingResponse {
             id,
@@ -581,48 +444,37 @@ impl ServeEngine {
         }
     }
 
-    /// The one admission path behind [`ServeEngine::submit`] and
-    /// [`ServeEngine::submit_request`].
-    fn submit_inner(&self, work: Work, priority: api::Priority) -> Result<Ticket, SubmitError> {
-        let key = match &work {
-            Work::Query(query) => self.inner.executor.group_key(query),
-            Work::Mutate(_) => BatchGroupKey::mutation(),
-        };
-        let ticket_state = Arc::new(TicketState::new(Arc::clone(&self.inner.bell)));
+    /// Queues `query` behind the admission checks: a claim waiting on
+    /// its flush, or the refusal it resolved to.
+    fn admit(&self, query: SemaSkQuery, priority: api::Priority) -> api::PendingState {
+        let key = self.inner.executor.group_key(&query);
+        let ticket = Arc::new(TicketState::new(Arc::clone(&self.inner.bell)));
         let mut core = self
             .inner
             .core
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(SubmitError::ShuttingDown);
+            return api::PendingState::Ready(api::ServeStatus::ShuttingDown);
         }
         // The best-effort class needs free headroom: a quarter of the
         // queue stays reserved for Normal/High so a flood of Low
         // traffic cannot starve them at admission.
-        if priority == api::Priority::Low {
-            let capacity = core.capacity();
-            if core.queued() + capacity.div_ceil(4) >= capacity {
-                drop(core);
-                self.inner.metrics.record_shed();
-                return Err(SubmitError::Overloaded);
-            }
-        }
-        let now = self.inner.clock.now();
-        match core.submit((work, Arc::clone(&ticket_state)), key, now) {
-            Ok(()) => {
-                drop(core);
-                self.inner.metrics.record_accept();
-                self.inner.wake.notify_one();
-                Ok(Ticket {
-                    state: ticket_state,
-                })
-            }
-            Err(_rejected) => {
-                drop(core);
-                self.inner.metrics.record_shed();
-                Err(SubmitError::Overloaded)
-            }
+        let capacity = core.capacity();
+        let has_room =
+            priority != api::Priority::Low || core.queued() + capacity.div_ceil(4) < capacity;
+        let admitted = has_room
+            && core
+                .submit((query, Arc::clone(&ticket)), key, self.inner.clock.now())
+                .is_ok();
+        drop(core);
+        if admitted {
+            self.inner.metrics.record_accept();
+            self.inner.wake.notify_one();
+            api::PendingState::Waiting(ticket)
+        } else {
+            self.inner.metrics.record_shed();
+            api::PendingState::Ready(api::ServeStatus::Overloaded)
         }
     }
 
@@ -644,7 +496,7 @@ impl ServeEngine {
     }
 
     /// Graceful shutdown: stops admitting, flushes every accepted query
-    /// through the executor (every outstanding ticket is answered), and
+    /// through the executor (every outstanding claim is answered), and
     /// joins the batcher thread — when it returns, none of **this
     /// server's** work is in flight (a flush's pool fan-out returns
     /// only after every job it submitted finished). Idempotent, safe

@@ -32,12 +32,6 @@ pub struct ServeMetrics {
     /// misrouting.
     predicted_filter_ns: AtomicU64,
     actual_filter_ns: AtomicU64,
-    /// Live-mutation observability: applied-mutation count plus the
-    /// durable executor's log size and last checkpoint fold (both stay
-    /// 0 for executors without a WAL).
-    mutations_applied: AtomicU64,
-    wal_bytes: AtomicU64,
-    last_checkpoint_records: AtomicU64,
     /// Result-cache observability: admission-time hits/misses, entries
     /// dropped because a mutation epoch moved past them, outcomes
     /// written back after flushes, and queries answered empty by the
@@ -74,12 +68,12 @@ impl ServeMetrics {
         self.queue_wait_ns.fetch_add(total_ns, Ordering::Relaxed);
     }
 
-    /// Records `n` successfully answered tickets.
+    /// Records `n` claims answered with an outcome.
     pub fn record_served(&self, n: usize) {
         self.served.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Records `n` tickets answered with an error.
+    /// Records `n` claims answered with an error.
     pub fn record_failed(&self, n: usize) {
         self.failed.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -105,19 +99,6 @@ impl ServeMetrics {
             .fetch_add(to_ns(predicted_us * 1e3), Ordering::Relaxed);
         self.actual_filter_ns
             .fetch_add(to_ns(actual_retrieval_ms * 1e6), Ordering::Relaxed);
-    }
-
-    /// Records one applied mutation batch: how many mutations it
-    /// carried, the write-ahead log's size after it (a gauge — 0 right
-    /// after a checkpoint, and always 0 for non-durable executors), and
-    /// the records folded if the batch tripped a checkpoint.
-    pub fn record_mutations(&self, applied: u64, wal_bytes: u64, checkpoint_records: Option<u64>) {
-        self.mutations_applied.fetch_add(applied, Ordering::Relaxed);
-        self.wal_bytes.store(wal_bytes, Ordering::Relaxed);
-        if let Some(records) = checkpoint_records {
-            self.last_checkpoint_records
-                .store(records, Ordering::Relaxed);
-        }
     }
 
     /// Records a result-cache hit served at admission.
@@ -167,9 +148,6 @@ impl ServeMetrics {
                 self.predicted_filter_ns.load(Ordering::Relaxed),
             ),
             actual_filter: Duration::from_nanos(self.actual_filter_ns.load(Ordering::Relaxed)),
-            mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            last_checkpoint_records: self.last_checkpoint_records.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_stale_evictions: self.cache_stale_evictions.load(Ordering::Relaxed),
@@ -186,15 +164,15 @@ pub struct MetricsSnapshot {
     pub accepted: u64,
     /// Submissions refused with `Overloaded` (queue full).
     pub shed: u64,
-    /// Tickets answered with an outcome.
+    /// Claims answered with an outcome.
     pub served: u64,
-    /// Tickets answered with an error.
+    /// Claims answered with an error.
     pub failed: u64,
     /// Micro-batches flushed.
     pub batches: u64,
     /// Total distinct batch groups across all flushes (≥ `batches`).
     pub groups: u64,
-    /// Batches whose executor panicked (their tickets are in `failed`).
+    /// Batches whose executor panicked (their claims are in `failed`).
     pub panicked_batches: u64,
     /// Largest flushed batch.
     pub max_batch: u64,
@@ -205,13 +183,6 @@ pub struct MetricsSnapshot {
     pub predicted_filter: Duration,
     /// Cumulative filtering time those queries actually *measured*.
     pub actual_filter: Duration,
-    /// Live mutations applied through the serving path.
-    pub mutations_applied: u64,
-    /// Write-ahead log size after the newest mutation batch (0 for
-    /// non-durable executors and right after a checkpoint).
-    pub wal_bytes: u64,
-    /// Records folded by the most recent checkpoint (0 before any).
-    pub last_checkpoint_records: u64,
     /// Queries answered from the result cache at admission.
     pub cache_hits: u64,
     /// Queries that consulted the result cache and missed.
@@ -337,22 +308,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.predicted_filter, Duration::from_micros(200));
         assert_eq!(s.actual_filter, Duration::from_micros(400));
-    }
-
-    #[test]
-    fn mutation_counters_track_batches() {
-        let m = ServeMetrics::default();
-        m.record_mutations(3, 420, None);
-        let s = m.snapshot();
-        assert_eq!(s.mutations_applied, 3);
-        assert_eq!(s.wal_bytes, 420);
-        assert_eq!(s.last_checkpoint_records, 0);
-        // A checkpointing batch resets the log gauge and records the fold.
-        m.record_mutations(2, 0, Some(5));
-        let s = m.snapshot();
-        assert_eq!(s.mutations_applied, 5);
-        assert_eq!(s.wal_bytes, 0);
-        assert_eq!(s.last_checkpoint_records, 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use super::*;
+use api::{PendingResponse, Request, ServeStatus};
 use geotext::{BoundingBox, GeoPoint};
 use semask::clock::MockClock;
-use semask::durable::MutationReceipt;
 use semask::query::LatencyBreakdown;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -11,6 +11,26 @@ fn query(i: u8) -> SemaSkQuery {
         BoundingBox::from_center_km(center, 2.0, 2.0),
         format!("query {i}"),
     )
+}
+
+/// Submits `query` at normal priority with no deadline; these tests
+/// correlate by claim, not by id.
+fn submit(serve: &ServeEngine, query: SemaSkQuery) -> PendingResponse {
+    serve.submit_request(Request::new(0, query))
+}
+
+/// Waits on `pending` and returns its outcome, which must be `Ok`.
+fn served(pending: PendingResponse) -> QueryOutcome {
+    let response = pending.wait();
+    assert_eq!(response.status, ServeStatus::Ok);
+    response
+        .outcome
+        .expect("an Ok response carries its outcome")
+}
+
+/// Whether `pending` is answered `Ok`.
+fn answered_ok(pending: PendingResponse) -> bool {
+    pending.wait().status == ServeStatus::Ok
 }
 
 /// The text of the query a test holds the executor with.
@@ -68,17 +88,15 @@ impl Gate {
 impl Holder {
     /// Submits the plug and returns once its flush has entered the
     /// executor: until [`Holder::release`], submissions queue.
-    fn hold(&self, serve: &ServeEngine) -> Ticket {
-        let plug = serve
-            .submit(SemaSkQuery::new(query(0).range, PLUG))
-            .expect("plug admitted");
+    fn hold(&self, serve: &ServeEngine) -> PendingResponse {
+        let plug = submit(serve, SemaSkQuery::new(query(0).range, PLUG));
         assert_eq!(self.next_flush(), 1, "the plug leaves alone");
         plug
     }
 
-    fn release(&self, plug: Ticket) {
+    fn release(&self, plug: PendingResponse) {
         self.release.send(()).expect("executor holding");
-        assert!(plug.wait().is_ok());
+        assert!(answered_ok(plug));
     }
 
     /// The size of the next flush to enter the executor.
@@ -146,111 +164,6 @@ impl BatchExecutor for ScriptedExecutor {
     }
 }
 
-/// Records the executor-call order and counts mutations, so the
-/// mutations-before-queries contract of a mixed flush is pinned.
-struct MutationRecorder {
-    gate: Gate,
-    events: Mutex<Vec<&'static str>>,
-}
-
-impl BatchExecutor for MutationRecorder {
-    fn execute_batch(&self, queries: &[SemaSkQuery]) -> Result<Vec<QueryOutcome>, EngineError> {
-        self.gate.announce(queries);
-        self.gate.hold_plug(queries);
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push("queries");
-        Ok(queries
-            .iter()
-            .map(|_| QueryOutcome {
-                pois: Vec::new(),
-                latency: LatencyBreakdown::default(),
-            })
-            .collect())
-    }
-
-    fn apply_mutations(&self, mutations: &[Mutation]) -> Result<MutationReceipt, EngineError> {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push("mutations");
-        Ok(MutationReceipt {
-            epoch: 1,
-            inserted: Vec::new(),
-            applied: mutations.len() as u64,
-            wal_bytes: 77,
-            checkpoint_records: Some(3),
-        })
-    }
-}
-
-#[test]
-fn mutations_apply_before_their_flushmates_and_count() {
-    let (gate, holder) = gate();
-    let exec = Arc::new(MutationRecorder {
-        gate,
-        events: Mutex::new(Vec::new()),
-    });
-    let serve = ServeEngine::with_parts(
-        Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-        Arc::new(MockClock::new()),
-        ServeConfig {
-            max_batch: 2,
-            queue_capacity: 8,
-            result_cache_entries: 0,
-            negative_cache: false,
-        },
-    );
-    // One mutation + one query queue behind the held plug: a single
-    // mixed flush, mutations strictly first.
-    let plug = holder.hold(&serve);
-    let tm = serve.submit_mutation(Mutation::Delete { id: 0 }).unwrap();
-    let tq = serve.submit(query(1)).unwrap();
-    holder.release(plug);
-    let out = tm.wait().expect("mutation ticket resolves Ok");
-    assert!(out.pois.is_empty(), "mutation outcome carries no POIs");
-    assert!(tq.wait().is_ok());
-    assert_eq!(
-        *exec
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-        vec!["queries", "mutations", "queries"],
-        "the plug's flush, then the mixed one"
-    );
-    let m = serve.metrics();
-    assert_eq!(m.batches, 2);
-    assert_eq!(m.mutations_applied, 1);
-    assert_eq!(m.wal_bytes, 77);
-    assert_eq!(m.last_checkpoint_records, 3);
-    assert_eq!(m.served, 3, "plug, mutation and query tickets all served");
-}
-
-#[test]
-fn mutation_on_plain_executor_fails_cleanly() {
-    // ScriptedExecutor keeps the trait default: no mutation path.
-    let serve = ServeEngine::with_parts(
-        Arc::new(ScriptedExecutor::ok()),
-        Arc::new(MockClock::new()),
-        ServeConfig {
-            max_batch: 2,
-            queue_capacity: 8,
-            result_cache_entries: 0,
-            negative_cache: false,
-        },
-    );
-    let tm = serve.submit_mutation(Mutation::Delete { id: 9 }).unwrap();
-    let tq = serve.submit(query(1)).unwrap();
-    assert!(matches!(tm.wait(), Err(ServeError::Engine(_))));
-    // Queries are unaffected by the rejected mutation, whether they
-    // left in its flush or the next.
-    assert!(tq.wait().is_ok());
-    let m = serve.metrics();
-    assert_eq!(m.mutations_applied, 0);
-    assert_eq!(m.failed, 1);
-}
-
 #[test]
 fn cap_flush_answers_tickets_without_time_advancing() {
     // Mock clock frozen at zero: nothing a flush needs is time.
@@ -265,10 +178,10 @@ fn cap_flush_answers_tickets_without_time_advancing() {
             negative_cache: false,
         },
     );
-    let t1 = serve.submit(query(1)).unwrap();
-    let t2 = serve.submit(query(2)).unwrap();
-    assert!(t1.wait().is_ok());
-    assert!(t2.wait().is_ok());
+    let t1 = submit(&serve, query(1));
+    let t2 = submit(&serve, query(2));
+    assert!(answered_ok(t1));
+    assert!(answered_ok(t2));
     let m = serve.metrics();
     assert_eq!(m.accepted, 2);
     assert_eq!(m.served, 2);
@@ -290,15 +203,17 @@ fn shutdown_drains_sub_cap_queue_exactly_once() {
             negative_cache: false,
         },
     );
-    let t = serve.submit(query(1)).unwrap();
+    let t = submit(&serve, query(1));
     serve.shutdown();
-    assert!(t.wait().is_ok());
+    assert!(answered_ok(t));
     assert_eq!(serve.metrics().served, 1);
-    // After shutdown, admissions are refused.
-    assert!(matches!(
-        serve.submit(query(2)),
-        Err(SubmitError::ShuttingDown)
-    ));
+    // After shutdown, admissions are refused at once.
+    let refused = submit(&serve, query(2))
+        .try_wait()
+        .ok()
+        .expect("refused at admission");
+    assert_eq!(refused.status, ServeStatus::ShuttingDown);
+    assert!(refused.outcome.is_none());
     // Idempotent.
     serve.shutdown();
 }
@@ -322,18 +237,19 @@ fn engine_error_fails_whole_batch_but_not_the_server() {
     );
     // The poison pill and an innocent query share one flush.
     let plug = holder.hold(&serve);
-    let t1 = serve.submit(query(1)).unwrap();
-    let t2 = serve
-        .submit(SemaSkQuery::new(query(2).range, "poison pill"))
-        .unwrap();
+    let t1 = submit(&serve, query(1));
+    let t2 = submit(&serve, SemaSkQuery::new(query(2).range, "poison pill"));
     holder.release(plug);
-    assert!(matches!(t1.wait(), Err(ServeError::Engine(_))));
-    assert!(matches!(t2.wait(), Err(ServeError::Engine(_))));
+    for t in [t1, t2] {
+        let response = t.wait();
+        assert!(matches!(response.status, ServeStatus::EngineError { .. }));
+        assert!(response.outcome.is_none());
+    }
     // The server still serves the next batch.
-    let t3 = serve.submit(query(3)).unwrap();
-    let t4 = serve.submit(query(4)).unwrap();
-    assert!(t3.wait().is_ok());
-    assert!(t4.wait().is_ok());
+    let t3 = submit(&serve, query(3));
+    let t4 = submit(&serve, query(4));
+    assert!(answered_ok(t3));
+    assert!(answered_ok(t4));
     let m = serve.metrics();
     assert_eq!(m.failed, 2);
     assert_eq!(m.served, 3, "the plug and the two after the failure");
@@ -357,29 +273,29 @@ fn try_take_probe_and_group_count_metric() {
     // plug's flush of one).
     let plug = holder.hold(&serve);
     let shared = query(1).range;
-    let tickets: Vec<Ticket> = vec![
-        serve.submit(SemaSkQuery::new(shared, "a")).unwrap(),
-        serve.submit(SemaSkQuery::new(shared, "b")).unwrap(),
-        serve.submit(query(9)).unwrap(),
-        serve.submit(query(9)).unwrap(),
+    let claims = vec![
+        submit(&serve, SemaSkQuery::new(shared, "a")),
+        submit(&serve, SemaSkQuery::new(shared, "b")),
+        submit(&serve, query(9)),
+        submit(&serve, query(9)),
     ];
     holder.release(plug);
     assert_eq!(holder.next_flush(), 4);
-    for t in tickets {
-        assert!(t.wait().is_ok());
+    for t in claims {
+        assert!(answered_ok(t));
     }
     let m = serve.metrics();
     assert_eq!(m.batches, 2);
     assert_eq!(m.groups, 3);
-    // try_wait on an unfulfilled ticket returns the ticket back (not
-    // a hang, not a lost claim): waiting on it afterwards still works.
+    // try_wait on an unfulfilled claim returns the claim back (not a
+    // hang, not a lost claim): waiting on it afterwards still works.
     let plug = holder.hold(&serve);
-    let probe = serve.submit(query(5)).unwrap();
+    let probe = submit(&serve, query(5));
     let Err(probe) = probe.try_wait() else {
         panic!("nothing flushes while the executor is held");
     };
     holder.release(plug);
-    assert!(probe.wait().is_ok(), "claim survives a not-ready probe");
+    assert!(answered_ok(probe), "claim survives a not-ready probe");
 }
 
 #[test]
@@ -395,7 +311,7 @@ fn racing_shutdown_callers_all_observe_a_drained_server() {
             negative_cache: false,
         },
     ));
-    let t = serve.submit(query(1)).unwrap();
+    let t = submit(&serve, query(1));
     std::thread::scope(|scope| {
         for _ in 0..3 {
             let serve = Arc::clone(&serve);
@@ -406,7 +322,7 @@ fn racing_shutdown_callers_all_observe_a_drained_server() {
             });
         }
     });
-    assert!(t.wait().is_ok());
+    assert!(answered_ok(t));
 }
 
 #[test]
@@ -422,18 +338,18 @@ fn submit_request_unifies_outcomes_and_refusals() {
             negative_cache: false,
         },
     );
-    let p1 = serve.submit_request(api::Request::new(41, query(1)));
-    let p2 = serve.submit_request(api::Request::new(42, query(2)));
+    let p1 = serve.submit_request(Request::new(41, query(1)));
+    let p2 = serve.submit_request(Request::new(42, query(2)));
     let r1 = p1.wait();
     let r2 = p2.wait();
     assert_eq!((r1.id, r2.id), (41, 42), "correlation ids echo");
-    assert_eq!(r1.status, api::ServeStatus::Ok);
+    assert_eq!(r1.status, ServeStatus::Ok);
     assert!(r1.outcome.is_some() && r2.outcome.is_some());
     serve.shutdown();
     // Post-shutdown submission is a resolved response, not an Err.
-    let refused = serve.submit_request(api::Request::new(43, query(3))).wait();
+    let refused = serve.submit_request(Request::new(43, query(3))).wait();
     assert_eq!(refused.id, 43);
-    assert_eq!(refused.status, api::ServeStatus::ShuttingDown);
+    assert_eq!(refused.status, ServeStatus::ShuttingDown);
     assert!(refused.outcome.is_none());
 }
 
@@ -457,17 +373,17 @@ fn low_priority_sheds_before_the_queue_fills() {
     let plug = holder.hold(&serve);
     let mut pending = Vec::new();
     for i in 1..7 {
-        pending.push(serve.submit(query(i)).unwrap());
+        pending.push(submit(&serve, query(i)));
     }
     let low = serve
-        .submit_request(api::Request::new(1, query(7)).with_priority(api::Priority::Low))
+        .submit_request(Request::new(1, query(7)).with_priority(api::Priority::Low))
         .wait();
-    assert_eq!(low.status, api::ServeStatus::Overloaded, "low class shed");
-    let normal = serve.submit_request(api::Request::new(2, query(8)));
+    assert_eq!(low.status, ServeStatus::Overloaded, "low class shed");
+    let normal = serve.submit_request(Request::new(2, query(8)));
     holder.release(plug);
-    assert_eq!(normal.wait().status, api::ServeStatus::Ok);
+    assert_eq!(normal.wait().status, ServeStatus::Ok);
     for t in pending {
-        assert!(t.wait().is_ok());
+        assert!(answered_ok(t));
     }
     assert_eq!(serve.metrics().shed, 1);
 }
@@ -489,11 +405,11 @@ fn request_deadline_times_out_without_consuming_the_server() {
         },
     );
     let plug = holder.hold(&serve);
-    let pending = serve
-        .submit_request(api::Request::new(7, query(1)).with_deadline(Duration::from_millis(10)));
+    let pending =
+        serve.submit_request(Request::new(7, query(1)).with_deadline(Duration::from_millis(10)));
     let response = pending.wait();
     assert_eq!(response.id, 7);
-    assert_eq!(response.status, api::ServeStatus::Timeout);
+    assert_eq!(response.status, ServeStatus::Timeout);
     assert!(response.outcome.is_none());
     // The abandoned claim doesn't wedge the server or its shutdown.
     holder.release(plug);
@@ -515,10 +431,9 @@ fn pending_response_probe_answers_exactly_when_wait_would_not_park() {
         },
     );
     let plug = holder.hold(&serve);
-    let queued = serve.submit_request(api::Request::new(1, query(1)));
-    let expired =
-        serve.submit_request(api::Request::new(2, query(2)).with_deadline(Duration::ZERO));
-    let refused = serve.submit_request(api::Request::new(3, query(3)));
+    let queued = serve.submit_request(Request::new(1, query(1)));
+    let expired = serve.submit_request(Request::new(2, query(2)).with_deadline(Duration::ZERO));
+    let refused = serve.submit_request(Request::new(3, query(3)));
     // Held behind the plug with no deadline: the claim comes back.
     let Err(queued) = queued.try_wait() else {
         panic!("nothing flushes while the executor is held");
@@ -526,12 +441,9 @@ fn pending_response_probe_answers_exactly_when_wait_would_not_park() {
     assert_eq!(queued.id(), 1);
     // A passed deadline and a refusal are answers already.
     let expired = expired.try_wait().ok().expect("deadline passed");
-    assert_eq!((expired.id, expired.status), (2, api::ServeStatus::Timeout));
+    assert_eq!((expired.id, expired.status), (2, ServeStatus::Timeout));
     let refused = refused.try_wait().ok().expect("shed at admission");
-    assert_eq!(
-        (refused.id, refused.status),
-        (3, api::ServeStatus::Overloaded)
-    );
+    assert_eq!((refused.id, refused.status), (3, ServeStatus::Overloaded));
     holder.release(plug);
     assert_eq!(holder.next_flush(), 2);
     // The claim survived the probe, and once its flush has run the
@@ -544,7 +456,7 @@ fn pending_response_probe_answers_exactly_when_wait_would_not_park() {
         }
         std::thread::yield_now();
     };
-    assert_eq!((response.id, response.status), (1, api::ServeStatus::Ok));
+    assert_eq!((response.id, response.status), (1, ServeStatus::Ok));
 }
 
 #[test]
@@ -555,9 +467,9 @@ fn unrepresentable_deadline_means_no_deadline() {
         ServeConfig::default(),
     );
     let response = serve
-        .submit_request(api::Request::new(9, query(1)).with_deadline(Duration::MAX))
+        .submit_request(Request::new(9, query(1)).with_deadline(Duration::MAX))
         .wait();
-    assert_eq!(response.status, api::ServeStatus::Ok);
+    assert_eq!(response.status, ServeStatus::Ok);
 }
 
 #[test]
@@ -569,10 +481,12 @@ fn lone_submission_is_answered_without_companions_or_time() {
         Arc::new(MockClock::new()),
         ServeConfig::default(),
     );
-    let t = serve.submit(query(1)).unwrap();
-    let answered = t.wait_deadline(Instant::now() + Duration::from_secs(5));
-    assert!(
-        matches!(answered, Ok(Ok(_))),
+    let answered = serve
+        .submit_request(Request::new(1, query(1)).with_deadline(Duration::from_secs(5)))
+        .wait();
+    assert_eq!(
+        answered.status,
+        ServeStatus::Ok,
         "a lone query waits for nobody"
     );
     let m = serve.metrics();
@@ -593,12 +507,12 @@ fn flushes_after_a_held_one(max_batch: usize, n: u8) -> Vec<usize> {
         },
     );
     let plug = holder.hold(&serve);
-    let tickets: Vec<Ticket> = (1..=n).map(|i| serve.submit(query(i)).unwrap()).collect();
+    let claims: Vec<PendingResponse> = (1..=n).map(|i| submit(&serve, query(i))).collect();
     holder.release(plug);
-    for t in tickets {
-        assert!(t.wait().is_ok());
+    for t in claims {
+        assert!(answered_ok(t));
     }
-    // Every ticket is answered, so every flush has announced itself.
+    // Every claim is answered, so every flush has announced itself.
     holder.entered.try_iter().collect()
 }
 
@@ -618,11 +532,11 @@ fn queue_wait_is_the_time_the_executor_was_busy() {
         ServeConfig::default(),
     );
     let plug = holder.hold(&serve);
-    let tickets: Vec<Ticket> = (1..=3).map(|i| serve.submit(query(i)).unwrap()).collect();
+    let claims: Vec<PendingResponse> = (1..=3).map(|i| submit(&serve, query(i))).collect();
     clock.advance(Duration::from_millis(7));
     holder.release(plug);
-    for t in tickets {
-        assert!(t.wait().is_ok());
+    for t in claims {
+        assert!(answered_ok(t));
     }
     // The plug waited for nothing; the three behind it waited out
     // its 7 ms of (simulated) execution, to the nanosecond.
@@ -704,15 +618,15 @@ fn cache_serve(exec: Arc<EpochExecutor>, negative: bool) -> ServeEngine {
 fn result_cache_replays_same_shape_without_executing() {
     let exec = Arc::new(EpochExecutor::new());
     let serve = cache_serve(Arc::clone(&exec), false);
-    let first = serve.submit(query(1)).unwrap().wait().unwrap();
+    let first = served(submit(&serve, query(1)));
     assert_eq!(exec.executions(), 1);
     // Same shape again: answered at admission, replaying the first
     // execution's outcome — no second batch.
-    let second = serve.submit(query(1)).unwrap().wait().unwrap();
+    let second = served(submit(&serve, query(1)));
     assert_eq!(exec.executions(), 1);
     assert_eq!(second.latency.filtering_ms, first.latency.filtering_ms);
     // A different shape misses and executes.
-    serve.submit(query(2)).unwrap().wait().unwrap();
+    served(submit(&serve, query(2)));
     assert_eq!(exec.executions(), 2);
     let m = serve.metrics();
     assert_eq!(m.cache_hits, 1);
@@ -726,17 +640,17 @@ fn result_cache_replays_same_shape_without_executing() {
 fn epoch_bump_invalidates_every_cached_answer() {
     let exec = Arc::new(EpochExecutor::new());
     let serve = cache_serve(Arc::clone(&exec), false);
-    serve.submit(query(1)).unwrap().wait().unwrap();
+    served(submit(&serve, query(1)));
     // The epoch moves (a mutation batch published elsewhere): the
     // cached entry must never be served again.
     exec.epoch.store(1, std::sync::atomic::Ordering::SeqCst);
-    let recomputed = serve.submit(query(1)).unwrap().wait().unwrap();
+    let recomputed = served(submit(&serve, query(1)));
     assert_eq!(exec.executions(), 2, "stale entry recomputed");
     assert_eq!(recomputed.latency.filtering_ms, 2.0);
     let m = serve.metrics();
     assert_eq!(m.cache_stale_evictions, 1);
     // At the new epoch the recomputed answer caches normally again.
-    serve.submit(query(1)).unwrap().wait().unwrap();
+    served(submit(&serve, query(1)));
     assert_eq!(exec.executions(), 2);
     assert_eq!(serve.metrics().cache_hits, 1);
     serve.shutdown();
@@ -749,11 +663,7 @@ fn negative_cache_answers_empty_without_a_batch_slot() {
         ..EpochExecutor::new()
     });
     let serve = cache_serve(Arc::clone(&exec), true);
-    let out = serve
-        .submit(query(1).with_keywords("ghost token"))
-        .unwrap()
-        .wait()
-        .unwrap();
+    let out = served(submit(&serve, query(1).with_keywords("ghost token")));
     assert!(out.pois.is_empty());
     assert_eq!(exec.executions(), 0, "provably-empty query never executed");
     let m = serve.metrics();
@@ -769,7 +679,7 @@ fn submit_request_reports_cache_status() {
         ..EpochExecutor::new()
     });
     let serve = cache_serve(Arc::clone(&exec), true);
-    let request = |id: u64, q: SemaSkQuery| api::Request {
+    let request = |id: u64, q: SemaSkQuery| Request {
         id,
         query: q,
         priority: api::Priority::Normal,
@@ -804,13 +714,13 @@ fn a_shut_down_server_refuses_cached_shapes_too() {
     let serve = cache_serve(Arc::clone(&exec), true);
     let ghost = || query(9).with_keywords("ghost");
     // Up: the answered shape hits, the provably-empty keyword is
-    // answered negatively, through both entry points.
-    serve.submit(query(1)).unwrap().wait().unwrap();
-    assert!(serve.submit(query(1)).unwrap().wait().is_ok());
-    assert!(serve.submit(ghost()).unwrap().wait().is_ok());
-    let hit = serve.submit_request(api::Request::new(1, query(1))).wait();
+    // answered negatively.
+    served(submit(&serve, query(1)));
+    assert!(answered_ok(submit(&serve, query(1))));
+    assert!(answered_ok(submit(&serve, ghost())));
+    let hit = serve.submit_request(Request::new(1, query(1))).wait();
     assert_eq!(hit.cached, api::CacheStatus::Hit);
-    let negative = serve.submit_request(api::Request::new(2, ghost())).wait();
+    let negative = serve.submit_request(Request::new(2, ghost())).wait();
     assert_eq!(negative.cached, api::CacheStatus::Negative);
     assert_eq!(exec.executions(), 1);
     let up = serve.metrics();
@@ -818,12 +728,8 @@ fn a_shut_down_server_refuses_cached_shapes_too() {
     serve.shutdown();
     // Down: the same shapes are refused like any fresh one.
     for q in [query(1), ghost(), query(2)] {
-        assert!(matches!(
-            serve.submit(q.clone()),
-            Err(SubmitError::ShuttingDown)
-        ));
-        let refused = serve.submit_request(api::Request::new(3, q)).wait();
-        assert_eq!(refused.status, api::ServeStatus::ShuttingDown);
+        let refused = serve.submit_request(Request::new(3, q)).wait();
+        assert_eq!(refused.status, ServeStatus::ShuttingDown);
         assert!(refused.outcome.is_none());
     }
     let down = serve.metrics();

@@ -1,5 +1,5 @@
-//! Tickets: the claim on an accepted query's answer, and the doorbell
-//! one flush rings for all of its tickets.
+//! The slot behind an accepted query's claim, and the doorbell one
+//! flush rings for all of its slots.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -8,16 +8,16 @@ use semask::query::QueryOutcome;
 
 use crate::ServeError;
 
-/// Longest single condvar park in [`Ticket::wait_deadline`]: deadlines
+/// Longest single condvar park in [`TicketState::wait_until`]: deadlines
 /// further out are reached in several wakeups. Keeps the timeout
 /// arithmetic comfortably inside what `Condvar::wait_timeout` supports.
 const MAX_PARK: Duration = Duration::from_secs(3600);
 
-/// The server-wide fulfilment doorbell, shared by every ticket of one
-/// server. A flush fulfils all its tickets in one pass — write every
+/// The server-wide fulfilment doorbell, shared by every claim of one
+/// server. A flush fulfils all its claims in one pass — write every
 /// slot, then bump the generation and ring **once** — instead of a
-/// per-ticket lock-and-notify, which dominated the serving overhead at
-/// large caps (one syscall-bound `notify_all` per ticket).
+/// per-claim lock-and-notify, which dominated the serving overhead at
+/// large caps (one syscall-bound `notify_all` per claim).
 ///
 /// Lost wakeups are impossible by lock ordering: a waiter re-checks its
 /// slot *while holding the generation lock* and parks on that same
@@ -49,7 +49,11 @@ impl Doorbell {
     }
 }
 
-/// One ticket slot, fulfilled exactly once by the batcher.
+/// The slot behind one admitted query's claim, fulfilled exactly once
+/// by the batcher — by the query's flush, or by the shutdown drain.
+/// [`crate::api::PendingResponse`] reads it through the probe and the
+/// parked wait below; both take `&self`, so a not-ready probe or an
+/// expired wait leaves the claim intact.
 pub(crate) struct TicketState {
     slot: Mutex<Option<Result<QueryOutcome, ServeError>>>,
     bell: Arc<Doorbell>,
@@ -70,35 +74,29 @@ impl TicketState {
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        debug_assert!(slot.is_none(), "ticket fulfilled twice");
+        debug_assert!(slot.is_none(), "claim fulfilled twice");
         *slot = Some(result);
     }
-}
 
-/// A claim on one accepted query's eventual answer.
-///
-/// Every accepted ticket is answered exactly once — by its batch's
-/// flush, or by the shutdown drain.
-pub struct Ticket {
-    pub(crate) state: Arc<TicketState>,
-}
-
-impl Ticket {
-    /// Blocks until the query's micro-batch has executed and returns its
-    /// outcome.
-    ///
-    /// # Errors
-    /// [`ServeError`] when the batch failed or panicked.
-    pub fn wait(self) -> Result<QueryOutcome, ServeError> {
-        // Fast path: already answered.
-        if let Some(result) = self
-            .state
-            .slot
+    /// Non-blocking probe: the answer if the batch has executed.
+    pub(crate) fn take(&self) -> Option<Result<QueryOutcome, ServeError>> {
+        self.slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take()
-        {
-            return result;
+    }
+
+    /// Blocks until the query's micro-batch has executed and returns its
+    /// answer, or gives up at `deadline` (wall clock) with `None`. The
+    /// server-side work is unaffected by an expired wait — only the
+    /// claim's owner stopped waiting.
+    pub(crate) fn wait_until(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Option<Result<QueryOutcome, ServeError>> {
+        // Fast path: already answered.
+        if let Some(result) = self.take() {
+            return Some(result);
         }
         // Park on the shared doorbell. The slot re-check happens while
         // holding the generation lock (see Doorbell) so the single
@@ -106,88 +104,33 @@ impl Ticket {
         // locks are never held together by the fulfiller, so the
         // slot-inside-generation nesting here cannot deadlock.
         let mut generation = self
-            .state
             .bell
             .generation
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
-            if let Some(result) = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-            {
-                return result;
+            if let Some(result) = self.take() {
+                return Some(result);
             }
-            generation = self
-                .state
-                .bell
-                .rung
-                .wait(generation)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            generation = match deadline {
+                None => self
+                    .bell
+                    .rung
+                    .wait(generation)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    let timeout = deadline.saturating_duration_since(now).min(MAX_PARK);
+                    self.bell
+                        .rung
+                        .wait_timeout(generation, timeout)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
         }
-    }
-
-    /// Like [`Ticket::wait`], but gives up at `deadline` (wall clock):
-    /// the settled result when the batch executed in time, or the
-    /// ticket back (claim intact, waitable again) on expiry. The
-    /// server-side work is unaffected by an expired wait — only the
-    /// claim's owner stopped waiting.
-    ///
-    /// # Errors
-    /// The ticket itself, when `deadline` passed before the answer.
-    pub fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Result<Result<QueryOutcome, ServeError>, Ticket> {
-        // Same doorbell protocol as `wait` (slot re-check under the
-        // generation lock), with a bounded park per loop. The bell Arc
-        // is cloned so the guard's borrow doesn't pin `self`, which the
-        // expiry path returns by value.
-        let bell = Arc::clone(&self.state.bell);
-        let mut generation = bell
-            .generation
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(result) = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-            {
-                return Ok(result);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(generation);
-                return Err(self);
-            }
-            let timeout = deadline.saturating_duration_since(now).min(MAX_PARK);
-            let (guard, _timed_out) = bell
-                .rung
-                .wait_timeout(generation, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            generation = guard;
-        }
-    }
-
-    /// Non-blocking probe: the outcome if the batch has executed, or
-    /// the ticket back (unconsumed) if it has not — so a poll loop can
-    /// keep the claim and later [`Ticket::wait`] without deadlocking.
-    ///
-    /// # Errors
-    /// The ticket itself, when the answer is not ready yet.
-    pub fn try_wait(self) -> Result<Result<QueryOutcome, ServeError>, Ticket> {
-        let taken = self
-            .state
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        taken.ok_or(self)
     }
 }

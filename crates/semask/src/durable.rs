@@ -88,7 +88,6 @@
 //! mutation prefix.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -254,7 +253,6 @@ pub struct DurableEngine {
     log: Mutex<Log>,
     dir: PathBuf,
     policy: CheckpointPolicy,
-    last_checkpoint_records: AtomicU64,
 }
 
 impl DurableEngine {
@@ -284,7 +282,6 @@ impl DurableEngine {
             }),
             dir: dir.to_path_buf(),
             policy,
-            last_checkpoint_records: AtomicU64::new(0),
         }
     }
 
@@ -496,7 +493,6 @@ impl DurableEngine {
         &self,
         wal: &mut Wal,
     ) -> Result<JoinHandle<Result<(), DurableError>>, DurableError> {
-        let folded = wal.stats().records;
         let cut = cut_prepared(self.engine.prepared())?;
         let prev = self.dir.join(WAL_PREV);
         // A `wal.prev` still here was left by a failed checkpoint. The
@@ -506,8 +502,6 @@ impl DurableEngine {
             wal.rotate(&prev)?;
         }
         crash_point("ckpt-after-rotate");
-        self.last_checkpoint_records
-            .store(folded, Ordering::Relaxed);
         let dir = self.dir.clone();
         Ok(std::thread::spawn(move || {
             // Once CURRENT flips, every record of `wal.prev` is
@@ -525,12 +519,6 @@ impl DurableEngine {
     #[must_use]
     pub fn wal_stats(&self) -> WalStats {
         self.log.lock().wal.stats()
-    }
-
-    /// Records rotated out by the most recent checkpoint (0 before any).
-    #[must_use]
-    pub fn last_checkpoint_records(&self) -> u64 {
-        self.last_checkpoint_records.load(Ordering::Relaxed)
     }
 
     /// The durable directory this engine logs and snapshots into.
@@ -638,7 +626,6 @@ mod tests {
         let r3 = durable.mutate(Mutation::Delete { id: 0 }).unwrap();
         assert_eq!(r3.checkpoint_records, Some(3));
         assert_eq!(r3.wal_bytes, 0);
-        assert_eq!(durable.last_checkpoint_records(), 3);
         assert_eq!(durable.wal_stats().records, 0);
 
         // A post-checkpoint mutation lands in the fresh log with

@@ -141,20 +141,6 @@ impl BatchGroupKey {
         Self::with_keywords(range, k, ef, None)
     }
 
-    /// A sentinel key for non-query work (live mutations) riding the
-    /// same admission queue: all mutations group together, and the key
-    /// can never collide with a real query's — valid bounding boxes
-    /// carry finite coordinates, whose bit patterns are never all-ones.
-    #[must_use]
-    pub fn mutation() -> Self {
-        Self {
-            range_bits: [u64::MAX; 4],
-            k: usize::MAX,
-            ef: None,
-            keywords: u64::MAX,
-        }
-    }
-
     /// The key for a query that may carry a conjunctive keyword filter.
     #[must_use]
     pub fn with_keywords(

@@ -1,10 +1,13 @@
-//! Serving-layer load driver: several client threads fire queries at a
-//! `ServeEngine` concurrently, the batcher flushes whatever has queued
-//! each time the executor comes free (never more than the size cap),
-//! and every client gets its answer back through a `Ticket` — identical
-//! to what a direct `engine.query` would have returned. A second,
-//! deliberately tiny server then shows the backpressure path: a full
-//! queue sheds with `Overloaded` instead of blocking.
+//! Serving-layer load driver: several client threads fire requests at a
+//! `ServeEngine` concurrently through `submit_request`, the batcher
+//! flushes whatever has queued each time the executor comes free (never
+//! more than the size cap), and every client gets its answer back
+//! through a `PendingResponse` — checked to be identical (ids, score
+//! bits, `recommended`) to what a direct `engine.query` returns. A
+//! second, deliberately tiny server then shows the backpressure path: a
+//! full queue refuses with `Overloaded` instead of blocking, the
+//! refusals counted equal the server's `shed` counter, and every
+//! admitted claim is answered after `shutdown`.
 //!
 //! ```sh
 //! cargo run --release --example serve
@@ -14,8 +17,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use llm::SimLlm;
-use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
-use semask_serve::{ServeConfig, ServeEngine, SubmitError, Ticket};
+use semask::{prepare_city, QueryOutcome, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+use semask_serve::api::{Request, ServeStatus};
+use semask_serve::{ServeConfig, ServeEngine};
+
+/// What must match between a served and a direct answer: each ranked
+/// POI's id, score bits and recommendation flag, in order.
+fn signature(outcome: &QueryOutcome) -> Vec<(u32, u32, bool)> {
+    outcome
+        .pois
+        .iter()
+        .map(|p| (p.id.0, p.embed_score.to_bits(), p.recommended))
+        .collect()
+}
 
 fn main() {
     // Offline prep, as in the quickstart; SemaSK-EM keeps the demo on
@@ -58,30 +72,50 @@ fn main() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 24;
     let t0 = Instant::now();
-    let answered: usize = std::thread::scope(|scope| {
+    let served: Vec<(SemaSkQuery, QueryOutcome)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let serve = &serve;
                 scope.spawn(move || {
-                    let mut got = 0;
+                    let mut got = Vec::with_capacity(PER_CLIENT);
                     for i in 0..PER_CLIENT {
                         let q = SemaSkQuery::new(
                             ranges[(c + i) % ranges.len()],
                             format!("client {c}: {}", texts[i % texts.len()]),
                         );
-                        let ticket = serve.submit(q).expect("capacity covers this load");
-                        let outcome = ticket.wait().expect("served");
-                        got += usize::from(!outcome.pois.is_empty());
+                        let id = (c * PER_CLIENT + i) as u64;
+                        let response = serve.submit_request(Request::new(id, q.clone())).wait();
+                        assert_eq!(response.id, id, "the response echoes its request's id");
+                        assert_eq!(
+                            response.status,
+                            ServeStatus::Ok,
+                            "capacity covers this load"
+                        );
+                        got.push((q, response.outcome.expect("an Ok response has an outcome")));
                     }
                     got
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).sum()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client"))
+            .collect()
     });
     let elapsed = t0.elapsed();
     let m = serve.metrics();
     serve.shutdown();
+    let answered = served.iter().filter(|(_, o)| !o.pois.is_empty()).count();
+    // Batching changes when a query runs, never what it answers.
+    for (q, outcome) in &served {
+        let direct = engine.query(q).expect("direct query");
+        assert_eq!(
+            signature(outcome),
+            signature(&direct),
+            "served answer to {:?} differs from engine.query",
+            q.text
+        );
+    }
 
     println!(
         "--- serving {} queries from {CLIENTS} concurrent clients ---",
@@ -105,14 +139,18 @@ fn main() {
         m.mean_queue_wait().as_secs_f64() * 1e6,
         m.shed,
     );
+    println!(
+        "parity        : all {} served answers identical to engine.query",
+        served.len()
+    );
 
     // ---- Backpressure: a server sized to be overrun ----
     // Capacity 4 against a burst from 8 client threads: whatever finds
     // the queue full while a flush is executing is shed immediately
     // with `Overloaded` — the client hears "try again" in microseconds
     // instead of queueing unboundedly. How many that is depends on how
-    // the burst interleaves with the batcher, so it is printed, not
-    // asserted.
+    // the burst interleaves with the batcher, so the count is checked
+    // only against the server's own `shed` counter.
     let tiny = ServeEngine::new(
         Arc::clone(&engine),
         ServeConfig {
@@ -124,24 +162,20 @@ fn main() {
     );
     const BURST_CLIENTS: usize = 8;
     const PER_BURST: usize = 16;
-    let tickets: Vec<Ticket> = std::thread::scope(|scope| {
+    let claims: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..BURST_CLIENTS)
             .map(|c| {
                 let tiny = &tiny;
                 scope.spawn(move || {
-                    let mut admitted = Vec::new();
-                    for i in 0..PER_BURST {
-                        let q = SemaSkQuery::new(
-                            ranges[0],
-                            format!("burst {c}: {}", texts[i % texts.len()]),
-                        );
-                        match tiny.submit(q) {
-                            Ok(t) => admitted.push(t),
-                            Err(SubmitError::Overloaded) => {}
-                            Err(e) => panic!("unexpected submit error: {e}"),
-                        }
-                    }
-                    admitted
+                    (0..PER_BURST)
+                        .map(|i| {
+                            let q = SemaSkQuery::new(
+                                ranges[0],
+                                format!("burst {c}: {}", texts[i % texts.len()]),
+                            );
+                            tiny.submit_request(Request::new((c * PER_BURST + i) as u64, q))
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -150,21 +184,29 @@ fn main() {
             .flat_map(|h| h.join().expect("burst client"))
             .collect()
     });
-    let shed = BURST_CLIENTS * PER_BURST - tickets.len();
+    // Graceful shutdown answers every admitted claim: afterwards each
+    // one is ready without waiting.
+    tiny.shutdown();
+    let (mut shed, mut answered) = (0, 0);
+    for claim in claims {
+        let response = claim
+            .try_wait()
+            .unwrap_or_else(|c| panic!("request {} unanswered after shutdown", c.id()));
+        match response.status {
+            ServeStatus::Overloaded => shed += 1,
+            ServeStatus::Ok => answered += 1,
+            other => panic!("unexpected status for request {}: {other}", response.id),
+        }
+    }
+    let m = tiny.metrics();
+    assert_eq!(shed, m.shed, "every refusal is counted as shed");
+    assert_eq!(answered, m.accepted, "every admitted claim is answered");
     println!(
         "\n--- overload demo (queue capacity 4, {BURST_CLIENTS} clients x {PER_BURST} rapid submissions) ---"
     );
     println!(
-        "admitted      : {} tickets, shed {shed} with Overloaded (metrics agree: {})",
-        tickets.len(),
-        tiny.metrics().shed,
+        "admitted      : {answered} requests, shed {shed} with Overloaded (metrics agree: {})",
+        m.shed,
     );
-    // Graceful shutdown still answers every admitted ticket.
-    tiny.shutdown();
-    let served = tickets
-        .into_iter()
-        .map(Ticket::wait)
-        .filter(Result::is_ok)
-        .count();
-    println!("after shutdown: all {served} admitted tickets answered exactly once");
+    println!("after shutdown: all {answered} admitted claims answered exactly once");
 }

@@ -33,6 +33,7 @@ use semask::wal::{Mutation, PoiSpec, PoiUpdate};
 use semask::{
     prepare_city, QueryOutcome, RetrievalStrategy, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant,
 };
+use semask_serve::api::{Request, ServeStatus};
 use semask_serve::{ServeConfig, ServeEngine};
 
 const TEXTS: &[&str] = &[
@@ -169,12 +170,9 @@ fn serve_harness() -> &'static ServeHarness {
 }
 
 fn ask(serve: &ServeEngine, query: SemaSkQuery) -> Vec<(u32, String, u32, bool, String)> {
-    let outcome = serve
-        .submit(query)
-        .expect("submit")
-        .wait()
-        .expect("query outcome");
-    signature(&outcome)
+    let response = serve.submit_request(Request::new(0, query)).wait();
+    assert_eq!(response.status, ServeStatus::Ok);
+    signature(&response.outcome.expect("query outcome"))
 }
 
 proptest! {

@@ -6,12 +6,14 @@
 //!
 //! Pinned behavior:
 //!
-//! - With the queue full, `submit` returns `Overloaded` immediately
-//!   (shed, no deadlock, no unbounded memory) and the queue recovers
-//!   after a drain.
+//! - With the queue full, `submit_request` resolves its claim with
+//!   `Overloaded` immediately — `try_wait()` answers at once, with the
+//!   request's id and without parking (shed, no deadlock, no unbounded
+//!   memory) — and the queue recovers after a drain. After `shutdown`
+//!   every submission resolves the same way with `ShuttingDown`.
 //! - A panicking scorer — driven through the real `vecdb` worker pool,
 //!   the same fan-out path `query_batch` uses — poisons only its own
-//!   batch; accepted tickets elsewhere are served and the server (and
+//!   batch; accepted claims elsewhere are served and the server (and
 //!   the pool) keep working.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -20,7 +22,8 @@ use std::sync::{Arc, Mutex};
 use semask::clock::MockClock;
 use semask::engine::EngineError;
 use semask::query::{LatencyBreakdown, QueryOutcome, SemaSkQuery};
-use semask_serve::{BatchExecutor, ServeConfig, ServeEngine, ServeError, SubmitError};
+use semask_serve::api::{PendingResponse, Request, Response, ServeStatus};
+use semask_serve::{BatchExecutor, ServeConfig, ServeEngine};
 
 fn query(i: u8) -> SemaSkQuery {
     let center = geotext::GeoPoint::new(40.0, -90.0 + f64::from(i) * 0.01).expect("valid point");
@@ -28,6 +31,25 @@ fn query(i: u8) -> SemaSkQuery {
         geotext::BoundingBox::from_center_km(center, 2.0, 2.0),
         format!("query {i}"),
     )
+}
+
+/// Submits `query` as request `id` at normal priority, no deadline.
+fn submit(serve: &ServeEngine, id: u64, query: SemaSkQuery) -> PendingResponse {
+    serve.submit_request(Request::new(id, query))
+}
+
+/// Whether `pending` is answered `Ok`.
+fn answered_ok(pending: PendingResponse) -> bool {
+    pending.wait().status == ServeStatus::Ok
+}
+
+/// The response `pending` already holds: a refusal resolves its claim
+/// at admission, so probing it never parks and never hands it back.
+fn resolved(pending: PendingResponse) -> Response {
+    match pending.try_wait() {
+        Ok(response) => response,
+        Err(pending) => panic!("request {} is still waiting", pending.id()),
+    }
 }
 
 fn empty_outcomes(n: usize) -> Vec<QueryOutcome> {
@@ -78,53 +100,49 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
 
     // The executor is free, so the first submission leaves alone; the
     // batcher blocks inside the executor with the admission queue empty.
-    let t1 = serve.submit(query(1)).expect("admitted");
+    let t1 = submit(&serve, 1, query(1));
     assert_eq!(entered_rx.recv().expect("first flush"), 1);
 
     // Fill the (bounded) admission queue while the batcher is held.
-    let t2 = serve.submit(query(2)).expect("queue has room");
-    let t3 = serve.submit(query(3)).expect("queue has room");
+    let t2 = submit(&serve, 2, query(2));
+    let t3 = submit(&serve, 3, query(3));
     assert_eq!(serve.queued(), 2);
 
     // Full: the next submission sheds immediately — no blocking, no
-    // growth — and the shed query holds no ticket.
-    assert!(matches!(
-        serve.submit(query(4)),
-        Err(SubmitError::Overloaded)
-    ));
-    assert!(matches!(
-        serve.submit(query(5)),
-        Err(SubmitError::Overloaded)
-    ));
+    // growth — and its claim is already answered, with no outcome.
+    for id in [4, 5] {
+        let shed = resolved(submit(&serve, id, query(id as u8)));
+        assert_eq!((shed.id, shed.status), (id, ServeStatus::Overloaded));
+        assert!(shed.outcome.is_none());
+    }
     let m = serve.metrics();
     assert_eq!(m.shed, 2);
     assert_eq!(m.accepted, 3);
 
-    // Release the held batch; the first ticket resolves.
+    // Release the held batch; the first claim resolves.
     release_tx.send(()).expect("release");
-    assert!(t1.wait().is_ok());
+    assert!(answered_ok(t1));
 
     // The batcher now flushes the pair that queued meanwhile.
     assert_eq!(entered_rx.recv().expect("second flush"), 2);
     release_tx.send(()).expect("release");
-    assert!(t2.wait().is_ok());
-    assert!(t3.wait().is_ok());
+    assert!(answered_ok(t2));
+    assert!(answered_ok(t3));
 
     // Recovered: the queue accepts again after the drain. Pre-load the
     // release token so this flush's executor call does not block.
     release_tx.send(()).expect("release for the last flush");
-    let t6 = serve.submit(query(6)).expect("recovered after drain");
+    let t6 = submit(&serve, 6, query(6));
     serve.shutdown();
-    assert!(t6.wait().is_ok());
+    assert!(answered_ok(t6));
 
     let m = serve.metrics();
     assert_eq!(m.accepted, 4);
-    assert_eq!(m.served, 4, "every accepted ticket answered exactly once");
+    assert_eq!(m.served, 4, "every accepted claim answered exactly once");
     assert_eq!(m.shed, 2);
-    assert!(matches!(
-        serve.submit(query(7)),
-        Err(SubmitError::ShuttingDown)
-    ));
+    let late = resolved(submit(&serve, 7, query(7)));
+    assert_eq!((late.id, late.status), (7, ServeStatus::ShuttingDown));
+    assert!(late.outcome.is_none());
 }
 
 /// A scorer that panics on a marked query, fanned out on the **real**
@@ -175,29 +193,31 @@ fn panicking_scorer_poisons_only_its_batch() {
     // Each round holds the executor with one query so the next two
     // queue behind it and leave as one flush of two.
     let flush_of_two = |first: SemaSkQuery, pair: [SemaSkQuery; 2]| {
-        let held = serve.submit(first).expect("admitted");
+        let held = submit(&serve, 0, first);
         assert_eq!(entered_rx.recv().expect("held flush"), 1);
-        let pair = pair.map(|q| serve.submit(q).expect("admitted"));
+        let pair = pair.map(|q| submit(&serve, 0, q));
         release_tx.send(()).expect("release");
-        assert!(held.wait().is_ok());
+        assert!(answered_ok(held));
         assert_eq!(entered_rx.recv().expect("the pair's flush"), 2);
         release_tx.send(()).expect("release");
-        pair.map(semask_serve::Ticket::wait)
+        pair.map(|p| p.wait().status)
     };
 
-    // This flush contains the poisoned query: both of its tickets fail
+    // This flush contains the poisoned query: both of its claims fail
     // with BatchPanicked — and nothing else does.
     let poisoned = flush_of_two(
         query(0),
         [query(1), SemaSkQuery::new(query(2).range, "panic-pill")],
     );
-    assert!(matches!(poisoned[0], Err(ServeError::BatchPanicked)));
-    assert!(matches!(poisoned[1], Err(ServeError::BatchPanicked)));
+    assert_eq!(
+        poisoned,
+        [ServeStatus::BatchPanicked, ServeStatus::BatchPanicked]
+    );
 
     // The server and the shared pool both survive: the next batch is
     // served normally through the same pool.
     let healthy = flush_of_two(query(3), [query(4), query(5)]);
-    assert!(healthy.iter().all(Result::is_ok));
+    assert_eq!(healthy, [ServeStatus::Ok, ServeStatus::Ok]);
 
     serve.shutdown();
     let m = serve.metrics();

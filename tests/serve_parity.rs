@@ -8,12 +8,13 @@
 //! queued while the executor was busy), but the answers must not be: a
 //! query's answer does not depend on its batch-mates
 //! (`tests/batch_parity.rs`), so however the batcher slices the
-//! traffic, every ticket must come back exactly as the one-query
-//! reference. Synchronization is tickets only — no sleeps.
+//! traffic, every claim must come back exactly as the one-query
+//! reference. Synchronization is claims only — no sleeps.
 
 use std::sync::Arc;
 
 use semask::{prepare_city, PreparedCity, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+use semask_serve::api::{Request, ServeStatus};
 use semask_serve::{ServeConfig, ServeEngine};
 
 /// The mixed workload: generated per-city queries (distinct ranges)
@@ -140,7 +141,7 @@ fn concurrent_serving_matches_sequential_queries() {
             );
 
             // 4 client threads submit interleaved slices of the workload
-            // concurrently and wait on their own tickets.
+            // concurrently and wait on their own claims.
             const CLIENTS: usize = 4;
             let served: Vec<(usize, Signature)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..CLIENTS)
@@ -153,9 +154,12 @@ fn concurrent_serving_matches_sequential_queries() {
                                 if i % CLIENTS != c {
                                     continue;
                                 }
-                                let ticket =
-                                    serve.submit(q.clone()).expect("capacity covers workload");
-                                let outcome = ticket.wait().expect("served");
+                                let response = serve
+                                    .submit_request(Request::new(i as u64, q.clone()))
+                                    .wait();
+                                assert_eq!(response.id, i as u64);
+                                assert_eq!(response.status, ServeStatus::Ok);
+                                let outcome = response.outcome.expect("served");
                                 out.push((i, signature(&outcome)));
                             }
                             out
