@@ -47,7 +47,9 @@ struct Gate {
     release: Mutex<Receiver<()>>,
 }
 
-/// The test's side of a [`Gate`].
+/// The test's side of a [`Gate`]. A test re-binds it after building
+/// its server, so that on unwind it drops first: the held executor's
+/// `recv` then fails instead of blocking the server's shutdown forever.
 struct Holder {
     entered: Receiver<usize>,
     release: Sender<()>,
@@ -235,6 +237,8 @@ fn engine_error_fails_whole_batch_but_not_the_server() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     // The poison pill and an innocent query share one flush.
     let plug = holder.hold(&serve);
     let t1 = submit(&serve, query(1));
@@ -269,6 +273,8 @@ fn try_take_probe_and_group_count_metric() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     // Two distinct ranges in one flush → 2 groups recorded (plus the
     // plug's flush of one).
     let plug = holder.hold(&serve);
@@ -370,6 +376,8 @@ fn low_priority_sheds_before_the_queue_fills() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     let plug = holder.hold(&serve);
     let mut pending = Vec::new();
     for i in 1..7 {
@@ -404,6 +412,8 @@ fn request_deadline_times_out_without_consuming_the_server() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     let plug = holder.hold(&serve);
     let pending =
         serve.submit_request(Request::new(7, query(1)).with_deadline(Duration::from_millis(10)));
@@ -430,6 +440,8 @@ fn pending_response_probe_answers_exactly_when_wait_would_not_park() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     let plug = holder.hold(&serve);
     let queued = serve.submit_request(Request::new(1, query(1)));
     let expired = serve.submit_request(Request::new(2, query(2)).with_deadline(Duration::ZERO));
@@ -506,6 +518,8 @@ fn flushes_after_a_held_one(max_batch: usize, n: u8) -> Vec<usize> {
             ..ServeConfig::default()
         },
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     let plug = holder.hold(&serve);
     let claims: Vec<PendingResponse> = (1..=n).map(|i| submit(&serve, query(i))).collect();
     holder.release(plug);
@@ -531,6 +545,8 @@ fn queue_wait_is_the_time_the_executor_was_busy() {
         Arc::clone(&clock) as Arc<dyn Clock>,
         ServeConfig::default(),
     );
+    // Dropped before `serve`, so a failing assert does not hang.
+    let holder = holder;
     let plug = holder.hold(&serve);
     let claims: Vec<PendingResponse> = (1..=3).map(|i| submit(&serve, query(i))).collect();
     clock.advance(Duration::from_millis(7));

@@ -137,8 +137,7 @@ impl RetrievalBackend {
                 _ => SearchStrategy::Exact,
             },
         };
-        let planned = collection.search_batch(query_vecs, &params)?;
-        Ok(planned.into_iter().map(|p| p.hits).collect())
+        Ok(collection.search_batch(query_vecs, &params)?)
     }
 
     /// Ids of all live objects within `range`, ascending — the pure

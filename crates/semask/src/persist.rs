@@ -29,7 +29,9 @@
 //! 0     header   city key (u32 length + UTF-8), collection name (same),
 //!                embedder dim u64, next_id u32, last_applied_seq u64,
 //!                tombstone count u32 + that many ids u32, ascending
-//! 1–5   the collection's five sections, as `vecdb::db` lays them out:
+//! 1–5   the collection's five sections, as
+//!       `vecdb::Collection::pack_sections` lays them out (each pinned
+//!       by length and CRC-32 in vecdb's `tests/snapshot_codec.rs`):
 //!       each point an id, a delete flag, a position, a vector and its
 //!       graph node — a POI's attributes live in section 6 only
 //! 6     dataset  name (u32 length + UTF-8), object count u32, then per

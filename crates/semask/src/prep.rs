@@ -18,7 +18,7 @@ use embed::{Embedder, SemanticEmbedder};
 use geotext::{Dataset, GeoTextObject};
 use llm::prompts::summarize_prompt;
 use llm::{ChatRequest, LlmError, SimLlm};
-use vecdb::{CollectionConfig, VecDbError, VectorDb};
+use vecdb::{Collection, CollectionConfig, VecDbError, VectorDb};
 
 use crate::config::SemaSkConfig;
 use crate::retrieval::{PlannedQuery, PlannedRetrieval, QueryPlanner, RetrievalError};
@@ -171,13 +171,13 @@ pub fn prepare_city_with_threads(
     let embedder = SemanticEmbedder::new(config.embedder.clone());
     let db = VectorDb::new();
     let collection_name = format!("pois-{}", data.city.key);
-    let handle = db.create_collection(
+    let handle = db.add_collection(
         &collection_name,
-        CollectionConfig {
+        Collection::new(CollectionConfig {
             dim: embedder.dim(),
             scoring_tier: config.scoring_tier,
             ..CollectionConfig::new(embedder.dim())
-        },
+        }),
     )?;
     let geocoder = ReverseGeocoder::for_city(&data.city);
     let mut dataset = data.dataset.clone();

@@ -66,7 +66,7 @@ use vecdb::codec::{corrupt, Reader, Writer};
 use vecdb::VecDbError;
 
 /// The record checksum — the one CRC-32 the workspace has, shared with
-/// the collection snapshot format.
+/// the snapshot format.
 pub use vecdb::crc32;
 
 /// Everything needed to create one new POI through the live mutation

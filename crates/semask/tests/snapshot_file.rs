@@ -320,7 +320,7 @@ fn a_format_2_directory_and_other_versions_are_refused_by_their_version() {
     // a directory, which is refused unread and left as it is.
     let dir = tmpdir("format_2");
     std::fs::create_dir_all(dir.join("snap-0")).unwrap();
-    std::fs::write(dir.join("snap-0").join("collection.bin"), b"VECDBSNP").unwrap();
+    std::fs::write(dir.join("snap-0").join("collection.bin"), b"collection").unwrap();
     std::fs::write(dir.join("CURRENT"), b"snap-0").unwrap();
     assert!(matches!(
         load_prepared(&dir, &config),

@@ -4,11 +4,11 @@
 //!
 //! A container is `magic | version | crc32 | section table | sections`;
 //! a [`Format`] names its magic, the one version its readers accept and
-//! its section count. A collection snapshot is one of five sections
-//! (layout in [`crate::db`]); a crate that stores more beside a
-//! collection declares a format of its own and packs the collection's sections into it with
-//! [`crate::Collection::pack_sections`], so one file carries one
-//! checksum. [`Writer`] builds a container in a single buffer and
+//! its section count. A collection is five sections (layout at
+//! [`crate::Collection::pack_sections`]) and has no format of its own: a
+//! crate that stores one declares a format and packs the collection's
+//! sections into it beside its own, so one file carries one checksum.
+//! [`Writer`] builds a container in a single buffer and
 //! [`Writer::finish`] hands it over as an [`UnsealedSnapshot`] — every
 //! section in place, the section table and checksum not yet written — so
 //! the caller decides on which thread the checksum pass runs;
@@ -42,18 +42,11 @@ pub struct Format<const N: usize> {
     pub version: u32,
 }
 
-/// A collection snapshot: meta, vectors, inverse norms, quantizer, HNSW
-/// graph.
-pub(crate) const COLLECTION: Format<5> = Format {
-    magic: *b"VECDBSNP",
-    version: 4,
-};
-
 /// Byte offset the checksum covers from (everything after the CRC field).
 const BODY: usize = 8 + 4 + 4;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum of WAL
-/// records and of collection snapshots. Hand-rolled tables so nothing
+/// records and of snapshots. Hand-rolled tables so nothing
 /// needs an external checksum crate; the constant matches the
 /// ubiquitous `crc32` everyone else computes, which keeps both formats
 /// inspectable with standard tools.
@@ -333,8 +326,8 @@ impl Writer {
 }
 
 /// A packed container whose section table and checksum are not yet
-/// written: what [`crate::Collection::pack_snapshot`] returns, cheap to
-/// take under a lock. [`UnsealedSnapshot::seal`] finishes it
+/// written: what [`Writer::finish`] returns, cheap to take under a
+/// lock. [`UnsealedSnapshot::seal`] finishes it
 /// into the file bytes — the checksum is a pass over every byte, so a
 /// caller that holds a lock while packing seals after releasing it.
 #[derive(Debug)]
@@ -546,6 +539,13 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// A five-section container, as a snapshot holding only a
+    /// collection's sections would be.
+    const SAMPLE: Format<5> = Format {
+        magic: *b"CODECTST",
+        version: 1,
+    };
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value.
@@ -574,7 +574,7 @@ mod tests {
     }
 
     fn sample() -> Vec<u8> {
-        let mut w = COLLECTION.writer(64);
+        let mut w = SAMPLE.writer(64);
         w.bytes(b"meta");
         w.end_section();
         w.f32s(&[1.5, -0.0, f32::MIN_POSITIVE]);
@@ -590,7 +590,7 @@ mod tests {
     #[test]
     fn sections_round_trip_bit_for_bit() {
         let file = sample();
-        let [mut meta, mut floats, empty, mut len, mut words] = COLLECTION.open(&file).unwrap();
+        let [mut meta, mut floats, empty, mut len, mut words] = SAMPLE.open(&file).unwrap();
         assert_eq!(meta.take_rest(), b"meta");
         let back = floats.f32s(3).unwrap();
         assert_eq!(
@@ -637,22 +637,22 @@ mod tests {
     fn damaged_containers_are_rejected() {
         let file = sample();
         for cut in 0..file.len() {
-            assert!(COLLECTION.open(&file[..cut]).is_err(), "truncated at {cut}");
+            assert!(SAMPLE.open(&file[..cut]).is_err(), "truncated at {cut}");
         }
         for bit in 0..file.len() * 8 {
             let mut bad = file.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(COLLECTION.open(&bad).is_err(), "bit {bit} flipped");
+            assert!(SAMPLE.open(&bad).is_err(), "bit {bit} flipped");
         }
         let mut longer = file.clone();
         longer.push(0);
-        assert!(COLLECTION.open(&longer).is_err(), "trailing byte");
+        assert!(SAMPLE.open(&longer).is_err(), "trailing byte");
     }
 
     #[test]
     fn a_count_larger_than_the_section_never_allocates() {
         let file = sample();
-        let [_, mut floats, ..] = COLLECTION.open(&file).unwrap();
+        let [_, mut floats, ..] = SAMPLE.open(&file).unwrap();
         assert!(floats.f32s(usize::MAX / 2).is_err());
         assert!(floats.f32s(4).is_err());
         assert_eq!(floats.remaining(), 12, "a failed read consumes nothing");

@@ -1,8 +1,9 @@
-//! Collections: vectors + positions + index + query planning.
+//! Collections: vectors + positions + index, searched the way the caller
+//! names.
 
 use std::collections::BinaryHeap;
 
-use crate::codec::{self, corrupt, Reader, UnsealedSnapshot, Writer};
+use crate::codec::{corrupt, Reader, Writer};
 use crate::distance::{inv_norm, Distance};
 use crate::error::VecDbError;
 use crate::hnsw::{HnswConfig, HnswIndex, InsertPlan};
@@ -16,12 +17,6 @@ use crate::PointId;
 /// already cache-resident and the tier would only add a rerank pass;
 /// above it the 4× smaller code array wins on memory traffic.
 pub const AUTO_QUANT_THRESHOLD: usize = 32_768;
-
-/// Under [`SearchStrategy::Auto`], a filter qualifying at most this
-/// fraction of the points runs as an exact scan of them instead of a
-/// filtered HNSW search (Qdrant's "payload-based pre-filtering"
-/// heuristic).
-const FULL_SCAN_THRESHOLD: f64 = 0.10;
 
 /// Minimum points before a forced [`ScoringTier::Quantized`] trains its
 /// codebook — a global affine codebook fitted to fewer vectors than
@@ -69,7 +64,7 @@ impl CollectionConfig {
         self.hnsw.validate()
     }
 
-    /// Appends the configuration to a snapshot's meta section: `dim`
+    /// Appends the configuration to the meta section: `dim`
     /// (`u64`), the metric (`u8`: 0 cosine, 1 dot, 2 Euclid), `m`, `m0`,
     /// `ef_construction` and `seed` (`u64` each) and the scoring tier
     /// (`u8`: 0 auto, 1 full, 2 quantized followed by its
@@ -209,44 +204,15 @@ pub struct ScoredPoint {
     pub score: f32,
 }
 
-/// How a search should be executed.
-///
-/// `Auto` reproduces Qdrant's built-in heuristic (scan when the filter is
-/// selective, HNSW otherwise) for callers without a planner of their own.
-/// Cost-based planners — like `semask`'s `QueryPlanner` — decide per query
-/// and pass `Exact` or `Hnsw` explicitly, so the decision lives in one
-/// observable place instead of being buried here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a search is executed. The collection runs the one its caller
+/// names and decides nothing itself: choosing between them per query is
+/// a planner's job (`semask`'s `QueryPlanner`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
-    /// Scan when the filter is selective, search the graph otherwise.
-    #[default]
-    Auto,
-    /// Exact scan of the qualifying points.
+    /// Exact scan of the qualifying points: the reference answer.
     Exact,
     /// Filtered HNSW graph search.
     Hnsw,
-}
-
-/// The strategy a search actually executed (never `Auto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutedStrategy {
-    /// Qualifying points were scanned exactly.
-    ExactScan,
-    /// The HNSW graph was searched with a filter mask.
-    FilteredHnsw,
-}
-
-/// A search result with its execution metadata, for planners and
-/// latency-breakdown reporting.
-#[derive(Debug, Clone)]
-pub struct PlannedSearch {
-    /// The hits, best first.
-    pub hits: Vec<ScoredPoint>,
-    /// The strategy that produced them.
-    pub executed: ExecutedStrategy,
-    /// Number of live points matching the filter (exact count — the
-    /// ground truth a selectivity estimator approximates).
-    pub qualifying: usize,
 }
 
 /// The HNSW beam width used when a search does not set `ef`
@@ -271,14 +237,15 @@ pub struct SearchParams {
 }
 
 impl SearchParams {
-    /// Top-k search with no filter.
+    /// Exact top-k search with no filter; the graph is searched only
+    /// when a caller names [`SearchStrategy::Hnsw`].
     #[must_use]
     pub fn top_k(k: usize) -> Self {
         Self {
             k,
             ef: None,
             filter: None,
-            strategy: SearchStrategy::Auto,
+            strategy: SearchStrategy::Exact,
         }
     }
 
@@ -286,18 +253,6 @@ impl SearchParams {
     #[must_use]
     pub fn with_filter(mut self, filter: Filter) -> Self {
         self.filter = Some(filter);
-        self
-    }
-
-    /// Builder-style exactness toggle (`true` forces an exact scan,
-    /// `false` restores the auto heuristic).
-    #[must_use]
-    pub fn with_exact(mut self, exact: bool) -> Self {
-        self.strategy = if exact {
-            SearchStrategy::Exact
-        } else {
-            SearchStrategy::Auto
-        };
         self
     }
 
@@ -474,7 +429,7 @@ impl Collection {
 
     /// What every insert refuses about a vector.
     fn check_vector(&self, vector: &[f32]) -> Result<(), VecDbError> {
-        // What `VectorDb::create_collection` refuses, `new` may not
+        // What `VectorDb::add_collection` refuses, `new` may not
         // smuggle in: dimension 0 has no rows to store.
         self.config.validate()?;
         if vector.len() != self.config.dim {
@@ -596,22 +551,12 @@ impl Collection {
     }
 
     /// k-NN search with an optional geo box: a one-query
-    /// [`Collection::search_batch`] with the execution metadata dropped.
+    /// [`Collection::search_batch`].
     pub fn search(
         &self,
         query: &[f32],
         params: &SearchParams,
     ) -> Result<Vec<ScoredPoint>, VecDbError> {
-        self.search_planned(query, params).map(|p| p.hits)
-    }
-
-    /// k-NN search returning execution metadata alongside the hits: a
-    /// one-query [`Collection::search_batch`].
-    pub fn search_planned(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<PlannedSearch, VecDbError> {
         let mut answers = self.search_batch(&[query], params)?;
         Ok(answers.pop().expect("one answer per query"))
     }
@@ -640,14 +585,10 @@ impl Collection {
 
     /// k-NN search for `queries.len()` queries sharing one
     /// [`SearchParams`] — the one search body; every other search entry
-    /// point is a one-query call of it. The answer for query `i` does not
-    /// depend on the other queries in the slice.
-    ///
-    /// With [`SearchStrategy::Exact`] or [`SearchStrategy::Hnsw`] the
-    /// caller's choice is executed as-is — this is the entry point for
-    /// external planners. [`SearchStrategy::Auto`] mirrors Qdrant: a
-    /// filter qualifying at most a tenth of the points runs as an exact
-    /// scan, anything broader as filtered HNSW.
+    /// point is a one-query call of it. Returns each query's hits, best
+    /// first; the answer for query `i` does not depend on the other
+    /// queries in the slice. The strategy `params` names is the one that
+    /// runs.
     ///
     /// The filter mask is evaluated **once** for the whole slice, and the
     /// full-precision exact scan streams each stored vector through the
@@ -661,22 +602,9 @@ impl Collection {
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
-    ) -> Result<Vec<PlannedSearch>, VecDbError> {
+    ) -> Result<Vec<Vec<ScoredPoint>>, VecDbError> {
         self.check_dims(queries)?;
-        // Trivially empty results still report the strategy the caller
-        // asked for (latency-breakdown consumers log it).
-        let empty = || {
-            let executed = match params.strategy {
-                SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
-                SearchStrategy::Exact | SearchStrategy::Auto => ExecutedStrategy::ExactScan,
-            };
-            let answer = PlannedSearch {
-                hits: Vec::new(),
-                executed,
-                qualifying: 0,
-            };
-            Ok(vec![answer; queries.len()])
-        };
+        let empty = || Ok(vec![Vec::new(); queries.len()]);
         if self.is_empty() || params.k == 0 {
             return empty();
         }
@@ -691,21 +619,8 @@ impl Collection {
             return empty();
         }
 
-        let executed = match params.strategy {
-            SearchStrategy::Exact => ExecutedStrategy::ExactScan,
-            SearchStrategy::Hnsw => ExecutedStrategy::FilteredHnsw,
-            SearchStrategy::Auto => {
-                let selective = qualifying as f64 <= FULL_SCAN_THRESHOLD * self.len() as f64;
-                if selective {
-                    ExecutedStrategy::ExactScan
-                } else {
-                    ExecutedStrategy::FilteredHnsw
-                }
-            }
-        };
-
-        let per_query: Vec<Vec<(usize, f32)>> = match executed {
-            ExecutedStrategy::ExactScan => {
+        let per_query: Vec<Vec<(usize, f32)>> = match params.strategy {
+            SearchStrategy::Exact => {
                 // Offsets double as the tie-break key: equal distances
                 // keep insertion order. The coarse pass runs only when it
                 // would prune something.
@@ -717,7 +632,7 @@ impl Collection {
                     .filter(|&(_, fetch)| qualifying > fetch);
                 self.top_k_scored(queries, candidates, params.k, quant)
             }
-            ExecutedStrategy::FilteredHnsw => {
+            SearchStrategy::Hnsw => {
                 // Graph traversal is inherently per-query; the slice still
                 // shares the mask evaluation above.
                 let ef = params.ef.unwrap_or_else(|| default_ef(params.k));
@@ -730,13 +645,10 @@ impl Collection {
 
         Ok(per_query
             .into_iter()
-            .map(|hits| PlannedSearch {
-                hits: hits
-                    .into_iter()
+            .map(|hits| {
+                hits.into_iter()
                     .map(|(o, d)| self.scored_point(self.ids[o], d))
-                    .collect(),
-                executed,
-                qualifying,
+                    .collect()
             })
             .collect())
     }
@@ -901,33 +813,34 @@ impl Collection {
         }
     }
 
-    /// The collection as one packed, checksummed snapshot — the bytes
-    /// [`crate::VectorDb::restore_collection`] reads (layout in
-    /// [`crate::db`]). Every stored float goes out as its own bits, so
-    /// a restored collection scores identically; the encoding is
-    /// canonical — a collection has exactly one byte string. This is
-    /// [`Collection::pack_snapshot`] followed by
-    /// [`UnsealedSnapshot::seal`].
-    #[must_use]
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        self.pack_snapshot().seal()
-    }
-
-    /// Every section of the snapshot, packed, with the checksum pass
-    /// left to [`UnsealedSnapshot::seal`] — so a caller that must hold
-    /// the collection still while it packs (a checkpoint's cut) can
-    /// checksum after letting go.
-    #[must_use]
-    pub fn pack_snapshot(&self) -> UnsealedSnapshot {
-        let mut w = codec::COLLECTION.writer(0);
-        self.pack_sections(&mut w);
-        w.finish()
-    }
-
-    /// Appends the snapshot's five sections (meta, vectors, inverse
-    /// norms, quantizer, graph; layout in [`crate::db`]) to `w`, ending
-    /// each — the body of [`Collection::pack_snapshot`], and what a
-    /// container of another [`codec::Format`] holds the collection as.
+    /// Appends the collection's five sections to `w`, ending each. A
+    /// collection has no container of its own: a crate that stores one
+    /// declares a [`crate::codec::Format`] and packs these sections into
+    /// it beside whatever else it keeps, so one file carries one
+    /// checksum; [`Collection::from_sections`] reads them back. All
+    /// integers and floats are little-endian; every stored float goes out
+    /// as its own bits, so a restored collection scores identically:
+    ///
+    /// ```text
+    /// 0 meta      config    dim u64, metric u8 (0 cosine, 1 dot, 2 Euclid), m u64,
+    ///                       m0 u64, ef_construction u64, seed u64, tier u8 (0 auto,
+    ///                       1 full, 2 quantized + rerank_factor u64)
+    ///             points    n u64, n × u64 ids, n × u8 delete flags,
+    ///                       quant_trained_at u64, n × (lat f64, lon f64)
+    /// 1 vectors   len × dim f32, row-major
+    /// 2 inv_norms len f32
+    /// 3 quant     empty when the tier is off, else dim u64, len u64, min f32,
+    ///             scale f32, len × dim u8 codes, len f32 inverse norms
+    /// 4 hnsw      entry u32 (u32::MAX = none), top_level u32, nodes u32, then per
+    ///             node: level u32 and, per layer 0..=level, count u32 + count × u32
+    /// ```
+    ///
+    /// A point is its id, its delete flag, its position, its vector, its
+    /// inverse norm, its codes when the quantized tier is on, and its
+    /// graph node. The encoding is canonical: a collection has one byte
+    /// string, and re-packing a restored collection reproduces it.
+    /// Nothing derived is stored: the id → offset index and the live
+    /// count are rebuilt from the ids and delete flags on load.
     pub fn pack_sections(&self, w: &mut Writer) {
         let n = self.ids.len();
         // Meta (25 B a point: id, delete flag, position), vectors, norms,
@@ -952,35 +865,24 @@ impl Collection {
         w.end_section();
     }
 
-    /// Rebuilds a collection from [`Collection::to_snapshot_bytes`]
-    /// output, trusting none of it: magic, version and checksum are
-    /// verified before a section is interpreted, every declared length
-    /// is checked against the bytes that remain before anything is
+    /// Rebuilds a collection from the five sections
+    /// [`Collection::pack_sections`] wrote, trusting none of them: the
+    /// container ([`crate::codec::Format::open`]) has checked its
+    /// checksum and section table, and here every declared length is
+    /// checked against the bytes that remain before anything is
     /// allocated for it, and the parts must then agree with each other —
     /// one point count across ids, vectors, norms, positions, delete
     /// flags, graph nodes and codes, the configured dimension
     /// throughout, no id live at two offsets, every position finite, and
-    /// every graph link inside the graph. A file that fails any of this is an error
-    /// here rather than a panic in some later query.
+    /// every graph link inside the graph. Sections that fail any of this
+    /// are an error here rather than a panic in some later query.
     ///
     /// # Errors
-    /// [`VecDbError::Snapshot`] naming the first check that failed — a
-    /// file of another format version among them, named by its version
+    /// [`VecDbError::Snapshot`] naming the first check that failed
     /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity,
     /// [`VecDbError::InvalidConfig`] for a configuration
     /// [`CollectionConfig::validate`] refuses — dimension 0, or graph
     /// parameters the next insert would panic on).
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, VecDbError> {
-        Self::from_sections(codec::COLLECTION.open(bytes)?)
-    }
-
-    /// Rebuilds a collection from the five sections
-    /// [`Collection::pack_sections`] wrote, with every check
-    /// [`Collection::from_snapshot_bytes`] makes after the container's
-    /// own.
-    ///
-    /// # Errors
-    /// See [`Collection::from_snapshot_bytes`].
     pub fn from_sections(
         [mut meta, mut rows, mut norms, quant, hnsw]: [Reader<'_>; 5],
     ) -> Result<Self, VecDbError> {
@@ -1251,34 +1153,48 @@ mod tests {
     #[test]
     fn unfiltered_search_finds_self() {
         let c = collection_with_points(200);
-        let r = c.search(&unit(0.5), &SearchParams::top_k(1)).unwrap();
-        assert_eq!(r[0].id, 50);
-        assert!(r[0].score > 0.9999);
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+            let params = SearchParams::top_k(1).with_strategy(strategy);
+            let r = c.search(&unit(0.5), &params).unwrap();
+            assert_eq!(r[0].id, 50, "{strategy:?}");
+            assert!(r[0].score > 0.9999, "{strategy:?}");
+        }
     }
 
     #[test]
     fn scores_descend() {
         let c = collection_with_points(100);
-        let r = c.search(&unit(0.3), &SearchParams::top_k(10)).unwrap();
-        assert!(r.windows(2).all(|w| w[0].score >= w[1].score));
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+            let params = SearchParams::top_k(10).with_strategy(strategy);
+            let r = c.search(&unit(0.3), &params).unwrap();
+            assert!(
+                r.windows(2).all(|w| w[0].score >= w[1].score),
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]
     fn filtered_search_respects_filter() {
         let c = collection_with_points(200);
-        // Points 100..=200 — half the collection, so not selective.
+        // Points 100..=200 — half the collection, broad enough that the
+        // filtered graph search has to walk past non-qualifying nodes.
         let f = Filter::geo_box(0.0995, -0.2005, 0.2005, -0.0995);
-        let r = c
-            .search(&unit(0.31), &SearchParams::top_k(5).with_filter(f))
-            .unwrap();
-        assert_eq!(r.len(), 5);
-        assert!(r.iter().all(|p| p.id >= 100));
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+            let params = SearchParams::top_k(5)
+                .with_filter(f.clone())
+                .with_strategy(strategy);
+            let r = c.search(&unit(0.31), &params).unwrap();
+            assert_eq!(r.len(), 5, "{strategy:?}");
+            assert!(r.iter().all(|p| p.id >= 100), "{strategy:?}");
+        }
     }
 
     #[test]
     fn selective_filter_triggers_exact_and_is_correct() {
         let c = collection_with_points(500);
-        // Geo filter matching only ~10 points (selective → exact path).
+        // Geo filter matching only ~10 points, under the default exact
+        // scan.
         let f = Filter::geo_box(0.0, -0.010, 0.010, 0.0);
         let r = c
             .search(&unit(0.0), &SearchParams::top_k(3).with_filter(f.clone()))
@@ -1304,10 +1220,13 @@ mod tests {
     fn exact_flag_matches_hnsw_on_easy_data() {
         let c = collection_with_points(300);
         let q = unit(1.23);
-        let approx = c.search(&q, &SearchParams::top_k(5)).unwrap();
-        let exact = c
-            .search(&q, &SearchParams::top_k(5).with_exact(true))
+        let approx = c
+            .search(
+                &q,
+                &SearchParams::top_k(5).with_strategy(SearchStrategy::Hnsw),
+            )
             .unwrap();
+        let exact = c.search(&q, &SearchParams::top_k(5)).unwrap();
         assert_eq!(
             approx.iter().map(|p| p.id).collect::<Vec<_>>(),
             exact.iter().map(|p| p.id).collect::<Vec<_>>()
@@ -1319,49 +1238,26 @@ mod tests {
         let c = collection_with_points(300);
         let f = Filter::geo_box(0.0, -0.3, 0.3, 0.0);
         let q = unit(0.2);
-        let exact = c
-            .search_planned(
-                &q,
-                &SearchParams::top_k(5)
-                    .with_filter(f.clone())
-                    .with_strategy(SearchStrategy::Exact),
-            )
-            .unwrap();
-        assert_eq!(exact.executed, ExecutedStrategy::ExactScan);
-        let hnsw = c
-            .search_planned(
-                &q,
-                &SearchParams::top_k(5)
-                    .with_filter(f.clone())
-                    .with_strategy(SearchStrategy::Hnsw),
-            )
-            .unwrap();
-        assert_eq!(hnsw.executed, ExecutedStrategy::FilteredHnsw);
-        assert_eq!(exact.qualifying, c.filter_ids(&f).len());
+        let search = |strategy| {
+            let params = SearchParams::top_k(5)
+                .with_filter(f.clone())
+                .with_strategy(strategy);
+            c.search(&q, &params).unwrap()
+        };
+        let exact = search(SearchStrategy::Exact);
+        let hnsw = search(SearchStrategy::Hnsw);
+        let qualifying = c.filter_ids(&f);
+        assert!(exact
+            .iter()
+            .chain(&hnsw)
+            .all(|p| qualifying.contains(&p.id)));
         // Same answer set (equidistant ties may order differently).
-        let mut a: Vec<_> = exact.hits.iter().map(|p| p.id).collect();
-        let mut b: Vec<_> = hnsw.hits.iter().map(|p| p.id).collect();
+        let mut a: Vec<_> = exact.iter().map(|p| p.id).collect();
+        let mut b: Vec<_> = hnsw.iter().map(|p| p.id).collect();
         assert_eq!(a[0], b[0]);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn auto_strategy_reports_heuristic_choice() {
-        let c = collection_with_points(500);
-        // ~10 qualifying points out of 500 → below the 0.10 threshold.
-        let narrow = Filter::geo_box(0.0, -0.010, 0.010, 0.0);
-        let p = c
-            .search_planned(&unit(0.0), &SearchParams::top_k(3).with_filter(narrow))
-            .unwrap();
-        assert_eq!(p.executed, ExecutedStrategy::ExactScan);
-        // No filter → every point qualifies → HNSW.
-        let p = c
-            .search_planned(&unit(0.0), &SearchParams::top_k(3))
-            .unwrap();
-        assert_eq!(p.executed, ExecutedStrategy::FilteredHnsw);
-        assert_eq!(p.qualifying, 500);
     }
 
     #[test]
@@ -1395,7 +1291,7 @@ mod tests {
         queries: &[&[f32]],
         params: &SearchParams,
         lanes: usize,
-    ) -> Vec<PlannedSearch> {
+    ) -> Vec<Vec<ScoredPoint>> {
         queries
             .chunks(lanes)
             .flat_map(|chunk| c.search_batch(chunk, params).unwrap())
@@ -1411,11 +1307,7 @@ mod tests {
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
         let filters = [None, Some(Filter::geo_box(0.0995, -0.3, 0.3, -0.0995))];
         for filter in filters {
-            for strategy in [
-                SearchStrategy::Auto,
-                SearchStrategy::Exact,
-                SearchStrategy::Hnsw,
-            ] {
+            for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
                 let mut params = SearchParams::top_k(7).with_strategy(strategy);
                 if let Some(f) = filter.clone() {
                     params = params.with_filter(f);
@@ -1424,11 +1316,7 @@ mod tests {
                 assert_eq!(batched.len(), queries.len());
                 for lanes in [1, 5] {
                     let split = search_in_lanes(&c, &queries, &params, lanes);
-                    for (b, s) in batched.iter().zip(&split) {
-                        assert_eq!(b.hits, s.hits, "{strategy:?} lanes={lanes}");
-                        assert_eq!(b.executed, s.executed);
-                        assert_eq!(b.qualifying, s.qualifying);
-                    }
+                    assert_eq!(batched, split, "{strategy:?} lanes={lanes}");
                 }
             }
         }
@@ -1438,8 +1326,8 @@ mod tests {
     fn exact_search_batch_matches_flat_index_brute_force() {
         // The surviving kernel held to an independent reference: the
         // brute-force `FlatIndex` scan (per-query `distance_normed` and a
-        // stable sort), bit for bit, for every way a search can resolve
-        // to the exact strategy.
+        // stable sort), bit for bit, unfiltered and under a broad and a
+        // selective filter.
         let c = collection_with_points(300);
         let mut flat = crate::FlatIndex::new(c.config().distance);
         for o in 0..300u64 {
@@ -1449,14 +1337,8 @@ mod tests {
         let queries: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
         let broad = Filter::geo_box(0.0995, -0.3, 0.3, -0.0995);
         let narrow = Filter::geo_box(0.0, -0.010, 0.010, 0.0);
-        let cases = [
-            (SearchStrategy::Exact, None),
-            (SearchStrategy::Exact, Some(broad)),
-            // Selective filter: `Auto` resolves to the exact scan.
-            (SearchStrategy::Auto, Some(narrow)),
-        ];
-        for (strategy, filter) in cases {
-            let mut params = SearchParams::top_k(7).with_strategy(strategy);
+        for filter in [None, Some(broad), Some(narrow)] {
+            let mut params = SearchParams::top_k(7).with_strategy(SearchStrategy::Exact);
             if let Some(f) = filter.clone() {
                 params = params.with_filter(f);
             }
@@ -1468,13 +1350,12 @@ mod tests {
             };
             let batched = c.search_batch(&queries, &params).unwrap();
             for (q, b) in queries.iter().zip(&batched) {
-                assert_eq!(b.executed, ExecutedStrategy::ExactScan);
                 let expect: Vec<ScoredPoint> = flat
                     .search(q, 7, Some(&mask))
                     .into_iter()
                     .map(|(o, d)| c.scored_point(o as PointId, d))
                     .collect();
-                assert_eq!(b.hits, expect, "{strategy:?} filter={filter:?}");
+                assert_eq!(b, &expect, "filter={filter:?}");
             }
         }
         // The candidate-list entry point, against the same reference.
@@ -1553,10 +1434,10 @@ mod tests {
         let queries: [&[f32]; 2] = [&[1.0, 0.0], &[0.6, 0.8]];
         let batched = c.search_batch(&queries, &params).unwrap();
         for (q, b) in queries.iter().zip(&batched) {
-            assert_eq!(b.hits, c.search(q, &params).unwrap());
+            assert_eq!(b, &c.search(q, &params).unwrap());
         }
         assert_eq!(
-            batched[0].hits.iter().map(|h| h.id).collect::<Vec<_>>(),
+            batched[0].iter().map(|h| h.id).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
     }
@@ -1574,7 +1455,7 @@ mod tests {
             .search_batch(&[q.as_slice()], &SearchParams::top_k(3))
             .unwrap();
         assert_eq!(out.len(), 1);
-        assert!(out[0].hits.is_empty());
+        assert!(out[0].is_empty());
         assert!(matches!(
             c.search_batch(&[&[1.0, 2.0, 3.0]], &SearchParams::top_k(1)),
             Err(VecDbError::DimensionMismatch { .. })

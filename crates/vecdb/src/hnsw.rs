@@ -1347,16 +1347,11 @@ mod tests {
         assert!(recall > 0.9, "recall@10 at dim 256 = {recall}");
     }
 
-    /// A snapshot whose last section — the graph's — is the only one
-    /// with anything in it.
+    /// The graph's snapshot section, as plain bytes.
     fn packed(idx: &HnswIndex) -> Vec<u8> {
-        let mut w = crate::codec::COLLECTION.writer(0);
-        for _ in 0..4 {
-            w.end_section();
-        }
+        let mut w = crate::codec::Writer::plain(0);
         idx.pack(&mut w);
-        w.end_section();
-        w.finish().seal()
+        w.into_bytes()
     }
 
     /// The graph over `vectors` as shipped (`restart == false`), or as
@@ -1473,7 +1468,7 @@ mod tests {
     /// The graph `packed` wrote, read back: every list without state.
     fn reloaded(idx: &HnswIndex) -> HnswIndex {
         let bytes = packed(idx);
-        let [.., graph] = crate::codec::COLLECTION.open(&bytes).unwrap();
+        let graph = crate::codec::Reader::over(&bytes);
         HnswIndex::unpack(graph, idx.distance, idx.config.clone(), usize::MAX).unwrap()
     }
 

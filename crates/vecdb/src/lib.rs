@@ -14,13 +14,12 @@
 //! A point is an id, a vector and a position — nothing else: the
 //! attributes the LLM reads live in the caller's dataset, not here. A
 //! [`Collection`] owns the vectors, the positions and the HNSW graph and
-//! picks a query strategy the way Qdrant does: when a filter is so
-//! selective that few points qualify, it brute-force scans the
-//! candidates (exact); when the filter is broad, it runs filtered HNSW
-//! search (approximate).
-//! [`VectorDb`] manages named collections behind `parking_lot` locks and
-//! persists each as one packed, checksummed snapshot file (format in
-//! [`db`]).
+//! runs the strategy its caller names — an exact scan of the qualifying
+//! points, or a filtered HNSW search; choosing between them is the
+//! caller's planner's job, not the collection's. It persists only inside
+//! another crate's container, as the five sections
+//! [`Collection::pack_sections`] writes. [`VectorDb`] registers named
+//! collections behind `parking_lot` locks.
 
 #![warn(missing_docs)]
 
@@ -37,10 +36,10 @@ pub mod quant;
 pub mod rows;
 pub mod sharded;
 
-pub use codec::{crc32, UnsealedSnapshot};
+pub use codec::crc32;
 pub use collection::{
-    default_ef, Collection, CollectionConfig, CollectionStats, ExecutedStrategy, MemoryFootprint,
-    PlannedSearch, ScoredPoint, SearchParams, SearchStrategy, AUTO_QUANT_THRESHOLD,
+    default_ef, Collection, CollectionConfig, CollectionStats, MemoryFootprint, ScoredPoint,
+    SearchParams, SearchStrategy, AUTO_QUANT_THRESHOLD,
 };
 pub use db::{CollectionHandle, VectorDb};
 pub use distance::{inv_norm, Distance};

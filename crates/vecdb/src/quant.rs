@@ -315,7 +315,7 @@ mod tests {
         truth.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         let truth_ids: Vec<u64> = truth[..10].iter().map(|x| x.0 as u64).collect();
 
-        let exact = crate::SearchParams::top_k(10).with_exact(true);
+        let exact = crate::SearchParams::top_k(10);
         let rescored = c.search(&query, &exact).unwrap();
         let hits = rescored
             .iter()

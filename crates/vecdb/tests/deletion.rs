@@ -1,6 +1,8 @@
 //! Soft-deletion behaviour of collections.
 
-use vecdb::{Collection, CollectionConfig, Distance, Filter, SearchParams, VecDbError};
+use vecdb::{
+    Collection, CollectionConfig, Distance, Filter, SearchParams, SearchStrategy, VecDbError,
+};
 
 fn collection(n: usize) -> Collection {
     let mut c = Collection::new(CollectionConfig {
@@ -18,14 +20,13 @@ fn deleted_points_vanish_from_search() {
     let mut c = collection(20);
     c.delete(5).unwrap();
     c.delete(6).unwrap();
-    let r = c
-        .search(&[5.4, 0.0], &SearchParams::top_k(3).with_exact(true))
-        .unwrap();
+    let r = c.search(&[5.4, 0.0], &SearchParams::top_k(3)).unwrap();
     assert!(r.iter().all(|p| p.id != 5 && p.id != 6));
     // HNSW path too.
-    let r2 = c
-        .search(&[5.4, 0.0], &SearchParams::top_k(3).with_ef(64))
-        .unwrap();
+    let hnsw = SearchParams::top_k(3)
+        .with_ef(64)
+        .with_strategy(SearchStrategy::Hnsw);
+    let r2 = c.search(&[5.4, 0.0], &hnsw).unwrap();
     assert!(r2.iter().all(|p| p.id != 5 && p.id != 6));
 }
 

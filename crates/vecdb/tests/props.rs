@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use vecdb::{
     Collection, CollectionConfig, Distance, Filter, FlatIndex, HnswConfig, HnswIndex, Rows,
-    SearchParams,
+    SearchParams, SearchStrategy,
 };
 
 fn arb_vectors(dim: usize, max: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -74,17 +74,20 @@ proptest! {
             c.insert(i as u64, v.clone(), (lat, 0.0)).unwrap();
         }
         let f = Filter::geo_box(min_lat, -1.0, (min_lat + span).min(1.0), 1.0);
-        let r = c
-            .search(&[0.0, 0.0, 0.0, 0.0], &SearchParams::top_k(10).with_filter(f.clone()))
-            .unwrap();
         let allowed = c.filter_ids(&f);
-        for hit in r {
-            prop_assert!(allowed.contains(&hit.id));
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
+            let params = SearchParams::top_k(10)
+                .with_filter(f.clone())
+                .with_strategy(strategy);
+            let r = c.search(&[0.0, 0.0, 0.0, 0.0], &params).unwrap();
+            for hit in r {
+                prop_assert!(allowed.contains(&hit.id), "{:?} leaked {}", strategy, hit.id);
+            }
         }
     }
 
     #[test]
-    fn exact_and_default_search_agree_on_top1(vectors in arb_vectors(8, 150)) {
+    fn exact_and_hnsw_search_agree_on_top1(vectors in arb_vectors(8, 150)) {
         let mut c = Collection::new(CollectionConfig {
             distance: Distance::Euclid,
             ..CollectionConfig::new(8)
@@ -93,8 +96,9 @@ proptest! {
             c.insert(i as u64, v.clone(), (0.0, 0.0)).unwrap();
         }
         let q = vec![0.0f32; 8];
-        let exact = c.search(&q, &SearchParams::top_k(1).with_exact(true)).unwrap();
-        let approx = c.search(&q, &SearchParams::top_k(1).with_ef(256)).unwrap();
+        let exact = c.search(&q, &SearchParams::top_k(1)).unwrap();
+        let hnsw = SearchParams::top_k(1).with_ef(256).with_strategy(SearchStrategy::Hnsw);
+        let approx = c.search(&q, &hnsw).unwrap();
         // With a wide beam on small data, HNSW top-1 distance equals exact
         // top-1 distance (ids may differ only on exact ties).
         prop_assert!((exact[0].score - approx[0].score).abs() < 1e-5);

@@ -85,11 +85,7 @@ fn full_tier_is_bit_identical_to_auto_below_threshold() {
     let full = build(n, ScoringTier::Full);
     let auto = build(n, ScoringTier::Auto);
     let filter = Filter::geo_box(0.1, 0.0, 0.8, 0.2);
-    for strategy in [
-        SearchStrategy::Exact,
-        SearchStrategy::Hnsw,
-        SearchStrategy::Auto,
-    ] {
+    for strategy in [SearchStrategy::Exact, SearchStrategy::Hnsw] {
         for q_seed in 0..20u64 {
             let q = pseudo(q_seed + 9_000, DIM);
             let params = SearchParams::top_k(10)
@@ -136,8 +132,8 @@ fn quantized_batch_matches_sequential_bitwise() {
         .flat_map(|chunk| c.search_batch(chunk, &params).unwrap())
         .collect();
     for ((q, b), t) in queries.iter().zip(&batched).zip(&in_threes) {
-        assert_same_bits(&c.search_planned(q, &params).unwrap().hits, &b.hits);
-        assert_same_bits(&t.hits, &b.hits);
+        assert_same_bits(&c.search(q, &params).unwrap(), b);
+        assert_same_bits(t, b);
     }
 
     // The candidate-list entry point, over an explicit candidate set

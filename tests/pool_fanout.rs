@@ -76,9 +76,9 @@ fn pooled_fanout(slices: &[RetrievalBackend], queries: &[&[f32]]) -> Vec<Vec<Sco
 /// for bit, single-query and batched paths alike.
 fn assert_parity(ids: &[u64], shard_counts: &[u32], label: &str) {
     let flat = flat_over(ids);
-    // Forced-exact search: deterministic scoring, so bit-identity is a
+    // Exact search (the default): deterministic scoring, so bit-identity is a
     // hard requirement, not a heuristic coincidence.
-    let params = SearchParams::top_k(10).with_exact(true);
+    let params = SearchParams::top_k(10);
     for &batch in &[1usize, 64] {
         let queries: Vec<Vec<f32>> = (0..batch).map(|q| vector(1_000_000 + q as u64)).collect();
         let query_refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();

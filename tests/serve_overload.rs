@@ -97,6 +97,9 @@ fn full_queue_sheds_immediately_and_recovers_after_drain() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve`: on unwind the held executor's `recv` fails
+    // instead of blocking the server's shutdown forever.
+    let release_tx = release_tx;
 
     // The executor is free, so the first submission leaves alone; the
     // batcher blocks inside the executor with the admission queue empty.
@@ -189,6 +192,8 @@ fn panicking_scorer_poisons_only_its_batch() {
             negative_cache: false,
         },
     );
+    // Dropped before `serve` (see the test above).
+    let release_tx = release_tx;
 
     // Each round holds the executor with one query so the next two
     // queue behind it and leave as one flush of two.

@@ -4,7 +4,7 @@
 use embed::{Embedder, SemanticEmbedder};
 use geotext::BoundingBox;
 use spatial::{GridIndex, IrTree, Item, SpatialKeywordQuery};
-use vecdb::{CollectionConfig, Filter, SearchParams, VectorDb};
+use vecdb::{Collection, CollectionConfig, Filter, SearchParams, SearchStrategy, VectorDb};
 
 fn city() -> datagen::CityData {
     datagen::poi::generate_city(&datagen::CITIES[3], 400, 13)
@@ -55,7 +55,10 @@ fn vecdb_geo_filter_equals_dataset_range_scan() {
     let embedder = SemanticEmbedder::default_model();
     let db = VectorDb::new();
     let handle = db
-        .create_collection("pois", CollectionConfig::new(embedder.dim()))
+        .add_collection(
+            "pois",
+            Collection::new(CollectionConfig::new(embedder.dim())),
+        )
         .expect("create");
     {
         let mut c = handle.write();
@@ -90,7 +93,10 @@ fn semantically_similar_pois_are_neighbors_in_vecdb() {
     let embedder = SemanticEmbedder::default_model();
     let db = VectorDb::new();
     let handle = db
-        .create_collection("pois", CollectionConfig::new(embedder.dim()))
+        .add_collection(
+            "pois",
+            Collection::new(CollectionConfig::new(embedder.dim())),
+        )
         .expect("create");
     {
         let mut c = handle.write();
@@ -105,7 +111,8 @@ fn semantically_similar_pois_are_neighbors_in_vecdb() {
     let coffee = ontology.id_of("coffee-specialty");
     let qv = embedder.embed("beans roasted in house and perfectly pulled shots");
     let c = handle.read();
-    let hits = c.search(&qv, &SearchParams::top_k(10)).expect("search");
+    let params = SearchParams::top_k(10).with_strategy(SearchStrategy::Hnsw);
+    let hits = c.search(&qv, &params).expect("search");
     let coffee_hits = hits
         .iter()
         .filter(|h| ontology.satisfies(data.concepts_of(geotext::ObjectId(h.id as u32)), coffee))
