@@ -10,15 +10,17 @@
 //! 2. **Prepare beside the fsync** — the log's fsync is the commit
 //!    point: a mutation whose record is durable *will* be applied (now,
 //!    or by recovery); one whose record is torn away by a crash is
-//!    wholly dropped. While it runs the batch is prepared — enriched,
-//!    embedded, its graph inserts planned — which changes nothing a
-//!    reader sees, so the two overlap as the two indices of one
-//!    [`vecdb::pool::global`] fan-out — the prepare is index 0, so it is
-//!    claimed first, and the fsync index 1, which a free worker takes
-//!    beside it (with none free, the writer runs both, one after the
-//!    other). If the fsync fails, the prepared batch is
-//!    dropped, the log rolls back to its last sync, and nothing is
-//!    published.
+//!    wholly dropped. While it runs the batch is prepared, which changes
+//!    nothing a reader sees: the writer enriches it, then the fsync
+//!    joins the prepare's one [`vecdb::pool::global`] fan-out
+//!    (`SemaSkEngine::prepare_mutations`). The indices are the graph
+//!    plans (embed and plan each insert or update; the writer claims
+//!    index 0), then one job for the batch's text (every mutation's
+//!    corpus terms and the next overlay), then the fsync, which a free
+//!    worker takes beside the graph plans (with no worker free, the
+//!    writer runs them all, one after the other). If the fsync fails,
+//!    the prepared batch is dropped, the log rolls back to its last
+//!    sync, and nothing is published.
 //! 3. **Commit** — only after the fsync does the batch take the mutation
 //!    gate and change the in-memory engine, so queries never observe
 //!    state that could be lost, and readers wait only for the commit.
@@ -423,22 +425,14 @@ impl DurableEngine {
         // The batch is prepared while its records sync (module docs).
         // Preparing changes nothing a reader sees, so a failed fsync only
         // has to drop it.
-        let wal = Mutex::new(&mut log.wal);
-        let mut stages = vecdb::pool::global().run(2, |stage| {
-            if stage == 0 {
-                let prepared = self.engine.prepare_mutations(&turn);
-                crash_point("wal-prepared");
-                (Some(prepared), None)
-            } else {
-                (None, Some(wal.lock().sync()))
-            }
-        });
-        let (_, synced) = stages.pop().expect("the sync stage");
-        let (prepared, _) = stages.pop().expect("the prepare stage");
-        synced.expect("stage 1 syncs")?;
+        let wal = &mut log.wal;
+        // Crash point `wal-prepared` fires inside the prepare, while the
+        // fsync may still be running.
+        let (prepared, synced) = self.engine.prepare_mutations(&turn, Some(|| wal.sync()));
+        synced.expect("the fsync runs beside the prepare")?;
         crash_point("wal-after-fsync");
 
-        let prepared = prepared.expect("stage 0 prepares")?;
+        let prepared = prepared?;
         let batch = self.engine.commit_mutations(turn, prepared)?;
         if last_seq > 0 {
             self.engine.prepared().live.set_last_seq(last_seq);

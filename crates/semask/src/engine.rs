@@ -16,8 +16,9 @@ use crate::live::{Overlay, Resolution};
 use crate::prep::PreparedCity;
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
-use crate::wal::{Mutation, PoiSpec, PoiUpdate};
-use parking_lot::MutexGuard;
+use crate::wal::{crash_point, Mutation, PoiSpec, PoiUpdate};
+use parking_lot::{Mutex, MutexGuard};
+use textindex::DocTerms;
 
 /// The system variants evaluated in the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -513,8 +514,8 @@ impl SemaSkEngine {
     /// errors otherwise.
     pub fn apply_mutations(&self, mutations: &[Mutation]) -> Result<AppliedBatch, EngineError> {
         let turn = self.begin_mutations(mutations)?;
-        let prepared = self.prepare_mutations(&turn)?;
-        self.commit_mutations(turn, prepared)
+        let (prepared, _) = self.prepare_mutations(&turn, None::<fn()>);
+        self.commit_mutations(turn, prepared?)
     }
 
     /// Stage 1, **begin**: takes the writer lock — held until the batch
@@ -534,49 +535,121 @@ impl SemaSkEngine {
     }
 
     /// Stage 2, **prepare**: everything a batch costs that changes
-    /// nothing a reader sees — enrichment (reverse geocoding, tip
-    /// summaries), embeddings, the next overlay and each
-    /// insert's graph plan, the last under the collection's read lock.
-    /// Queries run throughout, and the mutation gate is not taken.
-    pub(crate) fn prepare_mutations(
+    /// nothing a reader sees. Queries run throughout, and the mutation
+    /// gate is not taken. The batch is enriched on the caller (reverse
+    /// geocoding, tip summaries), then planned in one
+    /// [`vecdb::pool::global`] fan-out over these indices, in order:
+    ///
+    /// - one per insert or update: embed, then the graph plan under the
+    ///   collection's read lock;
+    /// - the batch's text: each mutation's old and new documents' corpus
+    ///   terms ([`textindex::InvertedIndex::doc_terms`]) under the
+    ///   corpus's read lock, and the next overlay;
+    /// - `beside`, if given (the durable path's log fsync).
+    ///
+    /// The caller claims index 0 first, so it takes a graph plan — the
+    /// longest job — while a free worker takes the text, then `beside`.
+    /// `beside` runs exactly once whatever else fails, and its result
+    /// comes back beside the batch's. With `beside` given, the text job
+    /// ends at crash point `wal-prepared`: nothing is committed, and
+    /// `beside` may not have run yet, or may still be running.
+    pub(crate) fn prepare_mutations<B: Send>(
         &self,
         turn: &WriteTurn<'_>,
-    ) -> Result<PreparedBatch, EngineError> {
-        let base = self.prepared.dataset.as_ref();
-        let collection = self.collection()?;
-        let mut next = (*self.prepared.live.overlay()).clone();
-        let mut steps = Vec::with_capacity(turn.mutations.len());
-        let mut inserted = Vec::new();
-        // The point an insert or update stores: its vector, its position
-        // and the graph plan made for it.
-        let point = |obj: &GeoTextObject| -> Result<PlannedPoint, EngineError> {
-            let text = PreparedCity::embedding_text_with(obj, self.config.embed_raw_tips);
-            let vector = self.prepared.embedder.embed(&text);
-            let plan = collection.read().plan_insert(&vector)?;
-            Ok(PlannedPoint {
-                vector,
-                location: obj.location,
-                plan,
-            })
+        beside: Option<impl FnOnce() -> B + Send>,
+    ) -> (Result<PreparedBatch, EngineError>, Option<B>) {
+        let published = self.prepared.live.overlay();
+        let (drafts, collection) = match self
+            .draft_mutations(&published, turn.mutations)
+            .and_then(|drafts| Ok((drafts, self.collection()?)))
+        {
+            Ok(ready) => ready,
+            Err(e) => return (Err(e), beside.map(|f| f())),
         };
-        for m in turn.mutations {
-            let step = match m {
+        let stored: Vec<&GeoTextObject> = drafts.iter().filter_map(Draft::object).collect();
+        let g = stored.len();
+        let has_beside = beside.is_some();
+        let beside = Mutex::new(beside);
+        let (text, beside_out) = (Mutex::new(None), Mutex::new(None));
+        let points = vecdb::pool::global().run(g + 1 + usize::from(has_beside), |i| {
+            if i < g {
+                return Some(self.plan_point(&collection, stored[i]));
+            }
+            if i == g {
+                *text.lock() = Some(self.plan_text(&published, &drafts));
+                if has_beside {
+                    crash_point("wal-prepared");
+                }
+            } else if let Some(f) = beside.lock().take() {
+                *beside_out.lock() = Some(f());
+            }
+            None
+        });
+
+        let (texts, next) = text.into_inner().expect("index g plans the text");
+        let mut points = points.into_iter().flatten();
+        let steps = drafts
+            .iter()
+            .zip(texts)
+            .map(|(draft, text)| {
+                let step = match (draft, text) {
+                    (Draft::Insert(obj), (None, Some(terms))) => Step::Insert {
+                        id: obj.id,
+                        point: points.next().expect("a point per stored object")?,
+                        terms,
+                    },
+                    (Draft::Update(obj), (Some(old), Some(terms))) => Step::Update {
+                        id: obj.id,
+                        point: points.next().expect("a point per stored object")?,
+                        old,
+                        terms,
+                    },
+                    (&Draft::Delete(id), (Some(old), None)) => Step::Delete { id, old },
+                    _ => unreachable!("a draft's text plan has its shape"),
+                };
+                Ok(step)
+            })
+            .collect::<Result<Vec<Step>, EngineError>>();
+        let batch = steps.map(|steps| PreparedBatch {
+            steps,
+            next,
+            inserted: drafts
+                .iter()
+                .filter(|d| matches!(d, Draft::Insert(_)))
+                .map(Draft::id)
+                .collect(),
+        });
+        (batch, beside_out.into_inner())
+    }
+
+    /// The batch's objects, in batch order: each insert enriched under
+    /// the dense id it will claim, each update applied to a copy of the
+    /// object as the batch's earlier mutations leave it.
+    fn draft_mutations(
+        &self,
+        published: &Overlay,
+        mutations: &[Mutation],
+    ) -> Result<Vec<Draft>, EngineError> {
+        let base = self.prepared.dataset.as_ref();
+        let mut next_id = published.next_id();
+        let mut drafts: Vec<Draft> = Vec::with_capacity(mutations.len());
+        for m in mutations {
+            let draft = match m {
                 Mutation::Insert(spec) => {
-                    let id = ObjectId(next.next_id());
-                    let obj = self.enrich_insert(id, spec)?;
-                    let step = Step::Insert {
-                        id,
-                        point: point(&obj)?,
-                        doc: obj.to_document(),
-                    };
-                    inserted.push(next.insert(obj));
-                    step
+                    let obj = self.enrich_insert(ObjectId(next_id), spec)?;
+                    next_id += 1;
+                    Draft::Insert(Arc::new(obj))
                 }
                 Mutation::Update { id, update } => {
                     let id = ObjectId(*id);
-                    let current = next.get(base, id).expect("validated: id is live");
-                    let old_doc = current.to_document();
-                    let mut obj = current.clone();
+                    let earlier = drafts
+                        .iter()
+                        .rev()
+                        .find_map(|d| d.object().filter(|o| o.id == id));
+                    let mut obj = earlier
+                        .or_else(|| published.get(base, id))
+                        .expect("validated: id is live")
+                        .clone();
                     if let Some(name) = &update.name {
                         obj.attrs.set("name", name.clone());
                     }
@@ -585,40 +658,69 @@ impl SemaSkEngine {
                         let summary = self.summarize_tips(tips)?;
                         obj.attrs.set("tip_summary", summary);
                     }
-                    let step = Step::Update {
-                        id,
-                        point: point(&obj)?,
-                        old_doc,
-                        doc: obj.to_document(),
-                    };
-                    next.update(id, obj);
-                    step
+                    Draft::Update(Arc::new(obj))
                 }
-                Mutation::Delete { id } => {
-                    let id = ObjectId(*id);
-                    let doc = next
-                        .get(base, id)
-                        .expect("validated: id is live")
-                        .to_document();
-                    next.delete(id);
-                    Step::Delete { id, doc }
-                }
+                Mutation::Delete { id } => Draft::Delete(ObjectId(*id)),
             };
-            steps.push(step);
+            drafts.push(draft);
         }
-        Ok(PreparedBatch {
-            steps,
-            next,
-            inserted,
+        Ok(drafts)
+    }
+
+    /// The point `obj` stores: its vector, its position and the graph
+    /// plan made for it under the collection's read lock.
+    fn plan_point(
+        &self,
+        collection: &vecdb::CollectionHandle,
+        obj: &GeoTextObject,
+    ) -> Result<PlannedPoint, EngineError> {
+        let text = PreparedCity::embedding_text_with(obj, self.config.embed_raw_tips);
+        let vector = self.prepared.embedder.embed(&text);
+        let plan = collection.read().plan_insert(&vector)?;
+        Ok(PlannedPoint {
+            vector,
+            location: obj.location,
+            plan,
         })
+    }
+
+    /// The batch's corpus terms and the overlay it publishes, made in one
+    /// pass in batch order: per mutation, the old document — as the
+    /// batch's earlier mutations leave it — and the new one, mapped onto
+    /// the corpus vocabulary under the corpus's read lock.
+    fn plan_text(&self, published: &Overlay, drafts: &[Draft]) -> (Vec<TextPlan>, Overlay) {
+        let base = self.prepared.dataset.as_ref();
+        let terms = |obj: &GeoTextObject| self.prepared.planner.doc_terms(&obj.to_document());
+        let mut next = published.clone();
+        let texts = drafts
+            .iter()
+            .map(|draft| {
+                let old = match draft {
+                    Draft::Insert(_) => None,
+                    _ => Some(terms(
+                        next.get(base, draft.id()).expect("validated: id is live"),
+                    )),
+                };
+                match draft {
+                    Draft::Insert(obj) => {
+                        next.insert(Arc::clone(obj));
+                    }
+                    Draft::Update(obj) => next.update(obj.id, Arc::clone(obj)),
+                    Draft::Delete(id) => next.delete(*id),
+                }
+                (old, draft.object().map(terms))
+            })
+            .collect();
+        (texts, next)
     }
 
     /// Stage 3, **commit**: takes the mutation gate in write mode and
     /// makes the prepared batch so — the planned points into the
     /// collection (a plan made stale by an earlier insert of the batch
-    /// is made again here), the planner's side buffers and corpus, then
-    /// the overlay, published as the next epoch. An empty batch
-    /// publishes nothing.
+    /// is made again here), the planned terms into the corpus and the
+    /// side points into the planner, then the overlay, published as the
+    /// next epoch. Nothing here tokenizes or renders a document. An
+    /// empty batch publishes nothing.
     pub(crate) fn commit_mutations(
         &self,
         turn: WriteTurn<'_>,
@@ -631,36 +733,40 @@ impl SemaSkEngine {
                 inserted: Vec::new(),
             });
         }
-        let _gate = live.gate_write();
+        let gate = live.gate_write();
         let collection = self.collection()?;
         let planner = &self.prepared.planner;
         for step in batch.steps {
             match step {
-                Step::Insert { id, point, doc } => {
+                Step::Insert { id, point, terms } => {
                     let location = point.location;
                     point.store(&mut collection.write(), id)?;
-                    planner.live_insert(id, location, &doc);
+                    planner.live_insert(id, location, terms);
                 }
                 Step::Update {
                     id,
                     point,
-                    old_doc,
-                    doc,
+                    old,
+                    terms,
                 } => {
                     {
                         let mut guard = collection.write();
                         guard.delete(u64::from(id.0))?;
                         point.store(&mut guard, id)?;
                     }
-                    planner.live_update(id, &old_doc, &doc);
+                    planner.live_update(id, old, terms);
                 }
-                Step::Delete { id, doc } => {
+                Step::Delete { id, old } => {
                     collection.write().delete(u64::from(id.0))?;
-                    planner.live_delete(id, &doc);
+                    planner.live_delete(id, old);
                 }
             }
         }
+        // The outgoing overlay is freed after the gate, not under it.
+        let previous = live.overlay();
         let epoch = live.publish(batch.next);
+        drop(gate);
+        drop(previous);
         drop(turn);
         Ok(AppliedBatch {
             epoch,
@@ -843,24 +949,53 @@ pub(crate) struct PreparedBatch {
     inserted: Vec<ObjectId>,
 }
 
-/// One mutation, prepared.
+/// One mutation, prepared: its point and its corpus terms, planned.
 enum Step {
     Insert {
         id: ObjectId,
         point: PlannedPoint,
-        doc: String,
+        terms: DocTerms,
     },
     Update {
         id: ObjectId,
         point: PlannedPoint,
-        old_doc: String,
-        doc: String,
+        old: DocTerms,
+        terms: DocTerms,
     },
     Delete {
         id: ObjectId,
-        doc: String,
+        old: DocTerms,
     },
 }
+
+/// One mutation, enriched: the object an insert or update stores,
+/// shared with the overlay the batch publishes.
+enum Draft {
+    Insert(Arc<GeoTextObject>),
+    Update(Arc<GeoTextObject>),
+    Delete(ObjectId),
+}
+
+impl Draft {
+    fn id(&self) -> ObjectId {
+        match self {
+            Draft::Insert(obj) | Draft::Update(obj) => obj.id,
+            Draft::Delete(id) => *id,
+        }
+    }
+
+    /// The object the mutation leaves at its id, `None` for a delete.
+    fn object(&self) -> Option<&GeoTextObject> {
+        match self {
+            Draft::Insert(obj) | Draft::Update(obj) => Some(obj),
+            Draft::Delete(_) => None,
+        }
+    }
+}
+
+/// A mutation's old and new documents' corpus terms: no old one for an
+/// insert, no new one for a delete.
+type TextPlan = (Option<DocTerms>, Option<DocTerms>);
 
 /// A point ready to store: its vector, its POI's position and the graph
 /// plan made for it.
@@ -1240,14 +1375,26 @@ mod tests {
         // first commits, and is made again.
         let batch = [espresso(1), espresso(2), Mutation::Delete { id: victim.0 }];
 
-        // Prepared and dropped: nothing happened.
+        // Every corpus term's document frequency, one per interned term.
+        let doc_freqs = || {
+            engine.prepared().planner.with_corpus(|c| {
+                (0..c.vocab().len() as u32)
+                    .map(|t| c.doc_freq(t))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let freqs = doc_freqs();
+
+        // Prepared and dropped: nothing happened, not even to the corpus
+        // the prepare planned its terms against.
         let turn = engine.begin_mutations(&batch).unwrap();
-        drop(engine.prepare_mutations(&turn).unwrap());
+        drop(engine.prepare_mutations(&turn, None::<fn()>).0.unwrap());
         drop(turn);
         assert_eq!(engine.mutation_epoch(), epoch);
+        assert_eq!(doc_freqs(), freqs);
 
         let turn = engine.begin_mutations(&batch).unwrap();
-        let prepared = engine.prepare_mutations(&turn).unwrap();
+        let prepared = engine.prepare_mutations(&turn, None::<fn()>).0.unwrap();
         assert_eq!(prepared.inserted, [ObjectId(150), ObjectId(151)]);
         // Queries run while the writer holds its turn, and see none of it.
         assert_eq!(engine.query(&q).unwrap().answer_ids(), before);
@@ -1260,6 +1407,81 @@ mod tests {
         let after = engine.query(&q).unwrap().answer_ids();
         assert!(after.contains(&ObjectId(150)) && after.contains(&ObjectId(151)));
         assert!(!after.contains(&victim));
+    }
+
+    #[test]
+    fn a_batch_leaves_the_corpus_of_its_surviving_objects() {
+        let (engine, data) = setup(Variant::EmbeddingOnly);
+        let center = data.city.center();
+        let base_poi = 7u32;
+        let x = engine.prepared().dataset.len() as u32;
+        let touched_before = engine.prepared().dataset[ObjectId(base_poi)].to_document();
+        // X is inserted and updated, base POI B updated and deleted, in
+        // one batch: X's update and B's delete each edit a document an
+        // earlier step of the batch wrote, and X's tokens are new to the
+        // corpus when the batch is planned.
+        let batch = [
+            Mutation::Insert(crate::wal::PoiSpec {
+                name: "Quokkaberry Vinyl Parlour".to_owned(),
+                lat: center.lat,
+                lon: center.lon,
+                categories: vec!["record store".to_owned()],
+                tips: vec!["zymurgy nights on fridays".to_owned()],
+            }),
+            Mutation::Update {
+                id: x,
+                update: crate::wal::PoiUpdate {
+                    name: Some("Quokkaberry Vinyl Annex".to_owned()),
+                    tips: Some(vec!["xylophone workshops, zymurgy too".to_owned()]),
+                },
+            },
+            Mutation::Update {
+                id: base_poi,
+                update: crate::wal::PoiUpdate {
+                    name: Some("Wombatine Tearoom".to_owned()),
+                    tips: None,
+                },
+            },
+            Mutation::Delete { id: base_poi },
+        ];
+        let applied = engine.apply_mutations(&batch).unwrap();
+        assert_eq!(applied.inserted, [ObjectId(x)]);
+
+        let overlay = engine.prepared().live.overlay();
+        let base = engine.prepared().dataset.as_ref();
+        let mut rebuilt = textindex::InvertedIndex::new();
+        for id in 0..overlay.next_id() {
+            let doc = overlay
+                .get(base, ObjectId(id))
+                .map(GeoTextObject::to_document);
+            rebuilt.add_document(&doc.unwrap_or_default());
+        }
+        let x_doc = overlay.get(base, ObjectId(x)).unwrap().to_document();
+        let docs = [
+            touched_before,
+            x_doc,
+            "Quokkaberry Vinyl Parlour record store zymurgy nights".to_owned(),
+            "Wombatine Tearoom".to_owned(),
+        ];
+        let tokenizer = textindex::Tokenizer::new();
+        let planner = &engine.prepared().planner;
+        for token in docs.iter().flat_map(|d| tokenizer.tokenize(d)) {
+            let live = planner.with_corpus(|c| c.and_query(&token));
+            assert_eq!(live, rebuilt.and_query(&token), "`{token}`");
+            let rebuilt_empty = tokenizer
+                .tokenize(&token)
+                .iter()
+                .any(|t| rebuilt.vocab().get(t).is_none());
+            // A token only deleted documents held stays known to the
+            // live corpus, which then matches nothing.
+            if planner.provably_empty(&token) != rebuilt_empty {
+                assert!(rebuilt_empty && live.is_empty(), "`{token}`");
+            }
+        }
+        // The updated X matches its new words and not its dropped ones.
+        assert_eq!(rebuilt.and_query("xylophone"), [x]);
+        assert!(rebuilt.and_query("parlour").is_empty());
+        assert!(!planner.provably_empty("xylophone zymurgy"));
     }
 
     #[test]

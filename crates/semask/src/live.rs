@@ -16,22 +16,48 @@
 //! - The single writer ([`SemaSkEngine::apply_mutations`]) holds the
 //!   **writer lock** from validation to publish — readers never take
 //!   it — and runs in three stages: *begin* validates the batch against
-//!   the published overlay; *prepare* enriches, embeds, builds the next
-//!   overlay and plans each graph insert under the collection's read
-//!   lock, all while queries run; *commit* takes the gate in write mode,
-//!   applies the planned points to every substrate (collection, side
-//!   points, corpus index), publishes the new overlay `Arc`, and bumps
-//!   the epoch **once per batch** — a reader can never observe half a
-//!   batch, and waits only for the commit.
+//!   the published overlay; *prepare* enriches the batch, then plans it
+//!   in one pool fan-out — each insert's embedding and graph plan under
+//!   the collection's read lock, and one job planning every mutation's
+//!   old and new documents' corpus terms under the corpus's read lock
+//!   and the next overlay — all while queries run; *commit* takes the gate in write mode,
+//!   applies the planned points and terms to every substrate
+//!   (collection, side points, corpus index), publishes the new overlay
+//!   `Arc`, and bumps the epoch **once per batch** — a reader can never
+//!   observe half a batch, and waits only for the commit, which neither
+//!   tokenizes nor renders a document.
 //!
 //! The overlay itself is tiny: base data stays in the immutable
 //! [`geotext::Dataset`]; the overlay carries only deltas (tombstoned
 //! ids, inserted/updated objects) and the next dense id. Deletes reach
 //! the filter stage through the collection's soft-delete masks (every
-//! backend already honors them); inserts reach the grid/IR-tree
-//! prefilters through the planner's side-point buffer
-//! ([`crate::retrieval::SidePoints`]); the overlay is what the
-//! *refinement* stage and the checkpoint fold read.
+//! backend already honors them); inserts reach the grid prefilter
+//! through the planner's side-point buffer
+//! ([`crate::retrieval::SidePoints`]) and keyword filters through the
+//! corpus index; the overlay is what the *refinement* stage and the
+//! checkpoint fold read.
+//!
+//! **A panic on the write path.** Every lock here is the `parking_lot`
+//! shim's, which takes a poisoned std lock's guard and carries on, so
+//! after a panic nothing refuses the next reader or writer. Per lock the
+//! writer takes:
+//!
+//! - the *writer lock* and the *gate* guard `()`: they order the edits
+//!   but hold no state, so taking them after a panic is harmless in
+//!   itself;
+//! - the *overlay* is replaced by one `Arc` store in [`LiveState::publish`],
+//!   so it always holds a whole epoch and is good state after any panic;
+//! - the *corpus index* and the *collection* are read-locked in prepare
+//!   (a read guard does not poison, and a prepare job that panics has
+//!   dropped its guards before the pool re-raises the panic) and
+//!   write-locked only in commit. A panic in prepare therefore changes
+//!   nothing, and the batch is simply not applied. A panic in commit can
+//!   leave either one half-edited — a posting marked dead without its
+//!   count, a graph node half linked — or holding a prefix of the batch
+//!   behind the old overlay, and the shim reads that as good state. So
+//!   after a panic in commit the in-memory engine is not to be trusted:
+//!   a durable deployment reopens from its directory, where the batch's
+//!   log record, synced before the commit began, is replayed whole.
 //!
 //! [`SemaSkEngine::apply_mutations`]: crate::engine::SemaSkEngine::apply_mutations
 
@@ -134,17 +160,18 @@ impl Overlay {
     }
 
     /// Claims the next dense id for an insert and records its object.
-    pub fn insert(&mut self, obj: GeoTextObject) -> ObjectId {
+    pub fn insert(&mut self, obj: impl Into<Arc<GeoTextObject>>) -> ObjectId {
+        let obj = obj.into();
         let id = self.next_id;
         debug_assert_eq!(obj.id.0, id, "overlay inserts claim dense ids in order");
-        self.objects.insert(id, Arc::new(obj));
+        self.objects.insert(id, obj);
         self.next_id += 1;
         ObjectId(id)
     }
 
     /// Records an updated copy of `id`'s object.
-    pub fn update(&mut self, id: ObjectId, obj: GeoTextObject) {
-        self.objects.insert(id.0, Arc::new(obj));
+    pub fn update(&mut self, id: ObjectId, obj: impl Into<Arc<GeoTextObject>>) {
+        self.objects.insert(id.0, obj.into());
     }
 
     /// Tombstones `id`.

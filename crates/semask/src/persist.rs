@@ -609,7 +609,7 @@ pub fn from_snapshot_bytes(
     // postings too.
     for &t in &header.tombstones {
         let obj = &dataset[ObjectId(t)];
-        planner.live_delete(obj.id, &obj.to_document());
+        planner.live_delete(obj.id, planner.doc_terms(&obj.to_document()));
     }
     let live = LiveState::with_overlay(
         Overlay::restore(header.next_id, header.tombstones),

@@ -41,6 +41,7 @@ use std::sync::{Arc, OnceLock};
 use geotext::{BoundingBox, Dataset, GeoPoint, ObjectId};
 use parking_lot::RwLock;
 use spatial::{GridIndex, IrTree, Item};
+use textindex::DocTerms;
 use vecdb::{CollectionHandle, ScoredPoint, VecDbError};
 
 use crate::backend::{CandidateSource, RetrievalBackend};
@@ -536,30 +537,45 @@ impl QueryPlanner {
         }
     }
 
+    /// Plans a live text edit off the mutation gate: `doc` mapped onto
+    /// the corpus vocabulary under the corpus's read lock, for one of the
+    /// hooks below to apply. The vocabulary only grows and one writer
+    /// commits at a time, so the plan stays valid until its commit, after
+    /// an earlier edit of the same batch too.
+    pub(crate) fn doc_terms(&self, doc: &str) -> DocTerms {
+        self.corpus_text().read().index.doc_terms(doc)
+    }
+
     /// Absorbs a live insert: the point joins the side buffer (so the
-    /// frozen grid/IR-tree prefilters see it) and its document joins the
+    /// frozen grid prefilter sees it) and its planned document joins the
     /// corpus index (so keyword matches and statistics hold it; dense
     /// object ids are claimed in corpus order, so the doc id is the
     /// object id). Caller (the engine's apply path) holds the mutation
     /// write gate.
-    pub(crate) fn live_insert(&self, id: ObjectId, location: GeoPoint, doc: &str) {
-        let d = self.corpus_text().write().index.add_document(doc);
+    pub(crate) fn live_insert(&self, id: ObjectId, location: GeoPoint, terms: DocTerms) {
+        let d = self.corpus_text().write().index.add_terms(terms);
         debug_assert_eq!(d, id.0, "corpus doc ids stay dense under live inserts");
         self.side.push(u64::from(id.0), location);
     }
 
     /// Absorbs a live text update: the corpus index re-indexes the
     /// document in place.
-    pub(crate) fn live_update(&self, id: ObjectId, old_doc: &str, new_doc: &str) {
+    pub(crate) fn live_update(&self, id: ObjectId, old: DocTerms, new: DocTerms) {
         let mut corpus = self.corpus_text().write();
-        corpus.index.update_document(id.0, old_doc, new_doc);
+        corpus.index.update_terms(id.0, old, new);
     }
 
     /// Absorbs a live delete: the corpus index drops the document's
     /// postings. The spatial side needs no bookkeeping — every candidate
     /// path masks deletes through the collection's soft-delete set.
-    pub(crate) fn live_delete(&self, id: ObjectId, doc: &str) {
-        self.corpus_text().write().index.remove_document(id.0, doc);
+    pub(crate) fn live_delete(&self, id: ObjectId, old: DocTerms) {
+        self.corpus_text().write().index.remove_terms(id.0, old);
+    }
+
+    /// `f` over the live corpus index, under its read lock.
+    #[cfg(test)]
+    pub(crate) fn with_corpus<R>(&self, f: impl FnOnce(&textindex::InvertedIndex) -> R) -> R {
+        f(&self.corpus_text().read().index)
     }
 
     /// **The tokenless rule**, stated once: a keyword text with no tokens

@@ -1,5 +1,7 @@
 //! Inverted index: term → postings with term frequencies.
 
+use std::collections::HashMap;
+
 use crate::tokenizer::Tokenizer;
 use crate::vocab::{TermId, Vocabulary};
 
@@ -22,6 +24,20 @@ impl Posting {
     pub(crate) fn is_live(&self) -> bool {
         self.tf > 0
     }
+}
+
+/// A document's text mapped onto an index's vocabulary by
+/// [`InvertedIndex::doc_terms`]: the planned half of an edit, applied by
+/// [`InvertedIndex::add_terms`], [`InvertedIndex::update_terms`] or
+/// [`InvertedIndex::remove_terms`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DocTerms {
+    /// Term ids the vocabulary held, ascending, each with its count.
+    known: Vec<(TermId, u32)>,
+    /// Tokens it did not hold, in first-seen order, each with its count.
+    unknown: Vec<(String, u32)>,
+    /// Tokens in the document.
+    len: u32,
 }
 
 /// Aggregate statistics of one conjunctive keyword query against an
@@ -85,15 +101,11 @@ impl InvertedIndex {
         }
     }
 
-    /// Adds a document, returning its id.
+    /// Adds a document, returning its id: [`InvertedIndex::doc_terms`]
+    /// then [`InvertedIndex::add_terms`].
     pub fn add_document(&mut self, text: &str) -> DocId {
-        let doc = self.doc_lens.len() as DocId;
-        let ids = self.intern_sorted(text);
-        self.doc_lens.push(ids.len() as u32);
-        for (term, tf) in term_runs(&ids) {
-            self.postings_mut(term).push(Posting { doc, tf });
-        }
-        doc
+        let terms = self.doc_terms(text);
+        self.add_terms(terms)
     }
 
     /// Removes a document's postings. `text` must be the exact text the
@@ -103,44 +115,101 @@ impl InvertedIndex {
     /// with the dataset), so `num_docs` does not shrink; the document
     /// simply stops matching any term and its length drops to zero.
     pub fn remove_document(&mut self, doc: DocId, text: &str) {
-        let mut ids = self.query_terms(text);
+        let terms = self.doc_terms(text);
+        self.remove_terms(doc, terms);
+    }
+
+    /// Re-indexes document `doc` in place: drops the postings of
+    /// `old_text`'s terms that `new_text` lacks, leaves those it holds as
+    /// often, and gives the rest of `new_text`'s the same id — updating a
+    /// posting's count, reviving a dead posting where the list still
+    /// holds one, inserting in doc order otherwise — so every posting
+    /// list stays sorted and AND-queries stay sorted intersections.
+    /// `old_text` must be the text `doc` was last indexed with.
+    pub fn update_document(&mut self, doc: DocId, old_text: &str, new_text: &str) {
+        let old = self.doc_terms(old_text);
+        let new = self.doc_terms(new_text);
+        self.update_terms(doc, old, new);
+    }
+
+    /// The first half of every edit: `text` tokenized once and mapped
+    /// onto the vocabulary under a shared borrow, so a writer can plan
+    /// an edit while queries read the index. Tokens the vocabulary does
+    /// not hold yet are kept as strings, in first-seen order, for the
+    /// second half ([`InvertedIndex::add_terms`],
+    /// [`InvertedIndex::update_terms`], [`InvertedIndex::remove_terms`])
+    /// to intern — which interns them exactly as
+    /// [`InvertedIndex::add_document`] would have. Terms planned before
+    /// an earlier edit is applied stay valid: the vocabulary only grows,
+    /// and a token that edit interned is looked up again.
+    #[must_use]
+    pub fn doc_terms(&self, text: &str) -> DocTerms {
+        let mut ids = Vec::new();
+        // Unknown token → (first-seen rank, count).
+        let mut unknown: HashMap<String, (usize, u32)> = HashMap::new();
+        let mut len = 0u32;
+        self.tokenizer.for_each_token(text, |tok| {
+            len += 1;
+            if let Some(id) = self.vocab.get(tok) {
+                ids.push(id);
+            } else if let Some((_, n)) = unknown.get_mut(tok) {
+                *n += 1;
+            } else {
+                let rank = unknown.len();
+                unknown.insert(tok.to_owned(), (rank, 1));
+            }
+        });
         ids.sort_unstable();
-        ids.dedup();
-        for term in ids {
-            let t = term as usize;
-            let Some(posts) = self.postings.get_mut(t) else {
-                continue;
-            };
-            let Ok(i) = posts.binary_search_by_key(&doc, |p| p.doc) else {
-                continue;
-            };
-            if !posts[i].is_live() {
-                continue;
-            }
-            posts[i].tf = 0;
-            self.dead[t] += 1;
-            if 2 * self.dead[t] as usize >= posts.len() {
-                posts.retain(Posting::is_live);
-                self.dead[t] = 0;
-            }
+        let mut unknown: Vec<(String, (usize, u32))> = unknown.into_iter().collect();
+        unknown.sort_unstable_by_key(|(_, (rank, _))| *rank);
+        DocTerms {
+            known: term_runs(&ids).collect(),
+            unknown: unknown.into_iter().map(|(tok, (_, n))| (tok, n)).collect(),
+            len,
+        }
+    }
+
+    /// Adds a document planned by [`InvertedIndex::doc_terms`], returning
+    /// its id.
+    pub fn add_terms(&mut self, terms: DocTerms) -> DocId {
+        let doc = self.doc_lens.len() as DocId;
+        self.doc_lens.push(terms.len);
+        for (term, tf) in terms.known {
+            self.postings_mut(term).push(Posting { doc, tf });
+        }
+        for (tok, tf) in terms.unknown {
+            let term = self.vocab.intern_owned(tok);
+            self.postings_mut(term).push(Posting { doc, tf });
+        }
+        doc
+    }
+
+    /// [`InvertedIndex::remove_document`] with the text planned by
+    /// [`InvertedIndex::doc_terms`].
+    pub fn remove_terms(&mut self, doc: DocId, old: DocTerms) {
+        for (term, _) in self.resolve(old, false) {
+            self.kill(term, doc);
         }
         if let Some(len) = self.doc_lens.get_mut(doc as usize) {
             *len = 0;
         }
     }
 
-    /// Re-indexes document `doc` in place: removes `old_text`'s postings
-    /// and gives `new_text`'s the same id — reviving a dead posting where
-    /// the list still holds one, inserting in doc order otherwise — so
-    /// every posting list stays sorted and AND-queries stay sorted
-    /// intersections.
-    pub fn update_document(&mut self, doc: DocId, old_text: &str, new_text: &str) {
-        self.remove_document(doc, old_text);
-        let ids = self.intern_sorted(new_text);
+    /// [`InvertedIndex::update_document`] with both texts planned by
+    /// [`InvertedIndex::doc_terms`].
+    pub fn update_terms(&mut self, doc: DocId, old: DocTerms, new: DocTerms) {
         if let Some(len) = self.doc_lens.get_mut(doc as usize) {
-            *len = ids.len() as u32;
+            *len = new.len;
         }
-        for (term, tf) in term_runs(&ids) {
+        let mut old = self.resolve(old, false).into_iter().peekable();
+        for (term, tf) in self.resolve(new, true) {
+            while let Some((gone, _)) = old.next_if(|o| o.0 < term) {
+                self.kill(gone, doc);
+            }
+            // A term the old text held as often is left as it is.
+            if old.next_if(|o| o.0 == term).is_some_and(|o| o.1 == tf) {
+                continue;
+            }
             let posts = self.postings_mut(term);
             match posts.binary_search_by_key(&doc, |p| p.doc) {
                 Ok(i) => {
@@ -153,17 +222,51 @@ impl InvertedIndex {
                 Err(at) => posts.insert(at, Posting { doc, tf }),
             }
         }
+        for (gone, _) in old {
+            self.kill(gone, doc);
+        }
     }
 
-    /// Interns every token of `text` (ids in first-seen order) and
-    /// returns the ids sorted, one per token occurrence.
-    fn intern_sorted(&mut self, text: &str) -> Vec<TermId> {
-        let mut ids = Vec::new();
-        let vocab = &mut self.vocab;
-        self.tokenizer
-            .for_each_token(text, |tok| ids.push(vocab.intern(tok)));
-        ids.sort_unstable();
-        ids
+    /// `(term, count)` for every distinct token of `terms`, ascending by
+    /// term: a token it was planned without is interned (in first-seen
+    /// order) when `intern`, looked up — and dropped if still unknown —
+    /// otherwise.
+    fn resolve(&mut self, terms: DocTerms, intern: bool) -> Vec<(TermId, u32)> {
+        let mut out = terms.known;
+        let planned = out.len();
+        for (tok, tf) in terms.unknown {
+            let term = if intern {
+                Some(self.vocab.intern_owned(tok))
+            } else {
+                self.vocab.get(&tok)
+            };
+            out.extend(term.map(|t| (t, tf)));
+        }
+        if out.len() > planned {
+            out.sort_unstable_by_key(|&(t, _)| t);
+        }
+        out
+    }
+
+    /// Marks `doc`'s posting of `term` dead, compacting the list once
+    /// half of it is.
+    fn kill(&mut self, term: TermId, doc: DocId) {
+        let t = term as usize;
+        let Some(posts) = self.postings.get_mut(t) else {
+            return;
+        };
+        let Ok(i) = posts.binary_search_by_key(&doc, |p| p.doc) else {
+            return;
+        };
+        if !posts[i].is_live() {
+            return;
+        }
+        posts[i].tf = 0;
+        self.dead[t] += 1;
+        if 2 * self.dead[t] as usize >= posts.len() {
+            posts.retain(Posting::is_live);
+            self.dead[t] = 0;
+        }
     }
 
     /// The posting list of `term`, created empty if the term is new.
@@ -398,7 +501,7 @@ impl InvertedIndex {
         let mut terms = self.query_terms(text);
         terms.sort_unstable();
         terms.dedup();
-        let mut counts: std::collections::HashMap<DocId, u32> = std::collections::HashMap::new();
+        let mut counts: HashMap<DocId, u32> = HashMap::new();
         for t in terms {
             for p in self.postings(t).iter().filter(|p| p.is_live()) {
                 *counts.entry(p.doc).or_insert(0) += 1;

@@ -25,7 +25,7 @@ pub mod tokenizer;
 pub mod vocab;
 
 pub use bm25::Bm25Model;
-pub use inverted::{DocId, InvertedIndex, QueryTermStats};
+pub use inverted::{DocId, DocTerms, InvertedIndex, QueryTermStats};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdfModel;
 pub use tokenizer::Tokenizer;

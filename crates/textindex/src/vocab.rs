@@ -24,12 +24,20 @@ impl Vocabulary {
 
     /// Interns `term`, returning its id (existing or freshly allocated).
     pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.map.get(term) {
+        match self.map.get(term) {
+            Some(&id) => id,
+            None => self.intern_owned(term.to_owned()),
+        }
+    }
+
+    /// [`Vocabulary::intern`] of a term the caller already owns.
+    pub(crate) fn intern_owned(&mut self, term: String) -> TermId {
+        if let Some(&id) = self.map.get(&term) {
             return id;
         }
         let id = self.terms.len() as TermId;
-        self.terms.push(term.to_owned());
-        self.map.insert(term.to_owned(), id);
+        self.terms.push(term.clone());
+        self.map.insert(term, id);
         id
     }
 

@@ -633,3 +633,174 @@ proptest! {
         }
     }
 }
+
+/// One edit of a planned sequence, as the text path would apply it.
+#[derive(Debug, Clone)]
+enum Edit {
+    Add(String),
+    Update(DocId, String),
+    Remove(DocId),
+}
+
+/// A valid edit sequence over `base` documents: `picks` chooses adds,
+/// updates and removes of live documents among `texts`, and a fixed tail
+/// adds a document, updates it twice, then adds and removes another.
+/// `texts` hold words no base document does, so an edit's tokens are
+/// often first interned by an earlier edit of the sequence.
+fn edit_script(base: usize, picks: &[(u8, usize, usize)], texts: &[String]) -> Vec<Edit> {
+    let mut live: Vec<bool> = vec![true; base];
+    let mut edits = Vec::new();
+    let text = |i: usize| texts[i % texts.len()].clone();
+    for &(op, a, b) in picks {
+        let alive: Vec<DocId> = (0..live.len() as DocId)
+            .filter(|&d| live[d as usize])
+            .collect();
+        if op == 0 || alive.is_empty() {
+            live.push(true);
+            edits.push(Edit::Add(text(b)));
+        } else if op == 1 {
+            edits.push(Edit::Update(alive[a % alive.len()], text(b)));
+        } else {
+            let d = alive[a % alive.len()];
+            live[d as usize] = false;
+            edits.push(Edit::Remove(d));
+        }
+    }
+    let added = live.len() as DocId;
+    edits.extend([
+        Edit::Add(text(0)),
+        Edit::Update(added, text(1)),
+        Edit::Update(added, text(2)),
+        Edit::Add(text(3)),
+        Edit::Remove(added + 1),
+    ]);
+    edits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn edits_planned_before_any_applies_match_a_rebuilt_index(
+        docs in prop::collection::vec(arb_small_doc(), 1..20),
+        picks in prop::collection::vec((0u8..3, 0usize..40, 0usize..40), 0..30),
+        fresh in prop::collection::vec(
+            prop::collection::vec(("[a-d]{2,3}", 0u8..2), 1..8).prop_map(|ws| {
+                ws.into_iter()
+                    .map(|(w, new)| if new == 0 { format!("zq{w}") } else { w })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            }),
+            4..8,
+        ),
+        queries in prop::collection::vec(arb_conjunction(), 4),
+    ) {
+        let edits = edit_script(docs.len(), &picks, &fresh);
+        let t = Tokenizer::new();
+        let mut planned = InvertedIndex::new();
+        // The same edits through the `*_document` path, each planned
+        // just before it applies.
+        let mut late = InvertedIndex::new();
+        for d in &docs {
+            planned.add_document(d);
+            late.add_document(d);
+        }
+        // The texts every document holds before each edit, and after
+        // all; and, as a reference of its own, every token in the order
+        // an added or updated text first brings it.
+        let mut live: Vec<Option<String>> = docs.iter().cloned().map(Some).collect();
+        let mut first_seen: Vec<String> = Vec::new();
+        let mut bring = |text: &str| {
+            for tok in t.tokenize(text) {
+                if !first_seen.contains(&tok) {
+                    first_seen.push(tok);
+                }
+            }
+        };
+        docs.iter().for_each(|d| bring(d));
+        let mut before = Vec::new();
+        for e in &edits {
+            before.push(live.clone());
+            match e {
+                Edit::Add(text) => {
+                    bring(text);
+                    live.push(Some(text.clone()));
+                }
+                Edit::Update(d, text) => {
+                    bring(text);
+                    live[*d as usize] = Some(text.clone());
+                }
+                Edit::Remove(d) => live[*d as usize] = None,
+            }
+        }
+
+        // Every edit is planned against the index as it stood before
+        // the first one applies.
+        let old_text = |k: usize, d: DocId| before[k][d as usize].clone().expect("edits only live documents");
+        let plans: Vec<_> = edits
+            .iter()
+            .enumerate()
+            .map(|(k, e)| match e {
+                Edit::Add(text) => (None, Some(planned.doc_terms(text))),
+                Edit::Update(d, text) => (
+                    Some(planned.doc_terms(&old_text(k, *d))),
+                    Some(planned.doc_terms(text)),
+                ),
+                Edit::Remove(d) => (Some(planned.doc_terms(&old_text(k, *d))), None),
+            })
+            .collect();
+        for (k, (e, (old, new))) in edits.iter().zip(plans).enumerate() {
+            match (e, old, new) {
+                (Edit::Add(text), None, Some(new)) => {
+                    let d = planned.add_terms(new);
+                    prop_assert_eq!(d, late.add_document(text));
+                }
+                (Edit::Update(d, text), Some(old), Some(new)) => {
+                    planned.update_terms(*d, old, new);
+                    late.update_document(*d, &old_text(k, *d), text);
+                }
+                (Edit::Remove(d), Some(old), None) => {
+                    planned.remove_terms(*d, old);
+                    late.remove_document(*d, &old_text(k, *d));
+                }
+                _ => unreachable!("a plan has its edit's shape"),
+            }
+        }
+
+        let mut rebuilt = InvertedIndex::new();
+        for text in &live {
+            rebuilt.add_document(text.as_deref().unwrap_or(""));
+        }
+        prop_assert_eq!(planned.num_docs(), late.num_docs());
+        prop_assert_eq!(planned.num_docs(), rebuilt.num_docs());
+        for d in 0..planned.num_docs() as DocId {
+            prop_assert_eq!(planned.doc_len(d), late.doc_len(d), "doc {}", d);
+            prop_assert_eq!(planned.doc_len(d), rebuilt.doc_len(d), "doc {}", d);
+        }
+        // Every token interned in the order the edits first bring it,
+        // with the live counts of a rebuilt index.
+        prop_assert_eq!(planned.vocab().len(), first_seen.len());
+        prop_assert_eq!(planned.vocab().len(), late.vocab().len());
+        for (id, token) in first_seen.iter().enumerate() {
+            let id = id as u32;
+            prop_assert_eq!(planned.vocab().term(id), Some(token.as_str()));
+            prop_assert_eq!(late.vocab().term(id), Some(token.as_str()));
+            prop_assert_eq!(planned.doc_freq(id), late.doc_freq(id), "term {:?}", token);
+            let want = rebuilt.vocab().get(token).map_or(0, |r| rebuilt.doc_freq(r));
+            prop_assert_eq!(planned.doc_freq(id), want, "term {:?}", token);
+        }
+        let surviving = live.iter().flatten().cloned();
+        for q in surviving.chain(fresh).chain(queries) {
+            let got = planned.and_query(&q);
+            prop_assert_eq!(&got, &late.and_query(&q), "query {:?}", q);
+            prop_assert_eq!(&got, &rebuilt.and_query(&q), "query {:?}", q);
+            prop_assert_eq!(planned.query_stats(&q), late.query_stats(&q), "query {:?}", q);
+            let comparable = t.tokenize(&q).iter().all(|tok| {
+                planned.vocab().get(tok).is_some() == rebuilt.vocab().get(tok).is_some()
+            });
+            if comparable {
+                prop_assert_eq!(planned.query_stats(&q), rebuilt.query_stats(&q), "query {:?}", q);
+            }
+        }
+    }
+}
