@@ -32,7 +32,7 @@ use std::time::Instant;
 use embed::Embedder;
 use llm::SimLlm;
 use semask::retrieval::RetrievalStrategy;
-use semask::{prepare_city_with_threads, SemaSkConfig};
+use semask::{prepare_city, SemaSkConfig};
 use vecdb::{Collection, CollectionConfig, HnswConfig, ScoringTier, SearchParams, SearchStrategy};
 
 const QUERY_TEXTS: [&str; 16] = [
@@ -90,7 +90,7 @@ fn bench_metro(c: &mut Criterion) {
     let llm = Arc::new(SimLlm::new());
     let config = SemaSkConfig::default();
     let t1 = Instant::now();
-    let prepared = prepare_city_with_threads(&data, &llm, &config, 2).expect("prep");
+    let prepared = prepare_city(&data, &llm, &config).expect("prep");
     println!(
         "metro: prepared (geocode + summarize + embed + index) in {:.1}s",
         t1.elapsed().as_secs_f64()

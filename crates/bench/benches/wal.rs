@@ -112,7 +112,7 @@ fn bench_checkpoint(c: &mut Criterion) {
         },
         ..SemaSkConfig::default()
     };
-    let prepared = semask::prepare_city_with_threads(&data, &llm::SimLlm::new(), &config, 2)
+    let prepared = semask::prepare_city(&data, &llm::SimLlm::new(), &config)
         .expect("preparing a generated metro cannot fail");
     let dir = std::env::temp_dir().join(format!("semask_bench_ckpt_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,14 +5,16 @@
 //! protocol, a write being the engine's three stages
 //! ([`SemaSkEngine::apply_mutations`]) with the log between them:
 //!
-//! 1. **Begin and log** — the batch takes the engine's writer lock and
-//!    is validated, then appended to `wal.log`.
+//! 1. **Begin and log** — the batch takes the engine's writer lock, is
+//!    validated and drafted (each insert enriched the way preparation
+//!    enriches a base POI, each new set of tips summarized: the batch's
+//!    only LLM calls), then appended to `wal.log`.
 //! 2. **Prepare beside the fsync** — the log's fsync is the commit
 //!    point: a mutation whose record is durable *will* be applied (now,
 //!    or by recovery); one whose record is torn away by a crash is
 //!    wholly dropped. While it runs the batch is prepared, which changes
-//!    nothing a reader sees: the writer enriches it, then the fsync
-//!    joins the prepare's one [`vecdb::pool::global`] fan-out
+//!    nothing a reader sees: the fsync joins the prepare's one
+//!    [`vecdb::pool::global`] fan-out
 //!    (`SemaSkEngine::prepare_mutations`). The indices are the graph
 //!    plans (embed and plan each insert or update; the writer claims
 //!    index 0), then one job for the batch's text (every mutation's
@@ -401,20 +403,25 @@ impl DurableEngine {
     /// it or — if the crash beat the fsync — none of it.
     ///
     /// # Errors
-    /// An `Err` always means this batch was neither logged nor applied:
-    /// [`DurableError::Engine`] when validation rejects it, log I/O
+    /// An `Err` before the fsync means this batch was neither logged nor
+    /// applied: [`DurableError::Engine`] when validation or drafting
+    /// rejects it (an invalid mutation, a failed tip summary), log I/O
     /// errors, or the failure of a checkpoint an *earlier* batch started
     /// (returned once, before this batch is looked at; the batch can be
-    /// submitted again). A batch that was logged and applied returns
+    /// submitted again). Only a vector-database error planning or
+    /// storing one of the batch's points can follow the fsync: the batch
+    /// is then durable but not published, and reopening the directory
+    /// replays its record. A batch that was logged and applied returns
     /// `Ok` even if the checkpoint it then starts fails.
     pub fn mutate_batch(&self, mutations: &[Mutation]) -> Result<MutationReceipt, DurableError> {
         let mut log = self.log.lock();
         if log.checkpoint_ended() {
             log.settle()?;
         }
-        // Validate before logging: the WAL must never hold a batch that
-        // cannot apply. The turn holds the engine's writer lock, so the
-        // state validated here is the state the batch commits over.
+        // Validate and draft before logging: the WAL must never hold a
+        // batch that cannot apply, and drafting makes the batch's LLM
+        // calls. The turn holds the engine's writer lock, so the state
+        // validated here is the state the batch commits over.
         let turn = self.engine.begin_mutations(mutations)?;
 
         let mut last_seq = 0u64;

@@ -7,16 +7,16 @@ use std::time::Instant;
 
 use embed::Embedder;
 use geotext::{GeoPoint, GeoTextObject, ObjectId};
-use llm::prompts::{rerank_prompt, summarize_prompt};
+use llm::prompts::rerank_prompt;
 use llm::{parse_rerank_response, ChatRequest, LlmError, ModelKind, SimLlm};
 use vecdb::VecDbError;
 
 use crate::config::SemaSkConfig;
 use crate::live::{Overlay, Resolution};
-use crate::prep::PreparedCity;
+use crate::prep::{enrich, summarize, PreparedCity};
 use crate::query::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery};
 use crate::retrieval::{group_indices, BatchGroupKey, PlannedQuery, RetrievalError};
-use crate::wal::{crash_point, Mutation, PoiSpec, PoiUpdate};
+use crate::wal::{crash_point, Mutation, PoiSpec};
 use parking_lot::{Mutex, MutexGuard};
 use textindex::DocTerms;
 
@@ -338,7 +338,7 @@ impl SemaSkEngine {
             })
             .collect();
         let t_retrieval = Instant::now();
-        let batch = self.prepared.filtered_knn_batch(&planned_queries)?;
+        let batch = self.prepared.planner.retrieve_batch(&planned_queries)?;
         let retrieval_share_ms =
             t_retrieval.elapsed().as_secs_f64() * 1000.0 / members.len() as f64;
 
@@ -494,11 +494,12 @@ impl SemaSkEngine {
     /// Applies a batch of mutations atomically with respect to queries:
     /// readers observe either the epoch before the whole batch or the
     /// epoch after it, never a prefix. It is the write path's three
-    /// stages in a row — *begin* (the writer lock and validation),
-    /// *prepare* (everything that changes nothing a reader sees) and
-    /// *commit* (under the mutation gate) — the one apply path, which
-    /// [`crate::durable::DurableEngine`] runs with the log's fsync
-    /// beside the prepare stage.
+    /// stages in a row — *begin* (the writer lock, validation and the
+    /// batch's drafts), *prepare* (everything else that changes nothing
+    /// a reader sees) and *commit* (under the mutation gate) — the one
+    /// apply path, which [`crate::durable::DurableEngine`] runs with the
+    /// log between begin and commit and its fsync beside the prepare
+    /// stage.
     ///
     /// Validation runs first, against the batch's own pending effects
     /// (e.g. a delete followed by an update of the same id fails), and a
@@ -520,24 +521,29 @@ impl SemaSkEngine {
 
     /// Stage 1, **begin**: takes the writer lock — held until the batch
     /// commits or is dropped, so the state validated here is the state
-    /// the later stages see — and validates the batch against it.
+    /// the later stages see — validates the batch against it and drafts
+    /// its objects, each insert enriched the way preparation enriches a
+    /// base POI ([`crate::prep::enrich`]; the batch's only LLM calls).
     /// Readers never take this lock.
-    pub(crate) fn begin_mutations<'a>(
-        &'a self,
-        mutations: &'a [Mutation],
-    ) -> Result<WriteTurn<'a>, EngineError> {
+    pub(crate) fn begin_mutations(
+        &self,
+        mutations: &[Mutation],
+    ) -> Result<WriteTurn<'_>, EngineError> {
         let writer = self.prepared.live.begin_write();
-        self.validate_mutations(&self.prepared.live.overlay(), mutations)?;
+        let published = self.prepared.live.overlay();
+        self.validate_mutations(&published, mutations)?;
+        let drafts = self.draft_mutations(&published, mutations)?;
         Ok(WriteTurn {
             _writer: writer,
-            mutations,
+            published,
+            drafts,
+            collection: self.collection()?,
         })
     }
 
     /// Stage 2, **prepare**: everything a batch costs that changes
-    /// nothing a reader sees. Queries run throughout, and the mutation
-    /// gate is not taken. The batch is enriched on the caller (reverse
-    /// geocoding, tip summaries), then planned in one
+    /// nothing a reader sees, past its drafts. Queries run throughout,
+    /// and the mutation gate is not taken. The batch is planned in one
     /// [`vecdb::pool::global`] fan-out over these indices, in order:
     ///
     /// - one per insert or update: embed, then the graph plan under the
@@ -550,7 +556,8 @@ impl SemaSkEngine {
     /// The caller claims index 0 first, so it takes a graph plan — the
     /// longest job — while a free worker takes the text, then `beside`.
     /// `beside` runs exactly once whatever else fails, and its result
-    /// comes back beside the batch's. With `beside` given, the text job
+    /// comes back beside the batch's; what can fail here is the vector
+    /// database planning a point. With `beside` given, the text job
     /// ends at crash point `wal-prepared`: nothing is committed, and
     /// `beside` may not have run yet, or may still be running.
     pub(crate) fn prepare_mutations<B: Send>(
@@ -558,14 +565,12 @@ impl SemaSkEngine {
         turn: &WriteTurn<'_>,
         beside: Option<impl FnOnce() -> B + Send>,
     ) -> (Result<PreparedBatch, EngineError>, Option<B>) {
-        let published = self.prepared.live.overlay();
-        let (drafts, collection) = match self
-            .draft_mutations(&published, turn.mutations)
-            .and_then(|drafts| Ok((drafts, self.collection()?)))
-        {
-            Ok(ready) => ready,
-            Err(e) => return (Err(e), beside.map(|f| f())),
-        };
+        let WriteTurn {
+            published,
+            drafts,
+            collection,
+            ..
+        } = turn;
         let stored: Vec<&GeoTextObject> = drafts.iter().filter_map(Draft::object).collect();
         let g = stored.len();
         let has_beside = beside.is_some();
@@ -573,10 +578,10 @@ impl SemaSkEngine {
         let (text, beside_out) = (Mutex::new(None), Mutex::new(None));
         let points = vecdb::pool::global().run(g + 1 + usize::from(has_beside), |i| {
             if i < g {
-                return Some(self.plan_point(&collection, stored[i]));
+                return Some(self.plan_point(collection, stored[i]));
             }
             if i == g {
-                *text.lock() = Some(self.plan_text(&published, &drafts));
+                *text.lock() = Some(self.plan_text(published, drafts));
                 if has_beside {
                     crash_point("wal-prepared");
                 }
@@ -636,7 +641,7 @@ impl SemaSkEngine {
         for m in mutations {
             let draft = match m {
                 Mutation::Insert(spec) => {
-                    let obj = self.enrich_insert(ObjectId(next_id), spec)?;
+                    let obj = self.draft_insert(ObjectId(next_id), spec)?;
                     next_id += 1;
                     Draft::Insert(Arc::new(obj))
                 }
@@ -655,8 +660,7 @@ impl SemaSkEngine {
                     }
                     if let Some(tips) = &update.tips {
                         obj.attrs.set("tips", tips.clone());
-                        let summary = self.summarize_tips(tips)?;
-                        obj.attrs.set("tip_summary", summary);
+                        summarize(&mut obj, &self.llm, self.config.summarize_model)?;
                     }
                     Draft::Update(Arc::new(obj))
                 }
@@ -734,7 +738,7 @@ impl SemaSkEngine {
             });
         }
         let gate = live.gate_write();
-        let collection = self.collection()?;
+        let collection = &turn.collection;
         let planner = &self.prepared.planner;
         for step in batch.steps {
             match step {
@@ -837,18 +841,9 @@ impl SemaSkEngine {
             .collection(&self.prepared.collection_name)?)
     }
 
-    /// The preparation pipeline's tip summarization, for one object.
-    fn summarize_tips(&self, tips: &[String]) -> Result<String, EngineError> {
-        if tips.is_empty() {
-            return Ok(String::from("No customer feedback available."));
-        }
-        let req = ChatRequest::user(self.config.summarize_model, summarize_prompt(tips));
-        Ok(self.llm.complete(&req)?.content)
-    }
-
-    /// Runs the same enrichment steps `prepare_city` runs on every base
-    /// object: reverse-geocoded address attributes + tip summarization.
-    fn enrich_insert(&self, id: ObjectId, spec: &PoiSpec) -> Result<GeoTextObject, EngineError> {
+    /// An insert's object under the dense id it will claim, enriched
+    /// the way preparation enriches a base POI.
+    fn draft_insert(&self, id: ObjectId, spec: &PoiSpec) -> Result<GeoTextObject, EngineError> {
         let location = GeoPoint::new(spec.lat, spec.lon).map_err(|e| EngineError::Mutation {
             message: format!("invalid coordinates: {e}"),
         })?;
@@ -862,43 +857,13 @@ impl SemaSkEngine {
         let mut obj = builder.build().map_err(|e| EngineError::Mutation {
             message: e.to_string(),
         })?;
-        let addr = self.prepared.geocoder.locate(&location);
-        obj.attrs.set("county", addr.county);
-        obj.attrs.set("suburb", addr.suburb);
-        obj.attrs.set("neighborhood", addr.neighborhood);
-        let summary = self.summarize_tips(&spec.tips)?;
-        obj.attrs.set("tip_summary", summary);
+        enrich(
+            &mut obj,
+            &self.prepared.geocoder,
+            &self.llm,
+            self.config.summarize_model,
+        )?;
         Ok(obj)
-    }
-
-    /// Inserts one POI and returns its assigned dense id.
-    ///
-    /// # Errors
-    /// See [`SemaSkEngine::apply_mutations`].
-    pub fn insert_poi(&self, spec: PoiSpec) -> Result<ObjectId, EngineError> {
-        let batch = self.apply_mutations(&[Mutation::Insert(spec)])?;
-        Ok(batch.inserted[0])
-    }
-
-    /// Updates one POI's name and/or tips (tips re-summarize and the
-    /// embedding regenerates). Returns the new mutation epoch.
-    ///
-    /// # Errors
-    /// See [`SemaSkEngine::apply_mutations`].
-    pub fn update_poi(&self, id: ObjectId, update: PoiUpdate) -> Result<u64, EngineError> {
-        Ok(self
-            .apply_mutations(&[Mutation::Update { id: id.0, update }])?
-            .epoch)
-    }
-
-    /// Deletes one POI. Returns the new mutation epoch.
-    ///
-    /// # Errors
-    /// See [`SemaSkEngine::apply_mutations`].
-    pub fn delete_poi(&self, id: ObjectId) -> Result<u64, EngineError> {
-        Ok(self
-            .apply_mutations(&[Mutation::Delete { id: id.0 }])?
-            .epoch)
     }
 
     /// The current mutation epoch (0 before any mutation applies).
@@ -933,11 +898,13 @@ pub struct AppliedBatch {
 }
 
 /// A write batch past [`SemaSkEngine::begin_mutations`]: the writer
-/// lock, held until the batch commits or is dropped, and the validated
-/// mutations.
+/// lock, held until the batch commits or is dropped, the overlay it was
+/// validated against, and its drafts.
 pub(crate) struct WriteTurn<'a> {
     _writer: MutexGuard<'a, ()>,
-    mutations: &'a [Mutation],
+    published: Arc<Overlay>,
+    drafts: Vec<Draft>,
+    collection: vecdb::CollectionHandle,
 }
 
 /// What [`SemaSkEngine::prepare_mutations`] computed, for
@@ -1493,14 +1460,15 @@ mod tests {
 
         // Insert: a fresh POI with a distinctive name becomes queryable.
         let id = engine
-            .insert_poi(crate::wal::PoiSpec {
+            .apply_mutations(&[Mutation::Insert(crate::wal::PoiSpec {
                 name: "Zanzibar Moonlight Espresso".to_owned(),
                 lat: center.lat,
                 lon: center.lon,
                 categories: vec!["coffee shop".to_owned()],
                 tips: vec!["the espresso here is phenomenal".to_owned()],
-            })
-            .unwrap();
+            })])
+            .unwrap()
+            .inserted[0];
         assert_eq!(engine.mutation_epoch(), base_epoch + 1);
         let out = engine
             .query(&SemaSkQuery::new(range, "zanzibar moonlight espresso"))
@@ -1512,13 +1480,13 @@ mod tests {
 
         // Update: the new name is what refinement reports.
         engine
-            .update_poi(
-                id,
-                crate::wal::PoiUpdate {
+            .apply_mutations(&[Mutation::Update {
+                id: id.0,
+                update: crate::wal::PoiUpdate {
                     name: Some("Zanzibar Midnight Espresso".to_owned()),
                     tips: None,
                 },
-            )
+            }])
             .unwrap();
         let out = engine
             .query(&SemaSkQuery::new(range, "zanzibar espresso"))
@@ -1535,13 +1503,13 @@ mod tests {
             .find(|&p| p != id)
             .expect("a base POI in range");
         engine
-            .update_poi(
-                renamed,
-                crate::wal::PoiUpdate {
+            .apply_mutations(&[Mutation::Update {
+                id: renamed.0,
+                update: crate::wal::PoiUpdate {
                     name: Some("Quillfeather Lantern Bistro".to_owned()),
                     tips: None,
                 },
-            )
+            }])
             .unwrap();
         let out = engine
             .query(&SemaSkQuery::new(range, "quillfeather lantern bistro"))
@@ -1550,17 +1518,22 @@ mod tests {
         assert_eq!(&*hit.name, "Quillfeather Lantern Bistro");
 
         // Delete: gone from results; stale references rejected.
-        engine.delete_poi(id).unwrap();
+        engine
+            .apply_mutations(&[Mutation::Delete { id: id.0 }])
+            .unwrap();
         let out = engine
             .query(&SemaSkQuery::new(range, "zanzibar espresso"))
             .unwrap();
         assert!(out.pois.iter().all(|p| p.id != id));
         assert!(matches!(
-            engine.delete_poi(id),
+            engine.apply_mutations(&[Mutation::Delete { id: id.0 }]),
             Err(EngineError::Mutation { .. })
         ));
         assert!(matches!(
-            engine.update_poi(id, crate::wal::PoiUpdate::default()),
+            engine.apply_mutations(&[Mutation::Update {
+                id: id.0,
+                update: crate::wal::PoiUpdate::default(),
+            }]),
             Err(EngineError::Mutation { .. })
         ));
 

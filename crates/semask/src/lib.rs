@@ -56,6 +56,7 @@ pub use durable::{CheckpointPolicy, DurableEngine, DurableError, MutationReceipt
 pub use engine::{AppliedBatch, EngineError, SemaSkEngine, Variant};
 pub use eval::{f1_at_k, CityScore, PrecisionRecall};
 pub use live::{LiveState, Overlay};
+#[allow(deprecated)]
 pub use prep::{prepare_city, prepare_city_with_threads, PreparedCity};
 pub use query::{LatencyBreakdown, QueryOutcome, RankedPoi, Reason, SemaSkQuery};
 pub use retrieval::{

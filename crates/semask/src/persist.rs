@@ -678,8 +678,7 @@ mod tests {
         // coefficients, so answers can be compared across them.
         let config = SemaSkConfig::default();
         let llm = Arc::new(SimLlm::new());
-        let prepared =
-            crate::prep::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep");
+        let prepared = crate::prep::prepare_city(&data, &llm, &config).expect("prep");
 
         let dir = std::env::temp_dir().join("semask_persist_metro");
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,11 +17,11 @@ use datagen::{CityData, ReverseGeocoder};
 use embed::{Embedder, SemanticEmbedder};
 use geotext::{Dataset, GeoTextObject};
 use llm::prompts::summarize_prompt;
-use llm::{ChatRequest, LlmError, SimLlm};
+use llm::{ChatRequest, LlmError, ModelKind, SimLlm};
 use vecdb::{Collection, CollectionConfig, VecDbError, VectorDb};
 
 use crate::config::SemaSkConfig;
-use crate::retrieval::{PlannedQuery, PlannedRetrieval, QueryPlanner, RetrievalError};
+use crate::retrieval::{PlannedRetrieval, QueryPlanner, RetrievalError};
 
 /// Errors from the preparation pipeline.
 #[derive(Debug)]
@@ -125,17 +125,6 @@ impl PreparedCity {
         self.planner
             .retrieve_keyword(query_vec, range, keywords, k, ef)
     }
-
-    /// The filtering step for many queries: plans once per distinct
-    /// range group, shares candidate sets across the group, and scores
-    /// the group through the single-pass kernel. Results align with
-    /// `queries` (see [`QueryPlanner::retrieve_batch`]).
-    pub fn filtered_knn_batch(
-        &self,
-        queries: &[PlannedQuery],
-    ) -> Result<Vec<PlannedRetrieval>, RetrievalError> {
-        self.planner.retrieve_batch(queries)
-    }
 }
 
 /// The name column of `dataset`: each object's [`GeoTextObject::name`],
@@ -145,27 +134,18 @@ pub(crate) fn name_column(dataset: &Dataset) -> Vec<Arc<str>> {
     dataset.iter().map(|obj| Arc::from(obj.name())).collect()
 }
 
-/// Runs the full preparation pipeline for one generated city.
+/// Runs the full preparation pipeline for one generated city: each base
+/// POI is enriched (address completion and tip summarization, the step
+/// every live insert goes through too) and embedded in one
+/// [`vecdb::pool::global`] fan-out, and the vectors go into the
+/// collection in id order on the caller. (In the real system the fan-out
+/// corresponds to issuing concurrent API calls during offline
+/// preparation.)
 pub fn prepare_city(
     data: &CityData,
     llm: &SimLlm,
     config: &SemaSkConfig,
 ) -> Result<PreparedCity, PrepError> {
-    prepare_city_with_threads(data, llm, config, 1)
-}
-
-/// Like [`prepare_city`], with the per-POI work (reverse geocoding, LLM
-/// summarization, embedding computation) fanned out over `threads` OS
-/// threads. The result is bit-identical to the sequential pipeline; only
-/// wall-clock prep time changes. (In the real system this corresponds to
-/// issuing concurrent API calls during offline preparation.)
-pub fn prepare_city_with_threads(
-    data: &CityData,
-    llm: &SimLlm,
-    config: &SemaSkConfig,
-    threads: usize,
-) -> Result<PreparedCity, PrepError> {
-    let threads = threads.max(1);
     // The collection first: a configuration it refuses (dimension 0)
     // fails before any POI is summarized.
     let embedder = SemanticEmbedder::new(config.embedder.clone());
@@ -180,84 +160,27 @@ pub fn prepare_city_with_threads(
         }),
     )?;
     let geocoder = ReverseGeocoder::for_city(&data.city);
-    let mut dataset = data.dataset.clone();
-    let n = dataset.len();
 
-    // Step 1 + 2 (parallel): per-POI address completion + summarization.
-    // Each worker fills a disjoint slice of the results.
-    let mut enrich: Vec<Option<(datagen::Address, String)>> = vec![None; n];
-    let chunk = n.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (w, slot_chunk) in enrich.chunks_mut(chunk).enumerate() {
-            let dataset = &dataset;
-            let geocoder = &geocoder;
-            let handle = scope.spawn(move || -> Result<(), PrepError> {
-                for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                    let idx = w * chunk + j;
-                    let obj = &dataset.objects()[idx];
-                    let addr = geocoder.locate(&obj.location);
-                    let tips: Vec<String> = obj
-                        .attrs
-                        .get("tips")
-                        .and_then(|v| v.as_list())
-                        .map(<[String]>::to_vec)
-                        .unwrap_or_default();
-                    let summary = if tips.is_empty() {
-                        String::from("No customer feedback available.")
-                    } else {
-                        let req =
-                            ChatRequest::user(config.summarize_model, summarize_prompt(&tips));
-                        llm.complete(&req)?.content
-                    };
-                    *slot = Some((addr, summary));
-                }
-                Ok(())
-            });
-            handles.push(handle);
-        }
-        for h in handles {
-            h.join().expect("prep worker panicked")?;
-        }
-        Ok::<(), PrepError>(())
-    })?;
-
-    for (idx, slot) in enrich.into_iter().enumerate() {
-        let (addr, summary) = slot.expect("every slot filled");
-        let obj = dataset
-            .get_mut(geotext::ObjectId(idx as u32))
-            .expect("dense ids");
-        obj.attrs.set("county", addr.county);
-        obj.attrs.set("suburb", addr.suburb);
-        obj.attrs.set("neighborhood", addr.neighborhood);
-        obj.attrs.set("tip_summary", summary);
-    }
-
-    // Step 3: embedding generation into the vector database.
-    // Embedding vectors computed in parallel; HNSW insertion stays
-    // sequential (it is the index's mutation path).
-    let mut vectors: Vec<Option<Vec<f32>>> = vec![None; n];
-    std::thread::scope(|scope| {
-        for (w, slot_chunk) in vectors.chunks_mut(chunk).enumerate() {
-            let dataset = &dataset;
-            let embedder = &embedder;
-            scope.spawn(move || {
-                for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                    let obj = &dataset.objects()[w * chunk + j];
-                    let text = PreparedCity::embedding_text_with(obj, config.embed_raw_tips);
-                    *slot = Some(embedder.embed(&text));
-                }
-            });
-        }
+    let base = data.dataset.objects();
+    let enriched = vecdb::pool::global().run(base.len(), |i| {
+        let mut obj = base[i].clone();
+        enrich(&mut obj, &geocoder, llm, config.summarize_model)?;
+        let text = PreparedCity::embedding_text_with(&obj, config.embed_raw_tips);
+        let vector = embedder.embed(&text);
+        Ok::<_, PrepError>((obj, vector))
     });
+    // HNSW insertion stays sequential: it is the index's mutation path.
+    let mut dataset = Dataset::new(data.dataset.name.clone());
     {
         let mut collection = handle.write();
-        for (obj, vector) in dataset.iter().zip(vectors) {
+        for result in enriched {
+            let (obj, vector) = result?;
             collection.insert(
                 u64::from(obj.id.0),
-                vector.expect("every vector computed"),
+                vector,
                 (obj.location.lat, obj.location.lon),
             )?;
+            dataset.push(|_| obj);
         }
     }
 
@@ -277,6 +200,58 @@ pub fn prepare_city_with_threads(
         live,
         names,
     })
+}
+
+/// [`prepare_city`] with a thread count that is read nowhere: the
+/// shared pool sizes preparation's fan-out. Kept only because
+/// `ledger/src/sut.rs:240` calls it; leaves with the next benchmark PR
+/// (ROADMAP 8(d)).
+#[deprecated(note = "`threads` is read nowhere: call `prepare_city`")]
+pub fn prepare_city_with_threads(
+    data: &CityData,
+    llm: &SimLlm,
+    config: &SemaSkConfig,
+    _threads: usize,
+) -> Result<PreparedCity, PrepError> {
+    prepare_city(data, llm, config)
+}
+
+/// Steps 1 and 2 for one POI — what every stored object goes through,
+/// a base object in [`prepare_city`] and a live insert alike: its
+/// reverse-geocoded `county`, `suburb` and `neighborhood`, then its
+/// `tip_summary` ([`summarize`]).
+pub(crate) fn enrich(
+    obj: &mut GeoTextObject,
+    geocoder: &ReverseGeocoder,
+    llm: &SimLlm,
+    model: ModelKind,
+) -> Result<(), LlmError> {
+    let addr = geocoder.locate(&obj.location);
+    obj.attrs.set("county", addr.county);
+    obj.attrs.set("suburb", addr.suburb);
+    obj.attrs.set("neighborhood", addr.neighborhood);
+    summarize(obj, llm, model)
+}
+
+/// Step 2 for one POI: its `tip_summary`, the paper's summarization
+/// prompt over the object's own `tips`, or a fixed sentence when it has
+/// none (no LLM call). A live update that replaces the tips runs this
+/// half alone.
+pub(crate) fn summarize(
+    obj: &mut GeoTextObject,
+    llm: &SimLlm,
+    model: ModelKind,
+) -> Result<(), LlmError> {
+    let tips = obj.attrs.get("tips").and_then(|v| v.as_list());
+    let summary = match tips {
+        Some(tips) if !tips.is_empty() => {
+            llm.complete(&ChatRequest::user(model, summarize_prompt(tips)))?
+                .content
+        }
+        _ => String::from("No customer feedback available."),
+    };
+    obj.attrs.set("tip_summary", summary);
+    Ok(())
 }
 
 #[cfg(test)]

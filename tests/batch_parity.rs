@@ -264,8 +264,7 @@ fn ledger_configuration_batch_of_64_matches_batches_of_one() {
         },
         ..SemaSkConfig::default()
     };
-    let prepared =
-        Arc::new(semask::prepare_city_with_threads(&data, &llm, &config, 2).expect("prep"));
+    let prepared = Arc::new(semask::prepare_city(&data, &llm, &config).expect("prep"));
     let word = common::corpus_word(&prepared.dataset, 17);
     let engine = SemaSkEngine::new(Arc::clone(&prepared), llm, config, Variant::EmbeddingOnly);
 

@@ -354,7 +354,7 @@ fn durable_metro_reopens_after_mutations() {
     let llm = Arc::new(SimLlm::new());
     let data = datagen::generate_metro(&datagen::MetroConfig::new(2_000, 7));
     let center = data.city.center();
-    let prepared = semask::prepare_city_with_threads(&data, &llm, &config(), 2).expect("prep");
+    let prepared = semask::prepare_city(&data, &llm, &config()).expect("prep");
     let engine = SemaSkEngine::new(
         Arc::new(prepared),
         Arc::clone(&llm),

@@ -121,14 +121,15 @@ fn corpus_statistics_track_published_mutations() {
     assert_eq!(before.unknown_terms, 1, "nonce term known before insert");
 
     let id = engine
-        .insert_poi(PoiSpec {
+        .apply_mutations(&[Mutation::Insert(PoiSpec {
             name: "Zephyrquat Hall".to_owned(),
             lat: center.lat,
             lon: center.lon,
             categories: vec!["venue".to_owned()],
             tips: vec!["the glimmerpond sessions are legendary".to_owned()],
-        })
-        .expect("insert");
+        })])
+        .expect("insert")
+        .inserted[0];
     for nonce in ["zephyrquat", "glimmerpond"] {
         let after = planner.keyword_stats(nonce, &range).expect("tokenizes");
         assert_eq!(after.unknown_terms, 0, "{nonce} not visible to planner");
@@ -138,13 +139,13 @@ fn corpus_statistics_track_published_mutations() {
     // Updating the tips away from `glimmerpond` drops its postings
     // while the untouched name keeps `zephyrquat` alive.
     engine
-        .update_poi(
-            id,
-            PoiUpdate {
+        .apply_mutations(&[Mutation::Update {
+            id: id.0,
+            update: PoiUpdate {
                 name: None,
                 tips: Some(vec!["nothing distinctive anymore".to_owned()]),
             },
-        )
+        }])
         .expect("update");
     let gone = planner
         .keyword_stats("glimmerpond", &range)
@@ -158,7 +159,9 @@ fn corpus_statistics_track_published_mutations() {
         .expect("tokenizes");
     assert_eq!(kept.unknown_terms, 0, "update dropped unrelated postings");
 
-    engine.delete_poi(id).expect("delete");
+    engine
+        .apply_mutations(&[Mutation::Delete { id: id.0 }])
+        .expect("delete");
     let deleted = planner
         .keyword_stats("zephyrquat", &range)
         .expect("tokenizes");
@@ -184,13 +187,13 @@ fn plans_after_a_live_insert_are_fresh() {
     let before = plan(planner);
     assert!(before.keyword_aware);
     engine
-        .insert_poi(PoiSpec {
+        .apply_mutations(&[Mutation::Insert(PoiSpec {
             name: "Zephyrquat Hall".to_owned(),
             lat: center.lat,
             lon: center.lon,
             categories: vec!["venue".to_owned()],
             tips: vec!["worth the detour".to_owned()],
-        })
+        })])
         .expect("insert");
     let after = plan(planner);
     assert_ne!(
@@ -221,17 +224,18 @@ fn written_pois_carry_the_prepared_payload() {
     let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     let engine = SemaSkEngine::new(prepared, llm, config, Variant::EmbeddingOnly);
     let inserted = engine
-        .insert_poi(rotation_spec(data.city.center(), 1))
-        .expect("insert");
+        .apply_mutations(&[Mutation::Insert(rotation_spec(data.city.center(), 1))])
+        .expect("insert")
+        .inserted[0];
     let updated = geotext::ObjectId(5);
     engine
-        .update_poi(
-            updated,
-            PoiUpdate {
+        .apply_mutations(&[Mutation::Update {
+            id: updated.0,
+            update: PoiUpdate {
                 name: Some("Renamed Payload Bistro".to_owned()),
                 tips: Some(vec!["a completely new menu every week".to_owned()]),
             },
-        )
+        }])
         .expect("update");
 
     let prepared = engine.prepared();
@@ -259,5 +263,63 @@ fn written_pois_carry_the_prepared_payload() {
         collection.memory_footprint().payload_bytes,
         16 * (data.dataset.len() + 2),
         "16 B a stored point: the prepared ones, the insert, and the update's re-insert"
+    );
+}
+
+/// A written POI is enriched by preparation's own step. A copy of a base
+/// POI inserted live — same position, name, categories and tips — gets
+/// the base POI's `county`, `suburb`, `neighborhood` and `tip_summary`,
+/// and a base POI given another's tips gets that one's `tip_summary`.
+#[test]
+fn a_written_poi_is_enriched_like_a_prepared_one() {
+    let (engine, _) = engine();
+    let prepared = engine.prepared();
+    let base = |i: usize| &prepared.dataset.objects()[i];
+    let list = |obj: &geotext::GeoTextObject, key: &str| {
+        obj.attrs
+            .get(key)
+            .and_then(|v| v.as_list())
+            .map(<[String]>::to_vec)
+            .unwrap_or_default()
+    };
+    for i in [0, 7, 42] {
+        let original = base(i);
+        let copy = engine
+            .apply_mutations(&[Mutation::Insert(PoiSpec {
+                name: original.name().to_owned(),
+                lat: original.location.lat,
+                lon: original.location.lon,
+                categories: list(original, "categories"),
+                tips: list(original, "tips"),
+            })])
+            .expect("insert")
+            .inserted[0];
+        let overlay = prepared.live.overlay();
+        let copy = overlay.get(&prepared.dataset, copy).expect("inserted");
+        for key in ["county", "suburb", "neighborhood", "tip_summary"] {
+            assert!(original.attrs.get(key).is_some(), "POI {i} has no {key}");
+            assert_eq!(
+                copy.attrs.get(key),
+                original.attrs.get(key),
+                "POI {i}: {key}"
+            );
+        }
+    }
+
+    let (donor, updated) = (base(3), geotext::ObjectId(11));
+    engine
+        .apply_mutations(&[Mutation::Update {
+            id: updated.0,
+            update: PoiUpdate {
+                name: None,
+                tips: Some(list(donor, "tips")),
+            },
+        }])
+        .expect("update");
+    let overlay = prepared.live.overlay();
+    let updated = overlay.get(&prepared.dataset, updated).expect("updated");
+    assert_eq!(
+        updated.attrs.get("tip_summary"),
+        donor.attrs.get("tip_summary")
     );
 }

@@ -1,16 +1,23 @@
 //! A batch of one unit — every `SemaSkEngine::query`, and any batch
 //! whose queries share a range — runs on the caller and touches no pool.
 //!
-//! The shared pool starts its `vecdb-pool-N` threads on first use and
-//! nothing else in an engine uses it, so "no such thread in
-//! this process" is "no pool call was made". That is a statement about
-//! the whole process: this file holds one test and must keep to one.
+//! The shared pool starts its `vecdb-pool-N` threads on first use, so
+//! "no such thread in this process" is "no pool call was made". That is
+//! a statement about the whole process: this file holds one test and
+//! must keep to one. Preparation fans out on the pool too, so the city
+//! is prepared by a child run of this test binary and saved; the test
+//! loads the snapshot, which touches no pool.
 
 mod common;
 
+use std::process::Command;
 use std::sync::Arc;
 
+use semask::persist::{load_prepared, save_prepared};
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
+
+/// Set in the child run: the directory to save the prepared city in.
+const PREP_DIR_ENV: &str = "SEMASK_ONE_UNIT_PREP_DIR";
 
 /// Names of this process's threads, or `None` where the platform does
 /// not list them under `/proc`.
@@ -36,14 +43,30 @@ fn pool_threads() -> Option<usize> {
 
 #[test]
 fn a_single_unit_batch_never_reaches_the_pool() {
+    let config = SemaSkConfig::default();
+    if let Ok(dir) = std::env::var(PREP_DIR_ENV) {
+        let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 77);
+        let prepared = prepare_city(&data, &llm::SimLlm::new(), &config).expect("prep");
+        save_prepared(&prepared, dir.as_ref()).expect("save");
+        return;
+    }
     if pool_threads().is_none() {
         eprintln!("skipped: this platform does not list threads under /proc/self/task");
         return;
     }
-    let data = datagen::poi::generate_city(&datagen::CITIES[2], 320, 77);
+    let dir = std::env::temp_dir().join(format!("semask_one_unit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", "a_single_unit_batch_never_reaches_the_pool"])
+        .env(PREP_DIR_ENV, &dir)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run the preparing child");
+    assert!(status.success(), "the preparing child failed: {status}");
+    let prepared = Arc::new(load_prepared(&dir, &config).expect("load"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(pool_threads(), Some(0), "loading a snapshot used the pool");
     let llm = Arc::new(llm::SimLlm::new());
-    let config = SemaSkConfig::default();
-    let prepared = Arc::new(prepare_city(&data, &llm, &config).expect("prep"));
     let word = common::corpus_word(&prepared.dataset, 3);
     let center = prepared.city.center();
     let near = geotext::BoundingBox::from_center_km(center, 3.0, 3.0);
