@@ -35,7 +35,7 @@ impl Harness {
 
     /// Builds with explicit configuration.
     #[must_use]
-    pub fn build_with(scale: f64, config: SemaSkConfig, queries_per_city: usize) -> Self {
+    pub(crate) fn build_with(scale: f64, config: SemaSkConfig, queries_per_city: usize) -> Self {
         let mut wconfig = WorkloadConfig {
             scale,
             ..WorkloadConfig::default()

@@ -12,38 +12,6 @@ impl ConceptId {
     }
 }
 
-/// Broad semantic domain of a concept; the data generator uses domains to
-/// compose plausible POIs (a ramen shop gets food and service concepts,
-/// not oil changes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Domain {
-    /// National or regional cuisines.
-    Cuisine,
-    /// Specific dishes and food items.
-    FoodItem,
-    /// Drinks and beverage programs.
-    Drink,
-    /// Atmosphere and setting.
-    Ambience,
-    /// Things to do at the venue.
-    Activity,
-    /// Service qualities and policies.
-    Service,
-    /// Physical amenities.
-    Amenity,
-    /// Dietary accommodations.
-    Dietary,
-    /// Non-food retail and services.
-    Retail,
-    /// Automotive services.
-    Automotive,
-    /// Health, beauty, and wellness.
-    Wellness,
-    /// Lodging, culture, and recreation.
-    Leisure,
-}
-
 /// One semantic concept.
 #[derive(Debug, Clone)]
 pub struct Concept {
@@ -51,8 +19,6 @@ pub struct Concept {
     pub id: ConceptId,
     /// Stable kebab-case name, e.g. `live-sports-viewing`.
     pub name: &'static str,
-    /// The concept's domain.
-    pub domain: Domain,
     /// Phrases that literally name the concept. Keyword matching finds
     /// these.
     pub surface: &'static [&'static str],

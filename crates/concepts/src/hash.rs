@@ -6,7 +6,7 @@
 //! agree.
 
 /// The FNV-1a hash of the empty string, where every hash starts.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// 64-bit FNV-1a hash of a byte string.
 #[must_use]
@@ -17,7 +17,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The FNV-1a hash of a text whose hash so far is `h`, extended by
 /// `bytes`: `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
 #[must_use]
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     for &b in bytes {
         h ^= u64::from(b);

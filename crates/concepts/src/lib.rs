@@ -32,6 +32,6 @@ pub mod detect;
 pub mod hash;
 pub mod ontology;
 
-pub use concept::{Concept, ConceptId, Domain};
+pub use concept::{Concept, ConceptId};
 pub use detect::{ConceptDetector, Detection, FidelityProfile, Reader, Reading};
 pub use ontology::Ontology;

@@ -40,8 +40,8 @@ pub mod workload;
 
 pub use city::{City, CITIES, METRO};
 pub use geocode::{Address, ReverseGeocoder};
-pub use metro::{district_counts, generate_metro, MetroConfig};
+pub use metro::{generate_metro, MetroConfig};
 pub use poi::CityData;
 pub use queries::TestQuery;
-pub use taxonomy::{Archetype, ARCHETYPES};
+pub use taxonomy::Archetype;
 pub use workload::{Workload, WorkloadConfig};

@@ -75,7 +75,7 @@ impl MetroConfig {
 
     /// The effective tip multiplier (resolving the auto rule).
     #[must_use]
-    pub fn effective_tip_factor(&self) -> usize {
+    pub(crate) fn effective_tip_factor(&self) -> usize {
         self.tip_factor
             .unwrap_or(match self.total_pois {
                 n if n >= 500_000 => 3,
@@ -90,7 +90,7 @@ impl MetroConfig {
 /// per-city POI counts, distributing the rounding remainder to the
 /// largest districts first so the sum is exact.
 #[must_use]
-pub fn district_counts(total: usize) -> Vec<usize> {
+pub(crate) fn district_counts(total: usize) -> Vec<usize> {
     let paper_total: usize = CITIES.iter().map(|c| c.paper_poi_count).sum();
     let mut counts: Vec<usize> = CITIES
         .iter()

@@ -117,7 +117,7 @@ pub enum NameStyle {
 }
 
 /// Generates a `(name, style)` pair for an archetype.
-pub fn generate_name(archetype: &Archetype, rng: &mut StdRng) -> (String, NameStyle) {
+pub(crate) fn generate_name(archetype: &Archetype, rng: &mut StdRng) -> (String, NameStyle) {
     let roll: f64 = rng.gen();
     if roll < 0.40 {
         let owner = OWNERS[rng.gen_range(0..OWNERS.len())];
@@ -135,7 +135,7 @@ pub fn generate_name(archetype: &Archetype, rng: &mut StdRng) -> (String, NameSt
 }
 
 /// Street names for partial addresses.
-pub const STREETS: &[&str] = &[
+pub(crate) const STREETS: &[&str] = &[
     "2nd Ave N",
     "Main St",
     "Market St",
@@ -160,7 +160,7 @@ pub const STREETS: &[&str] = &[
 
 /// Generates a partial street address (the raw dataset's addresses are
 /// incomplete; the geocoder fills in the rest).
-pub fn generate_street_address(rng: &mut StdRng) -> String {
+pub(crate) fn generate_street_address(rng: &mut StdRng) -> String {
     let number = rng.gen_range(100..9999);
     let street = STREETS[rng.gen_range(0..STREETS.len())];
     format!("{number} {street}")

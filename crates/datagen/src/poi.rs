@@ -24,7 +24,7 @@ pub struct CityData {
     pub truth: Vec<Vec<ConceptId>>,
     /// Name style per POI (descriptive vs opaque), for Figure-1 slicing.
     pub name_styles: Vec<NameStyle>,
-    /// Archetype index (into [`ARCHETYPES`]) per POI.
+    /// Archetype index (into `ARCHETYPES`) per POI.
     pub archetype_idx: Vec<usize>,
 }
 

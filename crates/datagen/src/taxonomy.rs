@@ -24,7 +24,7 @@ pub struct Archetype {
 }
 
 /// Service/amenity concepts any POI may additionally pick up.
-pub const GLOBAL_OPTIONAL: &[&str] = &[
+pub(crate) const GLOBAL_OPTIONAL: &[&str] = &[
     "friendly-staff",
     "fast-service",
     "affordable-prices",
@@ -43,7 +43,7 @@ pub const GLOBAL_OPTIONAL: &[&str] = &[
 ];
 
 /// The archetype catalogue (~40 business kinds, food-heavy like Yelp).
-pub const ARCHETYPES: &[Archetype] = &[
+pub(crate) const ARCHETYPES: &[Archetype] = &[
     Archetype {
         key: "sports_bar",
         categories: "Bars, Sports Bars, American (Traditional), Nightlife",

@@ -84,7 +84,11 @@ fn render_tip(phrases: &[&str], rng: &mut StdRng) -> String {
 ///
 /// Guarantees: every concept appears in at least one tip; tip count is
 /// ~7–15 (mean ≈ 11).
-pub fn generate_tips(concepts: &[ConceptId], ontology: &Ontology, rng: &mut StdRng) -> Vec<String> {
+pub(crate) fn generate_tips(
+    concepts: &[ConceptId],
+    ontology: &Ontology,
+    rng: &mut StdRng,
+) -> Vec<String> {
     let n_tips = rng.gen_range(7usize..=15).max(concepts.len());
     let mut tips = Vec::with_capacity(n_tips);
 

@@ -1,6 +1,6 @@
 //! The full five-city benchmark workload.
 
-use crate::city::{City, CITIES};
+use crate::city::CITIES;
 use crate::poi::{generate_city, CityData};
 use crate::queries::{generate_queries, QueryGenConfig, TestQuery};
 
@@ -21,21 +21,6 @@ impl Default for WorkloadConfig {
         Self {
             scale: 1.0,
             queries: QueryGenConfig::default(),
-            seed: 0xda7a,
-        }
-    }
-}
-
-impl WorkloadConfig {
-    /// A reduced-scale configuration for tests (≈ `frac` of paper size).
-    #[must_use]
-    pub fn test_scale(frac: f64) -> Self {
-        Self {
-            scale: frac,
-            queries: QueryGenConfig {
-                per_city: 10,
-                ..QueryGenConfig::default()
-            },
             seed: 0xda7a,
         }
     }
@@ -84,21 +69,27 @@ impl Workload {
     pub fn total_queries(&self) -> usize {
         self.queries.iter().map(Vec::len).sum()
     }
-
-    /// City metadata in order.
-    #[must_use]
-    pub fn city_list(&self) -> Vec<&City> {
-        self.cities.iter().map(|c| &c.city).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A reduced-scale configuration for tests (≈ `frac` of paper size).
+    fn test_scale(frac: f64) -> WorkloadConfig {
+        WorkloadConfig {
+            scale: frac,
+            queries: QueryGenConfig {
+                per_city: 10,
+                ..QueryGenConfig::default()
+            },
+            seed: 0xda7a,
+        }
+    }
+
     #[test]
     fn small_workload_builds() {
-        let w = Workload::build(WorkloadConfig::test_scale(0.05));
+        let w = Workload::build(test_scale(0.05));
         assert_eq!(w.cities.len(), 5);
         assert!(w.total_pois() > 500);
         assert_eq!(w.total_queries(), 50);
@@ -106,15 +97,15 @@ mod tests {
 
     #[test]
     fn scale_controls_counts() {
-        let w = Workload::build(WorkloadConfig::test_scale(0.02));
+        let w = Workload::build(test_scale(0.02));
         // 2% of 4,235 ≈ 85.
         assert!((80..=90).contains(&w.cities[0].dataset.len()));
     }
 
     #[test]
     fn deterministic() {
-        let a = Workload::build(WorkloadConfig::test_scale(0.02));
-        let b = Workload::build(WorkloadConfig::test_scale(0.02));
+        let a = Workload::build(test_scale(0.02));
+        let b = Workload::build(test_scale(0.02));
         assert_eq!(a.queries[0][0].text, b.queries[0][0].text);
         assert_eq!(
             a.cities[2].dataset.objects()[5],

@@ -22,7 +22,7 @@ use crate::Embedder;
 
 /// Bytes of key vectors one embedder's memo may hold: 16 MiB, 16,384
 /// rows at the default 256 dimensions.
-pub const MEMO_BUDGET_BYTES: usize = 16 << 20;
+pub(crate) const MEMO_BUDGET_BYTES: usize = 16 << 20;
 
 /// Writes the key vector of `key` into `out`: a deterministic
 /// pseudo-random unit vector of `out.len()` dimensions.

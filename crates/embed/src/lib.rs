@@ -28,8 +28,8 @@
 //! concept or stemmed word. Deriving one costs `dim` hashes, so each
 //! embedder computes a key's vector once and looks it up afterwards in a
 //! memo of its own, the way a real model reads its embedding table (see
-//! [`hashvec`]). The memo is bounded by
-//! [`hashvec::MEMO_BUDGET_BYTES`] (a constant, 16 MiB); past it a new key
+//! `hashvec`). The memo is bounded by
+//! `hashvec::MEMO_BUDGET_BYTES` (a constant, 16 MiB); past it a new key
 //! is computed per call and not stored, and a stored row adds exactly
 //! the bits a computed one would. A text is tokenized once: the raw
 //! token stream's stems feed concept detection, and the tokens the
@@ -41,7 +41,7 @@
 
 #![warn(missing_docs)]
 
-pub mod hashvec;
+pub(crate) mod hashvec;
 pub mod model;
 
 pub use hashvec::HashEmbedder;

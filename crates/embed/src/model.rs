@@ -80,7 +80,7 @@ impl SemanticEmbedder {
         &self.config
     }
 
-    /// Bytes held by the key-vector memo (see [`crate::hashvec`]) — the
+    /// Bytes held by the key-vector memo (see `crate::hashvec`) — the
     /// embedder's, not any collection's.
     #[must_use]
     pub fn memo_bytes(&self) -> usize {

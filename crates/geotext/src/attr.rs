@@ -30,7 +30,7 @@ pub enum AttributeValue {
 impl AttributeValue {
     /// Returns the text content if this is a `Text` value.
     #[must_use]
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             AttributeValue::Text(s) => Some(s),
             _ => None,
@@ -58,7 +58,7 @@ impl AttributeValue {
 
     /// Whether the value carries any text usable for keyword querying.
     #[must_use]
-    pub fn is_textual(&self) -> bool {
+    pub(crate) fn is_textual(&self) -> bool {
         matches!(
             self,
             AttributeValue::Text(_) | AttributeValue::List(_) | AttributeValue::Map(_)

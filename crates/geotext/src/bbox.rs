@@ -53,7 +53,7 @@ impl BoundingBox {
 
     /// A degenerate box covering exactly one point.
     #[must_use]
-    pub fn from_point(p: GeoPoint) -> Self {
+    pub(crate) fn from_point(p: GeoPoint) -> Self {
         Self {
             min_lat: p.lat,
             min_lon: p.lon,
@@ -119,7 +119,7 @@ impl BoundingBox {
     }
 
     /// Grows the box in place to include `p`.
-    pub fn expand_to_point(&mut self, p: GeoPoint) {
+    pub(crate) fn expand_to_point(&mut self, p: GeoPoint) {
         self.min_lat = self.min_lat.min(p.lat);
         self.max_lat = self.max_lat.max(p.lat);
         self.min_lon = self.min_lon.min(p.lon);
@@ -154,14 +154,8 @@ impl BoundingBox {
     /// Area in squared degrees — a *relative* measure used by R-tree split
     /// and choose-subtree heuristics, where only comparisons matter.
     #[must_use]
-    pub fn area_deg2(&self) -> f64 {
+    pub(crate) fn area_deg2(&self) -> f64 {
         (self.max_lat - self.min_lat) * (self.max_lon - self.min_lon)
-    }
-
-    /// Half-perimeter in degrees (the R*-tree "margin" measure).
-    #[must_use]
-    pub fn margin_deg(&self) -> f64 {
-        (self.max_lat - self.min_lat) + (self.max_lon - self.min_lon)
     }
 
     /// Area increase (in squared degrees) needed to include `other`.
@@ -277,9 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn margin_and_area() {
+    fn area_is_in_square_degrees() {
         let b = BoundingBox::new(0.0, 0.0, 2.0, 3.0).unwrap();
         assert!((b.area_deg2() - 6.0).abs() < 1e-12);
-        assert!((b.margin_deg() - 5.0).abs() < 1e-12);
     }
 }

@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod attr;
-pub mod bbox;
+pub(crate) mod bbox;
 pub mod dataset;
 pub mod error;
 mod json;

@@ -82,19 +82,6 @@ impl GeoPoint {
             wrap_lon(self.lon + dlon),
         )
     }
-
-    /// Initial bearing from `self` to `other` in degrees clockwise from
-    /// north, in `[0, 360)`.
-    #[must_use]
-    pub fn bearing_deg(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlon = lon2 - lon1;
-        let y = dlon.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-        let deg = y.atan2(x).to_degrees();
-        (deg + 360.0) % 360.0
-    }
 }
 
 /// Wraps a longitude into `[-180, 180]`.
@@ -165,15 +152,6 @@ mod tests {
         let c = a.offset_km(5.0, 0.0);
         let d2 = a.haversine_km(&c);
         assert!((d2 - 5.0).abs() < 0.02, "got {d2}");
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let a = p(40.0, -86.0);
-        let north = a.offset_km(1.0, 0.0);
-        let east = a.offset_km(0.0, 1.0);
-        assert!(a.bearing_deg(&north).abs() < 0.5);
-        assert!((a.bearing_deg(&east) - 90.0).abs() < 0.5);
     }
 
     #[test]

@@ -14,4 +14,4 @@ pub mod model;
 pub mod similarity;
 
 pub use model::{LdaConfig, LdaModel};
-pub use similarity::{cosine_f64, jensen_shannon};
+pub use similarity::jensen_shannon;

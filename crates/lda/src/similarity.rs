@@ -1,23 +1,5 @@
 //! Similarity measures between topic distributions.
 
-/// Cosine similarity between two dense f64 vectors.
-#[must_use]
-pub fn cosine_f64(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let (mut dot, mut na, mut nb) = (0.0, 0.0, 0.0);
-    for (x, y) in a.iter().zip(b) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    let denom = (na * nb).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        dot / denom
-    }
-}
-
 /// Jensen–Shannon similarity `1 - JSD(p, q)` (base-2 JSD ∈ [0, 1]).
 ///
 /// The measure used by the semantics-aware spatial keyword baselines for
@@ -45,7 +27,6 @@ mod tests {
     fn identical_distributions_max_similarity() {
         let p = [0.5, 0.3, 0.2];
         assert!((jensen_shannon(&p, &p) - 1.0).abs() < 1e-12);
-        assert!((cosine_f64(&p, &p) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -53,7 +34,6 @@ mod tests {
         let p = [1.0, 0.0];
         let q = [0.0, 1.0];
         assert!(jensen_shannon(&p, &q) < 1e-9);
-        assert!(cosine_f64(&p, &q).abs() < 1e-12);
     }
 
     #[test]

@@ -4,53 +4,13 @@ use std::borrow::Cow;
 
 use crate::models::ModelKind;
 
-/// Message author role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// System instruction.
-    System,
-    /// End-user message.
-    User,
-    /// Model output.
-    Assistant,
-}
-
-/// One chat message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChatMessage {
-    /// Author role.
-    pub role: Role,
-    /// Message text.
-    pub content: String,
-}
-
-impl ChatMessage {
-    /// A user message.
-    #[must_use]
-    pub fn user(content: impl Into<String>) -> Self {
-        Self {
-            role: Role::User,
-            content: content.into(),
-        }
-    }
-
-    /// A system message.
-    #[must_use]
-    pub fn system(content: impl Into<String>) -> Self {
-        Self {
-            role: Role::System,
-            content: content.into(),
-        }
-    }
-}
-
 /// A chat-completion request.
 #[derive(Debug, Clone)]
 pub struct ChatRequest {
     /// Target model.
     pub model: ModelKind,
-    /// Conversation so far (the engine concatenates all message text).
-    pub messages: Vec<ChatMessage>,
+    /// The messages' text (the engine concatenates it).
+    pub(crate) messages: Vec<String>,
 }
 
 impl ChatRequest {
@@ -59,25 +19,18 @@ impl ChatRequest {
     pub fn user(model: ModelKind, content: impl Into<String>) -> Self {
         Self {
             model,
-            messages: vec![ChatMessage::user(content)],
+            messages: vec![content.into()],
         }
     }
 
     /// Prompt text of all messages, joined by newlines; the one
     /// message's text itself, borrowed, when there is one.
     #[must_use]
-    pub fn full_text(&self) -> Cow<'_, str> {
+    pub(crate) fn full_text(&self) -> Cow<'_, str> {
         if let [only] = self.messages.as_slice() {
-            return Cow::Borrowed(&only.content);
+            return Cow::Borrowed(only);
         }
-        let mut s = String::new();
-        for m in &self.messages {
-            if !s.is_empty() {
-                s.push('\n');
-            }
-            s.push_str(&m.content);
-        }
-        Cow::Owned(s)
+        Cow::Owned(self.messages.join("\n"))
     }
 }
 
@@ -120,7 +73,7 @@ mod tests {
     fn full_text_joins_messages() {
         let r = ChatRequest {
             model: ModelKind::Gpt4o,
-            messages: vec![ChatMessage::system("be brief"), ChatMessage::user("hello")],
+            messages: vec!["be brief".to_owned(), "hello".to_owned()],
         };
         assert_eq!(r.full_text(), "be brief\nhello");
     }

@@ -5,7 +5,7 @@ use crate::models::ModelKind;
 
 /// The task a call performed (inferred from the prompt template).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
+pub(crate) enum TaskKind {
     /// Tip summarization.
     Summarize,
     /// Query-result refinement.
@@ -16,7 +16,7 @@ pub enum TaskKind {
 
 /// One metered call, as [`CostLog::push`] takes it.
 #[derive(Debug, Clone)]
-pub struct CallRecord {
+pub(crate) struct CallRecord {
     /// Which model served the call.
     pub model: ModelKind,
     /// Which task template the prompt matched.
@@ -70,7 +70,7 @@ impl CostLog {
     }
 
     /// Adds a call to its `(model, task)` totals.
-    pub fn push(&mut self, record: CallRecord) {
+    pub(crate) fn push(&mut self, record: CallRecord) {
         self.totals[record.model as usize][record.task as usize].add(&record);
     }
 
@@ -89,21 +89,6 @@ impl CostLog {
     #[must_use]
     pub fn total_cost_usd(&self) -> f64 {
         self.cells().map(|t| t.cost_usd).sum()
-    }
-
-    /// Total simulated latency in milliseconds.
-    #[must_use]
-    pub fn total_latency_ms(&self) -> f64 {
-        self.cells().map(|t| t.latency_ms).sum()
-    }
-
-    /// Mean latency per call (0 for an empty log).
-    #[must_use]
-    pub fn mean_latency_ms(&self) -> f64 {
-        match self.num_calls() {
-            0 => 0.0,
-            calls => self.total_latency_ms() / calls as f64,
-        }
     }
 
     /// `(calls, total tokens, cost)` for one model.
@@ -155,7 +140,6 @@ mod tests {
         assert_eq!(tokens, 3300);
         assert!(cost > 0.0);
         assert!(log.total_cost_usd() > cost);
-        assert!(log.mean_latency_ms() > 0.0);
     }
 
     #[test]
@@ -179,7 +163,6 @@ mod tests {
     #[test]
     fn empty_log() {
         let log = CostLog::new();
-        assert_eq!(log.mean_latency_ms(), 0.0);
         assert_eq!(log.total_cost_usd(), 0.0);
     }
 }

@@ -45,12 +45,12 @@ pub mod api;
 pub mod cost;
 pub mod engine;
 pub mod error;
-pub mod models;
+pub(crate) mod models;
 pub mod prompts;
 pub mod tasks;
 pub mod tokens;
 
-pub use api::{ChatMessage, ChatRequest, ChatResponse, Role, Usage};
+pub use api::{ChatRequest, ChatResponse, Usage};
 pub use cost::CostLog;
 pub use engine::SimLlm;
 pub use error::LlmError;

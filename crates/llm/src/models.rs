@@ -26,7 +26,7 @@ impl ModelKind {
 
     /// The model's semantic fidelity profile (drives task quality).
     #[must_use]
-    pub fn fidelity(self) -> FidelityProfile {
+    pub(crate) fn fidelity(self) -> FidelityProfile {
         match self {
             ModelKind::Gpt35Turbo => FidelityProfile::gpt35_turbo(),
             ModelKind::Gpt4o => FidelityProfile::gpt4o(),
@@ -39,7 +39,7 @@ impl ModelKind {
     /// *ratios* matter for the cost argument ("considering its higher
     /// cost, we default to GPT-4o").
     #[must_use]
-    pub fn pricing_usd_per_1k(self) -> (f64, f64) {
+    pub(crate) fn pricing_usd_per_1k(self) -> (f64, f64) {
         match self {
             ModelKind::Gpt35Turbo => (0.0005, 0.0015),
             ModelKind::Gpt4o => (0.0025, 0.0100),

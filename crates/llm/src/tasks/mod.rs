@@ -10,7 +10,7 @@ use concepts::{ConceptId, Ontology};
 /// Human-readable name of a concept ("live-sports-viewing" → "live sports
 /// viewing"), used in generated reasons and summaries.
 #[must_use]
-pub fn pretty_concept(ontology: &Ontology, id: ConceptId) -> String {
+pub(crate) fn pretty_concept(ontology: &Ontology, id: ConceptId) -> String {
     ontology.concept(id).name.replace('-', " ")
 }
 
@@ -18,7 +18,7 @@ pub fn pretty_concept(ontology: &Ontology, id: ConceptId) -> String {
 /// with probability `surface_p`, paraphrase otherwise. `salt` varies the
 /// pick per call site.
 #[must_use]
-pub fn render_concept(
+pub(crate) fn render_concept(
     ontology: &Ontology,
     id: ConceptId,
     surface_p: f64,

@@ -25,7 +25,11 @@ const TEMPLATES_ONE: &[&str] = &[
 /// Generates a query targeting the POI described by `info`. Deterministic
 /// in `(info, profile)`.
 #[must_use]
-pub fn generate_query(info: &str, profile: &FidelityProfile, detector: &ConceptDetector) -> String {
+pub(crate) fn generate_query(
+    info: &str,
+    profile: &FidelityProfile,
+    detector: &ConceptDetector,
+) -> String {
     let ontology = detector.ontology();
     let info_lower = info.to_lowercase();
     let mut detected = detector.detect_noisy(info, profile);

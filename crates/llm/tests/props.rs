@@ -254,12 +254,13 @@ proptest! {
         let pretty = serde_json::to_string_pretty(&Value::Array(docs)).unwrap();
         let d = ConceptDetector::builtin();
         for json in [compact, pretty] {
-            let oracle: Vec<Value> = serde_json::from_str(&json).unwrap();
+            let parsed = serde_json::from_str(&json).unwrap();
+            let oracle = parsed.as_array().unwrap();
             let prompt = rerank_prompt(&json, "q");
             let (pois, q) = extract_rerank(&prompt, &d).unwrap();
             prop_assert_eq!(q, "q");
             prop_assert_eq!(pois.len(), oracle.len());
-            for (poi, value) in pois.iter().zip(&oracle) {
+            for (poi, value) in pois.iter().zip(oracle) {
                 prop_assert_eq!(&poi.name, &tree_name(value), "{}", json);
                 prop_assert_eq!(&poi.reading, &d.read(&tree_text(value)), "{}", json);
             }

@@ -2,7 +2,7 @@
 //!
 //! The PR 4 serve layer admits strictly FIFO, so one hot client that
 //! floods the queue starves everyone else (the documented
-//! hot-client-starvation follow-up). [`FairGate`] fixes that at the
+//! hot-client-starvation follow-up). `FairGate` fixes that at the
 //! network edge: each connection gets its own queue, and connections
 //! are served in rotation, up to the head item's *quantum* (derived
 //! from [`semask_serve::api::Priority`]) per turn. Combined with the
@@ -11,7 +11,7 @@
 //! matter how fast it writes.
 //!
 //! The gate has no thread of its own. Whoever queues work also calls
-//! [`FairGate::serve`]; the first caller to find the gate idle takes the
+//! `FairGate::serve`; the first caller to find the gate idle takes the
 //! **baton** and runs turns until the gate is empty, and everyone who
 //! queues meanwhile returns at once — their items are served by the
 //! baton holder, in rotation. So the handler passed to `serve` never
@@ -54,7 +54,7 @@ struct GateState<T> {
 
 /// A multi-producer queue that is served fairly across producers, by
 /// the producers themselves.
-pub struct FairGate<T> {
+pub(crate) struct FairGate<T> {
     state: Mutex<GateState<T>>,
     /// Signalled when the baton is passed on or put down.
     baton_moved: Condvar,
@@ -179,7 +179,7 @@ impl<T> FairGate<T> {
 
     /// Drops everything queued for one connection (it disconnected; its
     /// pending work has nowhere to go).
-    pub fn close_conn(&self, conn: u64) {
+    pub(crate) fn close_conn(&self, conn: u64) {
         let mut state = self.lock();
         state.queues.remove(&conn);
         state.order.retain(|&c| c != conn);

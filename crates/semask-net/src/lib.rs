@@ -58,7 +58,6 @@ pub mod router;
 pub mod server;
 
 pub use client::{ClientConfig, NetClient};
-pub use fair::FairGate;
 pub use proto::{Frame, FrameKind, FrameReader, ProtoError, ShardQuery, ShardReply};
 pub use router::{RoutedOutcome, RouterConfig, RouterHandler, ShardHandler, ShardRouter};
 pub use server::{IoStats, NetHandler, Reply, ServeServer, ServerConfig};

@@ -288,7 +288,7 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// The wrapped stream (to set socket options on).
-    pub fn get_ref(&self) -> &R {
+    pub(crate) fn get_ref(&self) -> &R {
         &self.inner
     }
 

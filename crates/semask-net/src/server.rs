@@ -22,7 +22,7 @@
 //!   (drip-feeding header bytes) can hold the thread: the connection is
 //!   dropped, the server keeps serving everyone else.
 //! - **Admission** has no thread of its own. A reader queues each
-//!   request on the [`FairGate`] and then serves the gate: if no one
+//!   request on the `FairGate` and then serves the gate: if no one
 //!   else is, it runs weighted-round-robin turns — its own and any
 //!   other connection's — until the gate is empty, so a hot connection
 //!   cannot starve admission for the rest (the PR 4 follow-up) and a

@@ -320,7 +320,7 @@ impl Response {
 
     /// Builder-style cache-status stamp.
     #[must_use]
-    pub fn with_cache(mut self, cached: CacheStatus) -> Self {
+    pub(crate) fn with_cache(mut self, cached: CacheStatus) -> Self {
         self.cached = cached;
         self
     }

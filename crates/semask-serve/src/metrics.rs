@@ -17,7 +17,7 @@ use std::time::Duration;
 /// Live counters, shared between the submit path, the batcher thread,
 /// and metric readers.
 #[derive(Debug, Default)]
-pub struct ServeMetrics {
+pub(crate) struct ServeMetrics {
     accepted: AtomicU64,
     shed: AtomicU64,
     served: AtomicU64,
@@ -46,18 +46,23 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Records an accepted submission.
-    pub fn record_accept(&self) {
+    pub(crate) fn record_accept(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a shed (queue-full) submission.
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a flushed batch: its size, its number of distinct batch
     /// groups, and the per-query admission-to-flush waits.
-    pub fn record_flush(&self, size: usize, groups: usize, waits: impl Iterator<Item = Duration>) {
+    pub(crate) fn record_flush(
+        &self,
+        size: usize,
+        groups: usize,
+        waits: impl Iterator<Item = Duration>,
+    ) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.groups.fetch_add(groups as u64, Ordering::Relaxed);
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
@@ -69,17 +74,17 @@ impl ServeMetrics {
     }
 
     /// Records `n` claims answered with an outcome.
-    pub fn record_served(&self, n: usize) {
+    pub(crate) fn record_served(&self, n: usize) {
         self.served.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records `n` claims answered with an error.
-    pub fn record_failed(&self, n: usize) {
+    pub(crate) fn record_failed(&self, n: usize) {
         self.failed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records a batch whose executor panicked.
-    pub fn record_panicked_batch(&self) {
+    pub(crate) fn record_panicked_batch(&self) {
         self.panicked_batches.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -89,7 +94,7 @@ impl ServeMetrics {
     /// never planned) or a non-finite value would otherwise pour
     /// unpaired time into one counter and corrupt
     /// [`MetricsSnapshot::misprediction_ratio`].
-    pub fn record_plan(&self, predicted_us: f64, actual_retrieval_ms: f64) {
+    pub(crate) fn record_plan(&self, predicted_us: f64, actual_retrieval_ms: f64) {
         let usable = |v: f64| v.is_finite() && v > 0.0;
         if !usable(predicted_us) || !usable(actual_retrieval_ms) {
             return;
@@ -102,30 +107,30 @@ impl ServeMetrics {
     }
 
     /// Records a result-cache hit served at admission.
-    pub fn record_cache_hit(&self) {
+    pub(crate) fn record_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a result-cache miss (the query proceeded to the queue).
-    pub fn record_cache_miss(&self) {
+    pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cached outcome evicted because the engine's mutation
     /// epoch moved past the epoch it was computed at.
-    pub fn record_cache_stale_eviction(&self) {
+    pub(crate) fn record_cache_stale_eviction(&self) {
         self.cache_stale_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` outcomes written back into the result cache after a
     /// flush.
-    pub fn record_cache_insertions(&self, n: usize) {
+    pub(crate) fn record_cache_insertions(&self, n: usize) {
         self.cache_insertions.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records a query answered empty by the negative cache without
     /// occupying a batch slot.
-    pub fn record_negative_hit(&self) {
+    pub(crate) fn record_negative_hit(&self) {
         self.negative_hits.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -1,7 +1,7 @@
 //! The bounded admission buffer.
 //!
-//! A plain FIFO ring with a hard capacity: when it is full, [`
-//! BoundedQueue::push`] hands the item straight back instead of growing
+//! A plain FIFO ring with a hard capacity: when it is full,
+//! `BoundedQueue::push` hands the item straight back instead of growing
 //! or blocking. That refusal is the serving layer's entire backpressure
 //! story — an overloaded server sheds *at admission*, immediately and
 //! with bounded memory, rather than queueing unboundedly and timing
@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 /// A FIFO queue that refuses pushes beyond its capacity.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
 }
@@ -58,14 +58,8 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// The oldest item, if any.
-    #[must_use]
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Removes and returns up to `n` items in FIFO order.
-    pub fn take_up_to(&mut self, n: usize) -> Vec<T> {
+    pub(crate) fn take_up_to(&mut self, n: usize) -> Vec<T> {
         let n = n.min(self.items.len());
         self.items.drain(..n).collect()
     }
@@ -95,9 +89,9 @@ mod tests {
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.front(), Some(&0));
+        assert_eq!(q.items.front(), Some(&0));
         assert_eq!(q.take_up_to(3), vec![0, 1, 2]);
-        assert_eq!(q.front(), Some(&3));
+        assert_eq!(q.items.front(), Some(&3));
     }
 
     #[test]

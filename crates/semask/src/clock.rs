@@ -69,14 +69,6 @@ impl MockClock {
         Self::default()
     }
 
-    /// A clock starting at `at`.
-    #[must_use]
-    pub fn starting_at(at: Duration) -> Self {
-        Self {
-            now: Mutex::new(at),
-        }
-    }
-
     /// Advances the clock by `by`.
     pub fn advance(&self, by: Duration) {
         let mut now = self

@@ -37,7 +37,7 @@
 //!    - **rotate** — `wal.log` becomes `wal.prev` by rename and a fresh,
 //!      empty `wal.log` continues the numbering ([`Wal::rotate`]). The
 //!      writer returns and later batches log into the fresh file;
-//!    - **write beside** — one thread runs [`write_snapshot`] on the
+//!    - **write beside** — one thread runs `write_snapshot` on the
 //!      cut: pack the dataset section, checksum the file, stage, fsync,
 //!      rename, flip `CURRENT`;
 //!    - **retire** — the same thread then removes `wal.prev`, whose
@@ -75,19 +75,18 @@
 //! that tripped the policy was logged, fsynced and applied before the
 //! cut; it returns `Ok` whatever happens to the snapshot. A snapshot that
 //! cannot be written leaves `wal.prev` in place (recovery replays it);
-//! the error goes to the first [`DurableEngine::mutate_batch`] that
+//! the error goes to the first `DurableEngine::mutate_batch` that
 //! finds the checkpoint ended — before that call logs anything — or to
 //! [`DurableEngine::checkpoint`], whichever comes first, and the next
 //! trigger cuts again over both logs — without rotating: `wal.prev`
 //! keeps its name until a snapshot holding its records commits, and
 //! `wal.log` rotates at the trigger after that.
 //!
-//! [`SemaSkEngine::recover`] (a thin wrapper over
-//! [`DurableEngine::open`]) rebuilds the exact pre-crash state:
+//! [`DurableEngine::open`] rebuilds the exact pre-crash state:
 //! load the committed snapshot, replay the WAL suffix through the same
 //! apply path live mutations take. The fault-injection battery
 //! (`tests/durability.rs`) aborts the process at every
-//! [`crate::wal::crash_point`] and checks recovered query results are
+//! `crate::wal::crash_point` and checks recovered query results are
 //! bit-identical to an engine built from scratch with the surviving
 //! mutation prefix.
 
@@ -101,7 +100,7 @@ use parking_lot::Mutex;
 use crate::config::SemaSkConfig;
 use crate::engine::{EngineError, SemaSkEngine, Variant};
 use crate::persist::{cut_prepared, load_prepared, save_prepared, write_snapshot, PersistError};
-use crate::wal::{crash_point, decode, Mutation, Wal, WalError, WalStats};
+use crate::wal::{crash_point, decode, Mutation, Wal, WalError};
 use geotext::ObjectId;
 
 /// The active log inside a durable engine's directory, next to the
@@ -188,7 +187,7 @@ pub struct MutationReceipt {
     /// into a snapshot: it tripped the checkpoint policy, took the cut
     /// and rotated the log. The snapshot itself is written after the
     /// batch returns; whether it committed is the next
-    /// [`DurableEngine::mutate_batch`]'s or
+    /// `DurableEngine::mutate_batch`'s or
     /// [`DurableEngine::checkpoint`]'s to report.
     pub checkpoint_records: Option<u64>,
 }
@@ -247,7 +246,7 @@ fn retire(prev: &Path) -> Result<(), WalError> {
 ///
 /// Queries go straight to [`DurableEngine::engine`] — durability adds
 /// nothing to the read path. Mutations go through
-/// [`DurableEngine::mutate`] / [`DurableEngine::mutate_batch`], which
+/// [`DurableEngine::mutate`] / `DurableEngine::mutate_batch`, which
 /// serialize writers on the log mutex (the log mutex orders the loggers,
 /// the engine's writer lock the appliers, and its gate excludes readers
 /// only while a batch commits). Dropping the engine joins
@@ -389,7 +388,7 @@ impl DurableEngine {
     /// Applies one mutation durably.
     ///
     /// # Errors
-    /// See [`DurableEngine::mutate_batch`].
+    /// See `DurableEngine::mutate_batch`.
     pub fn mutate(&self, mutation: Mutation) -> Result<MutationReceipt, DurableError> {
         self.mutate_batch(&[mutation])
     }
@@ -413,7 +412,10 @@ impl DurableEngine {
     /// is then durable but not published, and reopening the directory
     /// replays its record. A batch that was logged and applied returns
     /// `Ok` even if the checkpoint it then starts fails.
-    pub fn mutate_batch(&self, mutations: &[Mutation]) -> Result<MutationReceipt, DurableError> {
+    pub(crate) fn mutate_batch(
+        &self,
+        mutations: &[Mutation],
+    ) -> Result<MutationReceipt, DurableError> {
         let mut log = self.log.lock();
         if log.checkpoint_ended() {
             log.settle()?;
@@ -516,12 +518,6 @@ impl DurableEngine {
         }))
     }
 
-    /// Statistics of the active log (`wal.log`).
-    #[must_use]
-    pub fn wal_stats(&self) -> WalStats {
-        self.log.lock().wal.stats()
-    }
-
     /// The durable directory this engine logs and snapshots into.
     #[must_use]
     pub fn dir(&self) -> &Path {
@@ -539,28 +535,11 @@ impl Drop for DurableEngine {
     }
 }
 
-impl SemaSkEngine {
-    /// Recovers a durable engine from `dir` to its exact pre-crash
-    /// state: the committed snapshot plus every WAL record beyond it.
-    /// Thin wrapper over [`DurableEngine::open`].
-    ///
-    /// # Errors
-    /// See [`DurableEngine::open`].
-    pub fn recover(
-        dir: &Path,
-        llm: Arc<SimLlm>,
-        config: SemaSkConfig,
-        variant: Variant,
-    ) -> Result<(DurableEngine, RecoverReport), DurableError> {
-        DurableEngine::open(dir, llm, config, variant, CheckpointPolicy::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::SemaSkQuery;
-    use crate::wal::{PoiSpec, PoiUpdate};
+    use crate::wal::{PoiSpec, PoiUpdate, WalStats};
     use datagen::{poi::generate_city, CITIES};
     use geotext::BoundingBox;
 
@@ -627,12 +606,12 @@ mod tests {
         let r3 = durable.mutate(Mutation::Delete { id: 0 }).unwrap();
         assert_eq!(r3.checkpoint_records, Some(3));
         assert_eq!(r3.wal_bytes, 0);
-        assert_eq!(durable.wal_stats().records, 0);
+        assert_eq!(durable.log.lock().wal.stats().records, 0);
 
         // A post-checkpoint mutation lands in the fresh log with
         // continuing sequence numbers.
         durable.mutate(Mutation::Delete { id: 1 }).unwrap();
-        assert_eq!(durable.wal_stats().records, 1);
+        assert_eq!(durable.log.lock().wal.stats().records, 1);
         assert_eq!(durable.engine().prepared().live.last_seq(), 4);
 
         // Recover: snapshot (3 folded) + 1 replayed record.
@@ -641,8 +620,14 @@ mod tests {
         let before: Vec<_> = durable.engine().query(&q).unwrap().answer_ids();
         drop(durable);
 
-        let (recovered, report) =
-            SemaSkEngine::recover(&dir, llm, config, Variant::EmbeddingOnly).unwrap();
+        let (recovered, report) = DurableEngine::open(
+            &dir,
+            llm,
+            config,
+            Variant::EmbeddingOnly,
+            CheckpointPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(report.last_seq, 4);
         assert_eq!(report.replayed, 1);
         assert_eq!(report.skipped, 0);
@@ -776,14 +761,14 @@ mod tests {
         for victim in 3..6 {
             let before = (
                 durable.engine().prepared().live.last_seq(),
-                durable.wal_stats(),
+                durable.log.lock().wal.stats(),
             );
             match durable.mutate(Mutation::Delete { id: victim }) {
                 Ok(receipt) => assert_eq!(receipt.checkpoint_records, None),
                 Err(DurableError::Persist(_)) => {
                     let after = (
                         durable.engine().prepared().live.last_seq(),
-                        durable.wal_stats(),
+                        durable.log.lock().wal.stats(),
                     );
                     assert_eq!(before, after, "the reporting call logged nothing");
                     reported = true;
@@ -802,8 +787,14 @@ mod tests {
         let last_seq = durable.engine().prepared().live.last_seq();
         drop(durable);
 
-        let (reopened, report) =
-            SemaSkEngine::recover(&dir, llm, config, Variant::EmbeddingOnly).unwrap();
+        let (reopened, report) = DurableEngine::open(
+            &dir,
+            llm,
+            config,
+            Variant::EmbeddingOnly,
+            CheckpointPolicy::default(),
+        )
+        .unwrap();
         assert_eq!((report.last_seq, report.replayed), (last_seq, 0));
         assert!(reopened
             .engine()
@@ -862,7 +853,7 @@ mod tests {
         assert_ne!(current(&dir), "snap-0");
         assert_eq!(log_files(&dir), ["wal.log"]);
         assert_eq!(
-            reopened.wal_stats(),
+            reopened.log.lock().wal.stats(),
             WalStats {
                 records: 0,
                 bytes: 0,
@@ -1002,7 +993,14 @@ mod tests {
         // nothing still runs in the directory.
         assert_eq!(current(&dir), "snap-1");
         assert_eq!(names_in(&dir), ["CURRENT", "snap-1", "wal.log"]);
-        let (_, report) = SemaSkEngine::recover(&dir, llm, config, Variant::EmbeddingOnly).unwrap();
+        let (_, report) = DurableEngine::open(
+            &dir,
+            llm,
+            config,
+            Variant::EmbeddingOnly,
+            CheckpointPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(
             (report.last_seq, report.replayed, report.skipped),
             (2, 0, 0)
@@ -1017,7 +1015,11 @@ mod tests {
         let durable = DurableEngine::create(engine, &dir, CheckpointPolicy::default()).unwrap();
         let err = durable.mutate(Mutation::Delete { id: 999_999 });
         assert!(matches!(err, Err(DurableError::Engine(_))));
-        assert_eq!(durable.wal_stats().records, 0, "rejected batch not logged");
+        assert_eq!(
+            durable.log.lock().wal.stats().records,
+            0,
+            "rejected batch not logged"
+        );
         assert_eq!(durable.engine().prepared().live.last_seq(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -102,7 +102,7 @@ impl Overlay {
     /// object (including updates and inserts) into the snapshot dataset,
     /// so only tombstones and the id watermark survive as deltas.
     #[must_use]
-    pub fn restore(next_id: u32, tombstones: impl IntoIterator<Item = u32>) -> Self {
+    pub(crate) fn restore(next_id: u32, tombstones: impl IntoIterator<Item = u32>) -> Self {
         Self {
             objects: HashMap::new(),
             tombstones: tombstones.into_iter().collect(),
@@ -155,7 +155,7 @@ impl Overlay {
 
     /// The dense id the next insert will claim.
     #[must_use]
-    pub fn next_id(&self) -> u32 {
+    pub(crate) fn next_id(&self) -> u32 {
         self.next_id
     }
 
@@ -181,7 +181,7 @@ impl Overlay {
 
     /// The tombstoned ids, unordered.
     #[must_use]
-    pub fn tombstones(&self) -> &HashSet<u32> {
+    pub(crate) fn tombstones(&self) -> &HashSet<u32> {
         &self.tombstones
     }
 }
@@ -227,7 +227,7 @@ impl LiveState {
 
     /// State restored from a checkpoint.
     #[must_use]
-    pub fn with_overlay(overlay: Overlay, last_seq: u64) -> Self {
+    pub(crate) fn with_overlay(overlay: Overlay, last_seq: u64) -> Self {
         Self {
             writer: Mutex::new(()),
             gate: RwLock::new(()),
@@ -238,7 +238,7 @@ impl LiveState {
     }
 
     /// Enters the read side of the gate for a query's filter window.
-    pub fn gate_read(&self) -> RwLockReadGuard<'_, ()> {
+    pub(crate) fn gate_read(&self) -> RwLockReadGuard<'_, ()> {
         self.gate.read()
     }
 
@@ -249,7 +249,7 @@ impl LiveState {
     }
 
     /// Enters the write side of the gate for one batch's commit.
-    pub fn gate_write(&self) -> RwLockWriteGuard<'_, ()> {
+    pub(crate) fn gate_write(&self) -> RwLockWriteGuard<'_, ()> {
         self.gate.write()
     }
 
@@ -279,7 +279,7 @@ impl LiveState {
     }
 
     /// Records that every mutation up to `seq` is applied in memory.
-    pub fn set_last_seq(&self, seq: u64) {
+    pub(crate) fn set_last_seq(&self, seq: u64) {
         self.last_seq.fetch_max(seq, Ordering::AcqRel);
     }
 }

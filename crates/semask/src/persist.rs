@@ -46,7 +46,7 @@
 //! at one log sequence number — the header and the collection packed
 //! into one buffer under the collection's read lock, the dataset and the
 //! published overlay pinned by `Arc` — and needs the city to hold still
-//! only for that long. [`write_snapshot`] does the rest on whichever
+//! only for that long. `write_snapshot` does the rest on whichever
 //! thread has the cut: it packs the dataset section, seals the file
 //! (section table and CRC-32), stages it as `snap-<k>.tmp`, fsyncs it,
 //! renames it to `snap-<k>`, fsyncs the directory, then atomically
@@ -245,7 +245,7 @@ fn cleanup_stale(dir: &Path, keep: Option<&str>) {
 }
 
 /// A prepared city frozen at one log sequence number — what
-/// [`cut_prepared`] takes and [`write_snapshot`] stores. It owns or
+/// [`cut_prepared`] takes and `write_snapshot` stores. It owns or
 /// pins everything it names (the header and the collection as packed
 /// sections, the dataset and the overlay by `Arc`), so writing it needs
 /// no lock and no further look at the city, which may go on changing.
@@ -260,7 +260,7 @@ pub struct SnapshotCut {
 
 /// Freezes `prepared` for a snapshot: pins the published overlay and the
 /// base dataset, packs the header and the collection under its read lock
-/// (no checksum — [`write_snapshot`] seals it), and reads the
+/// (no checksum — `write_snapshot` seals it), and reads the
 /// applied-WAL watermark. They agree only if no mutation is applied
 /// meanwhile — [`crate::durable::DurableEngine`] cuts under its log
 /// mutex, which excludes writers; queries may run throughout.
@@ -348,12 +348,12 @@ fn pack_dataset(w: &mut Writer, base: &Dataset, overlay: &Overlay) -> Result<(),
 
 /// Tags of the attribute values in the dataset section (module docs).
 mod attr {
-    pub const TEXT: u8 = 0;
-    pub const NUMBER: u8 = 1;
-    pub const INTEGER: u8 = 2;
-    pub const BOOL: u8 = 3;
-    pub const LIST: u8 = 4;
-    pub const MAP: u8 = 5;
+    pub(crate) const TEXT: u8 = 0;
+    pub(crate) const NUMBER: u8 = 1;
+    pub(crate) const INTEGER: u8 = 2;
+    pub(crate) const BOOL: u8 = 3;
+    pub(crate) const LIST: u8 = 4;
+    pub(crate) const MAP: u8 = 5;
 }
 
 /// A container length as the `u32` the format stores.
@@ -378,7 +378,7 @@ fn read_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, VecDbError>
 /// # Errors
 /// Whichever step failed to encode, write, rename or fsync; `CURRENT`
 /// then still names the previous snapshot.
-pub fn write_snapshot(cut: SnapshotCut, dir: &Path) -> Result<(), PersistError> {
+pub(crate) fn write_snapshot(cut: SnapshotCut, dir: &Path) -> Result<(), PersistError> {
     let SnapshotCut {
         dataset,
         overlay,
@@ -407,7 +407,7 @@ pub fn write_snapshot(cut: SnapshotCut, dir: &Path) -> Result<(), PersistError> 
 }
 
 /// Snapshots a prepared city nobody is writing to:
-/// [`write_snapshot`] of [`cut_prepared`].
+/// `write_snapshot` of [`cut_prepared`].
 ///
 /// # Errors
 /// See the two halves.

@@ -98,7 +98,7 @@ impl PreparedCity {
     /// `raw_tips` is true, the raw tips replace the tip summary (used by
     /// the `ablation` bench to quantify the summarization step).
     #[must_use]
-    pub fn embedding_text_with(obj: &GeoTextObject, raw_tips: bool) -> String {
+    pub(crate) fn embedding_text_with(obj: &GeoTextObject, raw_tips: bool) -> String {
         let last = if raw_tips { "tips" } else { "tip_summary" };
         let mut parts: Vec<String> = Vec::with_capacity(6);
         for key in ["name", "address", "suburb", "categories", "hours", last] {

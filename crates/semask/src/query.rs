@@ -133,14 +133,6 @@ pub struct LatencyBreakdown {
     pub shard_candidates: Vec<usize>,
 }
 
-impl LatencyBreakdown {
-    /// Filtering plus refinement.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.filtering_ms + self.refinement_ms
-    }
-}
-
 /// The outcome of one query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -159,16 +151,6 @@ impl QueryOutcome {
         self.pois
             .iter()
             .filter(|p| p.recommended)
-            .map(|p| p.id)
-            .collect()
-    }
-
-    /// Ids of candidates the LLM filtered out (blue markers).
-    #[must_use]
-    pub fn filtered_ids(&self) -> Vec<ObjectId> {
-        self.pois
-            .iter()
-            .filter(|p| !p.recommended)
             .map(|p| p.id)
             .collect()
     }
@@ -235,7 +217,6 @@ mod tests {
             latency: LatencyBreakdown::default(),
         };
         assert_eq!(outcome.answer_ids(), vec![ObjectId(1)]);
-        assert_eq!(outcome.filtered_ids(), vec![ObjectId(2)]);
     }
 
     #[test]
@@ -333,15 +314,5 @@ mod tests {
         );
         let said = "Cozy \u{2615} spot, it's 'the best'";
         assert_eq!(Reason::Model(said.to_owned()).to_string(), said);
-    }
-
-    #[test]
-    fn latency_total() {
-        let l = LatencyBreakdown {
-            filtering_ms: 40.0,
-            refinement_ms: 2500.0,
-            ..LatencyBreakdown::default()
-        };
-        assert!((l.total_ms() - 2540.0).abs() < 1e-9);
     }
 }

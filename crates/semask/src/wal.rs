@@ -49,7 +49,7 @@
 //! records and length, what the proptest battery drives with arbitrary
 //! truncations and bit flips.
 //!
-//! The crash-point seam ([`crash_point`]) lets the fault-injection
+//! The crash-point seam (`crash_point`) lets the fault-injection
 //! battery abort the process at named points (before/after the fsync,
 //! after the rotation, mid-snapshot): export
 //! `SEMASK_CRASH_POINT=<name>` (and optionally `SEMASK_CRASH_AFTER=<k>`
@@ -477,7 +477,7 @@ impl Wal {
     /// Raises the next sequence number to at least `seq`. Called after
     /// recovery so a log a checkpoint left empty continues the
     /// snapshot's numbering instead of restarting from 1.
-    pub fn ensure_next_seq(&mut self, seq: u64) {
+    pub(crate) fn ensure_next_seq(&mut self, seq: u64) {
         self.stats.next_seq = self.stats.next_seq.max(seq);
         self.synced.next_seq = self.synced.next_seq.max(seq);
     }
@@ -604,7 +604,7 @@ impl Wal {
 /// one relaxed atomic load. `abort` (not `exit`) so no destructor,
 /// buffer flush, or unwind runs: the process dies as hard as a power
 /// cut, short of the kernel's page cache.
-pub fn crash_point(name: &str) {
+pub(crate) fn crash_point(name: &str) {
     static HITS: AtomicU32 = AtomicU32::new(0);
     match std::env::var(CRASH_POINT_ENV) {
         Ok(armed) if armed == name => {

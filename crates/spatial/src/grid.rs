@@ -172,24 +172,6 @@ impl GridIndex {
             None => 0,
         }
     }
-
-    /// Exact k-nearest-neighbour, by distance to every indexed item.
-    #[must_use]
-    pub fn knn(&self, query: &GeoPoint, k: usize) -> Vec<(ObjectId, f64)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        // Small data sizes: brute force over all cells is fine and exact.
-        let mut all: Vec<(ObjectId, f64)> = self
-            .cells
-            .iter()
-            .flatten()
-            .map(|i| (i.id, query.haversine_km(&i.point)))
-            .collect();
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        all.truncate(k);
-        all
-    }
 }
 
 #[cfg(test)]
@@ -243,19 +225,6 @@ mod tests {
         let g = GridIndex::build(items, 4).unwrap();
         let r = BoundingBox::new(10.0, 10.0, 11.0, 11.0).unwrap();
         assert!(g.range_query(&r).is_empty());
-    }
-
-    #[test]
-    fn knn_is_sorted() {
-        let items: Vec<Item> = (0..50)
-            .map(|i| item(i, 40.0 + i as f64 * 0.001, -75.0))
-            .collect();
-        let g = GridIndex::build(items, 4).unwrap();
-        let q = GeoPoint::new(40.02, -75.0).unwrap();
-        let r = g.knn(&q, 7);
-        assert_eq!(r.len(), 7);
-        assert!(r.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(r[0].0, ObjectId(20));
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl Bm25Model {
 
     /// Wraps an index with explicit parameters.
     #[must_use]
-    pub fn with_params(index: InvertedIndex, k1: f32, b: f32) -> Self {
+    pub(crate) fn with_params(index: InvertedIndex, k1: f32, b: f32) -> Self {
         let avg_len = index.avg_doc_len().max(1e-6);
         Self {
             index,

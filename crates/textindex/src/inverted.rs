@@ -10,7 +10,7 @@ pub type DocId = u32;
 
 /// One posting: a document and the term's frequency in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Posting {
+pub(crate) struct Posting {
     /// Document containing the term.
     pub doc: DocId,
     /// Term frequency in that document; 0 marks a removed document's
@@ -91,7 +91,7 @@ impl InvertedIndex {
 
     /// An empty index with a custom tokenizer.
     #[must_use]
-    pub fn with_tokenizer(tokenizer: Tokenizer) -> Self {
+    pub(crate) fn with_tokenizer(tokenizer: Tokenizer) -> Self {
         Self {
             vocab: Vocabulary::new(),
             postings: Vec::new(),
@@ -293,7 +293,7 @@ impl InvertedIndex {
 
     /// Mean document length (0 for an empty index).
     #[must_use]
-    pub fn avg_doc_len(&self) -> f32 {
+    pub(crate) fn avg_doc_len(&self) -> f32 {
         if self.doc_lens.is_empty() {
             0.0
         } else {
@@ -319,7 +319,7 @@ impl InvertedIndex {
     /// documents' dead ones (`tf == 0`) included until the list is
     /// compacted.
     #[must_use]
-    pub fn postings(&self, term: TermId) -> &[Posting] {
+    pub(crate) fn postings(&self, term: TermId) -> &[Posting] {
         self.postings
             .get(term as usize)
             .map(Vec::as_slice)

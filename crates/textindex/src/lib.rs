@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod bm25;
-pub mod inverted;
+pub(crate) mod inverted;
 pub mod sparse;
 pub mod tfidf;
 pub mod tokenizer;

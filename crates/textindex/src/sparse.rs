@@ -49,12 +49,6 @@ impl SparseVector {
         }
     }
 
-    /// Number of non-zero entries.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Whether the vector is all-zero.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -130,7 +124,7 @@ mod tests {
     #[test]
     fn from_pairs_drops_cancelled_zeros() {
         let v = SparseVector::from_pairs(vec![(1, 1.0), (1, -1.0), (2, 3.0)]);
-        assert_eq!(v.nnz(), 1);
+        assert_eq!(v.iter().count(), 1);
     }
 
     #[test]

@@ -73,15 +73,9 @@ impl TfIdfModel {
         self.doc_vectors.len()
     }
 
-    /// The normalized TF-IDF vector of a document.
-    #[must_use]
-    pub fn doc_vector(&self, doc: DocId) -> Option<&SparseVector> {
-        self.doc_vectors.get(doc as usize)
-    }
-
     /// Vectorizes free query text (L2-normalized).
     #[must_use]
-    pub fn vectorize_query(&self, text: &str) -> SparseVector {
+    pub(crate) fn vectorize_query(&self, text: &str) -> SparseVector {
         let terms = self.index.query_terms(text);
         let mut pairs: Vec<(u32, f32)> = Vec::with_capacity(terms.len());
         // tf within the query:
@@ -162,7 +156,7 @@ mod tests {
     fn doc_vectors_are_normalized() {
         let m = model();
         for d in 0..m.num_docs() as u32 {
-            let n = m.doc_vector(d).unwrap().norm();
+            let n = m.doc_vectors[d as usize].norm();
             assert!((n - 1.0).abs() < 1e-5, "doc {d} norm {n}");
         }
     }

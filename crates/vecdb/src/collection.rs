@@ -55,7 +55,7 @@ impl CollectionConfig {
     ///
     /// # Errors
     /// [`VecDbError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), VecDbError> {
+    pub(crate) fn validate(&self) -> Result<(), VecDbError> {
         if self.dim == 0 {
             return Err(VecDbError::InvalidConfig {
                 cause: "dim = 0 (must be at least 1)".to_owned(),
@@ -382,7 +382,7 @@ impl Collection {
     /// # Errors
     /// What [`Collection::insert`] refuses about the vector: a dimension
     /// other than the configured one, a NaN or infinity, or a
-    /// configuration [`CollectionConfig::validate`] refuses.
+    /// configuration `CollectionConfig::validate` refuses.
     pub fn plan_insert(&self, vector: &[f32]) -> Result<InsertPlan, VecDbError> {
         self.check_vector(vector)?;
         Ok(self.hnsw.plan_insert(vector, self.rows(), &self.inv_norms))
@@ -592,7 +592,7 @@ impl Collection {
     ///
     /// The filter mask is evaluated **once** for the whole slice, and the
     /// full-precision exact scan streams each stored vector through the
-    /// [`Distance::score_batch`] kernel — every stored vector is loaded
+    /// `Distance::score_batch` kernel — every stored vector is loaded
     /// from memory once per call instead of once per query.
     ///
     /// # Errors
@@ -881,7 +881,7 @@ impl Collection {
     /// [`VecDbError::Snapshot`] naming the first check that failed
     /// ([`VecDbError::NonFiniteVector`] for a stored NaN or infinity,
     /// [`VecDbError::InvalidConfig`] for a configuration
-    /// [`CollectionConfig::validate`] refuses — dimension 0, or graph
+    /// `CollectionConfig::validate` refuses — dimension 0, or graph
     /// parameters the next insert would panic on).
     pub fn from_sections(
         [mut meta, mut rows, mut norms, quant, hnsw]: [Reader<'_>; 5],

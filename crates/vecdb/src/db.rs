@@ -46,7 +46,7 @@ impl VectorDb {
     /// other container — under `name`.
     ///
     /// # Errors
-    /// [`VecDbError::InvalidConfig`] if [`crate::CollectionConfig::validate`]
+    /// [`VecDbError::InvalidConfig`] if `crate::CollectionConfig::validate`
     /// refuses the collection's configuration (dimension 0, meaningless
     /// graph parameters); [`VecDbError::CollectionExists`] if the name is
     /// taken.

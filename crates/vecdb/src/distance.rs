@@ -22,7 +22,7 @@
 //! bit for bit — the same source with more rows, not a second kernel.
 //!
 //! That one source is compiled twice. The kernels built on it — the
-//! `f32` dot product and squared distance (one row or [`ROWS`]), and the
+//! `f32` dot product and squared distance (one row or `ROWS`), and the
 //! dot product of an `f32` query with `u8` codes — exist once for the target's baseline
 //! features (the portable build, and the only one off x86-64) and once
 //! more, on x86-64, under `#[target_feature(enable = "avx2")]`; each call
@@ -37,7 +37,7 @@
 //! cached inverse norm; [`Distance::distance_normed`] consumes it, which
 //! for [`Distance::Cosine`] turns every comparison into a single dot
 //! product (no per-comparison `sqrt`, no re-summing the stored vector's
-//! squares). [`Distance::score_batch`] scores one stored vector against
+//! squares). `Distance::score_batch` scores one stored vector against
 //! M query vectors while it is hot in L1.
 
 /// Lane count of the kernel for `f32 × f32` operands. One L1-hot 256-d
@@ -57,7 +57,7 @@ pub(crate) const U8_LANES: usize = 32;
 /// Rows one [`Distance::distance_normed_rows`] call scores: four 16-lane
 /// accumulators of the `f32` kernel fill half of AVX2's sixteen vector
 /// registers, leaving the rest for the operands.
-pub const ROWS: usize = 4;
+pub(crate) const ROWS: usize = 4;
 
 /// The crate's one accumulation loop: `Σ term(a[i], b[i])` over the
 /// common prefix of `a` and `b`, summed as `L` independent lanes
@@ -361,7 +361,7 @@ impl Distance {
         }
     }
 
-    /// [`Distance::distance_normed`] of `a` against [`ROWS`] vectors in
+    /// [`Distance::distance_normed`] of `a` against `ROWS` vectors in
     /// one call: `out[r]` is `distance_normed(a, inv_a, b[r], inv_b[r])`
     /// bit for bit, and each chunk of `a` is loaded once for all rows.
     #[must_use]
@@ -405,7 +405,7 @@ impl Distance {
     ///
     /// # Panics
     /// If `out` or `query_inv_norms` are shorter than `queries`.
-    pub fn score_batch(
+    pub(crate) fn score_batch(
         self,
         queries: &[&[f32]],
         query_inv_norms: &[f32],

@@ -14,7 +14,7 @@
 //! rather than allocating and zeroing `nodes.len()` flags, and the heaps
 //! keep their capacity from one search to the next. A node taken from
 //! the beam has its unvisited neighbours collected first and scored
-//! [`ROWS`] to a kernel call ([`Distance::distance_normed_rows`], each
+//! `ROWS` to a kernel call ([`Distance::distance_normed_rows`], each
 //! distance the one-row call's bit for bit); the heaps then take them in
 //! link order, as they would one at a time.
 //!
@@ -157,7 +157,7 @@ impl HnswConfig {
     ///
     /// # Errors
     /// [`VecDbError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), VecDbError> {
+    pub(crate) fn validate(&self) -> Result<(), VecDbError> {
         let cause = if self.m < 2 {
             format!("hnsw.m = {} (must be at least 2)", self.m)
         } else if self.m0 < self.m {

@@ -34,7 +34,7 @@ pub mod payload;
 pub mod pool;
 pub mod quant;
 pub mod rows;
-pub mod sharded;
+pub(crate) mod sharded;
 
 pub use codec::crc32;
 pub use collection::{

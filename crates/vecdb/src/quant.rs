@@ -188,7 +188,7 @@ impl QuantizedVectors {
 
     /// Bytes used by the codes (≈ 1/4 of the f32 original).
     #[must_use]
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.codes.len()
     }
 

@@ -62,7 +62,7 @@ impl<'a> Rows<'a> {
 
     /// Every value, row after row.
     #[must_use]
-    pub fn as_flat(self) -> &'a [f32] {
+    pub(crate) fn as_flat(self) -> &'a [f32] {
         self.data
     }
 }

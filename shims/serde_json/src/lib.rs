@@ -2,8 +2,9 @@
 //!
 //! Provides the subset this workspace uses: the [`Value`] tree, the
 //! [`json!`] macro, [`Map`], and the `to_string` / `to_string_pretty` /
-//! `to_writer` / `from_str` entry points, all expressed over the vendored
-//! `serde` shim's `Content` data model.
+//! `from_str` entry points. There is no typed (de)serialization: the
+//! parser builds a [`Value`], the printer walks one, and `json!` converts
+//! its leaves with `From<_> for Value`.
 //!
 //! Formatting guarantees relied on elsewhere in the workspace:
 //!
@@ -14,16 +15,12 @@
 //!   like real serde_json without `preserve_order`), so serialized output
 //!   is deterministic.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::io::Write;
-
-use serde::{Content, DeError, Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 
 mod parse;
 
-/// A JSON (de)serialization error.
+/// A JSON parse error.
 #[derive(Debug, Clone)]
 pub struct Error(pub(crate) String);
 
@@ -34,12 +31,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error(e.to_string())
-    }
-}
 
 /// A JSON number: integer or float, as in real serde_json.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +103,8 @@ impl fmt::Display for Number {
         match self.0 {
             N::I(i) => write!(f, "{i}"),
             N::U(u) => write!(f, "{u}"),
+            // `{:?}` is shortest-roundtrip and always keeps a fraction or
+            // exponent, so floats stay floats across a JSON roundtrip.
             N::F(x) if x.is_finite() => write!(f, "{x:?}"),
             N::F(_) => write!(f, "null"),
         }
@@ -120,126 +113,68 @@ impl fmt::Display for Number {
 
 /// A JSON object: string keys to values, sorted by key.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Map<K = String, V = Value>
-where
-    K: Ord,
-{
-    inner: BTreeMap<K, V>,
-}
+pub struct Map(BTreeMap<String, Value>);
 
-impl<K: Ord, V> Map<K, V> {
+impl Map {
     /// An empty map.
     #[must_use]
     pub fn new() -> Self {
-        Map {
-            inner: BTreeMap::new(),
-        }
+        Map(BTreeMap::new())
     }
 
     /// Inserts a key/value pair, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.inner.insert(key, value)
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+        self.0.insert(key, value)
     }
 
     /// Looks up a key.
-    pub fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inner.get(key)
-    }
-
-    /// Removes a key.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inner.remove(key)
-    }
-
-    /// Whether a key is present.
-    pub fn contains_key<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inner.contains_key(key)
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.get(key)
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.0.len()
     }
 
     /// Whether the map is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.0.is_empty()
     }
 
     /// Iterates entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.inner.iter()
-    }
-
-    /// Iterates keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.inner.keys()
+    pub fn iter(&self) -> std::collections::btree_map::Iter<'_, String, Value> {
+        self.0.iter()
     }
 
     /// Iterates values in key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.inner.values()
+    pub fn values(&self) -> std::collections::btree_map::Values<'_, String, Value> {
+        self.0.values()
     }
 }
 
-impl<K: Ord, V> IntoIterator for Map<K, V> {
-    type Item = (K, V);
-    type IntoIter = std::collections::btree_map::IntoIter<K, V>;
+impl IntoIterator for Map {
+    type Item = (String, Value);
+    type IntoIter = std::collections::btree_map::IntoIter<String, Value>;
     fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
+        self.0.into_iter()
     }
 }
 
-impl<'a, K: Ord, V> IntoIterator for &'a Map<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = std::collections::btree_map::Iter<'a, K, V>;
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a String, &'a Value);
+    type IntoIter = std::collections::btree_map::Iter<'a, String, Value>;
     fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
+        self.0.iter()
     }
 }
 
-impl<K: Ord, V> FromIterator<(K, V)> for Map<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        Map {
-            inner: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for Map<String, V> {
-    fn to_content(&self) -> Content {
-        Content::Map(
-            self.inner
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_content()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for Map<String, V> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_content(v)?)))
-                .collect(),
-            _ => Err(DeError::expected("map", c)),
-        }
+impl FromIterator<(String, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+        Map(iter.into_iter().collect())
     }
 }
 
@@ -258,7 +193,7 @@ pub enum Value {
     /// An array.
     Array(Vec<Value>),
     /// An object.
-    Object(Map<String, Value>),
+    Object(Map),
 }
 
 static NULL: Value = Value::Null;
@@ -326,7 +261,7 @@ impl Value {
 
     /// The object content, if an object.
     #[must_use]
-    pub fn as_object(&self) -> Option<&Map<String, Value>> {
+    pub fn as_object(&self) -> Option<&Map> {
         match self {
             Value::Object(m) => Some(m),
             _ => None,
@@ -368,7 +303,9 @@ impl std::ops::Index<usize> for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&to_string(self).map_err(|_| fmt::Error)?)
+        let mut out = String::new();
+        write_value(self, &mut out, None, 0);
+        f.write_str(&out)
     }
 }
 
@@ -424,7 +361,7 @@ eq_num! {
     usize => |v: &Value, x: usize| v.as_u64() == Some(x as u64)
 }
 
-// ---- conversions ----
+// ---- conversions (what `json!` builds its leaves with) ----
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
@@ -435,12 +372,6 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(s: String) -> Self {
         Value::String(s)
-    }
-}
-
-impl From<&String> for Value {
-    fn from(s: &String) -> Self {
-        Value::String(s.clone())
     }
 }
 
@@ -497,110 +428,43 @@ impl<T: Clone + Into<Value>> From<&[T]> for Value {
     }
 }
 
-impl From<Map<String, Value>> for Value {
-    fn from(m: Map<String, Value>) -> Self {
+impl<V: Into<Value>> From<BTreeMap<String, V>> for Value {
+    fn from(m: BTreeMap<String, V>) -> Self {
+        Value::Object(m.into_iter().map(|(k, v)| (k, v.into())).collect())
+    }
+}
+
+impl From<Map> for Value {
+    fn from(m: Map) -> Self {
         Value::Object(m)
     }
 }
 
-// ---- Content bridge ----
-
-impl From<&Value> for Content {
-    fn from(v: &Value) -> Content {
-        match v {
-            Value::Null => Content::Null,
-            Value::Bool(b) => Content::Bool(*b),
-            Value::Number(Number(N::I(i))) => Content::I64(*i),
-            Value::Number(Number(N::U(u))) => Content::U64(*u),
-            Value::Number(Number(N::F(f))) => Content::F64(*f),
-            Value::String(s) => Content::Str(s.clone()),
-            Value::Array(items) => Content::Seq(items.iter().map(Content::from).collect()),
-            Value::Object(m) => Content::Map(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), Content::from(v)))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-impl From<&Content> for Value {
-    fn from(c: &Content) -> Value {
-        match c {
-            Content::Null => Value::Null,
-            Content::Bool(b) => Value::Bool(*b),
-            Content::I64(i) => Value::Number(Number(N::I(*i))),
-            Content::U64(u) => Value::Number(Number(N::U(*u))),
-            Content::F64(f) => Value::Number(Number(N::F(*f))),
-            Content::Str(s) => Value::String(s.clone()),
-            Content::Seq(items) => Value::Array(items.iter().map(Value::from).collect()),
-            Content::Map(entries) => Value::Object(
-                entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(v)))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-impl Serialize for Value {
-    fn to_content(&self) -> Content {
-        Content::from(self)
-    }
-}
-
-impl Deserialize for Value {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        Ok(Value::from(c))
+/// A borrowed value converts as a copy of itself, so `json!` can take
+/// its leaves by reference.
+impl<T: Clone + Into<Value>> From<&T> for Value {
+    fn from(v: &T) -> Self {
+        v.clone().into()
     }
 }
 
 // ---- entry points ----
 
-/// Serializes a value to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_content(&value.to_content(), &mut out, None, 0);
-    Ok(out)
+/// Prints a value as compact JSON text.
+pub fn to_string(value: &Value) -> Result<String, Error> {
+    Ok(value.to_string())
 }
 
-/// Serializes a value to pretty-printed JSON text.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Prints a value as JSON text indented by two spaces a level.
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_content(&value.to_content(), &mut out, Some(2), 0);
+    write_value(value, &mut out, Some(2), 0);
     Ok(out)
-}
-
-/// Serializes a value as JSON into a writer.
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<(), Error> {
-    let s = to_string(value)?;
-    writer
-        .write_all(s.as_bytes())
-        .map_err(|e| Error(e.to_string()))
 }
 
 /// Parses a value from JSON text.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let content = parse::parse(s)?;
-    Ok(T::from_content(&content)?)
-}
-
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(Value::from(&value.to_content()))
-}
-
-/// Infallible [`Value`] conversion used by the `json!` macro (any
-/// serializable value has a value-tree form).
-#[doc(hidden)]
-pub fn value_of<T: Serialize + ?Sized>(value: &T) -> Value {
-    Value::from(&value.to_content())
-}
-
-/// Reconstructs a typed value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    Ok(T::from_content(&Content::from(value))?)
+pub fn from_str(s: &str) -> Result<Value, Error> {
+    parse::parse(s)
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -615,7 +479,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\u{8}' => out.push_str("\\b"),
             '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -623,60 +487,52 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: usize) {
-    let (nl, pad, pad_in) = match indent {
-        Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-        None => ("", String::new(), String::new()),
-    };
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(i) => out.push_str(&i.to_string()),
-        Content::U64(u) => out.push_str(&u.to_string()),
-        // `{:?}` is shortest-roundtrip and always keeps a fraction or
-        // exponent, so floats stay floats across a JSON roundtrip.
-        Content::F64(f) if f.is_finite() => out.push_str(&format!("{f:?}")),
-        Content::F64(_) => out.push_str("null"),
-        Content::Str(s) => write_escaped(s, out),
-        Content::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
+/// Opens a non-empty container's next line: a newline and the padding of
+/// `depth` levels when pretty-printing, nothing when compact.
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
+    }
+}
+
+fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::String(s) => write_escaped(s, out),
+        Value::Array(items) if items.is_empty() => out.push_str("[]"),
+        Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_content(item, out, indent, depth + 1);
+                newline(out, indent, depth + 1);
+                write_value(item, out, indent, depth + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad);
+            newline(out, indent, depth);
             out.push(']');
         }
-        Content::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
+        Value::Object(m) if m.is_empty() => out.push_str("{}"),
+        Value::Object(m) => {
             out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
+            for (i, (k, v)) in m.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad_in);
+                newline(out, indent, depth + 1);
                 write_escaped(k, out);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_content(v, out, indent, depth + 1);
+                write_value(v, out, indent, depth + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad);
+            newline(out, indent, depth);
             out.push('}');
         }
     }
@@ -687,12 +543,14 @@ fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: us
 /// Supports the shapes used in this workspace: `json!(null)`, scalars,
 /// expression interpolation, arrays, and objects with string-literal keys
 /// whose values may be nested `json!` syntax or arbitrary expressions.
+/// An interpolated expression is borrowed and converted with
+/// `From<&T> for Value`, so it stays usable after the macro.
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
     ([ $($tt:tt)* ]) => { $crate::json_array!([ $($tt)* ] -> []) };
     ({ $($tt:tt)* }) => { $crate::json_object!({ $($tt)* } -> []) };
-    ($other:expr) => { $crate::value_of(&$other) };
+    ($other:expr) => { $crate::Value::from(&$other) };
 }
 
 /// Internal: accumulates array elements (`tt` muncher).
@@ -713,7 +571,7 @@ macro_rules! json_array {
     };
     // Expression element (greedy up to the next top-level comma).
     ([ $head:expr $(, $($rest:tt)*)? ] -> [$($elems:expr),*]) => {
-        $crate::json_array!([ $($($rest)*)? ] -> [$($elems,)* $crate::value_of(&$head)])
+        $crate::json_array!([ $($($rest)*)? ] -> [$($elems,)* $crate::Value::from(&$head)])
     };
 }
 
@@ -723,7 +581,7 @@ macro_rules! json_array {
 macro_rules! json_object {
     ({} -> [$(($key:expr, $val:expr)),*]) => {{
         #[allow(unused_mut)]
-        let mut map: $crate::Map<String, $crate::Value> = $crate::Map::new();
+        let mut map = $crate::Map::new();
         $( map.insert(String::from($key), $val); )*
         $crate::Value::Object(map)
     }};
@@ -737,6 +595,6 @@ macro_rules! json_object {
         $crate::json_object!({ $($($rest)*)? } -> [$($acc,)* ($key, $crate::json!({ $($inner)* }))])
     };
     ({ $key:literal : $val:expr $(, $($rest:tt)*)? } -> [$($acc:tt),*]) => {
-        $crate::json_object!({ $($($rest)*)? } -> [$($acc,)* ($key, $crate::value_of(&$val))])
+        $crate::json_object!({ $($($rest)*)? } -> [$($acc,)* ($key, $crate::Value::from(&$val))])
     };
 }

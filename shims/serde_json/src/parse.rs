@@ -1,10 +1,8 @@
-//! A small recursive-descent JSON parser producing `serde::Content`.
+//! A small recursive-descent JSON parser producing a [`Value`] tree.
 
-use serde::Content;
+use crate::{Error, Map, Number, Value, N};
 
-use crate::Error;
-
-pub(crate) fn parse(input: &str) -> Result<Content, Error> {
+pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
@@ -47,7 +45,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Content) -> Result<Content, Error> {
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -56,12 +54,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Content, Error> {
+    fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Content::Null),
-            Some(b't') => self.literal("true", Content::Bool(true)),
-            Some(b'f') => self.literal("false", Content::Bool(false)),
-            Some(b'"') => self.string().map(Content::Str),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::String),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -69,13 +67,13 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Content, Error> {
+    fn array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Content::Seq(items));
+            return Ok(Value::Array(items));
         }
         loop {
             self.skip_ws();
@@ -85,20 +83,20 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Content::Seq(items));
+                    return Ok(Value::Array(items));
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Content, Error> {
+    fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
+        let mut entries = Map::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Content::Map(entries));
+            return Ok(Value::Object(entries));
         }
         loop {
             self.skip_ws();
@@ -107,13 +105,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            entries.push((key, value));
+            entries.insert(key, value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Content::Map(entries));
+                    return Ok(Value::Object(entries));
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
@@ -194,7 +192,7 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Content, Error> {
+    fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -214,14 +212,14 @@ impl Parser<'_> {
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Content::I64(i));
+                return Ok(Value::Number(Number(N::I(i))));
             }
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Content::U64(u));
+                return Ok(Value::Number(Number(N::U(u))));
             }
         }
         text.parse::<f64>()
-            .map(Content::F64)
+            .map(|f| Value::Number(Number(N::F(f))))
             .map_err(|_| self.err("invalid number"))
     }
 }
@@ -238,7 +236,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::parse;
-    use serde::Content;
+    use crate::Value;
 
     #[test]
     fn lone_surrogates_are_refused() {
@@ -264,7 +262,7 @@ mod tests {
             (r#""\udbff\udfff""#, "\u{10ffff}"),
         ] {
             match parse(text) {
-                Ok(Content::Str(s)) => assert_eq!(s, want, "{text}"),
+                Ok(Value::String(s)) => assert_eq!(s, want, "{text}"),
                 other => panic!("{text} gave {other:?}"),
             }
         }

@@ -306,11 +306,12 @@ fn crash_battery() {
             "{label} (after {}): more than two logs: {debris:?}",
             run.after
         );
-        let (recovered, report) = SemaSkEngine::recover(
+        let (recovered, report) = DurableEngine::open(
             &dir,
             Arc::new(SimLlm::new()),
             config(),
             Variant::EmbeddingOnly,
+            CheckpointPolicy::default(),
         )
         .expect("recover from crash directory");
         assert_eq!(

@@ -62,13 +62,14 @@ fn written_prompts_are_the_value_trees_and_read_back_like_them() {
     }
     for chunk in objects.chunks(10) {
         let json = geotext::json_array(chunk);
-        let oracle: Vec<Value> = serde_json::from_str(&json).expect("valid JSON");
+        let parsed = serde_json::from_str(&json).expect("valid JSON");
+        let oracle = parsed.as_array().expect("a JSON array");
         let prompt = rerank_prompt(&json, "a quiet cafe");
         let (pois, query) =
             extract_rerank(&prompt, &detector).expect("a written prompt reads back");
         assert_eq!(query, "a quiet cafe");
         assert_eq!(pois.len(), chunk.len());
-        for ((poi, value), o) in pois.iter().zip(&oracle).zip(chunk) {
+        for ((poi, value), o) in pois.iter().zip(oracle).zip(chunk) {
             assert_eq!(poi.name, tree_name(value));
             assert_eq!(poi.name, o.name());
             assert_eq!(poi.reading, detector.read(&tree_text(value)));
